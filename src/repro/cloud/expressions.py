@@ -21,8 +21,9 @@ the construction is type-checked.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Attr",
@@ -40,6 +41,9 @@ __all__ = [
     "ListRemove",
     "ListPopHead",
     "apply_updates",
+    "updated_image",
+    "clone",
+    "item_size_bytes",
     "item_size_kb",
 ]
 
@@ -225,7 +229,15 @@ def item_exists() -> Condition:
 # Update actions
 # --------------------------------------------------------------------------
 class UpdateAction:
-    """Base update action; mutates an item dict in place."""
+    """Base update action.
+
+    ``apply`` assigns into the *top level* of ``item`` and nowhere deeper:
+    nested maps on the way to a dotted path are path-copied, lists are
+    rebuilt, and container operands are cloned as they enter.  So after
+    ``new = dict(old); action.apply(new)`` the two share every untouched
+    attribute and ``old`` is exactly what it was — the copy-on-write step
+    the key-value store's image discipline rests on.
+    """
 
     path: str
 
@@ -234,24 +246,34 @@ class UpdateAction:
 
 
 def _set_path(item: Dict[str, Any], path: str, value: Any) -> None:
-    parts = path.split(".")
+    if "." not in path:
+        item[path] = value
+        return
+    *parents, last = path.split(".")
     node = item
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
+    for part in parents:
+        child = node.get(part, _MISSING)
+        if child is _MISSING:
+            child = {}
+        elif isinstance(child, dict):
+            child = dict(child)  # path copy: the old map may be shared
+        else:
             raise TypeError(f"cannot descend into non-map attribute {part!r}")
-    node[parts[-1]] = value
+        node[part] = child
+        node = child
+    node[last] = value
 
 
 def _del_path(item: Dict[str, Any], path: str) -> None:
-    parts = path.split(".")
-    node: Any = item
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            return
-        node = node[part]
-    if isinstance(node, dict):
-        node.pop(parts[-1], None)
+    head, _, last = path.rpartition(".")
+    if not head:
+        item.pop(last, None)
+        return
+    parent = _get(item, head)
+    if isinstance(parent, dict) and last in parent:
+        parent = dict(parent)
+        del parent[last]
+        _set_path(item, head, parent)
 
 
 @dataclass(frozen=True)
@@ -260,7 +282,7 @@ class Set(UpdateAction):
     value: Any
 
     def apply(self, item: Dict[str, Any]) -> None:
-        _set_path(item, self.path, self.value)
+        _set_path(item, self.path, clone(self.value))
 
 
 @dataclass(frozen=True)
@@ -270,7 +292,7 @@ class SetIfNotExists(UpdateAction):
 
     def apply(self, item: Dict[str, Any]) -> None:
         if _get(item, self.path) is _MISSING:
-            _set_path(item, self.path, self.value)
+            _set_path(item, self.path, clone(self.value))
 
 
 @dataclass(frozen=True)
@@ -310,7 +332,7 @@ class ListAppend(UpdateAction):
     def apply(self, item: Dict[str, Any]) -> None:
         current = _get(item, self.path)
         base = [] if current is _MISSING else list(current)
-        base.extend(self.values)
+        base.extend(clone(v) for v in self.values)
         _set_path(item, self.path, base)
 
 
@@ -359,31 +381,81 @@ def apply_updates(item: Dict[str, Any], updates: Sequence[UpdateAction]) -> Dict
     return item
 
 
+def updated_image(image: Optional[Dict[str, Any]], size_bytes: int,
+                  updates: Sequence[UpdateAction]) -> Tuple[Dict[str, Any], int]:
+    """Copy-on-write update: the new image and its exact size in bytes.
+
+    ``image`` (of ``size_bytes``; None/empty starts from ``{}``) is left
+    untouched and shares every attribute the actions do not name.  The
+    size is the old one plus the byte delta of the touched top-level
+    attributes — the same integer a full :func:`item_size_bytes` walk of
+    the result returns, without walking what did not change.
+    """
+    if not image:
+        image, size_bytes = {}, _CONTAINER_BYTES
+    new = apply_updates(dict(image), updates)
+    for name in {action.path.partition(".")[0] for action in updates}:
+        before, after = image.get(name, _MISSING), new.get(name, _MISSING)
+        if before is not after:  # else a no-op: nothing to re-measure
+            size_bytes += _attr_bytes(name, after) - _attr_bytes(name, before)
+    return new, size_bytes
+
+
+# --------------------------------------------------------------------------
+# Image cloning (the one copy at the key-value store's API boundary)
+# --------------------------------------------------------------------------
+_ATOMIC = frozenset({str, bytes, int, float, bool, type(None)})
+
+
+def clone(value: Any) -> Any:
+    """Structural copy of an attribute value: maps and lists are rebuilt,
+    immutable scalars are shared, anything else goes to ``copy.deepcopy``."""
+    kind = type(value)
+    if kind in _ATOMIC:
+        return value
+    if kind is dict:
+        return {k: v if type(v) in _ATOMIC else clone(v) for k, v in value.items()}
+    if kind is list:
+        return [v if type(v) in _ATOMIC else clone(v) for v in value]
+    return copy.deepcopy(value)
+
+
 # --------------------------------------------------------------------------
 # Size accounting (drives per-kB billing and bandwidth latency terms)
 # --------------------------------------------------------------------------
+_CONTAINER_BYTES = 3
+
+
 def _value_size_bytes(value: Any) -> int:
-    if value is None:
-        return 1
-    if isinstance(value, bool):
+    if isinstance(value, str):  # first: every attribute name lands here
+        return (len(value) if value.isascii()
+                else len(value.encode("utf-8", errors="replace")))
+    if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):
         return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8", errors="replace"))
     if isinstance(value, (bytes, bytearray, memoryview)):
         return len(value)
     if isinstance(value, (list, tuple)):
-        return 3 + sum(_value_size_bytes(v) for v in value)
+        return _CONTAINER_BYTES + sum(map(_value_size_bytes, value))
     if isinstance(value, dict):
-        return 3 + sum(
-            _value_size_bytes(k) + _value_size_bytes(v) for k, v in value.items()
-        )
+        return (_CONTAINER_BYTES + sum(map(_value_size_bytes, value))
+                + sum(map(_value_size_bytes, value.values())))
     return 8  # opaque objects: count a word
+
+
+def _attr_bytes(name: str, value: Any) -> int:
+    """Bytes one attribute adds to its item (nothing when absent)."""
+    if value is _MISSING:
+        return 0
+    return _value_size_bytes(name) + _value_size_bytes(value)
+
+
+def item_size_bytes(item: Optional[Dict[str, Any]]) -> int:
+    """Approximate billable size of an item, in bytes (0 for no item)."""
+    return 0 if item is None else _value_size_bytes(item)
 
 
 def item_size_kb(item: Optional[Dict[str, Any]]) -> float:
     """Approximate billable size of an item, in kB."""
-    if item is None:
-        return 0.0
-    return _value_size_bytes(item) / 1024.0
+    return item_size_bytes(item) / 1024.0

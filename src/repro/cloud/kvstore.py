@@ -16,14 +16,30 @@ Provides the semantics FaaSKeeper's system storage needs (Section 3.3):
 All mutating operations are generators: they charge latency on the virtual
 clock *before* applying the mutation atomically, so concurrent processes
 interleave exactly as a remote store would interleave their requests.
+
+**Image discipline.**  An item image, once handed to :meth:`Table._store`,
+is never mutated again.  That one invariant lets the table, the previous
+version kept for eventual reads, stream records, the idempotence-token
+ledger and the next update's copy-on-write base all *hold the same dict*.
+Updates build a new image that shares every untouched attribute
+(:func:`~repro.cloud.expressions.updated_image`).  Only the API boundary
+copies, once, with :func:`~repro.cloud.expressions.clone`: every image
+returned or raised to a caller (``get_item``, ``update_item``,
+``transact_update``, ``scan``, token replays, ``ConditionFailed.item``,
+stream-record images when read) and every caller-owned dict entering the
+store (``put_item``, ``batch_put``).  Because images are frozen, an item's
+billable size is a stored fact, not a walk: computed when the image is
+stored, or derived in exact integer bytes from the previous size plus the
+delta of the attributes an update touched — so latency and billing see the
+same floats a full walk would give.  ``FK_SANITIZE=1`` checks both halves.
 """
 
 from __future__ import annotations
 
-import copy
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..fklint import sanitize
 from ..sim.kernel import Environment, Event
@@ -32,11 +48,11 @@ from .calibration import CloudProfile
 from .context import OpContext
 from .errors import ConditionFailed, ItemTooLarge, NoSuchTable
 from .expressions import (
-    Always,
     Condition,
     UpdateAction,
-    apply_updates,
-    item_size_kb,
+    clone,
+    item_size_bytes,
+    updated_image,
 )
 from .faults import FaultInjector, draw_fault
 from .pricing import CostMeter
@@ -64,26 +80,48 @@ TTL_ATTRIBUTE = "__expires__"
 
 @dataclass
 class StreamRecord:
-    """A change record emitted to a table's stream (DynamoDB Streams)."""
+    """A change record emitted to a table's stream (DynamoDB Streams).
+
+    ``old``/``new`` are the table's own images — shared, not copied at emit
+    time, read-only.  Listeners read ``old_image``/``new_image``: a private
+    clone made on first access, so a handler cannot corrupt the store and a
+    listener that only routes the record pays nothing.
+    """
 
     table: str
     key: str
-    old_image: Optional[Dict[str, Any]]
-    new_image: Optional[Dict[str, Any]]
+    old: Optional[Dict[str, Any]]
+    new: Optional[Dict[str, Any]]
     sequence: int
     timestamp: float
     #: ``"write"`` for caller mutations, ``"ttl"`` for native TTL expiry —
     #: the discriminator DynamoDB exposes as ``userIdentity`` on TTL
     #: deletions, so listeners can react to expiry specifically.
     reason: str = "write"
+    old_image = cached_property(lambda self: clone(self.old))
+    new_image = cached_property(lambda self: clone(self.new))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Versioned:
+    """One stored image: ``value`` and ``previous`` are frozen and shared."""
+
     value: Dict[str, Any]
+    #: Exact billable size (kB = bytes / 1024): walked once when stored, or
+    #: derived from the previous image's size by :func:`updated_image`.
+    size_bytes: int
     written_at: float
     previous: Optional[Dict[str, Any]] = None
     previous_at: float = 0.0
+    #: ``FK_SANITIZE=1`` only: a private clone of ``value`` at store time.
+    snapshot: Optional[Dict[str, Any]] = None
+
+
+_NOT_APPLIED = object()
+
+
+def _size_kb(rec: Optional[_Versioned]) -> float:
+    return rec.size_bytes / 1024.0 if rec is not None else 0.0
 
 
 class Table:
@@ -110,9 +148,26 @@ class Table:
         return list(self._items.keys())
 
     def raw(self, key: str) -> Optional[Dict[str, Any]]:
-        """Direct (zero-latency) item access for assertions in tests."""
+        """Direct (zero-latency) item access for assertions in tests: the
+        live stored image, read-only like every holder's view of it."""
         rec = self._items.get(key)
         return None if rec is None else rec.value
+
+    def _get(self, key: str) -> Optional[_Versioned]:
+        """The record under ``key``; the sanitizer leg checks it against its
+        snapshot here, so the op that observes a corruption raises."""
+        rec = self._items.get(key)
+        if rec is not None and rec.snapshot is not None:
+            if rec.value != rec.snapshot:
+                raise sanitize.SanitizerError(
+                    f"stored image {self.name}/{key} was mutated in place "
+                    "after Table._store; images are frozen — build a new one "
+                    "(copy-on-write), see CONTRIBUTING.md")
+            if rec.size_bytes != item_size_bytes(rec.value):
+                raise sanitize.SanitizerError(
+                    f"memoized size of {self.name}/{key} is {rec.size_bytes} B"
+                    f" but a full walk gives {item_size_bytes(rec.value)} B")
+        return rec
 
     # -- internal mutation helpers -----------------------------------------
     def _emit(self, key: str, old: Optional[Dict[str, Any]], new: Optional[Dict[str, Any]],
@@ -123,8 +178,8 @@ class Table:
         record = StreamRecord(
             table=self.name,
             key=key,
-            old_image=copy.deepcopy(old),
-            new_image=copy.deepcopy(new),
+            old=old,
+            new=new,
             sequence=self._stream_seq,
             timestamp=self._env.now,
             reason=reason,
@@ -133,8 +188,10 @@ class Table:
             listener(record)
 
     def _store(self, key: str, value: Optional[Dict[str, Any]],
-               reason: str = "write") -> None:
-        old_rec = self._items.get(key)
+               reason: str = "write", size_bytes: Optional[int] = None) -> None:
+        """Install ``value`` (None deletes).  The table takes ownership:
+        from here on the image is frozen and shared, never mutated."""
+        old_rec = self._get(key)
         old = old_rec.value if old_rec else None
         if value is None:
             self._items.pop(key, None)
@@ -142,9 +199,11 @@ class Table:
         else:
             self._items[key] = _Versioned(
                 value=value,
+                size_bytes=item_size_bytes(value) if size_bytes is None else size_bytes,
                 written_at=self._env.now,
                 previous=old,
                 previous_at=old_rec.written_at if old_rec else 0.0,
+                snapshot=clone(value) if sanitize.enabled() else None,
             )
             if TTL_ATTRIBUTE in value:
                 self._ttl_keys.add(key)
@@ -181,6 +240,10 @@ class KeyValueStore:
     #: previous version of an item (DynamoDB documents "usually <1 s").
     EVENTUAL_STALENESS_MS = 500.0
     EVENTUAL_STALE_P = 0.33
+    #: how long (ms) an applied idempotence token is remembered at least —
+    #: DynamoDB's ``ClientRequestToken`` window is 10 minutes; the ledger
+    #: forgets a token between one and two windows after it was applied.
+    TOKEN_WINDOW_MS = 600_000.0
 
     def __init__(
         self,
@@ -205,8 +268,12 @@ class KeyValueStore:
         #: mutator carrying a token records its result here at apply time;
         #: a replay of the same token returns the recorded result without
         #: re-applying — the device that makes ambiguous-failure retries
-        #: exactly-once.
+        #: exactly-once.  Results are the stored images themselves (shared).
+        #: Two generations, turned over every :attr:`TOKEN_WINDOW_MS` on the
+        #: sim clock, bound it without a timestamp per entry.
         self._token_results: Dict[str, Any] = {}
+        self._token_previous: Dict[str, Any] = {}
+        self._token_turnover = self.TOKEN_WINDOW_MS
 
     # ------------------------------------------------------------ tables
     def create_table(self, name: str, capacity_per_s: Optional[float] = None) -> Table:
@@ -242,6 +309,41 @@ class KeyValueStore:
         self.meter.charge(ctx.payer or self.service_label, "kv_read",
                           self.profile.prices.kv_read_cost(size_kb, consistent))
 
+    def _applied(self, token: Optional[str]) -> Any:
+        """The result recorded for ``token``, or ``_NOT_APPLIED`` when it is
+        new (or was applied more than a window or two ago)."""
+        if token is None:
+            return _NOT_APPLIED
+        now = self.env.now
+        if now >= self._token_turnover:
+            # Nothing survives a turnover that comes a whole window late.
+            idle = now >= self._token_turnover + self.TOKEN_WINDOW_MS
+            self._token_previous = {} if idle else self._token_results
+            self._token_results = {}
+            self._token_turnover = now + self.TOKEN_WINDOW_MS
+        recorded = self._token_results.get(token, _NOT_APPLIED)
+        if recorded is _NOT_APPLIED:
+            recorded = self._token_previous.get(token, _NOT_APPLIED)
+        return recorded
+
+    def _finish(self, token: Optional[str], result: Any, fault: Optional[str],
+                op: str, table_name: str, key: str) -> None:
+        """Close an applied mutation: remember its token, then let a
+        partial-write fault lose the reply."""
+        if token is not None:
+            self._token_results[token] = result
+        if fault is not None:
+            self.faults.fire_after(fault, f"{op} {table_name}/{key}")
+
+    def _current(self, table: Table, key: str,
+                 condition: Optional[Condition]) -> Optional[_Versioned]:
+        """The record under ``key``, once ``condition`` holds on its image."""
+        rec = table._get(key)
+        value = rec.value if rec else None
+        if condition is not None and not condition.evaluate(value):
+            raise ConditionFailed(item=clone(value))
+        return rec
+
     # ------------------------------------------------------------ operations
     def get_item(
         self,
@@ -250,7 +352,7 @@ class KeyValueStore:
         key: str,
         consistent: bool = True,
     ) -> Generator[Event, Any, Optional[Dict[str, Any]]]:
-        """Read one item; returns a deep copy or None.
+        """Read one item; returns a private clone or None.
 
         Eventually-consistent reads may return the previous version of a
         recently written item — the behaviour that rules them out for
@@ -261,8 +363,7 @@ class KeyValueStore:
         if fault is not None:
             yield from self.faults.fire_before(fault, f"get_item {table_name}/{key}")
         table.expire_due(self.env.now)
-        rec = table._items.get(key)
-        size_kb = item_size_kb(rec.value if rec else None)
+        size_kb = _size_kb(table._get(key))
         wait = self._admit(table, 1.0)
         latency = self._latency(ctx, self.profile.kv_read, size_kb)
         yield self.env.timeout(wait + latency)
@@ -270,15 +371,15 @@ class KeyValueStore:
         table.read_count += 1
         # Re-fetch after the delay: the read observes the state at completion
         # time for strong reads, possibly stale state for eventual ones.
-        rec = table._items.get(key)
+        rec = table._get(key)
         self._charge_read(ctx, size_kb, consistent)
         if rec is None:
             return None
         if not consistent and rec.previous is not None:
             age = self.env.now - rec.written_at
             if age < self.EVENTUAL_STALENESS_MS and self.rng.random() < self.EVENTUAL_STALE_P:
-                return copy.deepcopy(rec.previous)
-        return copy.deepcopy(rec.value)
+                return clone(rec.previous)
+        return clone(rec.value)
 
     def put_item(
         self,
@@ -302,7 +403,10 @@ class KeyValueStore:
         fault = draw_fault(self.faults, "put_item", mutating=True)
         if fault is not None:
             yield from self.faults.fire_before(fault, f"put_item {table_name}/{key}")
-        size_kb = item_size_kb(attributes)
+        # The request is captured as it is sent: the caller keeps its dict.
+        image = clone(attributes)
+        size_bytes = item_size_bytes(image)
+        size_kb = size_bytes / 1024.0
         if size_kb > self.profile.kv_item_limit_kb:
             raise ItemTooLarge(f"{size_kb:.1f} kB > {self.profile.kv_item_limit_kb} kB")
         conditional = condition is not None
@@ -313,18 +417,12 @@ class KeyValueStore:
         yield self.env.timeout(wait + latency)
         table.write_count += 1
         self._charge_write(ctx, size_kb)
-        if token is not None and token in self._token_results:
+        if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied write: nothing to redo
         table.expire_due(self.env.now)
-        cond = condition or Always()
-        current = table._items.get(key)
-        if not cond.evaluate(current.value if current else None):
-            raise ConditionFailed(item=copy.deepcopy(current.value) if current else None)
-        table._store(key, copy.deepcopy(attributes))
-        if token is not None:
-            self._token_results[token] = None
-        if fault is not None:
-            self.faults.fire_after(fault, f"put_item {table_name}/{key}")
+        self._current(table, key, condition)
+        table._store(key, image, size_bytes=size_bytes)
+        self._finish(token, None, fault, "put_item", table_name, key)
 
     def update_item(
         self,
@@ -340,7 +438,7 @@ class KeyValueStore:
     ) -> Generator[Event, Any, Dict[str, Any]]:
         """Atomically apply update actions iff ``condition`` holds.
 
-        Returns the new item image (deep copy).  ``atomic_hint`` selects the
+        Returns a private clone of the new image.  ``atomic_hint`` selects the
         slightly cheaper latency profile of plain ADD updates (atomic
         counters, Table 6a).  ``payload_kb`` lets callers override the billed
         payload (list appends bill the appended data, not the whole item).
@@ -352,9 +450,7 @@ class KeyValueStore:
         fault = draw_fault(self.faults, "update_item", mutating=True)
         if fault is not None:
             yield from self.faults.fire_before(fault, f"update_item {table_name}/{key}")
-        current = table._items.get(key)
-        current_size = item_size_kb(current.value if current else None)
-        size_kb = payload_kb if payload_kb > 0 else current_size
+        size_kb = payload_kb if payload_kb > 0 else _size_kb(table._get(key))
         conditional = condition is not None
         units = self.profile.kv_conditional_units if conditional else 1.0
         if conditional:
@@ -369,27 +465,27 @@ class KeyValueStore:
         yield self.env.timeout(wait + latency)
         table.write_count += 1
         self._charge_write(ctx, max(size_kb, 0.001))
-        if token is not None and token in self._token_results:
-            return copy.deepcopy(self._token_results[token])
+        applied = self._applied(token)
+        if applied is not _NOT_APPLIED:
+            return clone(applied)
         table.expire_due(self.env.now)
-        cond = condition or Always()
-        current = table._items.get(key)
-        current_value = current.value if current else None
-        if not cond.evaluate(current_value):
-            raise ConditionFailed(
-                item=copy.deepcopy(current_value) if current_value else None
-            )
-        new_value: Dict[str, Any] = copy.deepcopy(current_value) if current_value else {}
-        apply_updates(new_value, updates)
-        new_size = item_size_kb(new_value)
-        if new_size > self.profile.kv_item_limit_kb:
-            raise ItemTooLarge(f"{new_size:.1f} kB > {self.profile.kv_item_limit_kb} kB")
-        table._store(key, new_value)
-        if token is not None:
-            self._token_results[token] = copy.deepcopy(new_value)
-        if fault is not None:
-            self.faults.fire_after(fault, f"update_item {table_name}/{key}")
-        return copy.deepcopy(new_value)
+        new_value, new_bytes = self._stage(table, key, updates, condition)
+        table._store(key, new_value, size_bytes=new_bytes)
+        self._finish(token, new_value, fault, "update_item", table_name, key)
+        return clone(new_value)
+
+    def _stage(self, table: Table, key: str, updates: Sequence[UpdateAction],
+               condition: Optional[Condition]) -> Tuple[Dict[str, Any], int]:
+        """Check ``condition``, then build — copy on write, nothing stored
+        yet — the updated image and its exact byte size."""
+        current = self._current(table, key, condition)
+        new_value, new_bytes = updated_image(
+            current.value if current else None,
+            current.size_bytes if current else 0, updates)
+        new_kb = new_bytes / 1024.0
+        if new_kb > self.profile.kv_item_limit_kb:
+            raise ItemTooLarge(f"{new_kb:.1f} kB > {self.profile.kv_item_limit_kb} kB")
+        return new_value, new_bytes
 
     def delete_item(
         self,
@@ -406,8 +502,7 @@ class KeyValueStore:
         fault = draw_fault(self.faults, "delete_item", mutating=True)
         if fault is not None:
             yield from self.faults.fire_before(fault, f"delete_item {table_name}/{key}")
-        current = table._items.get(key)
-        size_kb = item_size_kb(current.value if current else None)
+        size_kb = _size_kb(table._get(key))
         conditional = condition is not None
         extra = self.profile.kv_conditional_extra_ms if conditional else 0.0
         wait = self._admit(table)
@@ -415,18 +510,12 @@ class KeyValueStore:
         yield self.env.timeout(wait + latency)
         table.write_count += 1
         self._charge_write(ctx, 1.0)
-        if token is not None and token in self._token_results:
+        if self._applied(token) is not _NOT_APPLIED:
             return None
         table.expire_due(self.env.now)
-        cond = condition or Always()
-        current = table._items.get(key)
-        if not cond.evaluate(current.value if current else None):
-            raise ConditionFailed()
+        self._current(table, key, condition)
         table._store(key, None)
-        if token is not None:
-            self._token_results[token] = None
-        if fault is not None:
-            self.faults.fire_after(fault, f"delete_item {table_name}/{key}")
+        self._finish(token, None, fault, "delete_item", table_name, key)
 
     def transact_update(
         self,
@@ -452,13 +541,11 @@ class KeyValueStore:
                                         transactional=True)
         fault = draw_fault(self.faults, "transact_update", mutating=True)
         if fault is not None:
-            first = f"{ops[0][0]}/{ops[0][1]}"
-            yield from self.faults.fire_before(fault, f"transact_update {first}")
+            yield from self.faults.fire_before(
+                fault, f"transact_update {ops[0][0]}/{ops[0][1]}")
         total_kb = 0.0
         for table_name, key, _updates, _cond in ops:
-            table = self.table(table_name)
-            rec = table._items.get(key)
-            total_kb += item_size_kb(rec.value if rec else None)
+            total_kb += _size_kb(self.table(table_name)._get(key))
         # Transactions consume double capacity units and pay the conditional
         # overhead once per item (DynamoDB bills 2x for transactional writes).
         wait = 0.0
@@ -468,46 +555,34 @@ class KeyValueStore:
         extra = self.profile.kv_conditional_extra_ms * len(ops)
         latency = self._latency(ctx, self.profile.kv_write, total_kb, extra)
         yield self.env.timeout(wait + latency)
-        if token is not None and token in self._token_results:
-            return copy.deepcopy(self._token_results[token])
+        applied = self._applied(token)
+        if applied is not _NOT_APPLIED:
+            return [clone(image) for image in applied]
         for table_name, _key, _u, _c in ops:
             self.table(table_name).expire_due(self.env.now)
         # Atomic check-then-apply at a single instant of virtual time.
         staged: List[tuple] = []
         for table_name, key, updates, condition in ops:
             table = self.table(table_name)
-            current = table._items.get(key)
-            current_value = current.value if current else None
-            cond = condition or Always()
-            if not cond.evaluate(current_value):
-                for t, _k, _u, _c in ops:
+            try:
+                staged.append((table, key, *self._stage(table, key, updates, condition)))
+            except ConditionFailed as exc:
+                for _op in ops:
                     self._charge_write(ctx, 1.0)  # failed transactions still bill
                 raise ConditionFailed(
                     f"transaction condition failed on {table_name}/{key}",
-                    item=copy.deepcopy(current_value) if current_value else None,
-                )
-            new_value: Dict[str, Any] = copy.deepcopy(current_value) if current_value else {}
-            apply_updates(new_value, updates)
-            new_size = item_size_kb(new_value)
-            if new_size > self.profile.kv_item_limit_kb:
-                raise ItemTooLarge(f"{new_size:.1f} kB > {self.profile.kv_item_limit_kb} kB")
-            staged.append((table, key, new_value))
-        images = []
-        for table, key, new_value in staged:
+                    item=exc.item) from None
+        for table, key, new_value, new_bytes in staged:
             table.write_count += 1
             # transactional writes bill 2x write units
             self.meter.charge(
                 ctx.payer or self.service_label, "kv_write",
-                2.0 * self.profile.prices.kv_write_cost(max(item_size_kb(new_value), 0.001)),
+                2.0 * self.profile.prices.kv_write_cost(max(new_bytes / 1024.0, 0.001)),
             )
-            table._store(key, new_value)
-            images.append(copy.deepcopy(new_value))
-        if token is not None:
-            self._token_results[token] = copy.deepcopy(images)
-        if fault is not None:
-            first = f"{ops[0][0]}/{ops[0][1]}"
-            self.faults.fire_after(fault, f"transact_update {first}")
-        return images
+            table._store(key, new_value, size_bytes=new_bytes)
+        images = [new_value for _t, _k, new_value, _b in staged]
+        self._finish(token, images, fault, "transact_update", *ops[0][:2])
+        return [clone(image) for image in images]
 
     def scan(
         self,
@@ -537,25 +612,21 @@ class KeyValueStore:
         if segmented:
             selected = [k for k in table._items
                         if scan_segment_of(k, total_segments) == segment]
-            total_kb = sum(item_size_kb(table._items[k].value)
-                           for k in selected)
         else:
-            selected = None
-            total_kb = sum(item_size_kb(rec.value)
-                           for rec in table._items.values())
+            selected = list(table._items)
+        total_kb = sum(_size_kb(table._get(k)) for k in selected)
         wait = self._admit(table, max(1.0, total_kb / 4.0))
         latency = self._latency(ctx, self.profile.kv_read, total_kb)
         yield self.env.timeout(wait + latency)
         table.expire_due(self.env.now)
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
-        if selected is None:
-            return {k: copy.deepcopy(rec.value)
-                    for k, rec in table._items.items()}
+        if not segmented:
+            selected = table._items  # re-read: the scan sees completion-time state
         # Items expired/deleted while the request was in flight drop out,
         # exactly as the full scan re-reads the table after the delay.
-        return {k: copy.deepcopy(table._items[k].value)
-                for k in selected if k in table._items}
+        found = ((k, table._get(k)) for k in selected)
+        return {k: clone(rec.value) for k, rec in found if rec is not None}
 
     def batch_put(
         self,
@@ -581,27 +652,25 @@ class KeyValueStore:
             first = next(iter(items))
             yield from self.faults.fire_before(
                 fault, f"batch_put {table_name}/{first}")
+        # The request is captured as it is sent: the caller keeps its dicts.
+        images = {key: clone(attributes) for key, attributes in items.items()}
+        sizes = {key: item_size_bytes(image) for key, image in images.items()}
         total_kb = 0.0
-        for attributes in items.values():
-            size_kb = item_size_kb(attributes)
+        for size_bytes in sizes.values():
+            size_kb = size_bytes / 1024.0
             if size_kb > self.profile.kv_item_limit_kb:
                 raise ItemTooLarge(
                     f"{size_kb:.1f} kB > {self.profile.kv_item_limit_kb} kB")
             total_kb += size_kb
-        wait = self._admit(table, float(len(items)))
+        wait = self._admit(table, float(len(images)))
         latency = self._latency(ctx, self.profile.kv_write, total_kb)
         yield self.env.timeout(wait + latency)
-        table.write_count += len(items)
-        for attributes in items.values():
-            self._charge_write(ctx, max(item_size_kb(attributes), 0.001))
-        if token is not None and token in self._token_results:
+        table.write_count += len(images)
+        for size_bytes in sizes.values():
+            self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
+        if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied batch: nothing to redo
         table.expire_due(self.env.now)
-        for key, attributes in items.items():
-            table._store(key, copy.deepcopy(attributes))
-        if token is not None:
-            self._token_results[token] = None
-        if fault is not None:
-            first = next(iter(items))
-            self.faults.fire_after(fault, f"batch_put {table_name}/{first}")
-        return None
+        for key, image in images.items():
+            table._store(key, image, size_bytes=sizes[key])
+        self._finish(token, None, fault, "batch_put", table_name, next(iter(images)))

@@ -1,6 +1,10 @@
 """Unit tests for the condition/update expression engine."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.expressions import (
     Add,
@@ -13,8 +17,11 @@ from repro.cloud.expressions import (
     Set,
     SetIfNotExists,
     apply_updates,
+    clone,
     item_exists,
+    item_size_bytes,
     item_size_kb,
+    updated_image,
 )
 
 
@@ -154,3 +161,77 @@ def test_item_size_scales_with_payload():
 def test_item_size_counts_strings_and_numbers():
     sz = item_size_kb({"a": 1, "b": "hello", "c": [1.0, 2.0]})
     assert sz > 0
+
+
+# ------------------------------------------------ copy-on-write invariant
+_KEYS = st.sampled_from(["a", "b", "c", "d"])
+_SCALARS = (st.none() | st.booleans() | st.integers(-5, 5)
+            | st.floats(allow_nan=False, allow_infinity=False, width=16)
+            | st.text(max_size=4) | st.binary(max_size=4))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=8)
+_ITEMS = st.dictionaries(_KEYS, _VALUES, max_size=4)
+_PATHS = st.lists(_KEYS, min_size=1, max_size=3).map(".".join)
+_ACTIONS = st.one_of(
+    st.builds(Set, _PATHS, _VALUES),
+    st.builds(SetIfNotExists, _PATHS, _VALUES),
+    st.builds(Add, _PATHS, st.integers(-3, 3)),
+    st.builds(Remove, _PATHS),
+    st.builds(ListAppend, _PATHS, st.lists(_VALUES, max_size=2)),
+    st.builds(ListRemove, _PATHS, st.lists(_SCALARS, max_size=2)),
+    st.builds(ListPopHead, _PATHS, st.integers(0, 2)),
+)
+
+
+@given(_ITEMS, st.lists(_ACTIONS, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_copy_on_write_update_matches_deepcopy_then_apply(image, updates):
+    snapshot = copy.deepcopy(image)
+    try:
+        expected = apply_updates(copy.deepcopy(image), updates)
+    except TypeError:  # ADD on a non-number, descending into a non-map, ...
+        with pytest.raises(TypeError):
+            updated_image(image, item_size_bytes(image), updates)
+        assert image == snapshot  # a failed update leaves no trace either
+        return
+    new, size_bytes = updated_image(image, item_size_bytes(image), updates)
+    assert new == expected                        # (a) same result
+    assert image == snapshot                      # (b) input untouched
+    assert size_bytes == item_size_bytes(new)     # (c) derived size is exact
+
+
+@given(st.lists(_ACTIONS, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_update_from_a_missing_item_starts_empty(updates):
+    try:
+        expected = apply_updates({}, updates)
+    except TypeError:
+        return
+    for absent in (None, {}):
+        new, size_bytes = updated_image(absent, item_size_bytes(absent), updates)
+        assert new == expected and size_bytes == item_size_bytes(new)
+
+
+@given(_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_clone_is_equal_and_shares_no_container(value):
+    twin = clone(value)
+    assert twin == value and type(twin) is type(value)
+
+    def containers(node):
+        if isinstance(node, (dict, list)):
+            yield id(node)
+            for child in (node.values() if isinstance(node, dict) else node):
+                yield from containers(child)
+
+    assert not set(containers(value)) & set(containers(twin))
+
+
+def test_clone_falls_back_to_deepcopy_for_other_types():
+    value = {"t": (1, [2]), "s": {3}}
+    twin = clone(value)
+    assert twin == value and twin["t"][1] is not value["t"][1]
+    assert twin["s"] is not value["s"]

@@ -10,7 +10,9 @@ from repro.cloud import (
     ListAppend,
     NoSuchTable,
     Set,
+    SetIfNotExists,
 )
+from repro.fklint.sanitize import SanitizerError
 
 
 def test_put_and_get_roundtrip(cloud, ctx):
@@ -290,3 +292,208 @@ def test_cross_region_read_penalty(cloud):
     near = min(timed(local) for _ in range(5))
     far = min(timed(remote) for _ in range(5))
     assert far > near + 100  # Figure 4b inter-region penalty
+
+
+# ------------------------------------------------- update operands are copied
+@pytest.mark.parametrize("action", [
+    lambda operand: Set("a", operand),
+    lambda operand: SetIfNotExists("a", operand),
+    lambda operand: ListAppend("a", operand),  # appends the nested list [1]
+], ids=["Set", "SetIfNotExists", "ListAppend-nested"])
+def test_update_operand_does_not_alias_caller_object(cloud, ctx, action):
+    kv = cloud.kv()
+    kv.create_table("t")
+    inner = [1]
+    operand = [inner]
+
+    def flow():
+        yield from kv.update_item(ctx, "t", "k", [action(operand)])
+        inner.append(99)  # the caller keeps mutating what it passed in
+        operand.append(98)
+        return (yield from kv.get_item(ctx, "t", "k"))
+
+    assert cloud.run_process(flow()) == {"a": [[1]]}
+
+
+# ------------------------------------------------------ image isolation
+def _mutate(image):
+    image["v"].append(99)
+    image["extra"] = True
+
+
+def _isolation_store(cloud, ctx):
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    cloud.run_process(kv.put_item(ctx, "t", "k", {"v": [1]}))
+    return kv, table
+
+
+def test_mutating_update_and_transact_results_does_not_reach_the_store(cloud, ctx):
+    kv, _table = _isolation_store(cloud, ctx)
+
+    def flow():
+        _mutate((yield from kv.update_item(ctx, "t", "k", [Set("n", 1)])))
+        images = yield from kv.transact_update(
+            ctx, [("t", "k", [Set("n", 2)], None)])
+        _mutate(images[0])
+        return (yield from kv.get_item(ctx, "t", "k"))
+
+    assert cloud.run_process(flow()) == {"v": [1], "n": 2}
+
+
+def test_mutating_scan_result_does_not_reach_the_store(cloud, ctx):
+    kv, _table = _isolation_store(cloud, ctx)
+
+    def flow():
+        _mutate((yield from kv.scan(ctx, "t"))["k"])
+        return (yield from kv.get_item(ctx, "t", "k"))
+
+    assert cloud.run_process(flow()) == {"v": [1]}
+
+
+def test_mutating_stream_record_images_does_not_reach_the_store(cloud, ctx):
+    kv, table = _isolation_store(cloud, ctx)
+    records = []
+    table.stream_listeners.append(records.append)
+
+    def flow():
+        yield from kv.update_item(ctx, "t", "k", [Set("n", 1)])
+        _mutate(records[0].new_image)
+        _mutate(records[0].old_image)
+        return (yield from kv.get_item(ctx, "t", "k", consistent=True))
+
+    assert cloud.run_process(flow()) == {"v": [1], "n": 1}
+    assert records[0].new_image["extra"]  # the record keeps its own clone
+
+
+def test_mutating_condition_failed_item_does_not_reach_the_store(cloud, ctx):
+    kv, _table = _isolation_store(cloud, ctx)
+
+    def flow():
+        for attempt in (
+            kv.put_item(ctx, "t", "k", {}, condition=Attr("v") == 0),
+            kv.update_item(ctx, "t", "k", [Set("n", 1)],
+                           condition=Attr("v") == 0),
+            kv.transact_update(ctx, [("t", "k", [Set("n", 1)],
+                                      Attr("v") == 0)]),
+        ):
+            try:
+                yield from attempt
+            except ConditionFailed as exc:
+                _mutate(exc.item)
+            else:
+                raise AssertionError("condition should have failed")
+        return (yield from kv.get_item(ctx, "t", "k"))
+
+    assert cloud.run_process(flow()) == {"v": [1]}
+
+
+def test_mutating_token_replay_result_does_not_reach_the_store(cloud, ctx):
+    kv, _table = _isolation_store(cloud, ctx)
+
+    def flow():
+        yield from kv.update_item(ctx, "t", "k", [Set("n", 1)], token="u")
+        _mutate((yield from kv.update_item(ctx, "t", "k", [Set("n", 1)],
+                                           token="u")))
+        op = [("t", "k", [Set("n", 2)], None)]
+        yield from kv.transact_update(ctx, op, token="x")
+        _mutate((yield from kv.transact_update(ctx, op, token="x"))[0])
+        again = yield from kv.transact_update(ctx, op, token="x")
+        return again[0], (yield from kv.get_item(ctx, "t", "k"))
+
+    replayed, stored = cloud.run_process(flow())
+    assert replayed == stored == {"v": [1], "n": 2}
+
+
+def test_mutating_dicts_passed_to_put_and_batch_put_does_not_reach_the_store(cloud, ctx):
+    kv, _table = _isolation_store(cloud, ctx)
+    single = {"v": [1]}
+    batch = {"b1": {"v": [1]}, "b2": {"v": [1]}}
+
+    def flow():
+        yield from kv.put_item(ctx, "t", "p", single)
+        yield from kv.batch_put(ctx, "t", batch)
+        _mutate(single)
+        _mutate(batch["b1"])
+        batch["b2"]["v"].clear()
+        return (yield from kv.scan(ctx, "t"))
+
+    assert cloud.run_process(flow()) == {
+        key: {"v": [1]} for key in ("k", "p", "b1", "b2")}
+
+
+def test_stored_size_tracks_a_full_walk_through_updates(cloud, ctx):
+    from repro.cloud.expressions import item_size_bytes
+
+    kv = cloud.kv()
+    table = kv.create_table("t")
+
+    def flow():
+        yield from kv.update_item(ctx, "t", "k", [Set("lock.ts", 1.5),
+                                                  ListAppend("q", ["a", "bc"])])
+        yield from kv.transact_update(ctx, [
+            ("t", "k", [Set("data", b"x" * 3000), Set("lock.owner", "me")], None),
+            ("t", "other", [Add("n", 1)], None)])
+        yield from kv.update_item(ctx, "t", "k", [Set("q", None), Add("n", 2)])
+
+    cloud.run_process(flow())
+    for key in ("k", "other"):
+        rec = table._items[key]
+        assert rec.size_bytes == item_size_bytes(rec.value)
+
+
+# ------------------------------------------------ idempotence-token ledger
+def test_token_replay_inside_window_then_ledger_stays_bounded(cloud, ctx):
+    kv = cloud.kv()
+    kv.create_table("t")
+    window = kv.TOKEN_WINDOW_MS
+    assert window == 600_000.0  # DynamoDB's 10-minute ClientRequestToken window
+
+    def flow():
+        first = yield from kv.update_item(ctx, "t", "k", [Add("n", 1)], token="tok")
+        yield cloud.env.timeout(window / 2)
+        replay = yield from kv.update_item(ctx, "t", "k", [Add("n", 1)], token="tok")
+        assert first == replay == {"n": 1}  # recorded image, not re-applied
+        started, writes, longest = cloud.now, 0, 0
+        while cloud.now - started < 30 * 60_000:
+            yield from kv.update_item(ctx, "t", "w", [Add("n", 1)],
+                                      token=f"w{writes}")
+            yield cloud.env.timeout(1_000.0)
+            writes += 1
+            longest = max(longest, len(kv._token_results)
+                          + len(kv._token_previous))
+        # past the window the same token is a new request
+        late = yield from kv.update_item(ctx, "t", "k", [Add("n", 1)], token="tok")
+        # ... also when the store sat idle: a late turnover keeps nothing
+        yield cloud.env.timeout(2.5 * window)
+        idle = yield from kv.update_item(ctx, "t", "k", [Add("n", 1)], token="tok")
+        assert idle == {"n": 3}
+        return writes, longest, late
+
+    writes, longest, late = cloud.run_process(flow())
+    assert writes > 1_500
+    assert longest <= 2 * window / 1_000.0 + 2  # two generations, not all 30 min
+    assert late == {"n": 2}
+
+
+# ------------------------------------------------------- sanitizer leg
+def test_sanitizer_catches_in_place_mutation_of_a_stored_image(cloud, ctx, monkeypatch):
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    cloud.run_process(kv.put_item(ctx, "t", "k", {"v": [1]}))
+    assert cloud.run_process(kv.get_item(ctx, "t", "k")) == {"v": [1]}
+    table.raw("k")["v"].append(2)  # breaks the image discipline
+    with pytest.raises(SanitizerError, match="mutated in place"):
+        cloud.run_process(kv.get_item(ctx, "t", "k"))
+    with pytest.raises(SanitizerError, match="mutated in place"):
+        cloud.run_process(kv.update_item(ctx, "t", "k", [Set("n", 1)]))
+
+
+def test_sanitizer_catches_a_wrong_memoized_size(cloud, ctx, monkeypatch):
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    table._store("k", {"v": 1}, size_bytes=1)  # a lying caller
+    with pytest.raises(SanitizerError, match="memoized size"):
+        cloud.run_process(kv.get_item(ctx, "t", "k"))
