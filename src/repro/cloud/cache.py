@@ -10,12 +10,12 @@ the cost benchmarks can show the trade-off.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Generator, Optional
 
 from ..sim.kernel import Environment, Event
 from .calibration import CloudProfile
 from .context import OpContext
+from .expressions import clone, item_size_kb
 from .faults import FaultInjector, draw_fault
 from .pricing import CostMeter, VM_DAY_RATE
 
@@ -59,8 +59,6 @@ class InMemoryCache:
         if isinstance(value, str):
             return len(value.encode()) / 1024.0
         if isinstance(value, dict):
-            from .expressions import item_size_kb
-
             return item_size_kb(value)
         return 0.05
 
@@ -69,7 +67,7 @@ class InMemoryCache:
         if fault is not None:
             yield from self.faults.fire_before(fault, f"cache set {key}")
         yield self.env.timeout(self._latency(ctx, self._size_kb(value)))
-        self._data[key] = copy.deepcopy(value)
+        self._data[key] = clone(value)
         if fault is not None:
             self.faults.fire_after(fault, f"cache set {key}")
 
@@ -80,7 +78,7 @@ class InMemoryCache:
         value = self._data.get(key)
         yield self.env.timeout(self._latency(ctx, self._size_kb(value)))
         value = self._data.get(key)
-        return copy.deepcopy(value) if value is not None else None
+        return clone(value)
 
     def delete(self, ctx: OpContext, key: str) -> Generator[Event, Any, None]:
         fault = draw_fault(self.faults, "delete", mutating=True)

@@ -127,9 +127,11 @@ def _size_kb(rec: Optional[_Versioned]) -> float:
 class Table:
     """One table: a dict of key -> attribute map plus stream subscribers."""
 
-    def __init__(self, name: str, env: Environment, capacity_per_s: float) -> None:
+    def __init__(self, name: str, env: Environment, capacity_per_s: float,
+                 sanitized: bool = False) -> None:
         self.name = name
         self._env = env
+        self._sanitized = sanitized  # the owning store's FK_SANITIZE reading
         self._items: Dict[str, _Versioned] = {}
         self.limiter = TokenBucketLimiter(env, rate_per_s=capacity_per_s, burst=capacity_per_s / 10)
         self.stream_listeners: List[Callable[[StreamRecord], None]] = []
@@ -203,7 +205,7 @@ class Table:
                 written_at=self._env.now,
                 previous=old,
                 previous_at=old_rec.written_at if old_rec else 0.0,
-                snapshot=clone(value) if sanitize.enabled() else None,
+                snapshot=clone(value) if self._sanitized else None,
             )
             if TTL_ATTRIBUTE in value:
                 self._ttl_keys.add(key)
@@ -261,6 +263,9 @@ class KeyValueStore:
         self.region = region
         self.service_label = service_label
         self.tables: Dict[str, Table] = {}
+        #: ``FK_SANITIZE=1``, read once here: arms the storage-discipline
+        #: assertions for this store and the tables it creates.
+        self._sanitized = sanitize.enabled()
         #: Armed by deployments running a fault schedule; None (default)
         #: means zero draws and zero overhead on every operation.
         self.faults: Optional[FaultInjector] = None
@@ -279,7 +284,8 @@ class KeyValueStore:
     def create_table(self, name: str, capacity_per_s: Optional[float] = None) -> Table:
         if name in self.tables:
             raise ValueError(f"table {name!r} already exists")
-        table = Table(name, self.env, capacity_per_s or self.profile.kv_capacity_per_s)
+        table = Table(name, self.env, capacity_per_s or self.profile.kv_capacity_per_s,
+                      sanitized=self._sanitized)
         self.tables[name] = table
         return table
 
@@ -396,7 +402,7 @@ class KeyValueStore:
         idempotent: a replay of an already-applied token returns without
         re-applying or re-evaluating the condition.
         """
-        if sanitize.enabled():
+        if self._sanitized:
             sanitize.check_mutation("put_item", table_name, key,
                                     condition=condition)
         table = self.table(table_name)
@@ -443,7 +449,7 @@ class KeyValueStore:
         counters, Table 6a).  ``payload_kb`` lets callers override the billed
         payload (list appends bill the appended data, not the whole item).
         """
-        if sanitize.enabled():
+        if self._sanitized:
             sanitize.check_mutation("update_item", table_name, key,
                                     updates=updates, condition=condition)
         table = self.table(table_name)
@@ -495,7 +501,7 @@ class KeyValueStore:
         condition: Optional[Condition] = None,
         token: Optional[str] = None,
     ) -> Generator[Event, Any, None]:
-        if sanitize.enabled():
+        if self._sanitized:
             sanitize.check_mutation("delete_item", table_name, key,
                                     condition=condition)
         table = self.table(table_name)
@@ -534,7 +540,7 @@ class KeyValueStore:
         """
         if not ops:
             return []
-        if sanitize.enabled():
+        if self._sanitized:
             for table_name, key, updates, condition in ops:
                 sanitize.check_mutation("update_item", table_name, key,
                                         updates=updates, condition=condition,
@@ -642,7 +648,7 @@ class KeyValueStore:
         """
         if not items:
             return None
-        if sanitize.enabled():
+        if self._sanitized:
             for key in items:
                 sanitize.check_mutation("put_item", table_name, key,
                                         condition=None)

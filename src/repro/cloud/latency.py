@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..sim.rng import lognormal_from_percentiles
@@ -76,11 +77,13 @@ class SizeAware(LatencyModel):
     outlier_p: float = 0.002
     outlier_scale: float = 10.0
 
+    @cached_property
     def _params(self) -> tuple[float, float]:
+        """``(mu, sigma)`` of the fitted lognormal, fitted once per model."""
         return lognormal_from_percentiles(self.p50_ms, self.p99_ms)
 
     def sample(self, rng: random.Random, size_kb: float = 0.0) -> float:
-        mu, sigma = self._params()
+        _mu, sigma = self._params
         noise = math.exp(rng.gauss(0.0, sigma)) if sigma > 0 else 1.0
         base = self.p50_ms * noise
         # The bandwidth term shares the multiplicative noise: large payloads

@@ -11,13 +11,13 @@ Models the properties the paper's storage decision rests on (Section 4.2):
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Generator, List, Optional
 
 from ..sim.kernel import Environment, Event
 from .calibration import CloudProfile
 from .context import OpContext
 from .errors import NoSuchBucket, NoSuchObject
+from .expressions import clone
 from .faults import FaultInjector, draw_fault
 from .pricing import CostMeter
 
@@ -100,7 +100,7 @@ class ObjectStore:
             yield from self.faults.fire_before(fault, f"put_object {bucket}/{key}")
         size_kb = self.payload_kb(payload)
         yield self.env.timeout(self._latency(ctx, self.profile.obj_write, size_kb))
-        objects[key] = (payload, copy.deepcopy(metadata or {}))
+        objects[key] = (payload, clone(metadata or {}))
         self.meter.charge(ctx.payer or self.service_label, "obj_write",
                           self.profile.prices.object_write_cost(size_kb))
         if fault is not None:
@@ -126,7 +126,7 @@ class ObjectStore:
         if entry is None:
             raise NoSuchObject(f"{bucket}/{key}")
         payload, metadata = entry
-        return payload, copy.deepcopy(metadata)
+        return payload, clone(metadata)
 
     def delete_object(
         self,

@@ -377,6 +377,10 @@ class FaaSKeeperClient:
         return self._rid
 
     def _mark_closed(self, evicted: bool = False) -> None:
+        if not self.closed:
+            # First close only: a close after an eviction (or a double
+            # close) must not count the session out twice.
+            self.service._live_sessions -= 1
         self.closed = True
         self.closed_at = self.env.now
         if evicted:

@@ -318,6 +318,9 @@ class FaaSKeeperService:
         # --- sessions ----------------------------------------------------------
         self._session_ids = itertools.count(1)
         self.clients: Dict[str, FaaSKeeperClient] = {}
+        #: Clients in ``self.clients`` not yet closed: +1 where one is
+        #: inserted, -1 on its first ``_mark_closed``.
+        self._live_sessions = 0
         self._session_queues: Dict[str, Any] = {}
 
         self._wire_metrics()
@@ -508,7 +511,7 @@ class FaaSKeeperService:
     # ------------------------------------------------------------ sessions
     @property
     def active_sessions(self) -> int:
-        return sum(1 for c in self.clients.values() if not c.closed)
+        return self._live_sessions
 
     def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
         """Open a session: its own FIFO queue, a session record, a client."""
@@ -528,6 +531,7 @@ class FaaSKeeperService:
             session_item))
         client = FaaSKeeperClient(self, session_id, region, queue)
         self.clients[session_id] = client
+        self._live_sessions += 1
         if self.active_sessions == 1:
             self._start_scheduled_tasks()
         return client
@@ -571,6 +575,7 @@ class FaaSKeeperService:
             pending[session_id] = session_item
             client = FaaSKeeperClient(self, session_id, region, queue)
             self.clients[session_id] = client
+            self._live_sessions += 1
             clients.append(client)
             if len(pending) >= batch_size:
                 writes.append(self.cloud.env.process(

@@ -37,14 +37,13 @@ clients read their local one.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Generator, List, Optional, Tuple, Type
 from urllib.parse import parse_qsl, urlparse
 
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
 from ..cloud.errors import NoSuchObject
-from ..cloud.expressions import item_size_kb
+from ..cloud.expressions import clone, item_size_kb
 from ..cloud.faults import FaultInjector, draw_fault
 from .config import FaaSKeeperConfig, UserStoreKind
 from .layout import USER_BUCKET, USER_TABLE
@@ -550,7 +549,7 @@ class MemBackend(UserStore):
         if fault is not None:
             yield from self.faults.fire_before(fault, f"mem write {path}")
         yield self.cloud.env.timeout(self.LATENCY_MS)
-        replica[path] = copy.deepcopy(image)
+        replica[path] = clone(image)
         if fault is not None:
             self.faults.fire_after(fault, f"mem write {path}")
 
@@ -560,7 +559,7 @@ class MemBackend(UserStore):
         if fault is not None:
             yield from self.faults.fire_before(fault, f"mem read {path}")
         yield self.cloud.env.timeout(self.LATENCY_MS)
-        return copy.deepcopy(replica.get(path))
+        return clone(replica.get(path))
 
     def delete_node(self, ctx, region, path):
         replica = self._replica(region)

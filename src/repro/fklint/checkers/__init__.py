@@ -4,11 +4,12 @@ from . import (  # noqa: F401  (imported for their @register side effect)
     atomic_commit,
     blocking,
     config_hygiene,
+    copy_discipline,
     determinism,
     handler_state,
     storage_access,
     watch_guard,
 )
 
-__all__ = ["atomic_commit", "blocking", "config_hygiene", "determinism",
-           "handler_state", "storage_access", "watch_guard"]
+__all__ = ["atomic_commit", "blocking", "config_hygiene", "copy_discipline",
+           "determinism", "handler_state", "storage_access", "watch_guard"]

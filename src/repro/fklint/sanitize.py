@@ -3,9 +3,10 @@
 Static analysis cannot see through dynamically-computed table names or
 update lists built at runtime, so the kvstore facade calls
 :func:`check_mutation` at the top of every mutator when ``FK_SANITIZE=1``
-is set (the CI sanitizer leg runs the whole tier-1 suite this way).  The
-checks are cheap string/type tests — disarmed, the cost is one module
-attribute read per storage op — and a violation raises
+is set (the CI sanitizer leg runs the whole tier-1 suite this way).  Each
+``KeyValueStore`` reads the variable once, at construction, so set it before
+the store exists.  The checks are cheap string/type tests — disarmed, the
+cost is one attribute read per storage op — and a violation raises
 :class:`SanitizerError` (an ``AssertionError`` subclass) at the exact
 offending call, ASan-style, instead of letting a torn commit or an
 unguarded watch sweep surface three tests later as a flaky timeout.

@@ -16,12 +16,28 @@ experiments need:
 The public surface mirrors SimPy closely (``Environment``, ``Process``,
 ``Timeout``, ``AnyOf``/``AllOf``) so the simulation code reads like standard
 process-interaction models.
+
+**Ordering contract.**  Events fire in ``(time, priority, eid)`` order, eid
+being the order of scheduling.  The scheduler keeps that order in two lanes:
+
+* the *wakeup lane*, a FIFO of every URGENT event (``succeed``/``fail``,
+  process start and termination, ``interrupt``);
+* the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s only.
+
+``step()`` drains the wakeup lane before it touches the heap.  That is the
+one-heap order because URGENT events are only ever scheduled with delay 0 and
+the clock only advances when a timeout is popped — which needs an empty lane.
+So every pending wakeup is at ``now``, ahead of every NORMAL event of the same
+instant by priority and of every later one by time, and among themselves
+wakeups are ordered by eid, i.e. first in, first out.  ``peek()`` is ``now``
+while the lane is non-empty.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -49,10 +65,13 @@ class Interrupt(Exception):
 
 
 # Event priorities: URGENT events (process resumptions) run before NORMAL
-# events scheduled at the same instant, matching SimPy's semantics and keeping
-# wakeup ordering independent of heap tie-breaking.
+# events (timeouts) scheduled at the same instant, matching SimPy's semantics.
+# They name the two lanes of the scheduler; see the module docstring.
 URGENT = 0
 NORMAL = 1
+
+_INF = float("inf")
+_PENDING = object()
 
 
 class Event:
@@ -63,23 +82,22 @@ class Event:
     re-raise their value inside the waiting process.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
-    _PENDING = object()
-
+    # Subclasses on the hot path (Timeout, Process, Initialize) set these five
+    # slots themselves instead of paying for a ``super().__init__`` call.
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok = True
-        self._scheduled = False
         self._defused = False
 
     # -- state ------------------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once the event has a value (it may not have fired callbacks)."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -94,29 +112,29 @@ class Event:
 
     @property
     def value(self) -> Any:
-        if self._value is Event._PENDING:
+        if self._value is _PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         self._value = value
         self._ok = True
-        self.env._schedule(self, priority=URGENT)
+        self.env._urgent.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters will see ``exception`` raised."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
         self._value = exception
         self._ok = False
-        self.env._schedule(self, priority=URGENT)
+        self.env._urgent.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -143,10 +161,12 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
         self._value = value
         self._ok = True
-        env._schedule(self, priority=NORMAL, delay=delay)
+        self._defused = False
+        heappush(env._queue, (env._now + delay, next(env._eid), self))
 
 
 class Initialize(Event):
@@ -155,11 +175,12 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self.callbacks.append(process._resume)
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
         self._ok = True
-        env._schedule(self, priority=URGENT)
+        self._defused = False
+        env._urgent.append(self)
 
 
 class Process(Event):
@@ -180,7 +201,11 @@ class Process(Event):
     ) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -206,28 +231,29 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks.append(self._resume)
-        self.env._schedule(event, priority=URGENT)
+        self.env._urgent.append(event)
 
     # -- generator driving --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
+        env = self.env
+        send = self._generator.send
+        env._active_process = self
         self._target = None
         while True:
             try:
                 if event._ok:
-                    next_ev = self._generator.send(event._value)
+                    next_ev = send(event._value)
                 else:
                     event._defused = True
                     next_ev = self._generator.throw(event._value)
-            except StopIteration as exc:
-                self._ok = True
-                self._value = exc.value
-                self.env._schedule(self, priority=URGENT)
-                break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self.env._schedule(self, priority=URGENT)
+                # The generator ended and the process event triggers.  Once
+                # triggered it is in the wakeup lane and must not enter twice
+                # (a second interrupt can land on a finished generator).
+                if self._value is _PENDING:
+                    env._urgent.append(self)
+                self._ok = isinstance(exc, StopIteration)
+                self._value = exc.value if self._ok else exc
                 break
 
             if not isinstance(next_ev, Event):
@@ -235,7 +261,7 @@ class Process(Event):
                 exc = SimulationError(
                     f"process {self.name!r} yielded non-event {next_ev!r}"
                 )
-                event = Event(self.env)
+                event = Event(env)
                 event._ok = False
                 event._value = exc
                 continue
@@ -248,7 +274,7 @@ class Process(Event):
             # Event already processed: loop immediately with its outcome.
             event = next_ev
 
-        self.env._active_process = None
+        env._active_process = None
 
 
 class ConditionValue(dict):
@@ -318,11 +344,12 @@ class EmptySchedule(Exception):
 
 
 class Environment:
-    """The simulation environment: virtual clock plus event queue."""
+    """The simulation environment: virtual clock plus the two event lanes."""
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._urgent: deque[Event] = deque()  # wakeup lane, all at ``now``
+        self._queue: list[tuple[float, int, Timeout]] = []  # timeout heap
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
 
@@ -353,33 +380,27 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        if self._urgent:
+            return self._now
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        try:
-            when, _prio, _eid, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event scheduled in the past")
-        self._now = when
+        if self._urgent:
+            event = self._urgent.popleft()
+        else:
+            try:
+                self._now, _eid, event = heappop(self._queue)
+            except IndexError:
+                raise EmptySchedule() from None
         callbacks, event.callbacks = event.callbacks, None
-        event._scheduled = False
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
             # An unhandled failure: surface it to the caller of run()/step().
-            exc = event._value
-            raise exc
+            raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; with no argument, run dry.
@@ -387,7 +408,7 @@ class Environment:
         Returns the event's value when ``until`` is an event.
         """
         stop_event: Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = _INF
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
@@ -397,22 +418,23 @@ class Environment:
                     f"until={stop_time} lies in the past (now={self._now})"
                 )
 
+        urgent, queue, step = self._urgent, self._queue, self.step
         while True:
-            if stop_event is not None and stop_event.processed:
+            if stop_event is not None and stop_event.callbacks is None:
                 if not stop_event._ok:
                     raise stop_event._value
                 return stop_event._value
-            nxt = self.peek()
-            if nxt == float("inf"):
-                if stop_event is not None:
-                    raise SimulationError(
-                        "simulation ran dry before the awaited event triggered"
-                    )
-                if stop_time != float("inf"):
-                    # Idle until the requested time: the clock still advances.
+            if not urgent:
+                if not queue:
+                    if stop_event is not None:
+                        raise SimulationError(
+                            "simulation ran dry before the awaited event triggered"
+                        )
+                    if stop_time != _INF:
+                        # Idle until the requested time: the clock still advances.
+                        self._now = stop_time
+                    return None
+                if queue[0][0] > stop_time:
                     self._now = stop_time
-                return None
-            if nxt > stop_time:
-                self._now = stop_time
-                return None
-            self.step()
+                    return None
+            step()

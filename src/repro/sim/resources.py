@@ -45,7 +45,7 @@ class Store:
 
     def get(self) -> Event:
         """Return an event yielding the next item (FIFO)."""
-        event = self.env.event()
+        event = Event(self.env)
         if self.items:
             event.succeed(self.items.popleft())
         else:
@@ -98,7 +98,7 @@ class Resource:
         return len(self._waiters)
 
     def request(self) -> Event:
-        event = self.env.event()
+        event = Event(self.env)
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed(None)

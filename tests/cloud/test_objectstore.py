@@ -123,3 +123,21 @@ def test_total_stored_kb(cloud, ctx):
     cloud.run_process(s3.put_object(ctx, "b", "c", b"x" * 1024))
     assert s3.total_stored_kb("b") == pytest.approx(3.0)
     assert s3.bucket_keys("b") == ["a", "c"]
+
+
+def test_metadata_is_isolated_both_ways(cloud, ctx):
+    """The store keeps its own metadata image: neither the dict a caller
+    passed in nor one a caller got back aliases it."""
+    s3 = cloud.objectstore()
+    s3.create_bucket("b")
+    passed_in = {"children": ["a"], "acl": {"read": ["alice"]}}
+
+    def flow():
+        yield from s3.put_object(ctx, "b", "k", b"x", passed_in)
+        passed_in["children"].append("intruder")
+        _, returned = yield from s3.get_object(ctx, "b", "k")
+        returned["acl"]["read"].append("mallory")
+        return (yield from s3.get_object(ctx, "b", "k"))
+
+    _, meta = cloud.run_process(flow())
+    assert meta == {"children": ["a"], "acl": {"read": ["alice"]}}

@@ -72,6 +72,32 @@ def test_live_client_not_evicted(cloud, service):
     assert service.heartbeat_logic.evictions == 0
 
 
+def test_active_sessions_counter_equals_the_full_scan(cloud, service):
+    def check(expected):
+        scan = sum(1 for c in service.clients.values() if not c.closed)
+        assert service.active_sessions == scan == expected
+
+    check(0)
+    first = service.connect()
+    check(1)
+    many = service.connect_many(7, batch_size=3)
+    check(8)
+    first.close()
+    check(7)
+    service.on_session_closed(first.session_id)  # double close
+    check(7)
+    many[0].alive = False  # silent: the heartbeat evicts it
+    cloud.run(until=cloud.now + 3 * 60_000)
+    assert many[0].closed and many[0].evicted
+    check(6)
+    service.on_session_closed(many[0].session_id)  # close after evict
+    many[0]._mark_closed()
+    check(6)
+    for client in many[1:]:
+        client.close()
+    check(0)
+
+
 def test_dead_session_without_ephemerals_is_evicted(cloud, service):
     """Regression: the heartbeat used to ping only ephemeral owners, so a
     dead session owning none was never evicted — its session record, FIFO

@@ -123,6 +123,23 @@ def test_read_returns_a_copy(scheme):
     assert cloud.run_process(flow())["children"] == ["a"]
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_write_stores_a_copy(scheme):
+    cloud, store = make_store(scheme)
+    ctx = OpContext(region=TWO_REGIONS[0])
+    passed_in = image(children=["a"], acl={"read": ["alice"]})
+
+    def flow():
+        yield from store.write_node(ctx, TWO_REGIONS[0], "/n", passed_in)
+        passed_in["children"].append("intruder")
+        passed_in["acl"]["read"].append("mallory")
+        return (yield from store.read_node(ctx, TWO_REGIONS[0], "/n"))
+
+    got = cloud.run_process(flow())
+    assert got["children"] == ["a"]
+    assert got["acl"] == {"read": ["alice"]}
+
+
 # ----------------------------------------------------------------- metadata
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_update_metadata_preserves_data(scheme):

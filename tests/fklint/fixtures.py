@@ -208,3 +208,45 @@ class StageLogic:
         yield from self.service.user_store.write_node(
             fctx.ctx, "us-east-1", "/a", item)
 """
+
+# --------------------------------------------------------------- FK008
+FK008_BAD = """\
+import copy
+import copy as cp
+from copy import deepcopy as dc
+
+class Backend:
+    def write_node(self, path, image):
+        self._data[path] = copy.deepcopy(image)           # expect: FK008
+        self._log.append(cp.deepcopy(image))              # expect: FK008
+
+    def read_all(self):
+        return list(map(dc, self._data.values()))         # expect: FK008
+"""
+
+FK008_GOOD = """\
+import copy
+from .expressions import clone
+
+class Backend:
+    def write_node(self, path, image):
+        self._data[path] = clone(image)
+        self._shallow = copy.copy(self._index)
+
+    def deepcopy(self):
+        return self.deepcopy
+"""
+
+#: ``expressions.clone``'s own fallback is the one sanctioned use; the same
+#: call in any other function of that file is not.
+FK008_CLONE = """\
+import copy
+
+def clone(value):
+    if type(value) is dict:
+        return {k: clone(v) for k, v in value.items()}
+    return copy.deepcopy(value)
+
+def snapshot(value):
+    return copy.deepcopy(value)                           # expect: FK008
+"""

@@ -39,6 +39,12 @@ BAD_CASES = [
                  ["FK006"], fixtures.FK006_README, id="FK006"),
     pytest.param(fixtures.FK007_BAD, f"{FAASKEEPER}/heartbeat.py",
                  ["FK007"], None, id="FK007"),
+    pytest.param(fixtures.FK008_BAD, f"{FAASKEEPER}/userstore.py",
+                 ["FK008"], None, id="FK008-faaskeeper"),
+    pytest.param(fixtures.FK008_BAD, "src/repro/cloud/objectstore.py",
+                 ["FK008"], None, id="FK008-cloud"),
+    pytest.param(fixtures.FK008_CLONE, "src/repro/cloud/expressions.py",
+                 ["FK008"], None, id="FK008-clone-fallback"),
 ]
 
 GOOD_CASES = [
@@ -56,6 +62,8 @@ GOOD_CASES = [
                  ["FK006"], fixtures.FK006_README, id="FK006"),
     pytest.param(fixtures.FK007_GOOD, f"{FAASKEEPER}/heartbeat.py",
                  ["FK007"], None, id="FK007"),
+    pytest.param(fixtures.FK008_GOOD, "src/repro/cloud/cache.py",
+                 ["FK008"], None, id="FK008"),
 ]
 
 
@@ -97,6 +105,17 @@ def test_fk007_only_applies_to_handler_modules():
                  ["FK007"]) == []
     assert found(fixtures.FK007_BAD, "src/repro/faaskeeper/service.py",
                  ["FK007"]) == []
+
+
+def test_fk008_scope_and_the_clone_exemption():
+    # Only the storage boundary is held to the discipline ...
+    assert found(fixtures.FK008_BAD, "src/repro/analysis/bench.py",
+                 ["FK008"]) == []
+    assert found(fixtures.FK008_BAD, "benchmarks/bench_x.py",
+                 ["FK008"]) == []
+    # ... and the fallback is exempt in cloud/expressions.py alone.
+    assert found(fixtures.FK008_CLONE, f"{FAASKEEPER}/userstore.py",
+                 ["FK008"]) == [("FK008", 6), ("FK008", 9)]
 
 
 def test_fk001_seeded_random_is_allowed():

@@ -14,10 +14,10 @@ SCOPE = "src/repro/faaskeeper/leader.py"
 
 
 # ------------------------------------------------------------ registry
-def test_all_seven_rules_are_registered():
+def test_all_eight_rules_are_registered():
     rules = [cls.rule for cls in all_checkers()]
     assert rules == ["FK001", "FK002", "FK003", "FK004", "FK005", "FK006",
-                     "FK007"]
+                     "FK007", "FK008"]
 
 
 def test_every_checker_has_name_and_description():
