@@ -92,19 +92,23 @@ class Cloud:
                    seq_source: Optional[Any] = None) -> FifoQueue:
         if name in self._queues:
             raise ValueError(f"queue {name!r} already exists")
-        q = FifoQueue(name, self.env, self.profile, self.meter,
-                      self.rng.stream(f"queue:{name}"),
+        q = FifoQueue(name, self.env, self.profile, self.meter, self.rng,
                       service_label=label, max_receive=max_receive,
                       seq_source=seq_source)
         self._queues[name] = q
         return q
 
+    def delete_queue(self, name: str) -> list:
+        """SQS ``DeleteQueue`` for a FIFO queue: the name, the buffer, the
+        dispatcher and the RNG stream go.  Returns the undelivered
+        messages; a later send to the queue raises ``NoSuchQueue``."""
+        return self._queues.pop(name).delete()
+
     def standard_queue(self, name: str, label: str = "queue",
                        concurrency: int = 4) -> StandardQueue:
         if name in self._queues:
             raise ValueError(f"queue {name!r} already exists")
-        q = StandardQueue(name, self.env, self.profile, self.meter,
-                          self.rng.stream(f"queue:{name}"),
+        q = StandardQueue(name, self.env, self.profile, self.meter, self.rng,
                           service_label=label, concurrency=concurrency)
         self._queues[name] = q
         return q
@@ -113,8 +117,7 @@ class Cloud:
                        label: str = "stream") -> StreamTrigger:
         if name in self._queues:
             raise ValueError(f"trigger {name!r} already exists")
-        t = StreamTrigger(name, self.env, self.profile, self.meter,
-                          self.rng.stream(f"stream:{name}"),
+        t = StreamTrigger(name, self.env, self.profile, self.meter, self.rng,
                           table=table, function=function, service_label=label)
         self._queues[name] = t
         return t

@@ -11,6 +11,7 @@ __all__ = [
     "NoSuchObject",
     "NoSuchTable",
     "PayloadTooLarge",
+    "NoSuchQueue",
     "FunctionCrash",
     "ThrottlingError",
     "StorageTimeout",
@@ -58,6 +59,10 @@ class NoSuchObject(CloudError):
 
 class PayloadTooLarge(CloudError):
     """Queue message exceeds the provider payload limit (256 kB SQS)."""
+
+
+class NoSuchQueue(CloudError):
+    """Send to a deleted queue (SQS ``QueueDoesNotExist``)."""
 
 
 class FunctionCrash(CloudError):

@@ -133,6 +133,9 @@ class Table:
         self._env = env
         self._sanitized = sanitized  # the owning store's FK_SANITIZE reading
         self._items: Dict[str, _Versioned] = {}
+        #: key -> crc32, remembered by the first segmented scan that needs it
+        #: and removed with the key: a sweep then costs one ``%`` per key.
+        self._key_crc: Dict[str, int] = {}
         self.limiter = TokenBucketLimiter(env, rate_per_s=capacity_per_s, burst=capacity_per_s / 10)
         self.stream_listeners: List[Callable[[StreamRecord], None]] = []
         self._stream_seq = 0
@@ -148,6 +151,19 @@ class Table:
 
     def keys(self) -> List[str]:
         return list(self._items.keys())
+
+    def segment_keys(self, segment: int, total_segments: int) -> List[str]:
+        """Keys of one parallel-scan segment, in table order — the keys
+        with ``scan_segment_of(key, total_segments) == segment``."""
+        crcs = self._key_crc
+        selected = []
+        for key in self._items:
+            crc = crcs.get(key)
+            if crc is None:
+                crc = crcs[key] = zlib.crc32(key.encode())
+            if crc % total_segments == segment:
+                selected.append(key)
+        return selected
 
     def raw(self, key: str) -> Optional[Dict[str, Any]]:
         """Direct (zero-latency) item access for assertions in tests: the
@@ -197,6 +213,7 @@ class Table:
         old = old_rec.value if old_rec else None
         if value is None:
             self._items.pop(key, None)
+            self._key_crc.pop(key, None)
             self._ttl_keys.discard(key)
         else:
             self._items[key] = _Versioned(
@@ -616,8 +633,7 @@ class KeyValueStore:
             yield from self.faults.fire_before(fault, f"scan {table_name}")
         table.expire_due(self.env.now)
         if segmented:
-            selected = [k for k in table._items
-                        if scan_segment_of(k, total_segments) == segment]
+            selected = table.segment_keys(segment, total_segments)
         else:
             selected = list(table._items)
         total_kb = sum(_size_kb(table._get(k)) for k in selected)

@@ -20,15 +20,17 @@ invocation latency of Table 7a.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from random import Random
+from typing import Any, Callable, Generator, List, Optional
 
 from ..sim.kernel import Environment, Event
 from ..sim.resources import Store
+from ..sim.rng import RngRegistry
 from .calibration import CloudProfile
 from .context import OpContext
-from .errors import PayloadTooLarge
+from .errors import NoSuchQueue, PayloadTooLarge
 from .functions import DeployedFunction
 from .kvstore import StreamRecord, Table
 from .pricing import CostMeter
@@ -74,13 +76,16 @@ class Message:
 class _QueueBase:
     """Shared bookkeeping: sequence numbers, metering, size limits."""
 
+    #: Namespace of the queue's RNG stream, ``f"{STREAM_KIND}:{name}"``.
+    STREAM_KIND = "queue"
+
     def __init__(
         self,
         name: str,
         env: Environment,
         profile: CloudProfile,
         meter: CostMeter,
-        rng,
+        rngs: RngRegistry,
         service_label: str = "queue",
         seq_source: Optional[SharedSequence] = None,
     ) -> None:
@@ -88,12 +93,30 @@ class _QueueBase:
         self.env = env
         self.profile = profile
         self.meter = meter
-        self.rng = rng
+        self._rngs = rngs
+        self._rng: Optional[Random] = None
         self.service_label = service_label
         self._seq = 0
         self._seq_source = seq_source
         self.sent = 0
         self.delivered = 0
+        #: Message buffer; ``None`` once the queue has been deleted.
+        self._buffer: Optional[Store] = Store(env)
+
+    @property
+    def stream_name(self) -> str:
+        return f"{self.STREAM_KIND}:{self.name}"
+
+    @property
+    def rng(self) -> Random:
+        """The queue's named stream, resolved at its first draw.  The seed
+        is a pure function of ``(root seed, name)``, so a queue that never
+        carries a message owns no generator state and one that does draws
+        the same numbers whenever it starts."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rngs.stream(self.stream_name)
+        return rng
 
     def _next_seq(self) -> int:
         if self._seq_source is not None:
@@ -102,28 +125,53 @@ class _QueueBase:
         self._seq += 1
         return self._seq
 
-    def _charge(self, ctx: OpContext, size_kb: float) -> None:
-        self.meter.charge(ctx.payer or self.service_label, "queue_send",
-                          self.profile.prices.queue_cost(size_kb))
-
     def _check_size(self, size_kb: float) -> None:
         if size_kb > self.profile.queue_payload_limit_kb:
             raise PayloadTooLarge(
                 f"{size_kb:.1f} kB > {self.profile.queue_payload_limit_kb} kB"
             )
 
+    def _accept(self, ctx: OpContext, body: Any, group: str,
+                size_kb: float) -> int:
+        """Sequence, bill and buffer one message; returns its number."""
+        if self._buffer is None:
+            raise NoSuchQueue(self.name)
+        seq = self._next_seq()
+        if isinstance(body, dict):
+            # SQS exposes the assigned sequence number to sender and
+            # receiver; FaaSKeeper uses it as the transaction id.
+            body = dict(body, _seq=seq)
+        self.meter.charge(ctx.payer or self.service_label, "queue_send",
+                          self.profile.prices.queue_cost(size_kb))
+        self.sent += 1
+        self._enqueue(Message(body=body, size_kb=size_kb, group=group,
+                              seq=seq, enqueued_at=self.env.now))
+        return seq
+
+    def _enqueue(self, msg: Message) -> None:
+        self._buffer.put(msg)
+
+    def send(self, ctx: OpContext, body: Any, group: str = "default",
+             size_kb: float = 0.0) -> Generator[Event, Any, int]:
+        """Enqueue; returns the monotone sequence number (txid source)."""
+        if self._buffer is None:
+            raise NoSuchQueue(self.name)
+        self._check_size(size_kb)
+        # The enqueue API call pays the queue-send latency (Table 3 "Push");
+        # the remaining trigger latency is applied on the delivery path.
+        yield self.env.timeout(
+            self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult)
+        return self._accept(ctx, body, group, size_kb)
+
     def send_nowait(self, ctx: OpContext, body: Any, group: str = "default",
                     size_kb: float = 0.0) -> int:
         """Zero-latency enqueue, for workload generators."""
         self._check_size(size_kb)
-        seq = self._next_seq()
-        if isinstance(body, dict):
-            body = dict(body, _seq=seq)
-        self._charge(ctx, size_kb)
-        self.sent += 1
-        self._buffer.put(Message(body=body, size_kb=size_kb, group=group,
-                                 seq=seq, enqueued_at=self.env.now))
-        return seq
+        return self._accept(ctx, body, group, size_kb)
+
+    @property
+    def backlog(self) -> int:
+        return len(self._buffer) if self._buffer is not None else 0
 
 
 class FifoQueue(_QueueBase):
@@ -134,76 +182,83 @@ class FifoQueue(_QueueBase):
     successfully (or dropped after ``max_receive`` failed deliveries).
     """
 
-    def __init__(self, name, env, profile, meter, rng,
+    def __init__(self, name, env, profile, meter, rngs,
                  service_label: str = "queue",
                  max_receive: Optional[int] = 5,
                  seq_source: Optional[SharedSequence] = None) -> None:
-        super().__init__(name, env, profile, meter, rng, service_label,
+        super().__init__(name, env, profile, meter, rngs, service_label,
                          seq_source=seq_source)
-        self._buffer: Store = Store(env)
         self.max_receive = max_receive
         self._function: Optional[DeployedFunction] = None
+        self._dispatching = False
         self._batch_limit = profile.fifo_batch_limit
-        self.dropped: List[Message] = []
         self.on_drop: Optional[Callable[[Message], None]] = None
 
-    # ------------------------------------------------------------ sending
-    def send(self, ctx: OpContext, body: Any, group: str = "default",
-             size_kb: float = 0.0) -> Generator[Event, Any, int]:
-        """Enqueue; returns the monotone sequence number (txid source)."""
-        self._check_size(size_kb)
-        # The enqueue API call pays the queue-send latency (Table 3 "Push");
-        # the remaining trigger latency is applied on the delivery path.
-        yield self.env.timeout(
-            self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult)
-        seq = self._next_seq()
-        if isinstance(body, dict):
-            # SQS exposes the assigned sequence number to sender and
-            # receiver; FaaSKeeper uses it as the transaction id.
-            body = dict(body, _seq=seq)
-        msg = Message(body=body, size_kb=size_kb, group=group, seq=seq,
-                      enqueued_at=self.env.now)
-        self._charge(ctx, size_kb)
-        self.sent += 1
-        self._buffer.put(msg)
-        return seq
+    @cached_property
+    def dropped(self) -> List[Message]:
+        """Messages that exhausted ``max_receive`` deliveries."""
+        return []
 
     # ------------------------------------------------------------ trigger
     def attach(self, function: DeployedFunction, batch_limit: Optional[int] = None) -> None:
-        """Bind the event function; starts the single dispatcher."""
+        """Bind the event function.  The single dispatcher starts with the
+        first message, so a queue that never carries one runs no process."""
         if self._function is not None:
             raise ValueError(f"queue {self.name!r} already has a trigger")
         self._function = function
         if batch_limit is not None:
             self._batch_limit = min(batch_limit, self.profile.fifo_batch_limit)
-        self.env.process(self._dispatch(), name=f"fifo:{self.name}")
+        if self.backlog:  # messages sent before the trigger existed
+            self._start_dispatcher(None)
 
-    def _collect_batch(self, first: Message) -> List[Message]:
-        batch = [first]
-        while len(batch) < self._batch_limit:
-            nxt = self._buffer.get_nowait()
-            if nxt is None:
-                break
-            batch.append(nxt)
-        return batch
+    def _enqueue(self, msg: Message) -> None:
+        if self._dispatching or self._function is None:
+            self._buffer.put(msg)
+        else:
+            self._start_dispatcher(msg)
 
-    def _dispatch(self):
-        env = self.env
-        assert self._function is not None
+    def _start_dispatcher(self, first: Optional[Message]) -> None:
+        self._dispatching = True
+        self.env.process(self._dispatch(first), name=f"fifo:{self.name}")
+
+    def delete(self) -> List[Message]:
+        """Drop the buffer (with it a parked dispatcher; one mid-delivery
+        finishes its batch and ends) and the RNG stream.  Returns the
+        messages that will never be delivered."""
+        undelivered = list(self._buffer.items) if self.backlog else []
+        self._buffer = self._rng = None
+        self._rngs.discard(self.stream_name)
+        return undelivered
+
+    def _dispatch(self, first: Optional[Message]):
+        """The dispatcher: started holding the message that woke the queue
+        (``None``: take it from the buffer), parked on the buffer between
+        batches."""
         while True:
-            first = yield self._buffer.get()
-            batch = self._collect_batch(first)
+            buffer = self._buffer
+            if buffer is None:
+                return  # queue deleted
+            if first is None:
+                first = yield buffer.get()
+            batch = [first]
+            first = None
+            while len(batch) < self._batch_limit:
+                nxt = buffer.get_nowait()
+                if nxt is None:
+                    break
+                batch.append(nxt)
             yield from self._deliver(batch)
 
     def _deliver(self, batch: List[Message]):
         """Deliver one batch; on failure, redeliver (FIFO blocks the group)."""
         env = self.env
         fn = self._function
+        rng = self.rng  # held: a redelivery may outlive the queue's deletion
         total_kb = sum(m.size_kb for m in batch)
         while True:
             for m in batch:
                 m.receive_count += 1
-            latency = self.profile.invoke_fifo.sample(self.rng, total_kb)
+            latency = self.profile.invoke_fifo.sample(rng, total_kb)
             # SQS/Lambda per-record pipeline overhead.
             latency += self.profile.fifo_per_msg_ms * len(batch)
             done = fn.invoke([m.body for m in batch], invoke_latency_ms=latency)
@@ -233,10 +288,6 @@ class FifoQueue(_QueueBase):
                         m.body["_redelivered"] = True
                 yield env.timeout(REDELIVERY_BACKOFF_MS)
 
-    @property
-    def backlog(self) -> int:
-        return len(self._buffer)
-
 
 class StandardQueue(_QueueBase):
     """Unordered queue: concurrent dispatchers, large jittered batches.
@@ -246,27 +297,12 @@ class StandardQueue(_QueueBase):
     arrive in large batches).
     """
 
-    def __init__(self, name, env, profile, meter, rng,
+    def __init__(self, name, env, profile, meter, rngs,
                  service_label: str = "queue",
                  concurrency: int = 4) -> None:
-        super().__init__(name, env, profile, meter, rng, service_label)
-        self._buffer: Store = Store(env)
+        super().__init__(name, env, profile, meter, rngs, service_label)
         self.concurrency = concurrency
         self._function: Optional[DeployedFunction] = None
-
-    def send(self, ctx: OpContext, body: Any, group: str = "default",
-             size_kb: float = 0.0) -> Generator[Event, Any, int]:
-        self._check_size(size_kb)
-        yield self.env.timeout(
-            self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult)
-        seq = self._next_seq()
-        if isinstance(body, dict):
-            body = dict(body, _seq=seq)
-        self._charge(ctx, size_kb)
-        self.sent += 1
-        self._buffer.put(Message(body=body, size_kb=size_kb, group=group,
-                                 seq=seq, enqueued_at=self.env.now))
-        return seq
 
     def attach(self, function: DeployedFunction) -> None:
         if self._function is not None:
@@ -306,10 +342,6 @@ class StandardQueue(_QueueBase):
                 for m in batch:  # at-least-once: requeue everything
                     self._buffer.put(m)
 
-    @property
-    def backlog(self) -> int:
-        return len(self._buffer)
-
 
 class StreamTrigger(_QueueBase):
     """DynamoDB Streams: table change records -> function, one shard.
@@ -319,11 +351,12 @@ class StreamTrigger(_QueueBase):
     Sending is implicit: the trigger subscribes to the table's stream.
     """
 
-    def __init__(self, name, env, profile, meter, rng, table: Table,
+    STREAM_KIND = "stream"
+
+    def __init__(self, name, env, profile, meter, rngs, table: Table,
                  function: DeployedFunction,
                  service_label: str = "stream") -> None:
-        super().__init__(name, env, profile, meter, rng, service_label)
-        self._buffer: Store = Store(env)
+        super().__init__(name, env, profile, meter, rngs, service_label)
         self._function = function
         table.stream_listeners.append(self._on_record)
         self.env.process(self._dispatch(), name=f"stream:{name}")

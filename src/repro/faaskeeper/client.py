@@ -23,10 +23,10 @@ completion chain respectively.
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..cloud.context import OpContext
+from ..cloud.errors import NoSuchQueue
 from ..sim.kernel import AnyOf
 from .cache import ClientReadCache
 from .exceptions import (
@@ -293,7 +293,7 @@ class FaaSKeeperClient:
         self.session_id = session_id
         self.region = region
         self.queue = queue
-        self.ctx = OpContext(region=region)
+        self.ctx = service.region_ctx(region)
         self.alive = True          # heartbeat answers (tests flip this)
         self.closed = False
         #: Virtual instant the session closed (client close or eviction) —
@@ -302,19 +302,9 @@ class FaaSKeeperClient:
         self.mrd = 0               # most-recently-delivered txid
 
         self._rid = 0
-        self._pending: Dict[int, Any] = {}          # rid -> internal Event
         self._chain = None                          # completion-order tail
         self._send_tail = None                      # submission-order tail
         self._write_tail = None                     # last write's response
-        self._registered: Dict[str, List[Callable]] = {}  # watch id -> callbacks
-        self._delivered: Set[str] = set()
-        self._wait_events: Dict[str, Any] = {}      # watch id -> stall Event
-        self._watch_ids: Dict[Tuple[str, str], str] = {}  # (path, type) -> wid
-        self.watch_events: List[WatchedEvent] = []  # delivery log (tests)
-        #: rid -> txid of acked writes not yet replicated into this
-        #: client's region (distributor deployments only): the read
-        #: barrier waits on the region's visibility watermark for them.
-        self._await_visible: Dict[int, int] = {}
         config = service.config
         self._cache: Optional[ClientReadCache] = (
             ClientReadCache(config.client_cache_entries,
@@ -324,18 +314,39 @@ class FaaSKeeperClient:
 
         # --- session lifecycle (kazoo parity) -----------------------------
         self._state = KeeperState.CONNECTED
-        self._listeners: List[Callable[[KeeperState], Any]] = []
         #: True once the heartbeat evictor (not the client) closed the
         #: session; the LOST transition is how the client learns of it.
         self.evicted = False
-        #: Default retry policy recipes use for transient failures.
-        self.retry = SessionRetry(self)
-        # Kazoo-style watch decorators bound to this session:
-        #     @client.DataWatch("/path")
-        #     def watcher(data, stat): ...
-        from .watches import ChildrenWatch, DataWatch
-        self.DataWatch = functools.partial(DataWatch, self)
-        self.ChildrenWatch = functools.partial(ChildrenWatch, self)
+
+    # Everything below is allocated by the session's first *use* of it: a
+    # session that only answers heartbeats owns none of these containers.
+    _pending = cached_property(lambda self: {})     # rid -> internal Event
+    _registered = cached_property(lambda self: {})  # watch id -> callbacks
+    _delivered = cached_property(lambda self: set())
+    _wait_events = cached_property(lambda self: {})  # watch id -> stall Event
+    _watch_ids = cached_property(lambda self: {})   # (path, type) -> wid
+    _listeners = cached_property(lambda self: [])   # state listeners
+    #: Watch delivery log (tests).
+    watch_events = cached_property(lambda self: [])
+    #: rid -> txid of acked writes not yet replicated into this client's
+    #: region (distributor deployments only): the read barrier waits on the
+    #: region's visibility watermark for them.
+    _await_visible = cached_property(lambda self: {})
+    #: Default retry policy recipes use for transient failures.
+    retry = cached_property(lambda self: SessionRetry(self))
+    _process_name = cached_property(lambda self: f"client:{self.session_id}")
+
+    # Kazoo-style watch decorators bound to this session:
+    #     @client.DataWatch("/path")
+    #     def watcher(data, stat): ...
+    def DataWatch(self, path: str, func: Optional[Callable] = None):
+        from .watches import DataWatch
+        return DataWatch(self, path, func)
+
+    def ChildrenWatch(self, path: str, func: Optional[Callable] = None,
+                      send_event: bool = False):
+        from .watches import ChildrenWatch
+        return ChildrenWatch(self, path, func, send_event)
 
     # ------------------------------------------------------------ lifecycle state
     @property
@@ -393,17 +404,29 @@ class FaaSKeeperClient:
         # Session death — client close or heartbeat eviction alike — is the
         # LOST transition: ephemeral nodes are gone, the session id is dead.
         self._transition(KeeperState.LOST)
+        self._forget_if_settled()
+
+    def _forget_if_settled(self) -> None:
+        """A closed session that is owed no response leaves the service's
+        registry: nothing can be delivered to it any more, so session churn
+        must not grow the deployment."""
+        if self.closed and not self._pending:
+            self.service.clients.pop(self.session_id, None)
 
     def _on_drop(self, message) -> None:
         """Poison request dropped by the queue: fail its future."""
         # The service gave up on a request without an answer: the session
         # may still exist, but the connection is in doubt.
         self._transition(KeeperState.SUSPENDED)
+        self._fail_request(message, "system_failure")
+
+    def _fail_request(self, message, error: str) -> None:
+        """Fail the future of a queued request nobody will answer."""
         body = message.body
         if isinstance(body, dict) and body.get("rid", -1) >= 0:
             self._deliver_response(Response(
                 session=self.session_id, rid=body["rid"], ok=False,
-                error="system_failure"))
+                error=error))
 
     def _deliver_response(self, response: Response) -> None:
         event = self._pending.pop(response.rid, None)
@@ -427,6 +450,7 @@ class FaaSKeeperClient:
                 if not board.visible(self.region, response.txid):
                     self._await_visible[response.rid] = response.txid
         event.succeed(response)
+        self._forget_if_settled()
 
     def _deliver_watch(self, watch_id: str, event: WatchedEvent) -> None:
         self._delivered.add(watch_id)
@@ -466,7 +490,7 @@ class FaaSKeeperClient:
             else:
                 future.event.succeed(value)
 
-        self.env.process(runner(), name=f"client:{self.session_id}")
+        self.env.process(runner(), name=self._process_name)
         return future
 
     def _check_open(self) -> None:
@@ -539,6 +563,12 @@ class FaaSKeeperClient:
         try:
             yield from self.queue.send(self.ctx, body, group=self.session_id,
                                        size_kb=request.size_kb)
+        except NoSuchQueue:
+            # The session was closed under this request: it fails like one
+            # submitted after the close.
+            self._deliver_response(Response(
+                session=self.session_id, rid=request.rid, ok=False,
+                error="session_closed"))
         finally:
             if not sent.triggered:
                 sent.succeed(None)

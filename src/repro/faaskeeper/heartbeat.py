@@ -2,7 +2,8 @@
 
 ZooKeeper sessions exchange keep-alives over their TCP connection; with no
 connection to keep, FaaSKeeper inverts the direction: a cron-triggered
-function scans the session table, pings every scanned session in parallel,
+function scans the session table, pings every scanned session in parallel
+(one reply timer per session — a session is a timeout slot, not a thread),
 and starts an eviction (a ``close_session`` request in the session's own
 FIFO queue, so it serializes after the session's earlier writes) for
 clients that miss the deadline.
@@ -32,7 +33,6 @@ from typing import Any, Dict, Generator
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Set, item_exists
 from ..cloud.kvstore import TTL_ATTRIBUTE
-from ..sim.kernel import AllOf
 from .layout import SYSTEM_SESSIONS
 
 __all__ = ["HeartbeatLogic"]
@@ -87,17 +87,23 @@ class HeartbeatLogic:
         to_check = [sid for sid, item in sessions.items() if item.get("ephemeral")]
         to_check += [sid for sid, item in sessions.items()
                      if not item.get("ephemeral")]
-        pings = {
-            sid: env.process(self.service.heartbeat_ping(sid), name=f"ping:{sid}")
-            for sid in to_check
-        }
         results: Dict[str, bool] = {}
-        if pings:
-            yield AllOf(env, list(pings.values()))
-            # Key each result by its own ping process — never by the
-            # position of the composite event's value dict, whose iteration
-            # order is an implementation detail of the kernel.
-            results = {sid: bool(ping.value) for sid, ping in pings.items()}
+        if to_check:
+            # One timer per session, no process: each reply is read when its
+            # timer fires and keyed by the session id the timer carries; the
+            # last one in wakes the sweep.
+            done = env.event()
+            answered = self.service.heartbeat_answered
+
+            def on_reply(reply) -> None:
+                results[reply.value] = answered(reply.value)
+                if len(results) == len(to_check):
+                    done.succeed()
+
+            ping = self.service.heartbeat_ping
+            for sid in to_check:
+                ping(sid).callbacks.append(on_reply)
+            yield done
         fctx.record("ping", env.now - t0)
 
         self._sweeps.inc()

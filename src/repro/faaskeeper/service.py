@@ -27,9 +27,11 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
+from ..cloud.errors import NoSuchQueue
 from ..cloud.kvstore import TTL_ATTRIBUTE
 from ..cloud.queues import SharedSequence
 from ..primitives import TimedLock
+from ..sim.kernel import AllOf, Timeout
 from .client import FaaSKeeperClient
 from .config import FaaSKeeperConfig
 from .distributor import DistributionStage
@@ -127,7 +129,10 @@ class FaaSKeeperService:
         self.cloud = cloud
         self.config = config
         self.rng = cloud.rng.stream("faaskeeper")
-        self.system_ctx = OpContext(region=config.primary_region)
+        self._tcp = cloud.rng.stream("tcp")
+        #: One frozen caller context per region, shared by its clients.
+        self._region_ctx: Dict[str, OpContext] = {}
+        self.system_ctx = self.region_ctx(config.primary_region)
         #: The deployment's metric namespace.  Created first: every stage
         #: logic below registers its counters here.  Metrics are pure
         #: Python bookkeeping (no simulated latency, RNG draws or billed
@@ -397,7 +402,7 @@ class FaaSKeeperService:
             self._ttl_evictions.inc()
         region = record.old_image.get("region", self.config.primary_region)
         self.cloud.run_process(self.enqueue_eviction(
-            OpContext(region=region), record.key,
+            self.region_ctx(region), record.key,
             ephemerals=list(record.old_image.get("ephemeral", []))))
 
     def _on_breaker_transition(self, label: str, region: str, state: str
@@ -513,10 +518,12 @@ class FaaSKeeperService:
     def active_sessions(self) -> int:
         return self._live_sessions
 
-    def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
-        """Open a session: its own FIFO queue, a session record, a client."""
+    def region_ctx(self, region: str) -> OpContext:
+        return self._region_ctx.setdefault(region, OpContext(region=region))
+
+    def _new_session(self, region: str):
+        """A fresh session id, its FIFO queue and the record to store."""
         session_id = f"s{next(self._session_ids)}"
-        region = region or self.config.primary_region
         queue = self.cloud.fifo_queue(
             f"fk-session-{session_id}", label="sqs",
             max_receive=self.config.follower_max_receive)
@@ -526,8 +533,14 @@ class FaaSKeeperService:
         if self.ephemeral_ttl_active:
             session_item[TTL_ATTRIBUTE] = (
                 self.cloud.env.now + self.config.effective_ephemeral_ttl_ms)
+        return session_id, queue, session_item
+
+    def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
+        """Open a session: its own FIFO queue, a session record, a client."""
+        region = region or self.config.primary_region
+        session_id, queue, session_item = self._new_session(region)
         self.cloud.run_process(self.system_store.put_item(
-            OpContext(region=region), SYSTEM_SESSIONS, session_id,
+            self.region_ctx(region), SYSTEM_SESSIONS, session_id,
             session_item))
         client = FaaSKeeperClient(self, session_id, region, queue)
         self.clients[session_id] = client
@@ -554,55 +567,36 @@ class FaaSKeeperService:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         region = region or self.config.primary_region
-        ctx = OpContext(region=region)
+        ctx = self.region_ctx(region)
+        env = self.cloud.env
         was_idle = self.active_sessions == 0
         clients: List[FaaSKeeperClient] = []
         pending: Dict[str, Dict[str, Any]] = {}
         writes = []
-        for _ in range(count):
-            session_id = f"s{next(self._session_ids)}"
-            queue = self.cloud.fifo_queue(
-                f"fk-session-{session_id}", label="sqs",
-                max_receive=self.config.follower_max_receive)
-            queue.attach(self.follower_fn,
-                         batch_limit=self.config.follower_batch)
-            self._session_queues[session_id] = queue
-            session_item = {"ephemeral": [], "region": region, "last_rid": 0}
-            if self.ephemeral_ttl_active:
-                session_item[TTL_ATTRIBUTE] = (
-                    self.cloud.env.now
-                    + self.config.effective_ephemeral_ttl_ms)
-            pending[session_id] = session_item
+        while len(clients) < count:
+            session_id, queue, pending[session_id] = self._new_session(region)
             client = FaaSKeeperClient(self, session_id, region, queue)
             self.clients[session_id] = client
             self._live_sessions += 1
             clients.append(client)
-            if len(pending) >= batch_size:
-                writes.append(self.cloud.env.process(
-                    self.system_store.batch_put(
-                        ctx, SYSTEM_SESSIONS, dict(pending)),
+            if len(pending) >= batch_size or len(clients) == count:
+                writes.append(env.process(
+                    self.system_store.batch_put(ctx, SYSTEM_SESSIONS, pending),
                     name="connect-many"))
-                pending.clear()
-        if pending:
-            writes.append(self.cloud.env.process(
-                self.system_store.batch_put(
-                    ctx, SYSTEM_SESSIONS, dict(pending)),
-                name="connect-many"))
-        if was_idle and self.active_sessions > 0:
+                pending = {}
+        if was_idle:
             self._start_scheduled_tasks()
-        if writes:
-            from ..sim.kernel import AllOf
-            self.cloud.env.run(until=AllOf(self.cloud.env, writes))
+        env.run(until=AllOf(env, writes))
         return clients
 
+    def _scheduled_tasks(self) -> List[Any]:
+        tasks = [*self.heartbeat_tasks, self.gc_task, self.snapshot_task,
+                 self.outbox_task]
+        return [task for task in tasks if task is not None]
+
     def _start_scheduled_tasks(self) -> None:
-        for task in self.heartbeat_tasks:
+        for task in self._scheduled_tasks():
             task.start()
-        self.gc_task.start()
-        if self.snapshot_task is not None:
-            self.snapshot_task.start()
-        if self.outbox_task is not None:
-            self.outbox_task.start()
 
     def on_session_closed(self, session_id: str, evicted: bool = False) -> None:
         client = self.clients.get(session_id)
@@ -611,24 +605,27 @@ class FaaSKeeperService:
             # state machine — the session learns of its death when the
             # evictor's close lands, not on its next failed request.
             client._mark_closed(evicted=evicted)
+        queue = self._session_queues.pop(session_id, None)
+        if queue is not None:
+            # The close envelope has been processed: the queue, its
+            # dispatcher and its RNG stream go (a closed session must cost
+            # nothing), and what was sent behind the close fails like any
+            # request on a closed session.
+            for message in self.cloud.delete_queue(queue.name):
+                if client is not None:
+                    client._fail_request(message, "session_closed")
         if self.active_sessions == 0:
             # Scale-to-zero: with no clients there is nothing to monitor and
             # the only remaining charges are storage retention (Section 5.3.4).
-            for task in self.heartbeat_tasks:
+            for task in self._scheduled_tasks():
                 task.stop()
-            self.gc_task.stop()
-            if self.snapshot_task is not None:
-                self.snapshot_task.stop()
-            if self.outbox_task is not None:
-                self.outbox_task.stop()
 
     # ------------------------------------------------------------ notification
     def notify_response(self, response: Response) -> Generator:
         """Function -> client result push (the TCP reply of Section 5.2.2)."""
         client = self.clients.get(response.session)
-        latency = self.cloud.profile.tcp_reply.sample(
-            self.cloud.rng.stream("tcp"), 0.0)
-        yield self.cloud.env.timeout(latency)
+        yield self.cloud.env.timeout(
+            self.cloud.profile.tcp_reply.sample(self._tcp, 0.0))
         if client is not None:
             client._deliver_response(response)
         return None
@@ -637,9 +634,8 @@ class FaaSKeeperService:
                              event: WatchedEvent) -> Generator:
         """One watch delivery to one client (spawned by the watch function)."""
         client = self.clients.get(session)
-        latency = self.cloud.profile.tcp_reply.sample(
-            self.cloud.rng.stream("tcp"), 0.0)
-        yield self.cloud.env.timeout(latency)
+        yield self.cloud.env.timeout(
+            self.cloud.profile.tcp_reply.sample(self._tcp, 0.0))
         if client is not None and not client.closed:
             client._deliver_watch(watch_id, event)
         return None
@@ -689,19 +685,27 @@ class FaaSKeeperService:
         return None
 
     # ------------------------------------------------------------ heartbeat
-    def heartbeat_ping(self, session_id: str) -> Generator:
-        """Ping one client; returns True when it answers in time."""
+    def heartbeat_ping(self, session_id: str) -> Timeout:
+        """Ping one client: the timer of its TCP reply, carrying the session
+        id as its value.  What the client said is read when the timer
+        fires, by :meth:`heartbeat_answered` — a ping is one heap entry,
+        not a process."""
+        return Timeout(self.cloud.env,
+                       self.cloud.profile.tcp_reply.sample(self._tcp, 0.0),
+                       session_id)
+
+    def heartbeat_answered(self, session_id: str) -> bool:
+        """At reply time: True when the client answered the ping."""
         client = self.clients.get(session_id)
-        latency = self.cloud.profile.tcp_reply.sample(
-            self.cloud.rng.stream("tcp"), 0.0)
-        yield self.cloud.env.timeout(latency)
-        answered = bool(client is not None and client.alive and not client.closed)
-        if not answered and client is not None and not client.closed:
-            # The service observed the client unreachable: the session is in
-            # doubt (SUSPENDED) until the eviction lands (LOST) or a later
-            # successful round trip heals it.
-            client._transition(KeeperState.SUSPENDED)
-        return answered
+        if client is None or client.closed:
+            return False
+        if client.alive:
+            return True
+        # The service observed the client unreachable: the session is in
+        # doubt (SUSPENDED) until the eviction lands (LOST) or a later
+        # successful round trip heals it.
+        client._transition(KeeperState.SUSPENDED)
+        return False
 
     def enqueue_eviction(self, ctx: OpContext, session_id: str,
                          ephemerals: Optional[List[str]] = None) -> Generator:
@@ -711,14 +715,17 @@ class FaaSKeeperService:
         ``ephemerals`` rides along when the caller already knows the list
         (the TTL path, whose session record no longer exists to read)."""
         queue = self._session_queues.get(session_id)
-        if queue is None:  # pragma: no cover - defensive
+        if queue is None:  # already closed: its queue went with it
             return None
         body: Dict[str, Any] = {
             "session": session_id, "rid": -1, "op": "close_session",
         }
         if ephemerals is not None:
             body["ephemerals"] = list(ephemerals)
-        yield from queue.send(ctx, body, group=session_id, size_kb=0.1)
+        try:
+            yield from queue.send(ctx, body, group=session_id, size_kb=0.1)
+        except NoSuchQueue:
+            pass  # closed while the request was on its way: nothing to evict
         return None
 
     # ------------------------------------------------------------ metrics

@@ -117,7 +117,7 @@ class SessionSwarm:
         self.watch_fanout_ms: List[float] = []
         self.eviction_lag_ms: List[float] = []
         self.registration_rate_per_s: List[float] = []
-        self._silenced_at: Dict[str, float] = {}
+        self._silenced: List[Any] = []  # (client, virtual instant)
         self._lock_grants = 0
         self._writer_ops_done = 0
 
@@ -239,7 +239,7 @@ class SessionSwarm:
     def _silencer(self, client, after_ms: float):
         yield self.cloud.env.timeout(after_ms)
         if not client.closed:
-            self._silenced_at[client.session_id] = self.cloud.env.now
+            self._silenced.append((client, self.cloud.env.now))
             client.alive = False
 
     # ------------------------------------------------------------ run
@@ -291,10 +291,9 @@ class SessionSwarm:
         if pending:
             self.cloud.run(until=AllOf(env, pending))
 
-        for sid, silenced_at in self._silenced_at.items():
-            closed_at = self.service.clients[sid].closed_at
-            if closed_at is not None:
-                self.eviction_lag_ms.append(closed_at - silenced_at)
+        for client, silenced_at in self._silenced:
+            if client.closed_at is not None:
+                self.eviction_lag_ms.append(client.closed_at - silenced_at)
 
         sweep_ms = [d for fn in self.service.heartbeat_fns
                     for d in fn.durations_ms]

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -199,7 +200,7 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
     ) -> None:
-        if not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         self.env = env
         self.callbacks = []

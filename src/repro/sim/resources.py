@@ -25,20 +25,39 @@ class Store:
 
     ``put`` never blocks.  ``get`` returns an event that triggers with the
     oldest item as soon as one is available.
+
+    An idle store owns no container: the item deque appears with the first
+    item that finds no waiter, the oldest waiter (a queue's one dispatcher,
+    usually) sits in a slot, the waiter deque appears with a second one.
     """
+
+    __slots__ = ("env", "_items", "_getter", "_getters")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: Optional[Deque[Any]] = None
+        self._getter: Optional[Event] = None          # oldest waiter
+        self._getters: Optional[Deque[Event]] = None  # younger ones, FIFO
+
+    @property
+    def items(self) -> Deque[Any]:
+        """The buffered items, oldest first (redelivery pushes on the left)."""
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        return items
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._items) if self._items else 0
+
+    def _next_getter(self) -> None:
+        self._getter = self._getters.popleft() if self._getters else None
 
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
+        getter = self._getter
+        if getter is not None:
+            self._next_getter()
             getter.succeed(item)
         else:
             self.items.append(item)
@@ -46,24 +65,31 @@ class Store:
     def get(self) -> Event:
         """Return an event yielding the next item (FIFO)."""
         event = Event(self.env)
-        if self.items:
-            event.succeed(self.items.popleft())
+        if self._items:
+            event.succeed(self._items.popleft())
+        elif self._getter is None:
+            self._getter = event
         else:
+            if self._getters is None:
+                self._getters = deque()
             self._getters.append(event)
         return event
 
     def get_nowait(self) -> Optional[Any]:
         """Pop the next item immediately, or return None when empty."""
-        if self.items:
-            return self.items.popleft()
+        if self._items:
+            return self._items.popleft()
         return None
 
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending getter (used by timeout races)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
+        if event is self._getter:
+            self._next_getter()
+        elif self._getters:
+            try:
+                self._getters.remove(event)
+            except ValueError:
+                pass
 
 
 class Resource:

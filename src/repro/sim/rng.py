@@ -36,6 +36,15 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
+    def __contains__(self, name: str) -> bool:
+        """True once ``name`` has been resolved: holders resolve their stream
+        at their first draw, so a name that never drew owns no state."""
+        return name in self._streams
+
+    def discard(self, name: str) -> None:
+        """Forget a stream whose only user is gone (a deleted queue)."""
+        self._streams.pop(name, None)
+
     def spawn(self, name: str) -> "RngRegistry":
         """Derive a child registry (used per-deployment for isolation)."""
         digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()

@@ -497,3 +497,28 @@ def test_sanitizer_catches_a_wrong_memoized_size(cloud, ctx, monkeypatch):
     table._store("k", {"v": 1}, size_bytes=1)  # a lying caller
     with pytest.raises(SanitizerError, match="memoized size"):
         cloud.run_process(kv.get_item(ctx, "t", "k"))
+
+
+def test_segmented_scan_remembers_each_key_crc_once(cloud, ctx):
+    """A sweep costs one ``%`` per key: the crc32 is computed by the first
+    segmented scan that needs it and removed with the key; selection and
+    order are exactly ``scan_segment_of``'s."""
+    from repro.cloud.kvstore import scan_segment_of
+
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    keys = [f"s{i}" for i in range(40)]
+
+    def scan(segment=None, total=None):
+        return list(cloud.run_process(kv.scan(ctx, "t", segment, total)))
+
+    cloud.run_process(kv.batch_put(ctx, "t", {k: {"v": 1} for k in keys}))
+    assert scan() == keys and table._key_crc == {}     # plain scan: no crcs
+    for segment in range(4):
+        assert scan(segment, 4) == [
+            k for k in keys if scan_segment_of(k, 4) == segment]
+    assert set(table._key_crc) == set(keys)
+    assert sorted(sum((scan(s, 8) for s in range(8)), [])) == sorted(keys)
+    cloud.run_process(kv.delete_item(ctx, "t", "s7"))
+    assert "s7" not in table._key_crc
+    assert "s7" not in scan(scan_segment_of("s7", 4), 4)

@@ -217,3 +217,89 @@ def test_stream_latency_much_higher_than_fifo(cloud, ctx):
     cloud.run(until=cloud.now + 10_000)
     # first delivery includes a cold start (~180ms) + stream latency (~240ms)
     assert arrivals[0] - t0 > 200
+
+
+# ------------------------------------------------------------ pay-per-use
+def test_idle_queue_owns_no_stream_no_dispatcher_no_buffer(cloud, ctx):
+    """Everything a queue owns is allocated by its first message."""
+    log = []
+    q = cloud.fifo_queue("lazy")
+    q.attach(cloud.deploy_function("h", _collector(log)))
+    cloud.run(until=cloud.now + 1_000)
+    assert "queue:lazy" not in cloud.rng
+    assert not q._dispatching and q._buffer._items is None
+    assert q._buffer._getter is None
+    cloud.run_process(q.send(ctx, "first"))
+    cloud.run(until=cloud.now + 10_000)
+    assert log == ["first"]
+    assert "queue:lazy" in cloud.rng and q._dispatching
+    # between batches the one dispatcher parks in the buffer's waiter slot
+    assert q._buffer._getter is not None and q._buffer._getters is None
+
+
+def test_queue_draws_are_the_same_whenever_its_stream_starts():
+    """Two clouds, same seed: one queue's first draw comes after a lot of
+    unrelated traffic, the other's right away — same latencies."""
+    from repro.cloud import Cloud, OpContext
+
+    def send_times(warmup):
+        cloud, ctx = Cloud.aws(seed=99), OpContext()
+        other = cloud.fifo_queue("other")
+        q = cloud.fifo_queue("q")
+
+        def flow():
+            for i in range(warmup):
+                yield from other.send(ctx, i)
+            start = cloud.now
+            for i in range(5):
+                yield from q.send(ctx, i)
+            return cloud.now - start
+
+        return cloud.run_process(flow())
+
+    # (the clock sums the same five latencies from a different origin)
+    assert send_times(0) == pytest.approx(send_times(25), rel=1e-12)
+
+
+def test_all_three_queue_kinds_resolve_streams_lazily(cloud, ctx):
+    table = cloud.kv().create_table("t")
+    fn = cloud.deploy_function("h", _collector([]))
+    cloud.fifo_queue("f").attach(fn)
+    cloud.standard_queue("s").attach(fn)
+    cloud.stream_trigger("st", table, fn)
+    cloud.run(until=cloud.now + 1_000)
+    for name in ("queue:f", "queue:s", "stream:st"):
+        assert name not in cloud.rng
+
+
+def test_messages_sent_before_attach_are_delivered_in_order(cloud, ctx):
+    log = []
+    q = cloud.fifo_queue("early")
+    for i in range(3):
+        q.send_nowait(ctx, i)
+    q.attach(cloud.deploy_function("h", _collector(log)), batch_limit=2)
+    q.send_nowait(ctx, 3)
+    cloud.run(until=cloud.now + 10_000)
+    assert log == [0, 1, 2, 3] and q.backlog == 0
+
+
+def test_delete_queue_drops_buffer_stream_and_dispatcher(cloud, ctx):
+    from repro.cloud.errors import NoSuchQueue
+
+    log = []
+    q = cloud.fifo_queue("gone")
+    q.attach(cloud.deploy_function("h", _collector(log)), batch_limit=1)
+    for i in range(3):
+        q.send_nowait(ctx, i)
+    cloud.run(until=cloud.now + 0.5)            # batch [0] is in flight
+    undelivered = cloud.delete_queue("gone")
+    assert [m.body for m in undelivered] == [1, 2]
+    assert "queue:gone" not in cloud.rng and q.backlog == 0
+    cloud.run(until=cloud.now + 10_000)
+    assert log == [0]                            # in-flight batch completes
+    with pytest.raises(NoSuchQueue):
+        q.send_nowait(ctx, "late")
+    with pytest.raises(NoSuchQueue):
+        cloud.run_process(q.send(ctx, "late"))
+    assert "queue:gone" not in cloud.rng        # a failed send resolves nothing
+    cloud.fifo_queue("gone")                     # the name is free again

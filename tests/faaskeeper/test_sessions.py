@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faaskeeper import SessionClosedError
-from repro.sim.kernel import AllOf, ConditionValue
 from .conftest import make_service
 
 
@@ -134,31 +133,13 @@ def test_dead_watch_only_session_is_evicted_and_watch_reclaimed(cloud, service):
     assert events == []  # nothing was ever delivered to the dead client
 
 
-def test_heartbeat_results_keyed_by_ping_not_dict_order(cloud, service):
-    """Regression: results were built as ``dict(zip(to_check,
-    done.values()))``, silently relying on the AllOf value dict iterating
-    in ping-list order.  Under a completion-ordered (equally legal)
-    condition value, the slow-but-alive session inherited the dead
-    session's result and was evicted in its place."""
-    import repro.faaskeeper.heartbeat as hb_module
-
-    class CompletionOrderedAllOf(AllOf):
-        """AllOf whose value dict iterates in completion order."""
-
-        def _check(self, event):
-            if self.triggered:
-                return
-            if not event._ok:
-                event._defused = True
-                self.fail(event._value)
-                return
-            self._fired.append(event)
-            if len(self._fired) >= self._need:
-                value = ConditionValue()
-                for ev in self._fired:  # completion order, not event order
-                    value[ev] = ev._value
-                self.succeed(value)
-
+def test_heartbeat_results_keyed_by_session_id_not_reply_order(cloud, service):
+    """Regression: results were once built as ``dict(zip(to_check,
+    done.values()))``, relying on replies arriving in ping-list order — a
+    slow-but-alive session then inherited the dead session's result and was
+    evicted in its place.  A ping is now one reply timer carrying its
+    session id; ``service.heartbeat_ping`` is the per-ping hook, so a late
+    reply is just a later timer."""
     slow = service.connect()   # alive, but slow to answer
     dead = service.connect()   # never answers
     slow.create("/slow", ephemeral=True)
@@ -166,27 +147,53 @@ def test_heartbeat_results_keyed_by_ping_not_dict_order(cloud, service):
     dead.alive = False
 
     real_ping = service.heartbeat_ping
+    order = []
 
     def skewed_ping(session_id):
+        reply = real_ping(session_id)
         if session_id == slow.session_id:
-            yield service.cloud.env.timeout(50.0)  # answers, late
-        result = yield from real_ping(session_id)
-        return result
+            reply = cloud.env.timeout(50.0, session_id)  # answers, 50 ms late
+        reply.callbacks.append(lambda r: order.append(r.value))
+        return reply
 
     service.heartbeat_ping = skewed_ping
-    original_allof = hb_module.AllOf
-    hb_module.AllOf = CompletionOrderedAllOf
-    try:
-        cloud.run(until=cloud.now + 3 * 60_000)
-    finally:
-        hb_module.AllOf = original_allof
-        service.heartbeat_ping = real_ping
+    cloud.run(until=cloud.now + 3 * 60_000)
 
+    # replies came back out of ping order, and no ping ran as a process
+    assert order[:2] == [dead.session_id, slow.session_id]
     sessions = service.system_store.table("fk-system-sessions")
     assert sessions.raw(slow.session_id) is not None  # alive: never evicted
     assert not slow.closed
     assert sessions.raw(dead.session_id) is None      # dead: evicted
     assert dead.closed
+
+
+def test_sweep_pings_with_timers_not_processes(cloud, service):
+    """A sweep arms one timeout per session: no ``ping:*`` process, and the
+    SUSPENDED transition happens at reply time, not at ping time."""
+    import repro.sim.kernel as kernel
+
+    clients = service.connect_many(6)
+    clients[0].alive = False
+    spawned = []
+    real_init = kernel.Process.__init__
+
+    def recording_init(self, env, generator, name=None):
+        spawned.append(name)
+        real_init(self, env, generator, name)
+
+    states = []
+    clients[0].add_listener(lambda state: states.append((cloud.now, state)))
+    kernel.Process.__init__ = recording_init
+    try:
+        t0 = cloud.now
+        cloud.run(until=service.heartbeat_fn.invoke(None))
+    finally:
+        kernel.Process.__init__ = real_init
+    assert service.heartbeat_logic.evictions == 1
+    assert not [name for name in spawned if name and name.startswith("ping")]
+    assert len([name for name in spawned if name]) <= 3  # sweep + eviction
+    assert states[0][1].name == "SUSPENDED" and states[0][0] > t0
 
 
 def test_two_sessions_are_isolated_queues(service):
@@ -204,6 +211,67 @@ def test_session_writes_after_eviction_fail(cloud, service):
     assert c.closed
     with pytest.raises(SessionClosedError):
         c.create("/x")
+
+
+def test_closed_session_releases_queue_dispatcher_and_stream(cloud, service):
+    """Teardown: once the close envelope is processed nothing of the
+    session stays behind — not in the cloud, not in the service."""
+    keeper = service.connect()           # keeps the deployment awake
+    c = service.connect()
+    c.create("/e", ephemeral=True)       # queue used: stream + dispatcher live
+    queue = service._session_queues[c.session_id]
+    assert f"queue:{queue.name}" in cloud.rng and queue._dispatching
+    c.close()
+    cloud.run(until=cloud.now + 1_000)
+    assert c.session_id not in service._session_queues
+    assert c.session_id not in service.clients
+    assert queue.name not in cloud._queues
+    assert f"queue:{queue.name}" not in cloud.rng
+    assert queue._buffer is None and queue.backlog == 0
+    assert keeper.session_id in service.clients
+    # an eviction for the closed session finds nothing to evict
+    cloud.run_process(service.enqueue_eviction(service.system_ctx,
+                                               c.session_id))
+    assert queue.sent == 2               # the create and the close, no more
+
+
+def test_request_racing_the_close_fails_like_one_on_a_closed_session(
+        cloud, service):
+    """A send that lands on the deleted session queue — the request was on
+    its way when the evictor's close was processed — and a request still
+    buffered behind the close both fail with SessionClosedError."""
+    service.connect()
+    c = service.connect()
+    c.create("/plain")
+    in_flight = c.set_data_async("/plain", b"1")     # paying send latency
+    service.on_session_closed(c.session_id, evicted=True)
+    assert c.closed and c.evicted
+    with pytest.raises(SessionClosedError):
+        in_flight.wait()
+    with pytest.raises(SessionClosedError):
+        c.set_data("/plain", b"2")
+
+    d = service.connect()
+    d.create("/other")
+    closing = d.close_async()
+    behind = d.set_data_async("/other", b"x")        # queued behind the close
+    closing.wait()
+    with pytest.raises(SessionClosedError):
+        behind.wait()
+    assert d.session_id not in service.clients       # nothing owed any more
+
+
+def test_eviction_racing_a_close_does_not_crash_the_sweep(cloud, service):
+    """The evictor's send may find the queue deleted under it (the session
+    closed while the request paid its latency): nothing to evict."""
+    service.connect()
+    c = service.connect()
+    eviction = cloud.env.process(
+        service.enqueue_eviction(service.system_ctx, c.session_id))
+    cloud.run(until=cloud.now + 0.01)                # send latency running
+    service.on_session_closed(c.session_id)
+    cloud.run(until=eviction)                         # no NoSuchQueue escapes
+    assert eviction.ok and c.closed
 
 
 def test_heartbeat_cost_is_metered(cloud, service):

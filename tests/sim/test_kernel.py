@@ -258,6 +258,29 @@ def test_interrupt_terminated_process_rejected():
         v.interrupt()
 
 
+def test_process_accepts_generators_and_generator_likes_only():
+    env = Environment()
+
+    class GeneratorLike:
+        """Not a GeneratorType, but speaks the protocol (send/throw)."""
+
+        def __init__(self):
+            self.inner = (env.timeout(1) for _ in range(1))
+
+        def send(self, value):
+            return self.inner.send(value)
+
+        def throw(self, *exc):
+            return self.inner.throw(*exc)
+
+    proc = env.process(GeneratorLike(), name="like")
+    env.run()
+    assert proc.triggered and proc.name == "like"
+    for bogus in (None, 42, [env.timeout(1)], lambda: None):
+        with pytest.raises(SimulationError, match="not a generator"):
+            env.process(bogus)
+
+
 def test_yield_non_event_is_error():
     env = Environment()
 

@@ -90,6 +90,63 @@ def test_store_cancel_get():
     assert not ev.triggered
 
 
+def test_idle_store_owns_no_deque():
+    """Pay-per-use: a never-used store holds no container; serving its one
+    dispatcher through the waiter slot allocates none either."""
+    env = Environment()
+    store = Store(env)
+    assert len(store) == 0 and store.get_nowait() is None
+    assert store._items is None and store._getters is None
+    waiter = store.get()                 # the dispatcher parks in the slot
+    store.put("a")                       # ... and is served straight from it
+    assert waiter.value == "a"
+    assert store._items is None and store._getters is None
+    store.put("b")                       # nobody waiting: the buffer appears
+    assert list(store.items) == ["b"] and len(store) == 1
+    assert store._getters is None
+
+
+def test_second_getter_queues_behind_the_slot():
+    env = Environment()
+    store = Store(env)
+    first, second, third = store.get(), store.get(), store.get()
+    assert store._getter is first and list(store._getters) == [second, third]
+    store.put(1)
+    assert first.value == 1 and store._getter is second
+    store.put(2)
+    store.put(3)
+    assert (second.value, third.value) == (2, 3) and store._getter is None
+    store.put(4)
+    assert list(store.items) == [4]
+
+
+def test_cancel_get_of_slot_waiter_and_of_queued_waiter():
+    env = Environment()
+    store = Store(env)
+    first, second, third = store.get(), store.get(), store.get()
+    store.cancel_get(second)             # a queued waiter
+    store.cancel_get(first)              # the slot waiter: third moves up
+    assert store._getter is third and not store._getters
+    store.put("x")
+    assert third.value == "x"
+    assert not first.triggered and not second.triggered
+    store.cancel_get(first)              # unknown / already gone: ignored
+    store.cancel_get(third)
+    lone = store.get()
+    store.cancel_get(lone)               # slot waiter with nobody behind it
+    store.put("y")
+    assert store.get_nowait() == "y" and not lone.triggered
+
+
+def test_items_can_be_pushed_back_on_a_never_used_store():
+    """StreamTrigger redelivery does ``store.items.appendleft`` — also on a
+    store whose every item so far went straight to the waiting dispatcher."""
+    env = Environment()
+    store = Store(env)
+    store.items.appendleft("again")
+    assert len(store) == 1 and store.get().value == "again"
+
+
 # ---------------------------------------------------------------- Resource
 def test_resource_serializes_capacity_one():
     env = Environment()
