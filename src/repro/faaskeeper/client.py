@@ -507,33 +507,24 @@ class FaaSKeeperClient:
         self._write_tail = internal
         return internal
 
-    def shard_for(self, path: str) -> int:
-        """Leader shard this client routes writes for ``path`` to."""
-        return self.service.shard_of(path)
-
     def _multi_failure(self, request: Request,
                        response: Response) -> TransactionFailedError:
-        """Map a failed multi response to per-op typed errors: the culprit's
+        """Map a failed write response to per-op typed errors: the culprit's
         own error, RolledBackError for the members undone with it."""
-        results: List[Any] = []
-        if response.results:
-            for res in response.results:
-                results.append(_error_for(
-                    res.get("error", response.error or "system_failure"),
-                    f"{res.get('op')} {res.get('path')}"))
-        else:
-            # The envelope never reached validation (queue drop, leader
-            # rejection): every member shares the envelope's failure.
-            for d in request.ops or []:
-                results.append(_error_for(
-                    response.error or "system_failure",
-                    f"{d.get('op')} {d.get('path')}"))
+        # Without per-op results the envelope never reached validation
+        # (queue drop, leader rejection): every member shares its failure.
+        envelope_error = response.error or "system_failure"
+        results = [
+            _error_for(res.get("error", envelope_error),
+                       f"{res.get('op')} {res.get('path')}")
+            for res in response.results or request.ops]
         return TransactionFailedError(
-            f"multi of {len(request.ops or [])} ops: {response.error}",
+            f"multi of {len(request.ops)} ops: {response.error}",
             results=results)
 
     def _write_flow(self, request: Request, internal=None) -> Generator:
-        """The one submission pipeline every write envelope rides."""
+        """The one submission pipeline every envelope rides; returns the
+        service's response, failed or not."""
         if internal is None:
             internal = self._prepare_write(request)
         body = request.to_body()
@@ -544,13 +535,10 @@ class FaaSKeeperClient:
             # by the shard it recomputes from the final path and counts
             # disagreeing hints (``service.shard_hint_mismatches``) — e.g.
             # a stale client map, or a sequence suffix remapping a
-            # top-level create.  A multi is stamped with its coordinator
-            # shard (lowest shard id among the written paths).
-            if request.ops is not None:
-                body["shard_hint"] = self.service.multi_shard_of(
-                    request.write_paths())
-            else:
-                body["shard_hint"] = self.shard_for(request.path)
+            # top-level create.  The stamp is the coordinator shard:
+            # the lowest shard id among the written paths.
+            body["shard_hint"] = self.service.multi_shard_of(
+                request.write_paths())
         # The client's single send thread (Section 3.5): submissions of one
         # session enter the queue strictly in request order (Z2), while later
         # pipeline stages still overlap.
@@ -572,21 +560,15 @@ class FaaSKeeperClient:
         finally:
             if not sent.triggered:
                 sent.succeed(None)
-        response: Response = yield internal
-        if not response.ok:
-            if request.op == "multi":
-                raise self._multi_failure(request, response)
-            raise _error_for(response.error, f"{request.op} {request.path}")
-        return response
+        return (yield internal)
 
-    def _invalidate_written(self, op_name: Optional[str],
-                            path: Optional[str]) -> None:
+    def _invalidate_written(self, op_name: str, path: str) -> None:
         """Read-your-writes through the cache: the instant this session's
         write is acknowledged, its cached images — and the parent's, whose
         child list a create/delete changed — are stale.  The system watch
         will also fire, but its delivery may trail the response; a read
         issued in between must already miss."""
-        if self._cache is None or not path or op_name == "check":
+        if self._cache is None or op_name == "check":
             return  # a check writes nothing: its path's entries stay valid
         self._cache.invalidate_path(path)
         if op_name in ("create", "delete"):
@@ -594,33 +576,47 @@ class FaaSKeeperClient:
             if parent:
                 self._cache.invalidate_path(parent)
 
-    def _submit_write(self, op: Operation) -> FKFuture:
-        """Generic one-op submission: validate, wrap in a one-element
-        envelope, ride the pipeline, map the typed result."""
+    def _submit(self, ops: List[Operation], unwrap: bool) -> FKFuture:
+        """The one submission core: validate, wrap in an envelope, ride the
+        pipeline, map the typed per-op results.
+
+        ``unwrap`` is the only trace of which facade was called: the
+        per-method APIs submit one member and hand back its bare typed
+        value (or raise its typed error), ``multi()`` hands back the list
+        (or raises :class:`TransactionFailedError`).
+        """
         self._check_open()
-        op.validate()
-        req = Request.from_operation(self.session_id, self._next_rid(), op)
+        for op in ops:
+            op.validate()
+        req = Request.from_operations(self.session_id, self._next_rid(), ops)
         internal = self._prepare_write(req)
 
         def flow():
             response = yield from self._write_flow(req, internal)
-            self._invalidate_written(op.OP, response.path or op.path)
-            return op.result_from_response(response)
+            if not response.ok:
+                failure = self._multi_failure(req, response)
+                raise failure.results[0] if unwrap else failure
+            for res in response.results:
+                self._invalidate_written(res["op"], res["path"])
+            results = [op.result_from_multi(res)
+                       for op, res in zip(ops, response.results)]
+            return results[0] if unwrap else results
 
         return self._chained(flow())
 
     def create_async(self, path: str, data: bytes = b"",
                      ephemeral: bool = False, sequence: bool = False,
                      acl: Optional[dict] = None) -> FKFuture:
-        return self._submit_write(CreateOp(path, bytes(data), ephemeral,
-                                           sequence, acl))
+        return self._submit([CreateOp(path, bytes(data), ephemeral,
+                                      sequence, acl)], unwrap=True)
 
     def set_data_async(self, path: str, data: bytes,
                        version: int = -1) -> FKFuture:
-        return self._submit_write(SetDataOp(path, bytes(data), version))
+        return self._submit([SetDataOp(path, bytes(data), version)],
+                            unwrap=True)
 
     def delete_async(self, path: str, version: int = -1) -> FKFuture:
-        return self._submit_write(DeleteOp(path, version))
+        return self._submit([DeleteOp(path, version)], unwrap=True)
 
     # ------------------------------------------------------------ multi
     def multi_async(self, ops: Iterable[Operation]) -> FKFuture:
@@ -631,25 +627,13 @@ class FaaSKeeperClient:
         it raises :class:`TransactionFailedError` whose ``results`` carry
         the per-op typed errors.
         """
-        self._check_open()
         ops = list(ops)
         if not ops:
             raise BadArgumentsError("multi needs at least one operation")
         for op in ops:
             if not isinstance(op, Operation):
                 raise BadArgumentsError(f"not an Operation: {op!r}")
-            op.validate()
-        req = Request.from_operations(self.session_id, self._next_rid(), ops)
-        internal = self._prepare_write(req)
-
-        def flow():
-            response = yield from self._write_flow(req, internal)
-            for res in response.results or []:
-                self._invalidate_written(res.get("op"), res.get("path"))
-            return [op.result_from_multi(res)
-                    for op, res in zip(ops, response.results or [])]
-
-        return self._chained(flow())
+        return self._submit(ops, unwrap=False)
 
     def multi(self, ops: Iterable[Operation]) -> List[Any]:
         """Atomically commit ``ops``; returns per-op typed results or raises
@@ -938,7 +922,9 @@ class FaaSKeeperClient:
                       op="close_session")
 
         def flow():
-            yield from self._write_flow(req)
+            response = yield from self._write_flow(req)
+            if not response.ok:
+                raise _error_for(response.error, "close_session")
             self._mark_closed()
             return None
 

@@ -48,12 +48,8 @@ class FaaSKeeperConfig:
     #: bit-for-bit.
     session_plane_shards: int = 1
     session_timeout_ms: float = 10_000.0
-    lock_max_hold_ms: float = 2_000.0
-    max_node_size_kb: float = 250.0       # queue payload bound (Section 4.4)
     leader_max_receive: Optional[int] = None   # retry leader batches forever
     follower_max_receive: Optional[int] = 5
-    follower_batch: int = 10
-    leader_batch: int = 10
     #: Number of leader shards: the znode tree is partitioned by top-level
     #: path component, with one FIFO queue + leader function per shard.
     #: 1 reproduces the paper's single-leader pipeline (Algorithm 2) exactly.

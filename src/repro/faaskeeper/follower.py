@@ -1,19 +1,27 @@
 """The follower function (Algorithm 1).
 
 A FIFO queue per client session invokes the follower with a batch of
-requests.  For each request the follower
+requests.  Every write request is a transaction of one or more member
+operations — a lone create/set_data/delete is the one-member case and
+takes no other route.  For each request the follower
 
-➀ acquires timed locks on the affected nodes (the parent too for
+➀ acquires timed locks on every touched node (the parent too for
   create/delete — those operations touch the parent's child list),
-➁ validates the operation against the locked system-node images,
-➂ pushes the staged change to the leader's FIFO queue, obtaining the
-  transaction id (the queue's monotone sequence number), and
-➃ commits the staged change to system storage fused with the lock release,
-  conditional on the lease still being valid; multi-node operations commit
-  as a single storage transaction that succeeds or fails atomically (Z1).
+➁ validates and stages each member against the locked system-node images,
+  later members seeing the staged effects of earlier ones,
+➂ pushes one message carrying the staged changes to the coordinator
+  shard's leader FIFO queue, obtaining the transaction id (the queue's
+  monotone sequence number), and
+➃ commits every staged change in a single storage transaction fused with
+  the lock releases, conditional on all leases still being valid: the
+  request commits or fails atomically (Z1).
 
 Steps ➀/➁ of a request may overlap with steps ➂/➃ of its predecessor in a
 real deployment; requests of one session are never reordered (Z2).
+
+The write-path constants below are fixed by the paper's design rather
+than deployment knobs: the lock lease, the node-size bound and the queue
+batch sizes.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from ..primitives.locks import LockHandle
 from .exceptions import BadArgumentsError
 from .layout import SYSTEM_NODES, SYSTEM_SESSIONS, new_system_node
 from .model import (
+    DeleteOp,
+    Operation,
     Request,
     Response,
     acl_allows,
@@ -45,10 +55,18 @@ __all__ = ["FollowerLogic", "merge_multi_commit", "multi_replication_plan"]
 #: Lock-acquisition retry policy for contended nodes.
 LOCK_RETRIES = 60
 LOCK_BACKOFF_MS = 30.0
+#: Lock lease: a lock older than this is expired — its holder's commit is
+#: refused and the leader may TryCommit on the holder's behalf.
+LOCK_MAX_HOLD_MS = 2_000.0
+#: Largest node data a write may carry: the queue payload bound (Section 4.4).
+MAX_NODE_SIZE_KB = 250.0
+#: Requests one follower / leader invocation drains from its FIFO queue.
+FOLLOWER_BATCH = 10
+LEADER_BATCH = 10
 
 
 def merge_multi_commit(subs: List[Dict[str, Any]]):
-    """Fold a multi's staged sub-operations into one per-path update record.
+    """Fold an envelope's staged sub-operations into one per-path update record.
 
     A storage transaction may touch each item only once, so every path's
     attribute sets are merged in op order (later sets win — the staged
@@ -59,7 +77,6 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
         {"sets":    {attr: value},   # merged attribute sets
          "node":    bool,            # written as a node (gets txid stamps)
          "created": bool,            # final state is a node created here
-         "check":   bool,            # touched by a check op
          "prev_version":         data version the FIRST touch observed,
          "parent_prev_cversion": child-list version the first parent
                                  touch observed}
@@ -79,7 +96,7 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
     def record(path: str) -> Dict[str, Any]:
         if path not in merged:
             merged[path] = {"sets": {}, "node": False, "created": False,
-                            "check": False, "prev_version": None,
+                            "prev_version": None,
                             "parent_prev_cversion": None}
             order.append(path)
         return merged[path]
@@ -90,7 +107,6 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
             touched.add(sub["path"])
             rec["prev_version"] = sub.get("prev_version")
         if sub["op"] == "check":
-            rec["check"] = True
             continue
         rec["node"] = True
         rec["sets"].update(sub["commit_sets"])
@@ -111,7 +127,7 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
 
 def multi_replication_plan(subs: List[Dict[str, Any]]
                            ) -> List[Tuple[str, Dict[str, Any], bool, str]]:
-    """Per-path final user-store actions of a committed multi.
+    """Per-path final user-store actions of a committed envelope.
 
     Several members of one transaction may touch the same path (set after
     set, create then set, a node that is also a sibling's parent): the
@@ -182,7 +198,7 @@ class FollowerLogic:
     def process(self, fctx, req: Request, redelivered: bool = False) -> Generator:
         if req.op == "close_session":
             yield from self._close_session(fctx, req)
-        elif req.op in ("create", "set_data", "delete", "multi"):
+        elif req.op == "write":
             if redelivered and req.rid >= 0:
                 # A redelivered request may already be committed (the crash
                 # happened after step ➃): the per-session watermark decides.
@@ -190,10 +206,7 @@ class FollowerLogic:
                     fctx.ctx, SYSTEM_SESSIONS, req.session)
                 if sess is not None and sess.get("last_rid", 0) >= req.rid:
                     return None  # committed; the leader will notify
-            if req.op == "multi":
-                yield from self._multi_op(fctx, req)
-            else:
-                yield from self._write_op(fctx, req)
+            yield from self._multi_op(fctx, req)
         else:  # pragma: no cover - defensive
             yield from self.service.notify_response(
                 Response(session=req.session, rid=req.rid, ok=False,
@@ -233,127 +246,13 @@ class FollowerLogic:
     def _node_exists(image: Optional[Dict[str, Any]]) -> bool:
         return bool(image) and image.get("exists") is True
 
-    def _fail(self, req: Request, error: str) -> Generator:
-        yield from self.service.notify_response(
-            Response(session=req.session, rid=req.rid, ok=False, error=error))
-        return None
-
-    # ------------------------------------------------------------ write ops
-    def _write_op(self, fctx, req: Request) -> Generator:
-        env = fctx.env
-        needs_parent = req.op in ("create", "delete")
-        parent = parent_path(req.path) if req.path != "/" else None
-        if needs_parent and parent is None:
-            yield from self._fail(req, "bad_arguments")
-            return None
-
-        # ➀ lock
-        t0 = env.now
-        lock_paths = [req.path] + ([parent] if needs_parent else [])
-        handles = yield from self._acquire(fctx, lock_paths)
-        fctx.record("lock", env.now - t0)
-        if handles is None:
-            yield from self._fail(req, "system_busy")
-            return None
-
-        node_img = handles[req.path].item or {}
-        parent_img = handles[parent].item if needs_parent else None
-
-        # ➁ validate + stage
-        plan = self._validate_and_stage(req, node_img, parent_img)
-        if isinstance(plan, str):  # error code
-            yield from self._release_all(fctx, handles)
-            yield from self._fail(req, plan)
-            return None
-        final_path, msg, commit_sets, parent_sets, session_ops = plan
-        fctx.crash_point("after_validate")
-
-        # For sequential creates the node lock was taken on the prefix path;
-        # the final path needs its own lock before commit.
-        if final_path != req.path:
-            handle = yield from self.service.node_lock.acquire(fctx.ctx, final_path)
-            if handle is None:  # pragma: no cover - fresh path, cannot be held
-                yield from self._release_all(fctx, handles)
-                yield from self._fail(req, "system_busy")
-                return None
-            # Release the prefix lock; the real node is the final path.
-            yield from self.service.node_lock.release(fctx.ctx, handles.pop(req.path))
-            handles[final_path] = handle
-
-        # ➂ push to the owning shard's leader queue (txid = sequence number,
-        # globally monotone across shards via the shared sequence)
-        t0 = env.now
-        # CPU cost of encoding the payload (base64 in the real system);
-        # this is where ARM's data-processing penalty shows up.
-        yield fctx.compute(base_ms=0.2, payload_kb=req.size_kb, per_kb_ms=0.05)
-        board = self.service.fence_board
-        if board is not None:
-            # Session-sequence fence: pushes of one session are serialized
-            # by its FIFO queue, so fences follow request order; the shard
-            # leaders use them to keep cross-shard writes in session order.
-            msg["fence"] = board.issue(req.session)
-            msg["shard"] = self.service.shard_of(final_path)
-            if req.shard_hint is not None and req.shard_hint != msg["shard"]:
-                # Routing always uses the shard recomputed from the final
-                # path; a disagreeing client hint means a stale partition
-                # map (or a sequence suffix remapping a top-level create).
-                self.service.record_shard_hint_mismatch()
-        txid = yield from self.service.leader_queue_for(final_path).send(
-            fctx.ctx, msg, group="updates", size_kb=req.size_kb)
-        fctx.record("push", env.now - t0)
-        fctx.crash_point("after_push")
-
-        # ➃ commit + unlock, conditional on all leases (single transaction)
-        t0 = env.now
-        ops = []
-        node_handle = handles[final_path]
-        node_updates = [Set(k, v) for k, v in commit_sets.items()]
-        node_updates += [
-            Set("modified_tx", txid) if req.op != "create" else Set("created_tx", txid),
-            ListAppend("transactions", [txid]),
-            Remove("lock"),
-        ]
-        if req.op == "create":
-            node_updates.append(Set("modified_tx", txid))
-        ops.append((SYSTEM_NODES, final_path, node_updates,
-                    Attr("lock.ts") == node_handle.timestamp))
-        if needs_parent:
-            parent_handle = handles[parent]
-            parent_updates = [Set(k, v) for k, v in parent_sets.items()]
-            parent_updates += [ListAppend("transactions", [txid]), Remove("lock")]
-            ops.append((SYSTEM_NODES, parent, parent_updates,
-                        Attr("lock.ts") == parent_handle.timestamp))
-        # Per-session dedup watermark (one transaction may touch an item only
-        # once, so merge with any ephemeral-tracking update).
-        session_updates: List = []
-        for _table, key, updates in session_ops:
-            assert key == req.session
-            session_updates.extend(updates)
-        if req.rid >= 0:
-            session_updates.append(Set("last_rid", req.rid))
-        if session_updates:
-            ops.append((SYSTEM_SESSIONS, req.session, session_updates, None))
-        try:
-            yield from self.service.system_store.transact_update(fctx.ctx, ops)
-        except ConditionFailed:
-            # A lease expired mid-request: the leader will decide the outcome
-            # (TryCommit or reject) — the follower must not touch the node.
-            fctx.record("commit", env.now - t0)
-            return None
-        fctx.record("commit", env.now - t0)
-        fctx.crash_point("after_commit")
-        # The request is now committed (Z1); the leader replicates it to the
-        # user-visible store and notifies the client.
-        return None
-
-    # ------------------------------------------------------------ multi
-    def _fail_multi(self, req: Request, error: str,
-                    culprit: Optional[int] = None) -> Generator:
+    def _fail(self, req: Request, error: str,
+              culprit: Optional[int] = None) -> Generator:
         """All-or-nothing rejection: per-op typed outcomes, nothing commits.
         ``culprit`` is the failing op's index (None = envelope-wide error);
         the other members report ``rolled_back``."""
         results = []
-        for i, d in enumerate(req.ops or []):
+        for i, d in enumerate(req.ops):
             code = error if culprit is None or i == culprit else "rolled_back"
             results.append({"ok": False, "op": d.get("op"),
                             "path": d.get("path"), "error": code})
@@ -362,26 +261,26 @@ class FollowerLogic:
                      results=results))
         return None
 
+    # ------------------------------------------------------------ write path
     def _multi_op(self, fctx, req: Request) -> Generator:
-        """Atomic transaction (Algorithm 1 generalized to an op batch).
+        """Algorithm 1 for a write envelope of one or more members.
 
-        The follower's four steps run once for the whole envelope: lock
-        every touched node, validate-and-stage each member against a
-        running overlay (later members see earlier members' staged
-        effects, as in ZooKeeper's multi), push ONE message to the
-        coordinator shard's leader queue (one txid, one leader invocation
-        for N writes — the cost lever of the paper's per-invocation
-        model), and commit everything in ONE storage transaction fused
-        with the lock releases (Z1 for the whole batch).
+        The four steps run once for the whole envelope: lock every touched
+        node, validate-and-stage each member against a running overlay
+        (later members see earlier members' staged effects, as in
+        ZooKeeper's multi), push ONE message to the coordinator shard's
+        leader queue (one txid, one leader invocation for N writes — the
+        cost lever of the paper's per-invocation model), and commit
+        everything in ONE storage transaction fused with the lock releases
+        (Z1 for the whole envelope).
         """
         env = fctx.env
         try:
-            ops = [operation_from_dict(d) for d in (req.ops or [])]
+            ops = [operation_from_dict(d) for d in req.ops]
         except BadArgumentsError:
-            yield from self._fail_multi(req, "bad_arguments")
-            return None
+            ops = []
         if not ops:
-            yield from self._fail_multi(req, "bad_arguments")
+            yield from self._fail(req, "bad_arguments")
             return None
 
         # ➀ lock every touched node (parents too for create/delete)
@@ -389,7 +288,7 @@ class FollowerLogic:
         for i, op in enumerate(ops):
             if op.OP in ("create", "delete"):
                 if op.path == "/":
-                    yield from self._fail_multi(req, "bad_arguments", culprit=i)
+                    yield from self._fail(req, "bad_arguments", culprit=i)
                     return None
                 lock_paths.append(parent_path(op.path))
             lock_paths.append(op.path)
@@ -397,44 +296,39 @@ class FollowerLogic:
         handles = yield from self._acquire(fctx, lock_paths)
         fctx.record("lock", env.now - t0)
         if handles is None:
-            yield from self._fail_multi(req, "system_busy")
+            yield from self._fail(req, "system_busy")
             return None
 
         # ➁ validate + stage against the overlay of locked images
         overlay = {p: dict(h.item or {}) for p, h in handles.items()}
         subs: List[Dict[str, Any]] = []
         results: List[Dict[str, Any]] = []
-        session_ops: List[tuple] = []
+        session_updates: Dict[str, List] = {}  # session record -> updates
         for i, op in enumerate(ops):
-            needs_parent = op.OP in ("create", "delete")
-            d = op.to_dict()
-            sub_req = Request(session=req.session, rid=req.rid, op=op.OP,
-                              path=op.path, data=d.get("data", b""),
-                              version=d.get("version", -1),
-                              ephemeral=d.get("ephemeral", False),
-                              sequence=d.get("sequence", False),
-                              acl=d.get("acl"))
             node = overlay.get(op.path, {})
-            parent = overlay.get(parent_path(op.path)) if needs_parent else None
-            plan = self._validate_and_stage(sub_req, node, parent)
-            if isinstance(plan, str):  # error code: roll the batch back
+            parent = (overlay.get(parent_path(op.path))
+                      if op.OP in ("create", "delete") else None)
+            staged = self._validate_and_stage(req.session, op, node, parent)
+            if isinstance(staged, str):  # error code: roll the batch back
                 yield from self._release_all(fctx, handles)
-                yield from self._fail_multi(req, plan, culprit=i)
+                yield from self._fail(req, staged, culprit=i)
                 return None
-            final_path, msg, commit_sets, parent_sets, op_session_ops = plan
-            session_ops.extend(op_session_ops)
-            if msg is None:  # check op: a guard, nothing staged
-                subs.append({"op": "check", "path": op.path,
-                             "prev_version": node.get("version", 0)})
+            sub, ephemeral_update = staged
+            subs.append(sub)
+            if op.OP == "check":  # a guard, nothing staged
                 results.append({"op": "check", "path": op.path,
-                                "version": node.get("version", 0)})
+                                "version": sub["prev_version"]})
                 continue
-            overlay.setdefault(final_path, {}).update(commit_sets)
-            if needs_parent:
-                overlay[parent_path(final_path)].update(parent_sets)
-            subs.append(msg)
-            results.append({"op": op.OP, "path": final_path,
-                            "version": commit_sets.get("version", 0)})
+            if ephemeral_update is not None:
+                # An ephemeral's bookkeeping lives in its OWNER's session
+                # record, which need not be the caller's.
+                owner, update = ephemeral_update
+                session_updates.setdefault(owner, []).append(update)
+            overlay.setdefault(sub["path"], {}).update(sub["commit_sets"])
+            if sub["parent"]:
+                overlay[sub["parent"]].update(sub["parent_sets"])
+            results.append({"op": op.OP, "path": sub["path"],
+                            "version": sub["commit_sets"].get("version", 0)})
         fctx.crash_point("after_validate")
 
         # A sequential create staged a suffixed final path: it needs its
@@ -445,67 +339,77 @@ class FollowerLogic:
                     fctx.ctx, sub["path"])
                 if handle is None:  # pragma: no cover - fresh path, never held
                     yield from self._release_all(fctx, handles)
-                    yield from self._fail_multi(req, "system_busy")
+                    yield from self._fail(req, "system_busy")
                     return None
                 handles[sub["path"]] = handle
 
         order, merged = merge_multi_commit(subs)
         commit_paths = [p for p in order
                         if merged[p]["node"] or merged[p]["sets"]]
+        # Per-session dedup watermark (one transaction may touch an item
+        # only once, so it merges with any ephemeral-tracking update).
+        if req.rid >= 0:
+            session_updates.setdefault(req.session, []).append(
+                Set("last_rid", req.rid))
+        session_ops = [(SYSTEM_SESSIONS, key, updates, None)
+                       for key, updates in session_updates.items()]
 
-        # A guard-only multi (checks alone) never reaches the leader:
+        # A guard-only envelope (checks alone) never reaches the leader:
         # nothing replicates, so verify under the locks, move the dedup
         # watermark and answer directly from the follower.
         if not commit_paths:
             ops_list = [(SYSTEM_NODES, path, [Remove("lock")],
                          Attr("lock.ts") == handle.timestamp)
                         for path, handle in handles.items()]
-            if req.rid >= 0:
-                ops_list.append((SYSTEM_SESSIONS, req.session,
-                                 [Set("last_rid", req.rid)], None))
             try:
                 yield from self.service.system_store.transact_update(
-                    fctx.ctx, ops_list)
+                    fctx.ctx, ops_list + session_ops)
             except ConditionFailed:
-                yield from self._fail_multi(req, "system_failure")
+                yield from self._fail(req, "system_failure")
                 return None
             yield from self.service.notify_response(
                 Response(session=req.session, rid=req.rid, ok=True,
                          results=[dict(r, ok=True, txid=0) for r in results]))
             return None
 
-        primary = commit_paths[0]
-
-        # ➂ ONE push to the coordinator shard's leader queue: one txid and
-        # one leader invocation amortized over the whole batch
+        # ➂ ONE push to the coordinator shard's leader queue (txid = the
+        # queue's sequence number, globally monotone across shards via the
+        # shared sequence): one txid and one leader invocation amortized
+        # over the whole envelope
         t0 = env.now
+        # CPU cost of encoding the payload (base64 in the real system);
+        # this is where ARM's data-processing penalty shows up.
         yield fctx.compute(base_ms=0.2, payload_kb=req.size_kb, per_kb_ms=0.05)
-        written = [p for p in order if merged[p]["node"]]
         leader_msg = {
-            "session": req.session, "rid": req.rid, "op": "multi",
-            "path": primary, "parent": None,
+            "session": req.session, "rid": req.rid, "path": commit_paths[0],
             "subs": subs, "results": results, "commit_paths": commit_paths,
             "replication_plan": multi_replication_plan(subs),
         }
         board = self.service.fence_board
-        shard = self.service.multi_shard_of(written)
+        shard = self.service.multi_shard_of(
+            [p for p in order if merged[p]["node"]])
         if board is not None:
+            # Session-sequence fence: pushes of one session are serialized
+            # by its FIFO queue, so fences follow request order; the shard
+            # leaders use them to keep cross-shard writes in session order.
             leader_msg["fence"] = board.issue(req.session)
             leader_msg["shard"] = shard
             if req.shard_hint is not None and req.shard_hint != shard:
+                # Routing always uses the shard recomputed from the final
+                # paths; a disagreeing client hint means a stale partition
+                # map (or a sequence suffix remapping a top-level create).
                 self.service.record_shard_hint_mismatch()
         txid = yield from self.service.leader_queues[shard].send(
             fctx.ctx, leader_msg, group="updates", size_kb=req.size_kb)
         fctx.record("push", env.now - t0)
         fctx.crash_point("after_push")
 
-        # ➃ ONE atomic commit: every touched path plus the session
-        # watermark, all conditioned on the lock leases (batch-wide Z1)
+        # ➃ ONE atomic commit + unlock: every touched path plus the session
+        # records, all conditioned on the lock leases (envelope-wide Z1)
         t0 = env.now
         ops_list = []
         for path in order:
             rec = merged[path]
-            handle = handles[path]
             updates = [Set(k, v) for k, v in rec["sets"].items()]
             if rec["node"]:
                 updates.append(Set("modified_tx", txid))
@@ -515,63 +419,64 @@ class FollowerLogic:
                 updates.append(ListAppend("transactions", [txid]))
             updates.append(Remove("lock"))
             ops_list.append((SYSTEM_NODES, path, updates,
-                             Attr("lock.ts") == handle.timestamp))
+                             Attr("lock.ts") == handles[path].timestamp))
         for path, handle in handles.items():
             if path not in merged:  # e.g. a sequence create's prefix lock
                 ops_list.append((SYSTEM_NODES, path, [Remove("lock")],
                                  Attr("lock.ts") == handle.timestamp))
-        session_updates: Dict[str, List] = {}
-        for _table, key, updates in session_ops:
-            session_updates.setdefault(key, []).extend(updates)
-        if req.rid >= 0:
-            session_updates.setdefault(req.session, []).append(
-                Set("last_rid", req.rid))
-        for key, updates in session_updates.items():
-            ops_list.append((SYSTEM_SESSIONS, key, updates, None))
         try:
             yield from self.service.system_store.transact_update(
-                fctx.ctx, ops_list)
+                fctx.ctx, ops_list + session_ops)
         except ConditionFailed:
-            # A lease expired mid-batch: the leader decides (TryCommit or
-            # reject) — never a partial commit (Z1).
+            # A lease expired mid-request: the leader decides (TryCommit or
+            # reject) — the follower must not touch the nodes, and never
+            # commits partially (Z1).
             fctx.record("commit", env.now - t0)
             return None
         fctx.record("commit", env.now - t0)
         fctx.crash_point("after_commit")
+        # The request is now committed (Z1); the leader replicates it to the
+        # user-visible store and notifies the client.
         return None
 
     # ------------------------------------------------------------ staging
     def _validate_and_stage(
-        self, req: Request,
+        self, session: str, op: Operation,
         node: Dict[str, Any],
         parent: Optional[Dict[str, Any]],
     ):
-        """Returns an error code or (final_path, leader_msg, node_sets,
-        parent_sets, session_ops).  A ``check`` op (multi-only guard)
-        returns a None leader_msg: it stages nothing."""
-        if req.op == "check":
-            if not self._node_exists(node):
-                return "no_node"
-            if not acl_allows(node.get("acl"), "read", req.session):
-                return "access_denied"
-            if req.version >= 0 and node.get("version", 0) != req.version:
-                return "bad_version"
-            return req.path, None, {}, {}, []
+        """Validate one member against the (overlaid) locked images.
 
-        if req.op == "set_data":
+        Returns an error code, or ``(sub, ephemeral_update)``: the staged
+        sub-operation the leader message carries, and — when the member
+        creates or deletes an ephemeral — the ``(owner, update)`` for the
+        owning session's record.  A ``check`` op stages nothing but its
+        observed version.
+        """
+        if len(getattr(op, "data", b"")) / 1024.0 > MAX_NODE_SIZE_KB:
+            return "bad_arguments"  # queue payload bound, any data-carrying op
+
+        if op.OP == "check":
             if not self._node_exists(node):
                 return "no_node"
-            if not acl_allows(node.get("acl"), "write", req.session):
+            if not acl_allows(node.get("acl"), "read", session):
                 return "access_denied"
-            if req.version >= 0 and node.get("version", 0) != req.version:
+            if op.version >= 0 and node.get("version", 0) != op.version:
                 return "bad_version"
-            if len(req.data) / 1024.0 > self.service.config.max_node_size_kb:
-                return "bad_arguments"
+            return {"op": "check", "path": op.path,
+                    "prev_version": node.get("version", 0)}, None
+
+        if op.OP == "set_data":
+            if not self._node_exists(node):
+                return "no_node"
+            if not acl_allows(node.get("acl"), "write", session):
+                return "access_denied"
+            if op.version >= 0 and node.get("version", 0) != op.version:
+                return "bad_version"
             new_version = node.get("version", 0) + 1
-            commit_sets = {"data_len": len(req.data), "version": new_version}
             image = {
-                "path": req.path,
-                "data": req.data,
+                "path": op.path,
+                "data": op.data,
                 "version": new_version,
                 "cversion": node.get("cversion", 0),
                 "created_tx": node.get("created_tx", 0),
@@ -580,33 +485,34 @@ class FollowerLogic:
             }
             if node.get("acl"):
                 image["acl"] = dict(node["acl"])
-            msg = {
-                "session": req.session, "rid": req.rid, "op": "set_data",
-                "path": req.path, "parent": None,
+            sub = {
+                "op": "set_data", "path": op.path, "parent": None,
                 "node_image": image, "parent_image": None,
-                "commit_sets": commit_sets, "parent_sets": {},
+                "commit_sets": {"data_len": len(op.data),
+                                "version": new_version},
+                "parent_sets": {},
                 "prev_version": node.get("version", 0),
                 "parent_prev_cversion": None,
             }
-            return req.path, msg, commit_sets, {}, []
+            return sub, None
 
-        if req.op == "create":
+        if op.OP == "create":
             assert parent is not None
             if not self._node_exists(parent):
                 return "no_node"
             if parent.get("ephemeral_owner"):
                 return "no_children_for_ephemerals"
-            if not acl_allows(parent.get("acl"), "create", req.session):
+            if not acl_allows(parent.get("acl"), "create", session):
                 return "access_denied"
-            final_path = req.path
+            final_path = op.path
             parent_sets: Dict[str, Any] = {
                 "cversion": parent.get("cversion", 0) + 1,
             }
-            if req.sequence:
+            if op.sequence:
                 seq = parent.get("cseq", 0)
-                final_path = f"{req.path}{seq:010d}"
+                final_path = f"{op.path}{seq:010d}"
                 parent_sets["cseq"] = seq + 1
-            if self._node_exists(node) and final_path == req.path:
+            if self._node_exists(node) and final_path == op.path:
                 return "node_exists"
             name = node_name(final_path)
             children = list(parent.get("children", []))
@@ -614,92 +520,79 @@ class FollowerLogic:
                 return "node_exists"
             children.append(name)
             parent_sets["children"] = children
-            fresh = new_system_node(len(req.data), created_tx=0,
-                                    ephemeral_owner=req.session if req.ephemeral else None)
-            fresh.pop("transactions")  # managed by the commit itself
-            fresh.pop("applied_tx")    # the leader's watermark must survive
-            if req.acl:
-                fresh["acl"] = dict(req.acl)
-            commit_sets = dict(fresh)
+            owner = session if op.ephemeral else None
+            commit_sets = new_system_node(len(op.data), created_tx=0,
+                                          ephemeral_owner=owner)
+            commit_sets.pop("transactions")  # managed by the commit itself
+            commit_sets.pop("applied_tx")    # the leader's watermark must survive
             image = {
-                "path": final_path, "data": req.data, "version": 0,
+                "path": final_path, "data": op.data, "version": 0,
                 "cversion": 0, "created_tx": 0, "children": [],
-                "ephemeral_owner": req.session if req.ephemeral else None,
+                "ephemeral_owner": owner,
             }
-            if req.acl:
-                image["acl"] = dict(req.acl)
-            parent_image = {
-                "path": parent_path(final_path),
-                "meta_only": True,
-                "version": parent.get("version", 0),
-                "cversion": parent_sets["cversion"],
-                "created_tx": parent.get("created_tx", 0),
-                "modified_tx": parent.get("modified_tx", 0),
-                "children": children,
-                "ephemeral_owner": parent.get("ephemeral_owner"),
-            }
-            session_ops = []
-            if req.ephemeral:
-                session_ops.append((
-                    SYSTEM_SESSIONS, req.session,
-                    [ListAppend("ephemeral", [final_path])],
-                ))
-            msg = {
-                "session": req.session, "rid": req.rid, "op": "create",
-                "path": final_path, "parent": parent_path(final_path),
-                "node_image": image, "parent_image": parent_image,
+            if op.acl:
+                commit_sets["acl"] = dict(op.acl)
+                image["acl"] = dict(op.acl)
+            sub = {
+                "op": "create", "path": final_path,
+                "parent": parent_path(final_path),
+                "node_image": image,
+                "parent_image": self._parent_image(
+                    parent_path(final_path), parent, parent_sets),
                 "commit_sets": commit_sets, "parent_sets": parent_sets,
                 "prev_version": None,
                 "parent_prev_cversion": parent.get("cversion", 0),
             }
-            return final_path, msg, commit_sets, parent_sets, session_ops
+            return sub, ((session, ListAppend("ephemeral", [final_path]))
+                         if op.ephemeral else None)
 
-        if req.op == "delete":
+        if op.OP == "delete":
             assert parent is not None
             if not self._node_exists(node):
                 return "no_node"
-            if not acl_allows(node.get("acl"), "delete", req.session):
+            if not acl_allows(node.get("acl"), "delete", session):
                 return "access_denied"
-            if req.version >= 0 and node.get("version", 0) != req.version:
+            if op.version >= 0 and node.get("version", 0) != op.version:
                 return "bad_version"
             if node.get("children"):
                 return "not_empty"
-            name = node_name(req.path)
-            children = [c for c in parent.get("children", []) if c != name]
+            name = node_name(op.path)
             parent_sets = {
-                "children": children,
+                "children": [c for c in parent.get("children", [])
+                             if c != name],
                 "cversion": parent.get("cversion", 0) + 1,
             }
-            commit_sets = {"exists": False, "data_len": 0}
-            image = {"path": req.path, "deleted": True}
-            parent_image = {
-                "path": parent_path(req.path),
-                "meta_only": True,
-                "version": parent.get("version", 0),
-                "cversion": parent_sets["cversion"],
-                "created_tx": parent.get("created_tx", 0),
-                "modified_tx": parent.get("modified_tx", 0),
-                "children": children,
-                "ephemeral_owner": parent.get("ephemeral_owner"),
-            }
-            session_ops = []
-            owner = node.get("ephemeral_owner")
-            if owner:
-                session_ops.append((
-                    SYSTEM_SESSIONS, owner,
-                    [ListRemove("ephemeral", [req.path])],
-                ))
-            msg = {
-                "session": req.session, "rid": req.rid, "op": "delete",
-                "path": req.path, "parent": parent_path(req.path),
-                "node_image": image, "parent_image": parent_image,
-                "commit_sets": commit_sets, "parent_sets": parent_sets,
+            sub = {
+                "op": "delete", "path": op.path,
+                "parent": parent_path(op.path),
+                "node_image": {"path": op.path, "deleted": True},
+                "parent_image": self._parent_image(
+                    parent_path(op.path), parent, parent_sets),
+                "commit_sets": {"exists": False, "data_len": 0},
+                "parent_sets": parent_sets,
                 "prev_version": node.get("version", 0),
                 "parent_prev_cversion": parent.get("cversion", 0),
             }
-            return req.path, msg, commit_sets, parent_sets, session_ops
+            owner = node.get("ephemeral_owner")
+            return sub, ((owner, ListRemove("ephemeral", [op.path]))
+                         if owner else None)
 
         return "bad_arguments"  # pragma: no cover - defensive
+
+    @staticmethod
+    def _parent_image(path: str, parent: Dict[str, Any],
+                      parent_sets: Dict[str, Any]) -> Dict[str, Any]:
+        """Metadata-only user-store image of a create/delete's parent."""
+        return {
+            "path": path,
+            "meta_only": True,
+            "version": parent.get("version", 0),
+            "cversion": parent_sets["cversion"],
+            "created_tx": parent.get("created_tx", 0),
+            "modified_tx": parent.get("modified_tx", 0),
+            "children": parent_sets["children"],
+            "ephemeral_owner": parent.get("ephemeral_owner"),
+        }
 
     # ------------------------------------------------------------ sessions
     def _close_session(self, fctx, req: Request) -> Generator:
@@ -714,9 +607,8 @@ class FollowerLogic:
             ephemerals = list(req.ephemerals or [])
         # Deepest paths first so children go before parents.
         for path in sorted(ephemerals, key=lambda p: -p.count("/")):
-            sub = Request(session=req.session, rid=-1, op="delete",
-                          path=path, version=-1)
-            yield from self._write_op(fctx, sub)
+            yield from self._multi_op(fctx, Request.from_operations(
+                req.session, -1, [DeleteOp(path)]))
         yield from sessions.delete_item(fctx.ctx, SYSTEM_SESSIONS, req.session)
         # rid < 0 marks a teardown the client never asked for: the
         # heartbeat evictor's close-session request.

@@ -24,6 +24,7 @@ from typing import Any, Dict, Generator
 
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr
+from .follower import LOCK_MAX_HOLD_MS
 from .layout import SYSTEM_NODES, SYSTEM_SESSIONS
 
 __all__ = ["GarbageCollectorLogic"]
@@ -68,14 +69,13 @@ class GarbageCollectorLogic:
         store = self.service.system_store
         table = store.table(SYSTEM_NODES)
         now = fctx.env.now
-        max_hold = self.service.config.lock_max_hold_ms
         # The scan is billed like the heartbeat's session scan.
         items = yield from store.scan(fctx.ctx, SYSTEM_NODES)
         for key, item in items.items():
             if key == "/":
                 continue
             lock_ts = (item.get("lock") or {}).get("ts")
-            lock_expired = lock_ts is None or now - lock_ts >= max_hold
+            lock_expired = lock_ts is None or now - lock_ts >= LOCK_MAX_HOLD_MS
             if not lock_expired:
                 continue
             is_tombstone = item.get("exists") is False and not item.get("transactions")
@@ -86,7 +86,7 @@ class GarbageCollectorLogic:
                 continue
             # Guarded delete: only while still tombstone/phantom and unlocked.
             guard = (Attr("lock.ts").not_exists()
-                     | (Attr("lock.ts") <= now - max_hold))
+                     | (Attr("lock.ts") <= now - LOCK_MAX_HOLD_MS))
             if is_tombstone:
                 guard = guard & (Attr("exists") == False)  # noqa: E712
             else:

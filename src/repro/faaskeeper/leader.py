@@ -1,19 +1,24 @@
 """The leader function (Algorithm 2), one instance per shard.
 
 A FIFO queue per shard feeds a leader instance with committed updates in
-txid order.  For each update the leader
+txid order.  Every update is a transaction envelope — the staged
+sub-operations of one or more members plus the per-path replication plan
+the follower derived from them; a lone write is the one-member case and
+takes no other route.  For each update the leader
 
-➊ reads the system node and verifies the transaction is at the head of the
-  node's pending list,
-➋ if the follower died between push and commit, tries to commit on its
-  behalf (TryCommit) once the lock lease has expired — otherwise the update
-  is rejected and the client notified of the failure,
-➌ replicates the staged node image (and the parent's, for create/delete)
-  into the user store of every region in parallel, attaching the current
-  epoch (the watch notifications still in flight),
-➍ consumes triggered watches, adds their ids to the epoch counters and
-  invokes the watch fan-out function,
-➎ notifies the client of success and pops the transaction.
+➊ reads the primary path's system node and verifies the transaction is at
+  the head of its pending list (the envelope committed atomically, so one
+  path speaks for all),
+➋ if the follower died between push and commit, tries to commit the whole
+  envelope on its behalf (TryCommit) once the lock leases have expired —
+  otherwise the update is rejected and the client notified of the failure,
+➌ replicates each touched path's final image into the user store of every
+  region in parallel, attaching the current epoch (the watch
+  notifications still in flight),
+➍ consumes triggered watches (each instance once per envelope), adds
+  their ids to the epoch counters and invokes the watch fan-out function,
+➎ notifies the client with one response carrying the per-member results
+  and pops the transaction from every touched path.
 
 Ambiguous states (lock still held by a live follower) raise, making the
 FIFO queue redeliver the batch; the ``applied_tx`` watermark makes
@@ -53,11 +58,11 @@ from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, ListAppend, ListRemove, Set
 from ..sim.kernel import AllOf
 from .distributor import write_user_image
-from .follower import merge_multi_commit, multi_replication_plan
+from .follower import LOCK_MAX_HOLD_MS, merge_multi_commit
 from .layout import SYSTEM_NODES
 from .model import Response
 
-__all__ = ["LeaderLogic", "RetryBatch", "multi_replication_plan"]
+__all__ = ["LeaderLogic", "RetryBatch"]
 
 
 class RetryBatch(Exception):
@@ -137,32 +142,11 @@ class LeaderLogic:
     @staticmethod
     def _write_entries(msg: Dict[str, Any]) -> List[Tuple[str, bool]]:
         """``(path, is_meta_only)`` pairs a message writes to the user
-        store.  A multi contributes one entry per touched path (so it both
-        supersedes earlier pending writes to the same paths and can itself
-        be superseded by later ones); derived from the subs' path fields
-        alone — the full image plan is only built when a multi is actually
-        processed."""
-        if msg["op"] != "multi":
-            entries = [(msg["path"], False)]
-            if msg.get("parent"):
-                entries.append((msg["parent"], True))
-            return entries
-        order: List[str] = []
-        seen = set()
-        node_paths = set()
-        for sub in msg["subs"]:
-            if sub["op"] == "check":
-                continue
-            for path, is_node in ((sub["path"], True),
-                                  (sub.get("parent"), False)):
-                if not path:
-                    continue
-                if path not in seen:
-                    seen.add(path)
-                    order.append(path)
-                if is_node:
-                    node_paths.add(path)
-        return [(path, path not in node_paths) for path in order]
+        store: one entry per touched path, so a message both supersedes
+        earlier pending writes to the same paths and can itself be
+        superseded by later ones."""
+        return [(path, is_parent)
+                for path, _image, is_parent, _op in msg["replication_plan"]]
 
     def _coalesce_plan(self, batch: List[Dict[str, Any]]
                        ) -> Dict[int, FrozenSet[str]]:
@@ -283,12 +267,14 @@ class LeaderLogic:
 
     def process(self, fctx, msg: Dict[str, Any],
                 skip_paths: FrozenSet[str] = frozenset()) -> Generator:
-        if msg["op"] == "multi":
-            yield from self._process_multi(fctx, msg, skip_paths)
-            return None
+        """Algorithm 2 for one committed envelope: verify the txid once,
+        gate every touched path, replicate per-path final images, fire
+        watches exactly once per instance with the txid, answer with one
+        response carrying per-op results, and pop the txid everywhere.
+        """
         env = fctx.env
         txid = msg["_seq"]
-        path = msg["path"]
+        primary = msg["path"]
         sys_store = self.service.system_store
 
         yield from self._wait_fence(msg)
@@ -296,24 +282,23 @@ class LeaderLogic:
         # must not be acknowledged before the superseding write lands: its
         # notification is emitted at batch end instead.
         defer = bool(skip_paths)
+        # Per-path final user-store actions, computed by the follower.
+        affected = msg["replication_plan"]
+        commit_paths = msg["commit_paths"]
 
-        affected = [(path, msg["node_image"], False)]
-        if msg.get("parent"):
-            affected.append((msg["parent"], msg["parent_image"], True))
-
-        # ➊ verify commit status
+        # ➊ verify commit status on the primary path: the envelope committed
+        # atomically, so one path's watermark speaks for all of it
         t0 = env.now
-        node = yield from sys_store.get_item(fctx.ctx, SYSTEM_NODES, path)
+        node = yield from sys_store.get_item(fctx.ctx, SYSTEM_NODES, primary)
         fctx.record("get_node", env.now - t0)
         node = node or {}
         if node.get("applied_tx", 0) >= txid:
             # Redelivered after a partial batch: already replicated (or
             # skipped — re-record skipped images so a later rejection in
             # this batch can still replay them).
-            for target_path, image, is_parent in affected:
-                if target_path in skip_paths:
-                    self._skipped_images[target_path] = (image, txid,
-                                                         msg["op"], is_parent)
+            for path, image, is_parent, op in affected:
+                if path in skip_paths:
+                    self._skipped_images[path] = (image, txid, op, is_parent)
             yield from self._queue_success(fctx, msg, txid, defer)
             self._pass_fence(msg)
             return None
@@ -324,73 +309,81 @@ class LeaderLogic:
                 # The request was never committed and cannot be: reject (Z1
                 # intact).  Earlier writes it would have superseded must
                 # become visible after all.
-                affected_paths = [path] + ([msg["parent"]] if msg.get("parent") else [])
-                yield from self._flush_superseded(fctx, affected_paths)
+                yield from self._flush_superseded(
+                    fctx, [path for path, _image, _meta, _op in affected])
                 yield from self._queue_failure(fctx, msg, "system_failure", defer)
                 self._pass_fence(msg)
                 return None
         elif pending[0] != txid:
             # Predecessor still unpopped — should not happen under FIFO
             # delivery, but redelivery is always safe.
-            raise RetryBatch(f"txid {txid} behind {pending[0]} on {path}")
+            raise RetryBatch(f"txid {txid} behind {pending[0]} on {primary}")
 
-        # Durable commit log: the record must exist before anything
-        # downstream (replication, distribution, watches, ack) can happen,
-        # so every applied txid is replayable after a crash.
+        # Durable commit log: the record (one per envelope) must exist
+        # before anything downstream (replication, distribution, watches,
+        # ack) can happen, so every applied txid is replayable after a crash.
         if self.service.snapshots is not None:
             yield from self.service.snapshots.append_log(
-                fctx, txid, self.shard,
-                [(p, image, is_parent, msg["op"])
-                 for p, image, is_parent in affected],
+                fctx, txid, self.shard, list(affected),
                 session=msg.get("session"))
             fctx.crash_point("leader_after_log")
 
-        # Sharded: a parent may be written by several shard leaders (the
-        # root is every top-level node's parent), so gate its replication
-        # on the parent's pending list — per-path writes then follow commit
-        # order across shards.
-        if self.sharded and msg.get("parent"):
-            yield from self._await_path_turn(fctx, msg["parent"], txid)
+        # Sharded: a path may be written by several shard leaders (the
+        # root is every top-level node's parent; a cross-shard multi rides
+        # its coordinator's queue), so wait until the txid heads every
+        # touched path's pending list (per-path total order).
+        if self.sharded:
+            for path in commit_paths:
+                if path != primary:
+                    yield from self._await_path_turn(fctx, path, txid)
+
+        # ➍ prep: which watch types each touched path triggers
+        op_pairs: Dict[str, List[Tuple[str, bool]]] = {}
+        for sub in msg["subs"]:
+            if sub["op"] == "check":
+                continue
+            op_pairs.setdefault(sub["path"], []).append((sub["op"], False))
+            if sub.get("parent"):
+                op_pairs.setdefault(sub["parent"], []).append((sub["op"], True))
 
         # Distributor stage: hand replication + watch fan-out to the
-        # per-region distributor queues; ➌/➍ leave the critical path.
+        # per-region distributor queues (one record per envelope); ➌/➍
+        # leave the critical path.
         if self.distribution is not None:
-            writes = [(p, image, is_parent, msg["op"])
-                      for p, image, is_parent in affected]
-            pairs = [(p, msg["op"], is_parent)
-                     for p, _image, is_parent in affected]
+            pairs = [(path, op, is_parent)
+                     for path, pair_list in op_pairs.items()
+                     for op, is_parent in pair_list]
             yield from self._distribute_and_finish(
-                fctx, msg, txid, writes, pairs,
-                [p for p, _image, _is_parent in affected])
+                fctx, msg, txid, list(affected), pairs, commit_paths)
             return None
 
-        # ➌ replicate to user stores, all regions in parallel (one epoch
-        # snapshot per region per message — the snapshot cannot change
+        # ➌ replicate per-path final images, all regions in parallel (one
+        # epoch snapshot per region per message — the snapshot cannot change
         # while the replication processes are being spawned)
         t0 = env.now
-        data_kb = len(msg["node_image"].get("data", b"") or b"") / 1024.0
+        data_kb = sum(len(sub["node_image"].get("data", b"") or b"") / 1024.0
+                      for sub in msg["subs"] if sub["op"] != "check")
         yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
         epochs = {region: self.epoch_snapshot(region)
                   for region in self.service.config.regions}
         procs = []
-        for target_path, image, is_parent in affected:
-            if target_path in skip_paths:
-                self._skipped_images[target_path] = (image, txid, msg["op"],
-                                                     is_parent)
+        for path, image, is_parent, op in affected:
+            if path in skip_paths:
+                self._skipped_images[path] = (image, txid, op, is_parent)
                 continue
-            self._skipped_images.pop(target_path, None)
+            self._skipped_images.pop(path, None)
             for region in self.service.config.regions:
                 procs.append(env.process(
-                    self._replicate(fctx, region, target_path, image,
-                                    epochs[region], txid, msg["op"], is_parent),
-                    name=f"replicate:{target_path}@{region}"))
+                    self._replicate(fctx, region, path, image, epochs[region],
+                                    txid, op, is_parent),
+                    name=f"replicate:{path}@{region}"))
         if procs:
             yield AllOf(env, procs)
         fctx.record("update_user", env.now - t0)
 
-        # ➍ watches: query + consume + fan out
-        triggered = yield from self._consume_watches(
-            fctx, [(p, msg["op"], is_parent) for p, _img, is_parent in affected])
+        # ➍ watches: one query/consume per touched path; every instance
+        # fires exactly once per committed envelope, with its txid
+        triggered = yield from self._consume_watches(fctx, op_pairs)
         if triggered:
             watch_ids = [t.watch_id for t in triggered]
             yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
@@ -401,9 +394,9 @@ class LeaderLogic:
                 name="watch-callback")
             self._pending_callbacks.append(cb)
 
-        # ➎ notify + pop
+        # ➎ notify (one response, per-op results) + pop the txid
         yield from self._queue_success(fctx, msg, txid, defer)
-        yield from self._pop_paths(fctx, [p for p, _img, _meta in affected], txid)
+        yield from self._pop_paths(fctx, commit_paths, txid)
         self._pass_fence(msg)
         return None
 
@@ -457,38 +450,13 @@ class LeaderLogic:
 
     # ------------------------------------------------------------ shared steps
     def _consume_watches(self, fctx,
-                         pairs: List[Tuple[str, str, bool]]) -> Generator:
-        """Step ➍ prelude: query + consume the watches the affected paths
-        trigger.  Node and parent are independent system-store items, so a
+                         op_pairs: Dict[str, List[Tuple[str, bool]]]
+                         ) -> Generator:
+        """Step ➍ prelude: query + consume the watches each touched path
+        triggers.  The paths are independent system-store items, so a
         sharded (or distributor) deployment runs their round trips in
         parallel; the paper configuration keeps them sequential so its
         calibrated latency split stays intact."""
-        env = fctx.env
-        t0 = env.now
-        triggered: List = []
-        if self.service.config.watch_parallel_enabled and len(pairs) > 1:
-            procs = [env.process(
-                self.service.watch_registry.query_consume(
-                    fctx.ctx, path, op, is_parent),
-                name=f"watch:{path}") for path, op, is_parent in pairs]
-            yield AllOf(env, procs)
-            for proc in procs:
-                triggered.extend(proc.value)
-        else:
-            for path, op, is_parent in pairs:
-                witem = yield from self.service.watch_registry.query(
-                    fctx.ctx, path)
-                found = yield from self.service.watch_registry.consume(
-                    fctx.ctx, path, op, is_parent, witem)
-                triggered.extend(found)
-        fctx.record("watch_query", env.now - t0)
-        return triggered
-
-    def _consume_watches_multi(self, fctx,
-                               op_pairs: Dict[str, List[Tuple[str, bool]]]
-                               ) -> Generator:
-        """Step ➍ for a multi: one query/consume per touched path, in
-        parallel when the deployment allows it."""
         env = fctx.env
         t0 = env.now
         triggered: List = []
@@ -528,167 +496,64 @@ class LeaderLogic:
         fctx.record("pop", env.now - t0)
         return None
 
-    # ------------------------------------------------------------ multi
-    def _process_multi(self, fctx, msg: Dict[str, Any],
-                       skip_paths: FrozenSet[str]) -> Generator:
-        """Algorithm 2 for an atomic batch: verify the batch txid once,
-        gate every touched path, replicate per-path final images, fire
-        watches exactly once per instance with the batch txid, answer with
-        one response carrying per-op results, and pop the txid everywhere.
-        """
-        env = fctx.env
-        txid = msg["_seq"]
-        primary = msg["path"]
-        sys_store = self.service.system_store
-
-        yield from self._wait_fence(msg)
-        defer = bool(skip_paths)
-        # The follower computes the per-path plan at staging time and ships
-        # it in the envelope; rebuild only for messages that predate the
-        # handoff (older queue payloads in long-running simulations).
-        affected = (msg.get("replication_plan")
-                    or multi_replication_plan(msg["subs"]))
-        commit_paths = msg["commit_paths"]
-
-        # ➊ verify commit status on the primary path: the batch committed
-        # atomically, so one path's watermark speaks for all of it
-        t0 = env.now
-        node = yield from sys_store.get_item(fctx.ctx, SYSTEM_NODES, primary)
-        fctx.record("get_node", env.now - t0)
-        node = node or {}
-        if node.get("applied_tx", 0) >= txid:
-            # Redelivered after a partial batch: already replicated.
-            for path, image, is_parent, op in affected:
-                if path in skip_paths:
-                    self._skipped_images[path] = (image, txid, op, is_parent)
-            yield from self._queue_success(fctx, msg, txid, defer)
-            self._pass_fence(msg)
-            return None
-        pending = node.get("transactions", [])
-        if txid not in pending:
-            committed = yield from self._try_commit_multi(fctx, msg, txid)
-            if not committed:
-                yield from self._flush_superseded(
-                    fctx, [path for path, _image, _meta, _op in affected])
-                yield from self._queue_failure(fctx, msg, "system_failure", defer)
-                self._pass_fence(msg)
-                return None
-        elif pending[0] != txid:
-            raise RetryBatch(f"txid {txid} behind {pending[0]} on {primary}")
-
-        # Durable commit log (one record for the whole atomic batch).
-        if self.service.snapshots is not None:
-            yield from self.service.snapshots.append_log(
-                fctx, txid, self.shard, list(affected),
-                session=msg.get("session"))
-            fctx.crash_point("leader_after_log")
-
-        # A cross-shard multi rides the coordinator's queue, but other
-        # shards keep writing the same paths: wait until the batch txid
-        # heads every touched path's pending list (per-path total order).
-        if self.sharded:
-            for path in commit_paths:
-                if path != primary:
-                    yield from self._await_path_turn(fctx, path, txid)
-
-        # ➍ prep: which watch types each touched path triggers
-        op_pairs: Dict[str, List[Tuple[str, bool]]] = {}
-        for sub in msg["subs"]:
-            if sub["op"] == "check":
-                continue
-            op_pairs.setdefault(sub["path"], []).append((sub["op"], False))
-            if sub.get("parent"):
-                op_pairs.setdefault(sub["parent"], []).append((sub["op"], True))
-
-        # Distributor stage: the whole batch rides one distribution record.
-        if self.distribution is not None:
-            pairs = [(path, op, is_parent)
-                     for path, pair_list in op_pairs.items()
-                     for op, is_parent in pair_list]
-            yield from self._distribute_and_finish(
-                fctx, msg, txid, list(affected), pairs, commit_paths)
-            return None
-
-        # ➌ replicate per-path final images, all regions in parallel (one
-        # epoch snapshot per region per message)
-        t0 = env.now
-        data_kb = sum(len(sub["node_image"].get("data", b"") or b"") / 1024.0
-                      for sub in msg["subs"] if sub["op"] != "check")
-        yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
-        epochs = {region: self.epoch_snapshot(region)
-                  for region in self.service.config.regions}
-        procs = []
-        for path, image, is_parent, op in affected:
-            if path in skip_paths:
-                self._skipped_images[path] = (image, txid, op, is_parent)
-                continue
-            self._skipped_images.pop(path, None)
-            for region in self.service.config.regions:
-                procs.append(env.process(
-                    self._replicate(fctx, region, path, image, epochs[region],
-                                    txid, op, is_parent),
-                    name=f"replicate:{path}@{region}"))
-        if procs:
-            yield AllOf(env, procs)
-        fctx.record("update_user", env.now - t0)
-
-        # ➍ watches: one query/consume per touched path; every instance
-        # fires exactly once per committed multi, with the batch txid
-        triggered = yield from self._consume_watches_multi(fctx, op_pairs)
-        if triggered:
-            watch_ids = [t.watch_id for t in triggered]
-            yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
-            done = self.service.invoke_watch_fn(triggered, txid, shard=self.shard)
-            cb = env.process(
-                self.service.epoch_ledger.remove_after(
-                    done, watch_ids, self.service.system_ctx),
-                name="watch-callback")
-            self._pending_callbacks.append(cb)
-
-        # ➎ notify (one response, per-op results) + pop the batch txid
-        yield from self._queue_success(fctx, msg, txid, defer)
-        yield from self._pop_paths(fctx, commit_paths, txid)
-        self._pass_fence(msg)
+    # ------------------------------------------------------------ steps
+    def _await_path_turn(self, fctx, path: str, txid: int) -> Generator:
+        """Per-path replication order for paths other shards also write
+        (cross-shard parents, a cross-shard multi's members): proceed only
+        when ``txid`` heads the path's pending list (or was popped by a
+        prior delivery of this message)."""
+        item = yield from self.service.system_store.get_item(
+            fctx.ctx, SYSTEM_NODES, path)
+        pending = (item or {}).get("transactions", [])
+        if txid in pending and pending[0] != txid:
+            raise RetryBatch(f"txid {txid} behind {pending[0]} on {path}")
         return None
 
-    def _try_commit_multi(self, fctx, msg: Dict[str, Any],
-                          txid: int) -> Generator[Any, Any, bool]:
-        """Step ➋ for a multi: commit the whole batch on behalf of a
-        (presumably dead) follower, or reject it — never partially (Z1).
+    def _try_commit(self, fctx, msg: Dict[str, Any], txid: int,
+                    node: Dict[str, Any]) -> Generator[Any, Any, bool]:
+        """Step ➋: commit the whole envelope on behalf of a (presumably
+        dead) follower, or reject it — never partially (Z1).
+
+        Returns True when the transaction is committed (by us or, as we
+        raced, by the recovering follower); False when the request is
+        definitively rejected (the caller notifies the client).  Raises
+        :class:`RetryBatch` while a follower's lease is still live.
 
         The merged per-path updates are the exact transaction the follower
         would have applied (:func:`merge_multi_commit` is shared), guarded
         by the preconditions each member validated against: data version
         for set/check/delete first-touches, the parent's child-list version
-        for create/delete, and expired locks everywhere.
+        for create/delete, and expired locks everywhere.  ``node`` is the
+        primary path's item step ➊ just read; only the other touched
+        paths cost a lock read here.
         """
         env = fctx.env
         t0 = env.now
         order, merged = merge_multi_commit(msg["subs"])
-        max_hold = self.service.config.lock_max_hold_ms
         for path in order:
-            item = yield from self.service.system_store.get_item(
-                fctx.ctx, SYSTEM_NODES, path)
+            item = node if path == msg["path"] else (
+                yield from self.service.system_store.get_item(
+                    fctx.ctx, SYSTEM_NODES, path))
             lock_ts = ((item or {}).get("lock") or {}).get("ts")
-            if lock_ts is not None and env.now - lock_ts < max_hold:
+            if lock_ts is not None and env.now - lock_ts < LOCK_MAX_HOLD_MS:
                 fctx.record("try_commit", env.now - t0)
-                raise RetryBatch(f"lock live on {path} for multi txid {txid}")
+                raise RetryBatch(f"lock live on {path} for txid {txid}")
         applied_before = Attr("applied_tx").not_exists() | (
             Attr("applied_tx") < txid)
         ops = []
         for path in order:
             rec = merged[path]
             guard = Attr("lock.ts").not_exists() | (
-                Attr("lock.ts") <= env.now - max_hold)
+                Attr("lock.ts") <= env.now - LOCK_MAX_HOLD_MS)
             if path == msg["path"]:
                 guard = guard & applied_before & (
                     ~Attr("transactions").contains(txid))
             if rec["prev_version"] is not None:
                 guard = guard & (Attr("version") == rec["prev_version"])
             if rec["parent_prev_cversion"] is not None:
-                # Guard the child list like single-op TryCommit does —
-                # also when the path is node-written by this same multi
-                # (a concurrent child create bumps cversion, not version).
+                # Guard the child list — also when the path is node-written
+                # by this same envelope (a concurrent child create bumps
+                # cversion, not version).
                 guard = guard & (Attr("cversion") == rec["parent_prev_cversion"])
             updates = [Set(k, v) for k, v in rec["sets"].items()]
             if rec["node"]:
@@ -713,83 +578,7 @@ class LeaderLogic:
                 fresh.get("applied_tx", 0) >= txid:
             return True
         if (fresh.get("lock") or {}).get("ts") is not None and \
-                env.now - fresh["lock"]["ts"] < max_hold:
-            raise RetryBatch(f"lock re-taken on {msg['path']}")
-        return False
-
-    # ------------------------------------------------------------ steps
-    def _await_path_turn(self, fctx, path: str, txid: int) -> Generator:
-        """Per-path replication order for paths other shards also write
-        (cross-shard parents, a cross-shard multi's members): proceed only
-        when ``txid`` heads the path's pending list (or was popped by a
-        prior delivery of this message)."""
-        item = yield from self.service.system_store.get_item(
-            fctx.ctx, SYSTEM_NODES, path)
-        pending = (item or {}).get("transactions", [])
-        if txid in pending and pending[0] != txid:
-            raise RetryBatch(f"txid {txid} behind {pending[0]} on {path}")
-        return None
-
-    def _try_commit(self, fctx, msg: Dict[str, Any], txid: int,
-                    node: Dict[str, Any]) -> Generator[Any, Any, bool]:
-        """Step ➋: commit on behalf of a (presumably dead) follower.
-
-        Returns True when the transaction is committed (by us or, as we
-        raced, by the recovering follower); False when the request is
-        definitively rejected (the caller notifies the client).  Raises
-        :class:`RetryBatch` while the follower's lease is still live.
-        """
-        env = fctx.env
-        t0 = env.now
-        lock_ts = (node.get("lock") or {}).get("ts")
-        max_hold = self.service.config.lock_max_hold_ms
-        if lock_ts is not None and env.now - lock_ts < max_hold:
-            fctx.record("try_commit", env.now - t0)
-            raise RetryBatch(f"lock live on {msg['path']} for txid {txid}")
-
-        lock_free = Attr("lock.ts").not_exists() | (
-            Attr("lock.ts") <= env.now - max_hold)
-        applied_before = Attr("applied_tx").not_exists() | (Attr("applied_tx") < txid)
-        guard = lock_free & applied_before & (
-            ~Attr("transactions").contains(txid))
-        if msg["op"] == "set_data":
-            guard = guard & (Attr("version") == msg["prev_version"])
-        elif msg.get("parent_prev_cversion") is not None:
-            # create/delete: the node-side guard is implied by the parent's
-            # child-list version, which any conflicting operation must bump.
-            pass
-
-        ops = []
-        node_updates = [Set(k, v) for k, v in msg["commit_sets"].items()]
-        if msg["op"] == "create":
-            node_updates += [Set("created_tx", txid), Set("modified_tx", txid)]
-        else:
-            node_updates += [Set("modified_tx", txid)]
-        node_updates.append(ListAppend("transactions", [txid]))
-        ops.append((SYSTEM_NODES, msg["path"], node_updates, guard))
-        if msg.get("parent"):
-            parent_lock_free = Attr("lock.ts").not_exists() | (
-                Attr("lock.ts") <= env.now - max_hold)
-            parent_guard = parent_lock_free & (
-                Attr("cversion") == msg["parent_prev_cversion"])
-            parent_updates = [Set(k, v) for k, v in msg["parent_sets"].items()]
-            parent_updates.append(ListAppend("transactions", [txid]))
-            ops.append((SYSTEM_NODES, msg["parent"], parent_updates, parent_guard))
-        try:
-            yield from self.service.system_store.transact_update(fctx.ctx, ops)
-            fctx.record("try_commit", env.now - t0)
-            return True
-        except ConditionFailed:
-            pass
-        # Re-read: the follower may have committed while we tried.
-        fresh = yield from self.service.system_store.get_item(
-            fctx.ctx, SYSTEM_NODES, msg["path"])
-        fresh = fresh or {}
-        fctx.record("try_commit", env.now - t0)
-        if txid in fresh.get("transactions", []) or fresh.get("applied_tx", 0) >= txid:
-            return True
-        if (fresh.get("lock") or {}).get("ts") is not None and \
-                env.now - fresh["lock"]["ts"] < max_hold:
+                env.now - fresh["lock"]["ts"] < LOCK_MAX_HOLD_MS:
             raise RetryBatch(f"lock re-taken on {msg['path']}")
         return False
 
@@ -804,22 +593,13 @@ class LeaderLogic:
         env = fctx.env
         t0 = env.now
         if msg["rid"] >= 0:
-            if msg["op"] == "multi":
-                # One response for the whole batch, carrying the per-op
-                # results stamped with the shared transaction id.
-                yield from self.service.notify_response(Response(
-                    session=msg["session"], rid=msg["rid"], ok=True,
-                    path=msg["path"], txid=txid, version=0,
-                    results=[dict(res, ok=True, txid=txid)
-                             for res in msg["results"]],
-                ))
-            else:
-                image = msg["node_image"]
-                yield from self.service.notify_response(Response(
-                    session=msg["session"], rid=msg["rid"], ok=True,
-                    path=msg["path"], txid=txid,
-                    version=image.get("version", 0) if not image.get("deleted") else 0,
-                ))
+            # One response for the whole envelope, carrying the per-op
+            # results stamped with the shared transaction id.
+            yield from self.service.notify_response(Response(
+                session=msg["session"], rid=msg["rid"], ok=True, txid=txid,
+                results=[dict(res, ok=True, txid=txid)
+                         for res in msg["results"]],
+            ))
         fctx.record("notify", env.now - t0)
         return None
 

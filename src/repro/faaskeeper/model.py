@@ -1,11 +1,12 @@
-"""Data model: node stats, watch events, the unified operation envelope.
+"""Data model: node stats, watch events, the write envelope.
 
-Every write travels as a :class:`Request` envelope holding one or more
-typed :class:`Operation` elements.  The client's per-method APIs build
-one-element envelopes; ``multi()``/``transaction()`` build longer ones
-that commit atomically (ZooKeeper's ``multi`` semantics).  The follower
-parses the same ``Operation`` objects back out of the wire dict, so the
-client and the service agree on one schema.
+Every write is a transaction: a :class:`Request` envelope whose ``ops``
+list holds one or more typed :class:`Operation` members that commit
+atomically under one transaction id (ZooKeeper's ``multi`` semantics).
+``create()``/``set_data()``/``delete()`` submit the one-member case,
+``multi()``/``transaction()`` longer ones; nothing past the client facade
+tells them apart.  The follower parses the same ``Operation`` objects back
+out of the wire dicts, so client and service agree on one schema.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class Operation:
     Subclasses mirror ZooKeeper's transaction op set (create / setData /
     delete / check).  ``validate()`` runs client-side before submission;
     ``to_dict()``/:func:`operation_from_dict` define the wire schema shared
-    with the follower; the ``result_*`` hooks map a committed envelope's
-    response back to the per-op typed result.
+    with the follower; ``result_from_multi()`` maps this member's slot of
+    a committed envelope's response back to its typed result.
     """
 
     path: str
@@ -166,17 +167,8 @@ class Operation:
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.OP, "path": self.path}
 
-    @property
-    def payload_kb(self) -> float:
-        """Queue-payload contribution (same accounting as a lone request)."""
-        return 128 / 1024.0
-
-    def result_from_response(self, response: "Response") -> Any:
-        """Typed result of a one-element envelope."""
-        raise NotImplementedError
-
     def result_from_multi(self, result: Dict[str, Any]) -> Any:
-        """Typed result of this op inside a committed multi."""
+        """Typed result of this op inside a committed envelope."""
         raise NotImplementedError
 
 
@@ -199,13 +191,6 @@ class CreateOp(Operation):
                 "ephemeral": self.ephemeral, "sequence": self.sequence,
                 "acl": self.acl}
 
-    @property
-    def payload_kb(self) -> float:
-        return (len(self.data) + 128) / 1024.0
-
-    def result_from_response(self, response: "Response") -> str:
-        return response.path
-
     def result_from_multi(self, result: Dict[str, Any]) -> str:
         return result["path"]
 
@@ -222,14 +207,6 @@ class SetDataOp(Operation):
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.OP, "path": self.path, "data": bytes(self.data),
                 "version": self.version}
-
-    @property
-    def payload_kb(self) -> float:
-        return (len(self.data) + 128) / 1024.0
-
-    def result_from_response(self, response: "Response") -> WriteResult:
-        return WriteResult(path=response.path or self.path,
-                           txid=response.txid, version=response.version)
 
     def result_from_multi(self, result: Dict[str, Any]) -> WriteResult:
         return WriteResult(path=result["path"], txid=result["txid"],
@@ -249,9 +226,6 @@ class DeleteOp(Operation):
 
     def to_dict(self) -> Dict[str, Any]:
         return {"op": self.OP, "path": self.path, "version": self.version}
-
-    def result_from_response(self, response: "Response") -> None:
-        return None
 
     def result_from_multi(self, result: Dict[str, Any]) -> None:
         return None
@@ -297,69 +271,45 @@ def operation_from_dict(raw: Dict[str, Any]) -> Operation:
 
 @dataclass
 class Request:
-    """Client -> follower queue message (the operation envelope).
+    """Client -> follower queue message (the write envelope).
 
-    Single operations use the flat fields (the historical wire schema,
-    preserved bit-for-bit); a ``multi`` envelope carries its elements in
-    ``ops`` and commits them atomically.
+    A write carries its member operations as wire dicts in ``ops`` and
+    commits them atomically; ``close_session`` carries none.
     """
 
     session: str
     rid: int                      # per-session request id (dedup + ordering)
-    op: str                       # create | set_data | delete | multi | close_session
-    path: str = ""
-    data: bytes = b""
-    version: int = -1             # expected version, -1 = unconditional
-    ephemeral: bool = False
-    sequence: bool = False
-    acl: dict | None = None       # ACL for the created node
-    shard_hint: int | None = None  # client-computed leader shard for the path
-    ops: List[dict] | None = None  # multi: wire dicts of the member operations
+    op: str                       # write | close_session
+    ops: List[dict] = field(default_factory=list)  # member operations
+    shard_hint: int | None = None  # client-computed coordinator shard
     #: close_session only: ephemeral paths to release when the session
     #: record no longer exists (native-TTL evictions delete it first).
     ephemerals: List[str] | None = None
 
     @classmethod
-    def from_operation(cls, session: str, rid: int, op: Operation) -> "Request":
-        """One-element envelope: the flat single-op wire schema."""
-        d = op.to_dict()
-        return cls(session=session, rid=rid, op=d["op"], path=d.get("path", ""),
-                   data=d.get("data", b""), version=d.get("version", -1),
-                   ephemeral=d.get("ephemeral", False),
-                   sequence=d.get("sequence", False), acl=d.get("acl"))
-
-    @classmethod
     def from_operations(cls, session: str, rid: int,
                         ops: List[Operation]) -> "Request":
-        """Multi envelope: N operations, one queue message, one commit."""
-        return cls(session=session, rid=rid, op="multi",
+        """Write envelope: N >= 1 operations, one queue message, one commit."""
+        return cls(session=session, rid=rid, op="write",
                    ops=[op.to_dict() for op in ops])
 
     def to_body(self) -> Dict[str, Any]:
-        """The queue-message dict (single-op bodies match the historical
-        per-method construction exactly)."""
-        body = {
-            "session": self.session, "rid": self.rid, "op": self.op,
-            "path": self.path, "data": self.data,
-            "version": self.version, "ephemeral": self.ephemeral,
-            "sequence": self.sequence, "acl": self.acl,
-        }
-        if self.ops is not None:
-            body["ops"] = self.ops
-        return body
+        """The queue-message dict."""
+        return {"session": self.session, "rid": self.rid, "op": self.op,
+                "ops": self.ops}
 
     def write_paths(self) -> List[str]:
         """Paths this envelope writes (check ops guard, they don't write)."""
-        if self.ops is None:
-            return [self.path]
         return [d["path"] for d in self.ops if d.get("op") != "check"]
 
     @property
     def size_kb(self) -> float:
-        if self.ops is not None:
-            return sum((len(d.get("data", b"") or b"") + 128) / 1024.0
-                       for d in self.ops)
-        return (len(self.data) + 128) / 1024.0
+        """Queue payload: data plus 128 B of framing per member (a
+        member-less ``close_session`` is one bare frame)."""
+        if not self.ops:
+            return 128 / 1024.0
+        return sum((len(d.get("data", b"") or b"") + 128) / 1024.0
+                   for d in self.ops)
 
 
 @dataclass
@@ -370,10 +320,9 @@ class Response:
     rid: int
     ok: bool
     error: str = ""
-    path: str = ""                # created path (sequential nodes)
     txid: int = 0
-    version: int = 0
-    results: List[dict] | None = None  # multi: per-op outcome dicts, in op order
+    #: Writes: per-member outcome dicts, in op order.
+    results: List[dict] | None = None
 
 
 def validate_path(path: str, allow_root: bool = True) -> None:

@@ -35,7 +35,12 @@ from ..sim.kernel import AllOf, Timeout
 from .client import FaaSKeeperClient
 from .config import FaaSKeeperConfig
 from .distributor import DistributionStage
-from .follower import FollowerLogic
+from .follower import (
+    FOLLOWER_BATCH,
+    LEADER_BATCH,
+    LOCK_MAX_HOLD_MS,
+    FollowerLogic,
+)
 from .gc import GarbageCollectorLogic
 from .heartbeat import HeartbeatLogic
 from .layout import (
@@ -168,7 +173,7 @@ class FaaSKeeperService:
         for plane_shard in range(1, config.session_plane_shards):
             self.system_store.create_table(watch_shard_table(plane_shard))
         self.node_lock = TimedLock(self.system_store, SYSTEM_NODES,
-                                   max_hold_ms=config.lock_max_hold_ms)
+                                   max_hold_ms=LOCK_MAX_HOLD_MS)
         self.epoch_ledger = EpochLedger(self.system_store, SYSTEM_STATE,
                                         config.regions)
         self.epoch_lists = self.epoch_ledger.lists  # legacy alias
@@ -263,7 +268,7 @@ class FaaSKeeperService:
                 "fk-leader-q" if i == 0 else f"fk-leader-q-{i}",
                 label="sqs", max_receive=config.leader_max_receive,
                 seq_source=txid_sequence)
-            queue.attach(fn, batch_limit=config.leader_batch)
+            queue.attach(fn, batch_limit=LEADER_BATCH)
             queue.on_drop = self._on_leader_drop
             self.leader_queues.append(queue)
         #: Writes whose client-stamped shard hint disagreed with the shard
@@ -478,9 +483,6 @@ class FaaSKeeperService:
         """Leader shard owning ``path`` (hash of the top-level component)."""
         return shard_of_path(path, self.config.leader_shards)
 
-    def leader_queue_for(self, path: str):
-        return self.leader_queues[self.shard_of(path)]
-
     def multi_shard_of(self, paths) -> int:
         """Coordinator shard of a transaction: the lowest shard id among the
         shards owning its written paths (deterministic, so client hint and
@@ -527,7 +529,7 @@ class FaaSKeeperService:
         queue = self.cloud.fifo_queue(
             f"fk-session-{session_id}", label="sqs",
             max_receive=self.config.follower_max_receive)
-        queue.attach(self.follower_fn, batch_limit=self.config.follower_batch)
+        queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
         self._session_queues[session_id] = queue
         session_item = {"ephemeral": [], "region": region, "last_rid": 0}
         if self.ephemeral_ttl_active:

@@ -210,56 +210,27 @@ class WatchRegistry:
             return False
         return True
 
-    def consume(self, ctx: OpContext, path: str, op: str, is_parent: bool,
-                watch_item: Optional[Dict[str, Any]],
-                ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Atomically remove the instances triggered by ``op`` on ``path``.
-
-        ``watch_item`` is the result of a prior :meth:`query`; when it shows
-        no matching instances the consume is free (no storage write).
-        """
-        return (yield from self._consume_types(
-            ctx, path, triggered_watch_types(op, is_parent), watch_item))
+    def query_consume_ops(self, ctx: OpContext, path: str,
+                          op_pairs: List[Tuple[str, bool]],
+                          ) -> Generator[Any, Any, List[TriggeredWatch]]:
+        """Fused query + consume for one path (the leader's parallel step ➍
+        and the distributor's watch stage run one of these per path)."""
+        witem = yield from self.query(ctx, path)
+        return (yield from self.consume_ops(ctx, path, op_pairs, witem))
 
     def consume_ops(self, ctx: OpContext, path: str,
                     op_pairs: List[Tuple[str, bool]],
                     watch_item: Optional[Dict[str, Any]],
                     ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Multi-op consume: the union of watch types triggered on ``path``
-        by a committed transaction's sub-operations.  Each instance is
-        removed — and therefore fires — exactly once per multi, no matter
-        how many members touch the path; the first triggering member (in
-        op order) names the delivered event type.
-        """
-        type_events: List[Tuple[WatchType, EventType]] = []
-        seen = set()
-        for op, is_parent in op_pairs:
-            for wtype, event in triggered_watch_types(op, is_parent):
-                if wtype not in seen:
-                    seen.add(wtype)
-                    type_events.append((wtype, event))
-        return (yield from self._consume_types(ctx, path, type_events,
-                                               watch_item))
+        """Atomically remove the instances a committed transaction triggers
+        on ``path``: the union of the watch types triggered by its
+        ``(op, is_parent)`` members.  Each instance is removed — and
+        therefore fires — exactly once per transaction, no matter how many
+        members touch the path; the first triggering member (in op order)
+        names the delivered event type.
 
-    def query_consume(self, ctx: OpContext, path: str, op: str,
-                      is_parent: bool) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Fused query + consume for one path (the leader's parallel step ➍
-        and the distributor's watch stage run one of these per path)."""
-        witem = yield from self.query(ctx, path)
-        return (yield from self.consume(ctx, path, op, is_parent, witem))
-
-    def query_consume_ops(self, ctx: OpContext, path: str,
-                          op_pairs: List[Tuple[str, bool]],
-                          ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Fused query + multi-op consume for one path."""
-        witem = yield from self.query(ctx, path)
-        return (yield from self.consume_ops(ctx, path, op_pairs, witem))
-
-    def _consume_types(self, ctx: OpContext, path: str,
-                       type_events: List[Tuple[WatchType, EventType]],
-                       watch_item: Optional[Dict[str, Any]],
-                       ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Guarded removal of the triggered instances.
+        ``watch_item`` is the result of a prior :meth:`query`; when it shows
+        no matching instances the consume is free (no storage write).
 
         The ``Remove`` is conditioned on every removed instance still
         matching the queried snapshot (id AND session list — the same
@@ -271,6 +242,10 @@ class WatchRegistry:
         in the delivery.  The guard costs nothing when there is no race:
         the same single conditional write the unguarded form issued.
         """
+        type_events: Dict[WatchType, EventType] = {}
+        for op, is_parent in op_pairs:
+            for wtype, event in triggered_watch_types(op, is_parent):
+                type_events.setdefault(wtype, event)
         while True:
             if not watch_item:
                 return []
@@ -278,7 +253,7 @@ class WatchRegistry:
             triggered: List[TriggeredWatch] = []
             removals = []
             guard = None
-            for wtype, event in type_events:
+            for wtype, event in type_events.items():
                 inst = instances.get(wtype.value)
                 if not inst or not inst.get("sessions"):
                     continue

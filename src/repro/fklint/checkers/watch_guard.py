@@ -13,7 +13,7 @@ cache + distributor) — which is precisely why it is now a machine rule.
 The protocol: every ``Remove`` of an ``inst.*`` attribute on
 ``fk-system-watches`` must be conditioned on the instance still matching
 the observed snapshot — id **and** session list
-(:meth:`WatchRegistry.remove_instance` / ``_consume_types``) — and
+(:meth:`WatchRegistry.remove_instance` / ``consume_ops``) — and
 retried from a fresh read on conflict.  Statically we flag any
 ``update_item`` on the watch table whose updates contain a ``Remove`` of
 an instance attribute without a ``condition=``; the ``FK_SANITIZE=1``

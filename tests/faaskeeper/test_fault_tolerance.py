@@ -26,30 +26,6 @@ def test_follower_crash_before_push_is_retried_transparently():
     assert service.follower_fn.failures == 1
 
 
-def test_follower_crash_after_push_leader_try_commits():
-    """Crash between push (➂) and commit (➃) with redeliveries disabled:
-    the leader must commit on the follower's behalf once the lease expires."""
-    cloud, service = make_service(seed=12, follower_max_receive=1)
-    c = service.connect()
-    c.create("/a", b"")
-    # Silence the queue's drop notification: this test observes the pure
-    # recovery path (the drop/recovery ack race is covered separately).
-    service._session_queues[c.session_id].on_drop = None
-    service.follower_fn.plan_crash("after_push",
-                                   invocations=[service.follower_fn.invocations + 1])
-    fut = c.set_data_async("/a", b"recovered")
-    cloud.run(until=cloud.now + 30_000)
-    assert fut.done
-    res = fut.wait()
-    assert res.version == 1
-    data, stat = c.get_data("/a")
-    assert data == b"recovered"
-    # system storage carries the leader-committed transaction
-    raw = service.system_store.table("fk-system-nodes").raw("/a")
-    assert raw["version"] == 1
-    assert raw["transactions"] == []
-
-
 def test_follower_crash_after_commit_no_double_apply():
     """Crash after commit (➃): the redelivered request must be deduplicated
     by the session watermark — the node version is bumped exactly once."""

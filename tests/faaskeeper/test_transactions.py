@@ -403,25 +403,3 @@ def test_multi_create_then_touch_crash_after_push_recovers():
     assert data == b"b" and stat.version == 1
     raw = service.system_store.table("fk-system-nodes").raw("/p/x")
     assert raw["version"] == 1 and raw["transactions"] == []
-
-
-def test_multi_crash_after_push_leader_try_commits():
-    """Crash between push and commit with redeliveries disabled: the leader
-    commits the whole batch on the follower's behalf — atomically."""
-    cloud, service = make_service(seed=110, follower_max_receive=1)
-    c = service.connect()
-    c.create("/a", b"")
-    c.create("/b", b"")
-    service._session_queues[c.session_id].on_drop = None
-    service.follower_fn.plan_crash(
-        "after_push", invocations=[service.follower_fn.invocations + 1])
-    fut = c.multi_async([SetDataOp("/a", b"rec"), SetDataOp("/b", b"rec")])
-    cloud.run(until=cloud.now + 30_000)
-    assert fut.done
-    results = fut.wait()
-    assert [r.version for r in results] == [1, 1]
-    nodes = service.system_store.table("fk-system-nodes")
-    for path in ("/a", "/b"):
-        raw = nodes.raw(path)
-        assert raw["version"] == 1 and raw["transactions"] == []
-        assert c.get_data(path)[0] == b"rec"
