@@ -10,8 +10,8 @@ one of four fault classes:
 
 * ``throttle`` — the request is rejected up front (:class:`ThrottlingError`);
   no latency, no billing, no mutation.
-* ``timeout`` — the request hangs for ``timeout_ms`` of virtual time and
-  dies (:class:`StorageTimeout`); the mutation did **not** apply.
+* ``timeout`` — the request hangs for ``FAULT_TIMEOUT_MS`` of virtual time
+  and dies (:class:`StorageTimeout`); the mutation did **not** apply.
 * ``conn_reset`` — the connection drops before the request is sent
   (:class:`ConnectionReset`); the mutation did **not** apply.
 * ``partial_write`` — mutators only: the mutation **applies server-side**
@@ -48,6 +48,9 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "partial_write": 0.1,
 }
 
+#: Virtual time an injected-timeout request hangs before dying (ms).
+FAULT_TIMEOUT_MS = 250.0
+
 
 class FaultInjector:
     """One store's fault schedule: per-op draws from a dedicated stream.
@@ -59,14 +62,12 @@ class FaultInjector:
     """
 
     def __init__(self, env, rng, rate: float,
-                 weights: Optional[Dict[str, float]] = None,
-                 timeout_ms: float = 250.0) -> None:
+                 weights: Optional[Dict[str, float]] = None) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
         self.env = env
         self.rng = rng
         self.rate = rate
-        self.timeout_ms = timeout_ms
         merged = dict(DEFAULT_WEIGHTS)
         if weights:
             unknown = set(weights) - set(FAULT_KINDS)
@@ -112,9 +113,9 @@ class FaultInjector:
         if kind == "throttle":
             raise ThrottlingError(f"{op}: injected throttle")
         if kind == "timeout":
-            yield self.env.timeout(self.timeout_ms)
+            yield self.env.timeout(FAULT_TIMEOUT_MS)
             raise StorageTimeout(f"{op}: injected timeout "
-                                 f"after {self.timeout_ms} ms")
+                                 f"after {FAULT_TIMEOUT_MS} ms")
         if kind == "conn_reset":
             raise ConnectionReset(f"{op}: injected connection reset")
         return None  # partial_write fires after the mutation

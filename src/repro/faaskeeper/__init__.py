@@ -21,7 +21,6 @@ from .chaos import (
     wipe_user_region,
 )
 from .client import (
-    ClientEvent,
     FaaSKeeperClient,
     FKFuture,
     SessionRetry,
@@ -83,7 +82,6 @@ __all__ = [
     "UserStoreKind",
     "FaaSKeeperClient",
     "KeeperState",
-    "ClientEvent",
     "SessionRetry",
     "DataWatch",
     "ChildrenWatch",

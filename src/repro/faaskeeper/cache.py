@@ -21,7 +21,7 @@ Consistency is unchanged from the uncached read path:
   session's acked writes, so a hit can never be admitted — nor served —
   ahead of data the user store does not hold yet;
 * **Z4** — a cache hit replays the ordering stall
-  (:meth:`FaaSKeeperClient._stall_for_epoch`) against the cached image's
+  (:meth:`FaaSKeeperClient._gate`) against the cached image's
   epoch set, so a hit never returns data whose epoch carries one of this
   session's undelivered notifications;
 * **staleness** — a hit may serve an older image than the user store

@@ -1,33 +1,47 @@
 """FaaSKeeper client library (Section 3.5), modeled after kazoo's API.
 
-Reads go straight to the region-local user store; writes travel through the
-session's FIFO queue to the follower function.  Every write — single ops
-and ``multi()``/``transaction()`` batches alike — is a typed
-:class:`~repro.faaskeeper.model.Operation` envelope riding one generic
-submission pipeline.  The library recreates the
-ordering work a ZooKeeper server would do for the client:
+Reads go straight to the region-local user store; writes — each a typed
+:class:`~repro.faaskeeper.model.Operation` envelope, ``multi()`` batches
+included — and ``close()`` travel through the session's FIFO queue to the
+follower function.  The real client runs three background threads (send /
+receive / order); here every request, whatever its kind and whatever is
+deployed behind the queue, rides the same three-stage session pipeline:
 
-* **FIFO completion** — results are released in request order: a read
-  issued after a write never completes before it (the "lightweight queue on
-  the client");
+* **send** (:meth:`FaaSKeeperClient._send`) — queued requests enter the
+  session queue strictly in request order (Z2) and register their response
+  event the moment they are issued;
+* **receive** (:meth:`FaaSKeeperClient._deliver_response`,
+  :meth:`FaaSKeeperClient._deliver_watch`) — responses and watch
+  notifications land in whatever order the service produces them;
+* **order** (:meth:`FaaSKeeperClient._issue`) — results are released in
+  request order: the "lightweight queue on the client".
+
+Reads (:meth:`FaaSKeeperClient._read`) recreate the ordering work a
+ZooKeeper server would do for the session, by one rule each:
+
+* **the barrier (FIFO client order + read-your-writes)** — a read waits
+  for the responses of exactly the writes outstanding *when it was
+  issued*, each of them, in request order.  It never waits for a write
+  issued after it, and it never infers one write's response from
+  another's: the service may answer out of request order (a rejection
+  overtakes an earlier write's acknowledgement; a coalesced write's is
+  deferred behind the write that superseded it);
+* **visibility** — where an acknowledgement can precede replication, the
+  read also waits until its region's watermark covers the acked writes
+  issued before it;
 * **watch/data ordering (Z4)** — a read that returns a node whose epoch
   set contains one of *this session's* undelivered watch notifications is
-  stalled until that notification arrives;
-* **MRD tracking** — the most-recently-delivered txid gives the fast path:
-  nodes older than everything we have seen need no stall.
-
-The real client runs three background threads (send / receive / order); in
-the simulation those are the send process, the delivery callbacks, and the
-completion chain respectively.
+  stalled until that notification arrives; the most-recently-delivered
+  txid (MRD) gives the fast path: nodes older than everything we have
+  seen need no stall.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cloud.errors import NoSuchQueue
-from ..sim.kernel import AnyOf
 from .cache import ClientReadCache
 from .exceptions import (
     AccessDeniedError,
@@ -63,7 +77,7 @@ from .model import (
 )
 
 __all__ = ["FaaSKeeperClient", "FKFuture", "Transaction", "WriteResult",
-           "ClientEvent", "SessionRetry"]
+           "SessionRetry"]
 
 _ERROR_MAP = {
     "no_node": NoNodeError,
@@ -82,6 +96,30 @@ _ERROR_MAP = {
 
 def _error_for(code: str, context: str) -> FaaSKeeperError:
     return _ERROR_MAP.get(code, RequestFailedError)(f"{context}: {code}")
+
+
+# What each read facade hands back of the node image it fetched (None: no
+# such node).
+def _data_and_stat(path, image):
+    if image is None:
+        raise NoNodeError(path)
+    return image.get("data", b""), NodeStat.from_image(image)
+
+
+def _stat_or_none(path, image):
+    return None if image is None else NodeStat.from_image(image)
+
+
+def _children(path, image):
+    if image is None:
+        raise NoNodeError(path)
+    return sorted(image.get("children", []))
+
+
+def _acl(path, image):
+    if image is None:
+        raise NoNodeError(path)
+    return image.get("acl")
 
 
 class Transaction:
@@ -161,67 +199,6 @@ class FKFuture:
         """Drive the simulation until the result is available; returns it
         (or raises the operation's error)."""
         return self._client.cloud.env.run(until=self.event)
-
-
-class ClientEvent:
-    """``threading.Event`` lookalike whose ``wait()`` drives the simulation.
-
-    The real client library hands recipes a waitable object from its handler
-    (kazoo's ``client.handler.event_object()``); the simulation's analogue
-    pumps the virtual clock instead of blocking a thread.  ``wait()`` is the
-    synchronous form (runs the event loop until set or timed out);
-    ``co_wait()`` is the generator form for callers that are themselves
-    simulation processes (the recipe contention tests and benchmarks).
-    """
-
-    def __init__(self, client: "FaaSKeeperClient") -> None:
-        self._client = client
-        self._flag = False
-        self._waiters: List[Any] = []
-
-    def is_set(self) -> bool:
-        return self._flag
-
-    def set(self) -> None:
-        self._flag = True
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(None)
-
-    def clear(self) -> None:
-        self._flag = False
-
-    def _arm(self):
-        event = self._client.env.event()
-        event.defused()
-        self._waiters.append(event)
-        return event
-
-    def wait(self, timeout_ms: Optional[float] = None) -> bool:
-        """Run the simulation until the event is set (True) or the timeout
-        elapses (False)."""
-        if self._flag:
-            return True
-        env = self._client.env
-        event = self._arm()
-        if timeout_ms is None:
-            env.run(until=event)
-        else:
-            env.run(until=AnyOf(env, [event, env.timeout(timeout_ms)]))
-        return self._flag
-
-    def co_wait(self, timeout_ms: Optional[float] = None) -> Generator:
-        """Generator form of :meth:`wait` for simulation-process callers."""
-        if self._flag:
-            return True
-        env = self._client.env
-        event = self._arm()
-        if timeout_ms is None:
-            yield event
-        else:
-            yield AnyOf(env, [event, env.timeout(timeout_ms)])
-        return self._flag
 
 
 class SessionRetry:
@@ -304,7 +281,6 @@ class FaaSKeeperClient:
         self._rid = 0
         self._chain = None                          # completion-order tail
         self._send_tail = None                      # submission-order tail
-        self._write_tail = None                     # last write's response
         config = service.config
         self._cache: Optional[ClientReadCache] = (
             ClientReadCache(config.client_cache_entries,
@@ -320,7 +296,9 @@ class FaaSKeeperClient:
 
     # Everything below is allocated by the session's first *use* of it: a
     # session that only answers heartbeats owns none of these containers.
-    _pending = cached_property(lambda self: {})     # rid -> internal Event
+    #: rid -> response Event of every queued request still unanswered, in
+    #: request order: what a read issued now has to wait for.
+    _pending = cached_property(lambda self: {})
     _registered = cached_property(lambda self: {})  # watch id -> callbacks
     _delivered = cached_property(lambda self: set())
     _wait_events = cached_property(lambda self: {})  # watch id -> stall Event
@@ -329,7 +307,7 @@ class FaaSKeeperClient:
     #: Watch delivery log (tests).
     watch_events = cached_property(lambda self: [])
     #: rid -> txid of acked writes not yet replicated into this client's
-    #: region (distributor deployments only): the read barrier waits on the
+    #: region (only where acks precede replication): reads wait on the
     #: region's visibility watermark for them.
     _await_visible = cached_property(lambda self: {})
     #: Default retry policy recipes use for transient failures.
@@ -466,47 +444,79 @@ class FaaSKeeperClient:
             if callback is not None:
                 callback(event)
 
-    def _chained(self, generator) -> FKFuture:
-        """Run ``generator``; release its result after all earlier results
-        (the client-side FIFO completion queue)."""
-        future = FKFuture(self)
-        prev = self._chain
-        self._chain = future.event
-
-        def runner():
-            error: Optional[BaseException] = None
-            value: Any = None
-            try:
-                value = yield from generator
-            except BaseException as exc:
-                error = exc
-            if prev is not None and not prev.processed:
-                try:
-                    yield prev
-                except BaseException:
-                    pass  # predecessor's failure belongs to its caller
-            if error is not None:
-                future.event.fail(error)
-            else:
-                future.event.succeed(value)
-
-        self.env.process(runner(), name=self._process_name)
-        return future
-
     def _check_open(self) -> None:
         if self.closed:
             raise SessionClosedError(self.session_id)
 
-    # ------------------------------------------------------------ write ops
-    def _prepare_write(self, request: Request):
-        """Register the response event eagerly, so a read issued right after
-        this write can wait for it (session read-your-writes)."""
-        internal = self.env.event()
-        internal.defused()
-        self._pending[request.rid] = internal
-        self._write_tail = internal
-        return internal
+    # ------------------------------------------------------------ order
+    def _issue(self, operation: Generator) -> FKFuture:
+        """Start ``operation`` as this session's next request; its result is
+        released after those of all earlier requests (the client-side FIFO
+        completion queue)."""
+        future = FKFuture(self)
+        prev, self._chain = self._chain, future.event
+        self.env.process(self._ordered(operation, prev, future.event),
+                         name=self._process_name)
+        return future
 
+    def _ordered(self, operation: Generator, prev, done) -> Generator:
+        error: Optional[Exception] = None
+        value: Any = None
+        try:
+            value = yield from operation
+        except Exception as exc:
+            error = exc
+        if prev is not None and not prev.processed:
+            try:
+                yield prev
+            except Exception:
+                pass  # predecessor's failure belongs to its caller
+        if error is not None:
+            done.fail(error)
+        else:
+            done.succeed(value)
+
+    # ------------------------------------------------------------ send
+    def _send(self, request: Request,
+              finish: Callable[[Response], Any]) -> FKFuture:
+        """The one send core every queued request rides — write envelopes
+        and ``close_session`` alike; ``finish`` maps the service's response
+        to the caller's result (or raises its error).
+
+        The response event is registered here, at issue time: it is what a
+        later read's barrier waits on (session read-your-writes).
+        """
+        response = self.env.event()
+        response.defused()
+        self._pending[request.rid] = response
+        sent = self.env.event()
+        sent.defused()
+        prev_sent, self._send_tail = self._send_tail, sent
+        return self._issue(
+            self._round_trip(request, response, prev_sent, sent, finish))
+
+    def _round_trip(self, request: Request, response, prev_sent, sent,
+                    finish: Callable[[Response], Any]) -> Generator:
+        # The client's single send thread (Section 3.5): submissions of one
+        # session enter the queue strictly in request order (Z2), while later
+        # pipeline stages still overlap.
+        if prev_sent is not None and not prev_sent.processed:
+            yield prev_sent
+        try:
+            yield from self.queue.send(self.ctx, request.to_body(),
+                                       group=self.session_id,
+                                       size_kb=request.size_kb)
+        except NoSuchQueue:
+            # The session was closed under this request: it fails like one
+            # submitted after the close.
+            self._deliver_response(Response(
+                session=self.session_id, rid=request.rid, ok=False,
+                error="session_closed"))
+        finally:
+            sent.succeed(None)
+        return finish((yield response))
+
+    # ------------------------------------------------------------ write ops
     def _multi_failure(self, request: Request,
                        response: Response) -> TransactionFailedError:
         """Map a failed write response to per-op typed errors: the culprit's
@@ -521,46 +531,6 @@ class FaaSKeeperClient:
         return TransactionFailedError(
             f"multi of {len(request.ops)} ops: {response.error}",
             results=results)
-
-    def _write_flow(self, request: Request, internal=None) -> Generator:
-        """The one submission pipeline every envelope rides; returns the
-        service's response, failed or not."""
-        if internal is None:
-            internal = self._prepare_write(request)
-        body = request.to_body()
-        if self.service.config.leader_shards > 1:
-            # Route annotation for the sharded pipeline: the client library
-            # owns the partition map (hash of the top-level component) and
-            # stamps each write with its target shard.  The follower routes
-            # by the shard it recomputes from the final path and counts
-            # disagreeing hints (``service.shard_hint_mismatches``) — e.g.
-            # a stale client map, or a sequence suffix remapping a
-            # top-level create.  The stamp is the coordinator shard:
-            # the lowest shard id among the written paths.
-            body["shard_hint"] = self.service.multi_shard_of(
-                request.write_paths())
-        # The client's single send thread (Section 3.5): submissions of one
-        # session enter the queue strictly in request order (Z2), while later
-        # pipeline stages still overlap.
-        prev_send = self._send_tail
-        sent = self.env.event()
-        sent.defused()
-        self._send_tail = sent
-        if prev_send is not None and not prev_send.processed:
-            yield prev_send
-        try:
-            yield from self.queue.send(self.ctx, body, group=self.session_id,
-                                       size_kb=request.size_kb)
-        except NoSuchQueue:
-            # The session was closed under this request: it fails like one
-            # submitted after the close.
-            self._deliver_response(Response(
-                session=self.session_id, rid=request.rid, ok=False,
-                error="session_closed"))
-        finally:
-            if not sent.triggered:
-                sent.succeed(None)
-        return (yield internal)
 
     def _invalidate_written(self, op_name: str, path: str) -> None:
         """Read-your-writes through the cache: the instant this session's
@@ -577,8 +547,8 @@ class FaaSKeeperClient:
                 self._cache.invalidate_path(parent)
 
     def _submit(self, ops: List[Operation], unwrap: bool) -> FKFuture:
-        """The one submission core: validate, wrap in an envelope, ride the
-        pipeline, map the typed per-op results.
+        """The one submission core: validate, wrap in an envelope, send,
+        map the typed per-op results.
 
         ``unwrap`` is the only trace of which facade was called: the
         per-method APIs submit one member and hand back its bare typed
@@ -589,20 +559,18 @@ class FaaSKeeperClient:
         for op in ops:
             op.validate()
         req = Request.from_operations(self.session_id, self._next_rid(), ops)
-        internal = self._prepare_write(req)
+        return self._send(req, partial(self._written, req, ops, unwrap))
 
-        def flow():
-            response = yield from self._write_flow(req, internal)
-            if not response.ok:
-                failure = self._multi_failure(req, response)
-                raise failure.results[0] if unwrap else failure
-            for res in response.results:
-                self._invalidate_written(res["op"], res["path"])
-            results = [op.result_from_multi(res)
-                       for op, res in zip(ops, response.results)]
-            return results[0] if unwrap else results
-
-        return self._chained(flow())
+    def _written(self, request: Request, ops: List[Operation], unwrap: bool,
+                 response: Response) -> Any:
+        if not response.ok:
+            failure = self._multi_failure(request, response)
+            raise failure.results[0] if unwrap else failure
+        for res in response.results:
+            self._invalidate_written(res["op"], res["path"])
+        results = [op.result_from_multi(res)
+                   for op, res in zip(ops, response.results)]
+        return results[0] if unwrap else results
 
     def create_async(self, path: str, data: bytes = b"",
                      ephemeral: bool = False, sequence: bool = False,
@@ -617,6 +585,16 @@ class FaaSKeeperClient:
 
     def delete_async(self, path: str, version: int = -1) -> FKFuture:
         return self._submit([DeleteOp(path, version)], unwrap=True)
+
+    def close_async(self) -> FKFuture:
+        self._check_open()
+        request = Request(self.session_id, self._next_rid(), "close_session")
+        return self._send(request, self._closed)
+
+    def _closed(self, response: Response) -> None:
+        if not response.ok:
+            raise _error_for(response.error, "close_session")
+        self._mark_closed()
 
     # ------------------------------------------------------------ multi
     def multi_async(self, ops: Iterable[Operation]) -> FKFuture:
@@ -665,119 +643,16 @@ class FaaSKeeperClient:
             return wid
         return (yield from self._register_watch(path, wtype, None))
 
-    def _stall_for_epoch(self, image: Dict[str, Any]) -> Generator:
-        """Z4: hold the read until this session's pending notifications for
-        the node's epoch have been delivered."""
-        if image.get("modified_tx", 0) < self.mrd:
-            # MRD fast path: strictly older than everything delivered.
-            return None
-        for wid in image.get("epoch", []):
-            if wid in self._registered and wid not in self._delivered:
-                waiter = self._wait_events.get(wid)
-                if waiter is None:
-                    waiter = self.env.event()
-                    waiter.defused()
-                    self._wait_events[wid] = waiter
-                if not waiter.processed:
-                    yield waiter
-        return None
-
-    def _write_barrier(self):
-        """Events of the writes this client must see before a read starts.
-
-        Single leader: responses arrive in request order, so the last
-        prepared write's event covers all earlier ones.  Sharded pipeline:
-        a coalesced write's response is deferred until its superseding
-        write lands, which can reorder deliveries — the read then waits for
-        *every* outstanding write issued before it, so an acknowledged-but-
-        superseded write is never read stale.  Distributor deployments wait
-        for every outstanding write too (acknowledgements may land out of
-        request order under ``ack_policy="on_replicate"``), and
-        :meth:`_await_visibility` additionally holds the read until the
-        region's ``replicated_tx`` watermark covers the acked writes.
-        """
-        if self.service.config.leader_shards > 1 \
-                or self.service.distribution is not None:
-            return [self._pending[rid] for rid in sorted(self._pending)]
-        return [self._write_tail] if self._write_tail is not None else []
-
-    def _read_image(self, path: str, barrier=None,
-                    cache_wtype: Optional[WatchType] = None,
-                    require_wid: Optional[str] = None,
-                    rid_cut: Optional[int] = None) -> Generator:
-        # Session FIFO processing (ZooKeeper read-your-writes): the fetch
-        # starts only after the responses of all earlier writes arrived, so
-        # a read following a write observes it.  Writes themselves pipeline.
-        for pending_write in (barrier if barrier is not None
-                              else self._write_barrier()):
-            if pending_write is not None and not pending_write.processed:
-                try:
-                    yield pending_write
-                except Exception:
-                    pass  # a failed write belongs to its own caller
-        # Distributor deployments: acked ≠ readable — additionally wait for
-        # the region's visibility watermark (before consulting the cache,
-        # so hits observe the same barrier as storage reads).
-        yield from self._await_visibility(
-            self._rid if rid_cut is None else rid_cut)
-        if cache_wtype is not None and self._cache is not None:
-            cached = self._cache.lookup(path, cache_wtype,
-                                        require_watch_id=require_wid)
-            if cached is not None:
-                # A hit replays the uncached gates against the cached image:
-                # ACL, then the Z4 epoch stall — only the storage round trip
-                # is saved.
-                if not acl_allows(cached.get("acl"), "read", self.session_id):
-                    raise AccessDeniedError(path)
-                yield from self._stall_for_epoch(cached)
-                data_kb = len(cached.get("data", b"") or b"") / 1024.0
-                yield self.env.timeout(0.05 + 0.002 * data_kb)
-                return cached
-        cache_wid: Optional[str] = None
-        if cache_wtype is not None and self._cache is not None:
-            # Register the guarding watch BEFORE the read: any write that
-            # commits after this point fires it, so an entry can never be
-            # installed without a live invalidation channel.
-            cache_wid = yield from self._register_cache_watch(path, cache_wtype)
-        image = yield from self.service.user_store.read_node(
-            self.ctx, self.region, path)
-        if image is None or image.get("deleted"):
-            return None
-        # Read permissions are enforced at the storage boundary (the paper:
-        # "read permissions can be enforced with cloud storage ACLs").
-        if not acl_allows(image.get("acl"), "read", self.session_id):
-            raise AccessDeniedError(path)
-        yield from self._stall_for_epoch(image)
-        # Client-library overhead: result sorting, watch bookkeeping and
-        # deserialization add ~2% (Section 5.3.1).
-        data_kb = len(image.get("data", b"") or b"") / 1024.0
-        yield self.env.timeout(0.05 + 0.002 * data_kb)
-        if cache_wid is not None and cache_wid not in self._delivered:
-            # The watch may have fired while the read was in flight (a
-            # fan-out race): an already-consumed guard must not admit the
-            # entry, or it would never be invalidated.
-            self._cache.admit(path, cache_wtype, image, cache_wid)
-        return image
-
-    def _read_barrier(self) -> Optional[List]:
-        """Snapshot the write barrier at read-issue time for the sharded
-        and distributor pipelines (a read must not wait for writes issued
-        after it); the single-leader path keeps its execution-time tail
-        capture."""
-        if self.service.config.leader_shards > 1 \
-                or self.service.distribution is not None:
-            return self._write_barrier()
-        return None
-
     def _await_visibility(self, rid_cut: int) -> Generator:
-        """Distributor deployments: hold the read until this session's
-        acked writes (issued before the read — ``rid_cut``) are covered by
-        the ``replicated_tx`` visibility watermark of the region the read
-        is served from.  The write barrier already waited for the
-        responses, so every relevant write has an entry here."""
+        """Hold the read until this session's acked writes (issued before
+        the read — ``rid_cut``) are covered by the ``replicated_tx``
+        visibility watermark of the region the read is served from.  Only
+        deployments that acknowledge before replicating keep such a
+        watermark; the barrier already waited for the responses, so every
+        relevant write has an entry here."""
         board = self.service.visibility_board
         if board is None or not self._await_visible:
-            return None
+            return
         # Snapshot the items: response deliveries rebuild the dict while
         # this generator is suspended in board.wait.
         for rid, txid in sorted(self._await_visible.items()):
@@ -787,78 +662,115 @@ class FaaSKeeperClient:
         self._await_visible = {
             rid: txid for rid, txid in self._await_visible.items()
             if not board.visible(self.region, txid)}
-        return None
+
+    def _gate(self, path: str, image: Dict[str, Any]) -> Generator:
+        """What every read pays once it holds an image, cached or fetched:
+        only the storage round trip separates a hit from a miss."""
+        # Read permissions are enforced at the storage boundary (the paper:
+        # "read permissions can be enforced with cloud storage ACLs").
+        if not acl_allows(image.get("acl"), "read", self.session_id):
+            raise AccessDeniedError(path)
+        # Z4: hold the read until this session's pending notifications for
+        # the node's epoch have been delivered.  MRD fast path: an image
+        # strictly older than everything delivered needs no stall.
+        if image.get("modified_tx", 0) >= self.mrd:
+            for wid in image.get("epoch", []):
+                if wid in self._registered and wid not in self._delivered:
+                    waiter = self._wait_events.get(wid)
+                    if waiter is None:
+                        waiter = self.env.event()
+                        waiter.defused()
+                        self._wait_events[wid] = waiter
+                    if not waiter.processed:
+                        yield waiter
+        # Client-library overhead: result sorting, watch bookkeeping and
+        # deserialization add ~2% (Section 5.3.1).
+        data_kb = len(image.get("data", b"") or b"") / 1024.0
+        yield self.env.timeout(0.05 + 0.002 * data_kb)
+
+    def _read(self, path: str, barrier: List, rid_cut: int,
+              project: Callable[[str, Optional[Dict[str, Any]]], Any],
+              watch: Optional[Callable], wtype: Optional[WatchType],
+              cache_wtype: Optional[WatchType]) -> Generator:
+        """The one read core: arm the watch, pass the barrier, take the
+        node image from the cache or the user store, ``project`` it."""
+        wid: Optional[str] = None
+        if watch is not None:
+            wid = yield from self._register_watch(path, wtype, watch)
+        # Session FIFO processing (ZooKeeper read-your-writes): the fetch
+        # starts only after the response of every write that was outstanding
+        # when this read was issued — each of them, since the service may
+        # answer out of request order.  Writes themselves pipeline.
+        for response in barrier:
+            if not response.processed:
+                yield response
+        # Acked ≠ readable where acks precede replication: wait for the
+        # region's visibility watermark too (before consulting the cache,
+        # so hits observe the same barrier as storage reads).
+        yield from self._await_visibility(rid_cut)
+        cache = self._cache if cache_wtype is not None else None
+        if cache is not None:
+            image = cache.lookup(path, cache_wtype, require_watch_id=wid)
+            if image is not None:
+                yield from self._gate(path, image)
+                return project(path, image)
+            # Register the guarding watch (the caller's own, if it armed
+            # one that still stands) BEFORE the read: any write that commits
+            # after this point fires it, so an entry can never be installed
+            # without a live invalidation channel.
+            wid = yield from self._register_cache_watch(path, cache_wtype)
+        image = yield from self.service.user_store.read_node(
+            self.ctx, self.region, path)
+        if image is None or image.get("deleted"):
+            return project(path, None)
+        yield from self._gate(path, image)
+        if cache is not None and wid not in self._delivered:
+            # The watch may have fired while the read was in flight (a
+            # fan-out race): an already-consumed guard must not admit the
+            # entry, or it would never be invalidated.
+            cache.admit(path, cache_wtype, image, wid)
+        return project(path, image)
+
+    def _read_async(self, path: str, watch: Optional[Callable],
+                    project: Callable, wtype: Optional[WatchType],
+                    cache_wtype: Optional[WatchType]) -> FKFuture:
+        """Issue a read: ``wtype`` is the watch ``watch`` arms,
+        ``cache_wtype`` the cache entry (and its guard) the image shares."""
+        self._check_open()
+        validate_path(path)
+        if watch is not None and wtype is not cache_wtype:
+            # A caller arming a fresh watch must not be handed an image
+            # older than the change that consumed the previous instance.
+            # ``require_watch_id`` enforces that when the armed watch *is*
+            # the entry's guard; an instance id of another type (exists()
+            # arms EXISTS over the DATA entry) is incomparable with it, so
+            # that read goes to storage.
+            cache_wtype = None
+        # The barrier: the writes outstanding right now, in request order —
+        # never a write issued after this read.
+        return self._issue(self._read(
+            path, list(self._pending.values()), self._rid, project, watch,
+            wtype, cache_wtype))
 
     def get_data_async(self, path: str,
                        watch: Optional[Callable] = None) -> FKFuture:
-        self._check_open()
-        validate_path(path)
-        barrier = self._read_barrier()
-        rid_cut = self._rid
-
-        def flow():
-            wid = None
-            if watch is not None:
-                wid = yield from self._register_watch(path, WatchType.DATA,
-                                                      watch)
-            image = yield from self._read_image(path, barrier,
-                                                cache_wtype=WatchType.DATA,
-                                                require_wid=wid,
-                                                rid_cut=rid_cut)
-            if image is None:
-                raise NoNodeError(path)
-            return image.get("data", b""), NodeStat.from_image(image)
-
-        return self._chained(flow())
+        return self._read_async(path, watch, _data_and_stat,
+                                WatchType.DATA, WatchType.DATA)
 
     def exists_async(self, path: str,
                      watch: Optional[Callable] = None) -> FKFuture:
-        self._check_open()
-        validate_path(path)
-        barrier = self._read_barrier()
-        rid_cut = self._rid
         # An exists() is a stat of the same node image get_data fetches, so
-        # it shares the (path, DATA) cache entry and its DATA-watch guard —
-        # a hit saves the user-store round trip, a miss admits an entry
-        # later get_data calls hit.  Only the watch-less form is cacheable:
-        # a caller arming a fresh EXISTS watch must not be handed an image
-        # older than the change that consumed the previous instance (the
-        # same rule require_watch_id enforces for get_data, but the EXISTS
-        # instance id is incomparable with the entry's DATA guard).
-        cache_wtype = WatchType.DATA if watch is None else None
-
-        def flow():
-            if watch is not None:
-                yield from self._register_watch(path, WatchType.EXISTS, watch)
-            image = yield from self._read_image(path, barrier,
-                                                cache_wtype=cache_wtype,
-                                                rid_cut=rid_cut)
-            if image is None:
-                return None
-            return NodeStat.from_image(image)
-
-        return self._chained(flow())
+        # it shares the (path, DATA) cache entry and its DATA-watch guard.
+        return self._read_async(path, watch, _stat_or_none,
+                                WatchType.EXISTS, WatchType.DATA)
 
     def get_children_async(self, path: str,
                            watch: Optional[Callable] = None) -> FKFuture:
-        self._check_open()
-        validate_path(path)
-        barrier = self._read_barrier()
-        rid_cut = self._rid
+        return self._read_async(path, watch, _children,
+                                WatchType.CHILDREN, WatchType.CHILDREN)
 
-        def flow():
-            wid = None
-            if watch is not None:
-                wid = yield from self._register_watch(path, WatchType.CHILDREN,
-                                                      watch)
-            image = yield from self._read_image(
-                path, barrier, cache_wtype=WatchType.CHILDREN,
-                require_wid=wid, rid_cut=rid_cut)
-            if image is None:
-                raise NoNodeError(path)
-            return sorted(image.get("children", []))
-
-        return self._chained(flow())
+    def get_acl_async(self, path: str) -> FKFuture:
+        return self._read_async(path, None, _acl, None, None)
 
     # ------------------------------------------------------------ helpers
     def sleep(self, delay_ms: float) -> None:
@@ -867,38 +779,15 @@ class FaaSKeeperClient:
         go through here so runs stay deterministic)."""
         if delay_ms < 0:
             raise BadArgumentsError(f"negative delay {delay_ms!r}")
-        env = self.env
-        env.run(until=env.now + delay_ms)
-
-    def event_object(self) -> ClientEvent:
-        """A waitable event recipes block on (kazoo's
-        ``client.handler.event_object()``); see :class:`ClientEvent`."""
-        return ClientEvent(self)
-
-    def ensure_path(self, path: str, acl: Optional[dict] = None) -> bool:
-        """Recursively create ``path`` and any missing ancestors (kazoo's
-        ``ensure_path``).  Existing nodes are left untouched; concurrent
-        creators racing on a segment are absorbed (`NodeExistsError` means
-        someone else won, which is just as good).  Returns True."""
-        self._check_open()
-        validate_path(path)
-        if path == "/":
-            return True
-        prefix = ""
-        for segment in path[1:].split("/"):
-            prefix += "/" + segment
-            if self.exists(prefix) is not None:
-                continue
-            try:
-                self.create(prefix, b"", acl=acl)
-            except NodeExistsError:
-                pass
-        return True
+        self.env.run(until=self.env.now + delay_ms)
 
     def co_ensure_path(self, path: str,
                        acl: Optional[dict] = None) -> Generator:
-        """Generator form of :meth:`ensure_path` for simulation-process
-        callers (the recipe cores)."""
+        """Recursively create ``path`` and any missing ancestors (kazoo's
+        ``ensure_path``), as a generator for simulation-process callers
+        (the recipe cores).  Existing nodes are left untouched; concurrent
+        creators racing on a segment are absorbed (`NodeExistsError` means
+        someone else won, which is just as good).  Returns True."""
         self._check_open()
         validate_path(path)
         if path == "/":
@@ -915,20 +804,11 @@ class FaaSKeeperClient:
                 pass
         return True
 
-    # ------------------------------------------------------------ lifecycle
-    def close_async(self) -> FKFuture:
-        self._check_open()
-        req = Request(session=self.session_id, rid=self._next_rid(),
-                      op="close_session")
-
-        def flow():
-            response = yield from self._write_flow(req)
-            if not response.ok:
-                raise _error_for(response.error, "close_session")
-            self._mark_closed()
-            return None
-
-        return self._chained(flow())
+    def ensure_path(self, path: str, acl: Optional[dict] = None) -> bool:
+        """Synchronous form of :meth:`co_ensure_path`."""
+        env = self.env
+        return env.run(until=env.process(self.co_ensure_path(path, acl),
+                                         name=self._process_name))
 
     # ------------------------------------------------------------ sync API
     def create(self, path: str, data: bytes = b"", ephemeral: bool = False,
@@ -939,21 +819,6 @@ class FaaSKeeperClient:
         session ids, with ``"world"`` as the wildcard; None = open access.
         """
         return self.create_async(path, data, ephemeral, sequence, acl).wait()
-
-    def get_acl_async(self, path: str) -> FKFuture:
-        self._check_open()
-        validate_path(path)
-        barrier = self._read_barrier()
-        rid_cut = self._rid
-
-        def flow():
-            image = yield from self._read_image(path, barrier,
-                                                rid_cut=rid_cut)
-            if image is None:
-                raise NoNodeError(path)
-            return image.get("acl")
-
-        return self._chained(flow())
 
     def get_acl(self, path: str) -> Optional[dict]:
         """Read a node's ACL (None = open access)."""
@@ -986,7 +851,6 @@ class FaaSKeeperClient:
         """Close the session; ephemeral nodes are deleted by the system."""
         return self.close_async().wait()
 
-    # Context-manager convenience.
     def __enter__(self) -> "FaaSKeeperClient":
         return self
 

@@ -21,10 +21,6 @@ class UserStoreKind:
     REDIS = "redis"        # user-managed in-memory cache
     MEM = "mem"            # in-process reference backend (zero billing)
 
-    ALL = (S3, DYNAMODB, HYBRID, REDIS, MEM)
-    #: Alternate URI schemes resolving to a canonical kind.
-    ALIASES = {"dynamo": DYNAMODB}
-
 
 @dataclass
 class FaaSKeeperConfig:
@@ -32,13 +28,11 @@ class FaaSKeeperConfig:
     us-east-1, 2048 MB functions, S3 user store."""
 
     user_store: str = UserStoreKind.S3
-    hybrid_threshold_kb: float = 4.0      # Section 4.2: nodes <=4 kB go to KV
     function_memory_mb: int = 2048
     arch: str = "x86"                     # "x86" | "arm"
     cpu_alloc: float = 1.0                # GCP: vCPU fraction
     regions: List[str] = field(default_factory=lambda: ["us-east-1"])
     heartbeat_period_ms: float = 60_000.0  # highest AWS cron frequency (5.3.3)
-    gc_period_ms: float = 300_000.0        # garbage-collection sweep (extension)
     #: Session-plane shards: partitions the heartbeat/eviction sweep (each
     #: of N scheduled sweep functions scans one hash slice of the session
     #: table, ephemeral-first ordering preserved per shard) and the watch
@@ -75,13 +69,6 @@ class FaaSKeeperConfig:
     #: after commit verification, before distribution (requires the
     #: distributor; read-your-writes then rides the visibility watermark).
     ack_policy: str = "on_replicate"
-    #: Parallelize the leader's per-affected-path watch query/consume round
-    #: trips in step ➍ (node and parent are independent system-store
-    #: items).  None = auto: on for distributor deployments, off everywhere
-    #: else — including sharded ones — so every distributor-off
-    #: configuration (the PR1 pipeline among them) keeps its pre-existing
-    #: latency fingerprint bit-for-bit.
-    watch_parallel: Optional[bool] = None
     #: Durable commit log (the substrate of snapshots, compaction and
     #: cold-start recovery): when enabled the leader appends every committed
     #: transaction's replication writes to a txid-keyed system-store log —
@@ -148,16 +135,6 @@ class FaaSKeeperConfig:
     #: default — with no faults the wrapper adds no latency and draws no
     #: RNG, so default fingerprints stay bit-for-bit.
     storage_retry_enabled: bool = True
-    #: Maximum attempts per storage op (first try included).
-    storage_retry_attempts: int = 5
-    #: Base of the exponential backoff (ms): retry ``n`` waits about
-    #: ``base * 2**(n-1)``, jittered, capped at ``storage_retry_cap_ms``.
-    storage_retry_base_ms: float = 10.0
-    #: Ceiling of one backoff wait (ms).
-    storage_retry_cap_ms: float = 2_000.0
-    #: Jitter fraction: each wait is scaled by a uniform factor in
-    #: ``[1 - j/2, 1 + j/2]`` (0 = deterministic backoff).
-    storage_retry_jitter: float = 0.5
     #: Consecutive transient failures that trip a store/region's circuit
     #: breaker from CLOSED to OPEN (requests shed immediately).
     storage_breaker_threshold: int = 8
@@ -180,8 +157,6 @@ class FaaSKeeperConfig:
     storage_faults: Optional[bool] = None
     #: Per-operation fault probability when the schedule is armed.
     storage_fault_rate: float = 0.05
-    #: Virtual time an injected-timeout request hangs before dying (ms).
-    storage_fault_timeout_ms: float = 250.0
     #: TTL-native ephemeral cleanup: session records carry a conditional
     #: TTL refreshed by the heartbeat; a dead session's record *expires in
     #: the store* and the expiry stream record drives the eviction that
@@ -195,14 +170,11 @@ class FaaSKeeperConfig:
     ephemeral_ttl_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        scheme = str(self.user_store).split("://", 1)[0]
-        if scheme not in UserStoreKind.ALL and scheme not in UserStoreKind.ALIASES:
-            # Third-party backends register under the `faaskeeper.backends`
-            # entry-point group; consult the registry lazily (the import is
-            # deferred — userstore imports this module at load time).
-            from .userstore import is_registered_scheme
-            if not is_registered_scheme(scheme):
-                raise ValueError(f"unknown user store {self.user_store!r}")
+        # The backend registry is the one list of schemes (the import is
+        # deferred — userstore imports this module at load time).
+        from .userstore import BACKEND_REGISTRY
+        if str(self.user_store).split("://", 1)[0] not in BACKEND_REGISTRY:
+            raise ValueError(f"unknown user store {self.user_store!r}")
         if not self.regions:
             raise ValueError("need at least one region")
         if self.arch not in ("x86", "arm"):
@@ -266,16 +238,6 @@ class FaaSKeeperConfig:
                 f"got {self.outbox_retry_base_ms}")
         if self.outbox_enabled and not self.outbox_sinks:
             raise ValueError("outbox_enabled=True needs at least one sink")
-        if self.storage_retry_attempts < 1:
-            raise ValueError(
-                f"storage_retry_attempts must be >= 1, "
-                f"got {self.storage_retry_attempts}")
-        if self.storage_retry_base_ms < 0 or self.storage_retry_cap_ms < 0:
-            raise ValueError("storage retry backoff times must be >= 0")
-        if not 0.0 <= self.storage_retry_jitter <= 1.0:
-            raise ValueError(
-                f"storage_retry_jitter must be in [0, 1], "
-                f"got {self.storage_retry_jitter}")
         if self.storage_breaker_threshold < 1:
             raise ValueError(
                 f"storage_breaker_threshold must be >= 1, "
@@ -296,10 +258,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "
                 f"got {self.storage_fault_rate}")
-        if self.storage_fault_timeout_ms < 0:
-            raise ValueError(
-                f"storage_fault_timeout_ms must be >= 0, "
-                f"got {self.storage_fault_timeout_ms}")
         if self.ephemeral_ttl_ms < 0:
             raise ValueError(
                 f"ephemeral_ttl_ms must be >= 0, got {self.ephemeral_ttl_ms}")
@@ -313,12 +271,6 @@ class FaaSKeeperConfig:
         if self.leader_coalesce is None:
             return self.leader_shards > 1
         return self.leader_coalesce
-
-    @property
-    def watch_parallel_enabled(self) -> bool:
-        if self.watch_parallel is None:
-            return self.distributor_enabled
-        return self.watch_parallel
 
     @property
     def primary_region(self) -> str:

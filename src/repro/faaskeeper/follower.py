@@ -394,11 +394,6 @@ class FollowerLogic:
             # leaders use them to keep cross-shard writes in session order.
             leader_msg["fence"] = board.issue(req.session)
             leader_msg["shard"] = shard
-            if req.shard_hint is not None and req.shard_hint != shard:
-                # Routing always uses the shard recomputed from the final
-                # paths; a disagreeing client hint means a stale partition
-                # map (or a sequence suffix remapping a top-level create).
-                self.service.record_shard_hint_mismatch()
         txid = yield from self.service.leader_queues[shard].send(
             fctx.ctx, leader_msg, group="updates", size_kb=req.size_kb)
         fctx.record("push", env.now - t0)

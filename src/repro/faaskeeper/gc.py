@@ -27,8 +27,10 @@ from ..cloud.expressions import Attr
 from .follower import LOCK_MAX_HOLD_MS
 from .layout import SYSTEM_NODES, SYSTEM_SESSIONS
 
-__all__ = ["GarbageCollectorLogic"]
+__all__ = ["GarbageCollectorLogic", "GC_PERIOD_MS"]
 
+#: Period of the scheduled sweep (ms).
+GC_PERIOD_MS = 300_000.0
 #: A tombstone must be idle this long before collection (ms).
 TOMBSTONE_GRACE_MS = 60_000.0
 

@@ -453,28 +453,15 @@ class LeaderLogic:
                          op_pairs: Dict[str, List[Tuple[str, bool]]]
                          ) -> Generator:
         """Step ➍ prelude: query + consume the watches each touched path
-        triggers.  The paths are independent system-store items, so a
-        sharded (or distributor) deployment runs their round trips in
-        parallel; the paper configuration keeps them sequential so its
-        calibrated latency split stays intact."""
+        triggers, one path after the other (the paper's calibrated latency
+        split)."""
         env = fctx.env
         t0 = env.now
         triggered: List = []
-        if self.service.config.watch_parallel_enabled and len(op_pairs) > 1:
-            procs = [env.process(
-                self.service.watch_registry.query_consume_ops(
-                    fctx.ctx, path, pairs),
-                name=f"watch:{path}") for path, pairs in op_pairs.items()]
-            yield AllOf(env, procs)
-            for proc in procs:
-                triggered.extend(proc.value)
-        else:
-            for path, pairs in op_pairs.items():
-                witem = yield from self.service.watch_registry.query(
-                    fctx.ctx, path)
-                found = yield from self.service.watch_registry.consume_ops(
-                    fctx.ctx, path, pairs, witem)
-                triggered.extend(found)
+        for path, pairs in op_pairs.items():
+            found = yield from self.service.watch_registry.query_consume_ops(
+                fctx.ctx, path, pairs)
+            triggered.extend(found)
         fctx.record("watch_query", env.now - t0)
         return triggered
 

@@ -281,7 +281,6 @@ class Request:
     rid: int                      # per-session request id (dedup + ordering)
     op: str                       # write | close_session
     ops: List[dict] = field(default_factory=list)  # member operations
-    shard_hint: int | None = None  # client-computed coordinator shard
     #: close_session only: ephemeral paths to release when the session
     #: record no longer exists (native-TTL evictions delete it first).
     ephemerals: List[str] | None = None
@@ -297,10 +296,6 @@ class Request:
         """The queue-message dict."""
         return {"session": self.session, "rid": self.rid, "op": self.op,
                 "ops": self.ops}
-
-    def write_paths(self) -> List[str]:
-        """Paths this envelope writes (check ops guard, they don't write)."""
-        return [d["path"] for d in self.ops if d.get("op") != "check"]
 
     @property
     def size_kb(self) -> float:

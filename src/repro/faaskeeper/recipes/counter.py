@@ -3,7 +3,7 @@
 The value lives as a decimal string in the counter node's data; every
 change is a read followed by a ``set_data`` conditioned on the read's
 version (Z1 makes the conditional write the atomic arbiter), retried on
-:class:`BadVersionError` through the session's retry helper.  Lost
+:class:`BadVersionError` with a deterministic linear backoff.  Lost
 updates are impossible; contention costs retries, not correctness.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..client import SessionRetry
 from ..exceptions import (
     BadVersionError,
     NodeExistsError,
@@ -38,13 +37,6 @@ class Counter(Recipe):
         self.default = int(default)
         #: Value written by this session's last successful change.
         self.last_set = self.default
-        # BadVersionError: a lost compare-and-swap race.  NoNodeError: a
-        # sibling session's winning create is committed (our own create was
-        # rejected with node_exists) but not yet replicated into this
-        # region's user store — retrying the read resolves both.
-        self._retry = SessionRetry(
-            client, max_tries=30, delay_ms=10.0, max_delay_ms=500.0,
-            retry_exceptions=(BadVersionError, NoNodeError))
 
     @staticmethod
     def _decode(data: bytes, default: int) -> int:
@@ -103,36 +95,14 @@ class Counter(Recipe):
             f"all lost the race")
 
     # ------------------------------------------------------------ sync
-    def _ensure_node(self) -> None:
-        self._run(self.co_ensure_node())
-
     @property
     def value(self) -> int:
-        self._ensure_node()
-
-        def read():
-            data, _stat = self.client.get_data(self.path)
-            return self._decode(data, self.default)
-
-        return self._retry(read)
-
-    def _change(self, delta: int) -> int:
-        self._ensure_node()
-
-        def attempt():
-            data, stat = self.client.get_data(self.path)
-            new = self._decode(data, self.default) + delta
-            self.client.set_data(self.path, str(new).encode(),
-                                 version=stat.version)
-            return new
-
-        self.last_set = self._retry(attempt)
-        return self.last_set
+        return self._run(self.co_get())
 
     def __iadd__(self, delta: int) -> "Counter":
-        self._change(int(delta))
+        self._run(self.co_add(int(delta)))
         return self
 
     def __isub__(self, delta: int) -> "Counter":
-        self._change(-int(delta))
+        self._run(self.co_add(-int(delta)))
         return self

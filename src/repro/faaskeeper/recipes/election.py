@@ -117,10 +117,11 @@ class Election(Recipe):
 
     def lead(self, timeout_ms: Optional[float] = None) -> bool:
         """Block until this candidate leads (True) or the timeout passes."""
-        gained = self.client.event_object()
-        if self.volunteer(on_leadership=gained.set):
+        gained = self._event()
+        if self.volunteer(on_leadership=gained.succeed):
             return True
-        return gained.wait(timeout_ms)
+        deadline = None if timeout_ms is None else self.env.now + timeout_ms
+        return self._run(self._co_wait(gained, deadline))
 
     def contenders(self) -> List[str]:
         """Candidate identifiers in succession order (leader first)."""

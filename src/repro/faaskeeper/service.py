@@ -41,7 +41,7 @@ from .follower import (
     LOCK_MAX_HOLD_MS,
     FollowerLogic,
 )
-from .gc import GarbageCollectorLogic
+from .gc import GC_PERIOD_MS, GarbageCollectorLogic
 from .heartbeat import HeartbeatLogic
 from .layout import (
     SYSTEM_LOG,
@@ -147,12 +147,7 @@ class FaaSKeeperService:
 
         # --- system storage -------------------------------------------------
         self.system_store = cloud.kv("dynamodb:system", region=config.primary_region)
-        retry_policy = RetryPolicy(
-            enabled=config.storage_retry_enabled,
-            max_attempts=config.storage_retry_attempts,
-            base_ms=config.storage_retry_base_ms,
-            cap_ms=config.storage_retry_cap_ms,
-            jitter=config.storage_retry_jitter)
+        retry_policy = RetryPolicy(enabled=config.storage_retry_enabled)
         if config.storage_retry_enabled:
             # Every system-store round trip below goes through the retry/
             # breaker engine.  The jitter stream is created lazily on the
@@ -271,12 +266,6 @@ class FaaSKeeperService:
             queue.attach(fn, batch_limit=LEADER_BATCH)
             queue.on_drop = self._on_leader_drop
             self.leader_queues.append(queue)
-        #: Writes whose client-stamped shard hint disagreed with the shard
-        #: recomputed from the final path (stale client partition map, or a
-        #: sequence suffix remapping a top-level create).
-        self._shard_hint_mismatches = self.metrics.counter(
-            "fk_shard_hint_mismatches_total",
-            "Writes whose client shard hint disagreed with the final path")
 
         # --- distributor stage (None = the paper's inline pipeline) ----------
         self.distribution: Optional[DistributionStage] = (
@@ -322,7 +311,7 @@ class FaaSKeeperService:
             task.stop()  # scale-to-zero until a client connects
             self.heartbeat_tasks.append(task)
         self.gc_task = cloud.runtime.schedule(
-            self.gc_fn, period_ms=config.gc_period_ms)
+            self.gc_fn, period_ms=GC_PERIOD_MS)
         self.gc_task.stop()
 
         # --- sessions ----------------------------------------------------------
@@ -366,9 +355,7 @@ class FaaSKeeperService:
             label = getattr(point, "service_label", "kv")
             region = getattr(point, "region", "all")
             stream = self.cloud.rng.stream(f"storage-faults:{label}@{region}")
-            injector = FaultInjector(
-                self.cloud.env, stream, rate,
-                timeout_ms=self.config.storage_fault_timeout_ms)
+            injector = FaultInjector(self.cloud.env, stream, rate)
             point.faults = injector
             injectors.append(injector)
         self.storage_injectors = injectors
@@ -463,14 +450,6 @@ class FaaSKeeperService:
             client._deliver_response(Response(
                 session=body["session"], rid=body["rid"], ok=False,
                 error="system_failure"))
-
-    @property
-    def shard_hint_mismatches(self) -> int:
-        """Pre-metrics attribute API (read-only over the registry)."""
-        return int(self._shard_hint_mismatches.value)
-
-    def record_shard_hint_mismatch(self) -> None:
-        self._shard_hint_mismatches.inc()
 
     @property
     def visibility_board(self):

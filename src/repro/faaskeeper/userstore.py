@@ -50,8 +50,7 @@ from .layout import USER_BUCKET, USER_TABLE
 
 __all__ = ["UserStore", "make_user_store", "entry_size_kb",
            "CACHE_ENTRY_OVERHEAD_KB", "register_backend", "backend_for",
-           "registered_schemes", "parse_store_uri", "is_registered_scheme",
-           "load_entry_point_backends", "BACKEND_ENTRY_POINT_GROUP",
+           "registered_schemes", "parse_store_uri",
            "S3Backend", "DynamoBackend", "HybridBackend", "RedisBackend",
            "MemBackend"]
 
@@ -106,82 +105,10 @@ def registered_schemes() -> List[str]:
 def backend_for(scheme: str) -> Type["UserStore"]:
     cls = BACKEND_REGISTRY.get(scheme)
     if cls is None:
-        # Miss: a third-party backend may be waiting behind an entry point.
-        # Discovery is deliberately lazy — the built-in registry (and the
-        # conformance suite parameterized over it) is never perturbed at
-        # import time by whatever happens to be installed.
-        load_entry_point_backends()
-        cls = BACKEND_REGISTRY.get(scheme)
-    if cls is None:
         raise ValueError(
             f"unknown user store scheme {scheme!r} "
             f"(registered: {registered_schemes()})")
     return cls
-
-
-def is_registered_scheme(scheme: str) -> bool:
-    """True if ``scheme`` resolves to a backend, consulting the
-    ``faaskeeper.backends`` entry-point group on a registry miss."""
-    if scheme in BACKEND_REGISTRY:
-        return True
-    load_entry_point_backends()
-    return scheme in BACKEND_REGISTRY
-
-
-# --- entry-point discovery (third-party backends) --------------------------
-
-#: Installed distributions advertise extra backends under this group:
-#: ``[project.entry-points."faaskeeper.backends"] myscheme = "pkg.mod:Cls"``.
-BACKEND_ENTRY_POINT_GROUP = "faaskeeper.backends"
-
-#: One-shot latch: discovery runs at most once per process (reset by the
-#: test fixture that fakes entry points).
-_ENTRY_POINTS_LOADED = False
-
-
-def _iter_backend_entry_points() -> List[Any]:
-    """Entry points in :data:`BACKEND_ENTRY_POINT_GROUP`.
-
-    Isolated as a seam so tests can monkeypatch a fake entry point in
-    without installing a distribution.  Tolerates both the selectable
-    (3.10+) and the mapping (legacy) ``entry_points()`` APIs.
-    """
-    import importlib.metadata as importlib_metadata
-    try:
-        eps = importlib_metadata.entry_points()
-    except Exception:  # pragma: no cover - metadata backend misbehaving
-        return []
-    if hasattr(eps, "select"):
-        return list(eps.select(group=BACKEND_ENTRY_POINT_GROUP))
-    return list(eps.get(BACKEND_ENTRY_POINT_GROUP, []))  # pragma: no cover
-
-
-def load_entry_point_backends(force: bool = False) -> List[str]:
-    """Load and register third-party backends from entry points.
-
-    Each entry point's name is the URI scheme it registers under; the
-    target must resolve to a :class:`UserStore` subclass.  A class that
-    already self-registered during its module import (via the
-    :func:`register_backend` decorator) is left alone.  Returns the
-    schemes newly registered by this call.
-    """
-    global _ENTRY_POINTS_LOADED
-    if _ENTRY_POINTS_LOADED and not force:
-        return []
-    _ENTRY_POINTS_LOADED = True
-    loaded: List[str] = []
-    for ep in _iter_backend_entry_points():
-        if ep.name in BACKEND_REGISTRY:
-            continue
-        cls = ep.load()
-        if not (isinstance(cls, type) and issubclass(cls, UserStore)):
-            raise TypeError(
-                f"entry point {ep.name!r} in {BACKEND_ENTRY_POINT_GROUP!r} "
-                f"must resolve to a UserStore subclass, got {cls!r}")
-        if ep.name not in BACKEND_REGISTRY:  # load() may self-register
-            register_backend(ep.name)(cls)
-        loaded.append(ep.name)
-    return loaded
 
 
 def parse_store_uri(uri: str) -> Tuple[str, Dict[str, str]]:
@@ -396,8 +323,11 @@ class HybridBackend(UserStore):
     kind = UserStoreKind.HYBRID
     supports_ttl = True
 
+    #: Section 4.2: nodes up to 4 kB go to the key-value store.
+    THRESHOLD_KB = 4.0
+
     def __init__(self, cloud: Cloud, regions: List[str],
-                 threshold_kb: float = 4.0) -> None:
+                 threshold_kb: float = THRESHOLD_KB) -> None:
         super().__init__(cloud, regions)
         self.threshold_kb = threshold_kb
         for region in regions:
@@ -409,8 +339,8 @@ class HybridBackend(UserStore):
         extra = set(params) - {"threshold_kb"}
         if extra:
             raise ValueError(f"hybrid:// unknown parameters {sorted(extra)}")
-        threshold = float(params.get("threshold_kb", config.hybrid_threshold_kb))
-        return cls(cloud, config.regions, threshold_kb=threshold)
+        return cls(cloud, config.regions,
+                   float(params.get("threshold_kb", cls.THRESHOLD_KB)))
 
     def write_node(self, ctx, region, path, image):
         kv = self.cloud.kv("dynamodb:user", region=region)

@@ -213,8 +213,8 @@ class WatchRegistry:
     def query_consume_ops(self, ctx: OpContext, path: str,
                           op_pairs: List[Tuple[str, bool]],
                           ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Fused query + consume for one path (the leader's parallel step ➍
-        and the distributor's watch stage run one of these per path)."""
+        """Fused query + consume for one path (the leader's step ➍ and the
+        distributor's watch stage run one of these per path)."""
         witem = yield from self.query(ctx, path)
         return (yield from self.consume_ops(ctx, path, op_pairs, witem))
 

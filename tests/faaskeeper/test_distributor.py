@@ -239,47 +239,6 @@ def test_client_cache_respects_watermark():
     assert client._cache.hits >= 1
 
 
-# ---------------------------------------------------------------- watch knob
-def test_watch_parallel_auto_resolution():
-    assert not FaaSKeeperConfig().watch_parallel_enabled
-    # Sharded distributor-off deployments keep the PR1 fingerprint: auto
-    # turns the parallel step ➍ on only where the leader no longer runs
-    # it inline anyway (distributor deployments) — elsewhere it is opt-in.
-    assert not FaaSKeeperConfig(leader_shards=4).watch_parallel_enabled
-    assert FaaSKeeperConfig(distributor_enabled=True).watch_parallel_enabled
-    assert FaaSKeeperConfig(watch_parallel=True).watch_parallel_enabled
-    assert not FaaSKeeperConfig(distributor_enabled=True,
-                                watch_parallel=False).watch_parallel_enabled
-
-
-def test_watch_parallel_leader_preserves_semantics_and_is_faster():
-    """Opt-in parallel step ➍ in the inline leader: node + parent watch
-    round trips overlap for create/delete, with identical watch and data
-    semantics."""
-    def run(parallel):
-        cloud, service = make_service(watch_parallel=parallel)
-        client = service.connect()
-        watcher = service.connect()
-        client.create("/wp", b"")
-        data_events, child_events = [], []
-        watcher.get_data("/wp", watch=data_events.append)
-        watcher.get_children("/wp", watch=child_events.append)
-        t0 = cloud.now
-        client.create("/wp/kid", b"")     # parent children-watch fires
-        create_ms = cloud.now - t0
-        client.set_data("/wp", b"x")      # node data-watch fires
-        settle(cloud)
-        return data_events, child_events, create_ms
-
-    seq = run(False)
-    par = run(True)
-    for events_seq, events_par in zip(seq[:2], par[:2]):
-        assert len(events_seq) == len(events_par) == 1
-        assert events_seq[0].type == events_par[0].type
-        assert events_seq[0].path == events_par[0].path
-    assert par[2] < seq[2]  # overlapped node+parent watch round trips
-
-
 # ---------------------------------------------------------------- accounting
 def test_invocation_accounting_splits_out_the_distributor():
     cloud, service = make_distributed()

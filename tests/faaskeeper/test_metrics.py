@@ -166,7 +166,7 @@ def test_metrics_snapshot_covers_every_stage():
                  "fk_snapshots_taken_total", "fk_outbox_appended_total",
                  "fk_outbox_drains_total", "fk_distributor_batches_total",
                  "fk_watch_fanouts_total", "fk_heartbeat_sweeps_total",
-                 "fk_gc_collected_total", "fk_shard_hint_mismatches_total"):
+                 "fk_gc_collected_total"):
         assert name in snap, name
     assert json.loads(json.dumps(snap)) == snap
     # the per-stage timing histogram actually saw the pipeline run

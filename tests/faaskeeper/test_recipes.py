@@ -267,6 +267,27 @@ def test_counter_concurrent_increments_lose_nothing(deployment):
     assert reader.value == workers * increments   # no lost update
 
 
+def test_counter_sync_facade_contends_with_coroutine_writers(deployment):
+    """``counter += 1`` is the coroutine CAS loop run to completion: it
+    loses nothing against a concurrent ``co_add`` writer."""
+    cloud, service = deployment
+    rounds = 3
+
+    def rival():
+        counter = recipes.Counter(service.connect(), "/stats/mixed")
+        for _ in range(rounds):
+            yield from counter.co_add(1)
+
+    proc = cloud.env.process(rival())
+    counter = recipes.Counter(service.connect(), "/stats/mixed")
+    for _ in range(rounds):
+        counter += 1
+    run_all(cloud, [proc])
+    cloud.run(until=cloud.now + 30_000)
+    assert counter.value == 2 * rounds
+    assert counter.last_set <= 2 * rounds
+
+
 # ---------------------------------------------------------------- Queue
 def test_queue_claims_each_entry_exactly_once(deployment):
     cloud, service = deployment
@@ -355,6 +376,25 @@ def test_election_succession_is_herd_free(deployment):
     cloud.run(until=cloud.now + 10_000)
     assert leadership == ["n0", "n1", "n2"]
     assert elections[2].is_leader
+
+
+def test_election_lead_blocks_until_leadership_or_timeout():
+    cloud, service = make_service(seed=2024)
+    first = recipes.Election(service.connect(), "/election", "n0")
+    second = recipes.Election(service.connect(), "/election", "n1")
+    assert first.lead() is True                   # no rival: leads at once
+    t0 = cloud.now
+    assert second.lead(timeout_ms=500.0) is False
+    assert cloud.now - t0 >= 500.0 and not second.is_leader
+    # The leader resigns half a second into the successor's wait.
+    timer = cloud.env.timeout(500.0)
+    timer.callbacks.append(lambda _ev: cloud.env.process(_resign(first)))
+    assert second.lead(timeout_ms=60_000.0) is True
+    assert second.is_leader and cloud.now - t0 < 60_000.0
+
+
+def _resign(election):
+    yield election.client.delete_async(election.node).event
 
 
 # ---------------------------------------------------------------- cache interop

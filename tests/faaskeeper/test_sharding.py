@@ -197,8 +197,6 @@ def test_per_session_order_across_shards():
     assert len(shards_used) == 2
     assert c.get_data(f"/{a}/x")[0] == b"v8"
     assert c.get_data(f"/{b}/x")[0] == b"v9"
-    # every client-stamped shard hint agreed with the follower's routing
-    assert service.shard_hint_mismatches == 0
 
 
 def test_per_session_completion_order_with_coalescing():

@@ -73,8 +73,8 @@ def test_unknown_uri_params_are_rejected():
 
 
 def test_hybrid_uri_threshold_param_overrides_config():
-    cloud, store = make_store("hybrid://?threshold_kb=8.0",
-                              hybrid_threshold_kb=4.0)
+    assert make_store("hybrid")[1].threshold_kb == 4.0
+    cloud, store = make_store("hybrid://?threshold_kb=8.0")
     assert isinstance(store, HybridBackend)
     assert store.threshold_kb == 8.0
 
@@ -83,6 +83,18 @@ def test_double_registration_of_a_scheme_is_an_error():
     with pytest.raises(ValueError, match="already registered"):
         register_backend("mem")(type("Imposter", (UserStore,), {}))
     assert BACKEND_REGISTRY["mem"] is MemBackend  # registry unharmed
+
+
+def test_registering_a_backend_is_all_it_takes_to_deploy_it():
+    """``register_backend`` is the extension seam: the config validates
+    against the registry, not against a list of built-ins."""
+    with pytest.raises(ValueError, match="unknown user store"):
+        FaaSKeeperConfig(user_store="toy")
+    toy = register_backend("toy")(type("ToyBackend", (MemBackend,), {}))
+    try:
+        assert type(make_store("toy")[1]) is toy
+    finally:
+        del BACKEND_REGISTRY["toy"]
 
 
 # --------------------------------------------------------------------- CRUD
