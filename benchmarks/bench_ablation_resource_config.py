@@ -25,7 +25,7 @@ def run():
         cloud, service, client = deploy_fk(seed=140, user_store="s3",
                                            function_memory_mb=2048, arch=arch)
         lat[("aws", arch)] = sweep_write_latency(client, cloud, SIZES, reps=REPS)
-        durs = sorted(service.leader_fn.durations_ms)
+        durs = sorted(service.leader_fns[0].durations_ms)
         leader_ms[arch] = durs[len(durs) // 2]
         costs[("aws", arch)] = {
             "follower": cloud.meter.service_total("fn:fk-follower"),

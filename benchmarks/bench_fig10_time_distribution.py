@@ -30,7 +30,7 @@ def run():
         cloud.run(until=cloud.now + 5000)
         out[(size, "follower")] = segment_summary(service.follower_fn,
                                                   FOLLOWER_SEGMENTS)
-        out[(size, "leader")] = segment_summary(service.leader_fn,
+        out[(size, "leader")] = segment_summary(service.leader_fns[0],
                                                 LEADER_SEGMENTS)
 
     print()

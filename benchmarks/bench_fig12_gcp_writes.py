@@ -23,7 +23,7 @@ def run():
             "latency": sweep_write_latency(client, cloud, SIZES, reps=REPS),
             "follower": segment_summary(service.follower_fn,
                                         ("lock", "push", "commit")),
-            "leader": segment_summary(service.leader_fn,
+            "leader": segment_summary(service.leader_fns[0],
                                       ("get_node", "update_user",
                                        "watch_query")),
         }

@@ -26,9 +26,9 @@ def run():
                                       for _ in range(n_clients - 1)]
             for i, c in enumerate(clients):
                 c.create(f"/eph-{i}", b"", ephemeral=True)
-            before = len(service.heartbeat_fn.durations_ms)
+            before = len(service.heartbeat_fns[0].durations_ms)
             cloud.run(until=cloud.now + 12 * 60_000)
-            samples = service.heartbeat_fn.durations_ms[before:]
+            samples = service.heartbeat_fns[0].durations_ms[before:]
             exec_times[(memory, n_clients)] = summarize(samples)
 
     print()

@@ -24,10 +24,10 @@ def run():
             client.set_data("/n", payload)
         cloud.run(until=cloud.now + 5000)
         fol = segment_summary(service.follower_fn, ("lock", "push", "commit"))
-        lead = segment_summary(service.leader_fn,
+        lead = segment_summary(service.leader_fns[0],
                                ("get_node", "update_user", "watch_query"))
         fol["total"] = summarize(service.follower_fn.durations_ms)
-        lead["total"] = summarize(service.leader_fn.durations_ms)
+        lead["total"] = summarize(service.leader_fns[0].durations_ms)
         results[size] = {"follower": fol, "leader": lead}
 
     print()

@@ -76,7 +76,7 @@ def main() -> None:
     # invocation; five single writes pay five of each (the per-invocation
     # cost the paper's Section 5.3 model is built around).
     queue_sends = sum(q.sent for q in fk._session_queues.values())
-    leader_msgs = fk.leader_queue.sent
+    leader_msgs = fk.leader_queues[0].sent
     print(f"traffic so far: {queue_sends} session-queue messages, "
           f"{leader_msgs} leader messages for "
           f"{5 + 5 + 2} logical write ops")

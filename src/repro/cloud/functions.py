@@ -264,31 +264,36 @@ class ScheduledTask:
         self.period_ms = period_ms
         self.payload_factory = payload_factory
         self.offset_ms = offset_ms
-        self.enabled = False
         self.fired = 0
+        #: The loop process of the current ``start()``; None while stopped.
         self._proc = None
 
+    @property
+    def enabled(self) -> bool:
+        return self._proc is not None
+
     def start(self) -> None:
-        if self.enabled:
-            return
-        self.enabled = True
-        self._proc = self.runtime.env.process(self._loop(), name=f"cron:{self.fn.spec.name}")
+        if self._proc is None:
+            self._proc = self.runtime.env.process(
+                self._loop(), name=f"cron:{self.fn.spec.name}")
 
     def stop(self) -> None:
         """Suspend the schedule (FaaSKeeper stops heartbeats at scale-to-zero)."""
-        self.enabled = False
+        self._proc = None
 
     def _loop(self):
         env = self.runtime.env
+        # A loop runs only while it *is* the current start()'s process: one
+        # parked on its timer across a stop()/start() retires when it wakes
+        # instead of firing beside its successor.
+        me = env.active_process
         if self.offset_ms:
             # Strictly positive only: a zero-delay timeout would still
             # occupy an event-queue slot and perturb offset-free schedules.
             yield env.timeout(self.offset_ms)
-            if not self.enabled:
-                return
-        while self.enabled:
+        while self._proc is me:
             yield env.timeout(self.period_ms)
-            if not self.enabled:
+            if self._proc is not me:
                 return
             self.fired += 1
             done = self.fn.invoke(self.payload_factory())

@@ -57,25 +57,15 @@ from .expressions import (
 from .faults import FaultInjector, draw_fault
 from .pricing import CostMeter
 
-__all__ = ["KeyValueStore", "Table", "StreamRecord", "TTL_ATTRIBUTE",
-           "scan_segment_of"]
+__all__ = ["KeyValueStore", "Table", "StreamRecord", "scan_segment_of"]
 
 
 def scan_segment_of(key: str, total_segments: int) -> int:
     """Parallel-scan segment owning ``key``: ``crc32`` so the mapping is
-    stable across processes (the builtin ``hash`` is salted per run).
-    :func:`repro.faaskeeper.layout.session_shard_of` mirrors this formula —
-    a sweep shard scanning segment *i* sees exactly the sessions that hash
-    to shard *i*."""
-    if total_segments <= 1:
-        return 0
+    stable across processes (the builtin ``hash`` is salted per run).  The
+    one formula: a heartbeat shard scanning segment *i* of the session
+    table sees exactly the sessions that hash to *i*."""
     return zlib.crc32(key.encode()) % total_segments
-
-#: Reserved item attribute holding the expiry instant (virtual-clock ms).
-#: Items carrying it are lazily expired by the table — DynamoDB-style
-#: *conditional* TTL: rewriting the attribute into the future keeps the
-#: item alive, because expiry re-checks the attribute when it fires.
-TTL_ATTRIBUTE = "__expires__"
 
 
 @dataclass
@@ -94,10 +84,6 @@ class StreamRecord:
     new: Optional[Dict[str, Any]]
     sequence: int
     timestamp: float
-    #: ``"write"`` for caller mutations, ``"ttl"`` for native TTL expiry —
-    #: the discriminator DynamoDB exposes as ``userIdentity`` on TTL
-    #: deletions, so listeners can react to expiry specifically.
-    reason: str = "write"
     old_image = cached_property(lambda self: clone(self.old))
     new_image = cached_property(lambda self: clone(self.new))
 
@@ -141,10 +127,6 @@ class Table:
         self._stream_seq = 0
         self.write_count = 0
         self.read_count = 0
-        #: Keys whose current value carries :data:`TTL_ATTRIBUTE` — the
-        #: expiry pass only ever walks this set, so tables that never use
-        #: TTL pay nothing.
-        self._ttl_keys: set = set()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -154,7 +136,10 @@ class Table:
 
     def segment_keys(self, segment: int, total_segments: int) -> List[str]:
         """Keys of one parallel-scan segment, in table order — the keys
-        with ``scan_segment_of(key, total_segments) == segment``."""
+        with ``scan_segment_of(key, total_segments) == segment``.  One
+        segment is the whole table, and no key is hashed for it."""
+        if total_segments == 1:
+            return self.keys()
         crcs = self._key_crc
         selected = []
         for key in self._items:
@@ -188,8 +173,8 @@ class Table:
         return rec
 
     # -- internal mutation helpers -----------------------------------------
-    def _emit(self, key: str, old: Optional[Dict[str, Any]], new: Optional[Dict[str, Any]],
-              reason: str = "write") -> None:
+    def _emit(self, key: str, old: Optional[Dict[str, Any]],
+              new: Optional[Dict[str, Any]]) -> None:
         if not self.stream_listeners:
             return
         self._stream_seq += 1
@@ -200,13 +185,12 @@ class Table:
             new=new,
             sequence=self._stream_seq,
             timestamp=self._env.now,
-            reason=reason,
         )
         for listener in self.stream_listeners:
             listener(record)
 
     def _store(self, key: str, value: Optional[Dict[str, Any]],
-               reason: str = "write", size_bytes: Optional[int] = None) -> None:
+               size_bytes: Optional[int] = None) -> None:
         """Install ``value`` (None deletes).  The table takes ownership:
         from here on the image is frozen and shared, never mutated."""
         old_rec = self._get(key)
@@ -214,7 +198,6 @@ class Table:
         if value is None:
             self._items.pop(key, None)
             self._key_crc.pop(key, None)
-            self._ttl_keys.discard(key)
         else:
             self._items[key] = _Versioned(
                 value=value,
@@ -224,32 +207,7 @@ class Table:
                 previous_at=old_rec.written_at if old_rec else 0.0,
                 snapshot=clone(value) if self._sanitized else None,
             )
-            if TTL_ATTRIBUTE in value:
-                self._ttl_keys.add(key)
-            else:
-                self._ttl_keys.discard(key)
-        self._emit(key, old, value, reason=reason)
-
-    # -- native TTL ---------------------------------------------------------
-    def expire_due(self, now: float) -> int:
-        """Expire every item whose TTL instant has passed (lazy, like
-        DynamoDB: expiry happens when the table is next touched, not at
-        the instant itself).  The check is conditional — an item whose
-        TTL attribute was rewritten into the future survives.  Expiries
-        emit stream records with ``reason="ttl"``."""
-        if not self._ttl_keys:
-            return 0
-        expired = 0
-        for key in list(self._ttl_keys):
-            rec = self._items.get(key)
-            if rec is None:
-                self._ttl_keys.discard(key)  # wiped out-of-band
-                continue
-            expires = rec.value.get(TTL_ATTRIBUTE)
-            if expires is not None and float(expires) <= now:
-                self._store(key, None, reason="ttl")
-                expired += 1
-        return expired
+        self._emit(key, old, value)
 
 
 class KeyValueStore:
@@ -385,12 +343,10 @@ class KeyValueStore:
         fault = draw_fault(self.faults, "get_item", mutating=False)
         if fault is not None:
             yield from self.faults.fire_before(fault, f"get_item {table_name}/{key}")
-        table.expire_due(self.env.now)
         size_kb = _size_kb(table._get(key))
         wait = self._admit(table, 1.0)
         latency = self._latency(ctx, self.profile.kv_read, size_kb)
         yield self.env.timeout(wait + latency)
-        table.expire_due(self.env.now)
         table.read_count += 1
         # Re-fetch after the delay: the read observes the state at completion
         # time for strong reads, possibly stale state for eventual ones.
@@ -442,7 +398,6 @@ class KeyValueStore:
         self._charge_write(ctx, size_kb)
         if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied write: nothing to redo
-        table.expire_due(self.env.now)
         self._current(table, key, condition)
         table._store(key, image, size_bytes=size_bytes)
         self._finish(token, None, fault, "put_item", table_name, key)
@@ -491,7 +446,6 @@ class KeyValueStore:
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
             return clone(applied)
-        table.expire_due(self.env.now)
         new_value, new_bytes = self._stage(table, key, updates, condition)
         table._store(key, new_value, size_bytes=new_bytes)
         self._finish(token, new_value, fault, "update_item", table_name, key)
@@ -535,7 +489,6 @@ class KeyValueStore:
         self._charge_write(ctx, 1.0)
         if self._applied(token) is not _NOT_APPLIED:
             return None
-        table.expire_due(self.env.now)
         self._current(table, key, condition)
         table._store(key, None)
         self._finish(token, None, fault, "delete_item", table_name, key)
@@ -581,8 +534,6 @@ class KeyValueStore:
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
             return [clone(image) for image in applied]
-        for table_name, _key, _u, _c in ops:
-            self.table(table_name).expire_due(self.env.now)
         # Atomic check-then-apply at a single instant of virtual time.
         staged: List[tuple] = []
         for table_name, key, updates, condition in ops:
@@ -611,42 +562,34 @@ class KeyValueStore:
         self,
         ctx: OpContext,
         table_name: str,
-        segment: Optional[int] = None,
-        total_segments: Optional[int] = None,
+        segment: int = 0,
+        total_segments: int = 1,
     ) -> Generator[Event, Any, Dict[str, Dict[str, Any]]]:
-        """Full-table scan: bills one read per 4 kB of total data.
+        """Scan one segment of a table: bills one read per 4 kB of its data.
 
         ``segment``/``total_segments`` select one slice of a DynamoDB-style
         parallel scan: only keys with ``scan_segment_of(key) == segment``
         are read, and latency, capacity units and billing cover the slice —
         that proportionality is what makes partitioned sweeps cheaper than
-        N full scans.  ``total_segments`` of ``None``/1 is the plain scan,
-        byte-for-byte as before.
+        N full scans.  The default, segment 0 of 1, is the whole table.
+        The result holds the completion-time images of the keys the scan
+        set out to read: one deleted while the request was in flight drops
+        out, one inserted meanwhile waits for the next scan.
         """
         table = self.table(table_name)
-        segmented = total_segments is not None and total_segments > 1
-        if segmented and (segment is None or not 0 <= segment < total_segments):
+        if not 0 <= segment < total_segments:
             raise ValueError(
                 f"scan segment must be in [0, {total_segments}), got {segment}")
         fault = draw_fault(self.faults, "scan", mutating=False)
         if fault is not None:
             yield from self.faults.fire_before(fault, f"scan {table_name}")
-        table.expire_due(self.env.now)
-        if segmented:
-            selected = table.segment_keys(segment, total_segments)
-        else:
-            selected = list(table._items)
+        selected = table.segment_keys(segment, total_segments)
         total_kb = sum(_size_kb(table._get(k)) for k in selected)
         wait = self._admit(table, max(1.0, total_kb / 4.0))
         latency = self._latency(ctx, self.profile.kv_read, total_kb)
         yield self.env.timeout(wait + latency)
-        table.expire_due(self.env.now)
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
-        if not segmented:
-            selected = table._items  # re-read: the scan sees completion-time state
-        # Items expired/deleted while the request was in flight drop out,
-        # exactly as the full scan re-reads the table after the delay.
         found = ((k, table._get(k)) for k in selected)
         return {k: clone(rec.value) for k, rec in found if rec is not None}
 
@@ -692,7 +635,6 @@ class KeyValueStore:
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
         if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied batch: nothing to redo
-        table.expire_due(self.env.now)
         for key, image in images.items():
             table._store(key, image, size_bytes=sizes[key])
         self._finish(token, None, fault, "batch_put", table_name, next(iter(images)))

@@ -43,6 +43,7 @@ from .layout import (
     SYSTEM_NODES,
     SYSTEM_SESSIONS,
     SYSTEM_STATE,
+    SYSTEM_WATCHES,
     epoch_key,
 )
 from .service import FaaSKeeperService
@@ -188,8 +189,7 @@ def wipe_system_tables(service: FaaSKeeperService) -> None:
     exactly as a multi-region deployment losing its system region's
     tables but not its replicated log would."""
     store = service.system_store
-    tables = [SYSTEM_NODES, *service.watch_registry.tables, SYSTEM_SESSIONS]
-    for table in tables:
+    for table in (SYSTEM_NODES, SYSTEM_WATCHES, SYSTEM_SESSIONS):
         store.table(table)._items.clear()
 
 

@@ -354,7 +354,10 @@ class FaaSKeeperClient:
         if state == self._state or self._state == KeeperState.LOST:
             return
         self._state = state
-        for listener in list(self._listeners):
+        # Read past the cached_property: a session that registered no
+        # listener must not grow a list (and un-share its instance dict)
+        # because its state flipped.
+        for listener in list(self.__dict__.get("_listeners", ())):
             try:
                 listener(state)
             except Exception:

@@ -33,13 +33,11 @@ class FaaSKeeperConfig:
     cpu_alloc: float = 1.0                # GCP: vCPU fraction
     regions: List[str] = field(default_factory=lambda: ["us-east-1"])
     heartbeat_period_ms: float = 60_000.0  # highest AWS cron frequency (5.3.3)
-    #: Session-plane shards: partitions the heartbeat/eviction sweep (each
+    #: Session-plane shards: partitions the heartbeat/eviction sweep — each
     #: of N scheduled sweep functions scans one hash slice of the session
-    #: table, ephemeral-first ordering preserved per shard) and the watch
-    #: registry (N path-hashed watch tables, the guarded-removal protocol
-    #: carried across the partition boundary).  1 (the default) reproduces
-    #: the flat plane — one sweep over one session table, one watch table —
-    #: bit-for-bit.
+    #: table, ephemeral-first ordering preserved per shard, their crons
+    #: staggered across the period.  1 (the default) is the paper's plane:
+    #: one sweep function over the whole session table.
     session_plane_shards: int = 1
     session_timeout_ms: float = 10_000.0
     leader_max_receive: Optional[int] = None   # retry leader batches forever
@@ -60,9 +58,6 @@ class FaaSKeeperConfig:
     #: per-region ``replicated_tx`` visibility watermark.  False (the
     #: default) keeps the paper's inline pipeline bit-for-bit intact.
     distributor_enabled: bool = False
-    #: Maximum distribution records one distributor invocation drains
-    #: (capped by the SQS FIFO batch limit of the cloud profile).
-    distributor_batch: int = 10
     #: When the client's write acknowledgement is sent:
     #: ``"on_replicate"`` (default) — after the write is visible in every
     #: region's user store (the paper's semantics); ``"on_commit"`` — right
@@ -157,17 +152,6 @@ class FaaSKeeperConfig:
     storage_faults: Optional[bool] = None
     #: Per-operation fault probability when the schedule is armed.
     storage_fault_rate: float = 0.05
-    #: TTL-native ephemeral cleanup: session records carry a conditional
-    #: TTL refreshed by the heartbeat; a dead session's record *expires in
-    #: the store* and the expiry stream record drives the eviction that
-    #: deletes its ephemerals — instead of the heartbeat's eviction sweep.
-    #: Requires a TTL-capable backend fleet (``supports_ttl`` on the
-    #: registry, e.g. ``dynamodb``/``hybrid``/``mem``); on fleets without
-    #: the capability the flag degrades to the sweep unchanged.
-    ephemeral_ttl_enabled: bool = False
-    #: Session-record TTL (ms).  0 = auto: one heartbeat period plus two
-    #: session timeouts, so a live session is always refreshed in time.
-    ephemeral_ttl_ms: float = 0.0
 
     def __post_init__(self) -> None:
         # The backend registry is the one list of schemes (the import is
@@ -197,9 +181,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 "ack_policy='on_commit' requires distributor_enabled=True: "
                 "without a distributor nothing replicates after the ack")
-        if self.distributor_batch < 1:
-            raise ValueError(
-                f"distributor_batch must be >= 1, got {self.distributor_batch}")
         if self.snapshot_auto_ms < 0:
             raise ValueError(
                 f"snapshot_auto_ms must be >= 0, got {self.snapshot_auto_ms}")
@@ -258,9 +239,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "
                 f"got {self.storage_fault_rate}")
-        if self.ephemeral_ttl_ms < 0:
-            raise ValueError(
-                f"ephemeral_ttl_ms must be >= 0, got {self.ephemeral_ttl_ms}")
 
     @property
     def client_cache_enabled(self) -> bool:
@@ -275,12 +253,3 @@ class FaaSKeeperConfig:
     @property
     def primary_region(self) -> str:
         return self.regions[0]
-
-    @property
-    def effective_ephemeral_ttl_ms(self) -> float:
-        """The session-record TTL: explicit, or auto (one heartbeat period
-        plus two session timeouts — a live session always refreshes well
-        before expiry, a dead one expires within about one sweep)."""
-        if self.ephemeral_ttl_ms > 0:
-            return self.ephemeral_ttl_ms
-        return self.heartbeat_period_ms + 2.0 * self.session_timeout_ms

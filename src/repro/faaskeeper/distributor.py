@@ -55,6 +55,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, Set
 from ..sim.kernel import AllOf
+from .follower import DISTRIBUTOR_BATCH
 from .layout import SYSTEM_STATE, replicated_key
 from .watches import triggered_watch_types
 
@@ -229,15 +230,6 @@ class DistributorLogic:
             "fk_distributor_coalesced_writes_total",
             "User-store writes skipped as superseded",
             ("region",)).labels(region=region)
-
-    # Pre-metrics attribute API (read-only over the registry).
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def coalesced_writes(self) -> int:
-        return int(self._coalesced.value)
 
     def cold_restart(self) -> None:
         """Drop warm-sandbox state after a crash (chaos harness hook): the
@@ -469,7 +461,7 @@ class DistributionStage:
                 cpu_alloc=config.cpu_alloc, region=region)
             queue = cloud.fifo_queue(
                 f"fk-dist-q{suffix}", label="sqs", max_receive=None)
-            queue.attach(fn, batch_limit=config.distributor_batch)
+            queue.attach(fn, batch_limit=DISTRIBUTOR_BATCH)
             self.logics[region] = logic
             self.queues[region] = queue
             self.fns[region] = fn
@@ -521,8 +513,8 @@ class DistributionStage:
     # ------------------------------------------------------------ accounting
     def stats(self) -> Dict[str, float]:
         return {
-            "batches": float(sum(lg.batches for lg in self.logics.values())),
-            "coalesced_writes": float(
-                sum(lg.coalesced_writes for lg in self.logics.values())),
+            "batches": sum(lg._batches.value for lg in self.logics.values()),
+            "coalesced_writes": sum(
+                lg._coalesced.value for lg in self.logics.values()),
             "watermarks": dict(self.visibility.watermark),
         }

@@ -60,9 +60,11 @@ LOCK_BACKOFF_MS = 30.0
 LOCK_MAX_HOLD_MS = 2_000.0
 #: Largest node data a write may carry: the queue payload bound (Section 4.4).
 MAX_NODE_SIZE_KB = 250.0
-#: Requests one follower / leader invocation drains from its FIFO queue.
+#: Requests one follower / leader / distributor invocation drains from its
+#: FIFO queue.
 FOLLOWER_BATCH = 10
 LEADER_BATCH = 10
+DISTRIBUTOR_BATCH = 10
 
 
 def merge_multi_commit(subs: List[Dict[str, Any]]):
@@ -594,12 +596,7 @@ class FollowerLogic:
         """Session teardown: delete owned ephemerals, drop the session."""
         sessions = self.service.system_store
         item = yield from sessions.get_item(fctx.ctx, SYSTEM_SESSIONS, req.session)
-        if item is not None:
-            ephemerals = list(item.get("ephemeral", []))
-        else:
-            # Native-TTL evictions delete the record before the close
-            # request runs; the evictor embedded the list in the message.
-            ephemerals = list(req.ephemerals or [])
+        ephemerals = item.get("ephemeral", []) if item is not None else []
         # Deepest paths first so children go before parents.
         for path in sorted(ephemerals, key=lambda p: -p.count("/")):
             yield from self._multi_op(fctx, Request.from_operations(

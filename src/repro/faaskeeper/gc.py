@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr
 from .follower import LOCK_MAX_HOLD_MS
-from .layout import SYSTEM_NODES, SYSTEM_SESSIONS
+from .layout import SYSTEM_NODES, SYSTEM_SESSIONS, SYSTEM_WATCHES
 
 __all__ = ["GarbageCollectorLogic", "GC_PERIOD_MS"]
 
@@ -44,26 +44,14 @@ class GarbageCollectorLogic:
             "fk_gc_collected_total",
             "Items reclaimed by the GC sweep", ("kind",))
 
-    # Pre-metrics attribute API (read-only over the registry).
-    @property
-    def collected_tombstones(self) -> int:
-        return int(self._collected.labels(kind="tombstone").value)
-
-    @property
-    def collected_phantoms(self) -> int:
-        return int(self._collected.labels(kind="phantom").value)
-
-    @property
-    def collected_watches(self) -> int:
-        return int(self._collected.labels(kind="watch").value)
-
     def handler(self, fctx, payload: Any) -> Generator:
         yield from self._sweep_nodes(fctx)
         yield from self._sweep_watches(fctx)
+        collected = self._collected
         return {
-            "tombstones": self.collected_tombstones,
-            "phantoms": self.collected_phantoms,
-            "watches": self.collected_watches,
+            "tombstones": int(collected.labels(kind="tombstone").value),
+            "phantoms": int(collected.labels(kind="phantom").value),
+            "watches": int(collected.labels(kind="watch").value),
         }
 
     # ------------------------------------------------------------ nodes
@@ -116,13 +104,7 @@ class GarbageCollectorLogic:
         store = self.service.system_store
         sessions = yield from store.scan(fctx.ctx, SYSTEM_SESSIONS)
         live = set(sessions.keys())
-        # One scan per watch shard table (a single table when the session
-        # plane is flat); each path's removal routes back through the
-        # registry, which owns the table mapping.
-        watch_items: Dict[str, Any] = {}
-        for table_name in self.service.watch_registry.tables:
-            shard_items = yield from store.scan(fctx.ctx, table_name)
-            watch_items.update(shard_items)
+        watch_items = yield from store.scan(fctx.ctx, SYSTEM_WATCHES)
         for path, item in watch_items.items():
             for wtype, inst in (item.get("inst") or {}).items():
                 alive = [s for s in inst.get("sessions", []) if s in live]

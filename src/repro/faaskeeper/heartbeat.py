@@ -18,21 +18,19 @@ ordering.
 
 The function also doubles as the "system is online" signal for clients.
 
-With ``session_plane_shards > 1`` the sweep is partitioned: N scheduled
-sweep functions each scan one hash slice of the session table (a
-DynamoDB-style parallel-scan segment), so sweep latency stays flat as the
-session count grows.  Ephemeral-first eviction ordering is preserved *per
-shard* — the global order was never load-bearing across unrelated
-sessions, only among the sessions one sweep evicts together.
+The sweep is partitioned: each of the ``session_plane_shards`` scheduled
+sweep functions scans one hash slice of the session table (a
+DynamoDB-style parallel-scan segment — the whole table when there is one
+shard), so sweep latency stays flat as the session count grows.
+Ephemeral-first eviction ordering is preserved *per shard* — the global
+order was never load-bearing across unrelated sessions, only among the
+sessions one sweep evicts together.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator
 
-from ..cloud.errors import ConditionFailed
-from ..cloud.expressions import Set, item_exists
-from ..cloud.kvstore import TTL_ATTRIBUTE
 from .layout import SYSTEM_SESSIONS
 
 __all__ = ["HeartbeatLogic"]
@@ -42,13 +40,12 @@ class HeartbeatLogic:
     """Behaviour of one heartbeat sweep function, bound to one deployment.
 
     ``shard``/``shards`` select the hash slice of the session table this
-    instance owns; the default (0 of 1) is the flat full-table sweep.  The
-    aggregate counters are shared across every shard's instance (the
-    registry returns the same child), so ``evictions`` etc. stay
-    deployment-wide.
+    instance owns.  The aggregate counters are shared across every shard's
+    instance (the registry returns the same child), so
+    ``fk_heartbeat_evictions_total`` etc. stay deployment-wide.
     """
 
-    def __init__(self, service, shard: int = 0, shards: int = 1) -> None:
+    def __init__(self, service, shard: int, shards: int) -> None:
         self.service = service
         self.shard = shard
         self.shards = shards
@@ -63,21 +60,12 @@ class HeartbeatLogic:
             "fk_heartbeat_shard_sweeps_total",
             "Heartbeat sweeps per session-plane shard", ("shard",))
 
-    @property
-    def evictions(self) -> int:
-        """Pre-metrics attribute API (read-only over the registry)."""
-        return int(self._evictions.value)
-
     def handler(self, fctx, payload: Any) -> Generator:
         env = fctx.env
         t0 = env.now
-        if self.shards > 1:
-            sessions = yield from self.service.system_store.scan(
-                fctx.ctx, SYSTEM_SESSIONS,
-                segment=self.shard, total_segments=self.shards)
-        else:
-            sessions = yield from self.service.system_store.scan(
-                fctx.ctx, SYSTEM_SESSIONS)
+        sessions = yield from self.service.system_store.scan(
+            fctx.ctx, SYSTEM_SESSIONS,
+            segment=self.shard, total_segments=self.shards)
         fctx.record("scan", env.now - t0)
 
         # Ping every scanned session in parallel, ephemeral owners first
@@ -110,27 +98,6 @@ class HeartbeatLogic:
         self._shard_sweeps.labels(shard=str(self.shard)).inc()
         self._checked.inc(len(to_check))
         expired = [sid for sid in to_check if not results.get(sid, False)]
-        if self.service.ephemeral_ttl_active:
-            # Native-TTL fleet: answering sessions get their record's TTL
-            # pushed forward; silent ones simply stop being refreshed and
-            # the table's own expiry starts the eviction (the scan above
-            # is also what lets due expirations fire).  No eviction is
-            # enqueued here — the TTL deletion owns that.
-            ttl_ms = self.service.config.effective_ephemeral_ttl_ms
-            t0 = env.now
-            for sid in to_check:
-                if not results.get(sid, False):
-                    continue
-                try:
-                    yield from self.service.system_store.update_item(
-                        fctx.ctx, SYSTEM_SESSIONS, sid,
-                        [Set(TTL_ATTRIBUTE, env.now + ttl_ms)],
-                        condition=item_exists(), atomic_hint=True,
-                        payload_kb=0.05)
-                except ConditionFailed:
-                    pass  # closed between scan and refresh — nothing to keep
-            fctx.record("ttl_refresh", env.now - t0)
-            return {"checked": len(to_check), "evicted": 0}
         for sid in expired:
             self._evictions.inc()
             yield from self.service.enqueue_eviction(fctx.ctx, sid)

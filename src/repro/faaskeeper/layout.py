@@ -64,9 +64,6 @@ __all__ = [
     "user_image_from_system",
     "top_component",
     "shard_of_path",
-    "watch_shard_table",
-    "watch_shard_of",
-    "session_shard_of",
 ]
 
 SYSTEM_NODES = "fk-system-nodes"
@@ -151,32 +148,6 @@ def shard_of_path(path: str, num_shards: int) -> int:
     if not comp:
         return 0
     return zlib.crc32(comp.encode()) % num_shards
-
-
-def watch_shard_table(shard: int) -> str:
-    """Watch-table name of one session-plane shard.  Shard 0 keeps the
-    flat-plane name ``fk-system-watches`` (the ``fk-leader`` precedent), so
-    ``session_plane_shards=1`` deployments touch exactly today's table."""
-    return SYSTEM_WATCHES if shard == 0 else f"{SYSTEM_WATCHES}-{shard}"
-
-
-def watch_shard_of(path: str, num_shards: int) -> int:
-    """Watch shard owning ``path``'s instances: stable hash of the *full*
-    path (unlike :func:`shard_of_path` there is no parent/child co-location
-    constraint — each path's watch item is touched independently), so
-    instances spread evenly even when one subtree is watch-hot."""
-    if num_shards <= 1:
-        return 0
-    return zlib.crc32(path.encode()) % num_shards
-
-
-def session_shard_of(session_id: str, num_shards: int) -> int:
-    """Session-plane shard owning ``session_id``'s heartbeat/eviction.
-    Must agree with the key hash of the kvstore's segmented scan — both
-    sides use ``crc32(key) % num_shards``."""
-    if num_shards <= 1:
-        return 0
-    return zlib.crc32(session_id.encode()) % num_shards
 
 
 def new_system_node(

@@ -1,16 +1,11 @@
 """Prometheus-style metrics registry: first-class observability.
 
-Before this module every pipeline stage kept its own ad-hoc counters
-(``WatchFanoutLogic.deliveries_by_shard``, ``DistributorLogic.batches``,
-``SnapshotManager.log_appends``, ...) and ``cost_breakdown()`` reached
-straight into the cost meter — there was no single place to ask "what is
-this deployment doing?".  :class:`MetricsRegistry` replaces that with the
-Prometheus data model (Counter / Gauge / Histogram with fixed buckets,
-each optionally labelled), one registry per deployment:
+One registry per deployment answers "what is this deployment doing?" in
+the Prometheus data model (Counter / Gauge / Histogram with fixed buckets,
+each optionally labelled):
 
-* stage logics increment registry counters instead of bare attributes
-  (the old attribute names survive as read-only properties, so existing
-  tests and benches keep working);
+* stage logics increment registry counters, and the registry is the one
+  way to read them: ``service.metrics.get(name)[.labels(...)].value``;
 * every deployed function's timing segments (``fctx.record``) feed one
   labelled histogram via the runtime's ``on_segment`` probe — the data
   behind Figure 10 / Table 3, now queryable per stage at runtime;

@@ -281,9 +281,6 @@ class Request:
     rid: int                      # per-session request id (dedup + ordering)
     op: str                       # write | close_session
     ops: List[dict] = field(default_factory=list)  # member operations
-    #: close_session only: ephemeral paths to release when the session
-    #: record no longer exists (native-TTL evictions delete it first).
-    ephemerals: List[str] | None = None
 
     @classmethod
     def from_operations(cls, session: str, rid: int,

@@ -397,10 +397,6 @@ class RetryingUserStore:
     def kind(self) -> str:
         return self._inner.kind
 
-    @property
-    def supports_ttl(self) -> bool:
-        return self._inner.supports_ttl
-
     # ------------------------------------------------------------ ops
     def write_node(self, ctx, region, path, image):
         return self._retrier.run(

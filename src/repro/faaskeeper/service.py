@@ -28,7 +28,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
 from ..cloud.errors import NoSuchQueue
-from ..cloud.kvstore import TTL_ATTRIBUTE
 from ..cloud.queues import SharedSequence
 from ..primitives import TimedLock
 from ..sim.kernel import AllOf, Timeout
@@ -55,7 +54,6 @@ from .layout import (
     replicated_key,
     shard_of_path,
     user_image_from_system,
-    watch_shard_table,
 )
 from .leader import LeaderLogic
 from .metrics import MetricsRegistry
@@ -163,17 +161,11 @@ class FaaSKeeperService:
                 breaker_probe_interval_ms=config.storage_breaker_probe_interval_ms)
         for table in (SYSTEM_NODES, SYSTEM_STATE, SYSTEM_SESSIONS, SYSTEM_WATCHES):
             self.system_store.create_table(table)
-        # Extra watch shard tables (session_plane_shards > 1): shard 0 is
-        # SYSTEM_WATCHES itself, so the flat plane creates nothing new.
-        for plane_shard in range(1, config.session_plane_shards):
-            self.system_store.create_table(watch_shard_table(plane_shard))
         self.node_lock = TimedLock(self.system_store, SYSTEM_NODES,
                                    max_hold_ms=LOCK_MAX_HOLD_MS)
         self.epoch_ledger = EpochLedger(self.system_store, SYSTEM_STATE,
                                         config.regions)
-        self.epoch_lists = self.epoch_ledger.lists  # legacy alias
-        self.watch_registry = WatchRegistry(self.system_store,
-                                            shards=config.session_plane_shards)
+        self.watch_registry = WatchRegistry(self.system_store)
 
         # --- user storage ---------------------------------------------------
         from .userstore import make_user_store
@@ -195,22 +187,6 @@ class FaaSKeeperService:
         self.storage_injectors: List[Any] = []
         if config.storage_faults:
             self.arm_storage_faults(rate=config.storage_fault_rate)
-
-        # --- TTL-native ephemeral cleanup (capability-gated) ------------------
-        # Session records carry a DynamoDB-style conditional TTL attribute
-        # that the heartbeat refreshes forward; a record whose owner stops
-        # answering lapses and the table's TTL deletion (reason="ttl" on
-        # the stream) starts the eviction — carrying the ephemeral list in
-        # the message, since the record itself is already gone.  Fleets
-        # whose user backend lacks native TTL keep the unchanged
-        # heartbeat-driven sweep.
-        self._ttl_evictions = None
-        if self.ephemeral_ttl_active:
-            self._ttl_evictions = self.metrics.counter(
-                "fk_ttl_evictions_total",
-                "Sessions evicted by native TTL expiry of their record")
-            self.system_store.table(SYSTEM_SESSIONS).stream_listeners.append(
-                self._on_session_expired)
 
         # --- functions & queues ----------------------------------------------
         num_shards = config.leader_shards
@@ -243,8 +219,8 @@ class FaaSKeeperService:
         self.watch_fn = cloud.deploy_function(
             "fk-watch", self.watch_logic.handler, **fn_kwargs)
         # One sweep function per session-plane shard; shard 0 keeps the
-        # historical name (the fk-leader precedent), so the flat plane's
-        # RNG streams and cost labels are unchanged.
+        # historical name (the fk-leader precedent): RNG streams and cost
+        # labels derive from it.
         self.heartbeat_fns = [
             cloud.deploy_function(
                 "fk-heartbeat" if i == 0 else f"fk-heartbeat-{i}",
@@ -301,9 +277,8 @@ class FaaSKeeperService:
         self.heartbeat_tasks = []
         for i, fn in enumerate(self.heartbeat_fns):
             # Shard sweeps are phase-staggered across the period so they do
-            # not all hit the session table's capacity bucket at once;
-            # shard 0 keeps offset 0, so the flat plane's schedule (and its
-            # fingerprint) is untouched.
+            # not all hit the session table's capacity bucket (or hold
+            # their scan results) at once; shard 0 sits at offset 0.
             task = cloud.runtime.schedule(
                 fn, period_ms=config.heartbeat_period_ms,
                 offset_ms=(i * config.heartbeat_period_ms
@@ -376,27 +351,6 @@ class FaaSKeeperService:
             point.faults = None
         self.storage_injectors = []
 
-    @property
-    def ephemeral_ttl_active(self) -> bool:
-        """Native TTL cleanup is on: opted in *and* the deployment's user
-        backend advertises the capability (``supports_ttl`` on the
-        registry).  Other fleets keep the heartbeat-driven sweep."""
-        return bool(self.config.ephemeral_ttl_enabled
-                    and self.user_store.supports_ttl)
-
-    def _on_session_expired(self, record) -> None:
-        """SYSTEM_SESSIONS stream listener: a TTL deletion of a session
-        record is the eviction signal.  The record is already gone, so the
-        close request embeds its ephemeral list for the follower."""
-        if record.reason != "ttl" or record.old_image is None:
-            return
-        if self._ttl_evictions is not None:
-            self._ttl_evictions.inc()
-        region = record.old_image.get("region", self.config.primary_region)
-        self.cloud.run_process(self.enqueue_eviction(
-            self.region_ctx(region), record.key,
-            ephemerals=list(record.old_image.get("ephemeral", []))))
-
     def _on_breaker_transition(self, label: str, region: str, state: str
                                ) -> None:
         """An OPEN breaker means the store endpoint is effectively down:
@@ -407,33 +361,6 @@ class FaaSKeeperService:
         for client in list(self.clients.values()):
             if label == "system" or client.region == region:
                 client._transition(KeeperState.SUSPENDED)
-
-    # Single-leader aliases (shard 0), kept for the paper-configuration
-    # benchmarks and tests written against the unsharded deployment.
-    @property
-    def leader_fn(self):
-        return self.leader_fns[0]
-
-    # Flat-session-plane aliases (shard 0), same convention.
-    @property
-    def heartbeat_logic(self) -> HeartbeatLogic:
-        return self.heartbeat_logics[0]
-
-    @property
-    def heartbeat_fn(self):
-        return self.heartbeat_fns[0]
-
-    @property
-    def heartbeat_task(self):
-        return self.heartbeat_tasks[0]
-
-    @property
-    def leader_queue(self):
-        return self.leader_queues[0]
-
-    @property
-    def leader_logic(self) -> LeaderLogic:
-        return self.leader_logics[0]
 
     def _on_leader_drop(self, message) -> None:
         """A leader-queue message exhausted ``leader_max_receive``: its
@@ -510,11 +437,8 @@ class FaaSKeeperService:
             max_receive=self.config.follower_max_receive)
         queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
         self._session_queues[session_id] = queue
-        session_item = {"ephemeral": [], "region": region, "last_rid": 0}
-        if self.ephemeral_ttl_active:
-            session_item[TTL_ATTRIBUTE] = (
-                self.cloud.env.now + self.config.effective_ephemeral_ttl_ms)
-        return session_id, queue, session_item
+        return session_id, queue, {"ephemeral": [], "region": region,
+                                   "last_rid": 0}
 
     def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
         """Open a session: its own FIFO queue, a session record, a client."""
@@ -688,21 +612,13 @@ class FaaSKeeperService:
         client._transition(KeeperState.SUSPENDED)
         return False
 
-    def enqueue_eviction(self, ctx: OpContext, session_id: str,
-                         ephemerals: Optional[List[str]] = None) -> Generator:
+    def enqueue_eviction(self, ctx: OpContext, session_id: str) -> Generator:
         """Queue a deregistration request into the session's own queue, so it
-        orders after any writes the session already submitted.
-
-        ``ephemerals`` rides along when the caller already knows the list
-        (the TTL path, whose session record no longer exists to read)."""
+        orders after any writes the session already submitted."""
         queue = self._session_queues.get(session_id)
         if queue is None:  # already closed: its queue went with it
             return None
-        body: Dict[str, Any] = {
-            "session": session_id, "rid": -1, "op": "close_session",
-        }
-        if ephemerals is not None:
-            body["ephemerals"] = list(ephemerals)
+        body = {"session": session_id, "rid": -1, "op": "close_session"}
         try:
             yield from queue.send(ctx, body, group=session_id, size_kb=0.1)
         except NoSuchQueue:

@@ -56,12 +56,20 @@ from .layout import (
     SYSTEM_SESSIONS,
     SYSTEM_SNAPSHOT,
     SYSTEM_STATE,
+    SYSTEM_WATCHES,
     log_key,
     new_system_node,
     replicated_key,
 )
 
 __all__ = ["SnapshotManager"]
+
+#: Coordination tables checkpointed beside the node fold, with their keys
+#: in the snapshot table.
+_SYSTEM_CHECKPOINTS = (
+    (SYSTEM_WATCHES, SNAPSHOT_SYS_PREFIX + "watches"),
+    (SYSTEM_SESSIONS, SNAPSHOT_SYS_PREFIX + "sessions"),
+)
 
 
 def _cseq_from_children(children: List[str]) -> int:
@@ -105,27 +113,6 @@ class SnapshotManager:
             "fk_log_records_compacted_total", "Log records truncated")
         self._floor = registry.gauge(
             "fk_snapshot_floor_txid", "Published snapshot floor")
-
-    # Pre-metrics attribute API, now read-only over the registry.
-    @property
-    def log_appends(self) -> int:
-        return int(self._appends.value)
-
-    @property
-    def snapshots_taken(self) -> int:
-        return int(self._snapshots.value)
-
-    @property
-    def records_folded(self) -> int:
-        return int(self._folded.value)
-
-    @property
-    def log_records_compacted(self) -> int:
-        return int(self._compacted.value)
-
-    @property
-    def last_floor(self) -> int:
-        return int(self._floor.value)
 
     # ------------------------------------------------------------ log append
     def append_log(self, fctx, txid: int, shard: int,
@@ -222,17 +209,6 @@ class SnapshotManager:
         self._floor.set(floor)
         return floor
 
-    def _watch_checkpoints(self) -> List[Tuple[str, str]]:
-        """(table, checkpoint key) per watch shard.  Shard 0 keeps the
-        flat-plane key ``sys:watches`` so old snapshots stay readable;
-        extra shards checkpoint under ``sys:watches:<i>``."""
-        out: List[Tuple[str, str]] = []
-        for i, table in enumerate(self.service.watch_registry.tables):
-            key = SNAPSHOT_SYS_PREFIX + ("watches" if i == 0
-                                         else f"watches:{i}")
-            out.append((table, key))
-        return out
-
     def _checkpoint_system(self, ctx: OpContext, floor: int) -> Generator:
         """Checkpoint the coordination tables (watch instances, session
         records) alongside the node fold, under ``sys:``-prefixed keys that
@@ -243,8 +219,7 @@ class SnapshotManager:
         owner.  Fuzzy like the node fold: entries registered after the
         published floor are covered by the next snapshot."""
         store = self.service.system_store
-        for table, key in (*self._watch_checkpoints(),
-                           (SYSTEM_SESSIONS, SNAPSHOT_SYS_PREFIX + "sessions")):
+        for table, key in _SYSTEM_CHECKPOINTS:
             items = yield from store.scan(ctx, table)
             yield from store.put_item(
                 ctx, SYSTEM_SNAPSHOT, key,
@@ -476,19 +451,15 @@ class SnapshotManager:
                                       new_system_node(0, 0))
             restored += 1
 
-        watches = sessions = 0
-        for table, key, counter in (
-                *[(t, k, "w") for t, k in self._watch_checkpoints()],
-                (SYSTEM_SESSIONS, SNAPSHOT_SYS_PREFIX + "sessions", "s")):
-            saved = checkpoint.get(key) or {}
-            for item_key in sorted(saved.get("items", {})):
+        recovered: Dict[str, int] = {}
+        for table, key in _SYSTEM_CHECKPOINTS:
+            items = (checkpoint.get(key) or {}).get("items", {})
+            for item_key in sorted(items):
                 yield from store.put_item(
-                    ctx, table, item_key, dict(saved["items"][item_key]))
-                if counter == "w":
-                    watches += 1
-                else:
-                    sessions += 1
-        return {"nodes": restored, "watches": watches, "sessions": sessions,
+                    ctx, table, item_key, dict(items[item_key]))
+            recovered[table] = len(items)
+        return {"nodes": restored, "watches": recovered[SYSTEM_WATCHES],
+                "sessions": recovered[SYSTEM_SESSIONS],
                 "replayed": replayed, "floor": floor, "top": top}
 
     # ------------------------------------------------------------ scheduled fn
@@ -503,9 +474,9 @@ class SnapshotManager:
     # ------------------------------------------------------------ accounting
     def stats(self) -> Dict[str, float]:
         return {
-            "log_appends": float(self.log_appends),
-            "snapshots_taken": float(self.snapshots_taken),
-            "records_folded": float(self.records_folded),
-            "log_records_compacted": float(self.log_records_compacted),
-            "last_floor": float(self.last_floor),
+            "log_appends": self._appends.value,
+            "snapshots_taken": self._snapshots.value,
+            "records_folded": self._folded.value,
+            "log_records_compacted": self._compacted.value,
+            "last_floor": self._floor.value,
         }

@@ -25,11 +25,10 @@ plus a reference backend:
   sub-millisecond latency and zero billing: the conformance suite's
   baseline and the cheapest substrate for chaos/fault matrices.
 
-Every backend declares capabilities on its class (``supports_ttl`` — can
-the fleet expire items natively, Dynamo-style?) and implements the shared
-API plus three inspection hooks (:meth:`UserStore.peek`,
-:meth:`UserStore.wipe_region`, :meth:`UserStore.fault_points`) that the
-chaos harness and the fault injector use without switching on kind.
+Every backend implements the shared API plus three inspection hooks
+(:meth:`UserStore.peek`, :meth:`UserStore.wipe_region`,
+:meth:`UserStore.fault_points`) that the chaos harness and the fault
+injector use without switching on kind.
 
 All backends expose per-region replicas; the leader writes each region and
 clients read their local one.
@@ -145,9 +144,6 @@ class UserStore:
     kind: str = "?"
     #: Canonical URI scheme (set by :func:`register_backend`).
     scheme: str = "?"
-    #: Capability: the backend's stores expire items natively (conditional
-    #: Dynamo-style TTL) — the gate for TTL-native ephemeral cleanup.
-    supports_ttl: bool = False
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         self.cloud = cloud
@@ -280,7 +276,6 @@ class DynamoBackend(UserStore):
     """Key-value backend: node image stored as one item."""
 
     kind = UserStoreKind.DYNAMODB
-    supports_ttl = True
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
@@ -321,7 +316,6 @@ class HybridBackend(UserStore):
     """
 
     kind = UserStoreKind.HYBRID
-    supports_ttl = True
 
     #: Section 4.2: nodes up to 4 kB go to the key-value store.
     THRESHOLD_KB = 4.0
@@ -454,7 +448,6 @@ class MemBackend(UserStore):
     and the cheapest substrate for chaos and fault-schedule matrices."""
 
     kind = UserStoreKind.MEM
-    supports_ttl = True
     #: Fixed per-op latency (ms): deterministic, no RNG draws.
     LATENCY_MS = 0.1
     # Labels for fault-injector arming (MemBackend is its own fault point).

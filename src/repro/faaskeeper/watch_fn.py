@@ -12,11 +12,9 @@ that completion is what the leader's WatchCallback (epoch cleanup) awaits.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, Generator
 
 from ..sim.kernel import AllOf
-from .layout import watch_shard_of
 from .model import EventType, WatchedEvent
 
 __all__ = ["WatchFanoutLogic"]
@@ -40,32 +38,6 @@ class WatchFanoutLogic:
             ("origin", "shard"))
         self._invocations = service.metrics.counter(
             "fk_watch_fanouts_total", "Watch fan-out invocations")
-        # Attribution by *watch-table* shard (the session plane's watch
-        # partitioning), distinct from the leader-pipeline "shard" label
-        # above; on a flat plane everything lands on watch shard 0.
-        self._shard_deliveries = service.metrics.counter(
-            "fk_watch_shard_deliveries_total",
-            "Watch notifications delivered per watch-table shard",
-            ("watch_shard",))
-
-    # Pre-metrics attribute API: the epoch-accounting and sharding tests
-    # index these like the defaultdicts they used to be.
-    @property
-    def deliveries_by_shard(self) -> Dict[int, int]:
-        totals: Dict[int, int] = defaultdict(int)
-        for (_origin, shard), child in self._deliveries.items():
-            totals[int(shard)] += int(child.value)
-        return totals
-
-    @property
-    def deliveries_by_origin(self) -> Dict[str, int]:
-        """Which pipeline stage invoked the fan-out ("leader" for the
-        inline step ➍, "distributor" for the asynchronous watch stage);
-        the distributor tests assert the fan-out moved off the leader."""
-        totals: Dict[str, int] = defaultdict(int)
-        for (origin, _shard), child in self._deliveries.items():
-            totals[origin] += int(child.value)
-        return totals
 
     def handler(self, fctx, payload: Dict[str, Any]) -> Generator:
         """payload = {"txid": int, "shard": int, "origin": str,
@@ -75,7 +47,6 @@ class WatchFanoutLogic:
         txid = payload["txid"]
         shard = payload.get("shard", 0)
         origin = payload.get("origin", "leader")
-        plane_shards = self.service.config.session_plane_shards
         deliveries = []
         for watch in payload["watches"]:
             # Crash between spawning per-session deliveries: the retried
@@ -93,9 +64,6 @@ class WatchFanoutLogic:
                         session, watch["watch_id"], event),
                     name=f"deliver:{watch['watch_id']}:{session}",
                 ))
-            self._shard_deliveries.labels(
-                watch_shard=str(watch_shard_of(watch["path"], plane_shards)),
-            ).inc(len(watch["sessions"]))
         if deliveries:
             yield AllOf(env, deliveries)
         self._invocations.inc()

@@ -34,7 +34,7 @@ from ..cloud.expressions import Attr, ListAppend, Remove, SetIfNotExists
 from ..cloud.kvstore import KeyValueStore
 from ..primitives.atomics import AtomicList
 from .exceptions import BadArgumentsError, NoNodeError, SessionClosedError
-from .layout import epoch_key, watch_shard_of, watch_shard_table
+from .layout import SYSTEM_WATCHES, epoch_key
 from .model import EventType, WatchType, validate_path
 
 __all__ = ["WatchRegistry", "TriggeredWatch", "triggered_watch_types",
@@ -144,32 +144,18 @@ class EpochLedger:
 
 
 class WatchRegistry:
-    """Client-side registration and leader-side consumption of watches.
+    """Client-side registration and leader-side consumption of watches
+    over the one system watch table."""
 
-    ``shards`` partitions the registry across path-hashed watch tables
-    (``session_plane_shards``): every operation routes through
-    :meth:`table_for`, so the guarded-removal protocol — instance-id plus
-    session-list pin — carries across the partition boundary unchanged;
-    only the table name varies.  Shard 0 keeps the flat-plane table name,
-    so one shard is bit-for-bit today's registry.
-    """
-
-    def __init__(self, store: KeyValueStore, shards: int = 1) -> None:
+    def __init__(self, store: KeyValueStore) -> None:
         self.store = store
-        self.shards = shards
-        #: Table names, indexed by watch shard (shard 0 first).
-        self.tables: List[str] = [watch_shard_table(i) for i in range(shards)]
-
-    def table_for(self, path: str) -> str:
-        """Watch table owning ``path``'s instances."""
-        return self.tables[watch_shard_of(path, self.shards)]
 
     def register(self, ctx: OpContext, path: str, wtype: WatchType,
                  session: str) -> Generator[Any, Any, str]:
         """Join (creating if needed) the watch instance; returns its id."""
         candidate = f"w{next(_uid)}|{path}|{wtype.value}"
         image = yield from self.store.update_item(
-            ctx, self.table_for(path), path,
+            ctx, SYSTEM_WATCHES, path,
             updates=[
                 SetIfNotExists(f"inst.{wtype.value}.id", candidate),
                 ListAppend(f"inst.{wtype.value}.sessions", [session]),
@@ -181,8 +167,7 @@ class WatchRegistry:
     def query(self, ctx: OpContext, path: str
               ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
         """Leader step ➍ prelude: the per-write watch lookup."""
-        return (yield from self.store.get_item(
-            ctx, self.table_for(path), path))
+        return (yield from self.store.get_item(ctx, SYSTEM_WATCHES, path))
 
     def remove_instance(self, ctx: OpContext, path: str, wtype: str,
                         observed_id: str,
@@ -201,7 +186,7 @@ class WatchRegistry:
             (Attr(f"inst.{wtype}.sessions") == list(observed_sessions))
         try:
             yield from self.store.update_item(
-                ctx, self.table_for(path), path,
+                ctx, SYSTEM_WATCHES, path,
                 updates=[Remove(f"inst.{wtype}")],
                 condition=guard,
                 payload_kb=0.064,
@@ -270,12 +255,12 @@ class WatchRegistry:
                 return []
             try:
                 yield from self.store.update_item(
-                    ctx, self.table_for(path), path, updates=removals,
+                    ctx, SYSTEM_WATCHES, path, updates=removals,
                     condition=guard, payload_kb=0.064,
                 )
             except ConditionFailed:
                 watch_item = yield from self.store.get_item(
-                    ctx, self.table_for(path), path)
+                    ctx, SYSTEM_WATCHES, path)
                 continue
             return triggered
 

@@ -161,6 +161,24 @@ def test_scheduled_function_stop(cloud):
     assert task.fired == 3
 
 
+def test_scheduled_function_restart_replaces_the_parked_loop(cloud):
+    def tick(fctx, payload):
+        yield fctx.env.timeout(1)
+        return None
+
+    fn = cloud.deploy_function("tick", tick)
+    task = cloud.runtime.schedule(fn, period_ms=10_000, offset_ms=2_000)
+    task.stop()                      # the first loop is parked on its offset
+    assert not task.enabled
+    task.start()
+    cloud.run(until=25_000)          # fires at 12 s and 22 s
+    task.stop()
+    task.start()                     # ...and again while parked on the period
+    assert task.enabled
+    cloud.run(until=45_000)          # restarted at 25 s: fires at 37 s
+    assert task.fired == fn.invocations == 3
+
+
 def test_scheduled_function_survives_handler_failure(cloud):
     def flaky(fctx, payload):
         yield fctx.env.timeout(1)

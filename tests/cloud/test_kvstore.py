@@ -509,7 +509,7 @@ def test_segmented_scan_remembers_each_key_crc_once(cloud, ctx):
     table = kv.create_table("t")
     keys = [f"s{i}" for i in range(40)]
 
-    def scan(segment=None, total=None):
+    def scan(segment=0, total=1):
         return list(cloud.run_process(kv.scan(ctx, "t", segment, total)))
 
     cloud.run_process(kv.batch_put(ctx, "t", {k: {"v": 1} for k in keys}))
@@ -522,3 +522,30 @@ def test_segmented_scan_remembers_each_key_crc_once(cloud, ctx):
     cloud.run_process(kv.delete_item(ctx, "t", "s7"))
     assert "s7" not in table._key_crc
     assert "s7" not in scan(scan_segment_of("s7", 4), 4)
+
+
+@pytest.mark.parametrize("total", [1, 4])
+def test_scan_reads_the_keys_it_set_out_to_read(cloud, ctx, total):
+    """Whole-table and segmented scans agree on in-flight changes: a key
+    deleted before completion drops out, an update shows its newest image,
+    and a key inserted meanwhile waits for the next scan."""
+    from repro.cloud.kvstore import scan_segment_of
+
+    kv = cloud.kv()
+    kv.create_table("t")
+    segment = scan_segment_of("s0", total)
+    mine = [k for k in (f"s{i}" for i in range(40))
+            if scan_segment_of(k, total) == segment]
+    gone, changed, late = mine[1], mine[2], mine[-1]
+    cloud.run_process(kv.batch_put(
+        ctx, "t", {k: {"v": 1} for k in mine if k != late}))
+    scan = cloud.env.process(kv.scan(ctx, "t", segment, total))
+    cloud.env.step()                 # the request is sent: keys selected
+    table = kv.table("t")
+    table._store(gone, None)
+    table._store(changed, {"v": 2})
+    table._store(late, {"v": 1})
+    cloud.run(until=scan)
+    assert list(scan.value) == [k for k in mine if k not in (gone, late)]
+    assert scan.value[changed] == {"v": 2}
+

@@ -28,8 +28,6 @@ def test_ack_on_commit_requires_distributor():
         FaaSKeeperConfig(ack_policy="on_commit")
     with pytest.raises(ValueError):
         FaaSKeeperConfig(ack_policy="bogus")
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(distributor_enabled=True, distributor_batch=0)
 
 
 def test_distributor_deploys_one_queue_and_function_per_region():
@@ -174,7 +172,9 @@ def test_watch_fanout_owned_by_distributor():
     client.set_data("/w", b"x")
     settle(cloud)
     assert len(events) == 1
-    assert service.watch_logic.deliveries_by_origin == {"distributor": 1}
+    deliveries = service.metrics.get("fk_watch_deliveries_total")
+    assert {labels: child.value for labels, child in deliveries.items()} \
+        == {("distributor", "0"): 1}
 
 
 # ---------------------------------------------------------------- watermark

@@ -72,8 +72,8 @@ def test_leader_crash_is_retried_by_queue():
     cloud, service = make_service(seed=15)
     c = service.connect()
     c.create("/a", b"")
-    service.leader_fn.plan_crash("leader_entry",
-                                 invocations=[service.leader_fn.invocations + 1])
+    leader = service.leader_fns[0]
+    leader.plan_crash("leader_entry", invocations=[leader.invocations + 1])
     # plant the crash point by wrapping the handler segment: use generic
     # crash at function start via base compute -- emulate by planning on a
     # point the leader hits every time.

@@ -8,6 +8,10 @@ from repro.cloud import OpContext
 from .conftest import make_service
 
 
+def _collected(service, kind):
+    return service.metrics.get("fk_gc_collected_total").labels(kind=kind).value
+
+
 def test_gc_collects_tombstones(cloud=None):
     cloud, service = make_service(seed=200)
     c = service.connect()
@@ -18,7 +22,7 @@ def test_gc_collects_tombstones(cloud=None):
     assert nodes.raw("/a")["exists"] is False
     cloud.run(until=cloud.now + 10 * 60_000)  # grace + two sweeps
     assert nodes.raw("/a") is None
-    assert service.gc_logic.collected_tombstones >= 1
+    assert _collected(service, "tombstone") >= 1
 
 
 def test_gc_spares_live_nodes():
@@ -48,7 +52,7 @@ def test_gc_collects_phantom_lock_items():
     assert nodes.raw("/phantom") == {}  # empty phantom item
     cloud.run(until=cloud.now + 10 * 60_000)
     assert nodes.raw("/phantom") is None
-    assert service.gc_logic.collected_phantoms >= 1
+    assert _collected(service, "phantom") >= 1
 
 
 def test_gc_drops_watches_of_dead_sessions():
@@ -62,7 +66,7 @@ def test_gc_drops_watches_of_dead_sessions():
     assert watches.raw("/w")["inst"].get("data") is not None
     cloud.run(until=cloud.now + 10 * 60_000)
     assert not watches.raw("/w")["inst"].get("data")
-    assert service.gc_logic.collected_watches >= 1
+    assert _collected(service, "watch") >= 1
 
 
 def test_gc_watch_sweep_spares_instance_reregistered_during_sweep():

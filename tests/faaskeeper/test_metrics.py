@@ -177,25 +177,6 @@ def test_metrics_snapshot_covers_every_stage():
     assert "fk_fn_invocations" in text and "fk_cost_dollars" in text
 
 
-def test_stage_counters_survive_as_registry_backed_properties():
-    cloud, service = make_service(seed=901, client_cache_entries=4)
-    c = service.connect()
-    c.create("/a", b"x")
-    fired = []
-    c.get_data("/a", watch=lambda ev: fired.append(ev))
-    c.set_data("/a", b"y")
-    cloud.run(until=cloud.now + 10_000)
-    assert fired
-    # old attribute API, now reading through the registry
-    assert service.watch_logic.deliveries_by_shard[0] >= 1
-    assert service.watch_logic.deliveries_by_origin["leader"] >= 1
-    m = service.metrics
-    assert m.get("fk_watch_fanouts_total").value >= 1
-    delivered = sum(ch.value for _lv, ch in
-                    m.get("fk_watch_deliveries_total").items())
-    assert delivered == sum(service.watch_logic.deliveries_by_shard.values())
-
-
 def test_cost_breakdown_matches_the_cost_meter():
     """Parity gate: the registry-backed ``cost_breakdown()`` must return
     exactly what the pre-registry implementation computed straight from

@@ -127,11 +127,11 @@ def test_redelivered_leader_batch_appends_one_outbox_record():
     cloud, service = outbox_service(602)
     c = service.connect()
     c.create("/a", b"v0")
-    service.leader_fn.plan_crash(
+    service.leader_fns[0].plan_crash(
         "leader_after_log",
-        invocations=[service.leader_fn.invocations + 1])
+        invocations=[service.leader_fns[0].invocations + 1])
     res = c.set_data("/a", b"v1")
-    assert service.leader_fn.failures == 1  # the crash really happened
+    assert service.leader_fns[0].failures == 1  # the crash really happened
     outbox = service.system_store.table(SYSTEM_OUTBOX)
     record = outbox.raw(log_key(res.txid))
     assert record is not None and record["events"] == [["/a", "set_data"]]

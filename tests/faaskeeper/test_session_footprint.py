@@ -13,6 +13,8 @@ import pytest
 
 from repro.cloud.queues import FifoQueue
 from repro.faaskeeper.client import FaaSKeeperClient
+from repro.faaskeeper.model import KeeperState
+from repro.faaskeeper.retry import BREAKER_OPEN
 from ..helpers.footprint import bytes_and_blocks_per
 from .conftest import make_service
 
@@ -40,6 +42,21 @@ def test_idle_session_fits_the_budget():
                 "watch_events", "retry"} & set(vars(client))
 
 
+def test_state_flip_allocates_nothing_on_a_listenerless_session():
+    """A breaker OPEN suspends every session at once: the transition must
+    not create the listener list of sessions that registered none."""
+    _cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(20)
+    seen = []
+    fleet[0].add_listener(seen.append)
+    service._on_breaker_transition("system", "us-east-1", BREAKER_OPEN)
+    assert all(c.state == KeeperState.SUSPENDED for c in fleet)
+    for client in fleet:
+        client._transition(KeeperState.CONNECTED)
+    assert seen == [KeeperState.SUSPENDED, KeeperState.CONNECTED]
+    assert not any("_listeners" in vars(c) for c in fleet[1:])
+
+
 def _live(kind) -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is kind)
 
@@ -53,8 +70,11 @@ def test_session_churn_does_not_grow_the_deployment():
     samples, ROADMAP item 4 — would swamp an empty deployment's total.)"""
     tracemalloc.start()
     try:
+        # storage_faults pinned off: the subject is session state, and a
+        # system-store breaker OPEN flips all 2 000 resident sessions.
         cloud, service = make_service(seed=7, user_store="mem",
-                                      session_plane_shards=8)
+                                      session_plane_shards=8,
+                                      storage_faults=False)
         resident = service.connect_many(2000)
         after = []
         for _round in range(5):

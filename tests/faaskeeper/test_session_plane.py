@@ -1,42 +1,21 @@
-"""Sharded session plane: partitioned heartbeat sweeps, per-shard watch
-tables, batched registration — and the shards=1 bit-for-bit gate.
+"""Sharded session plane: partitioned heartbeat sweeps, batched
+registration — and the shards=1 bit-for-bit gate.
 
 ``session_plane_shards=1`` (the default) must be the paper's flat plane,
 not a near-copy: same event sequence, same virtual-clock timings, same
 metered cost.  The sharded topology keeps every protocol (ephemeral-first
-eviction per shard, guarded watch removal, TTL refresh) and only splits
-the *tables and sweeps* they run over.
+eviction per shard, guarded watch removal) and only splits the *sweeps*
+over the session table; each shard sweeps once per period.
 """
 
 import pytest
 
 from repro.cloud import Cloud
-from repro.cloud.context import OpContext
 from repro.cloud.kvstore import scan_segment_of
 from repro.faaskeeper import FaaSKeeperConfig
-from repro.faaskeeper.layout import (
-    SYSTEM_SESSIONS,
-    SYSTEM_WATCHES,
-    session_shard_of,
-    watch_shard_of,
-    watch_shard_table,
-)
+from repro.faaskeeper.layout import SYSTEM_SESSIONS, SYSTEM_WATCHES
+from repro.faaskeeper.swarm import SessionSwarm, SwarmSpec
 from .conftest import make_service
-
-
-# ------------------------------------------------------------ shard maps
-def test_watch_and_session_shard_maps_are_stable():
-    assert watch_shard_table(0) == SYSTEM_WATCHES
-    assert watch_shard_table(2) == f"{SYSTEM_WATCHES}-2"
-    assert watch_shard_of("/any/path", 1) == 0
-    assert session_shard_of("s123", 1) == 0
-    # covers every shard over a modest population
-    assert {watch_shard_of(f"/p{i}", 4) for i in range(64)} == {0, 1, 2, 3}
-    assert {session_shard_of(f"s{i}", 4) for i in range(64)} == {0, 1, 2, 3}
-    # the session map mirrors the KV layer's parallel-scan segments, so a
-    # sweep shard scanning segment i sees exactly its sessions
-    for i in range(32):
-        assert session_shard_of(f"s{i}", 4) == scan_segment_of(f"s{i}", 4)
 
 
 def test_config_validates_session_plane_shards():
@@ -62,7 +41,7 @@ def _workload_fingerprint(seed, **config_kwargs):
     dead.alive = False
     cloud.run(until=cloud.now + 3 * 60_000)     # two sweeps + eviction
     events.append((dead.closed, dead.evicted, dead.closed_at))
-    events.append(service.heartbeat_logic.evictions)
+    events.append(service.metrics.get("fk_heartbeat_evictions_total").value)
     events.append(tuple(hits))
     events.append(round(cloud.now, 6))
     events.append(round(sum(cloud.meter.by_service().values()), 12))
@@ -88,23 +67,18 @@ def test_probe_interval_zero_is_invisible():
 def test_flat_plane_deploys_legacy_topology():
     _cloud, service = make_service(seed=93)
     assert [f.spec.name for f in service.heartbeat_fns] == ["fk-heartbeat"]
-    assert service.heartbeat_fn is service.heartbeat_fns[0]
-    assert service.heartbeat_task is service.heartbeat_tasks[0]
-    assert service.watch_registry.tables == [SYSTEM_WATCHES]
-    assert service.heartbeat_task.offset_ms == 0.0
+    assert [t.offset_ms for t in service.heartbeat_tasks] == [0.0]
 
 
-def test_sharded_plane_deploys_one_sweep_and_watch_table_per_shard():
+def test_sharded_plane_deploys_one_sweep_per_shard():
     _cloud, service = make_service(seed=94, session_plane_shards=4)
     assert [f.spec.name for f in service.heartbeat_fns] == [
         "fk-heartbeat", "fk-heartbeat-1", "fk-heartbeat-2", "fk-heartbeat-3"]
     assert [logic.shard for logic in service.heartbeat_logics] == [0, 1, 2, 3]
     assert all(logic.shards == 4 for logic in service.heartbeat_logics)
-    assert service.watch_registry.tables == [
-        SYSTEM_WATCHES, f"{SYSTEM_WATCHES}-1",
-        f"{SYSTEM_WATCHES}-2", f"{SYSTEM_WATCHES}-3"]
-    for table in service.watch_registry.tables:
-        assert service.system_store.table(table) is not None
+    # the shards split the sweep, not the watch registry
+    assert [name for name in service.system_store.tables
+            if name.startswith(SYSTEM_WATCHES)] == [SYSTEM_WATCHES]
     # shard sweeps are phase-staggered; shard 0 keeps the flat schedule
     offsets = [t.offset_ms for t in service.heartbeat_tasks]
     assert offsets[0] == 0.0
@@ -143,65 +117,30 @@ def test_sharded_and_flat_plane_agree_on_evictions():
     assert outcome(1) == outcome(4)
 
 
-def test_watches_route_to_their_shard_table_and_still_deliver():
-    cloud, service = make_service(seed=97, session_plane_shards=4)
-    c = service.connect()
-    reg = service.watch_registry
-    # two paths on different watch shards
-    paths = [f"/w{i}" for i in range(32)]
-    a = next(p for p in paths if watch_shard_of(p, 4) == 0)
-    b = next(p for p in paths if watch_shard_of(p, 4) != 0)
-    for p in (a, b):
-        c.create(p, b"")
-    hits = []
-    c.get_data(a, watch=lambda ev: hits.append(("a", ev.path)))
-    c.get_data(b, watch=lambda ev: hits.append(("b", ev.path)))
-    # instances persisted in the owning shard's table, nowhere else
-    assert service.system_store.table(reg.table_for(a)).raw(a) is not None
-    assert service.system_store.table(reg.table_for(b)).raw(b) is not None
-    assert reg.table_for(a) != reg.table_for(b)
-    assert service.system_store.table(reg.table_for(a)).raw(b) is None
-    c.set_data(a, b"x")
-    c.set_data(b, b"y")
-    cloud.run(until=cloud.now + 5_000)
-    assert sorted(hits) == [("a", a), ("b", b)]
-    # fan-out attribution per watch shard
-    snap = service.metrics_snapshot()
-    shards_hit = set(snap["fk_watch_shard_deliveries_total"]["values"])
-    assert shards_hit == {f'watch_shard="{watch_shard_of(a, 4)}"',
-                          f'watch_shard="{watch_shard_of(b, 4)}"'}
-
-
-def test_watch_reregistration_lands_on_a_different_shard():
-    """Satellite edge case: a session whose watch fired re-arms on a path
-    hashing to another watch shard — both shard tables must carry the
-    session's instances over time, and the GC's guarded removal must
-    reclaim each on its own shard once the session dies."""
+def test_gc_reclaims_the_rearmed_watch_of_an_evicted_session():
+    """Satellite edge case: a session whose watch fired re-arms on another
+    path and then dies — the GC's guarded removal must reclaim the
+    un-fired instance once the sharded sweep has evicted the session."""
     cloud, service = make_service(seed=98, session_plane_shards=4)
-    reg = service.watch_registry
-    paths = [f"/r{i}" for i in range(64)]
-    a = next(p for p in paths if watch_shard_of(p, 4) == 1)
-    b = next(p for p in paths if watch_shard_of(p, 4) == 2)
+    watches = service.system_store.table(SYSTEM_WATCHES)
+    a, b = "/r0", "/r1"
     owner = service.connect()
     for p in (a, b):
         owner.create(p, b"")
     watcher = service.connect()
     fired = []
     watcher.get_data(a, watch=lambda ev: fired.append(ev.path))
-    owner.set_data(a, b"1")                    # consumes the shard-1 watch
+    owner.set_data(a, b"1")                    # consumes the first watch
     cloud.run(until=cloud.now + 5_000)
     assert fired == [a]
     watcher.get_data(b, watch=lambda ev: fired.append(ev.path))
-    assert service.system_store.table(reg.table_for(b)).raw(b) is not None
-    # watcher dies silently: the GC must reclaim the un-fired shard-2
-    # instance through the per-shard guarded-removal path
+    assert watches.raw(b) is not None
     watcher.alive = False
     cloud.run(until=cloud.now + 3 * 60_000)
     assert watcher.closed and watcher.evicted
     service.gc_fn.invoke(None)
     cloud.run(until=cloud.now + 10_000)
-    item = service.system_store.table(reg.table_for(b)).raw(b)
-    insts = (item or {}).get("inst") or {}
+    insts = (watches.raw(b) or {}).get("inst") or {}
     assert all(watcher.session_id not in (i.get("sessions") or [])
                for i in insts.values())
 
@@ -213,7 +152,7 @@ def test_session_closing_mid_sweep_at_shard_boundary():
     cloud, service = make_service(seed=99, session_plane_shards=4)
     clients = service.connect_many(16)
     victim = clients[0]
-    shard = session_shard_of(victim.session_id, 4)
+    shard = scan_segment_of(victim.session_id, 4)
     fn = service.heartbeat_fns[shard]
     # fire the owning shard's sweep manually and close the victim while
     # the sweep is mid-flight (after the scan latency started)
@@ -231,30 +170,41 @@ def test_session_closing_mid_sweep_at_shard_boundary():
     assert sum(1 for c in clients if c.closed) == 1
 
 
-def test_ttl_refresh_racing_eviction_is_absorbed():
-    """Satellite edge case: with TTL-native cleanup, a session that answers
-    the scan but closes before the TTL refresh lands must not resurrect —
-    the conditional refresh hits ConditionFailed and is dropped."""
-    cloud, service = make_service(seed=100, session_plane_shards=4,
-                                  user_store="mem",
-                                  ephemeral_ttl_enabled=True)
-    clients = service.connect_many(8)
-    victim = clients[3]
-    shard = session_shard_of(victim.session_id, 4)
-    fn = service.heartbeat_fns[shard]
-    done = fn.invoke(None)
-    cloud.run(until=cloud.now + 1.0)           # scan in flight, pings next
-    victim.close()                              # record deleted mid-sweep
-    cloud.run(until=done)
-    assert victim.closed
-    assert service.system_store.table(SYSTEM_SESSIONS).raw(
-        victim.session_id) is None
-    # the surviving sessions all kept a refreshed record
-    for c in clients:
-        if c is victim:
-            continue
-        assert service.system_store.table(SYSTEM_SESSIONS).raw(
-            c.session_id) is not None
+# ------------------------------------------------------------ one sweep per period
+def test_each_shard_sweeps_once_per_period():
+    """A shard's cron parks on its phase offset while the deployment is at
+    scale-to-zero; the first connect must replace that loop, not join it."""
+    cloud, service = make_service(seed=104, session_plane_shards=4,
+                                  storage_faults=False)
+    service.connect()
+    cloud.run(until=cloud.now + 4.6 * 60_000)
+    # offsets 0/15/30/45 s: fourth firings at 240/255/270/285 s, window 276 s
+    assert [t.fired for t in service.heartbeat_tasks] == [4, 4, 4, 3]
+    assert [fn.invocations for fn in service.heartbeat_fns] == [4, 4, 4, 3]
+
+
+def test_swarm_sweeps_shards_times_periods_and_evicts_each_silent_once():
+    """ROADMAP item 1 gate: sweeps == shards x periods, evictions == silent
+    sessions — the heartbeat's own counter, not just the closed clients."""
+    shards, periods, silent = 8, 4, 12
+    cloud, service = make_service(seed=105, user_store="mem",
+                                  session_plane_shards=shards,
+                                  storage_faults=False)
+    period = service.config.heartbeat_period_ms
+    largest_offset = max(t.offset_ms for t in service.heartbeat_tasks)
+    duration = 4.9 * period
+    assert periods * period + largest_offset <= duration < (periods + 1) * period
+    report = SessionSwarm(cloud, service, SwarmSpec(
+        sessions=200, registration_wave=100, watchers=20, watch_paths=2,
+        writers=4, lock_contenders=2, graceful_closes=10, silent=silent,
+        duration_ms=duration, seed=105)).run()
+    assert report["sweeps"] == shards * periods
+    assert service.metrics.get("fk_heartbeat_sweeps_total").value == \
+        shards * periods
+    for fn, task in zip(service.heartbeat_fns, service.heartbeat_tasks):
+        assert fn.invocations == task.fired == periods
+    assert service.metrics.get("fk_heartbeat_evictions_total").value == \
+        silent == report["evicted"]
 
 
 # ------------------------------------------------------------ registration
@@ -277,7 +227,7 @@ def test_connect_many_matches_serial_connects():
                        if records.raw(c.session_id) is not None
                        for sid in [c.session_id]),
                 service.active_sessions,
-                service.heartbeat_task.enabled)
+                service.heartbeat_tasks[0].enabled)
 
     assert register(batched=True) == register(batched=False)
 

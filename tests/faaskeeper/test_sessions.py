@@ -6,12 +6,31 @@ from repro.faaskeeper import SessionClosedError
 from .conftest import make_service
 
 
+def _evictions(service):
+    return service.metrics.get("fk_heartbeat_evictions_total").value
+
+
 def test_heartbeat_starts_with_first_session(service):
-    assert not service.heartbeat_task.enabled
+    assert not service.heartbeat_tasks[0].enabled
     c = service.connect()
-    assert service.heartbeat_task.enabled
+    assert service.heartbeat_tasks[0].enabled
     c.close()
-    assert not service.heartbeat_task.enabled
+    assert not service.heartbeat_tasks[0].enabled
+
+
+def test_reconnect_inside_one_period_does_not_double_the_crons():
+    """Scale-to-zero and back inside one period: the loops parked by the
+    first session's close must retire, not fire beside the new ones."""
+    cloud, service = make_service(seed=1, storage_faults=False)
+    first = service.connect()
+    first.create("/a", b"x")
+    cloud.run(until=cloud.now + 10_000)
+    first.close()
+    cloud.run(until=cloud.now + 5_000)
+    service.connect()
+    cloud.run(until=cloud.now + 5 * 60_000 + 1_000)
+    assert service.heartbeat_tasks[0].fired == 5
+    assert service.gc_task.fired == 1
 
 
 def test_scale_to_zero_no_compute_costs_when_idle(cloud, service):
@@ -32,9 +51,9 @@ def test_heartbeat_fires_every_minute_with_ephemeral_owner():
     cloud, service = make_service(storage_faults=False)
     c = service.connect()
     c.create("/e", ephemeral=True)
-    fired_before = service.heartbeat_task.fired
+    fired_before = service.heartbeat_tasks[0].fired
     cloud.run(until=cloud.now + 5 * 60_000)
-    assert service.heartbeat_task.fired - fired_before == 5
+    assert service.heartbeat_tasks[0].fired - fired_before == 5
 
 
 def test_dead_client_evicted_and_ephemerals_cleaned(cloud, service):
@@ -46,7 +65,7 @@ def test_dead_client_evicted_and_ephemerals_cleaned(cloud, service):
     cloud.run(until=cloud.now + 3 * 60_000)
     assert c2.exists("/e") is None
     assert c2.exists("/persistent") is not None
-    assert service.heartbeat_logic.evictions >= 1
+    assert _evictions(service) >= 1
     # session record removed
     assert service.system_store.table("fk-system-sessions").raw(
         c1.session_id) is None
@@ -68,7 +87,7 @@ def test_live_client_not_evicted(cloud, service):
     c.create("/e", ephemeral=True)
     cloud.run(until=cloud.now + 10 * 60_000)
     assert c.exists("/e") is not None
-    assert service.heartbeat_logic.evictions == 0
+    assert _evictions(service) == 0
 
 
 def test_active_sessions_counter_equals_the_full_scan(cloud, service):
@@ -108,7 +127,7 @@ def test_dead_session_without_ephemerals_is_evicted(cloud, service):
     assert c.closed
     assert service.system_store.table("fk-system-sessions").raw(
         c.session_id) is None
-    assert service.heartbeat_logic.evictions >= 1
+    assert _evictions(service) >= 1
 
 
 def test_dead_watch_only_session_is_evicted_and_watch_reclaimed(cloud, service):
@@ -187,10 +206,10 @@ def test_sweep_pings_with_timers_not_processes(cloud, service):
     kernel.Process.__init__ = recording_init
     try:
         t0 = cloud.now
-        cloud.run(until=service.heartbeat_fn.invoke(None))
+        cloud.run(until=service.heartbeat_fns[0].invoke(None))
     finally:
         kernel.Process.__init__ = real_init
-    assert service.heartbeat_logic.evictions == 1
+    assert _evictions(service) == 1
     assert not [name for name in spawned if name and name.startswith("ping")]
     assert len([name for name in spawned if name]) <= 3  # sweep + eviction
     assert states[0][1].name == "SUSPENDED" and states[0][0] > t0

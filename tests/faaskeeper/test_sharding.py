@@ -108,17 +108,15 @@ def test_shards1_deploys_legacy_topology():
     assert [q.name for q in service.leader_queues] == ["fk-leader-q"]
     assert [f.spec.name for f in service.leader_fns] == ["fk-leader"]
     assert service.fence_board is None
-    assert service.leader_queue is service.leader_queues[0]
-    assert service.leader_fn is service.leader_fns[0]
     # single-leader messages carry no fence fields
     captured = []
-    original = service.leader_queue.send
+    original = service.leader_queues[0].send
 
     def spy(ctx, body, **kwargs):
         captured.append(body)
         return (yield from original(ctx, body, **kwargs))
 
-    service.leader_queue.send = spy
+    service.leader_queues[0].send = spy
     c = service.connect()
     c.create("/a", b"")
     assert captured and all("fence" not in body for body in captured)
@@ -278,7 +276,8 @@ def test_watches_fire_across_shards_and_epoch_drains():
     for region in service.config.regions:
         assert service.epoch_ledger.snapshot(region) == []
     # fan-out bookkeeping saw two different shards
-    assert len(service.watch_logic.deliveries_by_shard) == 2
+    deliveries = service.metrics.get("fk_watch_deliveries_total")
+    assert len({shard for (_origin, shard), _child in deliveries.items()}) == 2
 
 
 def test_root_children_converge_across_shards():

@@ -103,10 +103,11 @@ def test_snapshot_is_incremental_and_refold_is_idempotent():
     c = service.connect()
     c.create("/a", b"v0")
     first = snapshot_now(cloud, service)
-    folded_first = service.snapshots.records_folded
+    folded = service.metrics.get("fk_snapshot_records_folded_total")
+    folded_first = folded.value
     # nothing new: the floor does not move, nothing is re-folded
     assert snapshot_now(cloud, service) == first
-    assert service.snapshots.records_folded == folded_first
+    assert folded.value == folded_first
     c.set_data("/a", b"v1")
     second = snapshot_now(cloud, service)
     assert second > first
@@ -217,8 +218,8 @@ def test_scheduled_snapshot_function_runs_and_compacts():
     c.create("/a", b"v0")
     c.set_data("/a", b"v1")
     cloud.run(until=cloud.now + 30_000)
-    assert service.snapshots.snapshots_taken >= 1
-    assert service.snapshots.log_records_compacted >= 1
+    assert service.metrics.get("fk_snapshots_taken_total").value >= 1
+    assert service.metrics.get("fk_log_records_compacted_total").value >= 1
     snap = service.system_store.table(SYSTEM_SNAPSHOT)
     assert snap.raw("/a")["image"]["data"] == b"v1"
 
@@ -234,12 +235,12 @@ def test_redelivered_append_does_not_regress_log_head():
     cloud, service = make_service(seed=510, commit_log_enabled=True)
     c = service.connect()
     c.create("/a", b"v0")
-    service.leader_fn.plan_crash(
+    service.leader_fns[0].plan_crash(
         "leader_after_log",
-        invocations=[service.leader_fn.invocations + 1])
+        invocations=[service.leader_fns[0].invocations + 1])
     res = c.set_data("/a", b"v1")
     assert res.version == 1
-    assert service.leader_fn.failures == 1
+    assert service.leader_fns[0].failures == 1
     log = service.system_store.table(SYSTEM_LOG)
     record = log.raw(log_key(res.txid))
     assert record is not None and record["txid"] == res.txid

@@ -264,12 +264,6 @@ def test_fault_points_are_armable(scheme):
         assert getattr(point, "region")
 
 
-def test_ttl_capability_flags():
-    caps = {s: backend_for(s).supports_ttl for s in SCHEMES}
-    assert caps == {"dynamodb": True, "hybrid": True, "mem": True,
-                    "redis": False, "s3": False}
-
-
 # ------------------------------------------------------------ hybrid routing
 def test_hybrid_routes_by_threshold_across_regions():
     cloud, store = make_store("hybrid://?threshold_kb=2.0")
