@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment, Event, Process
 from .calibration import CloudProfile, io_multiplier
 from .context import OpContext
 from .errors import FunctionCrash
@@ -62,16 +62,19 @@ class FunctionContext:
         self.env = env
         self.function = function
         self.invocation_id = invocation_id
+        # One (frozen, shared) context per resource configuration; keyed by
+        # the spec as it reads now, so a later edit of it is honoured.
         spec = function.spec
-        io_mult = io_multiplier(spec.memory_mb)
-        if spec.arch == "arm":
-            io_mult *= function.runtime.profile.arm_io_factor
-        self.ctx = OpContext(
-            payer=None,
-            io_mult=io_mult,
-            region=spec.region,
-            arch=spec.arch,
-        )
+        key = (spec.memory_mb, spec.arch, spec.region)
+        ctx = function.op_contexts.get(key)
+        if ctx is None:
+            io_mult = io_multiplier(spec.memory_mb)
+            if spec.arch == "arm":
+                io_mult *= function.runtime.profile.arm_io_factor
+            ctx = function.op_contexts[key] = OpContext(
+                payer=None, io_mult=io_mult, region=spec.region,
+                arch=spec.arch)
+        self.ctx = ctx
 
     @property
     def now(self) -> float:
@@ -103,7 +106,13 @@ class FunctionContext:
 
     def crash_point(self, name: str) -> None:
         """Die here if a fault is planned for (function, point)."""
-        self.function._maybe_crash(name)
+        function = self.function
+        plan = function.fault_plan.get(name)
+        if plan is None:
+            return
+        if (plan(function.invocations) if callable(plan)
+                else function.invocations in plan):
+            raise FunctionCrash(f"{function.spec.name} crashed at {name!r}")
 
 
 class DeployedFunction:
@@ -130,6 +139,10 @@ class DeployedFunction:
         #: attach to; must not raise or touch the simulation clock.
         self.on_segment: Optional[Callable[[str, float], None]] = None
         self._active = 0
+        #: Process name and cost-meter label of every invocation.
+        self._label = f"fn:{spec.name}"
+        #: (memory_mb, arch, region) -> the context its handlers do I/O under.
+        self.op_contexts: Dict[tuple, OpContext] = {}
 
     # ---------------------------------------------------------------- faults
     def plan_crash(self, point: str, invocations: Optional[List[int]] = None,
@@ -140,17 +153,6 @@ class DeployedFunction:
         may be given instead for probabilistic injection.
         """
         self.fault_plan[point] = predicate if predicate is not None else list(invocations or [])
-
-    def _maybe_crash(self, point: str) -> None:
-        plan = self.fault_plan.get(point)
-        if plan is None:
-            return
-        if callable(plan):
-            if plan(self.invocations):
-                raise FunctionCrash(f"{self.spec.name} crashed at {point!r}")
-            return
-        if self.invocations in plan:
-            raise FunctionCrash(f"{self.spec.name} crashed at {point!r}")
 
     # ------------------------------------------------------------ invocation
     def _sandbox_overhead(self) -> tuple[float, bool]:
@@ -163,22 +165,21 @@ class DeployedFunction:
             return WARM_OVERHEAD_MS, False
         return self.runtime.profile.cold_start.sample(self.runtime.rng), True
 
-    def invoke(self, payload: Any, invoke_latency_ms: float = 0.0) -> Event:
-        """Start an invocation; returns an event with the handler's result.
+    def invoke(self, payload: Any, invoke_latency_ms: float = 0.0) -> Process:
+        """Start an invocation; returns its process, which ends with the
+        handler's result.
 
         ``invoke_latency_ms`` is the trigger-path delay (sampled by the
         caller from the appropriate model: direct, FIFO queue, ...).
-        The returned event fails if the handler raises, so triggers can
-        implement retries; exceptions are pre-defused for fire-and-forget
-        callers.
+        The process fails if the handler raises, so triggers can implement
+        retries; it is pre-defused for fire-and-forget callers.
         """
-        done = self.runtime.env.event()
-        done.defused()
-        self.runtime.env.process(self._run(payload, invoke_latency_ms, done),
-                                 name=f"fn:{self.spec.name}")
-        return done
+        run = self.runtime.env.process(self._run(payload, invoke_latency_ms),
+                                       name=self._label)
+        run.defused()
+        return run
 
-    def _run(self, payload: Any, invoke_latency_ms: float, done: Event):
+    def _run(self, payload: Any, invoke_latency_ms: float):
         env = self.runtime.env
         if invoke_latency_ms > 0:
             yield env.timeout(invoke_latency_ms)
@@ -198,10 +199,9 @@ class DeployedFunction:
             self._finish(started)
             if self.on_failure is not None:
                 self.on_failure(self, exc)
-            done.fail(exc)
-            return
+            raise
         self._finish(started)
-        done.succeed(result)
+        return result
 
     def _finish(self, started: float) -> None:
         env = self.runtime.env
@@ -212,7 +212,7 @@ class DeployedFunction:
         cost = self.runtime.profile.prices.fn_cost(
             self.spec.memory_mb, duration, self.spec.arch
         )
-        self.runtime.meter.charge(f"fn:{self.spec.name}", "invoke", cost)
+        self.runtime.meter.charge(self._label, "invoke", cost)
 
 
 class FunctionRuntime:
@@ -233,7 +233,7 @@ class FunctionRuntime:
         return fn
 
     def invoke_direct(self, fn: DeployedFunction, payload: Any,
-                      payload_kb: float = 0.0) -> Event:
+                      payload_kb: float = 0.0) -> Process:
         """Free-function invocation over the direct API path (Table 7a)."""
         latency = self.profile.invoke_direct.sample(self.rng, payload_kb)
         return fn.invoke(payload, invoke_latency_ms=latency)

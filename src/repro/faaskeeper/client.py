@@ -42,6 +42,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cloud.errors import NoSuchQueue
+from ..sim.kernel import Process, Timeout
 from .cache import ClientReadCache
 from .exceptions import (
     AccessDeniedError,
@@ -184,12 +185,14 @@ class Transaction:
 
 
 class FKFuture:
-    """Handle for an in-flight operation (async API)."""
+    """Handle for an in-flight operation (async API).  ``event`` is the
+    request's own process: it ends with the operation's result or error."""
 
-    def __init__(self, client: "FaaSKeeperClient") -> None:
+    __slots__ = ("_client", "event")
+
+    def __init__(self, client: "FaaSKeeperClient", event: Process) -> None:
         self._client = client
-        self.event = client.env.event()
-        self.event.defused()
+        self.event = event
 
     @property
     def done(self) -> bool:
@@ -456,28 +459,28 @@ class FaaSKeeperClient:
         """Start ``operation`` as this session's next request; its result is
         released after those of all earlier requests (the client-side FIFO
         completion queue)."""
-        future = FKFuture(self)
-        prev, self._chain = self._chain, future.event
-        self.env.process(self._ordered(operation, prev, future.event),
-                         name=self._process_name)
-        return future
+        prev = self._chain
+        self._chain = request = Process(
+            self.env, self._ordered(operation, prev), self._process_name)
+        request.defused()  # its failure is the caller's to read, or nobody's
+        return FKFuture(self, request)
 
-    def _ordered(self, operation: Generator, prev, done) -> Generator:
+    def _ordered(self, operation: Generator,
+                 prev: Optional[Process]) -> Generator:
         error: Optional[Exception] = None
         value: Any = None
         try:
             value = yield from operation
         except Exception as exc:
             error = exc
-        if prev is not None and not prev.processed:
+        if prev is not None and prev.callbacks is not None:  # not processed
             try:
                 yield prev
             except Exception:
                 pass  # predecessor's failure belongs to its caller
         if error is not None:
-            done.fail(error)
-        else:
-            done.succeed(value)
+            raise error
+        return value
 
     # ------------------------------------------------------------ send
     def _send(self, request: Request,
@@ -646,16 +649,13 @@ class FaaSKeeperClient:
             return wid
         return (yield from self._register_watch(path, wtype, None))
 
-    def _await_visibility(self, rid_cut: int) -> Generator:
+    def _await_visibility(self, board, rid_cut: int) -> Generator:
         """Hold the read until this session's acked writes (issued before
         the read — ``rid_cut``) are covered by the ``replicated_tx``
         visibility watermark of the region the read is served from.  Only
         deployments that acknowledge before replicating keep such a
-        watermark; the barrier already waited for the responses, so every
-        relevant write has an entry here."""
-        board = self.service.visibility_board
-        if board is None or not self._await_visible:
-            return
+        watermark (``board``); the barrier already waited for the
+        responses, so every relevant write has an entry here."""
         # Snapshot the items: response deliveries rebuild the dict while
         # this generator is suspended in board.wait.
         for rid, txid in sorted(self._await_visible.items()):
@@ -671,13 +671,15 @@ class FaaSKeeperClient:
         only the storage round trip separates a hit from a miss."""
         # Read permissions are enforced at the storage boundary (the paper:
         # "read permissions can be enforced with cloud storage ACLs").
-        if not acl_allows(image.get("acl"), "read", self.session_id):
+        acl = image.get("acl")
+        if acl and not acl_allows(acl, "read", self.session_id):
             raise AccessDeniedError(path)
         # Z4: hold the read until this session's pending notifications for
         # the node's epoch have been delivered.  MRD fast path: an image
         # strictly older than everything delivered needs no stall.
-        if image.get("modified_tx", 0) >= self.mrd:
-            for wid in image.get("epoch", []):
+        epoch = image.get("epoch")
+        if epoch and image.get("modified_tx", 0) >= self.mrd:
+            for wid in epoch:
                 if wid in self._registered and wid not in self._delivered:
                     waiter = self._wait_events.get(wid)
                     if waiter is None:
@@ -689,7 +691,7 @@ class FaaSKeeperClient:
         # Client-library overhead: result sorting, watch bookkeeping and
         # deserialization add ~2% (Section 5.3.1).
         data_kb = len(image.get("data", b"") or b"") / 1024.0
-        yield self.env.timeout(0.05 + 0.002 * data_kb)
+        yield Timeout(self.env, 0.05 + 0.002 * data_kb)
 
     def _read(self, path: str, barrier: List, rid_cut: int,
               project: Callable[[str, Optional[Dict[str, Any]]], Any],
@@ -710,7 +712,9 @@ class FaaSKeeperClient:
         # Acked ≠ readable where acks precede replication: wait for the
         # region's visibility watermark too (before consulting the cache,
         # so hits observe the same barrier as storage reads).
-        yield from self._await_visibility(rid_cut)
+        board = self.service.visibility_board
+        if board is not None and self._await_visible:
+            yield from self._await_visibility(board, rid_cut)
         cache = self._cache if cache_wtype is not None else None
         if cache is not None:
             image = cache.lookup(path, cache_wtype, require_watch_id=wid)

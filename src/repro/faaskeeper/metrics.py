@@ -26,6 +26,7 @@ bit-for-bit-gated default deployment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Type, TypeVar, cast)
 
@@ -92,11 +93,8 @@ class _Child:
         assert self._buckets is not None, "observe() on a non-histogram"
         self._sum += value
         self._count += 1
-        for i, bound in enumerate(self._buckets):
-            if value <= bound:
-                self._bucket_counts[i] += 1
-                return
-        self._bucket_counts[-1] += 1
+        # First bucket whose bound is >= value; past the last one: +Inf.
+        self._bucket_counts[bisect_left(self._buckets, value)] += 1
 
     def histogram_snapshot(self) -> Dict[str, Any]:
         assert self._buckets is not None, "snapshot of a non-histogram"

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, ClassVar, Dict, List, Optional, Type
+from functools import lru_cache
+from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Type
 
 from .exceptions import BadArgumentsError
 
@@ -75,9 +76,9 @@ class EventType(str, Enum):
     NODE_CHILDREN_CHANGED = "node_children_changed"
 
 
-@dataclass(frozen=True)
-class NodeStat:
-    """Per-node metadata, the analogue of ZooKeeper's ``Stat``.
+class NodeStat(NamedTuple):
+    """Per-node metadata, the analogue of ZooKeeper's ``Stat`` (a named
+    tuple, as kazoo's ``ZnodeStat`` is).
 
     ``created_tx``/``modified_tx`` are FaaSKeeper txids (the zxid analogue);
     ``version`` counts data changes, ``cversion`` child-list changes.
@@ -93,16 +94,11 @@ class NodeStat:
 
     @classmethod
     def from_image(cls, image: Dict[str, Any]) -> "NodeStat":
-        data = image.get("data", b"") or b""
-        return cls(
-            created_tx=image.get("created_tx", 0),
-            modified_tx=image.get("modified_tx", 0),
-            version=image.get("version", 0),
-            cversion=image.get("cversion", 0),
-            num_children=len(image.get("children", [])),
-            data_length=len(data),
-            ephemeral_owner=image.get("ephemeral_owner"),
-        )
+        get = image.get
+        return cls(get("created_tx", 0), get("modified_tx", 0),
+                   get("version", 0), get("cversion", 0),
+                   len(get("children", ())), len(get("data") or b""),
+                   get("ephemeral_owner"))
 
 
 @dataclass(frozen=True)
@@ -317,8 +313,16 @@ class Response:
     results: List[dict] | None = None
 
 
+@lru_cache(maxsize=4096)
 def validate_path(path: str, allow_root: bool = True) -> None:
-    """ZooKeeper path rules: absolute, no trailing slash, no empty segments."""
+    """ZooKeeper path rules: absolute, no trailing slash, no empty segments.
+
+    A pure function of its arguments, so accepted paths are remembered
+    (bounded, least recently checked out first).  A rejection raises and
+    is therefore never remembered, and ``"/"`` accepted as a read target
+    is still rejected under ``allow_root=False``: the flag is part of
+    what is remembered.
+    """
     if not path or not path.startswith("/"):
         raise BadArgumentsError(f"path must start with '/': {path!r}")
     if path == "/":

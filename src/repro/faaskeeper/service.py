@@ -568,26 +568,20 @@ class FaaSKeeperService:
         # AWS retries failed async invocations (up to twice); duplicated
         # deliveries are deduplicated client-side by watch-instance id, so
         # at-least-once invocation yields exactly-once callback effects.
-        done = self.cloud.env.event()
-        done.defused()
-        self.cloud.env.process(
-            self._invoke_watch_retrying(payload, done),
-            name="watch-invoke-retry")
-        return done
+        retrying = self.cloud.env.process(
+            self._invoke_watch_retrying(payload), name="watch-invoke-retry")
+        retrying.defused()
+        return retrying
 
-    def _invoke_watch_retrying(self, payload: Dict[str, Any], done) -> Generator:
+    def _invoke_watch_retrying(self, payload: Dict[str, Any]) -> Generator:
         last: Optional[BaseException] = None
         for _attempt in range(self.config.free_fn_retries + 1):
             try:
-                result = yield self.cloud.runtime.invoke_direct(
-                    self.watch_fn, payload)
+                return (yield self.cloud.runtime.invoke_direct(
+                    self.watch_fn, payload))
             except Exception as exc:
                 last = exc
-                continue
-            done.succeed(result)
-            return None
-        done.fail(last)
-        return None
+        raise last
 
     # ------------------------------------------------------------ heartbeat
     def heartbeat_ping(self, session_id: str) -> Timeout:
@@ -661,11 +655,21 @@ class FaaSKeeperService:
                               "Function cold starts", ("fn",))
         failures = m.gauge("fk_fn_failures",
                            "Function invocations that died", ("fn",))
+
+        def segment_probe(name: str):
+            observers: Dict[str, Any] = {}  # segment -> its child's observe
+
+            def on_segment(segment: str, elapsed_ms: float) -> None:
+                observe = observers.get(segment)
+                if observe is None:
+                    observe = observers[segment] = segments.labels(
+                        fn=name, segment=segment).observe
+                observe(elapsed_ms)
+            return on_segment
+
         for fn in functions:
             name = fn.spec.name
-            fn.on_segment = (
-                lambda seg, ms, _n=name:
-                segments.labels(fn=_n, segment=seg).observe(ms))
+            fn.on_segment = segment_probe(name)
             invocations.labels(fn=name).set_function(
                 lambda _f=fn: float(_f.invocations))
             cold_starts.labels(fn=name).set_function(

@@ -217,12 +217,13 @@ class S3Backend(UserStore):
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        for region in regions:
-            store = cloud.objectstore("s3", region=region)
+        self._stores = {region: cloud.objectstore("s3", region=region)
+                        for region in regions}
+        for store in self._stores.values():
             store.create_bucket(USER_BUCKET)
 
     def write_node(self, ctx, region, path, image):
-        store = self.cloud.objectstore("s3", region=region)
+        store = self._stores[region]
         # No partial updates (Requirement #6): even a metadata-only change
         # requires downloading the old node before uploading the new one.
         try:
@@ -233,22 +234,21 @@ class S3Backend(UserStore):
         yield from store.put_object(ctx, USER_BUCKET, path, image.get("data", b""), meta)
 
     def read_node(self, ctx, region, path):
-        store = self.cloud.objectstore("s3", region=region)
         try:
-            payload, meta = yield from store.get_object(ctx, USER_BUCKET, path)
+            payload, image = yield from self._stores[region].get_object(
+                ctx, USER_BUCKET, path)
         except NoSuchObject:
             return None
-        image = dict(meta)
+        # ``get_object`` cloned the metadata for this call: it is ours.
         image["data"] = payload
         return image
 
     def delete_node(self, ctx, region, path):
-        store = self.cloud.objectstore("s3", region=region)
-        yield from store.delete_object(ctx, USER_BUCKET, path)
+        yield from self._stores[region].delete_object(ctx, USER_BUCKET, path)
 
     def update_metadata(self, ctx, region, path, meta_image):
         # Single download + whole-object upload (Table 3's "Update Node").
-        store = self.cloud.objectstore("s3", region=region)
+        store = self._stores[region]
         try:
             payload, _meta = yield from store.get_object(ctx, USER_BUCKET, path)
         except NoSuchObject:
@@ -257,18 +257,17 @@ class S3Backend(UserStore):
         yield from store.put_object(ctx, USER_BUCKET, path, payload, meta)
 
     def peek(self, region, path):
-        bucket = self.cloud.objectstore("s3", region=region)._buckets[USER_BUCKET]
-        entry = bucket.get(path)
+        entry = self._stores[region]._buckets[USER_BUCKET].get(path)
         if entry is None:
             return None
         payload, meta = entry
         return dict(meta, data=payload)
 
     def wipe_region(self, region):
-        self.cloud.objectstore("s3", region=region)._buckets[USER_BUCKET].clear()
+        self._stores[region]._buckets[USER_BUCKET].clear()
 
     def fault_points(self):
-        return [self.cloud.objectstore("s3", region=r) for r in self.regions]
+        return list(self._stores.values())
 
 
 @register_backend("dynamodb", "dynamo")
@@ -279,31 +278,30 @@ class DynamoBackend(UserStore):
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        for region in regions:
-            kv = cloud.kv("dynamodb:user", region=region)
+        self._kvs = {region: cloud.kv("dynamodb:user", region=region)
+                     for region in regions}
+        for kv in self._kvs.values():
             kv.create_table(USER_TABLE)
 
     def write_node(self, ctx, region, path, image):
-        kv = self.cloud.kv("dynamodb:user", region=region)
-        yield from kv.put_item(ctx, USER_TABLE, path, image)
+        yield from self._kvs[region].put_item(ctx, USER_TABLE, path, image)
 
     def read_node(self, ctx, region, path):
-        kv = self.cloud.kv("dynamodb:user", region=region)
-        return (yield from kv.get_item(ctx, USER_TABLE, path, consistent=True))
+        return (yield from self._kvs[region].get_item(
+            ctx, USER_TABLE, path, consistent=True))
 
     def delete_node(self, ctx, region, path):
-        kv = self.cloud.kv("dynamodb:user", region=region)
-        yield from kv.delete_item(ctx, USER_TABLE, path)
+        yield from self._kvs[region].delete_item(ctx, USER_TABLE, path)
 
     def peek(self, region, path):
-        item = self.cloud.kv("dynamodb:user", region=region).table(USER_TABLE).raw(path)
+        item = self._kvs[region].table(USER_TABLE).raw(path)
         return None if item is None else dict(item)
 
     def wipe_region(self, region):
-        self.cloud.kv("dynamodb:user", region=region).table(USER_TABLE)._items.clear()
+        self._kvs[region].table(USER_TABLE)._items.clear()
 
     def fault_points(self):
-        return [self.cloud.kv("dynamodb:user", region=r) for r in self.regions]
+        return list(self._kvs.values())
 
 
 @register_backend("hybrid")
@@ -324,9 +322,13 @@ class HybridBackend(UserStore):
                  threshold_kb: float = THRESHOLD_KB) -> None:
         super().__init__(cloud, regions)
         self.threshold_kb = threshold_kb
+        self._kvs = {region: cloud.kv("dynamodb:user", region=region)
+                     for region in regions}
+        self._stores = {region: cloud.objectstore("s3", region=region)
+                        for region in regions}
         for region in regions:
-            cloud.kv("dynamodb:user", region=region).create_table(USER_TABLE)
-            cloud.objectstore("s3", region=region).create_bucket(USER_BUCKET)
+            self._kvs[region].create_table(USER_TABLE)
+            self._stores[region].create_bucket(USER_BUCKET)
 
     @classmethod
     def from_config(cls, cloud, config, params):
@@ -337,8 +339,7 @@ class HybridBackend(UserStore):
                    float(params.get("threshold_kb", cls.THRESHOLD_KB)))
 
     def write_node(self, ctx, region, path, image):
-        kv = self.cloud.kv("dynamodb:user", region=region)
-        store = self.cloud.objectstore("s3", region=region)
+        kv = self._kvs[region]
         data = image.get("data", b"")
         if len(data) / 1024.0 <= self.threshold_kb:
             yield from kv.put_item(ctx, USER_TABLE, path, dict(image, data_in_s3=False))
@@ -347,20 +348,21 @@ class HybridBackend(UserStore):
         meta["data_in_s3"] = True
         # The two writes are not atomic; write data first so a reader that
         # sees the new metadata always finds the matching object version.
-        yield from store.put_object(ctx, USER_BUCKET, path, data, {})
+        yield from self._stores[region].put_object(
+            ctx, USER_BUCKET, path, data, {})
         yield from kv.put_item(ctx, USER_TABLE, path, meta)
 
     def read_node(self, ctx, region, path):
-        kv = self.cloud.kv("dynamodb:user", region=region)
-        item = yield from kv.get_item(ctx, USER_TABLE, path, consistent=True)
+        item = yield from self._kvs[region].get_item(
+            ctx, USER_TABLE, path, consistent=True)
         if item is None:
             return None
         if not item.get("data_in_s3"):
             item.pop("data_in_s3", None)
             return item
-        store = self.cloud.objectstore("s3", region=region)
         try:
-            payload, _meta = yield from store.get_object(ctx, USER_BUCKET, path)
+            payload, _meta = yield from self._stores[region].get_object(
+                ctx, USER_BUCKET, path)
         except NoSuchObject:  # pragma: no cover - defensive
             payload = b""
         item.pop("data_in_s3", None)
@@ -368,17 +370,17 @@ class HybridBackend(UserStore):
         return item
 
     def delete_node(self, ctx, region, path):
-        kv = self.cloud.kv("dynamodb:user", region=region)
+        kv = self._kvs[region]
         item = yield from kv.get_item(ctx, USER_TABLE, path, consistent=True)
         yield from kv.delete_item(ctx, USER_TABLE, path)
         if item is not None and item.get("data_in_s3"):
-            store = self.cloud.objectstore("s3", region=region)
-            yield from store.delete_object(ctx, USER_BUCKET, path)
+            yield from self._stores[region].delete_object(
+                ctx, USER_BUCKET, path)
 
     def update_metadata(self, ctx, region, path, meta_image):
         # Metadata lives in the key-value item; large data in S3 is left
         # untouched — the hybrid layout's cheap-parent-update advantage.
-        kv = self.cloud.kv("dynamodb:user", region=region)
+        kv = self._kvs[region]
         item = yield from kv.get_item(ctx, USER_TABLE, path, consistent=True)
         meta = {k: v for k, v in meta_image.items() if k != "data"}
         if item is not None and item.get("data_in_s3"):
@@ -390,25 +392,25 @@ class HybridBackend(UserStore):
             yield from kv.put_item(ctx, USER_TABLE, path, meta)
 
     def peek(self, region, path):
-        item = self.cloud.kv("dynamodb:user", region=region).table(USER_TABLE).raw(path)
+        item = self._kvs[region].table(USER_TABLE).raw(path)
         if item is None:
             return None
         item = dict(item)
         if item.get("data_in_s3"):
-            payload = self.cloud.objectstore("s3", region=region).raw(USER_BUCKET, path)
+            payload = self._stores[region].raw(USER_BUCKET, path)
             item["data"] = payload or b""
         item.pop("data_in_s3", None)
         return item
 
     def wipe_region(self, region):
-        self.cloud.kv("dynamodb:user", region=region).table(USER_TABLE)._items.clear()
-        self.cloud.objectstore("s3", region=region)._buckets[USER_BUCKET].clear()
+        self._kvs[region].table(USER_TABLE)._items.clear()
+        self._stores[region]._buckets[USER_BUCKET].clear()
 
     def fault_points(self):
         points = []
         for r in self.regions:
-            points.append(self.cloud.kv("dynamodb:user", region=r))
-            points.append(self.cloud.objectstore("s3", region=r))
+            points.append(self._kvs[r])
+            points.append(self._stores[r])
         return points
 
 

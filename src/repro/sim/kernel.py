@@ -31,6 +31,11 @@ So every pending wakeup is at ``now``, ahead of every NORMAL event of the same
 instant by priority and of every later one by time, and among themselves
 wakeups are ordered by eid, i.e. first in, first out.  ``peek()`` is ``now``
 while the lane is non-empty.
+
+**Interrupt rule.**  ``Process.interrupt()`` only schedules a wakeup.  The
+process leaves the event it waits on when that wakeup is *delivered* (SimPy's
+rule), not when ``interrupt()`` is called: in between it may have been resumed
+and have parked on another event, and that one is the subscription to drop.
 """
 
 from __future__ import annotations
@@ -190,6 +195,9 @@ class Process(Event):
     The generator yields :class:`Event` instances; each yield suspends the
     process until the event triggers.  The event's value becomes the result
     of the ``yield`` expression, and failed events raise inside the generator.
+    The process is the completion handle of its generator — it carries the
+    ``return`` value, or fails with the exception that escaped — so wait on
+    it: never pair an ``Event`` with the process whose end it announces.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -220,19 +228,23 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:
             raise SimulationError(f"{self} has terminated and cannot be interrupted")
-        if self._target is not None and self._target.callbacks is not None:
-            # Unsubscribe from the event the process was waiting on, so its
-            # later firing does not resume a generator that has moved on.
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
         event = Event(self.env)
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._interrupted)
         self.env._urgent.append(event)
+
+    def _interrupted(self, event: Event) -> None:
+        # Unsubscribe from the event the process is waiting on *now*, so its
+        # later firing does not resume a generator that has moved on.
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+        self._resume(event)
 
     # -- generator driving --------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -105,6 +105,29 @@ def test_function_io_slower_with_less_memory(cloud):
     assert median_duration(small) > median_duration(large) * 1.15
 
 
+def test_an_edited_spec_is_honoured_by_the_next_invocation(cloud):
+    """The I/O context is built once per (memory, arch, region) — not once
+    per function: sweeps that edit ``fn.spec`` must see the new speed."""
+    seen = []
+
+    def handler(fctx, payload):
+        seen.append(fctx.ctx)
+        yield fctx.env.timeout(1)
+
+    fn = cloud.deploy_function("swept", handler, memory_mb=2048)
+    for memory_mb, arch in ((2048, "x86"), (2048, "x86"), (512, "x86"),
+                            (512, "arm"), (2048, "x86")):
+        fn.spec.memory_mb, fn.spec.arch = memory_mb, arch
+        cloud.env.run(until=fn.invoke(None))
+    assert seen[0] is seen[1] is seen[4]  # same configuration, same context
+    assert [ctx.arch for ctx in seen] == ["x86", "x86", "x86", "arm", "x86"]
+    assert seen[0].io_mult == io_multiplier(2048) == 1.0
+    assert seen[2].io_mult == io_multiplier(512)
+    assert seen[3].io_mult == pytest.approx(
+        io_multiplier(512) * cloud.profile.arm_io_factor)
+    assert {ctx.region for ctx in seen} == {fn.spec.region}
+
+
 def test_crash_point_injection(cloud):
     def fragile(fctx, payload):
         yield fctx.env.timeout(1)

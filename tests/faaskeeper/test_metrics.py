@@ -62,6 +62,22 @@ def test_histogram_buckets_sum_count_and_quantiles():
     assert MetricsRegistry().histogram("empty", "").quantile(0.99) == 0.0
 
 
+def test_observe_files_a_value_where_the_linear_scan_would():
+    """Reference: the first bucket whose bound is >= the value, else +Inf."""
+    buckets = (1.0, 2.5, 10.0, 100.0)
+    h = Histogram("h", buckets=buckets)
+    values = (-1.0, 0.0, 0.999, 1.0, 1.0001, 2.5, 2.5000001, 9.0, 10, 10.5,
+              100.0, 100.1, 1e9)
+    want = [0] * (len(buckets) + 1)
+    for value in values:
+        h.observe(value)
+        want[next((i for i, bound in enumerate(buckets) if value <= bound),
+                  len(buckets))] += 1
+    child = h._solo()
+    assert child._bucket_counts == want
+    assert (child._count, child._sum) == (len(values), sum(values))
+
+
 def test_histogram_buckets_are_sorted_and_required():
     h = Histogram("h", buckets=(100.0, 1.0, 10.0))
     assert h._buckets == (1.0, 10.0, 100.0)
@@ -175,6 +191,26 @@ def test_metrics_snapshot_covers_every_stage():
     assert any('fn="fk-leader' in key for key in segs)
     text = service.metrics_text()
     assert "fk_fn_invocations" in text and "fk_cost_dollars" in text
+
+
+def test_segment_probes_reach_the_child_their_labels_name():
+    """``on_segment`` binds each (fn, segment) child once; every probe a
+    function recorded must be in exactly that child, in recording order."""
+    cloud, service = make_service(seed=901)
+    c = service.connect()
+    c.create("/a", b"x")
+    for i in range(5):
+        c.set_data("/a", bytes([i]) * 2048)
+    cloud.run(until=cloud.now + 1_000)
+    segments = service.metrics.get("fk_stage_segment_ms")
+    recorded = 0
+    for fn in cloud.runtime.functions.values():
+        for segment, samples in fn.segments.items():
+            child = segments.labels(fn=fn.spec.name, segment=segment)
+            assert (child._count, child._sum) == (len(samples), sum(samples))
+            recorded += len(samples)
+    assert recorded >= 6 * 7  # lock/push/commit + the leader's four, per write
+    assert sum(child._count for _labels, child in segments.items()) == recorded
 
 
 def test_cost_breakdown_matches_the_cost_meter():

@@ -18,6 +18,7 @@ from repro.sim import (
     Store,
 )
 from repro.sim.kernel import NORMAL, URGENT, EmptySchedule
+from ..helpers.stepcount import StepCounting
 
 
 def test_clock_starts_at_zero():
@@ -619,3 +620,178 @@ def test_second_interrupt_on_a_finished_generator_does_not_fire_it_twice():
     assert v.processed and not v.ok
     env.run()  # the victim's timeout fires into nothing
     assert env.now == 10.0
+
+
+def test_interrupt_unsubscribes_at_delivery_not_at_the_call():
+    """SimPy's rule.  ``fired`` has callbacks [interrupter, victim._resume]:
+    the interrupter runs while ``fired`` is firing (its callback list is
+    already gone), the victim then resumes from it and parks on a 2 ms
+    timeout, and the interrupt lands *there* — that timeout must not resume
+    the victim, which has moved on, a second time."""
+    env = Environment()
+    log = []
+    fired = env.event()
+
+    def victim(env):
+        log.append(("fired", (yield fired)))
+        try:
+            log.append(("t2", (yield env.timeout(2, value="t2"))))
+        except Interrupt as exc:
+            log.append(("interrupted", exc.cause))
+        log.append(("t5", (yield env.timeout(5, value="t5"))))
+
+    v = env.process(victim(env))
+    fired.callbacks.append(lambda ev: v.interrupt("now"))  # ahead of the victim
+    env.timeout(1).callbacks.append(lambda ev: fired.succeed("go"))
+    env.run()
+    assert log == [("fired", "go"), ("interrupted", "now"), ("t5", "t5")]
+    assert env.now == 6.0 and v.ok
+
+
+# ------------------------------------- a process is its own completion handle
+def _announce(body, done):
+    """The pairing rule 1 retires: an ``Event`` triggered as the last act of
+    the process whose end it announces."""
+    try:
+        value = yield from body
+    except ValueError as exc:
+        done.fail(exc)
+        return
+    done.succeed(value)
+
+
+_HANDLE_ACTIONS = ("timeout", "timeout", "wait", "wait", "any", "all",
+                   "callback", "spawn", "spawn_and_forget")
+_LEAF_ACTIONS = ("timeout", "callback")
+_TOP_WORKERS = 6
+
+
+def _completion_soup(env, seed, paired):
+    """Workers that end by returning or raising, watched through their
+    completion handle: an announcing ``Event`` (``paired``) or the ``Process``
+    itself.  Returns what resumed and was called back, each line pinned to
+    its position among the events that fired for somebody."""
+    rng = random.Random(seed)
+    log = []
+    handles = []
+    finished = [0]
+
+    def note(who, what, value=None):
+        if isinstance(value, dict):
+            value = sorted(map(repr, value.values()))
+        log.append((env.effective, env.now, who, what, repr(value)))
+
+    def start(name, length, actions=_LEAF_ACTIONS):
+        script = [(rng.choice(actions), rng.choice(_DELAYS),
+                   rng.randrange(64), rng.randrange(64)) for _ in range(length)]
+        body = worker(name, len(handles), script, fails=rng.random() < 0.3)
+        if paired:
+            handle = env.event()
+            env.process(_announce(body, handle))
+        else:
+            handle = env.process(body)
+        if rng.random() < 0.5:
+            handle.defused()  # a failure nobody waits for stays silent
+        handles.append(handle)
+        return handle
+
+    def worker(name, own, script, fails):
+        """Waits only for earlier top-level workers and for spawned ones,
+        which wait for nobody: no cycle, so every worker ends."""
+        note(name, "start")
+        for n, (action, delay, i, j) in enumerate(script):
+            others = [h for x, h in enumerate(handles)
+                      if x < own or x >= _TOP_WORKERS and x != own]
+            if not others:
+                action = "timeout"
+            else:
+                a, b = others[i % len(others)], others[j % len(others)]
+            try:
+                if action == "timeout":
+                    note(name, n, (yield env.timeout(delay, value=delay)))
+                elif action == "wait":
+                    note(name, n, (yield a))
+                elif action == "any":
+                    note(name, n, (yield env.any_of(
+                        [a, b, env.timeout(delay, value="t")])))
+                elif action == "all":
+                    note(name, n, (yield env.all_of(
+                        [a, env.timeout(delay, value="t"), b])))
+                elif action == "callback" and not a.processed:
+                    a.callbacks.append(
+                        lambda ev, n=n: note(name, n, ("called back", ev._ok)))
+                elif action == "spawn":
+                    note(name, n, (yield start(f"{name}.{n}", 2)))
+                elif action == "spawn_and_forget":
+                    start(f"{name}.{n}", 2)
+            except ValueError as exc:
+                note(name, n, ("failed", str(exc)))
+        finished[0] += 1
+        if fails:
+            raise ValueError(name)
+        return name
+
+    for w in range(_TOP_WORKERS):
+        start(f"w{w}", 8, _HANDLE_ACTIONS)
+
+    def drive(until=None):
+        while True:
+            try:
+                return note("driver", "ran", env.run(until=until))
+            except ValueError as exc:
+                note("driver", "surfaced", str(exc))
+                if until is not None and until.processed and not until.ok:
+                    return None  # the awaited handle itself failed
+
+    for k in (3, 1, 5):
+        drive(handles[k])
+    drive()
+    assert finished[0] == len(handles)
+    note("driver", "end", env.peek())
+    return log, len(handles)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_waiting_on_the_process_is_waiting_on_its_last_act(seed):
+    """Order proof of "a coroutine's completion handle is its process": the
+    announcing event and the generator's termination enter the wakeup lane
+    back to back, the second fires for nobody, so moving the waiters onto
+    the termination changes nothing anybody can observe — same resumptions,
+    same callbacks, same values, same positions among the effective events;
+    only the idle termination, one per worker, is gone."""
+    paired_env, direct_env = StepCounting(), StepCounting()
+    paired, workers = _completion_soup(paired_env, seed, paired=True)
+    direct, _workers = _completion_soup(direct_env, seed, paired=False)
+    assert direct == paired
+    assert len(direct) > 30
+    assert direct_env.effective == paired_env.effective
+    assert direct_env.idle == paired_env.idle - workers
+
+
+def test_completion_soup_exercises_every_ingredient():
+    """Guards the property against a soup that quietly stopped mixing: waits,
+    any/all members, plain callbacks, ``run(until=handle)`` targets, failures
+    with a waiter and failures nobody waited for."""
+    whats, values = set(), set()
+    for seed in range(20):
+        log, _workers = _completion_soup(StepCounting(), seed, False)
+        whats.update(what for *_pos, what, _value in log)
+        values.update(value.split(",")[0] for *_pos, _what, value in log)
+    assert {"surfaced", "ran", "start", "end"} <= whats
+    assert {"('failed'", "('called back'", """["'t'"]""", "'w3'", "None"} <= values
+
+
+def test_a_failed_process_surfaces_unless_defused_or_awaited():
+    def failing(env):
+        yield env.timeout(1)
+        raise ValueError("boom")
+
+    env = Environment()
+    env.process(failing(env)).defused()
+    env.run()  # silent: the handle was pre-defused
+
+    env = Environment()
+    env.process(failing(env))
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
