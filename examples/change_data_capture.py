@@ -8,10 +8,10 @@ configuration workload, and tails the resulting CDC feed: one JSON object
 per committed event (txid, path, op, session, commit timestamp), in txid
 order, appended by the scheduled publisher function.
 
-Because the event record commits in the same storage transaction as the
-write itself, the feed can neither describe a change that never happened
-nor miss one that did — the property an out-of-band "poll and diff"
-pipeline cannot offer.
+Because the publisher reads the events out of the commit log — the record
+the write itself committed with — the feed can neither describe a change
+that never happened nor miss one that did: the property an out-of-band
+"poll and diff" pipeline cannot offer.
 
 Run with::
 
@@ -61,9 +61,10 @@ def main() -> None:
                   f" session={ev['session']}")
 
     stats = fk.outbox.stats()
+    logged = fk.metrics.get("fk_log_appends_total").value
     lag = fk.metrics.get("fk_outbox_publish_lag_ms")
-    print(f"\n{int(stats['appended'])} events appended, "
-          f"{int(stats['published'])} delivered, "
+    print(f"\n{int(logged)} commits logged, "
+          f"{int(stats['published'])} events delivered, "
           f"publish lag p50 = {lag.quantile(0.5):.0f} ms "
           f"(period-dominated, as expected)")
     admin.close()

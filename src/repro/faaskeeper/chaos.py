@@ -47,6 +47,7 @@ from .layout import (
     epoch_key,
 )
 from .service import FaaSKeeperService
+from .snapshot import log_bounds
 
 __all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_user_region",
            "wipe_system_tables", "region_user_image", "verify_exactly_once",
@@ -103,8 +104,9 @@ class ChaosMonkey:
             # Liveness: the scheduled publisher keeps firing (and retries a
             # failed invocation once per period), so any finite budget
             # converges — once it is spent, the next drain runs clean and
-            # the durable watermark catches up.
-            self._arm(service.outbox.fn, service.outbox.publisher,
+            # the durable watermark catches up.  (No logic to cold-restart:
+            # the publisher keeps no warm state.)
+            self._arm(service.outbox.fn, None,
                       CRASH_POINTS["outbox"], budget_per_point)
         if "watch" in wanted and service.config.free_fn_retries > 0:
             # Liveness: at most free_fn_retries crashes across ALL watch
@@ -308,9 +310,8 @@ def verify_outbox_delivery(service: FaaSKeeperService,
         return violations
     state = service.system_store.table(SYSTEM_STATE)
     mark = int((state.raw(OUTBOX_PUBLISHED_KEY) or {}).get("txid", 0))
-    heads = state.raw(LOG_HEAD_KEY) or {}
-    floor = min(int(heads.get(f"s{i}", 0))
-                for i in range(service.config.leader_shards))
+    floor, _top = log_bounds(state.raw(LOG_HEAD_KEY),
+                             service.config.leader_shards)
     dead_by_sink: Dict[str, set] = {}
     for entry in (state.raw(OUTBOX_DEAD_LETTER_KEY) or {}).get("items", []):
         dead_by_sink.setdefault(entry["sink"], set()).add(entry["txid"])

@@ -39,7 +39,6 @@ class FaaSKeeperConfig:
     #: staggered across the period.  1 (the default) is the paper's plane:
     #: one sweep function over the whole session table.
     session_plane_shards: int = 1
-    session_timeout_ms: float = 10_000.0
     leader_max_receive: Optional[int] = None   # retry leader batches forever
     follower_max_receive: Optional[int] = 5
     #: Number of leader shards: the znode tree is partitioned by top-level
@@ -65,55 +64,47 @@ class FaaSKeeperConfig:
     #: distributor; read-your-writes then rides the visibility watermark).
     ack_policy: str = "on_replicate"
     #: Durable commit log (the substrate of snapshots, compaction and
-    #: cold-start recovery): when enabled the leader appends every committed
-    #: transaction's replication writes to a txid-keyed system-store log —
-    #: one transactional write per commit, paired with a per-shard log-head
-    #: watermark — before replicating or publishing.  False (the default)
-    #: keeps every pre-existing pipeline bit-for-bit intact.
+    #: cold-start recovery, and the record the outbox streams from): when
+    #: enabled the leader appends every committed transaction's replication
+    #: writes to a txid-keyed system-store log — one transactional write
+    #: per commit, paired with a per-shard log-head watermark — before
+    #: replicating or publishing.  False (the default) keeps every
+    #: pre-existing pipeline bit-for-bit intact.
     commit_log_enabled: bool = False
     #: Period of the scheduled snapshot function (fuzzy snapshot + log
     #: compaction, like the GC sweep).  0 (the default) = manual snapshots
     #: only, via ``service.snapshots``.  Requires ``commit_log_enabled``.
+    #: Compaction truncates up to the slowest cursor: the snapshot floor,
+    #: every region's ``replicated_tx`` and the outbox's published mark.
     snapshot_auto_ms: float = 0.0
-    #: Let :meth:`SnapshotManager.compact` truncate the log below the
-    #: snapshot floor (clamped to the slowest region's ``replicated_tx``
-    #: watermark).  Disable to keep the full log, e.g. for audits.
-    compaction_enabled: bool = True
     #: Async free-function invocation retries (the watch fan-out): AWS
     #: retries failed async invocations up to twice.  0 (the default) keeps
     #: the paper's single-attempt behaviour — and its fingerprints — exact;
     #: the chaos suite runs with 2 so a crashed fan-out re-delivers
     #: (duplicate deliveries are deduplicated client-side by instance id).
     free_fn_retries: int = 0
-    #: Transactional-outbox event streaming: when enabled the leader
-    #: appends one event record per committed transaction to a system
-    #: outbox table *in the same conditional ``transact_update``* as the
-    #: commit log (so a committed change and its outgoing event are
-    #: atomic), and a publisher function drains the outbox to the
-    #: configured sinks with at-least-once delivery and per-path txid
-    #: order.  ``None`` (the default) means off — unless the
-    #: ``FK_FORCE_OUTBOX=1`` environment override is set (the CI matrix
-    #: leg that runs the whole suite with the outbox on); pass an explicit
-    #: ``False`` to pin it off regardless.  Requires
-    #: ``commit_log_enabled`` (the outbox rides the log's transaction);
-    #: the env override enables the commit log too.
+    #: Transactional-outbox event streaming: when enabled a publisher
+    #: function reads the commit log at its own cursor and streams every
+    #: committed change to the configured sinks with at-least-once
+    #: delivery and per-path txid order (the commit record *is* the event
+    #: record, so a change and its outgoing event are atomic).  ``None``
+    #: (the default) means off — unless the ``FK_FORCE_OUTBOX=1``
+    #: environment override is set (the CI matrix leg that runs the whole
+    #: suite with the outbox on; it enables the commit log too); pass an
+    #: explicit ``False`` to pin it off regardless.  Requires
+    #: ``commit_log_enabled`` (the publisher reads the log).
     outbox_enabled: Optional[bool] = None
     #: Event sinks the publisher fans out to: specs understood by
     #: :func:`repro.faaskeeper.outbox.make_sink` (``"inproc"``,
     #: ``"file:<path>"``, ``"webhook:<url>"``, a ``(scheme, kwargs)``
     #: pair, or a ready :class:`~repro.faaskeeper.outbox.Sink` instance).
     outbox_sinks: List[Any] = field(default_factory=lambda: ["inproc"])
-    #: Maximum outbox records one publisher pass drains.
+    #: Maximum txids one publisher pass moves its cursor by.
     outbox_batch: int = 25
     #: Period of the scheduled publisher function (suspended at
     #: scale-to-zero, like the heartbeat).  0 = manual drains only, via
     #: ``service.outbox.drain()``.
     outbox_publish_ms: float = 1_000.0
-    #: Per-sink delivery attempts before an event is dead-lettered.
-    outbox_max_attempts: int = 3
-    #: Base of the publisher's exponential retry backoff (ms): attempt
-    #: ``n`` waits ``outbox_retry_base_ms * 2**(n-1)``.
-    outbox_retry_base_ms: float = 50.0
     #: Client-side read cache: maximum cached node images per session.
     #: 0 (the default) disables the cache entirely, so the paper's read
     #: pipeline — every get_data/get_children is a user-store round trip —
@@ -203,20 +194,13 @@ class FaaSKeeperConfig:
         if self.outbox_enabled and not self.commit_log_enabled:
             raise ValueError(
                 "outbox_enabled=True requires commit_log_enabled=True: the "
-                "outbox record rides the commit log's storage transaction")
+                "publisher streams events out of the commit log")
         if self.outbox_batch < 1:
             raise ValueError(
                 f"outbox_batch must be >= 1, got {self.outbox_batch}")
         if self.outbox_publish_ms < 0:
             raise ValueError(
                 f"outbox_publish_ms must be >= 0, got {self.outbox_publish_ms}")
-        if self.outbox_max_attempts < 1:
-            raise ValueError(
-                f"outbox_max_attempts must be >= 1, got {self.outbox_max_attempts}")
-        if self.outbox_retry_base_ms < 0:
-            raise ValueError(
-                f"outbox_retry_base_ms must be >= 0, "
-                f"got {self.outbox_retry_base_ms}")
         if self.outbox_enabled and not self.outbox_sinks:
             raise ValueError("outbox_enabled=True needs at least one sink")
         if self.storage_breaker_threshold < 1:

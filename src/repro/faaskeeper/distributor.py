@@ -60,7 +60,23 @@ from .layout import SYSTEM_STATE, replicated_key
 from .watches import triggered_watch_types
 
 __all__ = ["DistributionStage", "DistributorLogic", "VisibilityBoard",
-           "WatchGateBoard", "armed_watch_ids", "write_user_image"]
+           "WatchGateBoard", "advance_watermark", "armed_watch_ids",
+           "write_user_image"]
+
+
+def advance_watermark(store, ctx, key: str, attr: str, value: int) -> Generator:
+    """Monotone durable watermark: raise ``attr`` of system-state item
+    ``key`` to ``value`` unless a redelivery or a concurrent writer already
+    got it there.  Every commit-log cursor and every region's
+    ``replicated_tx`` advances through here."""
+    try:
+        yield from store.update_item(
+            ctx, SYSTEM_STATE, key, updates=[Set(attr, value)],
+            condition=Attr(attr).not_exists() | (Attr(attr) < value),
+            payload_kb=0.032)
+    except ConditionFailed:
+        pass
+    return None
 
 
 def armed_watch_ids(watch_item: Optional[Dict[str, Any]],
@@ -84,7 +100,7 @@ def armed_watch_ids(watch_item: Optional[Dict[str, Any]],
     return ids
 
 
-def write_user_image(user_store, fctx, region: str, path: str,
+def write_user_image(user_store, ctx, region: str, path: str,
                      image: Optional[Dict[str, Any]], epoch: List[str],
                      txid: int, op: str, is_parent: bool) -> Generator:
     """Apply one replication action to one region's user store.
@@ -95,7 +111,7 @@ def write_user_image(user_store, fctx, region: str, path: str,
     if image is None:  # pragma: no cover - defensive
         return None
     if image.get("deleted"):
-        yield from user_store.delete_node(fctx.ctx, region, path)
+        yield from user_store.delete_node(ctx, region, path)
         return None
     full = dict(image)
     full["epoch"] = list(epoch)
@@ -103,13 +119,13 @@ def write_user_image(user_store, fctx, region: str, path: str,
         full["modified_tx"] = txid
         if op == "create":
             full["created_tx"] = txid
-        yield from user_store.write_node(fctx.ctx, region, path, full)
+        yield from user_store.write_node(ctx, region, path, full)
     else:
         # Parent updates touch metadata only (child list, cversion); the
         # writer downloads the node and rewrites it around the existing
         # data (Section 3.2's read-update-write).
         full.pop("meta_only", None)
-        yield from user_store.update_metadata(fctx.ctx, region, path, full)
+        yield from user_store.update_metadata(ctx, region, path, full)
     return None
 
 
@@ -333,7 +349,7 @@ class DistributorLogic:
                 # record that was superseded across batches).
                 self._coalesced.inc()
                 continue
-            yield from write_user_image(self.service.user_store, fctx,
+            yield from write_user_image(self.service.user_store, fctx.ctx,
                                         self.region, path, image, epoch,
                                         txid, op, is_parent)
             self._last_written[path] = txid
@@ -354,7 +370,10 @@ class DistributorLogic:
         2. **after visibility** — consume the instances (a fresh query +
            guarded removal) and invoke the fan-out only once the
            triggering write landed in every region (replicate-then-notify,
-           inline step ➌ before ➍).  Deferring the *consume* — not just
+           inline step ➌ before ➍) — for **every** touched path, armed in
+           step 1 or not: a watcher that registers between that query and
+           the write landing read the old state and holds a live watch
+           only this consume can fire.  Deferring the *consume* — not just
            the delivery — closes the stale-admission race: a reader whose
            cache miss lands between commit and regional visibility joins
            the still-live instance and is therefore notified (and
@@ -388,14 +407,14 @@ class DistributorLogic:
         txid_shard = {rec["txid"]: rec["shard"] for rec in batch}
         by_txid: Dict[int, List[Tuple[str, List[Tuple[str, bool]], List[str]]]] = {}
         for path, proc in procs.items():
-            armed = armed_watch_ids(proc.value, by_path[path])
-            if armed:
-                by_txid.setdefault(path_txid[path], []).append(
-                    (path, by_path[path], armed))
+            by_txid.setdefault(path_txid[path], []).append(
+                (path, by_path[path],
+                 armed_watch_ids(proc.value, by_path[path])))
         for txid in sorted(by_txid):
             entries = by_txid[txid]
             armed_ids = [wid for _p, _pairs, ids in entries for wid in ids]
-            yield from self.service.epoch_ledger.add(fctx.ctx, armed_ids)
+            if armed_ids:
+                yield from self.service.epoch_ledger.add(fctx.ctx, armed_ids)
             env.process(self._fanout_after_visible(txid, txid_shard[txid],
                                                    entries, armed_ids),
                         name=f"fanout:{txid}")
@@ -430,7 +449,8 @@ class DistributorLogic:
         # The armed ids are what the epoch carries; the consumed instances
         # may differ (a GC sweep or an intervening consume can have
         # replaced them) — clear exactly what was added.
-        yield from self.service.epoch_ledger.remove(ctx, armed_ids)
+        if armed_ids:
+            yield from self.service.epoch_ledger.remove(ctx, armed_ids)
         return None
 
 
@@ -467,46 +487,30 @@ class DistributionStage:
             self.fns[region] = fn
 
     # ------------------------------------------------------------ publish
-    def record_size_kb(self, record: Dict[str, Any]) -> float:
-        data_kb = sum(
-            len((image or {}).get("data", b"") or b"") / 1024.0
-            for _path, image, _is_parent, _op in record["writes"])
-        return 0.2 + data_kb
-
     def publish(self, fctx, record: Dict[str, Any]) -> Generator:
         """Append one distribution record to every region's queue (the
         enqueues run in parallel; the leader awaits them so per-path queue
         order follows commit order before the txid is popped)."""
         env = fctx.env
-        size_kb = self.record_size_kb(record)
+        size_kb = 0.2 + sum(
+            len((image or {}).get("data", b"") or b"") / 1024.0
+            for _path, image, _is_parent, _op in record["writes"])
         procs = [
-            env.process(self._send_one(fctx, region, record, size_kb),
+            env.process(queue.send(fctx.ctx, dict(record), group="dist",
+                                   size_kb=size_kb),
                         name=f"dist-publish:{region}")
-            for region in self.service.config.regions
+            for region, queue in self.queues.items()
         ]
         yield AllOf(env, procs)
-        return None
-
-    def _send_one(self, fctx, region: str, record: Dict[str, Any],
-                  size_kb: float) -> Generator:
-        yield from self.queues[region].send(
-            fctx.ctx, dict(record), group="dist", size_kb=size_kb)
         return None
 
     # ------------------------------------------------------------ visibility
     def mark_visible(self, fctx, region: str, txids: List[int]) -> Generator:
         """One monotone ``replicated_tx`` watermark write per batch, then
         open the in-memory board the client barriers wait on."""
-        top = max(txids)
-        try:
-            yield from self.service.system_store.update_item(
-                fctx.ctx, SYSTEM_STATE, replicated_key(region),
-                updates=[Set("txid", top)],
-                condition=Attr("txid").not_exists() | (Attr("txid") < top),
-                payload_kb=0.032,
-            )
-        except ConditionFailed:  # pragma: no cover - redelivered batch
-            pass
+        yield from advance_watermark(
+            self.service.system_store, fctx.ctx, replicated_key(region),
+            "txid", max(txids))
         self.visibility.mark(region, txids)
         return None
 

@@ -49,7 +49,6 @@ __all__ = [
     "SYSTEM_WATCHES",
     "SYSTEM_LOG",
     "SYSTEM_SNAPSHOT",
-    "SYSTEM_OUTBOX",
     "USER_TABLE",
     "USER_BUCKET",
     "epoch_key",
@@ -71,16 +70,13 @@ SYSTEM_STATE = "fk-system-state"
 SYSTEM_SESSIONS = "fk-system-sessions"
 SYSTEM_WATCHES = "fk-system-watches"
 #: Durable commit log (``commit_log_enabled``): one item per committed
-#: transaction, key = zero-padded txid, value = the replication writes.
+#: transaction, key = zero-padded txid, value = ``{"txid", "shard",
+#: "session", "ts", "writes"}``.  The one commit record: the snapshot fold,
+#: the outbox publisher and compaction/recovery read it at their own cursors.
 SYSTEM_LOG = "fk-system-log"
 #: Snapshot table (fuzzy checkpoint of the log): key = path, value =
 #: the newest folded user image and the txid that produced it.
 SYSTEM_SNAPSHOT = "fk-system-snapshot"
-#: Transactional outbox (``outbox_enabled``): one event record per
-#: committed transaction, key = zero-padded txid, written in the *same*
-#: storage transaction as the commit-log append so a committed change and
-#: its outgoing event are atomic (the transactional-outbox pattern).
-SYSTEM_OUTBOX = "fk-system-outbox"
 USER_TABLE = "fk-user-nodes"
 USER_BUCKET = "fk-user-data"
 
@@ -94,10 +90,11 @@ LOG_HEAD_KEY = "log:head"
 #: into the snapshot table), the fold generation, and the newest txid
 #: compaction has truncated the log to.
 SNAPSHOT_META_KEY = "snapshot:meta"
-#: System-state key of the outbox publisher's durable progress item
-#: ``{"txid"}``: every outbox record at or below it has been delivered to
+#: System-state key of the outbox publisher's durable cursor ``{"txid"}``:
+#: the events of every log record at or below it have been delivered to
 #: (or dead-lettered at) every configured sink.  Advanced *after* sink
-#: delivery, so a publisher crash re-delivers — at-least-once.
+#: delivery, so a publisher crash re-delivers — at-least-once — and read
+#: by compaction, which never truncates the log above it.
 OUTBOX_PUBLISHED_KEY = "outbox:published"
 #: System-state key of the durable dead-letter list ``{"items": [...]}``:
 #: events a sink definitively rejected after the retry budget.

@@ -572,7 +572,7 @@ class LeaderLogic:
     def _replicate(self, fctx, region: str, path: str,
                    image: Optional[Dict[str, Any]], epoch: List[str],
                    txid: int, op: str, is_parent: bool) -> Generator:
-        yield from write_user_image(self.service.user_store, fctx, region,
+        yield from write_user_image(self.service.user_store, fctx.ctx, region,
                                     path, image, epoch, txid, op, is_parent)
         return None
 

@@ -6,28 +6,31 @@ consumers — change-data-capture pipelines, audit logs, cross-system
 replication.  Bolting that on out-of-band (read the store, diff, emit)
 is lossy: an event emitted before the commit can describe a change that
 never happened, one emitted after can be lost with the emitter.  The
-transactional-outbox pattern closes the gap:
+transactional-outbox pattern closes the gap, and here it needs no table
+of its own — **the event record is the commit-log record**:
 
-* **append** — the leader writes one *event record* per committed
-  transaction (path, op type, txid, session, commit timestamp) to the
-  ``SYSTEM_OUTBOX`` table **in the same conditional ``transact_update``
-  as the commit-log append** (:meth:`SnapshotManager.append_log`): the
-  state change, its log record and its outgoing event commit atomically,
-  and the log-head condition that deduplicates redelivered leader
-  batches deduplicates the outbox append for free;
+* **append** — the leader's one record per committed transaction
+  (:meth:`SnapshotManager.append_log`: writes, txid, session, commit
+  timestamp) is written in a conditional ``transact_update`` with the
+  shard's log head: the state change and everything the publisher will
+  say about it commit atomically, and the log-head condition that
+  deduplicates redelivered leader batches deduplicates the events for free;
 
-* **publish** — a scheduled publisher function drains the outbox in
-  global txid order up to the *publish floor* (``min`` over shards of
-  the commit-log head watermarks — below the floor every committed txid
-  provably has its record, so order is gapless; the same conservative
-  floor the snapshot fold uses).  Per-path order follows from global
-  txid order.  Each record is delivered to every configured sink with
-  exponential-backoff retry; a sink that still fails after
-  ``outbox_max_attempts`` gets the event *dead-lettered* (durable list +
+* **publish** — a scheduled publisher function is a *cursor* over that
+  log (the snapshot fold and compaction are the other two): it reads the
+  records of ``(outbox:published, floor]`` in txid order — the floor being
+  ``min`` over shards of the log heads, below which every committed txid
+  provably has its record, so order is gapless and per-path order follows
+  from global order — and projects each onto one event per *node* write
+  (parent metadata updates are an implementation detail, not a
+  user-visible change).  Each record is delivered to every configured
+  sink with exponential-backoff retry; a sink that still fails after
+  :data:`MAX_ATTEMPTS` gets the event *dead-lettered* (durable list +
   in-memory mirror) and the drain moves on.  The durable
-  ``outbox:published`` watermark advances only **after** a record's
-  sinks are settled, so a publisher crash re-delivers — at-least-once,
-  with duplicates deduplicated downstream by ``(txid, path)``;
+  ``outbox:published`` watermark advances only **after** a record's sinks
+  are settled, so a publisher crash re-delivers — at-least-once, with
+  duplicates deduplicated downstream by ``(txid, path)``.  The publisher
+  never deletes: retention is log compaction, which the watermark pins;
 
 * **sinks** — pluggable behind a small registry
   (:func:`register_sink` / :func:`make_sink`): :class:`InProcSink`
@@ -39,8 +42,8 @@ transactional-outbox pattern closes the gap:
   own side effects.
 
 Everything is gated on ``outbox_enabled`` (default off): a default
-deployment creates no outbox table, deploys no publisher and keeps its
-CI-gated write fingerprint bit-for-bit.
+deployment deploys no publisher and keeps its CI-gated write fingerprint
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -48,19 +51,19 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.errors import ConditionFailed
-from ..cloud.expressions import Attr, ListAppend, Set, item_exists
-from .layout import (
-    OUTBOX_DEAD_LETTER_KEY,
-    OUTBOX_PUBLISHED_KEY,
-    SYSTEM_OUTBOX,
-    SYSTEM_STATE,
-    log_key,
-)
+from ..cloud.expressions import ListAppend
+from .distributor import advance_watermark
+from .layout import OUTBOX_DEAD_LETTER_KEY, OUTBOX_PUBLISHED_KEY, SYSTEM_STATE
 
-__all__ = ["OutboxStage", "OutboxPublisherLogic", "Sink", "InProcSink",
-           "FileSink", "WebhookSink", "FakeHttp", "register_sink",
-           "make_sink", "SINK_SCHEMES"]
+__all__ = ["OutboxStage", "Sink", "InProcSink", "FileSink", "WebhookSink",
+           "FakeHttp", "register_sink", "make_sink", "SINK_SCHEMES",
+           "MAX_ATTEMPTS", "RETRY_BASE_MS"]
+
+#: Per-sink delivery attempts before a record is dead-lettered.
+MAX_ATTEMPTS = 3
+#: Base of the publisher's exponential retry backoff: attempt ``n`` waits
+#: ``RETRY_BASE_MS * 2**(n-1)`` virtual milliseconds.
+RETRY_BASE_MS = 50.0
 
 
 # --------------------------------------------------------------------------
@@ -124,19 +127,15 @@ def make_sink(spec: Any) -> Sink:
         return spec
     if isinstance(spec, tuple) and len(spec) == 2:
         scheme, kwargs = spec
-        try:
-            factory = SINK_SCHEMES[scheme]
-        except KeyError:
-            raise ValueError(f"unknown sink scheme {scheme!r}") from None
-        return factory(**dict(kwargs))
-    if isinstance(spec, str):
+        args = ()
+    elif isinstance(spec, str):
         scheme, _, arg = spec.partition(":")
-        try:
-            factory = SINK_SCHEMES[scheme]
-        except KeyError:
-            raise ValueError(f"unknown sink scheme {scheme!r}") from None
-        return factory(arg) if arg else factory()
-    raise ValueError(f"cannot build a sink from {spec!r}")
+        args, kwargs = (arg,) if arg else (), {}
+    else:
+        raise ValueError(f"cannot build a sink from {spec!r}")
+    if scheme not in SINK_SCHEMES:
+        raise ValueError(f"unknown sink scheme {scheme!r}")
+    return SINK_SCHEMES[scheme](*args, **dict(kwargs))
 
 
 @register_sink("inproc")
@@ -226,146 +225,19 @@ class FakeHttp:
 # Publisher
 # --------------------------------------------------------------------------
 
-class OutboxPublisherLogic:
-    """Behaviour of the ``fk-outbox`` publisher function.
-
-    Stateless by design: progress (the published watermark), the input
-    (outbox records) and the failure record (dead-letter list) are all
-    durable, so a crashed drain resumes from storage — the property the
-    ``outbox_*`` chaos points exercise.
-    """
-
-    def __init__(self, stage: "OutboxStage") -> None:
-        self.stage = stage
-        self.service = stage.service
-
-    def cold_restart(self) -> None:
-        """Chaos-harness hook (sandbox loss).  The publisher keeps no
-        warm state — everything it needs is durable — so a cold restart
-        only needs to exist, not to do anything."""
-
-    # ------------------------------------------------------------ handler
-    def handler(self, fctx, payload: Any) -> Generator:
-        """One drain pass: publish eligible records in txid order, then
-        garbage-collect records below the already-published watermark."""
-        env = fctx.env
-        stage = self.stage
-        store = self.service.system_store
-        metrics = stage.metrics
-        fctx.crash_point("outbox_entry")
-        metrics["drains"].inc()
-
-        t0 = env.now
-        mark_item = yield from store.get_item(
-            fctx.ctx, SYSTEM_STATE, OUTBOX_PUBLISHED_KEY)
-        mark = int((mark_item or {}).get("txid", 0))
-        floor = yield from stage.publish_floor(fctx.ctx)
-        records = yield from store.scan(fctx.ctx, SYSTEM_OUTBOX)
-        fctx.record("outbox_scan", env.now - t0)
-
-        eligible = sorted(
-            (rec for rec in records.values() if mark < rec["txid"] <= floor),
-            key=lambda rec: rec["txid"])
-        metrics["backlog"].set(len(eligible))
-        published = 0
-        for rec in eligible[:self.service.config.outbox_batch]:
-            fctx.crash_point("outbox_mid_drain")
-            yield from self._publish_record(fctx, rec)
-            fctx.crash_point("outbox_after_sink")
-            # The watermark advances only after every sink settled this
-            # record: a crash above re-delivers it (at-least-once).
-            try:
-                yield from store.update_item(
-                    fctx.ctx, SYSTEM_STATE, OUTBOX_PUBLISHED_KEY,
-                    updates=[Set("txid", rec["txid"])],
-                    condition=Attr("txid").not_exists()
-                    | (Attr("txid") < rec["txid"]),
-                    payload_kb=0.032)
-            except ConditionFailed:  # pragma: no cover - concurrent drain
-                pass
-            metrics["published_txid"].set(rec["txid"])
-            metrics["lag"].observe(env.now - rec.get("ts", env.now))
-            published += 1
-
-        # Retention: records at or below the watermark *as of this pass's
-        # start* were fully published by an earlier drain — drop them.
-        # (Records published in this pass survive one period, keeping the
-        # delete after the watermark write — crash-safe in either order.)
-        for rec in sorted(records.values(), key=lambda r: r["txid"]):
-            if rec["txid"] > mark:
-                break
-            try:
-                yield from store.delete_item(
-                    fctx.ctx, SYSTEM_OUTBOX, log_key(rec["txid"]),
-                    condition=item_exists())
-                metrics["compacted"].inc()
-            except ConditionFailed:  # pragma: no cover - concurrent drain
-                pass
-        return {"published": published, "floor": floor,
-                "backlog": len(eligible) - published}
-
-    def _publish_record(self, fctx, rec: Dict[str, Any]) -> Generator:
-        """Deliver one record to every sink: exponential-backoff retry,
-        dead-letter on a sink that keeps failing."""
-        env = fctx.env
-        config = self.service.config
-        metrics = self.stage.metrics
-        events = [
-            {"txid": rec["txid"], "path": path, "op": op,
-             "session": rec.get("session"), "ts": rec.get("ts", 0.0),
-             "shard": rec.get("shard", 0)}
-            for path, op in rec["events"]
-        ]
-        t0 = env.now
-        for label, sink in self.stage.sinks:
-            delivered = False
-            last_error: Optional[BaseException] = None
-            for attempt in range(1, config.outbox_max_attempts + 1):
-                try:
-                    yield from sink.deliver(fctx, events)
-                    delivered = True
-                    break
-                except Exception as exc:
-                    last_error = exc
-                    metrics["retries"].labels(sink=label).inc()
-                    backoff = config.outbox_retry_base_ms * (2 ** (attempt - 1))
-                    if attempt < config.outbox_max_attempts and backoff > 0:
-                        yield env.timeout(backoff)
-            if delivered:
-                metrics["published"].labels(sink=label).inc(len(events))
-            else:
-                yield from self._dead_letter(fctx, label, rec, last_error)
-        fctx.record("outbox_publish", env.now - t0)
-        return None
-
-    def _dead_letter(self, fctx, sink_label: str, rec: Dict[str, Any],
-                     error: Optional[BaseException]) -> Generator:
-        """A sink exhausted its retry budget: park the record durably so
-        no event is silently dropped (the operator replays from here)."""
-        entry = {"txid": rec["txid"], "sink": sink_label,
-                 "events": [list(ev) for ev in rec["events"]],
-                 "error": repr(error) if error else "unknown"}
-        yield from self.service.system_store.update_item(
-            fctx.ctx, SYSTEM_STATE, OUTBOX_DEAD_LETTER_KEY,
-            updates=[ListAppend("items", [entry])],
-            payload_kb=0.2)
-        self.stage.dead_letters.append(entry)
-        self.stage.metrics["dead_letters"].labels(sink=sink_label).inc()
-        return None
-
-
-# --------------------------------------------------------------------------
-# Stage wiring
-# --------------------------------------------------------------------------
-
 class OutboxStage:
-    """Deployment-side wiring of the outbox: table, sinks, publisher
-    function (``service.outbox``; None unless ``outbox_enabled``)."""
+    """The outbox of one deployment (``service.outbox``; None unless
+    ``outbox_enabled``): its sinks and the ``fk-outbox`` publisher function.
+
+    The publisher is stateless by design: progress (the published
+    watermark), the input (commit-log records) and the failure record
+    (dead-letter list) are all durable, so a crashed drain resumes from
+    storage — the property the ``outbox_*`` chaos points exercise.
+    """
 
     def __init__(self, service) -> None:
         self.service = service
         config = service.config
-        service.system_store.create_table(SYSTEM_OUTBOX)
 
         # Sinks, with uniquified metric labels (two file sinks become
         # ``file`` and ``file-2``).
@@ -373,20 +245,15 @@ class OutboxStage:
         seen: Dict[str, int] = {}
         for spec in config.outbox_sinks:
             sink = make_sink(spec)
-            n = seen.get(sink.kind, 0) + 1
-            seen[sink.kind] = n
-            label = sink.kind if n == 1 else f"{sink.kind}-{n}"
-            sink.label = label
-            self.sinks.append((label, sink))
+            n = seen[sink.kind] = seen.get(sink.kind, 0) + 1
+            sink.label = sink.kind if n == 1 else f"{sink.kind}-{n}"
+            self.sinks.append((sink.label, sink))
 
         #: In-memory mirror of the durable dead-letter list.
         self.dead_letters: List[Dict[str, Any]] = []
 
         registry = service.metrics
         self.metrics = {
-            "appended": registry.counter(
-                "fk_outbox_appended_total",
-                "Event records appended to the outbox (with the commit)"),
             "drains": registry.counter(
                 "fk_outbox_drains_total", "Publisher drain passes"),
             "published": registry.counter(
@@ -398,53 +265,121 @@ class OutboxStage:
             "dead_letters": registry.counter(
                 "fk_outbox_dead_letters_total",
                 "Records dead-lettered per sink", ("sink",)),
-            "compacted": registry.counter(
-                "fk_outbox_records_compacted_total",
-                "Published outbox records garbage-collected"),
             "published_txid": registry.gauge(
                 "fk_outbox_published_txid",
                 "Durable publish watermark (newest fully published txid)"),
             "backlog": registry.gauge(
                 "fk_outbox_backlog",
-                "Eligible-but-unpublished records at the last drain"),
+                "Txids between the cursor and the floor after the last drain"),
             "lag": registry.histogram(
                 "fk_outbox_publish_lag_ms",
                 "Commit-to-sink publish lag per record (ms)"),
         }
 
-        self.publisher = OutboxPublisherLogic(self)
         self.fn = service.cloud.deploy_function(
-            "fk-outbox", self.publisher.handler,
+            "fk-outbox", self.handler,
             memory_mb=config.function_memory_mb, arch=config.arch,
             cpu_alloc=config.cpu_alloc, region=config.primary_region)
 
-    # ------------------------------------------------------------ append
-    def append_ops(self, env_now: float, txid: int, shard: int, session: str,
-                   writes: List[Tuple[str, Optional[Dict[str, Any]], bool, str]]
-                   ) -> List[tuple]:
-        """The outbox leg of the leader's commit-log ``transact_update``:
-        one event per *node* write (parent metadata updates are an
-        implementation detail, not a user-visible change).  Returns []
-        when nothing user-visible happened, so the log transaction stays
-        unchanged for pure-metadata records."""
-        events = [[path, op] for path, _image, is_parent, op in writes
-                  if not is_parent]
-        if not events:
-            return []
-        record = {"txid": txid, "shard": shard, "session": session,
-                  "ts": env_now, "events": events}
-        return [(SYSTEM_OUTBOX, log_key(txid),
-                 [Set(k, v) for k, v in record.items()], None)]
+    # ------------------------------------------------------------ handler
+    def handler(self, fctx, payload: Any) -> Generator:
+        """One drain pass: move the cursor up to ``outbox_batch`` txids
+        towards the floor, publishing every record on the way."""
+        env = fctx.env
+        store = self.service.system_store
+        log = self.service.snapshots
+        metrics = self.metrics
+        fctx.crash_point("outbox_entry")
+        metrics["drains"].inc()
 
-    # ------------------------------------------------------------ floors
-    def publish_floor(self, ctx) -> Generator[Any, Any, int]:
-        """Newest txid safe to publish: ``min`` over shards of the
-        commit-log heads.  Below it every committed txid has its outbox
-        record (same storage transaction), so draining in txid order is
-        gapless — which is what makes per-path order a corollary of
-        global order, cross-shard multis included."""
-        heads = yield from self.service.snapshots._log_heads(ctx)
-        return self.service.snapshots._floor_from_heads(heads)
+        t0 = env.now
+        mark_item = yield from store.get_item(
+            fctx.ctx, SYSTEM_STATE, OUTBOX_PUBLISHED_KEY)
+        mark = int((mark_item or {}).get("txid", 0))
+        floor, _top = yield from log.bounds(fctx.ctx)
+        fctx.record("outbox_scan", env.now - t0)
+        stop = min(floor, mark + self.service.config.outbox_batch)
+        cursor = mark
+        published = 0
+
+        def publish(record: Dict[str, Any]) -> Generator:
+            nonlocal cursor, published
+            events = [[path, op] for path, _image, is_parent, op
+                      in record["writes"] if not is_parent]
+            if not events:
+                return None  # pure metadata: nothing user-visible happened
+            fctx.crash_point("outbox_mid_drain")
+            yield from self._publish_record(fctx, record, events)
+            fctx.crash_point("outbox_after_sink")
+            # The watermark advances only after every sink settled this
+            # record: a crash above re-delivers it (at-least-once).
+            cursor = record["txid"]
+            yield from self._advance(fctx, cursor)
+            metrics["lag"].observe(env.now - record["ts"])
+            published += 1
+            return None
+
+        yield from log.read_suffix(fctx.ctx, mark, stop, publish)
+        if cursor < stop:
+            # The tail of the range held no event (burned txids, pure
+            # metadata records): step over it so the cursor — and the
+            # compaction it pins — does not wait for the next event.
+            yield from self._advance(fctx, stop)
+        metrics["backlog"].set(floor - stop)
+        return {"published": published, "floor": floor,
+                "backlog": floor - stop}
+
+    def _advance(self, fctx, txid: int) -> Generator:
+        yield from advance_watermark(self.service.system_store, fctx.ctx,
+                                     OUTBOX_PUBLISHED_KEY, "txid", txid)
+        self.metrics["published_txid"].set(txid)
+        return None
+
+    def _publish_record(self, fctx, rec: Dict[str, Any],
+                        pairs: List[List[str]]) -> Generator:
+        """Deliver one record's events to every sink: exponential-backoff
+        retry, dead-letter on a sink that keeps failing."""
+        env = fctx.env
+        metrics = self.metrics
+        events = [
+            {"txid": rec["txid"], "path": path, "op": op,
+             "session": rec["session"], "ts": rec["ts"],
+             "shard": rec["shard"]}
+            for path, op in pairs
+        ]
+        t0 = env.now
+        for label, sink in self.sinks:
+            for attempt in range(1, MAX_ATTEMPTS + 1):
+                try:
+                    yield from sink.deliver(fctx, events)
+                except Exception as exc:
+                    error = exc
+                    metrics["retries"].labels(sink=label).inc()
+                    if attempt < MAX_ATTEMPTS:
+                        yield env.timeout(RETRY_BASE_MS * 2 ** (attempt - 1))
+                else:
+                    metrics["published"].labels(sink=label).inc(len(events))
+                    break
+            else:
+                yield from self._dead_letter(fctx, label, rec["txid"], pairs,
+                                             error)
+        fctx.record("outbox_publish", env.now - t0)
+        return None
+
+    def _dead_letter(self, fctx, sink_label: str, txid: int,
+                     pairs: List[List[str]], error: Exception) -> Generator:
+        """A sink exhausted its retry budget: park the record durably so
+        no event is silently dropped (the operator replays from here)."""
+        entry = {"txid": txid, "sink": sink_label,
+                 "events": [list(pair) for pair in pairs],
+                 "error": repr(error)}
+        yield from self.service.system_store.update_item(
+            fctx.ctx, SYSTEM_STATE, OUTBOX_DEAD_LETTER_KEY,
+            updates=[ListAppend("items", [entry])],
+            payload_kb=0.2)
+        self.dead_letters.append(entry)
+        self.metrics["dead_letters"].labels(sink=sink_label).inc()
+        return None
 
     # ------------------------------------------------------------ helpers
     def drain(self) -> Dict[str, Any]:
@@ -464,7 +399,6 @@ class OutboxStage:
 
     def stats(self) -> Dict[str, float]:
         return {
-            "appended": self.metrics["appended"].value,
             "drains": self.metrics["drains"].value,
             "published": sum(c.value for _lv, c in
                              self.metrics["published"].items()),

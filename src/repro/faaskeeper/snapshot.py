@@ -1,42 +1,47 @@
-"""Fuzzy snapshots and txid-bounded log compaction (ZooKeeper's
-durability design — Hunt et al., ATC'10 — transplanted onto the
-FaaSKeeper storage layout).
+"""Commit log, fuzzy snapshots and txid-bounded compaction (ZooKeeper's
+durability design — Hunt et al., ATC'10 — on the FaaSKeeper storage
+layout).
 
 Without this module the deployment's durability story ends at the system
 store: node *metadata* is durable, but the node data only exists inside
 queue messages in flight and in the per-region user stores — a region
 whose replica is lost can only be rebuilt from nothing.  With
-``commit_log_enabled`` three pieces close that gap:
+``commit_log_enabled`` there is **one commit record per transaction and
+many cursors over it**, as in ZooKeeper's single transaction log:
 
-* **commit log** — the leader appends every committed transaction's
+* **append** — the leader appends every committed transaction's
   replication writes (full node images, parent metadata updates,
-  deletions) to a txid-keyed system table *before* replicating or
-  publishing, in the same storage transaction as a per-shard ``log-head``
-  watermark.  Within a shard the FIFO queue delivers txids in order, so
-  every committed txid at or below a shard's head provably has a log
-  record — the invariant the snapshot floor rests on.
+  deletions), its session and commit timestamp to a txid-keyed system
+  table *before* replicating or publishing, in the same storage
+  transaction as a per-shard ``log-head`` watermark.  Within a shard the
+  FIFO queue delivers txids in order, so every committed txid at or below
+  a shard's head provably has a log record — the invariant every
+  reader's floor (:func:`log_bounds`) rests on.
 
-* **fuzzy snapshot** — :meth:`SnapshotManager.take_snapshot` folds the
-  log suffix above the previous floor into a per-path checkpoint table,
-  concurrent with ongoing commits (the fold never blocks the write
-  pipeline and bills reads/writes proportional to the *suffix*, not the
-  tree).  The new floor — ``min`` over shards of the log heads — is
+* **fold** (cursor ``snapshot:meta.txid``) — :meth:`take_snapshot` folds
+  the log suffix above the previous floor into a per-path checkpoint
+  table, concurrent with commits (it never blocks the write pipeline and
+  bills proportional to the *suffix*, not the tree).  The new floor is
   published only after the fold completes; a crash mid-fold leaves some
-  checkpoint items ahead of the published floor, which is exactly
-  ZooKeeper's fuzzy-snapshot state: replaying the suffix from the floor
-  is idempotent because every fold/replay write is guarded by the item's
+  checkpoint items ahead of it — ZooKeeper's fuzzy-snapshot state — and
+  the re-fold is idempotent because every write is guarded by the item's
   landed txid.
 
-* **compaction** — :meth:`SnapshotManager.compact` deletes log records
-  at or below ``min(snapshot floor, min over regions of replicated_tx)``.
-  The watermark clamp keeps the suffix a *lagging* region still needs:
-  a region that crashed mid-drain replays ``(replicated_tx, head]``
-  without reloading the snapshot.
+* **publish** (cursor ``outbox:published``) — the outbox publisher
+  (:mod:`repro.faaskeeper.outbox`) reads the same records through
+  :meth:`read_suffix` and streams their events to the sinks.
 
-Cold start (:meth:`SnapshotManager.recover_region`) = load the snapshot
-table into the region's user store + replay the log suffix above the
-floor; recovery time is bounded by snapshot size + suffix length, never
-by total log length (``bench_recovery.py`` measures exactly this).
+* **compact** (cursor ``snapshot:meta.compacted``) — :meth:`compact` is
+  the one place the log is truncated, up to ``min(snapshot floor, every
+  region's replicated_tx, outbox:published)``: every other cursor pins
+  the log.  A region that crashed mid-drain replays ``(replicated_tx,
+  head]`` without reloading the snapshot; a record no sink has seen yet
+  is never eaten.
+
+Cold start (:meth:`recover_region`) = load the snapshot table into the
+region's user store + replay the log suffix above the floor; recovery
+time is bounded by snapshot size + suffix length, never by total log
+length (``bench_recovery.py`` measures exactly this).
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..cloud.context import OpContext
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, Set, item_exists
-from .distributor import write_user_image
+from .distributor import advance_watermark, write_user_image
 from .layout import (
     LOG_HEAD_KEY,
+    OUTBOX_PUBLISHED_KEY,
     SNAPSHOT_META_KEY,
     SNAPSHOT_SYS_PREFIX,
     SYSTEM_LOG,
@@ -62,7 +68,7 @@ from .layout import (
     replicated_key,
 )
 
-__all__ = ["SnapshotManager"]
+__all__ = ["SnapshotManager", "fold_write", "log_bounds"]
 
 #: Coordination tables checkpointed beside the node fold, with their keys
 #: in the snapshot table.
@@ -83,15 +89,34 @@ def _cseq_from_children(children: List[str]) -> int:
     return cseq
 
 
-class _RecoveryCtx:
-    """Minimal function-context stand-in so recovery can reuse
-    :func:`~repro.faaskeeper.distributor.write_user_image` (the exact
-    apply path the leader and distributor use — byte-identical images)."""
+def log_bounds(heads: Optional[Dict[str, int]], shards: int) -> Tuple[int, int]:
+    """``(floor, top)`` of the commit log from its per-shard head item.
+    ``floor`` (``min`` over shards) is how far a cursor may read: at or
+    below it every committed txid provably has its record.  A shard that
+    never logged pins it at 0 — conservative (traffic may still be in that
+    shard's pipeline), never unsafe.  ``top`` (``max``) is the newest
+    record that exists at all: what recovery replays up to."""
+    logged = [int((heads or {}).get(f"s{i}", 0)) for i in range(shards)]
+    return min(logged), max(logged)
 
-    __slots__ = ("ctx",)
 
-    def __init__(self, ctx: OpContext) -> None:
-        self.ctx = ctx
+def fold_write(prev: Optional[Dict[str, Any]], image: Dict[str, Any],
+               is_parent: bool, op: str, txid: int) -> Optional[Dict[str, Any]]:
+    """One logged write folded over the path's previous checkpoint image
+    (``prev``; None = none yet): the new image, or None for a deletion.
+    Parent updates carry metadata only and keep the data already held
+    (the shape of the user store's ``update_metadata``); a node write is
+    stamped with the txid that produced it."""
+    if image.get("deleted"):
+        return None
+    folded = {k: v for k, v in image.items() if k != "meta_only"}
+    if is_parent:
+        folded["data"] = (prev or {}).get("data", b"")
+    else:
+        folded["modified_tx"] = txid
+        if op == "create":
+            folded["created_tx"] = txid
+    return folded
 
 
 class SnapshotManager:
@@ -116,63 +141,68 @@ class SnapshotManager:
 
     # ------------------------------------------------------------ log append
     def append_log(self, fctx, txid: int, shard: int,
-                   writes: List[Tuple[str, Optional[Dict[str, Any]], bool, str]],
+                   writes: List[Tuple[str, Dict[str, Any], bool, str]],
                    session: Optional[str] = None) -> Generator:
         """Leader-side durable append, called after commit verification and
         before replication/publish.  One storage transaction writes the log
         record and advances the shard's head watermark; a redelivered
         message (head already at or past ``txid``) is a no-op.
 
-        With the outbox enabled, the transaction additionally carries the
-        committed transaction's event record (the transactional-outbox
-        pattern): the state change, its log record and its outgoing event
-        commit — or no-op on redelivery — together.
+        The record is also the transaction's outgoing *event* record: it
+        carries the session and the commit timestamp, so the state change
+        and what the outbox publisher will stream about it commit — or
+        no-op on redelivery — together.
         """
         env = fctx.env
         t0 = env.now
         record = {
             "txid": txid,
             "shard": shard,
+            "session": session,
+            "ts": env.now,
             "writes": [[path, image, is_parent, op]
                        for path, image, is_parent, op in writes],
         }
         head_attr = f"s{shard}"
-        ops = [
-            (SYSTEM_LOG, log_key(txid),
-             [Set(k, v) for k, v in record.items()], None),
-            (SYSTEM_STATE, LOG_HEAD_KEY,
-             [Set(head_attr, txid)],
-             Attr(head_attr).not_exists() | (Attr(head_attr) <= txid)),
-        ]
-        outbox = self.service.outbox
-        outbox_ops = [] if outbox is None else outbox.append_ops(
-            env.now, txid, shard, session, writes)
         try:
-            yield from self.service.system_store.transact_update(
-                fctx.ctx, ops + outbox_ops)
+            yield from self.service.system_store.transact_update(fctx.ctx, [
+                (SYSTEM_LOG, log_key(txid),
+                 [Set(k, v) for k, v in record.items()], None),
+                (SYSTEM_STATE, LOG_HEAD_KEY,
+                 [Set(head_attr, txid)],
+                 Attr(head_attr).not_exists() | (Attr(head_attr) <= txid)),
+            ])
             self._appends.inc()
-            if outbox_ops:
-                outbox.metrics["appended"].inc()
         except ConditionFailed:
-            # Head beyond txid: this shard already logged the record (and
-            # its outbox event) on an earlier delivery of the same message.
+            # Head beyond txid: this shard already logged the record on an
+            # earlier delivery of the same message.
             pass
         fctx.record("log_append", env.now - t0)
         return None
 
-    # ------------------------------------------------------------ floors
-    def _log_heads(self, ctx: OpContext) -> Generator[Any, Any, Dict[str, int]]:
+    # ------------------------------------------------------------ log reader
+    def bounds(self, ctx: OpContext) -> Generator[Any, Any, Tuple[int, int]]:
+        """Durable read of :func:`log_bounds` — the ``(floor, top)`` every
+        cursor (fold, publish, recovery) clamps itself to."""
         heads = yield from self.service.system_store.get_item(
             ctx, SYSTEM_STATE, LOG_HEAD_KEY)
-        return heads or {}
+        return log_bounds(heads, self.service.config.leader_shards)
 
-    def _floor_from_heads(self, heads: Dict[str, int]) -> int:
-        """Snapshot floor: ``min`` over all shards of the logged watermark.
-        A shard that never logged pins the floor at 0 — conservative (the
-        snapshot simply cannot advance past traffic that may still be in
-        that shard's pipeline), never unsafe."""
-        return min(int(heads.get(f"s{i}", 0))
-                   for i in range(self.service.config.leader_shards))
+    def read_suffix(self, ctx: OpContext, lo: int, hi: int,
+                    visit) -> Generator[Any, Any, int]:
+        """The one suffix read: fetch the records of ``(lo, hi]`` in txid
+        order, running the ``visit(record)`` coroutine on each before
+        fetching the next; returns how many were visited.  A txid without
+        a record was burned by a rejected write — no commit."""
+        visited = 0
+        for txid in range(lo + 1, hi + 1):
+            record = yield from self.service.system_store.get_item(
+                ctx, SYSTEM_LOG, log_key(txid))
+            if record is None:
+                continue
+            yield from visit(record)
+            visited += 1
+        return visited
 
     def _meta(self, ctx: OpContext) -> Generator[Any, Any, Dict[str, int]]:
         meta = yield from self.service.system_store.get_item(
@@ -187,18 +217,14 @@ class SnapshotManager:
         before a crash stay ahead of the published floor and the guarded
         (per-item landed-txid) writes make the re-fold idempotent."""
         store = self.service.system_store
-        heads = yield from self._log_heads(ctx)
-        floor = self._floor_from_heads(heads)
+        floor, _top = yield from self.bounds(ctx)
         meta = yield from self._meta(ctx)
         prev = int(meta.get("txid", 0))
         if floor <= prev:
             return prev
-        for txid in range(prev + 1, floor + 1):
-            record = yield from store.get_item(ctx, SYSTEM_LOG, log_key(txid))
-            if record is None:
-                continue  # txid burned by a rejected write: no commit
-            yield from self._fold_record(ctx, record)
-            self._folded.inc()
+        folded = yield from self.read_suffix(
+            ctx, prev, floor, lambda record: self._fold_record(ctx, record))
+        self._folded.inc(folded)
         yield from self._checkpoint_system(ctx, floor)
         yield from store.put_item(ctx, SYSTEM_STATE, SNAPSHOT_META_KEY, {
             "txid": floor,
@@ -233,53 +259,43 @@ class SnapshotManager:
         store = self.service.system_store
         txid = record["txid"]
         newer = Attr("txid").not_exists() | (Attr("txid") < txid)
-        for path, image, is_parent, _op in record["writes"]:
-            if image is None:  # pragma: no cover - defensive
-                continue
-            if image.get("deleted"):
-                try:
+        for path, image, is_parent, op in record["writes"]:
+            prev = None
+            if is_parent:
+                existing = yield from store.get_item(ctx, SYSTEM_SNAPSHOT, path)
+                prev = (existing or {}).get("image")
+            folded = fold_write(prev, image, is_parent, op, txid)
+            try:
+                if folded is None:
                     yield from store.delete_item(
                         ctx, SYSTEM_SNAPSHOT, path, condition=newer)
-                except ConditionFailed:
-                    pass  # a later record already re-created the path
-                continue
-            folded = {k: v for k, v in image.items() if k != "meta_only"}
-            if is_parent:
-                # Parent updates carry metadata only; preserve the data the
-                # checkpoint already holds (read-update-write, the same
-                # shape as the user store's update_metadata).
-                existing = yield from store.get_item(ctx, SYSTEM_SNAPSHOT, path)
-                folded["data"] = ((existing or {}).get("image") or {}).get(
-                    "data", b"")
-            else:
-                folded["modified_tx"] = txid
-                if _op == "create":
-                    folded["created_tx"] = txid
-            try:
-                yield from store.put_item(
-                    ctx, SYSTEM_SNAPSHOT, path,
-                    {"txid": txid, "image": folded}, condition=newer)
+                else:
+                    yield from store.put_item(
+                        ctx, SYSTEM_SNAPSHOT, path,
+                        {"txid": txid, "image": folded}, condition=newer)
             except ConditionFailed:
                 pass  # checkpoint item already past this txid (re-fold)
         return None
 
     # ------------------------------------------------------------ compaction
     def compact(self, ctx: OpContext) -> Generator[Any, Any, int]:
-        """Truncate the log up to ``min(snapshot floor, slowest region's
-        replicated_tx)``; returns the number of records removed.  The
-        watermark clamp is load-bearing: a lagging region recovers by
-        replaying its suffix ``(replicated_tx, head]`` — compaction must
-        never eat records that suffix still needs."""
-        if not self.service.config.compaction_enabled:
-            return 0
+        """Truncate the log up to the slowest cursor — ``min(snapshot
+        floor, every region's replicated_tx, outbox:published)``; returns
+        the number of records removed.  The clamp is load-bearing: a
+        lagging region replays ``(replicated_tx, head]`` and the publisher
+        streams events out of the records above its watermark — compaction
+        must never eat what a reader still needs."""
         store = self.service.system_store
         meta = yield from self._meta(ctx)
         cut = int(meta.get("txid", 0))
+        pins = []
         if self.service.distribution is not None:
-            for region in self.service.config.regions:
-                mark = yield from store.get_item(
-                    ctx, SYSTEM_STATE, replicated_key(region))
-                cut = min(cut, int((mark or {}).get("txid", 0)))
+            pins += [replicated_key(r) for r in self.service.config.regions]
+        if self.service.outbox is not None:
+            pins.append(OUTBOX_PUBLISHED_KEY)
+        for key in pins:
+            mark = yield from store.get_item(ctx, SYSTEM_STATE, key)
+            cut = min(cut, int((mark or {}).get("txid", 0)))
         start = int(meta.get("compacted", 0))
         if cut <= start:
             return 0
@@ -291,15 +307,8 @@ class SnapshotManager:
                 removed += 1
             except ConditionFailed:
                 continue  # burned txid: no record was ever written
-        try:
-            yield from store.update_item(
-                ctx, SYSTEM_STATE, SNAPSHOT_META_KEY,
-                updates=[Set("compacted", cut)],
-                condition=Attr("compacted").not_exists()
-                | (Attr("compacted") < cut),
-                payload_kb=0.032)
-        except ConditionFailed:  # pragma: no cover - concurrent compactor
-            pass
+        yield from advance_watermark(store, ctx, SNAPSHOT_META_KEY,
+                                     "compacted", cut)
         self._compacted.inc(removed)
         return removed
 
@@ -320,12 +329,9 @@ class SnapshotManager:
         (leader-replicated) pipeline alike.
         """
         store = self.service.system_store
-        fctx = _RecoveryCtx(ctx)
         meta = yield from self._meta(ctx)
         floor = int(meta.get("txid", 0))
-        heads = yield from self._log_heads(ctx)
-        top = max([int(heads.get(f"s{i}", 0))
-                   for i in range(self.service.config.leader_shards)] + [0])
+        _floor, top = yield from self.bounds(ctx)
         loaded = 0
         if cold:
             start = floor
@@ -345,26 +351,18 @@ class SnapshotManager:
                     ctx, SYSTEM_STATE, replicated_key(region))
                 start = max(start, int((mark or {}).get("txid", 0)))
         replayed_txids: List[int] = []
-        for txid in range(start + 1, top + 1):
-            record = yield from store.get_item(ctx, SYSTEM_LOG, log_key(txid))
-            if record is None:
-                continue
+
+        def replay(record: Dict[str, Any]) -> Generator:
             for path, image, is_parent, op in record["writes"]:
                 yield from write_user_image(
-                    self.service.user_store, fctx, region, path, image,
-                    epoch=[], txid=txid, op=op, is_parent=is_parent)
-            replayed_txids.append(txid)
+                    self.service.user_store, ctx, region, path, image,
+                    epoch=[], txid=record["txid"], op=op, is_parent=is_parent)
+            replayed_txids.append(record["txid"])
+
+        yield from self.read_suffix(ctx, start, top, replay)
         if self.service.distribution is not None and replayed_txids:
-            newest = replayed_txids[-1]
-            try:
-                yield from store.update_item(
-                    ctx, SYSTEM_STATE, replicated_key(region),
-                    updates=[Set("txid", newest)],
-                    condition=Attr("txid").not_exists()
-                    | (Attr("txid") < newest),
-                    payload_kb=0.032)
-            except ConditionFailed:  # pragma: no cover - already ahead
-                pass
+            yield from advance_watermark(store, ctx, replicated_key(region),
+                                         "txid", replayed_txids[-1])
             self.service.distribution.visibility.mark(region, replayed_txids)
         return {"loaded": loaded, "replayed": len(replayed_txids),
                 "floor": floor, "start": start, "top": top}
@@ -376,8 +374,8 @@ class SnapshotManager:
 
         Node metadata is reprojected from durable images: the checkpoint
         table's folded images plus an **in-memory** replay of the log
-        suffix above the snapshot floor, newest-txid-wins with the same
-        parent/delete semantics as :meth:`_fold_record`.  (The replay is
+        suffix above the snapshot floor, newest-txid-wins through the same
+        :func:`fold_write` rules as :meth:`_fold_record`.  (The replay is
         deliberately not a fresh ``take_snapshot``: that would re-scan the
         watch/session tables — empty right now — and clobber the very
         ``sys:`` checkpoints this recovery needs.)  Watches and sessions
@@ -394,9 +392,7 @@ class SnapshotManager:
         store = self.service.system_store
         meta = yield from self._meta(ctx)
         floor = int(meta.get("txid", 0))
-        heads = yield from self._log_heads(ctx)
-        top = max([int(heads.get(f"s{i}", 0))
-                   for i in range(self.service.config.leader_shards)] + [0])
+        _floor, top = yield from self.bounds(ctx)
         checkpoint = yield from store.scan(ctx, SYSTEM_SNAPSHOT)
 
         images: Dict[str, Tuple[int, Dict[str, Any]]] = {}
@@ -404,27 +400,18 @@ class SnapshotManager:
             if key.startswith(SNAPSHOT_SYS_PREFIX):
                 continue
             images[key] = (int(item["txid"]), dict(item["image"]))
-        replayed = 0
-        for txid in range(floor + 1, top + 1):
-            record = yield from store.get_item(ctx, SYSTEM_LOG, log_key(txid))
-            if record is None:
-                continue  # burned txid
-            replayed += 1
+
+        def replay(record: Dict[str, Any]) -> Generator:
+            txid = record["txid"]
             for path, image, is_parent, op in record["writes"]:
-                if image is None:  # pragma: no cover - defensive
-                    continue
-                if image.get("deleted"):
-                    images.pop(path, None)
-                    continue
-                folded = {k: v for k, v in image.items() if k != "meta_only"}
-                if is_parent:
-                    prev = images.get(path)
-                    folded["data"] = prev[1].get("data", b"") if prev else b""
-                else:
-                    folded["modified_tx"] = txid
-                    if op == "create":
-                        folded["created_tx"] = txid
-                images[path] = (txid, folded)
+                prev = images.pop(path, None)
+                folded = fold_write(prev and prev[1], image, is_parent, op, txid)
+                if folded is not None:
+                    images[path] = (txid, folded)
+            return None
+            yield  # pragma: no cover - in-memory: no storage round trip
+
+        replayed = yield from self.read_suffix(ctx, floor, top, replay)
 
         restored = 0
         for path in sorted(images):
@@ -470,13 +457,3 @@ class SnapshotManager:
         floor = yield from self.take_snapshot(fctx.ctx)
         removed = yield from self.compact(fctx.ctx)
         return {"floor": floor, "compacted": removed}
-
-    # ------------------------------------------------------------ accounting
-    def stats(self) -> Dict[str, float]:
-        return {
-            "log_appends": self._appends.value,
-            "snapshots_taken": self._snapshots.value,
-            "records_folded": self._folded.value,
-            "log_records_compacted": self._compacted.value,
-            "last_floor": self._floor.value,
-        }

@@ -248,7 +248,7 @@ class SessionSwarm:
         env = self.cloud.env
         config = self.service.config
         duration_ms = spec.duration_ms or (
-            4.0 * config.heartbeat_period_ms + config.session_timeout_ms)
+            4.0 * config.heartbeat_period_ms + 10_000.0)
 
         self._register()
         live_after_registration = self.service.active_sessions

@@ -1,17 +1,17 @@
-"""FK002 — atomic-commit discipline on the log/outbox system tables.
+"""FK002 — atomic-commit discipline on the commit-log system table.
 
 The durability and event-streaming guarantees (PR 6/PR 7) hinge on one
-property: a committed transaction's log record, its per-shard head
-watermark and its outbox event are written in a **single conditional
+property: a committed transaction's one record — its replication writes
+and the session/timestamp its outgoing events are projected from — and
+its per-shard head watermark are written in a **single conditional
 ``transact_update``** (``SnapshotManager.append_log``).  A direct
-``put_item``/``update_item`` on ``fk-system-log`` or ``fk-system-outbox``
-bypasses that transaction — a crash between two plain writes leaves a
-committed change without its event (or an event without its change),
-exactly the torn state the transactional-outbox pattern exists to rule
-out.  Deletes are legitimate only for compaction/retention and must be
-**conditional** (compaction clamps to the slowest region's watermark;
-outbox GC checks the published floor), so an unconditional
-``delete_item`` is flagged too.
+``put_item``/``update_item`` on ``fk-system-log`` bypasses that
+transaction — a crash between two plain writes leaves a record the head
+does not cover (or a head without its record), exactly the torn state
+every cursor's floor exists to rule out.  Deletes are legitimate only for
+compaction and must be **conditional** (the cut is clamped to the slowest
+cursor: snapshot floor, every region's watermark, the outbox's published
+mark), so an unconditional ``delete_item`` is flagged too.
 
 The rule also keeps non-core code honest: any mutation of *any*
 ``fk-system-*`` table from ``examples/`` or ``benchmarks/`` is flagged —
@@ -20,7 +20,8 @@ them are measuring a deployment that cannot exist.
 
 The runtime half of this rule lives in :mod:`repro.fklint.sanitize`
 (armed by ``FK_SANITIZE=1``), which catches dynamically-computed table
-names this static check cannot resolve.
+names this static check cannot resolve and owns the table's one
+definition.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import ast
 from typing import Iterable, List
 
 from ..core import Checker, Finding, LintContext, register
+from ..sanitize import APPEND_ONLY_TABLE
 from .common import call_arg, call_kwarg, table_name_of
 
-#: Tables whose append path must ride the commit transaction.
-APPEND_ONLY_TABLES = ("fk-system-log", "fk-system-outbox")
 MUTATORS = {"put_item": 2, "update_item": 2, "delete_item": 2}
 
 
@@ -40,8 +40,8 @@ MUTATORS = {"put_item": 2, "update_item": 2, "delete_item": 2}
 class AtomicCommitChecker(Checker):
     rule = "FK002"
     name = "atomic-commit"
-    description = ("direct write to fk-system-log/outbox outside the "
-                   "commit transact_update (torn commit/event state)")
+    description = ("direct write to fk-system-log outside the commit "
+                   "transact_update (torn commit/event state)")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         outside_core = not ctx.in_dir("repro", "faaskeeper")
@@ -57,11 +57,11 @@ class AtomicCommitChecker(Checker):
             table = table_name_of(call_arg(node, 1, "table_name"))
             if table is None:
                 continue
-            if table in APPEND_ONLY_TABLES:
+            if table == APPEND_ONLY_TABLE:
                 if method in ("put_item", "update_item"):
                     findings.append(ctx.finding(
                         self.rule, node,
-                        f"direct `{method}` on `{table}`: log/outbox "
+                        f"direct `{method}` on `{table}`: commit "
                         "records must be appended inside the commit's "
                         "conditional transact_update "
                         "(SnapshotManager.append_log)"))
@@ -69,8 +69,8 @@ class AtomicCommitChecker(Checker):
                     findings.append(ctx.finding(
                         self.rule, node,
                         f"unconditional `delete_item` on `{table}`: "
-                        "compaction/retention deletes must be guarded by "
-                        "a condition (watermark clamp / published floor)"))
+                        "compaction deletes must be guarded by a "
+                        "condition"))
             elif outside_core and table.startswith("fk-system-"):
                 findings.append(ctx.finding(
                     self.rule, node,

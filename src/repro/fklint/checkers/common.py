@@ -18,7 +18,6 @@ TABLE_CONSTANTS: Dict[str, str] = {
     "SYSTEM_WATCHES": "fk-system-watches",
     "SYSTEM_LOG": "fk-system-log",
     "SYSTEM_SNAPSHOT": "fk-system-snapshot",
-    "SYSTEM_OUTBOX": "fk-system-outbox",
     "USER_TABLE": "fk-user-nodes",
 }
 

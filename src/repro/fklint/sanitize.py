@@ -13,10 +13,10 @@ unguarded watch sweep surface three tests later as a flaky timeout.
 
 Armed invariants:
 
-* **FK002** — ``fk-system-log`` / ``fk-system-outbox`` accept appends
-  only inside a storage transaction (``transact_update``: the commit's
-  conditional multi-item write); plain ``put_item``/``update_item`` on
-  them raises.  Deletes (compaction/retention) must be conditional.
+* **FK002** — ``fk-system-log`` accepts appends only inside a storage
+  transaction (``transact_update``: the commit's conditional multi-item
+  write); plain ``put_item``/``update_item`` on it raises.  Deletes
+  (compaction) must be conditional.
 * **FK003** — a ``Remove`` of an ``inst.*`` attribute on
   ``fk-system-watches`` must carry a condition (the id + session-list
   guard of the guarded-removal protocol), transactional or not.
@@ -31,9 +31,12 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Sequence
 
-__all__ = ["SanitizerError", "enabled", "check_mutation"]
+__all__ = ["SanitizerError", "enabled", "check_mutation",
+           "APPEND_ONLY_TABLE"]
 
-APPEND_ONLY_TABLES = ("fk-system-log", "fk-system-outbox")
+#: The one table whose append path must ride the commit transaction (the
+#: static FK002 checker imports this definition).
+APPEND_ONLY_TABLE = "fk-system-log"
 WATCH_TABLE = "fk-system-watches"
 
 
@@ -60,19 +63,18 @@ def check_mutation(method: str, table_name: str, key: str,
     Called by the kvstore facade with the *resolved* table name, so
     dynamically-built names the static checker cannot see are covered.
     """
-    if table_name in APPEND_ONLY_TABLES:
+    if table_name == APPEND_ONLY_TABLE:
         if method in ("put_item", "update_item") and not transactional:
             raise SanitizerError(
                 f"FK002: direct {method} on {table_name!r} (key={key!r}) "
-                "outside a storage transaction — log/outbox records must "
+                "outside a storage transaction — commit records must "
                 "ride the commit's conditional transact_update "
                 "(SnapshotManager.append_log); see CONTRIBUTING.md")
         if method == "delete_item" and condition is None:
             raise SanitizerError(
                 f"FK002: unconditional delete_item on {table_name!r} "
-                f"(key={key!r}) — compaction/retention deletes must be "
-                "guarded by a watermark/floor condition; see "
-                "CONTRIBUTING.md")
+                f"(key={key!r}) — compaction deletes must be guarded "
+                "by a condition; see CONTRIBUTING.md")
     if table_name == WATCH_TABLE and updates is not None and \
             condition is None:
         for action in updates:

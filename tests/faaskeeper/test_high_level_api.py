@@ -347,11 +347,19 @@ def test_datawatch_rearm_race_under_coalesced_burst(shards):
     assert handle.active
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_childrenwatch_rearm_race_under_burst(shards):
-    cloud, service = make_service(seed=13, leader_shards=shards,
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("ack_policy,shards", [
+    ("on_commit", 1), ("on_replicate", 1), ("on_commit", 4)])
+def test_childrenwatch_rearm_race_under_burst(ack_policy, shards, seed):
+    """A watcher that re-registers between the distributor's armed-ids
+    query and the write landing reads the old child list; the
+    post-visibility consume must run for *every* touched path, armed at
+    query time or not, or that live watch is never fired.  Swept over
+    seeds: the window is a few milliseconds wide and a single seed hits
+    or misses it by luck."""
+    cloud, service = make_service(seed=seed, leader_shards=shards,
                                   distributor_enabled=True,
-                                  ack_policy="on_commit")
+                                  ack_policy=ack_policy)
     writer, watcher = service.connect(), service.connect()
     writer.create("/grp", b"")
     cloud.run(until=cloud.now + 10_000)

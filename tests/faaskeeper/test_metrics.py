@@ -179,7 +179,7 @@ def test_metrics_snapshot_covers_every_stage():
     for name in ("fk_stage_segment_ms", "fk_fn_invocations",
                  "fk_fn_cold_starts", "fk_fn_failures", "fk_sessions_active",
                  "fk_client_cache", "fk_cost_dollars", "fk_log_appends_total",
-                 "fk_snapshots_taken_total", "fk_outbox_appended_total",
+                 "fk_snapshots_taken_total", "fk_outbox_published_txid",
                  "fk_outbox_drains_total", "fk_distributor_batches_total",
                  "fk_watch_fanouts_total", "fk_heartbeat_sweeps_total",
                  "fk_gc_collected_total"):

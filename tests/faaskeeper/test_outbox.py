@@ -3,10 +3,11 @@
 Covers the three layers: the sink registry and the concrete sinks
 (in-proc, JSON-lines file, webhook with injectable transport), the
 publisher's delivery contract (txid order, at-least-once via the durable
-watermark, retry with exponential backoff, dead-lettering), and the
-transactional append itself — the outbox record commits in the same
-storage transaction as the commit-log record, so leader redelivery can
-never double-append and a committed change can never miss its event.
+watermark, retry with exponential backoff, dead-lettering), and the one
+commit record itself — the event record *is* the commit-log record, so
+leader redelivery can never double-append, a committed change can never
+miss its event, and the publisher is a cursor that scans nothing, deletes
+nothing and pins log compaction at its watermark.
 """
 
 import json
@@ -14,16 +15,19 @@ import json
 import pytest
 
 from repro.cloud.errors import FunctionCrash
-from repro.faaskeeper import FaaSKeeperConfig
+from repro.faaskeeper import FaaSKeeperConfig, NodeExistsError
 from repro.faaskeeper.chaos import verify_outbox_delivery
 from repro.faaskeeper.layout import (
+    LOG_HEAD_KEY,
     OUTBOX_DEAD_LETTER_KEY,
     OUTBOX_PUBLISHED_KEY,
-    SYSTEM_OUTBOX,
+    SYSTEM_LOG,
     SYSTEM_STATE,
     log_key,
 )
 from repro.faaskeeper.outbox import (
+    MAX_ATTEMPTS,
+    RETRY_BASE_MS,
     FakeHttp,
     FileSink,
     InProcSink,
@@ -40,6 +44,20 @@ def outbox_service(seed, **kwargs):
     kwargs.setdefault("outbox_enabled", True)
     kwargs.setdefault("outbox_publish_ms", 0.0)  # manual drains
     return make_service(seed=seed, **kwargs)
+
+
+def published_mark(service):
+    item = service.system_store.table(SYSTEM_STATE).raw(OUTBOX_PUBLISHED_KEY)
+    return (item or {}).get("txid", 0)
+
+
+def log_txids(service):
+    return sorted(int(k) for k in service.system_store.table(SYSTEM_LOG).keys())
+
+
+def snapshot_and_compact(cloud, service):
+    cloud.run_process(service.snapshots.take_snapshot(service.system_ctx))
+    return cloud.run_process(service.snapshots.compact(service.system_ctx))
 
 
 # --------------------------------------------------------------------------
@@ -112,61 +130,164 @@ def test_events_flow_commit_to_sink_in_txid_order():
     per_path = [ev["txid"] for ev in seen if ev["path"] == "/a"]
     assert per_path == sorted(per_path)
     assert all(ev["session"] == c.session_id for ev in seen)
-    mark = service.system_store.table(SYSTEM_STATE).raw(OUTBOX_PUBLISHED_KEY)
-    assert mark["txid"] == max(txids)
+    assert published_mark(service) == max(txids)
     assert verify_outbox_delivery(service, txids) == []
     stats = service.outbox.stats()
-    assert stats["appended"] == 4 and stats["published"] == 4
+    assert service.metrics.get("fk_log_appends_total").value == 4
+    assert stats["published"] == 4
     assert stats["retries"] == 0 and stats["dead_letters"] == 0
 
 
 def test_redelivered_leader_batch_appends_one_outbox_record():
-    """Atomicity: the outbox row rides the commit log's conditional
-    ``transact_update``, so the leader crash that redelivers a batch (and
-    no-ops the log append) no-ops the outbox append too."""
+    """Atomicity: the event record *is* the commit-log record, written
+    under the log-head condition, so the leader crash that redelivers a
+    batch (and no-ops the log append) cannot mint a second event."""
     cloud, service = outbox_service(602)
     c = service.connect()
     c.create("/a", b"v0")
     service.leader_fns[0].plan_crash(
         "leader_after_log",
         invocations=[service.leader_fns[0].invocations + 1])
+    t0 = cloud.now
     res = c.set_data("/a", b"v1")
     assert service.leader_fns[0].failures == 1  # the crash really happened
-    outbox = service.system_store.table(SYSTEM_OUTBOX)
-    record = outbox.raw(log_key(res.txid))
-    assert record is not None and record["events"] == [["/a", "set_data"]]
+    record = service.system_store.table(SYSTEM_LOG).raw(log_key(res.txid))
+    assert record["session"] == c.session_id
+    assert t0 < record["ts"] < cloud.now
+    assert [w[0] for w in record["writes"]] == ["/a"]
     # idempotent redelivery: still exactly one record per txid (the
     # re-append overwrites bit-identically), so exactly one delivery
-    assert sorted(outbox.keys()) == [log_key(1), log_key(res.txid)]
+    assert log_txids(service) == [1, res.txid]
+    assert service.metrics.get("fk_log_appends_total").value == 3
     service.outbox.drain()
-    assert service.outbox.sink(0).delivered_txids().count(res.txid) == 1
+    sink = service.outbox.sink(0)
+    assert sink.delivered_txids().count(res.txid) == 1
+    event = sink.delivered[-1]
+    assert (event["path"], event["op"]) == ("/a", "set_data")
+    assert (event["session"], event["ts"]) == (record["session"], record["ts"])
     assert verify_outbox_delivery(service, [1, res.txid]) == []
 
 
+def test_the_commit_transaction_has_two_legs_with_the_outbox_on_or_off():
+    """One commit record: the leader's log append writes the log item and
+    the shard's head — never a third item for the outbox — and no outbox
+    table exists in any deployment."""
+    for outbox in (True, False):
+        cloud, service = outbox_service(616, outbox_enabled=outbox)
+        legs = []
+        real = service.system_store.transact_update
+
+        def spy(ctx, ops, real=real, legs=legs, **kwargs):
+            legs.append([(table, key) for table, key, _updates, _cond in ops])
+            return real(ctx, ops, **kwargs)
+
+        service.system_store.transact_update = spy
+        c = service.connect()
+        c.create("/a", b"x")
+        appends = [ops for ops in legs if ops[0][0] == SYSTEM_LOG]
+        assert appends == [[(SYSTEM_LOG, log_key(1)),
+                            (SYSTEM_STATE, LOG_HEAD_KEY)]], (outbox, legs)
+        assert not any("outbox" in name for name in service.system_store.tables)
+
+
 def test_pure_metadata_records_emit_no_events():
+    """A record with no node write (here: hand-appended, parent metadata
+    only) and a burned txid publish nothing — and still advance the
+    cursor, so compaction is not pinned behind them."""
     cloud, service = outbox_service(603)
-    assert service.outbox.append_ops(0.0, 99, 0, "s", []) == []
-    only_parent = [("/", None, True, "set_children")]
-    assert service.outbox.append_ops(0.0, 99, 0, "s", only_parent) == []
+    c = service.connect()
+    c.create("/a", b"x")                                   # txid 1
+    with pytest.raises(NodeExistsError):
+        c.create("/a", b"dup")                             # burns txid 2
+    # txid 3: parent metadata only, written the way the leader would
+    service.system_store.table(SYSTEM_LOG)._store(log_key(3), {
+        "txid": 3, "shard": 0, "session": "s", "ts": cloud.now,
+        "writes": [["/", {"children": ["a"], "cversion": 1,
+                          "meta_only": True}, True, "create"]]})
+    service.system_store.table(SYSTEM_STATE)._store(LOG_HEAD_KEY, {"s0": 3})
+    assert log_txids(service) == [1, 3]
+    result = service.outbox.drain()
+    assert result == {"published": 1, "floor": 3, "backlog": 0}
+    assert service.outbox.sink(0).delivered_txids() == [1]
+    assert published_mark(service) == 3
+    assert snapshot_and_compact(cloud, service) == 2
+    assert log_txids(service) == []
 
 
 def test_drain_respects_batch_limit_and_compacts_published_records():
+    """The cursor moves ``outbox_batch`` txids per pass; a drain is point
+    reads and watermark writes only — no ``scan``, no ``delete_item`` —
+    and the log shrinks only behind the published watermark."""
     cloud, service = outbox_service(604, outbox_batch=2)
     c = service.connect()
     for i in range(5):
         c.create(f"/n{i}", b"d")
+    store = service.system_store
+    calls = []
+    for method in ("scan", "delete_item"):
+        real = getattr(store, method)
+        setattr(store, method,
+                lambda *a, _m=method, _real=real, **kw:
+                calls.append(_m) or _real(*a, **kw))
     first = service.outbox.drain()
     assert first["published"] == 2 and first["backlog"] == 3
+    assert service.metrics.get("fk_outbox_backlog").value == 3
     second = service.outbox.drain()
-    assert second["published"] == 2
+    assert second["published"] == 2 and second["backlog"] == 1
+    assert calls == []  # a drain issues no scan and no delete_item
+    # the fold has seen all five records; compaction stops at the cursor
+    assert snapshot_and_compact(cloud, service) == 4
+    assert log_txids(service) == [5]
     third = service.outbox.drain()
     assert third["published"] == 1 and third["backlog"] == 0
-    # records below the watermark-at-pass-start are garbage-collected
-    assert service.outbox.metrics["compacted"].value > 0
     final = service.outbox.drain()
     assert final["published"] == 0
-    remaining = service.system_store.table(SYSTEM_OUTBOX).keys()
-    assert len(list(remaining)) == 0  # everything published, everything GCed
+    assert calls.count("scan") == 2  # the snapshot's checkpoint, not a drain
+    assert snapshot_and_compact(cloud, service) == 1
+    assert log_txids(service) == []  # everything published, everything cut
+    assert service.outbox.sink(0).delivered_txids() == [1, 2, 3, 4, 5]
+
+
+def test_compaction_never_truncates_above_outbox_published():
+    """Mirror of the lagging-region clamp: an unpublished record is never
+    eaten — not while the publisher has not run, and not when it crashed
+    between the sink delivery and the watermark write."""
+    cloud, service = outbox_service(614)
+    c = service.connect()
+    for i in range(5):
+        c.set_data("/a", f"v{i}".encode()) if i else c.create("/a", b"v0")
+    assert snapshot_and_compact(cloud, service) == 0   # nothing published
+    assert log_txids(service) == [1, 2, 3, 4, 5]
+    # deliver txid 1, then die before the watermark moves
+    service.outbox.fn.plan_crash(
+        "outbox_after_sink", invocations=[service.outbox.fn.invocations + 1])
+    with pytest.raises(FunctionCrash):
+        service.outbox.drain()
+    sink = service.outbox.sink(0)
+    assert sink.delivered_txids() == [1] and published_mark(service) == 0
+    assert snapshot_and_compact(cloud, service) == 0   # still pinned at 0
+    assert log_txids(service) == [1, 2, 3, 4, 5]
+    # the redelivery needs record 1 — it is still there
+    assert service.outbox.drain()["published"] == 5
+    assert sink.delivered_txids() == [1, 1, 2, 3, 4, 5]
+    assert snapshot_and_compact(cloud, service) == 5
+    meta = service.system_store.table(SYSTEM_STATE).raw("snapshot:meta")
+    assert meta["compacted"] == published_mark(service) == 5
+    assert verify_outbox_delivery(service, [1, 2, 3, 4, 5]) == []
+
+
+def test_a_64kb_record_publishes():
+    """The adversarial size: the publisher reads the full log record, not
+    a slim event row — it must still deliver, with the same event."""
+    cloud, service = outbox_service(615)
+    c = service.connect()
+    c.create("/big", b"x" * 64 * 1024)
+    c.set_data("/big", b"y" * 64 * 1024)
+    assert service.outbox.drain()["published"] == 2
+    events = service.outbox.sink(0).delivered
+    assert [(ev["txid"], ev["path"], ev["op"]) for ev in events] == \
+        [(1, "/big", "create"), (2, "/big", "set_data")]
+    assert all("data" not in ev and "writes" not in ev for ev in events)
 
 
 def test_scheduled_publisher_drains_without_manual_help():
@@ -205,8 +326,8 @@ def test_file_sink_writes_a_json_lines_cdc_feed(tmp_path):
 def test_webhook_sink_retries_with_backoff_then_succeeds():
     http = FakeHttp(fail_times=2)
     cloud, service = outbox_service(
-        607, outbox_sinks=[WebhookSink("http://example/hook", transport=http)],
-        outbox_max_attempts=3, outbox_retry_base_ms=50.0)
+        607, outbox_sinks=[WebhookSink("http://example/hook", transport=http)])
+    assert (MAX_ATTEMPTS, RETRY_BASE_MS) == (3, 50.0)
     c = service.connect()
     c.create("/a", b"x")
     t0 = cloud.now
@@ -226,9 +347,7 @@ def test_webhook_sink_retries_with_backoff_then_succeeds():
 def test_exhausted_sink_dead_letters_and_the_drain_moves_on():
     good = InProcSink()
     bad = WebhookSink("http://down/hook", transport=FakeHttp(fail_times=99))
-    cloud, service = outbox_service(
-        608, outbox_sinks=[good, bad], outbox_max_attempts=2,
-        outbox_retry_base_ms=1.0)
+    cloud, service = outbox_service(608, outbox_sinks=[good, bad])
     c = service.connect()
     c.create("/a", b"x")
     c.create("/b", b"y")
@@ -251,8 +370,7 @@ def test_exhausted_sink_dead_letters_and_the_drain_moves_on():
 
 def test_webhook_without_transport_fails_loudly():
     cloud, service = outbox_service(
-        609, outbox_sinks=[WebhookSink("http://example/hook")],
-        outbox_max_attempts=1, outbox_retry_base_ms=0.0)
+        609, outbox_sinks=[WebhookSink("http://example/hook")])
     c = service.connect()
     c.create("/a", b"x")
     service.outbox.drain()
@@ -278,8 +396,7 @@ def test_publisher_crash_before_watermark_redelivers():
         service.outbox.drain()
     sink = service.outbox.sink(0)
     assert sink.delivered_txids() == [1]  # delivered, but not marked
-    mark = service.system_store.table(SYSTEM_STATE).raw(OUTBOX_PUBLISHED_KEY)
-    assert mark is None
+    assert published_mark(service) == 0
     result = service.outbox.drain()
     assert result["published"] == 1
     assert sink.delivered_txids() == [1, 1]  # the at-least-once duplicate
@@ -310,8 +427,10 @@ def test_publish_floor_is_min_over_shards():
     for p in paths:
         c.create(p, b"x")
     assert len({service.shard_of(p) for p in paths}) > 1
-    floor = cloud.run_process(
-        service.outbox.publish_floor(service.system_ctx))
+    heads = service.system_store.table(SYSTEM_STATE).raw(LOG_HEAD_KEY)
+    floor = min(heads.get(f"s{i}", 0) for i in range(4))
+    assert (floor, max(heads.values())) == cloud.run_process(
+        service.snapshots.bounds(service.system_ctx))
     result = service.outbox.drain()
     assert result["floor"] == floor
     delivered = service.outbox.sink(0).delivered_txids()
@@ -328,8 +447,8 @@ def test_default_deployment_has_no_outbox():
     assert service.outbox is None and service.outbox_task is None
     c = service.connect()
     c.create("/a", b"x")
-    assert SYSTEM_OUTBOX not in service.system_store.tables
-    assert "fk_outbox_appended_total" not in service.metrics
+    assert not any("outbox" in name for name in service.system_store.tables)
+    assert "fk_outbox_drains_total" not in service.metrics
 
 
 def test_outbox_requires_commit_log():
@@ -340,7 +459,7 @@ def test_outbox_requires_commit_log():
                          outbox_sinks=[])
     with pytest.raises(ValueError):
         FaaSKeeperConfig(outbox_enabled=True, commit_log_enabled=True,
-                         outbox_max_attempts=0)
+                         outbox_batch=0)
 
 
 def test_force_outbox_env_flips_the_default(monkeypatch):

@@ -64,7 +64,6 @@ from repro.faaskeeper.layout import SYSTEM_LOG
 def sloppy(store, ctx):
     yield from store.put_item(ctx, "fk-system-log", "txid-7", {})      # expect: FK002
     yield from store.update_item(ctx, SYSTEM_LOG, "head", [])          # expect: FK002
-    yield from store.put_item(ctx, "fk-system-outbox", "ev-1", {})     # expect: FK002
     yield from store.delete_item(ctx, "fk-system-log", "txid-1")       # expect: FK002
 """
 
@@ -72,7 +71,7 @@ FK002_GOOD = """\
 def disciplined(store, ctx, cond, floor_cond):
     yield from store.transact_update(ctx, [
         ("fk-system-log", "txid-7", [], cond),
-        ("fk-system-outbox", "ev-7", [], cond),
+        ("fk-system-state", "log:head", [], cond),
     ])
     yield from store.delete_item(ctx, "fk-system-log", "txid-1",
                                  condition=floor_cond)

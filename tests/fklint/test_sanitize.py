@@ -33,11 +33,16 @@ def test_disarmed_by_default(monkeypatch):
 
 
 # ------------------------------------------------- unit: check_mutation
-def test_fk002_rejects_direct_log_and_outbox_writes():
-    for table in ("fk-system-log", "fk-system-outbox"):
-        for method in ("put_item", "update_item"):
-            with pytest.raises(SanitizerError, match="FK002"):
-                check_mutation(method, table, "k")
+def test_fk002_rejects_direct_log_writes():
+    for method in ("put_item", "update_item"):
+        with pytest.raises(SanitizerError, match="FK002"):
+            check_mutation(method, "fk-system-log", "k")
+
+
+def test_fk002_has_one_table_defined_once():
+    from repro.fklint.checkers import atomic_commit
+    assert atomic_commit.APPEND_ONLY_TABLE is sanitize.APPEND_ONLY_TABLE
+    assert sanitize.APPEND_ONLY_TABLE == "fk-system-log"
 
 
 def test_fk002_allows_transactional_log_writes():
@@ -87,12 +92,12 @@ def test_armed_kvstore_rejects_direct_log_put(armed, cloud, ctx):
 def test_armed_kvstore_accepts_the_commit_transaction(armed, cloud, ctx):
     kv = cloud.kv()
     kv.create_table("fk-system-log")
-    kv.create_table("fk-system-outbox")
+    kv.create_table("fk-system-state")
 
     def flow():
         images = yield from kv.transact_update(ctx, [
             ("fk-system-log", "txid-1", [Set("t", 1)], None),
-            ("fk-system-outbox", "ev-1", [Set("t", 1)], None),
+            ("fk-system-state", "log:head", [Set("s0", 1)], None),
         ])
         return images
 

@@ -83,7 +83,7 @@ def test_change_data_capture_streams_every_commit_in_order():
                  "txid=  3  set_data   /cluster/config",
                  "txid=  5  delete     /cluster/feature-x"):
         assert line in out
-    assert "5 events appended, 5 delivered" in out
+    assert "5 commits logged, 5 events delivered" in out
 
 
 def test_transactional_config_demonstrates_atomicity():
