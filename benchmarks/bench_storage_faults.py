@@ -7,10 +7,11 @@ resets, partial writes on every storage endpoint) and reports per-rate
 p50/p99 latency, throughput, and the retry-layer bookkeeping (faults
 injected, retries spent, zero failed operations).
 
-Acceptance gates: the 0 % run is bit-identical to a deployment with the
-whole retry layer disabled (the layer is free when idle); every op
-succeeds at every rate (availability); p50 stays close to fault-free
-while p99 absorbs the backoff tail (graceful degradation, not collapse).
+Acceptance gates: the 0 % run injects and retries nothing (that the idle
+boundary moves no event is ``test_retry_layer_is_invisible_without_faults``,
+against the raw store); every op succeeds at every rate (availability);
+p50 stays close to fault-free while p99 absorbs the backoff tail (graceful
+degradation, not collapse).
 
 Emits machine-readable ``BENCH_storage_faults.json`` (uploaded as a CI
 artifact).  ``FK_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs;
@@ -30,12 +31,10 @@ REPS = 40 if SMOKE else 120
 SEED = 1337
 
 
-def _run_workload(rate, retry_enabled=True):
+def _run_workload(rate):
     """One deployment at the given fault rate; returns (samples, stats)."""
     cloud, service, client = deploy_fk(
-        seed=SEED, user_store="hybrid",
-        storage_retry_enabled=retry_enabled,
-        storage_faults=rate > 0, storage_fault_rate=rate)
+        seed=SEED, user_store="hybrid", storage_fault_rate=rate)
     client.create("/bench", b"")
     payload = b"x" * 1024
     t0 = cloud.now
@@ -67,12 +66,6 @@ def run():
         samples, stats = _run_workload(rate)
         if rate == 0.0:
             baseline_samples = samples
-            # The layer must be invisible when no fault fires: same
-            # virtual timings and same bill as retry disabled outright.
-            off_samples, off_stats = _run_workload(0.0, retry_enabled=False)
-            assert samples == off_samples, \
-                "retry layer moved the fault-free fingerprint"
-            assert stats["cost_usd"] == off_stats["cost_usd"]
         s = summarize(samples)
         out[f"{rate:g}"] = {
             "p50_ms": round(s.p50, 3),
@@ -110,7 +103,7 @@ def test_retries_degrade_gracefully(benchmark):
     for series in out.values():
         assert series["exhausted"] == 0, out
     # The matrix actually injected faults and the layer actually retried.
-    assert out["0"]["faults_injected"] == 0
+    assert out["0"]["faults_injected"] == 0 and out["0"]["retries"] == 0
     assert faulty["faults_injected"] > 0
     assert faulty["retries"] >= faulty["faults_injected"] * 0.5
     # Graceful degradation: the median barely moves (most ops see no

@@ -29,9 +29,9 @@ Consistency is unchanged from the uncached read path:
   replica); the watch delivery bounds the window, exactly as it bounds a
   ZooKeeper client's view.
 
-The cache is an LRU bounded by entry count (``client_cache_entries``) and
-bytes (``client_cache_kb``); both default to off so the seed-calibrated
-figure benchmarks stay bit-for-bit identical.
+The cache is an LRU bounded by entry count (``client_cache_entries``; with
+the 250 kB node bound that also caps its bytes) and defaults to off so the
+seed-calibrated figure benchmarks stay bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Set, Tuple
 
 from .model import WatchType
-from .userstore import entry_size_kb
 
 __all__ = ["ClientReadCache"]
 
@@ -49,14 +48,13 @@ CacheKey = Tuple[str, str]
 
 
 class _Entry:
-    __slots__ = ("key", "image", "watch_id", "size_kb")
+    __slots__ = ("key", "image", "watch_id")
 
     def __init__(self, key: CacheKey, image: Dict[str, Any],
-                 watch_id: str, size_kb: float) -> None:
+                 watch_id: str) -> None:
         self.key = key
         self.image = image
         self.watch_id = watch_id
-        self.size_kb = size_kb
 
 
 class ClientReadCache:
@@ -68,12 +66,10 @@ class ClientReadCache:
     change that can stale it.
     """
 
-    def __init__(self, max_entries: int, max_kb: float = 0.0) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.max_entries = max_entries
-        self.max_kb = max_kb
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._by_watch: Dict[str, Set[CacheKey]] = {}
-        self.size_kb = 0.0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -119,21 +115,13 @@ class ClientReadCache:
               watch_id: str) -> None:
         """Install an entry guarded by ``watch_id`` (the watch instance
         registered before the underlying read), evicting LRU victims until
-        the entry-count and byte budgets hold.  An image too large for the
-        byte budget on its own is simply not cached."""
-        size_kb = entry_size_kb(image)
-        if self.max_kb > 0 and size_kb > self.max_kb:
-            return
+        the entry bound holds."""
         key = self._key(path, wtype)
-        self._drop(key)  # replacing an entry must not double-count its size
-        entry = _Entry(key, dict(image), watch_id, size_kb)
-        self._entries[key] = entry
+        self._drop(key)  # a replaced entry leaves its old guard's key set
+        self._entries[key] = _Entry(key, dict(image), watch_id)
         self._by_watch.setdefault(watch_id, set()).add(key)
-        self.size_kb += size_kb
-        while len(self._entries) > self.max_entries or (
-                self.max_kb > 0 and self.size_kb > self.max_kb):
-            victim_key = next(iter(self._entries))
-            self._drop(victim_key)
+        while len(self._entries) > self.max_entries:
+            self._drop(next(iter(self._entries)))
             self.evictions += 1
 
     # ------------------------------------------------------------ invalidation
@@ -146,7 +134,6 @@ class ClientReadCache:
         for key in list(keys):
             if self._entries.pop(key, None) is not None:
                 dropped += 1
-        self._recount()
         self.invalidations += dropped
         return dropped
 
@@ -164,7 +151,6 @@ class ClientReadCache:
         """Session closed: every entry dies with it."""
         self._entries.clear()
         self._by_watch.clear()
-        self.size_kb = 0.0
 
     # ------------------------------------------------------------ stats
     def stats(self) -> Dict[str, float]:
@@ -174,7 +160,6 @@ class ClientReadCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "entries": len(self._entries),
-            "size_kb": self.size_kb,
         }
 
     # ------------------------------------------------------------ internal
@@ -182,13 +167,9 @@ class ClientReadCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self.size_kb -= entry.size_kb
         keys = self._by_watch.get(entry.watch_id)
         if keys is not None:
             keys.discard(key)
             if not keys:
                 self._by_watch.pop(entry.watch_id, None)
         return True
-
-    def _recount(self) -> None:
-        self.size_kb = sum(e.size_kb for e in self._entries.values())

@@ -286,8 +286,7 @@ class FaaSKeeperClient:
         self._send_tail = None                      # submission-order tail
         config = service.config
         self._cache: Optional[ClientReadCache] = (
-            ClientReadCache(config.client_cache_entries,
-                            config.client_cache_kb)
+            ClientReadCache(config.client_cache_entries)
             if config.client_cache_enabled else None)
         queue.on_drop = self._on_drop
 

@@ -39,7 +39,6 @@ class FaaSKeeperConfig:
     #: staggered across the period.  1 (the default) is the paper's plane:
     #: one sweep function over the whole session table.
     session_plane_shards: int = 1
-    leader_max_receive: Optional[int] = None   # retry leader batches forever
     follower_max_receive: Optional[int] = 5
     #: Number of leader shards: the znode tree is partitioned by top-level
     #: path component, with one FIFO queue + leader function per shard.
@@ -112,37 +111,16 @@ class FaaSKeeperConfig:
     #: system watch registered alongside it fires (one-shot watches make
     #: client caching sound, as in ZooKeeper).
     client_cache_entries: int = 0
-    #: Byte budget of the client cache in kB (0 = bounded by entries only).
-    client_cache_kb: float = 0.0
-    #: Retry every storage round trip (system and user store) through the
-    #: RetryingStore wrapper: exponential backoff + jitter on transient
-    #: errors (throttling, timeouts, connection resets), idempotence-token
-    #: replay for ambiguous failures, a per-region circuit breaker.  On by
-    #: default — with no faults the wrapper adds no latency and draws no
-    #: RNG, so default fingerprints stay bit-for-bit.
-    storage_retry_enabled: bool = True
-    #: Consecutive transient failures that trip a store/region's circuit
-    #: breaker from CLOSED to OPEN (requests shed immediately).
-    storage_breaker_threshold: int = 8
-    #: How long (virtual ms) an OPEN breaker sheds before letting one
-    #: HALF_OPEN probe through.
-    storage_breaker_cooldown_ms: float = 10_000.0
-    #: Minimum spacing (virtual ms) between HALF_OPEN probes while a
-    #: breaker heals: under a sustained brown-out every cooldown expiry
-    #: would otherwise admit a probe that fails and re-opens the breaker,
-    #: hammering the sick store once per cooldown from every caller.
-    #: 0 (the default) keeps the legacy one-probe-per-cooldown behaviour.
-    storage_breaker_probe_interval_ms: float = 0.0
     #: Seeded transient-fault injection on every storage service the
     #: deployment owns (throttle / timeout / connection reset / partial
-    #: write).  ``None`` (the default) means off — unless the
-    #: ``FK_STORAGE_FAULTS=1`` environment override is set (the CI leg
-    #: that runs the whole tier-1 suite under faults); pass an explicit
-    #: ``False`` to pin it off regardless — the escape hatch the
-    #: bit-for-bit fingerprint gates use.
-    storage_faults: Optional[bool] = None
-    #: Per-operation fault probability when the schedule is armed.
-    storage_fault_rate: float = 0.05
+    #: write): the per-operation fault probability, 0 = no schedule armed.
+    #: ``None`` (the default) means 0 — unless the ``FK_STORAGE_FAULTS=1``
+    #: environment override is set (the CI leg that runs the whole tier-1
+    #: suite under a 5 % schedule); pass an explicit ``0.0`` to pin faults
+    #: off regardless — the escape hatch the bit-for-bit fingerprint gates
+    #: use.  Every round trip rides the retry/breaker proxy
+    #: (:mod:`repro.faaskeeper.retry`) either way.
+    storage_fault_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         # The backend registry is the one list of schemes (the import is
@@ -163,9 +141,6 @@ class FaaSKeeperConfig:
         if self.client_cache_entries < 0:
             raise ValueError(
                 f"client_cache_entries must be >= 0, got {self.client_cache_entries}")
-        if self.client_cache_kb < 0:
-            raise ValueError(
-                f"client_cache_kb must be >= 0, got {self.client_cache_kb}")
         if self.ack_policy not in ("on_replicate", "on_commit"):
             raise ValueError(f"unknown ack_policy {self.ack_policy!r}")
         if self.ack_policy == "on_commit" and not self.distributor_enabled:
@@ -203,22 +178,11 @@ class FaaSKeeperConfig:
                 f"outbox_publish_ms must be >= 0, got {self.outbox_publish_ms}")
         if self.outbox_enabled and not self.outbox_sinks:
             raise ValueError("outbox_enabled=True needs at least one sink")
-        if self.storage_breaker_threshold < 1:
-            raise ValueError(
-                f"storage_breaker_threshold must be >= 1, "
-                f"got {self.storage_breaker_threshold}")
-        if self.storage_breaker_cooldown_ms < 0:
-            raise ValueError(
-                f"storage_breaker_cooldown_ms must be >= 0, "
-                f"got {self.storage_breaker_cooldown_ms}")
-        if self.storage_breaker_probe_interval_ms < 0:
-            raise ValueError(
-                f"storage_breaker_probe_interval_ms must be >= 0, "
-                f"got {self.storage_breaker_probe_interval_ms}")
-        if self.storage_faults is None:
+        if self.storage_fault_rate is None:
             # CI override: one leg runs the whole tier-1 suite with a
             # seeded fault schedule armed (mirrors FK_FORCE_OUTBOX).
-            self.storage_faults = os.environ.get("FK_STORAGE_FAULTS", "") == "1"
+            forced = os.environ.get("FK_STORAGE_FAULTS", "") == "1"
+            self.storage_fault_rate = 0.05 if forced else 0.0
         if not 0.0 <= self.storage_fault_rate <= 1.0:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "

@@ -1,51 +1,72 @@
 """Self-healing storage access: retry, backoff, and circuit breaking.
 
 A single transient storage error — a throttle, a timeout, a dropped
-connection — used to be session-fatal anywhere in the pipeline.  This
-module wraps **every** system-store and user-store round trip in a
-declarative retry policy (the shape of Kazoo's ``KazooRetry``), adapted to
-the simulation's constraints:
+connection — used to be session-fatal anywhere in the pipeline.  Every
+deployment therefore reaches its system store and its user store through
+one :class:`RetryingStore` proxy, declared by an op table and holding the
+one retry loop (the shape of Kazoo's ``KazooRetry``), adapted to the
+simulation's constraints:
 
 * **Sim-clock backoff** — waits are ``env.timeout`` events on the virtual
   clock (FK001-clean: no wall-clock sleeps), exponential with a jittered
   factor drawn from a dedicated named RNG stream.  The stream is only
   created — and only drawn from — when a retry actually happens, so a
-  fault-free run's RNG consumption, latency and cost stay bit-for-bit
-  identical to the unwrapped store.
-* **Idempotence-aware replay** — every key-value mutator is stamped with a
-  deterministic request token (DynamoDB ``ClientRequestToken``).  If the
-  first attempt died *after* applying (the ambiguous partial-write
-  failure), the replay returns the recorded result instead of re-applying,
-  so conditional writes re-verify rather than blind-retry and the
-  exactly-once audits stay green.  User-store ops are whole-image writes
-  (idempotent by construction), so the wrapper re-runs them bodily.
-* **Per-region circuit breaker** — ``storage_breaker_threshold``
+  fault-free run's RNG consumption, latency and cost are those of the raw
+  store, bit for bit.
+* **Idempotence-aware replay** — the op table says which operations carry
+  a deterministic request token (DynamoDB ``ClientRequestToken``): every
+  key-value mutator does.  If the first attempt died *after* applying
+  (the ambiguous partial-write failure), the replay returns the recorded
+  result instead of re-applying, so conditional writes re-verify rather
+  than blind-retry and the exactly-once audits stay green.  User-store
+  ops are whole-image writes (idempotent by construction) and re-run
+  bodily.
+* **Per-region circuit breaker** — ``RetryPolicy.breaker_threshold``
   consecutive transient failures trip a store/region to OPEN: further
   requests are shed immediately with :class:`StorageUnavailable` (and the
   deployment marks the region's sessions SUSPENDED) instead of piling
-  retries onto a dead endpoint.  After ``storage_breaker_cooldown_ms`` of
-  virtual time one HALF_OPEN probe is let through; success closes the
-  breaker, failure re-opens it.
+  retries onto a dead endpoint.  The cooldown *is* the probe spacing:
+  after ``breaker_cooldown_ms`` of virtual time one HALF_OPEN probe is
+  let through; a failed probe re-opens for a full cooldown.
+* **The settle rule** — an attempt that ends in anything other than a
+  transient error settles the breaker.  An answer from the store is a
+  healthy round trip whatever it says (:class:`ConditionFailed` is a
+  decision, not an outage: it closes a healing breaker and always
+  surfaces, never retried); an attempt abandoned any other way (a
+  non-storage exception, an interrupted process) gives the probe slot
+  back.  HALF_OPEN therefore never outlives its probe.
 
-Retryable errors are exactly :data:`repro.cloud.errors.TRANSIENT_ERRORS`;
-:class:`ConditionFailed` is a decision, not an outage, and always
-surfaces.  Observability rides the deployment's metrics registry:
+Retryable errors are exactly :data:`repro.cloud.errors.TRANSIENT_ERRORS`.
+Observability rides the deployment's metrics registry:
 ``fk_storage_retries_total``, ``fk_storage_retry_exhausted_total``,
-``fk_storage_breaker_state`` / ``_transitions_total`` and the
-``fk_storage_retry_backoff_ms`` histogram.
+``fk_storage_breaker_state`` / ``_transitions_total`` / ``_probes_total``
+/ ``_shed_total`` and the ``fk_storage_retry_backoff_ms`` histogram.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Generator, List, Optional)
+from typing import Any, Callable, Dict, Generator, Mapping, Optional
 
-from ..cloud.errors import TRANSIENT_ERRORS, StorageUnavailable
+from ..cloud.errors import TRANSIENT_ERRORS, CloudError, StorageUnavailable
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "RetryingKeyValueStore",
-           "RetryingUserStore", "BREAKER_CLOSED", "BREAKER_HALF_OPEN",
-           "BREAKER_OPEN"]
+__all__ = ["RetryPolicy", "CircuitBreaker", "RetryingStore", "KV_OPS",
+           "USER_OPS", "BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN"]
+
+#: Op tables: retried method name -> does it carry an idempotence token?
+#: Anything a store offers beyond its table (``table``/``create_table``/
+#: stream wiring, ``peek``/``wipe_region``/``fault_points``, capability
+#: flags) passes through the proxy untouched.
+KV_OPS: Mapping[str, bool] = {
+    "get_item": False, "scan": False,
+    "put_item": True, "update_item": True, "delete_item": True,
+    "batch_put": True, "transact_update": True,
+}
+USER_OPS: Mapping[str, bool] = {
+    "write_node": False, "read_node": False, "delete_node": False,
+    "update_metadata": False,
+}
 
 #: Breaker states, in escalation order (also the gauge encoding).
 BREAKER_CLOSED = "closed"
@@ -62,13 +83,16 @@ _BACKOFF_BUCKETS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0,
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Declarative retry policy for one store wrapper."""
+    """Declarative retry + breaker policy of one store proxy."""
 
-    enabled: bool = True
     max_attempts: int = 5
     base_ms: float = 10.0
     cap_ms: float = 2_000.0
     jitter: float = 0.5
+    #: Consecutive transient failures that trip a region CLOSED -> OPEN.
+    breaker_threshold: int = 8
+    #: How long (virtual ms) an OPEN breaker sheds before one probe.
+    breaker_cooldown_ms: float = 10_000.0
 
     def backoff_ms(self, attempt: int, u: float) -> float:
         """Wait before retry ``attempt`` (1-based) given uniform ``u``."""
@@ -81,33 +105,23 @@ class RetryPolicy:
 class CircuitBreaker:
     """Per-endpoint failure gate: CLOSED -> OPEN -> HALF_OPEN -> CLOSED.
 
-    Time is the virtual clock; ``on_transition(state)`` fires on every
-    state change (the deployment uses OPEN to shed the region's sessions
-    to SUSPENDED).
+    HALF_OPEN *means* one probe is in flight; every way a probe can end
+    leaves the state (:meth:`record_success`, :meth:`record_failure`,
+    :meth:`release`).  Time is the virtual clock; ``on_transition(state)``
+    fires on every state change (the deployment uses OPEN to shed the
+    region's sessions to SUSPENDED).
     """
 
     def __init__(self, env, threshold: int, cooldown_ms: float,
-                 on_transition: Optional[Callable[[str], None]] = None,
-                 probe_interval_ms: float = 0.0) -> None:
+                 on_transition: Optional[Callable[[str], None]] = None
+                 ) -> None:
         self.env = env
         self.threshold = threshold
         self.cooldown_ms = cooldown_ms
         self.on_transition = on_transition
-        #: Minimum spacing between HALF_OPEN probes.  0 = a probe whenever
-        #: the cooldown allows (the legacy behaviour): under a sustained
-        #: brown-out that re-probes — and re-fails, and re-opens — once per
-        #: cooldown *per caller*; a positive interval caps the aggregate
-        #: probe rate against the sick endpoint.
-        self.probe_interval_ms = probe_interval_ms
         self.state = BREAKER_CLOSED
         self.failures = 0
         self.opened_at = 0.0
-        self._probing = False
-        #: Virtual instant of the last admitted probe, and the total count
-        #: (mirrored into ``fk_storage_breaker_probes_total`` by the
-        #: retrier).
-        self.last_probe_at: Optional[float] = None
-        self.probes = 0
 
     def _set_state(self, state: str) -> None:
         if state == self.state:
@@ -116,71 +130,64 @@ class CircuitBreaker:
         if self.on_transition is not None:
             self.on_transition(state)
 
-    def _probe_due(self) -> bool:
-        if self.probe_interval_ms <= 0 or self.last_probe_at is None:
-            return True
-        return self.env.now - self.last_probe_at >= self.probe_interval_ms
-
-    def _admit_probe(self) -> None:
-        self._probing = True
-        self.last_probe_at = self.env.now
-        self.probes += 1
-
     # ------------------------------------------------------------ protocol
     def allow(self) -> bool:
         """May a request go out now?  OPEN sheds until the cooldown has
-        elapsed, then admits HALF_OPEN probes one at a time, spaced at
-        least ``probe_interval_ms`` apart."""
+        elapsed, then admits one probe (the caller finds the breaker
+        HALF_OPEN); while that probe is in flight everything else sheds."""
         if self.state == BREAKER_CLOSED:
             return True
-        if self.state == BREAKER_OPEN:
-            if self.env.now - self.opened_at < self.cooldown_ms:
-                return False
-            if not self._probe_due():
-                return False
-            self._set_state(BREAKER_HALF_OPEN)
-            self._admit_probe()
-            return True
-        # HALF_OPEN: one probe in flight at a time, rate-capped.
-        if self._probing or not self._probe_due():
+        if (self.state == BREAKER_HALF_OPEN
+                or self.env.now - self.opened_at < self.cooldown_ms):
             return False
-        self._admit_probe()
+        self._set_state(BREAKER_HALF_OPEN)
         return True
 
     def record_success(self) -> None:
+        """The store answered: the endpoint is healthy."""
         self.failures = 0
-        self._probing = False
-        if self.state != BREAKER_CLOSED:
-            self._set_state(BREAKER_CLOSED)
+        self._set_state(BREAKER_CLOSED)
 
     def record_failure(self) -> None:
+        """A transient error: a failed probe re-opens for a full cooldown,
+        the ``threshold``-th consecutive failure trips a closed breaker."""
         self.failures += 1
+        if (self.state == BREAKER_HALF_OPEN
+                or (self.state == BREAKER_CLOSED
+                    and self.failures >= self.threshold)):
+            self.opened_at = self.env.now
+            self._set_state(BREAKER_OPEN)
+
+    def release(self) -> None:
+        """The probe was abandoned without a verdict: back to OPEN with the
+        cooldown already served, so the next request probes instead."""
         if self.state == BREAKER_HALF_OPEN:
-            self._probing = False
-            self.opened_at = self.env.now
-            self._set_state(BREAKER_OPEN)
-        elif self.state == BREAKER_CLOSED and self.failures >= self.threshold:
-            self.opened_at = self.env.now
             self._set_state(BREAKER_OPEN)
 
 
-class _Retrier:
-    """The shared retry engine behind both store wrappers."""
+class RetryingStore:
+    """A store behind the retry loop: the one storage boundary.
 
-    def __init__(self, label: str, env, rng_factory, policy: RetryPolicy,
-                 breaker_threshold: int, breaker_cooldown_ms: float,
-                 metrics, on_breaker_transition=None,
-                 breaker_probe_interval_ms: float = 0.0) -> None:
+    ``ops`` (:data:`KV_OPS` / :data:`USER_OPS`) names the methods of
+    ``inner`` that are storage round trips; each is built once as a
+    retried generator method of the proxy, and every other attribute
+    passes through to ``inner``.  A store that serves several ``regions``
+    takes the region per call (``op(ctx, region, ...)``) and gets one
+    circuit breaker per region, since regions fail independently; a store
+    that *is* one regional endpoint gets one, keyed by its ``region``.
+    """
+
+    def __init__(self, inner, label: str, ops: Mapping[str, bool], env,
+                 rng_factory, policy: RetryPolicy, metrics,
+                 on_breaker_transition=None) -> None:
+        self.inner = inner
         self.label = label
         self.env = env
+        self.policy = policy
+        self.breakers: Dict[str, CircuitBreaker] = {}
         self._rng_factory = rng_factory
         self._rng = None  # created on first actual retry
-        self.policy = policy
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_ms = breaker_cooldown_ms
-        self._breaker_probe_interval_ms = breaker_probe_interval_ms
         self._on_breaker_transition = on_breaker_transition
-        self.breakers: Dict[str, CircuitBreaker] = {}
         self._tokens = itertools.count(1)
         m = metrics
         self._retries = m.counter(
@@ -211,28 +218,40 @@ class _Retrier:
             "fk_storage_breaker_probes_total",
             "HALF_OPEN probe requests admitted by a healing breaker",
             ("store", "region"))
+        own_region = None if hasattr(inner, "regions") else inner.region
+        for op, tokened in ops.items():
+            setattr(self, op, self._retried(op, tokened, own_region))
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
 
     # ------------------------------------------------------------ plumbing
+    def _retried(self, op: str, tokened: bool, own_region: Optional[str]):
+        call = getattr(self.inner, op)
+        if own_region is not None:
+            def method(*args, **kwargs):
+                return self._run(op, own_region, call, tokened, args, kwargs)
+        else:
+            def method(ctx, region, *args, **kwargs):
+                return self._run(op, region, call, tokened,
+                                 (ctx, region) + args, kwargs)
+        return method
+
     def breaker(self, region: str) -> CircuitBreaker:
         breaker = self.breakers.get(region)
         if breaker is None:
-            def on_transition(state: str, _region: str = region) -> None:
+            def on_transition(state: str) -> None:
                 self._breaker_state.labels(
-                    store=self.label, region=_region).set(_STATE_GAUGE[state])
+                    store=self.label, region=region).set(_STATE_GAUGE[state])
                 self._breaker_transitions.labels(
-                    store=self.label, region=_region, to=state).inc()
+                    store=self.label, region=region, to=state).inc()
                 if self._on_breaker_transition is not None:
-                    self._on_breaker_transition(self.label, _region, state)
+                    self._on_breaker_transition(self.label, region, state)
 
-            breaker = CircuitBreaker(
-                self.env, self._breaker_threshold,
-                self._breaker_cooldown_ms, on_transition,
-                probe_interval_ms=self._breaker_probe_interval_ms)
-            self.breakers[region] = breaker
+            breaker = self.breakers[region] = CircuitBreaker(
+                self.env, self.policy.breaker_threshold,
+                self.policy.breaker_cooldown_ms, on_transition)
         return breaker
-
-    def next_token(self) -> str:
-        return f"{self.label}-t{next(self._tokens)}"
 
     def _jitter_u(self) -> float:
         if self.policy.jitter <= 0:
@@ -242,30 +261,30 @@ class _Retrier:
         return self._rng.random()
 
     # ------------------------------------------------------------ the loop
-    def run(self, op: str, region: str, make_attempt, mutating: bool
-            ) -> Generator[Any, Any, Any]:
-        """Run ``make_attempt(token) -> generator`` with retry/backoff.
+    def _run(self, op: str, region: str, call, tokened: bool, args, kwargs
+             ) -> Generator[Any, Any, Any]:
+        """Run ``call(*args, **kwargs)`` with retry/backoff.
 
         A fresh attempt generator is created per try; the same token rides
         every attempt of one logical mutation, which is what makes the
         replay idempotent.
         """
-        if not self.policy.enabled:
-            return (yield from make_attempt(None))
         breaker = self.breaker(region)
-        token = self.next_token() if mutating else None
+        if tokened:
+            kwargs = dict(kwargs, token=f"{self.label}-t{next(self._tokens)}")
         attempt = 0
         while True:
             if not breaker.allow():
                 self._shed.labels(store=self.label, op=op).inc()
                 raise StorageUnavailable(
                     f"{self.label}@{region}: circuit open, shedding {op}")
-            if breaker.state == BREAKER_HALF_OPEN:
+            probing = breaker.state == BREAKER_HALF_OPEN
+            if probing:
                 self._breaker_probes.labels(
                     store=self.label, region=region).inc()
             attempt += 1
             try:
-                result = yield from make_attempt(token)
+                result = yield from call(*args, **kwargs)
             except TRANSIENT_ERRORS as exc:
                 breaker.record_failure()
                 self._retries.labels(store=self.label, op=op,
@@ -279,146 +298,12 @@ class _Retrier:
                 self._backoff.labels(store=self.label).observe(delay)
                 yield self.env.timeout(delay)
                 continue
+            except CloudError:
+                breaker.record_success()  # an answer, whatever it says
+                raise
+            except BaseException:
+                if probing:
+                    breaker.release()  # abandoned: no verdict either way
+                raise
             breaker.record_success()
             return result
-
-
-class RetryingKeyValueStore:
-    """The system store behind the retry engine.
-
-    Every read and mutator of :class:`~repro.cloud.kvstore.KeyValueStore`
-    is wrapped; mutators additionally carry an idempotence token so an
-    ambiguous failure replays instead of re-applying.  Everything else
-    (``table``/``tables``/``create_table``/stream wiring/raw test access)
-    passes through to the inner store untouched.
-    """
-
-    def __init__(self, inner, env, rng_factory, policy: RetryPolicy,
-                 breaker_threshold: int, breaker_cooldown_ms: float,
-                 metrics, on_breaker_transition=None,
-                 label: str = "system",
-                 breaker_probe_interval_ms: float = 0.0) -> None:
-        self._inner = inner
-        self._retrier = _Retrier(label, env, rng_factory, policy,
-                                 breaker_threshold, breaker_cooldown_ms,
-                                 metrics, on_breaker_transition,
-                                 breaker_probe_interval_ms)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    @property
-    def retrier(self) -> _Retrier:
-        return self._retrier
-
-    # ------------------------------------------------------------ reads
-    def get_item(self, ctx, table_name, key, **kwargs):
-        return self._retrier.run(
-            "get_item", self._inner.region,
-            lambda _token: self._inner.get_item(ctx, table_name, key, **kwargs),
-            mutating=False)
-
-    def scan(self, ctx, table_name, **kwargs):
-        return self._retrier.run(
-            "scan", self._inner.region,
-            lambda _token: self._inner.scan(ctx, table_name, **kwargs),
-            mutating=False)
-
-    # ------------------------------------------------------------ mutators
-    def put_item(self, ctx, table_name, key, attributes, **kwargs):
-        return self._retrier.run(
-            "put_item", self._inner.region,
-            lambda token: self._inner.put_item(
-                ctx, table_name, key, attributes, token=token, **kwargs),
-            mutating=True)
-
-    def update_item(self, ctx, table_name, key, updates, **kwargs):
-        return self._retrier.run(
-            "update_item", self._inner.region,
-            lambda token: self._inner.update_item(
-                ctx, table_name, key, updates, token=token, **kwargs),
-            mutating=True)
-
-    def delete_item(self, ctx, table_name, key, **kwargs):
-        return self._retrier.run(
-            "delete_item", self._inner.region,
-            lambda token: self._inner.delete_item(
-                ctx, table_name, key, token=token, **kwargs),
-            mutating=True)
-
-    def batch_put(self, ctx, table_name, items):
-        return self._retrier.run(
-            "batch_put", self._inner.region,
-            lambda token: self._inner.batch_put(
-                ctx, table_name, items, token=token),
-            mutating=True)
-
-    def transact_update(self, ctx, ops):
-        return self._retrier.run(
-            "transact_update", self._inner.region,
-            lambda token: self._inner.transact_update(ctx, ops, token=token),
-            mutating=True)
-
-
-class RetryingUserStore:
-    """The user store behind the retry engine.
-
-    Backend operations are whole-image reads/writes — idempotent by
-    construction — so a failed attempt re-runs bodily (no tokens needed:
-    replaying ``write_node`` writes the same image).  Each *region* gets
-    its own circuit breaker, since regions fail independently.
-    Inspection hooks (``peek``/``wipe_region``/``fault_points``), the
-    ``kind``/capability flags and sizing helpers pass through.
-    """
-
-    def __init__(self, inner, env, rng_factory, policy: RetryPolicy,
-                 breaker_threshold: int, breaker_cooldown_ms: float,
-                 metrics, on_breaker_transition=None,
-                 label: str = "user",
-                 breaker_probe_interval_ms: float = 0.0) -> None:
-        self._inner = inner
-        self._retrier = _Retrier(label, env, rng_factory, policy,
-                                 breaker_threshold, breaker_cooldown_ms,
-                                 metrics, on_breaker_transition,
-                                 breaker_probe_interval_ms)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        return self._inner
-
-    @property
-    def retrier(self) -> _Retrier:
-        return self._retrier
-
-    @property
-    def kind(self) -> str:
-        return self._inner.kind
-
-    # ------------------------------------------------------------ ops
-    def write_node(self, ctx, region, path, image):
-        return self._retrier.run(
-            "write_node", region,
-            lambda _token: self._inner.write_node(ctx, region, path, image),
-            mutating=False)
-
-    def read_node(self, ctx, region, path):
-        return self._retrier.run(
-            "read_node", region,
-            lambda _token: self._inner.read_node(ctx, region, path),
-            mutating=False)
-
-    def delete_node(self, ctx, region, path):
-        return self._retrier.run(
-            "delete_node", region,
-            lambda _token: self._inner.delete_node(ctx, region, path),
-            mutating=False)
-
-    def update_metadata(self, ctx, region, path, meta_image):
-        return self._retrier.run(
-            "update_metadata", region,
-            lambda _token: self._inner.update_metadata(
-                ctx, region, path, meta_image),
-            mutating=False)

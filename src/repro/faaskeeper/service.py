@@ -59,8 +59,8 @@ from .leader import LeaderLogic
 from .metrics import MetricsRegistry
 from .model import KeeperState, Response, WatchedEvent
 from .outbox import OutboxStage
-from .retry import (BREAKER_OPEN, RetryPolicy, RetryingKeyValueStore,
-                    RetryingUserStore)
+from .retry import (BREAKER_OPEN, KV_OPS, USER_OPS, RetryPolicy,
+                    RetryingStore)
 from .snapshot import SnapshotManager
 from .watch_fn import WatchFanoutLogic
 from .watches import EpochLedger, WatchRegistry
@@ -144,21 +144,16 @@ class FaaSKeeperService:
         self.metrics = MetricsRegistry()
 
         # --- system storage -------------------------------------------------
-        self.system_store = cloud.kv("dynamodb:system", region=config.primary_region)
-        retry_policy = RetryPolicy(enabled=config.storage_retry_enabled)
-        if config.storage_retry_enabled:
-            # Every system-store round trip below goes through the retry/
-            # breaker engine.  The jitter stream is created lazily on the
-            # first actual retry, so fault-free runs keep their RNG draw
-            # sequence — and their fingerprints — bit-for-bit.
-            self.system_store = RetryingKeyValueStore(
-                self.system_store, cloud.env,
-                lambda: cloud.rng.stream("storage-retry:system"),
-                retry_policy, config.storage_breaker_threshold,
-                config.storage_breaker_cooldown_ms, self.metrics,
-                on_breaker_transition=self._on_breaker_transition,
-                label="system",
-                breaker_probe_interval_ms=config.storage_breaker_probe_interval_ms)
+        # Every storage round trip below goes through the one retry/breaker
+        # proxy.  Its jitter stream is created lazily on the first actual
+        # retry, so fault-free runs keep the raw store's RNG draw sequence
+        # — and their fingerprints — bit-for-bit.
+        policy = RetryPolicy()
+        self.system_store = RetryingStore(
+            cloud.kv("dynamodb:system", region=config.primary_region),
+            "system", KV_OPS, cloud.env,
+            lambda: cloud.rng.stream("storage-retry:system"),
+            policy, self.metrics, self._on_breaker_transition)
         for table in (SYSTEM_NODES, SYSTEM_STATE, SYSTEM_SESSIONS, SYSTEM_WATCHES):
             self.system_store.create_table(table)
         self.node_lock = TimedLock(self.system_store, SYSTEM_NODES,
@@ -170,23 +165,14 @@ class FaaSKeeperService:
         # --- user storage ---------------------------------------------------
         from .userstore import make_user_store
 
-        self.user_store = make_user_store(cloud, config)
-        if config.storage_retry_enabled:
-            # Backend ops are whole-image writes (idempotent), so the
-            # wrapper replays them bodily; each region gets its own
-            # circuit breaker since regions fail independently.
-            self.user_store = RetryingUserStore(
-                self.user_store, cloud.env,
-                lambda: cloud.rng.stream("storage-retry:user"),
-                retry_policy, config.storage_breaker_threshold,
-                config.storage_breaker_cooldown_ms, self.metrics,
-                on_breaker_transition=self._on_breaker_transition,
-                label="user",
-                breaker_probe_interval_ms=config.storage_breaker_probe_interval_ms)
+        self.user_store = RetryingStore(
+            make_user_store(cloud, config), "user", USER_OPS, cloud.env,
+            lambda: cloud.rng.stream("storage-retry:user"),
+            policy, self.metrics, self._on_breaker_transition)
         #: Fault injectors armed on this deployment (empty = clean run).
         self.storage_injectors: List[Any] = []
-        if config.storage_faults:
-            self.arm_storage_faults(rate=config.storage_fault_rate)
+        if config.storage_fault_rate > 0:
+            self.arm_storage_faults(config.storage_fault_rate)
 
         # --- functions & queues ----------------------------------------------
         num_shards = config.leader_shards
@@ -237,10 +223,8 @@ class FaaSKeeperService:
         for i, fn in enumerate(self.leader_fns):
             queue = cloud.fifo_queue(
                 "fk-leader-q" if i == 0 else f"fk-leader-q-{i}",
-                label="sqs", max_receive=config.leader_max_receive,
-                seq_source=txid_sequence)
+                label="sqs", max_receive=None, seq_source=txid_sequence)
             queue.attach(fn, batch_limit=LEADER_BATCH)
-            queue.on_drop = self._on_leader_drop
             self.leader_queues.append(queue)
 
         # --- distributor stage (None = the paper's inline pipeline) ----------
@@ -307,26 +291,26 @@ class FaaSKeeperService:
         return cls(cloud, config or FaaSKeeperConfig())
 
     # ------------------------------------------------------------ resilience
-    def arm_storage_faults(self, rate: Optional[float] = None) -> List[Any]:
+    def _fault_points(self) -> List[Any]:
+        """The substrate stores behind the two proxies: the system key-value
+        store plus whatever endpoints the user backend reports."""
+        return [self.system_store.inner,
+                *self.user_store.inner.fault_points()]
+
+    def arm_storage_faults(self, rate: float) -> List[Any]:
         """Arm a seeded transient-fault schedule on every storage endpoint.
 
-        One :class:`~repro.cloud.faults.FaultInjector` per fault point —
-        the system key-value store plus whatever endpoints the registered
-        user backend reports via ``fault_points()`` — each driven by its
-        own named RNG stream (``storage-faults:<label>@<region>``), so the
-        schedule replays exactly for a given sim seed and is independent
-        of every other stream.  Idempotent per deployment: re-arming
-        replaces the previous injectors.
+        One :class:`~repro.cloud.faults.FaultInjector` per fault point,
+        each driven by its own named RNG stream
+        (``storage-faults:<label>@<region>``), so the schedule replays
+        exactly for a given sim seed and is independent of every other
+        stream.  Idempotent per deployment: re-arming replaces the
+        previous injectors.
         """
         from ..cloud.faults import FAULT_KINDS, FaultInjector
 
-        if rate is None:
-            rate = self.config.storage_fault_rate
-        user_inner = getattr(self.user_store, "inner", self.user_store)
-        system_inner = getattr(self.system_store, "_inner", self.system_store)
-        points = [system_inner] + list(user_inner.fault_points())
         injectors = []
-        for point in points:
+        for point in self._fault_points():
             label = getattr(point, "service_label", "kv")
             region = getattr(point, "region", "all")
             stream = self.cloud.rng.stream(f"storage-faults:{label}@{region}")
@@ -345,9 +329,7 @@ class FaaSKeeperService:
 
     def disarm_storage_faults(self) -> None:
         """Remove all armed injectors (the schedule stops drawing)."""
-        user_inner = getattr(self.user_store, "inner", self.user_store)
-        system_inner = getattr(self.system_store, "_inner", self.system_store)
-        for point in [system_inner] + list(user_inner.fault_points()):
+        for point in self._fault_points():
             point.faults = None
         self.storage_injectors = []
 
@@ -361,22 +343,6 @@ class FaaSKeeperService:
         for client in list(self.clients.values()):
             if label == "system" or client.region == region:
                 client._transition(KeeperState.SUSPENDED)
-
-    def _on_leader_drop(self, message) -> None:
-        """A leader-queue message exhausted ``leader_max_receive``: its
-        session fence must still advance (or the session's next write on
-        another shard — and with it that whole shard — would wait forever)
-        and its client learns about the failure."""
-        body = message.body
-        if not isinstance(body, dict):  # pragma: no cover - defensive
-            return
-        if self.fence_board is not None and body.get("fence") is not None:
-            self.fence_board.advance(body["session"], body["fence"])
-        client = self.clients.get(body.get("session"))
-        if client is not None and body.get("rid", -1) >= 0:
-            client._deliver_response(Response(
-                session=body["session"], rid=body["rid"], ok=False,
-                error="system_failure"))
 
     @property
     def visibility_board(self):
@@ -625,8 +591,7 @@ class FaaSKeeperService:
     _COST_CATEGORIES = ("queue", "system_store", "user_store", "s3",
                         "dynamodb", "follower", "leader", "distributor",
                         "watch", "heartbeat")
-    _CACHE_STATS = ("hits", "misses", "invalidations", "evictions",
-                    "entries", "size_kb")
+    _CACHE_STATS = ("hits", "misses", "invalidations", "evictions", "entries")
 
     def _wire_metrics(self) -> None:
         """Attach the registry to everything that already keeps numbers
@@ -726,8 +691,7 @@ class FaaSKeeperService:
     def client_cache_stats(self) -> Dict[str, float]:
         """Aggregate hit/miss/invalidation counters of every session's read
         cache (all zero when ``client_cache_entries`` is 0, the default)."""
-        totals = {"hits": 0.0, "misses": 0.0, "invalidations": 0.0,
-                  "evictions": 0.0, "entries": 0.0, "size_kb": 0.0}
+        totals = dict.fromkeys(self._CACHE_STATS, 0.0)
         for client in self.clients.values():
             if client._cache is None:
                 continue

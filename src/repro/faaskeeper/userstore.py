@@ -47,23 +47,10 @@ from ..cloud.faults import FaultInjector, draw_fault
 from .config import FaaSKeeperConfig, UserStoreKind
 from .layout import USER_BUCKET, USER_TABLE
 
-__all__ = ["UserStore", "make_user_store", "entry_size_kb",
-           "CACHE_ENTRY_OVERHEAD_KB", "register_backend", "backend_for",
+__all__ = ["UserStore", "make_user_store", "register_backend", "backend_for",
            "registered_schemes", "parse_store_uri",
            "S3Backend", "DynamoBackend", "HybridBackend", "RedisBackend",
            "MemBackend"]
-
-#: Fixed per-entry bookkeeping overhead of a client-cache slot (key, watch
-#: id, LRU links), charged against ``client_cache_kb`` on top of the image.
-CACHE_ENTRY_OVERHEAD_KB = 0.0625
-
-
-def entry_size_kb(image: Dict[str, Any]) -> float:
-    """Memory footprint one cached node image charges against the client
-    cache's byte budget: the billable image size (same accounting as the
-    storage backends) plus the fixed per-entry overhead."""
-    return CACHE_ENTRY_OVERHEAD_KB + item_size_kb(image)
-
 
 # ---------------------------------------------------------------------------
 # Registry

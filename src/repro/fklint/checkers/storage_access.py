@@ -1,9 +1,11 @@
-"""FK007 — naked storage call (bypasses the self-healing storage layer).
+"""FK007 — naked storage call (bypasses the one storage boundary).
 
-Every storage round trip of a deployment is supposed to go through
-``service.system_store`` / ``service.user_store``, which carry the
-retry/backoff engine, the idempotence tokens and the per-region circuit
-breaker (and, when a fault schedule is armed, the injector bookkeeping).
+Every storage round trip of a deployment goes through
+``service.system_store`` / ``service.user_store``.  Unconditionally —
+there is no deployment without the boundary — both are
+:class:`~repro.faaskeeper.retry.RetryingStore` proxies: the retry/backoff
+loop, the idempotence tokens and the per-region circuit breaker (and,
+when a fault schedule is armed, the injector bookkeeping behind them).
 A handler that acquires a raw client instead — ``cloud.kv(...)``,
 ``cloud.objectstore(...)``, ``cloud.cache(...)`` — gets none of that: a
 single injected throttle becomes a session-fatal error again, and the
@@ -56,7 +58,8 @@ class StorageAccessChecker(Checker):
             findings.append(ctx.finding(
                 self.rule, node,
                 f"naked storage call `.{func.attr}(...)` in a handler "
-                "module: raw clients skip the retry/breaker layer — go "
+                "module: a raw client is outside the storage boundary "
+                "every deployment has (retry, tokens, breaker) — go "
                 "through service.system_store / service.user_store "
                 "instead"))
         return findings

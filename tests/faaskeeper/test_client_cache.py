@@ -3,11 +3,7 @@ and the consistency gates (read-your-writes, Z4) that must survive caching."""
 
 import pytest
 
-from repro.faaskeeper import (
-    ClientReadCache,
-    FaaSKeeperConfig,
-    SessionClosedError,
-)
+from repro.faaskeeper import FaaSKeeperConfig, SessionClosedError
 from repro.faaskeeper.model import WatchType
 from .conftest import make_service
 
@@ -282,28 +278,9 @@ def test_lru_entry_bound_evicts_oldest():
     assert c._cache.lookup("/a", WatchType.DATA) is None  # the LRU victim
 
 
-def test_byte_budget_bounds_cache():
-    cloud, service = make_service(seed=316, client_cache_entries=64,
-                                  client_cache_kb=3.0)
-    c = service.connect()
-    for i in range(4):
-        c.create(f"/n{i}", b"x" * 1024)
-        c.get_data(f"/n{i}")
-    assert c._cache.size_kb <= 3.0
-    assert c._cache.evictions >= 1
-
-
-def test_oversized_image_is_not_cached():
-    cache = ClientReadCache(8, max_kb=1.0)
-    cache.admit("/big", WatchType.DATA, {"data": b"x" * 4096}, "w1")
-    assert len(cache) == 0
-
-
 def test_config_rejects_negative_cache_knobs():
     with pytest.raises(ValueError):
         FaaSKeeperConfig(client_cache_entries=-1)
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(client_cache_kb=-0.5)
 
 
 # ---------------------------------------------------------------- accounting

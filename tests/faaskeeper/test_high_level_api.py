@@ -319,7 +319,7 @@ def test_datawatch_rearm_race_under_coalesced_burst(shards):
     cloud, service = make_service(seed=11, leader_shards=shards,
                                   distributor_enabled=True,
                                   ack_policy="on_commit",
-                                  storage_faults=False)
+                                  storage_fault_rate=0.0)
     writer, watcher = service.connect(), service.connect()
     writer.create("/cfg", b"v0000")
     cloud.run(until=cloud.now + 10_000)       # let the create replicate

@@ -10,7 +10,10 @@ session plane likewise: one expiry path (the sweep), one watch table, one
 scan path, so the names of their deleted twins stay out of ``src/``.
 And the durability plane: one commit record per transaction that the
 fold, the publisher and compaction read at their own cursors, so the
-outbox table and the switch that pinned the log stay out too.
+outbox table and the switch that pinned the log stay out too.  And the
+storage boundary: one retrying proxy around both stores of every
+deployment, so the switch that removed it, its hand-forwarded twins, the
+second probe limiter and the knobs nothing turned stay out as well.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from pathlib import Path
 import repro
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 28
+MAX_CONFIG_FIELDS = 21
 MAX_ENV_SWITCHES = 3
 
 
@@ -55,5 +58,16 @@ def test_one_commit_record():
     src = Path(repro.__file__).parent
     twins = re.compile(
         "SYSTEM_OUTBOX|fk-system-outbox|append_ops|compaction_enabled")
+    for path in src.rglob("*.py"):
+        assert not twins.search(path.read_text()), path
+
+
+def test_one_storage_boundary():
+    src = Path(repro.__file__).parent
+    # (the fk_storage_breaker_* metric names stay: dashboards read them)
+    twins = re.compile(
+        "storage_retry_enabled|(?<!fk_)storage_breaker_|"
+        "RetryingKeyValueStore|RetryingUserStore|probe_interval|"
+        "client_cache_kb|leader_max_receive")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path

@@ -33,7 +33,7 @@ def warm():
     """(cloud, client) of a default deployment, pinned off the CI legs'
     environment overrides, with ``/a`` and ``/a/b`` written and read once and
     the pipeline drained; kernel events are counted from here."""
-    cloud, service = make_service(seed=7, storage_faults=False,
+    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
                                   outbox_enabled=False)
     client = service.connect()
     client.create("/a", b"x" * 1024)
@@ -97,7 +97,7 @@ def test_a_warm_set_data_is_this_many_kernel_events(warm):
 
 
 def test_a_completed_read_keeps_this_many_blocks():
-    _cloud, service = make_service(seed=7, storage_faults=False,
+    _cloud, service = make_service(seed=7, storage_fault_rate=0.0,
                                    outbox_enabled=False)
     client = service.connect()
     client.create("/a", b"x" * 1024)

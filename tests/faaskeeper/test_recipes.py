@@ -30,14 +30,14 @@ MATRIX = {
 
 @pytest.fixture(params=sorted(MATRIX), ids=sorted(MATRIX))
 def deployment(request):
-    # storage_faults pinned off: these are *liveness* scenarios driven to
+    # storage faults pinned off: these are *liveness* scenarios driven to
     # completion with run(until=AllOf(workers)) — every wakeup rides a
     # one-shot watch, and a fault-delayed re-registration may miss the
     # only delete notification it was waiting for (permitted by the
     # watch contract, fatal to an unbounded drain).  Faulty-timing
     # coverage lives in tests/integration/test_storage_faults.py, whose
     # workloads are bounded and audited for exactly-once end effects.
-    return make_service(seed=2024, storage_faults=False,
+    return make_service(seed=2024, storage_fault_rate=0.0,
                         **MATRIX[request.param])
 
 

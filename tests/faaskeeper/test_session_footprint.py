@@ -70,11 +70,11 @@ def test_session_churn_does_not_grow_the_deployment():
     samples, ROADMAP item 4 — would swamp an empty deployment's total.)"""
     tracemalloc.start()
     try:
-        # storage_faults pinned off: the subject is session state, and a
+        # storage faults pinned off: the subject is session state, and a
         # system-store breaker OPEN flips all 2 000 resident sessions.
         cloud, service = make_service(seed=7, user_store="mem",
                                       session_plane_shards=8,
-                                      storage_faults=False)
+                                      storage_fault_rate=0.0)
         resident = service.connect_many(2000)
         after = []
         for _round in range(5):

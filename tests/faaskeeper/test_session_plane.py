@@ -56,13 +56,6 @@ def test_shards1_identical_to_default_flat_plane():
         _workload_fingerprint(91, session_plane_shards=1)
 
 
-def test_probe_interval_zero_is_invisible():
-    """storage_breaker_probe_interval_ms=0 (default) is the legacy breaker:
-    the knob must not move the fingerprint when it is off."""
-    assert _workload_fingerprint(92) == \
-        _workload_fingerprint(92, storage_breaker_probe_interval_ms=0.0)
-
-
 # ------------------------------------------------------------ topology
 def test_flat_plane_deploys_legacy_topology():
     _cloud, service = make_service(seed=93)
@@ -175,7 +168,7 @@ def test_each_shard_sweeps_once_per_period():
     """A shard's cron parks on its phase offset while the deployment is at
     scale-to-zero; the first connect must replace that loop, not join it."""
     cloud, service = make_service(seed=104, session_plane_shards=4,
-                                  storage_faults=False)
+                                  storage_fault_rate=0.0)
     service.connect()
     cloud.run(until=cloud.now + 4.6 * 60_000)
     # offsets 0/15/30/45 s: fourth firings at 240/255/270/285 s, window 276 s
@@ -189,7 +182,7 @@ def test_swarm_sweeps_shards_times_periods_and_evicts_each_silent_once():
     shards, periods, silent = 8, 4, 12
     cloud, service = make_service(seed=105, user_store="mem",
                                   session_plane_shards=shards,
-                                  storage_faults=False)
+                                  storage_fault_rate=0.0)
     period = service.config.heartbeat_period_ms
     largest_offset = max(t.offset_ms for t in service.heartbeat_tasks)
     duration = 4.9 * period

@@ -21,7 +21,7 @@ def test_heartbeat_starts_with_first_session(service):
 def test_reconnect_inside_one_period_does_not_double_the_crons():
     """Scale-to-zero and back inside one period: the loops parked by the
     first session's close must retire, not fire beside the new ones."""
-    cloud, service = make_service(seed=1, storage_faults=False)
+    cloud, service = make_service(seed=1, storage_fault_rate=0.0)
     first = service.connect()
     first.create("/a", b"x")
     cloud.run(until=cloud.now + 10_000)
@@ -45,10 +45,10 @@ def test_scale_to_zero_no_compute_costs_when_idle(cloud, service):
 
 
 def test_heartbeat_fires_every_minute_with_ephemeral_owner():
-    # storage_faults pinned off: the exact firing count is a fault-free
+    # storage faults pinned off: the exact firing count is a fault-free
     # timing calibration — one retry backoff inside connect/create phase-
     # shifts the schedule and the 5-minute window catches only 4 firings.
-    cloud, service = make_service(storage_faults=False)
+    cloud, service = make_service(storage_fault_rate=0.0)
     c = service.connect()
     c.create("/e", ephemeral=True)
     fired_before = service.heartbeat_tasks[0].fired

@@ -329,33 +329,6 @@ def test_coalescing_reduces_user_store_writes():
     assert plain == 12
 
 
-def test_leader_drop_advances_fence_and_fails_future():
-    """A leader-queue message dropped after exhausting leader_max_receive
-    must advance its session fence (or the session's next write would wedge
-    its whole shard) and fail the client's request."""
-    from repro.cloud.queues import Message
-    from repro.faaskeeper.model import Response
-
-    cloud, service = make_service(seed=88, leader_shards=2,
-                                  leader_max_receive=2)
-    c = service.connect()
-    c.create("/t0", b"")
-    fence = service.fence_board.issue(c.session_id)
-    event = cloud.env.event()
-    event.defused()
-    c._pending[999] = event
-    dropped = Message(
-        body={"session": c.session_id, "rid": 999, "fence": fence,
-              "op": "set_data", "path": "/t0/x"},
-        size_kb=0.1, group="updates", seq=12345, enqueued_at=cloud.now)
-    service.leader_queues[0].on_drop(dropped)
-    assert service.fence_board.applied(c.session_id) >= fence
-    assert event.triggered
-    response = event.value
-    assert isinstance(response, Response)
-    assert response.ok is False and response.error == "system_failure"
-
-
 def test_sharded_sequential_creates_and_ephemerals():
     """Sequence-suffixed and ephemeral nodes behave under sharding; session
     close cleans ephemerals across shards."""

@@ -18,6 +18,7 @@ from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
 from repro.faaskeeper.chaos import ChaosMonkey, verify_exactly_once
 from repro.faaskeeper.model import KeeperState
+from repro.faaskeeper.retry import BREAKER_CLOSED
 from repro.faaskeeper.userstore import registered_schemes
 
 SCHEMES = registered_schemes()
@@ -45,9 +46,9 @@ def run_scenario(seed, scheme, rate=FAULT_RATE, crash_stage=None,
         extra.update(outbox_enabled=True, commit_log_enabled=True)
     if crash_stage:
         extra.update(free_fn_retries=2)
-    config = FaaSKeeperConfig(user_store=scheme,
-                              storage_faults=crash_stage is None,
-                              storage_fault_rate=rate, **extra)
+    config = FaaSKeeperConfig(
+        user_store=scheme,
+        storage_fault_rate=0.0 if crash_stage else rate, **extra)
     service = FaaSKeeperService.deploy(cloud, config)
     if crash_stage:
         ChaosMonkey(service, seed=seed * 7919 + 13, stages=[crash_stage],
@@ -110,6 +111,17 @@ def run_scenario(seed, scheme, rate=FAULT_RATE, crash_stage=None,
     for client in (writer, reader):
         if client.state == KeeperState.LOST:
             violations.append(f"session {client.session_id} died LOST")
+    # ... and no endpoint left shedding: after the drain every breaker of
+    # both stores has settled CLOSED, with no retry budget exhausted.
+    for store in (service.system_store, service.user_store):
+        for region, breaker in store.breakers.items():
+            if breaker.state != BREAKER_CLOSED:
+                violations.append(
+                    f"{store.label}@{region} breaker ended {breaker.state}")
+    exhausted = service.metrics_snapshot()[
+        "fk_storage_retry_exhausted_total"]["values"]
+    if sum(exhausted.values()):
+        violations.append(f"retries exhausted: {exhausted}")
     injected = sum(i.total_injected() for i in service.storage_injectors)
     return violations, injected, service
 
