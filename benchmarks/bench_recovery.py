@@ -34,7 +34,6 @@ import os
 from repro.analysis import render_table
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
-from repro.faaskeeper.chaos import region_user_image, wipe_user_region
 
 SMOKE = os.environ.get("FK_BENCH_SMOKE", "") not in ("", "0")
 JSON_PATH = os.environ.get("FK_BENCH_JSON", "BENCH_recovery.json")
@@ -64,14 +63,14 @@ def _measure(n_writes, use_snapshot):
         client.set_data(paths[i % PATHS], f"s{i}".encode())
 
     region = service.config.primary_region
-    expected = {p: region_user_image(service, region, p) for p in paths}
-    wipe_user_region(service, region)
+    expected = {p: service.user_store.peek(region, p) for p in paths}
+    service.user_store.wipe_region(region)
     start = cloud.now
     stats = cloud.run_process(service.snapshots.recover_region(
         service.system_ctx, region, cold=True))
     elapsed = cloud.now - start
     for path in paths:  # recovery must actually reconstruct the replica
-        got = region_user_image(service, region, path)
+        got = service.user_store.peek(region, path)
         assert got is not None and got.get("data") == \
             expected[path].get("data"), path
     return elapsed, stats

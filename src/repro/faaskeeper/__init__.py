@@ -18,7 +18,6 @@ from .chaos import (
     verify_exactly_once,
     verify_outbox_delivery,
     wipe_system_tables,
-    wipe_user_region,
 )
 from .client import (
     FaaSKeeperClient,
@@ -91,7 +90,6 @@ __all__ = [
     "VisibilityBoard",
     "SnapshotManager",
     "ChaosMonkey",
-    "wipe_user_region",
     "wipe_system_tables",
     "verify_exactly_once",
     "verify_outbox_delivery",

@@ -25,15 +25,17 @@ Design constraints the harness respects:
   logic's ``cold_restart()``, so redeliveries re-hydrate epoch mirrors
   and landed-txid memories from storage instead of inheriting them.
 
-:func:`wipe_user_region` destroys one region's user-store replica in
-place (the disaster :meth:`SnapshotManager.recover_region` exists for),
-and :func:`verify_exactly_once` audits a quiesced deployment against the
+:func:`wipe_system_tables` destroys the coordination tables in place
+(``service.user_store.wipe_region`` is the user-side twin, the disaster
+:meth:`SnapshotManager.recover_region` exists for), and
+:func:`verify_exactly_once` audits a quiesced deployment against the
 workload's expectations.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .layout import (
@@ -49,11 +51,10 @@ from .layout import (
 from .service import FaaSKeeperService
 from .snapshot import log_bounds
 
-__all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_user_region",
-           "wipe_system_tables", "region_user_image", "verify_exactly_once",
-           "verify_outbox_delivery", "arm_storage_faults"]
+__all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_system_tables",
+           "verify_exactly_once", "verify_outbox_delivery"]
 
-#: Stage -> crash points the harness knows how to arm.
+#: Stage kind -> crash points the harness knows how to arm.
 CRASH_POINTS: Dict[str, Tuple[str, ...]] = {
     "leader": ("leader_entry", "leader_mid_batch", "leader_after_log"),
     "distributor": ("dist_entry", "dist_after_watch_stage",
@@ -81,8 +82,6 @@ class ChaosMonkey:
         self.probability = probability
         #: (function name, point) -> crashes this pair may still inject.
         self._budget: Dict[Tuple[str, str], int] = {}
-        #: function name -> stage logic with a ``cold_restart()`` method.
-        self._logic_by_fn: Dict[str, Any] = {}
         #: Crash log: (function name, point, invocation id), in order.
         self.crashes: List[Tuple[str, str, int]] = []
         self.restarts = 0
@@ -92,49 +91,35 @@ class ChaosMonkey:
         if unknown:
             raise ValueError(f"unknown chaos stages {sorted(unknown)}")
 
-        if "leader" in wanted:
-            for fn, logic in zip(service.leader_fns, service.leader_logics):
-                self._arm(fn, logic, CRASH_POINTS["leader"], budget_per_point)
-        if "distributor" in wanted and service.distribution is not None:
-            stage = service.distribution
-            for region, fn in stage.fns.items():
-                self._arm(fn, stage.logics[region],
-                          CRASH_POINTS["distributor"], budget_per_point)
-        if "outbox" in wanted and service.outbox is not None:
-            # Liveness: the scheduled publisher keeps firing (and retries a
-            # failed invocation once per period), so any finite budget
-            # converges — once it is spent, the next drain runs clean and
-            # the durable watermark catches up.  (No logic to cold-restart:
-            # the publisher keeps no warm state.)
-            self._arm(service.outbox.fn, None,
-                      CRASH_POINTS["outbox"], budget_per_point)
-        if "watch" in wanted and service.config.free_fn_retries > 0:
-            # Liveness: at most free_fn_retries crashes across ALL watch
-            # points of one function, so the final retry always runs clean.
-            total = service.config.free_fn_retries
-            per_point = max(1, total // len(CRASH_POINTS["watch"]))
-            shared = {"left": total}
-            self._arm(service.watch_fn, None, CRASH_POINTS["watch"],
-                      per_point, shared_cap=shared)
+        # Liveness: queue-fed stages redeliver forever and the scheduled
+        # publisher keeps firing (and retries a failed invocation once per
+        # period), so any finite per-point budget converges.  The watch
+        # fan-out is a free function: at most free_fn_retries crashes
+        # across ALL its points, so the final retry always runs clean.
+        retries = service.config.free_fn_retries
+        for stage in service.stages:
+            if stage.kind not in wanted:
+                continue
+            points = CRASH_POINTS[stage.kind]
+            budget, shared_cap = budget_per_point, None
+            if stage.kind == "watch":
+                if retries <= 0:
+                    continue
+                budget = max(1, retries // len(points))
+                shared_cap = {"left": retries}
+            stage.fn.on_failure = partial(self._on_failure, stage)
+            for point in points:
+                self._budget[(stage.name, point)] = budget
+                stage.fn.fault_plan[point] = self._predicate(
+                    stage.name, point, shared_cap)
         #: Armed storage-fault injectors (empty unless storage_fault_rate>0):
         #: the storage-fault axis of the chaos matrix, orthogonal to the
         #: crash stages above.  Scheduling determinism comes from the
         #: simulation's named RNG streams, so (sim seed, config, rate)
         #: fully determines the fault schedule.
         self.storage_injectors = (
-            arm_storage_faults(service, rate=storage_fault_rate)
+            service.arm_storage_faults(storage_fault_rate)
             if storage_fault_rate > 0 else [])
-
-    # ------------------------------------------------------------ wiring
-    def _arm(self, fn, logic, points: Tuple[str, ...], budget: int,
-             shared_cap: Optional[Dict[str, int]] = None) -> None:
-        name = fn.spec.name
-        if logic is not None:
-            self._logic_by_fn[name] = logic
-        fn.on_failure = self._on_failure
-        for point in points:
-            self._budget[(name, point)] = budget
-            fn.fault_plan[point] = self._predicate(name, point, shared_cap)
 
     def _predicate(self, name: str, point: str,
                    shared_cap: Optional[Dict[str, int]]):
@@ -155,33 +140,17 @@ class ChaosMonkey:
 
         return maybe_crash
 
-    def _on_failure(self, fn, exc: BaseException) -> None:
+    def _on_failure(self, stage, fn, exc: BaseException) -> None:
+        """Sandbox loss: the crashed stage's logic drops its warm state
+        (a logic without ``cold_restart`` keeps none)."""
         self.restarts += 1
-        logic = self._logic_by_fn.get(fn.spec.name)
-        if logic is not None:
-            logic.cold_restart()
+        if hasattr(stage.logic, "cold_restart"):
+            stage.logic.cold_restart()
 
 
 # --------------------------------------------------------------------------
-# Region destruction + raw inspection
+# Table destruction
 # --------------------------------------------------------------------------
-
-def arm_storage_faults(service: FaaSKeeperService,
-                       rate: float) -> List[Any]:
-    """Arm a seeded transient-fault schedule on every storage service the
-    deployment owns (delegates to the backend registry's ``fault_points``
-    plus the system store).  Returns the armed injectors."""
-    return service.arm_storage_faults(rate=rate)
-
-
-def wipe_user_region(service: FaaSKeeperService, region: str) -> None:
-    """Destroy one region's user-store replica in place (zero latency):
-    the replica-loss disaster cold recovery rebuilds from.  System
-    storage — the durable side of the design — is untouched.  Dispatches
-    through the registry backend's own ``wipe_region``, so every
-    registered backend — ``mem://`` included — is chaos-able."""
-    service.user_store.wipe_region(region)
-
 
 def wipe_system_tables(service: FaaSKeeperService) -> None:
     """Destroy the coordination tables in place — the node index, watch
@@ -193,14 +162,6 @@ def wipe_system_tables(service: FaaSKeeperService) -> None:
     store = service.system_store
     for table in (SYSTEM_NODES, SYSTEM_WATCHES, SYSTEM_SESSIONS):
         store.table(table)._items.clear()
-
-
-def region_user_image(service: FaaSKeeperService, region: str,
-                      path: str) -> Optional[Dict[str, Any]]:
-    """Zero-latency peek at one region's user image (test verification —
-    the billed read path is :meth:`UserStore.read_node`).  Dispatches
-    through the registry backend's own ``peek``."""
-    return service.user_store.peek(region, path)
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +205,7 @@ def verify_exactly_once(service: FaaSKeeperService,
         elif not item.get("exists"):
             violations.append(f"{path}: acked write but system node missing")
         for region in service.config.regions:
-            image = region_user_image(service, region, path)
+            image = service.user_store.peek(region, path)
             if final is None:
                 if image is not None:
                     violations.append(

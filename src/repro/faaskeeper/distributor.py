@@ -32,10 +32,11 @@ drains its queue in batches and
   the Z4 read stalls keep working.
 
 Consistency is preserved by two boards (both simulation stand-ins for
-conditional reads/writes on system-storage items, the same device as
-:class:`~repro.faaskeeper.service.SessionFenceBoard`):
+conditional reads/writes on system-storage items — their waits model only
+the *ordering*, not extra storage traffic):
 
-* :class:`WatchGateBoard` — a regional write stage snapshots the epoch
+* the watch gate (a :class:`GateBoard`, the same class as the leaders'
+  session fence) — a regional write stage snapshots the epoch
   for a record only after the watch stage has processed that record, so
   any image with ``modified_tx > t`` carries the (still pending) watch
   ids triggered by transaction ``t`` — Z4's ordering invariant at any
@@ -59,8 +60,8 @@ from .follower import DISTRIBUTOR_BATCH
 from .layout import SYSTEM_STATE, replicated_key
 from .watches import triggered_watch_types
 
-__all__ = ["DistributionStage", "DistributorLogic", "VisibilityBoard",
-           "WatchGateBoard", "advance_watermark", "armed_watch_ids",
+__all__ = ["DistributionStage", "DistributorLogic", "GateBoard",
+           "VisibilityBoard", "advance_watermark", "armed_watch_ids",
            "write_user_image"]
 
 
@@ -183,41 +184,62 @@ class VisibilityBoard:
                 ev.succeed(None)
 
 
-class WatchGateBoard:
-    """Per-shard watch-stage progress: regional write stages wait here.
+class GateBoard:
+    """Keyed monotone marks with ordered waiters: ``wait(key, n)`` resumes
+    once ``advance`` has raised ``key``'s mark to at least ``n``.  A
+    deployment holds two:
 
-    The primary distributor advances a shard's gate to transaction ``t``
-    once the watch instances triggered by every record of that shard up
-    to ``t`` have been consumed and added to the epoch counters.  Records
-    of one shard enter every distributor queue in commit order, so the
-    gate is monotone per shard.
+    * the **watch gate** (per leader shard, marks are txids) — the primary
+      distributor advances a shard's gate to transaction ``t`` once the
+      watch instances triggered by every record of that shard up to ``t``
+      have been consumed and added to the epoch counters; regional write
+      stages wait here.  Records of one shard enter every distributor
+      queue in commit order, so the gate is monotone per shard;
+    * the **session fence** (per session, marks are fences — Z2 for the
+      sharded pipeline) — the follower stamps each leader message with the
+      next :meth:`issue` of its session at push time (pushes of one session
+      are serialized by its FIFO queue, so fences follow request order); a
+      shard leader starts a message only after ``fence - 1`` was marked
+      applied — by whichever shard owned that write — so a session's
+      writes commit and become user-visible in request order even when
+      they span shards.
     """
 
     def __init__(self, env) -> None:
         self.env = env
-        self._done: Dict[int, int] = {}
-        self._waiters: Dict[int, List[Tuple[int, Any]]] = {}
+        self._issued: Dict[Any, int] = {}
+        self._mark: Dict[Any, int] = {}
+        self._waiters: Dict[Any, List[Tuple[int, Any]]] = {}
 
-    def advance(self, shard: int, txid: int) -> None:
-        if txid <= self._done.get(shard, 0):
+    def issue(self, key) -> int:
+        nxt = self._issued[key] = self._issued.get(key, 0) + 1
+        return nxt
+
+    def mark(self, key) -> int:
+        return self._mark.get(key, 0)
+
+    def advance(self, key, n: int) -> None:
+        """Raise ``key``'s mark to ``n`` (idempotent, never regresses) and
+        wake the waiters it satisfies."""
+        if n <= self._mark.get(key, 0):
             return
-        self._done[shard] = txid
-        waiters = self._waiters.pop(shard, [])
+        self._mark[key] = n
+        waiters = self._waiters.pop(key, [])
         still: List[Tuple[int, Any]] = []
         for wanted, event in waiters:
-            if txid >= wanted:
+            if n >= wanted:
                 if not event.triggered:
                     event.succeed(None)
             else:
                 still.append((wanted, event))
         if still:
-            self._waiters[shard] = still
+            self._waiters[key] = still
 
-    def wait(self, shard: int, txid: int) -> Generator:
-        while self._done.get(shard, 0) < txid:
+    def wait(self, key, n: int) -> Generator:
+        while self._mark.get(key, 0) < n:
             event = self.env.event()
             event.defused()
-            self._waiters.setdefault(shard, []).append((txid, event))
+            self._waiters.setdefault(key, []).append((n, event))
             yield event
         return None
 
@@ -461,10 +483,9 @@ class DistributionStage:
     def __init__(self, service) -> None:
         self.service = service
         config = service.config
-        cloud = service.cloud
-        env = cloud.env
+        env = service.cloud.env
         self.visibility = VisibilityBoard(env, config.regions)
-        self.watch_gate = WatchGateBoard(env)
+        self.watch_gate = GateBoard(env)
         self.logics: Dict[str, DistributorLogic] = {}
         self.queues: Dict[str, Any] = {}
         self.fns: Dict[str, Any] = {}
@@ -475,16 +496,13 @@ class DistributionStage:
             # The primary region keeps the bare name; the fan-out scales
             # with the region count by adding one function + queue each.
             suffix = "" if region == primary else f"-{region}"
-            fn = cloud.deploy_function(
-                f"fk-distributor{suffix}", logic.handler,
-                memory_mb=config.function_memory_mb, arch=config.arch,
-                cpu_alloc=config.cpu_alloc, region=region)
-            queue = cloud.fifo_queue(
-                f"fk-dist-q{suffix}", label="sqs", max_receive=None)
-            queue.attach(fn, batch_limit=DISTRIBUTOR_BATCH)
+            stage = service._deploy_stage(
+                f"fk-distributor{suffix}", "distributor", logic,
+                region=region, queue=f"fk-dist-q{suffix}",
+                batch=DISTRIBUTOR_BATCH)
             self.logics[region] = logic
-            self.queues[region] = queue
-            self.fns[region] = fn
+            self.queues[region] = stage.queue
+            self.fns[region] = stage.fn
 
     # ------------------------------------------------------------ publish
     def publish(self, fctx, record: Dict[str, Any]) -> Generator:

@@ -121,7 +121,7 @@ class LeaderLogic:
         fence = msg.get("fence")
         if board is None or fence is None:
             return None
-        yield from board.wait_turn(msg["session"], fence)
+        yield from board.wait(msg["session"], fence - 1)
         return None
 
     def _pass_fence(self, msg: Dict[str, Any]) -> None:

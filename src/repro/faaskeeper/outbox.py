@@ -276,10 +276,9 @@ class OutboxStage:
                 "Commit-to-sink publish lag per record (ms)"),
         }
 
-        self.fn = service.cloud.deploy_function(
-            "fk-outbox", self.handler,
-            memory_mb=config.function_memory_mb, arch=config.arch,
-            cpu_alloc=config.cpu_alloc, region=config.primary_region)
+        stage = service._deploy_stage("fk-outbox", "outbox", self,
+                                      period_ms=config.outbox_publish_ms)
+        self.fn, self.task = stage.fn, stage.task
 
     # ------------------------------------------------------------ handler
     def handler(self, fctx, payload: Any) -> Generator:

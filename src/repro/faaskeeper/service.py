@@ -4,18 +4,13 @@
 
 * system tables (nodes, state, sessions, watches) in the key-value store;
 * the user store backend of choice, replicated per region;
-* ``leader_shards`` leader FIFO queues, each feeding its own leader
-  function (one queue + one leader — the paper's Algorithm 2 — at the
-  default ``leader_shards=1``); the znode tree is partitioned over the
-  shards by top-level path component;
-* a follower function shared by all per-session FIFO queues;
-* optionally (``distributor_enabled``) one distributor FIFO queue +
-  function per region: the asynchronous stage that replicates committed
-  writes into the regional user stores, owns the watch fan-out and
-  maintains the per-region ``replicated_tx`` visibility watermark;
-* the watch fan-out free function;
-* the scheduled heartbeat function (auto-suspended at zero sessions —
-  the scale-to-zero property of Table 1).
+* the **stage list** ``service.stages`` — one :class:`Stage` per deployed
+  function, each with its one trigger (a FIFO queue, a cron, or neither
+  for a free function).  Every stage comes into being in
+  :meth:`FaaSKeeperService._deploy_stage`, and whatever enumerates stages
+  — per-function metrics, the scale-to-zero start/stop of the crons, the
+  chaos harness's arming, the function side of the cost categories —
+  reads that list (the README's "Architecture" table is its rendering).
 
 ``connect()`` returns a :class:`~repro.faaskeeper.client.FaaSKeeperClient`.
 """
@@ -23,7 +18,8 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional
 
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
@@ -33,7 +29,7 @@ from ..primitives import TimedLock
 from ..sim.kernel import AllOf, Timeout
 from .client import FaaSKeeperClient
 from .config import FaaSKeeperConfig
-from .distributor import DistributionStage
+from .distributor import DistributionStage, GateBoard
 from .follower import (
     FOLLOWER_BATCH,
     LEADER_BATCH,
@@ -65,64 +61,33 @@ from .snapshot import SnapshotManager
 from .watch_fn import WatchFanoutLogic
 from .watches import EpochLedger, WatchRegistry
 
-__all__ = ["FaaSKeeperService", "SessionFenceBoard"]
+__all__ = ["FaaSKeeperService", "Stage", "STAGE_KINDS"]
+
+#: Stage kinds, in ``cost_breakdown()``'s key order.  A kind is the unit of
+#: cost attribution (one ``fk_cost_dollars`` category, summed over the
+#: kind's shards/regions) and of crash-point arming (``chaos.CRASH_POINTS``).
+STAGE_KINDS = ("follower", "leader", "distributor", "watch", "heartbeat",
+               "gc", "snapshot", "outbox")
 
 
-class SessionFenceBoard:
-    """Cross-shard per-session write ordering (Z2 for the sharded pipeline).
+def _suffix(shard: int) -> str:
+    """Shard 0 of a sharded kind keeps the bare historical name."""
+    return f"-{shard}" if shard else ""
 
-    The follower stamps each leader message with a session-sequence fence
-    at push time (pushes of one session are serialized by its FIFO queue,
-    so fences follow request order).  A shard leader starts a message only
-    after the session's previous fence was marked applied — by whichever
-    shard owned that write — so a session's writes commit and become
-    user-visible in request order even when they span shards.
 
-    The board is the simulation's stand-in for a conditional check on the
-    session item in system storage; its waits therefore only model the
-    *ordering*, not extra storage traffic.
-    """
+@dataclass
+class Stage:
+    """One row of the deployment: a function, the logic object behind its
+    handler (``logic.handler``; ``logic.cold_restart`` if it keeps warm
+    state) and its trigger — ``queue`` (FIFO, carries the batch limit),
+    ``task`` (cron, carries period and offset), or neither."""
 
-    def __init__(self, env) -> None:
-        self.env = env
-        self._issued: Dict[str, int] = {}
-        self._applied: Dict[str, int] = {}
-        self._waiters: Dict[str, List[Tuple[int, Any]]] = {}
-
-    def issue(self, session: str) -> int:
-        nxt = self._issued.get(session, 0) + 1
-        self._issued[session] = nxt
-        return nxt
-
-    def applied(self, session: str) -> int:
-        return self._applied.get(session, 0)
-
-    def wait_turn(self, session: str, fence: int) -> Generator:
-        """Block until fence ``fence - 1`` of ``session`` is applied."""
-        while True:
-            done = self._applied.get(session, 0)
-            if done >= fence - 1:
-                return None
-            event = self.env.event()
-            event.defused()
-            self._waiters.setdefault(session, []).append((fence, event))
-            yield event
-
-    def advance(self, session: str, fence: int) -> None:
-        """Mark ``fence`` applied (idempotent) and wake eligible waiters."""
-        if fence <= self._applied.get(session, 0):
-            return
-        self._applied[session] = fence
-        waiters = self._waiters.pop(session, [])
-        still: List[Tuple[int, Any]] = []
-        for wanted, event in waiters:
-            if fence >= wanted - 1:
-                if not event.triggered:
-                    event.succeed(None)
-            else:
-                still.append((wanted, event))
-        if still:
-            self._waiters[session] = still
+    name: str
+    kind: str
+    logic: Any
+    fn: Any
+    queue: Any = None
+    task: Any = None
 
 
 class FaaSKeeperService:
@@ -174,105 +139,6 @@ class FaaSKeeperService:
         if config.storage_fault_rate > 0:
             self.arm_storage_faults(config.storage_fault_rate)
 
-        # --- functions & queues ----------------------------------------------
-        num_shards = config.leader_shards
-        self.fence_board: Optional[SessionFenceBoard] = (
-            SessionFenceBoard(cloud.env) if num_shards > 1 else None)
-        self.follower_logic = FollowerLogic(self)
-        self.leader_logics = [LeaderLogic(self, shard=i)
-                              for i in range(num_shards)]
-        self.watch_logic = WatchFanoutLogic(self)
-        plane_shards = config.session_plane_shards
-        self.heartbeat_logics = [
-            HeartbeatLogic(self, shard=i, shards=plane_shards)
-            for i in range(plane_shards)
-        ]
-        self.gc_logic = GarbageCollectorLogic(self)
-
-        fn_kwargs = dict(memory_mb=config.function_memory_mb, arch=config.arch,
-                         cpu_alloc=config.cpu_alloc, region=config.primary_region)
-        self.follower_fn = cloud.deploy_function(
-            "fk-follower", self.follower_logic.handler, **fn_kwargs)
-        # Shard 0 keeps the historical names so the shards=1 deployment is
-        # bit-identical to the single-leader original (RNG streams and cost
-        # labels derive from queue/function names).
-        self.leader_fns = [
-            cloud.deploy_function(
-                "fk-leader" if i == 0 else f"fk-leader-{i}",
-                logic.handler, **fn_kwargs)
-            for i, logic in enumerate(self.leader_logics)
-        ]
-        self.watch_fn = cloud.deploy_function(
-            "fk-watch", self.watch_logic.handler, **fn_kwargs)
-        # One sweep function per session-plane shard; shard 0 keeps the
-        # historical name (the fk-leader precedent): RNG streams and cost
-        # labels derive from it.
-        self.heartbeat_fns = [
-            cloud.deploy_function(
-                "fk-heartbeat" if i == 0 else f"fk-heartbeat-{i}",
-                logic.handler, **fn_kwargs)
-            for i, logic in enumerate(self.heartbeat_logics)
-        ]
-        self.gc_fn = cloud.deploy_function(
-            "fk-gc", self.gc_logic.handler, **fn_kwargs)
-
-        # All shard queues draw txids from one sequence, keeping transaction
-        # ids globally comparable (MRD tracking, applied_tx watermarks).
-        txid_sequence = SharedSequence() if num_shards > 1 else None
-        self.leader_queues = []
-        for i, fn in enumerate(self.leader_fns):
-            queue = cloud.fifo_queue(
-                "fk-leader-q" if i == 0 else f"fk-leader-q-{i}",
-                label="sqs", max_receive=None, seq_source=txid_sequence)
-            queue.attach(fn, batch_limit=LEADER_BATCH)
-            self.leader_queues.append(queue)
-
-        # --- distributor stage (None = the paper's inline pipeline) ----------
-        self.distribution: Optional[DistributionStage] = (
-            DistributionStage(self) if config.distributor_enabled else None)
-
-        # --- durability: commit log + fuzzy snapshots (opt-in) ----------------
-        # Everything here is gated on commit_log_enabled so the default
-        # deployments keep their deployment-time RNG draws — and therefore
-        # their latency/cost fingerprints — bit-for-bit.
-        self.snapshots: Optional[SnapshotManager] = None
-        self.snapshot_fn = None
-        self.snapshot_task = None
-        if config.commit_log_enabled:
-            for table in (SYSTEM_LOG, SYSTEM_SNAPSHOT):
-                self.system_store.create_table(table)
-            self.snapshots = SnapshotManager(self)
-            self.snapshot_fn = cloud.deploy_function(
-                "fk-snapshot", self.snapshots.handler, **fn_kwargs)
-            if config.snapshot_auto_ms > 0:
-                self.snapshot_task = cloud.runtime.schedule(
-                    self.snapshot_fn, period_ms=config.snapshot_auto_ms)
-                self.snapshot_task.stop()  # scale-to-zero, like the heartbeat
-
-        # --- transactional outbox (opt-in event streaming) --------------------
-        self.outbox: Optional[OutboxStage] = (
-            OutboxStage(self) if config.outbox_enabled else None)
-        self.outbox_task = None
-        if self.outbox is not None and config.outbox_publish_ms > 0:
-            self.outbox_task = cloud.runtime.schedule(
-                self.outbox.fn, period_ms=config.outbox_publish_ms)
-            self.outbox_task.stop()  # scale-to-zero, like the heartbeat
-
-        self.heartbeat_tasks = []
-        for i, fn in enumerate(self.heartbeat_fns):
-            # Shard sweeps are phase-staggered across the period so they do
-            # not all hit the session table's capacity bucket (or hold
-            # their scan results) at once; shard 0 sits at offset 0.
-            task = cloud.runtime.schedule(
-                fn, period_ms=config.heartbeat_period_ms,
-                offset_ms=(i * config.heartbeat_period_ms
-                           / len(self.heartbeat_fns)))
-            task.stop()  # scale-to-zero until a client connects
-            self.heartbeat_tasks.append(task)
-        self.gc_task = cloud.runtime.schedule(
-            self.gc_fn, period_ms=GC_PERIOD_MS)
-        self.gc_task.stop()
-
         # --- sessions ----------------------------------------------------------
         self._session_ids = itertools.count(1)
         self.clients: Dict[str, FaaSKeeperClient] = {}
@@ -281,7 +147,79 @@ class FaaSKeeperService:
         self._live_sessions = 0
         self._session_queues: Dict[str, Any] = {}
 
+        # --- stages: functions, queues, crons ---------------------------------
+        # Names and creation order are load-bearing: RNG streams, cost
+        # labels and same-instant event order derive from them.  Shard 0 of
+        # a sharded kind keeps the bare historical name, so the one-shard
+        # deployment is bit-identical to the paper's single-leader pipeline.
+        #: Every deployed stage, in deployment order.
+        self.stages: List[Stage] = []
         self._wire_metrics()
+        num_shards = config.leader_shards
+        self.fence_board: Optional[GateBoard] = (
+            GateBoard(cloud.env) if num_shards > 1 else None)
+        self.follower_logic = FollowerLogic(self)
+        self.follower_fn = self._deploy_stage(
+            "fk-follower", "follower", self.follower_logic).fn
+        # All shard queues draw txids from one sequence, keeping transaction
+        # ids globally comparable (MRD tracking, applied_tx watermarks).
+        txid_sequence = SharedSequence() if num_shards > 1 else None
+        self.leader_logics = [LeaderLogic(self, shard=i)
+                              for i in range(num_shards)]
+        leaders = [
+            self._deploy_stage(
+                "fk-leader" + _suffix(i), "leader", logic,
+                queue="fk-leader-q" + _suffix(i), batch=LEADER_BATCH,
+                seq_source=txid_sequence)
+            for i, logic in enumerate(self.leader_logics)
+        ]
+        self.leader_fns = [stage.fn for stage in leaders]
+        self.leader_queues = [stage.queue for stage in leaders]
+        self.watch_logic = WatchFanoutLogic(self)
+        self.watch_fn = self._deploy_stage(
+            "fk-watch", "watch", self.watch_logic).fn
+        # One sweep per session-plane shard, phase-staggered across the
+        # period so they do not all hit the session table's capacity bucket
+        # (or hold their scan results) at once; shard 0 sits at offset 0.
+        plane_shards = config.session_plane_shards
+        period = config.heartbeat_period_ms
+        self.heartbeat_logics = [
+            HeartbeatLogic(self, shard=i, shards=plane_shards)
+            for i in range(plane_shards)
+        ]
+        sweeps = [
+            self._deploy_stage(
+                "fk-heartbeat" + _suffix(i), "heartbeat", logic,
+                period_ms=period, offset_ms=i * period / plane_shards)
+            for i, logic in enumerate(self.heartbeat_logics)
+        ]
+        self.heartbeat_fns = [stage.fn for stage in sweeps]
+        self.heartbeat_tasks = [stage.task for stage in sweeps]
+        self.gc_logic = GarbageCollectorLogic(self)
+        gc = self._deploy_stage("fk-gc", "gc", self.gc_logic,
+                                period_ms=GC_PERIOD_MS)
+        self.gc_fn, self.gc_task = gc.fn, gc.task
+
+        # --- distributor stage (None = the paper's inline pipeline) ----------
+        self.distribution: Optional[DistributionStage] = (
+            DistributionStage(self) if config.distributor_enabled else None)
+
+        # --- durability: commit log + fuzzy snapshots (opt-in) ----------------
+        # Gated on commit_log_enabled so the default deployments keep their
+        # deployment-time RNG draws — and therefore their latency/cost
+        # fingerprints — bit-for-bit.
+        self.snapshots: Optional[SnapshotManager] = None
+        if config.commit_log_enabled:
+            for table in (SYSTEM_LOG, SYSTEM_SNAPSHOT):
+                self.system_store.create_table(table)
+            self.snapshots = SnapshotManager(self)
+            self._deploy_stage("fk-snapshot", "snapshot", self.snapshots,
+                               period_ms=config.snapshot_auto_ms)
+
+        # --- transactional outbox (opt-in event streaming) --------------------
+        self.outbox: Optional[OutboxStage] = (
+            OutboxStage(self) if config.outbox_enabled else None)
+
         self._bootstrap_root()
 
     # ------------------------------------------------------------ deployment
@@ -289,6 +227,54 @@ class FaaSKeeperService:
     def deploy(cls, cloud: Cloud, config: Optional[FaaSKeeperConfig] = None
                ) -> "FaaSKeeperService":
         return cls(cloud, config or FaaSKeeperConfig())
+
+    def _deploy_stage(self, name: str, kind: str, logic: Any, *,
+                      region: Optional[str] = None,
+                      queue: Optional[str] = None,
+                      batch: Optional[int] = None, seq_source: Any = None,
+                      period_ms: float = 0.0, offset_ms: float = 0.0
+                      ) -> Stage:
+        """The one place a stage comes into being: deploy ``logic.handler``
+        as function ``name``, give it its trigger — FIFO queue ``queue``
+        (redelivering forever) drained ``batch`` messages at a time, and/or
+        a cron every ``period_ms`` (0 = none), suspended while no session
+        is open — append it to ``self.stages`` and hang its metrics on the
+        registry: the ``on_segment`` timing probe, the function lifecycle
+        gauges, and the ``fk_cost_dollars`` category of its kind."""
+        config, cloud, m = self.config, self.cloud, self.metrics
+        fn = cloud.deploy_function(
+            name, logic.handler, memory_mb=config.function_memory_mb,
+            arch=config.arch, cpu_alloc=config.cpu_alloc,
+            region=region or config.primary_region)
+        stage = Stage(name, kind, logic, fn)
+        if queue is not None:
+            stage.queue = cloud.fifo_queue(queue, label="sqs",
+                                           max_receive=None,
+                                           seq_source=seq_source)
+            stage.queue.attach(fn, batch_limit=batch)
+        if period_ms > 0:
+            stage.task = cloud.runtime.schedule(fn, period_ms=period_ms,
+                                                offset_ms=offset_ms)
+            if not self.active_sessions:
+                stage.task.stop()  # scale-to-zero until a client connects
+        self.stages.append(stage)
+
+        segments = m.get("fk_stage_segment_ms")
+        observers: Dict[str, Any] = {}  # segment -> its child's observe
+
+        def on_segment(segment: str, elapsed_ms: float) -> None:
+            observe = observers.get(segment)
+            if observe is None:
+                observe = observers[segment] = segments.labels(
+                    fn=name, segment=segment).observe
+            observe(elapsed_ms)
+
+        fn.on_segment = on_segment
+        for attr in ("invocations", "cold_starts", "failures"):
+            m.get(f"fk_fn_{attr}").labels(fn=name).set_function(
+                lambda _a=attr: float(getattr(fn, _a)))
+        self._cost_category(kind)
+        return stage
 
     # ------------------------------------------------------------ resilience
     def _fault_points(self) -> List[Any]:
@@ -326,12 +312,6 @@ class FaaSKeeperService:
                 lambda k=kind: float(sum(i.injected[k]
                                          for i in self.storage_injectors)))
         return injectors
-
-    def disarm_storage_faults(self) -> None:
-        """Remove all armed injectors (the schedule stops drawing)."""
-        for point in self._fault_points():
-            point.faults = None
-        self.storage_injectors = []
 
     def _on_breaker_transition(self, label: str, region: str, state: str
                                ) -> None:
@@ -417,7 +397,7 @@ class FaaSKeeperService:
         self.clients[session_id] = client
         self._live_sessions += 1
         if self.active_sessions == 1:
-            self._start_scheduled_tasks()
+            self._start_crons()
         return client
 
     def connect_many(self, count: int, region: Optional[str] = None,
@@ -456,18 +436,14 @@ class FaaSKeeperService:
                     name="connect-many"))
                 pending = {}
         if was_idle:
-            self._start_scheduled_tasks()
+            self._start_crons()
         env.run(until=AllOf(env, writes))
         return clients
 
-    def _scheduled_tasks(self) -> List[Any]:
-        tasks = [*self.heartbeat_tasks, self.gc_task, self.snapshot_task,
-                 self.outbox_task]
-        return [task for task in tasks if task is not None]
-
-    def _start_scheduled_tasks(self) -> None:
-        for task in self._scheduled_tasks():
-            task.start()
+    def _start_crons(self) -> None:
+        for stage in self.stages:
+            if stage.task is not None:
+                stage.task.start()
 
     def on_session_closed(self, session_id: str, evicted: bool = False) -> None:
         client = self.clients.get(session_id)
@@ -488,8 +464,9 @@ class FaaSKeeperService:
         if self.active_sessions == 0:
             # Scale-to-zero: with no clients there is nothing to monitor and
             # the only remaining charges are storage retention (Section 5.3.4).
-            for task in self._scheduled_tasks():
-                task.stop()
+            for stage in self.stages:
+                if stage.task is not None:
+                    stage.task.stop()
 
     # ------------------------------------------------------------ notification
     def notify_response(self, response: Response) -> Generator:
@@ -586,61 +563,27 @@ class FaaSKeeperService:
         return None
 
     # ------------------------------------------------------------ metrics
-    #: ``cost_breakdown()`` categories, in their historical order; each is
-    #: a ``fk_cost_dollars`` gauge computed from the cost meter.
-    _COST_CATEGORIES = ("queue", "system_store", "user_store", "s3",
-                        "dynamodb", "follower", "leader", "distributor",
-                        "watch", "heartbeat")
     _CACHE_STATS = ("hits", "misses", "invalidations", "evictions", "entries")
+    #: The storage/queue half of ``cost_breakdown()``, in its key order;
+    #: the function half is one category per stage kind.
+    _STORE_COSTS = ("queue", "system_store", "user_store", "s3", "dynamodb")
 
     def _wire_metrics(self) -> None:
         """Attach the registry to everything that already keeps numbers
-        elsewhere: per-stage timing probes (via the runtime's
-        ``on_segment`` hook), function lifecycle counts, client-cache
-        stats, session count and the cost meter — the latter as callback
-        gauges sampled at read time, the same device as a Prometheus
-        collector, so there is no double bookkeeping."""
+        elsewhere — client-cache stats, session count and the cost meter —
+        as callback gauges sampled at read time, the same device as a
+        Prometheus collector, so there is no double bookkeeping; and
+        declare the per-function families :meth:`_deploy_stage` hangs each
+        stage on (timing probes via the runtime's ``on_segment`` hook,
+        function lifecycle counts)."""
         m = self.metrics
-        functions = [self.follower_fn, *self.leader_fns, self.watch_fn,
-                     *self.heartbeat_fns, self.gc_fn]
-        if self.snapshot_fn is not None:
-            functions.append(self.snapshot_fn)
-        if self.distribution is not None:
-            functions.extend(self.distribution.fns.values())
-        if self.outbox is not None:
-            functions.append(self.outbox.fn)
-
-        segments = m.histogram(
+        m.histogram(
             "fk_stage_segment_ms",
             "Timing probes recorded by pipeline stages (Figure 10/Table 3)",
             ("fn", "segment"))
-        invocations = m.gauge("fk_fn_invocations",
-                              "Function invocations", ("fn",))
-        cold_starts = m.gauge("fk_fn_cold_starts",
-                              "Function cold starts", ("fn",))
-        failures = m.gauge("fk_fn_failures",
-                           "Function invocations that died", ("fn",))
-
-        def segment_probe(name: str):
-            observers: Dict[str, Any] = {}  # segment -> its child's observe
-
-            def on_segment(segment: str, elapsed_ms: float) -> None:
-                observe = observers.get(segment)
-                if observe is None:
-                    observe = observers[segment] = segments.labels(
-                        fn=name, segment=segment).observe
-                observe(elapsed_ms)
-            return on_segment
-
-        for fn in functions:
-            name = fn.spec.name
-            fn.on_segment = segment_probe(name)
-            invocations.labels(fn=name).set_function(
-                lambda _f=fn: float(_f.invocations))
-            cold_starts.labels(fn=name).set_function(
-                lambda _f=fn: float(_f.cold_starts))
-            failures.labels(fn=name).set_function(
-                lambda _f=fn: float(_f.failures))
+        m.gauge("fk_fn_invocations", "Function invocations", ("fn",))
+        m.gauge("fk_fn_cold_starts", "Function cold starts", ("fn",))
+        m.gauge("fk_fn_failures", "Function invocations that died", ("fn",))
 
         m.gauge("fk_sessions_active", "Open client sessions").set_function(
             lambda: float(self.active_sessions))
@@ -650,6 +593,8 @@ class FaaSKeeperService:
             cache.labels(stat=stat).set_function(
                 lambda _s=stat: self.client_cache_stats()[_s])
 
+        # The storage and queue side by meter label, then one category
+        # per stage kind.
         by = self.cloud.meter.by_service
         cost = m.gauge("fk_cost_dollars",
                        "Metered dollars by cost category (Figures 9/11)",
@@ -665,19 +610,18 @@ class FaaSKeeperService:
         cost.labels(category="dynamodb").set_function(
             lambda: by().get("dynamodb:system", 0.0)
             + by().get("dynamodb:user", 0.0))
-        cost.labels(category="follower").set_function(
-            lambda: by().get("fn:fk-follower", 0.0))
-        cost.labels(category="leader").set_function(
-            lambda: sum(v for k, v in by().items()
-                        if k.startswith("fn:fk-leader")))
-        cost.labels(category="distributor").set_function(
-            lambda: sum(v for k, v in by().items()
-                        if k.startswith("fn:fk-distributor")))
-        cost.labels(category="watch").set_function(
-            lambda: by().get("fn:fk-watch", 0.0))
-        cost.labels(category="heartbeat").set_function(
-            lambda: sum(v for k, v in by().items()
-                        if k.startswith("fn:fk-heartbeat")))
+        for kind in STAGE_KINDS:
+            self._cost_category(kind)
+
+    def _cost_category(self, kind: str) -> None:
+        """``fk_cost_dollars{category=<kind>}``: the metered dollars of every
+        deployed stage of ``kind`` (0.0 while there is none)."""
+        def dollars() -> float:
+            labels = {f"fn:{s.name}" for s in self.stages if s.kind == kind}
+            return sum(v for k, v in self.cloud.meter.by_service().items()
+                       if k in labels)
+        self.metrics.get("fk_cost_dollars").labels(
+            category=kind).set_function(dollars)
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
         """The whole registry as one stable, JSON-able dict."""
@@ -705,8 +649,12 @@ class FaaSKeeperService:
         user-store drop to its hit rate.
 
         Backed entirely by the metrics registry (the ``fk_cost_dollars``
-        and ``fk_client_cache`` callback gauges), with the same categories
-        and values as the pre-registry implementation.
+        and ``fk_client_cache`` callback gauges).  The contract: ``queue +
+        system_store + user_store`` plus every stage kind (``follower`` …
+        ``outbox``, one per :data:`STAGE_KINDS` entry and per kind in
+        ``self.stages``) equals ``cloud.meter.total`` on the dynamodb/S3
+        user stores; ``s3`` and ``dynamodb`` are per-service views of the
+        same storage dollars.
         """
         cost = self.metrics.get("fk_cost_dollars")
         cache = self.metrics.get("fk_client_cache")
@@ -714,6 +662,7 @@ class FaaSKeeperService:
             "client_cache_hits": cache.labels(stat="hits").value,
             "client_cache_misses": cache.labels(stat="misses").value,
         }
-        for category in self._COST_CATEGORIES:
+        for category in dict.fromkeys((*self._STORE_COSTS, *STAGE_KINDS,
+                                       *(s.kind for s in self.stages))):
             out[category] = cost.labels(category=category).value
         return out

@@ -14,6 +14,8 @@ outbox table and the switch that pinned the log stay out too.  And the
 storage boundary: one retrying proxy around both stores of every
 deployment, so the switch that removed it, its hand-forwarded twins, the
 second probe limiter and the knobs nothing turned stay out as well.
+And the deployment: every stage is declared once, in one deploy helper,
+and CI's crash-stage matrix follows the crash-point table.
 """
 
 import dataclasses
@@ -71,3 +73,39 @@ def test_one_storage_boundary():
         "client_cache_kb|leader_max_receive")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
+
+
+def test_every_stage_is_declared_once():
+    """One deployment declaration: every function is deployed, given its
+    queue and scheduled in ``FaaSKeeperService._deploy_stage``, so each of
+    those calls has one site under ``faaskeeper/`` (``fifo_queue`` a
+    second for the per-session queues); and the hand-kept twins the stage
+    list replaced — the second gate board, the cron list, the chaos
+    forwarders — stay out of ``src/``."""
+    src = Path(repro.__file__).parent
+    sources = {path: path.read_text() for path in src.rglob("*.py")}
+    wiring = "".join(text for path, text in sources.items()
+                     if path.parent.name == "faaskeeper")
+    assert wiring.count("deploy_function(") == 1
+    assert wiring.count("runtime.schedule(") == 1
+    assert wiring.count("fifo_queue(") <= 2
+    twins = re.compile(
+        "WatchGateBoard|SessionFenceBoard|disarm_storage_faults|"
+        "_scheduled_tasks|_logic_by_fn|wipe_user_region|region_user_image")
+    for path, text in sources.items():
+        assert not twins.search(text), path
+
+
+def test_ci_chaos_matrix_names_every_crashable_stage():
+    """The ``chaos`` job's ``crash-stage`` matrix is a hand-kept copy of
+    "which stage kinds have crash points": hold it to ``CRASH_POINTS``."""
+    import yaml
+
+    from repro.faaskeeper.chaos import CRASH_POINTS
+    from repro.faaskeeper.service import STAGE_KINDS
+
+    workflow = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+    jobs = yaml.safe_load(workflow.read_text())["jobs"]
+    matrix = jobs["chaos"]["strategy"]["matrix"]["crash-stage"]
+    assert sorted(matrix) == sorted(CRASH_POINTS)
+    assert set(CRASH_POINTS) <= set(STAGE_KINDS)

@@ -214,9 +214,13 @@ def test_segment_probes_reach_the_child_their_labels_name():
 
 
 def test_cost_breakdown_matches_the_cost_meter():
-    """Parity gate: the registry-backed ``cost_breakdown()`` must return
-    exactly what the pre-registry implementation computed straight from
-    ``cloud.meter.by_service`` — same keys, same order, same dollars."""
+    """``cost_breakdown()`` is a view of the cost meter, not a second
+    bookkeeper: the storage/queue categories are read off the meter's
+    service labels, every function category is the sum over the deployed
+    stages of that kind (``service.stages``), the historical keys keep
+    their order with ``gc``/``snapshot``/``outbox`` after them — and the
+    non-overlapping categories add up to the meter's total (the
+    four-deployment version of that contract lives in test_stages.py)."""
     cloud, service = make_service(seed=902, user_store="hybrid")
     c = service.connect()
     for i in range(5):
@@ -227,7 +231,7 @@ def test_cost_breakdown_matches_the_cost_meter():
     assert list(got) == ["client_cache_hits", "client_cache_misses",
                          "queue", "system_store", "user_store", "s3",
                          "dynamodb", "follower", "leader", "distributor",
-                         "watch", "heartbeat"]
+                         "watch", "heartbeat", "gc", "snapshot", "outbox"]
     by = service.cloud.meter.by_service()
     expected = {
         "client_cache_hits": 0.0,
@@ -239,15 +243,20 @@ def test_cost_breakdown_matches_the_cost_meter():
         "dynamodb": by.get("dynamodb:system", 0.0)
         + by.get("dynamodb:user", 0.0),
         "follower": by.get("fn:fk-follower", 0.0),
-        "leader": sum(v for k, v in by.items()
-                      if k.startswith("fn:fk-leader")),
-        "distributor": sum(v for k, v in by.items()
-                           if k.startswith("fn:fk-distributor")),
+        "leader": by.get("fn:fk-leader", 0.0),
+        "distributor": 0.0,
         "watch": by.get("fn:fk-watch", 0.0),
         "heartbeat": by.get("fn:fk-heartbeat", 0.0),
+        "gc": by.get("fn:fk-gc", 0.0),
+        "snapshot": by.get("fn:fk-snapshot", 0.0),
+        "outbox": by.get("fn:fk-outbox", 0.0),  # (the FK_FORCE_OUTBOX leg)
     }
     assert got == expected
     assert got["queue"] > 0 and got["follower"] > 0  # non-vacuous
+    overlapping = {"client_cache_hits", "client_cache_misses", "s3",
+                   "dynamodb"}
+    assert sum(v for k, v in got.items() if k not in overlapping) == \
+        pytest.approx(cloud.meter.total, abs=1e-12)
 
 
 def test_metrics_do_not_perturb_the_simulation():

@@ -301,8 +301,8 @@ def test_scheduled_publisher_drains_without_manual_help():
     assert service.outbox.stats()["drains"] >= 1
     # scale-to-zero: closing the last session suspends the publisher
     c.close()
-    assert service.outbox_task is not None
-    assert not service.outbox_task.enabled
+    (task,) = [s.task for s in service.stages if s.kind == "outbox"]
+    assert task is not None and not task.enabled
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +444,8 @@ def test_publish_floor_is_min_over_shards():
 
 def test_default_deployment_has_no_outbox():
     cloud, service = make_service(seed=613, outbox_enabled=False)
-    assert service.outbox is None and service.outbox_task is None
+    assert service.outbox is None
+    assert not any(s.kind == "outbox" for s in service.stages)
     c = service.connect()
     c.create("/a", b"x")
     assert not any("outbox" in name for name in service.system_store.tables)

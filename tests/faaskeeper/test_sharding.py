@@ -10,8 +10,8 @@ import pytest
 
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig
+from repro.faaskeeper.distributor import GateBoard
 from repro.faaskeeper.layout import shard_of_path, top_component
-from repro.faaskeeper.service import SessionFenceBoard
 from .conftest import make_service
 
 
@@ -53,14 +53,14 @@ def test_config_validates_shard_count():
 # ------------------------------------------------------------ fence board
 def test_fence_board_orders_waiters():
     cloud = Cloud.aws(seed=1)
-    board = SessionFenceBoard(cloud.env)
+    board = GateBoard(cloud.env)
     assert board.issue("s1") == 1
     assert board.issue("s1") == 2
     assert board.issue("s2") == 1  # sessions are independent
     order = []
 
     def waiter(fence):
-        yield from board.wait_turn("s1", fence)
+        yield from board.wait("s1", fence - 1)
         order.append(fence)
 
     cloud.env.process(waiter(3))
@@ -74,7 +74,7 @@ def test_fence_board_orders_waiters():
     cloud.run(until=cloud.now + 1)
     assert order == [2, 3]
     board.advance("s1", 1)  # idempotent, never regresses
-    assert board.applied("s1") == 2
+    assert board.mark("s1") == 2
 
 
 # ------------------------------------------------------------ shards=1 parity

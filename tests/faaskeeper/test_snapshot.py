@@ -12,9 +12,7 @@ import pytest
 
 from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.chaos import (
-    region_user_image,
     wipe_system_tables,
-    wipe_user_region,
 )
 from repro.faaskeeper.layout import (
     LOG_HEAD_KEY,
@@ -178,14 +176,14 @@ def test_cold_recovery_rebuilds_wiped_region_from_snapshot_plus_suffix():
     c.set_data("/a/kid", b"k1")  # suffix: logged but not snapshotted
     c.create("/late", b"fresh")
     region = service.config.primary_region
-    before = {p: region_user_image(service, region, p)
+    before = {p: service.user_store.peek(region, p)
               for p in ("/a", "/a/kid", "/late")}
-    wipe_user_region(service, region)
-    assert region_user_image(service, region, "/a") is None
+    service.user_store.wipe_region(region)
+    assert service.user_store.peek(region, "/a") is None
     stats = recover_now(cloud, service, region, cold=True)
     assert stats["loaded"] >= 2 and stats["replayed"] >= 2
     for path, image in before.items():
-        got = region_user_image(service, region, path)
+        got = service.user_store.peek(region, path)
         assert got is not None, path
         assert got.get("data") == image.get("data"), path
         assert got.get("version") == image.get("version"), path
@@ -199,9 +197,9 @@ def test_cold_recovery_applies_suffix_deletes():
     snapshot_now(cloud, service)
     c.delete("/doomed")  # delete lives only in the suffix
     region = service.config.primary_region
-    wipe_user_region(service, region)
+    service.user_store.wipe_region(region)
     recover_now(cloud, service, region, cold=True)
-    assert region_user_image(service, region, "/doomed") is None
+    assert service.user_store.peek(region, "/doomed") is None
 
 
 def test_scheduled_snapshot_function_runs_and_compacts():
@@ -309,8 +307,8 @@ def test_recover_system_rebuilds_wiped_system_region():
     cloud.run(until=cloud.now + 10_000)
     eph = nodes.raw("/eph")
     assert eph is not None and not eph["exists"]
-    assert region_user_image(service, service.config.primary_region,
-                             "/eph") is None
+    assert service.user_store.peek(service.config.primary_region,
+                                   "/eph") is None
 
 
 def test_sharded_floor_is_min_over_shards():

@@ -31,10 +31,9 @@ import pytest
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
 from repro.faaskeeper.chaos import (
+    CRASH_POINTS,
     ChaosMonkey,
-    region_user_image,
     verify_exactly_once,
-    wipe_user_region,
 )
 
 CONFIGS = {
@@ -215,11 +214,11 @@ def test_region_wipe_after_chaos_recovers_from_snapshot():
         cloud.run_process(service.snapshots.take_snapshot(service.system_ctx))
         cloud.run_process(service.snapshots.compact(service.system_ctx))
         region = "eu-west-1"
-        wipe_user_region(service, region)
+        service.user_store.wipe_region(region)
         cloud.run_process(service.snapshots.recover_region(
             service.system_ctx, region, cold=True))
         for path, final in expected.items():
-            image = region_user_image(service, region, path)
+            image = service.user_store.peek(region, path)
             if final is None:
                 assert image is None, \
                     f"[seed={seed}] {path}@{region} resurrected after recovery"
@@ -227,6 +226,63 @@ def test_region_wipe_after_chaos_recovers_from_snapshot():
                 assert image is not None and image.get("data") == final, \
                     (f"[seed={seed}] {path}@{region} lost after recovery; "
                      f"reproduce: FK_CHAOS_SEED={seed}")
+
+
+#: (config, crashed stage, seed) -> (crash log as ``fn:point:invocation``,
+#: budget left per (fn, point)), recorded on the commit before the harness
+#: read ``service.stages`` — when it armed each stage kind by hand.
+PINNED_SCHEDULES = {
+    ("s4-dist", "leader", 3): (
+        "fk-leader-3:leader_entry:2 fk-leader-2:leader_after_log:1 "
+        "fk-leader-2:leader_entry:2 fk-leader-2:leader_entry:3 "
+        "fk-leader-2:leader_after_log:4 fk-leader-2:leader_mid_batch:5 "
+        "fk-leader-3:leader_after_log:4 fk-leader-1:leader_entry:2 "
+        "fk-leader-3:leader_entry:5 fk-leader-1:leader_entry:3 "
+        "fk-leader-3:leader_mid_batch:6 fk-leader-3:leader_mid_batch:8 "
+        "fk-leader-3:leader_after_log:9 fk-leader-1:leader_mid_batch:5",
+        {"fk-leader": (2, 2, 2), "fk-leader-1": (0, 1, 2),
+         "fk-leader-2": (0, 1, 0), "fk-leader-3": (0, 0, 0)}),
+    ("s4-dist", "distributor", 3): (
+        "fk-distributor:dist_before_visible:2 "
+        "fk-distributor:dist_after_watch_stage:4 "
+        "fk-distributor-eu-west-1:dist_before_visible:1 "
+        "fk-distributor:dist_entry:5 fk-distributor-eu-west-1:dist_entry:2 "
+        "fk-distributor:dist_entry:6 fk-distributor:dist_before_visible:7 "
+        "fk-distributor-eu-west-1:dist_before_visible:3 "
+        "fk-distributor:dist_after_watch_stage:8 "
+        "fk-distributor-eu-west-1:dist_entry:4",
+        {"fk-distributor": (0, 0, 0),
+         "fk-distributor-eu-west-1": (0, 2, 0)}),
+    ("s4-dist", "watch", 2): (
+        "fk-watch:watch_mid_fanout:1 fk-watch:watch_entry:3",
+        {"fk-watch": (0, 0)}),
+    ("s1-outbox", "outbox", 3): (
+        "fk-outbox:outbox_after_sink:1 fk-outbox:outbox_after_sink:2 "
+        "fk-outbox:outbox_entry:3 fk-outbox:outbox_entry:4 "
+        "fk-outbox:outbox_mid_drain:5 fk-outbox:outbox_mid_drain:6",
+        {"fk-outbox": (0, 0, 0)}),
+}
+
+
+@pytest.mark.parametrize("config_name,stage,seed", list(PINNED_SCHEDULES),
+                         ids=[f"{c}-{s}" for c, s, _ in PINNED_SCHEDULES])
+def test_arming_off_the_stage_list_keeps_the_crash_schedule(
+        config_name, stage, seed, monkeypatch):
+    """The harness arms ``stage.kind -> CRASH_POINTS`` over
+    ``service.stages``; for a fixed seed that must pick the same
+    functions, points, budgets and — the RNG being shared — the same crash
+    schedule as the per-kind arming it replaced."""
+    for switch in ("FK_FORCE_OUTBOX", "FK_STORAGE_FAULTS"):
+        monkeypatch.delenv(switch, raising=False)  # the pins are default runs
+    crashes, budgets = PINNED_SCHEDULES[config_name, stage, seed]
+    violations, monkey, _cloud, _svc, _exp = run_scenario(
+        seed, config_name, stage)
+    assert not violations
+    assert " ".join(f"{fn}:{point}:{inv}"
+                    for fn, point, inv in monkey.crashes) == crashes
+    assert monkey._budget == {
+        (fn, point): left for fn, lefts in budgets.items()
+        for point, left in zip(CRASH_POINTS[stage], lefts)}
 
 
 def test_chaos_seed_env_pins_single_seed(monkeypatch):
