@@ -16,10 +16,12 @@ Design constraints the harness respects:
   the simulation itself is deterministic, so (seed, config) fully
   determines the crash schedule and a CI failure replays locally.
 * **liveness** — every (function, point) pair has a finite crash budget.
-  Leader and distributor queues redeliver forever, so any finite budget
-  converges; the watch fan-out is a free function whose invoker retries
-  ``free_fn_retries`` times, so its *total* budget is capped by that
-  retry count (the budget is shared across the watch points).
+  Leader and distributor queues redeliver forever and the scheduled
+  outbox publisher keeps firing (retrying a failed invocation once per
+  period), so any finite budget converges; the watch fan-out is a free
+  function whose invoker retries ``free_fn_retries`` times, so its
+  *total* budget is capped by that retry count (the budget is shared
+  across the watch points).
 * **sandbox loss** — a crashed invocation's warm state is gone: the
   harness hooks :attr:`DeployedFunction.on_failure` and calls the stage
   logic's ``cold_restart()``, so redeliveries re-hydrate epoch mirrors
@@ -91,10 +93,7 @@ class ChaosMonkey:
         if unknown:
             raise ValueError(f"unknown chaos stages {sorted(unknown)}")
 
-        # Liveness: queue-fed stages redeliver forever and the scheduled
-        # publisher keeps firing (and retries a failed invocation once per
-        # period), so any finite per-point budget converges.  The watch
-        # fan-out is a free function: at most free_fn_retries crashes
+        # Liveness (module docstring): the watch fan-out's budget is shared
         # across ALL its points, so the final retry always runs clean.
         retries = service.config.free_fn_retries
         for stage in service.stages:

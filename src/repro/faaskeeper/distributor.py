@@ -187,22 +187,20 @@ class VisibilityBoard:
 class GateBoard:
     """Keyed monotone marks with ordered waiters: ``wait(key, n)`` resumes
     once ``advance`` has raised ``key``'s mark to at least ``n``.  A
-    deployment holds two:
+    deployment holds up to two:
 
-    * the **watch gate** (per leader shard, marks are txids) — the primary
-      distributor advances a shard's gate to transaction ``t`` once the
-      watch instances triggered by every record of that shard up to ``t``
-      have been consumed and added to the epoch counters; regional write
-      stages wait here.  Records of one shard enter every distributor
-      queue in commit order, so the gate is monotone per shard;
-    * the **session fence** (per session, marks are fences — Z2 for the
-      sharded pipeline) — the follower stamps each leader message with the
-      next :meth:`issue` of its session at push time (pushes of one session
-      are serialized by its FIFO queue, so fences follow request order); a
-      shard leader starts a message only after ``fence - 1`` was marked
-      applied — by whichever shard owned that write — so a session's
-      writes commit and become user-visible in request order even when
-      they span shards.
+    * the **watch gate** (key = leader shard, marks = txids): the primary
+      distributor advances a shard's gate to ``t`` once the watches
+      triggered by every record of that shard up to ``t`` are consumed and
+      in the epoch counters; regional write stages wait here.  A shard's
+      records enter every distributor queue in commit order, so the gate
+      is monotone per shard;
+    * the **session fence** (key = session, marks = fences; Z2 across
+      leader shards): the follower stamps each leader message with the
+      session's next :meth:`issue` at push time — pushes of one session are
+      serialized by its FIFO queue, so fences follow request order — and a
+      shard leader starts a message only once ``fence - 1`` is applied, by
+      whichever shard owned that write.
     """
 
     def __init__(self, env) -> None:

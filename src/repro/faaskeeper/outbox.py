@@ -276,9 +276,9 @@ class OutboxStage:
                 "Commit-to-sink publish lag per record (ms)"),
         }
 
-        stage = service._deploy_stage("fk-outbox", "outbox", self,
-                                      period_ms=config.outbox_publish_ms)
-        self.fn, self.task = stage.fn, stage.task
+        self.fn = service._deploy_stage(
+            "fk-outbox", "outbox", self,
+            period_ms=config.outbox_publish_ms).fn
 
     # ------------------------------------------------------------ handler
     def handler(self, fctx, payload: Any) -> Generator:

@@ -147,65 +147,60 @@ class FaaSKeeperService:
         self._live_sessions = 0
         self._session_queues: Dict[str, Any] = {}
 
-        # --- stages: functions, queues, crons ---------------------------------
-        # Names and creation order are load-bearing: RNG streams, cost
-        # labels and same-instant event order derive from them.  Shard 0 of
-        # a sharded kind keeps the bare historical name, so the one-shard
-        # deployment is bit-identical to the paper's single-leader pipeline.
-        #: Every deployed stage, in deployment order.
+        #: Every deployed stage, in deployment order (see _deploy_stages).
         self.stages: List[Stage] = []
         self._wire_metrics()
-        num_shards = config.leader_shards
+        self._deploy_stages()
+        self._bootstrap_root()
+
+    def _deploy_stages(self) -> None:
+        """The deployment declaration (Figure 2b): one ``_deploy_stage``
+        per function.  Names and creation order are load-bearing — RNG
+        streams, cost labels and same-instant event order derive from them;
+        shard 0 of a sharded kind keeps the bare historical name, so the
+        one-shard deployment is bit-identical to the paper's single-leader
+        pipeline.  The attributes below are views of ``self.stages``."""
+        config, deploy = self.config, self._deploy_stage
+        shards = config.leader_shards
         self.fence_board: Optional[GateBoard] = (
-            GateBoard(cloud.env) if num_shards > 1 else None)
-        self.follower_logic = FollowerLogic(self)
-        self.follower_fn = self._deploy_stage(
-            "fk-follower", "follower", self.follower_logic).fn
+            GateBoard(self.cloud.env) if shards > 1 else None)
+        self.follower_fn = deploy("fk-follower", "follower",
+                                  FollowerLogic(self)).fn
         # All shard queues draw txids from one sequence, keeping transaction
         # ids globally comparable (MRD tracking, applied_tx watermarks).
-        txid_sequence = SharedSequence() if num_shards > 1 else None
-        self.leader_logics = [LeaderLogic(self, shard=i)
-                              for i in range(num_shards)]
+        txids = SharedSequence() if shards > 1 else None
         leaders = [
-            self._deploy_stage(
-                "fk-leader" + _suffix(i), "leader", logic,
-                queue="fk-leader-q" + _suffix(i), batch=LEADER_BATCH,
-                seq_source=txid_sequence)
-            for i, logic in enumerate(self.leader_logics)
+            deploy("fk-leader" + _suffix(i), "leader",
+                   LeaderLogic(self, shard=i), queue="fk-leader-q" + _suffix(i),
+                   batch=LEADER_BATCH, seq_source=txids)
+            for i in range(shards)
         ]
         self.leader_fns = [stage.fn for stage in leaders]
         self.leader_queues = [stage.queue for stage in leaders]
-        self.watch_logic = WatchFanoutLogic(self)
-        self.watch_fn = self._deploy_stage(
-            "fk-watch", "watch", self.watch_logic).fn
+        self.watch_fn = deploy("fk-watch", "watch", WatchFanoutLogic(self)).fn
         # One sweep per session-plane shard, phase-staggered across the
         # period so they do not all hit the session table's capacity bucket
         # (or hold their scan results) at once; shard 0 sits at offset 0.
-        plane_shards = config.session_plane_shards
-        period = config.heartbeat_period_ms
-        self.heartbeat_logics = [
-            HeartbeatLogic(self, shard=i, shards=plane_shards)
-            for i in range(plane_shards)
-        ]
+        plane, period = config.session_plane_shards, config.heartbeat_period_ms
         sweeps = [
-            self._deploy_stage(
-                "fk-heartbeat" + _suffix(i), "heartbeat", logic,
-                period_ms=period, offset_ms=i * period / plane_shards)
-            for i, logic in enumerate(self.heartbeat_logics)
+            deploy("fk-heartbeat" + _suffix(i), "heartbeat",
+                   HeartbeatLogic(self, shard=i, shards=plane),
+                   period_ms=period, offset_ms=i * period / plane)
+            for i in range(plane)
         ]
         self.heartbeat_fns = [stage.fn for stage in sweeps]
         self.heartbeat_tasks = [stage.task for stage in sweeps]
-        self.gc_logic = GarbageCollectorLogic(self)
-        gc = self._deploy_stage("fk-gc", "gc", self.gc_logic,
-                                period_ms=GC_PERIOD_MS)
+        gc = deploy("fk-gc", "gc", GarbageCollectorLogic(self),
+                    period_ms=GC_PERIOD_MS)
         self.gc_fn, self.gc_task = gc.fn, gc.task
 
-        # --- distributor stage (None = the paper's inline pipeline) ----------
+        # Distributor stage (None = the paper's inline pipeline): one
+        # function + queue per region.
         self.distribution: Optional[DistributionStage] = (
             DistributionStage(self) if config.distributor_enabled else None)
 
-        # --- durability: commit log + fuzzy snapshots (opt-in) ----------------
-        # Gated on commit_log_enabled so the default deployments keep their
+        # Durability: commit log + fuzzy snapshots (opt-in).  Gated on
+        # commit_log_enabled so the default deployments keep their
         # deployment-time RNG draws — and therefore their latency/cost
         # fingerprints — bit-for-bit.
         self.snapshots: Optional[SnapshotManager] = None
@@ -213,14 +208,12 @@ class FaaSKeeperService:
             for table in (SYSTEM_LOG, SYSTEM_SNAPSHOT):
                 self.system_store.create_table(table)
             self.snapshots = SnapshotManager(self)
-            self._deploy_stage("fk-snapshot", "snapshot", self.snapshots,
-                               period_ms=config.snapshot_auto_ms)
+            deploy("fk-snapshot", "snapshot", self.snapshots,
+                   period_ms=config.snapshot_auto_ms)
 
-        # --- transactional outbox (opt-in event streaming) --------------------
+        # Transactional outbox (opt-in event streaming).
         self.outbox: Optional[OutboxStage] = (
             OutboxStage(self) if config.outbox_enabled else None)
-
-        self._bootstrap_root()
 
     # ------------------------------------------------------------ deployment
     @classmethod
@@ -277,17 +270,12 @@ class FaaSKeeperService:
         return stage
 
     # ------------------------------------------------------------ resilience
-    def _fault_points(self) -> List[Any]:
-        """The substrate stores behind the two proxies: the system key-value
-        store plus whatever endpoints the user backend reports."""
-        return [self.system_store.inner,
-                *self.user_store.inner.fault_points()]
-
     def arm_storage_faults(self, rate: float) -> List[Any]:
         """Arm a seeded transient-fault schedule on every storage endpoint.
 
-        One :class:`~repro.cloud.faults.FaultInjector` per fault point,
-        each driven by its own named RNG stream
+        One :class:`~repro.cloud.faults.FaultInjector` per fault point (the
+        system key-value store behind its proxy plus whatever endpoints the
+        user backend reports), each driven by its own named RNG stream
         (``storage-faults:<label>@<region>``), so the schedule replays
         exactly for a given sim seed and is independent of every other
         stream.  Idempotent per deployment: re-arming replaces the
@@ -296,7 +284,8 @@ class FaaSKeeperService:
         from ..cloud.faults import FAULT_KINDS, FaultInjector
 
         injectors = []
-        for point in self._fault_points():
+        for point in (self.system_store.inner,
+                      *self.user_store.inner.fault_points()):
             label = getattr(point, "service_label", "kv")
             region = getattr(point, "region", "all")
             stream = self.cloud.rng.stream(f"storage-faults:{label}@{region}")
@@ -337,14 +326,14 @@ class FaaSKeeperService:
 
     def multi_shard_of(self, paths) -> int:
         """Coordinator shard of a transaction: the lowest shard id among the
-        shards owning its written paths (deterministic, so client hint and
-        follower routing agree).  A single-shard multi commits natively on
-        its own shard; a cross-shard multi rides the coordinator's queue and
-        relies on the session fences plus the per-path pending-transaction
-        gates to order its writes against the owning shards' traffic —
-        sound because every committed write appends its txid to each touched
-        path's pending list under the node lock, giving a per-path total
-        order every leader observes before replicating.
+        shards owning its written paths.  A single-shard multi commits
+        natively on its own shard; a cross-shard multi rides the
+        coordinator's queue and relies on the session fences plus the
+        per-path pending-transaction gates to order its writes against the
+        owning shards' traffic — sound because every committed write appends
+        its txid to each touched path's pending list under the node lock,
+        giving a per-path total order every leader observes before
+        replicating.
         """
         shards = {self.shard_of(p) for p in paths}
         return min(shards) if shards else 0
@@ -353,19 +342,15 @@ class FaaSKeeperService:
         """Install "/" in system and user stores (zero-latency, deploy time)."""
         root = new_system_node(0, created_tx=0)
         self.system_store.table(SYSTEM_NODES)._store("/", root)
+        state = self.system_store.table(SYSTEM_STATE)
         for region in self.config.regions:
             image = user_image_from_system("/", root, epoch=[])
             self.cloud.run_process(
                 self.user_store.write_node(self.system_ctx, region, "/", image))
-        # epoch counters start empty
-        for region in self.config.regions:
-            self.system_store.table(SYSTEM_STATE)._store(
-                epoch_key(region), {"items": []})
-        if self.distribution is not None:
-            # visibility watermarks start at zero (nothing replicated yet)
-            for region in self.config.regions:
-                self.system_store.table(SYSTEM_STATE)._store(
-                    replicated_key(region), {"txid": 0})
+            state._store(epoch_key(region), {"items": []})  # nothing pending
+            if self.distribution is not None:
+                # visibility watermarks start at zero (nothing replicated yet)
+                state._store(replicated_key(region), {"txid": 0})
 
     # ------------------------------------------------------------ sessions
     @property
@@ -375,43 +360,22 @@ class FaaSKeeperService:
     def region_ctx(self, region: str) -> OpContext:
         return self._region_ctx.setdefault(region, OpContext(region=region))
 
-    def _new_session(self, region: str):
-        """A fresh session id, its FIFO queue and the record to store."""
-        session_id = f"s{next(self._session_ids)}"
-        queue = self.cloud.fifo_queue(
-            f"fk-session-{session_id}", label="sqs",
-            max_receive=self.config.follower_max_receive)
-        queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
-        self._session_queues[session_id] = queue
-        return session_id, queue, {"ephemeral": [], "region": region,
-                                   "last_rid": 0}
-
     def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
-        """Open a session: its own FIFO queue, a session record, a client."""
-        region = region or self.config.primary_region
-        session_id, queue, session_item = self._new_session(region)
-        self.cloud.run_process(self.system_store.put_item(
-            self.region_ctx(region), SYSTEM_SESSIONS, session_id,
-            session_item))
-        client = FaaSKeeperClient(self, session_id, region, queue)
-        self.clients[session_id] = client
-        self._live_sessions += 1
-        if self.active_sessions == 1:
-            self._start_crons()
-        return client
+        """Open one session: its own FIFO queue, a session record, a client."""
+        return self.connect_many(1, region)[0]
 
     def connect_many(self, count: int, region: Optional[str] = None,
                      batch_size: int = 25) -> List[FaaSKeeperClient]:
-        """Open ``count`` sessions with batched registration.
+        """Open ``count`` sessions: the one registration path.
 
-        Each session still gets its own FIFO queue and client, but the
-        session records land in ``BatchWriteItem`` chunks of ``batch_size``
-        — one round trip per chunk instead of one per session, the
-        difference between registering 100k sessions in seconds versus
-        minutes of virtual time.  The call pumps the event loop until every
-        batch write has landed (the same synchronous contract as
-        :meth:`connect`, whose single put is awaited by the first client
-        op), so callers can clock registration throughput off it directly.
+        Each session gets its own FIFO queue (feeding the follower) and
+        client; the session records land in ``BatchWriteItem`` chunks of
+        ``batch_size`` — one round trip per chunk instead of one per
+        session, the difference between registering 100k sessions in
+        seconds versus minutes of virtual time.  The first session of an
+        idle deployment starts every stage's cron.  The call pumps the
+        event loop until every batch write has landed, so callers can
+        clock registration throughput off it directly.
         """
         if count <= 0:
             return []
@@ -425,7 +389,14 @@ class FaaSKeeperService:
         pending: Dict[str, Dict[str, Any]] = {}
         writes = []
         while len(clients) < count:
-            session_id, queue, pending[session_id] = self._new_session(region)
+            session_id = f"s{next(self._session_ids)}"
+            queue = self.cloud.fifo_queue(
+                f"fk-session-{session_id}", label="sqs",
+                max_receive=self.config.follower_max_receive)
+            queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
+            self._session_queues[session_id] = queue
+            pending[session_id] = {"ephemeral": [], "region": region,
+                                   "last_rid": 0}
             client = FaaSKeeperClient(self, session_id, region, queue)
             self.clients[session_id] = client
             self._live_sessions += 1
@@ -436,14 +407,11 @@ class FaaSKeeperService:
                     name="connect-many"))
                 pending = {}
         if was_idle:
-            self._start_crons()
+            for stage in self.stages:
+                if stage.task is not None:
+                    stage.task.start()
         env.run(until=AllOf(env, writes))
         return clients
-
-    def _start_crons(self) -> None:
-        for stage in self.stages:
-            if stage.task is not None:
-                stage.task.start()
 
     def on_session_closed(self, session_id: str, evicted: bool = False) -> None:
         client = self.clients.get(session_id)
@@ -564,9 +532,15 @@ class FaaSKeeperService:
 
     # ------------------------------------------------------------ metrics
     _CACHE_STATS = ("hits", "misses", "invalidations", "evictions", "entries")
-    #: The storage/queue half of ``cost_breakdown()``, in its key order;
-    #: the function half is one category per stage kind.
-    _STORE_COSTS = ("queue", "system_store", "user_store", "s3", "dynamodb")
+    #: The storage/queue half of ``cost_breakdown()``, in its key order:
+    #: category -> cost-meter service labels (``s3`` / ``dynamodb`` are
+    #: per-service views of the two ``*_store`` rows).  The function half
+    #: is one category per stage kind.
+    _STORE_COSTS = {"queue": ("sqs",),
+                    "system_store": ("dynamodb:system",),
+                    "user_store": ("dynamodb:user", "s3"),
+                    "s3": ("s3",),
+                    "dynamodb": ("dynamodb:system", "dynamodb:user")}
 
     def _wire_metrics(self) -> None:
         """Attach the registry to everything that already keeps numbers
@@ -593,35 +567,25 @@ class FaaSKeeperService:
             cache.labels(stat=stat).set_function(
                 lambda _s=stat: self.client_cache_stats()[_s])
 
-        # The storage and queue side by meter label, then one category
-        # per stage kind.
-        by = self.cloud.meter.by_service
-        cost = m.gauge("fk_cost_dollars",
-                       "Metered dollars by cost category (Figures 9/11)",
-                       ("category",))
-        cost.labels(category="queue").set_function(
-            lambda: sum(v for k, v in by().items() if k.startswith("sqs")))
-        cost.labels(category="system_store").set_function(
-            lambda: by().get("dynamodb:system", 0.0))
-        cost.labels(category="user_store").set_function(
-            lambda: by().get("dynamodb:user", 0.0) + by().get("s3", 0.0))
-        cost.labels(category="s3").set_function(
-            lambda: by().get("s3", 0.0))
-        cost.labels(category="dynamodb").set_function(
-            lambda: by().get("dynamodb:system", 0.0)
-            + by().get("dynamodb:user", 0.0))
+        m.gauge("fk_cost_dollars",
+                "Metered dollars by cost category (Figures 9/11)",
+                ("category",))
+        for category, labels in self._STORE_COSTS.items():
+            self._cost_category(category, labels)
         for kind in STAGE_KINDS:
             self._cost_category(kind)
 
-    def _cost_category(self, kind: str) -> None:
-        """``fk_cost_dollars{category=<kind>}``: the metered dollars of every
-        deployed stage of ``kind`` (0.0 while there is none)."""
+    def _cost_category(self, category: str, labels=None) -> None:
+        """``fk_cost_dollars{category=...}``: the meter's dollars under
+        ``labels`` — for a stage kind, under ``fn:<name>`` of every
+        deployed stage of that kind (0.0 while there is none)."""
         def dollars() -> float:
-            labels = {f"fn:{s.name}" for s in self.stages if s.kind == kind}
+            wanted = labels or {f"fn:{s.name}" for s in self.stages
+                                if s.kind == category}
             return sum(v for k, v in self.cloud.meter.by_service().items()
-                       if k in labels)
+                       if k in wanted)
         self.metrics.get("fk_cost_dollars").labels(
-            category=kind).set_function(dollars)
+            category=category).set_function(dollars)
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
         """The whole registry as one stable, JSON-able dict."""

@@ -8,6 +8,11 @@ from repro.cloud import OpContext
 from .conftest import make_service
 
 
+def _gc_logic(service):
+    (stage,) = [s for s in service.stages if s.kind == "gc"]
+    return stage.logic
+
+
 def _collected(service, kind):
     return service.metrics.get("fk_gc_collected_total").labels(kind=kind).value
 
@@ -90,7 +95,7 @@ def test_gc_watch_sweep_spares_instance_reregistered_during_sweep():
     # Drive the sweep manually so the scan-to-update window is observable.
     fctx = SimpleNamespace(env=cloud.env, ctx=OpContext(
         region=service.config.primary_region))
-    sweep = cloud.env.process(service.gc_logic._sweep_watches(fctx))
+    sweep = cloud.env.process(_gc_logic(service)._sweep_watches(fctx))
     reads_before = watches_tbl.read_count
     while watches_tbl.read_count == reads_before and not sweep.triggered:
         cloud.run(until=cloud.now + 0.05)
@@ -127,7 +132,7 @@ def test_gc_watch_sweep_spares_live_session_joining_during_sweep():
 
     fctx = SimpleNamespace(env=cloud.env, ctx=OpContext(
         region=service.config.primary_region))
-    sweep = cloud.env.process(service.gc_logic._sweep_watches(fctx))
+    sweep = cloud.env.process(_gc_logic(service)._sweep_watches(fctx))
     reads_before = watches_tbl.read_count
     while watches_tbl.read_count == reads_before and not sweep.triggered:
         cloud.run(until=cloud.now + 0.05)

@@ -67,8 +67,9 @@ def test_sharded_plane_deploys_one_sweep_per_shard():
     _cloud, service = make_service(seed=94, session_plane_shards=4)
     assert [f.spec.name for f in service.heartbeat_fns] == [
         "fk-heartbeat", "fk-heartbeat-1", "fk-heartbeat-2", "fk-heartbeat-3"]
-    assert [logic.shard for logic in service.heartbeat_logics] == [0, 1, 2, 3]
-    assert all(logic.shards == 4 for logic in service.heartbeat_logics)
+    logics = [s.logic for s in service.stages if s.kind == "heartbeat"]
+    assert [logic.shard for logic in logics] == [0, 1, 2, 3]
+    assert all(logic.shards == 4 for logic in logics)
     # the shards split the sweep, not the watch registry
     assert [name for name in service.system_store.tables
             if name.startswith(SYSTEM_WATCHES)] == [SYSTEM_WATCHES]

@@ -57,6 +57,7 @@ def test_fence_board_orders_waiters():
     assert board.issue("s1") == 1
     assert board.issue("s1") == 2
     assert board.issue("s2") == 1  # sessions are independent
+    assert board.mark("s1") == 0   # issuing is not applying
     order = []
 
     def waiter(fence):
@@ -129,8 +130,8 @@ def test_sharded_deploys_one_queue_and_leader_per_shard():
     assert [f.spec.name for f in service.leader_fns] == [
         "fk-leader", "fk-leader-1", "fk-leader-2", "fk-leader-3"]
     assert service.fence_board is not None
-    assert len(service.leader_logics) == 4
-    assert service.leader_logics[2].shard == 2
+    logics = [s.logic for s in service.stages if s.kind == "leader"]
+    assert [logic.shard for logic in logics] == [0, 1, 2, 3]
 
 
 # ------------------------------------------------------------ functional

@@ -187,9 +187,3 @@ def test_gate_wakes_a_waiter_iff_its_mark_is_reached(ops):
         assert sum(map(len, board._waiters.values())) == \
             len(waiters) - len(resumed)
 
-
-def test_gate_issue_counts_per_key():
-    board = GateBoard(Environment())
-    assert [board.issue("s1"), board.issue("s1"), board.issue("s2")] == \
-        [1, 2, 1]
-    assert board.mark("s1") == 0    # issuing is not applying
