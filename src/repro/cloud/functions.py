@@ -138,7 +138,6 @@ class DeployedFunction:
         #: timing probe the handler records — the hook metrics registries
         #: attach to; must not raise or touch the simulation clock.
         self.on_segment: Optional[Callable[[str, float], None]] = None
-        self._active = 0
         #: Process name and cost-meter label of every invocation.
         self._label = f"fn:{spec.name}"
         #: (memory_mb, arch, region) -> the context its handlers do I/O under.
@@ -166,20 +165,19 @@ class DeployedFunction:
         return self.runtime.profile.cold_start.sample(self.runtime.rng), True
 
     def invoke(self, payload: Any, invoke_latency_ms: float = 0.0) -> Process:
-        """Start an invocation; returns its process, which ends with the
-        handler's result.
-
-        ``invoke_latency_ms`` is the trigger-path delay (sampled by the
-        caller from the appropriate model: direct, FIFO queue, ...).
-        The process fails if the handler raises, so triggers can implement
-        retries; it is pre-defused for fire-and-forget callers.
-        """
-        run = self.runtime.env.process(self._run(payload, invoke_latency_ms),
+        """Fire and forget: start :meth:`run` as a process of its own and
+        return it, pre-defused.  A trigger that only waits for the
+        invocation runs ``run`` itself (``yield from``)."""
+        run = self.runtime.env.process(self.run(payload, invoke_latency_ms),
                                        name=self._label)
         run.defused()
         return run
 
-    def _run(self, payload: Any, invoke_latency_ms: float):
+    def run(self, payload: Any, invoke_latency_ms: float = 0.0):
+        """One invocation: returns the handler's result and raises what it
+        raises, so triggers can implement retries.  ``invoke_latency_ms`` is
+        the trigger-path delay (sampled by the caller from the appropriate
+        model: direct, FIFO queue, ...)."""
         env = self.runtime.env
         if invoke_latency_ms > 0:
             yield env.timeout(invoke_latency_ms)
@@ -188,7 +186,6 @@ class DeployedFunction:
             self.cold_starts += 1
         yield env.timeout(overhead)
         self.invocations += 1
-        self._active += 1
         fctx = FunctionContext(env, self, self.invocations)
         started = env.now
         try:
@@ -207,7 +204,6 @@ class DeployedFunction:
         env = self.runtime.env
         duration = env.now - started
         self.durations_ms.append(duration)
-        self._active -= 1
         self._idle_sandboxes.append(env.now)
         cost = self.runtime.profile.prices.fn_cost(
             self.spec.memory_mb, duration, self.spec.arch
@@ -296,14 +292,11 @@ class ScheduledTask:
             if self._proc is not me:
                 return
             self.fired += 1
-            done = self.fn.invoke(self.payload_factory())
-            try:
-                yield done
-            except Exception:
+            for _attempt in range(2):
                 # Scheduled functions get a provider retry policy; a failure
                 # must not kill the cron loop (Section 2.1, "Scheduled").
-                retry = self.fn.invoke(self.payload_factory())
                 try:
-                    yield retry
+                    yield from self.fn.run(self.payload_factory())
+                    break
                 except Exception:
                     pass

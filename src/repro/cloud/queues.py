@@ -261,9 +261,8 @@ class FifoQueue(_QueueBase):
             latency = self.profile.invoke_fifo.sample(rng, total_kb)
             # SQS/Lambda per-record pipeline overhead.
             latency += self.profile.fifo_per_msg_ms * len(batch)
-            done = fn.invoke([m.body for m in batch], invoke_latency_ms=latency)
             try:
-                yield done
+                yield from fn.run([m.body for m in batch], latency)
                 self.delivered += len(batch)
                 return
             except Exception:
@@ -334,9 +333,8 @@ class StandardQueue(_QueueBase):
                 batch.append(nxt)
             total_kb = sum(m.size_kb for m in batch)
             latency = self.profile.invoke_queue.sample(self.rng, total_kb)
-            done = fn.invoke([m.body for m in batch], invoke_latency_ms=latency)
             try:
-                yield done
+                yield from fn.run([m.body for m in batch], latency)
                 self.delivered += len(batch)
             except Exception:
                 for m in batch:  # at-least-once: requeue everything
@@ -380,9 +378,8 @@ class StreamTrigger(_QueueBase):
                     break
                 batch.append(nxt)
             latency = self.profile.invoke_stream.sample(self.rng, 0.0)
-            done = self._function.invoke(batch, invoke_latency_ms=latency)
             try:
-                yield done
+                yield from self._function.run(batch, latency)
                 self.delivered += len(batch)
             except Exception:
                 for m in reversed(batch):

@@ -492,10 +492,8 @@ class FaaSKeeperClient:
         later read's barrier waits on (session read-your-writes).
         """
         response = self.env.event()
-        response.defused()
         self._pending[request.rid] = response
         sent = self.env.event()
-        sent.defused()
         prev_sent, self._send_tail = self._send_tail, sent
         return self._issue(
             self._round_trip(request, response, prev_sent, sent, finish))
@@ -518,7 +516,10 @@ class FaaSKeeperClient:
                 session=self.session_id, rid=request.rid, ok=False,
                 error="session_closed"))
         finally:
-            sent.succeed(None)
+            if self._send_tail is sent:
+                self._send_tail = None  # nobody queued behind: nothing to fire
+            else:
+                sent.succeed(None)
         return finish((yield response))
 
     # ------------------------------------------------------------ write ops

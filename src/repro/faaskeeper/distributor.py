@@ -55,7 +55,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, Set
-from ..sim.kernel import AllOf
+from ..sim.kernel import gather
 from .follower import DISTRIBUTOR_BATCH
 from .layout import SYSTEM_STATE, replicated_key
 from .watches import triggered_watch_types
@@ -313,13 +313,8 @@ class DistributorLogic:
             for image, _is_parent, _op, _txid in entries)
         yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
         epoch = self.service.epoch_ledger.snapshot(self.region)
-        procs = [
-            env.process(self._apply_path(fctx, path, entries, epoch),
-                        name=f"distribute:{path}@{self.region}")
-            for path, entries in plan.items()
-        ]
-        if procs:
-            yield AllOf(env, procs)
+        yield from gather(env, [self._apply_path(fctx, path, entries, epoch)
+                                for path, entries in plan.items()])
         fctx.record("update_user", env.now - t0)
         fctx.crash_point("dist_before_visible")
 
@@ -411,14 +406,9 @@ class DistributorLogic:
                 by_path.setdefault(path, []).append((op, is_parent))
                 if rec["txid"] > path_txid.get(path, 0):
                     path_txid[path] = rec["txid"]
-        procs = {
-            path: env.process(
-                self.service.watch_registry.query(fctx.ctx, path),
-                name=f"watch-stage:{path}")
-            for path in by_path
-        }
-        if procs:
-            yield AllOf(env, list(procs.values()))
+        found = yield from gather(env, [
+            self.service.watch_registry.query(fctx.ctx, path)
+            for path in by_path])
         fctx.record("watch_query", env.now - t0)
 
         # One fan-out per triggering txid: the delivered event carries the
@@ -426,10 +416,9 @@ class DistributorLogic:
         # watches legally fold multiple changes into one notification).
         txid_shard = {rec["txid"]: rec["shard"] for rec in batch}
         by_txid: Dict[int, List[Tuple[str, List[Tuple[str, bool]], List[str]]]] = {}
-        for path, proc in procs.items():
+        for path, rows in zip(by_path, found):
             by_txid.setdefault(path_txid[path], []).append(
-                (path, by_path[path],
-                 armed_watch_ids(proc.value, by_path[path])))
+                (path, by_path[path], armed_watch_ids(rows, by_path[path])))
         for txid in sorted(by_txid):
             entries = by_txid[txid]
             armed_ids = [wid for _p, _pairs, ids in entries for wid in ids]
@@ -511,13 +500,9 @@ class DistributionStage:
         size_kb = 0.2 + sum(
             len((image or {}).get("data", b"") or b"") / 1024.0
             for _path, image, _is_parent, _op in record["writes"])
-        procs = [
-            env.process(queue.send(fctx.ctx, dict(record), group="dist",
-                                   size_kb=size_kb),
-                        name=f"dist-publish:{region}")
-            for region, queue in self.queues.items()
-        ]
-        yield AllOf(env, procs)
+        yield from gather(env, [
+            queue.send(fctx.ctx, dict(record), group="dist", size_kb=size_kb)
+            for queue in self.queues.values()])
         return None
 
     # ------------------------------------------------------------ visibility

@@ -56,7 +56,7 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, ListAppend, ListRemove, Set
-from ..sim.kernel import AllOf
+from ..sim.kernel import AllOf, gather
 from .distributor import write_user_image
 from .follower import LOCK_MAX_HOLD_MS, merge_multi_commit
 from .layout import SYSTEM_NODES
@@ -199,20 +199,16 @@ class LeaderLogic:
         """A message whose writes would have superseded earlier skipped ones
         was rejected: replay the newest skipped image for those paths so
         every acknowledged write is user-visible."""
-        env = fctx.env
-        procs = []
+        work = []
         for path in paths:
             entry = self._skipped_images.pop(path, None)
             if entry is None:
                 continue
             image, image_txid, op, is_parent = entry
             for region in self.service.config.regions:
-                procs.append(env.process(
-                    self._replay(fctx, region, path, image, image_txid,
-                                 op, is_parent),
-                    name=f"replay:{path}@{region}"))
-        if procs:
-            yield AllOf(env, procs)
+                work.append(self._replay(fctx, region, path, image,
+                                         image_txid, op, is_parent))
+        yield from gather(fctx.env, work)
         return None
 
     def _replay(self, fctx, region: str, path: str,
@@ -366,19 +362,17 @@ class LeaderLogic:
         yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
         epochs = {region: self.epoch_snapshot(region)
                   for region in self.service.config.regions}
-        procs = []
+        work = []
         for path, image, is_parent, op in affected:
             if path in skip_paths:
                 self._skipped_images[path] = (image, txid, op, is_parent)
                 continue
             self._skipped_images.pop(path, None)
             for region in self.service.config.regions:
-                procs.append(env.process(
-                    self._replicate(fctx, region, path, image, epochs[region],
-                                    txid, op, is_parent),
-                    name=f"replicate:{path}@{region}"))
-        if procs:
-            yield AllOf(env, procs)
+                work.append(self._replicate(fctx, region, path, image,
+                                            epochs[region], txid, op,
+                                            is_parent))
+        yield from gather(env, work)
         fctx.record("update_user", env.now - t0)
 
         # ➍ watches: one query/consume per touched path; every instance

@@ -485,11 +485,12 @@ class FaaSKeeperService:
         return retrying
 
     def _invoke_watch_retrying(self, payload: Dict[str, Any]) -> Generator:
+        runtime = self.cloud.runtime
         last: Optional[BaseException] = None
         for _attempt in range(self.config.free_fn_retries + 1):
             try:
-                return (yield self.cloud.runtime.invoke_direct(
-                    self.watch_fn, payload))
+                return (yield from self.watch_fn.run(
+                    payload, runtime.profile.invoke_direct.sample(runtime.rng)))
             except Exception as exc:
                 last = exc
         raise last

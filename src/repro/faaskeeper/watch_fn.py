@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator
 
-from ..sim.kernel import AllOf
+from ..cloud.errors import FunctionCrash
+from ..sim.kernel import gather
 from .model import EventType, WatchedEvent
 
 __all__ = ["WatchFanoutLogic"]
@@ -42,30 +43,27 @@ class WatchFanoutLogic:
     def handler(self, fctx, payload: Dict[str, Any]) -> Generator:
         """payload = {"txid": int, "shard": int, "origin": str,
         "watches": [{watch_id, path, event, sessions}, ...]}"""
-        env = fctx.env
         fctx.crash_point("watch_entry")
         txid = payload["txid"]
         shard = payload.get("shard", 0)
         origin = payload.get("origin", "leader")
         deliveries = []
-        for watch in payload["watches"]:
-            # Crash between spawning per-session deliveries: the retried
-            # invocation re-spawns every delivery and the client library
-            # deduplicates by watch-instance id (one-shot semantics).
-            fctx.crash_point("watch_mid_fanout")
-            event = WatchedEvent(
-                type=EventType(watch["event"]),
-                path=watch["path"],
-                txid=txid,
-            )
-            for session in watch["sessions"]:
-                deliveries.append(env.process(
-                    self.service.notify_watch_process(
-                        session, watch["watch_id"], event),
-                    name=f"deliver:{watch['watch_id']}:{session}",
-                ))
-        if deliveries:
-            yield AllOf(env, deliveries)
+        try:
+            for watch in payload["watches"]:
+                fctx.crash_point("watch_mid_fanout")
+                event = WatchedEvent(type=EventType(watch["event"]),
+                                     path=watch["path"], txid=txid)
+                for session in watch["sessions"]:
+                    deliveries.append(self.service.notify_watch_process(
+                        session, watch["watch_id"], event))
+        except FunctionCrash:
+            # Crash between deliveries: the ones before it are on the wire,
+            # the retried invocation sends every one again and the client
+            # library deduplicates by watch-instance id (one-shot semantics).
+            for delivery in deliveries:
+                fctx.env.process(delivery)
+            raise
+        yield from gather(fctx.env, deliveries)
         self._invocations.inc()
         self._deliveries.labels(origin=origin, shard=str(shard)).inc(
             len(deliveries))

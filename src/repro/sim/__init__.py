@@ -9,6 +9,7 @@ from .kernel import (
     Process,
     SimulationError,
     Timeout,
+    gather,
 )
 from .resources import Resource, Store, TokenBucketLimiter
 from .rng import RngRegistry, lognormal_from_percentiles, percentile
@@ -22,6 +23,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "gather",
     "Resource",
     "Store",
     "TokenBucketLimiter",

@@ -36,6 +36,17 @@ while the lane is non-empty.
 process leaves the event it waits on when that wakeup is *delivered* (SimPy's
 rule), not when ``interrupt()`` is called: in between it may have been resumed
 and have parked on another event, and that one is the subscription to drop.
+
+**Failure rule.**  A failed event nobody handled surfaces from ``run()``.  A
+waiter handles it by being resumed with it, and a condition owns its members'
+failures: the first fails the condition, one that arrives after the condition
+triggered stays silent — its waiter already has its answer.
+
+**Process rule.**  A process is for concurrency.  A caller that would spawn
+one coroutine and wait for it at once runs it with ``yield from``: resumed
+from the heap it finds the wakeup lane empty, so the ``Initialize``, the
+termination and the wakeup it does not pay for had nothing between them and
+the coroutine's first and last segment.  Fan-out is :func:`gather`.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
+    "gather",
     "SimulationError",
 ]
 
@@ -317,11 +329,12 @@ class Condition(Event):
                 ev.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
         if not event._ok:
-            event._defused = True
-            self.fail(event._value)
+            event._defused = True  # owned, before and after the trigger
+            if self._value is _PENDING:
+                self.fail(event._value)
+            return
+        if self._value is not _PENDING:
             return
         self._fired.append(event)
         if len(self._fired) >= self._need:
@@ -350,6 +363,21 @@ class AllOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env, events, need_all=True)
+
+
+def gather(env: "Environment", work: Iterable[Generator[Event, Any, Any]]
+           ) -> Generator[Event, Any, list]:
+    """Run the generators of ``work`` concurrently; returns their values in
+    member order, raises the first failure.  Two or more members are spawned
+    and awaited through :class:`AllOf`; a single one has nobody to race and
+    is run by the caller itself (the module's process rule)."""
+    work = list(work)
+    if len(work) == 1:
+        return [(yield from work[0])]
+    procs = [Process(env, member) for member in work]
+    if procs:
+        yield AllOf(env, procs)
+    return [proc._value for proc in procs]
 
 
 class EmptySchedule(Exception):

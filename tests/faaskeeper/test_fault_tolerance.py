@@ -142,3 +142,33 @@ def test_consistency_after_random_follower_crashes():
     data, stat = c.get_data("/a")
     # the last acknowledged value is visible with a consistent version
     assert stat.version == raw["version"]
+
+
+def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones():
+    """The fan-out dies after building the first watch's delivery: that one
+    is on the wire (a function that crashes cannot take back what it sent),
+    the retried invocation sends both, and the client's deduplication by
+    watch-instance id keeps each callback at exactly once."""
+    cloud, service = make_service(seed=17, free_fn_retries=2)
+    c = service.connect()
+    c.create("/a", b"")
+    c.create("/b", b"")
+    fired, arrived = [], []
+    for path in ("/a", "/b"):
+        c.get_data(path, watch=lambda ev: fired.append(ev.path))
+    deliver = c._deliver_watch
+    c._deliver_watch = lambda wid, ev: (arrived.append(ev.path),
+                                        deliver(wid, ev))
+    calls = []
+    service.watch_fn.plan_crash(
+        "watch_mid_fanout",
+        predicate=lambda _i: calls.append(1) or len(calls) == 2)
+
+    txn = c.transaction()
+    txn.set_data("/a", b"1")
+    txn.set_data("/b", b"1")
+    txn.commit()
+    cloud.run(until=cloud.now + 2_000)
+    assert (service.watch_fn.failures, service.watch_fn.invocations) == (1, 2)
+    assert sorted(arrived) == ["/a", "/a", "/b"]  # the crashed "/a" + both
+    assert sorted(fired) == ["/a", "/b"]

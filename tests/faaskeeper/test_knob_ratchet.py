@@ -16,8 +16,12 @@ deployment, so the switch that removed it, its hand-forwarded twins, the
 second probe limiter and the knobs nothing turned stay out as well.
 And the deployment: every stage is declared once, in one deploy helper,
 and CI's crash-stage matrix follows the crash-point table.
+And the kernel's process rule: a process is for concurrency, so no trigger
+spawns an invocation it waits for at once and no stage hand-writes a
+"spawn N, wait for all" where ``gather`` runs a lone member itself.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -94,6 +98,91 @@ def test_every_stage_is_declared_once():
         "_scheduled_tasks|_logic_by_fn|wipe_user_region|region_user_image")
     for path, text in sources.items():
         assert not twins.search(text), path
+
+
+def _statement_lists(tree):
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if isinstance(block, list):
+                yield block
+
+
+_SPAWNS = ("invoke", "invoke_direct", "process")
+
+
+def _spawned_then_awaited(tree):
+    """Line numbers of ``yield x.invoke(...)`` (or ``.invoke_direct``,
+    ``.process``) and of ``handle = x.invoke(...)`` whose next statement —
+    or the first one of a ``try`` that follows — is ``yield handle``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", "") in _SPAWNS):
+            yield node.lineno
+    for block in _statement_lists(tree):
+        for stmt, after in zip(block, block[1:]):
+            if not (isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Call)
+                    and isinstance(stmt.value.func, ast.Attribute)
+                    and stmt.value.func.attr in _SPAWNS
+                    and isinstance(stmt.targets[0], ast.Name)):
+                continue
+            if isinstance(after, ast.Try):
+                after = after.body[0]
+            value = getattr(after, "value", None)
+            if (isinstance(value, ast.Yield)
+                    and isinstance(value.value, ast.Name)
+                    and value.value.id == stmt.targets[0].id):
+                yield stmt.lineno
+
+
+def test_the_ratchet_sees_a_spawn_awaited_at_once():
+    seen = ast.parse(
+        "def f():\n"
+        "    done = fn.invoke(batch,\n"
+        "                     invoke_latency_ms=latency)\n"
+        "    try:\n"
+        "        yield done\n"
+        "    except Exception:\n"
+        "        pass\n"
+        "    proc = env.process(work())\n"
+        "    yield proc\n"
+        "    kept = fn.invoke(batch)\n"
+        "    other()\n"
+        "    yield kept\n"
+        "    return (yield runtime.invoke_direct(fn, payload))\n")
+    assert sorted(_spawned_then_awaited(seen)) == [2, 8, 13]
+
+
+def test_a_process_is_for_concurrency():
+    """Whoever only waits for one coroutine runs it (``yield from``), and
+    fan-out goes through ``sim.kernel.gather``: the triggers hold no
+    invocation handle yielded on the next statement, and no function under
+    ``faaskeeper/`` both spawns processes and yields an ``AllOf``."""
+    from repro.cloud import functions, queues
+
+    for module in (queues, functions):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert not list(_spawned_then_awaited(tree)), module.__name__
+
+    for path in (Path(repro.__file__).parent / "faaskeeper").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not list(_spawned_then_awaited(tree)), path
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            spawns = any(isinstance(node, ast.Call)
+                         and ast.unparse(node.func).endswith("env.process")
+                         for node in ast.walk(func))
+            yields_all = any(
+                isinstance(node, ast.Yield)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr",
+                            getattr(node.value.func, "id", ""))
+                in ("AllOf", "all_of")
+                for node in ast.walk(func))
+            assert not (spawns and yields_all), \
+                f"{path.name}:{func.lineno} {func.name}: use gather"
 
 
 def test_ci_chaos_matrix_names_every_crashable_stage():

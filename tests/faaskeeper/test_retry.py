@@ -455,6 +455,35 @@ def test_contended_lock_probe_heals_the_deployment():
     assert client.state == KeeperState.CONNECTED
 
 
+def test_open_user_store_breaker_fails_the_leader_not_the_simulation():
+    """The paper's default deployment with the user store shedding: a
+    ``create`` replicates two images (node + parent) side by side and both
+    are shed.  The first failure fails the leader invocation, which the
+    queue redelivers; the second fails for nobody — it used to escape
+    ``run()`` and end the simulation."""
+    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
+                                  outbox_enabled=False)
+    client = service.connect()
+    client.create("/a", b"x")
+    breaker = service.user_store.breaker(service.config.primary_region)
+    for _ in range(breaker.threshold):
+        breaker.record_failure()
+    assert breaker.state == BREAKER_OPEN
+
+    created = client.create_async("/a/b", b"y")
+    cloud.run(until=cloud.now + 3_000)
+    leader = service.leader_fns[0]
+    assert leader.failures > 1 and not created.done     # redelivered, shed
+    cloud.run(until=cloud.now + 8_000)                   # cooldown served
+    assert created.wait() == "/a/b"
+    assert breaker.state == BREAKER_CLOSED
+    # ... and the node exists exactly once, after all those deliveries.
+    assert client.get_children("/a") == ["b"]
+    _data, parent = client.get_data("/a")
+    _data, node = client.get_data("/a/b")
+    assert (parent.cversion, parent.num_children, node.version) == (1, 1, 0)
+
+
 # ------------------------------------------------------- session-state arc
 def test_breaker_open_suspends_sessions_then_eviction_loses_them():
     """Retry exhaustion under a persistent outage: SUSPENDED while the

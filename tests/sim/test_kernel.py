@@ -16,6 +16,7 @@ from repro.sim import (
     Resource,
     SimulationError,
     Store,
+    gather,
 )
 from repro.sim.kernel import NORMAL, URGENT, EmptySchedule
 from ..helpers.stepcount import StepCounting
@@ -661,30 +662,54 @@ def _announce(body, done):
 
 
 _HANDLE_ACTIONS = ("timeout", "timeout", "wait", "wait", "any", "all",
-                   "callback", "spawn", "spawn_and_forget")
+                   "callback", "spawn", "spawn_and_forget", "run", "run")
 _LEAF_ACTIONS = ("timeout", "callback")
 _TOP_WORKERS = 6
 
 
-def _completion_soup(env, seed, paired):
+def _completion_soup(env, seed, paired, run="spawned"):
     """Workers that end by returning or raising, watched through their
     completion handle: an announcing ``Event`` (``paired``) or the ``Process``
     itself.  Returns what resumed and was called back, each line pinned to
-    its position among the events that fired for somebody."""
+    its position among the events that fired for somebody.
+
+    The ``run`` action is "spawn one child and wait for it at once", reached
+    from the heap: ``spawned`` makes the process, ``inline`` runs the child
+    with ``yield from`` and counts the two events it did not schedule into
+    the positions, ``late`` is ``inline`` with the child's outcome reaching
+    its caller one wakeup later."""
     rng = random.Random(seed)
     log = []
     handles = []
     finished = [0]
+    unscheduled = [0]  # Initialize + termination of every inlined child
+    children = [0]
 
     def note(who, what, value=None):
         if isinstance(value, dict):
             value = sorted(map(repr, value.values()))
-        log.append((env.effective, env.now, who, what, repr(value)))
+        log.append((env.effective + unscheduled[0], env.now, who, what,
+                    repr(value)))
 
-    def start(name, length, actions=_LEAF_ACTIONS):
+    def body_of(name, own, length, actions=_LEAF_ACTIONS):
         script = [(rng.choice(actions), rng.choice(_DELAYS),
                    rng.randrange(64), rng.randrange(64)) for _ in range(length)]
-        body = worker(name, len(handles), script, fails=rng.random() < 0.3)
+        return worker(name, own, script, fails=rng.random() < 0.3)
+
+    def run_child(body):
+        """A child only its caller knows: nobody else holds its handle."""
+        if run == "spawned":
+            return (yield env.process(body))
+        unscheduled[0] += 1
+        try:
+            return (yield from body)
+        finally:
+            unscheduled[0] += 1
+            if run == "late":
+                yield env.event().succeed()
+
+    def start(name, length, actions=_LEAF_ACTIONS):
+        body = body_of(name, len(handles), length, actions)
         if paired:
             handle = env.event()
             env.process(_announce(body, handle))
@@ -724,6 +749,11 @@ def _completion_soup(env, seed, paired):
                     note(name, n, (yield start(f"{name}.{n}", 2)))
                 elif action == "spawn_and_forget":
                     start(f"{name}.{n}", 2)
+                elif action == "run":
+                    yield env.timeout(delay)  # resumed from the heap
+                    child = body_of(f"{name}.{n}", -1, 2)
+                    children[0] += 1
+                    note(name, n, (yield from run_child(child)))
             except ValueError as exc:
                 note(name, n, ("failed", str(exc)))
         finished[0] += 1
@@ -746,9 +776,9 @@ def _completion_soup(env, seed, paired):
     for k in (3, 1, 5):
         drive(handles[k])
     drive()
-    assert finished[0] == len(handles)
+    assert finished[0] == len(handles) + children[0]
     note("driver", "end", env.peek())
-    return log, len(handles)
+    return log, len(handles), children[0]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -761,12 +791,32 @@ def test_waiting_on_the_process_is_waiting_on_its_last_act(seed):
     same callbacks, same values, same positions among the effective events;
     only the idle termination, one per worker, is gone."""
     paired_env, direct_env = StepCounting(), StepCounting()
-    paired, workers = _completion_soup(paired_env, seed, paired=True)
-    direct, _workers = _completion_soup(direct_env, seed, paired=False)
+    paired, workers, _run = _completion_soup(paired_env, seed, paired=True)
+    direct, _workers, _run = _completion_soup(direct_env, seed, paired=False)
     assert direct == paired
     assert len(direct) > 30
     assert direct_env.effective == paired_env.effective
     assert direct_env.idle == paired_env.idle - workers
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_running_the_one_coroutine_you_wait_for_is_spawning_it(seed):
+    """Order proof of "a process is for concurrency": a caller resumed from
+    the heap finds the wakeup lane empty, so the child's ``Initialize`` and
+    first segment, and its last segment, termination and the caller's resume,
+    fire back to back — running the child with ``yield from`` changes nothing
+    anybody can observe (same lines, same instants, same positions once the
+    two unscheduled events per child are counted in), failures included.  A
+    variant that hands the outcome over one wakeup late is told apart."""
+    spawned_env, inline_env = StepCounting(), StepCounting()
+    spawned, _workers, children = _completion_soup(spawned_env, seed, False)
+    inline, _workers, _run = _completion_soup(inline_env, seed, False, "inline")
+    assert inline == spawned
+    assert inline_env.effective == spawned_env.effective - 2 * children
+    assert inline_env.idle == spawned_env.idle
+    late, _workers, _run = _completion_soup(StepCounting(), seed, False, "late")
+    assert (late != spawned) == (children > 0)
 
 
 def test_completion_soup_exercises_every_ingredient():
@@ -775,7 +825,8 @@ def test_completion_soup_exercises_every_ingredient():
     with a waiter and failures nobody waited for."""
     whats, values = set(), set()
     for seed in range(20):
-        log, _workers = _completion_soup(StepCounting(), seed, False)
+        log, _workers, children = _completion_soup(StepCounting(), seed, False)
+        assert children
         whats.update(what for *_pos, what, _value in log)
         values.update(value.split(",")[0] for *_pos, _what, value in log)
     assert {"surfaced", "ran", "start", "end"} <= whats
@@ -795,3 +846,97 @@ def test_a_failed_process_surfaces_unless_defused_or_awaited():
     env.process(failing(env))
     with pytest.raises(ValueError, match="boom"):
         env.run()
+
+
+# ------------------------------------------- who owns a failure; fan-out
+def _ends(env, delay, value=None, error=None):
+    yield env.timeout(delay)
+    if error is not None:
+        raise ValueError(error)
+    return value
+
+
+@pytest.mark.parametrize("condition", [AllOf, AnyOf])
+def test_a_condition_owns_its_members_failures_after_it_triggered(condition):
+    """The waiter has its answer after the first failure; the member that
+    fails later fails for nobody and must not escape ``run()``."""
+    env = Environment()
+    members = [env.process(_ends(env, 1, error="first")),
+               env.process(_ends(env, 2, error="second"))]
+    caught = []
+
+    def waiter():
+        try:
+            yield condition(env, members)
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(waiter())
+    env.run()
+    assert caught == [(1.0, "first")]
+    assert env.now == 2.0 and not members[1].ok
+
+
+def test_any_of_owns_a_failure_after_a_success():
+    env = Environment()
+    late = env.process(_ends(env, 2, error="late"))
+    first = env.run(until=AnyOf(env, [env.timeout(1, value="t"), late]))
+    assert list(first.values()) == ["t"]
+    env.run()
+    assert env.now == 2.0
+
+
+def _gathered(env, work):
+    """(value or error of ``gather(env, work)``, instant, events it took)."""
+    env.__class__ = StepCounting
+    outcome = []
+
+    def caller():
+        yield env.timeout(0)
+        steps = env.steps
+        try:
+            outcome.append((yield from gather(env, work)))
+        except ValueError as exc:
+            outcome.append(str(exc))
+        outcome.extend((env.now, env.steps - steps))
+
+    env.run(until=env.process(caller()))
+    return tuple(outcome)
+
+
+def test_gather_of_nothing_takes_no_event():
+    env = Environment()
+    assert _gathered(env, []) == ([], 0.0, 0)
+
+
+def test_gather_runs_a_single_member_in_the_caller():
+    """One timeout: no ``Initialize``, no termination, no ``AllOf``."""
+    env = Environment()
+    assert _gathered(env, [_ends(env, 3, "only")]) == (["only"], 3.0, 1)
+    env = Environment()
+    assert _gathered(env, [_ends(env, 3, error="only")]) == ("only", 3.0, 1)
+
+
+def test_gather_runs_members_concurrently_values_in_member_order():
+    env = Environment()
+    work = (_ends(env, d, f"m{d}") for d in (5, 1, 3))  # any iterable
+    values, now, events = _gathered(env, work)
+    assert (values, now) == (["m5", "m1", "m3"], 5.0)
+    assert events == 3 * 3 + 1  # start, timeout, end of each; the AllOf
+
+
+def test_gather_raises_the_first_failure_and_keeps_later_ones_silent():
+    env = Environment()
+    ran = []
+
+    def member(delay, error):
+        try:
+            yield from _ends(env, delay, error=error)
+        finally:
+            ran.append(delay)
+
+    outcome = _gathered(env, [member(4, "slow"), member(2, "fast"),
+                              member(3, None)])
+    assert outcome[:2] == ("fast", 2.0)
+    env.run()  # the other members run to their end; "slow" fails for nobody
+    assert ran == [2, 3, 4] and env.now == 4.0
