@@ -43,6 +43,8 @@ __all__ = [
     "apply_updates",
     "updated_image",
     "clone",
+    "clone_sized",
+    "project",
     "item_size_bytes",
     "item_size_kb",
 ]
@@ -389,15 +391,23 @@ def updated_image(image: Optional[Dict[str, Any]], size_bytes: int,
     untouched and shares every attribute the actions do not name.  The
     size is the old one plus the byte delta of the touched top-level
     attributes — the same integer a full :func:`item_size_bytes` walk of
-    the result returns, without walking what did not change.
+    the result returns, without walking what did not change: a name only
+    when it comes or goes, a fixed-size scalar replaced by one of its own
+    type not at all.
     """
     if not image:
         image, size_bytes = {}, _CONTAINER_BYTES
     new = apply_updates(dict(image), updates)
     for name in {action.path.partition(".")[0] for action in updates}:
         before, after = image.get(name, _MISSING), new.get(name, _MISSING)
-        if before is not after:  # else a no-op: nothing to re-measure
-            size_bytes += _attr_bytes(name, after) - _attr_bytes(name, before)
+        if before is after or (type(before) is type(after) and type(after) in _FIXED_BYTES):
+            continue  # a no-op, or a fixed-size scalar replaced by its own kind
+        if before is _MISSING:
+            size_bytes += _value_size_bytes(name) + _value_size_bytes(after)
+        elif after is _MISSING:
+            size_bytes -= _value_size_bytes(name) + _value_size_bytes(before)
+        else:
+            size_bytes += _value_size_bytes(after) - _value_size_bytes(before)
     return new, size_bytes
 
 
@@ -420,20 +430,65 @@ def clone(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
+def clone_sized(value: Any) -> Tuple[Any, int]:
+    """``(clone(value), item_size_bytes(value))`` in one walk: the copy-in
+    of a caller's item, sized as it is copied."""
+    kind = type(value)
+    if kind is dict:
+        twin, size = {}, _CONTAINER_BYTES
+        for key, item in value.items():
+            if type(item) in _ATOMIC:
+                twin[key] = item
+                size += _value_size_bytes(key) + _value_size_bytes(item)
+            else:
+                twin[key], item_bytes = clone_sized(item)
+                size += _value_size_bytes(key) + item_bytes
+        return twin, size
+    if kind is list:
+        twin, size = [], _CONTAINER_BYTES
+        for item in value:
+            if type(item) in _ATOMIC:
+                size += _value_size_bytes(item)
+            else:
+                item, item_bytes = clone_sized(item)
+                size += item_bytes
+            twin.append(item)
+        return twin, size
+    return clone(value), _value_size_bytes(value)
+
+
+def project(image: Dict[str, Any], names: Optional[Sequence[str]]) -> Dict[str, Any]:
+    """DynamoDB's ``ProjectionExpression``: a private copy of the named
+    top-level attributes of ``image`` that it has (all of them for None)."""
+    return clone(image) if names is None else {n: clone(image[n]) for n in names if n in image}
+
+
 # --------------------------------------------------------------------------
 # Size accounting (drives per-kB billing and bandwidth latency terms)
 # --------------------------------------------------------------------------
 _CONTAINER_BYTES = 3
+#: Bytes of the fixed-size scalars, by exact type.
+_FIXED_BYTES = {type(None): 1, bool: 1, int: 8, float: 8}
 
 
 def _value_size_bytes(value: Any) -> int:
-    if isinstance(value, str):  # first: every attribute name lands here
+    """Dispatched on the exact type; subclasses (an ``IntEnum``, a named
+    tuple) and the rarer types take the ``isinstance`` ladder below."""
+    kind = type(value)
+    if kind is str:  # first: every attribute name lands here
         return (len(value) if value.isascii()
                 else len(value.encode("utf-8", errors="replace")))
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
+    if kind is dict:
+        return (_CONTAINER_BYTES + sum(map(_value_size_bytes, value))
+                + sum(map(_value_size_bytes, value.values())))
+    size = _FIXED_BYTES.get(kind)
+    if size is not None:
+        return size
+    if kind is list:
+        return _CONTAINER_BYTES + sum(map(_value_size_bytes, value))
+    if isinstance(value, str):
+        return (len(value) if value.isascii()
+                else len(value.encode("utf-8", errors="replace")))
     if isinstance(value, (bytes, bytearray, memoryview)):
         return len(value)
     if isinstance(value, (list, tuple)):
@@ -441,14 +496,7 @@ def _value_size_bytes(value: Any) -> int:
     if isinstance(value, dict):
         return (_CONTAINER_BYTES + sum(map(_value_size_bytes, value))
                 + sum(map(_value_size_bytes, value.values())))
-    return 8  # opaque objects: count a word
-
-
-def _attr_bytes(name: str, value: Any) -> int:
-    """Bytes one attribute adds to its item (nothing when absent)."""
-    if value is _MISSING:
-        return 0
-    return _value_size_bytes(name) + _value_size_bytes(value)
+    return 8  # int and float subclasses (bool has none), opaque objects: a word
 
 
 def item_size_bytes(item: Optional[Dict[str, Any]]) -> int:

@@ -28,10 +28,12 @@ returned or raised to a caller (``get_item``, ``update_item``,
 ``transact_update``, ``scan``, token replays, ``ConditionFailed.item``,
 stream-record images when read) and every caller-owned dict entering the
 store (``put_item``, ``batch_put``).  Because images are frozen, an item's
-billable size is a stored fact, not a walk: computed when the image is
-stored, or derived in exact integer bytes from the previous size plus the
-delta of the attributes an update touched — so latency and billing see the
-same floats a full walk would give.  ``FK_SANITIZE=1`` checks both halves.
+billable size is a stored fact, not a walk: walked once, at the copy-in
+(:func:`~repro.cloud.expressions.clone_sized`), or derived in exact integer
+bytes from the previous size plus the delta of the attributes an update
+touched — so latency and billing see the same floats a full walk would
+give.  Likewise a parallel-scan segment is a stored key set, kept on insert
+and delete, not a walk of the table.  ``FK_SANITIZE=1`` checks all three.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .expressions import (
     Condition,
     UpdateAction,
     clone,
+    clone_sized,
     item_size_bytes,
+    project,
     updated_image,
 )
 from .faults import FaultInjector, draw_fault
@@ -119,9 +123,10 @@ class Table:
         self._env = env
         self._sanitized = sanitized  # the owning store's FK_SANITIZE reading
         self._items: Dict[str, _Versioned] = {}
-        #: key -> crc32, remembered by the first segmented scan that needs it
-        #: and removed with the key: a sweep then costs one ``%`` per key.
-        self._key_crc: Dict[str, int] = {}
+        #: total_segments -> one key set per segment, in table order: built
+        #: by the first scan with that split, then kept by :meth:`_store` on
+        #: insert and delete, so a sweep reads its own slice and no other.
+        self._segments: Dict[int, List[Dict[str, None]]] = {}
         self.limiter = TokenBucketLimiter(env, rate_per_s=capacity_per_s, burst=capacity_per_s / 10)
         self.stream_listeners: List[Callable[[StreamRecord], None]] = []
         self._stream_seq = 0
@@ -134,20 +139,28 @@ class Table:
     def keys(self) -> List[str]:
         return list(self._items.keys())
 
+    def clear(self) -> None:
+        """Destroy every item in place, as a lost region does: no stream
+        records, no billing, and the segment index goes with them."""
+        self._items.clear()
+        self._segments.clear()
+
     def segment_keys(self, segment: int, total_segments: int) -> List[str]:
         """Keys of one parallel-scan segment, in table order — the keys
         with ``scan_segment_of(key, total_segments) == segment``.  One
         segment is the whole table, and no key is hashed for it."""
         if total_segments == 1:
             return self.keys()
-        crcs = self._key_crc
-        selected = []
-        for key in self._items:
-            crc = crcs.get(key)
-            if crc is None:
-                crc = crcs[key] = zlib.crc32(key.encode())
-            if crc % total_segments == segment:
-                selected.append(key)
+        index = self._segments.get(total_segments)
+        if index is None:
+            index = self._segments[total_segments] = [{} for _ in range(total_segments)]
+            for key in self._items:
+                index[scan_segment_of(key, total_segments)][key] = None
+        selected = list(index[segment])
+        if self._sanitized and selected != [
+                k for k in self._items if scan_segment_of(k, total_segments) == segment]:
+            raise sanitize.SanitizerError(f"segment index of {self.name} ({segment} of "
+                                          f"{total_segments}) disagrees with its table")
         return selected
 
     def raw(self, key: str) -> Optional[Dict[str, Any]]:
@@ -195,9 +208,15 @@ class Table:
         from here on the image is frozen and shared, never mutated."""
         old_rec = self._get(key)
         old = old_rec.value if old_rec else None
+        if (old_rec is None) != (value is None):  # an insert or a delete
+            for total, index in self._segments.items():
+                segment = index[scan_segment_of(key, total)]
+                if value is None:
+                    del segment[key]
+                else:
+                    segment[key] = None
         if value is None:
             self._items.pop(key, None)
-            self._key_crc.pop(key, None)
         else:
             self._items[key] = _Versioned(
                 value=value,
@@ -383,8 +402,7 @@ class KeyValueStore:
         if fault is not None:
             yield from self.faults.fire_before(fault, f"put_item {table_name}/{key}")
         # The request is captured as it is sent: the caller keeps its dict.
-        image = clone(attributes)
-        size_bytes = item_size_bytes(image)
+        image, size_bytes = clone_sized(attributes)
         size_kb = size_bytes / 1024.0
         if size_kb > self.profile.kv_item_limit_kb:
             raise ItemTooLarge(f"{size_kb:.1f} kB > {self.profile.kv_item_limit_kb} kB")
@@ -564,6 +582,7 @@ class KeyValueStore:
         table_name: str,
         segment: int = 0,
         total_segments: int = 1,
+        projection: Optional[Sequence[str]] = None,
     ) -> Generator[Event, Any, Dict[str, Dict[str, Any]]]:
         """Scan one segment of a table: bills one read per 4 kB of its data.
 
@@ -575,6 +594,9 @@ class KeyValueStore:
         The result holds the completion-time images of the keys the scan
         set out to read: one deleted while the request was in flight drops
         out, one inserted meanwhile waits for the next scan.
+        ``projection`` (DynamoDB's ``ProjectionExpression``) names the
+        top-level attributes to return; like DynamoDB, the scan is still
+        delayed and billed for the full items it read.
         """
         table = self.table(table_name)
         if not 0 <= segment < total_segments:
@@ -591,7 +613,7 @@ class KeyValueStore:
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
         found = ((k, table._get(k)) for k in selected)
-        return {k: clone(rec.value) for k, rec in found if rec is not None}
+        return {k: project(rec.value, projection) for k, rec in found if rec is not None}
 
     def batch_put(
         self,
@@ -618,10 +640,9 @@ class KeyValueStore:
             yield from self.faults.fire_before(
                 fault, f"batch_put {table_name}/{first}")
         # The request is captured as it is sent: the caller keeps its dicts.
-        images = {key: clone(attributes) for key, attributes in items.items()}
-        sizes = {key: item_size_bytes(image) for key, image in images.items()}
+        images = {key: clone_sized(attributes) for key, attributes in items.items()}
         total_kb = 0.0
-        for size_bytes in sizes.values():
+        for _image, size_bytes in images.values():
             size_kb = size_bytes / 1024.0
             if size_kb > self.profile.kv_item_limit_kb:
                 raise ItemTooLarge(
@@ -631,10 +652,10 @@ class KeyValueStore:
         latency = self._latency(ctx, self.profile.kv_write, total_kb)
         yield self.env.timeout(wait + latency)
         table.write_count += len(images)
-        for size_bytes in sizes.values():
+        for _image, size_bytes in images.values():
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
         if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied batch: nothing to redo
-        for key, image in images.items():
-            table._store(key, image, size_bytes=sizes[key])
+        for key, (image, size_bytes) in images.items():
+            table._store(key, image, size_bytes=size_bytes)
         self._finish(token, None, fault, "batch_put", table_name, next(iter(images)))

@@ -160,7 +160,7 @@ def wipe_system_tables(service: FaaSKeeperService) -> None:
     tables but not its replicated log would."""
     store = service.system_store
     for table in (SYSTEM_NODES, SYSTEM_WATCHES, SYSTEM_SESSIONS):
-        store.table(table)._items.clear()
+        store.table(table).clear()
 
 
 # --------------------------------------------------------------------------

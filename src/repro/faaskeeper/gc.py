@@ -102,7 +102,7 @@ class GarbageCollectorLogic:
     # ------------------------------------------------------------ watches
     def _sweep_watches(self, fctx) -> Generator:
         store = self.service.system_store
-        sessions = yield from store.scan(fctx.ctx, SYSTEM_SESSIONS)
+        sessions = yield from store.scan(fctx.ctx, SYSTEM_SESSIONS, projection=())
         live = set(sessions.keys())
         watch_items = yield from store.scan(fctx.ctx, SYSTEM_WATCHES)
         for path, item in watch_items.items():

@@ -65,7 +65,7 @@ class HeartbeatLogic:
         t0 = env.now
         sessions = yield from self.service.system_store.scan(
             fctx.ctx, SYSTEM_SESSIONS,
-            segment=self.shard, total_segments=self.shards)
+            segment=self.shard, total_segments=self.shards, projection=("ephemeral",))
         fctx.record("scan", env.now - t0)
 
         # Ping every scanned session in parallel, ephemeral owners first

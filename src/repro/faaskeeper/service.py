@@ -358,7 +358,9 @@ class FaaSKeeperService:
         return self._live_sessions
 
     def region_ctx(self, region: str) -> OpContext:
-        return self._region_ctx.setdefault(region, OpContext(region=region))
+        if region not in self._region_ctx:
+            self._region_ctx[region] = OpContext(region=region)
+        return self._region_ctx[region]
 
     def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
         """Open one session: its own FIFO queue, a session record, a client."""

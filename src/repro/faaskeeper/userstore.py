@@ -285,7 +285,7 @@ class DynamoBackend(UserStore):
         return None if item is None else dict(item)
 
     def wipe_region(self, region):
-        self._kvs[region].table(USER_TABLE)._items.clear()
+        self._kvs[region].table(USER_TABLE).clear()
 
     def fault_points(self):
         return list(self._kvs.values())
@@ -390,7 +390,7 @@ class HybridBackend(UserStore):
         return item
 
     def wipe_region(self, region):
-        self._kvs[region].table(USER_TABLE)._items.clear()
+        self._kvs[region].table(USER_TABLE).clear()
         self._stores[region]._buckets[USER_BUCKET].clear()
 
     def fault_points(self):

@@ -1,6 +1,7 @@
 """Unit tests for the condition/update expression engine."""
 
 import copy
+import enum
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,16 @@ from repro.cloud.expressions import (
     Remove,
     Set,
     SetIfNotExists,
+    _value_size_bytes,
     apply_updates,
     clone,
+    clone_sized,
     item_exists,
     item_size_bytes,
     item_size_kb,
     updated_image,
 )
+from repro.faaskeeper.model import NodeStat
 
 
 # ------------------------------------------------------------- conditions
@@ -228,6 +232,93 @@ def test_clone_is_equal_and_shares_no_container(value):
                 yield from containers(child)
 
     assert not set(containers(value)) & set(containers(twin))
+
+
+@given(_ITEMS, st.lists(st.lists(_ACTIONS | st.builds(Set, _PATHS, _SCALARS),
+                                 max_size=3), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_a_chain_of_updates_keeps_the_exact_size(image, batches):
+    """Each update derives its size from the last one's, touching only the
+    attributes it names: the chain never drifts from a full walk."""
+    size_bytes = item_size_bytes(image)
+    for updates in batches:
+        try:
+            image, size_bytes = updated_image(image, size_bytes, updates)
+        except TypeError:
+            continue
+        assert size_bytes == item_size_bytes(image)
+
+
+# ------------------------------------------------ sizing by exact type
+def _ladder_size_bytes(value):
+    """The ``isinstance`` ladder the sizer was before it dispatched on the
+    exact type: the reference it must agree with on every value."""
+    if isinstance(value, str):
+        return (len(value) if value.isascii()
+                else len(value.encode("utf-8", errors="replace")))
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, (list, tuple)):
+        return 3 + sum(map(_ladder_size_bytes, value))
+    if isinstance(value, dict):
+        return (3 + sum(map(_ladder_size_bytes, value))
+                + sum(map(_ladder_size_bytes, value.values())))
+    return 8
+
+
+class _Kind(enum.IntEnum):
+    LOW = 1
+    HIGH = 1 << 40
+
+
+class _Name(str):
+    pass
+
+
+class _Opaque:
+    pass
+
+
+_SUBCLASSED = (_SCALARS | st.sampled_from(_Kind) | st.text(max_size=4).map(_Name)
+               | st.binary(max_size=4).map(bytearray)
+               | st.text(alphabet="aé€😀\udc80", max_size=4)
+               | st.builds(NodeStat, *[st.integers(0, 9)] * 6,
+                           st.none() | st.text(max_size=3)))
+
+
+def _nested(scalars):
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=3) | st.tuples(inner, inner)
+        | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=3)),
+        max_leaves=10)
+
+
+@given(_nested(_SUBCLASSED | st.builds(_Opaque)))
+@settings(max_examples=300, deadline=None)
+def test_sizing_by_exact_type_matches_the_isinstance_ladder(value):
+    assert _value_size_bytes(value) == _ladder_size_bytes(value)
+
+
+def _containers(node):
+    """ids of every mutable container in ``node``, itself included."""
+    if isinstance(node, (dict, list, bytearray)):
+        yield id(node)
+    children = (node.values() if isinstance(node, dict)
+                else node if isinstance(node, (list, tuple)) else ())
+    for child in children:
+        yield from _containers(child)
+
+
+@given(st.dictionaries(_KEYS, _nested(_SUBCLASSED)) | st.lists(_nested(_SUBCLASSED)))
+@settings(max_examples=300, deadline=None)
+def test_clone_sized_is_clone_and_size_in_one_walk(value):
+    twin, size_bytes = clone_sized(value)
+    assert (twin, size_bytes) == (clone(value), item_size_bytes(value))
+    assert not set(_containers(value)) & set(_containers(twin))
 
 
 def test_clone_falls_back_to_deepcopy_for_other_types():

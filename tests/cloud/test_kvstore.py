@@ -499,29 +499,82 @@ def test_sanitizer_catches_a_wrong_memoized_size(cloud, ctx, monkeypatch):
         cloud.run_process(kv.get_item(ctx, "t", "k"))
 
 
-def test_segmented_scan_remembers_each_key_crc_once(cloud, ctx):
-    """A sweep costs one ``%`` per key: the crc32 is computed by the first
-    segmented scan that needs it and removed with the key; selection and
-    order are exactly ``scan_segment_of``'s."""
+def test_segment_index_is_exact_through_inserts_overwrites_and_deletes(cloud, ctx):
+    """A sweep reads its own slice from the table's segment index, and
+    each slice is exactly ``scan_segment_of``'s selection in table order —
+    through insert, overwrite, delete, re-insert and a wipe, with two
+    splits kept side by side.  A whole-table scan builds no index."""
     from repro.cloud.kvstore import scan_segment_of
 
     kv = cloud.kv()
     table = kv.create_table("t")
-    keys = [f"s{i}" for i in range(40)]
 
     def scan(segment=0, total=1):
         return list(cloud.run_process(kv.scan(ctx, "t", segment, total)))
 
-    cloud.run_process(kv.batch_put(ctx, "t", {k: {"v": 1} for k in keys}))
-    assert scan() == keys and table._key_crc == {}     # plain scan: no crcs
-    for segment in range(4):
-        assert scan(segment, 4) == [
-            k for k in keys if scan_segment_of(k, 4) == segment]
-    assert set(table._key_crc) == set(keys)
-    assert sorted(sum((scan(s, 8) for s in range(8)), [])) == sorted(keys)
-    cloud.run_process(kv.delete_item(ctx, "t", "s7"))
-    assert "s7" not in table._key_crc
-    assert "s7" not in scan(scan_segment_of("s7", 4), 4)
+    def assert_exact():
+        order = table.keys()
+        for total in (4, 8):
+            for segment in range(total):
+                assert scan(segment, total) == [
+                    k for k in order if scan_segment_of(k, total) == segment]
+
+    cloud.run_process(kv.batch_put(ctx, "t", {f"s{i}": {"v": 1} for i in range(40)}))
+    assert scan() == table.keys() and table._segments == {}  # no index
+    assert_exact()
+    assert sorted(table._segments) == [4, 8]
+    cloud.run_process(kv.put_item(ctx, "t", "s40", {"v": 1}))          # insert
+    cloud.run_process(kv.update_item(ctx, "t", "s41", [Set("v", 1)]))  # insert
+    cloud.run_process(kv.put_item(ctx, "t", "s3", {"v": 2}))         # overwrite
+    cloud.run_process(kv.update_item(ctx, "t", "s5", [Set("v", 3)]))
+    cloud.run_process(kv.delete_item(ctx, "t", "s7"))                # delete
+    assert "s7" not in table.keys() and table.keys().index("s3") == 3
+    assert_exact()
+    cloud.run_process(kv.put_item(ctx, "t", "s7", {"v": 1}))       # re-insert
+    assert table.keys()[-1] == "s7"
+    assert scan(scan_segment_of("s7", 8), 8)[-1] == "s7"
+    assert_exact()
+    assert scan() == table.keys() and sorted(table._segments) == [4, 8]
+    table.clear()                           # a lost region: the index goes too
+    assert table.keys() == [] and table._segments == {}
+    cloud.run_process(kv.batch_put(ctx, "t", {f"s{i}": {"v": 1} for i in (9, 3, 7)}))
+    assert_exact()
+
+
+@pytest.mark.parametrize("total", [1, 4])
+def test_a_projected_scan_bills_and_delays_what_it_read(ctx, total):
+    """DynamoDB's ``ProjectionExpression``: the scan costs the same dollars
+    and the same latency draw as the unprojected scan of the slice, and
+    returns private copies of only the named attributes an item has."""
+    from repro.cloud import Cloud
+    from repro.cloud.kvstore import scan_segment_of
+
+    items = {"a": {"ephemeral": ["/e"], "region": "r", "n": 1},
+             "b": {"region": "r", "blob": "x" * 5000}}
+    segment = scan_segment_of("a", total)
+    mine = {k for k in items if scan_segment_of(k, total) == segment}
+
+    def scan(projection):
+        cloud = Cloud.aws(seed=77)
+        kv = cloud.kv()
+        table = kv.create_table("t")
+        cloud.run_process(kv.batch_put(ctx, "t", items))
+        start, dollars = cloud.now, cloud.meter.total
+        result = cloud.run_process(
+            kv.scan(ctx, "t", segment, total, projection=projection))
+        return result, cloud.now - start, cloud.meter.total - dollars, table
+
+    full, latency, cost, _table = scan(None)
+    assert set(full) == mine and full["a"] == items["a"]
+    for projection, expected in ((("ephemeral", "n"), {"ephemeral": ["/e"], "n": 1}),
+                                 (("blob", "gone"), {}), ((), {})):
+        result, projected_latency, projected_cost, table = scan(projection)
+        assert (projected_latency, projected_cost) == (latency, cost)
+        assert set(result) == mine and result["a"] == expected
+        if "ephemeral" in result["a"]:
+            result["a"]["ephemeral"].append("/mine")  # a private copy
+        result["a"]["region"] = "mine"
+        assert table.raw("a") == items["a"]
 
 
 @pytest.mark.parametrize("total", [1, 4])

@@ -4,11 +4,14 @@ ROADMAP item 2(e): an operation is one coroutine whose completion handle is
 its own process, and the read core pays only for what the read uses.  The
 numbers below are what the tree costs today on the paper's default
 deployment (one session, S3 user store, client cache off), counted in
-``Environment.step`` entries — kernel events — and in memory blocks.  A PR
-that makes an operation cheaper lowers them here; nothing may raise them.
+``Environment.step`` entries — kernel events — and in memory blocks, and
+what one heartbeat sweep visits, in session keys.  A PR that makes an
+operation cheaper lowers them here; nothing may raise them.
 """
 
 import pytest
+
+from repro.faaskeeper.layout import SYSTEM_SESSIONS
 
 from ..helpers.footprint import bytes_and_blocks_per
 from ..helpers.stepcount import StepCounting
@@ -44,6 +47,10 @@ assert SET_DATA_EVENTS == 23
 #: the stat and one int.  The tenth is the list the test keeps them in.
 #: (Was 7.0 with a handle that owned a dict and an event of its own.)
 READ_BLOCKS = 6.1
+#: Keys one heartbeat shard's sweep visits, as a share of an even split of
+#: the session table: its own slice (crc32 spreads ~N/8 +- a few percent).
+#: (Was 8.0: every sweep walked the whole table to pick its slice out.)
+SWEEP_SLICE_SHARE = 1.15
 
 
 @pytest.fixture
@@ -171,6 +178,40 @@ def test_fan_out_costs_a_process_per_member(warm):
     # three events per spawned member (start, end, a share of the AllOf) and
     # the members' own storage round trips on top of the one-image write
     assert created > SET_DATA_EVENTS + 3 and two_regions > SET_DATA_EVENTS + 3
+
+
+class _Walked(dict):
+    """A key map that counts the keys every walk over it yields."""
+
+    walked = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.walked += 1
+            yield key
+
+
+def test_a_sweep_visits_only_its_slice(monkeypatch):
+    """One shard's heartbeat sweep at 8 shards visits the session keys of
+    its own slice, about N/8, and none of the others.  Unsanitized:
+    ``FK_SANITIZE=1`` re-walks the table on purpose."""
+    monkeypatch.delenv("FK_SANITIZE", raising=False)
+    sessions, shards, shard = 2000, 8, 3
+    cloud, service = make_service(seed=7, user_store="mem",
+                                  session_plane_shards=shards,
+                                  storage_fault_rate=0.0, outbox_enabled=False)
+    service.connect_many(sessions)
+    sweep = service.heartbeat_fns[shard]
+    cloud.run_process(sweep.run(None))  # the first sweep of a split builds its index
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    table._items = _Walked(table._items)
+    index = table._segments[shards] = [_Walked(s) for s in table._segments[shards]]
+    report = cloud.run_process(sweep.run(None))
+    visited = table._items.walked + sum(s.walked for s in index)
+    print(f"a shard's sweep at {shards} shards: {visited} keys visited of "
+          f"{sessions} (its slice: {len(index[shard])})")
+    assert visited == len(index[shard]) == report["checked"]
+    assert visited <= SWEEP_SLICE_SHARE * sessions / shards
 
 
 def test_a_completed_read_keeps_this_many_blocks():

@@ -244,6 +244,32 @@ def test_connect_many_batches_the_session_writes():
     assert batched_ms < serial_ms / 3
 
 
+def test_sessions_share_their_region_context(monkeypatch):
+    """A region's caller context is built once, on first use: connecting
+    100 sessions constructs no ``OpContext`` after that, and every client
+    holds its region's one context."""
+    from repro.faaskeeper import service as service_module
+
+    built = []
+
+    def counting_op_context(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    real = service_module.OpContext
+    monkeypatch.setattr(service_module, "OpContext", counting_op_context)
+    _cloud, service = make_service(seed=106,
+                                   regions=["us-east-1", "eu-central-1"])
+    clients = [service.connect() for _ in range(40)]
+    clients += service.connect_many(40)
+    clients += [service.connect("eu-central-1") for _ in range(10)]
+    clients += service.connect_many(10, "eu-central-1")
+    assert built == [{"region": "us-east-1"}, {"region": "eu-central-1"}]
+    for client in clients:
+        assert client.ctx is service.region_ctx(client.region)
+    assert clients[0].ctx is service.system_ctx
+
+
 def test_connect_many_validates_and_handles_empty():
     _cloud, service = make_service(seed=103)
     assert service.connect_many(0) == []

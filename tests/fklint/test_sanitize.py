@@ -129,6 +129,28 @@ def test_armed_kvstore_rejects_unguarded_watch_sweep(armed, cloud, ctx):
     cloud.run_process(guarded_sweep())
 
 
+def test_armed_kvstore_checks_the_segment_index(armed, cloud, ctx):
+    """A parallel-scan slice comes from the table's segment index; armed,
+    every segmented scan checks it against a walk of the table, so an
+    index that lost a key, or holds them out of order, raises."""
+    from repro.cloud.kvstore import scan_segment_of
+
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    cloud.run_process(kv.batch_put(ctx, "t", {f"s{i}": {} for i in range(32)}))
+    segment = scan_segment_of("s0", 4)
+    cloud.run_process(kv.scan(ctx, "t", segment, 4))  # builds the index
+    keys = table._segments[4][segment]
+    mine = list(keys)
+    keys.pop(mine[-1])                          # a lost key
+    with pytest.raises(SanitizerError, match="segment index"):
+        cloud.run_process(kv.scan(ctx, "t", segment, 4))
+    keys.clear()
+    keys.update(dict.fromkeys(reversed(mine)))  # every key, out of order
+    with pytest.raises(SanitizerError, match="segment index"):
+        cloud.run_process(kv.scan(ctx, "t", segment, 4))
+
+
 def test_disarmed_kvstore_does_not_intercept(monkeypatch, cloud, ctx):
     monkeypatch.delenv("FK_SANITIZE", raising=False)
     kv = cloud.kv()
