@@ -104,7 +104,7 @@ class Sink:
 # Constant after import: populated only by the @register_sink decorators
 # below, identical in every sandbox, never mutated at runtime — so a
 # cold_restart cannot observe divergent state through it.
-SINK_SCHEMES: Dict[str, Callable[..., Sink]] = {}  # fklint: disable=FK004
+SINK_SCHEMES: Dict[str, Callable[..., Sink]] = {}
 
 
 def register_sink(scheme: str):

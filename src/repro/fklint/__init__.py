@@ -1,26 +1,21 @@
 """fklint: domain-aware static analysis + runtime sanitizer.
 
-Static rules (``python -m repro.fklint src examples benchmarks``):
+Static rules (``python -m repro.fklint``, over ``cli.PATHS`` by default):
 
 ====== ===================== ==============================================
 FK001  determinism           no wall clock / ambient RNG outside the kernel
-FK002  atomic-commit         log/outbox writes only via transact_update
-FK003  watch-guard           watch-instance Remove needs the id+session guard
-FK004  handler-state         no mutable module state in handler modules
 FK005  blocking-in-coroutine no env.run/time.sleep/sync facades in co_* cores
-FK006  config-hygiene        every config knob: default + annotation + README
 ====== ===================== ==============================================
 
 The runtime half (:mod:`repro.fklint.sanitize`, armed by ``FK_SANITIZE=1``)
-asserts the dynamic portions of FK002/FK003 at the kvstore layer.
+asserts the storage disciplines of the commit-log append and the guarded
+watch removal (its ``FK002``/``FK003`` messages) at the kvstore layer.
 
 This module stays import-light: the cloud layer imports
 :mod:`repro.fklint.sanitize`, so nothing here may import from
 :mod:`repro.cloud` or :mod:`repro.faaskeeper`.
 """
 
-from .core import (Checker, Finding, LintContext, all_checkers, lint_file,
-                   lint_paths, lint_source, register)
+from .core import Finding, LintContext, lint_file, lint_paths, lint_source
 
-__all__ = ["Checker", "Finding", "LintContext", "all_checkers",
-           "lint_file", "lint_paths", "lint_source", "register"]
+__all__ = ["Finding", "LintContext", "lint_file", "lint_paths", "lint_source"]

@@ -1,15 +1,7 @@
-"""Checker registration: importing this package populates the registry."""
+"""The rules, one ``check(ctx)`` function each, in rule-id order."""
 
-from . import (  # noqa: F401  (imported for their @register side effect)
-    atomic_commit,
-    blocking,
-    config_hygiene,
-    copy_discipline,
-    determinism,
-    handler_state,
-    storage_access,
-    watch_guard,
-)
+from . import blocking, determinism
 
-__all__ = ["atomic_commit", "blocking", "config_hygiene", "copy_discipline",
-           "determinism", "handler_state", "storage_access", "watch_guard"]
+CHECKERS = (determinism.check, blocking.check)
+
+__all__ = ["CHECKERS"]

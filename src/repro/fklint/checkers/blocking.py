@@ -21,8 +21,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
-from ..core import Checker, Finding, LintContext, register
+from ..core import Finding, LintContext
 from .common import ImportMap, dotted_name, resolve_call_name
+
+RULE = "FK005"
 
 #: Sync client-facade methods (each has an ``*_async`` twin).
 BLOCKING_CLIENT_METHODS = {
@@ -37,57 +39,45 @@ def _chain_parts(node: ast.expr) -> List[str]:
     return name.split(".") if name else []
 
 
-@register
-class BlockingInCoroutineChecker(Checker):
-    rule = "FK005"
-    name = "blocking-in-coroutine"
-    description = ("blocking call (time.sleep / env.run / sync client "
-                   "facade) inside a co_* coroutine core")
+def check(ctx: LintContext) -> Iterable[Finding]:
+    """Blocking calls inside the ``co_*`` cores of the service and cloud."""
+    if not (ctx.in_dir("repro", "faaskeeper") or ctx.in_dir("repro", "cloud")):
+        return
+    imports = ImportMap(ctx.tree)
+    for func in ast.walk(ctx.tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                func.name.lstrip("_").startswith("co_"):
+            yield from _check_coroutine(ctx, func, imports)
 
-    def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_dir("repro", "faaskeeper") or \
-            ctx.in_dir("repro", "cloud")
 
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        imports = ImportMap(ctx.tree)
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not node.name.lstrip("_").startswith("co_"):
-                continue
-            findings.extend(self._check_coroutine(ctx, node, imports))
-        return findings
-
-    def _check_coroutine(self, ctx: LintContext, func: ast.AST,
-                         imports: ImportMap) -> Iterable[Finding]:
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_name(node, imports)
-            if target == "time.sleep":
-                yield ctx.finding(
-                    self.rule, node,
-                    "time.sleep inside a co_* core blocks the whole "
-                    "kernel: yield env.timeout(delay_ms) instead")
-                continue
-            if not isinstance(node.func, ast.Attribute):
-                continue
-            method = node.func.attr
-            chain = _chain_parts(node.func.value)
-            tail = chain[-1] if chain else ""
-            if method in ("run", "_run") and \
-                    (tail in ("env", "") or tail.endswith("env")
-                     or method == "_run"):
-                yield ctx.finding(
-                    self.rule, node,
-                    f"`{'.'.join(chain + [method])}()` inside a co_* core "
-                    "re-enters the event loop from one of its own "
-                    "processes: yield the async event instead")
-            elif method in BLOCKING_CLIENT_METHODS and \
-                    ("client" in tail or tail == "zk"):
-                yield ctx.finding(
-                    self.rule, node,
-                    f"sync client facade `{tail}.{method}()` inside a "
-                    f"co_* core: use `yield {tail}.{method}_async(...)"
-                    ".event` (or `yield from` the co_ form)")
+def _check_coroutine(ctx: LintContext, func: ast.AST,
+                     imports: ImportMap) -> Iterable[Finding]:
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call):
+            continue
+        if resolve_call_name(node, imports) == "time.sleep":
+            yield ctx.finding(
+                RULE, node,
+                "time.sleep inside a co_* core blocks the whole "
+                "kernel: yield env.timeout(delay_ms) instead")
+            continue
+        if not isinstance(node.func, ast.Attribute):
+            continue
+        method = node.func.attr
+        chain = _chain_parts(node.func.value)
+        tail = chain[-1] if chain else ""
+        if method in ("run", "_run") and \
+                (tail in ("env", "") or tail.endswith("env")
+                 or method == "_run"):
+            yield ctx.finding(
+                RULE, node,
+                f"`{'.'.join(chain + [method])}()` inside a co_* core "
+                "re-enters the event loop from one of its own "
+                "processes: yield the async event instead")
+        elif method in BLOCKING_CLIENT_METHODS and \
+                ("client" in tail or tail == "zk"):
+            yield ctx.finding(
+                RULE, node,
+                f"sync client facade `{tail}.{method}()` inside a "
+                f"co_* core: use `yield {tail}.{method}_async(...)"
+                ".event` (or `yield from` the co_ form)")

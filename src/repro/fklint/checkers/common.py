@@ -5,21 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-__all__ = ["ImportMap", "dotted_name", "resolve_call_name",
-           "table_name_of", "call_kwarg", "call_arg"]
-
-#: System-table constant names -> the table-name strings they hold
-#: (mirrors ``repro.faaskeeper.layout``; kept literal so the linter does
-#: not import the code under analysis).
-TABLE_CONSTANTS: Dict[str, str] = {
-    "SYSTEM_NODES": "fk-system-nodes",
-    "SYSTEM_STATE": "fk-system-state",
-    "SYSTEM_SESSIONS": "fk-system-sessions",
-    "SYSTEM_WATCHES": "fk-system-watches",
-    "SYSTEM_LOG": "fk-system-log",
-    "SYSTEM_SNAPSHOT": "fk-system-snapshot",
-    "USER_TABLE": "fk-user-nodes",
-}
+__all__ = ["ImportMap", "dotted_name", "resolve_call_name"]
 
 
 class ImportMap(ast.NodeVisitor):
@@ -74,37 +60,3 @@ def resolve_call_name(call: ast.Call, imports: ImportMap) -> Optional[str]:
     if name is None:
         return None
     return imports.expand(name)
-
-
-def call_kwarg(call: ast.Call, name: str) -> Optional[ast.expr]:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def call_arg(call: ast.Call, index: int, name: str) -> Optional[ast.expr]:
-    """Positional-or-keyword argument lookup."""
-    kw = call_kwarg(call, name)
-    if kw is not None:
-        return kw
-    if len(call.args) > index:
-        return call.args[index]
-    return None
-
-
-def table_name_of(node: Optional[ast.expr]) -> Optional[str]:
-    """Best-effort resolution of a kvstore table argument to its string.
-
-    Handles string literals, the layout-module constants (``SYSTEM_LOG``)
-    and attribute access on them (``layout.SYSTEM_LOG``).  Anything
-    dynamic resolves to None — the runtime sanitizer covers those.
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    name = dotted_name(node)
-    if name is None:
-        return None
-    return TABLE_CONSTANTS.get(name.rsplit(".", 1)[-1])

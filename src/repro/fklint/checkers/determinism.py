@@ -21,10 +21,12 @@ chaos monkey and workload generators use.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable
 
-from ..core import Checker, Finding, LintContext, register
+from ..core import Finding, LintContext
 from .common import ImportMap, resolve_call_name
+
+RULE = "FK001"
 
 #: Fully-qualified callables that read ambient time or entropy.
 FORBIDDEN_CALLS = {
@@ -60,44 +62,33 @@ GLOBAL_RANDOM_FNS = {
 }
 
 
-@register
-class DeterminismChecker(Checker):
-    rule = "FK001"
-    name = "determinism"
-    description = ("wall-clock/ambient-RNG call outside the sim kernel "
-                   "(breaks fingerprint gates and seeded replays)")
-
-    def applies(self, ctx: LintContext) -> bool:
-        return (ctx.in_dir("repro", "faaskeeper")
-                or ctx.in_dir("repro", "cloud")
-                or ctx.in_dir("examples") or ctx.in_dir("benchmarks")
-                or ctx.scope_path.startswith(("examples/", "benchmarks/")))
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        imports = ImportMap(ctx.tree)
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_name(node, imports)
-            if target is None:
-                continue
-            hint = FORBIDDEN_CALLS.get(target)
-            if hint is not None:
-                findings.append(ctx.finding(
-                    self.rule, node,
-                    f"nondeterministic call `{target}()`: {hint}"))
-                continue
-            head, _, tail = target.partition(".")
-            if head == "random" and tail in GLOBAL_RANDOM_FNS:
-                findings.append(ctx.finding(
-                    self.rule, node,
-                    f"global-stream RNG call `random.{tail}()`: draw from "
-                    "a seeded RngRegistry stream or random.Random(seed)"))
-            elif target == "random.Random" and not node.args and \
-                    not node.keywords:
-                findings.append(ctx.finding(
-                    self.rule, node,
-                    "unseeded random.Random(): pass an explicit seed so "
-                    "runs replay bit-for-bit"))
-        return findings
+def check(ctx: LintContext) -> Iterable[Finding]:
+    """Wall-clock/ambient-RNG calls in the service, the cloud models, the
+    examples and the benchmarks."""
+    if not (ctx.in_dir("repro", "faaskeeper") or ctx.in_dir("repro", "cloud")
+            or ctx.in_dir("examples") or ctx.in_dir("benchmarks")):
+        return
+    imports = ImportMap(ctx.tree)
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = resolve_call_name(node, imports)
+        if target is None:
+            continue
+        hint = FORBIDDEN_CALLS.get(target)
+        if hint is not None:
+            yield ctx.finding(RULE, node,
+                              f"nondeterministic call `{target}()`: {hint}")
+            continue
+        head, _, tail = target.partition(".")
+        if head == "random" and tail in GLOBAL_RANDOM_FNS:
+            yield ctx.finding(
+                RULE, node,
+                f"global-stream RNG call `random.{tail}()`: draw from "
+                "a seeded RngRegistry stream or random.Random(seed)")
+        elif target == "random.Random" and not node.args and \
+                not node.keywords:
+            yield ctx.finding(
+                RULE, node,
+                "unseeded random.Random(): pass an explicit seed so "
+                "runs replay bit-for-bit")

@@ -9,47 +9,38 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import all_checkers, lint_paths
-from .reporters import write_report
+from .core import lint_paths
 
-__all__ = ["main"]
+__all__ = ["PATHS", "main"]
+
+#: What the repository lints, relative to its root: the default paths,
+#: and the tree ``test_repo_lints_clean`` holds to zero findings.
+PATHS = ("src", "examples", "benchmarks", "tests/helpers")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fklint",
-        description="Domain-aware static analysis for the FaaSKeeper "
-                    "reproduction: machine-enforces the determinism, "
-                    "atomic-commit, watch-guard, handler-statelessness, "
-                    "coroutine and config invariants the test suite "
-                    "otherwise only assumes.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule ids or names to run "
-                             "(e.g. FK001,atomic-commit); default: all")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the registered rules and exit")
-    return parser
+def _plural(n: int, noun: str) -> str:
+    return f"{n} {noun}{'s' if n != 1 else ''}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.fklint",
+        description="Domain-aware static analysis for the FaaSKeeper "
+                    "reproduction.")
+    parser.add_argument("paths", nargs="*", default=list(PATHS),
+                        help=f"files or directories to lint (default: "
+                             f"{' '.join(PATHS)})")
     args = parser.parse_args(argv)
-    if args.list_rules:
-        for cls in all_checkers():
-            print(f"{cls.rule}  {cls.name:<22} {cls.description}")
-        return 0
-    select = ([s.strip() for s in args.select.split(",") if s.strip()]
-              if args.select else None)
     try:
-        findings, nfiles = lint_paths(args.paths, select=select)
+        findings, nfiles = lint_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"fklint: error: {exc}", file=sys.stderr)
         return 2
-    write_report(findings, nfiles, args.format, sys.stdout)
+    for finding in findings:
+        print(finding.format())
+    files = _plural(nfiles, "file")
+    print(f"found {_plural(len(findings), 'problem')} in {files}" if findings
+          else f"checked {files}: all clean")
     return 1 if findings else 0
 
 

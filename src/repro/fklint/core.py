@@ -1,61 +1,32 @@
-"""fklint core: findings, the checker registry, suppressions, the driver.
+"""fklint core: findings, the per-file context, the lint loop.
 
 ``fklint`` is a *domain-aware* static analyser: its rules are not generic
-style checks but machine-enforced versions of the invariants this
-reproduction's correctness story rests on — determinism off the sim
-kernel (the fingerprint gates), atomic system-table commits (the
-commit-log/outbox transaction), the guarded watch-removal protocol (the
-bug class fixed independently in the PR 3 GC sweep and the PR 5 watch
-consume), stateless cold-restartable function handlers (the chaos
-suite's model of sandbox loss), non-blocking ``co_*`` coroutine cores,
-and config-knob hygiene.
-
-Architecture:
+style checks but machine-enforced versions of disciplines no test would
+notice breaking (see the package docstring for the rule list).
 
 * :class:`Finding` — one diagnostic (rule id, message, file, line, col);
-* :class:`LintContext` — everything a checker may look at: the parsed
-  AST, the raw source, the *scope path* (a normalised, project-relative
-  posix path used to decide which rules apply where) and the project's
-  README text (for documentation-completeness rules);
-* :class:`Checker` + :func:`register` — the per-rule plugin registry;
-  checkers are plain AST visitors instantiated per file;
-* suppressions — ``# fklint: disable=FK001[,FK002]`` on the offending
-  line (or ``disable-file=...`` anywhere) silences a rule *with an
-  audit trail*: CONTRIBUTING.md requires every suppression to carry a
-  justification in the same comment or the line above.
+* :class:`LintContext` — what a checker may look at: the parsed AST and
+  the file's posix path, which rule scoping predicates match against;
+* a checker is a function ``check(ctx) -> Iterable[Finding]`` that scopes
+  itself; :data:`repro.fklint.checkers.CHECKERS` lists them.  There are
+  no suppressions: no rule has a sanctioned exception, so a finding is
+  fixed in the code.
 
-The driver (:func:`lint_source` / :func:`lint_file` / :func:`lint_paths`)
-parses each file once and hands the same tree to every applicable
-checker, so a whole-repo run stays fast enough for a pre-commit hook.
+Each file is parsed once and the same tree handed to every checker.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import List, Sequence, Tuple
 
-__all__ = [
-    "Finding",
-    "LintContext",
-    "Checker",
-    "register",
-    "all_checkers",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "iter_python_files",
-    "PARSE_ERROR_RULE",
-]
+__all__ = ["Finding", "LintContext", "lint_source", "lint_file",
+           "lint_paths", "iter_python_files", "PARSE_ERROR_RULE"]
 
 #: Pseudo-rule reported when a file does not parse at all.
 PARSE_ERROR_RULE = "FK000"
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*fklint:\s*(?P<kind>disable|disable-file)\s*=\s*"
-    r"(?P<rules>[A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True, order=True)
@@ -71,34 +42,19 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message}
-
 
 class LintContext:
     """Per-file lint state shared by every checker."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module,
-                 scope_path: str, readme_text: Optional[str] = None) -> None:
-        self.path = path
-        self.source = source
+    def __init__(self, path: str, tree: ast.Module) -> None:
+        #: Posix form of the linted path — what scoping predicates match.
+        self.path = path.replace("\\", "/")
         self.tree = tree
-        #: Normalised project-relative posix path ("src/repro/faaskeeper/
-        #: leader.py") — what rule scoping predicates match against.
-        self.scope_path = scope_path
-        self.readme_text = readme_text
-        self.lines = source.splitlines()
 
-    # ---------------------------------------------------------- scoping
     def in_dir(self, *parts: str) -> bool:
         """True when the file lives under a ``/``-joined directory chain
         anywhere in its path (``in_dir("repro", "faaskeeper")``)."""
-        needle = "/" + "/".join(parts) + "/"
-        return needle in "/" + self.scope_path
-
-    def basename(self) -> str:
-        return self.scope_path.rsplit("/", 1)[-1]
+        return "/" + "/".join(parts) + "/" in "/" + self.path
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         return Finding(path=self.path, line=getattr(node, "lineno", 1),
@@ -106,168 +62,35 @@ class LintContext:
                        rule=rule, message=message)
 
 
-class Checker:
-    """Base class of one rule.  Subclasses set the class attributes and
-    implement :meth:`check`; :func:`register` adds them to the registry."""
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one source blob; ``path`` also decides which rules apply
+    (tests pass e.g. ``src/repro/faaskeeper/leader.py``)."""
+    from .checkers import CHECKERS  # (they import this module)
 
-    #: Rule identifier ("FK001").
-    rule: str = ""
-    #: Short slug used by ``--select`` ("determinism").
-    name: str = ""
-    #: One-line description shown by ``--list-rules``.
-    description: str = ""
-
-    def applies(self, ctx: LintContext) -> bool:  # pragma: no cover - default
-        return True
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
-_REGISTRY: Dict[str, Type[Checker]] = {}
-
-
-def register(cls: Type[Checker]) -> Type[Checker]:
-    """Class decorator: add a checker to the global registry."""
-    if not cls.rule or not cls.name:
-        raise ValueError(f"checker {cls.__name__} needs rule and name")
-    if cls.rule in _REGISTRY:
-        raise ValueError(f"duplicate checker rule {cls.rule}")
-    _REGISTRY[cls.rule] = cls
-    return cls
-
-
-def all_checkers() -> List[Type[Checker]]:
-    """Registered checkers, in rule-id order.  Importing
-    :mod:`repro.fklint.checkers` populates the registry."""
-    from . import checkers as _checkers  # noqa: F401  (registration import)
-    return [_REGISTRY[rule] for rule in sorted(_REGISTRY)]
-
-
-# --------------------------------------------------------------------------
-# Suppressions
-# --------------------------------------------------------------------------
-
-def _parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Scan for ``# fklint: disable=...`` comments.
-
-    Returns (line -> suppressed rules, file-wide suppressed rules); the
-    wildcard ``all`` suppresses every rule.  Comment scanning is textual
-    (not tokenised) — good enough because the marker never appears inside
-    string literals in practice, and a false suppression is loudly
-    visible in the diff.
-    """
-    per_line: Dict[int, Set[str]] = {}
-    file_wide: Set[str] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if not match:
-            continue
-        rules = {r.strip().upper() for r in match.group("rules").split(",")
-                 if r.strip()}
-        if match.group("kind") == "disable-file":
-            file_wide |= rules
-        else:
-            per_line.setdefault(lineno, set()).update(rules)
-    return per_line, file_wide
-
-
-def _suppressed(finding: Finding, per_line: Dict[int, Set[str]],
-                file_wide: Set[str]) -> bool:
-    for rules in (file_wide, per_line.get(finding.line, set())):
-        if "ALL" in rules or finding.rule in rules:
-            return True
-    return False
-
-
-# --------------------------------------------------------------------------
-# Driver
-# --------------------------------------------------------------------------
-
-def _scope_path(path: str, root: Optional[Path]) -> str:
-    """Project-relative posix form of ``path`` (best effort)."""
-    p = Path(path)
-    try:
-        resolved = p.resolve()
-    except OSError:  # pragma: no cover - unresolvable path
-        resolved = p
-    if root is not None:
-        try:
-            return resolved.relative_to(root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return p.as_posix().lstrip("./")
-
-
-def find_project_root(start: Path) -> Optional[Path]:
-    """Nearest ancestor holding a ``pyproject.toml`` (or ``.git``)."""
-    node = start.resolve()
-    if node.is_file():
-        node = node.parent
-    for candidate in (node, *node.parents):
-        if (candidate / "pyproject.toml").exists() or \
-                (candidate / ".git").exists():
-            return candidate
-    return None
-
-
-def lint_source(source: str, path: str = "<string>",
-                scope_path: Optional[str] = None,
-                readme_text: Optional[str] = None,
-                select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint one source blob.  ``scope_path`` is the virtual location used
-    for rule scoping (tests pass e.g. ``src/repro/faaskeeper/leader.py``);
-    it defaults to ``path``."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return [Finding(path=path, line=exc.lineno or 1,
                         col=(exc.offset or 0) + 1, rule=PARSE_ERROR_RULE,
                         message=f"file does not parse: {exc.msg}")]
-    ctx = LintContext(path=path, source=source, tree=tree,
-                      scope_path=(scope_path or path).replace("\\", "/"),
-                      readme_text=readme_text)
-    wanted = {r.upper() for r in select} if select else None
-    findings: List[Finding] = []
-    for cls in all_checkers():
-        if wanted is not None and cls.rule not in wanted and \
-                cls.name.upper() not in wanted:
-            continue
-        checker = cls()
-        if not checker.applies(ctx):
-            continue
-        findings.extend(checker.check(ctx))
-    per_line, file_wide = _parse_suppressions(source)
-    findings = [f for f in findings
-                if not _suppressed(f, per_line, file_wide)]
-    return sorted(findings)
+    ctx = LintContext(path, tree)
+    return sorted(f for check in CHECKERS for f in check(ctx))
 
 
-def lint_file(path: str, root: Optional[Path] = None,
-              readme_text: Optional[str] = None,
-              select: Optional[Sequence[str]] = None) -> List[Finding]:
+def lint_file(path: str) -> List[Finding]:
     try:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return [Finding(path=path, line=1, col=1, rule=PARSE_ERROR_RULE,
                         message=f"cannot read file: {exc}")]
-    if root is None:
-        root = find_project_root(Path(path))
-    if readme_text is None and root is not None:
-        readme = root / "README.md"
-        if readme.exists():
-            readme_text = readme.read_text(encoding="utf-8")
-    return lint_source(source, path=path,
-                       scope_path=_scope_path(path, root),
-                       readme_text=readme_text, select=select)
+    return lint_source(source, path)
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files,
     skipping caches, hidden directories and build output."""
     out: List[str] = []
-    skip_dirs = {"__pycache__", ".git", ".ruff_cache", ".mypy_cache",
-                 "build", "dist", ".eggs"}
+    skip_dirs = {"__pycache__", "build", "dist"}
     for raw in paths:
         p = Path(raw)
         if p.is_file():
@@ -275,31 +98,13 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
             continue
         if not p.is_dir():
             raise FileNotFoundError(f"no such file or directory: {raw}")
-        for sub in sorted(p.rglob("*.py")):
-            if any(part in skip_dirs or part.startswith(".")
-                   for part in sub.parts):
-                continue
-            if sub.name.endswith(".egg-info"):  # pragma: no cover
-                continue
-            out.append(str(sub))
+        out.extend(str(sub) for sub in sorted(p.rglob("*.py"))
+                   if not any(part in skip_dirs or part.startswith(".")
+                              for part in sub.relative_to(p).parts))
     return out
 
 
-def lint_paths(paths: Sequence[str],
-               select: Optional[Sequence[str]] = None
-               ) -> Tuple[List[Finding], int]:
+def lint_paths(paths: Sequence[str]) -> Tuple[List[Finding], int]:
     """Lint files/directories; returns (findings, files checked)."""
     files = iter_python_files(paths)
-    readme_cache: Dict[Path, Optional[str]] = {}
-    findings: List[Finding] = []
-    for path in files:
-        root = find_project_root(Path(path))
-        if root is not None and root not in readme_cache:
-            readme = root / "README.md"
-            readme_cache[root] = (readme.read_text(encoding="utf-8")
-                                  if readme.exists() else None)
-        findings.extend(lint_file(
-            path, root=root,
-            readme_text=readme_cache.get(root) if root else None,
-            select=select))
-    return sorted(findings), len(files)
+    return sorted(f for path in files for f in lint_file(path)), len(files)

@@ -1,15 +1,14 @@
-"""Runtime sanitizer: the dynamic half of FK002/FK003.
+"""Runtime sanitizer: the storage disciplines FK002/FK003, checked at the
+kvstore on the *resolved* table names and update lists.
 
-Static analysis cannot see through dynamically-computed table names or
-update lists built at runtime, so the kvstore facade calls
-:func:`check_mutation` at the top of every mutator when ``FK_SANITIZE=1``
-is set (the CI sanitizer leg runs the whole tier-1 suite this way).  Each
-``KeyValueStore`` reads the variable once, at construction, so set it before
-the store exists.  The checks are cheap string/type tests — disarmed, the
+The kvstore facade calls :func:`check_mutation` at the top of every
+mutator when ``FK_SANITIZE=1`` is set (the CI sanitizer leg runs the whole
+tier-1 suite this way).  Each ``KeyValueStore`` reads the variable once, at
+construction, so set it before the store exists.  The checks are cheap string/type tests — disarmed, the
 cost is one attribute read per storage op — and a violation raises
-:class:`SanitizerError` (an ``AssertionError`` subclass) at the exact
-offending call, ASan-style, instead of letting a torn commit or an
-unguarded watch sweep surface three tests later as a flaky timeout.
+:class:`SanitizerError` at the exact offending call, ASan-style, instead of
+letting a torn commit or an unguarded watch sweep surface three tests later
+as a flaky timeout.
 
 Armed invariants:
 
@@ -34,14 +33,17 @@ from typing import Any, Optional, Sequence
 __all__ = ["SanitizerError", "enabled", "check_mutation",
            "APPEND_ONLY_TABLE"]
 
-#: The one table whose append path must ride the commit transaction (the
-#: static FK002 checker imports this definition).
+#: The one table whose append path must ride the commit transaction.
 APPEND_ONLY_TABLE = "fk-system-log"
 WATCH_TABLE = "fk-system-watches"
 
 
-class SanitizerError(AssertionError):
-    """A machine-checked storage-discipline invariant was violated."""
+class SanitizerError(BaseException):
+    """A machine-checked storage-discipline invariant was violated.
+
+    Not an ``Exception``: the queue triggers and the cron loop redeliver a
+    handler that raises one, so an ``Exception`` here would be retried
+    forever instead of escaping ``Environment.run()``."""
 
 
 def enabled() -> bool:

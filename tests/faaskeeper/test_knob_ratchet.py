@@ -3,9 +3,10 @@
 ROADMAP aim 2 ("same numbers, least machinery") counts config fields and
 ``FK_*`` environment switches.  These ceilings are the counts the tree
 holds today; a PR that removes a knob lowers the number here, and nothing
-may raise it.  The client library is held to the same aim from the other
-side: it has one session pipeline, so its source may not name anything
-that tells one deployment shape from another.  The service side of the
+may raise it.  Every knob that stays has a row in the README's
+configuration reference.  The client library is held to the same aim from
+the other side: it has one session pipeline, so its source may not name
+anything that tells one deployment shape from another.  The service side of the
 session plane likewise: one expiry path (the sweep), one watch table, one
 scan path, so the names of their deleted twins stay out of ``src/``.
 And the durability plane: one commit record per transaction that the
@@ -13,9 +14,13 @@ fold, the publisher and compaction read at their own cursors, so the
 outbox table and the switch that pinned the log stay out too.  And the
 storage boundary: one retrying proxy around both stores of every
 deployment, so the switch that removed it, its hand-forwarded twins, the
-second probe limiter and the knobs nothing turned stay out as well.
+second probe limiter and the knobs nothing turned stay out as well, and
+no module but the backends and the wiring acquires a raw client.  And
+the copy discipline: images cross the storage API through
+``expressions.clone``, so ``deepcopy`` stays inside its fallback.
 And the deployment: every stage is declared once, in one deploy helper,
-and CI's crash-stage matrix follows the crash-point table.
+and CI's crash-stage matrix follows the crash-point table; every CI job
+has a time bound.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.
@@ -23,6 +28,7 @@ spawns an invocation it waits for at once and no stage hand-writes a
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -35,6 +41,12 @@ MAX_ENV_SWITCHES = 3
 
 def test_config_field_count_only_goes_down():
     assert len(dataclasses.fields(FaaSKeeperConfig)) <= MAX_CONFIG_FIELDS
+
+
+def test_every_knob_has_a_row_in_the_configuration_reference():
+    readme = (Path(__file__).parents[2] / "README.md").read_text()
+    for field in dataclasses.fields(FaaSKeeperConfig):
+        assert f"| `{field.name}` |" in readme, field.name
 
 
 def test_env_switch_count_only_goes_down():
@@ -77,6 +89,20 @@ def test_one_storage_boundary():
         "client_cache_kb|leader_max_receive")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
+    raw_client = re.compile(r"\.(kv|objectstore|cache)\(")
+    for path in (src / "faaskeeper").rglob("*.py"):
+        if path.name not in ("userstore.py", "service.py"):
+            assert not raw_client.search(path.read_text()), path
+
+
+def test_deepcopy_stays_in_clones_fallback():
+    from repro.cloud import expressions
+
+    src = Path(repro.__file__).parent
+    fallback = inspect.getsource(expressions.clone)
+    for tree in ("cloud", "faaskeeper"):
+        for path in (src / tree).rglob("*.py"):
+            assert "deepcopy" not in path.read_text().replace(fallback, ""), path
 
 
 def test_every_stage_is_declared_once():
@@ -198,3 +224,13 @@ def test_ci_chaos_matrix_names_every_crashable_stage():
     matrix = jobs["chaos"]["strategy"]["matrix"]["crash-stage"]
     assert sorted(matrix) == sorted(CRASH_POINTS)
     assert set(CRASH_POINTS) <= set(STAGE_KINDS)
+
+
+def test_every_ci_job_is_bounded():
+    """A hung leg (say a handler redelivered forever) fails in minutes, not
+    at GitHub's 360-minute default."""
+    import yaml
+
+    for workflow in (Path(__file__).parents[2] / ".github" / "workflows").glob("*.yml"):
+        for name, job in yaml.safe_load(workflow.read_text())["jobs"].items():
+            assert job.get("timeout-minutes", 360) <= 30, (workflow.name, name)

@@ -1,6 +1,4 @@
-"""CLI self-tests: exit codes, report formats, rule listing."""
-
-import json
+"""CLI self-tests: exit codes and the report."""
 
 import pytest
 
@@ -15,7 +13,6 @@ GOOD = "X = 1\n"
 def tree(tmp_path):
     pkg = tmp_path / "src" / "repro" / "faaskeeper"
     pkg.mkdir(parents=True)
-    (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
     (pkg / "leader.py").write_text(BAD)
     (pkg / "model.py").write_text(GOOD)
     return tmp_path
@@ -36,24 +33,3 @@ def test_exit_one_with_findings(tree, capsys):
 def test_exit_two_on_missing_path(capsys):
     assert main(["/no/such/dir-fklint"]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_json_format_is_machine_readable(tree, capsys):
-    assert main([str(tree / "src"), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["files_checked"] == 2
-    (finding,) = report["findings"]
-    assert finding["rule"] == "FK001"
-    assert finding["line"] == 2
-
-
-def test_select_filters_rules(tree):
-    assert main([str(tree / "src"), "--select", "FK006"]) == 0
-    assert main([str(tree / "src"), "--select", "determinism"]) == 1
-
-
-def test_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in ("FK001", "FK002", "FK003", "FK004", "FK005", "FK006"):
-        assert rule in out

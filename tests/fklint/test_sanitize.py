@@ -40,9 +40,11 @@ def test_fk002_rejects_direct_log_writes():
 
 
 def test_fk002_has_one_table_defined_once():
-    from repro.fklint.checkers import atomic_commit
-    assert atomic_commit.APPEND_ONLY_TABLE is sanitize.APPEND_ONLY_TABLE
-    assert sanitize.APPEND_ONLY_TABLE == "fk-system-log"
+    # The sanitizer may not import the service, so it names the tables
+    # itself; they must be the layout's.
+    from repro.faaskeeper import layout
+    assert sanitize.APPEND_ONLY_TABLE == layout.SYSTEM_LOG
+    assert sanitize.WATCH_TABLE == layout.SYSTEM_WATCHES
 
 
 def test_fk002_allows_transactional_log_writes():
@@ -160,6 +162,31 @@ def test_disarmed_kvstore_does_not_intercept(monkeypatch, cloud, ctx):
         yield from kv.put_item(ctx, "fk-system-log", "txid-1", {"t": 1})
 
     cloud.run_process(flow())  # discipline unchecked when disarmed
+
+
+def test_a_tripped_handler_ends_the_run(armed, monkeypatch):
+    """A handler that trips the sanitizer fails ``cloud.run`` at once: the
+    queue triggers redeliver a handler that raises an ``Exception``, so an
+    error of that kind would be retried forever instead of reported."""
+    from repro.faaskeeper import FaaSKeeperService
+    from repro.faaskeeper.watches import WatchRegistry
+
+    def unguarded_consume(self, ctx, path, op_pairs, watch_item):
+        removals = [Remove(f"inst.{wtype}")
+                    for wtype in (watch_item or {}).get("inst", {})]
+        if removals:
+            yield from self.store.update_item(ctx, "fk-system-watches", path,
+                                              updates=removals)
+        return []
+
+    monkeypatch.setattr(WatchRegistry, "consume_ops", unguarded_consume)
+    cloud = Cloud.aws(seed=7)
+    client = FaaSKeeperService.deploy(cloud).connect()
+    client.create("/job", b"v0")
+    client.get_data("/job", watch=lambda _event: None)
+    client.set_data_async("/job", b"v1")
+    with pytest.raises(SanitizerError, match="FK003"):
+        cloud.run(until=cloud.now + 10_000)
 
 
 def test_sanitized_service_runs_a_real_workload(armed):
