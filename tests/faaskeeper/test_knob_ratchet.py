@@ -32,7 +32,10 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
 MAX_CONFIG_FIELDS = 21
@@ -89,20 +92,77 @@ def test_one_storage_boundary():
         "client_cache_kb|leader_max_receive")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
-    raw_client = re.compile(r"\.(kv|objectstore|cache)\(")
-    for path in (src / "faaskeeper").rglob("*.py"):
-        if path.name not in ("userstore.py", "service.py"):
-            assert not raw_client.search(path.read_text()), path
+    for path in src.rglob("*.py"):
+        assert not _raw_clients(path.relative_to(src), path.read_text()), path
+
+
+def _raw_clients(path, text):
+    """Lines of a ``faaskeeper/`` module (``path`` relative to the package)
+    that acquire a raw store; the backends and the wiring own them."""
+    if path.parts[0] != "faaskeeper" or path.name in ("userstore.py",
+                                                      "service.py"):
+        return []
+    return [n for n, line in enumerate(text.splitlines(), 1)
+            if re.search(r"\.(kv|objectstore|cache)\(", line)]
+
+
+def test_the_ratchet_sees_a_raw_client():
+    seeded = (
+        "class Heartbeat:\n"
+        "    def handler(self, fctx, payload):\n"
+        "        kv = self.service.cloud.kv('dynamodb:system')\n"
+        "        obj = fctx.cloud.objectstore('s3')\n"
+        "        cache = self.service.cloud.cache('redis')\n"
+        "        yield from self.service.system_store.get_item(fctx.ctx, 't')\n")
+    assert _raw_clients(Path("faaskeeper/heartbeat.py"), seeded) == [3, 4, 5]
+    for owner in ("faaskeeper/userstore.py", "faaskeeper/service.py",
+                  "cloud/objectstore.py"):
+        assert _raw_clients(Path(owner), seeded) == []
+
+
+_CLONE_FALLBACK = inspect.getsource(expressions.clone)
+
+
+def _stray_deepcopies(path, text):
+    """Lines of a ``cloud/`` or ``faaskeeper/`` module that name
+    ``deepcopy`` outside ``expressions.clone``'s fallback."""
+    if path.parts[0] not in ("cloud", "faaskeeper"):
+        return []
+    text = text.replace(_CLONE_FALLBACK, "\n" * _CLONE_FALLBACK.count("\n"))
+    return [n for n, line in enumerate(text.splitlines(), 1)
+            if "deepcopy" in line]
 
 
 def test_deepcopy_stays_in_clones_fallback():
-    from repro.cloud import expressions
-
     src = Path(repro.__file__).parent
-    fallback = inspect.getsource(expressions.clone)
-    for tree in ("cloud", "faaskeeper"):
-        for path in (src / tree).rglob("*.py"):
-            assert "deepcopy" not in path.read_text().replace(fallback, ""), path
+    for path in src.rglob("*.py"):
+        assert not _stray_deepcopies(path.relative_to(src),
+                                     path.read_text()), path
+
+
+_SEEDED_DEEPCOPY = (
+    "import copy\n"
+    "from copy import deepcopy as dc\n"
+    "\n"
+    "class Backend:\n"
+    "    def write_node(self, path, image):\n"
+    "        self._data[path] = copy.deepcopy(image)\n"
+    "        self._shallow = copy.copy(self._index)\n")
+
+
+@pytest.mark.parametrize("path, text, expected", [
+    pytest.param("faaskeeper/userstore.py", _SEEDED_DEEPCOPY, [2, 6],
+                 id="faaskeeper"),
+    pytest.param("cloud/objectstore.py", _SEEDED_DEEPCOPY, [2, 6], id="cloud"),
+    # clone's own fallback is exempt; a second deepcopy beside it is not
+    pytest.param("cloud/expressions.py",
+                 _CLONE_FALLBACK + "\n\ndef snapshot(value):\n"
+                 "    return copy.deepcopy(value)\n",
+                 [_CLONE_FALLBACK.count("\n") + 4], id="clone-fallback"),
+])
+def test_the_ratchet_sees_a_deepcopy(path, text, expected):
+    assert _stray_deepcopies(Path(path), text) == expected
+    assert _stray_deepcopies(Path("analysis/bench.py"), text) == []
 
 
 def test_every_stage_is_declared_once():
