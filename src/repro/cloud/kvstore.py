@@ -268,6 +268,8 @@ class KeyValueStore:
         #: a replay of the same token returns the recorded result without
         #: re-applying — the device that makes ambiguous-failure retries
         #: exactly-once.  Results are the stored images themselves (shared).
+        #: ``RetryingStore`` sends tokens only while :attr:`faults` is armed
+        #: (nothing else fails transiently): fault-free, the ledger is empty.
         #: Two generations, turned over every :attr:`TOKEN_WINDOW_MS` on the
         #: sim clock, bound it without a timestamp per entry.
         self._token_results: Dict[str, Any] = {}

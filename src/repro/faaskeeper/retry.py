@@ -15,12 +15,14 @@ simulation's constraints:
   store, bit for bit.
 * **Idempotence-aware replay** — the op table says which operations carry
   a deterministic request token (DynamoDB ``ClientRequestToken``): every
-  key-value mutator does.  If the first attempt died *after* applying
-  (the ambiguous partial-write failure), the replay returns the recorded
-  result instead of re-applying, so conditional writes re-verify rather
-  than blind-retry and the exactly-once audits stay green.  User-store
-  ops are whole-image writes (idempotent by construction) and re-run
-  bodily.
+  key-value mutator, while its store has a fault injector armed (only an
+  injector raises a transient error; unarmed, nothing is retried and a
+  token would only pin its image in the ledger).  If the first attempt
+  died *after* applying (the ambiguous partial-write failure), the replay
+  returns the recorded result instead of re-applying, so conditional
+  writes re-verify rather than blind-retry and the exactly-once audits
+  stay green.  User-store ops are whole-image writes (idempotent by
+  construction) and re-run bodily.
 * **Per-region circuit breaker** — ``RetryPolicy.breaker_threshold``
   consecutive transient failures trip a store/region to OPEN: further
   requests are shed immediately with :class:`StorageUnavailable` (and the
@@ -267,10 +269,11 @@ class RetryingStore:
 
         A fresh attempt generator is created per try; the same token rides
         every attempt of one logical mutation, which is what makes the
-        replay idempotent.
+        replay idempotent.  Minted only if ``inner.faults`` is armed as the
+        first attempt draws its fault: an op begun unarmed is never retried.
         """
         breaker = self.breaker(region)
-        if tokened:
+        if tokened and self.inner.faults is not None:
             kwargs = dict(kwargs, token=f"{self.label}-t{next(self._tokens)}")
         attempt = 0
         while True:

@@ -291,6 +291,8 @@ class RecordingStore:
     def __init__(self, env, ops, region=None):
         self.env = env
         self.calls = []
+        # A store that can lose a reply says so through ``faults``.
+        self.faults = ScriptedInjector(env, [])
         if region is not None:
             self.region = region
         else:
@@ -363,6 +365,23 @@ def test_every_mutator_replays_its_token_after_a_partial_write():
     item = cloud.run_process(wrapped.get_item(ctx, "t", "k"))
     assert item["log"] == ["x", "x"]          # update + transact, once each
     assert cloud.run_process(wrapped.get_item(ctx, "t", "fresh")) is None
+
+
+def test_a_token_rides_only_where_a_reply_can_be_lost():
+    """Only an armed injector raises a transient error, so a fault-free
+    store is never retried and its token ledger must stay empty rather
+    than pin every superseded image for a token window; once armed, a
+    mutation carries its token again."""
+    cloud, service = make_service(storage_fault_rate=0.0)
+    client = service.connect()
+    client.create("/n", b"")
+    for i in range(1000):
+        client.set_data("/n", b"%d" % i)
+    kv = service.system_store.inner
+    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
+    kv.faults = ScriptedInjector(cloud.env, [])
+    client.set_data("/n", b"armed")
+    assert kv._token_results
 
 
 @pytest.mark.parametrize("scheme", registered_schemes())
