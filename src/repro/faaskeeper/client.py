@@ -266,13 +266,12 @@ class SessionRetry:
 class FaaSKeeperClient:
     """One session's client handle.  Obtain via ``service.connect()``."""
 
-    def __init__(self, service, session_id: str, region: str, queue) -> None:
+    def __init__(self, service, session_id: str, region: str) -> None:
         self.service = service
         self.cloud = service.cloud
         self.env = service.cloud.env
         self.session_id = session_id
         self.region = region
-        self.queue = queue
         self.ctx = service.region_ctx(region)
         self.alive = True          # heartbeat answers (tests flip this)
         self.closed = False
@@ -288,7 +287,6 @@ class FaaSKeeperClient:
         self._cache: Optional[ClientReadCache] = (
             ClientReadCache(config.client_cache_entries)
             if config.client_cache_enabled else None)
-        queue.on_drop = self._on_drop
 
         # --- session lifecycle (kazoo parity) -----------------------------
         self._state = KeeperState.CONNECTED
@@ -298,6 +296,9 @@ class FaaSKeeperClient:
 
     # Everything below is allocated by the session's first *use* of it: a
     # session that only answers heartbeats owns none of these containers.
+    #: The session's FIFO queue, made by its first queued request (or its
+    #: eviction); reading it on a closed session raises ``NoSuchQueue``.
+    queue = cached_property(lambda self: self.service._open_queue(self))
     #: rid -> response Event of every queued request still unanswered, in
     #: request order: what a read issued now has to wait for.
     _pending = cached_property(lambda self: {})

@@ -363,17 +363,18 @@ class FaaSKeeperService:
         return self._region_ctx[region]
 
     def connect(self, region: Optional[str] = None) -> FaaSKeeperClient:
-        """Open one session: its own FIFO queue, a session record, a client."""
+        """Open one session: a session record and a client."""
         return self.connect_many(1, region)[0]
 
     def connect_many(self, count: int, region: Optional[str] = None,
                      batch_size: int = 25) -> List[FaaSKeeperClient]:
         """Open ``count`` sessions: the one registration path.
 
-        Each session gets its own FIFO queue (feeding the follower) and
-        client; the session records land in ``BatchWriteItem`` chunks of
-        ``batch_size`` — one round trip per chunk instead of one per
-        session, the difference between registering 100k sessions in
+        Each session gets a client; its own FIFO queue (feeding the
+        follower) comes later, from :meth:`_open_queue`, when the session
+        first needs one.  The session records land in ``BatchWriteItem``
+        chunks of ``batch_size`` — one round trip per chunk instead of one
+        per session, the difference between registering 100k sessions in
         seconds versus minutes of virtual time.  The first session of an
         idle deployment starts every stage's cron.  The call pumps the
         event loop until every batch write has landed, so callers can
@@ -392,14 +393,9 @@ class FaaSKeeperService:
         writes = []
         while len(clients) < count:
             session_id = f"s{next(self._session_ids)}"
-            queue = self.cloud.fifo_queue(
-                f"fk-session-{session_id}", label="sqs",
-                max_receive=self.config.follower_max_receive)
-            queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
-            self._session_queues[session_id] = queue
             pending[session_id] = {"ephemeral": [], "region": region,
                                    "last_rid": 0}
-            client = FaaSKeeperClient(self, session_id, region, queue)
+            client = FaaSKeeperClient(self, session_id, region)
             self.clients[session_id] = client
             self._live_sessions += 1
             clients.append(client)
@@ -414,6 +410,20 @@ class FaaSKeeperService:
                     stage.task.start()
         env.run(until=AllOf(env, writes))
         return clients
+
+    def _open_queue(self, client: FaaSKeeperClient):
+        """Make ``client``'s session queue, feeding the follower: read once,
+        by its first queued request or its eviction.  Free on the virtual
+        clock (no latency, no charge, no event); a closed session gets none."""
+        name = f"fk-session-{client.session_id}"
+        if client.closed:
+            raise NoSuchQueue(name)
+        queue = self.cloud.fifo_queue(
+            name, label="sqs", max_receive=self.config.follower_max_receive)
+        queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
+        queue.on_drop = client._on_drop
+        self._session_queues[client.session_id] = queue
+        return queue
 
     def on_session_closed(self, session_id: str, evicted: bool = False) -> None:
         client = self.clients.get(session_id)
@@ -523,12 +533,13 @@ class FaaSKeeperService:
     def enqueue_eviction(self, ctx: OpContext, session_id: str) -> Generator:
         """Queue a deregistration request into the session's own queue, so it
         orders after any writes the session already submitted."""
-        queue = self._session_queues.get(session_id)
-        if queue is None:  # already closed: its queue went with it
+        client = self.clients.get(session_id)
+        if client is None or client.closed:  # nothing left to evict
             return None
         body = {"session": session_id, "rid": -1, "op": "close_session"}
         try:
-            yield from queue.send(ctx, body, group=session_id, size_kb=0.1)
+            yield from client.queue.send(ctx, body, group=session_id,
+                                         size_kb=0.1)
         except NoSuchQueue:
             pass  # closed while the request was on its way: nothing to evict
         return None

@@ -169,9 +169,9 @@ def test_every_stage_is_declared_once():
     """One deployment declaration: every function is deployed, given its
     queue and scheduled in ``FaaSKeeperService._deploy_stage``, so each of
     those calls has one site under ``faaskeeper/`` (``fifo_queue`` a
-    second for the per-session queues); and the hand-kept twins the stage
-    list replaced — the second gate board, the cron list, the chaos
-    forwarders — stay out of ``src/``."""
+    second, ``FaaSKeeperService._open_queue``, for the per-session queues);
+    and the hand-kept twins the stage list replaced — the second gate
+    board, the cron list, the chaos forwarders — stay out of ``src/``."""
     src = Path(repro.__file__).parent
     sources = {path: path.read_text() for path in src.rglob("*.py")}
     wiring = "".join(text for path, text in sources.items()

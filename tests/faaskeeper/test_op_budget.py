@@ -228,5 +228,6 @@ def test_a_completed_read_keeps_this_many_blocks():
             futures[-1].wait()
         return futures
 
-    _size, blocks = bytes_and_blocks_per(500, read, "completed read, handle kept")
+    _size, blocks, _objects = bytes_and_blocks_per(
+        500, read, "completed read, handle kept")
     assert blocks <= READ_BLOCKS

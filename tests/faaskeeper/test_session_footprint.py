@@ -1,8 +1,9 @@
 """An idle session costs (almost) nothing: the session plane is pay-per-use.
 
-Everything a session owns — its queue's RNG stream, buffer and dispatcher,
-the client's containers — is allocated by the session's first *use*, and a
-closed session gives everything back.  These tests hold the line in bytes.
+Everything a session owns — its queue (with the queue's RNG stream, buffer
+and dispatcher), the client's containers — is allocated by the session's
+first *use*, and a closed session gives everything back.  These tests hold
+the line in bytes.
 """
 
 import gc
@@ -18,11 +19,19 @@ from repro.faaskeeper.retry import BREAKER_OPEN
 from ..helpers.footprint import bytes_and_blocks_per
 from .conftest import make_service
 
-#: Budget for one registered, idle session (record, queue, client and the
-#: dict entries that index them).  ~1.2 kB on CPython 3.10-3.12; the seed
-#: of this test read 7 756 B / 48 blocks.
-IDLE_SESSION_BYTES = 4096
-IDLE_SESSION_BLOCKS = 36
+#: Budget for one registered, idle session (its record, its client and the
+#: dict entries that index them; no queue).  ~660 B, 7.1 blocks and 4
+#: GC-tracked objects on CPython 3.10-3.12; the seed of this test read
+#: 7 756 B / 48 blocks, and a session with its queue made at connect
+#: 1 132 B / 12.1 blocks / 7 objects.  GC-tracked objects are what every
+#: full collection walks, once per session.
+IDLE_SESSION_BYTES = 900
+IDLE_SESSION_BLOCKS = 9
+IDLE_SESSION_OBJECTS = 5
+
+
+def _session_queues(cloud):
+    return [name for name in cloud._queues if name.startswith("fk-session-")]
 
 
 @pytest.mark.skipif(bool(os.environ.get("FK_SANITIZE")),
@@ -30,16 +39,64 @@ IDLE_SESSION_BLOCKS = 36
 def test_idle_session_fits_the_budget():
     cloud, service = make_service(seed=7, user_store="mem",
                                   session_plane_shards=8)
-    size, blocks = bytes_and_blocks_per(2000, service.connect_many)
+    size, blocks, objects = bytes_and_blocks_per(2000, service.connect_many)
     assert size <= IDLE_SESSION_BYTES
     assert blocks <= IDLE_SESSION_BLOCKS
-    # and the reason: no stream, no dispatcher, no buffer, no containers
+    assert objects <= IDLE_SESSION_OBJECTS
+    # and the reason: no queue, no containers (reading ``client.queue``
+    # would make the queue, so the probe looks at the instance dict)
     client = service.clients["s1"]
-    assert f"queue:{client.queue.name}" not in cloud.rng
-    assert not client.queue._dispatching
-    assert client.queue._buffer._items is None
-    assert not {"_pending", "_registered", "_delivered", "_listeners",
-                "watch_events", "retry"} & set(vars(client))
+    assert not {"queue", "_pending", "_registered", "_delivered",
+                "_listeners", "watch_events", "retry"} & set(vars(client))
+    assert _session_queues(cloud) == []
+
+
+def test_a_session_queue_is_made_by_its_first_request():
+    cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(20)
+    assert _session_queues(cloud) == []
+    assert service._session_queues == {}
+    writer = fleet[3]
+    writer.create("/a", b"x")
+    assert _session_queues(cloud) == [f"fk-session-{writer.session_id}"]
+    assert service._session_queues == {writer.session_id: writer.queue}
+    assert writer.queue.sent == 1
+    assert not any("queue" in vars(c) for c in fleet if c is not writer)
+
+
+def _left_nothing_behind(cloud, service, client):
+    name = f"fk-session-{client.session_id}"
+    assert name not in cloud._queues
+    assert f"queue:{name}" not in cloud.rng
+    assert client.session_id not in service.clients
+    assert client.session_id not in service._session_queues
+
+
+def test_a_never_used_session_is_evicted_and_leaves_nothing():
+    cloud, service = make_service(seed=7, user_store="mem",
+                                  storage_fault_rate=0.0)
+    keeper, ghost = service.connect_many(2)
+    ghost.alive = False
+    cloud.run(until=cloud.now + 3 * 60_000)
+    assert ghost.closed and ghost.evicted
+    # the eviction made the queue, sent the close into it, and the close
+    # deleted it again
+    queue = vars(ghost)["queue"]
+    assert queue.sent == 1 and queue._buffer is None
+    _left_nothing_behind(cloud, service, ghost)
+    assert "queue" not in vars(keeper) and not keeper.closed
+
+
+def test_a_never_used_session_closes_and_leaves_nothing():
+    cloud, service = make_service(seed=7, user_store="mem",
+                                  storage_fault_rate=0.0)
+    keeper, idle = service.connect_many(2)
+    idle.close()
+    cloud.run(until=cloud.now + 1_000)
+    assert idle.closed and not idle.evicted
+    _left_nothing_behind(cloud, service, idle)
+    assert service._session_queues == {}
+    assert "queue" not in vars(keeper)
 
 
 def test_state_flip_allocates_nothing_on_a_listenerless_session():
@@ -89,9 +146,12 @@ def test_session_churn_does_not_grow_the_deployment():
         tracemalloc.stop()
     print(f"churn: traced bytes after each round {after}")
     assert after[4] <= 1.10 * after[1]
-    assert len(service.clients) == len(service._session_queues) == 2000
-    assert _live(FaaSKeeperClient) == _live(FifoQueue) - len(
-        service.leader_queues) == len(resident)
+    # the resident fleet is idle: it owns no queue
+    assert len(service.clients) == len(resident) == 2000
+    assert service._session_queues == {}
+    assert _live(FaaSKeeperClient) == len(resident)
+    assert _live(FifoQueue) == len(service.leader_queues)
+    assert _session_queues(cloud) == []
     streams = [name for name in cloud.rng._streams
                if name.startswith("queue:fk-session-")]
     assert streams == []

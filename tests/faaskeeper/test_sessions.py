@@ -218,8 +218,13 @@ def test_sweep_pings_with_timers_not_processes(cloud, service):
 def test_two_sessions_are_isolated_queues(service):
     c1, c2 = service.connect(), service.connect()
     assert c1.session_id != c2.session_id
-    assert service._session_queues[c1.session_id] is not \
-        service._session_queues[c2.session_id]
+    c1.create("/a")
+    c2.create("/b")
+    queues = service._session_queues
+    assert queues[c1.session_id] is c1.queue
+    assert queues[c2.session_id] is c2.queue
+    assert c1.queue is not c2.queue
+    assert c1.queue.sent == c2.queue.sent == 1
 
 
 def test_session_writes_after_eviction_fail(cloud, service):
@@ -278,6 +283,20 @@ def test_request_racing_the_close_fails_like_one_on_a_closed_session(
     with pytest.raises(SessionClosedError):
         behind.wait()
     assert d.session_id not in service.clients       # nothing owed any more
+
+
+def test_a_request_overtaken_by_the_close_makes_no_queue(cloud, service):
+    """The session's first request has not run yet when the session is
+    closed: it fails like one on a closed session, and no queue is made."""
+    service.connect()
+    c = service.connect()
+    first = c.set_data_async("/plain", b"1")
+    service.on_session_closed(c.session_id, evicted=True)
+    with pytest.raises(SessionClosedError):
+        first.wait()
+    assert "queue" not in vars(c)
+    assert f"fk-session-{c.session_id}" not in cloud._queues
+    assert c.session_id not in service._session_queues
 
 
 def test_eviction_racing_a_close_does_not_crash_the_sweep(cloud, service):

@@ -6,21 +6,27 @@ from typing import Any, Callable, Tuple
 
 
 def bytes_and_blocks_per(n: int, build: Callable[[int], Any],
-                         what: str = "idle session") -> Tuple[float, float]:
-    """Traced bytes and memory blocks that ``build(n)`` leaves allocated,
-    per unit.  Whatever ``build`` returns is kept alive across the
-    measurement; garbage is collected first, so cycles do not count.  The
-    line it prints puts the number in every CI log."""
+                         what: str = "idle session"
+                         ) -> Tuple[float, float, float]:
+    """Traced bytes, memory blocks and GC-tracked objects that ``build(n)``
+    leaves allocated, per unit.  Whatever ``build`` returns is kept alive
+    across the measurement; garbage is collected first, so cycles do not
+    count.  GC-tracked objects are what every full collection walks.  The
+    line it prints puts the numbers in every CI log."""
     gc.collect()
+    tracked = len(gc.get_objects())
     tracemalloc.start()
     try:
         kept = build(n)
         gc.collect()
+        tracked = len(gc.get_objects()) - tracked
         stats = tracemalloc.take_snapshot().statistics("filename")
     finally:
         tracemalloc.stop()
     del kept
     per_bytes = sum(stat.size for stat in stats) / n
     per_blocks = sum(stat.count for stat in stats) / n
-    print(f"{what}: {per_bytes:.0f} B, {per_blocks:.1f} blocks")
-    return per_bytes, per_blocks
+    per_objects = tracked / n
+    print(f"{what}: {per_bytes:.0f} B, {per_blocks:.1f} blocks, "
+          f"{per_objects:.1f} GC-tracked objects")
+    return per_bytes, per_blocks, per_objects
