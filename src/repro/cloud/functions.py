@@ -24,6 +24,7 @@ The runtime models the FaaS properties the paper's evaluation depends on:
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
@@ -116,7 +117,12 @@ class FunctionContext:
 
 
 class DeployedFunction:
-    """One deployed function: sandbox pool, stats, fault plan."""
+    """One deployed function: sandbox pool, stats, fault plan.
+
+    Timing samples — ``durations_ms`` per invocation, ``segments`` per
+    probe name — are packed ``array("d")`` buffers: 8 bytes a sample, the
+    exact doubles a float list would hold, read with ``len``, indexing,
+    slicing and iteration like one."""
 
     def __init__(self, runtime: "FunctionRuntime", spec: FunctionSpec) -> None:
         self.runtime = runtime
@@ -125,8 +131,8 @@ class DeployedFunction:
         self.invocations = 0
         self.cold_starts = 0
         self.failures = 0
-        self.durations_ms: List[float] = []
-        self.segments: Dict[str, List[float]] = defaultdict(list)
+        self.durations_ms: array = array("d")
+        self.segments: Dict[str, array] = defaultdict(lambda: array("d"))
         # fault plan: crash point name -> list of invocation ids to crash on,
         # or a callable(invocation_id) -> bool
         self.fault_plan: Dict[str, Any] = {}

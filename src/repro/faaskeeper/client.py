@@ -307,8 +307,6 @@ class FaaSKeeperClient:
     _wait_events = cached_property(lambda self: {})  # watch id -> stall Event
     _watch_ids = cached_property(lambda self: {})   # (path, type) -> wid
     _listeners = cached_property(lambda self: [])   # state listeners
-    #: Watch delivery log (tests).
-    watch_events = cached_property(lambda self: [])
     #: rid -> txid of acked writes not yet replicated into this client's
     #: region (only where acks precede replication): reads wait on the
     #: region's visibility watermark for them.
@@ -442,7 +440,6 @@ class FaaSKeeperClient:
             # One-shot watch fired: every cache entry it guarded is stale.
             self._cache.invalidate_watch(watch_id)
         self.mrd = max(self.mrd, event.txid)
-        self.watch_events.append(event)
         waiter = self._wait_events.pop(watch_id, None)
         if waiter is not None and not waiter.triggered:
             waiter.succeed(None)

@@ -137,21 +137,23 @@ class VisibilityBoard:
     distributor writes after every batch; the board is the simulation's
     stand-in for the conditional read a client would issue against it, so
     waiting models only the *ordering*, not extra storage traffic.
+
+    Per region the board keeps a contiguous floor — every txid up to it
+    has landed or was burned — plus the landed ids above it.  A write the
+    leader rejects burns its txid without ever replicating, so the leader
+    hands it to :meth:`burn`; once every id has landed or burned, the set
+    above the floor is empty and a region costs two integers.
     """
 
     def __init__(self, env, regions: List[str]) -> None:
         self.env = env
         self.watermark: Dict[str, int] = {region: 0 for region in regions}
-        # Landed ids are kept as a per-region set for the deployment's
-        # lifetime: txids are not contiguous per region (rejected writes
-        # burn ids without ever replicating), so a prunable frontier would
-        # either stall on the holes or claim unlanded ids visible.  Same
-        # lifetime bookkeeping class as the runtime's duration logs.
-        self._visible: Dict[str, set] = {region: set() for region in regions}
+        self._floor: Dict[str, int] = {region: 0 for region in regions}
+        self._above: Dict[str, set] = {region: set() for region in regions}
         self._events: Dict[Tuple[str, int], Any] = {}
 
     def visible(self, region: str, txid: int) -> bool:
-        return txid <= 0 or txid in self._visible[region]
+        return txid <= self._floor[region] or txid in self._above[region]
 
     def event(self, region: str, txid: int):
         """Event that fires when ``txid`` lands in ``region`` (already
@@ -174,14 +176,27 @@ class VisibilityBoard:
         return None
 
     def mark(self, region: str, txids: List[int]) -> None:
-        landed = self._visible[region]
+        self.watermark[region] = max([self.watermark[region], *txids])
+        self._settle(region, txids)
+
+    def burn(self, txid: int) -> None:
+        """Settle a txid that will never replicate, in every region
+        (idempotent: a redelivered rejection burns it again)."""
+        for region in self._floor:
+            self._settle(region, (txid,))
+
+    def _settle(self, region: str, txids) -> None:
+        floor, above = self._floor[region], self._above[region]
         for txid in txids:
-            landed.add(txid)
-            if txid > self.watermark[region]:
-                self.watermark[region] = txid
+            if txid > floor:
+                above.add(txid)
             ev = self._events.pop((region, txid), None)
             if ev is not None and not ev.triggered:
                 ev.succeed(None)
+        while floor + 1 in above:
+            floor += 1
+            above.remove(floor)
+        self._floor[region] = floor
 
 
 class GateBoard:

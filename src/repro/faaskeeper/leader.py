@@ -304,7 +304,10 @@ class LeaderLogic:
             if not committed:
                 # The request was never committed and cannot be: reject (Z1
                 # intact).  Earlier writes it would have superseded must
-                # become visible after all.
+                # become visible after all.  Its txid never replicates:
+                # burn it, so the visibility floor can pass it.
+                if self.distribution is not None:
+                    self.distribution.visibility.burn(txid)
                 yield from self._flush_superseded(
                     fctx, [path for path, _image, _meta, _op in affected])
                 yield from self._queue_failure(fctx, msg, "system_failure", defer)

@@ -191,6 +191,36 @@ def test_replicated_tx_watermark_written_to_system_store():
         assert service.visibility_board.watermark[region] >= res.txid
 
 
+def test_a_rejected_write_burns_its_txid():
+    """The follower dies between push and commit; its redelivery commits
+    the write under a second txid, so the leader's TryCommit of the first
+    meets a version conflict and rejects it.  That txid never replicates:
+    the leader burns it, and after more writes and a drain every region's
+    visibility floor has passed it with nothing left above."""
+    cloud, service = make_distributed(seed=1, storage_fault_rate=0.0)
+    board = service.visibility_board
+    burned = []
+    burn = board.burn
+    board.burn = lambda txid: (burned.append(txid), burn(txid))
+    client = service.connect()
+    client.create("/v", b"")
+    settle(cloud)
+    service.follower_fn.plan_crash(
+        "after_push", invocations=[service.follower_fn.invocations + 1])
+    client.set_data_async("/v", b"x", version=0)
+    settle(cloud, 60_000)
+    for i in range(3):
+        client.set_data("/v", f"y{i}".encode())
+    settle(cloud)
+    assert len(burned) == 1
+    for region in service.config.regions:
+        assert board._above[region] == set()
+        assert board._floor[region] == board.watermark[region] > burned[0]
+    read = client.get_data_async("/v")
+    settle(cloud, 1_000)
+    assert read.done and read.wait()[0] == b"y2"
+
+
 def test_cross_batch_coalescing_skips_superseded_writes():
     """A burst of same-path writes acked at commit time collapses to far
     fewer user-store writes than the leader's inline pipeline would pay,

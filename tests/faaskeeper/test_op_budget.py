@@ -9,6 +9,9 @@ what one heartbeat sweep visits, in session keys.  A PR that makes an
 operation cheaper lowers them here; nothing may raise them.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.faaskeeper.layout import SYSTEM_SESSIONS
@@ -51,6 +54,13 @@ READ_BLOCKS = 6.1
 #: the session table: its own slice (crc32 spreads ~N/8 +- a few percent).
 #: (Was 8.0: every sweep walked the whole table to pick its slice out.)
 SWEEP_SLICE_SHARE = 1.15
+#: Traced bytes a warm ``set_data`` leaves allocated once its pipeline is
+#: quiet: the packed timing samples its invocations record, ~9 doubles
+#: (~92 B on the default deployment, ~109 B with the distributor, with
+#: the arrays' spare capacity).  (Was 339 B and 494 B: a float object and
+#: a list slot per sample, and a landed txid per region on the visibility
+#: board.)
+WRITE_RETAINED_BYTES = 128
 
 
 @pytest.fixture
@@ -178,6 +188,35 @@ def test_fan_out_costs_a_process_per_member(warm):
     # three events per spawned member (start, end, a share of the AllOf) and
     # the members' own storage round trips on top of the one-image write
     assert created > SET_DATA_EVENTS + 3 and two_regions > SET_DATA_EVENTS + 3
+
+
+@pytest.mark.parametrize("config", [
+    {}, dict(distributor_enabled=True, ack_policy="on_commit", leader_shards=4),
+], ids=["default", "distributor_on_commit_4_shards"])
+def test_a_write_leaves_this_many_bytes(config, monkeypatch):
+    """2 000 sequential warm writes, traced from after a warm-up through a
+    drained pipeline.  Unsanitized: ``FK_SANITIZE=1`` keeps snapshots."""
+    monkeypatch.delenv("FK_SANITIZE", raising=False)
+    writes = 2000
+    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
+                                  outbox_enabled=False, **config)
+    client = service.connect()
+    client.create("/a", b"x" * 1024)
+    for _ in range(50):
+        client.set_data("/a", b"y" * 1024)
+    cloud.run(until=cloud.now + 1_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(writes):
+            client.set_data("/a", b"z" * 1024)
+        cloud.run(until=cloud.now + 1_000)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] / writes
+    finally:
+        tracemalloc.stop()
+    print(f"warm set_data, retained: {retained:.0f} B per write")
+    assert retained <= WRITE_RETAINED_BYTES
 
 
 class _Walked(dict):

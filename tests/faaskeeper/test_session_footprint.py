@@ -47,7 +47,7 @@ def test_idle_session_fits_the_budget():
     # would make the queue, so the probe looks at the instance dict)
     client = service.clients["s1"]
     assert not {"queue", "_pending", "_registered", "_delivered",
-                "_listeners", "watch_events", "retry"} & set(vars(client))
+                "_listeners", "retry"} & set(vars(client))
     assert _session_queues(cloud) == []
 
 
@@ -123,8 +123,10 @@ def test_session_churn_does_not_grow_the_deployment():
     fleet of 2 000 idle sessions: traced memory after round 5 stays within
     10 % of after round 2, and no closed session's queue, client, stream
     or registry entry survives.  (The resident fleet keeps the bound about
-    session state: what still grows per *operation* — function duration
-    samples, ROADMAP item 4 — would swamp an empty deployment's total.)"""
+    session state: what still grows per *operation* — the functions'
+    packed timing samples, 8 bytes a probe until ROADMAP item 3's span
+    ring, and each client's set of delivered watch ids — would swamp an
+    empty deployment's total.)"""
     tracemalloc.start()
     try:
         # storage faults pinned off: the subject is session state, and a

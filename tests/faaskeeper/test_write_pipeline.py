@@ -62,11 +62,12 @@ def _observe(op, config, as_multi, monkeypatch):
     monkeypatch.setattr(watches, "_uid", itertools.count(1))
     cloud, service = make_service(seed=5, **config)
     writer, watcher = service.connect(), service.connect()
+    events = []
     writer.create("/p", b"")
     writer.create("/p/n", b"seed")
     cloud.run(until=cloud.now + 3_000)
-    watcher.get_data("/p/n", watch=lambda event: None)
-    watcher.get_children("/p", watch=lambda event: None)
+    watcher.get_data("/p/n", watch=events.append)
+    watcher.get_children("/p", watch=events.append)
     cloud.run(until=cloud.now + 3_000)
 
     result = submit_async(writer, [op], as_multi).wait()
@@ -85,7 +86,7 @@ def _observe(op, config, as_multi, monkeypatch):
         "cost": round(sum(cloud.meter.by_service().values()), 15),
         "system": system,
         "user": user,
-        "watches": list(watcher.watch_events),
+        "watches": events,
     }
 
 

@@ -36,6 +36,8 @@ from repro.faaskeeper.chaos import (
     verify_exactly_once,
 )
 
+from ..helpers.visibility import ids_above_the_floor
+
 CONFIGS = {
     "s1": dict(leader_shards=1),
     "s4": dict(leader_shards=4),
@@ -140,6 +142,7 @@ def run_scenario(seed, config_name, stage, backend=None):
     cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
 
     violations += verify_exactly_once(service, expected, acked)
+    violations += ids_above_the_floor(service)
     written = {path for path, _d, _f in futures}
     for path, slot in watch_counts.items():
         want = 1 if path in written else 0  # one-shot: exactly once, or never

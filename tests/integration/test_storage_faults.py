@@ -21,6 +21,8 @@ from repro.faaskeeper.model import KeeperState
 from repro.faaskeeper.retry import BREAKER_CLOSED
 from repro.faaskeeper.userstore import registered_schemes
 
+from ..helpers.visibility import ids_above_the_floor
+
 SCHEMES = registered_schemes()
 FAULT_RATE = 0.05
 
@@ -106,6 +108,7 @@ def run_scenario(seed, scheme, rate=FAULT_RATE, crash_stage=None,
 
     cloud.run(until=cloud.now + 120_000)
     violations += verify_exactly_once(service, expected, acked)
+    violations += ids_above_the_floor(service)
 
     # Zero session-fatal storage errors at the default retry policy.
     for client in (writer, reader):
