@@ -19,9 +19,11 @@ Design constraints the harness respects:
   Leader and distributor queues redeliver forever and the scheduled
   outbox publisher keeps firing (retrying a failed invocation once per
   period), so any finite budget converges; the watch fan-out is a free
-  function whose invoker retries ``free_fn_retries`` times, so its
+  function whose invoker retries ``WATCH_FN_RETRIES`` (2) times, so its
   *total* budget is capped by that retry count (the budget is shared
   across the watch points).
+* **crashes only** — storage faults are armed at deploy time by
+  ``FaaSKeeperConfig.storage_fault_rate``; crashes compose with them.
 * **sandbox loss** — a crashed invocation's warm state is gone: the
   harness hooks :attr:`DeployedFunction.on_failure` and calls the stage
   logic's ``cold_restart()``, so redeliveries re-hydrate epoch mirrors
@@ -50,7 +52,7 @@ from .layout import (
     SYSTEM_WATCHES,
     epoch_key,
 )
-from .service import FaaSKeeperService
+from .service import WATCH_FN_RETRIES, FaaSKeeperService
 from .snapshot import log_bounds
 
 __all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_system_tables",
@@ -69,16 +71,15 @@ CRASH_POINTS: Dict[str, Tuple[str, ...]] = {
 class ChaosMonkey:
     """Arm seeded, budgeted crashes across a deployment's stages.
 
-    ``stages`` selects which pipelines to attack (default: every stage
-    the deployment actually runs); ``probability`` is the per-pass crash
-    chance at an armed point while its budget lasts.
+    ``stages`` selects which kinds to attack (default: every kind with
+    crash points); ``probability`` is the per-pass crash chance at an
+    armed point while its budget lasts.  Crash points only.
     """
 
     def __init__(self, service: FaaSKeeperService, seed: int,
                  stages: Optional[Iterable[str]] = None,
                  probability: float = 0.25,
-                 budget_per_point: int = 2,
-                 storage_fault_rate: float = 0.0) -> None:
+                 budget_per_point: int = 2) -> None:
         self.service = service
         self.rng = random.Random(seed)
         self.probability = probability
@@ -95,30 +96,19 @@ class ChaosMonkey:
 
         # Liveness (module docstring): the watch fan-out's budget is shared
         # across ALL its points, so the final retry always runs clean.
-        retries = service.config.free_fn_retries
         for stage in service.stages:
             if stage.kind not in wanted:
                 continue
             points = CRASH_POINTS[stage.kind]
             budget, shared_cap = budget_per_point, None
             if stage.kind == "watch":
-                if retries <= 0:
-                    continue
-                budget = max(1, retries // len(points))
-                shared_cap = {"left": retries}
+                budget = max(1, WATCH_FN_RETRIES // len(points))
+                shared_cap = {"left": WATCH_FN_RETRIES}
             stage.fn.on_failure = partial(self._on_failure, stage)
             for point in points:
                 self._budget[(stage.name, point)] = budget
                 stage.fn.fault_plan[point] = self._predicate(
                     stage.name, point, shared_cap)
-        #: Armed storage-fault injectors (empty unless storage_fault_rate>0):
-        #: the storage-fault axis of the chaos matrix, orthogonal to the
-        #: crash stages above.  Scheduling determinism comes from the
-        #: simulation's named RNG streams, so (sim seed, config, rate)
-        #: fully determines the fault schedule.
-        self.storage_injectors = (
-            service.arm_storage_faults(storage_fault_rate)
-            if storage_fault_rate > 0 else [])
 
     def _predicate(self, name: str, point: str,
                    shared_cap: Optional[Dict[str, int]]):

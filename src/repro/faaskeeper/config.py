@@ -76,12 +76,6 @@ class FaaSKeeperConfig:
     #: Compaction truncates up to the slowest cursor: the snapshot floor,
     #: every region's ``replicated_tx`` and the outbox's published mark.
     snapshot_auto_ms: float = 0.0
-    #: Async free-function invocation retries (the watch fan-out): AWS
-    #: retries failed async invocations up to twice.  0 (the default) keeps
-    #: the paper's single-attempt behaviour — and its fingerprints — exact;
-    #: the chaos suite runs with 2 so a crashed fan-out re-delivers
-    #: (duplicate deliveries are deduplicated client-side by instance id).
-    free_fn_retries: int = 0
     #: Transactional-outbox event streaming: when enabled a publisher
     #: function reads the commit log at its own cursor and streams every
     #: committed change to the configured sinks with at-least-once
@@ -154,9 +148,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 "snapshot_auto_ms > 0 requires commit_log_enabled=True: "
                 "there is nothing to snapshot without a commit log")
-        if self.free_fn_retries < 0:
-            raise ValueError(
-                f"free_fn_retries must be >= 0, got {self.free_fn_retries}")
         if self.outbox_enabled is None:
             # CI override: one matrix leg runs the whole tier-1 suite with
             # the outbox (and therefore the commit log) on.  Explicit

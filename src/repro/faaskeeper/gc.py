@@ -57,7 +57,6 @@ class GarbageCollectorLogic:
     # ------------------------------------------------------------ nodes
     def _sweep_nodes(self, fctx) -> Generator:
         store = self.service.system_store
-        table = store.table(SYSTEM_NODES)
         now = fctx.env.now
         # The scan is billed like the heartbeat's session scan.
         items = yield from store.scan(fctx.ctx, SYSTEM_NODES)

@@ -24,7 +24,8 @@ simulation's constraints:
   stay green.  User-store ops are whole-image writes (idempotent by
   construction) and re-run bodily.
 * **Per-region circuit breaker** — ``RetryPolicy.breaker_threshold``
-  consecutive transient failures trip a store/region to OPEN: further
+  transient failures in sequence (overlapping ones count once) trip a
+  store/region to OPEN: further
   requests are shed immediately with :class:`StorageUnavailable` (and the
   deployment marks the region's sessions SUSPENDED) instead of piling
   retries onto a dead endpoint.  The cooldown *is* the probe spacing:
@@ -91,7 +92,7 @@ class RetryPolicy:
     base_ms: float = 10.0
     cap_ms: float = 2_000.0
     jitter: float = 0.5
-    #: Consecutive transient failures that trip a region CLOSED -> OPEN.
+    #: Transient failures in sequence that trip a region CLOSED -> OPEN.
     breaker_threshold: int = 8
     #: How long (virtual ms) an OPEN breaker sheds before one probe.
     breaker_cooldown_ms: float = 10_000.0
@@ -124,6 +125,7 @@ class CircuitBreaker:
         self.state = BREAKER_CLOSED
         self.failures = 0
         self.opened_at = 0.0
+        self.verdicts = 0  # successes + counted failures
 
     def _set_state(self, state: str) -> None:
         if state == self.state:
@@ -147,12 +149,18 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """The store answered: the endpoint is healthy."""
+        self.verdicts += 1
         self.failures = 0
         self._set_state(BREAKER_CLOSED)
 
-    def record_failure(self) -> None:
-        """A transient error: a failed probe re-opens for a full cooldown,
-        the ``threshold``-th consecutive failure trips a closed breaker."""
+    def record_failure(self, began: Optional[int] = None) -> None:
+        """A transient error of an attempt begun at verdict ``began``
+        (default: now).  It counts only if no verdict landed meanwhile, so
+        failures that overlap count once; a counted failure re-opens a
+        failed probe's breaker, the ``threshold``-th trips a closed one."""
+        if began is not None and began != self.verdicts:
+            return
+        self.verdicts += 1
         self.failures += 1
         if (self.state == BREAKER_HALF_OPEN
                 or (self.state == BREAKER_CLOSED
@@ -286,10 +294,11 @@ class RetryingStore:
                 self._breaker_probes.labels(
                     store=self.label, region=region).inc()
             attempt += 1
+            began = breaker.verdicts
             try:
                 result = yield from call(*args, **kwargs)
             except TRANSIENT_ERRORS as exc:
-                breaker.record_failure()
+                breaker.record_failure(began)
                 self._retries.labels(store=self.label, op=op,
                                      error=type(exc).__name__).inc()
                 if attempt >= self.policy.max_attempts:

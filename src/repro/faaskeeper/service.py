@@ -69,6 +69,9 @@ __all__ = ["FaaSKeeperService", "Stage", "STAGE_KINDS"]
 STAGE_KINDS = ("follower", "leader", "distributor", "watch", "heartbeat",
                "gc", "snapshot", "outbox")
 
+#: AWS retries a failed async invocation (the watch fan-out) twice.
+WATCH_FN_RETRIES = 2
+
 
 def _suffix(shard: int) -> str:
     """Shard 0 of a sharded kind keeps the bare historical name."""
@@ -486,26 +489,25 @@ class FaaSKeeperService:
                 for t in triggered
             ],
         }
-        if self.config.free_fn_retries <= 0:
-            return self.cloud.runtime.invoke_direct(self.watch_fn, payload)
-        # AWS retries failed async invocations (up to twice); duplicated
-        # deliveries are deduplicated client-side by watch-instance id, so
-        # at-least-once invocation yields exactly-once callback effects.
-        retrying = self.cloud.env.process(
-            self._invoke_watch_retrying(payload), name="watch-invoke-retry")
-        retrying.defused()
-        return retrying
-
-    def _invoke_watch_retrying(self, payload: Dict[str, Any]) -> Generator:
+        # drawn now, where ``invoke_direct`` draws it; a retry draws later
         runtime = self.cloud.runtime
-        last: Optional[BaseException] = None
-        for _attempt in range(self.config.free_fn_retries + 1):
+        latency = runtime.profile.invoke_direct.sample(runtime.rng)
+        invoking = self.cloud.env.process(self._invoke_watch(payload, latency))
+        invoking.defused()
+        return invoking
+
+    def _invoke_watch(self, payload: Dict[str, Any], latency: float
+                      ) -> Generator:
+        """Retried deliveries are deduplicated client-side by watch-instance
+        id: at-least-once invocation, exactly-once callback effects."""
+        runtime = self.cloud.runtime
+        for attempt in range(WATCH_FN_RETRIES + 1):
             try:
-                return (yield from self.watch_fn.run(
-                    payload, runtime.profile.invoke_direct.sample(runtime.rng)))
-            except Exception as exc:
-                last = exc
-        raise last
+                return (yield from self.watch_fn.run(payload, latency))
+            except Exception:
+                if attempt == WATCH_FN_RETRIES:
+                    raise
+            latency = runtime.profile.invoke_direct.sample(runtime.rng)
 
     # ------------------------------------------------------------ heartbeat
     def heartbeat_ping(self, session_id: str) -> Timeout:

@@ -149,7 +149,7 @@ def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones():
     is on the wire (a function that crashes cannot take back what it sent),
     the retried invocation sends both, and the client's deduplication by
     watch-instance id keeps each callback at exactly once."""
-    cloud, service = make_service(seed=17, free_fn_retries=2)
+    cloud, service = make_service(seed=17)
     c = service.connect()
     c.create("/a", b"")
     c.create("/b", b"")

@@ -1,7 +1,8 @@
 """Ratchet on the deployment's option surface: it may only shrink.
 
 ROADMAP aim 2 ("same numbers, least machinery") counts config fields and
-``FK_*`` environment switches.  These ceilings are the counts the tree
+``FK_*`` environment switches, in ``src/`` and in the harness around it
+(tests, benchmarks, CI).  These ceilings are the counts the tree
 holds today; a PR that removes a knob lowers the number here, and nothing
 may raise it.  Every knob that stays has a row in the README's
 configuration reference.  The client library is held to the same aim from
@@ -19,8 +20,8 @@ no module but the backends and the wiring acquires a raw client.  And
 the copy discipline: images cross the storage API through
 ``expressions.clone``, so ``deepcopy`` stays inside its fallback.
 And the deployment: every stage is declared once, in one deploy helper,
-and CI's crash-stage matrix follows the crash-point table; every CI job
-has a time bound.
+and CI's one fault job runs every cell of the fault matrix in exactly
+one leg; every CI job has a time bound.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.
@@ -38,8 +39,15 @@ import repro
 from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 21
+MAX_CONFIG_FIELDS = 20
 MAX_ENV_SWITCHES = 3
+#: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
+MAX_HARNESS_SWITCHES = 8
+#: The seed and backend switches the one fault runner replaced, without
+#: their ``FK_`` prefix (so this file does not read them either).
+RETIRED_SWITCHES = ("CHAOS_SEED", "CHAOS_SEEDS", "CHAOS_BACKEND",
+                    "STORAGE_FAULT_SEED", "STORAGE_FAULT_SEEDS")
+ROOT = Path(__file__).parents[2]
 
 
 def test_config_field_count_only_goes_down():
@@ -52,11 +60,22 @@ def test_every_knob_has_a_row_in_the_configuration_reference():
         assert f"| `{field.name}` |" in readme, field.name
 
 
+def _switches(paths):
+    return {name for path in paths
+            for name in re.findall(r"\bFK_[A-Z][A-Z_]*\b", path.read_text())}
+
+
 def test_env_switch_count_only_goes_down():
-    src = Path(repro.__file__).parent
-    names = {name for path in src.rglob("*.py")
-             for name in re.findall(r"\bFK_[A-Z][A-Z_]*\b", path.read_text())}
+    names = _switches(Path(repro.__file__).parent.rglob("*.py"))
     assert len(names) <= MAX_ENV_SWITCHES, sorted(names)
+
+
+def test_harness_switch_count_only_goes_down():
+    names = _switches([*(ROOT / "tests").rglob("*.py"),
+                       *(ROOT / "benchmarks").rglob("*.py"),
+                       *(ROOT / ".github").rglob("*.yml")])
+    assert len(names) <= MAX_HARNESS_SWITCHES, sorted(names)
+    assert not names & {f"FK_{name}" for name in RETIRED_SWITCHES}
 
 
 def test_client_is_blind_to_the_deployment_shape():
@@ -271,18 +290,33 @@ def test_a_process_is_for_concurrency():
                 f"{path.name}:{func.lineno} {func.name}: use gather"
 
 
-def test_ci_chaos_matrix_names_every_crashable_stage():
-    """The ``chaos`` job's ``crash-stage`` matrix is a hand-kept copy of
-    "which stage kinds have crash points": hold it to ``CRASH_POINTS``."""
+def test_ci_fault_matrix_runs_every_cell_once():
+    """The ``faults`` job runs ``test_faults.py`` with ``-k <leg>`` once
+    per word of its ``leg`` matrix: every crash-point kind has a crash
+    cell, and every cell id holds exactly one leg word (the cells' test
+    name none), so each cell runs in exactly one leg."""
     import yaml
 
     from repro.faaskeeper.chaos import CRASH_POINTS
     from repro.faaskeeper.service import STAGE_KINDS
 
-    workflow = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
-    jobs = yaml.safe_load(workflow.read_text())["jobs"]
-    matrix = jobs["chaos"]["strategy"]["matrix"]["crash-stage"]
-    assert sorted(matrix) == sorted(CRASH_POINTS)
+    from ..integration import test_faults
+
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    job = yaml.safe_load(workflow.read_text())["jobs"]["faults"]
+    legs = job["strategy"]["matrix"]["leg"]
+    runs = [step["run"] for step in job["steps"]
+            if "test_faults.py" in step.get("run", "")]
+    assert runs and all('-k "${{ matrix.leg }}"' in run for run in runs)
+    assert not any(leg in test_faults.test_audits_hold.__name__
+                   for leg in legs)
+    for cell in test_faults.CELLS:
+        assert sum(leg in cell for leg in legs) == 1, cell
+    for leg in legs:
+        assert any(leg in cell for cell in test_faults.CELLS), leg
+    crashed = {stage for _config, stage, _rate, _store
+               in test_faults.CELLS.values()}
+    assert set(CRASH_POINTS) <= crashed
     assert set(CRASH_POINTS) <= set(STAGE_KINDS)
 
 
@@ -291,6 +325,6 @@ def test_every_ci_job_is_bounded():
     at GitHub's 360-minute default."""
     import yaml
 
-    for workflow in (Path(__file__).parents[2] / ".github" / "workflows").glob("*.yml"):
+    for workflow in (ROOT / ".github" / "workflows").glob("*.yml"):
         for name, job in yaml.safe_load(workflow.read_text())["jobs"].items():
             assert job.get("timeout-minutes", 360) <= 30, (workflow.name, name)

@@ -35,7 +35,7 @@ def deployment(request):
     # one-shot watch, and a fault-delayed re-registration may miss the
     # only delete notification it was waiting for (permitted by the
     # watch contract, fatal to an unbounded drain).  Faulty-timing
-    # coverage lives in tests/integration/test_storage_faults.py, whose
+    # coverage lives in tests/integration/test_faults.py, whose
     # workloads are bounded and audited for exactly-once end effects.
     return make_service(seed=2024, storage_fault_rate=0.0,
                         **MATRIX[request.param])

@@ -181,7 +181,7 @@ def test_breaker_half_open_never_outlives_its_probe(steps, threshold):
     cooldown after it opened."""
     env = FakeEnv()
     breaker = CircuitBreaker(env, threshold=threshold, cooldown_ms=100.0)
-    in_flight = []                  # per attempt: was it admitted as probe?
+    in_flight = []      # per attempt: (admitted as the probe?, verdicts then)
     for action, advance, pick in steps:
         env.now += advance
         if action == "allow":
@@ -191,18 +191,23 @@ def test_breaker_half_open_never_outlives_its_probe(steps, threshold):
             if was_open:
                 assert admitted == due
             if admitted:
-                in_flight.append(breaker.state == BREAKER_HALF_OPEN)
+                in_flight.append((breaker.state == BREAKER_HALF_OPEN,
+                                  breaker.verdicts))
         elif in_flight:
-            probing = in_flight.pop(pick % len(in_flight))
+            probing, began = in_flight.pop(pick % len(in_flight))
             if action == "answer":
                 breaker.record_success()
                 assert breaker.state == BREAKER_CLOSED
             elif action == "transient":
-                breaker.record_failure()
+                counted = began == breaker.verdicts
+                half_open = breaker.state == BREAKER_HALF_OPEN
+                breaker.record_failure(began)
+                if counted and half_open:     # the probe failed
+                    assert breaker.state == BREAKER_OPEN
             elif probing:
                 breaker.release()
         if breaker.state == BREAKER_HALF_OPEN:
-            assert any(in_flight)
+            assert any(probing for probing, _began in in_flight)
     if breaker.state == BREAKER_OPEN:
         env.now = breaker.opened_at + breaker.cooldown_ms
         assert breaker.allow() and breaker.state == BREAKER_HALF_OPEN
@@ -267,6 +272,29 @@ def test_condition_failed_is_never_retried():
             ctx, "t", "k", {"v": 2}, condition=Attr("v") == 99))
     assert wrapped._retries.labels(
         store="system", op="put_item", error="ConditionFailed").value == 0
+
+
+def test_a_burst_of_overlapping_failures_is_one_failure():
+    """Sixteen concurrent ops whose injected timeouts land together say one
+    thing about the endpoint, not sixteen things in a row: the breaker
+    stays CLOSED and every op completes on its retry.  Failures in
+    sequence still trip it at the threshold."""
+    cloud, kv, wrapped = make_wrapped()
+    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 16)
+    ctx = OpContext()
+    ops = [cloud.env.process(wrapped.put_item(ctx, "t", f"k{i}", {"v": i}))
+           for i in range(16)]
+    cloud.run(until=cloud.now + 5_000)
+    breaker = wrapped.breakers[kv.region]
+    assert breaker.state == BREAKER_CLOSED
+    assert all(op.processed and op.ok for op in ops)
+    assert kv.faults.injected["timeout"] == 16
+
+    cloud, kv, wrapped = make_wrapped(max_attempts=8)
+    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 8)
+    with pytest.raises(StorageUnavailable):
+        cloud.run_process(wrapped.put_item(ctx, "t", "k", {}))
+    assert wrapped.breakers[kv.region].state == BREAKER_OPEN
 
 
 def test_open_breaker_sheds_without_touching_the_store():

@@ -129,8 +129,9 @@ def test_session_churn_does_not_grow_the_deployment():
     empty deployment's total.)"""
     tracemalloc.start()
     try:
-        # storage faults pinned off: the subject is session state, and a
-        # system-store breaker OPEN flips all 2 000 resident sessions.
+        # storage faults pinned off: the subject is session state, and an
+        # armed store tokens every mutation, whose ledger entries outlive
+        # these five 90 s rounds (the ledger turns over every 10 minutes).
         cloud, service = make_service(seed=7, user_store="mem",
                                       session_plane_shards=8,
                                       storage_fault_rate=0.0)

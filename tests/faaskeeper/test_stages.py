@@ -7,7 +7,7 @@ read off it.  These tests hold the list to that: it is complete, every
 row is wired, the cost categories add up to the meter, and a stage added
 with one ``_deploy_stage`` call shows up everywhere without touching
 another line.  (The chaos harness's side of the same list is pinned in
-``tests/integration/test_chaos.py``.)  Plus the property test of
+``tests/integration/test_faults.py``.)  Plus the property test of
 :class:`~repro.faaskeeper.distributor.GateBoard`, the one ordered gate
 behind both the session fence and the watch gate.
 """

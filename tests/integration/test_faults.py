@@ -1,0 +1,332 @@
+"""The seeded fault matrix: sandbox crashes, storage faults, and both.
+
+Every cell of :data:`CELLS` stands up one deployment, arms one pipeline
+stage with seeded random crashes (:class:`~repro.faaskeeper.chaos.ChaosMonkey`)
+and/or a seeded transient-fault schedule on every storage endpoint
+(``FaaSKeeperConfig.storage_fault_rate``: throttles, timeouts, connection
+resets, partial writes), drives one randomized write/watch workload to
+quiescence and audits what ZooKeeper promises: every acknowledged write
+lands exactly once in every region (no lost write, no duplicate, drained
+pending lists and epoch counters, every acked txid visible and nothing
+stuck above the visibility floor; with the outbox, at-least-once sink
+delivery in per-path txid order), every one-shot watch fires exactly
+once, reads return the acked data, and the retry layer absorbs every
+storage fault (no session LOST, every breaker CLOSED, no retry budget
+exhausted).
+
+Seeds come from ``FK_FAULT_SEEDS`` (how many, default 12; CI runs 50) or
+``FK_FAULT_SEED`` (exactly one: the replay knob; any failure prints the
+command to run).  CI's ``faults`` job runs one leg per word of its
+``leg`` matrix with ``-k <leg>``; every cell id holds exactly one of them.
+"""
+
+import os
+import random
+
+import pytest
+
+from repro.cloud import Cloud
+from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
+from repro.faaskeeper.chaos import CRASH_POINTS, ChaosMonkey, verify_exactly_once
+from repro.faaskeeper.model import KeeperState
+from repro.faaskeeper.retry import BREAKER_CLOSED
+from repro.faaskeeper.userstore import registered_schemes
+
+from ..helpers.visibility import ids_above_the_floor
+
+TWO_REGIONS = ["us-east-1", "eu-west-1"]
+LOGGED = dict(commit_log_enabled=True)
+
+#: Deployment shapes.  The crash cells log every commit (the region-wipe
+#: drill snapshots from the log); ``paper`` is the default deployment.
+CONFIGS = {
+    "paper": {},
+    "s1": dict(LOGGED),
+    "s4": dict(LOGGED, leader_shards=4),
+    "s1-dist": dict(LOGGED, distributor_enabled=True,
+                    ack_policy="on_commit", regions=TWO_REGIONS),
+    "s4-dist": dict(LOGGED, leader_shards=4, distributor_enabled=True,
+                    ack_policy="on_commit", regions=TWO_REGIONS),
+    "s1-pub": dict(LOGGED, outbox_enabled=True, outbox_publish_ms=1_000.0),
+}
+
+#: (config, crashed stage): distributor crashes need a distributor, outbox
+#: crashes a publisher.
+MATRIX = [
+    ("s1", "leader"), ("s1", "watch"),
+    ("s4", "leader"), ("s4", "watch"),
+    ("s1-dist", "leader"), ("s1-dist", "distributor"), ("s1-dist", "watch"),
+    ("s4-dist", "leader"), ("s4-dist", "distributor"), ("s4-dist", "watch"),
+    ("s1-pub", "leader"), ("s1-pub", "outbox"),
+]
+
+SCHEMES = registered_schemes()
+
+#: Cell id -> (config, crashed stage or None, storage fault rate, user
+#: store or None for the config's).  A rate of 0 leaves the config default,
+#: so the ``FK_STORAGE_FAULTS=1`` tier-1 leg composes faults into it.
+CELLS = {
+    **{f"{config}-{stage}": (config, stage, 0.0, None)
+       for config, stage in MATRIX},
+    # the distributor crash on every user store, each named explicitly
+    **{f"s1-dist-distributor-{store}": ("s1-dist", "distributor", 0.0, store)
+       for store in SCHEMES},
+    **{f"storage-5pct-{store}": ("paper", None, 0.05, store)
+       for store in SCHEMES},
+    **{f"s1-pub-leader-3pct-{store}": ("s1-pub", "leader", 0.03, store)
+       for store in SCHEMES},
+}
+
+
+def fault_seeds():
+    pinned = os.environ.get("FK_FAULT_SEED")
+    if pinned:  # empty string = unset (CI passes '' when not pinning)
+        return [int(pinned)]
+    return list(range(1, int(os.environ.get("FK_FAULT_SEEDS", "12")) + 1))
+
+
+def injected(service):
+    return sum(i.total_injected() for i in service.storage_injectors)
+
+
+def run_scenario(seed, cell):
+    """One seeded run of ``cell``; returns (violations, monkey, service,
+    expected final data per path)."""
+    config_name, stage, rate, store = CELLS[cell]
+    cloud = Cloud.aws(seed=seed)
+    kwargs = dict(CONFIGS[config_name], storage_fault_rate=rate or None)
+    if store is not None:
+        kwargs["user_store"] = store
+    service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**kwargs))
+    monkey = ChaosMonkey(service, seed=seed * 7919 + 13,
+                         stages=[stage] if stage else [],
+                         probability=0.4, budget_per_point=2)
+    rng = random.Random(seed)
+
+    writer = service.connect()
+    watcher = service.connect()
+    paths = ["/a", "/b", "/c"]
+    expected = {}
+    for path in paths + ["/doomed"]:
+        writer.create(path, b"init")
+        expected[path] = b"init"
+    # on_commit acks run ahead of replication: let the creates land in
+    # every region before the watcher reads them.
+    cloud.run(until=cloud.now + 60_000)
+
+    # One-shot watches, armed before the write traffic: each instance
+    # must fire exactly once, crash-retried fan-outs notwithstanding.
+    fired = {"/a": 0, "/b": 0}
+    for path in fired:
+        watcher.get_data(path, watch=lambda _ev, p=path: fired.__setitem__(
+            p, fired[p] + 1))
+
+    writes = []
+    for i in range(rng.randint(8, 14)):
+        path = rng.choice(paths)
+        data = f"{path[1:]}-{i}".encode()
+        writes.append((path, data, writer.set_data_async(path, data)))
+    writes.append(("/doomed", None, writer.delete_async("/doomed")))
+    cloud.run(until=cloud.now + 240_000)
+
+    violations = []
+    acked = []
+    for path, data, fut in writes:
+        op = f"write {data!r} to {path}" if data else f"delete of {path}"
+        if not fut.done:
+            violations.append(f"{op} never completed")
+            continue
+        try:
+            result = fut.wait()
+        except Exception as exc:  # a crash or a fault surfaced to the client
+            violations.append(f"{op} failed: {exc!r}")
+            continue
+        expected[path] = data  # session FIFO: last submitted wins (Z2)
+        if data is not None:
+            acked.append(result.txid)
+
+    cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
+    violations += verify_exactly_once(service, expected, acked)
+    violations += ids_above_the_floor(service)
+    written = {path for path, _d, _f in writes}
+    for path, count in fired.items():
+        want = 1 if path in written else 0  # one-shot: exactly once, or never
+        if count != want:
+            violations.append(f"watch on {path} fired {count} times "
+                              f"(want {want})")
+    # Reads under faults come back from the retry layer, never as a raised
+    # storage error; they run last, so no crash schedule moves.
+    for path in paths:
+        try:
+            data, _stat = watcher.get_data(path)
+        except Exception as exc:
+            violations.append(f"read of {path} failed: {exc!r}")
+            continue
+        if data != expected[path]:
+            violations.append(
+                f"read of {path} returned {data!r}, want {expected[path]!r}")
+
+    # Every injected crash must have cost the sandbox its warm state.
+    # (RetryBatch redeliveries also restart, so >= rather than ==.)
+    if monkey.restarts < len(monkey.crashes):
+        violations.append(f"{len(monkey.crashes)} crashes but only "
+                          f"{monkey.restarts} restarts")
+    # Zero session-fatal storage errors, and no endpoint left shedding:
+    # every breaker of both stores has settled CLOSED, no budget exhausted.
+    for client in (writer, watcher):
+        if client.state == KeeperState.LOST:
+            violations.append(f"session {client.session_id} died LOST")
+    for store_proxy in (service.system_store, service.user_store):
+        for region, breaker in store_proxy.breakers.items():
+            if breaker.state != BREAKER_CLOSED:
+                violations.append(
+                    f"{store_proxy.label}@{region} breaker ended {breaker.state}")
+    exhausted = service.metrics_snapshot()[
+        "fk_storage_retry_exhausted_total"]["values"]
+    if sum(exhausted.values()):
+        violations.append(f"retries exhausted: {exhausted}")
+    return violations, monkey, service, expected
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_audits_hold(cell):
+    seeds = fault_seeds()
+    crashes = faults = 0
+    for seed in seeds:
+        violations, monkey, service, _expected = run_scenario(seed, cell)
+        crashes += len(monkey.crashes)
+        faults += injected(service)
+        if violations:
+            pytest.fail(
+                f"[cell={cell} seed={seed}] " + "; ".join(violations)
+                + f"\ncrash schedule: {monkey.crashes}"
+                + f"\nreproduce locally: FK_FAULT_SEED={seed} python -m pytest"
+                f" 'tests/integration/test_faults.py::test_audits_hold[{cell}]'")
+    # The matrix must exercise what the cell arms, not pass vacuously.
+    _config, stage, rate, _store = CELLS[cell]
+    assert crashes or not stage, f"no crash ever triggered across {seeds}"
+    assert faults or not rate, f"no fault ever injected across {seeds}"
+
+
+def test_region_wipe_after_distributor_crashes_recovers_from_snapshot():
+    """Disaster drill on top of a crash run: crash the distributor during
+    the workload, snapshot + compact, wipe the secondary region, cold
+    recover, and audit the rebuilt replica like any other region."""
+    for seed in fault_seeds()[:3]:
+        violations, _monkey, service, expected = run_scenario(
+            seed, "s1-dist-distributor")
+        assert not violations, f"[seed={seed}] pre-wipe: {violations}"
+        cloud = service.cloud
+        cloud.run_process(service.snapshots.take_snapshot(service.system_ctx))
+        cloud.run_process(service.snapshots.compact(service.system_ctx))
+        region = "eu-west-1"
+        service.user_store.wipe_region(region)
+        cloud.run_process(service.snapshots.recover_region(
+            service.system_ctx, region, cold=True))
+        for path, final in expected.items():
+            image = service.user_store.peek(region, path)
+            if final is None:
+                assert image is None, \
+                    f"[seed={seed}] {path}@{region} resurrected after recovery"
+            else:
+                assert image is not None and image.get("data") == final, \
+                    (f"[seed={seed}] {path}@{region} lost after recovery; "
+                     f"reproduce: FK_FAULT_SEED={seed}")
+
+
+#: (cell, seed) -> (crash log as ``fn:point:invocation``, budget left per
+#: (fn, point)), recorded on the commit before the harness read
+#: ``service.stages`` — when it armed each stage kind by hand.
+PINNED_SCHEDULES = {
+    ("s4-dist-leader", 3): (
+        "fk-leader-3:leader_entry:2 fk-leader-2:leader_after_log:1 "
+        "fk-leader-2:leader_entry:2 fk-leader-2:leader_entry:3 "
+        "fk-leader-2:leader_after_log:4 fk-leader-2:leader_mid_batch:5 "
+        "fk-leader-3:leader_after_log:4 fk-leader-1:leader_entry:2 "
+        "fk-leader-3:leader_entry:5 fk-leader-1:leader_entry:3 "
+        "fk-leader-3:leader_mid_batch:6 fk-leader-3:leader_mid_batch:8 "
+        "fk-leader-3:leader_after_log:9 fk-leader-1:leader_mid_batch:5",
+        {"fk-leader": (2, 2, 2), "fk-leader-1": (0, 1, 2),
+         "fk-leader-2": (0, 1, 0), "fk-leader-3": (0, 0, 0)}),
+    ("s4-dist-distributor", 3): (
+        "fk-distributor:dist_before_visible:2 "
+        "fk-distributor:dist_after_watch_stage:4 "
+        "fk-distributor-eu-west-1:dist_before_visible:1 "
+        "fk-distributor:dist_entry:5 fk-distributor-eu-west-1:dist_entry:2 "
+        "fk-distributor:dist_entry:6 fk-distributor:dist_before_visible:7 "
+        "fk-distributor-eu-west-1:dist_before_visible:3 "
+        "fk-distributor:dist_after_watch_stage:8 "
+        "fk-distributor-eu-west-1:dist_entry:4",
+        {"fk-distributor": (0, 0, 0),
+         "fk-distributor-eu-west-1": (0, 2, 0)}),
+    ("s4-dist-watch", 2): (
+        "fk-watch:watch_mid_fanout:1 fk-watch:watch_entry:3",
+        {"fk-watch": (0, 0)}),
+    ("s1-pub-outbox", 3): (
+        "fk-outbox:outbox_after_sink:1 fk-outbox:outbox_after_sink:2 "
+        "fk-outbox:outbox_entry:3 fk-outbox:outbox_entry:4 "
+        "fk-outbox:outbox_mid_drain:5 fk-outbox:outbox_mid_drain:6",
+        {"fk-outbox": (0, 0, 0)}),
+}
+
+
+@pytest.mark.parametrize("cell,seed", list(PINNED_SCHEDULES),
+                         ids=[cell for cell, _seed in PINNED_SCHEDULES])
+def test_arming_off_the_stage_list_keeps_the_crash_schedule(
+        cell, seed, monkeypatch):
+    """The harness arms ``stage.kind -> CRASH_POINTS`` over
+    ``service.stages``; for a fixed seed that must pick the same
+    functions, points, budgets and — the RNG being shared — the same crash
+    schedule as the per-kind arming it replaced."""
+    for switch in ("FK_FORCE_OUTBOX", "FK_STORAGE_FAULTS"):
+        monkeypatch.delenv(switch, raising=False)  # the pins are default runs
+    crashes, budgets = PINNED_SCHEDULES[cell, seed]
+    violations, monkey, _svc, _exp = run_scenario(seed, cell)
+    assert not violations
+    assert " ".join(f"{fn}:{point}:{inv}"
+                    for fn, point, inv in monkey.crashes) == crashes
+    stage = CELLS[cell][1]
+    assert monkey._budget == {
+        (fn, point): left for fn, lefts in budgets.items()
+        for point, left in zip(CRASH_POINTS[stage], lefts)}
+
+
+def test_same_seed_replays_the_same_fault_schedule():
+    """FK_FAULT_SEED replay: the schedule (and the whole run) is a pure
+    function of (seed, cell)."""
+    def fingerprint(seed):
+        violations, _monkey, service, _exp = run_scenario(
+            seed, "storage-5pct-hybrid")
+        assert violations == []
+        per_kind = {}
+        for inj in service.storage_injectors:
+            for kind, count in inj.injected.items():
+                per_kind[kind] = per_kind.get(kind, 0) + count
+        return injected(service), per_kind, service.cloud.now
+
+    assert fingerprint(3) == fingerprint(3)
+
+
+def test_different_seeds_draw_different_schedules():
+    runs = [run_scenario(seed, "storage-5pct-mem")[2] for seed in (1, 2)]
+    # Counts may coincide; the overall run trace must not.
+    a, b = [(service.cloud.now, injected(service)) for service in runs]
+    assert a != b
+
+
+def test_fault_metrics_surface_in_the_registry():
+    violations, _monkey, service, _exp = run_scenario(5, "storage-5pct-mem")
+    assert violations == []
+    snapshot = service.metrics_snapshot()
+    gauge = snapshot["fk_storage_faults_injected"]["values"]
+    assert sum(gauge.values()) == injected(service) > 0
+    retried = snapshot["fk_storage_retries_total"]["values"]
+    assert sum(retried.values()) > 0  # the layer actually absorbed faults
+
+
+def test_fault_seed_env_pins_single_seed(monkeypatch):
+    monkeypatch.setenv("FK_FAULT_SEED", "42")
+    assert fault_seeds() == [42]
+    monkeypatch.setenv("FK_FAULT_SEED", "")  # CI passes '' when not pinning
+    monkeypatch.setenv("FK_FAULT_SEEDS", "3")
+    assert fault_seeds() == [1, 2, 3]
