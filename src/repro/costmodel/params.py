@@ -1,14 +1,13 @@
 """Cost-model parameters (Table 4) and constants recovered from Section 5.3.4.
 
 All prices in dollars; sizes in kB.  The per-operation storage/queue prices
-restate :mod:`repro.cloud.pricing`; this module adds the closed-form
-read/write cost formulas the paper prints and the calibrated function-cost
-constants (see DESIGN.md for the derivation from the paper's arithmetic).
+are :data:`repro.cloud.pricing.AWS_PRICES`'s methods under the paper's
+names; this module adds the closed-form read/write cost formulas the paper
+prints and the calibrated function-cost constants.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..cloud.pricing import AWS_PRICES, VM_DAY_RATE, PriceSheet
@@ -20,29 +19,12 @@ __all__ = [
 ]
 
 
-def w_s3(size_kb: float) -> float:
-    """W_S3(s): writing data to S3 — flat 5e-6 per operation."""
-    return 5e-6
-
-
-def r_s3(size_kb: float) -> float:
-    """R_S3(s): reading data from S3 — flat 4e-7 per operation."""
-    return 4e-7
-
-
-def w_dd(size_kb: float) -> float:
-    """W_DD(s) = ceil(s) * 1.25e-6 (1 kB write units)."""
-    return max(1, math.ceil(size_kb)) * 1.25e-6
-
-
-def r_dd(size_kb: float) -> float:
-    """R_DD(s) = ceil(s/4) * 0.25e-6 (4 kB strongly consistent read units)."""
-    return max(1, math.ceil(size_kb / 4)) * 0.25e-6
-
-
-def q_sqs(size_kb: float) -> float:
-    """Q(s) = ceil(s/64) * 0.5e-6 (64 kB SQS billing increments)."""
-    return max(1, math.ceil(size_kb / 64)) * 0.5e-6
+#: The paper's per-operation prices (Table 4), read off the one price table.
+w_s3 = AWS_PRICES.object_write_cost   # W_S3(s): flat per operation
+r_s3 = AWS_PRICES.object_read_cost    # R_S3(s): flat per operation
+w_dd = AWS_PRICES.kv_write_cost       # W_DD(s): 1 kB write units
+r_dd = AWS_PRICES.kv_read_cost        # R_DD(s): 4 kB consistent read units
+q_sqs = AWS_PRICES.queue_cost         # Q(s): 64 kB SQS billing increments
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .exceptions import (
     RetryFailedError,
     RolledBackError,
     SessionClosedError,
+    SystemBusyError,
     TransactionFailedError,
 )
 from .model import (
@@ -129,6 +130,7 @@ __all__ = [
     "NoChildrenForEphemeralsError",
     "SessionClosedError",
     "RequestFailedError",
+    "SystemBusyError",
     "AccessDeniedError",
     "BadArgumentsError",
     "RolledBackError",

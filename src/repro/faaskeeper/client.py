@@ -38,7 +38,7 @@ ZooKeeper server would do for the session, by one rule each:
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cloud.errors import NoSuchQueue
@@ -57,6 +57,7 @@ from .exceptions import (
     RetryFailedError,
     RolledBackError,
     SessionClosedError,
+    SystemBusyError,
     TransactionFailedError,
 )
 from .model import (
@@ -78,7 +79,7 @@ from .model import (
 )
 
 __all__ = ["FaaSKeeperClient", "FKFuture", "Transaction", "WriteResult",
-           "SessionRetry"]
+           "SessionRetry", "BusyRetry"]
 
 _ERROR_MAP = {
     "no_node": NoNodeError,
@@ -88,7 +89,7 @@ _ERROR_MAP = {
     "no_children_for_ephemerals": NoChildrenForEphemeralsError,
     "session_closed": SessionClosedError,
     "system_failure": RequestFailedError,
-    "system_busy": RequestFailedError,
+    "system_busy": SystemBusyError,
     "bad_arguments": RequestFailedError,
     "access_denied": AccessDeniedError,
     "rolled_back": RolledBackError,
@@ -205,18 +206,15 @@ class FKFuture:
 
 
 class SessionRetry:
-    """Retry helper for transient coordination failures (kazoo's
-    ``KazooRetry``).
-
-    Recipes wrap their storage-visible steps in the session's retry so a
-    rejected request (``system_busy`` lock contention, a ``system_failure``
-    drop — both :class:`RequestFailedError`) or an aborted ``multi()``
-    (:class:`TransactionFailedError`) is re-attempted with exponential
-    backoff instead of surfacing.  Extra exception types — e.g.
-    :class:`BadVersionError` for compare-and-swap loops like
-    ``recipes.Counter`` — ride in via ``retry_exceptions``.  Backoff sleeps
-    advance the virtual clock through :meth:`FaaSKeeperClient.sleep`, so
-    retries stay deterministic.
+    """The one coordination retry loop, :meth:`co_call` (kazoo's
+    ``KazooRetry``): a rejected request (``system_busy``, a
+    ``system_failure`` drop — both :class:`RequestFailedError`) or an
+    aborted ``multi()`` (:class:`TransactionFailedError`) is re-attempted
+    with exponential backoff on the virtual clock.  Extra exception types
+    (e.g. ``recipes.Counter``'s :class:`BadVersionError`) ride in via
+    ``retry_exceptions``.  ``co_ensure_path``, the recipe cores and the
+    swarm cohorts ride ``client.busy_retry``, a :class:`BusyRetry`: it
+    retries only ``system_busy``, the one rejection safe to replay.
     """
 
     #: Errors every retry loop treats as transient.
@@ -236,7 +234,8 @@ class SessionRetry:
         self.retry_exceptions = self.DEFAULT_EXCEPTIONS + tuple(retry_exceptions)
 
     def copy(self, **overrides) -> "SessionRetry":
-        """A derived retry with some knobs replaced (kazoo's ``copy()``)."""
+        """A derived retry with some knobs replaced (kazoo's ``copy()``);
+        it keeps the class, so a copy of a :class:`BusyRetry` stays one."""
         kwargs = dict(
             max_tries=self.max_tries, delay_ms=self.delay_ms,
             backoff=self.backoff, max_delay_ms=self.max_delay_ms,
@@ -244,23 +243,43 @@ class SessionRetry:
                 len(self.DEFAULT_EXCEPTIONS):]),
         )
         kwargs.update(overrides)
-        return SessionRetry(self.client, **kwargs)
+        return type(self)(self.client, **kwargs)
 
-    def __call__(self, func: Callable, *args, **kwargs) -> Any:
+    def co_call(self, fn: Callable, *args, **kwargs) -> Generator:
+        """Run the step ``fn(*args, **kwargs)`` — an :class:`FKFuture`
+        (its event is awaited) or a ``co_*`` generator — until it succeeds,
+        waiting out each retryable error on the virtual clock."""
         delay = self.delay_ms
-        last: Optional[BaseException] = None
-        for attempt in range(self.max_tries):
+        for attempt in range(1, self.max_tries + 1):
             try:
-                return func(*args, **kwargs)
+                step = fn(*args, **kwargs)
+                if isinstance(step, FKFuture):
+                    return (yield step.event)
+                return (yield from step)
             except self.retry_exceptions as exc:
                 last = exc
-                if attempt == self.max_tries - 1:
-                    break
-                self.client.sleep(delay)
+            if attempt < self.max_tries:
+                yield self.client.env.timeout(delay)
                 delay = min(delay * self.backoff, self.max_delay_ms)
         raise RetryFailedError(
-            f"{getattr(func, '__name__', func)!r} still failing after "
+            f"{getattr(fn, '__name__', fn)!r} still failing after "
             f"{self.max_tries} tries") from last
+
+    def __call__(self, func: Callable, *args, **kwargs) -> Any:
+        """Synchronous form: :meth:`co_call` over a plain callable."""
+        @wraps(func)
+        def one_step():
+            return func(*args, **kwargs)
+            yield  # a generator: co_call runs it with ``yield from``
+
+        env = self.client.env
+        return env.run(until=env.process(self.co_call(one_step),
+                                         name=self.client._process_name))
+
+
+class BusyRetry(SessionRetry):
+    """Retries only ``system_busy``, raised before anything is staged."""
+    DEFAULT_EXCEPTIONS = (SystemBusyError,)
 
 
 class FaaSKeeperClient:
@@ -311,8 +330,10 @@ class FaaSKeeperClient:
     #: region (only where acks precede replication): reads wait on the
     #: region's visibility watermark for them.
     _await_visible = cached_property(lambda self: {})
-    #: Default retry policy recipes use for transient failures.
+    #: Retry policy for user code: every transient failure.
     retry = cached_property(lambda self: SessionRetry(self))
+    #: Retry policy the recipe cores ride: safe to replay anything.
+    busy_retry = cached_property(lambda self: BusyRetry(self))
     _process_name = cached_property(lambda self: f"client:{self.session_id}")
 
     # Kazoo-style watch decorators bound to this session:
@@ -778,14 +799,6 @@ class FaaSKeeperClient:
         return self._read_async(path, None, _acl, None, None)
 
     # ------------------------------------------------------------ helpers
-    def sleep(self, delay_ms: float) -> None:
-        """Advance the virtual clock by ``delay_ms`` (the simulation's
-        stand-in for ``time.sleep`` — retry backoffs and recipe hold times
-        go through here so runs stay deterministic)."""
-        if delay_ms < 0:
-            raise BadArgumentsError(f"negative delay {delay_ms!r}")
-        self.env.run(until=self.env.now + delay_ms)
-
     def co_ensure_path(self, path: str,
                        acl: Optional[dict] = None) -> Generator:
         """Recursively create ``path`` and any missing ancestors (kazoo's
@@ -804,7 +817,8 @@ class FaaSKeeperClient:
             if stat is not None:
                 continue
             try:
-                yield self.create_async(prefix, b"", acl=acl).event
+                yield from self.busy_retry.co_call(
+                    self.create_async, prefix, b"", acl=acl)
             except NodeExistsError:
                 pass
         return True

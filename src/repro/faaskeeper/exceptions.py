@@ -11,6 +11,7 @@ __all__ = [
     "NoChildrenForEphemeralsError",
     "SessionClosedError",
     "RequestFailedError",
+    "SystemBusyError",
     "AccessDeniedError",
     "BadArgumentsError",
     "RolledBackError",
@@ -49,6 +50,10 @@ class SessionClosedError(FaaSKeeperError):
 
 class RequestFailedError(FaaSKeeperError):
     """The system rejected the request (follower/leader failure path)."""
+
+
+class SystemBusyError(RequestFailedError):
+    """``system_busy``: rejected before anything was staged (safe to replay)."""
 
 
 class AccessDeniedError(FaaSKeeperError):

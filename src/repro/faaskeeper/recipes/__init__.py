@@ -2,10 +2,10 @@
 on the FaaSKeeper client.
 
 Everything here is built strictly on the public client API (ephemeral +
-sequence nodes, watches, ``multi()``, ``ensure_path``, the session retry),
-so a recipe is exactly the code an application would ship — and every
-recipe operation exercises the full write pipeline, client cache and
-distributor stages underneath.
+sequence nodes, watches, ``multi()``, ``ensure_path``, ``client.busy_retry``
+around every write), so a recipe is exactly the code an application would
+ship — and every recipe operation exercises the full write pipeline,
+client cache and distributor stages underneath.
 
 ===============  ==========================================================
 Recipe           One-liner

@@ -41,7 +41,8 @@ class Barrier(Recipe):
         if parent != "/":
             yield from self.client.co_ensure_path(parent)
         try:
-            yield self.client.create_async(self.path, b"").event
+            yield from self.client.busy_retry.co_call(
+                self.client.create_async, self.path, b"")
         except NodeExistsError:
             return False
         return True
@@ -62,7 +63,8 @@ class Barrier(Recipe):
     def co_remove(self) -> Generator:
         """Tear the barrier down; False when it was already gone."""
         try:
-            yield self.client.delete_async(self.path).event
+            yield from self.client.busy_retry.co_call(
+                self.client.delete_async, self.path)
         except NoNodeError:
             return False
         return True
@@ -120,8 +122,8 @@ class DoubleBarrier(Recipe):
         if self.node is None:
             node = f"{self.path}/{self.identifier}"
             try:
-                yield self.client.create_async(node, b"",
-                                               ephemeral=True).event
+                yield from self.client.busy_retry.co_call(
+                    self.client.create_async, node, b"", ephemeral=True)
             except NodeExistsError:
                 pass  # re-entering with the same identifier
             self.node = node
@@ -136,7 +138,8 @@ class DoubleBarrier(Recipe):
             children = yield self.client.get_children_async(self.path).event
             if self._present(children) >= self.num_clients:
                 try:
-                    yield self.client.create_async(ready, b"").event
+                    yield from self.client.busy_retry.co_call(
+                        self.client.create_async, ready, b"")
                 except NodeExistsError:
                     pass  # another completer raced us: gate is up either way
                 return True

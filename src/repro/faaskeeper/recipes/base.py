@@ -2,9 +2,11 @@
 
 Every recipe is written against the *public* client surface only —
 ephemeral and sequence nodes, watches, ``multi()``, ``ensure_path`` and the
-session retry — never against service or storage internals, so a recipe is
-exactly the code a FaaSKeeper user would write (and exercises the full
-write pipeline, cache and distributor stages underneath).
+session's busy retry — never against service or storage internals, so a
+recipe is exactly the code a FaaSKeeper user would write (and exercises the
+full write pipeline, cache and distributor stages underneath).  Each write
+runs through ``client.busy_retry.co_call``, which replays a ``system_busy``
+rejection on the virtual clock and surfaces every other error.
 
 Recipes come in two forms:
 
@@ -91,7 +93,8 @@ class Recipe:
         """Delete ``path``, absorbing already-gone and session-dead errors
         (an evicted session's ephemeral nodes are cleaned up server-side)."""
         try:
-            yield self.client.delete_async(path).event
+            yield from self.client.busy_retry.co_call(
+                self.client.delete_async, path)
         except (NoNodeError, SessionClosedError):
             pass
         return None

@@ -3,20 +3,16 @@
 The value lives as a decimal string in the counter node's data; every
 change is a read followed by a ``set_data`` conditioned on the read's
 version (Z1 makes the conditional write the atomic arbiter), retried on
-:class:`BadVersionError` with a deterministic linear backoff.  Lost
-updates are impossible; contention costs retries, not correctness.
+:class:`BadVersionError` by ``SessionRetry.co_call``'s deterministic
+backoff.  Lost updates are impossible; contention costs retries, not
+correctness.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from ..exceptions import (
-    BadVersionError,
-    NodeExistsError,
-    NoNodeError,
-    RetryFailedError,
-)
+from ..exceptions import BadVersionError, NodeExistsError, NoNodeError
 from ..model import parent_path
 from .base import Recipe
 
@@ -52,47 +48,43 @@ class Counter(Recipe):
         stat = yield self.client.exists_async(self.path).event
         if stat is None:
             try:
-                yield self.client.create_async(
-                    self.path, str(self.default).encode()).event
+                yield from self.client.busy_retry.co_call(
+                    self.client.create_async, self.path,
+                    str(self.default).encode())
             except NodeExistsError:
                 pass
         self._ensured = True
         return None
 
+    def _co_read(self) -> Generator:
+        data, stat = yield self.client.get_data_async(self.path).event
+        return self._decode(data, self.default), stat
+
+    def _co_cas(self, delta: int) -> Generator:
+        """One compare-and-swap: read, then write back conditioned on the
+        read's version."""
+        value, stat = yield from self._co_read()
+        yield self.client.set_data_async(
+            self.path, str(value + delta).encode(), version=stat.version).event
+        return value + delta
+
     def co_get(self, max_tries: int = 20) -> Generator:
         yield from self.co_ensure_node()
-        for attempt in range(max_tries):
-            try:
-                data, _stat = yield self.client.get_data_async(self.path).event
-            except NoNodeError:
-                # A sibling's winning create has committed but not yet
-                # replicated into this region: retry the read.
-                yield self.env.timeout(25.0 * (attempt + 1))
-                continue
-            return self._decode(data, self.default)
-        raise RetryFailedError(
-            f"counter {self.path} never became readable")
+        # NoNodeError: a sibling's create is not yet replicated here.
+        value, _stat = yield from self.client.busy_retry.copy(
+            retry_exceptions=(NoNodeError,), max_tries=max_tries,
+            delay_ms=25.0, max_delay_ms=400.0).co_call(self._co_read)
+        return value
 
     def co_add(self, delta: int, max_tries: int = 50) -> Generator:
         """Atomically add ``delta``; returns the new value."""
         yield from self.co_ensure_node()
-        for attempt in range(max_tries):
-            try:
-                data, stat = yield self.client.get_data_async(self.path).event
-                new = self._decode(data, self.default) + delta
-                yield self.client.set_data_async(
-                    self.path, str(new).encode(), version=stat.version).event
-            except (BadVersionError, NoNodeError):
-                # Lost the compare-and-swap race (or the winning create is
-                # not yet replicated): linear deterministic backoff spreads
-                # contenders without a shared RNG draw.
-                yield self.env.timeout(5.0 * (attempt + 1))
-                continue
-            self.last_set = new
-            return new
-        raise RetryFailedError(
-            f"counter {self.path}: {max_tries} compare-and-swap attempts "
-            f"all lost the race")
+        # BadVersionError: lost the compare-and-swap race.
+        self.last_set = yield from self.client.busy_retry.copy(
+            retry_exceptions=(BadVersionError, NoNodeError),
+            max_tries=max_tries, delay_ms=5.0,
+            max_delay_ms=160.0).co_call(self._co_cas, delta)
+        return self.last_set
 
     # ------------------------------------------------------------ sync
     @property

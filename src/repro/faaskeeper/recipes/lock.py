@@ -60,9 +60,9 @@ class _SequenceQueueWaiter(Recipe):
             return True
         yield from self.co_ensure_path()
         if self.node is None:
-            self.node = yield self.client.create_async(
-                f"{self.path}/{self.prefix}", self.identifier.encode(),
-                ephemeral=True, sequence=True).event
+            self.node = yield from self.client.busy_retry.co_call(
+                self.client.create_async, f"{self.path}/{self.prefix}",
+                self.identifier.encode(), ephemeral=True, sequence=True)
         deadline = None if timeout_ms is None else self.env.now + timeout_ms
         mine = self.node.rsplit("/", 1)[1]
         try:
@@ -103,10 +103,10 @@ class _SequenceQueueWaiter(Recipe):
                 if stat is None:
                     continue  # blocker vanished while we looked: re-check
                 if not blocking:
-                    yield from self._co_abandon()
+                    yield from self.co_release()
                     return False
                 if not (yield from self._co_wait(fired, deadline)):
-                    yield from self._co_abandon()
+                    yield from self.co_release()
                     return False
         finally:
             self._current_wait = None
@@ -119,13 +119,6 @@ class _SequenceQueueWaiter(Recipe):
         self.node = None
         self.is_acquired = False
         return True
-
-    def _co_abandon(self) -> Generator:
-        """Withdraw from the queue so successors are not blocked forever."""
-        if self.node is not None:
-            yield from self._co_delete_quiet(self.node)
-            self.node = None
-        return None
 
     # ------------------------------------------------------------ sync
     def acquire(self, blocking: bool = True,

@@ -33,9 +33,9 @@ class Queue(Recipe):
     def co_put(self, value: bytes) -> Generator:
         """Append an entry; returns its node path."""
         yield from self.co_ensure_path()
-        path = yield self.client.create_async(
-            f"{self.path}/{self.prefix}", bytes(value), sequence=True).event
-        return path
+        return (yield from self.client.busy_retry.co_call(
+            self.client.create_async, f"{self.path}/{self.prefix}",
+            bytes(value), sequence=True))
 
     def co_get(self, block: bool = False,
                timeout_ms: Optional[float] = None) -> Generator:
@@ -54,7 +54,8 @@ class Queue(Recipe):
                 try:
                     data, _stat = yield self.client.get_data_async(entry).event
                     # The delete is the claim: one winner per entry.
-                    yield self.client.delete_async(entry).event
+                    yield from self.client.busy_retry.co_call(
+                        self.client.delete_async, entry)
                 except NoNodeError:
                     continue  # another consumer won this entry
                 return data

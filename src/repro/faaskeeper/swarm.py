@@ -167,7 +167,8 @@ class SessionSwarm:
         pipeline the trigger rides.
         """
         env = self.cloud.env
-        yield owner.create_async(path, b"swarm").event
+        retry = owner.busy_retry  # every top-level create contends on "/"
+        yield from retry.co_call(owner.create_async, path, b"swarm")
         for round_no in range(self.spec.watch_rounds):
             done = env.event()
             done.defused()
@@ -189,7 +190,8 @@ class SessionSwarm:
             if armed:
                 yield AllOf(env, armed)
             submitted[0] = env.now
-            yield owner.set_data_async(path, b"v%d" % round_no).event
+            yield from retry.co_call(owner.set_data_async, path,
+                                     b"v%d" % round_no)
             if watchers:
                 yield done
 
@@ -200,7 +202,8 @@ class SessionSwarm:
         mix = next(w for w in CORE_WORKLOADS if w.name == self.spec.ycsb_mix)
         rng = random.Random(self.spec.seed * 1_000_003 + idx)
         base = f"/swarm-w{idx}"
-        yield client.create_async(base, b"0").event
+        retry = client.busy_retry  # every top-level create contends on "/"
+        yield from retry.co_call(client.create_async, base, b"0")
         inserts = 0
         for _ in range(self.spec.writer_ops):
             draw = rng.random()
@@ -210,11 +213,12 @@ class SessionSwarm:
                 # update and RMW both land as a set_data; RMW reads first.
                 if draw >= mix.read + mix.update:
                     yield client.get_data_async(base).event
-                yield client.set_data_async(base, b"u").event
+                yield from retry.co_call(client.set_data_async, base, b"u")
             elif draw < mix.read + mix.update + mix.read_modify_write \
                     + mix.insert:
                 inserts += 1
-                yield client.create_async(f"{base}/n{inserts}", b"").event
+                yield from retry.co_call(client.create_async,
+                                         f"{base}/n{inserts}", b"")
             else:  # scan
                 yield client.get_children_async(base).event
             self._writer_ops_done += 1

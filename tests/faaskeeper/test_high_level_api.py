@@ -12,6 +12,7 @@ from repro.faaskeeper import (
     RetryFailedError,
     SessionClosedError,
     SessionRetry,
+    SystemBusyError,
 )
 from .conftest import make_service
 
@@ -145,6 +146,61 @@ def test_session_retry_extra_exceptions_and_copy(cloud, service):
     # Non-retryable errors surface immediately.
     with pytest.raises(NodeExistsError):
         client.retry(lambda: (_ for _ in ()).throw(NodeExistsError("x")))
+
+
+def test_co_call_backs_off_on_the_virtual_clock(cloud, service):
+    client = service.connect()
+    retry = SessionRetry(client, max_tries=4, delay_ms=10.0, backoff=3.0,
+                         max_delay_ms=50.0)
+    calls = []
+
+    def busy_thrice():
+        calls.append(cloud.now)
+        if len(calls) <= 3:
+            raise SystemBusyError("create /x: system_busy")
+        return (yield client.create_async("/x", b"v").event)
+
+    proc = cloud.env.process(retry.co_call(busy_thrice))
+    assert cloud.env.run(until=proc) == "/x"
+    t0 = calls[0]
+    assert [t - t0 for t in calls] == pytest.approx(
+        [0.0, 10.0, 40.0, 90.0])           # waits 10, 30, then the 50 cap
+
+    def exists_already():
+        calls.append(cloud.now)
+        return client.create_async("/x", b"again")  # an FKFuture step
+
+    calls.clear()
+    proc = cloud.env.process(retry.co_call(exists_already))
+    with pytest.raises(NodeExistsError):
+        cloud.env.run(until=proc)
+    assert len(calls) == 1                    # not retryable: surfaced at once
+
+
+def test_busy_retry_copy_stays_busy_only(cloud, service):
+    """A copy of the busy-only retry keeps its class: widening it with
+    BadVersionError must not widen it back to every RequestFailedError —
+    a ``system_failure`` may follow a commit whose reply was lost."""
+    client = service.connect()
+    busy = client.busy_retry.copy(retry_exceptions=(BadVersionError,))
+    assert type(busy) is type(client.busy_retry)
+    errors = [BadVersionError("stale"),
+              SystemBusyError("create /x: system_busy"),
+              RequestFailedError("create /x: system_failure")]
+    calls = []
+
+    def step():
+        calls.append(cloud.now)
+        raise errors[len(calls) - 1]
+
+    with pytest.raises(RequestFailedError, match="system_failure"):
+        busy(step)
+    assert len(calls) == 3
+    calls.clear()
+    errors.insert(0, errors.pop())            # system_failure first
+    with pytest.raises(RequestFailedError, match="system_failure"):
+        busy(step)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- exists cache

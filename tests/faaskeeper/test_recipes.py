@@ -434,3 +434,47 @@ def test_lock_contention_with_client_cache_enabled(extra):
     assert len(grants) == 6
     assert grants[3:] == grants[:3]               # FIFO preserved
     assert sum(lock.wake_ups for lock in locks) <= 6
+
+
+# ---------------------------------------------------------------- busy retry
+# Every top-level create locks "/", and the follower answers ``system_busy``
+# once its timed lock gives up: with ~80 sessions creating at one instant,
+# a handful of creates are rejected.  The recipe cores and co_ensure_path
+# ride the session's busy-only retry, so contention costs backoff, not a
+# failed recipe.
+@pytest.mark.parametrize("seed", range(10))
+def test_concurrent_top_level_ensure_paths_all_complete(seed):
+    cloud, service = make_service(seed=seed, user_store="mem")
+    env = cloud.env
+    clients = service.connect_many(100)
+    run_all(cloud, [env.process(c.co_ensure_path(f"/c{i}"))
+                    for i, c in enumerate(clients)])
+    assert sorted(service.connect().get_children("/")) == \
+        sorted(f"c{i}" for i in range(100))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lock_contenders_finish_beside_top_level_creators(seed):
+    """6 contenders x 2 rounds, while 74 other sessions each ensure a
+    top-level path: the contenders' own ``/lock`` creates contend on "/"
+    with them, and every grant still lands."""
+    cloud, service = make_service(seed=seed, user_store="mem",
+                                  storage_fault_rate=0.0)
+    env = cloud.env
+    grants = []
+
+    def contender(i, client):
+        lock = recipes.Lock(client, "/lock", identifier=f"l{i}")
+        for _ in range(2):
+            assert (yield from lock.co_acquire())
+            grants.append(i)
+            yield env.timeout(20.0)
+            yield from lock.co_release()
+
+    lockers, creators = service.connect_many(6), service.connect_many(74)
+    run_all(cloud, [env.process(contender(i, c))
+                    for i, c in enumerate(lockers)]
+            + [env.process(c.co_ensure_path(f"/c{i}"))
+               for i, c in enumerate(creators)])
+    assert len(grants) == 12
+    assert len(service.connect().get_children("/")) == 75  # creators + /lock

@@ -47,7 +47,7 @@ def test_idle_session_fits_the_budget():
     # would make the queue, so the probe looks at the instance dict)
     client = service.clients["s1"]
     assert not {"queue", "_pending", "_registered", "_delivered",
-                "_listeners", "retry"} & set(vars(client))
+                "_listeners", "retry", "busy_retry"} & set(vars(client))
     assert _session_queues(cloud) == []
 
 

@@ -201,6 +201,22 @@ def test_swarm_sweeps_shards_times_periods_and_evicts_each_silent_once():
         silent == report["evicted"]
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_swarm_smoke_cohorts_survive_contended_creates(seed):
+    """``benchmarks/bench_swarm.py``'s 5k smoke cohorts: 50 writers, 10 hot
+    paths and the lock group all create top-level nodes at one instant.
+    The follower rejects some of those creates with ``system_busy``; the
+    cohorts ride the session's busy-only retry, so no seed loses an op."""
+    cloud, service = make_service(seed=seed, user_store="mem",
+                                  session_plane_shards=8)
+    report = SessionSwarm(cloud, service, SwarmSpec(
+        sessions=5_000, registration_wave=1_000, watchers=200,
+        watch_paths=10, writers=50, lock_contenders=6, graceful_closes=200,
+        silent=200, seed=seed)).run()
+    assert report["lock_grants"] == 12
+    assert report["writer_ops"] == 200
+
+
 # ------------------------------------------------------------ registration
 def test_connect_many_matches_serial_connects():
     def register(batched):
