@@ -80,7 +80,8 @@ def _measure(rate_per_s):
     appended = service.metrics.get("fk_log_appends_total").value
     sink = service.outbox.sink(0)
     lag = service.metrics.get("fk_outbox_publish_lag_ms")
-    violations = verify_outbox_delivery(service, acked)
+    violations = verify_outbox_delivery(
+        service, [(txid, "/bench") for txid in acked])
     assert violations == [], violations
     # Registry consistency: every appended record was delivered (the
     # single sink saw each committed event at least once), none parked.
@@ -139,9 +140,8 @@ def test_outbox_publish_lag(benchmark):
 def test_outbox_off_overhead_is_zero():
     """The acceptance gate: an outbox-off deployment reproduces the
     pre-PR write fingerprint bit-for-bit — virtual per-write timings,
-    end time and metered cost.  (``outbox_enabled=False`` also pins the
-    FK_FORCE_OUTBOX CI leg back to the default pipeline.)"""
-    assert write_fingerprint(outbox_enabled=False) == WRITE_BASELINE_DEFAULT
+    end time and metered cost."""
+    assert write_fingerprint() == WRITE_BASELINE_DEFAULT
 
 
 if __name__ == "__main__":

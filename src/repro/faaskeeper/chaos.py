@@ -159,13 +159,14 @@ def wipe_system_tables(service: FaaSKeeperService) -> None:
 
 def verify_exactly_once(service: FaaSKeeperService,
                         expected: Dict[str, Optional[bytes]],
-                        acked_txids: Optional[Iterable[int]] = None
+                        acked: Optional[Iterable[Tuple[int, str]]] = None
                         ) -> List[str]:
     """Audit a *quiesced* deployment for exactly-once end effects.
 
     ``expected`` maps each workload path to the data of its newest
-    acknowledged write (None = acknowledged delete); ``acked_txids`` are
-    the transaction ids of acknowledged writes.  Returns a list of
+    acknowledged write (None = acknowledged delete); ``acked`` holds the
+    ``(txid, path)`` of every node an acknowledged write changed (a
+    ``multi()`` contributes one pair per member).  Returns a list of
     violation descriptions (empty = consistent):
 
     * every system node's pending-transaction list has drained and no
@@ -218,9 +219,10 @@ def verify_exactly_once(service: FaaSKeeperService,
                     f"{path}@{region}: modified_tx {image.get('modified_tx')}"
                     f" != system {item.get('modified_tx')}")
 
+    acked = list(acked or ())
     board = service.visibility_board
-    if board is not None and acked_txids is not None:
-        for txid in acked_txids:
+    if board is not None:
+        for txid in sorted({txid for txid, _path in acked}):
             for region in service.config.regions:
                 if not board.visible(region, txid):
                     violations.append(
@@ -232,12 +234,12 @@ def verify_exactly_once(service: FaaSKeeperService,
         if epoch_item.get("items"):
             violations.append(
                 f"epoch counter {region} not drained: {epoch_item['items']}")
-    violations.extend(verify_outbox_delivery(service, acked_txids))
+    violations.extend(verify_outbox_delivery(service, acked))
     return violations
 
 
 def verify_outbox_delivery(service: FaaSKeeperService,
-                           acked_txids: Optional[Iterable[int]] = None
+                           acked: Optional[Iterable[Tuple[int, str]]] = None
                            ) -> List[str]:
     """Audit the outbox's delivery guarantees on a quiesced deployment
     (no-op without the outbox).  At-least-once with redelivery means a
@@ -248,11 +250,12 @@ def verify_outbox_delivery(service: FaaSKeeperService,
       every sink is strictly increasing in txid (per-path publish order);
     * two deliveries of the same ``(txid, path)`` never disagree on the
       event payload (a redelivery replays, never rewrites);
-    * every acknowledged transaction **at or below the publish floor**
-      (``min`` over shards of the durable log heads — above it records
-      are not yet eligible, the documented idle-shard stall) is accounted
-      for at every sink — delivered, or parked in the dead-letter list
-      (no lost events).
+    * every acknowledged ``(txid, path)`` **at or below the publish
+      floor** (``min`` over shards of the durable log heads — above it
+      records are not yet eligible, the documented idle-shard stall) is
+      accounted for at every sink — delivered, or parked in the
+      dead-letter list (no lost events, not even one member of a
+      ``multi()``).
     """
     violations: List[str] = []
     outbox = service.outbox
@@ -264,7 +267,8 @@ def verify_outbox_delivery(service: FaaSKeeperService,
                              service.config.leader_shards)
     dead_by_sink: Dict[str, set] = {}
     for entry in (state.raw(OUTBOX_DEAD_LETTER_KEY) or {}).get("items", []):
-        dead_by_sink.setdefault(entry["sink"], set()).add(entry["txid"])
+        dead_by_sink.setdefault(entry["sink"], set()).update(
+            (entry["txid"], path) for path, _op in entry["events"])
 
     for label, sink in outbox.sinks:
         seen: Dict[Tuple[int, str], Tuple[Any, ...]] = {}
@@ -285,13 +289,11 @@ def verify_outbox_delivery(service: FaaSKeeperService,
                     f"{ev['txid']} after {newest_per_path[ev['path']]}")
             else:
                 newest_per_path[ev["path"]] = ev["txid"]
-        accounted = {txid for txid, _path in seen} | dead_by_sink.get(label,
-                                                                      set())
-        if acked_txids is not None:
-            for txid in sorted(set(acked_txids)):
-                if txid <= floor and txid not in accounted:
-                    violations.append(
-                        f"outbox[{label}]: acked txid {txid} neither "
-                        f"delivered nor dead-lettered (watermark {mark}, "
-                        f"floor {floor})")
+        accounted = seen.keys() | dead_by_sink.get(label, set())
+        for txid, path in sorted(set(acked or ())):
+            if txid <= floor and (txid, path) not in accounted:
+                violations.append(
+                    f"outbox[{label}]: acked txid {txid} on {path} neither "
+                    f"delivered nor dead-lettered (watermark {mark}, "
+                    f"floor {floor})")
     return violations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -80,13 +79,10 @@ class FaaSKeeperConfig:
     #: function reads the commit log at its own cursor and streams every
     #: committed change to the configured sinks with at-least-once
     #: delivery and per-path txid order (the commit record *is* the event
-    #: record, so a change and its outgoing event are atomic).  ``None``
-    #: (the default) means off — unless the ``FK_FORCE_OUTBOX=1``
-    #: environment override is set (the CI matrix leg that runs the whole
-    #: suite with the outbox on; it enables the commit log too); pass an
-    #: explicit ``False`` to pin it off regardless.  Requires
-    #: ``commit_log_enabled`` (the publisher reads the log).
-    outbox_enabled: Optional[bool] = None
+    #: record, so a change and its outgoing event are atomic).  Off by
+    #: default.  Requires ``commit_log_enabled`` (the publisher reads the
+    #: log).
+    outbox_enabled: bool = False
     #: Event sinks the publisher fans out to: specs understood by
     #: :func:`repro.faaskeeper.outbox.make_sink` (``"inproc"``,
     #: ``"file:<path>"``, ``"webhook:<url>"``, a ``(scheme, kwargs)``
@@ -107,14 +103,10 @@ class FaaSKeeperConfig:
     client_cache_entries: int = 0
     #: Seeded transient-fault injection on every storage service the
     #: deployment owns (throttle / timeout / connection reset / partial
-    #: write): the per-operation fault probability, 0 = no schedule armed.
-    #: ``None`` (the default) means 0 — unless the ``FK_STORAGE_FAULTS=1``
-    #: environment override is set (the CI leg that runs the whole tier-1
-    #: suite under a 5 % schedule); pass an explicit ``0.0`` to pin faults
-    #: off regardless — the escape hatch the bit-for-bit fingerprint gates
-    #: use.  Every round trip rides the retry/breaker proxy
+    #: write): the per-operation fault probability, 0 (the default) = no
+    #: schedule armed.  Every round trip rides the retry/breaker proxy
     #: (:mod:`repro.faaskeeper.retry`) either way.
-    storage_fault_rate: Optional[float] = None
+    storage_fault_rate: float = 0.0
 
     def __post_init__(self) -> None:
         # The backend registry is the one list of schemes (the import is
@@ -148,15 +140,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 "snapshot_auto_ms > 0 requires commit_log_enabled=True: "
                 "there is nothing to snapshot without a commit log")
-        if self.outbox_enabled is None:
-            # CI override: one matrix leg runs the whole tier-1 suite with
-            # the outbox (and therefore the commit log) on.  Explicit
-            # outbox_enabled=False pins a deployment off regardless — the
-            # escape hatch the bit-for-bit fingerprint gates use.
-            forced = os.environ.get("FK_FORCE_OUTBOX", "") == "1"
-            self.outbox_enabled = forced
-            if forced:
-                self.commit_log_enabled = True
         if self.outbox_enabled and not self.commit_log_enabled:
             raise ValueError(
                 "outbox_enabled=True requires commit_log_enabled=True: the "
@@ -169,11 +152,6 @@ class FaaSKeeperConfig:
                 f"outbox_publish_ms must be >= 0, got {self.outbox_publish_ms}")
         if self.outbox_enabled and not self.outbox_sinks:
             raise ValueError("outbox_enabled=True needs at least one sink")
-        if self.storage_fault_rate is None:
-            # CI override: one leg runs the whole tier-1 suite with a
-            # seeded fault schedule armed (mirrors FK_FORCE_OUTBOX).
-            forced = os.environ.get("FK_STORAGE_FAULTS", "") == "1"
-            self.storage_fault_rate = 0.05 if forced else 0.0
         if not 0.0 <= self.storage_fault_rate <= 1.0:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "

@@ -197,7 +197,7 @@ def test_a_rejected_write_burns_its_txid():
     meets a version conflict and rejects it.  That txid never replicates:
     the leader burns it, and after more writes and a drain every region's
     visibility floor has passed it with nothing left above."""
-    cloud, service = make_distributed(seed=1, storage_fault_rate=0.0)
+    cloud, service = make_distributed(seed=1)
     board = service.visibility_board
     burned = []
     burn = board.burn

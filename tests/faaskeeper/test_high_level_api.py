@@ -367,15 +367,14 @@ def test_datawatch_rearm_race_under_coalesced_burst(shards):
     not lose a change between a delivery and the re-arm — the decorator
     registers before it re-reads, so the final value always lands.
 
-    Faults pinned off: a fault-delayed re-arm registration can slip past
+    Fault-free on purpose: a fault-delayed re-arm registration can slip past
     the final fan-out's watch query, after which the one-shot contract
     only promises the (possibly stale, Z4-consistent) re-read — the
     exact-final-delivery property asserted here is a fault-free-timing
     guarantee, like the fingerprint gates."""
     cloud, service = make_service(seed=11, leader_shards=shards,
                                   distributor_enabled=True,
-                                  ack_policy="on_commit",
-                                  storage_fault_rate=0.0)
+                                  ack_policy="on_commit")
     writer, watcher = service.connect(), service.connect()
     writer.create("/cfg", b"v0000")
     cloud.run(until=cloud.now + 10_000)       # let the create replicate

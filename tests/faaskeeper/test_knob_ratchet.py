@@ -21,7 +21,8 @@ the copy discipline: images cross the storage API through
 ``expressions.clone``, so ``deepcopy`` stays inside its fallback.
 And the deployment: every stage is declared once, in one deploy helper,
 and CI's one fault job runs every cell of the fault matrix in exactly
-one leg; every CI job has a time bound.
+one leg; no tier-1 leg flips a deployment default; every CI job has a
+time bound.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.
@@ -40,13 +41,15 @@ from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
 MAX_CONFIG_FIELDS = 20
-MAX_ENV_SWITCHES = 3
+MAX_ENV_SWITCHES = 1
 #: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
-MAX_HARNESS_SWITCHES = 8
-#: The seed and backend switches the one fault runner replaced, without
+MAX_HARNESS_SWITCHES = 6
+#: The seed and backend switches the one fault runner replaced, and the
+#: two default-flipping overrides its workload column replaced, without
 #: their ``FK_`` prefix (so this file does not read them either).
 RETIRED_SWITCHES = ("CHAOS_SEED", "CHAOS_SEEDS", "CHAOS_BACKEND",
-                    "STORAGE_FAULT_SEED", "STORAGE_FAULT_SEEDS")
+                    "STORAGE_FAULT_SEED", "STORAGE_FAULT_SEEDS",
+                    "FORCE_OUTBOX", "STORAGE_FAULTS")
 ROOT = Path(__file__).parents[2]
 
 
@@ -294,7 +297,8 @@ def test_ci_fault_matrix_runs_every_cell_once():
     """The ``faults`` job runs ``test_faults.py`` with ``-k <leg>`` once
     per word of its ``leg`` matrix: every crash-point kind has a crash
     cell, and every cell id holds exactly one leg word (the cells' test
-    name none), so each cell runs in exactly one leg."""
+    name and the workload names none), so each cell runs in exactly one
+    leg."""
     import yaml
 
     from repro.faaskeeper.chaos import CRASH_POINTS
@@ -312,12 +316,30 @@ def test_ci_fault_matrix_runs_every_cell_once():
                    for leg in legs)
     for cell in test_faults.CELLS:
         assert sum(leg in cell for leg in legs) == 1, cell
+    for workload in test_faults.WORKLOADS:  # a cell id may name its workload
+        assert not any(leg in workload for leg in legs), workload
     for leg in legs:
         assert any(leg in cell for cell in test_faults.CELLS), leg
-    crashed = {stage for _config, stage, _rate, _store
+    crashed = {stage for _config, stage, _rate, _store, _workload
                in test_faults.CELLS.values()}
     assert set(CRASH_POINTS) <= crashed
     assert set(CRASH_POINTS) <= set(STAGE_KINDS)
+
+
+def test_tier1_legs_flip_no_default():
+    """A deployment's defaults do not read the environment, so the tier-1
+    job has no leg that re-runs the suite with one flipped: besides the
+    Python versions, its one axis and its one ``FK_*`` name are the
+    sanitizer's."""
+    import yaml
+
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    job = yaml.safe_load(workflow.read_text())["jobs"]["test"]
+    assert set(job["strategy"]["matrix"]) - {"include"} == {
+        "python-version", "sanitize"}
+    names = {name for step in job["steps"] for name in step.get("env", {})}
+    assert {name for name in names if name.startswith("FK_")} == {
+        "FK_SANITIZE"}
 
 
 def test_every_ci_job_is_bounded():

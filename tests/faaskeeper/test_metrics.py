@@ -249,7 +249,7 @@ def test_cost_breakdown_matches_the_cost_meter():
         "heartbeat": by.get("fn:fk-heartbeat", 0.0),
         "gc": by.get("fn:fk-gc", 0.0),
         "snapshot": by.get("fn:fk-snapshot", 0.0),
-        "outbox": by.get("fn:fk-outbox", 0.0),  # (the FK_FORCE_OUTBOX leg)
+        "outbox": by.get("fn:fk-outbox", 0.0),
     }
     assert got == expected
     assert got["queue"] > 0 and got["follower"] > 0  # non-vacuous

@@ -65,11 +65,10 @@ WRITE_RETAINED_BYTES = 128
 
 @pytest.fixture
 def warm():
-    """(cloud, client) of a default deployment, pinned off the CI legs'
-    environment overrides, with ``/a`` and ``/a/b`` written and read once and
-    the pipeline drained; kernel events are counted from here."""
-    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
-                                  outbox_enabled=False)
+    """(cloud, client) of a default deployment with ``/a`` and ``/a/b``
+    written and read once and the pipeline drained; kernel events are
+    counted from here."""
+    cloud, service = make_service(seed=7)
     client = service.connect()
     client.create("/a", b"x" * 1024)
     client.create("/a/b", b"")
@@ -170,9 +169,8 @@ def test_fan_out_costs_a_process_per_member(warm):
     created = _events(cloud, create_and_drain)
     print(f"warm create (node + parent replicated): {created} kernel events")
 
-    cloud, service = make_service(
-        seed=7, storage_fault_rate=0.0, outbox_enabled=False,
-        regions=["us-east-1", "eu-central-1"])
+    cloud, service = make_service(seed=7,
+                                  regions=["us-east-1", "eu-central-1"])
     client = service.connect()
     client.create("/a", b"x" * 1024)
     client.set_data("/a", b"y" * 1024)
@@ -198,8 +196,7 @@ def test_a_write_leaves_this_many_bytes(config, monkeypatch):
     drained pipeline.  Unsanitized: ``FK_SANITIZE=1`` keeps snapshots."""
     monkeypatch.delenv("FK_SANITIZE", raising=False)
     writes = 2000
-    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
-                                  outbox_enabled=False, **config)
+    cloud, service = make_service(seed=7, **config)
     client = service.connect()
     client.create("/a", b"x" * 1024)
     for _ in range(50):
@@ -237,8 +234,7 @@ def test_a_sweep_visits_only_its_slice(monkeypatch):
     monkeypatch.delenv("FK_SANITIZE", raising=False)
     sessions, shards, shard = 2000, 8, 3
     cloud, service = make_service(seed=7, user_store="mem",
-                                  session_plane_shards=shards,
-                                  storage_fault_rate=0.0, outbox_enabled=False)
+                                  session_plane_shards=shards)
     service.connect_many(sessions)
     sweep = service.heartbeat_fns[shard]
     cloud.run_process(sweep.run(None))  # the first sweep of a split builds its index
@@ -254,8 +250,7 @@ def test_a_sweep_visits_only_its_slice(monkeypatch):
 
 
 def test_a_completed_read_keeps_this_many_blocks():
-    _cloud, service = make_service(seed=7, storage_fault_rate=0.0,
-                                   outbox_enabled=False)
+    _cloud, service = make_service(seed=7)
     client = service.connect()
     client.create("/a", b"x" * 1024)
     client.get_data("/a")

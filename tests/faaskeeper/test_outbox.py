@@ -131,7 +131,8 @@ def test_events_flow_commit_to_sink_in_txid_order():
     assert per_path == sorted(per_path)
     assert all(ev["session"] == c.session_id for ev in seen)
     assert published_mark(service) == max(txids)
-    assert verify_outbox_delivery(service, txids) == []
+    assert verify_outbox_delivery(
+        service, list(zip(txids, ["/a", "/a", "/b", "/b"]))) == []
     stats = service.outbox.stats()
     assert service.metrics.get("fk_log_appends_total").value == 4
     assert stats["published"] == 4
@@ -165,7 +166,7 @@ def test_redelivered_leader_batch_appends_one_outbox_record():
     event = sink.delivered[-1]
     assert (event["path"], event["op"]) == ("/a", "set_data")
     assert (event["session"], event["ts"]) == (record["session"], record["ts"])
-    assert verify_outbox_delivery(service, [1, res.txid]) == []
+    assert verify_outbox_delivery(service, [(1, "/a"), (res.txid, "/a")]) == []
 
 
 def test_the_commit_transaction_has_two_legs_with_the_outbox_on_or_off():
@@ -273,7 +274,8 @@ def test_compaction_never_truncates_above_outbox_published():
     assert snapshot_and_compact(cloud, service) == 5
     meta = service.system_store.table(SYSTEM_STATE).raw("snapshot:meta")
     assert meta["compacted"] == published_mark(service) == 5
-    assert verify_outbox_delivery(service, [1, 2, 3, 4, 5]) == []
+    assert verify_outbox_delivery(
+        service, [(txid, "/a") for txid in range(1, 6)]) == []
 
 
 def test_a_64kb_record_publishes():
@@ -365,7 +367,7 @@ def test_exhausted_sink_dead_letters_and_the_drain_moves_on():
     assert service.outbox.metrics["dead_letters"].labels(
         sink="webhook").value == 2
     # the audit accepts dead-lettered events as accounted-for, not lost
-    assert verify_outbox_delivery(service, [1, 2]) == []
+    assert verify_outbox_delivery(service, [(1, "/a"), (2, "/b")]) == []
 
 
 def test_webhook_without_transport_fails_loudly():
@@ -400,7 +402,7 @@ def test_publisher_crash_before_watermark_redelivers():
     result = service.outbox.drain()
     assert result["published"] == 1
     assert sink.delivered_txids() == [1, 1]  # the at-least-once duplicate
-    assert verify_outbox_delivery(service, [1]) == []
+    assert verify_outbox_delivery(service, [(1, "/a")]) == []
 
 
 def test_crash_before_any_delivery_loses_nothing():
@@ -443,7 +445,7 @@ def test_publish_floor_is_min_over_shards():
 # --------------------------------------------------------------------------
 
 def test_default_deployment_has_no_outbox():
-    cloud, service = make_service(seed=613, outbox_enabled=False)
+    cloud, service = make_service(seed=613)
     assert service.outbox is None
     assert not any(s.kind == "outbox" for s in service.stages)
     c = service.connect()
@@ -461,13 +463,3 @@ def test_outbox_requires_commit_log():
     with pytest.raises(ValueError):
         FaaSKeeperConfig(outbox_enabled=True, commit_log_enabled=True,
                          outbox_batch=0)
-
-
-def test_force_outbox_env_flips_the_default(monkeypatch):
-    monkeypatch.setenv("FK_FORCE_OUTBOX", "1")
-    forced = FaaSKeeperConfig()
-    assert forced.outbox_enabled and forced.commit_log_enabled
-    pinned = FaaSKeeperConfig(outbox_enabled=False)
-    assert not pinned.outbox_enabled and not pinned.commit_log_enabled
-    monkeypatch.delenv("FK_FORCE_OUTBOX")
-    assert not FaaSKeeperConfig().outbox_enabled

@@ -30,15 +30,15 @@ MATRIX = {
 
 @pytest.fixture(params=sorted(MATRIX), ids=sorted(MATRIX))
 def deployment(request):
-    # storage faults pinned off: these are *liveness* scenarios driven to
+    # Fault-free on purpose: these are *liveness* scenarios driven to
     # completion with run(until=AllOf(workers)) — every wakeup rides a
     # one-shot watch, and a fault-delayed re-registration may miss the
     # only delete notification it was waiting for (permitted by the
-    # watch contract, fatal to an unbounded drain).  Faulty-timing
-    # coverage lives in tests/integration/test_faults.py, whose
-    # workloads are bounded and audited for exactly-once end effects.
-    return make_service(seed=2024, storage_fault_rate=0.0,
-                        **MATRIX[request.param])
+    # watch contract, fatal to an unbounded drain).  The recipes under
+    # storage faults are the ``recipes`` cells of
+    # tests/integration/test_faults.py, which bound every recipe op by a
+    # deadline and audit the end state after quiescence.
+    return make_service(seed=2024, **MATRIX[request.param])
 
 
 def run_all(cloud, procs):
@@ -458,8 +458,7 @@ def test_lock_contenders_finish_beside_top_level_creators(seed):
     """6 contenders x 2 rounds, while 74 other sessions each ensure a
     top-level path: the contenders' own ``/lock`` creates contend on "/"
     with them, and every grant still lands."""
-    cloud, service = make_service(seed=seed, user_store="mem",
-                                  storage_fault_rate=0.0)
+    cloud, service = make_service(seed=seed, user_store="mem")
     env = cloud.env
     grants = []
 

@@ -400,7 +400,7 @@ def test_a_token_rides_only_where_a_reply_can_be_lost():
     store is never retried and its token ledger must stay empty rather
     than pin every superseded image for a token window; once armed, a
     mutation carries its token again."""
-    cloud, service = make_service(storage_fault_rate=0.0)
+    cloud, service = make_service()
     client = service.connect()
     client.create("/n", b"")
     for i in range(1000):
@@ -477,8 +477,7 @@ def test_contended_lock_probe_heals_the_deployment():
     """Service level: the first request through the healing breaker is a
     contended ``node_lock.acquire`` — a ConditionFailed by design.  The
     breaker must close on it, and the suspended session heal."""
-    cloud, service = make_service(seed=5, user_store="mem",
-                                  storage_fault_rate=0.0)
+    cloud, service = make_service(seed=5, user_store="mem")
     store = service.system_store
     # cooldown 100 ms: the held lock is still inside LOCK_MAX_HOLD_MS
     shrink_breakers(store, threshold=2, cooldown_ms=100.0)
@@ -508,8 +507,7 @@ def test_open_user_store_breaker_fails_the_leader_not_the_simulation():
     are shed.  The first failure fails the leader invocation, which the
     queue redelivers; the second fails for nobody — it used to escape
     ``run()`` and end the simulation."""
-    cloud, service = make_service(seed=7, storage_fault_rate=0.0,
-                                  outbox_enabled=False)
+    cloud, service = make_service(seed=7)
     client = service.connect()
     client.create("/a", b"x")
     breaker = service.user_store.breaker(service.config.primary_region)

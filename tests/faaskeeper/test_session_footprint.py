@@ -73,8 +73,7 @@ def _left_nothing_behind(cloud, service, client):
 
 
 def test_a_never_used_session_is_evicted_and_leaves_nothing():
-    cloud, service = make_service(seed=7, user_store="mem",
-                                  storage_fault_rate=0.0)
+    cloud, service = make_service(seed=7, user_store="mem")
     keeper, ghost = service.connect_many(2)
     ghost.alive = False
     cloud.run(until=cloud.now + 3 * 60_000)
@@ -88,8 +87,7 @@ def test_a_never_used_session_is_evicted_and_leaves_nothing():
 
 
 def test_a_never_used_session_closes_and_leaves_nothing():
-    cloud, service = make_service(seed=7, user_store="mem",
-                                  storage_fault_rate=0.0)
+    cloud, service = make_service(seed=7, user_store="mem")
     keeper, idle = service.connect_many(2)
     idle.close()
     cloud.run(until=cloud.now + 1_000)
@@ -129,12 +127,11 @@ def test_session_churn_does_not_grow_the_deployment():
     empty deployment's total.)"""
     tracemalloc.start()
     try:
-        # storage faults pinned off: the subject is session state, and an
+        # Fault-free on purpose: the subject is session state, and an
         # armed store tokens every mutation, whose ledger entries outlive
         # these five 90 s rounds (the ledger turns over every 10 minutes).
         cloud, service = make_service(seed=7, user_store="mem",
-                                      session_plane_shards=8,
-                                      storage_fault_rate=0.0)
+                                      session_plane_shards=8)
         resident = service.connect_many(2000)
         after = []
         for _round in range(5):

@@ -168,8 +168,7 @@ def test_session_closing_mid_sweep_at_shard_boundary():
 def test_each_shard_sweeps_once_per_period():
     """A shard's cron parks on its phase offset while the deployment is at
     scale-to-zero; the first connect must replace that loop, not join it."""
-    cloud, service = make_service(seed=104, session_plane_shards=4,
-                                  storage_fault_rate=0.0)
+    cloud, service = make_service(seed=104, session_plane_shards=4)
     service.connect()
     cloud.run(until=cloud.now + 4.6 * 60_000)
     # offsets 0/15/30/45 s: fourth firings at 240/255/270/285 s, window 276 s
@@ -182,8 +181,7 @@ def test_swarm_sweeps_shards_times_periods_and_evicts_each_silent_once():
     sessions — the heartbeat's own counter, not just the closed clients."""
     shards, periods, silent = 8, 4, 12
     cloud, service = make_service(seed=105, user_store="mem",
-                                  session_plane_shards=shards,
-                                  storage_fault_rate=0.0)
+                                  session_plane_shards=shards)
     period = service.config.heartbeat_period_ms
     largest_offset = max(t.offset_ms for t in service.heartbeat_tasks)
     duration = 4.9 * period

@@ -34,11 +34,6 @@ def snapshot_now(cloud, service):
 
 
 def compact_now(cloud, service):
-    if service.outbox is not None:
-        # An unpublished record pins the log (FK_FORCE_OUTBOX=1 leg): let
-        # the publisher's cursor catch up with the fold's first.
-        while service.outbox.drain()["backlog"]:
-            pass
     return cloud.run_process(service.snapshots.compact(service.system_ctx))
 
 
@@ -53,10 +48,8 @@ def log_txids(service):
 
 def test_default_deployment_has_no_log():
     """The commit log is opt-in: the default deployment neither creates
-    the tables nor pays any per-commit work.  (``outbox_enabled=False``
-    pins the FK_FORCE_OUTBOX CI leg back to the paper's default — the
-    override would otherwise force the commit log on.)"""
-    cloud, service = make_service(seed=500, outbox_enabled=False)
+    the tables nor pays any per-commit work."""
+    cloud, service = make_service(seed=500)
     assert service.snapshots is None
     c = service.connect()
     c.create("/a", b"x")

@@ -4,20 +4,35 @@ Every cell of :data:`CELLS` stands up one deployment, arms one pipeline
 stage with seeded random crashes (:class:`~repro.faaskeeper.chaos.ChaosMonkey`)
 and/or a seeded transient-fault schedule on every storage endpoint
 (``FaaSKeeperConfig.storage_fault_rate``: throttles, timeouts, connection
-resets, partial writes), drives one randomized write/watch workload to
-quiescence and audits what ZooKeeper promises: every acknowledged write
-lands exactly once in every region (no lost write, no duplicate, drained
-pending lists and epoch counters, every acked txid visible and nothing
-stuck above the visibility floor; with the outbox, at-least-once sink
-delivery in per-path txid order), every one-shot watch fires exactly
-once, reads return the acked data, and the retry layer absorbs every
-storage fault (no session LOST, every breaker CLOSED, no retry budget
-exhausted).
+resets, partial writes), drives one seeded workload to quiescence and
+audits what ZooKeeper promises.  The workload column names what runs:
+
+* ``writer`` — a writer and a watcher on three paths: randomized writes,
+  a delete and two one-shot watches (every cell before the column);
+* ``recipes`` — three sessions through a Lock, a Semaphore, a Barrier, a
+  Queue, a Counter and one 2-path ``multi()``, every op riding
+  ``client.busy_retry`` and bounded by a deadline, so a livelock is a
+  violation rather than a hang;
+* ``cached`` — caching readers beside a writer, the client cache
+  invalidated by watches.
+
+The audits: every acknowledged write lands exactly once in every region
+(no lost write, no duplicate, drained pending lists and epoch counters,
+every acked txid visible and nothing stuck above the visibility floor;
+with the outbox, at-least-once sink delivery of every acked
+``(txid, path)`` in per-path txid order), every one-shot watch fires
+exactly once, reads after quiescence return the acked data (through the
+cache, in ``cached`` cells), the recipes keep mutual exclusion, claim each
+Queue item once and lose no Counter increment, and the retry layer
+absorbs every storage fault (no session LOST, every breaker CLOSED, no
+retry budget exhausted).  Reads one session takes of another's writes
+mid-run are not audited: they may legally be stale.
 
 Seeds come from ``FK_FAULT_SEEDS`` (how many, default 12; CI runs 50) or
 ``FK_FAULT_SEED`` (exactly one: the replay knob; any failure prints the
 command to run).  CI's ``faults`` job runs one leg per word of its
-``leg`` matrix with ``-k <leg>``; every cell id holds exactly one of them.
+``leg`` matrix with ``-k <leg>``; every cell id holds exactly one of them
+(so no workload name holds one).
 """
 
 import os
@@ -26,9 +41,10 @@ import random
 import pytest
 
 from repro.cloud import Cloud
-from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
+from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService, recipes
 from repro.faaskeeper.chaos import CRASH_POINTS, ChaosMonkey, verify_exactly_once
-from repro.faaskeeper.model import KeeperState
+from repro.faaskeeper.model import KeeperState, SetDataOp
+from repro.faaskeeper.outbox import OutboxStage
 from repro.faaskeeper.retry import BREAKER_CLOSED
 from repro.faaskeeper.userstore import registered_schemes
 
@@ -63,18 +79,30 @@ MATRIX = [
 SCHEMES = registered_schemes()
 
 #: Cell id -> (config, crashed stage or None, storage fault rate, user
-#: store or None for the config's).  A rate of 0 leaves the config default,
-#: so the ``FK_STORAGE_FAULTS=1`` tier-1 leg composes faults into it.
+#: store or None for the config's, workload).
 CELLS = {
-    **{f"{config}-{stage}": (config, stage, 0.0, None)
+    **{f"{config}-{stage}": (config, stage, 0.0, None, "writer")
        for config, stage in MATRIX},
     # the distributor crash on every user store, each named explicitly
-    **{f"s1-dist-distributor-{store}": ("s1-dist", "distributor", 0.0, store)
+    **{f"s1-dist-distributor-{store}": ("s1-dist", "distributor", 0.0, store,
+                                        "writer")
        for store in SCHEMES},
-    **{f"storage-5pct-{store}": ("paper", None, 0.05, store)
+    **{f"storage-5pct-{store}": ("paper", None, 0.05, store, "writer")
        for store in SCHEMES},
-    **{f"s1-pub-leader-3pct-{store}": ("s1-pub", "leader", 0.03, store)
+    **{f"s1-pub-leader-3pct-{store}": ("s1-pub", "leader", 0.03, store,
+                                       "writer")
        for store in SCHEMES},
+    # every crash kind under a 5 % storage-fault schedule
+    **{f"{config}-{stage}-5pct": (config, stage, 0.05, None, "writer")
+       for config, stage in [("s1", "leader"), ("s1-dist", "distributor"),
+                             ("s4-dist", "watch"), ("s1-pub", "outbox")]},
+    # the coordination recipes and the client read cache under faults
+    "storage-5pct-recipes": ("paper", None, 0.05, None, "recipes"),
+    "s4-dist-storage-5pct-recipes": ("s4-dist", None, 0.05, None, "recipes"),
+    "s1-pub-outbox-5pct-recipes": ("s1-pub", "outbox", 0.05, None, "recipes"),
+    "storage-5pct-cached": ("paper", None, 0.05, None, "cached"),
+    "s4-dist-watch-5pct-cached": ("s4-dist", "watch", 0.05, None, "cached"),
+    "s1-pub-leader-5pct-cached": ("s1-pub", "leader", 0.05, None, "cached"),
 }
 
 
@@ -89,20 +117,12 @@ def injected(service):
     return sum(i.total_injected() for i in service.storage_injectors)
 
 
-def run_scenario(seed, cell):
-    """One seeded run of ``cell``; returns (violations, monkey, service,
-    expected final data per path)."""
-    config_name, stage, rate, store = CELLS[cell]
-    cloud = Cloud.aws(seed=seed)
-    kwargs = dict(CONFIGS[config_name], storage_fault_rate=rate or None)
-    if store is not None:
-        kwargs["user_store"] = store
-    service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**kwargs))
-    monkey = ChaosMonkey(service, seed=seed * 7919 + 13,
-                         stages=[stage] if stage else [],
-                         probability=0.4, budget_per_point=2)
-    rng = random.Random(seed)
-
+def drive_writer(service, rng):
+    """One writer and one watcher on ``/a``–``/c``: randomized writes, a
+    delete, two one-shot watches, and reads after quiescence.  Returns
+    (violations, clients, expected final data per path, acked
+    ``(txid, path)`` pairs)."""
+    cloud = service.cloud
     writer = service.connect()
     watcher = service.connect()
     paths = ["/a", "/b", "/c"]
@@ -128,9 +148,24 @@ def run_scenario(seed, cell):
         writes.append((path, data, writer.set_data_async(path, data)))
     writes.append(("/doomed", None, writer.delete_async("/doomed")))
     cloud.run(until=cloud.now + 240_000)
+    violations, acked = settle(writes, expected)
 
-    violations = []
-    acked = []
+    cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
+    written = {path for path, _d, _f in writes}
+    for path, count in fired.items():
+        want = 1 if path in written else 0  # one-shot: exactly once, or never
+        if count != want:
+            violations.append(f"watch on {path} fired {count} times "
+                              f"(want {want})")
+    violations += read_back(watcher, expected, paths)
+    return violations, [writer, watcher], expected, acked
+
+
+def settle(writes, expected):
+    """(violations, acked ``(txid, path)`` pairs) of ``writes``, each a
+    (path, data or None for a delete, future); every acked write becomes
+    its path's expected data."""
+    violations, acked = [], []
     for path, data, fut in writes:
         op = f"write {data!r} to {path}" if data else f"delete of {path}"
         if not fut.done:
@@ -143,28 +178,172 @@ def run_scenario(seed, cell):
             continue
         expected[path] = data  # session FIFO: last submitted wins (Z2)
         if data is not None:
-            acked.append(result.txid)
+            acked.append((result.txid, path))
+    return violations, acked
 
-    cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
-    violations += verify_exactly_once(service, expected, acked)
-    violations += ids_above_the_floor(service)
-    written = {path for path, _d, _f in writes}
-    for path, count in fired.items():
-        want = 1 if path in written else 0  # one-shot: exactly once, or never
-        if count != want:
-            violations.append(f"watch on {path} fired {count} times "
-                              f"(want {want})")
-    # Reads under faults come back from the retry layer, never as a raised
-    # storage error; they run last, so no crash schedule moves.
+
+def read_back(client, expected, paths):
+    """Reads under faults come back from the retry layer, never as a raised
+    storage error; they run last, so no crash schedule moves."""
+    violations = []
     for path in paths:
         try:
-            data, _stat = watcher.get_data(path)
+            data, _stat = client.get_data(path)
         except Exception as exc:
             violations.append(f"read of {path} failed: {exc!r}")
             continue
         if data != expected[path]:
             violations.append(
                 f"read of {path} returned {data!r}, want {expected[path]!r}")
+    return violations
+
+
+#: Virtual time every recipe op must finish in: a livelocked op is a
+#: violation, not a hang.
+RECIPE_DEADLINE_MS = 240_000
+
+
+def drive_recipes(service, rng):
+    """Three sessions each take a Lock, then a 2-lease Semaphore, add 2 to
+    a Counter and pass a Barrier that session 0 removes; session 0 also
+    fills a Queue the others drain and commits one 2-path ``multi()``.
+    Every recipe op rides ``client.busy_retry`` and must finish before
+    :data:`RECIPE_DEADLINE_MS`.  Audited after quiescence: mutual
+    exclusion, each Queue item claimed exactly once, the Counter's total,
+    every Barrier party through, and the ``multi()`` members delivered."""
+    cloud, env = service.cloud, service.cloud.env
+    clients = [service.connect() for _ in range(3)]
+    first = clients[0]
+    first.create("/r", b"")
+    for path in ("/r/m1", "/r/m2"):
+        first.create(path, b"")
+    recipes.Barrier(first, "/r/gate").create()
+    items = [f"item-{i}".encode() for i in range(rng.randint(2, 4))]
+    cloud.run(until=cloud.now + 60_000)  # the setup lands in every region
+
+    violations, acked, claimed, done = [], [], [], []
+    holders = {"lock": 0, "lease": 0}
+
+    def hold(kind, bound, waiter):
+        yield from waiter.co_acquire()
+        holders[kind] += 1
+        if holders[kind] > bound:
+            violations.append(f"{holders[kind]} {kind} holders at once")
+        yield env.timeout(rng.uniform(5.0, 30.0))
+        holders[kind] -= 1
+        yield from waiter.co_release()
+
+    def session(i, client):
+        yield from hold("lock", 1, recipes.Lock(client, "/r/lock"))
+        yield from hold("lease", 2, recipes.Semaphore(client, "/r/sem", 2))
+        counter = recipes.Counter(client, "/r/count")
+        for _ in range(2):
+            yield from counter.co_add(1)
+        barrier = recipes.Barrier(client, "/r/gate")
+        queue = recipes.Queue(client, "/r/queue")
+        if i:
+            yield from barrier.co_wait()
+            while (item := (yield from queue.co_get())) is not None:
+                claimed.append(item)
+            return
+        for item in items:
+            yield from queue.co_put(item)
+        ops = [SetDataOp("/r/m1", b"m1"), SetDataOp("/r/m2", b"m2")]
+        results = yield from client.busy_retry.co_call(client.multi_async, ops)
+        acked.extend((result.txid, result.path) for result in results)
+        yield from barrier.co_remove()
+
+    def run(i, client):
+        try:
+            yield from session(i, client)
+        except Exception as exc:
+            violations.append(f"session {i}'s recipes failed: {exc!r}")
+        done.append(i)
+
+    for i, client in enumerate(clients):
+        env.process(run(i, client))
+    cloud.run(until=cloud.now + RECIPE_DEADLINE_MS)
+    late = sorted(set(range(len(clients))) - set(done))
+    if late:
+        violations.append(f"sessions {late} still in a recipe op after "
+                          f"{RECIPE_DEADLINE_MS} ms")
+    cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
+
+    expected = {"/r/count": b"6", "/r/m1": b"m1", "/r/m2": b"m2"}
+    left = [first.get_data(f"/r/queue/{name}")[0]
+            for name in first.get_children("/r/queue")]
+    if sorted(claimed + left) != sorted(items):
+        violations.append(f"queue items {sorted(items)}: claimed {claimed}, "
+                          f"left {left}")
+    violations += read_back(first, expected, sorted(expected))
+    return violations, clients, expected, acked
+
+
+def drive_cached(service, rng):
+    """One writer and two caching readers on ``/a``–``/c``: the readers
+    fill their caches, the writer overwrites while the readers keep
+    reading, and after quiescence every reader's read — a cache hit unless
+    a watch invalidated the entry — returns the acked data."""
+    cloud, env = service.cloud, service.cloud.env
+    writer = service.connect()
+    readers = [service.connect() for _ in range(2)]
+    paths = ["/a", "/b", "/c"]
+    expected = {}
+    for path in paths:
+        writer.create(path, b"init")
+        expected[path] = b"init"
+    cloud.run(until=cloud.now + 60_000)
+
+    def keep_reading(reader):
+        for _ in range(6):
+            yield env.timeout(rng.uniform(0.0, 2_000.0))
+            try:
+                yield reader.get_data_async(rng.choice(paths)).event
+            except Exception as exc:
+                violations.append(f"read failed: {exc!r}")
+
+    violations, writes = [], []
+    for reader in readers:
+        violations += read_back(reader, expected, paths)  # fill the cache
+        env.process(keep_reading(reader))
+    for i in range(rng.randint(6, 10)):
+        path = rng.choice(paths)
+        data = f"{path[1:]}-{i}".encode()
+        writes.append((path, data, writer.set_data_async(path, data)))
+    cloud.run(until=cloud.now + 240_000)
+    unsettled, acked = settle(writes, expected)
+    violations += unsettled
+
+    cloud.run(until=cloud.now + 120_000)  # drain fan-outs + replication
+    for reader in readers:
+        violations += read_back(reader, expected, paths)
+    return violations, [writer, *readers], expected, acked
+
+
+#: Workload -> (function that runs it, config it needs).
+WORKLOADS = {
+    "writer": (drive_writer, {}),
+    "recipes": (drive_recipes, {}),
+    "cached": (drive_cached, dict(client_cache_entries=64)),
+}
+
+
+def run_scenario(seed, cell):
+    """One seeded run of ``cell``; returns (violations, monkey, service,
+    expected final data per path)."""
+    config_name, stage, rate, store, workload = CELLS[cell]
+    drive, needs = WORKLOADS[workload]
+    cloud = Cloud.aws(seed=seed)
+    kwargs = dict(CONFIGS[config_name], **needs, storage_fault_rate=rate)
+    if store is not None:
+        kwargs["user_store"] = store
+    service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**kwargs))
+    monkey = ChaosMonkey(service, seed=seed * 7919 + 13,
+                         stages=[stage] if stage else [],
+                         probability=0.4, budget_per_point=2)
+    violations, clients, expected, acked = drive(service, random.Random(seed))
+    violations += verify_exactly_once(service, expected, acked)
+    violations += ids_above_the_floor(service)
 
     # Every injected crash must have cost the sandbox its warm state.
     # (RetryBatch redeliveries also restart, so >= rather than ==.)
@@ -173,7 +352,7 @@ def run_scenario(seed, cell):
                           f"{monkey.restarts} restarts")
     # Zero session-fatal storage errors, and no endpoint left shedding:
     # every breaker of both stores has settled CLOSED, no budget exhausted.
-    for client in (writer, watcher):
+    for client in clients:
         if client.state == KeeperState.LOST:
             violations.append(f"session {client.session_id} died LOST")
     for store_proxy in (service.system_store, service.user_store):
@@ -203,9 +382,25 @@ def test_audits_hold(cell):
                 + f"\nreproduce locally: FK_FAULT_SEED={seed} python -m pytest"
                 f" 'tests/integration/test_faults.py::test_audits_hold[{cell}]'")
     # The matrix must exercise what the cell arms, not pass vacuously.
-    _config, stage, rate, _store = CELLS[cell]
+    _config, stage, rate, _store, _workload = CELLS[cell]
     assert crashes or not stage, f"no crash ever triggered across {seeds}"
     assert faults or not rate, f"no fault ever injected across {seeds}"
+
+
+def test_a_multi_member_the_publisher_drops_is_a_violation(monkeypatch):
+    """The outbox audit accounts each acked ``(txid, path)``: a publisher
+    that emits only the first event of each record loses the second
+    member of the recipe mix's 2-path ``multi()``, and the cell says so."""
+    publish = OutboxStage._publish_record
+
+    def first_event_only(self, fctx, record, pairs):
+        return publish(self, fctx, record, pairs[:1])
+
+    monkeypatch.setattr(OutboxStage, "_publish_record", first_event_only)
+    violations, _monkey, _service, _exp = run_scenario(
+        1, "s1-pub-outbox-5pct-recipes")
+    assert any("/r/m2 neither delivered nor dead-lettered" in violation
+               for violation in violations), violations
 
 
 def test_region_wipe_after_distributor_crashes_recovers_from_snapshot():
@@ -272,14 +467,11 @@ PINNED_SCHEDULES = {
 
 @pytest.mark.parametrize("cell,seed", list(PINNED_SCHEDULES),
                          ids=[cell for cell, _seed in PINNED_SCHEDULES])
-def test_arming_off_the_stage_list_keeps_the_crash_schedule(
-        cell, seed, monkeypatch):
+def test_arming_off_the_stage_list_keeps_the_crash_schedule(cell, seed):
     """The harness arms ``stage.kind -> CRASH_POINTS`` over
     ``service.stages``; for a fixed seed that must pick the same
     functions, points, budgets and — the RNG being shared — the same crash
     schedule as the per-kind arming it replaced."""
-    for switch in ("FK_FORCE_OUTBOX", "FK_STORAGE_FAULTS"):
-        monkeypatch.delenv(switch, raising=False)  # the pins are default runs
     crashes, budgets = PINNED_SCHEDULES[cell, seed]
     violations, monkey, _svc, _exp = run_scenario(seed, cell)
     assert not violations
