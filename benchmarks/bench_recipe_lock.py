@@ -63,7 +63,7 @@ def _run_recipe_lock():
     locks = []
 
     def worker(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         lock = recipes.Lock(client, "/locks/hot", identifier=name)
         locks.append(lock)
         while env.now < end:

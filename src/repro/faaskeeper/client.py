@@ -466,7 +466,10 @@ class FaaSKeeperClient:
             waiter.succeed(None)
         for callback in self._registered.pop(watch_id, []):
             if callback is not None:
-                callback(event)
+                try:
+                    callback(event)
+                except Exception:
+                    pass  # the client's code must not fail the fan-out
 
     def _check_open(self) -> None:
         if self.closed:

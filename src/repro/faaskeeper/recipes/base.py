@@ -20,7 +20,9 @@ Recipes come in two forms:
   simulation's analogue of one thread per client.
 
 Both forms share the same protocol code: the sync facade just runs the
-coroutine on the event loop.
+coroutine on the event loop.  Called inside a process — a coroutine, or a
+watch callback — it raises :class:`~repro.sim.kernel.ReentrantRunError`:
+a process waits by yielding, so it takes the ``co_*`` form.
 """
 
 from __future__ import annotations

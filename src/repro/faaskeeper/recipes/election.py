@@ -15,7 +15,7 @@ convenience built on top.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from ..exceptions import NoNodeError, SessionClosedError
 from .base import Recipe, sequence_sorted
@@ -55,50 +55,60 @@ class Election(Recipe):
     def volunteer(self, on_leadership: Optional[Callable[[], None]] = None
                   ) -> bool:
         """Enlist as a candidate; returns True when leading immediately.
-        ``on_leadership`` fires (once) when leadership is later inherited.
+        ``on_leadership`` fires (once) when leadership is later inherited;
+        it runs inside a simulation process, so it must not block.
         """
         self._resigned = False
         self._callback = on_leadership
-        self.client.ensure_path(self.path)
-        if self.node is None:
-            self.node = self.client.create(
-                f"{self.path}/{self.prefix}", self.identifier.encode(),
-                ephemeral=True, sequence=True)
-        return self._evaluate()
+        return self._run(self._co_volunteer())
 
-    def _evaluate(self) -> bool:
+    def _co_volunteer(self) -> Generator:
+        yield from self.client.co_ensure_path(self.path)
+        if self.node is None:
+            self.node = yield self.client.create_async(
+                f"{self.path}/{self.prefix}", self.identifier.encode(),
+                ephemeral=True, sequence=True).event
+        return (yield from self._co_evaluate())
+
+    def _co_evaluate(self) -> Generator:
         """(Re)compute leadership; arm the predecessor watch otherwise."""
-        if self._resigned or self.client.closed or self.node is None:
-            return False
-        queue = sequence_sorted(self.client.get_children(self.path),
-                                self.prefix)
-        mine = self.node_name
-        if mine not in queue:
-            # Our ephemeral candidate vanished: the session was evicted.
-            self.node = None
-            return False
-        index = queue.index(mine)
-        if index == 0:
-            self.is_leader = True
-            self.watching = None
-            if self._callback is not None:
-                callback, self._callback = self._callback, None
-                callback()
-            return True
-        self.watching = f"{self.path}/{queue[index - 1]}"
-        stat = self.client.exists(self.watching, watch=self._on_predecessor)
-        if stat is None:
+        client = self.client
+        while not (self._resigned or client.closed or self.node is None):
+            queue = sequence_sorted(
+                (yield client.get_children_async(self.path).event),
+                self.prefix)
+            mine = self.node_name
+            if mine not in queue:
+                # Our ephemeral candidate vanished: the session was evicted.
+                self.node = None
+                return False
+            index = queue.index(mine)
+            if index == 0:
+                self.is_leader = True
+                self.watching = None
+                if self._callback is not None:
+                    callback, self._callback = self._callback, None
+                    callback()
+                return True
+            self.watching = f"{self.path}/{queue[index - 1]}"
+            stat = yield client.exists_async(
+                self.watching, watch=self._on_predecessor).event
+            if stat is not None:
+                return False
             # Predecessor vanished between the listing and the stat:
             # re-evaluate — we may have inherited the lead.
-            return self._evaluate()
         return False
 
     def _on_predecessor(self, _event) -> None:
         self.wake_ups += 1
         if self._resigned or self.is_leader or self.client.closed:
             return
+        self.env.process(self._co_succeed(),
+                         name=f"recipe:Election:{self.path}")
+
+    def _co_succeed(self) -> Generator:
         try:
-            self._evaluate()
+            yield from self._co_evaluate()
         except SessionClosedError:
             pass  # evicted between delivery and re-evaluation
 

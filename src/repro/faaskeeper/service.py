@@ -381,10 +381,33 @@ class FaaSKeeperService:
         seconds versus minutes of virtual time.  The first session of an
         idle deployment starts every stage's cron.  The call pumps the
         event loop until every batch write has landed, so callers can
-        clock registration throughput off it directly.
+        clock registration throughput off it directly; a process uses
+        :meth:`co_connect_many` instead.
         """
+        clients, landed = self._register_sessions(count, region, batch_size)
+        if landed is not None:
+            self.cloud.env.run(until=landed)
+        return clients
+
+    def co_connect_many(self, count: int, region: Optional[str] = None,
+                        batch_size: int = 25) -> Generator:
+        """:meth:`connect_many` for a simulation process."""
+        clients, landed = self._register_sessions(count, region, batch_size)
+        if landed is not None:
+            yield landed
+        return clients
+
+    def co_connect(self, region: Optional[str] = None) -> Generator:
+        """:meth:`connect` for a simulation process."""
+        return (yield from self.co_connect_many(1, region))[0]
+
+    def _register_sessions(self, count: int, region: Optional[str],
+                           batch_size: int) -> tuple:
+        """Make ``count`` clients and start their session-record writes;
+        returns the clients and the event of every write landing (None
+        when there is nothing to register)."""
         if count <= 0:
-            return []
+            return [], None
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         region = region or self.config.primary_region
@@ -411,8 +434,7 @@ class FaaSKeeperService:
             for stage in self.stages:
                 if stage.task is not None:
                     stage.task.start()
-        env.run(until=AllOf(env, writes))
-        return clients
+        return clients, AllOf(env, writes)
 
     def _open_queue(self, client: FaaSKeeperClient):
         """Make ``client``'s session queue, feeding the follower: read once,

@@ -33,6 +33,7 @@ from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, ListAppend, Remove, SetIfNotExists
 from ..cloud.kvstore import KeyValueStore
 from ..primitives.atomics import AtomicList
+from ..sim.kernel import Event
 from .exceptions import BadArgumentsError, NoNodeError, SessionClosedError
 from .layout import SYSTEM_WATCHES, epoch_key
 from .model import EventType, WatchType, validate_path
@@ -280,10 +281,11 @@ class _RearmingWatch:
     change racing the re-arm is never lost: it either reaches the fresh
     read or fires the new instance — mirroring the cache-watch protocol.
 
-    Deliveries arriving while a refresh is still running (its nested reads
-    pump the event loop) are folded into one trailing refresh instead of
-    recursing, so the user callback observes reads in issue order and its
-    last invocation always reflects the newest read.
+    A delivery only wakes the watch's own process (kazoo's handler
+    thread): it re-arms, re-reads and calls the callback, then waits for
+    the next wake.  The callback thus runs in that process, not in the
+    service's fan-out; an exception from it ends the watch and surfaces
+    from the ``run()`` that was driving the loop.
     """
 
     def __init__(self, client, path: str,
@@ -293,18 +295,23 @@ class _RearmingWatch:
         self._path = path
         self._func: Optional[Callable] = None
         self._stopped = False
-        self._busy = False
-        self._again = False
+        self._wake: Optional[Event] = None
         #: Watch notifications received (re-arm accounting for tests).
         self.deliveries = 0
         if func is not None:
             self(func)
 
     def __call__(self, func: Callable) -> Callable:
+        """Synchronous: calls ``func`` with the current state before it
+        returns, then leaves the loop running as a process."""
         if self._func is not None:
             raise BadArgumentsError("watch already has a callback")
         self._func = func
-        self._refresh(initial=True)
+        env = self._client.env
+        first = env.process(self._co_pass(initial=True))
+        self._stopped = not env.run(until=first)
+        if not self._stopped:
+            env.process(self._co_loop(), name=f"watch:{self._path}")
         return func
 
     def stop(self) -> None:
@@ -318,34 +325,31 @@ class _RearmingWatch:
 
     def _on_event(self, _event) -> None:
         self.deliveries += 1
-        if not self.active:
-            return
-        if self._busy:
-            self._again = True  # fold into the running refresh's trailing pass
-            return
-        self._refresh()
+        if not self._wake.triggered:
+            self._wake.succeed()
 
-    def _refresh(self, initial: bool = False) -> None:
-        self._busy = True
+    def _co_loop(self) -> Generator:
         try:
             while True:
-                self._again = False
-                try:
-                    keep = self._deliver(self._read_and_rearm(), initial)
-                except SessionClosedError:
-                    self._stopped = True
-                    return
-                initial = False
-                if keep is False:
-                    self._stopped = True
-                    return
-                if not self._again or not self.active:
+                yield self._wake
+                if not self.active or not (yield from self._co_pass()):
                     return
         finally:
-            self._busy = False
+            self._stopped = True
+
+    def _co_pass(self, initial: bool = False) -> Generator:
+        """Re-arm, re-read, call back; False when the watch ends.  The wake
+        is fresh before the re-arm, so a delivery during the read finds it
+        triggered and the loop comes straight back."""
+        self._wake = self._client.env.event()
+        try:
+            result = yield from self._co_read_and_rearm()
+        except SessionClosedError:
+            return False
+        return self._deliver(result, initial) is not False
 
     # Subclass hooks -------------------------------------------------------
-    def _read_and_rearm(self):  # pragma: no cover - abstract
+    def _co_read_and_rearm(self) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _deliver(self, result, initial: bool):  # pragma: no cover - abstract
@@ -370,14 +374,16 @@ class DataWatch(_RearmingWatch):
     may be served by the client cache.
     """
 
-    def _read_and_rearm(self):
+    def _co_read_and_rearm(self) -> Generator:
         # Arm first (exists registers the watch before its storage read),
         # then fetch: nothing can change unobserved in between.
-        stat = self._client.exists(self._path, watch=self._on_event)
+        client = self._client
+        stat = yield client.exists_async(self._path,
+                                         watch=self._on_event).event
         if stat is None:
             return None, None
         try:
-            return self._client.get_data(self._path)
+            return (yield client.get_data_async(self._path).event)
         except NoNodeError:
             # Deleted while the fetch was in flight: the armed instance
             # (or its in-flight delivery) reports the follow-up.
@@ -413,10 +419,10 @@ class ChildrenWatch(_RearmingWatch):
         self._last_event = event
         super()._on_event(event)
 
-    def _read_and_rearm(self):
+    def _co_read_and_rearm(self) -> Generator:
         try:
-            return self._client.get_children(self._path,
-                                             watch=self._on_event)
+            return (yield self._client.get_children_async(
+                self._path, watch=self._on_event).event)
         except NoNodeError:
             if not self._started:
                 raise  # registration on a missing node is a caller error

@@ -4,7 +4,6 @@ Static rules (``python -m repro.fklint``, over ``cli.PATHS`` by default):
 
 ====== ===================== ==============================================
 FK001  determinism           no wall clock / ambient RNG outside the kernel
-FK005  blocking-in-coroutine no env.run/time.sleep/sync facades in co_* cores
 ====== ===================== ==============================================
 
 The runtime half (:mod:`repro.fklint.sanitize`, armed by ``FK_SANITIZE=1``)

@@ -1,7 +1,7 @@
 """The rules, one ``check(ctx)`` function each, in rule-id order."""
 
-from . import blocking, determinism
+from . import determinism
 
-CHECKERS = (determinism.check, blocking.check)
+CHECKERS = (determinism.check,)
 
 __all__ = ["CHECKERS"]

@@ -7,6 +7,7 @@ from .kernel import (
     Event,
     Interrupt,
     Process,
+    ReentrantRunError,
     SimulationError,
     Timeout,
     gather,
@@ -21,6 +22,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "ReentrantRunError",
     "SimulationError",
     "Timeout",
     "gather",

@@ -47,6 +47,10 @@ one coroutine and wait for it at once runs it with ``yield from``: resumed
 from the heap it finds the wakeup lane empty, so the ``Initialize``, the
 termination and the wakeup it does not pay for had nothing between them and
 the coroutine's first and last segment.  Fan-out is :func:`gather`.
+
+**Run rule.**  ``run()`` is how synchronous code drives the loop, and it does
+not re-enter: called while a process is active it raises
+:class:`ReentrantRunError`.  A process waits by yielding the event.
 """
 
 from __future__ import annotations
@@ -67,11 +71,20 @@ __all__ = [
     "AllOf",
     "gather",
     "SimulationError",
+    "ReentrantRunError",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (negative delays, double triggers...)."""
+
+
+class ReentrantRunError(BaseException):
+    """``run()`` was called from inside a running process.
+
+    Not an ``Exception``: a handler's ``except Exception`` (a queue's
+    redelivery, the watch fan-out's retry, a callback's isolation) must not
+    swallow it, so it escapes the outer ``run()`` instead."""
 
 
 class Interrupt(Exception):
@@ -446,8 +459,13 @@ class Environment:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; with no argument, run dry.
 
-        Returns the event's value when ``until`` is an event.
+        Returns the event's value when ``until`` is an event.  A process
+        never calls it (the run rule): it ``yield``s the event instead.
         """
+        if self._active_process is not None:
+            raise ReentrantRunError(
+                f"run() called inside process {self._active_process.name!r}:"
+                " a process waits by yielding the event")
         stop_event: Optional[Event] = None
         stop_time = _INF
         if isinstance(until, Event):

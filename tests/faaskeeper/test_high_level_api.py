@@ -14,6 +14,7 @@ from repro.faaskeeper import (
     SessionRetry,
     SystemBusyError,
 )
+from repro.sim import ReentrantRunError
 from .conftest import make_service
 
 
@@ -427,3 +428,91 @@ def test_childrenwatch_rearm_race_under_burst(ack_policy, shards, seed):
         future.wait()
     cloud.run(until=cloud.now + 120_000)
     assert seen[-1] == [f"kid-{i}" for i in range(1, 8)]
+
+
+# ---------------------------------------------------------------- execution model
+@pytest.mark.parametrize("kind", ["data", "children"])
+def test_two_hundred_decorators_see_every_change(kind):
+    """A delivery only wakes the decorator's own process, so one fan-out
+    serving 200 watchers runs no re-read in its frame.  When each re-read
+    nested a run inside the fan-out, the stack overflowed past ~90
+    watchers: the fan-out failed, and the rest never fired again."""
+    cloud, service = make_service(seed=7, user_store="mem")
+    writer = service.connect()
+    watchers = service.connect_many(200)
+    seen = [[] for _ in watchers]
+    if kind == "data":
+        writer.create("/cfg", b"v0")
+        handles = [c.DataWatch("/cfg", lambda data, stat, out=out:
+                               out.append(data))
+                   for c, out in zip(watchers, seen)]
+        expected = [b"v0", b"v1", b"v2", b"v3"]
+    else:
+        writer.create("/workers", b"")
+        handles = [c.ChildrenWatch("/workers", out.append)
+                   for c, out in zip(watchers, seen)]
+        expected = [[], ["w1"], ["w1", "w2"], ["w1", "w2", "w3"]]
+    assert all(out == expected[:1] for out in seen)
+    for i in (1, 2, 3):
+        if kind == "data":
+            writer.set_data("/cfg", b"v%d" % i)
+        else:
+            writer.create(f"/workers/w{i}", b"")
+        cloud.run(until=cloud.now + 10_000)
+        assert sum(out[-1] == expected[i] for out in seen) == 200
+    assert all(out == expected for out in seen)
+    assert all(handle.active for handle in handles)
+    assert service.watch_fn.failures == 0
+
+
+def test_decorator_closed_mid_loop_is_inactive(cloud, service):
+    """The callback closes its own session (the async form: it runs in
+    the watch's process); the loop ends and the handle says so."""
+    writer, watcher = service.connect(), service.connect()
+    writer.create("/cfg", b"v0")
+    seen = []
+
+    def on_change(data, stat):
+        seen.append(data)
+        if data == b"v1":
+            watcher.close_async()
+
+    handle = watcher.DataWatch("/cfg", on_change)
+    writer.set_data("/cfg", b"v1")
+    cloud.run(until=cloud.now + 5_000)
+    assert watcher.closed and not handle.active
+    writer.set_data("/cfg", b"v2")
+    cloud.run(until=cloud.now + 5_000)
+    assert seen == [b"v0", b"v1"]
+
+
+def test_raw_callback_error_does_not_fail_the_fanout(cloud, service):
+    """A raw ``watch=`` callback that raises is the client's failure, not
+    the service's: the fan-out is invoked once and still reaches the
+    other session."""
+    writer, broken, healthy = (service.connect() for _ in range(3))
+    writer.create("/cfg", b"v0")
+    events = []
+
+    def explode(_event):
+        raise ValueError("client bug")
+
+    broken.get_data("/cfg", watch=explode)
+    healthy.get_data("/cfg", watch=events.append)
+    writer.set_data("/cfg", b"v1")
+    cloud.run(until=cloud.now + 5_000)
+    assert [event.path for event in events] == ["/cfg"]
+    assert service.watch_fn.invocations == 1
+    assert service.watch_fn.failures == 0
+
+
+def test_raw_callback_blocking_read_ends_the_run(cloud, service):
+    """A sync read from a raw callback re-enters the kernel: the guard's
+    error is no ``Exception``, so neither the callback isolation nor the
+    fan-out's retry swallows it."""
+    writer, watcher = service.connect(), service.connect()
+    writer.create("/cfg", b"v0")
+    watcher.get_data("/cfg", watch=lambda _event: watcher.get_data("/cfg"))
+    writer.set_data("/cfg", b"v1")
+    with pytest.raises(ReentrantRunError):
+        cloud.run(until=cloud.now + 5_000)

@@ -55,7 +55,7 @@ def test_lock_contention_mutual_exclusion_fifo_and_no_herd(deployment):
     locks = []
 
     def worker(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         lock = recipes.Lock(client, "/locks/app", identifier=name)
         locks.append(lock)
         for _ in range(rounds):
@@ -92,7 +92,7 @@ def test_lock_holder_eviction_wakes_exactly_one_successor(deployment):
     outcomes = []
 
     def waiter(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         lock = recipes.Lock(client, "/locks/app", identifier=name)
         waiters.append(lock)
         assert (yield from lock.co_acquire())
@@ -138,7 +138,7 @@ def test_semaphore_bounds_concurrent_holders(deployment):
     done = []
 
     def worker(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         sem = recipes.Semaphore(client, "/leases/gpu", max_leases=max_leases,
                                 identifier=name)
         assert (yield from sem.co_acquire())
@@ -169,7 +169,7 @@ def test_barrier_blocks_until_removed(deployment):
     released = []
 
     def waiter(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         barrier = recipes.Barrier(client, "/gates/maint")
         assert (yield from barrier.co_wait())
         released.append((name, env.now))
@@ -194,7 +194,7 @@ def test_double_barrier_synchronizes_enter_and_leave(deployment):
     arrived, entered, left = [], [], []
 
     def participant(name, delay):
-        client = service.connect()
+        client = yield from service.co_connect()
         barrier = recipes.DoubleBarrier(client, "/sync/job", group,
                                         identifier=name)
         yield env.timeout(delay)
@@ -228,7 +228,7 @@ def test_double_barrier_immediate_leave_does_not_deadlock(deployment):
     finished = []
 
     def participant(name, delay):
-        client = service.connect()
+        client = yield from service.co_connect()
         barrier = recipes.DoubleBarrier(client, "/sync/fast", group,
                                         identifier=name)
         yield env.timeout(delay)
@@ -254,7 +254,7 @@ def test_counter_concurrent_increments_lose_nothing(deployment):
     workers, increments = 4, 3
 
     def worker():
-        client = service.connect()
+        client = yield from service.co_connect()
         counter = recipes.Counter(client, "/stats/jobs")
         for _ in range(increments):
             yield from counter.co_add(1)
@@ -274,7 +274,8 @@ def test_counter_sync_facade_contends_with_coroutine_writers(deployment):
     rounds = 3
 
     def rival():
-        counter = recipes.Counter(service.connect(), "/stats/mixed")
+        counter = recipes.Counter((yield from service.co_connect()),
+                                  "/stats/mixed")
         for _ in range(rounds):
             yield from counter.co_add(1)
 
@@ -302,7 +303,7 @@ def test_queue_claims_each_entry_exactly_once(deployment):
     claims = {}
 
     def consumer(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         q = recipes.Queue(client, "/queues/tasks")
         claims[name] = []
         while True:
@@ -323,13 +324,13 @@ def test_queue_blocking_get_wakes_on_put(deployment):
     got = []
 
     def consumer():
-        client = service.connect()
+        client = yield from service.co_connect()
         q = recipes.Queue(client, "/queues/tasks")
         data = yield from q.co_get(block=True)
         got.append(data)
 
     def producer():
-        client = service.connect()
+        client = yield from service.co_connect()
         q = recipes.Queue(client, "/queues/tasks")
         yield env.timeout(2_000.0)                # consumer waits first
         yield from q.co_put(b"late job")
@@ -421,7 +422,7 @@ def test_lock_contention_with_client_cache_enabled(extra):
     locks = []
 
     def worker(name):
-        client = service.connect()
+        client = yield from service.co_connect()
         lock = recipes.Lock(client, "/locks/app", identifier=name)
         locks.append(lock)
         for _ in range(2):

@@ -56,29 +56,3 @@ def handler(env, rng_registry):
     seeded = random.Random(42)
     return start, rng.random(), seeded.random()
 """
-
-# --------------------------------------------------------------- FK005
-FK005_BAD = """\
-import time
-
-class Recipe:
-    def co_acquire(self):
-        time.sleep(0.1)                       # expect: FK005
-        self.env.run(until=self.deadline)     # expect: FK005
-        data = self.client.get_data(self.path)  # expect: FK005
-        ok = self._run(self.co_helper())      # expect: FK005
-        yield self.client.exists_async(self.path).event
-        return data, ok
-"""
-
-FK005_GOOD = """\
-class Recipe:
-    def co_acquire(self):
-        yield self.env.timeout(100.0)
-        data = yield self.client.get_data_async(self.path).event
-        yield from self.co_helper()
-        return data
-
-    def acquire(self):
-        return self._run(self.co_acquire())
-"""

@@ -23,15 +23,11 @@ BAD_CASES = [
                  "FK001", id="FK001-benchmark"),
     pytest.param(fixtures.FK001_BAD, "examples/demo.py",
                  "FK001", id="FK001-example"),
-    pytest.param(fixtures.FK005_BAD, f"{FAASKEEPER}/recipes/lock.py",
-                 "FK005", id="FK005"),
 ]
 
 GOOD_CASES = [
     pytest.param(fixtures.FK001_GOOD, f"{FAASKEEPER}/leader.py",
                  "FK001", id="FK001"),
-    pytest.param(fixtures.FK005_GOOD, f"{FAASKEEPER}/recipes/lock.py",
-                 "FK005", id="FK005"),
 ]
 
 

@@ -13,6 +13,7 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
+    ReentrantRunError,
     Resource,
     SimulationError,
     Store,
@@ -93,6 +94,32 @@ def test_run_until_past_raises():
     env.run(until=5)
     with pytest.raises(SimulationError):
         env.run(until=1)
+
+
+@pytest.mark.parametrize("until", [None, 5.0, "event"])
+def test_run_inside_a_process_raises_and_the_process_goes_on(until):
+    env = Environment()
+    log = []
+
+    def proc(env):
+        me = env.active_process
+        with pytest.raises(ReentrantRunError):
+            env.run(until=env.event() if until == "event" else until)
+        log.append((env.now, env.active_process is me))
+        yield env.timeout(10)
+        log.append((env.now, env.active_process is me))
+
+    def careless(env):
+        yield env.timeout(20)
+        env.run(until=until)
+
+    env.process(proc(env))
+    env.process(careless(env))
+    # Not an ``Exception``: no handler's ``except Exception`` swallows it.
+    with pytest.raises(ReentrantRunError):
+        env.run()
+    assert log == [(0, True), (10, True)]
+    assert env.now == 20 and env.active_process is None
 
 
 def test_event_succeed_wakes_waiter():
