@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..fklint import sanitize
 from ..sim.kernel import Environment, Event
 from ..sim.resources import TokenBucketLimiter
+from . import sanitize
 from .calibration import CloudProfile
 from .context import OpContext
 from .errors import ConditionFailed, ItemTooLarge, NoSuchTable

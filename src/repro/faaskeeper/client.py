@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property, partial, wraps
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..cloud.errors import NoSuchQueue
+from ..cloud.errors import NoSuchQueue, PayloadTooLarge
 from ..sim.kernel import Process, Timeout
 from .cache import ClientReadCache
 from .exceptions import (
@@ -90,7 +90,7 @@ _ERROR_MAP = {
     "session_closed": SessionClosedError,
     "system_failure": RequestFailedError,
     "system_busy": SystemBusyError,
-    "bad_arguments": RequestFailedError,
+    "bad_arguments": BadArgumentsError,
     "access_denied": AccessDeniedError,
     "rolled_back": RolledBackError,
 }
@@ -266,11 +266,16 @@ class SessionRetry:
             f"{self.max_tries} tries") from last
 
     def __call__(self, func: Callable, *args, **kwargs) -> Any:
-        """Synchronous form: :meth:`co_call` over a plain callable."""
+        """Synchronous form: :meth:`co_call` over a callable that returns a
+        value or an :class:`FKFuture` (``client.create_async``), whose
+        result is awaited.  It runs in a process, so ``func`` must not call
+        a sync facade: that raises ``ReentrantRunError``."""
         @wraps(func)
         def one_step():
-            return func(*args, **kwargs)
-            yield  # a generator: co_call runs it with ``yield from``
+            result = func(*args, **kwargs)
+            if isinstance(result, FKFuture):
+                result = yield result.event
+            return result
 
         env = self.client.env
         return env.run(until=env.process(self.co_call(one_step),
@@ -531,12 +536,15 @@ class FaaSKeeperClient:
             yield from self.queue.send(self.ctx, request.to_body(),
                                        group=self.session_id,
                                        size_kb=request.size_kb)
-        except NoSuchQueue:
-            # The session was closed under this request: it fails like one
-            # submitted after the close.
+        except (NoSuchQueue, PayloadTooLarge) as refused:
+            # Never queued, so never answered: a request the session was
+            # closed under fails like one submitted after the close, an
+            # envelope over the queue's bound like a node over the
+            # follower's, and the session's later requests go on.
             self._deliver_response(Response(
                 session=self.session_id, rid=request.rid, ok=False,
-                error="session_closed"))
+                error="session_closed" if isinstance(refused, NoSuchQueue)
+                else "bad_arguments"))
         finally:
             if self._send_tail is sent:
                 self._send_tail = None  # nobody queued behind: nothing to fire

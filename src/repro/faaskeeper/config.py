@@ -116,6 +116,15 @@ class FaaSKeeperConfig:
             raise ValueError(f"unknown user store {self.user_store!r}")
         if not self.regions:
             raise ValueError("need at least one region")
+        if len(set(self.regions)) != len(self.regions):
+            raise ValueError(f"duplicate regions in {self.regions}")
+        for name in ("function_memory_mb", "cpu_alloc", "heartbeat_period_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.follower_max_receive is not None and self.follower_max_receive < 1:
+            raise ValueError(
+                f"follower_max_receive must be >= 1 or None, "
+                f"got {self.follower_max_receive}")
         if self.arch not in ("x86", "arm"):
             raise ValueError(f"unknown arch {self.arch!r}")
         if self.leader_shards < 1:

@@ -6,8 +6,8 @@ spins up ``SwarmSpec.sessions`` live sessions against one deployment and
 drives realistic churn — batched registration, heartbeat-answering
 passives, watch-heavy cohorts, YCSB-mix writers, a Lock-recipe contention
 group, graceful closes and silent failures — entirely on the simulation
-clock, with every random choice drawn from seeded RNGs (fklint FK001
-clean), so a given spec replays bit-for-bit.
+clock, with every random choice drawn from seeded RNGs (the FK001
+ratchet holds this module), so a given spec replays bit-for-bit.
 
 Four metric families come out of a run (p50/p99/p999 each):
 

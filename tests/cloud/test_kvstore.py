@@ -12,7 +12,7 @@ from repro.cloud import (
     Set,
     SetIfNotExists,
 )
-from repro.fklint.sanitize import SanitizerError
+from repro.cloud.sanitize import SanitizerError
 
 
 def test_put_and_get_roundtrip(cloud, ctx):

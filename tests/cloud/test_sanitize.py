@@ -4,9 +4,8 @@ simulated kvstore."""
 
 import pytest
 
-from repro.cloud import Attr, Cloud, OpContext, Remove, Set
-from repro.fklint import sanitize
-from repro.fklint.sanitize import SanitizerError, check_mutation
+from repro.cloud import Attr, Cloud, OpContext, Remove, Set, sanitize
+from repro.cloud.sanitize import SanitizerError, check_mutation
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ import pytest
 
 from repro.faaskeeper import (
     BadVersionError,
+    CheckOp,
+    CheckResult,
+    CreateOp,
     KeeperState,
     NodeExistsError,
     RequestFailedError,
@@ -102,19 +105,32 @@ def test_ensure_path_races_are_absorbed(cloud, service):
 
 # ---------------------------------------------------------------- SessionRetry
 def test_session_retry_retries_transient_failures(cloud, service):
+    """A step that raises and a step that returns a failing future (an
+    ``*_async`` call) are retried alike; a future's result is awaited."""
     client = service.connect()
-    calls = {"n": 0}
+    client.create("/cfg", b"")
 
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
+    def flaky(attempt):
+        if attempt < 3:
             raise RequestFailedError("system_busy")
         return "ok"
 
-    before = cloud.now
-    assert client.retry(flaky) == "ok"
-    assert calls["n"] == 3
-    assert cloud.now > before                 # backoff advanced the clock
+    def flaky_async(attempt):  # a stale guard aborts the first two commits
+        guard = CheckOp("/cfg", version=0 if attempt == 3 else 9)
+        return client.multi_async([guard, CreateOp("/made")])
+
+    for step, expected in ((flaky, "ok"),
+                           (flaky_async, [CheckResult("/cfg", 0), "/made"])):
+        attempts = []
+
+        def counted():
+            attempts.append(step)
+            return step(len(attempts))
+
+        before = cloud.now
+        assert client.retry(counted) == expected
+        assert len(attempts) == 3
+        assert cloud.now > before             # backoff advanced the clock
 
 
 def test_session_retry_exhaustion_raises_with_cause(cloud, service):

@@ -26,6 +26,10 @@ time bound.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.
+And determinism (FK001): every published number replays from its seed, so
+the service, the cloud models, the examples and the benchmarks read no
+wall clock and no process-global RNG; the linter package that once held
+this one rule stays deleted.
 """
 
 import ast
@@ -350,3 +354,124 @@ def test_every_ci_job_is_bounded():
     for workflow in (ROOT / ".github" / "workflows").glob("*.yml"):
         for name, job in yaml.safe_load(workflow.read_text())["jobs"].items():
             assert job.get("timeout-minutes", 360) <= 30, (workflow.name, name)
+
+
+#: Calls that read the wall clock or ambient entropy: time comes from the
+#: kernel (``env.now``, ``env.timeout``), randomness from a seeded
+#: ``RngRegistry`` stream or ``random.Random(seed)``.  The module-level
+#: ``random.*`` functions draw from the process-global stream.
+_AMBIENT = {
+    *(f"time.{name}" for name in (
+        "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+        "perf_counter_ns", "sleep")),
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+    "uuid.uuid1", "uuid.uuid4", "os.urandom",
+    *(f"secrets.{name}" for name in (
+        "token_bytes", "token_hex", "token_urlsafe", "randbelow", "choice")),
+    *(f"random.{name}" for name in (
+        "random", "randint", "randrange", "uniform", "choice", "choices",
+        "shuffle", "sample", "gauss", "normalvariate", "lognormvariate",
+        "expovariate", "betavariate", "gammavariate", "triangular",
+        "vonmisesvariate", "paretovariate", "weibullvariate", "getrandbits",
+        "randbytes", "seed", "setstate", "getstate")),
+}
+
+
+def _ambient_calls(text):
+    """Lines that call an ``_AMBIENT`` function or build an unseeded
+    ``random.Random()``, seen through ``import x as y`` and ``from x
+    import y as z`` aliases (relative imports are the project's own)."""
+    tree = ast.parse(text)
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head)
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        head, dot, rest = ast.unparse(node.func).partition(".")
+        target = aliases.get(head, head) + dot + rest
+        if target in _AMBIENT or (target == "random.Random"
+                                  and not node.args and not node.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+#: The trees whose output must replay from a seed.  Each holds at least
+#: five modules, so a mistyped path scans nothing and fails.
+_SEEDED_TREES = ("src/repro/faaskeeper", "src/repro/cloud", "examples",
+                 "benchmarks")
+
+
+def test_no_ambient_clock_or_rng():
+    for tree in _SEEDED_TREES:
+        paths = sorted((ROOT / tree).rglob("*.py"))
+        assert len(paths) >= 5, tree
+        for path in paths:
+            lines = _ambient_calls(path.read_text())
+            assert not lines, f"{path.relative_to(ROOT)}: lines {lines}"
+
+
+_AMBIENT_BAD = (
+    "import time\n"
+    "import random\n"
+    "import uuid\n"
+    "from datetime import datetime\n"
+    "from time import monotonic as mono\n"
+    "\n"
+    "def handler():\n"
+    "    start = time.time()          # ambient\n"
+    "    time.sleep(0.5)              # ambient\n"
+    "    t = mono()                   # ambient\n"
+    "    stamp = datetime.now()       # ambient\n"
+    "    rid = uuid.uuid4()           # ambient\n"
+    "    jitter = random.random()     # ambient\n"
+    "    rng = random.Random()        # ambient\n"
+    "    return start, t, stamp, rid, jitter, rng\n")
+
+_AMBIENT_GOOD = (
+    "import random\n"
+    "\n"
+    "def handler(env, rng_registry):\n"
+    "    start = env.now\n"
+    "    yield env.timeout(500.0)\n"
+    "    rng = rng_registry.stream('handler')\n"
+    "    seeded = random.Random(42)\n"
+    "    return start, rng.random(), seeded.random()\n")
+
+
+# The ratchet must report exactly the lines marked ``# ambient``.
+@pytest.mark.parametrize("text, marks", [
+    pytest.param(_AMBIENT_BAD, 7, id="bad"),
+    pytest.param(_AMBIENT_GOOD, 0, id="good"),
+    pytest.param("import random\nrng = random.Random(7)\n", 0, id="seeded"),
+    pytest.param("from time import time as wall\nx = wall()  # ambient\n", 1,
+                 id="alias"),
+])
+def test_the_ratchet_sees_an_ambient_call(text, marks):
+    marked = [n for n, line in enumerate(text.splitlines(), 1)
+              if "# ambient" in line]
+    assert len(marked) == marks
+    assert _ambient_calls(text) == marked
+
+
+def test_the_linter_stays_deleted():
+    """FK001 is the ratchet above; the ``repro.fklint`` package, its CLI
+    and its CI step are gone, and nothing points at them."""
+    named = re.compile(r"repro[./]fklint")
+    paths = [*Path(repro.__file__).parent.rglob("*.py"),
+             *(ROOT / ".github" / "workflows").glob("*.yml"),
+             ROOT / "README.md", ROOT / "CONTRIBUTING.md",
+             ROOT / "pyproject.toml"]
+    for path in paths:
+        assert not named.search(path.read_text()), path

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.distributor import GateBoard
 from repro.sim.kernel import Environment
 from .conftest import make_service
@@ -143,6 +144,18 @@ def test_adding_a_stage_is_one_declaration():
     service.connect()
     late = service._deploy_stage("fk-tock", "tick", _Tick(), period_ms=10_000.0)
     assert late.task.enabled
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(regions=["us-east-1", "us-east-1"]),  # double-billed replication
+    dict(function_memory_mb=0),                # every write system_failure
+    dict(cpu_alloc=0.0),                       # clamped to 0.05
+    dict(heartbeat_period_ms=0.0),             # no sweep, nobody evicted
+    dict(follower_max_receive=0),
+], ids=lambda knobs: next(iter(knobs)))
+def test_a_deployment_that_would_fail_later_is_rejected_up_front(knobs):
+    with pytest.raises(ValueError, match=next(iter(knobs))):
+        FaaSKeeperConfig(**knobs)
 
 
 # ---------------------------------------------------------------- the gate

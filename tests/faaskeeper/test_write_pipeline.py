@@ -12,9 +12,9 @@ import itertools
 import pytest
 
 from repro.faaskeeper import (
+    BadArgumentsError,
     CreateOp,
     DeleteOp,
-    RequestFailedError,
     SetDataOp,
     TransactionFailedError,
     watches,
@@ -173,14 +173,27 @@ def test_delete_of_another_sessions_ephemeral():
 
 @pytest.mark.parametrize("as_multi", [False, True])
 @pytest.mark.parametrize("op", [CreateOp("/big", b"x" * 252 * 1024),
-                                SetDataOp("/small", b"x" * 252 * 1024)],
-                         ids=["create", "set_data"])
+                                SetDataOp("/small", b"x" * 252 * 1024),
+                                # over the queue's 256 kB envelope bound too
+                                CreateOp("/big", b"x" * 300 * 1024),
+                                SetDataOp("/small", b"x" * 300 * 1024)],
+                         ids=["create", "set_data", "create_300kB",
+                              "set_data_300kB"])
 def test_node_size_bound_applies_to_every_data_carrying_op(op, as_multi):
+    """A write over the follower's node bound or the queue's envelope bound
+    is rejected as ``bad_arguments``, and the session goes on: its next
+    read and write finish by a virtual deadline (a wedged session would
+    leave them pending, and a sync call would never return)."""
     cloud, service = make_service(seed=22)
     c = service.connect()
     c.create("/small", b"")
-    error = TransactionFailedError if as_multi else RequestFailedError
+    error = TransactionFailedError if as_multi else BadArgumentsError
     with pytest.raises(error, match="bad_arguments"):
         submit_async(c, [op], as_multi).wait()
+    read = c.get_data_async("/small")
+    write = c.set_data_async("/small", b"after")
+    cloud.run(until=cloud.now + 60_000)
+    assert read.done and write.done
+    assert read.wait()[0] == b""
     assert c.exists("/big") is None
-    assert c.get_data("/small")[0] == b""
+    assert c.get_data("/small")[0] == b"after"
