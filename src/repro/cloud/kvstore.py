@@ -27,8 +27,9 @@ copies, once, with :func:`~repro.cloud.expressions.clone`: every image
 returned or raised to a caller (``get_item``, ``update_item``,
 ``transact_update``, ``scan``, token replays, ``ConditionFailed.item``,
 stream-record images when read) and every caller-owned dict entering the
-store (``put_item``, ``batch_put``).  Because images are frozen, an item's
-billable size is a stored fact, not a walk: walked once, at the copy-in
+store (``put_item``, ``batch_put``; once per distinct dict of a call, its
+keys sharing the image).  Because images are frozen, an item's billable size
+is a stored fact, not a walk: walked once, at the copy-in
 (:func:`~repro.cloud.expressions.clone_sized`), or derived in exact integer
 bytes from the previous size plus the delta of the attributes an update
 touched — so latency and billing see the same floats a full walk would
@@ -270,8 +271,9 @@ class KeyValueStore:
         #: exactly-once.  Results are the stored images themselves (shared).
         #: ``RetryingStore`` sends tokens only while :attr:`faults` is armed
         #: (nothing else fails transiently): fault-free, the ledger is empty.
-        #: Two generations, turned over every :attr:`TOKEN_WINDOW_MS` on the
-        #: sim clock, bound it without a timestamp per entry.
+        #: Its retry loop retires a token as it ends (:meth:`retire_token`);
+        #: two generations, turned over every :attr:`TOKEN_WINDOW_MS` on the
+        #: sim clock, bound the rest without a timestamp per entry.
         self._token_results: Dict[str, Any] = {}
         self._token_previous: Dict[str, Any] = {}
         self._token_turnover = self.TOKEN_WINDOW_MS
@@ -336,6 +338,11 @@ class KeyValueStore:
             self._token_results[token] = result
         if fault is not None:
             self.faults.fire_after(fault, f"{op} {table_name}/{key}")
+
+    def retire_token(self, token: str) -> None:
+        """Forget ``token`` now: its sender will never replay it."""
+        self._token_results.pop(token, None)
+        self._token_previous.pop(token, None)
 
     def _current(self, table: Table, key: str,
                  condition: Optional[Condition]) -> Optional[_Versioned]:
@@ -641,8 +648,11 @@ class KeyValueStore:
             first = next(iter(items))
             yield from self.faults.fire_before(
                 fault, f"batch_put {table_name}/{first}")
-        # The request is captured as it is sent: the caller keeps its dicts.
-        images = {key: clone_sized(attributes) for key, attributes in items.items()}
+        # The request is captured as it is sent: the caller keeps its dicts,
+        # each copied once, and the keys that named one dict share its image.
+        distinct = {id(attributes): attributes for attributes in items.values()}
+        copies = {ident: clone_sized(attributes) for ident, attributes in distinct.items()}
+        images = {key: copies[id(attributes)] for key, attributes in items.items()}
         total_kb = 0.0
         for _image, size_bytes in images.values():
             size_kb = size_bytes / 1024.0

@@ -279,43 +279,50 @@ class RetryingStore:
         every attempt of one logical mutation, which is what makes the
         replay idempotent.  Minted only if ``inner.faults`` is armed as the
         first attempt draws its fault: an op begun unarmed is never retried.
+        Nothing replays a token after its loop, so the loop retires it.
         """
         breaker = self.breaker(region)
+        token = None
         if tokened and self.inner.faults is not None:
-            kwargs = dict(kwargs, token=f"{self.label}-t{next(self._tokens)}")
+            token = f"{self.label}-t{next(self._tokens)}"
+            kwargs = dict(kwargs, token=token)
         attempt = 0
-        while True:
-            if not breaker.allow():
-                self._shed.labels(store=self.label, op=op).inc()
-                raise StorageUnavailable(
-                    f"{self.label}@{region}: circuit open, shedding {op}")
-            probing = breaker.state == BREAKER_HALF_OPEN
-            if probing:
-                self._breaker_probes.labels(
-                    store=self.label, region=region).inc()
-            attempt += 1
-            began = breaker.verdicts
-            try:
-                result = yield from call(*args, **kwargs)
-            except TRANSIENT_ERRORS as exc:
-                breaker.record_failure(began)
-                self._retries.labels(store=self.label, op=op,
-                                     error=type(exc).__name__).inc()
-                if attempt >= self.policy.max_attempts:
-                    self._exhausted.labels(store=self.label, op=op).inc()
+        try:
+            while True:
+                if not breaker.allow():
+                    self._shed.labels(store=self.label, op=op).inc()
                     raise StorageUnavailable(
-                        f"{self.label}@{region}: {op} failed after "
-                        f"{attempt} attempts: {exc}", cause=exc) from exc
-                delay = self.policy.backoff_ms(attempt, self._jitter_u())
-                self._backoff.labels(store=self.label).observe(delay)
-                yield self.env.timeout(delay)
-                continue
-            except CloudError:
-                breaker.record_success()  # an answer, whatever it says
-                raise
-            except BaseException:
+                        f"{self.label}@{region}: circuit open, shedding {op}")
+                probing = breaker.state == BREAKER_HALF_OPEN
                 if probing:
-                    breaker.release()  # abandoned: no verdict either way
-                raise
-            breaker.record_success()
-            return result
+                    self._breaker_probes.labels(
+                        store=self.label, region=region).inc()
+                attempt += 1
+                began = breaker.verdicts
+                try:
+                    result = yield from call(*args, **kwargs)
+                except TRANSIENT_ERRORS as exc:
+                    breaker.record_failure(began)
+                    self._retries.labels(store=self.label, op=op,
+                                         error=type(exc).__name__).inc()
+                    if attempt >= self.policy.max_attempts:
+                        self._exhausted.labels(store=self.label, op=op).inc()
+                        raise StorageUnavailable(
+                            f"{self.label}@{region}: {op} failed after "
+                            f"{attempt} attempts: {exc}", cause=exc) from exc
+                    delay = self.policy.backoff_ms(attempt, self._jitter_u())
+                    self._backoff.labels(store=self.label).observe(delay)
+                    yield self.env.timeout(delay)
+                    continue
+                except CloudError:
+                    breaker.record_success()  # an answer, whatever it says
+                    raise
+                except BaseException:
+                    if probing:
+                        breaker.release()  # abandoned: no verdict either way
+                    raise
+                breaker.record_success()
+                return result
+        finally:
+            if token is not None:
+                self.inner.retire_token(token)

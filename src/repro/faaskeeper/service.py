@@ -417,10 +417,11 @@ class FaaSKeeperService:
         clients: List[FaaSKeeperClient] = []
         pending: Dict[str, Dict[str, Any]] = {}
         writes = []
+        # One record for all: each batch stores one image, copied on write.
+        record = {"ephemeral": [], "region": region, "last_rid": 0}
         while len(clients) < count:
             session_id = f"s{next(self._session_ids)}"
-            pending[session_id] = {"ephemeral": [], "region": region,
-                                   "last_rid": 0}
+            pending[session_id] = record
             client = FaaSKeeperClient(self, session_id, region)
             self.clients[session_id] = client
             self._live_sessions += 1

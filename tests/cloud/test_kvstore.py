@@ -422,6 +422,50 @@ def test_mutating_dicts_passed_to_put_and_batch_put_does_not_reach_the_store(clo
         key: {"v": [1]} for key in ("k", "p", "b1", "b2")}
 
 
+def test_one_dict_under_many_keys_is_stored_as_one_image(cloud, ctx):
+    """``batch_put`` copies each distinct dict of a call once: every key
+    that named it holds that one frozen image, at its own exact size and
+    billing, and a later mutation of the caller's dict reaches none."""
+    from repro.cloud.expressions import item_size_bytes
+
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    record = {"ephemeral": [], "region": "us-east-1", "last_rid": 0}
+    items = {"s1": record, "s2": record, "s3": record, "odd": {"v": [2]}}
+    cloud.run_process(kv.batch_put(ctx, "t", items))
+    shared = table.raw("s1")
+    assert shared is not record
+    assert table.raw("s2") is shared and table.raw("s3") is shared
+    assert table.raw("odd") is not shared
+    for key, attributes in items.items():
+        assert table._items[key].size_bytes == item_size_bytes(attributes)
+    [writes] = [line for line in cloud.meter.lines() if line.operation == "kv_write"]
+    assert writes.count == table.write_count == 4
+    assert writes.dollars == sum(kv.profile.prices.kv_write_cost(
+        item_size_bytes(attributes) / 1024.0) for attributes in items.values())
+    record["ephemeral"].append("/x")
+    record["last_rid"] = 9
+    assert cloud.run_process(kv.scan(ctx, "t")) == {
+        "s1": {"ephemeral": [], "region": "us-east-1", "last_rid": 0},
+        "s2": {"ephemeral": [], "region": "us-east-1", "last_rid": 0},
+        "s3": {"ephemeral": [], "region": "us-east-1", "last_rid": 0},
+        "odd": {"v": [2]}}
+
+
+def test_an_update_to_one_sharing_key_copies_on_write(cloud, ctx):
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    record = {"ephemeral": [], "last_rid": 0}
+    cloud.run_process(kv.batch_put(ctx, "t", dict.fromkeys(("a", "b", "c"), record)))
+    shared = table.raw("b")
+    assert table.raw("a") is shared
+    cloud.run_process(kv.update_item(ctx, "t", "a", [Set("last_rid", 1),
+                                                     ListAppend("ephemeral", ["/e"])]))
+    assert table.raw("a") == {"ephemeral": ["/e"], "last_rid": 1}
+    assert table.raw("b") is shared and table.raw("c") is shared
+    assert shared == {"ephemeral": [], "last_rid": 0}
+
+
 def test_stored_size_tracks_a_full_walk_through_updates(cloud, ctx):
     from repro.cloud.expressions import item_size_bytes
 
@@ -488,6 +532,17 @@ def test_sanitizer_catches_in_place_mutation_of_a_stored_image(cloud, ctx, monke
         cloud.run_process(kv.get_item(ctx, "t", "k"))
     with pytest.raises(SanitizerError, match="mutated in place"):
         cloud.run_process(kv.update_item(ctx, "t", "k", [Set("n", 1)]))
+
+
+def test_sanitizer_catches_a_shared_image_mutated_through_another_key(
+        cloud, ctx, monkeypatch):
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    cloud.run_process(kv.batch_put(ctx, "t", dict.fromkeys(("a", "b"), {"v": [1]})))
+    table.raw("a")["v"].append(2)  # breaks the image discipline of both keys
+    with pytest.raises(SanitizerError, match="t/b was mutated in place"):
+        cloud.run_process(kv.get_item(ctx, "t", "b"))
 
 
 def test_sanitizer_catches_a_wrong_memoized_size(cloud, ctx, monkeypatch):

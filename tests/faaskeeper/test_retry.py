@@ -314,11 +314,12 @@ def test_open_breaker_sheds_without_touching_the_store():
 # ------------------------------------------------------- the op tables
 class RecordingStore:
     """A stand-in store: every table op fails once with a timeout, then
-    answers with what it was called with."""
+    answers with what it was called with, and it records retired tokens."""
 
     def __init__(self, env, ops, region=None):
         self.env = env
         self.calls = []
+        self.retired = []
         # A store that can lose a reply says so through ``faults``.
         self.faults = ScriptedInjector(env, [])
         if region is not None:
@@ -340,13 +341,16 @@ class RecordingStore:
     def peek(self, *args):
         return ("peek", args)
 
+    def retire_token(self, token):
+        self.retired.append(token)
+
 
 @pytest.mark.parametrize("ops,region", [(KV_OPS, "eu-1"), (USER_OPS, None)])
 def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
     """The whole forwarding contract, from the tables: each named op is
     retried with its arguments intact, carries one token across attempts
-    iff the table says so, is keyed to the store's own region or to the
-    call's; anything not in the table passes through."""
+    iff the table says so and retires it when done, is keyed to the store's
+    own region or to the call's; anything not in the table passes through."""
     cloud = Cloud.aws(seed=3)
     inner = RecordingStore(cloud.env, ops, region)
     proxy = RetryingStore(inner, "x", ops, cloud.env, lambda: None,
@@ -362,6 +366,7 @@ def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
         minted += tokened
         want = {"k": n, "token": f"x-t{minted}"} if tokened else {"k": n}
         assert first[2] == second[2] == got[2] == want
+        assert inner.retired == [f"x-t{t}" for t in range(1, minted + 1)]
         assert proxy._retries.labels(store="x", op=op,
                                      error="StorageTimeout").value == 1
     assert list(proxy.breakers) == [region or "r1"]
@@ -395,11 +400,24 @@ def test_every_mutator_replays_its_token_after_a_partial_write():
     assert cloud.run_process(wrapped.get_item(ctx, "t", "fresh")) is None
 
 
-def test_a_token_rides_only_where_a_reply_can_be_lost():
+def test_a_failed_retry_loop_retires_its_token():
+    """The first attempt applies and loses its reply, the second is
+    throttled and exhausts the loop: nothing can replay the token now, so
+    the ledger does not keep it for a window."""
+    cloud, kv, wrapped = make_wrapped(max_attempts=2, jitter=0.0)
+    kv.faults = ScriptedInjector(cloud.env, ["partial_write", "throttle"])
+    with pytest.raises(StorageUnavailable, match="after 2 attempts"):
+        cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {"v": 1}))
+    assert kv.table("t").raw("k") == {"v": 1}
+    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
+
+
+def test_a_token_rides_only_where_a_reply_can_be_lost(monkeypatch):
     """Only an armed injector raises a transient error, so a fault-free
     store is never retried and its token ledger must stay empty rather
     than pin every superseded image for a token window; once armed, a
-    mutation carries its token again."""
+    mutation carries its token again, recorded while its retry loop runs
+    and retired when the loop ends."""
     cloud, service = make_service()
     client = service.connect()
     client.create("/n", b"")
@@ -408,8 +426,16 @@ def test_a_token_rides_only_where_a_reply_can_be_lost():
     kv = service.system_store.inner
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
     kv.faults = ScriptedInjector(cloud.env, [])
+    held, retire = [], kv.retire_token
+
+    def spy(token):
+        held.append(token in kv._token_results)
+        retire(token)
+
+    monkeypatch.setattr(kv, "retire_token", spy)
     client.set_data("/n", b"armed")
-    assert kv._token_results
+    assert held and all(held)
+    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
 
 
 @pytest.mark.parametrize("scheme", registered_schemes())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faaskeeper import SessionClosedError
+from repro.faaskeeper.layout import SYSTEM_SESSIONS
 from .conftest import make_service
 
 
@@ -42,6 +43,33 @@ def test_scale_to_zero_no_compute_costs_when_idle(cloud, service):
     before = cloud.meter.total
     cloud.run(until=cloud.now + 24 * 3600 * 1000)  # one idle day
     assert cloud.meter.total == before
+
+
+def test_a_registration_batch_stores_one_record_image(service):
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    fleet = service.connect_many(60)                 # batches of 25, 25, 10
+    images = [table.raw(c.session_id) for c in fleet]
+    assert len({id(image) for image in images}) == 3
+    assert all(image == {"ephemeral": [], "region": service.config.primary_region,
+                         "last_rid": 0} for image in images)
+
+
+def test_a_session_record_is_copied_on_its_first_write(service):
+    """The first write moves the session's ``last_rid`` and an ephemeral
+    create its ``ephemeral`` list: each gives that session a record of its
+    own, and its batch-mates keep the shared original."""
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    writer, *mates = service.connect_many(3)
+    shared = table.raw(writer.session_id)
+    original = {"ephemeral": [], "region": service.config.primary_region,
+                "last_rid": 0}
+    writer.create("/a", b"x")
+    first = table.raw(writer.session_id)
+    assert first is not shared and first["last_rid"] > 0
+    writer.create("/e", b"", ephemeral=True)
+    assert table.raw(writer.session_id)["ephemeral"] == ["/e"]
+    assert all(table.raw(m.session_id) is shared for m in mates)
+    assert shared == original
 
 
 def test_heartbeat_fires_every_minute_with_ephemeral_owner():
