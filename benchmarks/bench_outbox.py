@@ -3,7 +3,7 @@
 The outbox decouples event publishing from the write path: the leader
 does no extra work at all — the commit-log record it already writes *is*
 the event record — and a scheduled publisher reads the log at its own
-cursor and streams committed events to the configured sinks.  Three
+cursor and streams committed events to its sinks.  Three
 properties matter:
 
 * **publish lag** — commit-to-sink delay per event (the

@@ -3,10 +3,11 @@
 Watches notify *connected* clients; the transactional outbox streams the
 same committed changes to consumers that live outside the deployment —
 audit pipelines, search indexers, downstream caches.  This demo deploys
-FaaSKeeper with the outbox enabled and a :class:`FileSink`, drives a small
-configuration workload, and tails the resulting CDC feed: one JSON object
-per committed event (txid, path, op, session, commit timestamp), in txid
-order, appended by the scheduled publisher function.
+FaaSKeeper with the outbox enabled, subscribes a callback that appends each
+event to a JSON-lines file, drives a small configuration workload, and
+tails the resulting CDC feed: one JSON object per committed event (txid,
+path, op, session, commit timestamp), in txid order, delivered by the
+scheduled publisher function.
 
 Because the publisher reads the events out of the commit log — the record
 the write itself committed with — the feed can neither describe a change
@@ -39,9 +40,14 @@ def main() -> None:
     fk = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(
         commit_log_enabled=True,
         outbox_enabled=True,
-        outbox_sinks=[f"file:{feed}"],
         outbox_publish_ms=1_000.0,     # publisher fires once a second
     ))
+
+    def append_line(event):
+        with open(feed, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
+
+    feed_sink = fk.outbox.subscribe(append_line)
 
     # An ordinary configuration workload: nothing here knows the outbox
     # exists — streaming is a deployment concern, not a client one.
@@ -60,11 +66,10 @@ def main() -> None:
             print(f"  txid={ev['txid']:>3}  {ev['op']:<10} {ev['path']:<22}"
                   f" session={ev['session']}")
 
-    stats = fk.outbox.stats()
     logged = fk.metrics.get("fk_log_appends_total").value
     lag = fk.metrics.get("fk_outbox_publish_lag_ms")
     print(f"\n{int(logged)} commits logged, "
-          f"{int(stats['published'])} events delivered, "
+          f"{len(feed_sink.delivered)} events delivered, "
           f"publish lag p50 = {lag.quantile(0.5):.0f} ms "
           f"(period-dominated, as expected)")
     admin.close()

@@ -61,16 +61,7 @@ from .model import (
     acl_allows,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .outbox import (
-    FakeHttp,
-    FileSink,
-    InProcSink,
-    OutboxStage,
-    Sink,
-    WebhookSink,
-    make_sink,
-    register_sink,
-)
+from .outbox import OutboxStage, Sink
 from .service import FaaSKeeperService
 from .snapshot import SnapshotManager
 from .watches import ChildrenWatch, DataWatch
@@ -100,12 +91,6 @@ __all__ = [
     "Histogram",
     "OutboxStage",
     "Sink",
-    "InProcSink",
-    "FileSink",
-    "WebhookSink",
-    "FakeHttp",
-    "make_sink",
-    "register_sink",
     "FKFuture",
     "Transaction",
     "WriteResult",

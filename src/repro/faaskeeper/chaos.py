@@ -270,7 +270,8 @@ def verify_outbox_delivery(service: FaaSKeeperService,
         dead_by_sink.setdefault(entry["sink"], set()).update(
             (entry["txid"], path) for path, _op in entry["events"])
 
-    for label, sink in outbox.sinks:
+    for sink in outbox.sinks:
+        label = sink.label
         seen: Dict[Tuple[int, str], Tuple[Any, ...]] = {}
         newest_per_path: Dict[str, int] = {}
         for ev in sink.delivered:

@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import List
 
 __all__ = ["FaaSKeeperConfig", "UserStoreKind"]
 
 
 class UserStoreKind:
     """User-data storage backends evaluated in the paper (Figures 8/9/11),
-    plus the in-process ``mem`` reference backend.  ``user_store`` accepts
-    either a bare kind or a registry URI (``"hybrid://?threshold_kb=8"``);
-    see :mod:`repro.faaskeeper.userstore`."""
+    plus the in-process ``mem`` reference backend: the keys of
+    :data:`repro.faaskeeper.userstore.BACKENDS`."""
 
     S3 = "s3"              # object store only (standard configuration)
     DYNAMODB = "dynamodb"  # key-value only
-    HYBRID = "hybrid"      # <=threshold in key-value, larger data in object
+    HYBRID = "hybrid"      # <=4 kB in key-value, larger data in object
     REDIS = "redis"        # user-managed in-memory cache
     MEM = "mem"            # in-process reference backend (zero billing)
 
@@ -38,16 +37,12 @@ class FaaSKeeperConfig:
     #: staggered across the period.  1 (the default) is the paper's plane:
     #: one sweep function over the whole session table.
     session_plane_shards: int = 1
-    follower_max_receive: Optional[int] = 5
     #: Number of leader shards: the znode tree is partitioned by top-level
     #: path component, with one FIFO queue + leader function per shard.
-    #: 1 reproduces the paper's single-leader pipeline (Algorithm 2) exactly.
+    #: 1 reproduces the paper's single-leader pipeline (Algorithm 2) exactly;
+    #: above 1 the leader also coalesces superseded user-store writes inside
+    #: one delivery batch (``LeaderLogic._coalesce_plan``).
     leader_shards: int = 1
-    #: Coalesce superseded user-store writes inside one leader delivery
-    #: batch (bounded by the SQS ``fifo_batch_limit`` calibration).
-    #: None = auto: enabled for sharded deployments, off for the paper's
-    #: single-leader configuration so its published latencies stay intact.
-    leader_coalesce: Optional[bool] = None
     #: Asynchronous distributor stage: after commit verification the leader
     #: appends a distribution record to per-region FIFO distributor queues
     #: instead of replicating inline; distributor instances own the
@@ -77,17 +72,12 @@ class FaaSKeeperConfig:
     snapshot_auto_ms: float = 0.0
     #: Transactional-outbox event streaming: when enabled a publisher
     #: function reads the commit log at its own cursor and streams every
-    #: committed change to the configured sinks with at-least-once
+    #: committed change to its subscribers with at-least-once
     #: delivery and per-path txid order (the commit record *is* the event
     #: record, so a change and its outgoing event are atomic).  Off by
     #: default.  Requires ``commit_log_enabled`` (the publisher reads the
     #: log).
     outbox_enabled: bool = False
-    #: Event sinks the publisher fans out to: specs understood by
-    #: :func:`repro.faaskeeper.outbox.make_sink` (``"inproc"``,
-    #: ``"file:<path>"``, ``"webhook:<url>"``, a ``(scheme, kwargs)``
-    #: pair, or a ready :class:`~repro.faaskeeper.outbox.Sink` instance).
-    outbox_sinks: List[Any] = field(default_factory=lambda: ["inproc"])
     #: Maximum txids one publisher pass moves its cursor by.
     outbox_batch: int = 25
     #: Period of the scheduled publisher function (suspended at
@@ -109,11 +99,12 @@ class FaaSKeeperConfig:
     storage_fault_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        # The backend registry is the one list of schemes (the import is
+        # The backend table is the one list of kinds (the import is
         # deferred — userstore imports this module at load time).
-        from .userstore import BACKEND_REGISTRY
-        if str(self.user_store).split("://", 1)[0] not in BACKEND_REGISTRY:
-            raise ValueError(f"unknown user store {self.user_store!r}")
+        from .userstore import BACKENDS
+        if self.user_store not in BACKENDS:
+            raise ValueError(f"unknown user store {self.user_store!r} "
+                             f"(known: {', '.join(sorted(BACKENDS))})")
         if not self.regions:
             raise ValueError("need at least one region")
         if len(set(self.regions)) != len(self.regions):
@@ -121,10 +112,6 @@ class FaaSKeeperConfig:
         for name in ("function_memory_mb", "cpu_alloc", "heartbeat_period_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.follower_max_receive is not None and self.follower_max_receive < 1:
-            raise ValueError(
-                f"follower_max_receive must be >= 1 or None, "
-                f"got {self.follower_max_receive}")
         if self.arch not in ("x86", "arm"):
             raise ValueError(f"unknown arch {self.arch!r}")
         if self.leader_shards < 1:
@@ -159,8 +146,6 @@ class FaaSKeeperConfig:
         if self.outbox_publish_ms < 0:
             raise ValueError(
                 f"outbox_publish_ms must be >= 0, got {self.outbox_publish_ms}")
-        if self.outbox_enabled and not self.outbox_sinks:
-            raise ValueError("outbox_enabled=True needs at least one sink")
         if not 0.0 <= self.storage_fault_rate <= 1.0:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "
@@ -169,12 +154,6 @@ class FaaSKeeperConfig:
     @property
     def client_cache_enabled(self) -> bool:
         return self.client_cache_entries > 0
-
-    @property
-    def coalesce_enabled(self) -> bool:
-        if self.leader_coalesce is None:
-            return self.leader_shards > 1
-        return self.leader_coalesce
 
     @property
     def primary_region(self) -> str:

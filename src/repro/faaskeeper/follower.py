@@ -65,6 +65,9 @@ MAX_NODE_SIZE_KB = 250.0
 FOLLOWER_BATCH = 10
 LEADER_BATCH = 10
 DISTRIBUTOR_BATCH = 10
+#: Deliveries of one session-queue message before it is dropped and its
+#: request failed (the queue's redelivery cap).
+FOLLOWER_MAX_RECEIVE = 5
 
 
 def merge_multi_commit(subs: List[Dict[str, Any]]):

@@ -92,7 +92,7 @@ LOG_HEAD_KEY = "log:head"
 SNAPSHOT_META_KEY = "snapshot:meta"
 #: System-state key of the outbox publisher's durable cursor ``{"txid"}``:
 #: the events of every log record at or below it have been delivered to
-#: (or dead-lettered at) every configured sink.  Advanced *after* sink
+#: (or dead-lettered at) every sink.  Advanced *after* sink
 #: delivery, so a publisher crash re-delivers — at-least-once — and read
 #: by compaction, which never truncates the log above it.
 OUTBOX_PUBLISHED_KEY = "outbox:published"

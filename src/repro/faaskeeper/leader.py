@@ -157,8 +157,10 @@ class LeaderLogic:
         same path (the staged images are produced under the node lock, so a
         later batch position implies a later commit); a parent metadata
         update is superseded by any later write to the parent's path.
+        Only a sharded deployment coalesces: the paper's single leader
+        keeps one user-store write per request, as calibrated.
         """
-        if not self.service.config.coalesce_enabled or len(batch) < 2:
+        if self.service.config.leader_shards == 1 or len(batch) < 2:
             return {}
         entries = [self._write_entries(msg) for msg in batch]
         last_image: Dict[str, int] = {}

@@ -1,4 +1,4 @@
-"""Transactional-outbox event streaming with pluggable sinks.
+"""Transactional-outbox event streaming to in-process subscribers.
 
 Watch delivery ends at connected clients; production coordination
 services additionally stream every committed change to *external*
@@ -23,8 +23,8 @@ of its own — **the event record is the commit-log record**:
   provably has its record, so order is gapless and per-path order follows
   from global order — and projects each onto one event per *node* write
   (parent metadata updates are an implementation detail, not a
-  user-visible change).  Each record is delivered to every configured
-  sink with exponential-backoff retry; a sink that still fails after
+  user-visible change).  Each record is delivered to every sink with
+  exponential-backoff retry; a sink that still fails after
   :data:`MAX_ATTEMPTS` gets the event *dead-lettered* (durable list +
   in-memory mirror) and the drain moves on.  The durable
   ``outbox:published`` watermark advances only **after** a record's sinks
@@ -32,14 +32,13 @@ of its own — **the event record is the commit-log record**:
   duplicates deduplicated downstream by ``(txid, path)``.  The publisher
   never deletes: retention is log compaction, which the watermark pins;
 
-* **sinks** — pluggable behind a small registry
-  (:func:`register_sink` / :func:`make_sink`): :class:`InProcSink`
-  (in-memory list — tests, recipes), :class:`FileSink` (JSON-lines CDC
-  feed), :class:`WebhookSink` (HTTP POST per record via an injectable
-  transport; :class:`FakeHttp` is the test double).  Every sink keeps an
-  in-memory ``delivered`` mirror so the chaos audit can assert
-  no-lost / no-duplicated-beyond-redelivery without trusting the sink's
-  own side effects.
+* **sinks** — a deployment starts with one callback-less :class:`Sink`
+  labelled ``inproc``; :meth:`OutboxStage.subscribe` adds one per
+  consumer callback (``inproc-2``, ``inproc-3``, ...) — a JSON-lines CDC
+  feed, an HTTP forwarder or a test's recorder is a callback.  Every sink
+  keeps an in-memory ``delivered`` mirror so the chaos audit can assert
+  no-lost / no-duplicated-beyond-redelivery without trusting the
+  consumer's own side effects.
 
 Everything is gated on ``outbox_enabled`` (default off): a default
 deployment deploys no publisher and keeps its CI-gated write fingerprint
@@ -48,16 +47,13 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..cloud.expressions import ListAppend
 from .distributor import advance_watermark
 from .layout import OUTBOX_DEAD_LETTER_KEY, OUTBOX_PUBLISHED_KEY, SYSTEM_STATE
 
-__all__ = ["OutboxStage", "Sink", "InProcSink", "FileSink", "WebhookSink",
-           "FakeHttp", "register_sink", "make_sink", "SINK_SCHEMES",
-           "MAX_ATTEMPTS", "RETRY_BASE_MS"]
+__all__ = ["OutboxStage", "Sink", "MAX_ATTEMPTS", "RETRY_BASE_MS"]
 
 #: Per-sink delivery attempts before a record is dead-lettered.
 MAX_ATTEMPTS = 3
@@ -66,159 +62,32 @@ MAX_ATTEMPTS = 3
 RETRY_BASE_MS = 50.0
 
 
-# --------------------------------------------------------------------------
-# Sinks
-# --------------------------------------------------------------------------
-
 class Sink:
-    """One event consumer.  Subclasses implement :meth:`_emit`; the base
-    class keeps the in-memory ``delivered`` mirror every audit relies on
-    (appended only after ``_emit`` succeeded, so the mirror never claims
-    a delivery the sink rejected)."""
+    """One event consumer: ``callback`` (if any) sees every event, and the
+    in-memory ``delivered`` mirror every audit relies on records it
+    (appended only after the callback returned, so the mirror never
+    claims a delivery the consumer rejected)."""
 
-    kind = "sink"
-
-    def __init__(self) -> None:
+    def __init__(self, label: str,
+                 callback: Optional[Callable[[Dict[str, Any]], None]] = None
+                 ) -> None:
+        #: Metrics and dead-letter label.
+        self.label = label
+        self.callback = callback
         #: Audit mirror: every successfully delivered event dict, in
         #: delivery order (duplicates included — at-least-once).
         self.delivered: List[Dict[str, Any]] = []
-        #: Metrics/registry label; the stage uniquifies duplicates.
-        self.label = self.kind
 
-    def deliver(self, fctx, events: List[Dict[str, Any]]) -> Generator:
+    def deliver(self, events: List[Dict[str, Any]]) -> None:
         """Deliver one record's events (raises on failure; the publisher
         owns retry and dead-letter policy)."""
-        yield from self._emit(fctx, events)
-        self.delivered.extend(dict(ev) for ev in events)
-        return None
-
-    def _emit(self, fctx, events: List[Dict[str, Any]]) -> Generator:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    # ------------------------------------------------------------ audit
-    def delivered_txids(self) -> List[int]:
-        return [ev["txid"] for ev in self.delivered]
-
-
-# Constant after import: populated only by the @register_sink decorators
-# below, identical in every sandbox, never mutated at runtime — so a
-# cold_restart cannot observe divergent state through it.
-SINK_SCHEMES: Dict[str, Callable[..., Sink]] = {}
-
-
-def register_sink(scheme: str):
-    """Register a sink class under a URI-ish scheme (``inproc``,
-    ``file``, ``webhook``, ...); :func:`make_sink` resolves specs
-    through this table, so deployments can plug in new sink kinds
-    without touching the publisher."""
-    def wrap(cls):
-        cls.kind = scheme
-        SINK_SCHEMES[scheme] = cls
-        return cls
-    return wrap
-
-
-def make_sink(spec: Any) -> Sink:
-    """Build a sink from a config spec: a ready :class:`Sink` instance,
-    a ``(scheme, kwargs)`` pair, or a string ``"scheme"`` /
-    ``"scheme:argument"`` (the argument is the file path or URL)."""
-    if isinstance(spec, Sink):
-        return spec
-    if isinstance(spec, tuple) and len(spec) == 2:
-        scheme, kwargs = spec
-        args = ()
-    elif isinstance(spec, str):
-        scheme, _, arg = spec.partition(":")
-        args, kwargs = (arg,) if arg else (), {}
-    else:
-        raise ValueError(f"cannot build a sink from {spec!r}")
-    if scheme not in SINK_SCHEMES:
-        raise ValueError(f"unknown sink scheme {scheme!r}")
-    return SINK_SCHEMES[scheme](*args, **dict(kwargs))
-
-
-@register_sink("inproc")
-class InProcSink(Sink):
-    """In-process consumer: events land on :attr:`delivered` (and an
-    optional callback) — the zero-infrastructure sink tests and
-    same-process consumers use."""
-
-    def __init__(self, callback: Optional[Callable[[Dict[str, Any]], None]] = None) -> None:
-        super().__init__()
-        self.callback = callback
-
-    def _emit(self, fctx, events: List[Dict[str, Any]]) -> Generator:
         if self.callback is not None:
             for ev in events:
                 self.callback(dict(ev))
-        return None
-        yield  # pragma: no cover
+        self.delivered.extend(dict(ev) for ev in events)
 
-
-@register_sink("file")
-class FileSink(Sink):
-    """JSON-lines change-data-capture feed: one line per event, appended
-    per delivered record (the ``examples/change_data_capture.py`` sink)."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__()
-        if not path:
-            raise ValueError("file sink needs a path ('file:<path>')")
-        self.path = path
-
-    def _emit(self, fctx, events: List[Dict[str, Any]]) -> Generator:
-        # Serialization cost scales with the event batch (pure compute —
-        # the file itself is outside the simulated cloud).
-        yield fctx.compute(base_ms=0.1, payload_kb=0.1 * len(events))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for ev in events:
-                fh.write(json.dumps(ev, sort_keys=True) + "\n")
-        return None
-
-
-@register_sink("webhook")
-class WebhookSink(Sink):
-    """HTTP POST per record.  The transport is injected
-    (``transport(url, payload) -> status code``; raise or return >= 300
-    to fail the delivery) — the simulation never opens sockets, and the
-    :class:`FakeHttp` double drives the retry/dead-letter tests."""
-
-    def __init__(self, url: str,
-                 transport: Optional[Callable[[str, Dict[str, Any]], int]] = None) -> None:
-        super().__init__()
-        if not url:
-            raise ValueError("webhook sink needs a URL ('webhook:<url>')")
-        self.url = url
-        self.transport = transport
-
-    def _emit(self, fctx, events: List[Dict[str, Any]]) -> Generator:
-        yield fctx.compute(base_ms=0.2, payload_kb=0.1 * len(events))
-        if self.transport is None:
-            raise RuntimeError(
-                f"webhook sink {self.url}: no HTTP transport configured")
-        status = self.transport(self.url, {"events": [dict(e) for e in events]})
-        if status >= 300:
-            raise RuntimeError(f"webhook sink {self.url}: HTTP {status}")
-        return None
-
-
-class FakeHttp:
-    """Programmable fake HTTP transport for :class:`WebhookSink`:
-    fails the first ``fail_times`` calls (with ``status``), then
-    succeeds; records every request."""
-
-    def __init__(self, fail_times: int = 0, status: int = 503) -> None:
-        self.fail_times = fail_times
-        self.status = status
-        self.requests: List[Tuple[str, Dict[str, Any]]] = []
-
-    def __call__(self, url: str, payload: Dict[str, Any]) -> int:
-        self.requests.append((url, payload))
-        if self.fail_times > 0:
-            self.fail_times -= 1
-            return self.status
-        return 200
+    def delivered_txids(self) -> List[int]:
+        return [ev["txid"] for ev in self.delivered]
 
 
 # --------------------------------------------------------------------------
@@ -239,15 +108,7 @@ class OutboxStage:
         self.service = service
         config = service.config
 
-        # Sinks, with uniquified metric labels (two file sinks become
-        # ``file`` and ``file-2``).
-        self.sinks: List[Tuple[str, Sink]] = []
-        seen: Dict[str, int] = {}
-        for spec in config.outbox_sinks:
-            sink = make_sink(spec)
-            n = seen[sink.kind] = seen.get(sink.kind, 0) + 1
-            sink.label = sink.kind if n == 1 else f"{sink.kind}-{n}"
-            self.sinks.append((sink.label, sink))
+        self.sinks: List[Sink] = [Sink("inproc")]
 
         #: In-memory mirror of the durable dead-letter list.
         self.dead_letters: List[Dict[str, Any]] = []
@@ -347,21 +208,22 @@ class OutboxStage:
             for path, op in pairs
         ]
         t0 = env.now
-        for label, sink in self.sinks:
+        for sink in self.sinks:
             for attempt in range(1, MAX_ATTEMPTS + 1):
                 try:
-                    yield from sink.deliver(fctx, events)
+                    sink.deliver(events)
                 except Exception as exc:
                     error = exc
-                    metrics["retries"].labels(sink=label).inc()
+                    metrics["retries"].labels(sink=sink.label).inc()
                     if attempt < MAX_ATTEMPTS:
                         yield env.timeout(RETRY_BASE_MS * 2 ** (attempt - 1))
                 else:
-                    metrics["published"].labels(sink=label).inc(len(events))
+                    metrics["published"].labels(sink=sink.label).inc(
+                        len(events))
                     break
             else:
-                yield from self._dead_letter(fctx, label, rec["txid"], pairs,
-                                             error)
+                yield from self._dead_letter(fctx, sink.label, rec["txid"],
+                                             pairs, error)
         fctx.record("outbox_publish", env.now - t0)
         return None
 
@@ -387,12 +249,20 @@ class OutboxStage:
         done = self.service.cloud.runtime.invoke_direct(self.fn, None)
         return self.service.cloud.env.run(until=done)
 
+    def subscribe(self, callback: Callable[[Dict[str, Any]], None]) -> Sink:
+        """Add a consumer: ``callback(event)`` runs once per delivered
+        event, under the publisher's retry and dead-letter policy (raise to
+        fail the delivery).  Its sink is labelled ``inproc-<n>``."""
+        sink = Sink(f"inproc-{len(self.sinks) + 1}", callback)
+        self.sinks.append(sink)
+        return sink
+
     def sink(self, label_or_index: Any = 0) -> Sink:
-        """Look up a configured sink by metric label or position."""
+        """Look up a sink by metric label or position."""
         if isinstance(label_or_index, int):
-            return self.sinks[label_or_index][1]
-        for label, sink in self.sinks:
-            if label == label_or_index:
+            return self.sinks[label_or_index]
+        for sink in self.sinks:
+            if sink.label == label_or_index:
                 return sink
         raise KeyError(label_or_index)
 

@@ -32,6 +32,7 @@ from .config import FaaSKeeperConfig
 from .distributor import DistributionStage, GateBoard
 from .follower import (
     FOLLOWER_BATCH,
+    FOLLOWER_MAX_RECEIVE,
     LEADER_BATCH,
     LOCK_MAX_HOLD_MS,
     FollowerLogic,
@@ -445,7 +446,7 @@ class FaaSKeeperService:
         if client.closed:
             raise NoSuchQueue(name)
         queue = self.cloud.fifo_queue(
-            name, label="sqs", max_receive=self.config.follower_max_receive)
+            name, label="sqs", max_receive=FOLLOWER_MAX_RECEIVE)
         queue.attach(self.follower_fn, batch_limit=FOLLOWER_BATCH)
         queue.on_drop = client._on_drop
         self._session_queues[client.session_id] = queue

@@ -1,27 +1,26 @@
 """User-data storage backends (Section 4.2, Figures 8/9/11).
 
-The user store holds the read-optimized replica of every node.  Backends
-are **registered by URI scheme** (:func:`register_backend`) and resolved
-by :func:`make_user_store` from either a bare kind (``"s3"``, the
-historical config spelling) or a URI with parameters
-(``"hybrid://?threshold_kb=8"``).  The paper's four evaluated backends:
+The user store holds the read-optimized replica of every node.
+:data:`BACKENDS` maps each :class:`UserStoreKind` to its backend, and
+:func:`make_user_store` builds the one ``config.user_store`` names.  The
+paper's four evaluated backends:
 
-* **S3Backend** (``s3://``) — object store only.  Writes are whole-object:
+* **S3Backend** (``s3``) — object store only.  Writes are whole-object:
   the leader first downloads the existing node, then uploads the full new
   image (the read-modify-write cost the paper attributes to missing
   partial updates, Requirement #6).
-* **DynamoBackend** (``dynamo://`` / ``dynamodb://``) — key-value only:
-  fast small reads, per-kB write costs that explode for large nodes.
-* **HybridBackend** (``hybrid://``) — nodes up to ``threshold_kb`` live
-  entirely in the key-value store; for larger nodes the metadata stays in
-  the key-value item and the data bytes go to the object store.  Reads
-  start at the key-value item and only large nodes pay the second request.
-* **RedisBackend** (``redis://``) — user-managed in-memory cache:
+* **DynamoBackend** (``dynamodb``) — key-value only: fast small reads,
+  per-kB write costs that explode for large nodes.
+* **HybridBackend** (``hybrid``) — nodes up to 4 kB live entirely in the
+  key-value store; for larger nodes the metadata stays in the key-value
+  item and the data bytes go to the object store.  Reads start at the
+  key-value item and only large nodes pay the second request.
+* **RedisBackend** (``redis``) — user-managed in-memory cache:
   ZooKeeper-level latency, but a provisioned VM (not serverless).
 
 plus a reference backend:
 
-* **MemBackend** (``mem://``) — in-process per-region dicts with a fixed
+* **MemBackend** (``mem``) — in-process per-region dicts with a fixed
   sub-millisecond latency and zero billing: the conformance suite's
   baseline and the cheapest substrate for chaos/fault matrices.
 
@@ -36,8 +35,7 @@ clients read their local one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple, Type
-from urllib.parse import parse_qsl, urlparse
+from typing import Any, Dict, Generator, List, Optional, Type
 
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
@@ -47,78 +45,9 @@ from ..cloud.faults import FaultInjector, draw_fault
 from .config import FaaSKeeperConfig, UserStoreKind
 from .layout import USER_BUCKET, USER_TABLE
 
-__all__ = ["UserStore", "make_user_store", "register_backend", "backend_for",
-           "registered_schemes", "parse_store_uri",
+__all__ = ["UserStore", "BACKENDS", "make_user_store",
            "S3Backend", "DynamoBackend", "HybridBackend", "RedisBackend",
            "MemBackend"]
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-#: scheme (including aliases) -> backend class.
-BACKEND_REGISTRY: Dict[str, Type["UserStore"]] = {}
-
-
-def register_backend(scheme: str, *aliases: str):
-    """Class decorator: register a :class:`UserStore` under its URI scheme.
-
-    The primary ``scheme`` becomes the class's canonical ``kind``;
-    ``aliases`` resolve to the same class (``dynamo://`` next to the
-    historical ``dynamodb`` kind string).  Registration is what makes a
-    backend conformance-tested: the shared suite parameterizes over
-    :func:`registered_schemes`.
-    """
-
-    def wrap(cls: Type["UserStore"]) -> Type["UserStore"]:
-        cls.scheme = scheme
-        for name in (scheme, *aliases):
-            existing = BACKEND_REGISTRY.get(name)
-            if existing is not None and existing is not cls:
-                raise ValueError(
-                    f"scheme {name!r} already registered to {existing.__name__}")
-            BACKEND_REGISTRY[name] = cls
-        return cls
-
-    return wrap
-
-
-def registered_schemes() -> List[str]:
-    """Canonical schemes, sorted (aliases collapse onto their backend)."""
-    return sorted({cls.scheme for cls in BACKEND_REGISTRY.values()})
-
-
-def backend_for(scheme: str) -> Type["UserStore"]:
-    cls = BACKEND_REGISTRY.get(scheme)
-    if cls is None:
-        raise ValueError(
-            f"unknown user store scheme {scheme!r} "
-            f"(registered: {registered_schemes()})")
-    return cls
-
-
-def parse_store_uri(uri: str) -> Tuple[str, Dict[str, str]]:
-    """Split a store spec into (scheme, params).
-
-    Accepts both the historical bare kinds (``"s3"``) and URIs with a
-    query string (``"hybrid://?threshold_kb=8"``).  Host/path parts are
-    rejected — a backend's replicas are addressed by the deployment's
-    region list, not by the URI.
-    """
-    if "://" not in uri:
-        return uri, {}
-    parsed = urlparse(uri)
-    if parsed.netloc or (parsed.path and parsed.path != "/"):
-        raise ValueError(
-            f"user store URI {uri!r} must not carry host/path parts")
-    return parsed.scheme, dict(parse_qsl(parsed.query))
-
-
-def make_user_store(cloud: Cloud, config: FaaSKeeperConfig) -> "UserStore":
-    """Resolve ``config.user_store`` through the registry."""
-    scheme, params = parse_store_uri(config.user_store)
-    cls = backend_for(scheme)
-    return cls.from_config(cloud, config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +57,9 @@ def make_user_store(cloud: Cloud, config: FaaSKeeperConfig) -> "UserStore":
 class UserStore:
     """Abstract backend: region-replicated node images."""
 
-    kind: str = "?"
-    #: Canonical URI scheme (set by :func:`register_backend`).
-    scheme: str = "?"
-
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         self.cloud = cloud
         self.regions = list(regions)
-
-    @classmethod
-    def from_config(cls, cloud: Cloud, config: FaaSKeeperConfig,
-                    params: Dict[str, str]) -> "UserStore":
-        """Construct from a deployment config + URI query parameters."""
-        if params:
-            raise ValueError(
-                f"{cls.scheme}:// takes no parameters, got {sorted(params)}")
-        return cls(cloud, config.regions)
 
     # API ------------------------------------------------------------------
     def write_node(self, ctx: OpContext, region: str, path: str,
@@ -196,11 +112,8 @@ class UserStore:
 # Backends
 # ---------------------------------------------------------------------------
 
-@register_backend("s3")
 class S3Backend(UserStore):
     """Object store backend: node image serialized as one object."""
-
-    kind = UserStoreKind.S3
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
@@ -257,11 +170,8 @@ class S3Backend(UserStore):
         return list(self._stores.values())
 
 
-@register_backend("dynamodb", "dynamo")
 class DynamoBackend(UserStore):
     """Key-value backend: node image stored as one item."""
-
-    kind = UserStoreKind.DYNAMODB
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
@@ -291,7 +201,6 @@ class DynamoBackend(UserStore):
         return list(self._kvs.values())
 
 
-@register_backend("hybrid")
 class HybridBackend(UserStore):
     """Small nodes in the key-value store, large data spilled to S3.
 
@@ -300,15 +209,11 @@ class HybridBackend(UserStore):
     while keeping large-node costs bounded by object-storage prices.
     """
 
-    kind = UserStoreKind.HYBRID
-
     #: Section 4.2: nodes up to 4 kB go to the key-value store.
     THRESHOLD_KB = 4.0
 
-    def __init__(self, cloud: Cloud, regions: List[str],
-                 threshold_kb: float = THRESHOLD_KB) -> None:
+    def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        self.threshold_kb = threshold_kb
         self._kvs = {region: cloud.kv("dynamodb:user", region=region)
                      for region in regions}
         self._stores = {region: cloud.objectstore("s3", region=region)
@@ -317,18 +222,10 @@ class HybridBackend(UserStore):
             self._kvs[region].create_table(USER_TABLE)
             self._stores[region].create_bucket(USER_BUCKET)
 
-    @classmethod
-    def from_config(cls, cloud, config, params):
-        extra = set(params) - {"threshold_kb"}
-        if extra:
-            raise ValueError(f"hybrid:// unknown parameters {sorted(extra)}")
-        return cls(cloud, config.regions,
-                   float(params.get("threshold_kb", cls.THRESHOLD_KB)))
-
     def write_node(self, ctx, region, path, image):
         kv = self._kvs[region]
         data = image.get("data", b"")
-        if len(data) / 1024.0 <= self.threshold_kb:
+        if len(data) / 1024.0 <= self.THRESHOLD_KB:
             yield from kv.put_item(ctx, USER_TABLE, path, dict(image, data_in_s3=False))
             return
         meta = {k: v for k, v in image.items() if k != "data"}
@@ -401,11 +298,8 @@ class HybridBackend(UserStore):
         return points
 
 
-@register_backend("redis")
 class RedisBackend(UserStore):
     """User-managed in-memory cache (Figure 8's Redis line)."""
-
-    kind = UserStoreKind.REDIS
 
     def write_node(self, ctx, region, path, image):
         cache = self.cloud.cache("redis", region=region)
@@ -429,14 +323,12 @@ class RedisBackend(UserStore):
         return [self.cloud.cache("redis", region=r) for r in self.regions]
 
 
-@register_backend("mem")
 class MemBackend(UserStore):
     """In-process reference backend: per-region dicts, fixed latency,
     zero billing.  The conformance suite's baseline — any behavioural
-    divergence in a cloud backend shows up as a diff against ``mem://`` —
+    divergence in a cloud backend shows up as a diff against ``mem`` —
     and the cheapest substrate for chaos and fault-schedule matrices."""
 
-    kind = UserStoreKind.MEM
     #: Fixed per-op latency (ms): deterministic, no RNG draws.
     LATENCY_MS = 0.1
     # Labels for fault-injector arming (MemBackend is its own fault point).
@@ -491,3 +383,19 @@ class MemBackend(UserStore):
 
     def fault_points(self):
         return [self]
+
+
+#: The backend of each :class:`UserStoreKind` — the one list of kinds the
+#: config validates ``user_store`` against.
+BACKENDS: Dict[str, Type[UserStore]] = {
+    UserStoreKind.S3: S3Backend,
+    UserStoreKind.DYNAMODB: DynamoBackend,
+    UserStoreKind.HYBRID: HybridBackend,
+    UserStoreKind.REDIS: RedisBackend,
+    UserStoreKind.MEM: MemBackend,
+}
+
+
+def make_user_store(cloud: Cloud, config: FaaSKeeperConfig) -> UserStore:
+    """The backend ``config.user_store`` names, over the config's regions."""
+    return BACKENDS[config.user_store](cloud, config.regions)

@@ -25,3 +25,12 @@ def make_service(seed=2024, **config_kwargs):
     cloud = Cloud.aws(seed=seed)
     service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**config_kwargs))
     return cloud, service
+
+
+def cap_redeliveries(service, client, max_receive):
+    """Lower ``client``'s session-queue redelivery cap (deployed at
+    ``follower.FOLLOWER_MAX_RECEIVE``).  The queue opens with the session's
+    first request, so call this after one."""
+    queue = service._session_queues[client.session_id]
+    queue.max_receive = max_receive
+    return queue

@@ -105,7 +105,6 @@ def test_read_your_writes_under_coalesced_writes():
     acknowledges superseded writes late; the cached entry must never serve
     an acknowledged-but-superseded value."""
     cloud, service = cached_service(seed=308, leader_shards=4)
-    assert service.config.coalesce_enabled
     c = service.connect()
     c.create("/hot", b"")
     c.get_data("/hot")  # warm the cache

@@ -8,7 +8,7 @@ or reject the transaction so that no partial state is ever user-visible.
 import pytest
 
 from repro.faaskeeper import NoNodeError, RequestFailedError
-from .conftest import make_service
+from .conftest import cap_redeliveries, make_service
 
 
 def test_follower_crash_before_push_is_retried_transparently():
@@ -45,9 +45,10 @@ def test_follower_crash_after_commit_no_double_apply():
 def test_multi_node_create_commit_is_atomic_under_crash():
     """Z1: a crash between push and commit of a create must never leave the
     child registered without the node (or vice versa)."""
-    cloud, service = make_service(seed=14, follower_max_receive=1)
+    cloud, service = make_service(seed=14)
     c = service.connect()
     c.create("/p", b"")
+    cap_redeliveries(service, c, 1)
     service.follower_fn.plan_crash("after_push",
                                    invocations=[service.follower_fn.invocations + 1])
     fut = c.create_async("/p/child", b"x")
@@ -84,9 +85,10 @@ def test_leader_crash_is_retried_by_queue():
 def test_poison_request_eventually_fails_future():
     """A request whose follower processing always crashes is dropped by the
     queue after max_receive and the client future fails."""
-    cloud, service = make_service(seed=16, follower_max_receive=2)
+    cloud, service = make_service(seed=16)
     c = service.connect()
     c.create("/a", b"")
+    cap_redeliveries(service, c, 2)
     service.follower_fn.plan_crash("after_validate", predicate=lambda i: True)
     fut = c.set_data_async("/a", b"x")
     cloud.run(until=cloud.now + 60_000)

@@ -30,11 +30,15 @@ And determinism (FK001): every published number replays from its seed, so
 the service, the cloud models, the examples and the benchmarks read no
 wall clock and no process-global RNG; the linter package that once held
 this one rule stays deleted.
+And the feature census: a knob stays only while a paper figure, a ledger
+row or a fault cell needs its non-default value (its README row says
+which), so the knobs and plug-in registries that only tests set stay out.
 """
 
 import ast
 import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -44,7 +48,7 @@ import repro
 from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 20
+MAX_CONFIG_FIELDS = 17
 MAX_ENV_SWITCHES = 1
 #: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
 MAX_HARNESS_SWITCHES = 6
@@ -61,10 +65,52 @@ def test_config_field_count_only_goes_down():
     assert len(dataclasses.fields(FaaSKeeperConfig)) <= MAX_CONFIG_FIELDS
 
 
+#: What may keep a knob: a paper figure, table or section, or (in
+#: backticks) a ledger workload or a fault-matrix cell.  A knob no longer
+#: needed names the ROADMAP item that deletes it instead.
+_REFERENCE = re.compile(r"\b(?:Fig|Tab)\. \d|§\d|ROADMAP item \d")
+
+
+def _needed_by(row, names):
+    return bool(_REFERENCE.search(row)) or any(f"`{name}`" in row
+                                               for name in names)
+
+
 def test_every_knob_has_a_row_in_the_configuration_reference():
-    readme = (Path(__file__).parents[2] / "README.md").read_text()
+    """Each knob's row ends with what needs its non-default value."""
+    from ..integration import test_faults
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {*test_faults.CELLS, *(w["name"] for w in benchmark["workloads"])}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration reference")[1].split("\n## ")[0]
+    rows = {line.split("|")[1].strip(): line.split("|")[-2]
+            for line in section.splitlines() if line.startswith("| `")}
     for field in dataclasses.fields(FaaSKeeperConfig):
-        assert f"| `{field.name}` |" in readme, field.name
+        assert f"`{field.name}`" in rows, field.name
+        assert _needed_by(rows[f"`{field.name}`"], names), field.name
+
+
+def test_the_row_rule_sees_an_unjustified_knob():
+    names = {"s4-leader", "scaled-rw"}
+    for row in (" Fig. 9 ", " §5.3.2 ", " cell `s4-leader` ",
+                " the `scaled-rw` row ", " none: ROADMAP item 10 "):
+        assert _needed_by(row, names), row
+    for row in (" tests only ", " `s4` ", " Figure nine "):
+        assert not _needed_by(row, names), row
+
+
+def test_census_deletions_stay_deleted():
+    """The knobs only tests set and the plug-in registries (outbox sink
+    schemes, user-store URIs) were deleted by the census; their names stay
+    out of ``src/``."""
+    src = Path(repro.__file__).parent
+    twins = re.compile(
+        "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
+        "register_sink|make_sink|SINK_SCHEMES|register_backend|"
+        "parse_store_uri|backend_for|registered_schemes")
+    for path in src.rglob("*.py"):
+        assert not twins.search(path.read_text()), path
 
 
 def _switches(paths):

@@ -1,8 +1,8 @@
 """Transactional-outbox event streaming (outbox.py).
 
-Covers the three layers: the sink registry and the concrete sinks
-(in-proc, JSON-lines file, webhook with injectable transport), the
-publisher's delivery contract (txid order, at-least-once via the durable
+Covers the three layers: the sinks (the default ``inproc`` mirror and
+subscribed callbacks, a JSON-lines feed among them), the publisher's
+delivery contract (txid order, at-least-once via the durable
 watermark, retry with exponential backoff, dead-lettering), and the one
 commit record itself — the event record *is* the commit-log record, so
 leader redelivery can never double-append, a committed change can never
@@ -25,17 +25,7 @@ from repro.faaskeeper.layout import (
     SYSTEM_STATE,
     log_key,
 )
-from repro.faaskeeper.outbox import (
-    MAX_ATTEMPTS,
-    RETRY_BASE_MS,
-    FakeHttp,
-    FileSink,
-    InProcSink,
-    Sink,
-    WebhookSink,
-    make_sink,
-    register_sink,
-)
+from repro.faaskeeper.outbox import MAX_ATTEMPTS, RETRY_BASE_MS
 from .conftest import make_service
 
 
@@ -61,49 +51,16 @@ def snapshot_and_compact(cloud, service):
 
 
 # --------------------------------------------------------------------------
-# Sink registry
+# Sinks
 # --------------------------------------------------------------------------
 
-def test_make_sink_resolves_every_spec_form(tmp_path):
-    ready = InProcSink()
-    assert make_sink(ready) is ready
-    assert isinstance(make_sink("inproc"), InProcSink)
-    fs = make_sink(f"file:{tmp_path}/cdc.jsonl")
-    assert isinstance(fs, FileSink) and fs.path == f"{tmp_path}/cdc.jsonl"
-    wh = make_sink(("webhook", {"url": "http://example/hook"}))
-    assert isinstance(wh, WebhookSink) and wh.url == "http://example/hook"
-    with pytest.raises(ValueError):
-        make_sink("kafka:topic")
-    with pytest.raises(ValueError):
-        make_sink(42)
-    with pytest.raises(ValueError):
-        FileSink("")
-    with pytest.raises(ValueError):
-        WebhookSink("")
-
-
-def test_register_sink_plugs_in_new_kinds():
-    @register_sink("null")
-    class NullSink(Sink):
-        def _emit(self, fctx, events):
-            return None
-            yield
-
-    try:
-        sink = make_sink("null")
-        assert isinstance(sink, NullSink) and sink.kind == "null"
-    finally:
-        from repro.faaskeeper.outbox import SINK_SCHEMES
-        del SINK_SCHEMES["null"]
-
-
 def test_duplicate_sink_kinds_get_uniquified_labels():
-    cloud, service = outbox_service(
-        600, outbox_sinks=[InProcSink(), InProcSink()])
-    labels = [label for label, _sink in service.outbox.sinks]
-    assert labels == ["inproc", "inproc-2"]
-    assert service.outbox.sink("inproc-2") is service.outbox.sinks[1][1]
-    assert service.outbox.sink(0) is service.outbox.sinks[0][1]
+    cloud, service = outbox_service(600)
+    added = service.outbox.subscribe(lambda event: None)
+    assert [sink.label for sink in service.outbox.sinks] == \
+        ["inproc", "inproc-2"]
+    assert service.outbox.sink("inproc-2") is added is service.outbox.sinks[1]
+    assert service.outbox.sink(0) is service.outbox.sinks[0]
     with pytest.raises(KeyError):
         service.outbox.sink("nope")
 
@@ -114,8 +71,8 @@ def test_duplicate_sink_kinds_get_uniquified_labels():
 
 def test_events_flow_commit_to_sink_in_txid_order():
     seen = []
-    cloud, service = outbox_service(
-        601, outbox_sinks=[InProcSink(callback=seen.append)])
+    cloud, service = outbox_service(601)
+    service.outbox.subscribe(seen.append)
     c = service.connect()
     c.create("/a", b"x")
     c.set_data("/a", b"y")
@@ -135,7 +92,7 @@ def test_events_flow_commit_to_sink_in_txid_order():
         service, list(zip(txids, ["/a", "/a", "/b", "/b"]))) == []
     stats = service.outbox.stats()
     assert service.metrics.get("fk_log_appends_total").value == 4
-    assert stats["published"] == 4
+    assert stats["published"] == 8  # four events at each of the two sinks
     assert stats["retries"] == 0 and stats["dead_letters"] == 0
 
 
@@ -308,12 +265,30 @@ def test_scheduled_publisher_drains_without_manual_help():
 
 
 # --------------------------------------------------------------------------
-# Sinks
+# Subscribers: retry and dead-letter
 # --------------------------------------------------------------------------
+
+def failing(times):
+    """A subscriber callback that raises on its first ``times`` events and
+    records the rest on ``callback.seen``."""
+    def callback(event):
+        if callback.failures < times:
+            callback.failures += 1
+            raise RuntimeError("consumer down")
+        callback.seen.append(event)
+    callback.failures, callback.seen = 0, []
+    return callback
+
 
 def test_file_sink_writes_a_json_lines_cdc_feed(tmp_path):
     feed = tmp_path / "cdc.jsonl"
-    cloud, service = outbox_service(606, outbox_sinks=[f"file:{feed}"])
+
+    def append_line(event):
+        with open(feed, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
+
+    cloud, service = outbox_service(606)
+    sink = service.outbox.subscribe(append_line)
     c = service.connect()
     c.create("/a", b"x")
     c.set_data("/a", b"y")
@@ -322,34 +297,33 @@ def test_file_sink_writes_a_json_lines_cdc_feed(tmp_path):
              feed.read_text().strip().splitlines()]
     assert [(ev["txid"], ev["path"], ev["op"]) for ev in lines] == \
         [(1, "/a", "create"), (2, "/a", "set_data")]
-    assert service.outbox.sink("file").delivered_txids() == [1, 2]
+    assert sink.delivered == lines
 
 
-def test_webhook_sink_retries_with_backoff_then_succeeds():
-    http = FakeHttp(fail_times=2)
-    cloud, service = outbox_service(
-        607, outbox_sinks=[WebhookSink("http://example/hook", transport=http)])
+def test_sink_retries_with_backoff_then_succeeds():
+    flaky = failing(2)
+    cloud, service = outbox_service(607)
+    service.outbox.subscribe(flaky)
     assert (MAX_ATTEMPTS, RETRY_BASE_MS) == (3, 50.0)
     c = service.connect()
     c.create("/a", b"x")
     t0 = cloud.now
     result = service.outbox.drain()
     assert result["published"] == 1
-    # 3 requests: two 503s, one 200; backoff 50ms + 100ms elapsed
-    assert len(http.requests) == 3
+    # 3 attempts: two failures, one success; backoff 50ms + 100ms elapsed
+    assert flaky.failures == 2
     assert cloud.now - t0 >= 150.0
-    assert http.requests[0][0] == "http://example/hook"
-    assert http.requests[0][1]["events"][0]["path"] == "/a"
-    sink = service.outbox.sink("webhook")
-    assert sink.delivered_txids() == [1]
-    assert service.outbox.metrics["retries"].labels(sink="webhook").value == 2
+    assert [ev["path"] for ev in flaky.seen] == ["/a"]
+    assert service.outbox.sink("inproc-2").delivered_txids() == [1]
+    assert service.outbox.metrics["retries"].labels(
+        sink="inproc-2").value == 2
     assert service.outbox.dead_letters == []
 
 
 def test_exhausted_sink_dead_letters_and_the_drain_moves_on():
-    good = InProcSink()
-    bad = WebhookSink("http://down/hook", transport=FakeHttp(fail_times=99))
-    cloud, service = outbox_service(608, outbox_sinks=[good, bad])
+    cloud, service = outbox_service(608)
+    good = service.outbox.sink("inproc")
+    bad = service.outbox.subscribe(failing(99))
     c = service.connect()
     c.create("/a", b"x")
     c.create("/b", b"y")
@@ -357,26 +331,17 @@ def test_exhausted_sink_dead_letters_and_the_drain_moves_on():
     assert result["published"] == 2  # the healthy sink keeps the drain alive
     assert good.delivered_txids() == [1, 2]
     assert bad.delivered == []
-    # both records parked durably for the webhook sink, with the error
+    # both records parked durably for the failing sink, with the error
     dead = service.system_store.table(SYSTEM_STATE).raw(
         OUTBOX_DEAD_LETTER_KEY)["items"]
     assert [(d["txid"], d["sink"]) for d in dead] == \
-        [(1, "webhook"), (2, "webhook")]
-    assert "503" in dead[0]["error"]
+        [(1, "inproc-2"), (2, "inproc-2")]
+    assert "consumer down" in dead[0]["error"]
     assert service.outbox.dead_letters == dead
     assert service.outbox.metrics["dead_letters"].labels(
-        sink="webhook").value == 2
+        sink="inproc-2").value == 2
     # the audit accepts dead-lettered events as accounted-for, not lost
     assert verify_outbox_delivery(service, [(1, "/a"), (2, "/b")]) == []
-
-
-def test_webhook_without_transport_fails_loudly():
-    cloud, service = outbox_service(
-        609, outbox_sinks=[WebhookSink("http://example/hook")])
-    c = service.connect()
-    c.create("/a", b"x")
-    service.outbox.drain()
-    assert "transport" in service.outbox.dead_letters[0]["error"]
 
 
 # --------------------------------------------------------------------------
@@ -457,9 +422,6 @@ def test_default_deployment_has_no_outbox():
 def test_outbox_requires_commit_log():
     with pytest.raises(ValueError):
         FaaSKeeperConfig(outbox_enabled=True, commit_log_enabled=False)
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(outbox_enabled=True, commit_log_enabled=True,
-                         outbox_sinks=[])
     with pytest.raises(ValueError):
         FaaSKeeperConfig(outbox_enabled=True, commit_log_enabled=True,
                          outbox_batch=0)

@@ -28,7 +28,7 @@ from repro.faaskeeper.retry import (
     RetryingStore,
     RetryPolicy,
 )
-from repro.faaskeeper.userstore import make_user_store, registered_schemes
+from repro.faaskeeper.userstore import BACKENDS, make_user_store
 
 from .conftest import make_service
 
@@ -438,10 +438,10 @@ def test_a_token_rides_only_where_a_reply_can_be_lost(monkeypatch):
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
 
 
-@pytest.mark.parametrize("scheme", registered_schemes())
+@pytest.mark.parametrize("scheme", sorted(BACKENDS))
 def test_user_store_breakers_are_per_call_region(scheme):
     """A user backend serves every region: the proxy keys its breakers by
-    the call's region on every registered backend (``mem://`` included,
+    the call's region on every backend (``mem`` included,
     whose one in-process fault point is labelled region "all")."""
     cloud = Cloud.aws(seed=4)
     config = FaaSKeeperConfig(user_store=scheme, regions=["r1", "r2"])

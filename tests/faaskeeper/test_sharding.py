@@ -43,11 +43,6 @@ def test_shard_map_is_stable_and_subtree_affine():
 def test_config_validates_shard_count():
     with pytest.raises(ValueError):
         FaaSKeeperConfig(leader_shards=0)
-    assert FaaSKeeperConfig().coalesce_enabled is False
-    assert FaaSKeeperConfig(leader_shards=4).coalesce_enabled is True
-    assert FaaSKeeperConfig(leader_shards=4,
-                            leader_coalesce=False).coalesce_enabled is False
-    assert FaaSKeeperConfig(leader_coalesce=True).coalesce_enabled is True
 
 
 # ------------------------------------------------------------ fence board
@@ -158,36 +153,39 @@ def test_sharded_and_single_leader_agree_on_final_state():
 
 
 def test_per_session_order_across_shards():
-    """A session's writes land on different shards but their responses are
-    delivered in request order (the fence guarantee: a shard leader starts
-    write k+1 only after write k finished on its own shard)."""
-    cloud, service = make_service(seed=81, leader_shards=4,
-                                  leader_coalesce=False)
+    """A session's writes land on different shards, yet shard leaders pass
+    its fence in request order (a shard leader starts write k+1 only after
+    write k finished on its own shard) and the client completes them in
+    request order."""
+    cloud, service = make_service(seed=81, leader_shards=4)
     a, b = _two_cross_shard_subtrees(4)
     c = service.connect()
+    fences = []
+    original = service.fence_board.advance
+
+    def spy(session, fence):
+        if session == c.session_id:
+            fences.append(fence)
+        original(session, fence)
+
+    service.fence_board.advance = spy
     c.create(f"/{a}", b"")
     c.create(f"/{b}", b"")
     c.create(f"/{a}/x", b"")
     c.create(f"/{b}/x", b"")
-
-    arrival = []
-    original = c._deliver_response
-
-    def spy(response):
-        arrival.append(response.rid)
-        original(response)
-
-    c._deliver_response = spy
+    completion = []
     futures = []
     for i in range(10):
         path = f"/{a}/x" if i % 2 == 0 else f"/{b}/x"
-        futures.append(c.set_data_async(path, f"v{i}".encode()))
+        fut = c.set_data_async(path, f"v{i}".encode())
+        fut.event.callbacks.append(lambda ev, i=i: completion.append(i))
+        futures.append(fut)
     cloud.run(until=cloud.now + 120_000)
     assert all(f.done for f in futures)
     results = [f.wait() for f in futures]
-    # raw delivery order (before the client's completion chain) already
-    # follows request order: leaders fence on the session sequence
-    assert arrival == sorted(arrival)
+    # the fence passed once per request (4 creates, 10 writes), in order
+    assert fences == list(range(1, 15))
+    assert completion == list(range(10))
     # txids were assigned from the shared sequence in request order
     txids = [r.txid for r in results]
     assert txids == sorted(txids)
@@ -300,34 +298,31 @@ def test_root_children_converge_across_shards():
 
 
 def test_coalescing_reduces_user_store_writes():
-    def run_burst(coalesce):
-        cloud, service = make_service(seed=85, leader_shards=2,
-                                      leader_coalesce=coalesce)
-        c = service.connect()
-        c.create("/t", b"")
-        c.create("/t/hot", b"")
-        counts = {"writes": 0}
-        original_write = service.user_store.write_node
+    """A sharded leader skips superseded images inside a delivery batch:
+    a pipelined burst of 12 writes to one path costs fewer than one
+    user-store write per ``set_data``, and every write still commits in
+    order."""
+    cloud, service = make_service(seed=85, leader_shards=2)
+    c = service.connect()
+    c.create("/t", b"")
+    c.create("/t/hot", b"")
+    writes = []
+    original_write = service.user_store.write_node
 
-        def spy(ctx, region, path, image):
-            counts["writes"] += 1
-            return (yield from original_write(ctx, region, path, image))
+    def spy(ctx, region, path, image):
+        writes.append(path)
+        return (yield from original_write(ctx, region, path, image))
 
-        service.user_store.write_node = spy
-        futures = [c.set_data_async("/t/hot", f"v{i}".encode())
-                   for i in range(12)]
-        cloud.run(until=cloud.now + 120_000)
-        assert all(f.done and f.event.ok for f in futures)
-        versions = [f.wait().version for f in futures]
-        assert versions == list(range(1, 13))  # every write committed, in order
-        data, stat = c.get_data("/t/hot")
-        assert data == b"v11" and stat.version == 12
-        return counts["writes"]
-
-    plain = run_burst(False)
-    coalesced = run_burst(True)
-    assert coalesced < plain  # superseded images were skipped
-    assert plain == 12
+    service.user_store.write_node = spy
+    futures = [c.set_data_async("/t/hot", f"v{i}".encode())
+               for i in range(12)]
+    cloud.run(until=cloud.now + 120_000)
+    assert all(f.done and f.event.ok for f in futures)
+    versions = [f.wait().version for f in futures]
+    assert versions == list(range(1, 13))  # every write committed, in order
+    data, stat = c.get_data("/t/hot")
+    assert data == b"v11" and stat.version == 12
+    assert len(writes) < 12  # superseded images were skipped
 
 
 def test_sharded_sequential_creates_and_ephemerals():

@@ -151,7 +151,6 @@ def test_adding_a_stage_is_one_declaration():
     dict(function_memory_mb=0),                # every write system_failure
     dict(cpu_alloc=0.0),                       # clamped to 0.05
     dict(heartbeat_period_ms=0.0),             # no sweep, nobody evicted
-    dict(follower_max_receive=0),
 ], ids=lambda knobs: next(iter(knobs)))
 def test_a_deployment_that_would_fail_later_is_rejected_up_front(knobs):
     with pytest.raises(ValueError, match=next(iter(knobs))):

@@ -1,10 +1,9 @@
-"""Shared conformance suite for every registered user-store backend.
+"""Shared conformance suite for every user-store backend.
 
-Registration is the contract: each scheme in ``registered_schemes()`` —
-including third-party backends added later — must pass the same CRUD,
-metadata-routing, entry-sizing, multi-region and inspection-hook
-semantics.  ``mem://`` is the reference implementation the others are
-diffed against.
+Each kind in :data:`~repro.faaskeeper.userstore.BACKENDS` must pass the
+same CRUD, metadata-routing, entry-sizing, multi-region and
+inspection-hook semantics.  ``mem`` is the reference implementation the
+others are diffed against.
 """
 
 import pytest
@@ -13,25 +12,15 @@ from repro.cloud import Cloud
 from repro.cloud.context import OpContext
 from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.layout import USER_BUCKET, USER_TABLE
-from repro.faaskeeper.userstore import (
-    BACKEND_REGISTRY,
-    HybridBackend,
-    MemBackend,
-    UserStore,
-    backend_for,
-    make_user_store,
-    parse_store_uri,
-    register_backend,
-    registered_schemes,
-)
+from repro.faaskeeper.userstore import BACKENDS, MemBackend, make_user_store
 
 TWO_REGIONS = ["us-east-1", "eu-west-1"]
-SCHEMES = registered_schemes()
+KINDS = sorted(BACKENDS)
 
 
-def make_store(scheme, regions=TWO_REGIONS, seed=7, **config_kwargs):
+def make_store(kind, regions=TWO_REGIONS, seed=7, **config_kwargs):
     cloud = Cloud.aws(seed=seed)
-    config = FaaSKeeperConfig(user_store=scheme, regions=list(regions),
+    config = FaaSKeeperConfig(user_store=kind, regions=list(regions),
                               **config_kwargs)
     return cloud, make_user_store(cloud, config)
 
@@ -42,65 +31,45 @@ def image(data=b"payload", **meta):
     return base
 
 
-# ------------------------------------------------------------------ registry
+# ------------------------------------------------------------------ backends
 def test_registry_covers_the_papers_backends_plus_mem():
-    assert SCHEMES == ["dynamodb", "hybrid", "mem", "redis", "s3"]
+    assert KINDS == ["dynamodb", "hybrid", "mem", "redis", "s3"]
 
 
-def test_bare_kind_and_uri_resolve_to_the_same_backend():
-    assert parse_store_uri("s3") == ("s3", {})
-    assert parse_store_uri("hybrid://?threshold_kb=8") == \
-        ("hybrid", {"threshold_kb": "8"})
-    assert backend_for("dynamo") is backend_for("dynamodb")
+def assert_rejected(*specs):
+    """``user_store`` names a kind; anything else is rejected up front,
+    with the kinds there are."""
+    for spec in specs:
+        with pytest.raises(ValueError, match="known: dynamodb, hybrid, mem"):
+            FaaSKeeperConfig(user_store=spec)
 
 
 def test_unknown_scheme_lists_registered_ones():
-    with pytest.raises(ValueError, match="registered"):
-        backend_for("cassandra")
+    assert_rejected("cassandra", "dynamo")
 
 
 def test_uri_host_or_path_parts_are_rejected():
-    with pytest.raises(ValueError, match="host/path"):
-        parse_store_uri("s3://bucket/prefix")
+    assert_rejected("s3://bucket/prefix")
 
 
 def test_unknown_uri_params_are_rejected():
-    cloud = Cloud.aws(seed=1)
-    config = FaaSKeeperConfig(user_store="s3")
-    config.user_store = "s3://?nope=1"
-    with pytest.raises(ValueError, match="no parameters"):
-        make_user_store(cloud, config)
+    assert_rejected("s3://?nope=1", "hybrid://?threshold_kb=8")
 
 
-def test_hybrid_uri_threshold_param_overrides_config():
-    assert make_store("hybrid")[1].threshold_kb == 4.0
-    cloud, store = make_store("hybrid://?threshold_kb=8.0")
-    assert isinstance(store, HybridBackend)
-    assert store.threshold_kb == 8.0
-
-
-def test_double_registration_of_a_scheme_is_an_error():
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend("mem")(type("Imposter", (UserStore,), {}))
-    assert BACKEND_REGISTRY["mem"] is MemBackend  # registry unharmed
-
-
-def test_registering_a_backend_is_all_it_takes_to_deploy_it():
-    """``register_backend`` is the extension seam: the config validates
-    against the registry, not against a list of built-ins."""
+def test_registering_a_backend_is_all_it_takes_to_deploy_it(monkeypatch):
+    """``BACKENDS`` is the one list: the config validates against it, not
+    against a second list of built-ins."""
     with pytest.raises(ValueError, match="unknown user store"):
         FaaSKeeperConfig(user_store="toy")
-    toy = register_backend("toy")(type("ToyBackend", (MemBackend,), {}))
-    try:
-        assert type(make_store("toy")[1]) is toy
-    finally:
-        del BACKEND_REGISTRY["toy"]
+    toy = type("ToyBackend", (MemBackend,), {})
+    monkeypatch.setitem(BACKENDS, "toy", toy)
+    assert type(make_store("toy")[1]) is toy
 
 
 # --------------------------------------------------------------------- CRUD
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_crud_roundtrip(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_crud_roundtrip(kind):
+    cloud, store = make_store(kind)
     ctx = OpContext(region=TWO_REGIONS[0])
 
     def flow():
@@ -120,9 +89,9 @@ def test_crud_roundtrip(scheme):
     assert store.peek(TWO_REGIONS[0], "/n") is None
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_read_returns_a_copy(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_read_returns_a_copy(kind):
+    cloud, store = make_store(kind)
     ctx = OpContext(region=TWO_REGIONS[0])
 
     def flow():
@@ -135,9 +104,9 @@ def test_read_returns_a_copy(scheme):
     assert cloud.run_process(flow())["children"] == ["a"]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_write_stores_a_copy(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_write_stores_a_copy(kind):
+    cloud, store = make_store(kind)
     ctx = OpContext(region=TWO_REGIONS[0])
     passed_in = image(children=["a"], acl={"read": ["alice"]})
 
@@ -153,12 +122,12 @@ def test_write_stores_a_copy(scheme):
 
 
 # ----------------------------------------------------------------- metadata
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_update_metadata_preserves_data(scheme):
+@pytest.mark.parametrize("kind", KINDS)
+def test_update_metadata_preserves_data(kind):
     """The leader's parent-node path: child list / cversion change while
     the node's data must survive untouched (covers the RedisBackend
     read-merge-write and the hybrid KV-only routing alike)."""
-    cloud, store = make_store(scheme)
+    cloud, store = make_store(kind)
     ctx = OpContext(region=TWO_REGIONS[0])
 
     def flow():
@@ -175,9 +144,9 @@ def test_update_metadata_preserves_data(scheme):
     assert after["children"] == ["kid"]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_update_metadata_in_every_region(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_update_metadata_in_every_region(kind):
+    cloud, store = make_store(kind)
     for region in TWO_REGIONS:
         ctx = OpContext(region=region)
 
@@ -194,9 +163,9 @@ def test_update_metadata_in_every_region(scheme):
 
 
 # -------------------------------------------------------------- entry sizing
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_image_size_accounting_is_backend_independent(scheme):
-    _cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_image_size_accounting_is_backend_independent(kind):
+    _cloud, store = make_store(kind)
     small = store.image_size_kb(image(data=b""))
     large = store.image_size_kb(image(data=b"x" * 10_240))
     assert large > small
@@ -204,9 +173,9 @@ def test_image_size_accounting_is_backend_independent(scheme):
 
 
 # --------------------------------------------------------------- multi-region
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_regions_are_isolated(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_regions_are_isolated(kind):
+    cloud, store = make_store(kind)
     r0, r1 = TWO_REGIONS
     ctx = OpContext(region=r0)
 
@@ -218,12 +187,12 @@ def test_regions_are_isolated(scheme):
 
     in_r0, in_r1 = cloud.run_process(flow())
     assert in_r0 == image()
-    assert in_r1 is None, f"{scheme}: write to {r0} leaked into {r1}"
+    assert in_r1 is None, f"{kind}: write to {r0} leaked into {r1}"
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_wipe_region_destroys_only_that_replica(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_wipe_region_destroys_only_that_replica(kind):
+    cloud, store = make_store(kind)
     r0, r1 = TWO_REGIONS
 
     def flow():
@@ -236,13 +205,13 @@ def test_wipe_region_destroys_only_that_replica(scheme):
     store.wipe_region(r0)
     assert store.peek(r0, "/n") is None
     assert store.peek(r1, "/n") is not None, \
-        f"{scheme}: wiping {r0} destroyed {r1} too"
+        f"{kind}: wiping {r0} destroyed {r1} too"
 
 
 # ---------------------------------------------------------- inspection hooks
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_peek_matches_read_without_billing(scheme):
-    cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_peek_matches_read_without_billing(kind):
+    cloud, store = make_store(kind)
     region = TWO_REGIONS[0]
     ctx = OpContext(region=region)
     cloud.run_process(store.write_node(ctx, region, "/n", image()))
@@ -253,11 +222,11 @@ def test_peek_matches_read_without_billing(scheme):
     assert peeked == read
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_fault_points_are_armable(scheme):
-    _cloud, store = make_store(scheme)
+@pytest.mark.parametrize("kind", KINDS)
+def test_fault_points_are_armable(kind):
+    _cloud, store = make_store(kind)
     points = store.fault_points()
-    assert points, f"{scheme}: no fault points to arm"
+    assert points, f"{kind}: no fault points to arm"
     for point in points:
         assert hasattr(point, "faults")
         assert getattr(point, "service_label")
@@ -266,11 +235,13 @@ def test_fault_points_are_armable(scheme):
 
 # ------------------------------------------------------------ hybrid routing
 def test_hybrid_routes_by_threshold_across_regions():
-    cloud, store = make_store("hybrid://?threshold_kb=2.0")
+    """Section 4.2's split: up to ``THRESHOLD_KB`` (4 kB) in the key-value
+    item, larger data spilled to the object store."""
+    cloud, store = make_store("hybrid")
     for region in TWO_REGIONS:
         ctx = OpContext(region=region)
         small = image(data=b"x" * 1024)
-        big = image(data=b"x" * 4096)
+        big = image(data=b"x" * 8192)
 
         def flow(region=region, ctx=ctx, small=small, big=big):
             yield from store.write_node(ctx, region, "/small", small)
@@ -286,23 +257,23 @@ def test_hybrid_routes_by_threshold_across_regions():
         assert kv_small["data"] == b"x" * 1024
         assert s3.raw(USER_BUCKET, "/small") is None
         assert kv_big["data_in_s3"] is True and "data" not in kv_big
-        assert s3.raw(USER_BUCKET, "/big") == b"x" * 4096
+        assert s3.raw(USER_BUCKET, "/big") == b"x" * 8192
 
 
 def test_hybrid_metadata_update_leaves_spilled_data_in_s3():
     """A parent-update on a large node must stay KV-only (the layout's
     cheap-parent-update advantage) and keep routing intact."""
-    cloud, store = make_store("hybrid://?threshold_kb=2.0")
+    cloud, store = make_store("hybrid")
     region = TWO_REGIONS[0]
     ctx = OpContext(region=region)
-    big = image(data=b"x" * 4096)
+    big = image(data=b"x" * 8192)
     cloud.run_process(store.write_node(ctx, region, "/big", big))
     s3 = cloud.objectstore("s3", region=region)
     writes_before = s3._write_count if hasattr(s3, "_write_count") else None
     cloud.run_process(store.update_metadata(
         ctx, region, "/big", {"version": 2, "cversion": 1, "children": []}))
     after = cloud.run_process(store.read_node(ctx, region, "/big"))
-    assert after["data"] == b"x" * 4096
+    assert after["data"] == b"x" * 8192
     assert after["version"] == 2
     kv_item = cloud.kv("dynamodb:user", region=region).table(
         USER_TABLE).raw("/big")

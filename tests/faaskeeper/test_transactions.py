@@ -23,7 +23,7 @@ from repro.faaskeeper import (
     WriteResult,
 )
 from repro.faaskeeper.layout import shard_of_path
-from .conftest import make_service
+from .conftest import cap_redeliveries, make_service
 
 
 def _cross_shard_pair(num_shards):
@@ -251,8 +251,7 @@ def test_cross_shard_multi_commits_atomically():
 def test_cross_shard_multi_interleaved_with_writes():
     """Multis and singles to the same paths from one session stay in
     request order across shards (fences + per-path pending gates)."""
-    cloud, service = make_service(seed=105, leader_shards=4,
-                                  leader_coalesce=False)
+    cloud, service = make_service(seed=105, leader_shards=4)
     a, b = _cross_shard_pair(4)
     c = service.connect()
     c.create(f"/{a}", b"")
@@ -387,10 +386,10 @@ def test_multi_create_then_touch_crash_after_push_recovers():
     """TryCommit of a create-then-set batch: the set's overlay-observed
     version must not become a storage guard (the node does not exist in
     the store yet) — the leader still commits the whole batch."""
-    cloud, service = make_service(seed=111, follower_max_receive=1)
+    cloud, service = make_service(seed=111)
     c = service.connect()
     c.create("/p", b"")
-    service._session_queues[c.session_id].on_drop = None
+    cap_redeliveries(service, c, 1).on_drop = None
     service.follower_fn.plan_crash(
         "after_push", invocations=[service.follower_fn.invocations + 1])
     fut = c.multi_async([CreateOp("/p/x", b"a"), SetDataOp("/p/x", b"b")])

@@ -20,7 +20,7 @@ from repro.faaskeeper import (
     watches,
 )
 from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
-from .conftest import make_service
+from .conftest import cap_redeliveries, make_service
 
 
 def submit_async(client, ops, as_multi):
@@ -116,13 +116,13 @@ def test_follower_crash_after_push_leader_try_commits(case):
     the leader must commit the whole envelope on the follower's behalf once
     the leases expire — every member applied, none partially (Z1)."""
     ops = CRASH_CASES[case]
-    cloud, service = make_service(seed=12, follower_max_receive=1)
+    cloud, service = make_service(seed=12)
     c = service.connect()
     c.create("/a", b"")
     c.create("/b", b"")
     # Silence the queue's drop notification: this test observes the pure
     # recovery path (the drop/recovery ack race is covered separately).
-    service._session_queues[c.session_id].on_drop = None
+    cap_redeliveries(service, c, 1).on_drop = None
     service.follower_fn.plan_crash(
         "after_push", invocations=[service.follower_fn.invocations + 1])
     fut = submit_async(c, ops, as_multi=len(ops) > 1)

@@ -46,7 +46,7 @@ from repro.faaskeeper.chaos import CRASH_POINTS, ChaosMonkey, verify_exactly_onc
 from repro.faaskeeper.model import KeeperState, SetDataOp
 from repro.faaskeeper.outbox import OutboxStage
 from repro.faaskeeper.retry import BREAKER_CLOSED
-from repro.faaskeeper.userstore import registered_schemes
+from repro.faaskeeper.userstore import BACKENDS
 
 from ..helpers.visibility import ids_above_the_floor
 
@@ -76,7 +76,7 @@ MATRIX = [
     ("s1-pub", "leader"), ("s1-pub", "outbox"),
 ]
 
-SCHEMES = registered_schemes()
+STORES = sorted(BACKENDS)
 
 #: Cell id -> (config, crashed stage or None, storage fault rate, user
 #: store or None for the config's, workload).
@@ -86,12 +86,12 @@ CELLS = {
     # the distributor crash on every user store, each named explicitly
     **{f"s1-dist-distributor-{store}": ("s1-dist", "distributor", 0.0, store,
                                         "writer")
-       for store in SCHEMES},
+       for store in STORES},
     **{f"storage-5pct-{store}": ("paper", None, 0.05, store, "writer")
-       for store in SCHEMES},
+       for store in STORES},
     **{f"s1-pub-leader-3pct-{store}": ("s1-pub", "leader", 0.03, store,
                                        "writer")
-       for store in SCHEMES},
+       for store in STORES},
     # every crash kind under a 5 % storage-fault schedule
     **{f"{config}-{stage}-5pct": (config, stage, 0.05, None, "writer")
        for config, stage in [("s1", "leader"), ("s1-dist", "distributor"),
