@@ -20,8 +20,7 @@ def run():
     for memory in MEMORIES:
         for n_clients in CLIENTS:
             cloud, service, _bootstrap = deploy_fk(
-                seed=131, user_store="dynamodb", function_memory_mb=memory,
-                heartbeat_period_ms=60_000)
+                seed=131, user_store="dynamodb", function_memory_mb=memory)
             clients = [_bootstrap] + [service.connect()
                                       for _ in range(n_clients - 1)]
             for i, c in enumerate(clients):

@@ -28,6 +28,7 @@ import os
 from repro.analysis import render_table
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
+from repro.faaskeeper.gc import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.swarm import SessionSwarm, SwarmSpec
 
 SMOKE = os.environ.get("FK_BENCH_SMOKE", "") not in ("", "0")
@@ -61,7 +62,7 @@ def _run_plane(shards: int):
         user_store="mem", session_plane_shards=shards))
     started = cloud.now  # the crons start with the first registration
     report = SessionSwarm(cloud, service, _spec()).run()
-    period = service.config.heartbeat_period_ms
+    period = HEARTBEAT_PERIOD_MS
     report["sweeps_due"] = sum(
         int((cloud.now - started - task.offset_ms) // period)
         for task in service.heartbeat_tasks)

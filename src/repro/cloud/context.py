@@ -14,7 +14,7 @@ The context carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["OpContext", "CLIENT_CTX"]
 
@@ -25,12 +25,6 @@ class OpContext:
     io_mult: float = 1.0
     region: str | None = None
     arch: str = "x86"
-
-    def with_payer(self, payer: str) -> "OpContext":
-        return replace(self, payer=payer)
-
-    def with_region(self, region: str) -> "OpContext":
-        return replace(self, region=region)
 
 
 #: Default context for direct client calls (full-speed I/O, no attribution).

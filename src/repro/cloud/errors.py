@@ -6,7 +6,6 @@ __all__ = [
     "CloudError",
     "ConditionFailed",
     "ItemTooLarge",
-    "NoSuchItem",
     "NoSuchBucket",
     "NoSuchObject",
     "NoSuchTable",
@@ -42,10 +41,6 @@ class ItemTooLarge(CloudError):
 
 
 class NoSuchTable(CloudError):
-    pass
-
-
-class NoSuchItem(CloudError):
     pass
 
 

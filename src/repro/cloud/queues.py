@@ -96,7 +96,8 @@ class _QueueBase:
         self._rngs = rngs
         self._rng: Optional[Random] = None
         self.service_label = service_label
-        self._seq = 0
+        #: Newest sequence number handed out: a shard's issued txid mark.
+        self.issued = 0
         self._seq_source = seq_source
         self.sent = 0
         self.delivered = 0
@@ -119,11 +120,9 @@ class _QueueBase:
         return rng
 
     def _next_seq(self) -> int:
-        if self._seq_source is not None:
-            self._seq = self._seq_source.next()
-            return self._seq
-        self._seq += 1
-        return self._seq
+        source = self._seq_source
+        self.issued = source.next() if source is not None else self.issued + 1
+        return self.issued
 
     def _check_size(self, size_kb: float) -> None:
         if size_kb > self.profile.queue_payload_limit_kb:

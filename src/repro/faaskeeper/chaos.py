@@ -16,9 +16,8 @@ Design constraints the harness respects:
   the simulation itself is deterministic, so (seed, config) fully
   determines the crash schedule and a CI failure replays locally.
 * **liveness** — every (function, point) pair has a finite crash budget.
-  Leader and distributor queues redeliver forever and the scheduled
-  outbox publisher keeps firing (retrying a failed invocation once per
-  period), so any finite budget converges; the watch fan-out is a free
+  Leader, distributor and outbox publisher queues redeliver forever, so
+  any finite budget converges; the watch fan-out is a free
   function whose invoker retries ``WATCH_FN_RETRIES`` (2) times, so its
   *total* budget is capped by that retry count (the budget is shared
   across the watch points).
@@ -43,7 +42,6 @@ from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .layout import (
-    LOG_HEAD_KEY,
     OUTBOX_DEAD_LETTER_KEY,
     OUTBOX_PUBLISHED_KEY,
     SYSTEM_NODES,
@@ -53,7 +51,6 @@ from .layout import (
     epoch_key,
 )
 from .service import WATCH_FN_RETRIES, FaaSKeeperService
-from .snapshot import log_bounds
 
 __all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_system_tables",
            "verify_exactly_once", "verify_outbox_delivery"]
@@ -250,12 +247,11 @@ def verify_outbox_delivery(service: FaaSKeeperService,
       every sink is strictly increasing in txid (per-path publish order);
     * two deliveries of the same ``(txid, path)`` never disagree on the
       event payload (a redelivery replays, never rewrites);
-    * every acknowledged ``(txid, path)`` **at or below the publish
-      floor** (``min`` over shards of the durable log heads — above it
-      records are not yet eligible, the documented idle-shard stall) is
-      accounted for at every sink — delivered, or parked in the
-      dead-letter list (no lost events, not even one member of a
-      ``multi()``).
+    * every acknowledged ``(txid, path)`` is accounted for at every sink —
+      delivered, or parked in the dead-letter list (no lost events, not
+      even one member of a ``multi()``): once the pipeline is quiet no
+      shard holds the publish floor below an acked txid, so none is
+      exempt.
     """
     violations: List[str] = []
     outbox = service.outbox
@@ -263,8 +259,6 @@ def verify_outbox_delivery(service: FaaSKeeperService,
         return violations
     state = service.system_store.table(SYSTEM_STATE)
     mark = int((state.raw(OUTBOX_PUBLISHED_KEY) or {}).get("txid", 0))
-    floor, _top = log_bounds(state.raw(LOG_HEAD_KEY),
-                             service.config.leader_shards)
     dead_by_sink: Dict[str, set] = {}
     for entry in (state.raw(OUTBOX_DEAD_LETTER_KEY) or {}).get("items", []):
         dead_by_sink.setdefault(entry["sink"], set()).update(
@@ -292,9 +286,8 @@ def verify_outbox_delivery(service: FaaSKeeperService,
                 newest_per_path[ev["path"]] = ev["txid"]
         accounted = seen.keys() | dead_by_sink.get(label, set())
         for txid, path in sorted(set(acked or ())):
-            if txid <= floor and (txid, path) not in accounted:
+            if (txid, path) not in accounted:
                 violations.append(
                     f"outbox[{label}]: acked txid {txid} on {path} neither "
-                    f"delivered nor dead-lettered (watermark {mark}, "
-                    f"floor {floor})")
+                    f"delivered nor dead-lettered (watermark {mark})")
     return violations

@@ -30,7 +30,6 @@ class FaaSKeeperConfig:
     arch: str = "x86"                     # "x86" | "arm"
     cpu_alloc: float = 1.0                # GCP: vCPU fraction
     regions: List[str] = field(default_factory=lambda: ["us-east-1"])
-    heartbeat_period_ms: float = 60_000.0  # highest AWS cron frequency (5.3.3)
     #: Session-plane shards: partitions the heartbeat/eviction sweep — each
     #: of N scheduled sweep functions scans one hash slice of the session
     #: table, ephemeral-first ordering preserved per shard, their crons
@@ -64,12 +63,6 @@ class FaaSKeeperConfig:
     #: replicating or publishing.  False (the default) keeps every
     #: pre-existing pipeline bit-for-bit intact.
     commit_log_enabled: bool = False
-    #: Period of the scheduled snapshot function (fuzzy snapshot + log
-    #: compaction, like the GC sweep).  0 (the default) = manual snapshots
-    #: only, via ``service.snapshots``.  Requires ``commit_log_enabled``.
-    #: Compaction truncates up to the slowest cursor: the snapshot floor,
-    #: every region's ``replicated_tx`` and the outbox's published mark.
-    snapshot_auto_ms: float = 0.0
     #: Transactional-outbox event streaming: when enabled a publisher
     #: function reads the commit log at its own cursor and streams every
     #: committed change to its subscribers with at-least-once
@@ -78,12 +71,6 @@ class FaaSKeeperConfig:
     #: default.  Requires ``commit_log_enabled`` (the publisher reads the
     #: log).
     outbox_enabled: bool = False
-    #: Maximum txids one publisher pass moves its cursor by.
-    outbox_batch: int = 25
-    #: Period of the scheduled publisher function (suspended at
-    #: scale-to-zero, like the heartbeat).  0 = manual drains only, via
-    #: ``service.outbox.drain()``.
-    outbox_publish_ms: float = 1_000.0
     #: Client-side read cache: maximum cached node images per session.
     #: 0 (the default) disables the cache entirely, so the paper's read
     #: pipeline — every get_data/get_children is a user-store round trip —
@@ -109,43 +96,26 @@ class FaaSKeeperConfig:
             raise ValueError("need at least one region")
         if len(set(self.regions)) != len(self.regions):
             raise ValueError(f"duplicate regions in {self.regions}")
-        for name in ("function_memory_mb", "cpu_alloc", "heartbeat_period_ms"):
+        for name in ("function_memory_mb", "cpu_alloc"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.arch not in ("x86", "arm"):
             raise ValueError(f"unknown arch {self.arch!r}")
-        if self.leader_shards < 1:
-            raise ValueError(f"leader_shards must be >= 1, got {self.leader_shards}")
-        if self.session_plane_shards < 1:
-            raise ValueError(
-                f"session_plane_shards must be >= 1, "
-                f"got {self.session_plane_shards}")
-        if self.client_cache_entries < 0:
-            raise ValueError(
-                f"client_cache_entries must be >= 0, got {self.client_cache_entries}")
+        for name, low in (("leader_shards", 1), ("session_plane_shards", 1),
+                          ("client_cache_entries", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.ack_policy not in ("on_replicate", "on_commit"):
             raise ValueError(f"unknown ack_policy {self.ack_policy!r}")
         if self.ack_policy == "on_commit" and not self.distributor_enabled:
             raise ValueError(
                 "ack_policy='on_commit' requires distributor_enabled=True: "
                 "without a distributor nothing replicates after the ack")
-        if self.snapshot_auto_ms < 0:
-            raise ValueError(
-                f"snapshot_auto_ms must be >= 0, got {self.snapshot_auto_ms}")
-        if self.snapshot_auto_ms > 0 and not self.commit_log_enabled:
-            raise ValueError(
-                "snapshot_auto_ms > 0 requires commit_log_enabled=True: "
-                "there is nothing to snapshot without a commit log")
         if self.outbox_enabled and not self.commit_log_enabled:
             raise ValueError(
                 "outbox_enabled=True requires commit_log_enabled=True: the "
                 "publisher streams events out of the commit log")
-        if self.outbox_batch < 1:
-            raise ValueError(
-                f"outbox_batch must be >= 1, got {self.outbox_batch}")
-        if self.outbox_publish_ms < 0:
-            raise ValueError(
-                f"outbox_publish_ms must be >= 0, got {self.outbox_publish_ms}")
         if not 0.0 <= self.storage_fault_rate <= 1.0:
             raise ValueError(
                 f"storage_fault_rate must be in [0, 1], "

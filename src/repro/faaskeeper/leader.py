@@ -256,6 +256,10 @@ class LeaderLogic:
                 yield from self._notify_failure(msg, payload)
         self._deferred = []
         self._skipped_images = {}
+        # Every txid of the batch is logged or burned: wake the consumers.
+        if self.service.snapshots is not None:
+            yield from self.service.snapshots.logged(
+                fctx, [msg["_seq"] for msg in batch])
         # WaitAll(WatchCallback): the instance lingers until all of its
         # notifications are delivered and cleared from the epoch.
         if self._pending_callbacks:
@@ -306,10 +310,14 @@ class LeaderLogic:
             if not committed:
                 # The request was never committed and cannot be: reject (Z1
                 # intact).  Earlier writes it would have superseded must
-                # become visible after all.  Its txid never replicates:
-                # burn it, so the visibility floor can pass it.
+                # become visible after all.  Its txid never replicates nor
+                # gets a log record: burn it, so the visibility floor and
+                # the log floor can pass it.
                 if self.distribution is not None:
                     self.distribution.visibility.burn(txid)
+                if self.service.snapshots is not None:
+                    yield from self.service.snapshots.burn(
+                        fctx, txid, self.shard)
                 yield from self._flush_superseded(
                     fctx, [path for path, _image, _meta, _op in affected])
                 yield from self._queue_failure(fctx, msg, "system_failure", defer)

@@ -16,21 +16,23 @@ of its own — **the event record is the commit-log record**:
   say about it commit atomically, and the log-head condition that
   deduplicates redelivered leader batches deduplicates the events for free;
 
-* **publish** — a scheduled publisher function is a *cursor* over that
-  log (the snapshot fold and compaction are the other two): it reads the
-  records of ``(outbox:published, floor]`` in txid order — the floor being
-  ``min`` over shards of the log heads, below which every committed txid
-  provably has its record, so order is gapless and per-path order follows
-  from global order — and projects each onto one event per *node* write
-  (parent metadata updates are an implementation detail, not a
-  user-visible change).  Each record is delivered to every sink with
-  exponential-backoff retry; a sink that still fails after
+* **publish** — the publisher, which the leader wakes through its FIFO
+  queue after each batch it logs, is a *cursor* over that log (the
+  snapshot fold and compaction are the other two): a pass reads the
+  records of ``(outbox:published, floor]`` in txid order — the floor
+  (:func:`~repro.faaskeeper.snapshot.log_bounds`) is where every
+  committed txid provably has its record, so order is gapless and
+  per-path order follows from global order — and projects each onto one
+  event per *node* write (parent metadata updates are an implementation
+  detail, not a user-visible change).  Each record is delivered to every
+  sink with exponential-backoff retry; a sink that still fails after
   :data:`MAX_ATTEMPTS` gets the event *dead-lettered* (durable list +
   in-memory mirror) and the drain moves on.  The durable
   ``outbox:published`` watermark advances only **after** a record's sinks
-  are settled, so a publisher crash re-delivers — at-least-once, with
-  duplicates deduplicated downstream by ``(txid, path)``.  The publisher
-  never deletes: retention is log compaction, which the watermark pins;
+  are settled, so a crashed pass, retried by its queue, re-delivers —
+  at-least-once, deduplicated downstream by ``(txid, path)``.  The
+  publisher never deletes: retention is log compaction, which the
+  watermark pins;
 
 * **sinks** — a deployment starts with one callback-less :class:`Sink`
   labelled ``inproc``; :meth:`OutboxStage.subscribe` adds one per
@@ -53,7 +55,12 @@ from ..cloud.expressions import ListAppend
 from .distributor import advance_watermark
 from .layout import OUTBOX_DEAD_LETTER_KEY, OUTBOX_PUBLISHED_KEY, SYSTEM_STATE
 
-__all__ = ["OutboxStage", "Sink", "MAX_ATTEMPTS", "RETRY_BASE_MS"]
+__all__ = ["OutboxStage", "Sink", "MAX_ATTEMPTS", "PASS_LIMIT",
+           "RETRY_BASE_MS"]
+
+#: Most txids one publisher pass moves its cursor by; a pass that stops
+#: short of the floor re-sends itself one trigger.
+PASS_LIMIT = 100
 
 #: Per-sink delivery attempts before a record is dead-lettered.
 MAX_ATTEMPTS = 3
@@ -106,8 +113,6 @@ class OutboxStage:
 
     def __init__(self, service) -> None:
         self.service = service
-        config = service.config
-
         self.sinks: List[Sink] = [Sink("inproc")]
 
         #: In-memory mirror of the durable dead-letter list.
@@ -137,13 +142,13 @@ class OutboxStage:
                 "Commit-to-sink publish lag per record (ms)"),
         }
 
-        self.fn = service._deploy_stage(
-            "fk-outbox", "outbox", self,
-            period_ms=config.outbox_publish_ms).fn
+        stage = service._deploy_stage("fk-outbox", "outbox", self,
+                                      queue="fk-outbox-q")
+        self.fn, self.queue = stage.fn, stage.queue
 
     # ------------------------------------------------------------ handler
     def handler(self, fctx, payload: Any) -> Generator:
-        """One drain pass: move the cursor up to ``outbox_batch`` txids
+        """One drain pass: move the cursor up to :data:`PASS_LIMIT` txids
         towards the floor, publishing every record on the way."""
         env = fctx.env
         store = self.service.system_store
@@ -158,7 +163,7 @@ class OutboxStage:
         mark = int((mark_item or {}).get("txid", 0))
         floor, _top = yield from log.bounds(fctx.ctx)
         fctx.record("outbox_scan", env.now - t0)
-        stop = min(floor, mark + self.service.config.outbox_batch)
+        stop = min(floor, mark + PASS_LIMIT)
         cursor = mark
         published = 0
 
@@ -185,6 +190,9 @@ class OutboxStage:
             # metadata records): step over it so the cursor — and the
             # compaction it pins — does not wait for the next event.
             yield from self._advance(fctx, stop)
+        if stop < floor:
+            # Stopped short: no further write may come to wake the rest.
+            yield from self.queue.send(fctx.ctx, {"resume": stop})
         metrics["backlog"].set(floor - stop)
         return {"published": published, "floor": floor,
                 "backlog": floor - stop}
@@ -244,7 +252,7 @@ class OutboxStage:
 
     # ------------------------------------------------------------ helpers
     def drain(self) -> Dict[str, Any]:
-        """Synchronous manual drain (tests, examples): one publisher
+        """Synchronous manual drain (tests, scripts): one publisher
         invocation, run to completion."""
         done = self.service.cloud.runtime.invoke_direct(self.fn, None)
         return self.service.cloud.env.run(until=done)

@@ -37,7 +37,7 @@ from .follower import (
     LOCK_MAX_HOLD_MS,
     FollowerLogic,
 )
-from .gc import GC_PERIOD_MS, GarbageCollectorLogic
+from .gc import GC_PERIOD_MS, HEARTBEAT_PERIOD_MS, GarbageCollectorLogic
 from .heartbeat import HeartbeatLogic
 from .layout import (
     SYSTEM_LOG,
@@ -185,7 +185,7 @@ class FaaSKeeperService:
         # One sweep per session-plane shard, phase-staggered across the
         # period so they do not all hit the session table's capacity bucket
         # (or hold their scan results) at once; shard 0 sits at offset 0.
-        plane, period = config.session_plane_shards, config.heartbeat_period_ms
+        plane, period = config.session_plane_shards, HEARTBEAT_PERIOD_MS
         sweeps = [
             deploy("fk-heartbeat" + _suffix(i), "heartbeat",
                    HeartbeatLogic(self, shard=i, shards=plane),
@@ -212,8 +212,6 @@ class FaaSKeeperService:
             for table in (SYSTEM_LOG, SYSTEM_SNAPSHOT):
                 self.system_store.create_table(table)
             self.snapshots = SnapshotManager(self)
-            deploy("fk-snapshot", "snapshot", self.snapshots,
-                   period_ms=config.snapshot_auto_ms)
 
         # Transactional outbox (opt-in event streaming).
         self.outbox: Optional[OutboxStage] = (

@@ -16,7 +16,8 @@ many cursors over it**, as in ZooKeeper's single transaction log:
   transaction as a per-shard ``log-head`` watermark.  Within a shard the
   FIFO queue delivers txids in order, so every committed txid at or below
   a shard's head provably has a log record — the invariant every
-  reader's floor (:func:`log_bounds`) rests on.
+  reader's floor (:func:`log_bounds`) rests on.  The leader wakes the
+  consumers after each batch (:meth:`SnapshotManager.logged`).
 
 * **fold** (cursor ``snapshot:meta.txid``) — :meth:`take_snapshot` folds
   the log suffix above the previous floor into a per-path checkpoint
@@ -36,7 +37,8 @@ many cursors over it**, as in ZooKeeper's single transaction log:
   region's replicated_tx, outbox:published)``: every other cursor pins
   the log.  A region that crashed mid-drain replays ``(replicated_tx,
   head]`` without reloading the snapshot; a record no sink has seen yet
-  is never eaten.
+  is never eaten.  ``fk-snapshot`` folds and compacts every
+  :data:`SNAPSHOT_EVERY` txids.
 
 Cold start (:meth:`recover_region`) = load the snapshot table into the
 region's user store + replay the log suffix above the floor; recovery
@@ -68,7 +70,11 @@ from .layout import (
     replicated_key,
 )
 
-__all__ = ["SnapshotManager", "fold_write", "log_bounds"]
+__all__ = ["SnapshotManager", "SNAPSHOT_EVERY", "fold_write", "log_bounds"]
+
+#: ZooKeeper's ``snapCount``: a fuzzy snapshot plus compaction runs every
+#: this many txids, fed by the leader that logs (or burns) each multiple.
+SNAPSHOT_EVERY = 256
 
 #: Coordination tables checkpointed beside the node fold, with their keys
 #: in the snapshot table.
@@ -89,15 +95,18 @@ def _cseq_from_children(children: List[str]) -> int:
     return cseq
 
 
-def log_bounds(heads: Optional[Dict[str, int]], shards: int) -> Tuple[int, int]:
-    """``(floor, top)`` of the commit log from its per-shard head item.
-    ``floor`` (``min`` over shards) is how far a cursor may read: at or
-    below it every committed txid provably has its record.  A shard that
-    never logged pins it at 0 — conservative (traffic may still be in that
-    shard's pipeline), never unsafe.  ``top`` (``max``) is the newest
-    record that exists at all: what recovery replays up to."""
-    logged = [int((heads or {}).get(f"s{i}", 0)) for i in range(shards)]
-    return min(logged), max(logged)
+def log_bounds(heads: Optional[Dict[str, int]],
+               issued: List[int]) -> Tuple[int, int]:
+    """``(floor, top)`` of the commit log from its per-shard head item and
+    each shard's issued mark (its leader queue's newest txid, read after
+    the heads).  At or below ``floor`` every committed txid provably has
+    its record: a shard with a txid in flight (head below its mark) bounds
+    it at its head; a quiet shard bounds nothing, as what it gets later is
+    above all issued so far.  ``top`` is what recovery replays up to."""
+    logged = [int((heads or {}).get(f"s{i}", 0)) for i in range(len(issued))]
+    top = max(logged)
+    busy = [head for head, mark in zip(logged, issued) if head < mark]
+    return min(busy, default=top), top
 
 
 def fold_write(prev: Optional[Dict[str, Any]], image: Dict[str, Any],
@@ -126,6 +135,8 @@ class SnapshotManager:
 
     def __init__(self, service) -> None:
         self.service = service
+        self.queue = service._deploy_stage(
+            "fk-snapshot", "snapshot", self, queue="fk-snapshot-q").queue
         registry = service.metrics
         self._appends = registry.counter(
             "fk_log_appends_total", "Commit-log records appended")
@@ -186,7 +197,25 @@ class SnapshotManager:
         cursor (fold, publish, recovery) clamps itself to."""
         heads = yield from self.service.system_store.get_item(
             ctx, SYSTEM_STATE, LOG_HEAD_KEY)
-        return log_bounds(heads, self.service.config.leader_shards)
+        issued = [queue.issued for queue in self.service.leader_queues]
+        return log_bounds(heads, issued)
+
+    def burn(self, fctx, txid: int, shard: int) -> Generator:
+        """A rejected txid moves its shard's head: no busy shard is left."""
+        yield from advance_watermark(self.service.system_store, fctx.ctx,
+                                     LOG_HEAD_KEY, f"s{shard}", txid)
+        return None
+
+    def logged(self, fctx, txids: List[int]) -> Generator:
+        """A leader batch has logged or burned ``txids``: wake the
+        publisher (its FIFO trigger merges messages under load) and, on a
+        multiple of :data:`SNAPSHOT_EVERY`, the snapshot function."""
+        outbox = self.service.outbox
+        if outbox is not None:
+            yield from outbox.queue.send(fctx.ctx, {"head": txids[-1]})
+        if any(txid % SNAPSHOT_EVERY == 0 for txid in txids):
+            yield from self.queue.send(fctx.ctx, {"head": txids[-1]})
+        return None
 
     def read_suffix(self, ctx: OpContext, lo: int, hi: int,
                     visit) -> Generator[Any, Any, int]:
@@ -449,11 +478,11 @@ class SnapshotManager:
                 "sessions": recovered[SYSTEM_SESSIONS],
                 "replayed": replayed, "floor": floor, "top": top}
 
-    # ------------------------------------------------------------ scheduled fn
+    # ------------------------------------------------------------ triggered fn
     def handler(self, fctx, payload: Any) -> Generator:
-        """The ``fk-snapshot`` scheduled function: one fuzzy snapshot + one
-        compaction sweep per firing (suspended at scale-to-zero, like the
-        heartbeat and the GC sweeper)."""
+        """The ``fk-snapshot`` function, fed by :meth:`logged` through its
+        FIFO queue: one fuzzy snapshot + one compaction sweep per batch of
+        trigger messages."""
         floor = yield from self.take_snapshot(fctx.ctx)
         removed = yield from self.compact(fctx.ctx)
         return {"floor": floor, "compacted": removed}

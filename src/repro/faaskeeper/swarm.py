@@ -33,6 +33,7 @@ from typing import Any, Dict, List
 
 from ..sim.kernel import AllOf
 from ..sim.rng import percentile
+from .gc import HEARTBEAT_PERIOD_MS
 from .recipes import Lock
 
 __all__ = ["SwarmSpec", "SessionSwarm", "summarize_samples"]
@@ -252,7 +253,7 @@ class SessionSwarm:
         env = self.cloud.env
         config = self.service.config
         duration_ms = spec.duration_ms or (
-            4.0 * config.heartbeat_period_ms + 10_000.0)
+            4.0 * HEARTBEAT_PERIOD_MS + 10_000.0)
 
         self._register()
         live_after_registration = self.service.active_sessions
@@ -280,11 +281,11 @@ class SessionSwarm:
         # and silences overlap registration-fresh sweeps.
         for c in cohorts["graceful"]:
             procs.append(env.process(self._graceful_closer(
-                c, stagger.random() * config.heartbeat_period_ms),
+                c, stagger.random() * HEARTBEAT_PERIOD_MS),
                 name="swarm:close"))
         for c in cohorts["silent"]:
             procs.append(env.process(self._silencer(
-                c, stagger.random() * config.heartbeat_period_ms),
+                c, stagger.random() * HEARTBEAT_PERIOD_MS),
                 name="swarm:silent"))
 
         start = env.now

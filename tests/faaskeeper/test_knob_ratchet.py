@@ -48,7 +48,7 @@ import repro
 from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 17
+MAX_CONFIG_FIELDS = 13
 MAX_ENV_SWITCHES = 1
 #: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
 MAX_HARNESS_SWITCHES = 6
@@ -101,14 +101,15 @@ def test_the_row_rule_sees_an_unjustified_knob():
 
 
 def test_census_deletions_stay_deleted():
-    """The knobs only tests set and the plug-in registries (outbox sink
-    schemes, user-store URIs) were deleted by the census; their names stay
-    out of ``src/``."""
+    """The knobs only tests set, the plug-in registries (outbox sink
+    schemes, user-store URIs) and the commit-log consumers' cron periods
+    were deleted by the census; their names stay out of ``src/``."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
         "register_sink|make_sink|SINK_SCHEMES|register_backend|"
-        "parse_store_uri|backend_for|registered_schemes")
+        "parse_store_uri|backend_for|registered_schemes|"
+        "outbox_publish_ms|snapshot_auto_ms|outbox_batch|heartbeat_period_ms")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.kvstore import scan_segment_of
 from repro.faaskeeper import FaaSKeeperConfig
+from repro.faaskeeper.gc import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.layout import SYSTEM_SESSIONS, SYSTEM_WATCHES
 from repro.faaskeeper.swarm import SessionSwarm, SwarmSpec
 from .conftest import make_service
@@ -182,7 +183,7 @@ def test_swarm_sweeps_shards_times_periods_and_evicts_each_silent_once():
     shards, periods, silent = 8, 4, 12
     cloud, service = make_service(seed=105, user_store="mem",
                                   session_plane_shards=shards)
-    period = service.config.heartbeat_period_ms
+    period = HEARTBEAT_PERIOD_MS
     largest_offset = max(t.offset_ms for t in service.heartbeat_tasks)
     duration = 4.9 * period
     assert periods * period + largest_offset <= duration < (periods + 1) * period

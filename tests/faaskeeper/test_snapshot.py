@@ -6,6 +6,8 @@ the log into a per-path checkpoint concurrent with commits, compaction
 truncates the folded prefix (clamped by the slowest cursor: every region's
 ``replicated_tx`` watermark and the outbox's published mark), and a
 region's user store rebuilds from snapshot + suffix after replica loss.
+Snapshots run every ``SNAPSHOT_EVERY`` txids (ZooKeeper's ``snapCount``),
+and a quiet or rejected-from shard never pins the log's floor.
 """
 
 import pytest
@@ -26,7 +28,9 @@ from repro.faaskeeper.layout import (
     log_key,
     replicated_key,
 )
-from .conftest import make_service
+from repro.faaskeeper.leader import LeaderLogic
+from repro.faaskeeper.snapshot import SNAPSHOT_EVERY
+from .conftest import cap_redeliveries, make_service
 
 
 def snapshot_now(cloud, service):
@@ -44,6 +48,14 @@ def recover_now(cloud, service, region, cold):
 
 def log_txids(service):
     return sorted(int(k) for k in service.system_store.table(SYSTEM_LOG).keys())
+
+
+def settle(cloud, ms=60_000):
+    cloud.run(until=cloud.now + ms)
+
+
+def counter(service, name):
+    return service.metrics.get(name).value
 
 
 def test_default_deployment_has_no_log():
@@ -196,21 +208,106 @@ def test_cold_recovery_applies_suffix_deletes():
 
 
 def test_scheduled_snapshot_function_runs_and_compacts():
-    cloud, service = make_service(seed=509, commit_log_enabled=True,
-                                  snapshot_auto_ms=5_000.0)
+    """The ``fk-snapshot`` function runs when the log reaches a multiple
+    of ``SNAPSHOT_EVERY`` txids, not on a timer, and folds and compacts
+    with no manual call."""
+    cloud, service = make_service(seed=509, commit_log_enabled=True)
+    (stage,) = [s for s in service.stages if s.kind == "snapshot"]
+    assert stage.task is None and stage.queue is service.snapshots.queue
     c = service.connect()
-    c.create("/a", b"v0")
-    c.set_data("/a", b"v1")
-    cloud.run(until=cloud.now + 30_000)
-    assert service.metrics.get("fk_snapshots_taken_total").value >= 1
-    assert service.metrics.get("fk_log_records_compacted_total").value >= 1
+    c.create("/a", b"v0")                                      # txid 1
+    for i in range(2, SNAPSHOT_EVERY):
+        c.set_data_async("/a", f"v{i}".encode())
+    settle(cloud)
+    assert stage.fn.invocations == 0          # one txid short of the count
+    assert c.set_data("/a", b"last").txid == SNAPSHOT_EVERY
+    settle(cloud)
+    assert stage.fn.invocations == 1
+    assert counter(service, "fk_snapshots_taken_total") == 1
+    assert counter(service, "fk_log_records_compacted_total") == SNAPSHOT_EVERY
     snap = service.system_store.table(SYSTEM_SNAPSHOT)
-    assert snap.raw("/a")["image"]["data"] == b"v1"
+    assert snap.raw("/a")["image"]["data"] == b"last"
+    assert log_txids(service) == []
 
 
-def test_snapshot_auto_requires_commit_log():
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(snapshot_auto_ms=1000.0)
+@pytest.mark.parametrize("outbox", [False, True], ids=["log", "log+outbox"])
+def test_the_log_stays_bounded_without_a_manual_compaction(outbox):
+    """A deployment with the commit log compacts by itself: after three
+    ``SNAPSHOT_EVERY``s of writes the log holds at most two of them, with
+    the outbox's published mark pinning compaction or not."""
+    cloud, service = make_service(seed=513, commit_log_enabled=True,
+                                  outbox_enabled=outbox)
+    c = service.connect()
+    c.create("/a", b"")
+    for burst in range(3):
+        futures = [c.set_data_async("/a", f"{burst}-{i}".encode())
+                   for i in range(SNAPSHOT_EVERY)]
+        settle(cloud)
+        assert all(f.done for f in futures)
+    assert counter(service, "fk_log_appends_total") == 3 * SNAPSHOT_EVERY + 1
+    assert counter(service, "fk_snapshots_taken_total") == 3
+    assert len(log_txids(service)) <= 2 * SNAPSHOT_EVERY
+
+
+def test_traffic_on_one_of_four_shards_snapshots_publishes_and_compacts():
+    """Every write under ``/a`` at four shards: the three shards that
+    never log must not pin the floor, so every event is published, a
+    snapshot is taken, the log is compacted, and once the pipeline is
+    quiet the floor is the newest logged txid."""
+    cloud, service = make_service(seed=7, commit_log_enabled=True,
+                                  outbox_enabled=True, leader_shards=4,
+                                  user_store="mem")
+    c = service.connect()
+    c.create("/a", b"")
+    futures = [c.create_async(f"/a/n{i}", b"x")
+               for i in range(SNAPSHOT_EVERY + 20)]
+    settle(cloud, 120_000)
+    assert all(f.done for f in futures)
+    top = SNAPSHOT_EVERY + 21
+    assert counter(service, "fk_log_appends_total") == top
+    assert cloud.run_process(service.snapshots.bounds(service.system_ctx)) \
+        == (top, top)
+    assert set(service.outbox.sink(0).delivered_txids()) == \
+        set(range(1, top + 1))
+    assert counter(service, "fk_snapshots_taken_total") >= 1
+    assert counter(service, "fk_log_records_compacted_total") > 0
+    assert len(log_txids(service)) < top
+
+
+def test_a_rejected_write_then_silence_does_not_pin_the_floor(monkeypatch):
+    """A txid the leader rejects never gets a record, but it still moves
+    its shard's head: a shard whose last txid was burned and that then
+    goes quiet must not hold the floor below the other shard's records."""
+    real = LeaderLogic._try_commit
+
+    def reject_doomed(self, fctx, msg, txid, node):
+        if msg["path"].endswith("/doomed"):
+            return False
+        return (yield from real(self, fctx, msg, txid, node))
+
+    monkeypatch.setattr(LeaderLogic, "_try_commit", reject_doomed)
+    cloud, service = make_service(seed=514, commit_log_enabled=True,
+                                  leader_shards=2)
+    busy, quiet = "/a", next(f"/{name}" for name in "bcdefgh"
+                             if service.shard_of(f"/{name}") !=
+                             service.shard_of("/a"))
+    c = service.connect()
+    c.create(busy, b"")
+    c.create(quiet, b"")                                       # txid 2
+    # the follower dies between push and commit: the leader must decide
+    cap_redeliveries(service, c, 1)
+    service.follower_fn.plan_crash(
+        "after_push", invocations=[service.follower_fn.invocations + 1])
+    doomed = c.create_async(quiet + "/doomed", b"x")           # txid 3
+    settle(cloud)
+    assert doomed.done and doomed.event.ok is False
+    for i in range(3):
+        c.set_data(busy, f"v{i}".encode())                     # txids 4-6
+    settle(cloud)
+    assert log_txids(service) == [1, 2, 4, 5, 6]
+    heads = service.system_store.table(SYSTEM_STATE).raw(LOG_HEAD_KEY)
+    assert heads[f"s{service.shard_of(quiet)}"] == 3           # the burn
+    assert snapshot_now(cloud, service) == 6
 
 
 def test_redelivered_append_does_not_regress_log_head():
@@ -305,9 +402,11 @@ def test_recover_system_rebuilds_wiped_system_region():
 
 
 def test_sharded_floor_is_min_over_shards():
-    """With several shards the snapshot floor is the minimum per-shard
-    head: traffic on one shard cannot advance the floor past another
-    shard's unlogged pipeline."""
+    """With several shards the snapshot floor is the minimum head over the
+    shards still holding an unlogged txid, so traffic on one shard cannot
+    advance the floor past another shard's pipeline; a shard that has
+    logged all it was given — or was never given anything — bounds
+    nothing."""
     cloud, service = make_service(seed=511, commit_log_enabled=True,
                                   leader_shards=4)
     c = service.connect()
@@ -319,5 +418,8 @@ def test_sharded_floor_is_min_over_shards():
     heads = service.system_store.table(SYSTEM_STATE).raw(LOG_HEAD_KEY)
     per_shard = [heads.get(f"s{i}", 0)
                  for i in range(service.config.leader_shards)]
+    # nothing in flight: every shard has logged all it was given
+    assert [queue.issued for queue in service.leader_queues] == per_shard
+    assert min(per_shard) < max(per_shard)
     floor = snapshot_now(cloud, service)
-    assert floor == min(per_shard)
+    assert floor == max(per_shard)

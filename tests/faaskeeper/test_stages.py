@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.distributor import GateBoard
+from repro.faaskeeper.snapshot import SNAPSHOT_EVERY
 from repro.sim.kernel import Environment
 from .conftest import make_service
 
 CONFIGS = {
     "default": dict(),
     "hybrid": dict(user_store="hybrid"),
-    "durable": dict(commit_log_enabled=True, outbox_enabled=True,
-                    snapshot_auto_ms=5_000.0),
+    "durable": dict(commit_log_enabled=True, outbox_enabled=True),
     "scaled": dict(leader_shards=4, distributor_enabled=True,
                    ack_policy="on_commit",
                    regions=["us-east-1", "eu-west-1"]),
@@ -38,13 +38,17 @@ OVERLAPPING = {"client_cache_hits", "client_cache_misses", "s3", "dynamodb"}
 
 def _drive(cloud, service):
     """A little of everything: writes over several top-level paths (so
-    every leader shard works), a watch fan-out, reads, and enough virtual
-    time for every cron — gc included — to fire."""
+    every leader shard works), a watch fan-out, reads, with the commit log
+    enough writes for one snapshot, and enough virtual time for every cron
+    — gc included — to fire."""
     client = service.connect()
     for i in range(6):
         client.create(f"/n{i}", b"x" * 64)
     client.get_data("/n0", watch=lambda _event: None)
     client.set_data("/n0", b"y" * 2048)
+    if service.snapshots is not None:
+        for _ in range(SNAPSHOT_EVERY - 7):
+            client.set_data_async("/n1", b"z")
     cloud.run(until=cloud.now + 310_000)
     return client
 
@@ -150,7 +154,6 @@ def test_adding_a_stage_is_one_declaration():
     dict(regions=["us-east-1", "us-east-1"]),  # double-billed replication
     dict(function_memory_mb=0),                # every write system_failure
     dict(cpu_alloc=0.0),                       # clamped to 0.05
-    dict(heartbeat_period_ms=0.0),             # no sweep, nobody evicted
 ], ids=lambda knobs: next(iter(knobs)))
 def test_a_deployment_that_would_fail_later_is_rejected_up_front(knobs):
     with pytest.raises(ValueError, match=next(iter(knobs))):

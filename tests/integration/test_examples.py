@@ -72,8 +72,8 @@ def test_config_service_uses_watch_decorators():
 
 def test_change_data_capture_streams_every_commit_in_order():
     """The outbox example's CDC feed must list every committed change —
-    including the delete — exactly once, in txid order, and report a
-    publish lag dominated by the publisher period."""
+    including the delete — exactly once, in txid order, and report its
+    publish lag."""
     script = REPO_ROOT / "examples" / "change_data_capture.py"
     assert script in EXAMPLES
     result = _run_example(script)
