@@ -126,7 +126,7 @@ def test_outbox_publish_lag(benchmark):
         assert 0 < row["lag_p50_ms"] <= LAG_P50_MS, row
         assert row["lag_p99_ms"] <= LAG_P99_MS, row
     # One record, not two: streaming costs less than the table it replaced
-    # (3.34e-6 on the full workload; a pass per leader batch costs more per
+    # (3.33e-6 on the full workload; a pass per leader batch costs more per
     # event than the cron did at low rates, and nothing when idle).
     ten = next(r for r in out if r["rate_per_s"] == 10)
     assert 0 < ten["usd_per_event"] < TABLE_USD_PER_EVENT, ten
