@@ -44,7 +44,6 @@ __all__ = [
     "updated_image",
     "clone",
     "clone_sized",
-    "project",
     "item_size_bytes",
     "item_size_kb",
 ]
@@ -455,12 +454,6 @@ def clone_sized(value: Any) -> Tuple[Any, int]:
             twin.append(item)
         return twin, size
     return clone(value), _value_size_bytes(value)
-
-
-def project(image: Dict[str, Any], names: Optional[Sequence[str]]) -> Dict[str, Any]:
-    """DynamoDB's ``ProjectionExpression``: a private copy of the named
-    top-level attributes of ``image`` that it has (all of them for None)."""
-    return clone(image) if names is None else {n: clone(image[n]) for n in names if n in image}
 
 
 # --------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .expressions import (
     clone,
     clone_sized,
     item_size_bytes,
-    project,
     updated_image,
 )
 from .faults import FaultInjector, draw_fault
@@ -615,14 +614,24 @@ class KeyValueStore:
         if fault is not None:
             yield from self.faults.fire_before(fault, f"scan {table_name}")
         selected = table.segment_keys(segment, total_segments)
-        total_kb = sum(_size_kb(table._get(k)) for k in selected)
+        # Each selected key is read once per phase, through ``_get`` only
+        # when the sanitizer has something to check.  Sizes are exact
+        # multiples of 1/1024 kB, so summing bytes first is the same float.
+        get = table._get if table._sanitized else table._items.get
+        total_kb = sum([rec.size_bytes for rec in map(get, selected)
+                        if rec is not None]) / 1024.0
         wait = self._admit(table, max(1.0, total_kb / 4.0))
         latency = self._latency(ctx, self.profile.kv_read, total_kb)
         yield self.env.timeout(wait + latency)
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
-        found = ((k, table._get(k)) for k in selected)
-        return {k: project(rec.value, projection) for k, rec in found if rec is not None}
+        found: Dict[str, Dict[str, Any]] = {}
+        for key, rec in zip(selected, map(get, selected)):
+            if rec is not None:
+                image = rec.value
+                found[key] = (clone(image) if projection is None else
+                              {n: clone(image[n]) for n in projection if n in image})
+        return found
 
     def batch_put(
         self,

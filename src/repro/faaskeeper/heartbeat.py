@@ -3,7 +3,8 @@
 ZooKeeper sessions exchange keep-alives over their TCP connection; with no
 connection to keep, FaaSKeeper inverts the direction: a cron-triggered
 function scans the session table, pings every scanned session in parallel
-(one reply timer per session — a session is a timeout slot, not a thread),
+(one timer train per sweep, one element per session, each read at that
+session's own reply instant — a session is a timer slot, not a thread),
 and starts an eviction (a ``close_session`` request in the session's own
 FIFO queue, so it serializes after the session's earlier writes) for
 clients that miss the deadline.
@@ -29,8 +30,9 @@ sessions one sweep evicts together.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator, Set
 
+from ..sim.kernel import TimerTrain
 from .layout import SYSTEM_SESSIONS
 
 __all__ = ["HeartbeatLogic"]
@@ -75,29 +77,32 @@ class HeartbeatLogic:
         to_check = [sid for sid, item in sessions.items() if item.get("ephemeral")]
         to_check += [sid for sid, item in sessions.items()
                      if not item.get("ephemeral")]
-        results: Dict[str, bool] = {}
+        missed: Set[str] = set()
         if to_check:
-            # One timer per session, no process: each reply is read when its
-            # timer fires and keyed by the session id the timer carries; the
-            # last one in wakes the sweep.
+            # One timer train for the whole sweep, no process: each session's
+            # reply is read at its own reply instant, keyed by the session id
+            # its element carries; the last one in wakes the sweep.
             done = env.event()
             answered = self.service.heartbeat_answered
+            pending = len(to_check)
 
-            def on_reply(reply) -> None:
-                results[reply.value] = answered(reply.value)
-                if len(results) == len(to_check):
+            def on_reply(sid: str) -> None:
+                nonlocal pending
+                if not answered(sid):
+                    missed.add(sid)
+                pending -= 1
+                if not pending:
                     done.succeed()
 
-            ping = self.service.heartbeat_ping
-            for sid in to_check:
-                ping(sid).callbacks.append(on_reply)
+            delay = self.service.heartbeat_reply_delay
+            TimerTrain(env, [delay(sid) for sid in to_check], to_check, on_reply)
             yield done
         fctx.record("ping", env.now - t0)
 
         self._sweeps.inc()
         self._shard_sweeps.labels(shard=str(self.shard)).inc()
         self._checked.inc(len(to_check))
-        expired = [sid for sid in to_check if not results.get(sid, False)]
+        expired = [sid for sid in to_check if sid in missed]
         for sid in expired:
             self._evictions.inc()
             yield from self.service.enqueue_eviction(fctx.ctx, sid)

@@ -26,7 +26,7 @@ from ..cloud.context import OpContext
 from ..cloud.errors import NoSuchQueue
 from ..cloud.queues import SharedSequence
 from ..primitives import TimedLock
-from ..sim.kernel import AllOf, Timeout
+from ..sim.kernel import AllOf
 from .client import FaaSKeeperClient
 from .config import FaaSKeeperConfig
 from .distributor import DistributionStage, GateBoard
@@ -532,14 +532,10 @@ class FaaSKeeperService:
             latency = runtime.profile.invoke_direct.sample(runtime.rng)
 
     # ------------------------------------------------------------ heartbeat
-    def heartbeat_ping(self, session_id: str) -> Timeout:
-        """Ping one client: the timer of its TCP reply, carrying the session
-        id as its value.  What the client said is read when the timer
-        fires, by :meth:`heartbeat_answered` — a ping is one heap entry,
-        not a process."""
-        return Timeout(self.cloud.env,
-                       self.cloud.profile.tcp_reply.sample(self._tcp, 0.0),
-                       session_id)
+    def heartbeat_reply_delay(self, session_id: str) -> float:
+        """Ping one client: how long its TCP reply takes.  What the client
+        said is read at that instant, by :meth:`heartbeat_answered`."""
+        return self.cloud.profile.tcp_reply.sample(self._tcp, 0.0)
 
     def heartbeat_answered(self, session_id: str) -> bool:
         """At reply time: True when the client answered the ping."""

@@ -10,6 +10,7 @@ from .kernel import (
     ReentrantRunError,
     SimulationError,
     Timeout,
+    TimerTrain,
     gather,
 )
 from .resources import Resource, Store, TokenBucketLimiter
@@ -25,6 +26,7 @@ __all__ = [
     "ReentrantRunError",
     "SimulationError",
     "Timeout",
+    "TimerTrain",
     "gather",
     "Resource",
     "Store",

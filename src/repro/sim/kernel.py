@@ -22,7 +22,8 @@ being the order of scheduling.  The scheduler keeps that order in two lanes:
 
 * the *wakeup lane*, a FIFO of every URGENT event (``succeed``/``fail``,
   process start and termination, ``interrupt``);
-* the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s only.
+* the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s and
+  ``TimerTrain``s.
 
 ``step()`` drains the wakeup lane before it touches the heap.  That is the
 one-heap order because URGENT events are only ever scheduled with delay 0 and
@@ -31,6 +32,13 @@ So every pending wakeup is at ``now``, ahead of every NORMAL event of the same
 instant by priority and of every later one by time, and among themselves
 wakeups are ordered by eid, i.e. first in, first out.  ``peek()`` is ``now``
 while the lane is non-empty.
+
+A :class:`TimerTrain` is N timers behind one heap entry with N reserved eids,
+filed at its next element's ``(time, eid)``, so its elements take the places
+N ``Timeout``s would.  ``step()`` fires one element.  ``run()`` lets the train
+fire the following ones inline, without a heap round trip, only while the
+one-heap order would pick them anyway: the wakeup lane is empty, the element
+is ahead of the heap top, and it is not past ``run``'s ``until``.
 
 **Interrupt rule.**  ``Process.interrupt()`` only schedules a wakeup.  The
 process leaves the event it waits on when that wakeup is *delivered* (SimPy's
@@ -65,6 +73,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "TimerTrain",
     "Process",
     "Interrupt",
     "AnyOf",
@@ -198,6 +207,74 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         heappush(env._queue, (env._now + delay, next(env._eid), self))
+
+
+class TimerTrain:
+    """``len(delays)`` timers behind one heap entry.  Element *i* calls
+    ``callback(values[i])`` at ``now + delays[i]``, in the ``(time, eid)``
+    order as many :class:`Timeout` objects created here in a row would
+    fire in: their eids are reserved, so ties with other timeouts break the
+    same way.  The heap holds the train at its next element's ``(time,
+    eid)``; ``step()`` fires that one element, and under ``run()`` the train
+    goes on firing elements inline while the wakeup lane is empty, the next
+    element is ahead of the heap top and ``run``'s bound is not passed (the
+    module's ordering contract).  It is no event: nothing waits on a train,
+    its callback signals whoever does.
+    """
+
+    __slots__ = ("env", "callbacks", "_times", "_values", "_order", "_next",
+                 "_base", "_callback")
+    _ok = True  # what step() asks of anything it fires
+
+    def __init__(self, env: "Environment", delays: Iterable[float],
+                 values: list, callback: Callable[[Any], None]) -> None:
+        now = env._now
+        self._times = times = [now + delay for delay in delays]
+        if len(times) != len(values):
+            raise SimulationError("a timer train needs one value per delay")
+        if times and min(times) < now:
+            raise SimulationError(f"negative delay {min(times) - now!r}")
+        self.env = env
+        self._values = values
+        self._callback = callback
+        # A stable sort: equal times keep creation order, i.e. eid order.
+        self._order = sorted(range(len(times)), key=times.__getitem__)
+        self._next = 0
+        self._base = base = next(env._eid)
+        env._eid = itertools.count(base + len(times))
+        if times:
+            self._schedule()
+
+    def _schedule(self) -> None:
+        i = self._order[self._next]
+        self.callbacks = [self._fire]
+        heappush(self.env._queue, (self._times[i], self._base + i, self))
+
+    def _fire(self, _train: "TimerTrain") -> None:
+        env = self.env
+        urgent, queue, horizon = env._urgent, env._queue, env._horizon
+        times, values, order, base = self._times, self._values, self._order, self._base
+        callback, k, n = self._callback, self._next, len(order)
+        try:
+            while True:
+                i = order[k]
+                k += 1
+                env._now = times[i]
+                callback(values[i])
+                if k == n or urgent:
+                    return
+                i = order[k]
+                when = times[i]
+                if when > horizon:
+                    return
+                if queue:
+                    top = queue[0]
+                    if when > top[0] or (when == top[0] and base + i > top[1]):
+                        return
+        finally:  # also when a callback raised: the rest stay scheduled
+            if k < n:
+                self._next = k
+                self._schedule()
 
 
 class Initialize(Event):
@@ -403,9 +480,12 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._urgent: deque[Event] = deque()  # wakeup lane, all at ``now``
-        self._queue: list[tuple[float, int, Timeout]] = []  # timeout heap
+        self._queue: list[tuple[float, int, Any]] = []  # Timeouts and TimerTrains
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
+        #: ``run()``'s time bound while it runs: how far a timer train may
+        #: fire inline.  Outside ``run()`` a bare ``step()`` fires one element.
+        self._horizon = -_INF
 
     # -- clock --------------------------------------------------------------
     @property
@@ -478,22 +558,26 @@ class Environment:
                 )
 
         urgent, queue, step = self._urgent, self._queue, self.step
-        while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            if not urgent:
-                if not queue:
-                    if stop_event is not None:
-                        raise SimulationError(
-                            "simulation ran dry before the awaited event triggered"
-                        )
-                    if stop_time != _INF:
-                        # Idle until the requested time: the clock still advances.
+        outer, self._horizon = self._horizon, stop_time
+        try:
+            while True:
+                if stop_event is not None and stop_event.callbacks is None:
+                    if not stop_event._ok:
+                        raise stop_event._value
+                    return stop_event._value
+                if not urgent:
+                    if not queue:
+                        if stop_event is not None:
+                            raise SimulationError(
+                                "simulation ran dry before the awaited event triggered"
+                            )
+                        if stop_time != _INF:
+                            # Idle until the requested time: the clock still advances.
+                            self._now = stop_time
+                        return None
+                    if queue[0][0] > stop_time:
                         self._now = stop_time
-                    return None
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-            step()
+                        return None
+                step()
+        finally:
+            self._horizon = outer

@@ -5,7 +5,7 @@ its own process, and the read core pays only for what the read uses.  The
 numbers below are what the tree costs today on the paper's default
 deployment (one session, S3 user store, client cache off), counted in
 ``Environment.step`` entries — kernel events — and in memory blocks, and
-what one heartbeat sweep visits, in session keys.  A PR that makes an
+what one heartbeat sweep visits, in session keys and kernel events.  A PR that makes an
 operation cheaper lowers them here; nothing may raise them.
 """
 
@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+from repro.cloud.sanitize import SanitizerError
 from repro.faaskeeper.layout import SYSTEM_SESSIONS
 
 from ..helpers.footprint import bytes_and_blocks_per
@@ -54,6 +55,12 @@ READ_BLOCKS = 6.1
 #: the session table: its own slice (crc32 spreads ~N/8 +- a few percent).
 #: (Was 8.0: every sweep walked the whole table to pick its slice out.)
 SWEEP_SLICE_SHARE = 1.15
+#: Kernel events of one heartbeat sweep over idle sessions at one shard,
+#: whatever their number: the invocation's start, sandbox overhead and base
+#: compute, the scan's round trip, the replies (one timer train, its elements
+#: fired inline: one step), the last reply's wakeup and the completion.
+#: (Was 2 006 at 2 000 sessions: a reply timer per session.)
+SWEEP_EVENTS = 7
 #: Traced bytes a warm ``set_data`` leaves allocated once its pipeline is
 #: quiet: the packed timing samples its invocations record, ~9 doubles
 #: (~92 B on the default deployment, ~109 B with the distributor, with
@@ -247,6 +254,33 @@ def test_a_sweep_visits_only_its_slice(monkeypatch):
           f"{sessions} (its slice: {len(index[shard])})")
     assert visited == len(index[shard]) == report["checked"]
     assert visited <= SWEEP_SLICE_SHARE * sessions / shards
+
+
+def test_a_sweep_is_this_many_kernel_events_at_any_size():
+    for sessions in (200, 2000):
+        cloud, service = make_service(seed=7, user_store="mem")
+        service.connect_many(sessions)
+        sweep = service.heartbeat_fns[0]
+        cloud.env.__class__ = StepCounting
+        report = cloud.run_process(sweep.run(None))
+        print(f"a sweep over {sessions} idle sessions: {cloud.env.steps} kernel events")
+        assert report == {"checked": sessions, "evicted": 0}
+        assert cloud.env.steps == SWEEP_EVENTS
+
+
+def test_a_sweep_scan_reads_through_the_sanitizer(monkeypatch):
+    """The scan's tight loop still reads each session through ``Table._get``
+    under ``FK_SANITIZE=1``: a session image mutated in place after
+    ``_store`` trips the next sweep."""
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    cloud, service = make_service(seed=7, user_store="mem")
+    clients = service.connect_many(20)
+    sweep = service.heartbeat_fns[0]
+    assert cloud.run_process(sweep.run(None))["checked"] == 20
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    table.raw(clients[7].session_id)["last_rid"] = 99  # breaks the image discipline
+    with pytest.raises(SanitizerError, match="mutated in place"):
+        cloud.run_process(sweep.run(None))
 
 
 def test_a_completed_read_keeps_this_many_blocks():

@@ -184,29 +184,31 @@ def test_heartbeat_results_keyed_by_session_id_not_reply_order(cloud, service):
     """Regression: results were once built as ``dict(zip(to_check,
     done.values()))``, relying on replies arriving in ping-list order — a
     slow-but-alive session then inherited the dead session's result and was
-    evicted in its place.  A ping is now one reply timer carrying its
-    session id; ``service.heartbeat_ping`` is the per-ping hook, so a late
-    reply is just a later timer."""
+    evicted in its place.  A sweep's replies are one timer train whose
+    elements carry their session ids; ``service.heartbeat_reply_delay`` is
+    the per-session hook, so a late reply is just a later element."""
     slow = service.connect()   # alive, but slow to answer
     dead = service.connect()   # never answers
     slow.create("/slow", ephemeral=True)
     dead.create("/dead", ephemeral=True)
     dead.alive = False
 
-    real_ping = service.heartbeat_ping
+    real_delay, real_answered = service.heartbeat_reply_delay, service.heartbeat_answered
     order = []
 
-    def skewed_ping(session_id):
-        reply = real_ping(session_id)
-        if session_id == slow.session_id:
-            reply = cloud.env.timeout(50.0, session_id)  # answers, 50 ms late
-        reply.callbacks.append(lambda r: order.append(r.value))
-        return reply
+    def skewed_delay(session_id):
+        delay = real_delay(session_id)
+        return 50.0 if session_id == slow.session_id else delay  # 50 ms late
 
-    service.heartbeat_ping = skewed_ping
+    def recording_answered(session_id):
+        order.append(session_id)
+        return real_answered(session_id)
+
+    service.heartbeat_reply_delay = skewed_delay
+    service.heartbeat_answered = recording_answered
     cloud.run(until=cloud.now + 3 * 60_000)
 
-    # replies came back out of ping order, and no ping ran as a process
+    # replies were read out of ping order (slow was pinged first)
     assert order[:2] == [dead.session_id, slow.session_id]
     sessions = service.system_store.table("fk-system-sessions")
     assert sessions.raw(slow.session_id) is not None  # alive: never evicted
@@ -216,8 +218,9 @@ def test_heartbeat_results_keyed_by_session_id_not_reply_order(cloud, service):
 
 
 def test_sweep_pings_with_timers_not_processes(cloud, service):
-    """A sweep arms one timeout per session: no ``ping:*`` process, and the
-    SUSPENDED transition happens at reply time, not at ping time."""
+    """A sweep arms one timer train for all its sessions: no ``ping:*``
+    process, and the SUSPENDED transition happens at reply time, not at
+    ping time."""
     import repro.sim.kernel as kernel
 
     clients = service.connect_many(6)
@@ -241,6 +244,33 @@ def test_sweep_pings_with_timers_not_processes(cloud, service):
     assert not [name for name in spawned if name and name.startswith("ping")]
     assert len([name for name in spawned if name]) <= 3  # sweep + eviction
     assert states[0][1].name == "SUSPENDED" and states[0][0] > t0
+
+
+def test_each_reply_is_read_at_its_own_instant_not_at_the_sweep_end(cloud, service):
+    """A sweep reads each session's reply at that session's reply instant.
+    Reading every reply when the sweep's last one lands would evict
+    ``early``, which answered and only then went silent, and would mark
+    ``silent`` SUSPENDED at the sweep's end instead of at its reply."""
+    early, silent, last = service.connect_many(3)
+    env = cloud.env
+    delays = {early.session_id: 10.0, silent.session_id: 30.0, last.session_id: 50.0}
+    pinged = []
+
+    def delay(session_id):
+        if not pinged:  # the sweep pings: silence both before the last reply
+            pinged.append(env.now)
+            env.timeout(5.0).callbacks.append(lambda _: setattr(silent, "alive", False))
+            env.timeout(20.0).callbacks.append(lambda _: setattr(early, "alive", False))
+        return delays[session_id]
+
+    states = []
+    silent.add_listener(lambda state: states.append((env.now, state.name)))
+    service.heartbeat_reply_delay = delay
+    report = cloud.run_process(service.heartbeat_fns[0].run(None))
+    assert report == {"checked": 3, "evicted": 1}
+    assert states[0] == (pinged[0] + 30.0, "SUSPENDED")
+    cloud.run(until=cloud.now + 1_000)
+    assert silent.closed and not early.closed and not last.closed
 
 
 def test_two_sessions_are_isolated_queues(service):
