@@ -7,12 +7,15 @@ pipeline.  This bench partitions the znode tree over N leader shards
 write throughput for shards in {1, 2, 4, 8} under a multi-subtree workload
 (one client per top-level subtree, pipelined async writes).
 
-A sharded leader also coalesces superseded user-store writes inside one
-delivery batch, so every sharded point measures sharding and coalescing
-together.  Shape checks: shards=1 reproduces the single-leader
-(default-config) result exactly, and throughput scales with the shard
-count — shards=2 and shards=4 must beat shards=1 strictly (the acceptance
-gate), with 8 shards at or above 90 % of 4.
+Every shard replicates each committed image, exactly like the single
+leader, so the inline column measures sharding alone.  A second column
+runs the same shard counts with the distributor stage and
+``ack_policy="on_commit"``, the pipeline that coalesces superseded writes.
+Shape checks: shards=1 reproduces the single-leader (default-config)
+result exactly, and throughput scales with the shard count — shards=2 and
+shards=4 must beat shards=1 strictly (the acceptance gate), with 8 shards
+at or above 90 % of 4; the distributor column is at least the inline one
+at every shard count.
 
 ``FK_BENCH_SMOKE=1`` shrinks the workload for CI smoke runs.
 """
@@ -50,43 +53,52 @@ def _run_workload(service: FaaSKeeperService, cloud: Cloud) -> float:
     return acked / max(elapsed_s, 1e-9)
 
 
-def _deploy(num_shards=None):
+def _deploy(num_shards=None, **knobs):
     cloud = Cloud.aws(seed=SEED)
     config = (FaaSKeeperConfig() if num_shards is None
-              else FaaSKeeperConfig(leader_shards=num_shards))
+              else FaaSKeeperConfig(leader_shards=num_shards, **knobs))
     return cloud, FaaSKeeperService.deploy(cloud, config)
 
 
 def run():
-    throughput = {}
+    throughput, distributed = {}, {}
     for shards in SHARDS:
         cloud, service = _deploy(shards)
         throughput[shards] = _run_workload(service, cloud)
+        cloud, service = _deploy(shards, distributor_enabled=True,
+                                 ack_policy="on_commit")
+        distributed[shards] = _run_workload(service, cloud)
     # Single-leader baseline: the default configuration, untouched by the
     # sharding knob — shards=1 must reproduce it bit-for-bit.
     cloud, service = _deploy(None)
     baseline = _run_workload(service, cloud)
     rows = [[s, f"{throughput[s]:.1f}",
-             f"{throughput[s] / throughput[1]:.2f}x"]
+             f"{throughput[s] / throughput[1]:.2f}x",
+             f"{distributed[s]:.1f}"]
             for s in SHARDS]
     rows.append(["1 (paper cfg)", f"{baseline:.1f}",
-                 f"{baseline / throughput[1]:.2f}x"])
+                 f"{baseline / throughput[1]:.2f}x", "-"])
     print()
     print(render_table(
-        ["leader shards", "writes/s", "vs single leader"],
+        ["leader shards", "writes/s", "vs single leader",
+         "distributor + on_commit writes/s"],
         rows, title="Sharded leader pipeline: write throughput"))
-    return throughput, baseline
+    return throughput, baseline, distributed
 
 
 def test_sharded_write_throughput(benchmark):
-    throughput, baseline = benchmark.pedantic(run, rounds=1, iterations=1)
-    # shards=1 is the paper's single-leader pipeline, unchanged (a single
-    # leader never coalesces, so it equals the paper config).
+    throughput, baseline, distributed = benchmark.pedantic(
+        run, rounds=1, iterations=1)
+    # shards=1 is the paper's single-leader pipeline, unchanged.
     assert throughput[1] == baseline
     # Sharding must buy real write throughput (the acceptance gate).
     assert throughput[2] > throughput[1]
     assert throughput[4] > throughput[1]
     assert throughput[8] >= throughput[4] * 0.9  # allow plateau, not regression
+    # Coalescing lives in the distributor stage: at every shard count that
+    # pipeline keeps at least the inline leader's throughput.
+    for shards in SHARDS:
+        assert distributed[shards] >= throughput[shards], shards
 
 
 if __name__ == "__main__":

@@ -180,7 +180,7 @@ class Attr:
 
     Examples::
 
-        Attr("lock").not_exists() | (Attr("lock.timestamp") < now - limit)
+        Attr("lock.ts").not_exists() | (Attr("lock.ts") <= now - limit)
         Attr("version") == expected
     """
 

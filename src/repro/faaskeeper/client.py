@@ -24,8 +24,7 @@ ZooKeeper server would do for the session, by one rule each:
   issued*, each of them, in request order.  It never waits for a write
   issued after it, and it never infers one write's response from
   another's: the service may answer out of request order (a rejection
-  overtakes an earlier write's acknowledgement; a coalesced write's is
-  deferred behind the write that superseded it);
+  overtakes an earlier write's acknowledgement);
 * **visibility** — where an acknowledgement can precede replication, the
   read also waits until its region's watermark covers the acked writes
   issued before it;

@@ -38,9 +38,9 @@ class FaaSKeeperConfig:
     session_plane_shards: int = 1
     #: Number of leader shards: the znode tree is partitioned by top-level
     #: path component, with one FIFO queue + leader function per shard.
-    #: 1 reproduces the paper's single-leader pipeline (Algorithm 2) exactly;
-    #: above 1 the leader also coalesces superseded user-store writes inside
-    #: one delivery batch (``LeaderLogic._coalesce_plan``).
+    #: 1 reproduces the paper's single-leader pipeline (Algorithm 2) exactly,
+    #: and every shard count replicates each committed image (superseded
+    #: writes are coalesced only by the distributor stage).
     leader_shards: int = 1
     #: Asynchronous distributor stage: after commit verification the leader
     #: appends a distribution record to per-region FIFO distributor queues

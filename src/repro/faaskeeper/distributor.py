@@ -16,12 +16,12 @@ distributor queue **per region** and — under ``ack_policy="on_commit"`` —
 acknowledges the client immediately.  Each region's distributor function
 drains its queue in batches and
 
-* **coalesces superseded writes across leader batches** — the regional
-  queue aggregates records from every leader shard, so last-writer-wins
-  coalescing (generalizing the leader's in-batch ``_coalesce_plan``) now
-  spans commits that were acknowledged in different leader invocations;
-  a per-path landed-txid memory additionally skips redelivered or
-  cross-batch-stale images;
+* **coalesces superseded writes** — the only stage that does: the
+  regional queue aggregates records from every leader shard, so
+  last-writer-wins coalescing spans commits that were acknowledged in
+  different leader invocations (the inline leader, sharded or not,
+  writes every committed image); a per-path landed-txid memory
+  additionally skips redelivered or cross-batch-stale images;
 * **pipelines independent-path writes** — one process per path applies
   that path's surviving writes in commit order while different paths
   proceed in parallel;
@@ -270,9 +270,9 @@ class DistributorLogic:
         self.region = region
         self.primary = primary
         self._epoch_loaded = False
-        #: path -> newest txid whose write landed in this region; the
-        #: cross-batch generalization of the leader's in-batch coalescing
-        #: (also makes redeliveries idempotent).
+        #: path -> newest txid whose write landed in this region: skips
+        #: images superseded across batches and makes redeliveries
+        #: idempotent.
         self._last_written: Dict[str, int] = {}
         self._batches = service.metrics.counter(
             "fk_distributor_batches_total",

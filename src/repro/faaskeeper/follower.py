@@ -28,13 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.expressions import (
-    Attr,
-    ListAppend,
-    ListRemove,
-    Remove,
-    Set,
-)
+from ..cloud.expressions import ListAppend, ListRemove, Set, UpdateAction
 from ..cloud.errors import ConditionFailed
 from ..primitives.locks import LockHandle
 from .exceptions import BadArgumentsError
@@ -50,7 +44,8 @@ from .model import (
     parent_path,
 )
 
-__all__ = ["FollowerLogic", "merge_multi_commit", "multi_replication_plan"]
+__all__ = ["FollowerLogic", "commit_updates", "merge_multi_commit",
+           "multi_replication_plan"]
 
 #: Lock-acquisition retry policy for contended nodes.
 LOCK_RETRIES = 60
@@ -92,7 +87,8 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
     leaves ``prev_version`` None — the parent's child-list guard covers it).
 
     Shared by the follower (commit ➃) and the leader (TryCommit on behalf
-    of a dead follower), so both sides apply the identical transaction.
+    of a dead follower): :func:`commit_updates` turns each record into the
+    identical transaction on both sides.
     """
     merged: Dict[str, Dict[str, Any]] = {}
     order: List[str] = []
@@ -128,6 +124,21 @@ def merge_multi_commit(subs: List[Dict[str, Any]]):
                 # cversion, which no storage item carries yet.
                 prec["parent_prev_cversion"] = sub["parent_prev_cversion"]
     return order, merged
+
+
+def commit_updates(rec: Dict[str, Any], txid: int) -> List[UpdateAction]:
+    """The storage updates that commit one :func:`merge_multi_commit`
+    record under ``txid``: its merged attribute sets, the txid stamps of a
+    node write, and the txid appended to the path's pending list.  The
+    guards (and the follower's unlock) stay with each caller."""
+    updates: List[UpdateAction] = [Set(k, v) for k, v in rec["sets"].items()]
+    if rec["node"]:
+        updates.append(Set("modified_tx", txid))
+        if rec["created"]:
+            updates.append(Set("created_tx", txid))
+    if rec["node"] or rec["sets"]:
+        updates.append(ListAppend("transactions", [txid]))
+    return updates
 
 
 def multi_replication_plan(subs: List[Dict[str, Any]]
@@ -359,12 +370,13 @@ class FollowerLogic:
         session_ops = [(SYSTEM_SESSIONS, key, updates, None)
                        for key, updates in session_updates.items()]
 
+        lock = self.service.node_lock
         # A guard-only envelope (checks alone) never reaches the leader:
         # nothing replicates, so verify under the locks, move the dedup
         # watermark and answer directly from the follower.
         if not commit_paths:
-            ops_list = [(SYSTEM_NODES, path, [Remove("lock")],
-                         Attr("lock.ts") == handle.timestamp)
+            ops_list = [(SYSTEM_NODES, path, [lock.UNLOCK],
+                         lock.held_by(handle.timestamp))
                         for path, handle in handles.items()]
             try:
                 yield from self.service.system_store.transact_update(
@@ -407,23 +419,14 @@ class FollowerLogic:
         # ➃ ONE atomic commit + unlock: every touched path plus the session
         # records, all conditioned on the lock leases (envelope-wide Z1)
         t0 = env.now
-        ops_list = []
-        for path in order:
-            rec = merged[path]
-            updates = [Set(k, v) for k, v in rec["sets"].items()]
-            if rec["node"]:
-                updates.append(Set("modified_tx", txid))
-                if rec["created"]:
-                    updates.append(Set("created_tx", txid))
-            if path in commit_paths:
-                updates.append(ListAppend("transactions", [txid]))
-            updates.append(Remove("lock"))
-            ops_list.append((SYSTEM_NODES, path, updates,
-                             Attr("lock.ts") == handles[path].timestamp))
+        ops_list = [(SYSTEM_NODES, path,
+                     commit_updates(merged[path], txid) + [lock.UNLOCK],
+                     lock.held_by(handles[path].timestamp))
+                    for path in order]
         for path, handle in handles.items():
             if path not in merged:  # e.g. a sequence create's prefix lock
-                ops_list.append((SYSTEM_NODES, path, [Remove("lock")],
-                                 Attr("lock.ts") == handle.timestamp))
+                ops_list.append((SYSTEM_NODES, path, [lock.UNLOCK],
+                                 lock.held_by(handle.timestamp)))
         try:
             yield from self.service.system_store.transact_update(
                 fctx.ctx, ops_list + session_ops)

@@ -24,7 +24,6 @@ from typing import Any, Dict, Generator
 
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr
-from .follower import LOCK_MAX_HOLD_MS
 from .layout import SYSTEM_NODES, SYSTEM_SESSIONS, SYSTEM_WATCHES
 
 __all__ = ["GarbageCollectorLogic", "GC_PERIOD_MS", "HEARTBEAT_PERIOD_MS"]
@@ -59,15 +58,14 @@ class GarbageCollectorLogic:
     # ------------------------------------------------------------ nodes
     def _sweep_nodes(self, fctx) -> Generator:
         store = self.service.system_store
+        lock = self.service.node_lock
         now = fctx.env.now
         # The scan is billed like the heartbeat's session scan.
         items = yield from store.scan(fctx.ctx, SYSTEM_NODES)
         for key, item in items.items():
             if key == "/":
                 continue
-            lock_ts = (item.get("lock") or {}).get("ts")
-            lock_expired = lock_ts is None or now - lock_ts >= LOCK_MAX_HOLD_MS
-            if not lock_expired:
+            if lock.live(item, now):
                 continue
             is_tombstone = item.get("exists") is False and not item.get("transactions")
             is_phantom = "exists" not in item and not item.get("transactions")
@@ -76,8 +74,7 @@ class GarbageCollectorLogic:
             if not (is_tombstone or is_phantom):
                 continue
             # Guarded delete: only while still tombstone/phantom and unlocked.
-            guard = (Attr("lock.ts").not_exists()
-                     | (Attr("lock.ts") <= now - LOCK_MAX_HOLD_MS))
+            guard = lock.free(now)
             if is_tombstone:
                 guard = guard & (Attr("exists") == False)  # noqa: E712
             else:

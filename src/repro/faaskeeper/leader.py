@@ -34,12 +34,10 @@ the paper's single-leader Algorithm 2 unchanged):
 * **parent replication gate** — the root is the parent of every top-level
   node and is therefore written by several shards; before replicating a
   parent image the leader waits until its txid reaches the head of the
-  parent's pending-transaction list, giving a per-path total order;
-* **write coalescing** — inside one delivery batch (bounded by the SQS
-  ``fifo_batch_limit`` calibration) a user-store write superseded by a
-  later write to the same path is skipped; the corresponding client
-  notifications are held back until the superseding write has landed, so
-  acknowledged data is always readable.
+  parent's pending-transaction list, giving a per-path total order.
+
+Every shard replicates every committed image, exactly like the single
+leader; superseded writes are coalesced only by the distributor stage.
 
 With ``distributor_enabled`` the leader stops after ➊–➋ (plus the fence
 and pending-list gates): steps ➌–➍ move into the per-region distributor
@@ -52,13 +50,13 @@ leader's critical path).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.errors import ConditionFailed
-from ..cloud.expressions import Attr, ListAppend, ListRemove, Set
+from ..cloud.expressions import Attr, ListRemove, Set
 from ..sim.kernel import AllOf, gather
 from .distributor import write_user_image
-from .follower import LOCK_MAX_HOLD_MS, merge_multi_commit
+from .follower import commit_updates, merge_multi_commit
 from .layout import SYSTEM_NODES
 from .model import Response
 
@@ -79,9 +77,6 @@ class LeaderLogic:
         # cached by the shared ledger and hydrated lazily after cold starts.
         self._epoch_loaded = False
         self._pending_callbacks: List = []
-        # Per-invocation coalescing state (reset in handler()).
-        self._deferred: List[Tuple[str, Dict[str, Any], Any]] = []
-        self._skipped_images: Dict[str, Tuple[Optional[Dict[str, Any]], int, str, bool]] = {}
 
     def cold_restart(self) -> None:
         """Drop every piece of warm-sandbox state (the chaos harness calls
@@ -89,8 +84,6 @@ class LeaderLogic:
         storage on the next invocation, exactly like a real cold start."""
         self._epoch_loaded = False
         self._pending_callbacks = []
-        self._deferred = []
-        self._skipped_images = {}
 
     # ------------------------------------------------------------ epoch
     @property
@@ -127,135 +120,21 @@ class LeaderLogic:
     def _pass_fence(self, msg: Dict[str, Any]) -> None:
         # Fences advance as soon as the message's processing is decided —
         # never deferred, or two shard leaders holding back fences for each
-        # other's batches would deadlock.  A coalesced (skipped) write is
-        # not yet readable when its fence passes; its client *notification*
-        # is what gets deferred until the superseding write lands, and the
-        # client library refuses to start a read before all earlier write
-        # responses arrived, preserving read-your-writes.
+        # other's batches would deadlock.
         board = self.service.fence_board
         fence = msg.get("fence")
         if board is None or fence is None:
             return
         board.advance(msg["session"], fence)
 
-    # ------------------------------------------------------------ coalescing
-    @staticmethod
-    def _write_entries(msg: Dict[str, Any]) -> List[Tuple[str, bool]]:
-        """``(path, is_meta_only)`` pairs a message writes to the user
-        store: one entry per touched path, so a message both supersedes
-        earlier pending writes to the same paths and can itself be
-        superseded by later ones."""
-        return [(path, is_parent)
-                for path, _image, is_parent, _op in msg["replication_plan"]]
-
-    def _coalesce_plan(self, batch: List[Dict[str, Any]]
-                       ) -> Dict[int, FrozenSet[str]]:
-        """Last-writer-wins write coalescing inside one delivery batch.
-
-        Returns ``{message index: paths whose user-store write is skipped}``.
-        A node-image write is superseded by a later node-image write to the
-        same path (the staged images are produced under the node lock, so a
-        later batch position implies a later commit); a parent metadata
-        update is superseded by any later write to the parent's path.
-        Only a sharded deployment coalesces: the paper's single leader
-        keeps one user-store write per request, as calibrated.
-        """
-        if self.service.config.leader_shards == 1 or len(batch) < 2:
-            return {}
-        entries = [self._write_entries(msg) for msg in batch]
-        last_image: Dict[str, int] = {}
-        last_meta: Dict[str, int] = {}
-        for i, msg_entries in enumerate(entries):
-            for path, is_meta in msg_entries:
-                (last_meta if is_meta else last_image)[path] = i
-        plan: Dict[int, FrozenSet[str]] = {}
-        for i, msg_entries in enumerate(entries):
-            skip = set()
-            for path, is_meta in msg_entries:
-                if not is_meta and last_image[path] > i:
-                    skip.add(path)
-                if is_meta and max(last_image.get(path, -1),
-                                   last_meta[path]) > i:
-                    skip.add(path)
-            if skip:
-                plan[i] = frozenset(skip)
-        return plan
-
-    def _queue_success(self, fctx, msg: Dict[str, Any], txid: int,
-                       defer: bool) -> Generator:
-        if defer:
-            self._deferred.append(("ok", msg, txid))
-            return None
-        yield from self._notify_success(fctx, msg, txid)
-        return None
-
-    def _queue_failure(self, fctx, msg: Dict[str, Any], error: str,
-                       defer: bool) -> Generator:
-        if defer:
-            self._deferred.append(("fail", msg, error))
-            return None
-        yield from self._notify_failure(msg, error)
-        return None
-
-    def _flush_superseded(self, fctx, paths: List[str]) -> Generator:
-        """A message whose writes would have superseded earlier skipped ones
-        was rejected: replay the newest skipped image for those paths so
-        every acknowledged write is user-visible."""
-        work = []
-        for path in paths:
-            entry = self._skipped_images.pop(path, None)
-            if entry is None:
-                continue
-            image, image_txid, op, is_parent = entry
-            for region in self.service.config.regions:
-                work.append(self._replay(fctx, region, path, image,
-                                         image_txid, op, is_parent))
-        yield from gather(fctx.env, work)
-        return None
-
-    def _replay(self, fctx, region: str, path: str,
-                image: Optional[Dict[str, Any]], image_txid: int,
-                op: str, is_parent: bool) -> Generator:
-        if is_parent and image is not None and not image.get("deleted"):
-            # A cross-shard writer (the root is a shared parent) may have
-            # replicated a newer parent image since this one was skipped;
-            # never clobber it with stale metadata.
-            existing = yield from self.service.user_store.read_node(
-                fctx.ctx, region, path)
-            if existing is not None and \
-                    existing.get("cversion", 0) >= image.get("cversion", 0):
-                return None
-        yield from self._replicate(fctx, region, path, image,
-                                   self.epoch_snapshot(region),
-                                   image_txid, op, is_parent)
-        return None
-
     # ------------------------------------------------------------ handler
     def handler(self, fctx, batch: List[Dict[str, Any]]) -> Generator:
         fctx.crash_point("leader_entry")
         yield from self._load_epoch(fctx)
         self._pending_callbacks = []
-        self._deferred = []
-        self._skipped_images = {}
-        # With the distributor stage the leader never writes the user store,
-        # so in-batch coalescing (and its notification deferral) moves
-        # downstream, where it generalizes across leader batches.
-        plan = ({} if self.distribution is not None
-                else self._coalesce_plan(batch))
-        for i, msg in enumerate(batch):
-            yield from self.process(fctx, msg,
-                                    skip_paths=plan.get(i, frozenset()))
+        for msg in batch:
+            yield from self.process(fctx, msg)
             fctx.crash_point("leader_mid_batch")
-        # Flush completions of coalesced messages: every superseding write
-        # of this batch has landed by now, so an acknowledged write is
-        # always readable.
-        for kind, msg, payload in self._deferred:
-            if kind == "ok":
-                yield from self._notify_success(fctx, msg, payload)
-            else:
-                yield from self._notify_failure(msg, payload)
-        self._deferred = []
-        self._skipped_images = {}
         # Every txid of the batch is logged or burned: wake the consumers.
         if self.service.snapshots is not None:
             yield from self.service.snapshots.logged(
@@ -267,8 +146,7 @@ class LeaderLogic:
         self._pending_callbacks = []
         return None
 
-    def process(self, fctx, msg: Dict[str, Any],
-                skip_paths: FrozenSet[str] = frozenset()) -> Generator:
+    def process(self, fctx, msg: Dict[str, Any]) -> Generator:
         """Algorithm 2 for one committed envelope: verify the txid once,
         gate every touched path, replicate per-path final images, fire
         watches exactly once per instance with the txid, answer with one
@@ -280,10 +158,6 @@ class LeaderLogic:
         sys_store = self.service.system_store
 
         yield from self._wait_fence(msg)
-        # A message whose write is skipped (superseded within this batch)
-        # must not be acknowledged before the superseding write lands: its
-        # notification is emitted at batch end instead.
-        defer = bool(skip_paths)
         # Per-path final user-store actions, computed by the follower.
         affected = msg["replication_plan"]
         commit_paths = msg["commit_paths"]
@@ -295,13 +169,8 @@ class LeaderLogic:
         fctx.record("get_node", env.now - t0)
         node = node or {}
         if node.get("applied_tx", 0) >= txid:
-            # Redelivered after a partial batch: already replicated (or
-            # skipped — re-record skipped images so a later rejection in
-            # this batch can still replay them).
-            for path, image, is_parent, op in affected:
-                if path in skip_paths:
-                    self._skipped_images[path] = (image, txid, op, is_parent)
-            yield from self._queue_success(fctx, msg, txid, defer)
+            # Redelivered after a partial batch: already replicated.
+            yield from self._notify_success(fctx, msg, txid)
             self._pass_fence(msg)
             return None
         pending = node.get("transactions", [])
@@ -309,18 +178,15 @@ class LeaderLogic:
             committed = yield from self._try_commit(fctx, msg, txid, node)
             if not committed:
                 # The request was never committed and cannot be: reject (Z1
-                # intact).  Earlier writes it would have superseded must
-                # become visible after all.  Its txid never replicates nor
-                # gets a log record: burn it, so the visibility floor and
-                # the log floor can pass it.
+                # intact).  Its txid never replicates nor gets a log record:
+                # burn it, so the visibility floor and the log floor can
+                # pass it.
                 if self.distribution is not None:
                     self.distribution.visibility.burn(txid)
                 if self.service.snapshots is not None:
                     yield from self.service.snapshots.burn(
                         fctx, txid, self.shard)
-                yield from self._flush_superseded(
-                    fctx, [path for path, _image, _meta, _op in affected])
-                yield from self._queue_failure(fctx, msg, "system_failure", defer)
+                yield from self._notify_failure(msg, "system_failure")
                 self._pass_fence(msg)
                 return None
         elif pending[0] != txid:
@@ -375,17 +241,11 @@ class LeaderLogic:
         yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
         epochs = {region: self.epoch_snapshot(region)
                   for region in self.service.config.regions}
-        work = []
-        for path, image, is_parent, op in affected:
-            if path in skip_paths:
-                self._skipped_images[path] = (image, txid, op, is_parent)
-                continue
-            self._skipped_images.pop(path, None)
-            for region in self.service.config.regions:
-                work.append(self._replicate(fctx, region, path, image,
-                                            epochs[region], txid, op,
-                                            is_parent))
-        yield from gather(env, work)
+        yield from gather(env, [
+            write_user_image(self.service.user_store, fctx.ctx, region, path,
+                             image, epochs[region], txid, op, is_parent)
+            for path, image, is_parent, op in affected
+            for region in self.service.config.regions])
         fctx.record("update_user", env.now - t0)
 
         # ➍ watches: one query/consume per touched path; every instance
@@ -402,7 +262,7 @@ class LeaderLogic:
             self._pending_callbacks.append(cb)
 
         # ➎ notify (one response, per-op results) + pop the txid
-        yield from self._queue_success(fctx, msg, txid, defer)
+        yield from self._notify_success(fctx, msg, txid)
         yield from self._pop_paths(fctx, commit_paths, txid)
         self._pass_fence(msg)
         return None
@@ -432,7 +292,7 @@ class LeaderLogic:
         yield from self.distribution.publish(fctx, record)
         fctx.record("distribute", env.now - t0)
         if self.service.config.ack_policy == "on_commit":
-            yield from self._queue_success(fctx, msg, txid, defer=False)
+            yield from self._notify_success(fctx, msg, txid)
         else:
             # on_replicate keeps the paper's acknowledgement semantics —
             # the client hears back once every region holds the write —
@@ -523,13 +383,13 @@ class LeaderLogic:
         """
         env = fctx.env
         t0 = env.now
+        lock = self.service.node_lock
         order, merged = merge_multi_commit(msg["subs"])
         for path in order:
             item = node if path == msg["path"] else (
                 yield from self.service.system_store.get_item(
                     fctx.ctx, SYSTEM_NODES, path))
-            lock_ts = ((item or {}).get("lock") or {}).get("ts")
-            if lock_ts is not None and env.now - lock_ts < LOCK_MAX_HOLD_MS:
+            if lock.live(item, env.now):
                 fctx.record("try_commit", env.now - t0)
                 raise RetryBatch(f"lock live on {path} for txid {txid}")
         applied_before = Attr("applied_tx").not_exists() | (
@@ -537,8 +397,7 @@ class LeaderLogic:
         ops = []
         for path in order:
             rec = merged[path]
-            guard = Attr("lock.ts").not_exists() | (
-                Attr("lock.ts") <= env.now - LOCK_MAX_HOLD_MS)
+            guard = lock.free(env.now)
             if path == msg["path"]:
                 guard = guard & applied_before & (
                     ~Attr("transactions").contains(txid))
@@ -549,14 +408,7 @@ class LeaderLogic:
                 # by this same envelope (a concurrent child create bumps
                 # cversion, not version).
                 guard = guard & (Attr("cversion") == rec["parent_prev_cversion"])
-            updates = [Set(k, v) for k, v in rec["sets"].items()]
-            if rec["node"]:
-                updates.append(Set("modified_tx", txid))
-                if rec["created"]:
-                    updates.append(Set("created_tx", txid))
-            if rec["node"] or rec["sets"]:
-                updates.append(ListAppend("transactions", [txid]))
-            ops.append((SYSTEM_NODES, path, updates, guard))
+            ops.append((SYSTEM_NODES, path, commit_updates(rec, txid), guard))
         try:
             yield from self.service.system_store.transact_update(fctx.ctx, ops)
             fctx.record("try_commit", env.now - t0)
@@ -571,17 +423,9 @@ class LeaderLogic:
         if txid in fresh.get("transactions", []) or \
                 fresh.get("applied_tx", 0) >= txid:
             return True
-        if (fresh.get("lock") or {}).get("ts") is not None and \
-                env.now - fresh["lock"]["ts"] < LOCK_MAX_HOLD_MS:
+        if lock.live(fresh, env.now):
             raise RetryBatch(f"lock re-taken on {msg['path']}")
         return False
-
-    def _replicate(self, fctx, region: str, path: str,
-                   image: Optional[Dict[str, Any]], epoch: List[str],
-                   txid: int, op: str, is_parent: bool) -> Generator:
-        yield from write_user_image(self.service.user_store, fctx.ctx, region,
-                                    path, image, epoch, txid, op, is_parent)
-        return None
 
     def _notify_success(self, fctx, msg: Dict[str, Any], txid: int) -> Generator:
         env = fctx.env

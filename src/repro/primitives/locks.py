@@ -14,7 +14,12 @@ protocol, exactly as the paper specifies:
   with the data update into one atomic conditional write (the follower's
   step ➃ in Algorithm 1).
 
-Every operation is a single conditional write to a single item.
+Every operation is a single conditional write to a single item.  The
+lease rule itself — :meth:`TimedLock.free`, :meth:`TimedLock.held_by`,
+:attr:`TimedLock.UNLOCK` and :meth:`TimedLock.live` — is public, so callers
+that fuse several items into one storage transaction (the follower's
+commit, the leader's TryCommit, the GC's guarded delete) state it through
+the lock rather than by hand.
 """
 
 from __future__ import annotations
@@ -55,14 +60,26 @@ class TimedLock:
         self.table = table
         self.max_hold_ms = max_hold_ms
 
-    # ------------------------------------------------------------ protocol
-    def _free_condition(self, now: float) -> Condition:
+    #: The update that removes the lock (fused into a commit by callers).
+    UNLOCK = Remove(LOCK_ATTR)
+
+    # ------------------------------------------------------------ lease rule
+    def free(self, now: float) -> Condition:
+        """The item carries no lock, or only one expired at ``now``."""
         held = Attr(f"{LOCK_ATTR}.ts")
         return held.not_exists() | (held <= now - self.max_hold_ms)
 
-    def _held_by(self, timestamp: float) -> Condition:
+    def held_by(self, timestamp: float) -> Condition:
+        """The item's lock is still the one taken at ``timestamp``."""
         return Attr(f"{LOCK_ATTR}.ts") == timestamp
 
+    def live(self, item: Optional[Dict[str, Any]], now: float) -> bool:
+        """Whether ``item`` (an image read earlier) holds an unexpired lock:
+        the read-side twin of ``~free(now)``."""
+        ts = ((item or {}).get(LOCK_ATTR) or {}).get("ts")
+        return ts is not None and now - ts < self.max_hold_ms
+
+    # ------------------------------------------------------------ protocol
     def acquire(
         self, ctx: OpContext, key: str
     ) -> Generator[Any, Any, Optional[LockHandle]]:
@@ -78,7 +95,7 @@ class TimedLock:
                 self.table,
                 key,
                 updates=[Set(f"{LOCK_ATTR}.ts", now)],
-                condition=self._free_condition(now),
+                condition=self.free(now),
             )
         except ConditionFailed:
             return None
@@ -91,8 +108,8 @@ class TimedLock:
                 ctx,
                 self.table,
                 handle.key,
-                updates=[Remove(LOCK_ATTR)],
-                condition=self._held_by(handle.timestamp),
+                updates=[self.UNLOCK],
+                condition=self.held_by(handle.timestamp),
             )
         except ConditionFailed:
             return False
@@ -109,7 +126,7 @@ class TimedLock:
 
         Returns the new image, or ``None`` when the lease was lost.
         """
-        condition = self._held_by(handle.timestamp)
+        condition = self.held_by(handle.timestamp)
         if extra_condition is not None:
             condition = condition & extra_condition
         try:
@@ -132,8 +149,8 @@ class TimedLock:
         lease makes this a no-op returning ``None``, so a stalled function
         cannot clobber a newer holder's work.
         """
-        all_updates = list(updates) + [Remove(LOCK_ATTR)]
-        condition = self._held_by(handle.timestamp)
+        all_updates = list(updates) + [self.UNLOCK]
+        condition = self.held_by(handle.timestamp)
         if extra_condition is not None:
             condition = condition & extra_condition
         try:

@@ -101,9 +101,9 @@ def test_read_your_writes_through_cache_shards4():
 
 
 def test_read_your_writes_under_coalesced_writes():
-    """Sharded pipeline with coalescing on: a pipelined burst to one path
-    acknowledges superseded writes late; the cached entry must never serve
-    an acknowledged-but-superseded value."""
+    """Sharded pipeline: a pipelined burst to one path with a read issued
+    behind it; the cached entry must never serve an acknowledged-but-
+    superseded value."""
     cloud, service = cached_service(seed=308, leader_shards=4)
     c = service.connect()
     c.create("/hot", b"")

@@ -3,7 +3,8 @@
 Covers the partition map, shards=1 being behaviorally identical to the
 paper's single-leader deployment, per-session ordering across shards
 (session fences), cross-shard watch delivery with epoch accounting, root
-(cross-shard parent) metadata convergence, and write coalescing.
+(cross-shard parent) metadata convergence, and one user-store write per
+committed image.
 """
 
 import pytest
@@ -196,10 +197,10 @@ def test_per_session_order_across_shards():
     assert c.get_data(f"/{b}/x")[0] == b"v9"
 
 
-def test_per_session_completion_order_with_coalescing():
-    """With write coalescing, raw deliveries of superseded writes are held
-    to batch end, but the client still completes futures in request order
-    and an acknowledged write is never read stale."""
+def test_per_session_completion_order_with_pipelined_burst():
+    """A pipelined burst alternating between two shards completes its
+    futures in request order, and a read issued last sees the final
+    write."""
     cloud, service = make_service(seed=87, leader_shards=4)
     a, b = _two_cross_shard_subtrees(4)
     c = service.connect()
@@ -297,11 +298,11 @@ def test_root_children_converge_across_shards():
     assert raw["transactions"] == []  # all root appends drained
 
 
-def test_coalescing_reduces_user_store_writes():
-    """A sharded leader skips superseded images inside a delivery batch:
-    a pipelined burst of 12 writes to one path costs fewer than one
-    user-store write per ``set_data``, and every write still commits in
-    order."""
+def test_inline_shards_write_every_committed_image():
+    """The sharded inline leader replicates like the single leader: a
+    pipelined burst of 12 writes to one path costs exactly one user-store
+    write per committed image, in commit order (only the distributor stage
+    coalesces superseded writes)."""
     cloud, service = make_service(seed=85, leader_shards=2)
     c = service.connect()
     c.create("/t", b"")
@@ -310,7 +311,7 @@ def test_coalescing_reduces_user_store_writes():
     original_write = service.user_store.write_node
 
     def spy(ctx, region, path, image):
-        writes.append(path)
+        writes.append((path, image.get("version")))
         return (yield from original_write(ctx, region, path, image))
 
     service.user_store.write_node = spy
@@ -322,7 +323,7 @@ def test_coalescing_reduces_user_store_writes():
     assert versions == list(range(1, 13))  # every write committed, in order
     data, stat = c.get_data("/t/hot")
     assert data == b"v11" and stat.version == 12
-    assert len(writes) < 12  # superseded images were skipped
+    assert writes == [("/t/hot", v) for v in range(1, 13)]
 
 
 def test_sharded_sequential_creates_and_ephemerals():

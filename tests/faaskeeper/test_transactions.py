@@ -4,7 +4,7 @@ Covers all-or-nothing commits, per-op typed results and errors, rollback
 on mid-batch failures, duplicate-delivery idempotence, behaviour under
 leader_shards in {1, 4} (including cross-shard transactions through the
 coordinator shard), exactly-once watch delivery per committed multi, and
-the coalescing interplay (a multi supersedes earlier pending writes).
+a multi that supersedes earlier pending writes to its paths.
 """
 
 import pytest
@@ -298,11 +298,12 @@ def test_multi_final_state_matches_across_shard_counts():
     assert final_state(1) == final_state(4)
 
 
-# ------------------------------------------------------------ coalescing
+# ------------------------------------------------------------ supersession
 def test_multi_supersedes_pending_writes_to_same_paths():
-    """With coalescing on, a multi later in the delivery batch supersedes
-    earlier pending single writes to its paths, and every acknowledged
-    write is still readable afterwards."""
+    """A multi later in the delivery batch supersedes earlier pending
+    single writes to its paths: the sharded inline leader still writes
+    every committed image (six singles plus the multi's two paths), and
+    the multi's values win."""
     cloud, service = make_service(seed=107, leader_shards=2)
     c = service.connect()
     c.create("/t", b"")
@@ -321,7 +322,7 @@ def test_multi_supersedes_pending_writes_to_same_paths():
                                   SetDataOp("/t/cold", b"final")]))
     cloud.run(until=cloud.now + 120_000)
     assert all(f.done and f.event.ok for f in futures)
-    assert counts["writes"] < 8  # superseded singles were skipped
+    assert counts["writes"] == 8  # one user-store write per committed image
     assert c.get_data("/t/hot")[0] == b"final"
     assert c.get_data("/t/hot")[1].version == 7
     assert c.get_data("/t/cold")[0] == b"final"

@@ -183,3 +183,18 @@ def test_concurrent_contenders_exactly_one_wins(cloud, setup):
         cloud.env.process(contender(i))
     cloud.run(until=5000)
     assert len(wins) == 1
+
+
+@pytest.mark.parametrize("item", [
+    None, {}, {"data": "x"}, {"lock": {}},
+    {"lock": {"ts": 0.0}}, {"lock": {"ts": 999.0}}, {"lock": {"ts": 1000.0}},
+    {"lock": {"ts": 1001.0}}, {"lock": {"ts": 3000.0}},
+])
+def test_live_is_the_read_side_of_free(setup, item):
+    """One lease rule: at every boundary an image is ``live`` exactly when
+    the ``free`` condition rejects it (ts 1000 at now 3000 has just
+    expired)."""
+    _kv, lock, _ctx = setup
+    now = 3000.0
+    assert lock.live(item, now) is not lock.free(now).evaluate(item or {})
+
