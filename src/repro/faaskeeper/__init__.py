@@ -17,7 +17,6 @@ from .chaos import (
     ChaosMonkey,
     verify_exactly_once,
     verify_outbox_delivery,
-    wipe_system_tables,
 )
 from .client import (
     FaaSKeeperClient,
@@ -82,7 +81,6 @@ __all__ = [
     "VisibilityBoard",
     "SnapshotManager",
     "ChaosMonkey",
-    "wipe_system_tables",
     "verify_exactly_once",
     "verify_outbox_delivery",
     "MetricsRegistry",

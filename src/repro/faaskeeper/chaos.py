@@ -28,9 +28,9 @@ Design constraints the harness respects:
   logic's ``cold_restart()``, so redeliveries re-hydrate epoch mirrors
   and landed-txid memories from storage instead of inheriting them.
 
-:func:`wipe_system_tables` destroys the coordination tables in place
-(``service.user_store.wipe_region`` is the user-side twin, the disaster
-:meth:`SnapshotManager.recover_region` exists for), and
+``service.user_store.wipe_region`` models a lost user-store replica, the
+disaster :meth:`SnapshotManager.recover_region` exists for; the system
+tables are the durable record and have no wipe.
 :func:`verify_exactly_once` audits a quiesced deployment against the
 workload's expectations.
 """
@@ -45,15 +45,13 @@ from .layout import (
     OUTBOX_DEAD_LETTER_KEY,
     OUTBOX_PUBLISHED_KEY,
     SYSTEM_NODES,
-    SYSTEM_SESSIONS,
     SYSTEM_STATE,
-    SYSTEM_WATCHES,
     epoch_key,
 )
 from .service import WATCH_FN_RETRIES, FaaSKeeperService
 
-__all__ = ["ChaosMonkey", "CRASH_POINTS", "wipe_system_tables",
-           "verify_exactly_once", "verify_outbox_delivery"]
+__all__ = ["ChaosMonkey", "CRASH_POINTS", "verify_exactly_once",
+           "verify_outbox_delivery"]
 
 #: Stage kind -> crash points the harness knows how to arm.
 CRASH_POINTS: Dict[str, Tuple[str, ...]] = {
@@ -132,22 +130,6 @@ class ChaosMonkey:
         self.restarts += 1
         if hasattr(stage.logic, "cold_restart"):
             stage.logic.cold_restart()
-
-
-# --------------------------------------------------------------------------
-# Table destruction
-# --------------------------------------------------------------------------
-
-def wipe_system_tables(service: FaaSKeeperService) -> None:
-    """Destroy the coordination tables in place — the node index, watch
-    instances and session records — the disaster
-    :meth:`SnapshotManager.recover_system` rebuilds from.  The durable
-    substrate (commit log, snapshot table, state watermarks) survives,
-    exactly as a multi-region deployment losing its system region's
-    tables but not its replicated log would."""
-    store = service.system_store
-    for table in (SYSTEM_NODES, SYSTEM_WATCHES, SYSTEM_SESSIONS):
-        store.table(table).clear()
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,10 @@ takes no other route.  For each request the follower
   shard's leader FIFO queue, obtaining the transaction id (the queue's
   monotone sequence number), and
 ➃ commits every staged change in a single storage transaction fused with
-  the lock releases, conditional on all leases still being valid: the
-  request commits or fails atomically (Z1).
+  the lock releases, conditional on every lock still carrying the
+  follower's timestamp (one that expired is refused once it is re-taken
+  or cleared by the leader's TryCommit): the request commits or fails
+  atomically (Z1).
 
 Steps ➀/➁ of a request may overlap with steps ➂/➃ of its predecessor in a
 real deployment; requests of one session are never reordered (Z2).
@@ -50,8 +52,9 @@ __all__ = ["FollowerLogic", "commit_updates", "merge_multi_commit",
 #: Lock-acquisition retry policy for contended nodes.
 LOCK_RETRIES = 60
 LOCK_BACKOFF_MS = 30.0
-#: Lock lease: a lock older than this is expired — its holder's commit is
-#: refused and the leader may TryCommit on the holder's behalf.
+#: Lock lease: a lock older than this is expired — a new holder may take
+#: it and the leader may TryCommit on the holder's behalf, clearing it; the
+#: holder's own commit is refused only once either has happened.
 LOCK_MAX_HOLD_MS = 2_000.0
 #: Largest node data a write may carry: the queue payload bound (Section 4.4).
 MAX_NODE_SIZE_KB = 250.0
@@ -431,7 +434,8 @@ class FollowerLogic:
             yield from self.service.system_store.transact_update(
                 fctx.ctx, ops_list + session_ops)
         except ConditionFailed:
-            # A lease expired mid-request: the leader decides (TryCommit or
+            # A lease expired mid-request and its lock was re-taken or
+            # cleared by TryCommit: the leader decides (TryCommit or
             # reject) — the follower must not touch the nodes, and never
             # commits partially (Z1).
             fctx.record("commit", env.now - t0)

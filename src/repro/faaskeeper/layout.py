@@ -58,7 +58,6 @@ __all__ = [
     "SNAPSHOT_META_KEY",
     "OUTBOX_PUBLISHED_KEY",
     "OUTBOX_DEAD_LETTER_KEY",
-    "SNAPSHOT_SYS_PREFIX",
     "new_system_node",
     "user_image_from_system",
     "top_component",
@@ -99,10 +98,6 @@ OUTBOX_PUBLISHED_KEY = "outbox:published"
 #: System-state key of the durable dead-letter list ``{"items": [...]}``:
 #: events a sink definitively rejected after the retry budget.
 OUTBOX_DEAD_LETTER_KEY = "outbox:dead-letter"
-#: Key prefix of system-table checkpoints inside ``SYSTEM_SNAPSHOT``
-#: (watch instances, session records).  Znode paths always start with
-#: ``/``, so the prefix can never collide with a folded node image.
-SNAPSHOT_SYS_PREFIX = "sys:"
 
 
 def log_key(txid: int) -> str:

@@ -377,9 +377,12 @@ class LeaderLogic:
         would have applied (:func:`merge_multi_commit` is shared), guarded
         by the preconditions each member validated against: data version
         for set/check/delete first-touches, the parent's child-list version
-        for create/delete, and expired locks everywhere.  ``node`` is the
-        primary path's item step ➊ just read; only the other touched
-        paths cost a lock read here.
+        for create/delete, and expired locks everywhere.  The transaction
+        also clears each expired lock it commits under, so the holder's
+        own step ➃, landing late, fails its lease guard instead of
+        committing the txid a second time.  ``node`` is the primary path's
+        item step ➊ just read; only the other touched paths cost a lock
+        read here.
         """
         env = fctx.env
         t0 = env.now
@@ -408,7 +411,8 @@ class LeaderLogic:
                 # by this same envelope (a concurrent child create bumps
                 # cversion, not version).
                 guard = guard & (Attr("cversion") == rec["parent_prev_cversion"])
-            ops.append((SYSTEM_NODES, path, commit_updates(rec, txid), guard))
+            ops.append((SYSTEM_NODES, path,
+                        commit_updates(rec, txid) + [lock.UNLOCK], guard))
         try:
             yield from self.service.system_store.transact_update(fctx.ctx, ops)
             fctx.record("try_commit", env.now - t0)

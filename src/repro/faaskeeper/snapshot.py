@@ -22,11 +22,15 @@ many cursors over it**, as in ZooKeeper's single transaction log:
 * **fold** (cursor ``snapshot:meta.txid``) — :meth:`take_snapshot` folds
   the log suffix above the previous floor into a per-path checkpoint
   table, concurrent with commits (it never blocks the write pipeline and
-  bills proportional to the *suffix*, not the tree).  The new floor is
-  published only after the fold completes; a crash mid-fold leaves some
-  checkpoint items ahead of it — ZooKeeper's fuzzy-snapshot state — and
-  the re-fold is idempotent because every write is guarded by the item's
-  landed txid.
+  bills proportional to the *suffix*, not the tree, the session count or
+  the watch count: it reads no table whole).  The new floor is published
+  only after the fold completes; a crash mid-fold leaves some checkpoint
+  items ahead of it — ZooKeeper's fuzzy-snapshot state — and the re-fold
+  is idempotent because every write is guarded by the item's landed txid.
+  Only node images are folded.  ZooKeeper snapshots its sessions because
+  they live in server memory; here the session, watch and node-metadata
+  tables are themselves the durable record (the paper's §3.3), so a
+  snapshot has nothing of theirs to copy.
 
 * **publish** (cursor ``outbox:published``) — the outbox publisher
   (:mod:`repro.faaskeeper.outbox`) reads the same records through
@@ -40,10 +44,10 @@ many cursors over it**, as in ZooKeeper's single transaction log:
   is never eaten.  ``fk-snapshot`` folds and compacts every
   :data:`SNAPSHOT_EVERY` txids.
 
-Cold start (:meth:`recover_region`) = load the snapshot table into the
-region's user store + replay the log suffix above the floor; recovery
-time is bounded by snapshot size + suffix length, never by total log
-length (``bench_recovery.py`` measures exactly this).
+Cold start (:meth:`recover_region`, the one recovery path) = load the
+snapshot table into the region's user store + replay the log suffix above
+the floor; recovery time is bounded by snapshot size + suffix length,
+never by total log length (``bench_recovery.py`` measures exactly this).
 """
 
 from __future__ import annotations
@@ -58,15 +62,10 @@ from .layout import (
     LOG_HEAD_KEY,
     OUTBOX_PUBLISHED_KEY,
     SNAPSHOT_META_KEY,
-    SNAPSHOT_SYS_PREFIX,
     SYSTEM_LOG,
-    SYSTEM_NODES,
-    SYSTEM_SESSIONS,
     SYSTEM_SNAPSHOT,
     SYSTEM_STATE,
-    SYSTEM_WATCHES,
     log_key,
-    new_system_node,
     replicated_key,
 )
 
@@ -75,25 +74,6 @@ __all__ = ["SnapshotManager", "SNAPSHOT_EVERY", "fold_write", "log_bounds"]
 #: ZooKeeper's ``snapCount``: a fuzzy snapshot plus compaction runs every
 #: this many txids, fed by the leader that logs (or burns) each multiple.
 SNAPSHOT_EVERY = 256
-
-#: Coordination tables checkpointed beside the node fold, with their keys
-#: in the snapshot table.
-_SYSTEM_CHECKPOINTS = (
-    (SYSTEM_WATCHES, SNAPSHOT_SYS_PREFIX + "watches"),
-    (SYSTEM_SESSIONS, SNAPSHOT_SYS_PREFIX + "sessions"),
-)
-
-
-def _cseq_from_children(children: List[str]) -> int:
-    """Best-effort sequential-counter recovery: user images do not carry
-    ``cseq``, but sequential children end in the ``%010d`` suffix the
-    follower stamps — the counter must stay above every existing one."""
-    cseq = 0
-    for name in children:
-        if len(name) >= 10 and name[-10:].isdigit():
-            cseq = max(cseq, int(name[-10:]) + 1)
-    return cseq
-
 
 def log_bounds(heads: Optional[Dict[str, int]],
                issued: List[int]) -> Tuple[int, int]:
@@ -242,9 +222,11 @@ class SnapshotManager:
     def take_snapshot(self, ctx: OpContext) -> Generator[Any, Any, int]:
         """Fold the log suffix above the previous floor into the snapshot
         table; returns the new floor (the previous one when nothing new is
-        fully logged).  Runs concurrent with commits — fuzzy: items folded
-        before a crash stay ahead of the published floor and the guarded
-        (per-item landed-txid) writes make the re-fold idempotent."""
+        fully logged).  Every item it reads or writes is a suffix record
+        or a path one writes, so its bill follows the suffix alone.  Runs
+        concurrent with commits — fuzzy: items folded before a crash stay
+        ahead of the published floor and the guarded (per-item
+        landed-txid) writes make the re-fold idempotent."""
         store = self.service.system_store
         floor, _top = yield from self.bounds(ctx)
         meta = yield from self._meta(ctx)
@@ -254,7 +236,6 @@ class SnapshotManager:
         folded = yield from self.read_suffix(
             ctx, prev, floor, lambda record: self._fold_record(ctx, record))
         self._folded.inc(folded)
-        yield from self._checkpoint_system(ctx, floor)
         yield from store.put_item(ctx, SYSTEM_STATE, SNAPSHOT_META_KEY, {
             "txid": floor,
             "seq": int(meta.get("seq", 0)) + 1,
@@ -263,23 +244,6 @@ class SnapshotManager:
         self._snapshots.inc()
         self._floor.set(floor)
         return floor
-
-    def _checkpoint_system(self, ctx: OpContext, floor: int) -> Generator:
-        """Checkpoint the coordination tables (watch instances, session
-        records) alongside the node fold, under ``sys:``-prefixed keys that
-        can never collide with znode paths.  Node *metadata* needs no extra
-        checkpoint — it is rebuilt from the folded images — but watches and
-        sessions exist only in their own tables, so without this a wiped
-        system region would lose every registered watch and ephemeral
-        owner.  Fuzzy like the node fold: entries registered after the
-        published floor are covered by the next snapshot."""
-        store = self.service.system_store
-        for table, key in _SYSTEM_CHECKPOINTS:
-            items = yield from store.scan(ctx, table)
-            yield from store.put_item(
-                ctx, SYSTEM_SNAPSHOT, key,
-                {"txid": floor, "items": {k: dict(v) for k, v in items.items()}})
-        return None
 
     def _fold_record(self, ctx: OpContext, record: Dict[str, Any]) -> Generator:
         """Apply one log record to the checkpoint, newest-txid-wins.  Every
@@ -366,8 +330,6 @@ class SnapshotManager:
             start = floor
             checkpoint = yield from store.scan(ctx, SYSTEM_SNAPSHOT)
             for path in sorted(checkpoint):
-                if path.startswith(SNAPSHOT_SYS_PREFIX):
-                    continue  # system-table checkpoints, not node images
                 image = dict(checkpoint[path]["image"])
                 image.setdefault("epoch", [])
                 yield from self.service.user_store.write_node(
@@ -395,88 +357,6 @@ class SnapshotManager:
             self.service.distribution.visibility.mark(region, replayed_txids)
         return {"loaded": loaded, "replayed": len(replayed_txids),
                 "floor": floor, "start": start, "top": top}
-
-    def recover_system(self, ctx: OpContext) -> Generator[Any, Any, Dict[str, int]]:
-        """Rebuild the coordination state itself — the system *node* table
-        plus watch instances and session records — after the system region
-        lost them (``recover_region`` only rebuilds user-store replicas).
-
-        Node metadata is reprojected from durable images: the checkpoint
-        table's folded images plus an **in-memory** replay of the log
-        suffix above the snapshot floor, newest-txid-wins through the same
-        :func:`fold_write` rules as :meth:`_fold_record`.  (The replay is
-        deliberately not a fresh ``take_snapshot``: that would re-scan the
-        watch/session tables — empty right now — and clobber the very
-        ``sys:`` checkpoints this recovery needs.)  Watches and sessions
-        come back verbatim from those checkpoints; being fuzzy, entries
-        registered after the last snapshot are lost with the region and
-        must be re-registered by their clients — the same contract as a
-        ZooKeeper ensemble restoring from its newest snapshot.
-
-        Recovered nodes get ``applied_tx`` = the txid of their newest
-        durable image (those writes are provably replicated or in the log)
-        and an empty pending-transaction list; delete tombstones are not
-        resurrected — dedup of pre-wipe redeliveries rides ``applied_tx``.
-        """
-        store = self.service.system_store
-        meta = yield from self._meta(ctx)
-        floor = int(meta.get("txid", 0))
-        _floor, top = yield from self.bounds(ctx)
-        checkpoint = yield from store.scan(ctx, SYSTEM_SNAPSHOT)
-
-        images: Dict[str, Tuple[int, Dict[str, Any]]] = {}
-        for key, item in checkpoint.items():
-            if key.startswith(SNAPSHOT_SYS_PREFIX):
-                continue
-            images[key] = (int(item["txid"]), dict(item["image"]))
-
-        def replay(record: Dict[str, Any]) -> Generator:
-            txid = record["txid"]
-            for path, image, is_parent, op in record["writes"]:
-                prev = images.pop(path, None)
-                folded = fold_write(prev and prev[1], image, is_parent, op, txid)
-                if folded is not None:
-                    images[path] = (txid, folded)
-            return None
-            yield  # pragma: no cover - in-memory: no storage round trip
-
-        replayed = yield from self.read_suffix(ctx, floor, top, replay)
-
-        restored = 0
-        for path in sorted(images):
-            txid, image = images[path]
-            children = list(image.get("children", []))
-            node = new_system_node(
-                len(image.get("data", b"") or b""),
-                int(image.get("created_tx", txid)),
-                ephemeral_owner=image.get("ephemeral_owner"))
-            node.update({
-                "version": int(image.get("version", 0)),
-                "cversion": int(image.get("cversion", 0)),
-                "modified_tx": int(image.get("modified_tx", txid)),
-                "children": children,
-                "cseq": _cseq_from_children(children),
-                "applied_tx": txid,
-            })
-            yield from store.put_item(ctx, SYSTEM_NODES, path, node)
-            restored += 1
-        if "/" not in images:
-            # Nothing was ever logged for the root (fresh tree): recreate
-            # it so the pipeline finds its parent again.
-            yield from store.put_item(ctx, SYSTEM_NODES, "/",
-                                      new_system_node(0, 0))
-            restored += 1
-
-        recovered: Dict[str, int] = {}
-        for table, key in _SYSTEM_CHECKPOINTS:
-            items = (checkpoint.get(key) or {}).get("items", {})
-            for item_key in sorted(items):
-                yield from store.put_item(
-                    ctx, table, item_key, dict(items[item_key]))
-            recovered[table] = len(items)
-        return {"nodes": restored, "watches": recovered[SYSTEM_WATCHES],
-                "sessions": recovered[SYSTEM_SESSIONS],
-                "replayed": replayed, "floor": floor, "top": top}
 
     # ------------------------------------------------------------ triggered fn
     def handler(self, fctx, payload: Any) -> Generator:

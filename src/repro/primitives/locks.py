@@ -145,9 +145,12 @@ class TimedLock:
     ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
         """Atomically apply updates *and* release the lock (step ➃).
 
-        The commit succeeds only while the lease is still valid; an expired
-        lease makes this a no-op returning ``None``, so a stalled function
-        cannot clobber a newer holder's work.
+        The commit succeeds only while the item still carries the holder's
+        timestamp.  Expiry alone does not refuse it: an expired lock stays
+        in place until a new holder re-takes it or a party committing
+        under it (the leader's TryCommit) clears it.  After either, this
+        is a no-op returning ``None``, so a stalled function cannot
+        clobber or repeat work done in its place.
         """
         all_updates = list(updates) + [self.UNLOCK]
         condition = self.held_by(handle.timestamp)

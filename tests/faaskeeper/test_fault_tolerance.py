@@ -8,6 +8,7 @@ or reject the transaction so that no partial state is ever user-visible.
 import pytest
 
 from repro.faaskeeper import NoNodeError, RequestFailedError
+from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
 from .conftest import cap_redeliveries, make_service
 
 
@@ -118,6 +119,38 @@ def test_lock_expiry_does_not_corrupt_state():
     assert res.version == 1
     data, _ = c.get_data("/a")
     assert data == b"after-expiry"
+
+
+def test_a_commit_landing_after_try_commit_does_not_wedge_the_path():
+    """The follower's step ➃ stalls past its lease, so the leader
+    TryCommits on its behalf and pops the txid.  TryCommit clears the
+    expired lock it committed under: the stalled commit, landing late,
+    fails its lease guard instead of appending the txid to the pending
+    list a second time, and the path's next write completes."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    store = service.system_store
+    real = store.transact_update
+    stalled = []
+
+    def stall_follower_commit(ctx, ops, *args, **kwargs):
+        # Only the follower's step ➃ carries session-record updates.
+        if not stalled and any(op[0] == SYSTEM_SESSIONS for op in ops):
+            stalled.append(cloud.now)
+            yield cloud.env.timeout(2_500.0)
+        return (yield from real(ctx, ops, *args, **kwargs))
+
+    store.transact_update = stall_follower_commit
+    assert c.set_data("/a", b"x").txid == 2
+    cloud.run(until=cloud.now + 10_000)
+    assert stalled
+    nodes = store.table(SYSTEM_NODES)
+    assert nodes.raw("/a")["transactions"] == []
+    assert "lock" not in nodes.raw("/a")
+    assert c.set_data("/a", b"y").txid == 3
+    data, stat = c.get_data("/a")
+    assert (data, stat.version) == (b"y", 2)
 
 
 def test_consistency_after_random_follower_crashes():

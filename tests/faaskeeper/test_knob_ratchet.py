@@ -102,16 +102,21 @@ def test_the_row_rule_sees_an_unjustified_knob():
 
 def test_census_deletions_stay_deleted():
     """The knobs only tests set, the plug-in registries (outbox sink
-    schemes, user-store URIs), the commit-log consumers' cron periods and
+    schemes, user-store URIs), the commit-log consumers' cron periods,
     the leader's in-batch coalescer (coalescing lives in the distributor)
-    were deleted by the census; their names stay out of ``src/``."""
+    and the system-table checkpoint with its recovery (a snapshot folds
+    the commit log into node images only; the session, watch and node
+    tables are their own durable record) were deleted by the census;
+    their names stay out of ``src/``."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
         "register_sink|make_sink|SINK_SCHEMES|register_backend|"
         "parse_store_uri|backend_for|registered_schemes|"
         "outbox_publish_ms|snapshot_auto_ms|outbox_batch|heartbeat_period_ms|"
-        "_coalesce_plan|_skipped_images|_flush_superseded")
+        "_coalesce_plan|_skipped_images|_flush_superseded|"
+        "recover_system|_checkpoint_system|_SYSTEM_CHECKPOINTS|"
+        "_cseq_from_children|SNAPSHOT_SYS_PREFIX|wipe_system_tables")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
 

@@ -10,21 +10,17 @@ Snapshots run every ``SNAPSHOT_EVERY`` txids (ZooKeeper's ``snapCount``),
 and a quiet or rejected-from shard never pins the log's floor.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.faaskeeper import FaaSKeeperConfig
-from repro.faaskeeper.chaos import (
-    wipe_system_tables,
-)
 from repro.faaskeeper.layout import (
     LOG_HEAD_KEY,
     SNAPSHOT_META_KEY,
     SYSTEM_LOG,
-    SYSTEM_NODES,
-    SYSTEM_SESSIONS,
     SYSTEM_SNAPSHOT,
     SYSTEM_STATE,
-    SYSTEM_WATCHES,
     log_key,
     replicated_key,
 )
@@ -331,74 +327,50 @@ def test_redelivered_append_does_not_regress_log_head():
     assert data == b"v1"
 
 
-def test_recover_system_rebuilds_wiped_system_region():
-    """Satellite regression: losing the *system* region (node table,
-    watch instances, session records) is recoverable from durables —
-    snapshot images + ``sys:`` checkpoints + the log suffix.  The
-    rebuilt deployment must keep serving: the pre-wipe watch still
-    fires, the sequential counter does not reuse suffixes, and session
-    teardown still reaps its ephemerals."""
-    cloud, service = make_service(seed=512, commit_log_enabled=True)
-    writer = service.connect()
-    watcher = service.connect()
-    writer.create("/a", b"v0")
-    writer.create("/a/kid", b"k0")
-    writer.create("/eph", b"e", ephemeral=True)
-    seq1 = writer.create("/a/item-", b"s", sequence=True)
-    fired = []
-    watcher.get_data("/a", watch=fired.append)
-    snapshot_now(cloud, service)          # checkpoints watches + sessions
-    writer.set_data("/a/kid", b"k1")      # suffix: logged, not snapshotted
-    writer.create("/late", b"fresh")
+def test_a_snapshot_bills_the_same_at_any_session_count():
+    """A snapshot folds log records into node images and reads no table
+    whole: the same writes cost the same snapshot dollars with 10 or
+    1,000 sessions registered, and no ``scan`` is issued.  The snapshot
+    runs under its own payer so the heartbeat's charges stay apart."""
+    bills = []
+    for sessions in (10, 1_000):
+        cloud, service = make_service(seed=7, commit_log_enabled=True,
+                                      user_store="mem")
+        service.connect_many(sessions - 1)
+        c = service.connect()
+        c.create("/a", b"v0")
+        for i in range(20):
+            c.set_data("/a", f"v{i}".encode())
+        store = service.system_store
+        scans = []
+        real = store.scan
+        store.scan = lambda *a, **kw: scans.append(a) or real(*a, **kw)
+        probe = dataclasses.replace(service.system_ctx, payer="probe")
+        assert cloud.run_process(
+            service.snapshots.take_snapshot(probe)) == 21
+        bills.append(cloud.meter.service_total("probe"))
+        assert scans == []
+    assert bills[0] > 0 and bills[0] == bills[1]
 
-    nodes = service.system_store.table(SYSTEM_NODES)
-    paths = ["/", "/a", "/a/kid", "/eph", "/late", seq1]
-    before = {p: dict(nodes.raw(p)) for p in paths}
-    def table_image(name):
-        table = service.system_store.table(name)
-        return {key: table.raw(key) for key in table.keys()}
 
-    before_watches = table_image(SYSTEM_WATCHES)
-    before_sessions = table_image(SYSTEM_SESSIONS)
-
-    wipe_system_tables(service)
-    assert nodes.raw("/a") is None  # the wipe really happened
-    stats = cloud.run_process(
-        service.snapshots.recover_system(service.system_ctx))
-    assert stats["replayed"] >= 2 and stats["nodes"] >= len(paths)
-    assert stats["watches"] == len(before_watches) >= 1
-    assert stats["sessions"] == len(before_sessions) == 2
-
-    for path in paths:
-        got = nodes.raw(path)
-        assert got is not None, path
-        for field in ("version", "cversion", "modified_tx", "created_tx",
-                      "ephemeral_owner"):
-            assert got.get(field) == before[path].get(field), (path, field)
-        assert sorted(got.get("children", [])) == \
-            sorted(before[path].get("children", [])), path
-    assert nodes.raw("/a")["cseq"] >= before["/a"]["cseq"]
-    assert table_image(SYSTEM_WATCHES) == before_watches
-    recovered_sessions = table_image(SYSTEM_SESSIONS)
-    assert set(recovered_sessions) == set(before_sessions)
-    assert recovered_sessions[writer.session_id].get("ephemeral") == \
-        before_sessions[writer.session_id].get("ephemeral")
-
-    # The rebuilt region serves: the checkpointed watch instance fires...
-    writer.set_data("/a", b"v1")
-    cloud.run(until=cloud.now + 10_000)
-    assert len(fired) == 1
-    # ...the recovered cseq never reuses a sequential suffix...
-    seq2 = writer.create("/a/item-", b"s2", sequence=True)
-    assert seq2 != seq1 and seq2 > seq1
-    # ...and closing the session reaps the recovered ephemeral (tombstone
-    # in the system table until the GC sweep, gone from the user store).
-    writer.close()
-    cloud.run(until=cloud.now + 10_000)
-    eph = nodes.raw("/eph")
-    assert eph is not None and not eph["exists"]
-    assert service.user_store.peek(service.config.primary_region,
-                                   "/eph") is None
+def test_snapshots_compact_the_log_with_8500_sessions_registered():
+    """8,500 session records would not fit one 400 kB item, so a snapshot
+    that copied the session table could never complete and the log would
+    grow forever.  Folding the log alone, ``fk-snapshot`` never fails,
+    publishes ``snapshot:meta`` and compacts the log below
+    ``SNAPSHOT_EVERY`` records."""
+    cloud, service = make_service(seed=7, commit_log_enabled=True)
+    service.connect_many(8_499)
+    c = service.connect()
+    c.create("/a", b"v0")
+    futures = [c.set_data_async("/a", f"v{i}".encode()) for i in range(259)]
+    settle(cloud, 30_000)
+    assert all(f.done for f in futures)
+    (stage,) = [s for s in service.stages if s.kind == "snapshot"]
+    assert stage.fn.invocations >= 1 and stage.fn.failures == 0
+    meta = service.system_store.table(SYSTEM_STATE).raw(SNAPSHOT_META_KEY)
+    assert meta is not None and meta["txid"] >= SNAPSHOT_EVERY
+    assert len(log_txids(service)) < SNAPSHOT_EVERY
 
 
 def test_sharded_floor_is_min_over_shards():
