@@ -62,7 +62,7 @@ from .watches import triggered_watch_types
 
 __all__ = ["DistributionStage", "DistributorLogic", "GateBoard",
            "VisibilityBoard", "advance_watermark", "armed_watch_ids",
-           "write_user_image"]
+           "stamped_image", "write_user_image"]
 
 
 def advance_watermark(store, ctx, key: str, attr: str, value: int) -> Generator:
@@ -101,32 +101,42 @@ def armed_watch_ids(watch_item: Optional[Dict[str, Any]],
     return ids
 
 
-def write_user_image(user_store, ctx, region: str, path: str,
-                     image: Optional[Dict[str, Any]], epoch: List[str],
-                     txid: int, op: str, is_parent: bool) -> Generator:
-    """Apply one replication action to one region's user store.
-
-    Shared by the leader's inline step ➌ and the distributor's write
-    stage, so both pipelines produce byte-identical user-store state.
-    """
-    if image is None:  # pragma: no cover - defensive
-        return None
+def stamped_image(image: Dict[str, Any], is_parent: bool, op: str,
+                  txid: int) -> Optional[Dict[str, Any]]:
+    """The one stamp rule of a replicated write: None for a deletion; else
+    a copy of ``image``, a node write stamped with the txid that produced
+    it (``created_tx`` too for a create).  A parent update is metadata
+    only: whoever applies it keeps the data already held."""
     if image.get("deleted"):
-        yield from user_store.delete_node(ctx, region, path)
         return None
     full = dict(image)
-    full["epoch"] = list(epoch)
     if not is_parent:
         full["modified_tx"] = txid
         if op == "create":
             full["created_tx"] = txid
-        yield from user_store.write_node(ctx, region, path, full)
-    else:
-        # Parent updates touch metadata only (child list, cversion); the
-        # writer downloads the node and rewrites it around the existing
-        # data (Section 3.2's read-update-write).
-        full.pop("meta_only", None)
+    return full
+
+
+def write_user_image(user_store, ctx, region: str, path: str,
+                     image: Dict[str, Any], epoch: List[str],
+                     txid: int, op: str, is_parent: bool) -> Generator:
+    """Apply one replication action to one region's user store.
+
+    Shared by the leader's inline step ➌, the distributor's write stage
+    and region recovery, so every pipeline produces byte-identical
+    user-store state.
+    """
+    full = stamped_image(image, is_parent, op, txid)
+    if full is None:
+        yield from user_store.delete_node(ctx, region, path)
+        return None
+    full["epoch"] = list(epoch)
+    if is_parent:
+        # The writer downloads the node and rewrites it around the
+        # existing data (Section 3.2's read-update-write).
         yield from user_store.update_metadata(ctx, region, path, full)
+    else:
+        yield from user_store.write_node(ctx, region, path, full)
     return None
 
 

@@ -8,11 +8,15 @@ takes no other route.  For each request the follower
 ➀ acquires timed locks on every touched node (the parent too for
   create/delete — those operations touch the parent's child list),
 ➁ validates and stages each member against the locked system-node images,
-  later members seeing the staged effects of earlier ones,
-➂ pushes one message carrying the staged changes to the coordinator
-  shard's leader FIFO queue, obtaining the transaction id (the queue's
-  monotone sequence number), and
-➃ commits every staged change in a single storage transaction fused with
+  later members seeing the staged effects of earlier ones, folding the
+  members once into the *write set*: one record per touched path, in
+  first-touch order (merged attribute sets, first-touch storage guards,
+  watch triggers),
+➂ pushes one message to the coordinator shard's leader FIFO queue — the
+  write set, the per-member results and each written path's replicated
+  image, projected from its final staged node — obtaining the transaction
+  id (the queue's monotone sequence number), and
+➃ commits every write-set record in a single storage transaction fused with
   the lock releases, conditional on every lock still carrying the
   follower's timestamp (one that expired is refused once it is re-taken
   or cleared by the leader's TryCommit): the request commits or fails
@@ -30,11 +34,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.expressions import ListAppend, ListRemove, Set, UpdateAction
+from ..cloud.expressions import ListAppend, ListRemove, Remove, Set, UpdateAction
 from ..cloud.errors import ConditionFailed
 from ..primitives.locks import LockHandle
 from .exceptions import BadArgumentsError
-from .layout import SYSTEM_NODES, SYSTEM_SESSIONS, new_system_node
+from .layout import (SYSTEM_NODES, SYSTEM_SESSIONS, new_system_node,
+                     user_image_from_system)
 from .model import (
     DeleteOp,
     Operation,
@@ -46,8 +51,7 @@ from .model import (
     parent_path,
 )
 
-__all__ = ["FollowerLogic", "commit_updates", "merge_multi_commit",
-           "multi_replication_plan"]
+__all__ = ["FollowerLogic", "commit_updates"]
 
 #: Lock-acquisition retry policy for contended nodes.
 LOCK_RETRIES = 60
@@ -68,136 +72,65 @@ DISTRIBUTOR_BATCH = 10
 FOLLOWER_MAX_RECEIVE = 5
 
 
-def merge_multi_commit(subs: List[Dict[str, Any]]):
-    """Fold an envelope's staged sub-operations into one per-path update record.
-
-    A storage transaction may touch each item only once, so every path's
-    attribute sets are merged in op order (later sets win — the staged
-    values were produced against the running overlay, so the last one is
-    the final state).  Returns ``(order, merged)`` where ``order`` lists
-    the touched paths in first-touch order and ``merged[path]`` holds::
-
-        {"sets":    {attr: value},   # merged attribute sets
-         "node":    bool,            # written as a node (gets txid stamps)
-         "created": bool,            # final state is a node created here
-         "prev_version":         data version the FIRST touch observed,
-         "parent_prev_cversion": child-list version the first parent
-                                 touch observed}
-
-    The ``prev_*`` fields are storage preconditions (TryCommit guards), so
-    only the path's FIRST touch may contribute them: later members observe
-    overlay state that does not exist in storage yet (a create's follower
-    leaves ``prev_version`` None — the parent's child-list guard covers it).
-
-    Shared by the follower (commit ➃) and the leader (TryCommit on behalf
-    of a dead follower): :func:`commit_updates` turns each record into the
-    identical transaction on both sides.
-    """
-    merged: Dict[str, Dict[str, Any]] = {}
-    order: List[str] = []
-    touched: set = set()
-
-    def record(path: str) -> Dict[str, Any]:
-        if path not in merged:
-            merged[path] = {"sets": {}, "node": False, "created": False,
-                            "prev_version": None,
-                            "parent_prev_cversion": None}
-            order.append(path)
-        return merged[path]
-
-    for sub in subs:
-        rec = record(sub["path"])
-        if sub["path"] not in touched:
-            touched.add(sub["path"])
-            rec["prev_version"] = sub.get("prev_version")
-        if sub["op"] == "check":
-            continue
-        rec["node"] = True
-        rec["sets"].update(sub["commit_sets"])
-        if sub["op"] == "create":
-            rec["created"] = True
-        elif sub["op"] == "delete":
-            rec["created"] = False
-        if sub.get("parent"):
-            prec = record(sub["parent"])
-            prec["sets"].update(sub["parent_sets"])
-            if prec["parent_prev_cversion"] is None and not prec["created"]:
-                # Only store-valid observations become guards: a parent
-                # created earlier in this batch reports its overlay
-                # cversion, which no storage item carries yet.
-                prec["parent_prev_cversion"] = sub["parent_prev_cversion"]
-    return order, merged
-
-
 def commit_updates(rec: Dict[str, Any], txid: int) -> List[UpdateAction]:
-    """The storage updates that commit one :func:`merge_multi_commit`
-    record under ``txid``: its merged attribute sets, the txid stamps of a
-    node write, and the txid appended to the path's pending list.  The
-    guards (and the follower's unlock) stay with each caller."""
+    """The storage updates that commit one write-set record under ``txid``:
+    its merged attribute sets, the txid stamps of a node write (a node
+    created here keeps only the ACL its create set), and the txid appended
+    to the path's pending list.  The guards (and the follower's unlock)
+    stay with each caller: the follower's step ➃ and the leader's
+    TryCommit."""
     updates: List[UpdateAction] = [Set(k, v) for k, v in rec["sets"].items()]
     if rec["node"]:
         updates.append(Set("modified_tx", txid))
         if rec["created"]:
             updates.append(Set("created_tx", txid))
+            if "acl" not in rec["sets"]:
+                updates.append(Remove("acl"))  # a tombstone's stale ACL
     if rec["node"] or rec["sets"]:
         updates.append(ListAppend("transactions", [txid]))
     return updates
 
 
-def multi_replication_plan(subs: List[Dict[str, Any]]
-                           ) -> List[Tuple[str, Dict[str, Any], bool, str]]:
-    """Per-path final user-store actions of a committed envelope.
+def _touch(write_set: Dict[str, Dict[str, Any]], path: str) -> Dict[str, Any]:
+    """``path``'s write-set record, made on its first touch.  A record holds
+    the commit half — merged ``sets``, ``node`` (written as a node: gets
+    txid stamps), ``created`` (final state created here) and the storage
+    guards ``prev_version`` / ``parent_prev_cversion`` once observed — and
+    the ``(op, is_parent)`` watch ``triggers`` of every member that wrote
+    the path."""
+    rec = write_set.get(path)
+    if rec is None:
+        rec = write_set[path] = {"sets": {}, "node": False, "created": False,
+                                 "triggers": []}
+    return rec
 
-    Several members of one transaction may touch the same path (set after
-    set, create then set, a node that is also a sibling's parent): the
-    user store needs exactly one write per path, carrying the LAST staged
-    node image merged with any later parent-side metadata.  Staged images
-    are produced against the follower's running overlay, so the last image
-    for a path already reflects every earlier member's effect.
 
-    Returns ``[(path, image, is_parent, op)]`` in first-touch order;
-    ``op == "create"`` marks a node whose final state was created by this
-    multi (the leader stamps ``created_tx``), ``is_parent`` marks
-    metadata-only updates.
-
-    The follower computes the plan once at staging time and hands it to
-    the leader inside the envelope (``replication_plan``), so neither the
-    leader nor the distributor stage re-derives it per delivery.
-    """
-    order: List[str] = []
-    state: Dict[str, List[Any]] = {}  # path -> [image, is_parent, op]
-    for sub in subs:
-        if sub["op"] == "check":
+def _replicated_images(write_set: Dict[str, Dict[str, Any]],
+                       overlay: Dict[str, Dict[str, Any]],
+                       written: Dict[str, Optional[bytes]]
+                       ) -> List[Tuple[str, Dict[str, Any], bool, str]]:
+    """The user-store write of every written path, in first-write order:
+    ``(path, image, is_parent, op)`` where ``image`` projects the path's
+    final staged node plus the last data written, ``is_parent`` marks a
+    path only ever written as a parent (a metadata update around the data
+    already held) and ``op == "create"`` a node created here (the writer
+    stamps ``created_tx``)."""
+    writes = []
+    for path, data in written.items():
+        rec, node = write_set[path], overlay[path]
+        if not node.get("exists"):
+            writes.append((path, {"path": path, "deleted": True}, False,
+                           "delete"))
             continue
-        entries = [(sub["path"], sub["node_image"], False)]
-        if sub.get("parent"):
-            entries.append((sub["parent"], sub["parent_image"], True))
-        for path, image, is_parent in entries:
-            cur = state.get(path)
-            if cur is None:
-                order.append(path)
-                state[path] = [dict(image), is_parent, sub["op"]]
-            elif not is_parent:
-                if image.get("deleted"):
-                    state[path] = [dict(image), False, "delete"]
-                else:
-                    was_created = (not cur[1] and cur[2] == "create"
-                                   and not cur[0].get("deleted"))
-                    op = ("create" if sub["op"] == "create" or was_created
-                          else sub["op"])
-                    state[path] = [dict(image), False, op]
-            else:
-                img, was_parent, op = cur
-                if was_parent or img.get("deleted"):
-                    state[path] = [dict(image), True, sub["op"]]
-                else:
-                    # Graft the newer child-list metadata onto the member's
-                    # node image: the full image (with data) still wins.
-                    img = dict(img)
-                    img["children"] = list(image.get("children", []))
-                    img["cversion"] = image.get("cversion", 0)
-                    state[path] = [img, False, op]
-    return [(p, state[p][0], state[p][1], state[p][2]) for p in order]
+        image = user_image_from_system(path, node)
+        if data is not None:
+            image["data"] = data
+        if rec["node"]:
+            op = "create" if rec["created"] else "set_data"
+        else:
+            op = rec["triggers"][-1][0]  # its last member's create/delete
+        writes.append((path, image, not rec["node"], op))
+    return writes
 
 
 class FollowerLogic:
@@ -318,53 +251,77 @@ class FollowerLogic:
             yield from self._fail(req, "system_busy")
             return None
 
-        # ➁ validate + stage against the overlay of locked images
+        # ➁ validate + stage each member against the overlay of locked
+        # images, folding it into the write set: one record per touched
+        # path, in first-touch order
         overlay = {p: dict(h.item or {}) for p, h in handles.items()}
-        subs: List[Dict[str, Any]] = []
+        write_set: Dict[str, Dict[str, Any]] = {}
+        written: Dict[str, Optional[bytes]] = {}  # last data, by first write
         results: List[Dict[str, Any]] = []
         session_updates: Dict[str, List] = {}  # session record -> updates
         for i, op in enumerate(ops):
-            node = overlay.get(op.path, {})
-            parent = (overlay.get(parent_path(op.path))
-                      if op.OP in ("create", "delete") else None)
-            staged = self._validate_and_stage(req.session, op, node, parent)
+            staged = self._validate_and_stage(req.session, op, overlay)
             if isinstance(staged, str):  # error code: roll the batch back
                 yield from self._release_all(fctx, handles)
                 yield from self._fail(req, staged, culprit=i)
                 return None
-            sub, ephemeral_update = staged
-            subs.append(sub)
-            if op.OP == "check":  # a guard, nothing staged
-                results.append({"op": "check", "path": op.path,
-                                "version": sub["prev_version"]})
+            path, sets, parent_sets, ephemeral_update = staged
+            node = overlay.setdefault(path, {})
+            rec = _touch(write_set, path)
+            # Storage guards come from a path's FIRST touch only: later
+            # members observe overlay state no item holds yet (a create's
+            # guard is its parent's child-list version).
+            rec.setdefault("prev_version", None if op.OP == "create"
+                           else node.get("version", 0))
+            if sets is None:  # a check: a guard, nothing staged
+                results.append({"op": "check", "path": path,
+                                "version": node.get("version", 0)})
                 continue
             if ephemeral_update is not None:
                 # An ephemeral's bookkeeping lives in its OWNER's session
                 # record, which need not be the caller's.
                 owner, update = ephemeral_update
                 session_updates.setdefault(owner, []).append(update)
-            overlay.setdefault(sub["path"], {}).update(sub["commit_sets"])
-            if sub["parent"]:
-                overlay[sub["parent"]].update(sub["parent_sets"])
-            results.append({"op": op.OP, "path": sub["path"],
-                            "version": sub["commit_sets"].get("version", 0)})
+            rec["node"] = True
+            if op.OP != "set_data":
+                rec["created"] = op.OP == "create"
+            rec["sets"].update(sets)
+            node.update(sets)
+            if op.OP == "create" and "acl" not in sets:
+                rec["sets"].pop("acl", None)  # an earlier member's create
+                node.pop("acl", None)         # or a tombstone's ACL
+            rec["triggers"].append((op.OP, False))
+            written[path] = getattr(op, "data", None)
+            if parent_sets is not None:
+                parent = parent_path(path)
+                prec = _touch(write_set, parent)
+                if not prec["created"]:
+                    # A parent created in this batch has no stored child
+                    # list to guard.
+                    prec.setdefault("parent_prev_cversion",
+                                    overlay[parent].get("cversion", 0))
+                prec["sets"].update(parent_sets)
+                overlay[parent].update(parent_sets)
+                prec["triggers"].append((op.OP, True))
+                written.setdefault(parent, None)
+            results.append({"op": op.OP, "path": path,
+                            "version": sets.get("version", 0)})
         fctx.crash_point("after_validate")
 
         # A sequential create staged a suffixed final path: it needs its
         # own lock before commit (the prefix lock is released at commit).
-        for sub in subs:
-            if sub["op"] == "create" and sub["path"] not in handles:
+        for path in write_set:
+            if path not in handles:
                 handle = yield from self.service.node_lock.acquire(
-                    fctx.ctx, sub["path"])
+                    fctx.ctx, path)
                 if handle is None:  # pragma: no cover - fresh path, never held
                     yield from self._release_all(fctx, handles)
                     yield from self._fail(req, "system_busy")
                     return None
-                handles[sub["path"]] = handle
+                handles[path] = handle
 
-        order, merged = merge_multi_commit(subs)
-        commit_paths = [p for p in order
-                        if merged[p]["node"] or merged[p]["sets"]]
+        commit_paths = [p for p, rec in write_set.items()
+                        if rec["node"] or rec["sets"]]
         # Per-session dedup watermark (one transaction may touch an item
         # only once, so it merges with any ephemeral-tracking update).
         if req.rid >= 0:
@@ -402,12 +359,14 @@ class FollowerLogic:
         yield fctx.compute(base_ms=0.2, payload_kb=req.size_kb, per_kb_ms=0.05)
         leader_msg = {
             "session": req.session, "rid": req.rid, "path": commit_paths[0],
-            "subs": subs, "results": results, "commit_paths": commit_paths,
-            "replication_plan": multi_replication_plan(subs),
+            "results": results, "write_set": write_set,
+            "writes": _replicated_images(write_set, overlay, written),
+            "payload_kb": sum(len(getattr(op, "data", b"")) / 1024.0
+                              for op in ops),
         }
         board = self.service.fence_board
         shard = self.service.multi_shard_of(
-            [p for p in order if merged[p]["node"]])
+            [p for p, rec in write_set.items() if rec["node"]])
         if board is not None:
             # Session-sequence fence: pushes of one session are serialized
             # by its FIFO queue, so fences follow request order; the shard
@@ -423,11 +382,11 @@ class FollowerLogic:
         # records, all conditioned on the lock leases (envelope-wide Z1)
         t0 = env.now
         ops_list = [(SYSTEM_NODES, path,
-                     commit_updates(merged[path], txid) + [lock.UNLOCK],
+                     commit_updates(rec, txid) + [lock.UNLOCK],
                      lock.held_by(handles[path].timestamp))
-                    for path in order]
+                    for path, rec in write_set.items()]
         for path, handle in handles.items():
-            if path not in merged:  # e.g. a sequence create's prefix lock
+            if path not in write_set:  # e.g. a sequence create's prefix lock
                 ops_list.append((SYSTEM_NODES, path, [lock.UNLOCK],
                                  lock.held_by(handle.timestamp)))
         try:
@@ -447,21 +406,20 @@ class FollowerLogic:
         return None
 
     # ------------------------------------------------------------ staging
-    def _validate_and_stage(
-        self, session: str, op: Operation,
-        node: Dict[str, Any],
-        parent: Optional[Dict[str, Any]],
-    ):
+    def _validate_and_stage(self, session: str, op: Operation,
+                            overlay: Dict[str, Dict[str, Any]]):
         """Validate one member against the (overlaid) locked images.
 
-        Returns an error code, or ``(sub, ephemeral_update)``: the staged
-        sub-operation the leader message carries, and — when the member
+        Returns an error code, or ``(path, sets, parent_sets,
+        ephemeral_update)``: the member's final path, the attribute sets it
+        stages on that node and on its parent (None for a check, which
+        stages nothing, and for a set_data's parent), and — when the member
         creates or deletes an ephemeral — the ``(owner, update)`` for the
-        owning session's record.  A ``check`` op stages nothing but its
-        observed version.
+        owning session's record.
         """
         if len(getattr(op, "data", b"")) / 1024.0 > MAX_NODE_SIZE_KB:
             return "bad_arguments"  # queue payload bound, any data-carrying op
+        node = overlay.get(op.path, {})
 
         if op.OP == "check":
             if not self._node_exists(node):
@@ -470,8 +428,7 @@ class FollowerLogic:
                 return "access_denied"
             if op.version >= 0 and node.get("version", 0) != op.version:
                 return "bad_version"
-            return {"op": "check", "path": op.path,
-                    "prev_version": node.get("version", 0)}, None
+            return op.path, None, None, None
 
         if op.OP == "set_data":
             if not self._node_exists(node):
@@ -480,31 +437,11 @@ class FollowerLogic:
                 return "access_denied"
             if op.version >= 0 and node.get("version", 0) != op.version:
                 return "bad_version"
-            new_version = node.get("version", 0) + 1
-            image = {
-                "path": op.path,
-                "data": op.data,
-                "version": new_version,
-                "cversion": node.get("cversion", 0),
-                "created_tx": node.get("created_tx", 0),
-                "children": list(node.get("children", [])),
-                "ephemeral_owner": node.get("ephemeral_owner"),
-            }
-            if node.get("acl"):
-                image["acl"] = dict(node["acl"])
-            sub = {
-                "op": "set_data", "path": op.path, "parent": None,
-                "node_image": image, "parent_image": None,
-                "commit_sets": {"data_len": len(op.data),
-                                "version": new_version},
-                "parent_sets": {},
-                "prev_version": node.get("version", 0),
-                "parent_prev_cversion": None,
-            }
-            return sub, None
+            return op.path, {"data_len": len(op.data),
+                             "version": node.get("version", 0) + 1}, None, None
 
+        parent = overlay[parent_path(op.path)]
         if op.OP == "create":
-            assert parent is not None
             if not self._node_exists(parent):
                 return "no_node"
             if parent.get("ephemeral_owner"):
@@ -528,33 +465,17 @@ class FollowerLogic:
             children.append(name)
             parent_sets["children"] = children
             owner = session if op.ephemeral else None
-            commit_sets = new_system_node(len(op.data), created_tx=0,
-                                          ephemeral_owner=owner)
-            commit_sets.pop("transactions")  # managed by the commit itself
-            commit_sets.pop("applied_tx")    # the leader's watermark must survive
-            image = {
-                "path": final_path, "data": op.data, "version": 0,
-                "cversion": 0, "created_tx": 0, "children": [],
-                "ephemeral_owner": owner,
-            }
+            sets = new_system_node(len(op.data), created_tx=0,
+                                   ephemeral_owner=owner)
+            sets.pop("transactions")  # managed by the commit itself
+            sets.pop("applied_tx")    # the leader's watermark must survive
             if op.acl:
-                commit_sets["acl"] = dict(op.acl)
-                image["acl"] = dict(op.acl)
-            sub = {
-                "op": "create", "path": final_path,
-                "parent": parent_path(final_path),
-                "node_image": image,
-                "parent_image": self._parent_image(
-                    parent_path(final_path), parent, parent_sets),
-                "commit_sets": commit_sets, "parent_sets": parent_sets,
-                "prev_version": None,
-                "parent_prev_cversion": parent.get("cversion", 0),
-            }
-            return sub, ((session, ListAppend("ephemeral", [final_path]))
-                         if op.ephemeral else None)
+                sets["acl"] = dict(op.acl)
+            return final_path, sets, parent_sets, (
+                (session, ListAppend("ephemeral", [final_path]))
+                if op.ephemeral else None)
 
         if op.OP == "delete":
-            assert parent is not None
             if not self._node_exists(node):
                 return "no_node"
             if not acl_allows(node.get("acl"), "delete", session):
@@ -569,37 +490,11 @@ class FollowerLogic:
                              if c != name],
                 "cversion": parent.get("cversion", 0) + 1,
             }
-            sub = {
-                "op": "delete", "path": op.path,
-                "parent": parent_path(op.path),
-                "node_image": {"path": op.path, "deleted": True},
-                "parent_image": self._parent_image(
-                    parent_path(op.path), parent, parent_sets),
-                "commit_sets": {"exists": False, "data_len": 0},
-                "parent_sets": parent_sets,
-                "prev_version": node.get("version", 0),
-                "parent_prev_cversion": parent.get("cversion", 0),
-            }
             owner = node.get("ephemeral_owner")
-            return sub, ((owner, ListRemove("ephemeral", [op.path]))
-                         if owner else None)
+            return op.path, {"exists": False, "data_len": 0}, parent_sets, (
+                (owner, ListRemove("ephemeral", [op.path])) if owner else None)
 
         return "bad_arguments"  # pragma: no cover - defensive
-
-    @staticmethod
-    def _parent_image(path: str, parent: Dict[str, Any],
-                      parent_sets: Dict[str, Any]) -> Dict[str, Any]:
-        """Metadata-only user-store image of a create/delete's parent."""
-        return {
-            "path": path,
-            "meta_only": True,
-            "version": parent.get("version", 0),
-            "cversion": parent_sets["cversion"],
-            "created_tx": parent.get("created_tx", 0),
-            "modified_tx": parent.get("modified_tx", 0),
-            "children": parent_sets["children"],
-            "ephemeral_owner": parent.get("ephemeral_owner"),
-        }
 
     # ------------------------------------------------------------ sessions
     def _close_session(self, fctx, req: Request) -> Generator:

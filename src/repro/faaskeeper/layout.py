@@ -32,7 +32,7 @@ User node image (any backend)::
 
     {
       "path", "data", "version", "cversion", "created_tx", "modified_tx",
-      "children", "ephemeral_owner",
+      "children", "ephemeral_owner", "acl" (only when set),
       "epoch": [watch-event ids pending when this image was written],
     }
 """
@@ -163,18 +163,22 @@ def new_system_node(
     }
 
 
-def user_image_from_system(path: str, node: Dict[str, Any],
-                           epoch: List[str]) -> Dict[str, Any]:
-    """Project a system node onto the user-visible image (drops locks,
-    pending-transaction bookkeeping), attaching the current epoch."""
-    return {
+def user_image_from_system(path: str, node: Dict[str, Any]) -> Dict[str, Any]:
+    """Project a system node onto the user-visible image: drops locks and
+    pending-transaction bookkeeping, keeps the node's ACL (reads are
+    checked against it at the storage boundary, Section 4.4).  System
+    nodes hold no data, so the image's data is empty until the writer
+    attaches what was written."""
+    image = {
         "path": path,
-        "data": node.get("data", b""),
+        "data": b"",
         "version": node.get("version", 0),
         "cversion": node.get("cversion", 0),
         "created_tx": node.get("created_tx", 0),
         "modified_tx": node.get("modified_tx", 0),
         "children": list(node.get("children", [])),
         "ephemeral_owner": node.get("ephemeral_owner"),
-        "epoch": list(epoch),
     }
+    if node.get("acl"):
+        image["acl"] = dict(node["acl"])
+    return image

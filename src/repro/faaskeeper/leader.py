@@ -1,18 +1,21 @@
 """The leader function (Algorithm 2), one instance per shard.
 
 A FIFO queue per shard feeds a leader instance with committed updates in
-txid order.  Every update is a transaction envelope — the staged
-sub-operations of one or more members plus the per-path replication plan
-the follower derived from them; a lone write is the one-member case and
-takes no other route.  For each update the leader
+txid order.  Every update is a transaction envelope of one or more
+members, which the follower folded once into a *write set* — one record
+per touched path: its commit updates, storage guards and watch triggers —
+and the replicated image of each written path, projected from its final
+staged node; a lone write is the one-member case and takes no other
+route.  The leader reads both and never re-folds the members.  For each
+update the leader
 
 ➊ reads the primary path's system node and verifies the transaction is at
   the head of its pending list (the envelope committed atomically, so one
   path speaks for all),
 ➋ if the follower died between push and commit, tries to commit the whole
-  envelope on its behalf (TryCommit) once the lock leases have expired —
+  write set on its behalf (TryCommit) once the lock leases have expired —
   otherwise the update is rejected and the client notified of the failure,
-➌ replicates each touched path's final image into the user store of every
+➌ replicates each written path's image into the user store of every
   region in parallel, attaching the current epoch (the watch
   notifications still in flight),
 ➍ consumes triggered watches (each instance once per envelope), adds
@@ -56,7 +59,7 @@ from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, ListRemove, Set
 from ..sim.kernel import AllOf, gather
 from .distributor import write_user_image
-from .follower import commit_updates, merge_multi_commit
+from .follower import commit_updates
 from .layout import SYSTEM_NODES
 from .model import Response
 
@@ -158,9 +161,10 @@ class LeaderLogic:
         sys_store = self.service.system_store
 
         yield from self._wait_fence(msg)
-        # Per-path final user-store actions, computed by the follower.
-        affected = msg["replication_plan"]
-        commit_paths = msg["commit_paths"]
+        # The follower's write set and the images it projected.
+        write_set, writes = msg["write_set"], msg["writes"]
+        commit_paths = [path for path, rec in write_set.items()
+                        if rec["node"] or rec["sets"]]
 
         # ➊ verify commit status on the primary path: the envelope committed
         # atomically, so one path's watermark speaks for all of it
@@ -199,7 +203,7 @@ class LeaderLogic:
         # ack) can happen, so every applied txid is replayable after a crash.
         if self.service.snapshots is not None:
             yield from self.service.snapshots.append_log(
-                fctx, txid, self.shard, list(affected),
+                fctx, txid, self.shard, writes,
                 session=msg.get("session"))
             fctx.crash_point("leader_after_log")
 
@@ -212,14 +216,8 @@ class LeaderLogic:
                 if path != primary:
                     yield from self._await_path_turn(fctx, path, txid)
 
-        # ➍ prep: which watch types each touched path triggers
-        op_pairs: Dict[str, List[Tuple[str, bool]]] = {}
-        for sub in msg["subs"]:
-            if sub["op"] == "check":
-                continue
-            op_pairs.setdefault(sub["path"], []).append((sub["op"], False))
-            if sub.get("parent"):
-                op_pairs.setdefault(sub["parent"], []).append((sub["op"], True))
+        # ➍ prep: which watch types each written path triggers
+        op_pairs = {path: write_set[path]["triggers"] for path, *_ in writes}
 
         # Distributor stage: hand replication + watch fan-out to the
         # per-region distributor queues (one record per envelope); ➌/➍
@@ -229,22 +227,21 @@ class LeaderLogic:
                      for path, pair_list in op_pairs.items()
                      for op, is_parent in pair_list]
             yield from self._distribute_and_finish(
-                fctx, msg, txid, list(affected), pairs, commit_paths)
+                fctx, msg, txid, writes, pairs, commit_paths)
             return None
 
         # ➌ replicate per-path final images, all regions in parallel (one
         # epoch snapshot per region per message — the snapshot cannot change
         # while the replication processes are being spawned)
         t0 = env.now
-        data_kb = sum(len(sub["node_image"].get("data", b"") or b"") / 1024.0
-                      for sub in msg["subs"] if sub["op"] != "check")
-        yield fctx.compute(base_ms=0.3, payload_kb=data_kb, per_kb_ms=0.12)
+        yield fctx.compute(base_ms=0.3, payload_kb=msg["payload_kb"],
+                           per_kb_ms=0.12)
         epochs = {region: self.epoch_snapshot(region)
                   for region in self.service.config.regions}
         yield from gather(env, [
             write_user_image(self.service.user_store, fctx.ctx, region, path,
                              image, epochs[region], txid, op, is_parent)
-            for path, image, is_parent, op in affected
+            for path, image, is_parent, op in writes
             for region in self.service.config.regions])
         fctx.record("update_user", env.now - t0)
 
@@ -373,8 +370,8 @@ class LeaderLogic:
         definitively rejected (the caller notifies the client).  Raises
         :class:`RetryBatch` while a follower's lease is still live.
 
-        The merged per-path updates are the exact transaction the follower
-        would have applied (:func:`merge_multi_commit` is shared), guarded
+        The write set's records are the exact transaction the follower
+        would have applied (:func:`commit_updates` is shared), guarded
         by the preconditions each member validated against: data version
         for set/check/delete first-touches, the parent's child-list version
         for create/delete, and expired locks everywhere.  The transaction
@@ -387,8 +384,8 @@ class LeaderLogic:
         env = fctx.env
         t0 = env.now
         lock = self.service.node_lock
-        order, merged = merge_multi_commit(msg["subs"])
-        for path in order:
+        write_set = msg["write_set"]
+        for path in write_set:
             item = node if path == msg["path"] else (
                 yield from self.service.system_store.get_item(
                     fctx.ctx, SYSTEM_NODES, path))
@@ -398,15 +395,14 @@ class LeaderLogic:
         applied_before = Attr("applied_tx").not_exists() | (
             Attr("applied_tx") < txid)
         ops = []
-        for path in order:
-            rec = merged[path]
+        for path, rec in write_set.items():
             guard = lock.free(env.now)
             if path == msg["path"]:
                 guard = guard & applied_before & (
                     ~Attr("transactions").contains(txid))
-            if rec["prev_version"] is not None:
+            if rec.get("prev_version") is not None:
                 guard = guard & (Attr("version") == rec["prev_version"])
-            if rec["parent_prev_cversion"] is not None:
+            if rec.get("parent_prev_cversion") is not None:
                 # Guard the child list — also when the path is node-written
                 # by this same envelope (a concurrent child create bumps
                 # cversion, not version).

@@ -346,7 +346,7 @@ class FaaSKeeperService:
         self.system_store.table(SYSTEM_NODES)._store("/", root)
         state = self.system_store.table(SYSTEM_STATE)
         for region in self.config.regions:
-            image = user_image_from_system("/", root, epoch=[])
+            image = dict(user_image_from_system("/", root), epoch=[])
             self.cloud.run_process(
                 self.user_store.write_node(self.system_ctx, region, "/", image))
             state._store(epoch_key(region), {"items": []})  # nothing pending

@@ -57,7 +57,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..cloud.context import OpContext
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, Set, item_exists
-from .distributor import advance_watermark, write_user_image
+from .distributor import advance_watermark, stamped_image, write_user_image
 from .layout import (
     LOG_HEAD_KEY,
     OUTBOX_PUBLISHED_KEY,
@@ -93,18 +93,11 @@ def fold_write(prev: Optional[Dict[str, Any]], image: Dict[str, Any],
                is_parent: bool, op: str, txid: int) -> Optional[Dict[str, Any]]:
     """One logged write folded over the path's previous checkpoint image
     (``prev``; None = none yet): the new image, or None for a deletion.
-    Parent updates carry metadata only and keep the data already held
-    (the shape of the user store's ``update_metadata``); a node write is
-    stamped with the txid that produced it."""
-    if image.get("deleted"):
-        return None
-    folded = {k: v for k, v in image.items() if k != "meta_only"}
-    if is_parent:
+    Stamped like the user store's copy; a parent update keeps the data
+    already held (the shape of the user store's ``update_metadata``)."""
+    folded = stamped_image(image, is_parent, op, txid)
+    if folded is not None and is_parent:
         folded["data"] = (prev or {}).get("data", b"")
-    else:
-        folded["modified_tx"] = txid
-        if op == "create":
-            folded["created_tx"] = txid
     return folded
 
 

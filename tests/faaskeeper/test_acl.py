@@ -4,7 +4,9 @@ permissions at the storage boundary."""
 import pytest
 
 from repro.faaskeeper import AccessDeniedError
+from repro.faaskeeper.layout import SYSTEM_NODES
 from repro.faaskeeper.model import OPEN_ACL, acl_allows
+from repro.faaskeeper.userstore import BACKENDS
 from .conftest import make_service
 
 
@@ -109,3 +111,46 @@ def test_get_acl_validates_like_other_reads():
     c.close()
     with pytest.raises(SessionClosedError):
         c.get_acl("/n")
+
+
+def _owner_only(session_id):
+    return {perm: [session_id] for perm in ("read", "write", "create", "delete")}
+
+
+@pytest.mark.parametrize("store", sorted(BACKENDS))
+def test_a_child_create_or_delete_keeps_the_parent_acl(store):
+    """A create/delete rewrites its parent's user-store metadata (child
+    list, cversion); the rewrite must carry the parent's ACL, or the
+    protected parent becomes readable by anyone."""
+    cloud, service = make_service(seed=7, user_store=store)
+    owner = service.connect()
+    other = service.connect()
+    acl = _owner_only(owner.session_id)
+    owner.create("/secret", b"s3cr3t", acl=acl)
+    with pytest.raises(AccessDeniedError):
+        other.get_data("/secret")
+    for change in (lambda: owner.create("/secret/child"),
+                   lambda: owner.delete("/secret/child")):
+        change()
+        cloud.run(until=cloud.now + 1_000)
+        with pytest.raises(AccessDeniedError):
+            other.get_data("/secret")
+        assert owner.get_acl("/secret") == acl
+        for region in service.config.regions:
+            assert service.user_store.peek(region, "/secret")["acl"] == acl
+
+
+def test_a_recreated_node_drops_its_old_acl():
+    """Deleting a node leaves a tombstone (collected only after
+    ``TOMBSTONE_GRACE_MS``); re-creating the node without an ACL must not
+    inherit the tombstone's ACL in the system store."""
+    cloud, service = make_service(seed=7)
+    owner = service.connect()
+    other = service.connect()
+    owner.create("/n", b"v0", acl=_owner_only(owner.session_id))
+    owner.delete("/n")
+    owner.create("/n", b"v1")
+    other.set_data("/n", b"v2")  # open again: anyone may write
+    assert other.get_data("/n")[0] == b"v2"
+    assert other.get_acl("/n") is None
+    assert "acl" not in service.system_store.table(SYSTEM_NODES).raw("/n")

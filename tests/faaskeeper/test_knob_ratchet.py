@@ -104,10 +104,12 @@ def test_census_deletions_stay_deleted():
     """The knobs only tests set, the plug-in registries (outbox sink
     schemes, user-store URIs), the commit-log consumers' cron periods,
     the leader's in-batch coalescer (coalescing lives in the distributor)
-    and the system-table checkpoint with its recovery (a snapshot folds
+    the system-table checkpoint with its recovery (a snapshot folds
     the commit log into node images only; the session, watch and node
-    tables are their own durable record) were deleted by the census;
-    their names stay out of ``src/``."""
+    tables are their own durable record) and the hand-written per-member
+    folds and images of a transaction (the follower stages one write set
+    and projects every image from its staged node) were deleted by the
+    census; their names stay out of ``src/``."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -116,7 +118,9 @@ def test_census_deletions_stay_deleted():
         "outbox_publish_ms|snapshot_auto_ms|outbox_batch|heartbeat_period_ms|"
         "_coalesce_plan|_skipped_images|_flush_superseded|"
         "recover_system|_checkpoint_system|_SYSTEM_CHECKPOINTS|"
-        "_cseq_from_children|SNAPSHOT_SYS_PREFIX|wipe_system_tables")
+        "_cseq_from_children|SNAPSHOT_SYS_PREFIX|wipe_system_tables|"
+        "merge_multi_commit|multi_replication_plan|_parent_image|meta_only|"
+        "node_image|parent_image")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
 

@@ -183,8 +183,8 @@ def test_pure_metadata_records_emit_no_events():
     # txid 3: parent metadata only, written the way the leader would
     service.system_store.table(SYSTEM_LOG)._store(log_key(3), {
         "txid": 3, "shard": 0, "session": "s", "ts": cloud.now,
-        "writes": [["/", {"children": ["a"], "cversion": 1,
-                          "meta_only": True}, True, "create"]]})
+        "writes": [["/", {"children": ["a"], "cversion": 1}, True,
+                    "create"]]})
     service.system_store.table(SYSTEM_STATE)._store(LOG_HEAD_KEY, {"s0": 3})
     assert log_txids(service) == [1, 3]
     result = service.outbox.drain()

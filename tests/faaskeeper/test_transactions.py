@@ -7,6 +7,8 @@ coordinator shard), exactly-once watch delivery per committed multi, and
 a multi that supersedes earlier pending writes to its paths.
 """
 
+import random
+
 import pytest
 
 from repro.faaskeeper import (
@@ -16,13 +18,15 @@ from repro.faaskeeper import (
     CheckResult,
     CreateOp,
     DeleteOp,
+    FaaSKeeperError,
     NodeExistsError,
     RolledBackError,
     SetDataOp,
     TransactionFailedError,
     WriteResult,
 )
-from repro.faaskeeper.layout import shard_of_path
+from repro.faaskeeper.layout import SYSTEM_NODES, shard_of_path
+from repro.faaskeeper.userstore import BACKENDS
 from .conftest import cap_redeliveries, make_service
 
 
@@ -402,3 +406,56 @@ def test_multi_create_then_touch_crash_after_push_recovers():
     assert data == b"b" and stat.version == 1
     raw = service.system_store.table("fk-system-nodes").raw("/p/x")
     assert raw["version"] == 1 and raw["transactions"] == []
+
+
+# ------------------------------------------------------------ projection
+TREE = ["/p0", "/p1", "/p0/a", "/p0/b", "/p1/a"]
+#: The projected fields of a node, with the value an absent one reads as.
+STAT = {"version": 0, "cversion": 0, "created_tx": 0, "modified_tx": 0,
+        "children": [], "ephemeral_owner": None, "acl": None}
+
+
+def _random_member(rng, acl):
+    path = rng.choice(TREE)
+    kind = rng.choice(["create", "create", "set", "delete", "check"])
+    if kind == "create":
+        return CreateOp(path, b"x" * rng.randrange(64),
+                        acl=rng.choice([None, acl]))
+    if kind == "set":
+        return SetDataOp(path, b"v%d" % rng.randrange(1000))
+    return DeleteOp(path) if kind == "delete" else CheckOp(path)
+
+
+@pytest.mark.parametrize("distributor", [False, True])
+@pytest.mark.parametrize("store", sorted(BACKENDS))
+def test_every_image_is_the_projection_of_its_committed_node(store, distributor):
+    """Random multis of create/set/delete/check members over shared
+    parents, with and without ACLs: once quiet, every region's user image
+    carries exactly the stat fields, child list and ACL of its committed
+    system node, and a node that does not exist has no image."""
+    cloud, service = make_service(
+        seed=17, user_store=store, distributor_enabled=distributor,
+        regions=["us-east-1", "eu-west-1"] if distributor else ["us-east-1"])
+    c = service.connect()
+    acl = {perm: [c.session_id] for perm in ("read", "write", "create", "delete")}
+    rng = random.Random(f"{store}-{distributor}")
+    committed = 0
+    for _ in range(150):
+        members = [_random_member(rng, acl) for _ in range(rng.randint(1, 3))]
+        try:
+            c.multi(members)
+            committed += 1
+        except FaaSKeeperError:
+            pass
+    assert committed >= 20, committed
+    cloud.run(until=cloud.now + 10_000)
+    nodes = service.system_store.table(SYSTEM_NODES)
+    for path in ["/", *TREE]:
+        node = nodes.raw(path)
+        for region in service.config.regions:
+            image = service.user_store.peek(region, path)
+            if not (node or {}).get("exists"):
+                assert image is None, (path, region)
+                continue
+            assert ({f: image.get(f, d) for f, d in STAT.items()}
+                    == {f: node.get(f, d) for f, d in STAT.items()}), (path, region)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
 from repro.faaskeeper.exceptions import FaaSKeeperError
+from repro.faaskeeper.userstore import BACKENDS
 from repro.zookeeper import deploy_zookeeper
 
-BACKENDS = ("s3", "dynamodb", "hybrid", "redis")
 PATHS = ["/d0", "/d1", "/d0/c0", "/d0/c1", "/d1/c0"]
 
 
