@@ -6,9 +6,9 @@ composable mini-language with
 
 * **conditions** — attribute existence, comparisons, boolean combinators —
   evaluated atomically against the current item; and
-* **update actions** — ``SET``, ``ADD`` (atomic numeric add), ``REMOVE``,
-  ``LIST_APPEND``, ``LIST_REMOVE`` — applied atomically iff the condition
-  holds.
+* **update actions** — ``SET``, ``ADD`` (atomic numeric add, and its
+  set form on a list), ``REMOVE``, ``LIST_APPEND``, ``LIST_REMOVE`` —
+  applied atomically iff the condition holds.
 
 The paper's synchronization primitives (timed lock, atomic counter, atomic
 list, Section 3.3) are implemented purely in terms of these expressions in
@@ -38,6 +38,7 @@ __all__ = [
     "Add",
     "Remove",
     "ListAppend",
+    "ListAdd",
     "ListRemove",
     "ListPopHead",
     "apply_updates",
@@ -334,6 +335,19 @@ class ListAppend(UpdateAction):
         current = _get(item, self.path)
         base = [] if current is _MISSING else list(current)
         base.extend(clone(v) for v in self.values)
+        _set_path(item, self.path, base)
+
+
+class ListAdd(ListAppend):
+    """Append only the values the list does not hold yet — DynamoDB ``ADD``
+    on a string set, kept in first-added order."""
+
+    def apply(self, item: Dict[str, Any]) -> None:
+        current = _get(item, self.path)
+        base = [] if current is _MISSING else list(current)
+        for v in self.values:
+            if v not in base:
+                base.append(clone(v))
         _set_path(item, self.path, base)
 
 

@@ -102,7 +102,6 @@ class _Versioned:
     size_bytes: int
     written_at: float
     previous: Optional[Dict[str, Any]] = None
-    previous_at: float = 0.0
     #: ``FK_SANITIZE=1`` only: a private clone of ``value`` at store time.
     snapshot: Optional[Dict[str, Any]] = None
 
@@ -223,7 +222,6 @@ class Table:
                 size_bytes=item_size_bytes(value) if size_bytes is None else size_bytes,
                 written_at=self._env.now,
                 previous=old,
-                previous_at=old_rec.written_at if old_rec else 0.0,
                 snapshot=clone(value) if self._sanitized else None,
             )
         self._emit(key, old, value)

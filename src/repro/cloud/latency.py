@@ -17,11 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from ..sim.rng import lognormal_from_percentiles
 
-__all__ = ["LatencyModel", "Fixed", "SizeAware", "scaled"]
+__all__ = ["LatencyModel", "Fixed", "SizeAware"]
 
 
 class LatencyModel:
@@ -95,25 +94,3 @@ class SizeAware(LatencyModel):
 
     def median(self, size_kb: float = 0.0) -> float:
         return max(self.min_ms, self.p50_ms + self.per_kb_ms * size_kb)
-
-
-@dataclass(frozen=True)
-class Scaled(LatencyModel):
-    """Wrap a model with a multiplicative factor (cross-region, memory...)."""
-
-    inner: LatencyModel
-    factor: float = 1.0
-    extra_ms: float = 0.0
-
-    def sample(self, rng: random.Random, size_kb: float = 0.0) -> float:
-        return self.inner.sample(rng, size_kb) * self.factor + self.extra_ms
-
-    def median(self, size_kb: float = 0.0) -> float:
-        return self.inner.median(size_kb) * self.factor + self.extra_ms
-
-
-def scaled(model: LatencyModel, factor: float = 1.0, extra_ms: float = 0.0) -> LatencyModel:
-    """Convenience constructor for :class:`Scaled`."""
-    if factor == 1.0 and extra_ms == 0.0:
-        return model
-    return Scaled(model, factor, extra_ms)

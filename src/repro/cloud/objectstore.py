@@ -11,7 +11,7 @@ Models the properties the paper's storage decision rests on (Section 4.2):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..sim.kernel import Environment, Event
 from .calibration import CloudProfile
@@ -57,9 +57,6 @@ class ObjectStore:
             return self._buckets[name]
         except KeyError:
             raise NoSuchBucket(name) from None
-
-    def bucket_keys(self, name: str) -> List[str]:
-        return sorted(self._bucket(name).keys())
 
     def raw(self, bucket: str, key: str) -> Optional[Any]:
         """Zero-latency payload peek for tests."""
@@ -144,6 +141,3 @@ class ObjectStore:
                           self.profile.prices.object_write_cost(0.0))
         if fault is not None:
             self.faults.fire_after(fault, f"delete_object {bucket}/{key}")
-
-    def total_stored_kb(self, bucket: str) -> float:
-        return sum(self.payload_kb(p) for p, _ in self._bucket(bucket).values())

@@ -162,9 +162,6 @@ class CostMeter:
     def service_total(self, service: str) -> float:
         return sum(l.dollars for l in self._lines.values() if l.service == service)
 
-    def reset(self) -> None:
-        self._lines.clear()
-
     def snapshot(self) -> Dict[str, float]:
         """by_service() copy, convenient for before/after deltas."""
         return self.by_service()

@@ -58,11 +58,11 @@ from ..cloud.expressions import Attr, Set
 from ..sim.kernel import gather
 from .follower import DISTRIBUTOR_BATCH
 from .layout import SYSTEM_STATE, replicated_key
-from .watches import triggered_watch_types
+from .watches import armed_instances
 
 __all__ = ["DistributionStage", "DistributorLogic", "GateBoard",
-           "VisibilityBoard", "advance_watermark", "armed_watch_ids",
-           "stamped_image", "write_user_image"]
+           "VisibilityBoard", "advance_watermark", "stamped_image",
+           "write_user_image"]
 
 
 def advance_watermark(store, ctx, key: str, attr: str, value: int) -> Generator:
@@ -78,27 +78,6 @@ def advance_watermark(store, ctx, key: str, attr: str, value: int) -> Generator:
     except ConditionFailed:
         pass
     return None
-
-
-def armed_watch_ids(watch_item: Optional[Dict[str, Any]],
-                    op_pairs: List[Tuple[str, bool]]) -> List[str]:
-    """Instance ids a path's watch item arms for the given operations —
-    the ids the distributor parks in the epoch counters while the
-    (deferred) consume and fan-out are still in flight."""
-    if not watch_item:
-        return []
-    instances = watch_item.get("inst", {})
-    ids: List[str] = []
-    seen = set()
-    for op, is_parent in op_pairs:
-        for wtype, _event in triggered_watch_types(op, is_parent):
-            if wtype in seen:
-                continue
-            seen.add(wtype)
-            inst = instances.get(wtype.value)
-            if inst and inst.get("sessions"):
-                ids.append(inst["id"])
-    return ids
 
 
 def stamped_image(image: Dict[str, Any], is_parent: bool, op: str,
@@ -442,8 +421,9 @@ class DistributorLogic:
         txid_shard = {rec["txid"]: rec["shard"] for rec in batch}
         by_txid: Dict[int, List[Tuple[str, List[Tuple[str, bool]], List[str]]]] = {}
         for path, rows in zip(by_path, found):
+            armed = armed_instances(rows, by_path[path])
             by_txid.setdefault(path_txid[path], []).append(
-                (path, by_path[path], armed_watch_ids(rows, by_path[path])))
+                (path, by_path[path], [inst["id"] for _t, _e, inst in armed]))
         for txid in sorted(by_txid):
             entries = by_txid[txid]
             armed_ids = [wid for _p, _pairs, ids in entries for wid in ids]

@@ -1,11 +1,13 @@
-"""Leader election (Hunt et al., ATC'10, Section 2.4) — the herd-free
-successor chain.
+"""Leader election (Hunt et al., ATC'10, Section 2.4) — the lock's
+herd-free queue with one slot.
 
 Each candidate enlists with an ephemeral sequence node; the smallest
 sequence number leads.  Every other candidate watches only its immediate
 predecessor, so a leader's death (session eviction deletes its ephemeral
 candidate node) wakes exactly one successor — no thundering herd — and
-leadership passes in enlistment order.
+leadership passes in enlistment order.  The look at the queue is the
+lock's (:meth:`_SequenceQueueWaiter._co_look`); only what happens next
+differs.
 
 The recipe is callback-driven (``volunteer(on_leadership)``): succession
 rides watch deliveries, which is what lets a crashed leader be replaced
@@ -17,39 +19,36 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
-from ..exceptions import NoNodeError, SessionClosedError
-from .base import Recipe, sequence_sorted
+from ..exceptions import SessionClosedError
+from .lock import HELD, WAITING, _SequenceQueueWaiter
 
 __all__ = ["Election"]
 
 
-class Election(Recipe):
+class Election(_SequenceQueueWaiter):
     """Leader election::
 
         election = recipes.Election(client, "/election", identifier="node-1")
         if election.volunteer(on_leadership=become_leader):
             ...  # leading right away
         # otherwise become_leader() fires when every earlier candidate is gone
+
+    ``watching`` is the predecessor watched (None while leading) and
+    ``wake_ups`` counts its deliveries: one succession wakes exactly one
+    candidate.
     """
 
     prefix = "candidate-"
+    max_slots = 1
 
     def __init__(self, client, path: str, identifier: str = "") -> None:
-        super().__init__(client, path)
-        self.identifier = identifier or client.session_id
-        self.node: Optional[str] = None      # our candidate node (full path)
-        self.is_leader = False
-        #: Predecessor we are currently watching (None while leading).
-        self.watching: Optional[str] = None
-        #: Predecessor-watch deliveries (herd accounting: one succession
-        #: wakes exactly one candidate).
-        self.wake_ups = 0
+        super().__init__(client, path, identifier)
         self._callback: Optional[Callable[[], None]] = None
         self._resigned = False
 
     @property
-    def node_name(self) -> Optional[str]:
-        return None if self.node is None else self.node.rsplit("/", 1)[1]
+    def is_leader(self) -> bool:
+        return self.is_acquired
 
     # ------------------------------------------------------------ protocol
     def volunteer(self, on_leadership: Optional[Callable[[], None]] = None
@@ -63,40 +62,27 @@ class Election(Recipe):
         return self._run(self._co_volunteer())
 
     def _co_volunteer(self) -> Generator:
-        yield from self.client.co_ensure_path(self.path)
-        if self.node is None:
-            self.node = yield self.client.create_async(
-                f"{self.path}/{self.prefix}", self.identifier.encode(),
-                ephemeral=True, sequence=True).event
+        yield from self._co_enlist()
         return (yield from self._co_evaluate())
 
     def _co_evaluate(self) -> Generator:
         """(Re)compute leadership; arm the predecessor watch otherwise."""
-        client = self.client
-        while not (self._resigned or client.closed or self.node is None):
-            queue = sequence_sorted(
-                (yield client.get_children_async(self.path).event),
-                self.prefix)
-            mine = self.node_name
-            if mine not in queue:
-                # Our ephemeral candidate vanished: the session was evicted.
-                self.node = None
-                return False
-            index = queue.index(mine)
-            if index == 0:
-                self.is_leader = True
-                self.watching = None
+        while not (self._resigned or self.client.closed or self.node is None):
+            try:
+                state = yield from self._co_look(self._on_predecessor)
+            except SessionClosedError:
+                if self.node is None:
+                    return False  # our candidate vanished: evicted
+                raise
+            if state is HELD:
+                self.is_acquired = True
                 if self._callback is not None:
                     callback, self._callback = self._callback, None
                     callback()
                 return True
-            self.watching = f"{self.path}/{queue[index - 1]}"
-            stat = yield client.exists_async(
-                self.watching, watch=self._on_predecessor).event
-            if stat is not None:
+            if state is WAITING:
                 return False
-            # Predecessor vanished between the listing and the stat:
-            # re-evaluate — we may have inherited the lead.
+            # The predecessor left while we looked: we may lead now.
         return False
 
     def _on_predecessor(self, _event) -> None:
@@ -115,15 +101,9 @@ class Election(Recipe):
     def resign(self) -> None:
         """Step down / withdraw the candidacy."""
         self._resigned = True
-        self.is_leader = False
         self.watching = None
         self._callback = None
-        if self.node is not None:
-            try:
-                self.client.delete(self.node)
-            except (NoNodeError, SessionClosedError):
-                pass
-            self.node = None
+        self.release()
 
     def lead(self, timeout_ms: Optional[float] = None) -> bool:
         """Block until this candidate leads (True) or the timeout passes."""
@@ -135,12 +115,4 @@ class Election(Recipe):
 
     def contenders(self) -> List[str]:
         """Candidate identifiers in succession order (leader first)."""
-        found = []
-        for name in sequence_sorted(self.client.get_children(self.path),
-                                    self.prefix):
-            try:
-                data, _stat = self.client.get_data(f"{self.path}/{name}")
-                found.append(data.decode())
-            except NoNodeError:
-                pass
-        return found
+        return self._queued_identifiers()

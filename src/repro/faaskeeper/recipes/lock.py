@@ -3,7 +3,9 @@
 Both are the classic herd-free ZooKeeper queue discipline: every
 contender creates an ephemeral **sequence** node under the recipe path;
 the queue position decides.  A :class:`Lock` grants the single head of
-the queue; a :class:`Semaphore` grants the first ``max_leases`` positions.
+the queue; a :class:`Semaphore` grants the first ``max_leases`` positions;
+:class:`~repro.faaskeeper.recipes.Election` is the same one-slot queue,
+whose head leads.
 A waiter at position ``i`` watches only the node at position
 ``i - max_slots`` — the exact contender whose departure can admit it — so
 a release (or a holder's session eviction) wakes at most one waiter — no
@@ -29,6 +31,9 @@ from .base import Recipe, sequence_sorted
 
 __all__ = ["Lock", "Semaphore"]
 
+#: What one look at the queue found (:meth:`_SequenceQueueWaiter._co_look`).
+HELD, WAITING, LOOK_AGAIN = "held", "waiting", "look again"
+
 
 class _SequenceQueueWaiter(Recipe):
     """Shared queue discipline: grant when fewer than ``max_slots``
@@ -45,10 +50,55 @@ class _SequenceQueueWaiter(Recipe):
         self.identifier = identifier or client.session_id
         self.node: Optional[str] = None      # our contender node (full path)
         self.is_acquired = False
+        #: The contender whose departure can admit us (None while held).
+        self.watching: Optional[str] = None
         #: Blocker-watch deliveries received while actually waiting (herd
         #: accounting: a herd-free queue sees at most one per release).
         self.wake_ups = 0
         self._current_wait = None
+
+    @property
+    def node_name(self) -> Optional[str]:
+        return None if self.node is None else self.node.rsplit("/", 1)[1]
+
+    # ------------------------------------------------------------ protocol
+    def _co_enlist(self) -> Generator:
+        """Enqueue: our ephemeral sequence node, made once."""
+        yield from self.co_ensure_path()
+        if self.node is None:
+            self.node = yield from self.client.busy_retry.co_call(
+                self.client.create_async, f"{self.path}/{self.prefix}",
+                self.identifier.encode(), ephemeral=True, sequence=True)
+        return None
+
+    def _co_look(self, on_change) -> Generator:
+        """One look at the queue: HELD when fewer than ``max_slots``
+        contenders are ahead of us; otherwise ``on_change`` is armed on the
+        one whose departure can admit us (recorded as ``watching``), and
+        the look is WAITING while it lives, LOOK_AGAIN if it left while we
+        looked.  Raises :class:`SessionClosedError` when our own node is
+        gone: the session was evicted (or an outsider deleted the node)."""
+        mine = self.node_name
+        queue = sequence_sorted(
+            (yield self.client.get_children_async(self.path).event),
+            self.prefix)
+        if mine not in queue:
+            self.node = None
+            raise SessionClosedError(
+                f"contender {mine} vanished from {self.path}")
+        index = queue.index(mine)
+        if index < self.max_slots:
+            self.watching = None
+            return HELD
+        self.watching = f"{self.path}/{queue[index - self.max_slots]}"
+        # Register-before-read: if the blocker is observed alive, its
+        # departure is guaranteed to fire this watch.  Should it vanish
+        # between the listing and this stat, the armed instance can linger
+        # until the blocker's (never-recurring) sequence path would change
+        # — a bounded storage leak the GC reclaims with the session.
+        stat = yield self.client.exists_async(self.watching,
+                                              watch=on_change).event
+        return LOOK_AGAIN if stat is None else WAITING
 
     # ------------------------------------------------------------ coroutine
     def co_acquire(self, blocking: bool = True,
@@ -58,29 +108,10 @@ class _SequenceQueueWaiter(Recipe):
         (kazoo semantics)."""
         if self.is_acquired:
             return True
-        yield from self.co_ensure_path()
-        if self.node is None:
-            self.node = yield from self.client.busy_retry.co_call(
-                self.client.create_async, f"{self.path}/{self.prefix}",
-                self.identifier.encode(), ephemeral=True, sequence=True)
+        yield from self._co_enlist()
         deadline = None if timeout_ms is None else self.env.now + timeout_ms
-        mine = self.node.rsplit("/", 1)[1]
         try:
             while True:
-                children = yield self.client.get_children_async(
-                    self.path).event
-                queue = sequence_sorted(children, self.prefix)
-                if mine not in queue:
-                    # Our ephemeral vanished underneath us: the session was
-                    # evicted (or an outsider deleted the node).
-                    self.node = None
-                    raise SessionClosedError(
-                        f"contender {mine} vanished from {self.path}")
-                index = queue.index(mine)
-                if index < self.max_slots:
-                    self.is_acquired = True
-                    return True
-                blocker = f"{self.path}/{queue[index - self.max_slots]}"
                 fired, on_change = self._wake_event()
                 self._current_wait = fired
 
@@ -92,16 +123,12 @@ class _SequenceQueueWaiter(Recipe):
                         self.wake_ups += 1
                     _cb(event)
 
-                # Register-before-read: if the blocker is observed alive,
-                # its departure is guaranteed to fire this watch.  Should
-                # it vanish between the listing and this stat, the armed
-                # instance can linger until the blocker's (never-recurring)
-                # sequence path would change — a bounded storage leak the
-                # GC reclaims with the session.
-                stat = yield self.client.exists_async(blocker,
-                                                      watch=counted).event
-                if stat is None:
-                    continue  # blocker vanished while we looked: re-check
+                state = yield from self._co_look(counted)
+                if state is HELD:
+                    self.is_acquired = True
+                    return True
+                if state is LOOK_AGAIN:
+                    continue
                 if not blocking:
                     yield from self.co_release()
                     return False

@@ -36,7 +36,7 @@ simulation's constraints:
   healthy round trip whatever it says (:class:`ConditionFailed` is a
   decision, not an outage: it closes a healing breaker and always
   surfaces, never retried); an attempt abandoned any other way (a
-  non-storage exception, an interrupted process) gives the probe slot
+  non-storage exception, a generator closed mid-call) gives the probe slot
   back.  HALF_OPEN therefore never outlives its probe.
 
 Retryable errors are exactly :data:`repro.cloud.errors.TRANSIENT_ERRORS`.

@@ -7,9 +7,10 @@ assigned to a single watch instance").  An instance has a unique identifier
 — the value the epoch counter tracks while its notification is in flight.
 
 Registration is a single conditional-free update: ``SetIfNotExists`` on the
-instance id plus ``ListAppend`` on the session list, so concurrent
+instance id plus a set-like ``ListAdd`` of the session, so concurrent
 registrations race safely (first writer names the instance; everyone reads
-the winning id from the returned image).
+the winning id from the returned image) and a session re-arming a watch it
+already holds stays listed once — one delivery, however many re-arms.
 
 Consumption (watches are one-shot, as in ZooKeeper) removes the instance
 atomically; the leader then hands the (id, sessions) pairs to the watch
@@ -30,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.context import OpContext
 from ..cloud.errors import ConditionFailed
-from ..cloud.expressions import Attr, ListAppend, Remove, SetIfNotExists
+from ..cloud.expressions import Attr, ListAdd, Remove, SetIfNotExists
 from ..cloud.kvstore import KeyValueStore
 from ..primitives.atomics import AtomicList
 from ..sim.kernel import Event
@@ -39,7 +40,7 @@ from .layout import SYSTEM_WATCHES, epoch_key
 from .model import EventType, WatchType, validate_path
 
 __all__ = ["WatchRegistry", "TriggeredWatch", "triggered_watch_types",
-           "EpochLedger", "DataWatch", "ChildrenWatch"]
+           "armed_instances", "EpochLedger", "DataWatch", "ChildrenWatch"]
 
 _uid = itertools.count(1)
 
@@ -79,6 +80,29 @@ def triggered_watch_types(op: str, is_parent: bool) -> List[Tuple[WatchType, Eve
             (WatchType.CHILDREN, EventType.NODE_DELETED),
         ]
     return []
+
+
+def armed_instances(watch_item: Optional[Dict[str, Any]],
+                    op_pairs: List[Tuple[str, bool]],
+                    ) -> List[Tuple[WatchType, EventType, Dict[str, Any]]]:
+    """The instances of a path's watch item that a transaction's ``(op,
+    is_parent)`` members trigger, as ``(type, event, instance)`` in
+    first-triggered order: the union of the members' watch types, each
+    named by the event of the first member that triggers it, and kept
+    only while some session is listed on it."""
+    if not watch_item:
+        return []
+    type_events: Dict[WatchType, EventType] = {}
+    for op, is_parent in op_pairs:
+        for wtype, event in triggered_watch_types(op, is_parent):
+            type_events.setdefault(wtype, event)
+    instances = watch_item.get("inst", {})
+    armed = []
+    for wtype, event in type_events.items():
+        inst = instances.get(wtype.value)
+        if inst and inst.get("sessions"):
+            armed.append((wtype, event, inst))
+    return armed
 
 
 class EpochLedger:
@@ -159,7 +183,7 @@ class WatchRegistry:
             ctx, SYSTEM_WATCHES, path,
             updates=[
                 SetIfNotExists(f"inst.{wtype.value}.id", candidate),
-                ListAppend(f"inst.{wtype.value}.sessions", [session]),
+                ListAdd(f"inst.{wtype.value}.sessions", [session]),
             ],
             payload_kb=0.064,
         )
@@ -228,21 +252,14 @@ class WatchRegistry:
         in the delivery.  The guard costs nothing when there is no race:
         the same single conditional write the unguarded form issued.
         """
-        type_events: Dict[WatchType, EventType] = {}
-        for op, is_parent in op_pairs:
-            for wtype, event in triggered_watch_types(op, is_parent):
-                type_events.setdefault(wtype, event)
         while True:
-            if not watch_item:
+            armed = armed_instances(watch_item, op_pairs)
+            if not armed:
                 return []
-            instances = watch_item.get("inst", {})
             triggered: List[TriggeredWatch] = []
             removals = []
             guard = None
-            for wtype, event in type_events.items():
-                inst = instances.get(wtype.value)
-                if not inst or not inst.get("sessions"):
-                    continue
+            for wtype, event, inst in armed:
                 triggered.append(TriggeredWatch(
                     watch_id=inst["id"], path=path, wtype=wtype,
                     event=event, sessions=list(inst["sessions"]),
@@ -252,8 +269,6 @@ class WatchRegistry:
                     (Attr(f"inst.{wtype.value}.sessions") ==
                      list(inst["sessions"]))
                 guard = pin if guard is None else (guard & pin)
-            if not removals:
-                return []
             try:
                 yield from self.store.update_item(
                     ctx, SYSTEM_WATCHES, path, updates=removals,

@@ -8,8 +8,9 @@ protocol, exactly as the paper specifies:
   timestamp is present *or* the existing one is older than ``max_hold_ms``
   (an expired holder is overridden);
 * **guarded updates** — every mutation of a locked item carries the
-  condition "the stored timestamp still equals mine", so a holder that lost
-  the lock to expiry cannot accidentally overwrite newer state;
+  condition :meth:`TimedLock.held_by` ("the stored timestamp still equals
+  mine"), so a holder that lost the lock to expiry cannot accidentally
+  overwrite newer state;
 * **release / commit-unlock** — removes the timestamp, optionally fused
   with the data update into one atomic conditional write (the follower's
   step ➃ in Algorithm 1).
@@ -114,27 +115,6 @@ class TimedLock:
         except ConditionFailed:
             return False
         return True
-
-    def guarded_update(
-        self,
-        ctx: OpContext,
-        handle: LockHandle,
-        updates: Sequence[UpdateAction],
-        extra_condition: Optional[Condition] = None,
-    ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
-        """Apply updates iff the lock is still ours; keeps the lock held.
-
-        Returns the new image, or ``None`` when the lease was lost.
-        """
-        condition = self.held_by(handle.timestamp)
-        if extra_condition is not None:
-            condition = condition & extra_condition
-        try:
-            return (yield from self.store.update_item(
-                ctx, self.table, handle.key, updates=updates, condition=condition,
-            ))
-        except ConditionFailed:
-            return None
 
     def commit_unlock(
         self,

@@ -5,7 +5,6 @@ from .kernel import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     ReentrantRunError,
     SimulationError,
@@ -21,7 +20,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "ReentrantRunError",
     "SimulationError",

@@ -21,7 +21,7 @@ process-interaction models.
 being the order of scheduling.  The scheduler keeps that order in two lanes:
 
 * the *wakeup lane*, a FIFO of every URGENT event (``succeed``/``fail``,
-  process start and termination, ``interrupt``);
+  process start and termination);
 * the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s and
   ``TimerTrain``s.
 
@@ -39,11 +39,6 @@ N ``Timeout``s would.  ``step()`` fires one element.  ``run()`` lets the train
 fire the following ones inline, without a heap round trip, only while the
 one-heap order would pick them anyway: the wakeup lane is empty, the element
 is ahead of the heap top, and it is not past ``run``'s ``until``.
-
-**Interrupt rule.**  ``Process.interrupt()`` only schedules a wakeup.  The
-process leaves the event it waits on when that wakeup is *delivered* (SimPy's
-rule), not when ``interrupt()`` is called: in between it may have been resumed
-and have parked on another event, and that one is the subscription to drop.
 
 **Failure rule.**  A failed event nobody handled surfaces from ``run()``.  A
 waiter handles it by being resumed with it, and a condition owns its members'
@@ -75,7 +70,6 @@ __all__ = [
     "Timeout",
     "TimerTrain",
     "Process",
-    "Interrupt",
     "AnyOf",
     "AllOf",
     "gather",
@@ -94,14 +88,6 @@ class ReentrantRunError(BaseException):
     Not an ``Exception``: a handler's ``except Exception`` (a queue's
     redelivery, the watch fan-out's retry, a callback's isolation) must not
     swallow it, so it escapes the outer ``run()`` instead."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 # Event priorities: URGENT events (process resumptions) run before NORMAL
@@ -176,13 +162,6 @@ class Event:
         self._ok = False
         self.env._urgent.append(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Chain trigger: adopt the outcome of another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     def defused(self) -> None:
         """Mark a failed event as handled so the kernel does not re-raise."""
@@ -302,7 +281,7 @@ class Process(Event):
     it: never pair an ``Event`` with the process whose end it announces.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -318,42 +297,14 @@ class Process(Event):
         self._ok = True
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            raise SimulationError(f"{self} has terminated and cannot be interrupted")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._interrupted)
-        self.env._urgent.append(event)
-
-    def _interrupted(self, event: Event) -> None:
-        # Unsubscribe from the event the process is waiting on *now*, so its
-        # later firing does not resume a generator that has moved on.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._resume(event)
 
     # -- generator driving --------------------------------------------------
     def _resume(self, event: Event) -> None:
         env = self.env
         send = self._generator.send
         env._active_process = self
-        self._target = None
         while True:
             try:
                 if event._ok:
@@ -362,11 +313,8 @@ class Process(Event):
                     event._defused = True
                     next_ev = self._generator.throw(event._value)
             except BaseException as exc:
-                # The generator ended and the process event triggers.  Once
-                # triggered it is in the wakeup lane and must not enter twice
-                # (a second interrupt can land on a finished generator).
-                if self._value is _PENDING:
-                    env._urgent.append(self)
+                # The generator ended and the process event triggers.
+                env._urgent.append(self)
                 self._ok = isinstance(exc, StopIteration)
                 self._value = exc.value if self._ok else exc
                 break
@@ -384,7 +332,6 @@ class Process(Event):
             if next_ev.callbacks is not None:
                 # Event still pending: subscribe and suspend.
                 next_ev.callbacks.append(self._resume)
-                self._target = next_ev
                 break
             # Event already processed: loop immediately with its outcome.
             event = next_ev
@@ -506,9 +453,6 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

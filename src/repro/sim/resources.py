@@ -2,18 +2,18 @@
 
 Provides the three coordination objects the simulated cloud is built from:
 
-* :class:`Store` — an unbounded FIFO buffer of items (used for queue message
-  buffers and client response mailboxes);
-* :class:`Resource` — a counted semaphore with FIFO waiters (used for
-  function-concurrency limits and storage-partition capacity);
-* :class:`TokenBucketLimiter` — a rate limiter used to model per-table /
-  per-queue throughput ceilings (Figures 6b and 7b).
+* :class:`Store` — an unbounded FIFO buffer of items (a queue's message
+  buffer);
+* :class:`Resource` — a counted semaphore with FIFO waiters (the ZooKeeper
+  model's write gate);
+* :class:`TokenBucketLimiter` — a rate limiter used to model per-table
+  throughput ceilings (Figures 6b and 7b).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
 from .kernel import Environment, Event, SimulationError
 
@@ -148,12 +148,6 @@ class Resource:
             self._in_use -= 1
             if self._in_use < 0:  # pragma: no cover - defensive
                 raise SimulationError("resource released more times than acquired")
-
-    def acquire(self) -> Generator[Event, Any, Event]:
-        """Convenience: ``req = yield from resource.acquire()``."""
-        req = self.request()
-        yield req
-        return req
 
 
 class TokenBucketLimiter:

@@ -45,11 +45,6 @@ class RngRegistry:
         """Forget a stream whose only user is gone (a deleted queue)."""
         self._streams.pop(name, None)
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (used per-deployment for isolation)."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
-
 
 def lognormal_from_percentiles(p50: float, p99: float) -> tuple[float, float]:
     """Fit ``(mu, sigma)`` of a lognormal from its median and 99th percentile.

@@ -34,9 +34,8 @@ class ZooKeeperDeployment:
             n_servers=n_servers, vm_type=vm_type,
             session_timeout_ms=session_timeout_ms)
 
-    def connect(self, server_index: Optional[int] = None,
-                auto_heartbeat: bool = True) -> ZooKeeperClient:
-        return ZooKeeperClient(self.ensemble, server_index, auto_heartbeat)
+    def connect(self, server_index: Optional[int] = None) -> ZooKeeperClient:
+        return ZooKeeperClient(self.ensemble, server_index)
 
     def daily_cost(self, storage_gb: float = 20.0) -> float:
         return self.ensemble.daily_cost(storage_gb)

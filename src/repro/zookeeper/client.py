@@ -35,16 +35,14 @@ class ZooKeeperClient:
     """Synchronous client bound to one session of the ensemble."""
 
     def __init__(self, ensemble: ZooKeeperEnsemble,
-                 server_index: Optional[int] = None,
-                 auto_heartbeat: bool = True) -> None:
+                 server_index: Optional[int] = None) -> None:
         self.ensemble = ensemble
         self.env = ensemble.env
         self.session = ensemble.open_session(server_index)
         self.watch_events: List = []
-        self.auto_heartbeat = auto_heartbeat
-        if auto_heartbeat:
-            self._hb_proc = self.env.process(self._heartbeat_loop(),
-                                             name=f"zk-hb-{self.session.session_id}")
+        self._heartbeating = True
+        self.env.process(self._heartbeat_loop(),
+                         name=f"zk-hb-{self.session.session_id}")
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -56,22 +54,15 @@ class ZooKeeperClient:
         return self.session.expired
 
     def _heartbeat_loop(self):
-        from ..sim.kernel import Interrupt
-
         period = self.ensemble.session_timeout_ms / 3.0
-        try:
-            while not self.session.expired:
-                self.ensemble.heartbeat(self.session_id)
-                yield self.env.timeout(period)
-        except Interrupt:
-            return
+        while self._heartbeating and not self.session.expired:
+            self.ensemble.heartbeat(self.session_id)
+            yield self.env.timeout(period)
 
     def stop_heartbeats(self) -> None:
-        """Simulate a client failure (the session will expire)."""
-        self.auto_heartbeat = False
-        if self._hb_proc is not None and self._hb_proc.is_alive:
-            self._hb_proc.interrupt("stopped")
-            self._hb_proc = None
+        """Simulate a client failure (the session will expire); the loop
+        ends at its next wake."""
+        self._heartbeating = False
 
     def _run(self, generator) -> Any:
         proc = self.env.process(generator)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.cloud.calibration import aws_profile, gcp_profile
-from repro.cloud.latency import Fixed, SizeAware, scaled
+from repro.cloud.latency import Fixed, SizeAware
 from repro.sim.rng import lognormal_from_percentiles, percentile
 
 
@@ -58,15 +58,6 @@ def test_size_aware_outliers_produce_heavy_max():
     rng = random.Random(11)
     samples = [m.sample(rng) for _ in range(5000)]
     assert max(samples) > 5 * percentile(samples, 99)
-
-
-def test_scaled_wrapper():
-    base = Fixed(10.0)
-    m = scaled(base, factor=2.0, extra_ms=5.0)
-    rng = random.Random(1)
-    assert m.sample(rng) == 25.0
-    assert m.median() == 25.0
-    assert scaled(base) is base  # identity shortcut
 
 
 def test_median_is_deterministic():

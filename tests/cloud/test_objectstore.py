@@ -116,15 +116,6 @@ def test_cross_region_penalty(cloud):
     assert min(timed(remote) for _ in range(5)) > min(timed(local) for _ in range(5)) + 100
 
 
-def test_total_stored_kb(cloud, ctx):
-    s3 = cloud.objectstore()
-    s3.create_bucket("b")
-    cloud.run_process(s3.put_object(ctx, "b", "a", b"x" * 2048))
-    cloud.run_process(s3.put_object(ctx, "b", "c", b"x" * 1024))
-    assert s3.total_stored_kb("b") == pytest.approx(3.0)
-    assert s3.bucket_keys("b") == ["a", "c"]
-
-
 def test_metadata_is_isolated_both_ways(cloud, ctx):
     """The store keeps its own metadata image: neither the dict a caller
     passed in nor one a caller got back aliases it."""

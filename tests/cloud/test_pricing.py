@@ -96,11 +96,3 @@ def test_meter_snapshot_delta():
     delta = meter.delta(before)
     assert delta["s3"] == pytest.approx(3e-6)
     assert delta["sqs"] == pytest.approx(0.5e-6)
-
-
-def test_meter_reset():
-    meter = CostMeter()
-    meter.charge("s3", "write", 1e-6)
-    meter.reset()
-    assert meter.total == 0.0
-    assert meter.lines() == []

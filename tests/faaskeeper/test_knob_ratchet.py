@@ -22,7 +22,7 @@ the copy discipline: images cross the storage API through
 And the deployment: every stage is declared once, in one deploy helper,
 and CI's one fault job runs every cell of the fault matrix in exactly
 one leg; no tier-1 leg flips a deployment default; every CI job has a
-time bound.
+time bound; every benchmark runs in some CI step.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.
@@ -109,7 +109,15 @@ def test_census_deletions_stay_deleted():
     tables are their own durable record) and the hand-written per-member
     folds and images of a transaction (the follower stages one write set
     and projects every image from its staged node) were deleted by the
-    census; their names stay out of ``src/``."""
+    census; their names stay out of ``src/``.  So do the mechanisms only
+    their own unit tests called: the kernel's interrupts (a process ends
+    by returning), ``Event.trigger``, ``Environment.any_of`` (``AnyOf``
+    is the one form), ``Resource.acquire``, ``RngRegistry.spawn``, the
+    ``Scaled`` latency wrapper, the object store's bucket listing and
+    stored-size sum, ``CostMeter.reset``, ``TimedLock.guarded_update``
+    (a holder states ``held_by`` itself), the never-read
+    ``previous_at`` and the ZooKeeper client's ``auto_heartbeat``; and
+    the distributor's copy of the armed-instance selection."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -120,9 +128,14 @@ def test_census_deletions_stay_deleted():
         "recover_system|_checkpoint_system|_SYSTEM_CHECKPOINTS|"
         "_cseq_from_children|SNAPSHOT_SYS_PREFIX|wipe_system_tables|"
         "merge_multi_commit|multi_replication_plan|_parent_image|meta_only|"
-        "node_image|parent_image")
+        "node_image|parent_image|"
+        r"\bInterrupt\b|\.interrupt\(|_interrupted\b|\bis_alive\b|self\._target\b|"
+        r"def trigger\(|\bany_of\(|def acquire\(self\)|def spawn\(|class Scaled\b|"
+        r"\bscaled\(|bucket_keys|total_stored_kb|guarded_update|previous_at|"
+        "auto_heartbeat|_hb_proc|armed_watch_ids")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
+    assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()
 
 
 def _switches(paths):
@@ -412,6 +425,21 @@ def test_every_ci_job_is_bounded():
     for workflow in (ROOT / ".github" / "workflows").glob("*.yml"):
         for name, job in yaml.safe_load(workflow.read_text())["jobs"].items():
             assert job.get("timeout-minutes", 360) <= 30, (workflow.name, name)
+
+
+def test_every_benchmark_runs_in_ci():
+    """``pytest benchmarks`` collects nothing (``python_files`` is
+    ``test_*.py``), so a benchmark runs in CI only where a step names its
+    file: every ``benchmarks/bench_*.py`` is named by some step's command."""
+    import yaml
+
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    runs = " ".join(step.get("run", "")
+                    for job in yaml.safe_load(workflow.read_text())["jobs"].values()
+                    for step in job["steps"])
+    missing = sorted(path.name for path in (ROOT / "benchmarks").glob("bench_*.py")
+                     if f"benchmarks/{path.name}" not in runs)
+    assert not missing, missing
 
 
 #: Calls that read the wall clock or ambient entropy: time comes from the

@@ -484,8 +484,8 @@ def test_probe_answered_with_condition_failed_closes_the_breaker():
 
 
 def test_abandoned_probe_does_not_wedge_the_breaker():
-    """An attempt that ends with no word from the store — a caller bug, an
-    interrupted process — gives the probe slot back."""
+    """An attempt that ends with no word from the store — a caller bug, a
+    generator closed mid-call — gives the probe slot back."""
     cloud, kv, wrapped, ctx, breaker = _tripped()
     with pytest.raises(TypeError):            # never reaches the store
         cloud.run_process(wrapped.get_item(ctx, "t", "k", bogus=True))

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.faaskeeper import EventType
+from repro.faaskeeper.layout import SYSTEM_WATCHES
+from repro.faaskeeper.model import WatchType
 from .conftest import make_service
 
 
@@ -42,6 +44,28 @@ def test_rearmed_watch_fires_again(service, client):
     client.set_data("/a", b"2")
     settle(service.cloud)
     assert len(events) == 2
+
+
+def test_rearming_a_held_watch_lists_the_session_once():
+    """Three ``exists`` watches by one session on one path join one
+    instance once: a single delivery reaches the session, which runs all
+    three callbacks.  An instance that listed the session per re-arm would
+    fan out three deliveries and grow by one entry per re-arm until the
+    item outgrows the store's item limit."""
+    cloud, service = make_service(seed=7)
+    client = service.connect()
+    client.create("/x", b"")
+    calls = []
+    for i in range(3):
+        client.exists("/x", watch=lambda ev, i=i: calls.append(i))
+    watches = service.system_store.table(SYSTEM_WATCHES)
+    listed = watches.raw("/x")["inst"][WatchType.EXISTS.value]["sessions"]
+    client.set_data("/x", b"1")
+    settle(cloud)
+    deliveries = service.metrics.get("fk_watch_deliveries_total")
+    assert sum(child.value for _labels, child in deliveries.items()) == 1
+    assert calls == [0, 1, 2]
+    assert listed == [client.session_id]
 
 
 def test_exists_watch_fires_on_create(service, client):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import Cloud, OpContext, Set
+from repro.cloud import Cloud, ConditionFailed, OpContext, Set
 from repro.primitives import TimedLock
 
 
@@ -85,12 +85,22 @@ def test_stale_holder_cannot_release_after_takeover(cloud, setup):
     assert kv.table("nodes").raw("/a")["lock"]["ts"] == h2.timestamp
 
 
+def _guarded_update(kv, lock, ctx, handle, updates):
+    """A holder's mutation of its locked item, guarded by ``held_by``."""
+    try:
+        return (yield from kv.update_item(
+            ctx, "nodes", handle.key, updates=updates,
+            condition=lock.held_by(handle.timestamp)))
+    except ConditionFailed:
+        return None
+
+
 def test_guarded_update_applies_while_held(cloud, setup):
     kv, lock, ctx = setup
 
     def flow():
         h = yield from lock.acquire(ctx, "/a")
-        image = yield from lock.guarded_update(ctx, h, [Set("data", "y")])
+        image = yield from _guarded_update(kv, lock, ctx, h, [Set("data", "y")])
         return image
 
     image = cloud.run_process(flow())
@@ -106,8 +116,8 @@ def test_guarded_update_noop_after_expiry_takeover(cloud, setup):
         h1 = yield from lock.acquire(ctx, "/a")
         yield cloud.env.timeout(2500)
         h2 = yield from lock.acquire(ctx, "/a")
-        yield from lock.guarded_update(ctx, h2, [Set("data", "new")])
-        stale = yield from lock.guarded_update(ctx, h1, [Set("data", "stale")])
+        yield from _guarded_update(kv, lock, ctx, h2, [Set("data", "new")])
+        stale = yield from _guarded_update(kv, lock, ctx, h1, [Set("data", "stale")])
         return stale
 
     stale = cloud.run_process(flow())

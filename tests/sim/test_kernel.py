@@ -12,7 +12,6 @@ from repro.sim import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     ReentrantRunError,
     Resource,
     SimulationError,
@@ -255,38 +254,6 @@ def test_all_of_empty_triggers_immediately():
     assert env.run(until=p) == 0.0
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    out = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            out.append((env.now, exc.cause))
-
-    def attacker(env, target):
-        yield env.timeout(4)
-        target.interrupt("preempted")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert out == [(4.0, "preempted")]
-
-
-def test_interrupt_terminated_process_rejected():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(1)
-
-    v = env.process(victim(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        v.interrupt()
-
-
 def test_process_accepts_generators_and_generator_likes_only():
     env = Environment()
 
@@ -437,7 +404,7 @@ def _counting(base):
 
 _DELAYS = (0, 0, 0, 1, 1, 2, 2.5, 2.5, 5)
 _ACTIONS = ("timeout", "timeout", "put", "get", "get_or_timeout", "hold",
-            "succeed", "fail", "wait", "any", "all", "interrupt", "spawn")
+            "succeed", "fail", "wait", "any", "all", "stall", "spawn")
 
 
 def _soup(env, seed, mode):
@@ -462,12 +429,12 @@ def _soup(env, seed, mode):
 
     def plan(length):
         return [(rng.choice(_ACTIONS), rng.choice(_DELAYS), rng.choice(_DELAYS),
-                 rng.randrange(len(signals)), rng.randrange(len(signals)),
-                 rng.randrange(8)) for _ in range(length)]
+                 rng.randrange(len(signals)), rng.randrange(len(signals)))
+                for _ in range(length)]
 
     def worker(name, script):
         note(name, "start")
-        for n, (action, d1, d2, i, j, k) in enumerate(script):
+        for n, (action, d1, d2, i, j) in enumerate(script):
             try:
                 if action == "timeout":
                     note(name, n, (yield env.timeout(d1, value=d1)))
@@ -482,12 +449,11 @@ def _soup(env, seed, mode):
                         store.cancel_get(get)
                     note(name, n, got)
                 elif action == "hold":
-                    request = yield from resource.acquire()
+                    request = resource.request()
+                    yield request
                     note(name, n, "acquired")
-                    try:
-                        yield env.timeout(d1)
-                    finally:
-                        resource.release(request)
+                    yield env.timeout(d1)
+                    resource.release(request)
                 elif action == "succeed" and not signals[i].triggered:
                     signals[i].succeed((name, n))
                 elif action == "fail" and not signals[i].triggered:
@@ -496,20 +462,17 @@ def _soup(env, seed, mode):
                 elif action == "wait":
                     note(name, n, (yield signals[i]))
                 elif action == "any":
-                    note(name, n, (yield env.any_of(
-                        [signals[i], signals[j], env.timeout(d1, value="t")])))
+                    note(name, n, (yield AnyOf(
+                        env, [signals[i], signals[j], env.timeout(d1, value="t")])))
                 elif action == "all":
                     note(name, n, (yield env.all_of(
                         [env.timeout(d1, value="a"), signals[i], env.timeout(d2, value="b")])))
-                elif action == "interrupt":
-                    target = workers[k % len(workers)]
-                    if target.is_alive and target is not env.active_process:
-                        target.interrupt((name, n))
+                elif action == "stall":
+                    note(name, n, "stalled")
+                    yield env.event()  # nobody triggers it: the worker ends here
                 elif action == "spawn":
                     child = env.process(worker(f"{name}.{n}", plan(3)))
                     note(name, n, (yield child))
-            except Interrupt as exc:
-                note(name, n, ("interrupted", exc.cause))
             except ValueError as exc:
                 note(name, n, ("failed", str(exc)))
         return name
@@ -533,7 +496,7 @@ def _soup(env, seed, mode):
                 return note("driver", "ran", env.run(until=until))
             except SimulationError as exc:  # ran dry before ``until`` triggered
                 return note("driver", "dry", str(exc))
-            except (ValueError, Interrupt) as exc:
+            except ValueError as exc:
                 note("driver", "surfaced", str(exc))
                 if isinstance(until, Event) and until.processed and not until.ok:
                     return None  # the awaited event itself failed
@@ -574,7 +537,7 @@ def test_soup_exercises_every_ingredient():
         for mode in ("dry", "times", "events"):
             for _steps, _now, _who, what, value in _soup(_counting(Environment), seed, mode):
                 seen.update((what, value.split(",")[0]))
-    assert {"('interrupted'", "('failed'", "'acquired'", """["'late'"]""", "('tick'",
+    assert {"'stalled'", "('failed'", "'acquired'", """["'late'"]""", "('tick'",
             "fired", "surfaced", "stopped", "dry", "ran"} <= seen
 
 
@@ -628,52 +591,6 @@ def test_step_is_entered_exactly_once_per_processed_event():
     assert (env.steps, len(fired)) == (4 + 3 + 3, 1 + 3 + 3)
     env.run()
     assert (env.steps, len(fired)) == (4 + 4 + 3, 1 + 4 + 3)
-
-
-def test_second_interrupt_on_a_finished_generator_does_not_fire_it_twice():
-    env = _counting(Environment)
-
-    def victim(env):
-        yield env.timeout(10)
-
-    def attacker(env, target):
-        yield env.timeout(1)
-        target.interrupt("one")
-        target.interrupt("two")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    with pytest.raises(Interrupt):
-        env.run()
-    assert v.processed and not v.ok
-    env.run()  # the victim's timeout fires into nothing
-    assert env.now == 10.0
-
-
-def test_interrupt_unsubscribes_at_delivery_not_at_the_call():
-    """SimPy's rule.  ``fired`` has callbacks [interrupter, victim._resume]:
-    the interrupter runs while ``fired`` is firing (its callback list is
-    already gone), the victim then resumes from it and parks on a 2 ms
-    timeout, and the interrupt lands *there* — that timeout must not resume
-    the victim, which has moved on, a second time."""
-    env = Environment()
-    log = []
-    fired = env.event()
-
-    def victim(env):
-        log.append(("fired", (yield fired)))
-        try:
-            log.append(("t2", (yield env.timeout(2, value="t2"))))
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-        log.append(("t5", (yield env.timeout(5, value="t5"))))
-
-    v = env.process(victim(env))
-    fired.callbacks.append(lambda ev: v.interrupt("now"))  # ahead of the victim
-    env.timeout(1).callbacks.append(lambda ev: fired.succeed("go"))
-    env.run()
-    assert log == [("fired", "go"), ("interrupted", "now"), ("t5", "t5")]
-    assert env.now == 6.0 and v.ok
 
 
 # ------------------------------------- a process is its own completion handle
@@ -764,8 +681,8 @@ def _completion_soup(env, seed, paired, run="spawned"):
                 elif action == "wait":
                     note(name, n, (yield a))
                 elif action == "any":
-                    note(name, n, (yield env.any_of(
-                        [a, b, env.timeout(delay, value="t")])))
+                    note(name, n, (yield AnyOf(
+                        env, [a, b, env.timeout(delay, value="t")])))
                 elif action == "all":
                     note(name, n, (yield env.all_of(
                         [a, env.timeout(delay, value="t"), b])))
