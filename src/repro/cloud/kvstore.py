@@ -22,14 +22,15 @@ is never mutated again.  That one invariant lets the table, the previous
 version kept for eventual reads, stream records, the idempotence-token
 ledger and the next update's copy-on-write base all *hold the same dict*.
 Updates build a new image that shares every untouched attribute
-(:func:`~repro.cloud.expressions.updated_image`).  Only the API boundary
-copies, once, with :func:`~repro.cloud.expressions.clone`: every image
-returned or raised to a caller (``get_item``, ``update_item``,
-``transact_update``, ``scan``, token replays, ``ConditionFailed.item``,
-stream-record images when read) and every caller-owned dict entering the
-store (``put_item``, ``batch_put``; once per distinct dict of a call, its
-keys sharing the image).  Because images are frozen, an item's billable size
-is a stored fact, not a walk: walked once, at the copy-in
+(:func:`~repro.cloud.expressions.updated_image`).  Reads hand out the
+frozen image itself (``get_item``, ``update_item``, ``transact_update``,
+token replays; a projected ``scan``, a new dict of the stored values): a
+caller never mutates what a read returns, it builds a new dict.  Only what
+enters the store is copied, once, with :func:`~repro.cloud.expressions.clone`
+— every caller-owned dict (``put_item``, ``batch_put``; once per distinct
+dict of a call) and update operand — plus the rare ``ConditionFailed.item``
+and stream-record images when read.  Because images are frozen, an item's
+billable size is a stored fact, not a walk: walked once, at the copy-in
 (:func:`~repro.cloud.expressions.clone_sized`), or derived in exact integer
 bytes from the previous size plus the delta of the attributes an update
 touched — so latency and billing see the same floats a full walk would
@@ -173,11 +174,8 @@ class Table:
         snapshot here, so the op that observes a corruption raises."""
         rec = self._items.get(key)
         if rec is not None and rec.snapshot is not None:
-            if rec.value != rec.snapshot:
-                raise sanitize.SanitizerError(
-                    f"stored image {self.name}/{key} was mutated in place "
-                    "after Table._store; images are frozen — build a new one "
-                    "(copy-on-write), see CONTRIBUTING.md")
+            sanitize.check_frozen(f"stored image {self.name}/{key}",
+                                  rec.value, rec.snapshot)
             if rec.size_bytes != item_size_bytes(rec.value):
                 raise sanitize.SanitizerError(
                     f"memoized size of {self.name}/{key} is {rec.size_bytes} B"
@@ -358,7 +356,7 @@ class KeyValueStore:
         key: str,
         consistent: bool = True,
     ) -> Generator[Event, Any, Optional[Dict[str, Any]]]:
-        """Read one item; returns a private clone or None.
+        """Read one item; returns the stored (frozen) image or None.
 
         Eventually-consistent reads may return the previous version of a
         recently written item — the behaviour that rules them out for
@@ -382,8 +380,8 @@ class KeyValueStore:
         if not consistent and rec.previous is not None:
             age = self.env.now - rec.written_at
             if age < self.EVENTUAL_STALENESS_MS and self.rng.random() < self.EVENTUAL_STALE_P:
-                return clone(rec.previous)
-        return clone(rec.value)
+                return rec.previous
+        return rec.value
 
     def put_item(
         self,
@@ -440,7 +438,7 @@ class KeyValueStore:
     ) -> Generator[Event, Any, Dict[str, Any]]:
         """Atomically apply update actions iff ``condition`` holds.
 
-        Returns a private clone of the new image.  ``atomic_hint`` selects the
+        Returns the new (frozen) image.  ``atomic_hint`` selects the
         slightly cheaper latency profile of plain ADD updates (atomic
         counters, Table 6a).  ``payload_kb`` lets callers override the billed
         payload (list appends bill the appended data, not the whole item).
@@ -469,11 +467,11 @@ class KeyValueStore:
         self._charge_write(ctx, max(size_kb, 0.001))
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
-            return clone(applied)
+            return applied
         new_value, new_bytes = self._stage(table, key, updates, condition)
         table._store(key, new_value, size_bytes=new_bytes)
         self._finish(token, new_value, fault, "update_item", table_name, key)
-        return clone(new_value)
+        return new_value
 
     def _stage(self, table: Table, key: str, updates: Sequence[UpdateAction],
                condition: Optional[Condition]) -> Tuple[Dict[str, Any], int]:
@@ -557,7 +555,7 @@ class KeyValueStore:
         yield self.env.timeout(wait + latency)
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
-            return [clone(image) for image in applied]
+            return list(applied)
         # Atomic check-then-apply at a single instant of virtual time.
         staged: List[tuple] = []
         for table_name, key, updates, condition in ops:
@@ -580,7 +578,7 @@ class KeyValueStore:
             table._store(key, new_value, size_bytes=new_bytes)
         images = [new_value for _t, _k, new_value, _b in staged]
         self._finish(token, images, fault, "transact_update", *ops[0][:2])
-        return [clone(image) for image in images]
+        return list(images)  # the ledger keeps its own list
 
     def scan(
         self,
@@ -627,8 +625,8 @@ class KeyValueStore:
         for key, rec in zip(selected, map(get, selected)):
             if rec is not None:
                 image = rec.value
-                found[key] = (clone(image) if projection is None else
-                              {n: clone(image[n]) for n in projection if n in image})
+                found[key] = (image if projection is None else
+                              {n: image[n] for n in projection if n in image})
         return found
 
     def batch_put(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from ..sim.kernel import Environment, Event
+from . import sanitize
 from .calibration import CloudProfile
 from .context import OpContext
 from .errors import NoSuchBucket, NoSuchObject
@@ -43,6 +44,8 @@ class ObjectStore:
         self.region = region
         self.service_label = service_label
         self._buckets: Dict[str, Dict[str, tuple[Any, Dict[str, Any]]]] = {}
+        #: ``FK_SANITIZE=1`` only: (bucket, key) -> a clone of the metadata stored.
+        self._snapshots: Optional[Dict[tuple, Any]] = {} if sanitize.enabled() else None
         #: Armed by deployments running a fault schedule (None = no draws).
         self.faults: Optional[FaultInjector] = None
 
@@ -62,6 +65,13 @@ class ObjectStore:
         """Zero-latency payload peek for tests."""
         entry = self._bucket(bucket).get(key)
         return None if entry is None else entry[0]
+
+    def _checked(self, bucket: str, key: str) -> Optional[tuple]:
+        entry = self._bucket(bucket).get(key)
+        if entry is not None and self._snapshots is not None:
+            sanitize.check_frozen(f"metadata of {bucket}/{key}", entry[1],
+                                  self._snapshots.get((bucket, key)))
+        return entry
 
     # ------------------------------------------------------------ helpers
     @staticmethod
@@ -97,7 +107,10 @@ class ObjectStore:
             yield from self.faults.fire_before(fault, f"put_object {bucket}/{key}")
         size_kb = self.payload_kb(payload)
         yield self.env.timeout(self._latency(ctx, self.profile.obj_write, size_kb))
+        self._checked(bucket, key)
         objects[key] = (payload, clone(metadata or {}))
+        if self._snapshots is not None:
+            self._snapshots[bucket, key] = clone(metadata or {})
         self.meter.charge(ctx.payer or self.service_label, "obj_write",
                           self.profile.prices.object_write_cost(size_kb))
         if fault is not None:
@@ -119,11 +132,10 @@ class ObjectStore:
         yield self.env.timeout(self._latency(ctx, self.profile.obj_read, size_kb))
         self.meter.charge(ctx.payer or self.service_label, "obj_read",
                           self.profile.prices.object_read_cost(size_kb))
-        entry = objects.get(key)
+        entry = self._checked(bucket, key)
         if entry is None:
             raise NoSuchObject(f"{bucket}/{key}")
-        payload, metadata = entry
-        return payload, clone(metadata)
+        return entry
 
     def delete_object(
         self,

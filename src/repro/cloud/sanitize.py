@@ -19,6 +19,8 @@ Armed invariants:
 * **FK003** — a ``Remove`` of an ``inst.*`` attribute on
   ``fk-system-watches`` must carry a condition (the id + session-list
   guard of the guarded-removal protocol), transactional or not.
+* **Frozen images** — reads hand stored images out uncopied, so a store
+  snapshots each one and checks it (:func:`check_frozen`) on the next op.
 
 This module is imported by :mod:`repro.cloud.kvstore`, so it must not
 import anything from :mod:`repro.cloud` or :mod:`repro.faaskeeper` —
@@ -30,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Sequence
 
-__all__ = ["SanitizerError", "enabled", "check_mutation",
+__all__ = ["SanitizerError", "enabled", "check_mutation", "check_frozen",
            "APPEND_ONLY_TABLE"]
 
 #: The one table whose append path must ride the commit transaction.
@@ -49,6 +51,13 @@ class SanitizerError(BaseException):
 def enabled() -> bool:
     """True when ``FK_SANITIZE=1`` arms the assertions."""
     return os.environ.get("FK_SANITIZE", "") == "1"
+
+
+def check_frozen(what: str, image: Any, snapshot: Any) -> None:
+    """Assert a stored image still equals its snapshot from store time."""
+    if image != snapshot:
+        raise SanitizerError(f"{what} was mutated in place after it was stored;"
+                             " images are frozen — build a new one, see CONTRIBUTING.md")
 
 
 def _is_instance_remove(action: Any) -> bool:

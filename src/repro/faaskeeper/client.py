@@ -41,6 +41,7 @@ from functools import cached_property, partial, wraps
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cloud.errors import NoSuchQueue, PayloadTooLarge
+from ..cloud.expressions import clone
 from ..sim.kernel import Process, Timeout
 from .cache import ClientReadCache
 from .exceptions import (
@@ -120,7 +121,7 @@ def _children(path, image):
 def _acl(path, image):
     if image is None:
         raise NoNodeError(path)
-    return image.get("acl")
+    return clone(image.get("acl"))  # the image is the store's: hand out a copy
 
 
 class Transaction:

@@ -106,12 +106,16 @@ class Election(_SequenceQueueWaiter):
         self.release()
 
     def lead(self, timeout_ms: Optional[float] = None) -> bool:
-        """Block until this candidate leads (True) or the timeout passes."""
+        """Block until this candidate leads (True) or the timeout passes
+        (False: the candidacy is withdrawn, as a timed ``Lock.acquire`` does)."""
         gained = self._event()
         if self.volunteer(on_leadership=gained.succeed):
             return True
         deadline = None if timeout_ms is None else self.env.now + timeout_ms
-        return self._run(self._co_wait(gained, deadline))
+        led = self._run(self._co_wait(gained, deadline))
+        if not led:
+            self.resign()
+        return led
 
     def contenders(self) -> List[str]:
         """Candidate identifiers in succession order (leader first)."""

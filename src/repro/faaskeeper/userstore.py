@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Type
 
+from ..cloud import sanitize
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
 from ..cloud.errors import NoSuchObject
@@ -139,9 +140,8 @@ class S3Backend(UserStore):
                 ctx, USER_BUCKET, path)
         except NoSuchObject:
             return None
-        # ``get_object`` cloned the metadata for this call: it is ours.
-        image["data"] = payload
-        return image
+        # ``get_object`` hands out the stored metadata: never mutate it.
+        return dict(image, data=payload)
 
     def delete_node(self, ctx, region, path):
         yield from self._stores[region].delete_object(ctx, USER_BUCKET, path)
@@ -241,17 +241,15 @@ class HybridBackend(UserStore):
             ctx, USER_TABLE, path, consistent=True)
         if item is None:
             return None
-        if not item.get("data_in_s3"):
-            item.pop("data_in_s3", None)
-            return item
-        try:
-            payload, _meta = yield from self._stores[region].get_object(
-                ctx, USER_BUCKET, path)
-        except NoSuchObject:  # pragma: no cover - defensive
-            payload = b""
-        item.pop("data_in_s3", None)
-        item["data"] = payload
-        return item
+        image = {k: v for k, v in item.items() if k != "data_in_s3"}
+        if item.get("data_in_s3"):
+            try:
+                payload, _meta = yield from self._stores[region].get_object(
+                    ctx, USER_BUCKET, path)
+            except NoSuchObject:  # pragma: no cover - defensive
+                payload = b""
+            image["data"] = payload
+        return image
 
     def delete_node(self, ctx, region, path):
         kv = self._kvs[region]
@@ -340,6 +338,8 @@ class MemBackend(UserStore):
         self._data: Dict[str, Dict[str, Dict[str, Any]]] = {
             r: {} for r in regions}
         self.faults: Optional[FaultInjector] = None
+        #: ``FK_SANITIZE=1`` only: (region, path) -> a clone of the image stored.
+        self._snapshots: Optional[Dict[tuple, Any]] = {} if sanitize.enabled() else None
 
     def _replica(self, region: str) -> Dict[str, Dict[str, Any]]:
         try:
@@ -354,6 +354,8 @@ class MemBackend(UserStore):
             yield from self.faults.fire_before(fault, f"mem write {path}")
         yield self.cloud.env.timeout(self.LATENCY_MS)
         replica[path] = clone(image)
+        if self._snapshots is not None:
+            self._snapshots[region, path] = clone(image)
         if fault is not None:
             self.faults.fire_after(fault, f"mem write {path}")
 
@@ -363,7 +365,11 @@ class MemBackend(UserStore):
         if fault is not None:
             yield from self.faults.fire_before(fault, f"mem read {path}")
         yield self.cloud.env.timeout(self.LATENCY_MS)
-        return clone(replica.get(path))
+        image = replica.get(path)
+        if image is not None and self._snapshots is not None:
+            sanitize.check_frozen(f"mem image {region}:{path}", image,
+                                  self._snapshots.get((region, path)))
+        return image
 
     def delete_node(self, ctx, region, path):
         replica = self._replica(region)

@@ -42,8 +42,6 @@ from .model import EventType, WatchType, validate_path
 __all__ = ["WatchRegistry", "TriggeredWatch", "triggered_watch_types",
            "armed_instances", "EpochLedger", "DataWatch", "ChildrenWatch"]
 
-_uid = itertools.count(1)
-
 
 class TriggeredWatch:
     """A consumed watch instance, ready for fan-out."""
@@ -174,11 +172,13 @@ class WatchRegistry:
 
     def __init__(self, store: KeyValueStore) -> None:
         self.store = store
+        #: Instance ids are stored and billed by size: one counter per deployment.
+        self._uid = itertools.count(1)
 
     def register(self, ctx: OpContext, path: str, wtype: WatchType,
                  session: str) -> Generator[Any, Any, str]:
         """Join (creating if needed) the watch instance; returns its id."""
-        candidate = f"w{next(_uid)}|{path}|{wtype.value}"
+        candidate = f"w{next(self._uid)}|{path}|{wtype.value}"
         image = yield from self.store.update_item(
             ctx, SYSTEM_WATCHES, path,
             updates=[

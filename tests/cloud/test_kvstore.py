@@ -42,18 +42,16 @@ def test_no_such_table(cloud, ctx):
         cloud.run_process(kv.get_item(ctx, "missing", "k"))
 
 
-def test_returned_item_is_a_copy(cloud, ctx):
-    kv = cloud.kv()
-    kv.create_table("t")
-
-    def flow():
-        yield from kv.put_item(ctx, "t", "k", {"a": [1]})
-        item = yield from kv.get_item(ctx, "t", "k")
-        item["a"].append(99)  # must not leak into the store
-        again = yield from kv.get_item(ctx, "t", "k")
-        return again
-
-    assert cloud.run_process(flow()) == {"a": [1]}
+def test_returned_item_is_a_copy(cloud, ctx, monkeypatch):
+    """``get_item`` hands out the frozen stored image itself, not a copy:
+    a caller that mutates it breaks the image discipline, and the armed
+    sanitizer raises at the next operation on the key."""
+    kv, table = _sanitized_isolation_store(cloud, ctx, monkeypatch)
+    item = cloud.run_process(kv.get_item(ctx, "t", "k"))
+    assert item == {"v": [1]} and item is table.raw("k")
+    _mutate(item)
+    with pytest.raises(SanitizerError, match="t/k was mutated in place"):
+        cloud.run_process(kv.get_item(ctx, "t", "k"))
 
 
 def test_conditional_put_fails(cloud, ctx):
@@ -328,27 +326,40 @@ def _isolation_store(cloud, ctx):
     return kv, table
 
 
-def test_mutating_update_and_transact_results_does_not_reach_the_store(cloud, ctx):
-    kv, _table = _isolation_store(cloud, ctx)
-
-    def flow():
-        _mutate((yield from kv.update_item(ctx, "t", "k", [Set("n", 1)])))
-        images = yield from kv.transact_update(
-            ctx, [("t", "k", [Set("n", 2)], None)])
-        _mutate(images[0])
-        return (yield from kv.get_item(ctx, "t", "k"))
-
-    assert cloud.run_process(flow()) == {"v": [1], "n": 2}
+def _sanitized_isolation_store(cloud, ctx, monkeypatch):
+    """An isolation store with ``FK_SANITIZE=1`` armed (read when the store
+    is built) and a second item ``j``: reads hand out the stored images
+    themselves, so a mutated handout raises at the next op on its key."""
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    kv, table = _isolation_store(cloud, ctx)
+    cloud.run_process(kv.put_item(ctx, "t", "j", {"v": [1]}))
+    return kv, table
 
 
-def test_mutating_scan_result_does_not_reach_the_store(cloud, ctx):
-    kv, _table = _isolation_store(cloud, ctx)
+def _assert_caught(cloud, op, *keys):
+    for key in keys:
+        with pytest.raises(SanitizerError, match=f"t/{key} was mutated in place"):
+            cloud.run_process(op(key))
 
-    def flow():
-        _mutate((yield from kv.scan(ctx, "t"))["k"])
-        return (yield from kv.get_item(ctx, "t", "k"))
 
-    assert cloud.run_process(flow()) == {"v": [1]}
+def test_mutating_update_and_transact_results_does_not_reach_the_store(
+        cloud, ctx, monkeypatch):
+    kv, _table = _sanitized_isolation_store(cloud, ctx, monkeypatch)
+    updated = cloud.run_process(kv.update_item(ctx, "t", "k", [Set("n", 1)]))
+    images = cloud.run_process(kv.transact_update(
+        ctx, [("t", "j", [Set("n", 2)], None)]))
+    assert (updated, images) == ({"v": [1], "n": 1}, [{"v": [1], "n": 2}])
+    _mutate(updated)
+    _mutate(images[0])
+    _assert_caught(cloud, lambda key: kv.get_item(ctx, "t", key), "k", "j")
+
+
+def test_mutating_scan_result_does_not_reach_the_store(cloud, ctx, monkeypatch):
+    kv, table = _sanitized_isolation_store(cloud, ctx, monkeypatch)
+    _mutate(cloud.run_process(kv.scan(ctx, "t"))["k"])
+    _assert_caught(cloud, lambda key: kv.update_item(ctx, "t", key, [Set("n", 1)]),
+                   "k")
+    assert table.raw("j") == {"v": [1]}
 
 
 def test_mutating_stream_record_images_does_not_reach_the_store(cloud, ctx):
@@ -388,21 +399,20 @@ def test_mutating_condition_failed_item_does_not_reach_the_store(cloud, ctx):
     assert cloud.run_process(flow()) == {"v": [1]}
 
 
-def test_mutating_token_replay_result_does_not_reach_the_store(cloud, ctx):
-    kv, _table = _isolation_store(cloud, ctx)
-
-    def flow():
-        yield from kv.update_item(ctx, "t", "k", [Set("n", 1)], token="u")
-        _mutate((yield from kv.update_item(ctx, "t", "k", [Set("n", 1)],
-                                           token="u")))
-        op = [("t", "k", [Set("n", 2)], None)]
-        yield from kv.transact_update(ctx, op, token="x")
-        _mutate((yield from kv.transact_update(ctx, op, token="x"))[0])
-        again = yield from kv.transact_update(ctx, op, token="x")
-        return again[0], (yield from kv.get_item(ctx, "t", "k"))
-
-    replayed, stored = cloud.run_process(flow())
-    assert replayed == stored == {"v": [1], "n": 2}
+def test_mutating_token_replay_result_does_not_reach_the_store(
+        cloud, ctx, monkeypatch):
+    kv, table = _sanitized_isolation_store(cloud, ctx, monkeypatch)
+    update = [Set("n", 1)]
+    cloud.run_process(kv.update_item(ctx, "t", "k", update, token="u"))
+    replayed = cloud.run_process(kv.update_item(ctx, "t", "k", update, token="u"))
+    op = [("t", "j", [Set("n", 2)], None)]
+    cloud.run_process(kv.transact_update(ctx, op, token="x"))
+    images = cloud.run_process(kv.transact_update(ctx, op, token="x"))
+    # A replay hands out the recorded image: the one the table holds.
+    assert replayed is table.raw("k") and images[0] is table.raw("j")
+    _mutate(replayed)
+    _mutate(images[0])
+    _assert_caught(cloud, lambda key: kv.get_item(ctx, "t", key), "k", "j")
 
 
 def test_mutating_dicts_passed_to_put_and_batch_put_does_not_reach_the_store(cloud, ctx):
@@ -600,7 +610,8 @@ def test_segment_index_is_exact_through_inserts_overwrites_and_deletes(cloud, ct
 def test_a_projected_scan_bills_and_delays_what_it_read(ctx, total):
     """DynamoDB's ``ProjectionExpression``: the scan costs the same dollars
     and the same latency draw as the unprojected scan of the slice, and
-    returns private copies of only the named attributes an item has."""
+    returns a new dict of only the named attributes an item has, whose
+    values are the stored (frozen) ones."""
     from repro.cloud import Cloud
     from repro.cloud.kvstore import scan_segment_of
 
@@ -627,8 +638,8 @@ def test_a_projected_scan_bills_and_delays_what_it_read(ctx, total):
         assert (projected_latency, projected_cost) == (latency, cost)
         assert set(result) == mine and result["a"] == expected
         if "ephemeral" in result["a"]:
-            result["a"]["ephemeral"].append("/mine")  # a private copy
-        result["a"]["region"] = "mine"
+            assert result["a"]["ephemeral"] is table.raw("a")["ephemeral"]
+        result["a"]["region"] = "mine"  # the projection's own dict
         assert table.raw("a") == items["a"]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud import NoSuchBucket, NoSuchObject
+from repro.cloud.sanitize import SanitizerError
 
 
 def test_put_get_roundtrip(cloud, ctx):
@@ -116,9 +117,11 @@ def test_cross_region_penalty(cloud):
     assert min(timed(remote) for _ in range(5)) > min(timed(local) for _ in range(5)) + 100
 
 
-def test_metadata_is_isolated_both_ways(cloud, ctx):
-    """The store keeps its own metadata image: neither the dict a caller
-    passed in nor one a caller got back aliases it."""
+def test_metadata_is_isolated_both_ways(cloud, ctx, monkeypatch):
+    """The store keeps its own metadata image: the dict a caller passed in
+    does not alias it.  The one a caller gets back *is* that image, frozen:
+    mutating it raises at the next op on the key with the sanitizer armed."""
+    monkeypatch.setenv("FK_SANITIZE", "1")  # read when the store is built
     s3 = cloud.objectstore()
     s3.create_bucket("b")
     passed_in = {"children": ["a"], "acl": {"read": ["alice"]}}
@@ -126,9 +129,27 @@ def test_metadata_is_isolated_both_ways(cloud, ctx):
     def flow():
         yield from s3.put_object(ctx, "b", "k", b"x", passed_in)
         passed_in["children"].append("intruder")
-        _, returned = yield from s3.get_object(ctx, "b", "k")
-        returned["acl"]["read"].append("mallory")
         return (yield from s3.get_object(ctx, "b", "k"))
 
     _, meta = cloud.run_process(flow())
     assert meta == {"children": ["a"], "acl": {"read": ["alice"]}}
+    meta["acl"]["read"].append("mallory")
+    with pytest.raises(SanitizerError, match="b/k was mutated in place"):
+        cloud.run_process(s3.get_object(ctx, "b", "k"))
+
+
+def test_sanitizer_catches_a_mutated_metadata_handout(cloud, ctx, monkeypatch):
+    """``get_object`` hands the stored metadata out uncopied; the armed
+    sanitizer compares it with a private snapshot on every read and
+    replace of the key, so the op that observes a corruption raises."""
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    s3 = cloud.objectstore()
+    s3.create_bucket("b")
+    cloud.run_process(s3.put_object(ctx, "b", "k", b"x", {"children": ["a"]}))
+    _, meta = cloud.run_process(s3.get_object(ctx, "b", "k"))
+    assert meta is s3._buckets["b"]["k"][1]  # the stored image itself
+    meta["children"].append("intruder")
+    with pytest.raises(SanitizerError, match="metadata of b/k was mutated"):
+        cloud.run_process(s3.put_object(ctx, "b", "k", b"y", {}))
+    with pytest.raises(SanitizerError, match="metadata of b/k was mutated"):
+        cloud.run_process(s3.get_object(ctx, "b", "k"))

@@ -17,8 +17,9 @@ storage boundary: one retrying proxy around both stores of every
 deployment, so the switch that removed it, its hand-forwarded twins, the
 second probe limiter and the knobs nothing turned stay out as well, and
 no module but the backends and the wiring acquires a raw client.  And
-the copy discipline: images cross the storage API through
-``expressions.clone``, so ``deepcopy`` stays inside its fallback.
+the copy discipline: images enter the storage API through
+``expressions.clone``, so ``deepcopy`` stays inside its fallback, and
+leave it frozen and uncopied, so no storage read returns a ``clone``.
 And the deployment: every stage is declared once, in one deploy helper,
 and CI's one fault job runs every cell of the fault matrix in exactly
 one leg; no tier-1 leg flips a deployment default; every CI job has a
@@ -260,6 +261,41 @@ _SEEDED_DEEPCOPY = (
 def test_the_ratchet_sees_a_deepcopy(path, text, expected):
     assert _stray_deepcopies(Path(path), text) == expected
     assert _stray_deepcopies(Path("analysis/bench.py"), text) == []
+
+
+#: The storage modules whose reads hand out the frozen stored image.
+ZERO_COPY_READS = ("cloud/kvstore.py", "cloud/objectstore.py",
+                   "faaskeeper/userstore.py")
+
+
+def _cloned_returns(text):
+    """Lines of the ``return`` statements whose value calls ``clone``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Return) and node.value is not None
+        and any(isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "clone"
+                for call in ast.walk(node.value)))
+
+
+def test_storage_reads_return_no_clone():
+    src = Path(repro.__file__).parent
+    for module in ZERO_COPY_READS:
+        assert not _cloned_returns((src / module).read_text()), module
+
+
+def test_the_ratchet_sees_a_cloned_return():
+    seeded = (
+        "def get_item(self, rec):\n"
+        "    return clone(rec.value)\n"
+        "def get_object(self, entry):\n"
+        "    return entry[0], expressions.clone(entry[1])\n"
+        "def replay(self, applied):\n"
+        "    return [clone(image) for image in applied]\n"
+        "def current(self, value):\n"
+        "    raise ConditionFailed(item=clone(value))\n"
+        "old_image = cached_property(lambda self: clone(self.old))\n")
+    assert _cloned_returns(seeded) == [2, 4, 6]
 
 
 def test_every_stage_is_declared_once():

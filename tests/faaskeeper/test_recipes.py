@@ -394,6 +394,20 @@ def test_election_lead_blocks_until_leadership_or_timeout():
     assert second.is_leader and cloud.now - t0 < 60_000.0
 
 
+def test_election_lead_timeout_withdraws_the_candidacy():
+    """A timed-out ``lead()`` leaves no candidate behind to inherit the
+    leadership later without being told."""
+    cloud, service = make_service(seed=2024)
+    first = recipes.Election(service.connect(), "/election", "n0")
+    second = recipes.Election(service.connect(), "/election", "n1")
+    assert first.lead() is True
+    assert second.lead(timeout_ms=500.0) is False
+    first.resign()
+    cloud.run(until=cloud.now + 10_000)
+    assert not second.is_leader
+    assert second.contenders() == []
+
+
 def _resign(election):
     yield election.client.delete_async(election.node).event
 

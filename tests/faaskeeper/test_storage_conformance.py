@@ -10,6 +10,7 @@ import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.context import OpContext
+from repro.cloud.sanitize import SanitizerError
 from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.layout import USER_BUCKET, USER_TABLE
 from repro.faaskeeper.userstore import BACKENDS, MemBackend, make_user_store
@@ -90,18 +91,23 @@ def test_crud_roundtrip(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_read_returns_a_copy(kind):
+def test_read_returns_a_copy(kind, monkeypatch):
+    """A read hands out the stored image, frozen (Redis alone returns a
+    copy: a GET deserializes).  Mutating it breaks the image discipline;
+    with the sanitizer armed the next op on the node raises."""
+    monkeypatch.setenv("FK_SANITIZE", "1")  # read when the stores are built
     cloud, store = make_store(kind)
     ctx = OpContext(region=TWO_REGIONS[0])
-
-    def flow():
-        yield from store.write_node(ctx, TWO_REGIONS[0], "/n",
-                                    image(children=["a"]))
-        got = yield from store.read_node(ctx, TWO_REGIONS[0], "/n")
-        got["children"].append("intruder")
-        return (yield from store.read_node(ctx, TWO_REGIONS[0], "/n"))
-
-    assert cloud.run_process(flow())["children"] == ["a"]
+    cloud.run_process(store.write_node(ctx, TWO_REGIONS[0], "/n",
+                                       image(children=["a"])))
+    got = cloud.run_process(store.read_node(ctx, TWO_REGIONS[0], "/n"))
+    got["children"].append("intruder")
+    reread = store.read_node(ctx, TWO_REGIONS[0], "/n")
+    if kind == "redis":
+        assert cloud.run_process(reread)["children"] == ["a"]
+    else:
+        with pytest.raises(SanitizerError, match="mutated in place"):
+            cloud.run_process(reread)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cloud.context import OpContext
 from repro.faaskeeper.layout import USER_BUCKET, USER_TABLE
+from repro.faaskeeper.userstore import BACKENDS
 from .conftest import make_service
 
 TWO_REGIONS = ["us-east-1", "eu-west-1"]
@@ -24,6 +25,29 @@ def test_crud_roundtrip_on_every_backend(kind):
     c.delete("/a/b")
     c.delete("/a")
     assert c.exists("/a") is None
+
+
+@pytest.mark.parametrize("cache", [0, 64], ids=["uncached", "cached"])
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_what_a_read_hands_the_user_is_its_own(kind, cache):
+    """Reads return the user store's frozen images uncopied, so what
+    ``get_acl()``, ``get_children()`` and ``get_data()`` hand the user
+    must not alias them: mutating it leaves a fresh read unchanged."""
+    cloud, service = make_service(user_store=kind, client_cache_entries=cache)
+    c = service.connect()
+    acl = {perm: ["world"] for perm in ("read", "write", "delete", "create")}
+    c.create("/a", b"payload", acl=acl)
+    c.create("/a/b", b"")
+    for _ in range(2):  # a storage read, then a cache hit where cached
+        got = c.get_acl("/a")
+        got["read"].append("mallory")
+        got["admin"] = ["mallory"]
+        c.get_children("/a").append("intruder")
+        data, stat = c.get_data("/a")
+        assert type(data) is bytes and isinstance(stat, tuple)  # immutable
+    assert c.get_acl("/a") == acl
+    assert c.get_children("/a") == ["b"]
+    assert c.get_data("/a")[0] == b"payload"
 
 
 def test_hybrid_small_node_stays_in_kv():

@@ -68,6 +68,31 @@ def test_rearming_a_held_watch_lists_the_session_once():
     assert listed == [client.session_id]
 
 
+def test_a_deployments_watch_ids_ignore_earlier_deployments():
+    """Watch instance ids are stored (and billed by size), so each
+    deployment draws them from its own counter: a same-seed deployment
+    must show the same clock and bill whatever earlier deployments in the
+    process registered."""
+    def watched_write():
+        cloud, service = make_service(seed=7)
+        client = service.connect()
+        client.create("/a", b"")
+        client.get_data("/a", watch=lambda _ev: None)
+        client.get_children("/a", watch=lambda _ev: None)
+        client.set_data("/a", b"x")
+        settle(cloud)
+        return cloud.now, cloud.meter.total
+
+    first = watched_write()
+    _cloud, other = make_service(seed=8)
+    bystander = other.connect()
+    bystander.create("/b", b"")
+    for _ in range(100):
+        bystander.exists("/b", watch=lambda _ev: None)
+        bystander.set_data("/b", b"")  # fires it: the next arm mints an id
+    assert watched_write() == first
+
+
 def test_exists_watch_fires_on_create(service, client):
     events = []
     assert client.exists("/later", watch=events.append) is None

@@ -7,8 +7,6 @@ watch deliveries — on every deployment shape.  The crash-recovery and
 validation behaviour is likewise one behaviour, whatever the member count.
 """
 
-import itertools
-
 import pytest
 
 from repro.faaskeeper import (
@@ -17,7 +15,6 @@ from repro.faaskeeper import (
     DeleteOp,
     SetDataOp,
     TransactionFailedError,
-    watches,
 )
 from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
 from .conftest import cap_redeliveries, make_service
@@ -56,10 +53,7 @@ DEPLOYMENTS = {
 }
 
 
-def _observe(op, config, as_multi, monkeypatch):
-    # Watch instance ids come from a process-wide counter and are stored
-    # (and billed by size): both runs must draw the same ids.
-    monkeypatch.setattr(watches, "_uid", itertools.count(1))
+def _observe(op, config, as_multi):
     cloud, service = make_service(seed=5, **config)
     writer, watcher = service.connect(), service.connect()
     events = []
@@ -92,10 +86,10 @@ def _observe(op, config, as_multi, monkeypatch):
 
 @pytest.mark.parametrize("deployment", DEPLOYMENTS)
 @pytest.mark.parametrize("op_name", OPS)
-def test_single_op_equals_one_member_multi(op_name, deployment, monkeypatch):
+def test_single_op_equals_one_member_multi(op_name, deployment):
     op, config = OPS[op_name], DEPLOYMENTS[deployment]
-    single = _observe(op, config, False, monkeypatch)
-    multi = _observe(op, config, True, monkeypatch)
+    single = _observe(op, config, False)
+    multi = _observe(op, config, True)
     assert single["watches"], "the scenario must exercise the watch path"
     assert single == multi
 
