@@ -46,21 +46,21 @@ WRITE_BASELINE_DEFAULT = (
      109.023305, 118.588677, 148.810069, 196.925959, 224.894871, 130.758786,
      207.513034),
     7564.033088,                # virtual end time (ms)
-    0.000276963244766,          # total metered cost ($)
+    0.000277711254845,          # total metered cost ($)
 )
 WRITE_BASELINE_TWO_REGIONS = (
     (831.697752, 489.937138, 381.545728, 411.865452, 437.345661, 399.186941,
      417.349508, 410.060567, 455.748057, 428.742089, 532.123869, 401.584965,
      408.164114),
     11385.03898,
-    0.000491586459251,
+    0.00049233446933,
 )
 WRITE_BASELINE_FOUR_SHARDS = (
     (595.311145, 209.461507, 140.501635, 167.978419, 127.672989, 152.434513,
      119.628862, 162.061447, 148.966207, 191.450438, 786.18023, 145.807062,
      149.491375),
     8166.401434,
-    0.000279897952315,
+    0.000280645962394,
 )
 
 

@@ -28,7 +28,7 @@ import os
 from repro.analysis import render_table
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
-from repro.faaskeeper.gc import HEARTBEAT_PERIOD_MS
+from repro.faaskeeper.heartbeat import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.swarm import SessionSwarm, SwarmSpec
 
 SMOKE = os.environ.get("FK_BENCH_SMOKE", "") not in ("", "0")

@@ -89,12 +89,13 @@ class Cloud:
 
     def fifo_queue(self, name: str, label: str = "queue",
                    max_receive: Optional[int] = 5,
-                   seq_source: Optional[Any] = None) -> FifoQueue:
+                   seq_source: Optional[Any] = None,
+                   delay_ms: float = 0.0) -> FifoQueue:
         if name in self._queues:
             raise ValueError(f"queue {name!r} already exists")
         q = FifoQueue(name, self.env, self.profile, self.meter, self.rng,
                       service_label=label, max_receive=max_receive,
-                      seq_source=seq_source)
+                      seq_source=seq_source, delay_ms=delay_ms)
         self._queues[name] = q
         return q
 

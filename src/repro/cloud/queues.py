@@ -11,6 +11,9 @@ Section 3.1 lists the five queue requirements FaaSKeeper relies on:
                                      (the SQS FIFO restriction, §5.2.2);
 (e) monotone sequence numbers      → ``Message.seq`` per queue.
 
+A FIFO queue may also hold every message ``delay_ms`` before its trigger
+sees it (SQS's queue-level ``DelaySeconds``).
+
 The standard queue relaxes (b)/(c): multiple dispatchers, large batches
 with a jittered collection window — reproducing the "long batching on
 unordered queues" bursts of Figure 7b.  The stream queue subscribes to a
@@ -184,10 +187,12 @@ class FifoQueue(_QueueBase):
     def __init__(self, name, env, profile, meter, rngs,
                  service_label: str = "queue",
                  max_receive: Optional[int] = 5,
-                 seq_source: Optional[SharedSequence] = None) -> None:
+                 seq_source: Optional[SharedSequence] = None,
+                 delay_ms: float = 0.0) -> None:
         super().__init__(name, env, profile, meter, rngs, service_label,
                          seq_source=seq_source)
         self.max_receive = max_receive
+        self.delay_ms = delay_ms
         self._function: Optional[DeployedFunction] = None
         self._dispatching = False
         self._batch_limit = profile.fifo_batch_limit
@@ -211,6 +216,13 @@ class FifoQueue(_QueueBase):
             self._start_dispatcher(None)
 
     def _enqueue(self, msg: Message) -> None:
+        if self.delay_ms:
+            self.env.timeout(self.delay_ms, msg).callbacks.append(
+                lambda delayed: self._visible(delayed.value))
+        else:
+            self._visible(msg)
+
+    def _visible(self, msg: Message) -> None:
         if self._dispatching or self._function is None:
             self._buffer.put(msg)
         else:

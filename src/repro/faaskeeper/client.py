@@ -407,7 +407,7 @@ class FaaSKeeperClient:
         if self._cache is not None:
             # A cached entry must not outlive its session: the watches
             # guarding it stop being delivered once the session is closed
-            # (the GC sweeper reclaims the instances server-side).
+            # (the next write to each path consumes its instance).
             self._cache.clear()
         # Session death — client close or heartbeat eviction alike — is the
         # LOST transition: ephemeral nodes are gone, the session id is dead.

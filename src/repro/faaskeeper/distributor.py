@@ -461,8 +461,8 @@ class DistributorLogic:
             except Exception:
                 pass  # fan-out retried internally; clear regardless
         # The armed ids are what the epoch carries; the consumed instances
-        # may differ (a GC sweep or an intervening consume can have
-        # replaced them) — clear exactly what was added.
+        # may differ (an intervening consume can have replaced them) —
+        # clear exactly what was added.
         if armed_ids:
             yield from self.service.epoch_ledger.remove(ctx, armed_ids)
         return None

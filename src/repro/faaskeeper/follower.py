@@ -6,7 +6,8 @@ operations — a lone create/set_data/delete is the one-member case and
 takes no other route.  For each request the follower
 
 ➀ acquires timed locks on every touched node (the parent too for
-  create/delete — those operations touch the parent's child list),
+  create/delete — those operations touch the parent's child list; a
+  sequential create locks its suffixed path once staging has named it),
 ➁ validates and stages each member against the locked system-node images,
   later members seeing the staged effects of earlier ones, folding the
   members once into the *write set*: one record per touched path, in
@@ -235,7 +236,9 @@ class FollowerLogic:
             yield from self._fail(req, "bad_arguments")
             return None
 
-        # ➀ lock every touched node (parents too for create/delete)
+        # ➀ lock every touched node (parents too for create/delete); a
+        # sequential create's unsuffixed prefix is no node: staging never
+        # reads it, and the parent lock already serializes ``cseq``
         lock_paths = []
         for i, op in enumerate(ops):
             if op.OP in ("create", "delete"):
@@ -243,7 +246,8 @@ class FollowerLogic:
                     yield from self._fail(req, "bad_arguments", culprit=i)
                     return None
                 lock_paths.append(parent_path(op.path))
-            lock_paths.append(op.path)
+            if not getattr(op, "sequence", False):
+                lock_paths.append(op.path)
         t0 = env.now
         handles = yield from self._acquire(fctx, lock_paths)
         fctx.record("lock", env.now - t0)
@@ -309,7 +313,7 @@ class FollowerLogic:
         fctx.crash_point("after_validate")
 
         # A sequential create staged a suffixed final path: it needs its
-        # own lock before commit (the prefix lock is released at commit).
+        # own lock before commit.
         for path in write_set:
             if path not in handles:
                 handle = yield from self.service.node_lock.acquire(
@@ -385,10 +389,6 @@ class FollowerLogic:
                      commit_updates(rec, txid) + [lock.UNLOCK],
                      lock.held_by(handles[path].timestamp))
                     for path, rec in write_set.items()]
-        for path, handle in handles.items():
-            if path not in write_set:  # e.g. a sequence create's prefix lock
-                ops_list.append((SYSTEM_NODES, path, [lock.UNLOCK],
-                                 lock.held_by(handle.timestamp)))
         try:
             yield from self.service.system_store.transact_update(
                 fctx.ctx, ops_list + session_ops)

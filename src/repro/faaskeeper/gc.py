@@ -1,38 +1,39 @@
-"""Garbage-collection scheduled function (extension).
+"""Garbage collection of tombstones (extension).
 
 Section 2.1 names garbage collection as the canonical use of scheduled
-functions ("Functions can be launched to perform regular routines such as
-garbage collection..."); the paper's prototype leaves it implicit.  This
-module implements it:
+functions; here it needs no schedule, because the write that makes the
+garbage names it.  A delete leaves an ``exists=False`` item — a
+*tombstone* — in the system node table, so that a late redelivery of the
+delete still finds the txid it verifies against.  The leader that pops a
+delete lists ``(path, txid)`` in one message per batch to the ``fk-gc-q``
+FIFO queue — also for a delete it finds already applied, so a leader that
+crashed between the pop and the send sends it on redelivery — and the
+queue holds every message :data:`TOMBSTONE_GRACE_MS` before the ``fk-gc``
+function sees it (SQS's ``DelaySeconds``).  The function then deletes each
+tombstone under one guard: still a tombstone, still the one that txid
+made (``applied_tx``), and no live lock.  A path re-created or deleted
+again in the meantime is left alone; a later delete sends its own message.
 
-* **tombstones** — deleted nodes leave ``exists=False`` items in the system
-  node table so the leader can verify late transactions; once the pending
-  transaction list is drained and a grace period has passed, the item can
-  be removed;
-* **phantom lock items** — a failed create leaves an item containing only
-  an (expired) lock timestamp; these are swept as well;
-* **stale watch instances** — watch instances whose sessions are all gone
-  are dropped, so dead clients do not accumulate fan-out work.
-
-The sweeper runs as a scheduled function, just like the heartbeat, and is
-suspended together with it at scale-to-zero.
+The rest of what a sweeper would collect is never left behind: a lock on
+a path with no node goes with its release (``TimedLock.release`` deletes
+an item that held only the lock), and a watch instance whose sessions are
+all dead is consumed by the next write to its path, whose deliveries to
+closed clients are dropped.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, List
 
 from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr
-from .layout import SYSTEM_NODES, SYSTEM_SESSIONS, SYSTEM_WATCHES
+from .layout import SYSTEM_NODES
+from .leader import RetryBatch
 
-__all__ = ["GarbageCollectorLogic", "GC_PERIOD_MS", "HEARTBEAT_PERIOD_MS"]
+__all__ = ["GarbageCollectorLogic", "TOMBSTONE_GRACE_MS"]
 
-#: Period of the scheduled sweep (ms).
-GC_PERIOD_MS = 300_000.0
-#: Period of the heartbeat sweep (ms): AWS's highest cron rate (§5.3.3).
-HEARTBEAT_PERIOD_MS = 60_000.0
-#: A tombstone must be idle this long before collection (ms).
+#: How long a tombstone outlives the pop of its delete (ms): the delay of
+#: the ``fk-gc-q`` queue.
 TOMBSTONE_GRACE_MS = 60_000.0
 
 
@@ -42,80 +43,28 @@ class GarbageCollectorLogic:
     def __init__(self, service) -> None:
         self.service = service
         self._collected = service.metrics.counter(
-            "fk_gc_collected_total",
-            "Items reclaimed by the GC sweep", ("kind",))
+            "fk_gc_collected_total", "Items reclaimed by the GC",
+            ("kind",)).labels(kind="tombstone")
 
-    def handler(self, fctx, payload: Any) -> Generator:
-        yield from self._sweep_nodes(fctx)
-        yield from self._sweep_watches(fctx)
-        collected = self._collected
-        return {
-            "tombstones": int(collected.labels(kind="tombstone").value),
-            "phantoms": int(collected.labels(kind="phantom").value),
-            "watches": int(collected.labels(kind="watch").value),
-        }
-
-    # ------------------------------------------------------------ nodes
-    def _sweep_nodes(self, fctx) -> Generator:
-        store = self.service.system_store
-        lock = self.service.node_lock
-        now = fctx.env.now
-        # The scan is billed like the heartbeat's session scan.
-        items = yield from store.scan(fctx.ctx, SYSTEM_NODES)
-        for key, item in items.items():
-            if key == "/":
-                continue
-            if lock.live(item, now):
-                continue
-            is_tombstone = item.get("exists") is False and not item.get("transactions")
-            is_phantom = "exists" not in item and not item.get("transactions")
-            if is_tombstone and now - self._age_marker(item) < TOMBSTONE_GRACE_MS:
-                continue
-            if not (is_tombstone or is_phantom):
-                continue
-            # Guarded delete: only while still tombstone/phantom and unlocked.
-            guard = lock.free(now)
-            if is_tombstone:
-                guard = guard & (Attr("exists") == False)  # noqa: E712
-            else:
-                guard = guard & Attr("exists").not_exists()
-            try:
-                yield from store.delete_item(fctx.ctx, SYSTEM_NODES, key,
-                                             condition=guard)
-            except ConditionFailed:
-                continue  # resurrected concurrently: leave it alone
-            if is_tombstone:
-                self._collected.labels(kind="tombstone").inc()
-            else:
-                self._collected.labels(kind="phantom").inc()
-        return None
-
-    @staticmethod
-    def _age_marker(item: Dict[str, Any]) -> float:
-        # Tombstones carry no timestamp attribute; use the lock timestamp
-        # (set at deletion time) when present, else treat as old.
-        lock_ts = (item.get("lock") or {}).get("ts")
-        return lock_ts if lock_ts is not None else 0.0
-
-    # ------------------------------------------------------------ watches
-    def _sweep_watches(self, fctx) -> Generator:
-        store = self.service.system_store
-        sessions = yield from store.scan(fctx.ctx, SYSTEM_SESSIONS, projection=())
-        live = set(sessions.keys())
-        watch_items = yield from store.scan(fctx.ctx, SYSTEM_WATCHES)
-        for path, item in watch_items.items():
-            for wtype, inst in (item.get("inst") or {}).items():
-                alive = [s for s in inst.get("sessions", []) if s in live]
-                if alive:
-                    continue
-                # Guarded removal: the scan snapshot is stale by the time
-                # the update lands — a watch consumed (fired) and
-                # re-registered in between holds a fresh instance id, and a
-                # live session may have joined the existing instance;
-                # deleting either would silently unsubscribe live sessions.
-                removed = yield from self.service.watch_registry.remove_instance(
-                    fctx.ctx, path, wtype, inst.get("id"),
-                    inst.get("sessions", []))
-                if removed:
-                    self._collected.labels(kind="watch").inc()
+    def handler(self, fctx, batch: List[Dict[str, Any]]) -> Generator:
+        """One guarded delete per listed tombstone.  A tombstone whose only
+        failed guard is a live lock (a write in flight on its path) makes
+        the queue redeliver the batch: the lock's release leaves the
+        tombstone in place."""
+        store, lock = self.service.system_store, self.service.node_lock
+        for body in batch:
+            for path, txid in body["tombstones"]:
+                guard = ((Attr("exists") == False)  # noqa: E712
+                         & (Attr("applied_tx") == txid)
+                         & lock.free(fctx.env.now))
+                try:
+                    yield from store.delete_item(fctx.ctx, SYSTEM_NODES, path,
+                                                 condition=guard)
+                except ConditionFailed as failed:
+                    item = failed.item or {}
+                    if (item.get("exists") is False
+                            and item.get("applied_tx") == txid):
+                        raise RetryBatch(f"lock live on tombstone {path}")
+                    continue  # re-created, deleted again, or collected
+                self._collected.inc()
         return None

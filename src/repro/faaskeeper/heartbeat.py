@@ -11,11 +11,15 @@ clients that miss the deadline.
 
 Every session is pinged, not just owners of ephemeral nodes: a dead
 session that only holds watches (or nothing at all) would otherwise never
-be evicted — its session record, FIFO queue and watch registrations leak
-forever, and the GC watch sweeper (which keys liveness off the session
-table) could never reclaim its instances.  Ephemeral owners are still
-pinged — and therefore evicted — first, preserving the original eviction
-ordering.
+be evicted — its session record and FIFO queue leak forever, and every
+watch it registered is fanned out to it as if it were alive.  Once it is
+evicted, its watch instances cost nothing until the next write to their
+paths consumes them (and drops the delivery to the closed client).
+Ephemeral owners are still pinged — and therefore evicted — first,
+preserving the original eviction ordering.
+
+The sweeps are the deployment's only cron: every other stage is fed by a
+queue or invoked directly.
 
 The function also doubles as the "system is online" signal for clients.
 
@@ -35,7 +39,10 @@ from typing import Any, Generator, Set
 from ..sim.kernel import TimerTrain
 from .layout import SYSTEM_SESSIONS
 
-__all__ = ["HeartbeatLogic"]
+__all__ = ["HeartbeatLogic", "HEARTBEAT_PERIOD_MS"]
+
+#: Period of the heartbeat sweep (ms): AWS's highest cron rate (§5.3.3).
+HEARTBEAT_PERIOD_MS = 60_000.0
 
 
 class HeartbeatLogic:

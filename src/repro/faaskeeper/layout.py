@@ -22,6 +22,11 @@ System node item schema (table ``SYSTEM_NODES``, key = path)::
       "lock":          {"ts": float},   # timed-lock attribute
     }
 
+A delete leaves a tombstone (``exists`` false) that the GC stage removes
+``gc.TOMBSTONE_GRACE_MS`` after the leader pops the delete.  An item
+holding only a lock (a path being created, or one a failed write locked)
+goes with the lock's release.
+
 System items deliberately hold **metadata only** — the node data itself
 travels inside the durable queue message to the leader and lands in user
 storage.  This keeps every lock/commit operation size-independent (Table 3

@@ -23,6 +23,10 @@ update the leader
 ➎ notifies the client with one response carrying the per-member results
   and pops the transaction from every touched path.
 
+At the end of a batch the leader lists every delete it applied — or found
+already applied, so a crash between the pop and the send loses none — in
+one message to the GC stage's delayed queue (:mod:`repro.faaskeeper.gc`).
+
 Ambiguous states (lock still held by a live follower) raise, making the
 FIFO queue redeliver the batch; the ``applied_tx`` watermark makes
 redeliveries idempotent.
@@ -80,6 +84,8 @@ class LeaderLogic:
         # cached by the shared ledger and hydrated lazily after cold starts.
         self._epoch_loaded = False
         self._pending_callbacks: List = []
+        #: ``[path, txid]`` of every delete the batch applied.
+        self._tombstones: List[List[Any]] = []
 
     def cold_restart(self) -> None:
         """Drop every piece of warm-sandbox state (the chaos harness calls
@@ -135,9 +141,13 @@ class LeaderLogic:
         fctx.crash_point("leader_entry")
         yield from self._load_epoch(fctx)
         self._pending_callbacks = []
+        self._tombstones = []
         for msg in batch:
             yield from self.process(fctx, msg)
             fctx.crash_point("leader_mid_batch")
+        if self._tombstones:
+            yield from self.service.gc_queue.send(
+                fctx.ctx, {"tombstones": self._tombstones})
         # Every txid of the batch is logged or burned: wake the consumers.
         if self.service.snapshots is not None:
             yield from self.service.snapshots.logged(
@@ -174,6 +184,7 @@ class LeaderLogic:
         node = node or {}
         if node.get("applied_tx", 0) >= txid:
             # Redelivered after a partial batch: already replicated.
+            self._applied(msg, txid)
             yield from self._notify_success(fctx, msg, txid)
             self._pass_fence(msg)
             return None
@@ -197,6 +208,7 @@ class LeaderLogic:
             # Predecessor still unpopped — should not happen under FIFO
             # delivery, but redelivery is always safe.
             raise RetryBatch(f"txid {txid} behind {pending[0]} on {primary}")
+        self._applied(msg, txid)
 
         # Durable commit log: the record (one per envelope) must exist
         # before anything downstream (replication, distribution, watches,
@@ -313,6 +325,11 @@ class LeaderLogic:
         return None
 
     # ------------------------------------------------------------ shared steps
+    def _applied(self, msg: Dict[str, Any], txid: int) -> None:
+        """``txid`` commits: list the tombstones its deletes leave."""
+        self._tombstones += [[path, txid] for path, image, *_ in msg["writes"]
+                             if image.get("deleted")]
+
     def _consume_watches(self, fctx,
                          op_pairs: Dict[str, List[Tuple[str, bool]]]
                          ) -> Generator:

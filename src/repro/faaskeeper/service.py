@@ -37,8 +37,8 @@ from .follower import (
     LOCK_MAX_HOLD_MS,
     FollowerLogic,
 )
-from .gc import GC_PERIOD_MS, HEARTBEAT_PERIOD_MS, GarbageCollectorLogic
-from .heartbeat import HeartbeatLogic
+from .gc import TOMBSTONE_GRACE_MS, GarbageCollectorLogic
+from .heartbeat import HEARTBEAT_PERIOD_MS, HeartbeatLogic
 from .layout import (
     SYSTEM_LOG,
     SYSTEM_NODES,
@@ -194,9 +194,11 @@ class FaaSKeeperService:
         ]
         self.heartbeat_fns = [stage.fn for stage in sweeps]
         self.heartbeat_tasks = [stage.task for stage in sweeps]
+        # Fed by the leaders with the tombstones they pop, each message
+        # held back for the grace period.
         gc = deploy("fk-gc", "gc", GarbageCollectorLogic(self),
-                    period_ms=GC_PERIOD_MS)
-        self.gc_fn, self.gc_task = gc.fn, gc.task
+                    queue="fk-gc-q", delay_ms=TOMBSTONE_GRACE_MS)
+        self.gc_fn, self.gc_queue = gc.fn, gc.queue
 
         # Distributor stage (None = the paper's inline pipeline): one
         # function + queue per region.
@@ -227,13 +229,15 @@ class FaaSKeeperService:
                       region: Optional[str] = None,
                       queue: Optional[str] = None,
                       batch: Optional[int] = None, seq_source: Any = None,
+                      delay_ms: float = 0.0,
                       period_ms: float = 0.0, offset_ms: float = 0.0
                       ) -> Stage:
         """The one place a stage comes into being: deploy ``logic.handler``
         as function ``name``, give it its trigger — FIFO queue ``queue``
-        (redelivering forever) drained ``batch`` messages at a time, and/or
-        a cron every ``period_ms`` (0 = none), suspended while no session
-        is open — append it to ``self.stages`` and hang its metrics on the
+        (redelivering forever, each message visible ``delay_ms`` after it
+        is sent) drained ``batch`` messages at a time, and/or a cron every
+        ``period_ms`` (0 = none), suspended while no session is open —
+        append it to ``self.stages`` and hang its metrics on the
         registry: the ``on_segment`` timing probe, the function lifecycle
         gauges, and the ``fk_cost_dollars`` category of its kind."""
         config, cloud, m = self.config, self.cloud, self.metrics
@@ -245,7 +249,8 @@ class FaaSKeeperService:
         if queue is not None:
             stage.queue = cloud.fifo_queue(queue, label="sqs",
                                            max_receive=None,
-                                           seq_source=seq_source)
+                                           seq_source=seq_source,
+                                           delay_ms=delay_ms)
             stage.queue.attach(fn, batch_limit=batch)
         if period_ms > 0:
             stage.task = cloud.runtime.schedule(fn, period_ms=period_ms,

@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 
 from ..sim.kernel import AllOf
 from ..sim.rng import percentile
-from .gc import HEARTBEAT_PERIOD_MS
+from .heartbeat import HEARTBEAT_PERIOD_MS
 from .recipes import Lock
 
 __all__ = ["SwarmSpec", "SessionSwarm", "summarize_samples"]

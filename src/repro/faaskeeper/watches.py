@@ -194,32 +194,6 @@ class WatchRegistry:
         """Leader step ➍ prelude: the per-write watch lookup."""
         return (yield from self.store.get_item(ctx, SYSTEM_WATCHES, path))
 
-    def remove_instance(self, ctx: OpContext, path: str, wtype: str,
-                        observed_id: str,
-                        observed_sessions: List[str]) -> Generator[Any, Any, bool]:
-        """Guarded removal of one watch instance (the GC sweeper's path).
-
-        The ``Remove`` only applies while the instance still matches the
-        scan snapshot — same id AND same session list.  The id pin covers a
-        watch consumed and re-registered in the scan-to-update window (the
-        fresh instance survives); the session pin covers a live session
-        *joining* the existing instance in that window (registration keeps
-        the id, so the id alone would still sweep the newcomer away).
-        Returns True when the instance was removed.
-        """
-        guard = (Attr(f"inst.{wtype}.id") == observed_id) & \
-            (Attr(f"inst.{wtype}.sessions") == list(observed_sessions))
-        try:
-            yield from self.store.update_item(
-                ctx, SYSTEM_WATCHES, path,
-                updates=[Remove(f"inst.{wtype}")],
-                condition=guard,
-                payload_kb=0.064,
-            )
-        except ConditionFailed:
-            return False
-        return True
-
     def query_consume_ops(self, ctx: OpContext, path: str,
                           op_pairs: List[Tuple[str, bool]],
                           ) -> Generator[Any, Any, List[TriggeredWatch]]:
@@ -242,15 +216,20 @@ class WatchRegistry:
         ``watch_item`` is the result of a prior :meth:`query`; when it shows
         no matching instances the consume is free (no storage write).
 
+        This is also the only way an instance leaves the table: one whose
+        sessions have all died is consumed by the next triggering write
+        like any other, and its deliveries to closed clients are dropped
+        (``FaaSKeeperService.notify_watch_process``).
+
         The ``Remove`` is conditioned on every removed instance still
-        matching the queried snapshot (id AND session list — the same
-        device as the GC's :meth:`remove_instance`): a client joining an
-        instance *between the query and the removal* would otherwise be
-        swept away silently — never notified, its re-arm (and any cache
-        entry the instance guards) dead forever.  On a conflict the item
-        is re-read and the removal retried, so the late joiner is included
-        in the delivery.  The guard costs nothing when there is no race:
-        the same single conditional write the unguarded form issued.
+        matching the queried snapshot (id AND session list): a client
+        joining an instance *between the query and the removal* would
+        otherwise be swept away silently — never notified, its re-arm (and
+        any cache entry the instance guards) dead forever.  On a conflict
+        the item is re-read and the removal retried, so the late joiner is
+        included in the delivery.  The guard costs nothing when there is
+        no race: the same single conditional write the unguarded form
+        issued.
         """
         while True:
             armed = armed_instances(watch_item, op_pairs)

@@ -13,7 +13,9 @@ protocol, exactly as the paper specifies:
   overwrite newer state;
 * **release / commit-unlock** — removes the timestamp, optionally fused
   with the data update into one atomic conditional write (the follower's
-  step ➃ in Algorithm 1).
+  step ➃ in Algorithm 1).  A release that commits nothing deletes an
+  item that held only the lock (a path with no node), so a lock never
+  leaves an empty item behind.
 
 Every operation is a single conditional write to a single item.  The
 lease rule itself — :meth:`TimedLock.free`, :meth:`TimedLock.held_by`,
@@ -45,7 +47,7 @@ class LockHandle:
 
     key: str
     timestamp: float
-    item: Optional[Dict[str, Any]]  # item image at acquisition (old data)
+    item: Dict[str, Any]  # item image at acquisition (old data)
 
 
 class TimedLock:
@@ -103,15 +105,17 @@ class TimedLock:
         return LockHandle(key=key, timestamp=now, item=new_image)
 
     def release(self, ctx: OpContext, handle: LockHandle) -> Generator[Any, Any, bool]:
-        """Remove the timestamp iff we still hold the lock."""
+        """Remove the timestamp iff we still hold the lock — with the item,
+        when the image acquired held only the lock."""
+        held = self.held_by(handle.timestamp)
         try:
-            yield from self.store.update_item(
-                ctx,
-                self.table,
-                handle.key,
-                updates=[self.UNLOCK],
-                condition=self.held_by(handle.timestamp),
-            )
+            if handle.item.keys() == {LOCK_ATTR}:
+                yield from self.store.delete_item(ctx, self.table, handle.key,
+                                                  condition=held)
+            else:
+                yield from self.store.update_item(
+                    ctx, self.table, handle.key, updates=[self.UNLOCK],
+                    condition=held)
         except ConditionFailed:
             return False
         return True

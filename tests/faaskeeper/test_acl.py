@@ -141,9 +141,10 @@ def test_a_child_create_or_delete_keeps_the_parent_acl(store):
 
 
 def test_a_recreated_node_drops_its_old_acl():
-    """Deleting a node leaves a tombstone (collected only after
-    ``TOMBSTONE_GRACE_MS``); re-creating the node without an ACL must not
-    inherit the tombstone's ACL in the system store."""
+    """Deleting a node leaves a tombstone, which the GC stage collects
+    ``TOMBSTONE_GRACE_MS`` after the leader pops the delete; re-creating
+    the node inside that grace period without an ACL must not inherit the
+    tombstone's ACL in the system store."""
     cloud, service = make_service(seed=7)
     owner = service.connect()
     other = service.connect()

@@ -34,6 +34,8 @@ this one rule stays deleted.
 And the feature census: a knob stays only while a paper figure, a ledger
 row or a fault cell needs its non-default value (its README row says
 which), so the knobs and plug-in registries that only tests set stay out.
+And garbage: it is collected by the write that makes it, so no module
+reads a table whole but the heartbeat sweep and recovery.
 """
 
 import ast
@@ -118,7 +120,11 @@ def test_census_deletions_stay_deleted():
     stored-size sum, ``CostMeter.reset``, ``TimedLock.guarded_update``
     (a holder states ``held_by`` itself), the never-read
     ``previous_at`` and the ZooKeeper client's ``auto_heartbeat``; and
-    the distributor's copy of the armed-instance selection."""
+    the distributor's copy of the armed-instance selection.  And the GC
+    cron with its sweeps of the node, session and watch tables, the
+    tombstone age read off a lock the delete had removed, and the watch
+    registry's instance removal only the sweep called: the leader queues
+    its tombstones to a delayed GC queue instead."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -133,7 +139,9 @@ def test_census_deletions_stay_deleted():
         r"\bInterrupt\b|\.interrupt\(|_interrupted\b|\bis_alive\b|self\._target\b|"
         r"def trigger\(|\bany_of\(|def acquire\(self\)|def spawn\(|class Scaled\b|"
         r"\bscaled\(|bucket_keys|total_stored_kb|guarded_update|previous_at|"
-        "auto_heartbeat|_hb_proc|armed_watch_ids")
+        "auto_heartbeat|_hb_proc|armed_watch_ids|"
+        r"GC_PERIOD_MS|_sweep_nodes|_sweep_watches|_age_marker|"
+        r"remove_instance|gc_task\b")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()
@@ -296,6 +304,49 @@ def test_the_ratchet_sees_a_cloned_return():
         "    raise ConditionFailed(item=clone(value))\n"
         "old_image = cached_property(lambda self: clone(self.old))\n")
     assert _cloned_returns(seeded) == [2, 4, 6]
+
+
+#: The only whole-table reads, each in its one owner: the heartbeat sweep
+#: reads its slice of the session table, recovery reads the checkpoint.
+SCAN_OWNERS = {("faaskeeper/heartbeat.py", "handler"),
+               ("faaskeeper/snapshot.py", "recover_region")}
+
+
+def _stray_scans(path, text):
+    """Lines of the ``.scan(`` calls of module ``path`` (relative to the
+    package) outside the functions :data:`SCAN_OWNERS` lets scan."""
+    tree = ast.parse(text)
+    owned = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and (path.as_posix(), fn.name) in SCAN_OWNERS]
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "scan"
+                  and not any(node.lineno in lines for lines in owned))
+
+
+def test_only_the_heartbeat_and_recovery_scan_a_table():
+    """No sweeper reads a table whole: garbage is collected by the write
+    that makes it (the leader queues its tombstones, a lock's release
+    takes its lock-only item, the next write consumes a dead session's
+    watch instance)."""
+    src = Path(repro.__file__).parent
+    for path in src.rglob("*.py"):
+        assert not _stray_scans(path.relative_to(src), path.read_text()), path
+
+
+def test_the_ratchet_sees_a_stray_scan():
+    seeded = (
+        "class GarbageCollectorLogic:\n"
+        "    def handler(self, fctx, payload):\n"
+        "        items = yield from self.store.scan(fctx.ctx, 'nodes')\n"
+        "        def inner():\n"
+        "            return store.scan(ctx, 'watches', projection=())\n"
+        "        return items\n"
+        "rows = store.scan(ctx, 'sessions')\n")
+    assert _stray_scans(Path("faaskeeper/gc.py"), seeded) == [3, 5, 7]
+    # the owner's own function may scan; a nested helper in it too
+    assert _stray_scans(Path("faaskeeper/heartbeat.py"), seeded) == [7]
 
 
 def test_every_stage_is_declared_once():

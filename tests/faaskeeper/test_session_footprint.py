@@ -150,7 +150,7 @@ def _assert_churn_left_nothing(cloud, service, resident, after):
     assert len(service.clients) == len(resident) == 2000
     assert service._session_queues == {}
     assert _live(FaaSKeeperClient) == len(resident)
-    assert _live(FifoQueue) == len(service.leader_queues)
+    assert _live(FifoQueue) == sum(1 for s in service.stages if s.queue)
     assert _session_queues(cloud) == []
     streams = [name for name in cloud.rng._streams
                if name.startswith("queue:fk-session-")]

@@ -13,7 +13,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.kvstore import scan_segment_of
 from repro.faaskeeper import FaaSKeeperConfig
-from repro.faaskeeper.gc import HEARTBEAT_PERIOD_MS
+from repro.faaskeeper.heartbeat import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.layout import SYSTEM_SESSIONS, SYSTEM_WATCHES
 from repro.faaskeeper.swarm import SessionSwarm, SwarmSpec
 from .conftest import make_service
@@ -112,10 +112,10 @@ def test_sharded_and_flat_plane_agree_on_evictions():
     assert outcome(1) == outcome(4)
 
 
-def test_gc_reclaims_the_rearmed_watch_of_an_evicted_session():
-    """Satellite edge case: a session whose watch fired re-arms on another
-    path and then dies — the GC's guarded removal must reclaim the
-    un-fired instance once the sharded sweep has evicted the session."""
+def test_the_rearmed_watch_of_an_evicted_session_goes_with_the_next_write():
+    """A session whose watch fired re-arms on another path and then dies:
+    once the sharded sweep has evicted it, the next write to that path
+    consumes the un-fired instance and delivers nothing to it."""
     cloud, service = make_service(seed=98, session_plane_shards=4)
     watches = service.system_store.table(SYSTEM_WATCHES)
     a, b = "/r0", "/r1"
@@ -133,11 +133,11 @@ def test_gc_reclaims_the_rearmed_watch_of_an_evicted_session():
     watcher.alive = False
     cloud.run(until=cloud.now + 3 * 60_000)
     assert watcher.closed and watcher.evicted
-    service.gc_fn.invoke(None)
+    assert watches.raw(b)["inst"]["data"]["sessions"] == [watcher.session_id]
+    owner.set_data(b, b"1")
     cloud.run(until=cloud.now + 10_000)
-    insts = (watches.raw(b) or {}).get("inst") or {}
-    assert all(watcher.session_id not in (i.get("sessions") or [])
-               for i in insts.values())
+    assert not watches.raw(b)["inst"].get("data")
+    assert fired == [a]
 
 
 def test_session_closing_mid_sweep_at_shard_boundary():

@@ -31,7 +31,8 @@ def test_reconnect_inside_one_period_does_not_double_the_crons():
     service.connect()
     cloud.run(until=cloud.now + 5 * 60_000 + 1_000)
     assert service.heartbeat_tasks[0].fired == 5
-    assert service.gc_task.fired == 1
+    assert [s.task for s in service.stages if s.task] == \
+        service.heartbeat_tasks
 
 
 def test_scale_to_zero_no_compute_costs_when_idle(cloud, service):
@@ -160,8 +161,9 @@ def test_dead_session_without_ephemerals_is_evicted(cloud, service):
 
 def test_dead_watch_only_session_is_evicted_and_watch_reclaimed(cloud, service):
     """A dead session holding only a watch is evicted by the heartbeat, and
-    the GC sweep can then reclaim its watch instance — pre-fix neither ever
-    happened (the session was never pinged, so it stayed 'live' forever)."""
+    the next write to the path consumes its watch instance without telling
+    it anything — pre-fix the session was never pinged, so it stayed
+    'live' forever."""
     writer = service.connect()
     ghost = service.connect()
     writer.create("/w", b"")
@@ -172,11 +174,11 @@ def test_dead_watch_only_session_is_evicted_and_watch_reclaimed(cloud, service):
     assert ghost.closed
     assert service.system_store.table("fk-system-sessions").raw(
         ghost.session_id) is None
-    # Once the session record is gone, the GC watch sweep reclaims the
-    # instance (no more fan-out work for the dead client).
-    cloud.run(until=cloud.now + 10 * 60_000)
     watches = service.system_store.table("fk-system-watches")
-    assert not (watches.raw("/w") or {}).get("inst", {}).get("data")
+    assert watches.raw("/w")["inst"]["data"]["sessions"] == [ghost.session_id]
+    writer.set_data("/w", b"x")
+    cloud.run(until=cloud.now + 10_000)
+    assert not watches.raw("/w")["inst"].get("data")
     assert events == []  # nothing was ever delivered to the dead client
 
 

@@ -38,16 +38,17 @@ OVERLAPPING = {"client_cache_hits", "client_cache_misses", "s3", "dynamodb"}
 
 def _drive(cloud, service):
     """A little of everything: writes over several top-level paths (so
-    every leader shard works), a watch fan-out, reads, with the commit log
-    enough writes for one snapshot, and enough virtual time for every cron
-    — gc included — to fire."""
+    every leader shard works), a watch fan-out, reads, a delete (so the GC
+    collects a tombstone), with the commit log enough writes for one
+    snapshot, and enough virtual time for every cron to fire."""
     client = service.connect()
     for i in range(6):
         client.create(f"/n{i}", b"x" * 64)
     client.get_data("/n0", watch=lambda _event: None)
     client.set_data("/n0", b"y" * 2048)
+    client.delete("/n5")
     if service.snapshots is not None:
-        for _ in range(SNAPSHOT_EVERY - 7):
+        for _ in range(SNAPSHOT_EVERY - 8):
             client.set_data_async("/n1", b"z")
     cloud.run(until=cloud.now + 310_000)
     return client
@@ -64,8 +65,8 @@ def test_stage_list_is_complete_and_every_row_is_wired(name):
         service.leader_queues
 
     crons = [s.task for s in service.stages if s.task is not None]
-    assert len(crons) >= len(service.heartbeat_tasks) + 1   # sweeps + gc
-    assert not any(task.enabled for task in crons)          # zero sessions
+    assert crons == service.heartbeat_tasks             # the only crons
+    assert not any(task.enabled for task in crons)      # zero sessions
 
     client = _drive(cloud, service)
     assert all(task.enabled for task in crons)
