@@ -18,16 +18,18 @@ The runtime models the FaaS properties the paper's evaluation depends on:
 * **GB-second billing** plus a per-request fee;
 * **architecture profiles** — ARM runs small I/O slightly faster but
   payload processing ~2x slower (the leader's observed 94 % slowdown);
-* **fault injection** — named crash points let tests kill a function at a
-  precise step to exercise the paper's fault-tolerance arguments (Z1).
+* **fault injection** — a crash plan kills an invocation in one of its
+  crash windows (:class:`CrashWindows`): at its start, before or after any
+  of its boundary calls, or at its end, so tests exercise the paper's
+  fault-tolerance arguments (Z1) wherever a function can die.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from ..sim.kernel import Environment, Event, Process
 from .calibration import CloudProfile, io_multiplier
@@ -35,7 +37,8 @@ from .context import OpContext
 from .errors import FunctionCrash
 from .pricing import CostMeter
 
-__all__ = ["FunctionRuntime", "FunctionSpec", "DeployedFunction", "FunctionContext"]
+__all__ = ["FunctionRuntime", "FunctionSpec", "DeployedFunction",
+           "FunctionContext", "CrashWindows", "CrashSchedule"]
 
 #: Idle sandbox lifetime before a container is reclaimed (ms).
 SANDBOX_IDLE_MS = 15 * 60 * 1000.0
@@ -75,6 +78,13 @@ class FunctionContext:
             ctx = function.op_contexts[key] = OpContext(
                 payer=None, io_mult=io_mult, region=spec.region,
                 arch=spec.arch)
+        # An armed function gives each invocation a context of its own,
+        # carrying that invocation's crash windows.
+        plan = function.crash_plan
+        doomed = plan(invocation_id) if plan is not None else None
+        if doomed is not None:
+            ctx = replace(ctx, crash=CrashWindows(
+                f"{spec.name}:{invocation_id}", doomed))
         self.ctx = ctx
 
     @property
@@ -105,19 +115,54 @@ class FunctionContext:
         delay = (base_ms + per_kb_ms * payload_kb) * factor
         return self.env.timeout(delay)
 
-    def crash_point(self, name: str) -> None:
-        """Die here if a fault is planned for (function, point)."""
-        function = self.function
-        plan = function.fault_plan.get(name)
-        if plan is None:
-            return
-        if (plan(function.invocations) if callable(plan)
-                else function.invocations in plan):
-            raise FunctionCrash(f"{function.spec.name} crashed at {name!r}")
+
+class CrashWindows:
+    """Where one armed invocation may die: at ``start``; ``before`` or
+    ``after`` each of its boundary calls — a storage op through the retry
+    layer, a queue send, a watch delivery — named by its op and that op's
+    number (``before:send#1``); at ``end``, its reply lost, so the trigger
+    retries.  ``doomed(index, name)`` is asked at each window in turn; the
+    invocation dies at the first yes, and once.  A dead invocation starts
+    no further call; a dead or done one fires no window of a call still
+    running."""
+
+    __slots__ = ("entry", "doomed", "passed", "per_op", "dead", "over")
+
+    def __init__(self, entry: str, doomed: Callable[[int, str], bool]) -> None:
+        self.entry = entry  # ``fn:invocation``, a crash entry's prefix
+        self.doomed = doomed
+        self.passed = 0
+        self.per_op: Dict[str, int] = {}
+        self.dead = self.over = False
+
+    def window(self, name: str) -> None:
+        if not self.over and self.doomed(self.passed, name):
+            self.dead = self.over = True
+            raise FunctionCrash(f"{self.entry}:{name}")
+        self.passed += 1
+
+    def around(self, op: str, work: Generator) -> Generator:
+        """Run boundary call ``work`` between its ``before`` and ``after``
+        windows (``after`` only if it returns)."""
+        if self.dead:
+            raise FunctionCrash(f"{self.entry}: dead before {op}")
+        n = self.per_op[op] = self.per_op.get(op, 0) + 1
+        self.window(f"before:{op}#{n}")
+        result = yield from work
+        self.window(f"after:{op}#{n}")
+        return result
+
+
+class CrashSchedule(Dict[int, Set[str]]):
+    """A scripted crash plan: invocation number -> windows it dies at."""
+
+    def __call__(self, invocation_id: int):
+        windows = self.get(invocation_id)
+        return windows and (lambda _index, name: name in windows)
 
 
 class DeployedFunction:
-    """One deployed function: sandbox pool, stats, fault plan.
+    """One deployed function: sandbox pool, stats, crash plan.
 
     Timing samples — ``durations_ms`` per invocation, ``segments`` per
     probe name — are packed ``array("d")`` buffers: 8 bytes a sample, the
@@ -133,9 +178,10 @@ class DeployedFunction:
         self.failures = 0
         self.durations_ms: array = array("d")
         self.segments: Dict[str, array] = defaultdict(lambda: array("d"))
-        # fault plan: crash point name -> list of invocation ids to crash on,
-        # or a callable(invocation_id) -> bool
-        self.fault_plan: Dict[str, Any] = {}
+        #: ``crash_plan(invocation_id)`` -> that invocation's ``doomed``
+        #: predicate (:class:`CrashWindows`), or None to run it on the
+        #: shared context.  None: nothing is armed.
+        self.crash_plan: Optional[Callable[[int], Any]] = None
         #: Observer called as ``on_failure(fn, exc)`` when an invocation
         #: dies (crash harnesses model the sandbox loss here); must not
         #: raise — it runs on the provider side of the failure path.
@@ -148,16 +194,6 @@ class DeployedFunction:
         self._label = f"fn:{spec.name}"
         #: (memory_mb, arch, region) -> the context its handlers do I/O under.
         self.op_contexts: Dict[tuple, OpContext] = {}
-
-    # ---------------------------------------------------------------- faults
-    def plan_crash(self, point: str, invocations: Optional[List[int]] = None,
-                   predicate: Optional[Callable[[int], bool]] = None) -> None:
-        """Arrange for the function to crash at ``point``.
-
-        ``invocations`` is a list of 1-based invocation indices; a predicate
-        may be given instead for probabilistic injection.
-        """
-        self.fault_plan[point] = predicate if predicate is not None else list(invocations or [])
 
     # ------------------------------------------------------------ invocation
     def _sandbox_overhead(self) -> tuple[float, bool]:
@@ -193,16 +229,24 @@ class DeployedFunction:
         yield env.timeout(overhead)
         self.invocations += 1
         fctx = FunctionContext(env, self, self.invocations)
+        crash = fctx.ctx.crash
         started = env.now
         try:
             yield env.timeout(self.spec.base_compute_ms)
+            if crash is not None:
+                crash.window("start")
             result = yield from self.spec.handler(fctx, payload)
+            if crash is not None:
+                crash.window("end")
         except BaseException as exc:
             self.failures += 1
             self._finish(started)
             if self.on_failure is not None:
                 self.on_failure(self, exc)
             raise
+        finally:
+            if crash is not None:
+                crash.over = True
         self._finish(started)
         return result
 
@@ -226,6 +270,17 @@ class FunctionRuntime:
         self.meter = meter
         self.rng = rng
         self.functions: Dict[str, DeployedFunction] = {}
+
+    def plan_crash(self, *entries: str) -> None:
+        """Script crashes: each entry ``fn:invocation:window`` kills the
+        named function's invocation (1-based) in that window (see
+        :class:`CrashWindows`), e.g. ``fk-follower:2:after:send#1``."""
+        for entry in entries:
+            name, invocation, window = entry.split(":", 2)
+            fn = self.functions[name]
+            if not isinstance(fn.crash_plan, CrashSchedule):
+                fn.crash_plan = CrashSchedule()
+            fn.crash_plan.setdefault(int(invocation), set()).add(window)
 
     def deploy(self, spec: FunctionSpec) -> DeployedFunction:
         if spec.name in self.functions:

@@ -32,7 +32,7 @@ from ..sim.kernel import Environment, Event
 from ..sim.resources import Store
 from ..sim.rng import RngRegistry
 from .calibration import CloudProfile
-from .context import OpContext
+from .context import OpContext, boundary
 from .errors import NoSuchQueue, PayloadTooLarge
 from .functions import DeployedFunction
 from .kvstore import StreamRecord, Table
@@ -156,6 +156,10 @@ class _QueueBase:
     def send(self, ctx: OpContext, body: Any, group: str = "default",
              size_kb: float = 0.0) -> Generator[Event, Any, int]:
         """Enqueue; returns the monotone sequence number (txid source)."""
+        return boundary(ctx, "send", self._send(ctx, body, group, size_kb))
+
+    def _send(self, ctx: OpContext, body: Any, group: str,
+              size_kb: float) -> Generator[Event, Any, int]:
         if self._buffer is None:
             raise NoSuchQueue(self.name)
         self._check_size(size_kb)

@@ -1,36 +1,23 @@
 """Seeded crash-restart chaos harness for the FaaSKeeper pipelines.
 
-The simulation's queue/function topology makes every stage boundary a
-natural crash point: the leader between commit verification and
-replication, a distributor region between its watch stage and its
-visibility watermark, the watch fan-out between per-session deliveries.
-:class:`ChaosMonkey` arms those points with *seeded, budgeted* random
-crashes and models the sandbox loss on every failure, so a test can
-assert exactly-once end effects — no lost acknowledged write, no
-duplicated watch callback — under hundreds of distinct crash schedules,
-each reproducible from its integer seed.
+:class:`ChaosMonkey` kills invocations of whole stage kinds in their crash
+windows (:class:`repro.cloud.functions.CrashWindows`: the start, before or
+after any storage op, queue send or watch delivery, the end) and models
+the sandbox loss on every failure, so a test can assert exactly-once end
+effects under hundreds of crash schedules.  The harness keeps to:
 
-Design constraints the harness respects:
+* **determinism** — its draws come from one ``random.Random(seed)`` and
+  the simulation is deterministic, so (seed, config) fixes the schedule;
+  each crash is logged as the ``fn:invocation:window`` entry that
+  :meth:`FunctionRuntime.plan_crash` replays;
+* **liveness** — every armed function has a finite budget: the leader,
+  distributor and outbox queues redeliver forever, and the watch
+  fan-out's invoker retries ``WATCH_FN_RETRIES`` times, its budget;
+* **crashes only** — storage faults are armed at deploy time
+  (``FaaSKeeperConfig.storage_fault_rate``) and compose with them;
+* **sandbox loss** — :attr:`DeployedFunction.on_failure` calls the stage
+  logic's ``cold_restart()``: redeliveries re-hydrate their warm state.
 
-* **determinism** — all randomness flows from one ``random.Random(seed)``;
-  the simulation itself is deterministic, so (seed, config) fully
-  determines the crash schedule and a CI failure replays locally.
-* **liveness** — every (function, point) pair has a finite crash budget.
-  Leader, distributor and outbox publisher queues redeliver forever, so
-  any finite budget converges; the watch fan-out is a free
-  function whose invoker retries ``WATCH_FN_RETRIES`` (2) times, so its
-  *total* budget is capped by that retry count (the budget is shared
-  across the watch points).
-* **crashes only** — storage faults are armed at deploy time by
-  ``FaaSKeeperConfig.storage_fault_rate``; crashes compose with them.
-* **sandbox loss** — a crashed invocation's warm state is gone: the
-  harness hooks :attr:`DeployedFunction.on_failure` and calls the stage
-  logic's ``cold_restart()``, so redeliveries re-hydrate epoch mirrors
-  and landed-txid memories from storage instead of inheriting them.
-
-``service.user_store.wipe_region`` models a lost user-store replica, the
-disaster :meth:`SnapshotManager.recover_region` exists for; the system
-tables are the durable record and have no wipe.
 :func:`verify_exactly_once` audits a quiesced deployment against the
 workload's expectations.
 """
@@ -50,79 +37,74 @@ from .layout import (
 )
 from .service import WATCH_FN_RETRIES, FaaSKeeperService
 
-__all__ = ["ChaosMonkey", "CRASH_POINTS", "verify_exactly_once",
-           "verify_outbox_delivery"]
-
-#: Stage kind -> crash points the harness knows how to arm.
-CRASH_POINTS: Dict[str, Tuple[str, ...]] = {
-    "leader": ("leader_entry", "leader_mid_batch", "leader_after_log"),
-    "distributor": ("dist_entry", "dist_after_watch_stage",
-                    "dist_before_visible"),
-    "watch": ("watch_entry", "watch_mid_fanout"),
-    "outbox": ("outbox_entry", "outbox_mid_drain", "outbox_after_sink"),
-}
+__all__ = ["ChaosMonkey", "verify_exactly_once", "verify_outbox_delivery"]
 
 
 class ChaosMonkey:
     """Arm seeded, budgeted crashes across a deployment's stages.
 
-    ``stages`` selects which kinds to attack (default: every kind with
-    crash points); ``probability`` is the per-pass crash chance at an
-    armed point while its budget lasts.  Crash points only.
+    Every function of a kind in ``stages`` (default :attr:`STAGES`) holds
+    one budget of :attr:`BUDGET` crashes (the watch fan-out:
+    ``WATCH_FN_RETRIES``, so its last retry runs clean).  While it lasts,
+    an invocation is doomed with chance ``probability`` and dies at a
+    window drawn uniformly from as many as the function's longest
+    finished invocation passed — or runs clean if it ends sooner.
+    ``crashes`` logs ``fn:invocation:window``.
     """
+
+    #: The kinds armed by default: the queue- and invoke-triggered stages
+    #: downstream of the follower.
+    STAGES = ("leader", "distributor", "watch", "outbox")
+    #: Crashes each armed function may take (the watch fan-out's differs).
+    BUDGET = 4
 
     def __init__(self, service: FaaSKeeperService, seed: int,
                  stages: Optional[Iterable[str]] = None,
-                 probability: float = 0.25,
-                 budget_per_point: int = 2) -> None:
+                 probability: float = 0.25) -> None:
         self.service = service
         self.rng = random.Random(seed)
         self.probability = probability
-        #: (function name, point) -> crashes this pair may still inject.
-        self._budget: Dict[Tuple[str, str], int] = {}
-        #: Crash log: (function name, point, invocation id), in order.
-        self.crashes: List[Tuple[str, str, int]] = []
+        #: Function name -> crashes it may still take.
+        self._budget: Dict[str, int] = {}
+        #: Function name -> windows its longest finished invocation passed
+        #: (0 until one finishes: nothing is doomed blind).
+        self._span: Dict[str, int] = {}
+        #: Crash log: ``fn:invocation:window`` entries, in order.
+        self.crashes: List[str] = []
         self.restarts = 0
 
-        wanted = set(stages) if stages is not None else set(CRASH_POINTS)
-        unknown = wanted - set(CRASH_POINTS)
+        wanted = set(self.STAGES if stages is None else stages)
+        unknown = wanted - set(self.STAGES)
         if unknown:
             raise ValueError(f"unknown chaos stages {sorted(unknown)}")
-
-        # Liveness (module docstring): the watch fan-out's budget is shared
-        # across ALL its points, so the final retry always runs clean.
         for stage in service.stages:
             if stage.kind not in wanted:
                 continue
-            points = CRASH_POINTS[stage.kind]
-            budget, shared_cap = budget_per_point, None
-            if stage.kind == "watch":
-                budget = max(1, WATCH_FN_RETRIES // len(points))
-                shared_cap = {"left": WATCH_FN_RETRIES}
+            name = stage.name
+            self._budget[name] = (WATCH_FN_RETRIES if stage.kind == "watch"
+                                  else self.BUDGET)
+            self._span[name] = 0
             stage.fn.on_failure = partial(self._on_failure, stage)
-            for point in points:
-                self._budget[(stage.name, point)] = budget
-                stage.fn.fault_plan[point] = self._predicate(
-                    stage.name, point, shared_cap)
+            stage.fn.crash_plan = partial(self._arm, name)
 
-    def _predicate(self, name: str, point: str,
-                   shared_cap: Optional[Dict[str, int]]):
-        key = (name, point)
+    def _arm(self, name: str, invocation: int):
+        """One invocation's ``doomed`` predicate: draws its window, if any,
+        and learns the function's span from the windows it passed."""
+        target = None
+        if (self._span[name] and self._budget[name] > 0
+                and self.rng.random() < self.probability):
+            target = self.rng.randrange(self._span[name])
 
-        def maybe_crash(invocation_id: int) -> bool:
-            if self._budget[key] <= 0:
+        def doomed(index: int, window: str) -> bool:
+            if window == "end" and index >= self._span[name]:
+                self._span[name] = index + 1
+            if index != target or self._budget[name] <= 0:
                 return False
-            if shared_cap is not None and shared_cap["left"] <= 0:
-                return False
-            if self.rng.random() >= self.probability:
-                return False
-            self._budget[key] -= 1
-            if shared_cap is not None:
-                shared_cap["left"] -= 1
-            self.crashes.append((name, point, invocation_id))
+            self._budget[name] -= 1
+            self.crashes.append(f"{name}:{invocation}:{window}")
             return True
 
-        return maybe_crash
+        return doomed
 
     def _on_failure(self, stage, fn, exc: BaseException) -> None:
         """Sandbox loss: the crashed stage's logic drops its warm state
@@ -149,7 +131,8 @@ def verify_exactly_once(service: FaaSKeeperService,
     violation descriptions (empty = consistent):
 
     * every system node's pending-transaction list has drained and no
-      lock is left behind;
+      live lock is left behind — every item of the node table, not only
+      the workload's paths;
     * every region's user replica holds exactly the acknowledged data,
       with version/txid metadata matching the system store (no lost and
       no resurrected-duplicate write);
@@ -160,14 +143,19 @@ def verify_exactly_once(service: FaaSKeeperService,
     """
     violations: List[str] = []
     nodes = service.system_store.table(SYSTEM_NODES)
-
-    for path in sorted(expected):
-        final = expected[path]
+    now = service.cloud.env.now
+    for path in sorted(nodes.keys()):
         item = nodes.raw(path) or {}
         if item.get("transactions"):
             violations.append(
                 f"{path}: pending transactions not drained: "
                 f"{item['transactions']}")
+        if service.node_lock.live(item, now):
+            violations.append(f"{path}: lock left behind: {item['lock']}")
+
+    for path in sorted(expected):
+        final = expected[path]
+        item = nodes.raw(path) or {}
         if final is None:
             if item.get("exists"):
                 violations.append(f"{path}: acked delete but system node alive")
@@ -187,16 +175,11 @@ def verify_exactly_once(service: FaaSKeeperService,
                 violations.append(
                     f"{path}@{region}: data mismatch "
                     f"(got {image.get('data', b'')!r}, want {final!r})")
-            if item.get("exists") and \
-                    image.get("version") != item.get("version"):
-                violations.append(
-                    f"{path}@{region}: version {image.get('version')} != "
-                    f"system {item.get('version')}")
-            if item.get("exists") and \
-                    image.get("modified_tx") != item.get("modified_tx"):
-                violations.append(
-                    f"{path}@{region}: modified_tx {image.get('modified_tx')}"
-                    f" != system {item.get('modified_tx')}")
+            for attr in ("version", "modified_tx"):
+                if item.get("exists") and image.get(attr) != item.get(attr):
+                    violations.append(
+                        f"{path}@{region}: {attr} {image.get(attr)} != "
+                        f"system {item.get(attr)}")
 
     acked = list(acked or ())
     board = service.visibility_board

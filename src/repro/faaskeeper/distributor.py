@@ -283,7 +283,6 @@ class DistributorLogic:
     def handler(self, fctx, batch: List[Dict[str, Any]]) -> Generator:
         env = fctx.env
         stage = self.service.distribution
-        fctx.crash_point("dist_entry")
         self._batches.inc()
         if not self._epoch_loaded:
             # Cold-start hydration of the shared epoch mirror, exactly like
@@ -299,7 +298,6 @@ class DistributorLogic:
                 newest[rec["shard"]] = rec["txid"]
         if self.primary:
             yield from self._watch_stage(fctx, batch, newest)
-            fctx.crash_point("dist_after_watch_stage")
         # Z4 gate: epoch snapshots must postdate the watch-stage processing
         # of every record in this batch, so later images carry the watch
         # ids of earlier (still undelivered) notifications.
@@ -320,7 +318,6 @@ class DistributorLogic:
         yield from gather(env, [self._apply_path(fctx, path, entries, epoch)
                                 for path, entries in plan.items()])
         fctx.record("update_user", env.now - t0)
-        fctx.crash_point("dist_before_visible")
 
         # Advance the region's visibility watermark: every record of this
         # batch is now readable (superseded writes are covered by the
@@ -451,7 +448,7 @@ class DistributorLogic:
         triggered: List = []
         for path, pairs, _armed in entries:
             found = yield from self.service.watch_registry.query_consume_ops(
-                ctx, path, pairs)
+                ctx, path, pairs, txid)
             triggered.extend(found)
         if triggered:
             done = self.service.invoke_watch_fn(triggered, txid, shard=shard,

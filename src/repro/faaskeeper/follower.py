@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.expressions import ListAppend, ListRemove, Remove, Set, UpdateAction
+from ..cloud.expressions import (Attr, ListAppend, ListRemove, Remove, Set,
+                                 UpdateAction)
 from ..cloud.errors import ConditionFailed
 from ..primitives.locks import LockHandle
 from .exceptions import BadArgumentsError
@@ -152,19 +153,23 @@ class FollowerLogic:
         if req.op == "close_session":
             yield from self._close_session(fctx, req)
         elif req.op == "write":
-            if redelivered and req.rid >= 0:
-                # A redelivered request may already be committed (the crash
-                # happened after step ➃): the per-session watermark decides.
-                sess = yield from self.service.system_store.get_item(
-                    fctx.ctx, SYSTEM_SESSIONS, req.session)
-                if sess is not None and sess.get("last_rid", 0) >= req.rid:
-                    return None  # committed; the leader will notify
-            yield from self._multi_op(fctx, req)
+            redelivered = redelivered and req.rid >= 0
+            if redelivered and (yield from self._committed(fctx, req)):
+                return None  # committed; the leader will notify
+            yield from self._multi_op(fctx, req, redelivered)
         else:  # pragma: no cover - defensive
             yield from self.service.notify_response(
                 Response(session=req.session, rid=req.rid, ok=False,
                          error="bad_arguments"))
         return None
+
+    def _committed(self, fctx, req: Request) -> Generator[Any, Any, bool]:
+        """Whether a redelivered request is already committed (the crash
+        came after step ➃, or TryCommit committed it): the per-session
+        watermark decides."""
+        sess = yield from self.service.system_store.get_item(
+            fctx.ctx, SYSTEM_SESSIONS, req.session)
+        return sess is not None and sess.get("last_rid", 0) >= req.rid
 
     # ------------------------------------------------------------ locking
     def _acquire(self, fctx, paths: List[str]
@@ -215,7 +220,8 @@ class FollowerLogic:
         return None
 
     # ------------------------------------------------------------ write path
-    def _multi_op(self, fctx, req: Request) -> Generator:
+    def _multi_op(self, fctx, req: Request,
+                  redelivered: bool = False) -> Generator:
         """Algorithm 1 for a write envelope of one or more members.
 
         The four steps run once for the whole envelope: lock every touched
@@ -253,6 +259,11 @@ class FollowerLogic:
         fctx.record("lock", env.now - t0)
         if handles is None:
             yield from self._fail(req, "system_busy")
+            return None
+        if redelivered and (yield from self._committed(fctx, req)):
+            # TryCommit committed the crashed attempt's push, clearing the
+            # locks we waited on: nothing to push a second time.
+            yield from self._release_all(fctx, handles)
             return None
 
         # ➁ validate + stage each member against the overlay of locked
@@ -310,7 +321,6 @@ class FollowerLogic:
                 written.setdefault(parent, None)
             results.append({"op": op.OP, "path": path,
                             "version": sets.get("version", 0)})
-        fctx.crash_point("after_validate")
 
         # A sequential create staged a suffixed final path: it needs its
         # own lock before commit.
@@ -327,11 +337,17 @@ class FollowerLogic:
         commit_paths = [p for p, rec in write_set.items()
                         if rec["node"] or rec["sets"]]
         # Per-session dedup watermark (one transaction may touch an item
-        # only once, so it merges with any ephemeral-tracking update).
+        # only once, so it merges with any ephemeral-tracking update).  It
+        # also guards this commit and the leader's TryCommit of it: a
+        # request commits once.
+        dedup = None
         if req.rid >= 0:
             session_updates.setdefault(req.session, []).append(
                 Set("last_rid", req.rid))
-        session_ops = [(SYSTEM_SESSIONS, key, updates, None)
+            dedup = Attr("last_rid").not_exists() | (
+                Attr("last_rid") < req.rid)
+        session_ops = [(SYSTEM_SESSIONS, key, updates,
+                        dedup if key == req.session else None)
                        for key, updates in session_updates.items()]
 
         lock = self.service.node_lock
@@ -364,6 +380,7 @@ class FollowerLogic:
         leader_msg = {
             "session": req.session, "rid": req.rid, "path": commit_paths[0],
             "results": results, "write_set": write_set,
+            "session_ops": session_ops,
             "writes": _replicated_images(write_set, overlay, written),
             "payload_kb": sum(len(getattr(op, "data", b"")) / 1024.0
                               for op in ops),
@@ -380,7 +397,6 @@ class FollowerLogic:
         txid = yield from self.service.leader_queues[shard].send(
             fctx.ctx, leader_msg, group="updates", size_kb=req.size_kb)
         fctx.record("push", env.now - t0)
-        fctx.crash_point("after_push")
 
         # ➃ ONE atomic commit + unlock: every touched path plus the session
         # records, all conditioned on the lock leases (envelope-wide Z1)
@@ -400,7 +416,6 @@ class FollowerLogic:
             fctx.record("commit", env.now - t0)
             return None
         fctx.record("commit", env.now - t0)
-        fctx.crash_point("after_commit")
         # The request is now committed (Z1); the leader replicates it to the
         # user-visible store and notifies the client.
         return None

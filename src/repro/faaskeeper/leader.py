@@ -138,13 +138,11 @@ class LeaderLogic:
 
     # ------------------------------------------------------------ handler
     def handler(self, fctx, batch: List[Dict[str, Any]]) -> Generator:
-        fctx.crash_point("leader_entry")
         yield from self._load_epoch(fctx)
         self._pending_callbacks = []
         self._tombstones = []
         for msg in batch:
             yield from self.process(fctx, msg)
-            fctx.crash_point("leader_mid_batch")
         if self._tombstones:
             yield from self.service.gc_queue.send(
                 fctx.ctx, {"tombstones": self._tombstones})
@@ -183,9 +181,13 @@ class LeaderLogic:
         fctx.record("get_node", env.now - t0)
         node = node or {}
         if node.get("applied_tx", 0) >= txid:
-            # Redelivered after a partial batch: already replicated.
+            # Redelivered after a partial batch: already replicated.  The
+            # primary pops first, so a crash before the other pops left the
+            # txid pending there: pop them (a pop of a txid no longer, or
+            # never, pending there is refused).
             self._applied(msg, txid)
             yield from self._notify_success(fctx, msg, txid)
+            yield from self._pop_paths(fctx, commit_paths[1:], txid)
             self._pass_fence(msg)
             return None
         pending = node.get("transactions", [])
@@ -217,7 +219,6 @@ class LeaderLogic:
             yield from self.service.snapshots.append_log(
                 fctx, txid, self.shard, writes,
                 session=msg.get("session"))
-            fctx.crash_point("leader_after_log")
 
         # Sharded: a path may be written by several shard leaders (the
         # root is every top-level node's parent; a cross-shard multi rides
@@ -259,7 +260,7 @@ class LeaderLogic:
 
         # ➍ watches: one query/consume per touched path; every instance
         # fires exactly once per committed envelope, with its txid
-        triggered = yield from self._consume_watches(fctx, op_pairs)
+        triggered = yield from self._consume_watches(fctx, op_pairs, txid)
         if triggered:
             watch_ids = [t.watch_id for t in triggered]
             yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
@@ -331,8 +332,8 @@ class LeaderLogic:
                              if image.get("deleted")]
 
     def _consume_watches(self, fctx,
-                         op_pairs: Dict[str, List[Tuple[str, bool]]]
-                         ) -> Generator:
+                         op_pairs: Dict[str, List[Tuple[str, bool]]],
+                         txid: int) -> Generator:
         """Step ➍ prelude: query + consume the watches each touched path
         triggers, one path after the other (the paper's calibrated latency
         split)."""
@@ -341,7 +342,7 @@ class LeaderLogic:
         triggered: List = []
         for path, pairs in op_pairs.items():
             found = yield from self.service.watch_registry.query_consume_ops(
-                fctx.ctx, path, pairs)
+                fctx.ctx, path, pairs, txid)
             triggered.extend(found)
         fctx.record("watch_query", env.now - t0)
         return triggered
@@ -355,11 +356,12 @@ class LeaderLogic:
                     fctx.ctx, SYSTEM_NODES, path,
                     updates=[ListRemove("transactions", [txid]),
                              Set("applied_tx", txid)],
-                    condition=Attr("applied_tx").not_exists()
-                    | (Attr("applied_tx") < txid),
+                    condition=Attr("transactions").contains(txid) & (
+                        Attr("applied_tx").not_exists()
+                        | (Attr("applied_tx") < txid)),
                     payload_kb=0.032,
                 )
-            except ConditionFailed:  # pragma: no cover - concurrent watermark
+            except ConditionFailed:  # a redelivery's done (or never) pop
                 pass
         fctx.record("pop", env.now - t0)
         return None
@@ -387,9 +389,12 @@ class LeaderLogic:
         definitively rejected (the caller notifies the client).  Raises
         :class:`RetryBatch` while a follower's lease is still live.
 
-        The write set's records are the exact transaction the follower
-        would have applied (:func:`commit_updates` is shared), guarded
-        by the preconditions each member validated against: data version
+        The write set's records and the session-record updates (the dedup
+        watermark ``last_rid``, guarded so a request commits once, and the
+        owners' ephemeral lists) are the exact transaction the follower
+        would have applied (:func:`commit_updates` is shared), so its
+        redelivery finds the request done.  The node records are guarded by
+        the preconditions each member validated against: data version
         for set/check/delete first-touches, the parent's child-list version
         for create/delete, and expired locks everywhere.  The transaction
         also clears each expired lock it commits under, so the holder's
@@ -426,6 +431,7 @@ class LeaderLogic:
                 guard = guard & (Attr("cversion") == rec["parent_prev_cversion"])
             ops.append((SYSTEM_NODES, path,
                         commit_updates(rec, txid) + [lock.UNLOCK], guard))
+        ops += msg["session_ops"]
         try:
             yield from self.service.system_store.transact_update(fctx.ctx, ops)
             fctx.record("try_commit", env.now - t0)

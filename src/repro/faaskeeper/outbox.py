@@ -154,7 +154,6 @@ class OutboxStage:
         store = self.service.system_store
         log = self.service.snapshots
         metrics = self.metrics
-        fctx.crash_point("outbox_entry")
         metrics["drains"].inc()
 
         t0 = env.now
@@ -173,9 +172,7 @@ class OutboxStage:
                       in record["writes"] if not is_parent]
             if not events:
                 return None  # pure metadata: nothing user-visible happened
-            fctx.crash_point("outbox_mid_drain")
             yield from self._publish_record(fctx, record, events)
-            fctx.crash_point("outbox_after_sink")
             # The watermark advances only after every sink settled this
             # record: a crash above re-delivers it (at-least-once).
             cursor = record["txid"]

@@ -52,6 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Mapping, Optional
 
+from ..cloud.context import boundary
 from ..cloud.errors import TRANSIENT_ERRORS, CloudError, StorageUnavailable
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "RetryingStore", "KV_OPS",
@@ -176,7 +177,8 @@ class CircuitBreaker:
 
 
 class RetryingStore:
-    """A store behind the retry loop: the one storage boundary.
+    """A store behind the retry loop: the one storage boundary, and so
+    where an armed invocation's storage crash windows are.
 
     ``ops`` (:data:`KV_OPS` / :data:`USER_OPS`) names the methods of
     ``inner`` that are storage round trips; each is built once as a
@@ -240,11 +242,12 @@ class RetryingStore:
         call = getattr(self.inner, op)
         if own_region is not None:
             def method(*args, **kwargs):
-                return self._run(op, own_region, call, tokened, args, kwargs)
+                return boundary(args[0], op, self._run(
+                    op, own_region, call, tokened, args, kwargs))
         else:
             def method(ctx, region, *args, **kwargs):
-                return self._run(op, region, call, tokened,
-                                 (ctx, region) + args, kwargs)
+                return boundary(ctx, op, self._run(
+                    op, region, call, tokened, (ctx, region) + args, kwargs))
         return method
 
     def breaker(self, region: str) -> CircuitBreaker:

@@ -66,7 +66,7 @@ __all__ = ["FaaSKeeperService", "Stage", "STAGE_KINDS"]
 
 #: Stage kinds, in ``cost_breakdown()``'s key order.  A kind is the unit of
 #: cost attribution (one ``fk_cost_dollars`` category, summed over the
-#: kind's shards/regions) and of crash-point arming (``chaos.CRASH_POINTS``).
+#: kind's shards/regions) and of crash-window arming (``ChaosMonkey.STAGES``).
 STAGE_KINDS = ("follower", "leader", "distributor", "watch", "heartbeat",
                "gc", "snapshot", "outbox")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator
 
-from ..cloud.errors import FunctionCrash
+from ..cloud.context import boundary
 from ..sim.kernel import gather
 from .model import EventType, WatchedEvent
 
@@ -43,26 +43,20 @@ class WatchFanoutLogic:
     def handler(self, fctx, payload: Dict[str, Any]) -> Generator:
         """payload = {"txid": int, "shard": int, "origin": str,
         "watches": [{watch_id, path, event, sessions}, ...]}"""
-        fctx.crash_point("watch_entry")
         txid = payload["txid"]
         shard = payload.get("shard", 0)
         origin = payload.get("origin", "leader")
         deliveries = []
-        try:
-            for watch in payload["watches"]:
-                fctx.crash_point("watch_mid_fanout")
-                event = WatchedEvent(type=EventType(watch["event"]),
-                                     path=watch["path"], txid=txid)
-                for session in watch["sessions"]:
-                    deliveries.append(self.service.notify_watch_process(
-                        session, watch["watch_id"], event))
-        except FunctionCrash:
-            # Crash between deliveries: the ones before it are on the wire,
-            # the retried invocation sends every one again and the client
-            # library deduplicates by watch-instance id (one-shot semantics).
-            for delivery in deliveries:
-                fctx.env.process(delivery)
-            raise
+        for watch in payload["watches"]:
+            event = WatchedEvent(type=EventType(watch["event"]),
+                                 path=watch["path"], txid=txid)
+            for session in watch["sessions"]:
+                deliveries.append(boundary(
+                    fctx.ctx, "notify", self.service.notify_watch_process(
+                        session, watch["watch_id"], event)))
+        # A crash mid fan-out leaves the deliveries already on the wire; the
+        # retried invocation sends every one again and the client library
+        # deduplicates by watch-instance id (one-shot semantics).
         yield from gather(fctx.env, deliveries)
         self._invocations.inc()
         self._deliveries.labels(origin=origin, shard=str(shard)).inc(

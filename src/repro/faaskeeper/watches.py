@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.context import OpContext
 from ..cloud.errors import ConditionFailed
-from ..cloud.expressions import Attr, ListAdd, Remove, SetIfNotExists
+from ..cloud.expressions import Attr, ListAdd, Remove, Set, SetIfNotExists
 from ..cloud.kvstore import KeyValueStore
 from ..primitives.atomics import AtomicList
 from ..sim.kernel import Event
@@ -143,8 +143,10 @@ class EpochLedger:
         return list(self._mirror[region])
 
     def add(self, ctx: OpContext, watch_ids: List[str]) -> Generator:
+        """Add the ids to every region's counter, each at most once: a
+        redelivered add changes nothing, so one removal clears it."""
         for region in self.regions:
-            new = yield from self.lists[region].append(ctx, watch_ids)
+            new = yield from self.lists[region].add(ctx, watch_ids)
             self._mirror[region] = list(new)
         return None
 
@@ -195,18 +197,18 @@ class WatchRegistry:
         return (yield from self.store.get_item(ctx, SYSTEM_WATCHES, path))
 
     def query_consume_ops(self, ctx: OpContext, path: str,
-                          op_pairs: List[Tuple[str, bool]],
+                          op_pairs: List[Tuple[str, bool]], txid: int,
                           ) -> Generator[Any, Any, List[TriggeredWatch]]:
         """Fused query + consume for one path (the leader's step ➍ and the
         distributor's watch stage run one of these per path)."""
         witem = yield from self.query(ctx, path)
-        return (yield from self.consume_ops(ctx, path, op_pairs, witem))
+        return (yield from self.consume_ops(ctx, path, op_pairs, witem, txid))
 
     def consume_ops(self, ctx: OpContext, path: str,
                     op_pairs: List[Tuple[str, bool]],
-                    watch_item: Optional[Dict[str, Any]],
+                    watch_item: Optional[Dict[str, Any]], txid: int,
                     ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Atomically remove the instances a committed transaction triggers
+        """Atomically remove the instances transaction ``txid`` triggers
         on ``path``: the union of the watch types triggered by its
         ``(op, is_parent)`` members.  Each instance is removed — and
         therefore fires — exactly once per transaction, no matter how many
@@ -230,13 +232,25 @@ class WatchRegistry:
         included in the delivery.  The guard costs nothing when there is
         no race: the same single conditional write the unguarded form
         issued.
+
+        The same update records what it consumed for ``txid`` in the item's
+        one ``fired`` slot (billed within the fixed payload).  A redelivered
+        txid — its leader or distributor died after the consume — fires
+        that record again instead of consuming an instance registered
+        since; a txid older than the record fires nothing.
         """
         while True:
+            fired = (watch_item or {}).get("fired", {"txid": 0})
+            if fired["txid"] >= txid:
+                return [TriggeredWatch(rec["id"], path, WatchType(rec["type"]),
+                                       EventType(rec["event"]),
+                                       list(rec["sessions"]))
+                        for rec in fired["watches"] if fired["txid"] == txid]
             armed = armed_instances(watch_item, op_pairs)
             if not armed:
                 return []
             triggered: List[TriggeredWatch] = []
-            removals = []
+            removals: List[Any] = []
             guard = None
             for wtype, event, inst in armed:
                 triggered.append(TriggeredWatch(
@@ -248,6 +262,10 @@ class WatchRegistry:
                     (Attr(f"inst.{wtype.value}.sessions") ==
                      list(inst["sessions"]))
                 guard = pin if guard is None else (guard & pin)
+            removals.append(Set("fired", {"txid": txid, "watches": [
+                {"id": t.watch_id, "type": t.wtype.value,
+                 "event": t.event.value, "sessions": t.sessions}
+                for t in triggered]}))
             try:
                 yield from self.store.update_item(
                     ctx, SYSTEM_WATCHES, path, updates=removals,

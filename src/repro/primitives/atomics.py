@@ -12,12 +12,12 @@ Each operation is a single write to a single item, as the paper requires.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
+from typing import Any, Generator, Iterable, List
 
 from ..cloud.context import OpContext
 from ..cloud.expressions import (
     Add,
-    Attr,
+    ListAdd,
     ListAppend,
     ListPopHead,
     ListRemove,
@@ -69,22 +69,26 @@ class AtomicList:
     def append(self, ctx: OpContext, values: Iterable[Any]
                ) -> Generator[Any, Any, List[Any]]:
         """Atomically append; returns the new list contents."""
-        values = list(values)
-        image = yield from self.store.update_item(
-            ctx, self.table, self.key,
-            updates=[ListAppend(self.attr, values)],
-            payload_kb=max(item_size_kb({"v": values}), 0.008),
-            latency_model=self.store.profile.kv_list_append,
-        )
-        return image[self.attr]
+        return self._update(ctx, ListAppend, values)
+
+    def add(self, ctx: OpContext, values: Iterable[Any]
+            ) -> Generator[Any, Any, List[Any]]:
+        """Atomically append the values the list does not hold yet (a
+        set-like add: repeating it changes nothing); returns the new list
+        contents."""
+        return self._update(ctx, ListAdd, values)
 
     def remove(self, ctx: OpContext, values: Iterable[Any]
                ) -> Generator[Any, Any, List[Any]]:
         """Atomically remove first occurrences of the given values."""
+        return self._update(ctx, ListRemove, values)
+
+    def _update(self, ctx: OpContext, action, values: Iterable[Any]
+                ) -> Generator[Any, Any, List[Any]]:
         values = list(values)
         image = yield from self.store.update_item(
             ctx, self.table, self.key,
-            updates=[ListRemove(self.attr, values)],
+            updates=[action(self.attr, values)],
             payload_kb=max(item_size_kb({"v": values}), 0.008),
             latency_model=self.store.profile.kv_list_append,
         )

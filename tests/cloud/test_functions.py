@@ -131,17 +131,45 @@ def test_an_edited_spec_is_honoured_by_the_next_invocation(cloud):
 def test_crash_point_injection(cloud):
     def fragile(fctx, payload):
         yield fctx.env.timeout(1)
-        fctx.crash_point("mid")
         return "survived"
 
     fn = cloud.deploy_function("fragile", fragile)
-    fn.plan_crash("mid", invocations=[2])
+    cloud.runtime.plan_crash("fragile:2:start")
 
     assert cloud.env.run(until=fn.invoke(None)) == "survived"
-    with pytest.raises(FunctionCrash):
+    with pytest.raises(FunctionCrash, match="fragile:2:start"):
         cloud.env.run(until=fn.invoke(None))
     assert cloud.env.run(until=fn.invoke(None)) == "survived"
     assert fn.failures == 1
+
+
+def test_crash_windows_count_the_boundary_calls(cloud, ctx):
+    """An armed invocation dies at the window named by its call's op and
+    that op's number; ``end`` loses the reply of a handler that finished.
+    Unarmed invocations share the frozen context."""
+    q = cloud.fifo_queue("out")
+    contexts = []
+
+    def sender(fctx, payload):
+        contexts.append(fctx.ctx)
+        for i in range(2):
+            yield from q.send(fctx.ctx, i)
+        return "sent"
+
+    fn = cloud.deploy_function("sender", sender)
+    cloud.runtime.plan_crash("sender:2:after:send#1", "sender:3:before:send#2",
+                             "sender:4:end")
+    assert cloud.env.run(until=fn.invoke(None)) == "sent"
+    for sent, window in ((1, "after:send#1"), (1, "before:send#2"),
+                         (2, "end")):
+        before = q.sent
+        with pytest.raises(FunctionCrash, match=window):
+            cloud.env.run(until=fn.invoke(None))
+        assert q.sent - before == sent
+    assert cloud.env.run(until=fn.invoke(None)) == "sent"
+    assert fn.failures == 3
+    assert contexts[4] is contexts[0] and contexts[0].crash is None
+    assert contexts[1].crash is not None
 
 
 def test_segment_probes_recorded(cloud):
@@ -205,11 +233,10 @@ def test_scheduled_function_restart_replaces_the_parked_loop(cloud):
 def test_scheduled_function_survives_handler_failure(cloud):
     def flaky(fctx, payload):
         yield fctx.env.timeout(1)
-        fctx.crash_point("always")
         return None
 
     fn = cloud.deploy_function("flaky", flaky)
-    fn.plan_crash("always", predicate=lambda i: i <= 2)  # first tick fails twice
+    cloud.runtime.plan_crash("flaky:1:end", "flaky:2:end")  # first tick fails twice
     task = cloud.runtime.schedule(fn, period_ms=10_000)
     cloud.run(until=45_000)
     assert task.fired == 4  # loop kept going

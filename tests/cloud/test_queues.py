@@ -87,13 +87,12 @@ def test_fifo_retry_preserves_order(cloud, ctx):
 
     def handler(fctx, batch):
         yield fctx.env.timeout(1)
-        fctx.crash_point("work")
         log.extend(batch)
         return None
 
     q = cloud.fifo_queue("q")
     fn = cloud.deploy_function("h", handler)
-    fn.plan_crash("work", invocations=[1])  # first delivery dies
+    cloud.runtime.plan_crash("h:1:start")  # first delivery dies
     q.attach(fn, batch_limit=1)
     for i in range(5):
         q.send_nowait(ctx, i)
@@ -108,15 +107,14 @@ def test_fifo_drops_poison_message_after_max_receive(cloud, ctx):
 
     def handler(fctx, batch):
         yield fctx.env.timeout(1)
-        if batch == ["poison"]:
-            fctx.crash_point("poison")
         log.extend(batch)
         return None
 
     q = cloud.fifo_queue("q", max_receive=3)
     q.on_drop = dropped.append
     fn = cloud.deploy_function("h", handler)
-    fn.plan_crash("poison", predicate=lambda i: True)
+    # every delivery of the poison message (the first three) dies
+    cloud.runtime.plan_crash("h:1:start", "h:2:start", "h:3:start")
     q.attach(fn, batch_limit=1)
     q.send_nowait(ctx, "poison")
     q.send_nowait(ctx, "ok")

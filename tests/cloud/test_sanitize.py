@@ -170,7 +170,7 @@ def test_a_tripped_handler_ends_the_run(armed, monkeypatch):
     from repro.faaskeeper import FaaSKeeperService
     from repro.faaskeeper.watches import WatchRegistry
 
-    def unguarded_consume(self, ctx, path, op_pairs, watch_item):
+    def unguarded_consume(self, ctx, path, op_pairs, watch_item, txid):
         removals = [Remove(f"inst.{wtype}")
                     for wtype in (watch_item or {}).get("inst", {})]
         if removals:

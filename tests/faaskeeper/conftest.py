@@ -27,6 +27,12 @@ def make_service(seed=2024, **config_kwargs):
     return cloud, service
 
 
+def crash_next(fn, window):
+    """Kill ``fn``'s next invocation in crash window ``window`` (the
+    ``fn:invocation:window`` entry of ``FunctionRuntime.plan_crash``)."""
+    fn.runtime.plan_crash(f"{fn.spec.name}:{fn.invocations + 1}:{window}")
+
+
 def cap_redeliveries(service, client, max_receive):
     """Lower ``client``'s session-queue redelivery cap (deployed at
     ``follower.FOLLOWER_MAX_RECEIVE``).  The queue opens with the session's

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faaskeeper import FaaSKeeperConfig, SetDataOp
 from repro.faaskeeper.layout import SYSTEM_STATE, replicated_key
-from .conftest import make_service
+from .conftest import crash_next, make_service
 
 TWO_REGIONS = ["us-east-1", "eu-west-1"]
 
@@ -205,8 +205,7 @@ def test_a_rejected_write_burns_its_txid():
     client = service.connect()
     client.create("/v", b"")
     settle(cloud)
-    service.follower_fn.plan_crash(
-        "after_push", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:send#1")
     client.set_data_async("/v", b"x", version=0)
     settle(cloud, 60_000)
     for i in range(3):

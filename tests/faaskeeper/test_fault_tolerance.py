@@ -1,15 +1,26 @@
 """Fault injection: follower/leader crashes, lock expiry, retries (Z1).
 
-The crash points are planted in the follower (Algorithm 1) between its
-numbered steps; the leader's TryCommit (Algorithm 2, step ➋) must recover
-or reject the transaction so that no partial state is ever user-visible.
+The follower (Algorithm 1) is crashed in the windows between its numbered
+steps — before its push, after it, after its commit; the leader's
+TryCommit (Algorithm 2, step ➋) must recover or reject the transaction so
+that no partial state is ever user-visible.
 """
 
 import pytest
 
+from repro.cloud.expressions import ListAppend
+from repro.cloud.functions import FunctionContext
 from repro.faaskeeper import NoNodeError, RequestFailedError
-from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
-from .conftest import cap_redeliveries, make_service
+from repro.faaskeeper.chaos import verify_exactly_once
+from repro.faaskeeper.layout import (SYSTEM_NODES, SYSTEM_SESSIONS,
+                                     SYSTEM_STATE, epoch_key)
+from .conftest import cap_redeliveries, crash_next, make_service
+
+
+def epoch_items(service):
+    state = service.system_store.table(SYSTEM_STATE)
+    return [(state.raw(epoch_key(region)) or {}).get("items", [])
+            for region in service.config.regions]
 
 
 def test_follower_crash_before_push_is_retried_transparently():
@@ -18,8 +29,7 @@ def test_follower_crash_before_push_is_retried_transparently():
     cloud, service = make_service(seed=11)
     c = service.connect()
     c.create("/a", b"")
-    service.follower_fn.plan_crash("after_validate",
-                                   invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "before:send#1")
     res = c.set_data("/a", b"v1")
     assert res.version == 1
     data, _ = c.get_data("/a")
@@ -33,8 +43,7 @@ def test_follower_crash_after_commit_no_double_apply():
     cloud, service = make_service(seed=13)
     c = service.connect()
     c.create("/a", b"")
-    service.follower_fn.plan_crash("after_commit",
-                                   invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:transact_update#1")
     fut = c.set_data_async("/a", b"once")
     cloud.run(until=cloud.now + 30_000)
     assert fut.done and fut.wait().version == 1
@@ -50,8 +59,7 @@ def test_multi_node_create_commit_is_atomic_under_crash():
     c = service.connect()
     c.create("/p", b"")
     cap_redeliveries(service, c, 1)
-    service.follower_fn.plan_crash("after_push",
-                                   invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:send#1")
     fut = c.create_async("/p/child", b"x")
     cloud.run(until=cloud.now + 30_000)
     nodes = service.system_store.table("fk-system-nodes")
@@ -75,12 +83,10 @@ def test_leader_crash_is_retried_by_queue():
     c = service.connect()
     c.create("/a", b"")
     leader = service.leader_fns[0]
-    leader.plan_crash("leader_entry", invocations=[leader.invocations + 1])
-    # plant the crash point by wrapping the handler segment: use generic
-    # crash at function start via base compute -- emulate by planning on a
-    # point the leader hits every time.
+    crash_next(leader, "start")
     res = c.set_data("/a", b"v1")
     assert res.version == 1
+    assert leader.failures == 1
 
 
 def test_poison_request_eventually_fails_future():
@@ -90,7 +96,9 @@ def test_poison_request_eventually_fails_future():
     c = service.connect()
     c.create("/a", b"")
     cap_redeliveries(service, c, 2)
-    service.follower_fn.plan_crash("after_validate", predicate=lambda i: True)
+    first = service.follower_fn.invocations + 1
+    cloud.runtime.plan_crash(*(f"fk-follower:{i}:before:send#1"
+                               for i in range(first, first + 10)))
     fut = c.set_data_async("/a", b"x")
     cloud.run(until=cloud.now + 60_000)
     assert fut.done
@@ -135,7 +143,8 @@ def test_a_commit_landing_after_try_commit_does_not_wedge_the_path():
     stalled = []
 
     def stall_follower_commit(ctx, ops, *args, **kwargs):
-        # Only the follower's step ➃ carries session-record updates.
+        # The follower's step ➃ is the first transaction with session
+        # records (TryCommit's, which carries them too, comes later).
         if not stalled and any(op[0] == SYSTEM_SESSIONS for op in ops):
             stalled.append(cloud.now)
             yield cloud.env.timeout(2_500.0)
@@ -159,8 +168,9 @@ def test_consistency_after_random_follower_crashes():
     cloud, service = make_service(seed=18)
     c = service.connect()
     c.create("/a", b"")
-    service.follower_fn.plan_crash("after_validate", predicate=lambda i: i % 5 == 3)
-    service.follower_fn.plan_crash("after_commit", predicate=lambda i: i % 7 == 4)
+    cloud.runtime.plan_crash(
+        *(f"fk-follower:{i}:before:send#1" for i in range(3, 60, 5)),
+        *(f"fk-follower:{i}:after:transact_update#1" for i in range(4, 60, 7)))
     acked = 0
     for i in range(12):
         fut = c.set_data_async("/a", f"v{i}".encode())
@@ -180,30 +190,176 @@ def test_consistency_after_random_follower_crashes():
 
 
 def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones():
-    """The fan-out dies after building the first watch's delivery: that one
-    is on the wire (a function that crashes cannot take back what it sent),
-    the retried invocation sends both, and the client's deduplication by
+    """The fan-out dies before its second of three deliveries: the first
+    is on the wire (a function that crashes cannot take back what it
+    sent), the third is never sent by the dead invocation, the retried
+    invocation sends all three, and the client's deduplication by
     watch-instance id keeps each callback at exactly once."""
     cloud, service = make_service(seed=17)
     c = service.connect()
-    c.create("/a", b"")
-    c.create("/b", b"")
+    paths = ("/a", "/b", "/c")
     fired, arrived = [], []
-    for path in ("/a", "/b"):
+    for path in paths:
+        c.create(path, b"")
         c.get_data(path, watch=lambda ev: fired.append(ev.path))
     deliver = c._deliver_watch
-    c._deliver_watch = lambda wid, ev: (arrived.append(ev.path),
-                                        deliver(wid, ev))
-    calls = []
-    service.watch_fn.plan_crash(
-        "watch_mid_fanout",
-        predicate=lambda _i: calls.append(1) or len(calls) == 2)
+    c._deliver_watch = lambda wid, ev: (
+        arrived.append((service.watch_fn.invocations, ev.path)),
+        deliver(wid, ev))
+    crash_next(service.watch_fn, "before:notify#2")
 
     txn = c.transaction()
-    txn.set_data("/a", b"1")
-    txn.set_data("/b", b"1")
+    for path in paths:
+        txn.set_data(path, b"1")
     txn.commit()
     cloud.run(until=cloud.now + 2_000)
     assert (service.watch_fn.failures, service.watch_fn.invocations) == (1, 2)
-    assert sorted(arrived) == ["/a", "/a", "/b"]  # the crashed "/a" + both
-    assert sorted(fired) == ["/a", "/b"]
+    assert sorted(arrived) == [(1, "/a"), (2, "/a"), (2, "/b"), (2, "/c")]
+    assert sorted(fired) == list(paths)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_leader_crash_between_pops_leaves_no_txid_pending(shards):
+    """The leader dies between a create's two pops (the child's, then the
+    parent's).  The redelivery finds the primary path applied, and pops
+    the parent too: the parent's next write completes instead of waiting
+    behind a txid nobody pops."""
+    cloud, service = make_service(seed=7, leader_shards=shards)
+    c = service.connect()
+    c.create("/p", b"")
+    leader = service.leader_fns[service.shard_of("/p/c")]
+    crash_next(leader, "before:update_item#2")
+    c.create("/p/c", b"")
+    cloud.run(until=cloud.now + 30_000)
+    assert leader.failures == 1
+    nodes = service.system_store.table(SYSTEM_NODES)
+    assert nodes.raw("/p")["transactions"] == []
+    fut = c.set_data_async("/p", b"x")
+    cloud.run(until=cloud.now + 30_000)
+    assert fut.done and fut.wait().version == 1
+
+
+def test_a_leader_pops_a_txid_only_where_it_is_pending():
+    """A redelivered batch pops the other paths of a txid whose primary
+    is applied, but only where the txid is still pending: a txid that
+    TryCommit rejected never committed there, so its pop must not stamp
+    the path's ``applied_tx`` (GC collects a tombstone only at the txid
+    that deleted it)."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/b", b"")
+    cloud.run(until=cloud.now + 10_000)
+    nodes = service.system_store.table(SYSTEM_NODES)
+    applied = nodes.raw("/b")["applied_tx"]
+    stage = next(s for s in service.stages if s.kind == "leader")
+    fctx = FunctionContext(cloud.env, stage.fn, 0)
+    cloud.run_process(stage.logic._pop_paths(fctx, ["/b"], applied + 5))
+    assert nodes.raw("/b")["applied_tx"] == applied
+
+
+@pytest.mark.parametrize("window", ["after:update_item#1",
+                                    "after:update_item#2"],
+                         ids=["after-consume", "after-epoch-add"])
+def test_a_leader_crash_after_the_watch_consume_still_fires_it(window):
+    """The inline leader consumes the watch (its first update), adds it to
+    the epoch counter (its second) and only then invokes the fan-out.  A
+    crash after either update: the redelivered txid fires the instances
+    its consume recorded, so the watch fires once and the epoch drains."""
+    cloud, service = make_service(seed=7)
+    c, watcher = service.connect(), service.connect()
+    c.create("/a", b"")
+    fired = []
+    watcher.get_data("/a", watch=fired.append)
+    leader = service.leader_fns[0]
+    crash_next(leader, window)
+    fut = c.set_data_async("/a", b"x")
+    cloud.run(until=cloud.now + 30_000)
+    assert leader.failures == 1
+    assert fut.done and fut.wait().version == 1
+    assert [ev.path for ev in fired] == ["/a"]
+    assert epoch_items(service) == [[]]
+
+
+@pytest.mark.parametrize("window", ["start", "after:update_item#2",
+                                    "before:update_item#3"],
+                         ids=["entry", "after-watch-stage", "before-visible"])
+def test_a_primary_distributor_crash_strands_no_watch_id(window):
+    """The primary distributor dies on entry, after adding the batch's
+    armed watch ids to every region's epoch counter, or before its
+    visibility mark.  Its redelivery adds the ids again: the add is
+    idempotent, so the one removal after the fan-out drains every
+    counter, and the watch fires once."""
+    cloud, service = make_service(
+        seed=7, distributor_enabled=True, ack_policy="on_commit",
+        regions=["us-east-1", "eu-west-1"])
+    c, watcher = service.connect(), service.connect()
+    c.create("/a", b"")
+    cloud.run(until=cloud.now + 30_000)
+    fired = []
+    watcher.get_data("/a", watch=fired.append)
+    primary = service.distribution.fns[service.config.primary_region]
+    crash_next(primary, window)  # update_items #1, #2: the two adds
+    c.set_data("/a", b"x")
+    cloud.run(until=cloud.now + 30_000)
+    assert primary.failures == 1
+    assert [ev.path for ev in fired] == ["/a"]
+    assert epoch_items(service) == [[], []]
+    for region in service.config.regions:
+        assert service.user_store.peek(region, "/a")["data"] == b"x"
+
+
+@pytest.mark.parametrize("seed", [12, 15, 20])
+def test_try_commit_moves_the_dedup_watermark(seed):
+    """The follower dies after its push; the leader's TryCommit commits
+    the request, ``last_rid`` included, and the redelivered attempt finds
+    it committed once it holds the locks TryCommit cleared: it pushes no
+    second txid and leaves no lock, so the request is applied once and
+    the acked version is the stored one."""
+    cloud, service = make_service(seed=seed)
+    c = service.connect()
+    c.create("/a", b"")
+    queue = service.leader_queues[0]
+    sent = queue.sent
+    crash_next(service.follower_fn, "after:send#1")
+    fut = c.set_data_async("/a", b"new")
+    cloud.run(until=cloud.now + 60_000)
+    assert fut.done and fut.wait().version == 1
+    assert queue.sent - sent == 1
+    raw = service.system_store.table(SYSTEM_NODES).raw("/a")
+    assert raw["version"] == 1 and raw["transactions"] == []
+    assert not service.node_lock.live(raw, cloud.now)
+
+
+def test_try_commit_lists_the_ephemeral_with_its_owner():
+    """An ephemeral create whose follower died after the push commits by
+    TryCommit, owner's ``ephemeral`` list included, so it goes when its
+    session closes."""
+    cloud, service = make_service(seed=15)
+    service.connect()  # a bystander session
+    c = service.connect()
+    c.create("/x", b"")
+    crash_next(service.follower_fn, "after:send#1")
+    c.create_async("/e", b"", ephemeral=True)
+    cloud.run(until=cloud.now + 60_000)
+    c.close()
+    cloud.run(until=cloud.now + 60_000)
+    node = service.system_store.table(SYSTEM_NODES).raw("/e")
+    assert not (node and node.get("exists"))
+
+
+def test_the_audit_reads_every_system_node():
+    """``verify_exactly_once`` audits the whole node table, not only the
+    workload's paths: a txid left pending on the root and a live lock on
+    an unrelated node are both reported."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"x")
+    cloud.run(until=cloud.now + 10_000)  # quiesce: the pops land
+    assert verify_exactly_once(service, {"/a": b"x"}) == []
+    store, ctx = service.system_store, service.system_ctx
+    cloud.run_process(store.update_item(
+        ctx, SYSTEM_NODES, "/", updates=[ListAppend("transactions", [99])]))
+    cloud.run_process(service.node_lock.acquire(ctx, "/b"))
+    violations = verify_exactly_once(service, {"/a": b"x"})
+    assert "/: pending transactions not drained: [99]" in violations
+    assert any(v.startswith("/b: lock left behind") for v in violations)

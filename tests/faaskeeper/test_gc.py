@@ -8,7 +8,7 @@ from repro.cloud import OpContext
 from repro.faaskeeper import NoNodeError
 from repro.faaskeeper.gc import TOMBSTONE_GRACE_MS
 from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_WATCHES
-from .conftest import make_service
+from .conftest import crash_next, make_service
 
 
 def _collected(service):
@@ -48,7 +48,7 @@ def test_a_tombstone_lives_out_its_grace_period(crash):
     c.create("/a")
     leader = service.leader_fns[0]
     if crash:
-        leader.plan_crash("leader_mid_batch", [leader.invocations + 1])
+        crash_next(leader, "after:update_item#2")  # after the delete's pops
     cloud.run(until=start + 290_000)
     c.delete("/a")
     popped = _run_until_popped(cloud, nodes, "/a")

@@ -124,7 +124,9 @@ def test_census_deletions_stay_deleted():
     cron with its sweeps of the node, session and watch tables, the
     tombstone age read off a lock the delete had removed, and the watch
     registry's instance removal only the sweep called: the leader queues
-    its tombstones to a delayed GC queue instead."""
+    its tombstones to a delayed GC queue instead.  And the hand-placed
+    crash points with their table and per-function fault plans: a crash
+    lands in a window of the storage boundary instead."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -141,7 +143,8 @@ def test_census_deletions_stay_deleted():
         r"\bscaled\(|bucket_keys|total_stored_kb|guarded_update|previous_at|"
         "auto_heartbeat|_hb_proc|armed_watch_ids|"
         r"GC_PERIOD_MS|_sweep_nodes|_sweep_watches|_age_marker|"
-        r"remove_instance|gc_task\b")
+        r"remove_instance|gc_task\b|"
+        r"crash_point|CRASH_POINTS|fault_plan")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()
@@ -457,13 +460,13 @@ def test_a_process_is_for_concurrency():
 
 def test_ci_fault_matrix_runs_every_cell_once():
     """The ``faults`` job runs ``test_faults.py`` with ``-k <leg>`` once
-    per word of its ``leg`` matrix: every crash-point kind has a crash
-    cell, and every cell id holds exactly one leg word (the cells' test
+    per word of its ``leg`` matrix: every kind the chaos monkey arms has a
+    crash cell, and every cell id holds exactly one leg word (the cells' test
     name and the workload names none), so each cell runs in exactly one
     leg."""
     import yaml
 
-    from repro.faaskeeper.chaos import CRASH_POINTS
+    from repro.faaskeeper.chaos import ChaosMonkey
     from repro.faaskeeper.service import STAGE_KINDS
 
     from ..integration import test_faults
@@ -484,8 +487,8 @@ def test_ci_fault_matrix_runs_every_cell_once():
         assert any(leg in cell for cell in test_faults.CELLS), leg
     crashed = {stage for _config, stage, _rate, _store, _workload
                in test_faults.CELLS.values()}
-    assert set(CRASH_POINTS) <= crashed
-    assert set(CRASH_POINTS) <= set(STAGE_KINDS)
+    assert set(ChaosMonkey.STAGES) <= crashed
+    assert set(ChaosMonkey.STAGES) <= set(STAGE_KINDS)
 
 
 def test_tier1_legs_flip_no_default():

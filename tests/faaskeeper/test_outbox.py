@@ -29,7 +29,7 @@ from repro.faaskeeper.layout import (
 )
 from repro.faaskeeper.outbox import MAX_ATTEMPTS, RETRY_BASE_MS
 from repro.faaskeeper.snapshot import log_bounds
-from .conftest import make_service
+from .conftest import crash_next, make_service
 
 
 def outbox_service(seed, **kwargs):
@@ -125,9 +125,8 @@ def test_redelivered_leader_batch_appends_one_outbox_record():
     cloud, service = outbox_service(602)
     c = service.connect()
     c.create("/a", b"v0")
-    service.leader_fns[0].plan_crash(
-        "leader_after_log",
-        invocations=[service.leader_fns[0].invocations + 1])
+    # dies after the log append, before it replicates
+    crash_next(service.leader_fns[0], "before:write_node#1")
     t0 = cloud.now
     res = c.set_data("/a", b"v1")
     assert service.leader_fns[0].failures == 1  # the crash really happened
@@ -233,7 +232,9 @@ def test_compaction_never_truncates_above_outbox_published():
     watermark write, and not once the passes recover."""
     cloud, service = outbox_service(614)
     fn = service.outbox.fn
-    fn.plan_crash("outbox_after_sink", predicate=lambda _i: True)
+    # every pass dies before its first watermark write
+    cloud.runtime.plan_crash(*(f"fk-outbox:{i}:before:update_item#1"
+                               for i in range(1, 1_000)))
     c = service.connect()
     for i in range(5):
         c.set_data("/a", f"v{i}".encode()) if i else c.create("/a", b"v0")
@@ -245,7 +246,7 @@ def test_compaction_never_truncates_above_outbox_published():
     assert snapshot_and_compact(cloud, service) == 0   # still pinned at 0
     assert log_txids(service) == [1, 2, 3, 4, 5]
     # the queue retries the pass until it lands: record 1 is still there
-    del fn.fault_plan["outbox_after_sink"]
+    fn.crash_plan = None
     settle(cloud)
     assert sink.delivered_txids()[-5:] == [1, 2, 3, 4, 5]
     assert snapshot_and_compact(cloud, service) == 5
@@ -422,9 +423,7 @@ def test_publisher_crash_before_watermark_redelivers():
     (at-least-once): the sink sees a duplicate, the audit still passes
     because duplicates carry identical payloads."""
     cloud, service = outbox_service(610)
-    service.outbox.fn.plan_crash(
-        "outbox_after_sink",
-        invocations=[service.outbox.fn.invocations + 1])
+    crash_next(service.outbox.fn, "before:update_item#1")
     c = service.connect()
     c.create("/a", b"x")
     settle(cloud)
@@ -437,14 +436,26 @@ def test_publisher_crash_before_watermark_redelivers():
 
 def test_crash_before_any_delivery_loses_nothing():
     cloud, service = outbox_service(611)
-    service.outbox.fn.plan_crash(
-        "outbox_entry", invocations=[service.outbox.fn.invocations + 1])
+    crash_next(service.outbox.fn, "start")
     c = service.connect()
     c.create("/a", b"x")
     c.create("/b", b"y")
     settle(cloud)
     assert service.outbox.fn.failures == 1
     assert service.outbox.sink(0).delivered_txids() == [1, 2]
+
+
+def test_crash_between_reading_a_record_and_its_delivery_loses_nothing():
+    """The publisher dies after reading the first record from the log,
+    before any sink saw it: the retried pass delivers it once."""
+    cloud, service = outbox_service(611)
+    crash_next(service.outbox.fn, "after:get_item#3")
+    c = service.connect()
+    c.create("/a", b"x")
+    settle(cloud)
+    assert service.outbox.fn.failures == 1
+    assert service.outbox.sink(0).delivered_txids() == [1]
+    assert published_mark(service) == 1
 
 
 def test_publish_floor_is_min_over_shards():

@@ -358,11 +358,11 @@ def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
     assert proxy.inner is inner
     assert proxy.peek("r", "/p") == ("peek", ("r", "/p"))   # pass-through
     assert not set(vars(proxy)) & {"peek", "fault_points", "table"}
-    minted = 0
+    minted, ctx = 0, OpContext()
     for n, (op, tokened) in enumerate(ops.items(), start=1):
-        got = cloud.run_process(getattr(proxy, op)("ctx", "r1", "arg", k=n))
+        got = cloud.run_process(getattr(proxy, op)(ctx, "r1", "arg", k=n))
         first, second = [c for c in inner.calls if c[0] == op]
-        assert first[1] == second[1] == ("ctx", "r1", "arg")
+        assert first[1] == second[1] == (ctx, "r1", "arg")
         minted += tokened
         want = {"k": n, "token": f"x-t{minted}"} if tokened else {"k": n}
         assert first[2] == second[2] == got[2] == want

@@ -26,7 +26,7 @@ from repro.faaskeeper.layout import (
 )
 from repro.faaskeeper.leader import LeaderLogic
 from repro.faaskeeper.snapshot import SNAPSHOT_EVERY
-from .conftest import cap_redeliveries, make_service
+from .conftest import cap_redeliveries, crash_next, make_service
 
 
 def snapshot_now(cloud, service):
@@ -292,8 +292,7 @@ def test_a_rejected_write_then_silence_does_not_pin_the_floor(monkeypatch):
     c.create(quiet, b"")                                       # txid 2
     # the follower dies between push and commit: the leader must decide
     cap_redeliveries(service, c, 1)
-    service.follower_fn.plan_crash(
-        "after_push", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:send#1")
     doomed = c.create_async(quiet + "/doomed", b"x")           # txid 3
     settle(cloud)
     assert doomed.done and doomed.event.ok is False
@@ -312,9 +311,7 @@ def test_redelivered_append_does_not_regress_log_head():
     cloud, service = make_service(seed=510, commit_log_enabled=True)
     c = service.connect()
     c.create("/a", b"v0")
-    service.leader_fns[0].plan_crash(
-        "leader_after_log",
-        invocations=[service.leader_fns[0].invocations + 1])
+    crash_next(service.leader_fns[0], "after:transact_update#1")
     res = c.set_data("/a", b"v1")
     assert res.version == 1
     assert service.leader_fns[0].failures == 1

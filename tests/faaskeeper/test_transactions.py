@@ -27,7 +27,7 @@ from repro.faaskeeper import (
 )
 from repro.faaskeeper.layout import SYSTEM_NODES, shard_of_path
 from repro.faaskeeper.userstore import BACKENDS
-from .conftest import cap_redeliveries, make_service
+from .conftest import cap_redeliveries, crash_next, make_service
 
 
 def _cross_shard_pair(num_shards):
@@ -340,8 +340,7 @@ def test_multi_duplicate_delivery_is_idempotent():
     c = service.connect()
     c.create("/a", b"")
     c.create("/b", b"")
-    service.follower_fn.plan_crash(
-        "after_commit", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:transact_update#1")
     fut = c.multi_async([SetDataOp("/a", b"once"), SetDataOp("/b", b"once")])
     cloud.run(until=cloud.now + 30_000)
     assert fut.done
@@ -356,8 +355,7 @@ def test_multi_crash_before_push_retried_transparently():
     cloud, service = make_service(seed=109)
     c = service.connect()
     c.create("/a", b"")
-    service.follower_fn.plan_crash(
-        "after_validate", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "before:send#1")
     results = c.multi([SetDataOp("/a", b"v1"), CreateOp("/a/child", b"")])
     assert results[0].version == 1
     assert c.get_data("/a/child")[0] == b""
@@ -395,8 +393,7 @@ def test_multi_create_then_touch_crash_after_push_recovers():
     c = service.connect()
     c.create("/p", b"")
     cap_redeliveries(service, c, 1).on_drop = None
-    service.follower_fn.plan_crash(
-        "after_push", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:send#1")
     fut = c.multi_async([CreateOp("/p/x", b"a"), SetDataOp("/p/x", b"b")])
     cloud.run(until=cloud.now + 30_000)
     assert fut.done

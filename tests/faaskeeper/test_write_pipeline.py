@@ -17,7 +17,7 @@ from repro.faaskeeper import (
     TransactionFailedError,
 )
 from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
-from .conftest import cap_redeliveries, make_service
+from .conftest import cap_redeliveries, crash_next, make_service
 
 
 def submit_async(client, ops, as_multi):
@@ -117,8 +117,7 @@ def test_follower_crash_after_push_leader_try_commits(case):
     # Silence the queue's drop notification: this test observes the pure
     # recovery path (the drop/recovery ack race is covered separately).
     cap_redeliveries(service, c, 1).on_drop = None
-    service.follower_fn.plan_crash(
-        "after_push", invocations=[service.follower_fn.invocations + 1])
+    crash_next(service.follower_fn, "after:send#1")
     fut = submit_async(c, ops, as_multi=len(ops) > 1)
     cloud.run(until=cloud.now + 30_000)
     assert fut.done

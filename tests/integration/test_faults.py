@@ -1,7 +1,9 @@
 """The seeded fault matrix: sandbox crashes, storage faults, and both.
 
 Every cell of :data:`CELLS` stands up one deployment, arms one pipeline
-stage with seeded random crashes (:class:`~repro.faaskeeper.chaos.ChaosMonkey`)
+stage with seeded random crashes in its functions' crash windows — the
+start, before or after any storage op, queue send or watch delivery, the
+end (:class:`~repro.faaskeeper.chaos.ChaosMonkey`)
 and/or a seeded transient-fault schedule on every storage endpoint
 (``FaaSKeeperConfig.storage_fault_rate``: throttles, timeouts, connection
 resets, partial writes), drives one seeded workload to quiescence and
@@ -42,7 +44,7 @@ import pytest
 
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService, recipes
-from repro.faaskeeper.chaos import CRASH_POINTS, ChaosMonkey, verify_exactly_once
+from repro.faaskeeper.chaos import ChaosMonkey, verify_exactly_once
 from repro.faaskeeper.model import KeeperState, SetDataOp
 from repro.faaskeeper.outbox import OutboxStage
 from repro.faaskeeper.retry import BREAKER_CLOSED
@@ -329,9 +331,11 @@ WORKLOADS = {
 }
 
 
-def run_scenario(seed, cell):
+def run_scenario(seed, cell, replay=()):
     """One seeded run of ``cell``; returns (violations, monkey, service,
-    expected final data per path)."""
+    expected final data per path).  ``replay`` entries (a logged crash
+    schedule) replace the monkey's draws: it then only models the sandbox
+    loss."""
     config_name, stage, rate, store, workload = CELLS[cell]
     drive, needs = WORKLOADS[workload]
     cloud = Cloud.aws(seed=seed)
@@ -341,7 +345,8 @@ def run_scenario(seed, cell):
     service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**kwargs))
     monkey = ChaosMonkey(service, seed=seed * 7919 + 13,
                          stages=[stage] if stage else [],
-                         probability=0.4, budget_per_point=2)
+                         probability=0.0 if replay else 0.4)
+    cloud.runtime.plan_crash(*replay)
     violations, clients, expected, acked = drive(service, random.Random(seed))
     violations += verify_exactly_once(service, expected, acked)
     violations += ids_above_the_floor(service)
@@ -430,60 +435,55 @@ def test_region_wipe_after_distributor_crashes_recovers_from_snapshot():
                      f"reproduce: FK_FAULT_SEED={seed}")
 
 
-#: (cell, seed) -> (crash log as ``fn:point:invocation``, budget left per
-#: (fn, point)), recorded on the commit before the harness read
-#: ``service.stages`` — when it armed each stage kind by hand.
+#: (cell, seed) -> (crash log, budget left per armed function): pins of
+#: the harness's draws for a fixed seed, each replayed through
+#: ``plan_crash`` below.
 PINNED_SCHEDULES = {
-    ("s4-dist-leader", 3): (
-        "fk-leader-3:leader_entry:2 fk-leader-2:leader_after_log:1 "
-        "fk-leader-2:leader_entry:2 fk-leader-2:leader_entry:3 "
-        "fk-leader-2:leader_after_log:4 fk-leader-2:leader_mid_batch:5 "
-        "fk-leader-3:leader_after_log:4 fk-leader-1:leader_entry:2 "
-        "fk-leader-3:leader_entry:5 fk-leader-1:leader_entry:3 "
-        "fk-leader-3:leader_mid_batch:6 fk-leader-3:leader_mid_batch:8 "
-        "fk-leader-3:leader_after_log:9 fk-leader-1:leader_mid_batch:5",
-        {"fk-leader": (2, 2, 2), "fk-leader-1": (0, 1, 2),
-         "fk-leader-2": (0, 1, 0), "fk-leader-3": (0, 0, 0)}),
+    ("s4-dist-leader", 2): (
+        "fk-leader-3:3:before:update_item#1 fk-leader-3:4:after:send#2 "
+        "fk-leader-1:2:after:transact_update#1 fk-leader-1:3:end "
+        "fk-leader-3:7:after:send#3",
+        {"fk-leader": 4, "fk-leader-1": 2, "fk-leader-2": 4,
+         "fk-leader-3": 1}),
     ("s4-dist-distributor", 3): (
-        "fk-distributor:dist_before_visible:2 "
-        "fk-distributor:dist_after_watch_stage:4 "
-        "fk-distributor-eu-west-1:dist_before_visible:1 "
-        "fk-distributor:dist_entry:5 fk-distributor-eu-west-1:dist_entry:2 "
-        "fk-distributor:dist_entry:6 fk-distributor:dist_before_visible:7 "
-        "fk-distributor-eu-west-1:dist_before_visible:3 "
-        "fk-distributor:dist_after_watch_stage:8 "
-        "fk-distributor-eu-west-1:dist_entry:4",
-        {"fk-distributor": (0, 0, 0),
-         "fk-distributor-eu-west-1": (0, 2, 0)}),
-    ("s4-dist-watch", 2): (
-        "fk-watch:watch_mid_fanout:1 fk-watch:watch_entry:3",
-        {"fk-watch": (0, 0)}),
-    # re-recorded when the publisher became queue-triggered (it was a
-    # 1 s cron, so its invocation numbers moved)
-    ("s1-pub-outbox", 3): (
-        "fk-outbox:outbox_after_sink:1 fk-outbox:outbox_mid_drain:3 "
-        "fk-outbox:outbox_entry:4 fk-outbox:outbox_entry:5 "
-        "fk-outbox:outbox_mid_drain:6 fk-outbox:outbox_after_sink:7",
-        {"fk-outbox": (0, 0, 0)}),
+        "fk-distributor-eu-west-1:4:start "
+        "fk-distributor:9:before:update_item#1 "
+        "fk-distributor-eu-west-1:5:before:write_node#2 "
+        "fk-distributor:11:end fk-distributor:12:after:get_item#1",
+        {"fk-distributor": 1, "fk-distributor-eu-west-1": 2}),
+    ("s4-dist-watch", 1): (
+        "fk-watch:2:end fk-watch:3:before:notify#1",
+        {"fk-watch": 0}),
+    ("s1-pub-outbox", 6): (
+        "fk-outbox:5:before:get_item#1 fk-outbox:6:before:get_item#4 "
+        "fk-outbox:7:before:get_item#3",
+        {"fk-outbox": 1}),
 }
 
 
 @pytest.mark.parametrize("cell,seed", list(PINNED_SCHEDULES),
                          ids=[cell for cell, _seed in PINNED_SCHEDULES])
 def test_arming_off_the_stage_list_keeps_the_crash_schedule(cell, seed):
-    """The harness arms ``stage.kind -> CRASH_POINTS`` over
-    ``service.stages``; for a fixed seed that must pick the same
-    functions, points, budgets and — the RNG being shared — the same crash
-    schedule as the per-kind arming it replaced."""
+    """The harness arms every function of the cell's kind over
+    ``service.stages``; for a fixed seed it draws the same crash schedule
+    and leaves the same budgets, and its log — ``fn:invocation:window``
+    entries — replays through ``plan_crash`` to the same run."""
     crashes, budgets = PINNED_SCHEDULES[cell, seed]
-    violations, monkey, _svc, _exp = run_scenario(seed, cell)
+    violations, monkey, service, _exp = run_scenario(seed, cell)
     assert not violations
-    assert " ".join(f"{fn}:{point}:{inv}"
-                    for fn, point, inv in monkey.crashes) == crashes
-    stage = CELLS[cell][1]
-    assert monkey._budget == {
-        (fn, point): left for fn, lefts in budgets.items()
-        for point, left in zip(CRASH_POINTS[stage], lefts)}
+    assert " ".join(monkey.crashes) == crashes
+    assert monkey._budget == budgets
+
+    def failures(service):
+        return {name: fn.failures
+                for name, fn in service.cloud.runtime.functions.items()}
+
+    violations, replay, again, _exp = run_scenario(
+        seed, cell, replay=monkey.crashes)
+    assert not violations and replay.crashes == []
+    assert replay.restarts == monkey.restarts == len(monkey.crashes)
+    assert failures(again) == failures(service)
+    assert again.cloud.now == service.cloud.now
 
 
 def test_same_seed_replays_the_same_fault_schedule():

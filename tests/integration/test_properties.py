@@ -131,13 +131,12 @@ def test_fifo_order_preserved_under_crashes(messages, crash_invocations):
 
     def handler(fctx, batch):
         yield fctx.env.timeout(1)
-        fctx.crash_point("work")
         received.extend(batch)
         return None
 
     q = cloud.fifo_queue("q", max_receive=None)
     fn = cloud.deploy_function("h", handler)
-    fn.plan_crash("work", invocations=sorted(crash_invocations))
+    cloud.runtime.plan_crash(*(f"h:{i}:start" for i in crash_invocations))
     q.attach(fn)
     ctx = OpContext()
     for m in messages:
