@@ -81,8 +81,8 @@ class ConnectionReset(CloudError):
 
 
 class StorageUnavailable(CloudError):
-    """A storage endpoint is being shed: its circuit breaker is open, or a
-    retry policy exhausted its attempts.  Carries the terminal cause."""
+    """A storage op failed every attempt of the retry loop.  Carries the
+    terminal cause."""
 
     def __init__(self, message: str = "storage unavailable",
                  cause: Exception | None = None) -> None:

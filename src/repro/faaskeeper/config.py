@@ -81,7 +81,7 @@ class FaaSKeeperConfig:
     #: Seeded transient-fault injection on every storage service the
     #: deployment owns (throttle / timeout / connection reset / partial
     #: write): the per-operation fault probability, 0 (the default) = no
-    #: schedule armed.  Every round trip rides the retry/breaker proxy
+    #: schedule armed.  Every round trip rides the retry proxy
     #: (:mod:`repro.faaskeeper.retry`) either way.
     storage_fault_rate: float = 0.0
 

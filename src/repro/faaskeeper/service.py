@@ -56,8 +56,7 @@ from .leader import LeaderLogic
 from .metrics import MetricsRegistry
 from .model import KeeperState, Response, WatchedEvent
 from .outbox import OutboxStage
-from .retry import (BREAKER_OPEN, KV_OPS, USER_OPS, RetryPolicy,
-                    RetryingStore)
+from .retry import KV_OPS, USER_OPS, RetryingStore
 from .snapshot import SnapshotManager
 from .watch_fn import WatchFanoutLogic
 from .watches import EpochLedger, WatchRegistry
@@ -113,16 +112,14 @@ class FaaSKeeperService:
         self.metrics = MetricsRegistry()
 
         # --- system storage -------------------------------------------------
-        # Every storage round trip below goes through the one retry/breaker
-        # proxy.  Its jitter stream is created lazily on the first actual
-        # retry, so fault-free runs keep the raw store's RNG draw sequence
-        # — and their fingerprints — bit-for-bit.
-        policy = RetryPolicy()
+        # Every storage round trip below goes through the one retry proxy.
+        # Its jitter stream is created lazily on the first actual retry, so
+        # fault-free runs keep the raw store's RNG draw sequence — and their
+        # fingerprints — bit-for-bit.
         self.system_store = RetryingStore(
             cloud.kv("dynamodb:system", region=config.primary_region),
             "system", KV_OPS, cloud.env,
-            lambda: cloud.rng.stream("storage-retry:system"),
-            policy, self.metrics, self._on_breaker_transition)
+            lambda: cloud.rng.stream("storage-retry:system"), self.metrics)
         for table in (SYSTEM_NODES, SYSTEM_STATE, SYSTEM_SESSIONS, SYSTEM_WATCHES):
             self.system_store.create_table(table)
         self.node_lock = TimedLock(self.system_store, SYSTEM_NODES,
@@ -136,8 +133,7 @@ class FaaSKeeperService:
 
         self.user_store = RetryingStore(
             make_user_store(cloud, config), "user", USER_OPS, cloud.env,
-            lambda: cloud.rng.stream("storage-retry:user"),
-            policy, self.metrics, self._on_breaker_transition)
+            lambda: cloud.rng.stream("storage-retry:user"), self.metrics)
         #: Fault injectors armed on this deployment (empty = clean run).
         self.storage_injectors: List[Any] = []
         if config.storage_fault_rate > 0:
@@ -308,17 +304,6 @@ class FaaSKeeperService:
                 lambda k=kind: float(sum(i.injected[k]
                                          for i in self.storage_injectors)))
         return injectors
-
-    def _on_breaker_transition(self, label: str, region: str, state: str
-                               ) -> None:
-        """An OPEN breaker means the store endpoint is effectively down:
-        shed the affected sessions to SUSPENDED (not LOST — the next
-        successful round trip after recovery heals them)."""
-        if state != BREAKER_OPEN:
-            return
-        for client in list(self.clients.values()):
-            if label == "system" or client.region == region:
-                client._transition(KeeperState.SUSPENDED)
 
     @property
     def visibility_board(self):

@@ -166,7 +166,6 @@ class ZooKeeperEnsemble:
         self._zxid = 0
         self._session_ids = itertools.count(1)
         self.sessions: Dict[str, _Session] = {}
-        self._expiry_callbacks: List[Callable[[str], None]] = []
         self._write_gate = None  # created lazily: serializes ZAB at the leader
         env.process(self._session_sweeper(), name="zk-session-sweeper")
 
@@ -185,9 +184,6 @@ class ZooKeeperEnsemble:
         session = self.sessions.get(sid)
         if session is not None:
             session.last_heartbeat = self.env.now
-
-    def on_session_expired(self, callback: Callable[[str], None]) -> None:
-        self._expiry_callbacks.append(callback)
 
     def _session_sweeper(self):
         while True:
@@ -209,8 +205,6 @@ class ZooKeeperEnsemble:
                 pass
         session.server.drop_session_watches(session.session_id)
         self.sessions.pop(session.session_id, None)
-        for callback in self._expiry_callbacks:
-            callback(session.session_id)
 
     def close_session(self, session: _Session):
         yield from self._expire(session)

@@ -1,12 +1,9 @@
-"""The self-healing storage layer: retry policy, backoff, idempotent
-replay, circuit breaker, and the session-state consequences."""
+"""The self-healing storage layer: backoff, idempotent replay, exhaustion,
+and what a storage outage does (and does not do) to the deployment."""
 
-import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cloud import Cloud, ListAppend
 from repro.cloud.context import OpContext
@@ -14,21 +11,16 @@ from repro.cloud.errors import (ConditionFailed, StorageTimeout,
                                 StorageUnavailable)
 from repro.cloud.expressions import Attr
 from repro.cloud.faults import FaultInjector
-from repro.faaskeeper import FaaSKeeperConfig
-from repro.faaskeeper.layout import SYSTEM_NODES, SYSTEM_SESSIONS
+from repro.faaskeeper.exceptions import RequestFailedError
 from repro.faaskeeper.metrics import MetricsRegistry
 from repro.faaskeeper.model import KeeperState
 from repro.faaskeeper.retry import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
     KV_OPS,
+    MAX_ATTEMPTS,
     USER_OPS,
-    CircuitBreaker,
     RetryingStore,
-    RetryPolicy,
+    backoff_ms,
 )
-from repro.faaskeeper.userstore import BACKENDS, make_user_store
 
 from .conftest import make_service
 
@@ -50,167 +42,40 @@ class ScriptedInjector(FaultInjector):
         return kind
 
 
-class FakeEnv:
-    def __init__(self):
-        self.now = 0.0
+class OutageInjector(FaultInjector):
+    """Every op times out until virtual time ``until``, then none does."""
+
+    def __init__(self, env, until):
+        super().__init__(env, rng=random.Random(0), rate=1.0)
+        self.until = until
+
+    def draw(self, op, mutating):
+        if self.env.now >= self.until:
+            return None
+        self.injected["timeout"] += 1
+        return "timeout"
 
 
-def make_wrapped(seed=11, **policy):
-    cloud = Cloud.aws(seed=seed)
+def make_wrapped():
+    cloud = Cloud.aws(seed=11)
     kv = cloud.kv("dynamodb:test")
     kv.create_table("t")
     wrapped = RetryingStore(
         kv, "system", KV_OPS, cloud.env,
-        lambda: cloud.rng.stream("test-retry"),
-        RetryPolicy(**policy), MetricsRegistry())
+        lambda: cloud.rng.stream("test-retry"), MetricsRegistry())
     return cloud, kv, wrapped
 
 
-def shrink_breakers(store, threshold, cooldown_ms):
-    """The service deploys ``RetryPolicy()`` (threshold 8, cooldown 10 s);
-    a test that wants a trip inside a lock lease swaps in a small policy
-    before the first round trip creates a breaker from it."""
-    store.policy = dataclasses.replace(
-        store.policy, breaker_threshold=threshold,
-        breaker_cooldown_ms=cooldown_ms)
-    store.breakers.clear()
-
-
-# -------------------------------------------------------------- RetryPolicy
+# ------------------------------------------------------------------ backoff
 def test_backoff_grows_exponentially_and_caps():
-    policy = RetryPolicy(base_ms=10.0, cap_ms=100.0, jitter=0.0)
-    waits = [policy.backoff_ms(n, u=0.5) for n in (1, 2, 3, 4, 5, 6)]
-    assert waits == [10.0, 20.0, 40.0, 80.0, 100.0, 100.0]
+    waits = [backoff_ms(n, u=0.5) for n in range(1, 11)]
+    assert waits == [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0,
+                     2000.0, 2000.0]
 
 
 def test_backoff_jitter_bounds():
-    policy = RetryPolicy(base_ms=100.0, cap_ms=1e9, jitter=0.5)
-    assert policy.backoff_ms(1, u=0.0) == pytest.approx(75.0)
-    assert policy.backoff_ms(1, u=1.0) == pytest.approx(125.0)
-
-
-# ----------------------------------------------------------- CircuitBreaker
-def test_breaker_trips_after_threshold_and_recovers():
-    env = FakeEnv()
-    transitions = []
-    breaker = CircuitBreaker(env, threshold=3, cooldown_ms=100.0,
-                             on_transition=transitions.append)
-    assert breaker.state == BREAKER_CLOSED
-    for _ in range(2):
-        breaker.record_failure()
-    assert breaker.state == BREAKER_CLOSED and breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN
-    assert not breaker.allow()                # shedding
-    env.now = 99.0
-    assert not breaker.allow()                # still cooling down
-    env.now = 100.0
-    assert breaker.allow()                    # the half-open probe
-    assert breaker.state == BREAKER_HALF_OPEN
-    assert not breaker.allow()                # only one probe in flight
-    breaker.record_success()
-    assert breaker.state == BREAKER_CLOSED and breaker.allow()
-    assert transitions == [BREAKER_OPEN, BREAKER_HALF_OPEN, BREAKER_CLOSED]
-
-
-def test_breaker_failed_probe_reopens_with_fresh_cooldown():
-    env = FakeEnv()
-    breaker = CircuitBreaker(env, threshold=1, cooldown_ms=100.0)
-    breaker.record_failure()
-    env.now = 100.0
-    assert breaker.allow()
-    breaker.record_failure()                  # probe failed
-    assert breaker.state == BREAKER_OPEN
-    assert breaker.opened_at == 100.0         # cooldown restarted
-    assert not breaker.allow()
-
-
-def test_success_resets_the_consecutive_failure_count():
-    env = FakeEnv()
-    breaker = CircuitBreaker(env, threshold=3, cooldown_ms=100.0)
-    for _ in range(2):
-        breaker.record_failure()
-    breaker.record_success()
-    for _ in range(2):
-        breaker.record_failure()
-    assert breaker.state == BREAKER_CLOSED    # never 3 *consecutive*
-
-
-def test_cooldown_is_the_probe_spacing():
-    """One rate limit: every cooldown admits exactly one probe, and a
-    failed probe re-opens for a full cooldown."""
-    env = FakeEnv()
-    breaker = CircuitBreaker(env, threshold=1, cooldown_ms=100.0)
-    breaker.record_failure()
-    admitted = 0
-    for now in range(0, 400, 10):
-        env.now = float(now)
-        if breaker.allow():
-            admitted += 1
-            breaker.record_failure()
-    assert admitted == 3                      # t = 100, 200, 300
-
-
-def test_abandoned_probe_gives_the_slot_back():
-    env = FakeEnv()
-    breaker = CircuitBreaker(env, threshold=1, cooldown_ms=100.0)
-    breaker.record_failure()
-    env.now = 100.0
-    assert breaker.allow()
-    breaker.release()                         # no verdict on the store
-    assert breaker.state == BREAKER_OPEN
-    assert breaker.allow()                    # the next request probes
-    breaker.record_success()
-    breaker.release()                         # only a probe has a slot
-    assert breaker.state == BREAKER_CLOSED
-
-
-_STEPS = st.lists(st.tuples(
-    st.sampled_from(["allow", "answer", "transient", "abandon"]),
-    st.sampled_from([0.0, 1.0, 40.0, 100.0, 250.0]),
-    st.integers(0, 7)), max_size=60)
-
-
-@settings(max_examples=300, deadline=None)
-@given(steps=_STEPS, threshold=st.integers(1, 3))
-def test_breaker_half_open_never_outlives_its_probe(steps, threshold):
-    """Interleaved attempts against one breaker, driven the way the retry
-    loop drives it and ending the three ways an attempt can (the store
-    answers, a transient error, abandoned): HALF_OPEN never persists with
-    no probe in flight, and an OPEN breaker always admits a probe one
-    cooldown after it opened."""
-    env = FakeEnv()
-    breaker = CircuitBreaker(env, threshold=threshold, cooldown_ms=100.0)
-    in_flight = []      # per attempt: (admitted as the probe?, verdicts then)
-    for action, advance, pick in steps:
-        env.now += advance
-        if action == "allow":
-            was_open = breaker.state == BREAKER_OPEN
-            due = env.now - breaker.opened_at >= breaker.cooldown_ms
-            admitted = breaker.allow()
-            if was_open:
-                assert admitted == due
-            if admitted:
-                in_flight.append((breaker.state == BREAKER_HALF_OPEN,
-                                  breaker.verdicts))
-        elif in_flight:
-            probing, began = in_flight.pop(pick % len(in_flight))
-            if action == "answer":
-                breaker.record_success()
-                assert breaker.state == BREAKER_CLOSED
-            elif action == "transient":
-                counted = began == breaker.verdicts
-                half_open = breaker.state == BREAKER_HALF_OPEN
-                breaker.record_failure(began)
-                if counted and half_open:     # the probe failed
-                    assert breaker.state == BREAKER_OPEN
-            elif probing:
-                breaker.release()
-        if breaker.state == BREAKER_HALF_OPEN:
-            assert any(probing for probing, _began in in_flight)
-    if breaker.state == BREAKER_OPEN:
-        env.now = breaker.opened_at + breaker.cooldown_ms
-        assert breaker.allow() and breaker.state == BREAKER_HALF_OPEN
+    assert backoff_ms(1, u=0.0) == pytest.approx(7.5)
+    assert backoff_ms(1, u=1.0) == pytest.approx(12.5)
 
 
 # ------------------------------------------------------------- retry engine
@@ -228,8 +93,29 @@ def test_transient_faults_are_absorbed():
                                    error="ThrottlingError").value == 1
 
 
+def test_a_burst_of_overlapping_failures_is_one_failure():
+    """Sixteen concurrent ops whose injected timeouts land together cost
+    each op one failed attempt, not sixteen: every op completes on its own
+    retry.  Failures in sequence on one op still exhaust it."""
+    cloud, kv, wrapped = make_wrapped()
+    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 16)
+    ctx = OpContext()
+    ops = [cloud.env.process(wrapped.put_item(ctx, "t", f"k{i}", {"v": i}))
+           for i in range(16)]
+    cloud.run(until=cloud.now + 5_000)
+    assert all(op.processed and op.ok for op in ops)
+    assert kv.faults.injected["timeout"] == 16
+    assert wrapped._retries.labels(store="system", op="put_item",
+                                   error="StorageTimeout").value == 16
+
+    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * MAX_ATTEMPTS)
+    with pytest.raises(StorageUnavailable):
+        cloud.run_process(wrapped.put_item(ctx, "t", "k", {}))
+
+
 def test_backoff_consumes_virtual_time_only_on_retries():
-    cloud, kv, wrapped = make_wrapped(base_ms=10.0, cap_ms=100.0, jitter=0.0)
+    cloud, kv, wrapped = make_wrapped()
+    wrapped._jitter_u = lambda: 0.5           # jitter factor exactly 1
     ctx = OpContext()
     cloud.run_process(wrapped.put_item(ctx, "t", "clean", {}))
     clean = cloud.now
@@ -254,11 +140,13 @@ def test_partial_write_replays_instead_of_reapplying():
 
 
 def test_exhaustion_raises_storage_unavailable_with_cause():
-    cloud, kv, wrapped = make_wrapped(max_attempts=3, base_ms=1.0, jitter=0.0,
-                                      breaker_threshold=100)
+    cloud, kv, wrapped = make_wrapped()
     kv.faults = ScriptedInjector(cloud.env, ["throttle"] * 10)
-    with pytest.raises(StorageUnavailable, match="after 3 attempts"):
+    with pytest.raises(StorageUnavailable,
+                       match=f"after {MAX_ATTEMPTS} attempts") as failed:
         cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {}))
+    assert "injected throttle" in str(failed.value.cause)
+    assert kv.faults.injected["throttle"] == MAX_ATTEMPTS
     assert wrapped._exhausted.labels(
         store="system", op="put_item").value == 1
 
@@ -272,43 +160,6 @@ def test_condition_failed_is_never_retried():
             ctx, "t", "k", {"v": 2}, condition=Attr("v") == 99))
     assert wrapped._retries.labels(
         store="system", op="put_item", error="ConditionFailed").value == 0
-
-
-def test_a_burst_of_overlapping_failures_is_one_failure():
-    """Sixteen concurrent ops whose injected timeouts land together say one
-    thing about the endpoint, not sixteen things in a row: the breaker
-    stays CLOSED and every op completes on its retry.  Failures in
-    sequence still trip it at the threshold."""
-    cloud, kv, wrapped = make_wrapped()
-    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 16)
-    ctx = OpContext()
-    ops = [cloud.env.process(wrapped.put_item(ctx, "t", f"k{i}", {"v": i}))
-           for i in range(16)]
-    cloud.run(until=cloud.now + 5_000)
-    breaker = wrapped.breakers[kv.region]
-    assert breaker.state == BREAKER_CLOSED
-    assert all(op.processed and op.ok for op in ops)
-    assert kv.faults.injected["timeout"] == 16
-
-    cloud, kv, wrapped = make_wrapped(max_attempts=8)
-    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 8)
-    with pytest.raises(StorageUnavailable):
-        cloud.run_process(wrapped.put_item(ctx, "t", "k", {}))
-    assert wrapped.breakers[kv.region].state == BREAKER_OPEN
-
-
-def test_open_breaker_sheds_without_touching_the_store():
-    cloud, kv, wrapped = make_wrapped(max_attempts=2, base_ms=1.0, jitter=0.0,
-                                      breaker_threshold=2)
-    kv.faults = ScriptedInjector(cloud.env, ["throttle"] * 100)
-    with pytest.raises(StorageUnavailable):
-        cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {}))
-    breaker = wrapped.breakers[kv.region]
-    assert breaker.state == BREAKER_OPEN
-    drawn_before = len(kv.faults._script)
-    with pytest.raises(StorageUnavailable, match="circuit open"):
-        cloud.run_process(wrapped.put_item(OpContext(), "t", "k2", {}))
-    assert len(kv.faults._script) == drawn_before  # shed, not attempted
 
 
 # ------------------------------------------------------- the op tables
@@ -347,14 +198,15 @@ class RecordingStore:
 
 @pytest.mark.parametrize("ops,region", [(KV_OPS, "eu-1"), (USER_OPS, None)])
 def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
-    """The whole forwarding contract, from the tables: each named op is
-    retried with its arguments intact, carries one token across attempts
-    iff the table says so and retires it when done, is keyed to the store's
-    own region or to the call's; anything not in the table passes through."""
+    """The whole forwarding contract, from the tables, for a store that is
+    one regional endpoint and for one that takes the region per call: each
+    named op is retried with its arguments intact, carries one token across
+    attempts iff the table says so and retires it when done; anything not
+    in the table passes through."""
     cloud = Cloud.aws(seed=3)
     inner = RecordingStore(cloud.env, ops, region)
-    proxy = RetryingStore(inner, "x", ops, cloud.env, lambda: None,
-                          RetryPolicy(jitter=0.0), MetricsRegistry())
+    proxy = RetryingStore(inner, "x", ops, cloud.env,
+                          lambda: random.Random(0), MetricsRegistry())
     assert proxy.inner is inner
     assert proxy.peek("r", "/p") == ("peek", ("r", "/p"))   # pass-through
     assert not set(vars(proxy)) & {"peek", "fault_points", "table"}
@@ -369,7 +221,6 @@ def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
         assert inner.retired == [f"x-t{t}" for t in range(1, minted + 1)]
         assert proxy._retries.labels(store="x", op=op,
                                      error="StorageTimeout").value == 1
-    assert list(proxy.breakers) == [region or "r1"]
 
 
 def test_every_mutator_replays_its_token_after_a_partial_write():
@@ -401,12 +252,14 @@ def test_every_mutator_replays_its_token_after_a_partial_write():
 
 
 def test_a_failed_retry_loop_retires_its_token():
-    """The first attempt applies and loses its reply, the second is
-    throttled and exhausts the loop: nothing can replay the token now, so
+    """The first attempt applies and loses its reply, the rest are
+    throttled and exhaust the loop: nothing can replay the token now, so
     the ledger does not keep it for a window."""
-    cloud, kv, wrapped = make_wrapped(max_attempts=2, jitter=0.0)
-    kv.faults = ScriptedInjector(cloud.env, ["partial_write", "throttle"])
-    with pytest.raises(StorageUnavailable, match="after 2 attempts"):
+    cloud, kv, wrapped = make_wrapped()
+    kv.faults = ScriptedInjector(
+        cloud.env, ["partial_write"] + ["throttle"] * (MAX_ATTEMPTS - 1))
+    with pytest.raises(StorageUnavailable,
+                       match=f"after {MAX_ATTEMPTS} attempts"):
         cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {"v": 1}))
     assert kv.table("t").raw("k") == {"v": 1}
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
@@ -438,193 +291,62 @@ def test_a_token_rides_only_where_a_reply_can_be_lost(monkeypatch):
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
 
 
-@pytest.mark.parametrize("scheme", sorted(BACKENDS))
-def test_user_store_breakers_are_per_call_region(scheme):
-    """A user backend serves every region: the proxy keys its breakers by
-    the call's region on every backend (``mem`` included,
-    whose one in-process fault point is labelled region "all")."""
-    cloud = Cloud.aws(seed=4)
-    config = FaaSKeeperConfig(user_store=scheme, regions=["r1", "r2"])
-    proxy = RetryingStore(make_user_store(cloud, config), "user", USER_OPS,
-                          cloud.env, lambda: None, RetryPolicy(),
-                          MetricsRegistry())
-    for region in config.regions:
-        cloud.run_process(proxy.read_node(OpContext(region=region), region,
-                                          "/nope"))
-    assert sorted(proxy.breakers) == ["r1", "r2"]
-
-
-# ------------------------------------------------------------ the settle rule
-def _tripped(**policy):
-    """A store whose breaker just tripped and whose outage then ended."""
-    cloud, kv, wrapped = make_wrapped(max_attempts=2, base_ms=1.0, jitter=0.0,
-                                      breaker_threshold=2,
-                                      breaker_cooldown_ms=50.0, **policy)
-    ctx = OpContext()
-    cloud.run_process(wrapped.put_item(ctx, "t", "k", {"v": 1}))
-    kv.faults = ScriptedInjector(cloud.env, ["throttle"] * 2)
-    with pytest.raises(StorageUnavailable):
-        cloud.run_process(wrapped.put_item(ctx, "t", "k", {"v": 2}))
-    breaker = wrapped.breakers[kv.region]
-    assert breaker.state == BREAKER_OPEN
-    cloud.run(until=cloud.now + 60.0)         # cooldown served
-    return cloud, kv, wrapped, ctx, breaker
-
-
-def test_probe_answered_with_condition_failed_closes_the_breaker():
-    """The wedge: a HALF_OPEN probe the store *answers* with a failed
-    condition used to leave the probe slot taken forever — every later
-    request shed on a healthy store."""
-    cloud, kv, wrapped, ctx, breaker = _tripped()
-    with pytest.raises(ConditionFailed):
-        cloud.run_process(wrapped.put_item(
-            ctx, "t", "k", {"v": 3}, condition=Attr("v") == 99))
-    assert breaker.state == BREAKER_CLOSED
-    assert cloud.run_process(wrapped.get_item(ctx, "t", "k")) == {"v": 1}
-
-
-def test_abandoned_probe_does_not_wedge_the_breaker():
-    """An attempt that ends with no word from the store — a caller bug, a
-    generator closed mid-call — gives the probe slot back."""
-    cloud, kv, wrapped, ctx, breaker = _tripped()
-    with pytest.raises(TypeError):            # never reaches the store
-        cloud.run_process(wrapped.get_item(ctx, "t", "k", bogus=True))
-    assert breaker.state == BREAKER_OPEN
-    probe = wrapped.get_item(ctx, "t", "k")
-    next(probe)                               # admitted, now in flight
-    assert breaker.state == BREAKER_HALF_OPEN
-    probe.close()                             # its process is torn down
-    assert breaker.state == BREAKER_OPEN
-    assert cloud.run_process(wrapped.get_item(ctx, "t", "k")) == {"v": 1}
-    assert breaker.state == BREAKER_CLOSED
-
-
-def test_contended_lock_probe_heals_the_deployment():
-    """Service level: the first request through the healing breaker is a
-    contended ``node_lock.acquire`` — a ConditionFailed by design.  The
-    breaker must close on it, and the suspended session heal."""
-    cloud, service = make_service(seed=5, user_store="mem")
-    store = service.system_store
-    # cooldown 100 ms: the held lock is still inside LOCK_MAX_HOLD_MS
-    shrink_breakers(store, threshold=2, cooldown_ms=100.0)
-    client = service.connect()
-    client.create("/n", b"x")
-    ctx = service.system_ctx
-    held = cloud.run_process(service.node_lock.acquire(ctx, "/n"))
-    assert held is not None
-    store.inner.faults = ScriptedInjector(cloud.env, ["throttle"] * 5)
-    with pytest.raises(StorageUnavailable):
-        cloud.run_process(store.get_item(ctx, SYSTEM_NODES, "/n"))
-    breaker = store.breakers[store.inner.region]
-    assert breaker.state == BREAKER_OPEN
-    assert client.state == KeeperState.SUSPENDED
-    store.inner.faults = None
-    cloud.run(until=cloud.now + 150.0)
-    assert cloud.run_process(service.node_lock.acquire(ctx, "/n")) is None
-    assert breaker.state == BREAKER_CLOSED
-    assert cloud.run_process(service.node_lock.release(ctx, held))
-    client.set_data("/n", b"y")
-    assert client.state == KeeperState.CONNECTED
-
-
-def test_open_user_store_breaker_fails_the_leader_not_the_simulation():
-    """The paper's default deployment with the user store shedding: a
+# --------------------------------------------------------------- outages
+def test_an_exhausted_user_store_fails_the_leader_not_the_simulation():
+    """The paper's default deployment with the user store timing out: a
     ``create`` replicates two images (node + parent) side by side and both
-    are shed.  The first failure fails the leader invocation, which the
-    queue redelivers; the second fails for nobody — it used to escape
-    ``run()`` and end the simulation."""
+    exhaust their retries.  The first failure fails the leader invocation,
+    which the queue redelivers; the second fails for nobody — it must not
+    escape ``run()`` and end the simulation.  Once the faults stop, the
+    redelivery completes the create, and the node exists exactly once."""
     cloud, service = make_service(seed=7)
     client = service.connect()
     client.create("/a", b"x")
-    breaker = service.user_store.breaker(service.config.primary_region)
-    for _ in range(breaker.threshold):
-        breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN
+    point, = service.user_store.inner.fault_points()
+    point.faults = ScriptedInjector(cloud.env, ["timeout"] * (2 * MAX_ATTEMPTS))
+    leader = service.leader_fns[0]
+    failures = leader.failures
 
     created = client.create_async("/a/b", b"y")
-    cloud.run(until=cloud.now + 3_000)
-    leader = service.leader_fns[0]
-    assert leader.failures > 1 and not created.done     # redelivered, shed
-    cloud.run(until=cloud.now + 8_000)                   # cooldown served
-    assert created.wait() == "/a/b"
-    assert breaker.state == BREAKER_CLOSED
-    # ... and the node exists exactly once, after all those deliveries.
+    cloud.run(until=cloud.now + 5_000)
+    assert point.faults.injected["timeout"] == 2 * MAX_ATTEMPTS
+    exhausted = service.metrics_snapshot()[
+        "fk_storage_retry_exhausted_total"]["values"]
+    assert exhausted == {'store="user",op="update_metadata"': 1.0,
+                         'store="user",op="write_node"': 1.0}
+    assert leader.failures == failures + 1               # failed, redelivered
+    assert created.done and created.wait() == "/a/b"
     assert client.get_children("/a") == ["b"]
     _data, parent = client.get_data("/a")
     _data, node = client.get_data("/a/b")
     assert (parent.cversion, parent.num_children, node.version) == (1, 1, 0)
 
 
-# ------------------------------------------------------- session-state arc
-def test_breaker_open_suspends_sessions_then_eviction_loses_them():
-    """Retry exhaustion under a persistent outage: SUSPENDED while the
-    breaker sheds, LOST once the eviction close lands."""
+def test_a_session_lives_through_a_system_store_outage():
+    """Ten seconds of system-store timeouts, spanning a heartbeat sweep and
+    a write of the session.  Every op that meets the outage fails its
+    invocation; the write's deliveries run out, so it answers
+    ``system_failure`` and leaves the session SUSPENDED.  But the outage
+    costs no session: it ends neither LOST nor evicted, and its next write
+    after the outage heals it."""
     cloud, service = make_service(user_store="mem")
     client = service.connect()
-    cloud.run(until=cloud.now + 5_000)
-    assert client.state == KeeperState.CONNECTED
-
+    client.create("/a", b"x")
+    cloud.run(until=55_000)
     inner = service.system_store.inner
-    inner.faults = ScriptedInjector(cloud.env, ["throttle"] * 1000)
-    ctx = OpContext(region=service.config.primary_region)
-    # 5 attempts fail (exhaustion), the next call's third failure is the
-    # 8th consecutive: the breaker opens and suspends the session.
-    for _ in range(2):
-        with pytest.raises(StorageUnavailable):
-            cloud.run_process(service.system_store.get_item(
-                ctx, SYSTEM_SESSIONS, client.session_id))
+    inner.faults = OutageInjector(cloud.env, until=cloud.now + 10_000)
+
+    dropped = client.set_data_async("/a", b"y")
+    cloud.run(until=cloud.now + 30_000)
+    with pytest.raises(RequestFailedError, match="system_failure"):
+        dropped.wait()
     assert client.state == KeeperState.SUSPENDED
-    assert not client.closed                   # suspended, not killed
+    assert not client.closed and not client.evicted
+    assert client.session_id in service.clients
 
-    # The outage outlives the session: the eviction close is LOST.
-    service.on_session_closed(client.session_id, evicted=True)
-    assert client.state == KeeperState.LOST
-    assert client.evicted
-
-
-def test_breaker_recovery_heals_instead_of_evicting():
-    cloud, service = make_service(user_store="mem")
-    client = service.connect()
-    cloud.run(until=cloud.now + 5_000)
-    inner = service.system_store.inner
-    inner.faults = ScriptedInjector(cloud.env, ["throttle"] * 10)
-    ctx = OpContext(region=service.config.primary_region)
-    for _ in range(2):
-        with pytest.raises(StorageUnavailable):
-            cloud.run_process(service.system_store.get_item(
-                ctx, SYSTEM_SESSIONS, client.session_id))
-    assert client.state == KeeperState.SUSPENDED
-
-    # Outage ends; after the cooldown the half-open probe closes the
-    # breaker and a successful client round trip heals the session.
-    inner.faults = None
-    cloud.run(until=cloud.now + 11_000)
-    client.create("/healed", b"x")
+    client.set_data("/a", b"z")
     assert client.state == KeeperState.CONNECTED
-    assert service.system_store.breakers[
-        inner.region].state == BREAKER_CLOSED
-
-
-# ---------------------------------------------------------------- brown-out
-def test_brownout_probe_rate_is_bounded_by_the_cooldown():
-    """Seeded brown-out: a store that throttles every request for 5 s of
-    virtual time while a caller keeps retrying every 10 ms.  The cooldown
-    is the one rate limit on what reaches the sick endpoint."""
-    duration, cooldown = 5_000.0, 50.0
-    cloud, kv, wrapped = make_wrapped(seed=23, max_attempts=2, base_ms=1.0,
-                                      jitter=0.0, breaker_threshold=2,
-                                      breaker_cooldown_ms=cooldown)
-    kv.faults = ScriptedInjector(cloud.env, ["throttle"] * 10_000)
-    deadline = cloud.now + duration
-    while cloud.now < deadline:
-        with pytest.raises(StorageUnavailable):
-            cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {}))
-        cloud.run(until=cloud.now + 10.0)     # caller retry cadence
-    probes = wrapped._breaker_probes.labels(
-        store="system", region=kv.region).value
-    assert 0 < probes <= duration / cooldown + 1
-    # Nothing but the trip and the probes ever reached the store.
-    assert kv.faults.injected["throttle"] == 2 + probes
+    assert client.get_data("/a")[0] == b"z"
 
 
 # ------------------------------------------------------------- fingerprint
@@ -642,7 +364,7 @@ def test_retry_layer_is_invisible_without_faults():
             store = RetryingStore(
                 store, "system", KV_OPS, cloud.env,
                 lambda: cloud.rng.stream("storage-retry:system"),
-                RetryPolicy(), MetricsRegistry())
+                MetricsRegistry())
         ctx = OpContext()
         trace = []
 

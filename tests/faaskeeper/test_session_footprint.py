@@ -16,7 +16,6 @@ import pytest
 from repro.cloud.queues import FifoQueue
 from repro.faaskeeper.client import FaaSKeeperClient
 from repro.faaskeeper.model import KeeperState
-from repro.faaskeeper.retry import BREAKER_OPEN
 from ..helpers.footprint import bytes_and_blocks_per
 from .conftest import make_service
 
@@ -102,13 +101,14 @@ def test_a_never_used_session_closes_and_leaves_nothing():
 
 
 def test_state_flip_allocates_nothing_on_a_listenerless_session():
-    """A breaker OPEN suspends every session at once: the transition must
-    not create the listener list of sessions that registered none."""
+    """A fleet suspended and healed at once: the transitions must not
+    create the listener list of sessions that registered none."""
     _cloud, service = make_service(seed=7, user_store="mem")
     fleet = service.connect_many(20)
     seen = []
     fleet[0].add_listener(seen.append)
-    service._on_breaker_transition("system", "us-east-1", BREAKER_OPEN)
+    for client in fleet:
+        client._transition(KeeperState.SUSPENDED)
     assert all(c.state == KeeperState.SUSPENDED for c in fleet)
     for client in fleet:
         client._transition(KeeperState.CONNECTED)
