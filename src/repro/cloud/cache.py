@@ -4,53 +4,32 @@ The paper evaluates Redis as an alternative user-data store (Figure 8:
 "FaaSKeeper with in-memory cache on par with self-hosted ZooKeeper") while
 noting it is *not* serverless: it requires a provisioned VM (Table 2 marks
 Redis reliability with an X) and therefore re-introduces a fixed daily cost.
-We model sub-millisecond access latency and meter the VM cost separately so
-the cost benchmarks can show the trade-off.
+We model its sub-millisecond access latency; a round trip bills nothing,
+since the VM's price is per day, not per request.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Generator, Optional
 
-from ..sim.kernel import Environment, Event
-from .calibration import CloudProfile
+from ..sim.kernel import Event
 from .context import OpContext
+from .endpoint import StorageEndpoint
 from .expressions import clone, item_size_kb
-from .faults import FaultInjector, draw_fault
-from .pricing import CostMeter, VM_DAY_RATE
 
 __all__ = ["InMemoryCache"]
 
 
-class InMemoryCache:
+class InMemoryCache(StorageEndpoint):
     """A flat key -> value store with Redis-like latency."""
 
-    def __init__(
-        self,
-        env: Environment,
-        profile: CloudProfile,
-        meter: CostMeter,
-        rng,
-        region: str = "us-east-1",
-        vm_type: str = "t3.small",
-        service_label: str = "cache",
-    ) -> None:
-        self.env = env
-        self.profile = profile
-        self.meter = meter
-        self.rng = rng
-        self.region = region
-        self.vm_type = vm_type
-        self.service_label = service_label
-        self._data: Dict[str, Any] = {}
-        #: Armed by deployments running a fault schedule (None = no draws).
-        self.faults: Optional[FaultInjector] = None
+    stream = "cache"
+    #: The region penalty of a cache round trip has no per-kB term.
+    region_per_kb = False
 
-    def _latency(self, ctx: OpContext, size_kb: float) -> float:
-        value = self.profile.cache_rw.sample(self.rng, size_kb) * ctx.io_mult
-        if ctx.region is not None and ctx.region != self.region:
-            value += self.profile.inter_region_extra_ms
-        return value
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._data: dict = {}
 
     @staticmethod
     def _size_kb(value: Any) -> float:
@@ -62,36 +41,30 @@ class InMemoryCache:
             return item_size_kb(value)
         return 0.05
 
+    def raw(self, key: str) -> Optional[Any]:
+        """Zero-latency peek at the value stored under ``key``."""
+        return self._data.get(key)
+
+    def clear(self) -> None:
+        """Destroy every key in place, as a lost VM does."""
+        self._data.clear()
+
     def set(self, ctx: OpContext, key: str, value: Any) -> Generator[Event, Any, None]:
-        fault = draw_fault(self.faults, "set", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"cache set {key}")
-        yield self.env.timeout(self._latency(ctx, self._size_kb(value)))
+        fault = None if self.faults is None else (yield from self._fault("set", True, key))
+        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, self._size_kb(value)))
         self._data[key] = clone(value)
-        if fault is not None:
-            self.faults.fire_after(fault, f"cache set {key}")
+        self._reply(fault)
 
     def get(self, ctx: OpContext, key: str) -> Generator[Event, Any, Optional[Any]]:
-        fault = draw_fault(self.faults, "get", mutating=False)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"cache get {key}")
+        if self.faults is not None:
+            yield from self._fault("get", False, key)
         value = self._data.get(key)
-        yield self.env.timeout(self._latency(ctx, self._size_kb(value)))
+        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, self._size_kb(value)))
         value = self._data.get(key)
         return clone(value)
 
     def delete(self, ctx: OpContext, key: str) -> Generator[Event, Any, None]:
-        fault = draw_fault(self.faults, "delete", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"cache delete {key}")
-        yield self.env.timeout(self._latency(ctx, 0.0))
+        fault = None if self.faults is None else (yield from self._fault("delete", True, key))
+        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, 0.0))
         self._data.pop(key, None)
-        if fault is not None:
-            self.faults.fire_after(fault, f"cache delete {key}")
-
-    def daily_cost(self) -> float:
-        """Fixed provisioning cost — the non-serverless part of this option."""
-        return VM_DAY_RATE[self.vm_type]
-
-    def __len__(self) -> int:
-        return len(self._data)
+        self._reply(fault)

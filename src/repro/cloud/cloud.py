@@ -11,13 +11,14 @@ off this object::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..sim.kernel import Environment, Event
 from ..sim.rng import RngRegistry
 from .cache import InMemoryCache
 from .calibration import CloudProfile, aws_profile, gcp_profile
 from .context import OpContext
+from .endpoint import StorageEndpoint
 from .functions import DeployedFunction, FunctionRuntime, FunctionSpec
 from .kvstore import KeyValueStore
 from .objectstore import ObjectStore
@@ -40,9 +41,8 @@ class Cloud:
         self.runtime = FunctionRuntime(
             self.env, profile, self.meter, self.rng.stream("functions")
         )
-        self._kv: Dict[str, KeyValueStore] = {}
-        self._obj: Dict[str, ObjectStore] = {}
-        self._caches: Dict[str, InMemoryCache] = {}
+        #: RNG stream name (``<kind>:<label>@<region>``) -> storage endpoint.
+        self._endpoints: Dict[str, StorageEndpoint] = {}
         self._queues: Dict[str, Any] = {}
 
     # ------------------------------------------------------------ factories
@@ -55,37 +55,27 @@ class Cloud:
         return cls(gcp_profile(), seed=seed, region=region)
 
     # ------------------------------------------------------------ services
+    def _endpoint(self, kind, label: str, region: Optional[str]):
+        """Get or create the ``kind`` endpoint of cost label ``label`` in
+        ``region`` (default: the cloud's), with its own latency stream."""
+        region = region or self.region
+        name = f"{kind.stream}:{label}@{region}"
+        endpoint = self._endpoints.get(name)
+        if endpoint is None:
+            endpoint = self._endpoints[name] = kind(
+                self.env, self.profile, self.meter, self.rng.stream(name),
+                region=region, service_label=label)
+        return endpoint
+
     def kv(self, label: str = "kv", region: Optional[str] = None) -> KeyValueStore:
         """Get or create a key-value service instance (one per cost label)."""
-        key = f"{label}@{region or self.region}"
-        if key not in self._kv:
-            self._kv[key] = KeyValueStore(
-                self.env, self.profile, self.meter,
-                self.rng.stream(f"kv:{key}"),
-                region=region or self.region, service_label=label,
-            )
-        return self._kv[key]
+        return self._endpoint(KeyValueStore, label, region)
 
     def objectstore(self, label: str = "object", region: Optional[str] = None) -> ObjectStore:
-        key = f"{label}@{region or self.region}"
-        if key not in self._obj:
-            self._obj[key] = ObjectStore(
-                self.env, self.profile, self.meter,
-                self.rng.stream(f"obj:{key}"),
-                region=region or self.region, service_label=label,
-            )
-        return self._obj[key]
+        return self._endpoint(ObjectStore, label, region)
 
-    def cache(self, label: str = "cache", region: Optional[str] = None,
-              vm_type: str = "t3.small") -> InMemoryCache:
-        key = f"{label}@{region or self.region}"
-        if key not in self._caches:
-            self._caches[key] = InMemoryCache(
-                self.env, self.profile, self.meter,
-                self.rng.stream(f"cache:{key}"),
-                region=region or self.region, vm_type=vm_type, service_label=label,
-            )
-        return self._caches[key]
+    def cache(self, label: str = "cache", region: Optional[str] = None) -> InMemoryCache:
+        return self._endpoint(InMemoryCache, label, region)
 
     def fifo_queue(self, name: str, label: str = "queue",
                    max_receive: Optional[int] = 5,

@@ -12,11 +12,13 @@ __all__ = [
     "PayloadTooLarge",
     "NoSuchQueue",
     "FunctionCrash",
+    "Redeliver",
     "ThrottlingError",
     "StorageTimeout",
     "ConnectionReset",
     "StorageUnavailable",
     "TRANSIENT_ERRORS",
+    "REDELIVERED",
 ]
 
 
@@ -64,6 +66,10 @@ class FunctionCrash(CloudError):
     """Injected function failure (used by fault-tolerance tests)."""
 
 
+class Redeliver(CloudError):
+    """Raised by a handler to have its trigger redeliver the event."""
+
+
 class ThrottlingError(CloudError):
     """Request rejected by a throughput ceiling."""
 
@@ -94,3 +100,8 @@ class StorageUnavailable(CloudError):
 #: is deliberately absent: a failed conditional write is a *decision*, not
 #: an outage, and must surface to the caller.
 TRANSIENT_ERRORS = (ThrottlingError, StorageTimeout, ConnectionReset)
+
+#: What the cloud can make an invocation fail with, so all a trigger
+#: redelivers and a cron retries.  Any other exception is a bug in the
+#: handler, and escapes ``Environment.run()``.
+REDELIVERED = (FunctionCrash, StorageUnavailable, Redeliver)

@@ -6,7 +6,8 @@ the client SDKs retrying through those failures.  The simulation's stores
 were perfect until now, so the retry layer above them had nothing to prove
 itself against.  :class:`FaultInjector` closes that gap: each storage
 operation draws once from a dedicated, named RNG stream and may be handed
-one of four fault classes:
+one of four fault classes, which the storage endpoint
+(:class:`~repro.cloud.endpoint.StorageEndpoint`) fires:
 
 * ``throttle`` — the request is rejected up front (:class:`ThrottlingError`);
   no latency, no billing, no mutation.
@@ -29,11 +30,9 @@ intact.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import ConnectionReset, StorageTimeout, ThrottlingError
-
-__all__ = ["FaultInjector", "FAULT_KINDS"]
+__all__ = ["FaultInjector", "FAULT_KINDS", "FAULT_TIMEOUT_MS"]
 
 #: Fault classes, in their cumulative-weight order.
 FAULT_KINDS: Tuple[str, ...] = ("throttle", "timeout", "conn_reset",
@@ -107,32 +106,6 @@ class FaultInjector:
         self.injected[kind] += 1
         return kind
 
-    def fire_before(self, kind: str, op: str) -> Generator[Any, Any, None]:
-        """Raise the pre-mutation fault classes (generator: a timeout
-        burns virtual time before dying, like a hung request)."""
-        if kind == "throttle":
-            raise ThrottlingError(f"{op}: injected throttle")
-        if kind == "timeout":
-            yield self.env.timeout(FAULT_TIMEOUT_MS)
-            raise StorageTimeout(f"{op}: injected timeout "
-                                 f"after {FAULT_TIMEOUT_MS} ms")
-        if kind == "conn_reset":
-            raise ConnectionReset(f"{op}: injected connection reset")
-        return None  # partial_write fires after the mutation
-
-    def fire_after(self, kind: Optional[str], op: str) -> None:
-        """Raise the post-mutation fault (the ambiguous partial write)."""
-        if kind == "partial_write":
-            raise ConnectionReset(
-                f"{op}: injected connection reset after apply")
-
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
-
-def draw_fault(injector: Optional[FaultInjector], op: str,
-               mutating: bool) -> Optional[str]:
-    """Schedule helper for stores: one draw iff an injector is armed."""
-    if injector is None or injector.rate <= 0.0:
-        return None
-    return injector.draw(op, mutating)

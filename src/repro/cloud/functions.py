@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 from ..sim.kernel import Environment, Event, Process
 from .calibration import CloudProfile, io_multiplier
 from .context import OpContext
-from .errors import FunctionCrash
+from .errors import REDELIVERED, FunctionCrash
 from .pricing import CostMeter
 
 __all__ = ["FunctionRuntime", "FunctionSpec", "DeployedFunction",
@@ -354,10 +354,10 @@ class ScheduledTask:
                 return
             self.fired += 1
             for _attempt in range(2):
-                # Scheduled functions get a provider retry policy; a failure
-                # must not kill the cron loop (Section 2.1, "Scheduled").
+                # Scheduled functions get a provider retry policy; a cloud
+                # fault must not kill the cron loop (Section 2.1, "Scheduled").
                 try:
                     yield from self.fn.run(self.payload_factory())
                     break
-                except Exception:
+                except REDELIVERED:
                     pass

@@ -48,8 +48,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 from ..sim.kernel import Environment, Event
 from ..sim.resources import TokenBucketLimiter
 from . import sanitize
-from .calibration import CloudProfile
 from .context import OpContext
+from .endpoint import StorageEndpoint
 from .errors import ConditionFailed, ItemTooLarge, NoSuchTable
 from .expressions import (
     Condition,
@@ -59,8 +59,6 @@ from .expressions import (
     item_size_bytes,
     updated_image,
 )
-from .faults import FaultInjector, draw_fault
-from .pricing import CostMeter
 
 __all__ = ["KeyValueStore", "Table", "StreamRecord", "scan_segment_of"]
 
@@ -225,8 +223,10 @@ class Table:
         self._emit(key, old, value)
 
 
-class KeyValueStore:
+class KeyValueStore(StorageEndpoint):
     """The service facade: named tables + calibrated latency + billing."""
+
+    stream = "kv"
 
     #: window (ms) within which an eventually-consistent read may serve the
     #: previous version of an item (DynamoDB documents "usually <1 s").
@@ -237,28 +237,9 @@ class KeyValueStore:
     #: forgets a token between one and two windows after it was applied.
     TOKEN_WINDOW_MS = 600_000.0
 
-    def __init__(
-        self,
-        env: Environment,
-        profile: CloudProfile,
-        meter: CostMeter,
-        rng,
-        region: str = "us-east-1",
-        service_label: str = "kv",
-    ) -> None:
-        self.env = env
-        self.profile = profile
-        self.meter = meter
-        self.rng = rng
-        self.region = region
-        self.service_label = service_label
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.tables: Dict[str, Table] = {}
-        #: ``FK_SANITIZE=1``, read once here: arms the storage-discipline
-        #: assertions for this store and the tables it creates.
-        self._sanitized = sanitize.enabled()
-        #: Armed by deployments running a fault schedule; None (default)
-        #: means zero draws and zero overhead on every operation.
-        self.faults: Optional[FaultInjector] = None
         #: Idempotence-token ledger (DynamoDB ``ClientRequestToken``): a
         #: mutator carrying a token records its result here at apply time;
         #: a replay of the same token returns the recorded result without
@@ -289,24 +270,14 @@ class KeyValueStore:
             raise NoSuchTable(name) from None
 
     # ------------------------------------------------------------ helpers
-    def _latency(self, ctx: OpContext, model, size_kb: float, extra_ms: float = 0.0) -> float:
-        value = model.sample(self.rng, size_kb) + extra_ms
-        value *= ctx.io_mult
-        if ctx.region is not None and ctx.region != self.region:
-            value += self.profile.inter_region_extra_ms
-            value += self.profile.inter_region_per_kb_ms * size_kb
-        return value
-
     def _admit(self, table: Table, units: float = 1.0) -> float:
         return table.limiter.admit(units)
 
     def _charge_write(self, ctx: OpContext, size_kb: float) -> None:
-        self.meter.charge(ctx.payer or self.service_label, "kv_write",
-                          self.profile.prices.kv_write_cost(size_kb))
+        self._charge(ctx, "kv_write", self.profile.prices.kv_write_cost(size_kb))
 
     def _charge_read(self, ctx: OpContext, size_kb: float, consistent: bool) -> None:
-        self.meter.charge(ctx.payer or self.service_label, "kv_read",
-                          self.profile.prices.kv_read_cost(size_kb, consistent))
+        self._charge(ctx, "kv_read", self.profile.prices.kv_read_cost(size_kb, consistent))
 
     def _applied(self, token: Optional[str]) -> Any:
         """The result recorded for ``token``, or ``_NOT_APPLIED`` when it is
@@ -325,14 +296,12 @@ class KeyValueStore:
             recorded = self._token_previous.get(token, _NOT_APPLIED)
         return recorded
 
-    def _finish(self, token: Optional[str], result: Any, fault: Optional[str],
-                op: str, table_name: str, key: str) -> None:
+    def _finish(self, token: Optional[str], result: Any, fault: Optional[str]) -> None:
         """Close an applied mutation: remember its token, then let a
         partial-write fault lose the reply."""
         if token is not None:
             self._token_results[token] = result
-        if fault is not None:
-            self.faults.fire_after(fault, f"{op} {table_name}/{key}")
+        self._reply(fault)
 
     def retire_token(self, token: str) -> None:
         """Forget ``token`` now: its sender will never replay it."""
@@ -363,9 +332,8 @@ class KeyValueStore:
         FaaSKeeper's system storage (Section 3.3).
         """
         table = self.table(table_name)
-        fault = draw_fault(self.faults, "get_item", mutating=False)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"get_item {table_name}/{key}")
+        if self.faults is not None:
+            yield from self._fault("get_item", False, f"{table_name}/{key}")
         size_kb = _size_kb(table._get(key))
         wait = self._admit(table, 1.0)
         latency = self._latency(ctx, self.profile.kv_read, size_kb)
@@ -402,9 +370,8 @@ class KeyValueStore:
             sanitize.check_mutation("put_item", table_name, key,
                                     condition=condition)
         table = self.table(table_name)
-        fault = draw_fault(self.faults, "put_item", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"put_item {table_name}/{key}")
+        fault = None if self.faults is None else (
+            yield from self._fault("put_item", True, f"{table_name}/{key}"))
         # The request is captured as it is sent: the caller keeps its dict.
         image, size_bytes = clone_sized(attributes)
         size_kb = size_bytes / 1024.0
@@ -422,7 +389,7 @@ class KeyValueStore:
             return None  # replay of an applied write: nothing to redo
         self._current(table, key, condition)
         table._store(key, image, size_bytes=size_bytes)
-        self._finish(token, None, fault, "put_item", table_name, key)
+        self._finish(token, None, fault)
 
     def update_item(
         self,
@@ -447,9 +414,8 @@ class KeyValueStore:
             sanitize.check_mutation("update_item", table_name, key,
                                     updates=updates, condition=condition)
         table = self.table(table_name)
-        fault = draw_fault(self.faults, "update_item", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"update_item {table_name}/{key}")
+        fault = None if self.faults is None else (
+            yield from self._fault("update_item", True, f"{table_name}/{key}"))
         size_kb = payload_kb if payload_kb > 0 else _size_kb(table._get(key))
         conditional = condition is not None
         units = self.profile.kv_conditional_units if conditional else 1.0
@@ -470,7 +436,7 @@ class KeyValueStore:
             return applied
         new_value, new_bytes = self._stage(table, key, updates, condition)
         table._store(key, new_value, size_bytes=new_bytes)
-        self._finish(token, new_value, fault, "update_item", table_name, key)
+        self._finish(token, new_value, fault)
         return new_value
 
     def _stage(self, table: Table, key: str, updates: Sequence[UpdateAction],
@@ -498,9 +464,8 @@ class KeyValueStore:
             sanitize.check_mutation("delete_item", table_name, key,
                                     condition=condition)
         table = self.table(table_name)
-        fault = draw_fault(self.faults, "delete_item", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"delete_item {table_name}/{key}")
+        fault = None if self.faults is None else (
+            yield from self._fault("delete_item", True, f"{table_name}/{key}"))
         size_kb = _size_kb(table._get(key))
         conditional = condition is not None
         extra = self.profile.kv_conditional_extra_ms if conditional else 0.0
@@ -513,7 +478,7 @@ class KeyValueStore:
             return None
         self._current(table, key, condition)
         table._store(key, None)
-        self._finish(token, None, fault, "delete_item", table_name, key)
+        self._finish(token, None, fault)
 
     def transact_update(
         self,
@@ -537,10 +502,8 @@ class KeyValueStore:
                 sanitize.check_mutation("update_item", table_name, key,
                                         updates=updates, condition=condition,
                                         transactional=True)
-        fault = draw_fault(self.faults, "transact_update", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(
-                fault, f"transact_update {ops[0][0]}/{ops[0][1]}")
+        fault = None if self.faults is None else (
+            yield from self._fault("transact_update", True, f"{ops[0][0]}/{ops[0][1]}"))
         total_kb = 0.0
         for table_name, key, _updates, _cond in ops:
             total_kb += _size_kb(self.table(table_name)._get(key))
@@ -571,13 +534,11 @@ class KeyValueStore:
         for table, key, new_value, new_bytes in staged:
             table.write_count += 1
             # transactional writes bill 2x write units
-            self.meter.charge(
-                ctx.payer or self.service_label, "kv_write",
-                2.0 * self.profile.prices.kv_write_cost(max(new_bytes / 1024.0, 0.001)),
-            )
+            self._charge(ctx, "kv_write",
+                         2.0 * self.profile.prices.kv_write_cost(max(new_bytes / 1024.0, 0.001)))
             table._store(key, new_value, size_bytes=new_bytes)
         images = [new_value for _t, _k, new_value, _b in staged]
-        self._finish(token, images, fault, "transact_update", *ops[0][:2])
+        self._finish(token, images, fault)
         return list(images)  # the ledger keeps its own list
 
     def scan(
@@ -606,9 +567,8 @@ class KeyValueStore:
         if not 0 <= segment < total_segments:
             raise ValueError(
                 f"scan segment must be in [0, {total_segments}), got {segment}")
-        fault = draw_fault(self.faults, "scan", mutating=False)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"scan {table_name}")
+        if self.faults is not None:
+            yield from self._fault("scan", False, table_name)
         selected = table.segment_keys(segment, total_segments)
         # Each selected key is read once per phase, through ``_get`` only
         # when the sanitizer has something to check.  Sizes are exact
@@ -648,11 +608,8 @@ class KeyValueStore:
                 sanitize.check_mutation("put_item", table_name, key,
                                         condition=None)
         table = self.table(table_name)
-        fault = draw_fault(self.faults, "batch_put", mutating=True)
-        if fault is not None:
-            first = next(iter(items))
-            yield from self.faults.fire_before(
-                fault, f"batch_put {table_name}/{first}")
+        fault = None if self.faults is None else (
+            yield from self._fault("batch_put", True, f"{table_name}/{next(iter(items))}"))
         # The request is captured as it is sent: the caller keeps its dicts,
         # each copied once, and the keys that named one dict share its image.
         distinct = {id(attributes): attributes for attributes in items.values()}
@@ -675,4 +632,4 @@ class KeyValueStore:
             return None  # replay of an applied batch: nothing to redo
         for key, (image, size_bytes) in images.items():
             table._store(key, image, size_bytes=size_bytes)
-        self._finish(token, None, fault, "batch_put", table_name, next(iter(images)))
+        self._finish(token, None, fault)

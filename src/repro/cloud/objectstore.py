@@ -13,41 +13,24 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim.kernel import Environment, Event
-from . import sanitize
-from .calibration import CloudProfile
+from ..sim.kernel import Event
 from .context import OpContext
+from .endpoint import StorageEndpoint
 from .errors import NoSuchBucket, NoSuchObject
 from .expressions import clone
-from .faults import FaultInjector, draw_fault
-from .pricing import CostMeter
 
 __all__ = ["ObjectStore"]
 
 
-class ObjectStore:
+class ObjectStore(StorageEndpoint):
     """Named buckets of key -> (bytes-like payload, metadata dict)."""
 
-    def __init__(
-        self,
-        env: Environment,
-        profile: CloudProfile,
-        meter: CostMeter,
-        rng,
-        region: str = "us-east-1",
-        service_label: str = "object",
-    ) -> None:
-        self.env = env
-        self.profile = profile
-        self.meter = meter
-        self.rng = rng
-        self.region = region
-        self.service_label = service_label
+    stream = "obj"
+    image_name = "metadata"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._buckets: Dict[str, Dict[str, tuple[Any, Dict[str, Any]]]] = {}
-        #: ``FK_SANITIZE=1`` only: (bucket, key) -> a clone of the metadata stored.
-        self._snapshots: Optional[Dict[tuple, Any]] = {} if sanitize.enabled() else None
-        #: Armed by deployments running a fault schedule (None = no draws).
-        self.faults: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------ buckets
     def create_bucket(self, name: str) -> None:
@@ -66,12 +49,14 @@ class ObjectStore:
         entry = self._bucket(bucket).get(key)
         return None if entry is None else entry[0]
 
-    def _checked(self, bucket: str, key: str) -> Optional[tuple]:
+    def head(self, bucket: str, key: str) -> Optional[Dict[str, Any]]:
+        """Zero-latency, unbilled metadata peek (S3 ``HeadObject``'s answer)."""
         entry = self._bucket(bucket).get(key)
-        if entry is not None and self._snapshots is not None:
-            sanitize.check_frozen(f"metadata of {bucket}/{key}", entry[1],
-                                  self._snapshots.get((bucket, key)))
-        return entry
+        return None if entry is None else entry[1]
+
+    def clear_bucket(self, bucket: str) -> None:
+        """Destroy every object of ``bucket`` in place, as a lost region does."""
+        self._bucket(bucket).clear()
 
     # ------------------------------------------------------------ helpers
     @staticmethod
@@ -84,13 +69,6 @@ class ObjectStore:
             return len(payload.encode()) / 1024.0
         return 0.25  # opaque metadata-only objects
 
-    def _latency(self, ctx: OpContext, model, size_kb: float) -> float:
-        value = model.sample(self.rng, size_kb) * ctx.io_mult
-        if ctx.region is not None and ctx.region != self.region:
-            value += self.profile.inter_region_extra_ms
-            value += self.profile.inter_region_per_kb_ms * size_kb
-        return value
-
     # ------------------------------------------------------------ operations
     def put_object(
         self,
@@ -102,19 +80,16 @@ class ObjectStore:
     ) -> Generator[Event, Any, None]:
         """Whole-object write (there is no partial-update path, Req. #6)."""
         objects = self._bucket(bucket)
-        fault = draw_fault(self.faults, "put_object", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"put_object {bucket}/{key}")
+        fault = None if self.faults is None else (
+            yield from self._fault("put_object", True, f"{bucket}/{key}"))
         size_kb = self.payload_kb(payload)
         yield self.env.timeout(self._latency(ctx, self.profile.obj_write, size_kb))
-        self._checked(bucket, key)
+        if key in objects:
+            self._handout((bucket, key), objects[key][1])
         objects[key] = (payload, clone(metadata or {}))
-        if self._snapshots is not None:
-            self._snapshots[bucket, key] = clone(metadata or {})
-        self.meter.charge(ctx.payer or self.service_label, "obj_write",
-                          self.profile.prices.object_write_cost(size_kb))
-        if fault is not None:
-            self.faults.fire_after(fault, f"put_object {bucket}/{key}")
+        self._stored((bucket, key), metadata or {})
+        self._charge(ctx, "obj_write", self.profile.prices.object_write_cost(size_kb))
+        self._reply(fault)
 
     def get_object(
         self,
@@ -124,17 +99,16 @@ class ObjectStore:
     ) -> Generator[Event, Any, tuple[Any, Dict[str, Any]]]:
         """Strongly consistent read; raises :class:`NoSuchObject` if absent."""
         objects = self._bucket(bucket)
-        fault = draw_fault(self.faults, "get_object", mutating=False)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"get_object {bucket}/{key}")
+        if self.faults is not None:
+            yield from self._fault("get_object", False, f"{bucket}/{key}")
         entry = objects.get(key)
         size_kb = self.payload_kb(entry[0]) if entry else 0.0
         yield self.env.timeout(self._latency(ctx, self.profile.obj_read, size_kb))
-        self.meter.charge(ctx.payer or self.service_label, "obj_read",
-                          self.profile.prices.object_read_cost(size_kb))
-        entry = self._checked(bucket, key)
+        self._charge(ctx, "obj_read", self.profile.prices.object_read_cost(size_kb))
+        entry = objects.get(key)
         if entry is None:
             raise NoSuchObject(f"{bucket}/{key}")
+        self._handout((bucket, key), entry[1])
         return entry
 
     def delete_object(
@@ -144,12 +118,9 @@ class ObjectStore:
         key: str,
     ) -> Generator[Event, Any, None]:
         objects = self._bucket(bucket)
-        fault = draw_fault(self.faults, "delete_object", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"delete_object {bucket}/{key}")
+        fault = None if self.faults is None else (
+            yield from self._fault("delete_object", True, f"{bucket}/{key}"))
         yield self.env.timeout(self._latency(ctx, self.profile.obj_write, 0.0))
         objects.pop(key, None)
-        self.meter.charge(ctx.payer or self.service_label, "obj_write",
-                          self.profile.prices.object_write_cost(0.0))
-        if fault is not None:
-            self.faults.fire_after(fault, f"delete_object {bucket}/{key}")
+        self._charge(ctx, "obj_write", self.profile.prices.object_write_cost(0.0))
+        self._reply(fault)

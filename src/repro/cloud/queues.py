@@ -33,7 +33,7 @@ from ..sim.resources import Store
 from ..sim.rng import RngRegistry
 from .calibration import CloudProfile
 from .context import OpContext, boundary
-from .errors import NoSuchQueue, PayloadTooLarge
+from .errors import REDELIVERED, NoSuchQueue, PayloadTooLarge
 from .functions import DeployedFunction
 from .kvstore import StreamRecord, Table
 from .pricing import CostMeter
@@ -280,7 +280,7 @@ class FifoQueue(_QueueBase):
                 yield from fn.run([m.body for m in batch], latency)
                 self.delivered += len(batch)
                 return
-            except Exception:
+            except REDELIVERED:
                 # Drop messages that exhausted their receive budget, retry
                 # the remainder after a visibility backoff.
                 if self.max_receive is not None:
@@ -351,7 +351,7 @@ class StandardQueue(_QueueBase):
             try:
                 yield from fn.run([m.body for m in batch], latency)
                 self.delivered += len(batch)
-            except Exception:
+            except REDELIVERED:
                 for m in batch:  # at-least-once: requeue everything
                     self._buffer.put(m)
 
@@ -396,7 +396,7 @@ class StreamTrigger(_QueueBase):
             try:
                 yield from self._function.run(batch, latency)
                 self.delivered += len(batch)
-            except Exception:
+            except REDELIVERED:
                 for m in reversed(batch):
                     self._buffer.items.appendleft(m)
                 yield env.timeout(REDELIVERY_BACKOFF_MS)

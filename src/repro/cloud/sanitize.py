@@ -43,9 +43,9 @@ WATCH_TABLE = "fk-system-watches"
 class SanitizerError(BaseException):
     """A machine-checked storage-discipline invariant was violated.
 
-    Not an ``Exception``: the queue triggers and the cron loop redeliver a
-    handler that raises one, so an ``Exception`` here would be retried
-    forever instead of escaping ``Environment.run()``."""
+    Not an ``Exception``: it must escape ``Environment.run()`` at once, and
+    a client request's pipeline and a listener's isolation catch
+    ``Exception`` (triggers redeliver only :data:`~repro.cloud.errors.REDELIVERED`)."""
 
 
 def enabled() -> bool:

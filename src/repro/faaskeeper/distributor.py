@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.errors import ConditionFailed
+from ..cloud.errors import REDELIVERED, ConditionFailed
 from ..cloud.expressions import Attr, Set
 from ..sim.kernel import gather
 from .follower import DISTRIBUTOR_BATCH
@@ -455,7 +455,7 @@ class DistributorLogic:
                                                 origin="distributor")
             try:
                 yield done
-            except Exception:
+            except REDELIVERED:
                 pass  # fan-out retried internally; clear regardless
         # The armed ids are what the epoch carries; the consumed instances
         # may differ (an intervening consume can have replaced them) —

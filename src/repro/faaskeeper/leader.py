@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.errors import ConditionFailed
+from ..cloud.errors import ConditionFailed, Redeliver
 from ..cloud.expressions import Attr, ListRemove, Set
 from ..sim.kernel import AllOf, gather
 from .distributor import write_user_image
@@ -70,7 +70,7 @@ from .model import Response
 __all__ = ["LeaderLogic", "RetryBatch"]
 
 
-class RetryBatch(Exception):
+class RetryBatch(Redeliver):
     """Raised to make the FIFO queue redeliver the current batch."""
 
 

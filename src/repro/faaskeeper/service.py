@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
-from ..cloud.errors import NoSuchQueue
+from ..cloud.errors import REDELIVERED, NoSuchQueue
 from ..cloud.queues import SharedSequence
 from ..primitives import TimedLock
 from ..sim.kernel import AllOf
@@ -289,9 +289,8 @@ class FaaSKeeperService:
         injectors = []
         for point in (self.system_store.inner,
                       *self.user_store.inner.fault_points()):
-            label = getattr(point, "service_label", "kv")
-            region = getattr(point, "region", "all")
-            stream = self.cloud.rng.stream(f"storage-faults:{label}@{region}")
+            stream = self.cloud.rng.stream(
+                f"storage-faults:{point.service_label}@{point.region}")
             injector = FaultInjector(self.cloud.env, stream, rate)
             point.faults = injector
             injectors.append(injector)
@@ -516,7 +515,7 @@ class FaaSKeeperService:
         for attempt in range(WATCH_FN_RETRIES + 1):
             try:
                 return (yield from self.watch_fn.run(payload, latency))
-            except Exception:
+            except REDELIVERED:
                 if attempt == WATCH_FN_RETRIES:
                     raise
             latency = runtime.profile.invoke_direct.sample(runtime.rng)
@@ -533,6 +532,8 @@ class FaaSKeeperService:
         if client is None or client.closed:
             return False
         if client.alive:
+            if client._state is KeeperState.SUSPENDED:  # an answered ping heals it
+                client._transition(KeeperState.CONNECTED)
             return True
         # The service observed the client unreachable: the session is in
         # doubt (SUSPENDED) until the eviction lands (LOST) or a later

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Type
 
-from ..cloud import sanitize
 from ..cloud.cloud import Cloud
 from ..cloud.context import OpContext
+from ..cloud.endpoint import StorageEndpoint
 from ..cloud.errors import NoSuchObject
 from ..cloud.expressions import clone, item_size_kb
-from ..cloud.faults import FaultInjector, draw_fault
 from .config import FaaSKeeperConfig, UserStoreKind
 from .layout import USER_BUCKET, USER_TABLE
 
@@ -61,6 +60,14 @@ class UserStore:
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         self.cloud = cloud
         self.regions = list(regions)
+        #: The storage endpoints behind the replicas: the fault points.
+        self._endpoints: List[StorageEndpoint] = []
+
+    def _per_region(self, factory, label: str) -> Dict[str, Any]:
+        """One ``factory(label, region=...)`` endpoint per region."""
+        endpoints = {r: factory(label, region=r) for r in self.regions}
+        self._endpoints += endpoints.values()
+        return endpoints
 
     # API ------------------------------------------------------------------
     def write_node(self, ctx: OpContext, region: str, path: str,
@@ -99,10 +106,9 @@ class UserStore:
         :meth:`SnapshotManager.recover_region` exists for)."""
         raise NotImplementedError
 
-    def fault_points(self) -> List[Any]:
-        """Underlying store objects a fault injector arms (each carries a
-        ``faults`` attribute, a ``service_label`` and a ``region``)."""
-        return []
+    def fault_points(self) -> List[StorageEndpoint]:
+        """The storage endpoints a fault injector arms."""
+        return list(self._endpoints)
 
     @staticmethod
     def image_size_kb(image: Dict[str, Any]) -> float:
@@ -118,8 +124,7 @@ class S3Backend(UserStore):
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        self._stores = {region: cloud.objectstore("s3", region=region)
-                        for region in regions}
+        self._stores = self._per_region(cloud.objectstore, "s3")
         for store in self._stores.values():
             store.create_bucket(USER_BUCKET)
 
@@ -157,17 +162,12 @@ class S3Backend(UserStore):
         yield from store.put_object(ctx, USER_BUCKET, path, payload, meta)
 
     def peek(self, region, path):
-        entry = self._stores[region]._buckets[USER_BUCKET].get(path)
-        if entry is None:
-            return None
-        payload, meta = entry
-        return dict(meta, data=payload)
+        store = self._stores[region]
+        meta = store.head(USER_BUCKET, path)
+        return None if meta is None else dict(meta, data=store.raw(USER_BUCKET, path))
 
     def wipe_region(self, region):
-        self._stores[region]._buckets[USER_BUCKET].clear()
-
-    def fault_points(self):
-        return list(self._stores.values())
+        self._stores[region].clear_bucket(USER_BUCKET)
 
 
 class DynamoBackend(UserStore):
@@ -175,8 +175,7 @@ class DynamoBackend(UserStore):
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        self._kvs = {region: cloud.kv("dynamodb:user", region=region)
-                     for region in regions}
+        self._kvs = self._per_region(cloud.kv, "dynamodb:user")
         for kv in self._kvs.values():
             kv.create_table(USER_TABLE)
 
@@ -197,9 +196,6 @@ class DynamoBackend(UserStore):
     def wipe_region(self, region):
         self._kvs[region].table(USER_TABLE).clear()
 
-    def fault_points(self):
-        return list(self._kvs.values())
-
 
 class HybridBackend(UserStore):
     """Small nodes in the key-value store, large data spilled to S3.
@@ -214,10 +210,8 @@ class HybridBackend(UserStore):
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
         super().__init__(cloud, regions)
-        self._kvs = {region: cloud.kv("dynamodb:user", region=region)
-                     for region in regions}
-        self._stores = {region: cloud.objectstore("s3", region=region)
-                        for region in regions}
+        self._kvs = self._per_region(cloud.kv, "dynamodb:user")
+        self._stores = self._per_region(cloud.objectstore, "s3")
         for region in regions:
             self._kvs[region].create_table(USER_TABLE)
             self._stores[region].create_bucket(USER_BUCKET)
@@ -286,42 +280,33 @@ class HybridBackend(UserStore):
 
     def wipe_region(self, region):
         self._kvs[region].table(USER_TABLE).clear()
-        self._stores[region]._buckets[USER_BUCKET].clear()
-
-    def fault_points(self):
-        points = []
-        for r in self.regions:
-            points.append(self._kvs[r])
-            points.append(self._stores[r])
-        return points
+        self._stores[region].clear_bucket(USER_BUCKET)
 
 
 class RedisBackend(UserStore):
     """User-managed in-memory cache (Figure 8's Redis line)."""
 
+    def __init__(self, cloud: Cloud, regions: List[str]) -> None:
+        super().__init__(cloud, regions)
+        self._caches = self._per_region(cloud.cache, "redis")
+
     def write_node(self, ctx, region, path, image):
-        cache = self.cloud.cache("redis", region=region)
-        yield from cache.set(ctx, path, image)
+        yield from self._caches[region].set(ctx, path, image)
 
     def read_node(self, ctx, region, path):
-        cache = self.cloud.cache("redis", region=region)
-        return (yield from cache.get(ctx, path))
+        return (yield from self._caches[region].get(ctx, path))
 
     def delete_node(self, ctx, region, path):
-        cache = self.cloud.cache("redis", region=region)
-        yield from cache.delete(ctx, path)
+        yield from self._caches[region].delete(ctx, path)
 
     def peek(self, region, path):
-        return self.cloud.cache("redis", region=region)._data.get(path)
+        return self._caches[region].raw(path)
 
     def wipe_region(self, region):
-        self.cloud.cache("redis", region=region)._data.clear()
-
-    def fault_points(self):
-        return [self.cloud.cache("redis", region=r) for r in self.regions]
+        self._caches[region].clear()
 
 
-class MemBackend(UserStore):
+class MemBackend(UserStore, StorageEndpoint):
     """In-process reference backend: per-region dicts, fixed latency,
     zero billing.  The conformance suite's baseline — any behavioural
     divergence in a cloud backend shows up as a diff against ``mem`` —
@@ -329,66 +314,44 @@ class MemBackend(UserStore):
 
     #: Fixed per-op latency (ms): deterministic, no RNG draws.
     LATENCY_MS = 0.1
-    # Labels for fault-injector arming (MemBackend is its own fault point).
-    service_label = "mem"
-    region = "all"
 
     def __init__(self, cloud: Cloud, regions: List[str]) -> None:
-        super().__init__(cloud, regions)
-        self._data: Dict[str, Dict[str, Dict[str, Any]]] = {
+        UserStore.__init__(self, cloud, regions)
+        StorageEndpoint.__init__(self, cloud.env, cloud.profile, cloud.meter,
+                                 None, region="all", service_label="mem")
+        self._endpoints.append(self)
+        self._replicas: Dict[str, Dict[str, Dict[str, Any]]] = {
             r: {} for r in regions}
-        self.faults: Optional[FaultInjector] = None
-        #: ``FK_SANITIZE=1`` only: (region, path) -> a clone of the image stored.
-        self._snapshots: Optional[Dict[tuple, Any]] = {} if sanitize.enabled() else None
-
-    def _replica(self, region: str) -> Dict[str, Dict[str, Any]]:
-        try:
-            return self._data[region]
-        except KeyError:
-            raise ValueError(f"unknown region {region!r}") from None
 
     def write_node(self, ctx, region, path, image):
-        replica = self._replica(region)
-        fault = draw_fault(self.faults, "write_node", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"mem write {path}")
-        yield self.cloud.env.timeout(self.LATENCY_MS)
+        replica = self._replicas[region]
+        fault = None if self.faults is None else (
+            yield from self._fault("write_node", True, path))
+        yield self.env.timeout(self.LATENCY_MS)
         replica[path] = clone(image)
-        if self._snapshots is not None:
-            self._snapshots[region, path] = clone(image)
-        if fault is not None:
-            self.faults.fire_after(fault, f"mem write {path}")
+        self._stored((region, path), image)
+        self._reply(fault)
 
     def read_node(self, ctx, region, path):
-        replica = self._replica(region)
-        fault = draw_fault(self.faults, "read_node", mutating=False)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"mem read {path}")
-        yield self.cloud.env.timeout(self.LATENCY_MS)
-        image = replica.get(path)
-        if image is not None and self._snapshots is not None:
-            sanitize.check_frozen(f"mem image {region}:{path}", image,
-                                  self._snapshots.get((region, path)))
-        return image
+        replica = self._replicas[region]
+        if self.faults is not None:
+            yield from self._fault("read_node", False, path)
+        yield self.env.timeout(self.LATENCY_MS)
+        return self._handout((region, path), replica.get(path))
 
     def delete_node(self, ctx, region, path):
-        replica = self._replica(region)
-        fault = draw_fault(self.faults, "delete_node", mutating=True)
-        if fault is not None:
-            yield from self.faults.fire_before(fault, f"mem delete {path}")
-        yield self.cloud.env.timeout(self.LATENCY_MS)
+        replica = self._replicas[region]
+        fault = None if self.faults is None else (
+            yield from self._fault("delete_node", True, path))
+        yield self.env.timeout(self.LATENCY_MS)
         replica.pop(path, None)
-        if fault is not None:
-            self.faults.fire_after(fault, f"mem delete {path}")
+        self._reply(fault)
 
     def peek(self, region, path):
-        return self._replica(region).get(path)
+        return self._replicas[region].get(path)
 
     def wipe_region(self, region):
-        self._replica(region).clear()
-
-    def fault_points(self):
-        return [self]
+        self._replicas[region].clear()
 
 
 #: The backend of each :class:`UserStoreKind` — the one list of kinds the

@@ -30,7 +30,7 @@ import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.context import OpContext
-from ..cloud.errors import ConditionFailed
+from ..cloud.errors import REDELIVERED, ConditionFailed
 from ..cloud.expressions import Attr, ListAdd, Remove, Set, SetIfNotExists
 from ..cloud.kvstore import KeyValueStore
 from ..primitives.atomics import AtomicList
@@ -162,7 +162,7 @@ class EpochLedger:
         to finish, then clear its entries from every region's counter."""
         try:
             yield invocation_done
-        except Exception:
+        except REDELIVERED:
             pass  # fan-out retried internally; clear regardless of outcome
         yield from self.remove(ctx, watch_ids)
         return None

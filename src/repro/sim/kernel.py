@@ -85,9 +85,9 @@ class SimulationError(RuntimeError):
 class ReentrantRunError(BaseException):
     """``run()`` was called from inside a running process.
 
-    Not an ``Exception``: a handler's ``except Exception`` (a queue's
-    redelivery, the watch fan-out's retry, a callback's isolation) must not
-    swallow it, so it escapes the outer ``run()`` instead."""
+    Not an ``Exception``: an ``except Exception`` (a client request's
+    pipeline, a callback's isolation) must not swallow it, so it escapes
+    the outer ``run()`` instead."""
 
 
 # Event priorities: URGENT events (process resumptions) run before NORMAL

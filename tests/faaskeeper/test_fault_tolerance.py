@@ -363,3 +363,23 @@ def test_the_audit_reads_every_system_node():
     violations = verify_exactly_once(service, {"/a": b"x"})
     assert "/: pending transactions not drained: [99]" in violations
     assert any(v.startswith("/b: lock left behind") for v in violations)
+
+
+def test_a_bug_in_a_handler_escapes_the_run_instead_of_being_redelivered(
+        monkeypatch):
+    """Only what the cloud can cause (a crash, an exhausted storage op, a
+    requested redelivery) is redelivered.  A leader whose code raises a
+    ``TypeError`` would fail the same way on every delivery, so the error
+    ends the run instead of spinning the batch forever."""
+    from repro.faaskeeper.leader import LeaderLogic
+
+    def broken(self, fctx, msg):
+        raise TypeError("a bug in the leader")
+        yield  # pragma: no cover - makes this a generator
+
+    cloud, service = make_service(seed=11)
+    client = service.connect()
+    monkeypatch.setattr(LeaderLogic, "process", broken)
+    client.create_async("/a", b"x")
+    with pytest.raises(TypeError, match="a bug in the leader"):
+        cloud.run(until=cloud.now + 60_000)

@@ -16,7 +16,10 @@ outbox table and the switch that pinned the log stay out too.  And the
 storage boundary: one retrying proxy around both stores of every
 deployment, so the switch that removed it, its hand-forwarded twins, the
 second probe limiter and the knobs nothing turned stay out as well, and
-no module but the backends and the wiring acquires a raw client.  And
+no module but the backends and the wiring acquires a raw client; and one
+endpoint base under every simulated store spells the fault prelude, the
+postlude and the region penalty, so no store hand-rolls them and the
+user-store backends reach a store only through its public calls.  And
 the copy discipline: images enter the storage API through
 ``expressions.clone``, so ``deepcopy`` stays inside its fallback, and
 leave it frozen and uncopied, so no storage read returns a ``clone``.
@@ -235,6 +238,57 @@ def test_the_ratchet_sees_a_raw_client():
         assert _raw_clients(Path(owner), seeded) == []
 
 
+#: The modules that may spell a storage round trip's fault draw, its
+#: injected failures and its region penalty: the endpoint base, the
+#: injector and the profile that defines the penalty.
+ROUND_TRIP_OWNERS = ("cloud/endpoint.py", "cloud/faults.py",
+                     "cloud/calibration.py")
+
+
+def _hand_rolled_round_trips(path, text):
+    """Lines of module ``path`` (relative to the package) that spell a fault
+    prelude/postlude or a region penalty outside :data:`ROUND_TRIP_OWNERS`,
+    or that read a cloud store's private state from ``userstore.py``."""
+    banned = []
+    if path.as_posix() not in ROUND_TRIP_OWNERS:
+        banned.append(r"draw_fault\(|fire_before\(|fire_after\(|faults\.draw\("
+                      r"|FAULT_TIMEOUT_MS|: injected |inter_region_")
+    if path.as_posix() == "faaskeeper/userstore.py":
+        banned.append(r"\._buckets\b|\._data\b")
+    return [n for n, line in enumerate(text.splitlines(), 1)
+            if banned and re.search("|".join(banned), line)]
+
+
+def test_one_storage_endpoint():
+    src = Path(repro.__file__).parent
+    for path in src.rglob("*.py"):
+        assert not _hand_rolled_round_trips(path.relative_to(src),
+                                            path.read_text()), path
+
+
+def test_the_ratchet_sees_a_hand_rolled_round_trip():
+    seeded = (
+        "def get(self, ctx, key):\n"
+        "    fault = draw_fault(self.faults, 'get', mutating=False)\n"
+        "    if fault is not None:\n"
+        "        yield from self.faults.fire_before(fault, key)\n"
+        "    value = self.profile.inter_region_extra_ms\n"
+        "    self.faults.fire_after(fault, key)\n"
+        "    return self.cloud.cache('redis')._data.get(key)\n"
+        "def wipe_region(self, region):\n"
+        "    self._stores[region]._buckets['b'].clear()\n"
+        "def put(self, key):\n"
+        "    if self.faults.draw('put', True) == 'timeout':\n"
+        "        yield self.env.timeout(FAULT_TIMEOUT_MS)\n"
+        "        raise ConnectionReset(f'put {key}: injected connection reset')\n")
+    assert _hand_rolled_round_trips(Path("cloud/cache.py"),
+                                    seeded) == [2, 4, 5, 6, 11, 12, 13]
+    assert _hand_rolled_round_trips(Path("faaskeeper/userstore.py"),
+                                    seeded) == [2, 4, 5, 6, 7, 9, 11, 12, 13]
+    for owner in ROUND_TRIP_OWNERS:
+        assert _hand_rolled_round_trips(Path(owner), seeded) == []
+
+
 _CLONE_FALLBACK = inspect.getsource(expressions.clone)
 
 
@@ -281,8 +335,8 @@ def test_the_ratchet_sees_a_deepcopy(path, text, expected):
 
 
 #: The storage modules whose reads hand out the frozen stored image.
-ZERO_COPY_READS = ("cloud/kvstore.py", "cloud/objectstore.py",
-                   "faaskeeper/userstore.py")
+ZERO_COPY_READS = ("cloud/endpoint.py", "cloud/kvstore.py",
+                   "cloud/objectstore.py", "faaskeeper/userstore.py")
 
 
 def _cloned_returns(text):

@@ -12,6 +12,7 @@ from repro.cloud.errors import (ConditionFailed, StorageTimeout,
 from repro.cloud.expressions import Attr
 from repro.cloud.faults import FaultInjector
 from repro.faaskeeper.exceptions import RequestFailedError
+from repro.faaskeeper.heartbeat import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.metrics import MetricsRegistry
 from repro.faaskeeper.model import KeeperState
 from repro.faaskeeper.retry import (
@@ -347,6 +348,27 @@ def test_a_session_lives_through_a_system_store_outage():
     client.set_data("/a", b"z")
     assert client.state == KeeperState.CONNECTED
     assert client.get_data("/a")[0] == b"z"
+
+
+def test_an_answered_heartbeat_heals_a_suspended_session():
+    """A session the outage above left SUSPENDED, with no request of its
+    own after it, is CONNECTED again once the next heartbeat sweep finds
+    it answering."""
+    cloud, service = make_service(user_store="mem")
+    client = service.connect()
+    client.create("/a", b"x")
+    cloud.run(until=55_000)
+    inner = service.system_store.inner
+    inner.faults = OutageInjector(cloud.env, until=cloud.now + 10_000)
+    dropped = client.set_data_async("/a", b"y")
+    cloud.run(until=cloud.now + 30_000)
+    with pytest.raises(RequestFailedError, match="system_failure"):
+        dropped.wait()
+    assert client.state == KeeperState.SUSPENDED
+
+    cloud.run(until=2 * HEARTBEAT_PERIOD_MS + 5_000)  # past the next sweep
+    assert client.state == KeeperState.CONNECTED
+    assert client.session_id in service.clients and not client.closed
 
 
 # ------------------------------------------------------------- fingerprint
