@@ -24,7 +24,8 @@ def run():
     # limit bites), so the bench lifts the cap for this one table.
     profile = dataclasses.replace(cloud.profile, kv_item_limit_kb=4096.0)
     kv = KeyValueStore(cloud.env, profile, cloud.meter,
-                       cloud.rng.stream("bench6a"))
+                       cloud.rng.stream("bench6a"), region=cloud.region,
+                       service_label="kv")
     kv.create_table("t")
     ctx = OpContext()
     lock = TimedLock(kv, "t", max_hold_ms=10_000)

@@ -34,8 +34,6 @@ class StorageEndpoint:
     stream = ""
     #: Whether the inter-region penalty grows with the payload (per kB).
     region_per_kb = True
-    #: What a read hands out, as sanitizer messages name it.
-    image_name = "image"
 
     def __init__(self, env: Environment, profile: CloudProfile,
                  meter: CostMeter, rng, region: str,
@@ -101,6 +99,6 @@ class StorageEndpoint:
         """``image``, the one stored under ``key``, after the sanitizer
         checked that no holder mutated it since it was stored."""
         if image is not None and self._snapshots is not None:
-            sanitize.check_frozen(f"{self.image_name} of {key[0]}/{key[1]}",
+            sanitize.check_frozen(f"stored image of {key[0]}/{key[1]}",
                                   image, self._snapshots.get(key))
         return image

@@ -60,11 +60,10 @@ class FaultInjector:
     pre-send kind) instead of silently lowering the read fault rate.
     """
 
-    def __init__(self, env, rng, rate: float,
+    def __init__(self, rng, rate: float,
                  weights: Optional[Dict[str, float]] = None) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-        self.env = env
         self.rng = rng
         self.rate = rate
         merged = dict(DEFAULT_WEIGHTS)

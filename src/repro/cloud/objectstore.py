@@ -26,7 +26,6 @@ class ObjectStore(StorageEndpoint):
     """Named buckets of key -> (bytes-like payload, metadata dict)."""
 
     stream = "obj"
-    image_name = "metadata"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -291,7 +291,7 @@ class FaaSKeeperService:
                       *self.user_store.inner.fault_points()):
             stream = self.cloud.rng.stream(
                 f"storage-faults:{point.service_label}@{point.region}")
-            injector = FaultInjector(self.cloud.env, stream, rate)
+            injector = FaultInjector(stream, rate)
             point.faults = injector
             injectors.append(injector)
         self.storage_injectors = injectors
@@ -532,8 +532,7 @@ class FaaSKeeperService:
         if client is None or client.closed:
             return False
         if client.alive:
-            if client._state is KeeperState.SUSPENDED:  # an answered ping heals it
-                client._transition(KeeperState.CONNECTED)
+            client._transition(KeeperState.CONNECTED)  # an answered ping heals a SUSPENDED session
             return True
         # The service observed the client unreachable: the session is in
         # doubt (SUSPENDED) until the eviction lands (LOST) or a later

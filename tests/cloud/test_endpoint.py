@@ -67,7 +67,7 @@ def test_a_fault_fails_the_round_trip_the_same_way_at_every_endpoint(
     store, seed, read, mutate, written = ENDPOINTS[endpoint](cloud, ctx)
     cloud.run_process(seed)
     # Rate 1 and all the weight on ``kind``: every op draws it.
-    store.faults = FaultInjector(cloud.env, random.Random(0), rate=1.0,
+    store.faults = FaultInjector(random.Random(0), rate=1.0,
                                  weights={k: float(k == kind) for k in FAULT_KINDS})
     t0, usd0 = cloud.now, cloud.meter.total
     drawn = "conn_reset" if (kind, side) == ("partial_write", "read") else kind

@@ -149,7 +149,7 @@ def test_sanitizer_catches_a_mutated_metadata_handout(cloud, ctx, monkeypatch):
     _, meta = cloud.run_process(s3.get_object(ctx, "b", "k"))
     assert meta is s3._buckets["b"]["k"][1]  # the stored image itself
     meta["children"].append("intruder")
-    with pytest.raises(SanitizerError, match="metadata of b/k was mutated"):
+    with pytest.raises(SanitizerError, match="stored image of b/k was mutated"):
         cloud.run_process(s3.put_object(ctx, "b", "k", b"y", {}))
-    with pytest.raises(SanitizerError, match="metadata of b/k was mutated"):
+    with pytest.raises(SanitizerError, match="stored image of b/k was mutated"):
         cloud.run_process(s3.get_object(ctx, "b", "k"))

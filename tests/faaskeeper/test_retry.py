@@ -30,8 +30,8 @@ class ScriptedInjector(FaultInjector):
     """Deterministic fault script: fire the listed kinds in order, then
     behave cleanly.  Bypasses the RNG draw so tests are exact."""
 
-    def __init__(self, env, kinds):
-        super().__init__(env, rng=random.Random(0), rate=1.0)
+    def __init__(self, kinds):
+        super().__init__(rng=random.Random(0), rate=1.0)
         self._script = list(kinds)
 
     def draw(self, op, mutating):
@@ -47,7 +47,8 @@ class OutageInjector(FaultInjector):
     """Every op times out until virtual time ``until``, then none does."""
 
     def __init__(self, env, until):
-        super().__init__(env, rng=random.Random(0), rate=1.0)
+        super().__init__(rng=random.Random(0), rate=1.0)
+        self.env = env
         self.until = until
 
     def draw(self, op, mutating):
@@ -82,7 +83,7 @@ def test_backoff_jitter_bounds():
 # ------------------------------------------------------------- retry engine
 def test_transient_faults_are_absorbed():
     cloud, kv, wrapped = make_wrapped()
-    kv.faults = ScriptedInjector(cloud.env, ["throttle", "conn_reset"])
+    kv.faults = ScriptedInjector(["throttle", "conn_reset"])
     ctx = OpContext()
 
     def flow():
@@ -99,7 +100,7 @@ def test_a_burst_of_overlapping_failures_is_one_failure():
     each op one failed attempt, not sixteen: every op completes on its own
     retry.  Failures in sequence on one op still exhaust it."""
     cloud, kv, wrapped = make_wrapped()
-    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * 16)
+    kv.faults = ScriptedInjector(["timeout"] * 16)
     ctx = OpContext()
     ops = [cloud.env.process(wrapped.put_item(ctx, "t", f"k{i}", {"v": i}))
            for i in range(16)]
@@ -109,7 +110,7 @@ def test_a_burst_of_overlapping_failures_is_one_failure():
     assert wrapped._retries.labels(store="system", op="put_item",
                                    error="StorageTimeout").value == 16
 
-    kv.faults = ScriptedInjector(cloud.env, ["timeout"] * MAX_ATTEMPTS)
+    kv.faults = ScriptedInjector(["timeout"] * MAX_ATTEMPTS)
     with pytest.raises(StorageUnavailable):
         cloud.run_process(wrapped.put_item(ctx, "t", "k", {}))
 
@@ -120,7 +121,7 @@ def test_backoff_consumes_virtual_time_only_on_retries():
     ctx = OpContext()
     cloud.run_process(wrapped.put_item(ctx, "t", "clean", {}))
     clean = cloud.now
-    kv.faults = ScriptedInjector(cloud.env, ["throttle", "throttle"])
+    kv.faults = ScriptedInjector(["throttle", "throttle"])
     t0 = cloud.now
     cloud.run_process(wrapped.put_item(ctx, "t", "flaky", {}))
     assert cloud.now - t0 >= clean + 10.0 + 20.0  # two backoffs waited
@@ -133,7 +134,7 @@ def test_partial_write_replays_instead_of_reapplying():
     cloud, kv, wrapped = make_wrapped()
     ctx = OpContext()
     cloud.run_process(wrapped.put_item(ctx, "t", "k", {"log": []}))
-    kv.faults = ScriptedInjector(cloud.env, ["partial_write"])
+    kv.faults = ScriptedInjector(["partial_write"])
     cloud.run_process(wrapped.update_item(
         ctx, "t", "k", [ListAppend("log", ["entry"])]))
     item = cloud.run_process(wrapped.get_item(ctx, "t", "k"))
@@ -142,7 +143,7 @@ def test_partial_write_replays_instead_of_reapplying():
 
 def test_exhaustion_raises_storage_unavailable_with_cause():
     cloud, kv, wrapped = make_wrapped()
-    kv.faults = ScriptedInjector(cloud.env, ["throttle"] * 10)
+    kv.faults = ScriptedInjector(["throttle"] * 10)
     with pytest.raises(StorageUnavailable,
                        match=f"after {MAX_ATTEMPTS} attempts") as failed:
         cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {}))
@@ -173,7 +174,7 @@ class RecordingStore:
         self.calls = []
         self.retired = []
         # A store that can lose a reply says so through ``faults``.
-        self.faults = ScriptedInjector(env, [])
+        self.faults = ScriptedInjector([])
         if region is not None:
             self.region = region
         else:
@@ -244,7 +245,7 @@ def test_every_mutator_replays_its_token_after_a_partial_write():
     }
     assert set(calls) == {op for op, tokened in KV_OPS.items() if tokened}
     for op, call in calls.items():
-        kv.faults = ScriptedInjector(cloud.env, ["partial_write"])
+        kv.faults = ScriptedInjector(["partial_write"])
         cloud.run_process(call())             # a re-apply would raise / double
         assert kv.faults.injected["partial_write"] == 1, op
     item = cloud.run_process(wrapped.get_item(ctx, "t", "k"))
@@ -258,7 +259,7 @@ def test_a_failed_retry_loop_retires_its_token():
     the ledger does not keep it for a window."""
     cloud, kv, wrapped = make_wrapped()
     kv.faults = ScriptedInjector(
-        cloud.env, ["partial_write"] + ["throttle"] * (MAX_ATTEMPTS - 1))
+        ["partial_write"] + ["throttle"] * (MAX_ATTEMPTS - 1))
     with pytest.raises(StorageUnavailable,
                        match=f"after {MAX_ATTEMPTS} attempts"):
         cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {"v": 1}))
@@ -279,7 +280,7 @@ def test_a_token_rides_only_where_a_reply_can_be_lost(monkeypatch):
         client.set_data("/n", b"%d" % i)
     kv = service.system_store.inner
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
-    kv.faults = ScriptedInjector(cloud.env, [])
+    kv.faults = ScriptedInjector([])
     held, retire = [], kv.retire_token
 
     def spy(token):
@@ -304,7 +305,7 @@ def test_an_exhausted_user_store_fails_the_leader_not_the_simulation():
     client = service.connect()
     client.create("/a", b"x")
     point, = service.user_store.inner.fault_points()
-    point.faults = ScriptedInjector(cloud.env, ["timeout"] * (2 * MAX_ATTEMPTS))
+    point.faults = ScriptedInjector(["timeout"] * (2 * MAX_ATTEMPTS))
     leader = service.leader_fns[0]
     failures = leader.failures
 
