@@ -51,7 +51,7 @@ class InMemoryCache(StorageEndpoint):
 
     def set(self, ctx: OpContext, key: str, value: Any) -> Generator[Event, Any, None]:
         fault = None if self.faults is None else (yield from self._fault("set", True, key))
-        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, self._size_kb(value)))
+        yield self._latency(ctx, self.profile.cache_rw, self._size_kb(value))
         self._data[key] = clone(value)
         self._reply(fault)
 
@@ -59,12 +59,12 @@ class InMemoryCache(StorageEndpoint):
         if self.faults is not None:
             yield from self._fault("get", False, key)
         value = self._data.get(key)
-        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, self._size_kb(value)))
+        yield self._latency(ctx, self.profile.cache_rw, self._size_kb(value))
         value = self._data.get(key)
         return clone(value)
 
     def delete(self, ctx: OpContext, key: str) -> Generator[Event, Any, None]:
         fault = None if self.faults is None else (yield from self._fault("delete", True, key))
-        yield self.env.timeout(self._latency(ctx, self.profile.cache_rw, 0.0))
+        yield self._latency(ctx, self.profile.cache_rw, 0.0)
         self._data.pop(key, None)
         self._reply(fault)

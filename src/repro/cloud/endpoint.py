@@ -65,7 +65,7 @@ class StorageEndpoint:
         if kind == "throttle":
             raise ThrottlingError(f"{request}: injected throttle")
         if kind == "timeout":  # the request hangs, then dies
-            yield self.env.timeout(FAULT_TIMEOUT_MS)
+            yield FAULT_TIMEOUT_MS
             raise StorageTimeout(f"{request}: injected timeout after {FAULT_TIMEOUT_MS} ms")
         if kind == "conn_reset":
             raise ConnectionReset(f"{request}: injected connection reset")

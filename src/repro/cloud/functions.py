@@ -98,8 +98,9 @@ class FunctionContext:
             self.function.on_segment(segment, elapsed_ms)
 
     def compute(self, base_ms: float = 0.0, payload_kb: float = 0.0,
-                per_kb_ms: float = 0.02) -> Event:
-        """CPU work: serialization/base64 of ``payload_kb`` of data.
+                per_kb_ms: float = 0.02) -> float:
+        """CPU work: serialization/base64 of ``payload_kb`` of data, as the
+        delay the handler yields.
 
         Scaled by the CPU allocation and by the architecture's data-handling
         factor (ARM's large-payload penalty, Section 5.3.2).
@@ -112,8 +113,7 @@ class FunctionContext:
         factor = 1.0 + (factor - 1.0) * 0.35
         if spec.arch == "arm":
             per_kb_ms = per_kb_ms * profile.arm_data_factor
-        delay = (base_ms + per_kb_ms * payload_kb) * factor
-        return self.env.timeout(delay)
+        return (base_ms + per_kb_ms * payload_kb) * factor
 
 
 class CrashWindows:
@@ -222,17 +222,17 @@ class DeployedFunction:
         model: direct, FIFO queue, ...)."""
         env = self.runtime.env
         if invoke_latency_ms > 0:
-            yield env.timeout(invoke_latency_ms)
+            yield invoke_latency_ms
         overhead, cold = self._sandbox_overhead()
         if cold:
             self.cold_starts += 1
-        yield env.timeout(overhead)
+        yield overhead
         self.invocations += 1
         fctx = FunctionContext(env, self, self.invocations)
         crash = fctx.ctx.crash
         started = env.now
         try:
-            yield env.timeout(self.spec.base_compute_ms)
+            yield self.spec.base_compute_ms
             if crash is not None:
                 crash.window("start")
             result = yield from self.spec.handler(fctx, payload)
@@ -347,9 +347,9 @@ class ScheduledTask:
         if self.offset_ms:
             # Strictly positive only: a zero-delay timeout would still
             # occupy an event-queue slot and perturb offset-free schedules.
-            yield env.timeout(self.offset_ms)
+            yield self.offset_ms
         while self._proc is me:
-            yield env.timeout(self.period_ms)
+            yield self.period_ms
             if self._proc is not me:
                 return
             self.fired += 1

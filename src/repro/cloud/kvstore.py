@@ -337,7 +337,7 @@ class KeyValueStore(StorageEndpoint):
         size_kb = _size_kb(table._get(key))
         wait = self._admit(table, 1.0)
         latency = self._latency(ctx, self.profile.kv_read, size_kb)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.read_count += 1
         # Re-fetch after the delay: the read observes the state at completion
         # time for strong reads, possibly stale state for eventual ones.
@@ -382,7 +382,7 @@ class KeyValueStore(StorageEndpoint):
         extra = self.profile.kv_conditional_extra_ms if conditional else 0.0
         wait = self._admit(table, units)
         latency = self._latency(ctx, self.profile.kv_write, size_kb, extra)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.write_count += 1
         self._charge_write(ctx, size_kb)
         if self._applied(token) is not _NOT_APPLIED:
@@ -428,7 +428,7 @@ class KeyValueStore(StorageEndpoint):
         model = latency_model or self.profile.kv_write
         wait = self._admit(table, units)
         latency = self._latency(ctx, model, size_kb, extra)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.write_count += 1
         self._charge_write(ctx, max(size_kb, 0.001))
         applied = self._applied(token)
@@ -471,7 +471,7 @@ class KeyValueStore(StorageEndpoint):
         extra = self.profile.kv_conditional_extra_ms if conditional else 0.0
         wait = self._admit(table)
         latency = self._latency(ctx, self.profile.kv_write, min(size_kb, 1.0), extra)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.write_count += 1
         self._charge_write(ctx, 1.0)
         if self._applied(token) is not _NOT_APPLIED:
@@ -515,7 +515,7 @@ class KeyValueStore(StorageEndpoint):
                                          2.0 * self.profile.kv_conditional_units))
         extra = self.profile.kv_conditional_extra_ms * len(ops)
         latency = self._latency(ctx, self.profile.kv_write, total_kb, extra)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
             return list(applied)
@@ -578,7 +578,7 @@ class KeyValueStore(StorageEndpoint):
                         if rec is not None]) / 1024.0
         wait = self._admit(table, max(1.0, total_kb / 4.0))
         latency = self._latency(ctx, self.profile.kv_read, total_kb)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
         found: Dict[str, Dict[str, Any]] = {}
@@ -624,7 +624,7 @@ class KeyValueStore(StorageEndpoint):
             total_kb += size_kb
         wait = self._admit(table, float(len(images)))
         latency = self._latency(ctx, self.profile.kv_write, total_kb)
-        yield self.env.timeout(wait + latency)
+        yield wait + latency
         table.write_count += len(images)
         for _image, size_bytes in images.values():
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))

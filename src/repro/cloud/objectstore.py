@@ -82,7 +82,7 @@ class ObjectStore(StorageEndpoint):
         fault = None if self.faults is None else (
             yield from self._fault("put_object", True, f"{bucket}/{key}"))
         size_kb = self.payload_kb(payload)
-        yield self.env.timeout(self._latency(ctx, self.profile.obj_write, size_kb))
+        yield self._latency(ctx, self.profile.obj_write, size_kb)
         if key in objects:
             self._handout((bucket, key), objects[key][1])
         objects[key] = (payload, clone(metadata or {}))
@@ -102,7 +102,7 @@ class ObjectStore(StorageEndpoint):
             yield from self._fault("get_object", False, f"{bucket}/{key}")
         entry = objects.get(key)
         size_kb = self.payload_kb(entry[0]) if entry else 0.0
-        yield self.env.timeout(self._latency(ctx, self.profile.obj_read, size_kb))
+        yield self._latency(ctx, self.profile.obj_read, size_kb)
         self._charge(ctx, "obj_read", self.profile.prices.object_read_cost(size_kb))
         entry = objects.get(key)
         if entry is None:
@@ -119,7 +119,7 @@ class ObjectStore(StorageEndpoint):
         objects = self._bucket(bucket)
         fault = None if self.faults is None else (
             yield from self._fault("delete_object", True, f"{bucket}/{key}"))
-        yield self.env.timeout(self._latency(ctx, self.profile.obj_write, 0.0))
+        yield self._latency(ctx, self.profile.obj_write, 0.0)
         objects.pop(key, None)
         self._charge(ctx, "obj_write", self.profile.prices.object_write_cost(0.0))
         self._reply(fault)

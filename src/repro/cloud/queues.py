@@ -165,8 +165,7 @@ class _QueueBase:
         self._check_size(size_kb)
         # The enqueue API call pays the queue-send latency (Table 3 "Push");
         # the remaining trigger latency is applied on the delivery path.
-        yield self.env.timeout(
-            self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult)
+        yield self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult
         return self._accept(ctx, body, group, size_kb)
 
     def send_nowait(self, ctx: OpContext, body: Any, group: str = "default",
@@ -266,7 +265,6 @@ class FifoQueue(_QueueBase):
 
     def _deliver(self, batch: List[Message]):
         """Deliver one batch; on failure, redeliver (FIFO blocks the group)."""
-        env = self.env
         fn = self._function
         rng = self.rng  # held: a redelivery may outlive the queue's deletion
         total_kb = sum(m.size_kb for m in batch)
@@ -300,7 +298,7 @@ class FifoQueue(_QueueBase):
                     # receive count) — consumers use it for deduplication.
                     if isinstance(m.body, dict):
                         m.body["_redelivered"] = True
-                yield env.timeout(REDELIVERY_BACKOFF_MS)
+                yield REDELIVERY_BACKOFF_MS
 
 
 class StandardQueue(_QueueBase):
@@ -326,7 +324,6 @@ class StandardQueue(_QueueBase):
             self.env.process(self._dispatch(), name=f"std:{self.name}:{i}")
 
     def _dispatch(self):
-        env = self.env
         fn = self._function
         limit = self.profile.std_batch_limit
         while True:
@@ -339,7 +336,7 @@ class StandardQueue(_QueueBase):
                 window = self.rng.uniform(2.0, 25.0)
             else:
                 window = self.rng.uniform(20.0, 400.0)
-            yield env.timeout(window)
+            yield window
             batch = [first]
             while len(batch) < limit:
                 nxt = self._buffer.get_nowait()
@@ -383,7 +380,6 @@ class StreamTrigger(_QueueBase):
         self._buffer.put(record)
 
     def _dispatch(self):
-        env = self.env
         while True:
             first = yield self._buffer.get()
             batch: List[StreamRecord] = [first]
@@ -399,4 +395,4 @@ class StreamTrigger(_QueueBase):
             except REDELIVERED:
                 for m in reversed(batch):
                     self._buffer.items.appendleft(m)
-                yield env.timeout(REDELIVERY_BACKOFF_MS)
+                yield REDELIVERY_BACKOFF_MS

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tup
 
 from ..cloud.errors import NoSuchQueue, PayloadTooLarge
 from ..cloud.expressions import clone
-from ..sim.kernel import Process, Timeout
+from ..sim.kernel import Process
 from .cache import ClientReadCache
 from .exceptions import (
     AccessDeniedError,
@@ -259,7 +259,7 @@ class SessionRetry:
             except self.retry_exceptions as exc:
                 last = exc
             if attempt < self.max_tries:
-                yield self.client.env.timeout(delay)
+                yield delay
                 delay = min(delay * self.backoff, self.max_delay_ms)
         raise RetryFailedError(
             f"{getattr(fn, '__name__', fn)!r} still failing after "
@@ -721,7 +721,7 @@ class FaaSKeeperClient:
         # Client-library overhead: result sorting, watch bookkeeping and
         # deserialization add ~2% (Section 5.3.1).
         data_kb = len(image.get("data", b"") or b"") / 1024.0
-        yield Timeout(self.env, 0.05 + 0.002 * data_kb)
+        yield 0.05 + 0.002 * data_kb
 
     def _read(self, path: str, barrier: List, rid_cut: int,
               project: Callable[[str, Optional[Dict[str, Any]]], Any],

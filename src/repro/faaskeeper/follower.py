@@ -190,8 +190,7 @@ class FollowerLogic:
                 return handles
             for handle in handles.values():
                 yield from lock.release(fctx.ctx, handle)
-            yield fctx.env.timeout(
-                LOCK_BACKOFF_MS * (0.5 + self.service.rng.random()))
+            yield LOCK_BACKOFF_MS * (0.5 + self.service.rng.random())
         return None
 
     def _release_all(self, fctx, handles: Dict[str, LockHandle]) -> Generator:

@@ -221,7 +221,7 @@ class OutboxStage:
                     error = exc
                     metrics["retries"].labels(sink=sink.label).inc()
                     if attempt < MAX_ATTEMPTS:
-                        yield env.timeout(RETRY_BASE_MS * 2 ** (attempt - 1))
+                        yield RETRY_BASE_MS * 2 ** (attempt - 1)
                 else:
                     metrics["published"].labels(sink=sink.label).inc(
                         len(events))

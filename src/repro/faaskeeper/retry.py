@@ -159,7 +159,7 @@ class RetryingStore:
                             f"attempts: {exc}", cause=exc) from exc
                     delay = backoff_ms(attempt, self._jitter_u())
                     self._backoff.labels(store=self.label).observe(delay)
-                    yield self.env.timeout(delay)
+                    yield delay
         finally:
             if token is not None:
                 self.inner.retire_token(token)

@@ -466,8 +466,7 @@ class FaaSKeeperService:
     def notify_response(self, response: Response) -> Generator:
         """Function -> client result push (the TCP reply of Section 5.2.2)."""
         client = self.clients.get(response.session)
-        yield self.cloud.env.timeout(
-            self.cloud.profile.tcp_reply.sample(self._tcp, 0.0))
+        yield self.cloud.profile.tcp_reply.sample(self._tcp, 0.0)
         if client is not None:
             client._deliver_response(response)
         return None
@@ -476,8 +475,7 @@ class FaaSKeeperService:
                              event: WatchedEvent) -> Generator:
         """One watch delivery to one client (spawned by the watch function)."""
         client = self.clients.get(session)
-        yield self.cloud.env.timeout(
-            self.cloud.profile.tcp_reply.sample(self._tcp, 0.0))
+        yield self.cloud.profile.tcp_reply.sample(self._tcp, 0.0)
         if client is not None and not client.closed:
             client._deliver_watch(watch_id, event)
         return None

@@ -223,7 +223,7 @@ class SessionSwarm:
             else:  # scan
                 yield client.get_children_async(base).event
             self._writer_ops_done += 1
-            yield self.cloud.env.timeout(1.0 + rng.random() * 25.0)
+            yield 1.0 + rng.random() * 25.0
 
     # -- Lock-recipe contention group -----------------------------------------
     def _locker(self, idx: int, client, hold_ms: float = 20.0):
@@ -232,17 +232,17 @@ class SessionSwarm:
             acquired = yield from lock.co_acquire()
             if acquired:
                 self._lock_grants += 1
-                yield self.cloud.env.timeout(hold_ms)
+                yield hold_ms
                 yield from lock.co_release()
 
     # -- churn cohorts --------------------------------------------------------
     def _graceful_closer(self, client, after_ms: float):
-        yield self.cloud.env.timeout(after_ms)
+        yield after_ms
         if not client.closed:
             yield client.close_async().event
 
     def _silencer(self, client, after_ms: float):
-        yield self.cloud.env.timeout(after_ms)
+        yield after_ms
         if not client.closed:
             self._silenced.append((client, self.cloud.env.now))
             client.alive = False

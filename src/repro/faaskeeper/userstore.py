@@ -327,7 +327,7 @@ class MemBackend(UserStore, StorageEndpoint):
         replica = self._replicas[region]
         fault = None if self.faults is None else (
             yield from self._fault("write_node", True, path))
-        yield self.env.timeout(self.LATENCY_MS)
+        yield self.LATENCY_MS
         replica[path] = clone(image)
         self._stored((region, path), image)
         self._reply(fault)
@@ -336,14 +336,14 @@ class MemBackend(UserStore, StorageEndpoint):
         replica = self._replicas[region]
         if self.faults is not None:
             yield from self._fault("read_node", False, path)
-        yield self.env.timeout(self.LATENCY_MS)
+        yield self.LATENCY_MS
         return self._handout((region, path), replica.get(path))
 
     def delete_node(self, ctx, region, path):
         replica = self._replicas[region]
         fault = None if self.faults is None else (
             yield from self._fault("delete_node", True, path))
-        yield self.env.timeout(self.LATENCY_MS)
+        yield self.LATENCY_MS
         replica.pop(path, None)
         self._reply(fault)
 

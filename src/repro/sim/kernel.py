@@ -22,8 +22,8 @@ being the order of scheduling.  The scheduler keeps that order in two lanes:
 
 * the *wakeup lane*, a FIFO of every URGENT event (``succeed``/``fail``,
   process start and termination);
-* the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s and
-  ``TimerTrain``s.
+* the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s,
+  ``TimerTrain``s and sleeping ``Process``es.
 
 ``step()`` drains the wakeup lane before it touches the heap.  That is the
 one-heap order because URGENT events are only ever scheduled with delay 0 and
@@ -32,6 +32,12 @@ So every pending wakeup is at ``now``, ahead of every NORMAL event of the same
 instant by priority and of every later one by time, and among themselves
 wakeups are ordered by eid, i.e. first in, first out.  ``peek()`` is ``now``
 while the lane is non-empty.
+
+A process that yields a bare delay ``d`` sleeps on the heap itself, filed at
+``(now + d, eid)`` with its eid drawn at the yield.  That is the slot ``yield
+env.timeout(d)`` gives its ``Timeout``, which draws its eid in the same
+expression, so the sleeper wakes exactly where that ``Timeout`` would fire;
+``step()`` resumes it directly, with no event, callback list or bound method.
 
 A :class:`TimerTrain` is N timers behind one heap entry with N reserved eids,
 filed at its next element's ``(time, eid)``, so its elements take the places
@@ -91,7 +97,8 @@ class ReentrantRunError(BaseException):
 
 
 # Event priorities: URGENT events (process resumptions) run before NORMAL
-# events (timeouts) scheduled at the same instant, matching SimPy's semantics.
+# events (timeouts, timer trains, sleepers) scheduled at the same instant,
+# matching SimPy's semantics.
 # They name the two lanes of the scheduler; see the module docstring.
 URGENT = 0
 NORMAL = 1
@@ -178,14 +185,14 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also NaN, which no comparison orders
             raise SimulationError(f"negative delay {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
-        heappush(env._queue, (env._now + delay, next(env._eid), self))
+        heappush(env._queue, (env.now + delay, next(env._eid), self))
 
 
 class TimerTrain:
@@ -207,12 +214,13 @@ class TimerTrain:
 
     def __init__(self, env: "Environment", delays: Iterable[float],
                  values: list, callback: Callable[[Any], None]) -> None:
-        now = env._now
+        now = env.now
         self._times = times = [now + delay for delay in delays]
         if len(times) != len(values):
             raise SimulationError("a timer train needs one value per delay")
-        if times and min(times) < now:
-            raise SimulationError(f"negative delay {min(times) - now!r}")
+        bad = [when for when in times if not when >= now]
+        if bad:
+            raise SimulationError(f"negative delay {bad[0] - now!r}")
         self.env = env
         self._values = values
         self._callback = callback
@@ -238,7 +246,7 @@ class TimerTrain:
             while True:
                 i = order[k]
                 k += 1
-                env._now = times[i]
+                env.now = times[i]
                 callback(values[i])
                 if k == n or urgent:
                     return
@@ -254,6 +262,17 @@ class TimerTrain:
             if k < n:
                 self._next = k
                 self._schedule()
+
+
+class _Woken:
+    """The outcome a sleeping process is resumed with, shared by all."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_WOKEN = _Woken()
 
 
 class Initialize(Event):
@@ -276,6 +295,8 @@ class Process(Event):
     The generator yields :class:`Event` instances; each yield suspends the
     process until the event triggers.  The event's value becomes the result
     of the ``yield`` expression, and failed events raise inside the generator.
+    A bare non-negative ``int`` or ``float`` is a delay: the process sleeps
+    on the timer heap itself and the ``yield`` gives ``None``.
     The process is the completion handle of its generator — it carries the
     ``return`` value, or fails with the exception that escaped — so wait on
     it: never pair an ``Event`` with the process whose end it announces.
@@ -319,22 +340,28 @@ class Process(Event):
                 self._value = exc.value if self._ok else exc
                 break
 
-            if not isinstance(next_ev, Event):
-                # Be strict: yielding a non-event is always a programming bug.
+            if type(next_ev) in (float, int):  # a bare delay; a bool is none
+                if next_ev >= 0:
+                    # Sleep on the heap, in the slot a Timeout would take.
+                    heappush(env._queue, (env.now + next_ev, next(env._eid), self))
+                    break
                 exc = SimulationError(
-                    f"process {self.name!r} yielded non-event {next_ev!r}"
-                )
-                event = Event(env)
-                event._ok = False
-                event._value = exc
+                    f"process {self.name!r} yielded negative delay {next_ev!r}")
+            elif isinstance(next_ev, Event):
+                if next_ev.callbacks is not None:
+                    # Event still pending: subscribe and suspend.
+                    next_ev.callbacks.append(self._resume)
+                    break
+                # Event already processed: loop immediately with its outcome.
+                event = next_ev
                 continue
-
-            if next_ev.callbacks is not None:
-                # Event still pending: subscribe and suspend.
-                next_ev.callbacks.append(self._resume)
-                break
-            # Event already processed: loop immediately with its outcome.
-            event = next_ev
+            else:
+                # Be strict: yielding anything else is always a programming bug.
+                exc = SimulationError(
+                    f"process {self.name!r} yielded non-event {next_ev!r}")
+            event = Event(env)
+            event._ok = False
+            event._value = exc
 
         env._active_process = None
 
@@ -425,7 +452,9 @@ class Environment:
     """The simulation environment: virtual clock plus the two event lanes."""
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time (milliseconds by convention in repro);
+        #: only the kernel writes it.
+        self.now = float(initial_time)
         self._urgent: deque[Event] = deque()  # wakeup lane, all at ``now``
         self._queue: list[tuple[float, int, Any]] = []  # Timeouts and TimerTrains
         self._eid = itertools.count()
@@ -433,12 +462,6 @@ class Environment:
         #: ``run()``'s time bound while it runs: how far a timer train may
         #: fire inline.  Outside ``run()`` a bare ``step()`` fires one element.
         self._horizon = -_INF
-
-    # -- clock --------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (milliseconds by convention in repro)."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -461,7 +484,7 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if self._urgent:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
@@ -470,9 +493,12 @@ class Environment:
             event = self._urgent.popleft()
         else:
             try:
-                self._now, _eid, event = heappop(self._queue)
+                self.now, _eid, event = heappop(self._queue)
             except IndexError:
                 raise EmptySchedule() from None
+            if type(event) is Process:  # a sleeper whose delay elapsed
+                event._resume(_WOKEN)
+                return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -496,9 +522,9 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise SimulationError(
-                    f"until={stop_time} lies in the past (now={self._now})"
+                    f"until={stop_time} lies in the past (now={self.now})"
                 )
 
         urgent, queue, step = self._urgent, self._queue, self.step
@@ -517,10 +543,10 @@ class Environment:
                             )
                         if stop_time != _INF:
                             # Idle until the requested time: the clock still advances.
-                            self._now = stop_time
+                            self.now = stop_time
                         return None
                     if queue[0][0] > stop_time:
-                        self._now = stop_time
+                        self.now = stop_time
                         return None
                 step()
         finally:

@@ -57,7 +57,7 @@ class ZooKeeperClient:
         period = self.ensemble.session_timeout_ms / 3.0
         while self._heartbeating and not self.session.expired:
             self.ensemble.heartbeat(self.session_id)
-            yield self.env.timeout(period)
+            yield period
 
     def stop_heartbeats(self) -> None:
         """Simulate a client failure (the session will expire); the loop

@@ -187,7 +187,7 @@ class ZooKeeperEnsemble:
 
     def _session_sweeper(self):
         while True:
-            yield self.env.timeout(SESSION_SWEEP_MS)
+            yield SESSION_SWEEP_MS
             now = self.env.now
             for session in list(self.sessions.values()):
                 if session.expired:
@@ -248,9 +248,9 @@ class ZooKeeperEnsemble:
             self._write_gate = Resource(self.env, capacity=1)
         # client -> serving server -> leader hop
         if not internal:
-            yield self.env.timeout(self.profile.zk_tcp_rtt_ms / 2)
+            yield self.profile.zk_tcp_rtt_ms / 2
             if session.server is not self.leader:
-                yield self.env.timeout(FOLLOWER_APPLY_DELAY_MS / 2)
+                yield FOLLOWER_APPLY_DELAY_MS / 2
         # The leader serializes proposals (single ZAB pipeline).
         req = self._write_gate.request()
         yield req
@@ -265,7 +265,7 @@ class ZooKeeperEnsemble:
             size_kb = len(data) / 1024.0
             quorum_factor = 1.0 + 0.15 * (len(self.servers) - 3)
             latency = self.profile.zk_write.sample(self.rng, size_kb) * quorum_factor
-            yield self.env.timeout(latency)
+            yield latency
             self.leader.busy_ms += latency
             self._zxid += 1
             txn = ZkTxn(zxid=self._zxid, op=op, path=final_path, data=data,
@@ -286,14 +286,14 @@ class ZooKeeperEnsemble:
                     s.ephemerals.remove(final_path)
         # response travels back through the serving server
         if not internal:
-            yield self.env.timeout(self.profile.zk_tcp_rtt_ms / 2)
+            yield self.profile.zk_tcp_rtt_ms / 2
         return "ok", txn
 
     def _follower_apply(self, server: ZkServer, txn: ZkTxn):
-        yield self.env.timeout(FOLLOWER_APPLY_DELAY_MS)
+        yield FOLLOWER_APPLY_DELAY_MS
         # zxid-ordered application: wait for predecessors if needed
         while server.applied_zxid < txn.zxid - 1:  # pragma: no cover - rare
-            yield self.env.timeout(0.05)
+            yield 0.05
         self._deliver(server.apply(txn))
 
     def _deliver(self, deliveries) -> None:
@@ -308,7 +308,7 @@ class ZooKeeperEnsemble:
         node = server.tree.get(path)
         size_kb = len(node["data"]) / 1024.0 if node else 0.0
         latency = self.profile.zk_read.sample(self.rng, size_kb)
-        yield self.env.timeout(latency)
+        yield latency
         server.busy_ms += latency
         server.reads += 1
         node = server.tree.get(path)

@@ -29,7 +29,10 @@ one leg; no tier-1 leg flips a deployment default; every CI job has a
 time bound; every benchmark runs in some CI step.
 And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
-"spawn N, wait for all" where ``gather`` runs a lone member itself.
+"spawn N, wait for all" where ``gather`` runs a lone member itself.  And
+its sleep rule: a process that only sleeps yields the bare delay, so no
+module yields a fresh ``Timeout`` for it, and only the kernel moves the
+clock.
 And determinism (FK001): every published number replays from its seed, so
 the service, the cloud models, the examples and the benchmarks read no
 wall clock and no process-global RNG; the linter package that once held
@@ -516,6 +519,43 @@ def test_a_process_is_for_concurrency():
                 for node in ast.walk(func))
             assert not (spawns and yields_all), \
                 f"{path.name}:{func.lineno} {func.name}: use gather"
+
+
+def _sleeps_as_events(path, tree):
+    """Line numbers of ``yield <expr>.timeout(...)`` and ``yield
+    Timeout(...)`` (a sleep spelled as an event nobody else waits on), and,
+    outside ``sim/kernel.py``, of a store to an attribute ``now``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if (isinstance(func, ast.Attribute) and func.attr == "timeout"
+                    or isinstance(func, ast.Name) and func.id == "Timeout"):
+                yield node.lineno
+        if (path.as_posix() != "sim/kernel.py" and isinstance(node, ast.Attribute)
+                and node.attr == "now" and isinstance(node.ctx, ast.Store)):
+            yield node.lineno
+
+
+def test_a_sleep_is_a_bare_delay():
+    src = Path(repro.__file__).parent
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not list(_sleeps_as_events(path.relative_to(src), tree)), path
+
+
+def test_the_ratchet_sees_a_sleep_spelled_as_an_event():
+    seeded = ast.parse(
+        "def f(self, env):\n"
+        "    yield self.env.timeout(5)\n"
+        "    yield Timeout(env, 0.05)\n"
+        "    yield AnyOf(env, [event, env.timeout(1)])\n"
+        "    env.timeout(2).callbacks.append(deliver)\n"
+        "    yield 0.05\n"
+        "    env.now = 3.0\n"
+        "    env.now, _eid, event = heappop(env._queue)\n"
+        "    started = env.now\n")
+    assert sorted(_sleeps_as_events(Path("cloud/queues.py"), seeded)) == [2, 3, 7, 8]
+    assert sorted(_sleeps_as_events(Path("sim/kernel.py"), seeded)) == [2, 3]
 
 
 def test_ci_fault_matrix_runs_every_cell_once():

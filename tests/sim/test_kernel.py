@@ -18,7 +18,7 @@ from repro.sim import (
     Store,
     gather,
 )
-from repro.sim.kernel import NORMAL, URGENT, EmptySchedule
+from repro.sim.kernel import NORMAL, URGENT, EmptySchedule, Process, TimerTrain
 from ..helpers.stepcount import StepCounting
 
 
@@ -59,6 +59,56 @@ def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_a_nan_or_negative_delay_is_rejected_not_filed(bad):
+    """A NaN compares false both ways: filed, it would take the clock to NaN
+    and back (timeouts of 5, NaN, 1, 3, 2 fired at 1, 2, 3, NaN, 5)."""
+    env = Environment()
+    with pytest.raises(SimulationError, match="negative delay"):
+        env.timeout(bad)
+    with pytest.raises(SimulationError, match="negative delay"):
+        TimerTrain(env, [1.0, bad], [None, None], lambda value: None)
+    assert env.peek() == float("inf")
+
+
+def test_a_bare_delay_sleeps_and_resumes_with_none():
+    env = Environment()
+    log = []
+
+    def proc(env):
+        log.append(((yield 5), env.now))
+        log.append(((yield 2.5), env.now))
+        log.append(((yield 0), env.now))
+
+    env.process(proc(env))
+    env.run()
+    assert log == [(None, 5.0), (None, 7.5), (None, 7.5)]
+
+
+@pytest.mark.parametrize("delay", [-1, -0.5, float("nan")])
+def test_a_negative_or_nan_bare_delay_raises(delay):
+    env = Environment()
+    caught = []
+
+    def careful(env):
+        try:
+            yield delay
+        except SimulationError as exc:
+            caught.append((env.now, str(exc)))
+        yield 1
+
+    def careless(env):
+        yield 2
+        yield delay
+
+    env.process(careful(env))
+    env.process(careless(env))
+    with pytest.raises(SimulationError, match="negative delay"):
+        env.run()
+    assert caught == [(0.0, f"process 'careful' yielded negative delay {delay!r}")]
+    assert env.now == 2.0
 
 
 def test_process_return_value():
@@ -281,7 +331,18 @@ def test_yield_non_event_is_error():
     env = Environment()
 
     def proc(env):
-        yield 42  # type: ignore[misc]
+        yield "42"  # type: ignore[misc]
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError, match="non-event"):
+        env.run()
+
+
+def test_a_bool_is_no_delay():
+    env = Environment()
+
+    def proc(env):
+        yield True  # an int to isinstance(), but never a delay
 
     env.process(proc(env))
     with pytest.raises(SimulationError, match="non-event"):
@@ -336,14 +397,17 @@ class _OneHeapLane:
 
     def append(self, event):
         env = self.env
-        heappush(env._heap, (env._now, URGENT, next(env._eid), event))
+        heappush(env._heap, (env.now, URGENT, next(env._eid), event))
 
 
 class ReferenceEnvironment(Environment):
     """The reference scheduler: one heap ordered by (time, priority, eid).
 
     Shares every event class with the kernel; only where events wait and
-    which one fires next differ, which is what the soup below compares.
+    which one fires next differ, which is what the soup below compares.  A
+    process sleeping on a bare delay is filed at NORMAL priority, the place
+    of the ``Timeout`` it stands for, and woken with a fired timeout's
+    outcome.
     """
 
     def __init__(self):
@@ -352,7 +416,7 @@ class ReferenceEnvironment(Environment):
         self._urgent = _OneHeapLane(self)
 
     def _refile(self):
-        while self._queue:  # Timeouts push (when, eid, event) there
+        while self._queue:  # Timeouts and sleepers push (when, eid, event) there
             when, eid, event = heappop(self._queue)
             heappush(self._heap, (when, NORMAL, eid, event))
 
@@ -364,7 +428,12 @@ class ReferenceEnvironment(Environment):
         self._refile()
         if not self._heap:
             raise EmptySchedule()
-        self._now, _prio, _eid, event = heappop(self._heap)
+        self.now, prio, _eid, event = heappop(self._heap)
+        if prio == NORMAL and isinstance(event, Process):
+            woken = Event(self)
+            woken._value = None
+            event._resume(woken)
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -384,7 +453,7 @@ class ReferenceEnvironment(Environment):
                 raise SimulationError("simulation ran dry before the awaited event triggered")
             if nxt > stop_time or nxt == float("inf"):
                 if stop_time != float("inf"):
-                    self._now = stop_time
+                    self.now = stop_time
                 return None
             self.step()
 
@@ -403,15 +472,17 @@ def _counting(base):
 
 
 _DELAYS = (0, 0, 0, 1, 1, 2, 2.5, 2.5, 5)
-_ACTIONS = ("timeout", "timeout", "put", "get", "get_or_timeout", "hold",
+_ACTIONS = ("timeout", "sleep", "put", "get", "get_or_timeout", "hold",
             "succeed", "fail", "wait", "any", "all", "stall", "spawn")
 
 
-def _soup(env, seed, mode):
+def _soup(env, seed, mode, sleep="bare"):
     """Run a seeded process soup on ``env``; return what fired, in order.
 
     Every line carries the number of ``step()`` entries so far, which pins
-    each resumption and callback to its position in the firing order.
+    each resumption and callback to its position in the firing order.  A
+    ``sleep`` yields the bare delay, or with ``sleep="timeout"`` the
+    ``env.timeout`` it stands for.
     """
     rng = random.Random(seed)
     log = []
@@ -438,6 +509,8 @@ def _soup(env, seed, mode):
             try:
                 if action == "timeout":
                     note(name, n, (yield env.timeout(d1, value=d1)))
+                elif action == "sleep":
+                    note(name, n, (yield d1 if sleep == "bare" else env.timeout(d1)))
                 elif action == "put":
                     store.put((name, n))
                 elif action == "get":
@@ -528,6 +601,15 @@ def test_firing_order_matches_the_one_heap_reference(seed, mode):
     want = _soup(_counting(ReferenceEnvironment), seed, mode)
     assert got == want
     assert len(got) > 30  # the soup did run
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["dry", "times", "events"]))
+def test_a_bare_delay_fires_where_its_timeout_would(seed, mode):
+    """Same lines, instants and ``step()`` positions: a sleeper takes the
+    ``(time, eid)`` slot of the ``Timeout`` it replaces."""
+    got = _soup(_counting(Environment), seed, mode)
+    assert got == _soup(_counting(Environment), seed, mode, sleep="timeout")
 
 
 def test_soup_exercises_every_ingredient():
