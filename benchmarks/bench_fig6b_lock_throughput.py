@@ -42,7 +42,7 @@ def _run_load(cloud, kv, offered_per_s, locked):
                 done["count"] += 1
             elapsed = cloud.now - started
             if elapsed < interval:
-                yield cloud.env.timeout(interval - elapsed)
+                yield interval - elapsed
 
     start = cloud.now
     for i in range(N_CLIENTS * PIPELINE):

@@ -20,7 +20,7 @@ def _drive(cloud, send, offered_per_s, received):
         end = cloud.now + WINDOW_MS
         while cloud.now < end:
             send()
-            yield cloud.env.timeout(interval)
+            yield interval
 
     start_count = received[0]
     proc = cloud.env.process(producer())
@@ -31,7 +31,7 @@ def _drive(cloud, send, offered_per_s, received):
 
 def _counting_handler(received, per_msg_ms=1.0):
     def handler(fctx, batch):
-        yield fctx.env.timeout(per_msg_ms * len(batch))
+        yield per_msg_ms * len(batch)
         received[0] += len(batch)
         return None
     return handler

@@ -74,7 +74,7 @@ def _run_recipe_lock():
                     lost["n"] += 1
                 continue
             counts[name] += 1
-            yield env.timeout(HOLD_MS)
+            yield HOLD_MS
             yield from lock.co_release()
 
     procs = [env.process(worker(f"w{i}")) for i in range(N_CLIENTS)]
@@ -113,10 +113,10 @@ def _run_timed_lock():
             if handle is None:
                 # Try-lock semantics: no queue, no wake-up — spin.
                 retries["n"] += 1
-                yield env.timeout(10.0)
+                yield 10.0
                 continue
             counts[name] += 1
-            yield env.timeout(HOLD_MS)
+            yield HOLD_MS
             yield from lock.release(ctx, handle)
 
     procs = [env.process(worker(f"w{i}")) for i in range(N_CLIENTS)]

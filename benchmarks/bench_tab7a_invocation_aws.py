@@ -16,9 +16,9 @@ SIZES = {"64B": 0.0625, "64kB": 64.0}
 
 def _reply_handler(cloud, replies):
     def handler(fctx, payload):
-        yield fctx.env.timeout(0.1)  # empty function body
+        yield 0.1  # empty function body
         latency = cloud.profile.tcp_reply.sample(cloud.rng.stream("tcp"), 0.0)
-        yield fctx.env.timeout(latency)
+        yield latency
         replies.append(fctx.env.now)
         return None
     return handler

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..sim.kernel import Event
+from ..sim.kernel import Yield
 from .context import OpContext
 from .endpoint import StorageEndpoint
 from .expressions import clone, item_size_kb
@@ -49,13 +49,13 @@ class InMemoryCache(StorageEndpoint):
         """Destroy every key in place, as a lost VM does."""
         self._data.clear()
 
-    def set(self, ctx: OpContext, key: str, value: Any) -> Generator[Event, Any, None]:
+    def set(self, ctx: OpContext, key: str, value: Any) -> Generator[Yield, Any, None]:
         fault = None if self.faults is None else (yield from self._fault("set", True, key))
         yield self._latency(ctx, self.profile.cache_rw, self._size_kb(value))
         self._data[key] = clone(value)
         self._reply(fault)
 
-    def get(self, ctx: OpContext, key: str) -> Generator[Event, Any, Optional[Any]]:
+    def get(self, ctx: OpContext, key: str) -> Generator[Yield, Any, Optional[Any]]:
         if self.faults is not None:
             yield from self._fault("get", False, key)
         value = self._data.get(key)
@@ -63,7 +63,7 @@ class InMemoryCache(StorageEndpoint):
         value = self._data.get(key)
         return clone(value)
 
-    def delete(self, ctx: OpContext, key: str) -> Generator[Event, Any, None]:
+    def delete(self, ctx: OpContext, key: str) -> Generator[Yield, Any, None]:
         fault = None if self.faults is None else (yield from self._fault("delete", True, key))
         yield self._latency(ctx, self.profile.cache_rw, 0.0)
         self._data.pop(key, None)

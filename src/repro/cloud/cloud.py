@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment, Yield
 from ..sim.rng import RngRegistry
 from .cache import InMemoryCache
 from .calibration import CloudProfile, aws_profile, gcp_profile
@@ -126,7 +126,7 @@ class Cloud:
     def run(self, until: Optional[float] = None) -> None:
         self.env.run(until=until)
 
-    def run_process(self, generator: Generator[Event, Any, Any],
+    def run_process(self, generator: Generator[Yield, Any, Any],
                     name: Optional[str] = None) -> Any:
         """Run a generator to completion, returning its value (sync facade)."""
         proc = self.env.process(generator, name=name)

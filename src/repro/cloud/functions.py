@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
-from ..sim.kernel import Environment, Event, Process
+from ..sim.kernel import Environment, Process, Yield
 from .calibration import CloudProfile, io_multiplier
 from .context import OpContext
 from .errors import REDELIVERED, FunctionCrash
@@ -51,7 +51,7 @@ class FunctionSpec:
     """Deployment-time configuration of one function."""
 
     name: str
-    handler: Callable[["FunctionContext", Any], Generator[Event, Any, Any]]
+    handler: Callable[["FunctionContext", Any], Generator[Yield, Any, Any]]
     memory_mb: int = 2048
     arch: str = "x86"            # "x86" | "arm"
     cpu_alloc: float = 1.0       # GCP: vCPU fraction, independent of memory

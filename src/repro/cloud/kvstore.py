@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment, Yield
 from ..sim.resources import TokenBucketLimiter
 from . import sanitize
 from .context import OpContext
@@ -324,7 +324,7 @@ class KeyValueStore(StorageEndpoint):
         table_name: str,
         key: str,
         consistent: bool = True,
-    ) -> Generator[Event, Any, Optional[Dict[str, Any]]]:
+    ) -> Generator[Yield, Any, Optional[Dict[str, Any]]]:
         """Read one item; returns the stored (frozen) image or None.
 
         Eventually-consistent reads may return the previous version of a
@@ -359,7 +359,7 @@ class KeyValueStore(StorageEndpoint):
         attributes: Dict[str, Any],
         condition: Optional[Condition] = None,
         token: Optional[str] = None,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Yield, Any, None]:
         """Full-item write, optionally conditional.
 
         ``token`` (DynamoDB ``ClientRequestToken``) makes the write
@@ -402,7 +402,7 @@ class KeyValueStore(StorageEndpoint):
         payload_kb: float = 0.0,
         latency_model=None,
         token: Optional[str] = None,
-    ) -> Generator[Event, Any, Dict[str, Any]]:
+    ) -> Generator[Yield, Any, Dict[str, Any]]:
         """Atomically apply update actions iff ``condition`` holds.
 
         Returns the new (frozen) image.  ``atomic_hint`` selects the
@@ -459,7 +459,7 @@ class KeyValueStore(StorageEndpoint):
         key: str,
         condition: Optional[Condition] = None,
         token: Optional[str] = None,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Yield, Any, None]:
         if self._sanitized:
             sanitize.check_mutation("delete_item", table_name, key,
                                     condition=condition)
@@ -485,7 +485,7 @@ class KeyValueStore(StorageEndpoint):
         ctx: OpContext,
         ops: Sequence[tuple],
         token: Optional[str] = None,
-    ) -> Generator[Event, Any, List[Dict[str, Any]]]:
+    ) -> Generator[Yield, Any, List[Dict[str, Any]]]:
         """Atomic multi-item conditional update (DynamoDB transactions).
 
         ``ops`` is a sequence of ``(table, key, updates, condition)`` tuples.
@@ -548,7 +548,7 @@ class KeyValueStore(StorageEndpoint):
         segment: int = 0,
         total_segments: int = 1,
         projection: Optional[Sequence[str]] = None,
-    ) -> Generator[Event, Any, Dict[str, Dict[str, Any]]]:
+    ) -> Generator[Yield, Any, Dict[str, Dict[str, Any]]]:
         """Scan one segment of a table: bills one read per 4 kB of its data.
 
         ``segment``/``total_segments`` select one slice of a DynamoDB-style
@@ -595,7 +595,7 @@ class KeyValueStore(StorageEndpoint):
         table_name: str,
         items: Dict[str, Dict[str, Any]],
         token: Optional[str] = None,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Yield, Any, None]:
         """Batch full-item write (DynamoDB ``BatchWriteItem``): one round
         trip's latency for the whole batch, per-item billing, capacity and
         stream emission.  Unconditional puts only — the batched

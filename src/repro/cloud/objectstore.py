@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim.kernel import Event
+from ..sim.kernel import Yield
 from .context import OpContext
 from .endpoint import StorageEndpoint
 from .errors import NoSuchBucket, NoSuchObject
@@ -76,7 +76,7 @@ class ObjectStore(StorageEndpoint):
         key: str,
         payload: Any,
         metadata: Optional[Dict[str, Any]] = None,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Yield, Any, None]:
         """Whole-object write (there is no partial-update path, Req. #6)."""
         objects = self._bucket(bucket)
         fault = None if self.faults is None else (
@@ -95,7 +95,7 @@ class ObjectStore(StorageEndpoint):
         ctx: OpContext,
         bucket: str,
         key: str,
-    ) -> Generator[Event, Any, tuple[Any, Dict[str, Any]]]:
+    ) -> Generator[Yield, Any, tuple[Any, Dict[str, Any]]]:
         """Strongly consistent read; raises :class:`NoSuchObject` if absent."""
         objects = self._bucket(bucket)
         if self.faults is not None:
@@ -115,7 +115,7 @@ class ObjectStore(StorageEndpoint):
         ctx: OpContext,
         bucket: str,
         key: str,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Yield, Any, None]:
         objects = self._bucket(bucket)
         fault = None if self.faults is None else (
             yield from self._fault("delete_object", True, f"{bucket}/{key}"))

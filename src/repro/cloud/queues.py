@@ -28,7 +28,7 @@ from functools import cached_property
 from random import Random
 from typing import Any, Callable, Generator, List, Optional
 
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment, Yield
 from ..sim.resources import Store
 from ..sim.rng import RngRegistry
 from .calibration import CloudProfile
@@ -154,12 +154,12 @@ class _QueueBase:
         self._buffer.put(msg)
 
     def send(self, ctx: OpContext, body: Any, group: str = "default",
-             size_kb: float = 0.0) -> Generator[Event, Any, int]:
+             size_kb: float = 0.0) -> Generator[Yield, Any, int]:
         """Enqueue; returns the monotone sequence number (txid source)."""
         return boundary(ctx, "send", self._send(ctx, body, group, size_kb))
 
     def _send(self, ctx: OpContext, body: Any, group: str,
-              size_kb: float) -> Generator[Event, Any, int]:
+              size_kb: float) -> Generator[Yield, Any, int]:
         if self._buffer is None:
             raise NoSuchQueue(self.name)
         self._check_size(size_kb)

@@ -68,7 +68,7 @@ import itertools
 from collections import deque
 from heapq import heappop, heappush
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Environment",
@@ -81,6 +81,7 @@ __all__ = [
     "gather",
     "SimulationError",
     "ReentrantRunError",
+    "Yield",
 ]
 
 
@@ -179,6 +180,10 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+#: What a process may yield: an event to wait on, or a bare delay to sleep.
+Yield = Union[Event, float]
+
+
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
@@ -264,17 +269,6 @@ class TimerTrain:
                 self._schedule()
 
 
-class _Woken:
-    """The outcome a sleeping process is resumed with, shared by all."""
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_WOKEN = _Woken()
-
-
 class Initialize(Event):
     """Internal: starts a freshly created process at the current instant."""
 
@@ -307,7 +301,7 @@ class Process(Event):
     def __init__(
         self,
         env: "Environment",
-        generator: Generator[Event, Any, Any],
+        generator: Generator[Yield, Any, Any],
         name: Optional[str] = None,
     ) -> None:
         if type(generator) is not GeneratorType and not hasattr(generator, "throw"):
@@ -340,7 +334,7 @@ class Process(Event):
                 self._value = exc.value if self._ok else exc
                 break
 
-            if type(next_ev) in (float, int):  # a bare delay; a bool is none
+            if type(next_ev) is float or type(next_ev) is int:  # a bool is no delay
                 if next_ev >= 0:
                     # Sleep on the heap, in the slot a Timeout would take.
                     heappush(env._queue, (env.now + next_ev, next(env._eid), self))
@@ -429,8 +423,8 @@ class AllOf(Condition):
         super().__init__(env, events, need_all=True)
 
 
-def gather(env: "Environment", work: Iterable[Generator[Event, Any, Any]]
-           ) -> Generator[Event, Any, list]:
+def gather(env: "Environment", work: Iterable[Generator[Yield, Any, Any]]
+           ) -> Generator[Yield, Any, list]:
     """Run the generators of ``work`` concurrently; returns their values in
     member order, raises the first failure.  Two or more members are spawned
     and awaited through :class:`AllOf`; a single one has nobody to race and
@@ -456,12 +450,17 @@ class Environment:
         #: only the kernel writes it.
         self.now = float(initial_time)
         self._urgent: deque[Event] = deque()  # wakeup lane, all at ``now``
-        self._queue: list[tuple[float, int, Any]] = []  # Timeouts and TimerTrains
+        # Timeouts, TimerTrains and sleeping Processes, by ``(time, eid)``
+        self._queue: list[tuple[float, int, Any]] = []
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
         #: ``run()``'s time bound while it runs: how far a timer train may
         #: fire inline.  Outside ``run()`` a bare ``step()`` fires one element.
         self._horizon = -_INF
+        #: What every sleeper is resumed with: an event fired with ``None``.
+        self._woken = woken = Event(self)
+        woken.callbacks = None
+        woken._value = None
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -474,7 +473,7 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
+    def process(self, generator: Generator[Yield, Any, Any], name: Optional[str] = None) -> Process:
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -497,7 +496,7 @@ class Environment:
             except IndexError:
                 raise EmptySchedule() from None
             if type(event) is Process:  # a sleeper whose delay elapsed
-                event._resume(_WOKEN)
+                event._resume(self._woken)
                 return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:

@@ -31,8 +31,8 @@ And the kernel's process rule: a process is for concurrency, so no trigger
 spawns an invocation it waits for at once and no stage hand-writes a
 "spawn N, wait for all" where ``gather`` runs a lone member itself.  And
 its sleep rule: a process that only sleeps yields the bare delay, so no
-module yields a fresh ``Timeout`` for it, and only the kernel moves the
-clock.
+module of the package or the benchmarks yields a fresh ``Timeout`` for it,
+and only the kernel moves the clock.
 And determinism (FK001): every published number replays from its seed, so
 the service, the cloud models, the examples and the benchmarks read no
 wall clock and no process-global RNG; the linter package that once held
@@ -538,9 +538,10 @@ def _sleeps_as_events(path, tree):
 
 def test_a_sleep_is_a_bare_delay():
     src = Path(repro.__file__).parent
-    for path in src.rglob("*.py"):
+    for path in [*src.rglob("*.py"), *(ROOT / "benchmarks").rglob("*.py")]:
         tree = ast.parse(path.read_text())
-        assert not list(_sleeps_as_events(path.relative_to(src), tree)), path
+        where = path.relative_to(src) if path.is_relative_to(src) else path
+        assert not list(_sleeps_as_events(where, tree)), path
 
 
 def test_the_ratchet_sees_a_sleep_spelled_as_an_event():

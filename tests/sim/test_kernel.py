@@ -472,7 +472,7 @@ def _counting(base):
 
 
 _DELAYS = (0, 0, 0, 1, 1, 2, 2.5, 2.5, 5)
-_ACTIONS = ("timeout", "sleep", "put", "get", "get_or_timeout", "hold",
+_ACTIONS = ("timeout", "timeout", "sleep", "put", "get", "get_or_timeout", "hold",
             "succeed", "fail", "wait", "any", "all", "stall", "spawn")
 
 
@@ -510,7 +510,7 @@ def _soup(env, seed, mode, sleep="bare"):
                 if action == "timeout":
                     note(name, n, (yield env.timeout(d1, value=d1)))
                 elif action == "sleep":
-                    note(name, n, (yield d1 if sleep == "bare" else env.timeout(d1)))
+                    note(name, n, ("slept", (yield d1 if sleep == "bare" else env.timeout(d1))))
                 elif action == "put":
                     store.put((name, n))
                 elif action == "get":
@@ -619,7 +619,7 @@ def test_soup_exercises_every_ingredient():
         for mode in ("dry", "times", "events"):
             for _steps, _now, _who, what, value in _soup(_counting(Environment), seed, mode):
                 seen.update((what, value.split(",")[0]))
-    assert {"'stalled'", "('failed'", "'acquired'", """["'late'"]""", "('tick'",
+    assert {"'stalled'", "('failed'", "'acquired'", """["'late'"]""", "('tick'", "('slept'",
             "fired", "surfaced", "stopped", "dry", "ran"} <= seen
 
 
