@@ -24,8 +24,6 @@ class InMemoryCache(StorageEndpoint):
     """A flat key -> value store with Redis-like latency."""
 
     stream = "cache"
-    #: The region penalty of a cache round trip has no per-kB term.
-    region_per_kb = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

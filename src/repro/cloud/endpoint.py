@@ -32,8 +32,6 @@ class StorageEndpoint:
 
     #: Prefix of the endpoint's latency RNG stream, ``<stream>:<label>@<region>``.
     stream = ""
-    #: Whether the inter-region penalty grows with the payload (per kB).
-    region_per_kb = True
 
     def __init__(self, env: Environment, profile: CloudProfile,
                  meter: CostMeter, rng, region: str,
@@ -82,8 +80,7 @@ class StorageEndpoint:
         value = (model.sample(self.rng, size_kb) + extra_ms) * ctx.io_mult
         if ctx.region is not None and ctx.region != self.region:
             value += self.profile.inter_region_extra_ms
-            if self.region_per_kb:
-                value += self.profile.inter_region_per_kb_ms * size_kb
+            value += self.profile.inter_region_per_kb_ms * size_kb
         return value
 
     def _charge(self, ctx: OpContext, category: str, usd: float) -> None:

@@ -22,8 +22,8 @@ the construction is type-checked.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+import operator
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Attr",
@@ -50,11 +50,39 @@ __all__ = [
 ]
 
 
+class _Expr:
+    """Value semantics for conditions and actions: equal (and hashed) by
+    type and fields, shown as ``Name(field=value, ...)``.  Plain
+    ``__slots__`` classes, since one is built for every storage call."""
+
+    __slots__ = ()
+    #: The constructor's arguments; the slots derived from them are not fields.
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Expr) and type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
 # --------------------------------------------------------------------------
 # Conditions
 # --------------------------------------------------------------------------
-class Condition:
+class Condition(_Expr):
     """Base condition; supports ``&``, ``|`` and ``~`` composition."""
+
+    __slots__ = ()
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         raise NotImplementedError
@@ -69,35 +97,40 @@ class Condition:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class Always(Condition):
     """Unconditional (used when no condition is supplied)."""
+
+    __slots__ = ()
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         return True
 
 
-@dataclass(frozen=True)
 class And(Condition):
-    left: Condition
-    right: Condition
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Condition, right: Condition) -> None:
+        self.left, self.right = left, right
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         return self.left.evaluate(item) and self.right.evaluate(item)
 
 
-@dataclass(frozen=True)
 class Or(Condition):
-    left: Condition
-    right: Condition
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Condition, right: Condition) -> None:
+        self.left, self.right = left, right
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         return self.left.evaluate(item) or self.right.evaluate(item)
 
 
-@dataclass(frozen=True)
 class Not(Condition):
-    inner: Condition
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Condition) -> None:
+        self.inner = inner
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         return not self.inner.evaluate(item)
@@ -106,68 +139,70 @@ class Not(Condition):
 _MISSING = object()
 
 
-def _get(item: Optional[Dict[str, Any]], path: str) -> Any:
-    """Resolve a dotted attribute path; returns _MISSING when absent."""
+def _get(item: Optional[Dict[str, Any]], parts: List[str]) -> Any:
+    """Resolve a split attribute path; returns _MISSING when absent."""
     if item is None:
         return _MISSING
     node: Any = item
-    for part in path.split("."):
+    for part in parts:
         if not isinstance(node, dict) or part not in node:
             return _MISSING
         node = node[part]
     return node
 
 
-@dataclass(frozen=True)
+_COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 class _Compare(Condition):
-    path: str
-    op: str
-    value: Any
+    __slots__ = ("path", "op", "value", "_parts", "_fn")
+    _fields = ("path", "op", "value")
+
+    def __init__(self, path: str, op: str, value: Any) -> None:
+        fn = _COMPARISONS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown comparison {op!r}")
+        self.path, self.op, self.value = path, op, value
+        self._parts, self._fn = path.split("."), fn
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
-        current = _get(item, self.path)
-        if current is _MISSING:
-            return False
-        if self.op == "==":
-            return current == self.value
-        if self.op == "!=":
-            return current != self.value
-        if self.op == "<":
-            return current < self.value
-        if self.op == "<=":
-            return current <= self.value
-        if self.op == ">":
-            return current > self.value
-        if self.op == ">=":
-            return current >= self.value
-        raise ValueError(f"unknown comparison {self.op!r}")  # pragma: no cover
+        current = _get(item, self._parts)
+        return current is not _MISSING and self._fn(current, self.value)
 
 
-@dataclass(frozen=True)
 class _ItemExists(Condition):
     """True iff the item itself exists (any attributes)."""
+
+    __slots__ = ()
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
         return item is not None
 
 
-@dataclass(frozen=True)
 class _Exists(Condition):
-    path: str
-    exists: bool
+    __slots__ = ("path", "exists", "_parts")
+    _fields = ("path", "exists")
+
+    def __init__(self, path: str, exists: bool) -> None:
+        self.path, self.exists, self._parts = path, exists, path.split(".")
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
-        present = _get(item, self.path) is not _MISSING
+        present = _get(item, self._parts) is not _MISSING
         return present == self.exists
 
 
-@dataclass(frozen=True)
 class _Contains(Condition):
-    path: str
-    value: Any
+    __slots__ = ("path", "value", "_parts")
+    _fields = ("path", "value")
+
+    def __init__(self, path: str, value: Any) -> None:
+        self.path, self.value, self._parts = path, value, path.split(".")
 
     def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
-        current = _get(item, self.path)
+        current = _get(item, self._parts)
         if current is _MISSING:
             return False
         try:
@@ -230,7 +265,7 @@ def item_exists() -> Condition:
 # --------------------------------------------------------------------------
 # Update actions
 # --------------------------------------------------------------------------
-class UpdateAction:
+class UpdateAction(_Expr):
     """Base update action.
 
     ``apply`` assigns into the *top level* of ``item`` and nowhere deeper:
@@ -239,154 +274,193 @@ class UpdateAction:
     ``new = dict(old); action.apply(new)`` the two share every untouched
     attribute and ``old`` is exactly what it was — the copy-on-write step
     the key-value store's image discipline rests on.
+
+    ``apply`` returns the exact bytes the item grew by (negative when it
+    shrank): the size delta of the one leaf it sets, appends to, removes
+    or pops from, plus the name and container bytes of each map it creates
+    on the way to a dotted path.  Sizes are additive (a map is its container
+    bytes plus its names and values, a list its container bytes plus its
+    elements), so the deltas sum to exactly what a full walk would.
     """
 
-    path: str
+    __slots__ = ("path", "_parts")
+    _fields = ("path",)
 
-    def apply(self, item: Dict[str, Any]) -> None:
+    def __init__(self, path: str) -> None:
+        self.path, self._parts = path, path.split(".")
+
+    def apply(self, item: Dict[str, Any]) -> int:
         raise NotImplementedError
 
 
-def _set_path(item: Dict[str, Any], path: str, value: Any) -> None:
-    if "." not in path:
-        item[path] = value
-        return
-    *parents, last = path.split(".")
-    node = item
-    for part in parents:
+def _put(item: Dict[str, Any], parts: List[str], value: Any) -> int:
+    """Assign ``value`` at the split path, path-copying the maps on the way
+    (the old ones may be shared) and creating the missing ones; returns the
+    bytes of what that added besides the value: each created map's name and
+    container, and the leaf's name when the leaf is new."""
+    node, added = item, 0
+    for part in parts[:-1]:
         child = node.get(part, _MISSING)
         if child is _MISSING:
             child = {}
+            added += _value_size_bytes(part) + _CONTAINER_BYTES
         elif isinstance(child, dict):
-            child = dict(child)  # path copy: the old map may be shared
+            child = dict(child)
         else:
             raise TypeError(f"cannot descend into non-map attribute {part!r}")
         node[part] = child
         node = child
+    last = parts[-1]
+    if last not in node:
+        added += _value_size_bytes(last)
     node[last] = value
+    return added
 
 
-def _del_path(item: Dict[str, Any], path: str) -> None:
-    head, _, last = path.rpartition(".")
-    if not head:
-        item.pop(last, None)
-        return
-    parent = _get(item, head)
-    if isinstance(parent, dict) and last in parent:
-        parent = dict(parent)
-        del parent[last]
-        _set_path(item, head, parent)
+def _swap_bytes(old: Any, new: Any) -> int:
+    """Bytes a leaf grows by when ``new`` replaces ``old`` (_MISSING: none)."""
+    if old is _MISSING:
+        return _value_size_bytes(new)
+    if type(old) is type(new) and type(new) in _FIXED_BYTES:
+        return 0
+    return _value_size_bytes(new) - _value_size_bytes(old)
 
 
-@dataclass(frozen=True)
 class Set(UpdateAction):
-    path: str
-    value: Any
+    __slots__ = ("value",)
+    _fields = ("path", "value")
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        _set_path(item, self.path, clone(self.value))
+    def __init__(self, path: str, value: Any) -> None:
+        self.path, self._parts, self.value = path, path.split("."), value
 
-
-@dataclass(frozen=True)
-class SetIfNotExists(UpdateAction):
-    path: str
-    value: Any
-
-    def apply(self, item: Dict[str, Any]) -> None:
-        if _get(item, self.path) is _MISSING:
-            _set_path(item, self.path, clone(self.value))
+    def apply(self, item: Dict[str, Any]) -> int:
+        old, value = _get(item, self._parts), clone(self.value)
+        return _put(item, self._parts, value) + _swap_bytes(old, value)
 
 
-@dataclass(frozen=True)
+class SetIfNotExists(Set):
+    __slots__ = ()
+
+    def apply(self, item: Dict[str, Any]) -> int:
+        if _get(item, self._parts) is not _MISSING:
+            return 0
+        value = clone(self.value)
+        return _put(item, self._parts, value) + _value_size_bytes(value)
+
+
 class Add(UpdateAction):
     """Atomic numeric add (DynamoDB ``ADD``); missing attribute counts as 0."""
 
-    path: str
-    delta: float
+    __slots__ = ("delta",)
+    _fields = ("path", "delta")
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        current = _get(item, self.path)
-        base = 0 if current is _MISSING else current
+    def __init__(self, path: str, delta: float) -> None:
+        self.path, self._parts, self.delta = path, path.split("."), delta
+
+    def apply(self, item: Dict[str, Any]) -> int:
+        old = _get(item, self._parts)
+        base = 0 if old is _MISSING else old
         if not isinstance(base, (int, float)):
             raise TypeError(f"ADD on non-numeric attribute {self.path!r}")
-        _set_path(item, self.path, base + self.delta)
+        new = base + self.delta
+        return _put(item, self._parts, new) + _swap_bytes(old, new)
 
 
-@dataclass(frozen=True)
 class Remove(UpdateAction):
-    path: str
+    __slots__ = ()
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        _del_path(item, self.path)
+    def apply(self, item: Dict[str, Any]) -> int:
+        parts = self._parts
+        last = parts[-1]
+        parent = item if len(parts) == 1 else _get(item, parts[:-1])
+        if not isinstance(parent, dict) or last not in parent:
+            return 0
+        if parent is not item:
+            parent = dict(parent)  # path copy: the old map may be shared
+            _put(item, parts[:-1], parent)
+        return -(_value_size_bytes(last) + _value_size_bytes(parent.pop(last)))
 
 
-@dataclass(frozen=True)
+def _list_at(item: Dict[str, Any], action: UpdateAction) -> Any:
+    """The list under the action's path, or _MISSING; anything else there
+    raises, as DynamoDB's list operations reject a non-list attribute."""
+    current = _get(item, action._parts)
+    if current is not _MISSING and not isinstance(current, list):
+        raise TypeError(f"list operation on non-list attribute {action.path!r}")
+    return current
+
+
 class ListAppend(UpdateAction):
     """Append values to a list attribute, creating it when missing."""
 
-    path: str
-    values: Tuple[Any, ...]
+    __slots__ = ("values",)
+    _fields = ("path", "values")
 
     def __init__(self, path: str, values: Iterable[Any]) -> None:
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "values", tuple(values))
+        self.path, self._parts, self.values = path, path.split("."), tuple(values)
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        current = _get(item, self.path)
-        base = [] if current is _MISSING else list(current)
-        base.extend(clone(v) for v in self.values)
-        _set_path(item, self.path, base)
+    def apply(self, item: Dict[str, Any]) -> int:
+        current = _list_at(item, self)
+        added = [clone(v) for v in self.values]
+        grown = sum(map(_value_size_bytes, added))
+        if current is _MISSING:
+            current, grown = [], grown + _CONTAINER_BYTES
+        return _put(item, self._parts, current + added) + grown
 
 
 class ListAdd(ListAppend):
     """Append only the values the list does not hold yet — DynamoDB ``ADD``
     on a string set, kept in first-added order."""
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        current = _get(item, self.path)
-        base = [] if current is _MISSING else list(current)
+    __slots__ = ()
+
+    def apply(self, item: Dict[str, Any]) -> int:
+        current = _list_at(item, self)
+        base, grown = ([], _CONTAINER_BYTES) if current is _MISSING else (list(current), 0)
         for v in self.values:
             if v not in base:
-                base.append(clone(v))
-        _set_path(item, self.path, base)
+                v = clone(v)
+                base.append(v)
+                grown += _value_size_bytes(v)
+        return _put(item, self._parts, base) + grown
 
 
-@dataclass(frozen=True)
-class ListRemove(UpdateAction):
+class ListRemove(ListAppend):  # for its (path, values) constructor
     """Remove (first occurrences of) the given values from a list attribute."""
 
-    path: str
-    values: Tuple[Any, ...]
+    __slots__ = ()
 
-    def __init__(self, path: str, values: Iterable[Any]) -> None:
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "values", tuple(values))
-
-    def apply(self, item: Dict[str, Any]) -> None:
-        current = _get(item, self.path)
+    def apply(self, item: Dict[str, Any]) -> int:
+        current = _list_at(item, self)
         if current is _MISSING:
-            return
-        base = list(current)
+            return 0
+        base, shrunk = list(current), 0
         for v in self.values:
-            try:
-                base.remove(v)
+            try:  # the element removed may differ in size from ``v`` (1 == True)
+                shrunk += _value_size_bytes(base.pop(base.index(v)))
             except ValueError:
                 pass
-        _set_path(item, self.path, base)
+        _put(item, self._parts, base)
+        return -shrunk
 
 
-@dataclass(frozen=True)
 class ListPopHead(UpdateAction):
     """Drop the first ``count`` elements of a list attribute (queue pop)."""
 
-    path: str
-    count: int = 1
+    __slots__ = ("count",)
+    _fields = ("path", "count")
 
-    def apply(self, item: Dict[str, Any]) -> None:
-        current = _get(item, self.path)
+    def __init__(self, path: str, count: int = 1) -> None:
+        if count < 0:
+            raise ValueError(f"cannot pop a negative count ({count}) off {path!r}")
+        self.path, self._parts, self.count = path, path.split("."), count
+
+    def apply(self, item: Dict[str, Any]) -> int:
+        current = _list_at(item, self)
         if current is _MISSING:
-            return
-        _set_path(item, self.path, list(current)[self.count:])
+            return 0
+        _put(item, self._parts, current[self.count:])
+        return -sum(map(_value_size_bytes, current[:self.count]))
 
 
 def apply_updates(item: Dict[str, Any], updates: Sequence[UpdateAction]) -> Dict[str, Any]:
@@ -402,25 +476,17 @@ def updated_image(image: Optional[Dict[str, Any]], size_bytes: int,
 
     ``image`` (of ``size_bytes``; None/empty starts from ``{}``) is left
     untouched and shares every attribute the actions do not name.  The
-    size is the old one plus the byte delta of the touched top-level
-    attributes — the same integer a full :func:`item_size_bytes` walk of
-    the result returns, without walking what did not change: a name only
-    when it comes or goes, a fixed-size scalar replaced by one of its own
-    type not at all.
+    size is the old one plus the delta of the leaves the update changed,
+    as each action reports it — the same integer a full
+    :func:`item_size_bytes` walk of the result returns, without walking
+    what did not change: joining a watch instance sizes the one session
+    name it appends, not the list it appends to.
     """
     if not image:
         image, size_bytes = {}, _CONTAINER_BYTES
-    new = apply_updates(dict(image), updates)
-    for name in {action.path.partition(".")[0] for action in updates}:
-        before, after = image.get(name, _MISSING), new.get(name, _MISSING)
-        if before is after or (type(before) is type(after) and type(after) in _FIXED_BYTES):
-            continue  # a no-op, or a fixed-size scalar replaced by its own kind
-        if before is _MISSING:
-            size_bytes += _value_size_bytes(name) + _value_size_bytes(after)
-        elif after is _MISSING:
-            size_bytes -= _value_size_bytes(name) + _value_size_bytes(before)
-        else:
-            size_bytes += _value_size_bytes(after) - _value_size_bytes(before)
+    new = dict(image)
+    for action in updates:
+        size_bytes += action.apply(new)
     return new, size_bytes
 
 

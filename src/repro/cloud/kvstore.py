@@ -32,10 +32,11 @@ dict of a call) and update operand — plus the rare ``ConditionFailed.item``
 and stream-record images when read.  Because images are frozen, an item's
 billable size is a stored fact, not a walk: walked once, at the copy-in
 (:func:`~repro.cloud.expressions.clone_sized`), or derived in exact integer
-bytes from the previous size plus the delta of the attributes an update
-touched — so latency and billing see the same floats a full walk would
-give.  Likewise a parallel-scan segment is a stored key set, kept on insert
-and delete, not a walk of the table.  ``FK_SANITIZE=1`` checks all three.
+bytes from the previous size plus the delta of the leaves an update changed
+(the one session name a watch join appends, not the list it joins) — so
+latency and billing see the same floats a full walk would give.  Likewise
+a parallel-scan segment is a stored key set, kept on insert and delete,
+not a walk of the table.  ``FK_SANITIZE=1`` checks all three.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class ClientReadCache:
 
     @staticmethod
     def _key(path: str, wtype: WatchType) -> CacheKey:
-        return (path, wtype.value)
+        return (path, wtype._value_)  # ``.value`` is a descriptor call
 
     # ------------------------------------------------------------ reads
     def lookup(self, path: str, wtype: WatchType,
@@ -142,7 +142,7 @@ class ClientReadCache:
         read observes the write (read-your-writes through the cache)."""
         dropped = 0
         for wtype in WatchType:
-            if self._drop((path, wtype.value)):
+            if self._drop((path, wtype._value_)):
                 dropped += 1
         self.invalidations += dropped
         return dropped

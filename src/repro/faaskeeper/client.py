@@ -663,7 +663,7 @@ class FaaSKeeperClient:
                         callback: Optional[Callable]) -> Generator:
         wid = yield from self.service.watch_registry.register(
             self.ctx, path, wtype, self.session_id)
-        self._watch_ids[(path, wtype.value)] = wid
+        self._watch_ids[(path, wtype._value_)] = wid
         self._registered.setdefault(wid, []).append(callback)
         return wid
 
@@ -673,7 +673,7 @@ class FaaSKeeperClient:
         previous cache miss whose entry was evicted), reuse it instead of
         appending the session to the instance again — one notification per
         session per instance, and no extra storage write."""
-        wid = self._watch_ids.get((path, wtype.value))
+        wid = self._watch_ids.get((path, wtype._value_))
         if wid is not None and wid in self._registered \
                 and wid not in self._delivered:
             return wid

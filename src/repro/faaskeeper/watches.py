@@ -180,16 +180,17 @@ class WatchRegistry:
     def register(self, ctx: OpContext, path: str, wtype: WatchType,
                  session: str) -> Generator[Any, Any, str]:
         """Join (creating if needed) the watch instance; returns its id."""
-        candidate = f"w{next(self._uid)}|{path}|{wtype.value}"
+        kind = wtype._value_  # not ``.value``: its descriptor costs a call
+        candidate = f"w{next(self._uid)}|{path}|{kind}"
         image = yield from self.store.update_item(
             ctx, SYSTEM_WATCHES, path,
             updates=[
-                SetIfNotExists(f"inst.{wtype.value}.id", candidate),
-                ListAdd(f"inst.{wtype.value}.sessions", [session]),
+                SetIfNotExists(f"inst.{kind}.id", candidate),
+                ListAdd(f"inst.{kind}.sessions", [session]),
             ],
             payload_kb=0.064,
         )
-        return image["inst"][wtype.value]["id"]
+        return image["inst"][kind]["id"]
 
     def query(self, ctx: OpContext, path: str
               ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:

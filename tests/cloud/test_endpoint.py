@@ -10,12 +10,16 @@ one read and one mutator meet it:
 * a timeout burns ``FAULT_TIMEOUT_MS`` and then leaves nothing applied;
 * a partial write applies the mutation and then loses the reply;
 * a read cannot partial-write: it degrades to the dropped connection.
+
+A read from another region pays one penalty rule at every store.
 """
 
 import random
 
 import pytest
 
+from repro.cloud import Cloud
+from repro.cloud.context import OpContext
 from repro.cloud.errors import ConnectionReset, StorageTimeout, ThrottlingError
 from repro.cloud.faults import FAULT_KINDS, FAULT_TIMEOUT_MS, FaultInjector
 from repro.faaskeeper.userstore import MemBackend
@@ -83,3 +87,38 @@ def test_a_fault_fails_the_round_trip_the_same_way_at_every_endpoint(
         assert cloud.now > t0
     store.faults = None
     assert (cloud.run_process(read()) == written) == (drawn == "partial_write")
+
+
+def _read_64kb_ms(endpoint, region):
+    """Virtual ms one read of a stored 64 kB value takes, called from
+    ``region`` (None: the store's own)."""
+    cloud = Cloud.aws(seed=1234)
+    local, caller, big = OpContext(), OpContext(region=region), b"x" * 65536
+    if endpoint == "kvstore":
+        store = cloud.kv("dynamodb:test")
+        store.create_table("t")
+        cloud.run_process(store.put_item(local, "t", "k", {"v": big}))
+        read = store.get_item(caller, "t", "k")
+    elif endpoint == "objectstore":
+        store = cloud.objectstore("s3")
+        store.create_bucket("b")
+        cloud.run_process(store.put_object(local, "b", "k", big, {}))
+        read = store.get_object(caller, "b", "k")
+    else:
+        store = cloud.cache("redis")
+        cloud.run_process(store.set(local, "k", big))
+        read = store.get(caller, "k")
+    t0 = cloud.now
+    cloud.run_process(read)
+    return cloud.now - t0
+
+
+def test_a_remote_read_pays_the_same_transfer_term_at_every_store():
+    """One inter-region rule: the fixed penalty plus ``inter_region_per_kb_ms``
+    per kB moved, whichever store holds the 64 kB (``mem`` has a fixed
+    latency and no region)."""
+    profile = Cloud.aws().profile
+    for endpoint in ("kvstore", "objectstore", "cache"):
+        penalty = _read_64kb_ms(endpoint, "eu-central-1") - _read_64kb_ms(endpoint, None)
+        assert penalty - profile.inter_region_extra_ms == pytest.approx(
+            profile.inter_region_per_kb_ms * 64, rel=0.01), endpoint

@@ -11,12 +11,14 @@ from repro.cloud.expressions import (
     Add,
     Always,
     Attr,
+    ListAdd,
     ListAppend,
     ListPopHead,
     ListRemove,
     Remove,
     Set,
     SetIfNotExists,
+    _Compare,
     _value_size_bytes,
     apply_updates,
     clone,
@@ -144,6 +146,34 @@ def test_list_pop_head():
     assert item["q"] == []
 
 
+@pytest.mark.parametrize("current", ["abc", {"a": 1}, 5])
+@pytest.mark.parametrize("action", [ListAppend("q", ["d"]), ListAdd("q", ["d"]),
+                                    ListRemove("q", ["a"]), ListPopHead("q", 1)])
+def test_a_list_action_rejects_a_non_list_attribute(action, current):
+    """As DynamoDB's ``list_append`` does: a string is not spread into its
+    characters, nor a map into its keys."""
+    with pytest.raises(TypeError, match="non-list"):
+        apply_updates({"q": current}, [action])
+
+
+def test_a_negative_pop_is_rejected_at_construction():
+    with pytest.raises(ValueError):
+        ListPopHead("q", -1)
+
+
+def test_an_unknown_comparison_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown comparison"):
+        _Compare("n", "=~", 1)
+
+
+def test_expressions_compare_and_print_by_their_fields():
+    assert Set("a", [1]) == Set("a", [1]) != SetIfNotExists("a", [1])
+    assert ListAdd("l", [1]) != ListAppend("l", [1])
+    assert hash(Attr("n") == 5) == hash(Attr("n") == 5)
+    assert repr(Set("a", 1)) == "Set(path='a', value=1)"
+    assert repr(~(Attr("n") < 2)) == "Not(inner=_Compare(path='n', op='<', value=2))"
+
+
 def test_update_order_matters():
     item = {}
     apply_updates(item, [Set("a", 1), Add("a", 1), Set("a", 10)])
@@ -185,6 +215,7 @@ _ACTIONS = st.one_of(
     st.builds(Add, _PATHS, st.integers(-3, 3)),
     st.builds(Remove, _PATHS),
     st.builds(ListAppend, _PATHS, st.lists(_VALUES, max_size=2)),
+    st.builds(ListAdd, _PATHS, st.lists(_VALUES, max_size=2)),
     st.builds(ListRemove, _PATHS, st.lists(_SCALARS, max_size=2)),
     st.builds(ListPopHead, _PATHS, st.integers(0, 2)),
 )
@@ -217,6 +248,33 @@ def test_update_from_a_missing_item_starts_empty(updates):
     for absent in (None, {}):
         new, size_bytes = updated_image(absent, item_size_bytes(absent), updates)
         assert new == expected and size_bytes == item_size_bytes(new)
+
+
+@given(_ITEMS, _ACTIONS)
+@settings(max_examples=300, deadline=None)
+def test_an_action_returns_the_bytes_it_added(image, action):
+    new = dict(image)
+    try:
+        delta = action.apply(new)
+    except TypeError:
+        return
+    assert delta == item_size_bytes(new) - item_size_bytes(image)
+
+
+@pytest.mark.parametrize("image, action, after", [
+    ({"l": [True, 2]}, ListRemove("l", [1]), {"l": [2]}),  # drops 1 B, not 8
+    ({"l": [1.0]}, ListRemove("l", [True]), {"l": []}),
+    ({"l": [1]}, ListAdd("l", [True, 1.0]), {"l": [1]}),   # holds an equal one
+    ({}, Set("a.b.c", 1), {"a": {"b": {"c": 1}}}),        # two maps made on the way
+    ({"a": {}}, ListAppend("a.b.c", ["x"]), {"a": {"b": {"c": ["x"]}}}),
+    ({"a": {"b": 1, "c": 2}}, Remove("a.b"), {"a": {"c": 2}}),
+    ({"n": 1}, Add("n", 0.5), {"n": 1.5}),                # int to float: same size
+])
+def test_an_action_returns_the_bytes_of_the_leaf_it_changed(image, action, after):
+    new = dict(image)
+    delta = action.apply(new)
+    assert new == after
+    assert delta == item_size_bytes(after) - item_size_bytes(image)
 
 
 @given(_VALUES)

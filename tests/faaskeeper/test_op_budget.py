@@ -6,7 +6,8 @@ numbers below are what the tree costs today on the paper's default
 deployment (one session, S3 user store, client cache off), counted in
 ``Environment.step`` entries — kernel events — and in memory blocks, and
 what one heartbeat sweep visits, in session keys and kernel events.  A PR that makes an
-operation cheaper lowers them here; nothing may raise them.
+operation cheaper lowers them here; nothing may raise them.  So does
+joining a watch instance, counted in the sizing calls it makes.
 """
 
 import gc
@@ -14,8 +15,10 @@ import tracemalloc
 
 import pytest
 
+from repro.cloud import expressions
 from repro.cloud.sanitize import SanitizerError
 from repro.faaskeeper.layout import SYSTEM_SESSIONS
+from repro.faaskeeper.model import WatchType
 
 from ..helpers.footprint import bytes_and_blocks_per
 from ..helpers.stepcount import StepCounting
@@ -68,6 +71,11 @@ SWEEP_EVENTS = 7
 #: a list slot per sample, and a landed txid per region on the visibility
 #: board.)
 WRITE_RETAINED_BYTES = 128
+#: ``_value_size_bytes`` calls of one join of a watch instance (a client
+#: cache miss), whatever the number of sessions the instance lists: the
+#: session name it appends.  (Was 2N + 15 at N listed sessions: the whole
+#: ``inst`` attribute sized before and after the update.)
+JOIN_SIZINGS = 1
 
 
 @pytest.fixture
@@ -299,3 +307,24 @@ def test_a_completed_read_keeps_this_many_blocks():
     _size, blocks, _objects = bytes_and_blocks_per(
         500, read, "completed read, handle kept")
     assert blocks <= READ_BLOCKS
+
+
+def test_a_watch_join_sizes_only_the_session_it_adds(monkeypatch):
+    """Joining an instance that lists 1 session and one that lists 200
+    make the same sizing calls.  Unsanitized: ``FK_SANITIZE=1`` re-walks
+    every stored image on purpose."""
+    monkeypatch.delenv("FK_SANITIZE", raising=False)
+    real, counts = expressions._value_size_bytes, []
+    for listed in (1, 200):
+        cloud, service = make_service(seed=7, user_store="mem")
+        registry, ctx = service.watch_registry, service.system_ctx
+        for i in range(listed):
+            cloud.run_process(registry.register(ctx, "/a", WatchType.DATA, f"s{i}"))
+        calls = []
+        monkeypatch.setattr(expressions, "_value_size_bytes",
+                            lambda value: calls.append(value) or real(value))
+        cloud.run_process(registry.register(ctx, "/a", WatchType.DATA, "joiner"))
+        monkeypatch.setattr(expressions, "_value_size_bytes", real)
+        print(f"a join of an instance listing {listed}: {len(calls)} sizing calls")
+        counts.append(len(calls))
+    assert counts == [JOIN_SIZINGS, JOIN_SIZINGS]
