@@ -7,8 +7,8 @@ one :class:`RetryingStore` proxy, declared by an op table and holding the
 one retry loop (the shape of Kazoo's ``KazooRetry``), adapted to the
 simulation's constraints:
 
-* **Sim-clock backoff** — waits are ``env.timeout`` events on the virtual
-  clock (FK001-clean: no wall-clock sleeps), exponential with a jittered
+* **Sim-clock backoff** — waits are bare delays on the virtual clock
+  (FK001-clean: no wall-clock sleeps), exponential with a jittered
   factor drawn from a dedicated named RNG stream.  The stream is only
   created — and only drawn from — when a retry actually happens, so a
   fault-free run's RNG consumption, latency and cost are those of the raw

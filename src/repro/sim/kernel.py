@@ -20,10 +20,15 @@ process-interaction models.
 **Ordering contract.**  Events fire in ``(time, priority, eid)`` order, eid
 being the order of scheduling.  The scheduler keeps that order in two lanes:
 
-* the *wakeup lane*, a FIFO of every URGENT event (``succeed``/``fail``,
-  process start and termination);
+* the *wakeup lane*, a FIFO of every URGENT entry: a triggered event
+  (``succeed``/``fail``, a process's termination) or a process start, which
+  is the pending ``Process`` itself;
 * the *timeout heap*, ordered by ``(time, eid)``, holding ``Timeout``s,
   ``TimerTrain``s and sleeping ``Process``es.
+
+``step()`` has one resume rule: a pending ``Process``, popped from either
+lane, is a start or a sleeper and resumes its generator as an event fired
+with ``None`` would; anything else fires its callbacks.
 
 ``step()`` drains the wakeup lane before it touches the heap.  That is the
 one-heap order because URGENT events are only ever scheduled with delay 0 and
@@ -53,9 +58,9 @@ triggered stays silent — its waiter already has its answer.
 
 **Process rule.**  A process is for concurrency.  A caller that would spawn
 one coroutine and wait for it at once runs it with ``yield from``: resumed
-from the heap it finds the wakeup lane empty, so the ``Initialize``, the
-termination and the wakeup it does not pay for had nothing between them and
-the coroutine's first and last segment.  Fan-out is :func:`gather`.
+from the heap it finds the wakeup lane empty, so the start, the termination
+and the wakeup it does not pay for had nothing between them and the
+coroutine's first and last segment.  Fan-out is :func:`gather`.
 
 **Run rule.**  ``run()`` is how synchronous code drives the loop, and it does
 not re-enter: called while a process is active it raises
@@ -118,7 +123,7 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
-    # Subclasses on the hot path (Timeout, Process, Initialize) set these five
+    # Subclasses on the hot path (Timeout, Process) set these five
     # slots themselves instead of paying for a ``super().__init__`` call.
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -269,20 +274,6 @@ class TimerTrain:
                 self._schedule()
 
 
-class Initialize(Event):
-    """Internal: starts a freshly created process at the current instant."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        env._urgent.append(self)
-
-
 class Process(Event):
     """Wraps a generator; the process event triggers when the generator ends.
 
@@ -313,7 +304,7 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        env._urgent.append(self)  # the start: a wakeup of the process itself
 
     # -- generator driving --------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -360,27 +351,24 @@ class Process(Event):
         env._active_process = None
 
 
-class ConditionValue(dict):
-    """Mapping of event -> value for fired condition sub-events."""
-
-
 class Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
+    """Base for :class:`AnyOf` / :class:`AllOf` composite events: a countdown
+    of the members still to fire.  It fires with ``None``; a waiter that
+    wants a member's value reads the member."""
 
-    __slots__ = ("_events", "_fired", "_need")
+    __slots__ = ("_need",)
 
     def __init__(self, env: "Environment", events: Iterable[Event], need_all: bool) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._fired: list[Event] = []
-        for ev in self._events:
+        events = list(events)
+        for ev in events:
             if ev.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        self._need = len(self._events) if need_all else min(1, len(self._events))
+        self._need = len(events) if need_all else min(1, len(events))
         if self._need == 0:
-            self.succeed(ConditionValue())
+            self.succeed()
             return
-        for ev in self._events:
+        for ev in events:
             if ev.callbacks is None:
                 self._check(ev)
             else:
@@ -394,15 +382,9 @@ class Condition(Event):
             return
         if self._value is not _PENDING:
             return
-        self._fired.append(event)
-        if len(self._fired) >= self._need:
-            value = ConditionValue()
-            # Preserve the original event order among fired sub-events.
-            fired = set(map(id, self._fired))
-            for ev in self._events:
-                if id(ev) in fired:
-                    value[ev] = ev._value
-            self.succeed(value)
+        self._need -= 1
+        if not self._need:
+            self.succeed()
 
 
 class AnyOf(Condition):
@@ -457,7 +439,7 @@ class Environment:
         #: ``run()``'s time bound while it runs: how far a timer train may
         #: fire inline.  Outside ``run()`` a bare ``step()`` fires one element.
         self._horizon = -_INF
-        #: What every sleeper is resumed with: an event fired with ``None``.
+        #: What starts and sleepers are resumed with: an event fired with ``None``.
         self._woken = woken = Event(self)
         woken.callbacks = None
         woken._value = None
@@ -495,9 +477,9 @@ class Environment:
                 self.now, _eid, event = heappop(self._queue)
             except IndexError:
                 raise EmptySchedule() from None
-            if type(event) is Process:  # a sleeper whose delay elapsed
-                event._resume(self._woken)
-                return
+        if type(event) is Process and event._value is _PENDING:
+            event._resume(self._woken)  # a start, or a sleeper's delay elapsed
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

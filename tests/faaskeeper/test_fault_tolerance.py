@@ -8,6 +8,8 @@ that no partial state is ever user-visible.
 
 import pytest
 
+from repro.cloud import OpContext
+from repro.cloud.errors import ConditionFailed
 from repro.cloud.expressions import ListAppend
 from repro.cloud.functions import FunctionContext
 from repro.faaskeeper import NoNodeError, RequestFailedError
@@ -115,8 +117,6 @@ def test_lock_expiry_does_not_corrupt_state():
     # Two sequential writes through the normal path still work after an
     # artificial long stall is injected by an expired-lock scenario: we
     # simulate by directly taking the node lock and letting it expire.
-    from repro.cloud import OpContext
-
     def hog():
         handle = yield from service.node_lock.acquire(OpContext(), "/a")
         assert handle is not None
@@ -160,6 +160,110 @@ def test_a_commit_landing_after_try_commit_does_not_wedge_the_path():
     assert c.set_data("/a", b"y").txid == 3
     data, stat = c.get_data("/a")
     assert (data, stat.version) == (b"y", 2)
+
+
+def _around_try_commit(cloud, service, before):
+    """Stall the follower's step ➃ and run ``before(follower_commit)`` just
+    before TryCommit's first transaction; returns the outcomes of both
+    parties' transactions in order.  Both carry the session records, the
+    follower's comes first.  ``follower_commit()`` lands the stalled commit
+    now and resumes the follower with its outcome."""
+    store = service.system_store
+    real = store.transact_update
+    stalled, outcomes = [], []
+
+    def follower_commit():
+        landed, args, kwargs = stalled[0]
+        try:
+            result = yield from real(*args, **kwargs)
+        except ConditionFailed as exc:
+            outcomes.append("follower refused")
+            landed.fail(exc)
+        else:
+            outcomes.append("follower committed")
+            landed.succeed(result)
+
+    def wrapped(*args, **kwargs):
+        if not any(op[0] == SYSTEM_SESSIONS for op in args[1]):
+            return (yield from real(*args, **kwargs))
+        if not stalled:
+            stalled.append((cloud.env.event(), args, kwargs))
+            return (yield stalled[0][0])
+        if not outcomes:  # TryCommit's first transaction
+            yield from before(follower_commit)
+        try:
+            result = yield from real(*args, **kwargs)
+        except ConditionFailed:
+            outcomes.append("refused")
+            raise
+        outcomes.append("committed")
+        return result
+
+    store.transact_update = wrapped
+    return outcomes
+
+
+def _acks(service):
+    """The responses the leader sends, as ``(txid, ok)``."""
+    sent = []
+    notify = service.notify_response
+
+    def counting(response):
+        sent.append((response.txid, response.ok))
+        return (yield from notify(response))
+
+    service.notify_response = counting
+    return sent
+
+
+def test_a_commit_landing_during_try_commit_counts_as_committed():
+    """The stalled follower's step ➃ lands just before TryCommit's
+    transaction: that transaction fails its guard, the re-read finds the
+    txid pending, and the write counts as committed — acknowledged once,
+    applied once."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    outcomes = _around_try_commit(cloud, service, lambda land: land())
+    acks = _acks(service)
+    fut = c.set_data_async("/a", b"x")
+    cloud.run(until=cloud.now + 10_000)
+    assert outcomes == ["follower committed", "refused"]
+    assert fut.done and fut.wait().txid == 2
+    assert acks == [(2, True)]
+    nodes = service.system_store.table(SYSTEM_NODES)
+    assert (nodes.raw("/a")["version"], nodes.raw("/a")["applied_tx"]) == (1, 2)
+    assert verify_exactly_once(service, {"/a": b"x"}) == []
+    assert c.set_data("/a", b"y").txid == 3
+
+
+def test_a_lock_retaken_during_try_commit_redelivers_the_batch():
+    """A new holder takes the expired lock just before TryCommit's
+    transaction: the re-read finds it live and the leader raises
+    ``RetryBatch``.  The stalled follower's own commit, landing next, is
+    refused; the redelivered batch waits out the new lease and TryCommits."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    taken = []
+
+    def retake(land):
+        taken.append((yield from service.node_lock.acquire(OpContext(), "/a")))
+        yield from land()
+
+    outcomes = _around_try_commit(cloud, service, retake)
+    acks = _acks(service)
+    fut = c.set_data_async("/a", b"x")
+    cloud.run(until=cloud.now + 20_000)
+    assert taken and taken[0] is not None
+    # A second TryCommit: the refused one's batch was redelivered.
+    assert outcomes == ["follower refused", "refused", "committed"]
+    assert fut.done and fut.wait().txid == 2
+    assert acks == [(2, True)]
+    nodes = service.system_store.table(SYSTEM_NODES)
+    assert (nodes.raw("/a")["version"], nodes.raw("/a")["applied_tx"]) == (1, 2)
+    assert verify_exactly_once(service, {"/a": b"x"}) == []
+    assert c.set_data("/a", b"y").txid == 3
 
 
 def test_consistency_after_random_follower_crashes():

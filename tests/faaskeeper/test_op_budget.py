@@ -31,7 +31,7 @@ READ_EVENTS = 4
 #: coroutine it resumes.  A process is made only where two things run at
 #: once, so the whole write is three of them — the client request and the
 #: two queue dispatchers, each running its function's invocation itself.
-#: (Was 31: an ``Initialize`` and a termination per invocation, those two
+#: (Was 31: a process start and a termination per invocation, those two
 #: and an ``AllOf`` for the one image the leader replicates, and a per-request
 #: "sent" event that fired for nobody.)
 SET_DATA_OWNERS = (

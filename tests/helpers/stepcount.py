@@ -1,24 +1,32 @@
 """A kernel that counts what it fires, for the order and op-budget tests."""
 
-from repro.sim.kernel import Environment, Process
+from repro.sim.kernel import Environment, Process, Timeout, TimerTrain
 
 
 class StepCounting(Environment):
     """Counts ``step()`` entries — fired events — and, of those, the ``idle``
-    ones whose event had nobody to call.  A ``Process`` popped from the heap
-    is a sleeper: it resumes its own generator, so it is never idle.  An
-    existing environment joins by ``env.__class__ = StepCounting``."""
+    ones whose event had nobody to call.  A pending ``Process``, popped from
+    either lane, is a start or a sleeper: it resumes its own generator, so it
+    is never idle.  Every step also checks the lane discipline: the wakeup
+    lane holds triggered events and pending processes, the heap holds
+    ``Timeout``s, ``TimerTrain``s and pending processes.  An existing
+    environment joins by ``env.__class__ = StepCounting``."""
 
     steps = idle = 0
 
     def step(self):
         if self._urgent:
-            idle = not self._urgent[0].callbacks
-        else:
+            event = self._urgent[0]
+            fits = event.triggered
+        elif self._queue:
             event = self._queue[0][2]
-            idle = not event.callbacks and type(event) is not Process
+            fits = type(event) in (Timeout, TimerTrain)
+        else:
+            return super().step()  # raises EmptySchedule
+        resumes = type(event) is Process and not event.triggered
+        assert resumes or fits, f"{event!r} may not wait in its lane"
         self.steps += 1
-        self.idle += idle
+        self.idle += not (resumes or event.callbacks)
         super().step()
 
     @property

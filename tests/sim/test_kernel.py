@@ -270,12 +270,10 @@ def test_any_of_returns_first():
         t1 = env.timeout(3, value="fast")
         t2 = env.timeout(9, value="slow")
         result = yield AnyOf(env, [t1, t2])
-        return (env.now, list(result.values()))
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(proc(env))
-    now, values = env.run(until=p)
-    assert now == 3.0
-    assert values == ["fast"]
+    assert env.run(until=p) == (3.0, None, True, False)
 
 
 def test_all_of_waits_for_all():
@@ -284,13 +282,12 @@ def test_all_of_waits_for_all():
     def proc(env):
         t1 = env.timeout(3, value=1)
         t2 = env.timeout(9, value=2)
+        t3 = env.timeout(12)
         result = yield AllOf(env, [t1, t2])
-        return (env.now, sorted(result.values()))
+        return (env.now, result, t1.processed, t2.processed, t3.processed)
 
     p = env.process(proc(env))
-    now, values = env.run(until=p)
-    assert now == 9.0
-    assert values == [1, 2]
+    assert env.run(until=p) == (9.0, None, True, True, False)
 
 
 def test_all_of_empty_triggers_immediately():
@@ -405,9 +402,9 @@ class ReferenceEnvironment(Environment):
 
     Shares every event class with the kernel; only where events wait and
     which one fires next differ, which is what the soup below compares.  A
-    process sleeping on a bare delay is filed at NORMAL priority, the place
-    of the ``Timeout`` it stands for, and woken with a fired timeout's
-    outcome.
+    process start is an URGENT entry of the process itself, and a process
+    sleeping on a bare delay is filed at NORMAL priority, the place of the
+    ``Timeout`` it stands for; either is woken with a fired event's outcome.
     """
 
     def __init__(self):
@@ -429,7 +426,7 @@ class ReferenceEnvironment(Environment):
         if not self._heap:
             raise EmptySchedule()
         self.now, prio, _eid, event = heappop(self._heap)
-        if prio == NORMAL and isinstance(event, Process):
+        if isinstance(event, Process) and not event.triggered:
             woken = Event(self)
             woken._value = None
             event._resume(woken)
@@ -476,6 +473,12 @@ _ACTIONS = ("timeout", "timeout", "sleep", "put", "get", "get_or_timeout", "hold
             "succeed", "fail", "wait", "any", "all", "stall", "spawn")
 
 
+def _fired(marker, value, members):
+    """What a condition wait saw: a marker naming the wait, the condition's
+    value and the values of the members that had fired by the resume."""
+    return (marker, value, [m._value for m in members if m.processed])
+
+
 def _soup(env, seed, mode, sleep="bare"):
     """Run a seeded process soup on ``env``; return what fired, in order.
 
@@ -488,8 +491,6 @@ def _soup(env, seed, mode, sleep="bare"):
     log = []
 
     def note(who, what, value=None):
-        if isinstance(value, dict):  # a ConditionValue: which sub-events fired
-            value = sorted(map(repr, value.values()))
         log.append((env.steps, env.now, who, what, repr(value)))
 
     store, resource = Store(env), Resource(env, capacity=2)
@@ -517,10 +518,12 @@ def _soup(env, seed, mode, sleep="bare"):
                     note(name, n, (yield store.get()))
                 elif action == "get_or_timeout":
                     get = store.get()
-                    got = yield AnyOf(env, [get, env.timeout(d1, value="late")])
+                    members = [get, env.timeout(d1, value="late")]
+                    got = yield AnyOf(env, members)
                     if not get.triggered:
                         store.cancel_get(get)
-                    note(name, n, got)
+                    note(name, n, _fired("got" if get.triggered else "late",
+                                         got, members))
                 elif action == "hold":
                     request = resource.request()
                     yield request
@@ -535,11 +538,12 @@ def _soup(env, seed, mode, sleep="bare"):
                 elif action == "wait":
                     note(name, n, (yield signals[i]))
                 elif action == "any":
-                    note(name, n, (yield AnyOf(
-                        env, [signals[i], signals[j], env.timeout(d1, value="t")])))
+                    members = [signals[i], signals[j], env.timeout(d1, value="t")]
+                    note(name, n, _fired("any", (yield AnyOf(env, members)), members))
                 elif action == "all":
-                    note(name, n, (yield env.all_of(
-                        [env.timeout(d1, value="a"), signals[i], env.timeout(d2, value="b")])))
+                    members = [env.timeout(d1, value="a"), signals[i],
+                               env.timeout(d2, value="b")]
+                    note(name, n, _fired("all", (yield env.all_of(members)), members))
                 elif action == "stall":
                     note(name, n, "stalled")
                     yield env.event()  # nobody triggers it: the worker ends here
@@ -619,8 +623,8 @@ def test_soup_exercises_every_ingredient():
         for mode in ("dry", "times", "events"):
             for _steps, _now, _who, what, value in _soup(_counting(Environment), seed, mode):
                 seen.update((what, value.split(",")[0]))
-    assert {"'stalled'", "('failed'", "'acquired'", """["'late'"]""", "('tick'", "('slept'",
-            "fired", "surfaced", "stopped", "dry", "ran"} <= seen
+    assert {"'stalled'", "('failed'", "'acquired'", "('late'", "('any'", "('all'",
+            "('tick'", "('slept'", "fired", "surfaced", "stopped", "dry", "ran"} <= seen
 
 
 def test_peek_is_now_while_a_wakeup_is_pending():
@@ -634,6 +638,25 @@ def test_peek_is_now_while_a_wakeup_is_pending():
     assert env.now == 2.0 and env.peek() == 5.0
     env.step()
     assert env.now == 5.0 and env.peek() == float("inf")
+
+
+def test_a_start_is_the_process_itself_at_the_tail_of_the_wakeup_lane():
+    env = Environment()
+    log = []
+
+    def proc():
+        log.append(env.now)
+        yield 1
+
+    wakeup = env.event().succeed()
+    started = env.process(proc())
+    assert list(env._urgent) == [wakeup, started] and not env._queue
+    env.step()  # the earlier wakeup first
+    assert log == [] and list(env._urgent) == [started]
+    env.step()  # the start: the generator runs its first segment
+    assert log == [0.0] and not env._urgent and env._queue[0][2] is started
+    env.run()
+    assert started.processed and started.ok and env.now == 1.0
 
 
 def test_step_on_an_empty_schedule_raises():
@@ -663,7 +686,7 @@ def test_step_is_entered_exactly_once_per_processed_event():
         yield env.timeout(1)
         yield env.timeout(0)
 
-    done = env.process(proc(env))  # Initialize + 2 timeouts + termination
+    done = env.process(proc(env))  # start + 2 timeouts + termination
     done.callbacks.append(fired.append)
     for delay in (0, 1, 1, 4):
         env.timeout(delay).callbacks.append(fired.append)
@@ -708,12 +731,10 @@ def _completion_soup(env, seed, paired, run="spawned"):
     log = []
     handles = []
     finished = [0]
-    unscheduled = [0]  # Initialize + termination of every inlined child
+    unscheduled = [0]  # start + termination of every inlined child
     children = [0]
 
     def note(who, what, value=None):
-        if isinstance(value, dict):
-            value = sorted(map(repr, value.values()))
         log.append((env.effective + unscheduled[0], env.now, who, what,
                     repr(value)))
 
@@ -763,11 +784,11 @@ def _completion_soup(env, seed, paired, run="spawned"):
                 elif action == "wait":
                     note(name, n, (yield a))
                 elif action == "any":
-                    note(name, n, (yield AnyOf(
-                        env, [a, b, env.timeout(delay, value="t")])))
+                    members = [a, b, env.timeout(delay, value="t")]
+                    note(name, n, _fired("any", (yield AnyOf(env, members)), members))
                 elif action == "all":
-                    note(name, n, (yield env.all_of(
-                        [a, env.timeout(delay, value="t"), b])))
+                    members = [a, env.timeout(delay, value="t"), b]
+                    note(name, n, _fired("all", (yield env.all_of(members)), members))
                 elif action == "callback" and not a.processed:
                     a.callbacks.append(
                         lambda ev, n=n: note(name, n, ("called back", ev._ok)))
@@ -829,7 +850,7 @@ def test_waiting_on_the_process_is_waiting_on_its_last_act(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_running_the_one_coroutine_you_wait_for_is_spawning_it(seed):
     """Order proof of "a process is for concurrency": a caller resumed from
-    the heap finds the wakeup lane empty, so the child's ``Initialize`` and
+    the heap finds the wakeup lane empty, so the child's start and
     first segment, and its last segment, termination and the caller's resume,
     fire back to back — running the child with ``yield from`` changes nothing
     anybody can observe (same lines, same instants, same positions once the
@@ -856,7 +877,7 @@ def test_completion_soup_exercises_every_ingredient():
         whats.update(what for *_pos, what, _value in log)
         values.update(value.split(",")[0] for *_pos, _what, value in log)
     assert {"surfaced", "ran", "start", "end"} <= whats
-    assert {"('failed'", "('called back'", """["'t'"]""", "'w3'", "None"} <= values
+    assert {"('failed'", "('called back'", "('any'", "('all'", "'w3'", "None"} <= values
 
 
 def test_a_failed_process_surfaces_unless_defused_or_awaited():
@@ -906,10 +927,11 @@ def test_a_condition_owns_its_members_failures_after_it_triggered(condition):
 def test_any_of_owns_a_failure_after_a_success():
     env = Environment()
     late = env.process(_ends(env, 2, error="late"))
-    first = env.run(until=AnyOf(env, [env.timeout(1, value="t"), late]))
-    assert list(first.values()) == ["t"]
+    first = env.timeout(1, value="t")
+    assert env.run(until=AnyOf(env, [first, late])) is None
+    assert (env.now, first.processed, late.processed) == (1.0, True, False)
     env.run()
-    assert env.now == 2.0
+    assert env.now == 2.0 and late.processed and not late.ok
 
 
 def _gathered(env, work):
@@ -936,7 +958,7 @@ def test_gather_of_nothing_takes_no_event():
 
 
 def test_gather_runs_a_single_member_in_the_caller():
-    """One timeout: no ``Initialize``, no termination, no ``AllOf``."""
+    """One timeout: no start, no termination, no ``AllOf``."""
     env = Environment()
     assert _gathered(env, [_ends(env, 3, "only")]) == (["only"], 3.0, 1)
     env = Environment()
