@@ -15,8 +15,8 @@ Consistency is unchanged from the uncached read path:
 * **read-your-writes** — the client invalidates every path its own write
   (or ``multi()``) touched when the write's response arrives, and reads
   still wait on the session write barrier before consulting the cache; on
-  distributor deployments (``distributor_enabled``, where an ack under
-  ``ack_policy="on_commit"`` precedes replication) the barrier also waits
+  distributor deployments (``distributor_enabled``, where the ack at
+  commit precedes replication) the barrier also waits
   for the region's ``replicated_tx`` visibility watermark to cover the
   session's acked writes, so a hit can never be admitted — nor served —
   ahead of data the user store does not hold yet;

@@ -448,7 +448,7 @@ class FaaSKeeperClient:
             self.mrd = max(self.mrd, response.txid)
             board = self.service.visibility_board
             if response.ok and board is not None:
-                # Acked before replication (ack_policy="on_commit"): reads
+                # Acked at commit, before replication: reads
                 # must wait for the region watermark to cover this txid.
                 # Prune landed entries here too, so a write-only session's
                 # tracking stays bounded by its unreplicated backlog.

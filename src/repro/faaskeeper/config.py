@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import InitVar, dataclass, field
+from typing import List, Optional
 
 __all__ = ["FaaSKeeperConfig", "UserStoreKind"]
 
@@ -44,17 +44,17 @@ class FaaSKeeperConfig:
     leader_shards: int = 1
     #: Asynchronous distributor stage: after commit verification the leader
     #: appends a distribution record to per-region FIFO distributor queues
-    #: instead of replicating inline; distributor instances own the
-    #: user-store fan-out, the watch query/consume/fan-out, and the
-    #: per-region ``replicated_tx`` visibility watermark.  False (the
-    #: default) keeps the paper's inline pipeline bit-for-bit intact.
+    #: instead of replicating inline, and acknowledges the client at once
+    #: (ZooKeeper's ack at commit); distributor instances own the user-store
+    #: fan-out, the watch query/consume/fan-out, and the per-region
+    #: ``replicated_tx`` visibility watermark read-your-writes rides.  False
+    #: (the default) keeps the paper's inline pipeline, whose ack follows
+    #: replication into every region, bit-for-bit intact.
     distributor_enabled: bool = False
-    #: When the client's write acknowledgement is sent:
-    #: ``"on_replicate"`` (default) — after the write is visible in every
-    #: region's user store (the paper's semantics); ``"on_commit"`` — right
-    #: after commit verification, before distribution (requires the
-    #: distributor; read-your-writes then rides the visibility watermark).
-    ack_policy: str = "on_replicate"
+    #: Not a knob: the ack follows the pipeline (``"on_replicate"`` inline,
+    #: ``"on_commit"`` with the distributor).  Accepted only when it names
+    #: that value, for callers that still spell it out.
+    ack_policy: InitVar[Optional[str]] = None
     #: Durable commit log (the substrate of snapshots, compaction and
     #: cold-start recovery, and the record the outbox streams from): when
     #: enabled the leader appends every committed transaction's replication
@@ -85,7 +85,7 @@ class FaaSKeeperConfig:
     #: (:mod:`repro.faaskeeper.retry`) either way.
     storage_fault_rate: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, ack_policy: Optional[str]) -> None:
         # The backend table is the one list of kinds (the import is
         # deferred — userstore imports this module at load time).
         from .userstore import BACKENDS
@@ -106,12 +106,11 @@ class FaaSKeeperConfig:
             if getattr(self, name) < low:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.ack_policy not in ("on_replicate", "on_commit"):
-            raise ValueError(f"unknown ack_policy {self.ack_policy!r}")
-        if self.ack_policy == "on_commit" and not self.distributor_enabled:
+        derived = "on_commit" if self.distributor_enabled else "on_replicate"
+        if ack_policy not in (None, derived):
             raise ValueError(
-                "ack_policy='on_commit' requires distributor_enabled=True: "
-                "without a distributor nothing replicates after the ack")
+                f"ack_policy={ack_policy!r}: with distributor_enabled="
+                f"{self.distributor_enabled} the ack is {derived!r}")
         if self.outbox_enabled and not self.commit_log_enabled:
             raise ValueError(
                 "outbox_enabled=True requires commit_log_enabled=True: the "

@@ -12,8 +12,8 @@ the region count and the watch density.
 With ``FaaSKeeperConfig.distributor_enabled`` the leader stops after
 commit verification (steps ➊–➋ and the cross-shard ordering gates): it
 appends one *distribution record* per committed update to a FIFO
-distributor queue **per region** and — under ``ack_policy="on_commit"`` —
-acknowledges the client immediately.  Each region's distributor function
+distributor queue **per region** and acknowledges the client at once,
+as ZooKeeper acknowledges at commit.  Each region's distributor function
 drains its queue in batches and
 
 * **coalesces superseded writes** — the only stage that does: the
@@ -46,7 +46,8 @@ the *ordering*, not extra storage traffic):
   ``replicated_tx`` watermark item in the system store (one monotone
   write per batch); the client's session write barrier and the client
   read cache wait on the board of the region they read from, giving
-  read-your-writes and Z2 session order under ``ack_policy="on_commit"``.
+  read-your-writes and Z2 session order although the ack precedes
+  replication.
 """
 
 from __future__ import annotations

@@ -46,18 +46,17 @@ the paper's single-leader Algorithm 2 unchanged):
 Every shard replicates every committed image, exactly like the single
 leader; superseded writes are coalesced only by the distributor stage.
 
-With ``distributor_enabled`` the leader stops after ➊–➋ (plus the fence
-and pending-list gates): steps ➌–➍ move into the per-region distributor
-stage (:mod:`repro.faaskeeper.distributor`) and the client is
-acknowledged per ``ack_policy`` — immediately after commit verification
-under ``"on_commit"``, or once every region's user store holds the write
-under ``"on_replicate"`` (the wait rides a spawned process, off the
-leader's critical path).
+With ``distributor_enabled`` the leader replaces ➌–➍ (after ➊–➋ plus the
+fence and pending-list gates) by publishing one record to the per-region
+distributor stage (:mod:`repro.faaskeeper.distributor`), which replicates
+and fans out watches later; ➎ follows at once, so the client is
+acknowledged at commit, as in ZooKeeper, and reads ride the visibility
+watermark instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..cloud.errors import ConditionFailed, Redeliver
 from ..cloud.expressions import Attr, ListRemove, Set
@@ -159,9 +158,10 @@ class LeaderLogic:
 
     def process(self, fctx, msg: Dict[str, Any]) -> Generator:
         """Algorithm 2 for one committed envelope: verify the txid once,
-        gate every touched path, replicate per-path final images, fire
-        watches exactly once per instance with the txid, answer with one
-        response carrying per-op results, and pop the txid everywhere.
+        gate every touched path, replicate per-path final images and fire
+        watches exactly once per instance with the txid (or publish both
+        to the distributor), answer with one response carrying per-op
+        results, and pop the txid everywhere.
         """
         env = fctx.env
         txid = msg["_seq"]
@@ -232,97 +232,55 @@ class LeaderLogic:
         # ➍ prep: which watch types each written path triggers
         op_pairs = {path: write_set[path]["triggers"] for path, *_ in writes}
 
-        # Distributor stage: hand replication + watch fan-out to the
-        # per-region distributor queues (one record per envelope); ➌/➍
-        # leave the critical path.
         if self.distribution is not None:
-            pairs = [(path, op, is_parent)
-                     for path, pair_list in op_pairs.items()
-                     for op, is_parent in pair_list]
-            yield from self._distribute_and_finish(
-                fctx, msg, txid, writes, pairs, commit_paths)
-            return None
+            # Distributor stage: hand ➌/➍ to the per-region distributor
+            # queues (one record per envelope).  The publish is awaited
+            # before the pop: a competing shard only starts (via the
+            # per-path pending-list gate) after the pop, so the regional
+            # queues receive same-path records in commit order.
+            t0 = env.now
+            yield from self.distribution.publish(fctx, {
+                "txid": txid, "shard": self.shard, "session": msg["session"],
+                "writes": writes,
+                "watch_pairs": [(path, op, is_parent)
+                                for path, pair_list in op_pairs.items()
+                                for op, is_parent in pair_list]})
+            fctx.record("distribute", env.now - t0)
+        else:
+            # ➌ replicate per-path final images, all regions in parallel (one
+            # epoch snapshot per region per message — the snapshot cannot
+            # change while the replication processes are being spawned)
+            t0 = env.now
+            yield fctx.compute(base_ms=0.3, payload_kb=msg["payload_kb"],
+                               per_kb_ms=0.12)
+            epochs = {region: self.epoch_snapshot(region)
+                      for region in self.service.config.regions}
+            yield from gather(env, [
+                write_user_image(self.service.user_store, fctx.ctx, region,
+                                 path, image, epochs[region], txid, op,
+                                 is_parent)
+                for path, image, is_parent, op in writes
+                for region in self.service.config.regions])
+            fctx.record("update_user", env.now - t0)
 
-        # ➌ replicate per-path final images, all regions in parallel (one
-        # epoch snapshot per region per message — the snapshot cannot change
-        # while the replication processes are being spawned)
-        t0 = env.now
-        yield fctx.compute(base_ms=0.3, payload_kb=msg["payload_kb"],
-                           per_kb_ms=0.12)
-        epochs = {region: self.epoch_snapshot(region)
-                  for region in self.service.config.regions}
-        yield from gather(env, [
-            write_user_image(self.service.user_store, fctx.ctx, region, path,
-                             image, epochs[region], txid, op, is_parent)
-            for path, image, is_parent, op in writes
-            for region in self.service.config.regions])
-        fctx.record("update_user", env.now - t0)
-
-        # ➍ watches: one query/consume per touched path; every instance
-        # fires exactly once per committed envelope, with its txid
-        triggered = yield from self._consume_watches(fctx, op_pairs, txid)
-        if triggered:
-            watch_ids = [t.watch_id for t in triggered]
-            yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
-            done = self.service.invoke_watch_fn(triggered, txid, shard=self.shard)
-            cb = env.process(
-                self.service.epoch_ledger.remove_after(
-                    done, watch_ids, self.service.system_ctx),
-                name="watch-callback")
-            self._pending_callbacks.append(cb)
+            # ➍ watches: one query/consume per touched path; every instance
+            # fires exactly once per committed envelope, with its txid
+            triggered = yield from self._consume_watches(fctx, op_pairs, txid)
+            if triggered:
+                watch_ids = [t.watch_id for t in triggered]
+                yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
+                done = self.service.invoke_watch_fn(triggered, txid,
+                                                    shard=self.shard)
+                cb = env.process(
+                    self.service.epoch_ledger.remove_after(
+                        done, watch_ids, self.service.system_ctx),
+                    name="watch-callback")
+                self._pending_callbacks.append(cb)
 
         # ➎ notify (one response, per-op results) + pop the txid
         yield from self._notify_success(fctx, msg, txid)
         yield from self._pop_paths(fctx, commit_paths, txid)
         self._pass_fence(msg)
-        return None
-
-    # ------------------------------------------------------------ distribution
-    def _distribute_and_finish(self, fctx, msg: Dict[str, Any], txid: int,
-                               writes: List[Tuple[str, Optional[Dict[str, Any]], bool, str]],
-                               watch_pairs: List[Tuple[str, str, bool]],
-                               pop_paths: List[str]) -> Generator:
-        """Post-verification tail of the distributor pipeline: publish one
-        distribution record per region, acknowledge per ``ack_policy``,
-        pop the transaction and advance the session fence.
-
-        The publish is awaited *before* the pop: a competing shard only
-        starts (via the per-path pending-list gate) after the pop, so the
-        regional queues receive same-path records in commit order.
-        """
-        env = fctx.env
-        record = {
-            "txid": txid,
-            "shard": self.shard,
-            "session": msg["session"],
-            "writes": writes,
-            "watch_pairs": watch_pairs,
-        }
-        t0 = env.now
-        yield from self.distribution.publish(fctx, record)
-        fctx.record("distribute", env.now - t0)
-        if self.service.config.ack_policy == "on_commit":
-            yield from self._notify_success(fctx, msg, txid)
-        else:
-            # on_replicate keeps the paper's acknowledgement semantics —
-            # the client hears back once every region holds the write —
-            # without re-serializing the leader: the wait rides a spawned
-            # process the handler lingers on.
-            events = [self.distribution.visibility.event(region, txid)
-                      for region in self.service.config.regions]
-            self._pending_callbacks.append(env.process(
-                self._ack_after(fctx, msg, txid, events),
-                name=f"ack-after:{txid}"))
-        yield from self._pop_paths(fctx, pop_paths, txid)
-        self._pass_fence(msg)
-        return None
-
-    def _ack_after(self, fctx, msg: Dict[str, Any], txid: int,
-                   events: List) -> Generator:
-        pending = [ev for ev in events if not ev.processed]
-        if pending:
-            yield AllOf(fctx.env, pending)
-        yield from self._notify_success(fctx, msg, txid)
         return None
 
     # ------------------------------------------------------------ shared steps

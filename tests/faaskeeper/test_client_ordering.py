@@ -7,11 +7,11 @@ from .conftest import make_service
 
 #: The session pipeline is blind to what is deployed behind the queue: the
 #: ordering tests run on the paper's pipeline, the sharded one and the
-#: distributor's.
+#: distributor's, which acks at commit, before replication.
 SHAPES = {
     "default": {},
     "sharded": {"leader_shards": 4},
-    "distributor": {"distributor_enabled": True, "ack_policy": "on_replicate"},
+    "distributor": {"distributor_enabled": True},
 }
 shapes = pytest.mark.parametrize("shape", SHAPES.values(), ids=list(SHAPES))
 
@@ -82,8 +82,7 @@ def test_mrd_advances_with_responses():
 def test_interleaved_reads_and_writes_pipeline():
     """Reads between writes all complete, in order, and each observes
     exactly the writes issued before it."""
-    on_commit = {"distributor_enabled": True, "ack_policy": "on_commit"}
-    for shape in (*SHAPES.values(), on_commit):
+    for name, shape in SHAPES.items():
         cloud, service = make_service(seed=504, **shape)
         c = service.connect()
         c.create("/a", b"v0")
@@ -94,23 +93,30 @@ def test_interleaved_reads_and_writes_pipeline():
         cloud.run(until=cloud.now + 120_000)
         assert all(fut.done for fut in reads)
         versions = [fut.wait()[1].version for fut in reads]
-        if shape is on_commit:
+        if name == "distributor":
             # acks precede replication, which may legally coalesce: a read
             # sees its own writes or newer, and the last one sees them all
             assert versions == sorted(versions) and versions[-1] == 3
             assert all(v >= i + 1 for i, v in enumerate(versions))
         else:
-            assert versions == [1, 2, 3], shape
+            assert versions == [1, 2, 3], name
 
 
 @shapes
 def test_read_issued_before_a_write_does_not_wait_for_it(shape):
     """FIFO client order: a read issued before a pipelined write returns
-    the pre-write image, as fast as if the write had never been issued."""
+    the pre-write image, as fast as if the write had never been issued.
+
+    The create settles first.  On the distributor the read waits for the
+    create to replicate, and the write's follower draws from the same
+    system-store latency stream as the create's distributor: that shifts
+    the create's replication by a few milliseconds either way, although
+    the read never waits for the write."""
     def read_latency(with_write):
         cloud, service = make_service(seed=3, **shape)
         c = service.connect()
         c.create("/a", b"old")
+        cloud.run(until=cloud.now + 10_000)
         t0 = cloud.now
         read = c.get_data_async("/a")
         done_at = _stamped(cloud, read)

@@ -2,6 +2,8 @@
 watermark (read-your-writes, Z2 session order, Z4 epoch stalls), write
 coalescing across batches, watch-fan-out ownership and accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.faaskeeper import FaaSKeeperConfig, SetDataOp
@@ -15,19 +17,25 @@ def settle(cloud, ms=5000):
     cloud.run(until=cloud.now + ms)
 
 
-def make_distributed(seed=2024, regions=TWO_REGIONS, shards=1,
-                     ack="on_commit", **kw):
+def make_distributed(seed=2024, regions=TWO_REGIONS, shards=1, **kw):
     return make_service(seed=seed, regions=list(regions),
-                        leader_shards=shards, distributor_enabled=True,
-                        ack_policy=ack, **kw)
+                        leader_shards=shards, distributor_enabled=True, **kw)
 
 
 # ---------------------------------------------------------------- config
 def test_ack_on_commit_requires_distributor():
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(ack_policy="on_commit")
-    with pytest.raises(ValueError):
-        FaaSKeeperConfig(ack_policy="bogus")
+    """The ack follows the pipeline: on replicate inline, on commit with
+    the distributor.  ``ack_policy`` is no field; it may only name that."""
+    for distributor, other in ((False, "on_commit"), (True, "on_replicate")):
+        with pytest.raises(ValueError):
+            FaaSKeeperConfig(distributor_enabled=distributor, ack_policy=other)
+        with pytest.raises(ValueError):
+            FaaSKeeperConfig(distributor_enabled=distributor,
+                             ack_policy="bogus")
+    FaaSKeeperConfig(ack_policy="on_replicate")
+    FaaSKeeperConfig(distributor_enabled=True, ack_policy="on_commit")
+    assert "ack_policy" not in {
+        field.name for field in dataclasses.fields(FaaSKeeperConfig)}
 
 
 def test_distributor_deploys_one_queue_and_function_per_region():
@@ -47,7 +55,11 @@ def test_distributor_deploys_one_queue_and_function_per_region():
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("ack", ["on_commit", "on_replicate"])
 def test_read_your_writes_through_the_watermark(shards, ack):
-    cloud, service = make_distributed(shards=shards, ack=ack)
+    """An ack at commit (the distributor) reads through the watermark; an
+    ack on replicate (the inline pipeline) needs none."""
+    cloud, service = make_service(
+        regions=list(TWO_REGIONS), leader_shards=shards,
+        distributor_enabled=ack == "on_commit", ack_policy=ack)
     client = service.connect()
     client.create("/ryw", b"")
     for i in range(6):
@@ -292,8 +304,7 @@ def test_ack_on_commit_is_faster_than_inline_replication():
     replication and the ack moves to commit time."""
     def median_write(distributor):
         cloud, service = make_service(
-            regions=list(TWO_REGIONS), distributor_enabled=distributor,
-            ack_policy="on_commit" if distributor else "on_replicate")
+            regions=list(TWO_REGIONS), distributor_enabled=distributor)
         client = service.connect()
         client.create("/lat", b"")
         samples = []

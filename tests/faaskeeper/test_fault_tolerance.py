@@ -394,8 +394,7 @@ def test_a_primary_distributor_crash_strands_no_watch_id(window):
     idempotent, so the one removal after the fan-out drains every
     counter, and the watch fires once."""
     cloud, service = make_service(
-        seed=7, distributor_enabled=True, ack_policy="on_commit",
-        regions=["us-east-1", "eu-west-1"])
+        seed=7, distributor_enabled=True, regions=["us-east-1", "eu-west-1"])
     c, watcher = service.connect(), service.connect()
     c.create("/a", b"")
     cloud.run(until=cloud.now + 30_000)

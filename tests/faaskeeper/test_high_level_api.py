@@ -380,7 +380,7 @@ def test_childrenwatch_requires_existing_node(cloud, service):
 # ---------------------------------------------------------------- re-arm race
 @pytest.mark.parametrize("shards", [1, 4])
 def test_datawatch_rearm_race_under_coalesced_burst(shards):
-    """Satellite: a coalesced write burst under ack_policy=on_commit must
+    """A coalesced write burst on the distributor (acks at commit) must
     not lose a change between a delivery and the re-arm — the decorator
     registers before it re-reads, so the final value always lands.
 
@@ -390,8 +390,7 @@ def test_datawatch_rearm_race_under_coalesced_burst(shards):
     exact-final-delivery property asserted here is a fault-free-timing
     guarantee, like the fingerprint gates."""
     cloud, service = make_service(seed=11, leader_shards=shards,
-                                  distributor_enabled=True,
-                                  ack_policy="on_commit")
+                                  distributor_enabled=True)
     writer, watcher = service.connect(), service.connect()
     writer.create("/cfg", b"v0000")
     cloud.run(until=cloud.now + 10_000)       # let the create replicate
@@ -428,9 +427,11 @@ def test_childrenwatch_rearm_race_under_burst(ack_policy, shards, seed):
     post-visibility consume must run for *every* touched path, armed at
     query time or not, or that live watch is never fired.  Swept over
     seeds: the window is a few milliseconds wide and a single seed hits
-    or misses it by luck."""
+    or misses it by luck.  The ack picks the pipeline: ``on_commit`` is
+    the distributor's, ``on_replicate`` the inline leader's, whose ack
+    follows its own watch consume."""
     cloud, service = make_service(seed=seed, leader_shards=shards,
-                                  distributor_enabled=True,
+                                  distributor_enabled=ack_policy == "on_commit",
                                   ack_policy=ack_policy)
     writer, watcher = service.connect(), service.connect()
     writer.create("/grp", b"")

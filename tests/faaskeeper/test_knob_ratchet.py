@@ -57,7 +57,7 @@ import repro
 from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 13
+MAX_CONFIG_FIELDS = 12
 MAX_ENV_SWITCHES = 1
 #: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
 MAX_HARNESS_SWITCHES = 6
@@ -136,7 +136,10 @@ def test_census_deletions_stay_deleted():
     circuit breaker with its fixed policy object, its session-suspending
     hook and its test helper (no fault cell, benchmark or ledger workload
     ever tripped it: the retry loop alone absorbs every fault), and the
-    reference ensemble's expiry callbacks nothing registered."""
+    reference ensemble's expiry callbacks nothing registered.  And the
+    leader's second tail for the distributor with its ack-after-replicate
+    process: the distributor acks at commit, and both pipelines end in
+    one notify-pop-fence tail."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -157,7 +160,7 @@ def test_census_deletions_stay_deleted():
         r"crash_point|CRASH_POINTS|fault_plan|"
         "CircuitBreaker|BREAKER_|breaker_threshold|breaker_cooldown_ms|"
         "RetryPolicy|_on_breaker_transition|shrink_breakers|"
-        "on_session_expired")
+        "on_session_expired|_ack_after|_distribute_and_finish")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()

@@ -204,7 +204,7 @@ def test_fan_out_costs_a_process_per_member(warm):
 
 
 @pytest.mark.parametrize("config", [
-    {}, dict(distributor_enabled=True, ack_policy="on_commit", leader_shards=4),
+    {}, dict(distributor_enabled=True, leader_shards=4),
 ], ids=["default", "distributor_on_commit_4_shards"])
 def test_a_write_leaves_this_many_bytes(config, monkeypatch):
     """2 000 sequential warm writes, traced from after a warm-up through a

@@ -21,10 +21,8 @@ from .conftest import make_service
 MATRIX = {
     "s1": dict(leader_shards=1),
     "s4": dict(leader_shards=4),
-    "s1-dist": dict(leader_shards=1, distributor_enabled=True,
-                    ack_policy="on_commit"),
-    "s4-dist": dict(leader_shards=4, distributor_enabled=True,
-                    ack_policy="on_commit"),
+    "s1-dist": dict(leader_shards=1, distributor_enabled=True),
+    "s4-dist": dict(leader_shards=4, distributor_enabled=True),
 }
 
 
@@ -261,7 +259,7 @@ def test_counter_concurrent_increments_lose_nothing(deployment):
 
     run_all(cloud, [env.process(worker()) for _ in range(workers)])
     # Drain the distributor queues: a fresh session may legally read stale
-    # until the last increment's replication lands (ack_policy=on_commit).
+    # until the last increment's replication lands (acks precede it).
     cloud.run(until=cloud.now + 30_000)
     reader = recipes.Counter(service.connect(), "/stats/jobs")
     assert reader.value == workers * increments   # no lost update
@@ -415,7 +413,7 @@ def _resign(election):
 # ---------------------------------------------------------------- cache interop
 @pytest.mark.parametrize("extra", [
     dict(),
-    dict(distributor_enabled=True, ack_policy="on_commit"),
+    dict(distributor_enabled=True),
 ], ids=["inline", "distributor"])
 def test_lock_contention_with_client_cache_enabled(extra):
     """Recipes ride the watch-invalidated read cache unchanged: contention

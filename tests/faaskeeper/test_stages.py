@@ -27,7 +27,6 @@ CONFIGS = {
     "hybrid": dict(user_store="hybrid"),
     "durable": dict(commit_log_enabled=True, outbox_enabled=True),
     "scaled": dict(leader_shards=4, distributor_enabled=True,
-                   ack_policy="on_commit",
                    regions=["us-east-1", "eu-west-1"]),
     "plane8": dict(session_plane_shards=8),
 }

@@ -46,8 +46,7 @@ DEPLOYMENTS = {
     "default": {},
     "four_shards": dict(leader_shards=4),
     "two_regions": dict(regions=["us-east-1", "eu-west-1"]),
-    "distributor_on_commit": dict(distributor_enabled=True,
-                                  ack_policy="on_commit"),
+    "distributor_on_commit": dict(distributor_enabled=True),
     "commit_log_outbox": dict(commit_log_enabled=True, outbox_enabled=True),
     "hybrid": dict(user_store="hybrid"),
 }

@@ -60,10 +60,9 @@ CONFIGS = {
     "paper": {},
     "s1": dict(LOGGED),
     "s4": dict(LOGGED, leader_shards=4),
-    "s1-dist": dict(LOGGED, distributor_enabled=True,
-                    ack_policy="on_commit", regions=TWO_REGIONS),
+    "s1-dist": dict(LOGGED, distributor_enabled=True, regions=TWO_REGIONS),
     "s4-dist": dict(LOGGED, leader_shards=4, distributor_enabled=True,
-                    ack_policy="on_commit", regions=TWO_REGIONS),
+                    regions=TWO_REGIONS),
     "s1-pub": dict(LOGGED, outbox_enabled=True),
     "s4-pub": dict(LOGGED, leader_shards=4, outbox_enabled=True),
 }
