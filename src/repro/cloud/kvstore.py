@@ -24,7 +24,7 @@ ledger and the next update's copy-on-write base all *hold the same dict*.
 Updates build a new image that shares every untouched attribute
 (:func:`~repro.cloud.expressions.updated_image`).  Reads hand out the
 frozen image itself (``get_item``, ``update_item``, ``transact_update``,
-token replays; a projected ``scan``, a new dict of the stored values): a
+token replays, and the images a ``scan`` returns): a
 caller never mutates what a read returns, it builds a new dict.  Only what
 enters the store is copied, once, with :func:`~repro.cloud.expressions.clone`
 — every caller-owned dict (``put_item``, ``batch_put``; once per distinct
@@ -548,7 +548,6 @@ class KeyValueStore(StorageEndpoint):
         table_name: str,
         segment: int = 0,
         total_segments: int = 1,
-        projection: Optional[Sequence[str]] = None,
     ) -> Generator[Yield, Any, Dict[str, Dict[str, Any]]]:
         """Scan one segment of a table: bills one read per 4 kB of its data.
 
@@ -560,9 +559,6 @@ class KeyValueStore(StorageEndpoint):
         The result holds the completion-time images of the keys the scan
         set out to read: one deleted while the request was in flight drops
         out, one inserted meanwhile waits for the next scan.
-        ``projection`` (DynamoDB's ``ProjectionExpression``) names the
-        top-level attributes to return; like DynamoDB, the scan is still
-        delayed and billed for the full items it read.
         """
         table = self.table(table_name)
         if not 0 <= segment < total_segments:
@@ -582,13 +578,8 @@ class KeyValueStore(StorageEndpoint):
         yield wait + latency
         table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
-        found: Dict[str, Dict[str, Any]] = {}
-        for key, rec in zip(selected, map(get, selected)):
-            if rec is not None:
-                image = rec.value
-                found[key] = (image if projection is None else
-                              {n: image[n] for n in projection if n in image})
-        return found
+        return {key: rec.value for key, rec in zip(selected, map(get, selected))
+                if rec is not None}
 
     def batch_put(
         self,

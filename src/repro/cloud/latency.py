@@ -9,14 +9,18 @@ The workhorse is :class:`SizeAware`: a lognormal base latency (fitted from
 p50/p99) plus a bandwidth term linear in the payload size, with a small
 probability of a heavy-tail outlier — the structure visible in all of the
 paper's latency tables (tight p50..p95 band, occasional 10x max).
+
+A model owns no stream: each store draws from the one stream its cloud
+gives it (``Cloud._endpoint``), shared by every caller of the store, so one
+request's round trips shift the draws of unrelated concurrent ones — an
+A/B of one request's latency has to let a run settle first.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from math import cos, exp, log, sin, sqrt, tau
 
 from ..sim.rng import lognormal_from_percentiles
 
@@ -76,14 +80,24 @@ class SizeAware(LatencyModel):
     outlier_p: float = 0.002
     outlier_scale: float = 10.0
 
-    @cached_property
-    def _params(self) -> tuple[float, float]:
-        """``(mu, sigma)`` of the fitted lognormal, fitted once per model."""
-        return lognormal_from_percentiles(self.p50_ms, self.p99_ms)
+    _sigma: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:  # sigma of the fitted lognormal, once per model
+        object.__setattr__(self, "_sigma", lognormal_from_percentiles(self.p50_ms, self.p99_ms)[1])
 
     def sample(self, rng: random.Random, size_kb: float = 0.0) -> float:
-        _mu, sigma = self._params
-        noise = math.exp(rng.gauss(0.0, sigma)) if sigma > 0 else 1.0
+        noise, sigma = 1.0, self._sigma
+        if sigma > 0:
+            # ``rng.gauss(0.0, sigma)`` without its frame: the same two draws
+            # and the same ``gauss_next`` cache it shares with other callers.
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng.random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - rng.random()))
+                z = cos(x2pi) * g2rad
+                rng.gauss_next = sin(x2pi) * g2rad
+            noise = exp(z * sigma)
         base = self.p50_ms * noise
         # The bandwidth term shares the multiplicative noise: large payloads
         # widen the absolute spread, as in Table 6a (64 kB rows).

@@ -34,7 +34,7 @@ sessions one sweep evicts together.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Set
+from typing import Any, Generator, List, Set
 
 from ..sim.kernel import TimerTrain
 from .layout import SYSTEM_SESSIONS
@@ -73,17 +73,18 @@ class HeartbeatLogic:
         env = fctx.env
         t0 = env.now
         sessions = yield from self.service.system_store.scan(
-            fctx.ctx, SYSTEM_SESSIONS,
-            segment=self.shard, total_segments=self.shards, projection=("ephemeral",))
+            fctx.ctx, SYSTEM_SESSIONS, segment=self.shard, total_segments=self.shards)
         fctx.record("scan", env.now - t0)
 
         # Ping every scanned session in parallel, ephemeral owners first
         # (their evictions release ephemeral nodes and must keep their
-        # original relative order).
+        # original relative order), reading the stored records in place.
         t0 = env.now
-        to_check = [sid for sid, item in sessions.items() if item.get("ephemeral")]
-        to_check += [sid for sid, item in sessions.items()
-                     if not item.get("ephemeral")]
+        owners: List[str] = []
+        others: List[str] = []
+        for sid, item in sessions.items():
+            (owners if item.get("ephemeral") else others).append(sid)
+        to_check = owners + others
         missed: Set[str] = set()
         if to_check:
             # One timer train for the whole sweep, no process: each session's

@@ -530,7 +530,8 @@ class FaaSKeeperService:
         if client is None or client.closed:
             return False
         if client.alive:
-            client._transition(KeeperState.CONNECTED)  # an answered ping heals a SUSPENDED session
+            if client._state is not KeeperState.CONNECTED:
+                client._transition(KeeperState.CONNECTED)  # an answered ping heals a SUSPENDED session
             return True
         # The service observed the client unreachable: the session is in
         # doubt (SUSPENDED) until the eviction lands (LOST) or a later

@@ -1,5 +1,7 @@
 """Unit tests for latency models and calibration profiles."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -82,3 +84,60 @@ def test_profile_zk_models_sub_ms_reads():
     aws = aws_profile()
     assert aws.zk_read.median(1.0) < 1.5
     assert aws.zk_write.median(1.0) < 5.0
+
+
+# --------------------------------------------------------- draw identity
+def _reference_sample(model, rng, size_kb):
+    """``SizeAware.sample`` as written on ``random.gauss``: what every
+    stream drew before the normal draw was inlined.  Compared against the
+    running interpreter, so a change to its ``gauss`` fails here first."""
+    _mu, sigma = lognormal_from_percentiles(model.p50_ms, model.p99_ms)
+    noise = math.exp(rng.gauss(0.0, sigma)) if sigma > 0 else 1.0
+    value = model.p50_ms * noise + model.per_kb_ms * size_kb * noise
+    if model.outlier_p > 0 and rng.random() < model.outlier_p:
+        value *= model.outlier_scale
+    return max(model.min_ms, value)
+
+
+def _draw_twins(model, size_kb, draws=10_000, seed=2024):
+    """Draw from ``model`` and from the reference on twin streams, with
+    foreign ``gauss``/``random`` calls interleaved on each so the shared
+    ``gauss_next`` cache is handed back and forth; return both streams."""
+    ours, ref = random.Random(seed), random.Random(seed)
+    for i in range(draws):
+        assert model.sample(ours, size_kb) == _reference_sample(model, ref, size_kb), i
+        if i % 7 == 3:  # another caller's normal (3.10's gauss has no defaults)
+            assert ours.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+        if i % 11 == 5:
+            assert ours.random() == ref.random()
+    return ours, ref
+
+
+def _profile_models():
+    for profile in (aws_profile(), gcp_profile()):
+        for f in dataclasses.fields(profile):
+            model = getattr(profile, f.name)
+            if isinstance(model, SizeAware):
+                yield pytest.param(model, id=f"{profile.name}.{f.name}")
+
+
+@pytest.mark.parametrize("model", list(_profile_models()))
+def test_every_profile_model_draws_what_random_gauss_drew(model):
+    for size_kb in (0.0, 1.0, 64.0):
+        ours, ref = _draw_twins(model, size_kb)
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("model", [
+    SizeAware(p50_ms=5.0, p99_ms=5.0),                   # sigma == 0: no normal
+    SizeAware(p50_ms=4.0, p99_ms=6.0, outlier_p=0.0),    # no outlier draw
+    SizeAware(p50_ms=5.0, p99_ms=5.0, outlier_p=0.0),    # no draw at all
+], ids=["sigma0", "no-outlier", "no-draw"])
+def test_a_model_that_skips_a_draw_leaves_the_stream_where_gauss_did(model):
+    ours, ref = _draw_twins(model, 1.0, draws=2_000)
+    assert ours.getstate() == ref.getstate()
+    if model.p50_ms == model.p99_ms and model.outlier_p == 0.0:
+        untouched = random.Random(7)
+        state = untouched.getstate()
+        model.sample(untouched, 64.0)
+        assert untouched.getstate() == state

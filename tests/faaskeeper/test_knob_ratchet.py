@@ -42,6 +42,10 @@ row or a fault cell needs its non-default value (its README row says
 which), so the knobs and plug-in registries that only tests set stay out.
 And garbage: it is collected by the write that makes it, so no module
 reads a table whole but the heartbeat sweep and recovery.
+And the latency draw: the package draws one normal, inlined in
+``SizeAware.sample`` and held to ``random.gauss`` by the draw-identity
+test, so no module calls ``gauss``, ``normalvariate`` or
+``lognormvariate``.
 """
 
 import ast
@@ -410,12 +414,41 @@ def test_the_ratchet_sees_a_stray_scan():
         "    def handler(self, fctx, payload):\n"
         "        items = yield from self.store.scan(fctx.ctx, 'nodes')\n"
         "        def inner():\n"
-        "            return store.scan(ctx, 'watches', projection=())\n"
+        "            return store.scan(ctx, 'watches', segment=1)\n"
         "        return items\n"
         "rows = store.scan(ctx, 'sessions')\n")
     assert _stray_scans(Path("faaskeeper/gc.py"), seeded) == [3, 5, 7]
     # the owner's own function may scan; a nested helper in it too
     assert _stray_scans(Path("faaskeeper/heartbeat.py"), seeded) == [7]
+
+
+#: ``random``'s normal samplers: ``SizeAware.sample`` inlines the one draw.
+NORMAL_DRAWS = {"gauss", "normalvariate", "lognormvariate"}
+
+
+def _normal_draws(text):
+    """Lines naming one of :data:`NORMAL_DRAWS` in code (a call, a bound
+    method kept for later, an import), not in prose."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(text))
+                   if getattr(node, "attr", getattr(node, "id", None)) in NORMAL_DRAWS
+                   or isinstance(node, ast.alias) and node.name in NORMAL_DRAWS})
+
+
+def test_one_normal_draw():
+    src = Path(repro.__file__).parent
+    for path in src.rglob("*.py"):
+        assert not _normal_draws(path.read_text()), path
+
+
+def test_the_ratchet_sees_a_normal_draw():
+    seeded = (
+        "from random import lognormvariate\n"
+        "def sample(self, rng):\n"
+        "    # math.exp(rng.gauss(0.0, sigma)), inlined\n"
+        "    noise = math.exp(rng.gauss(0.0, self.sigma))\n"
+        "    draw = rng.normalvariate\n"
+        "    return lognormvariate(0.0, 1.0) * draw(0.0, 1.0) * rng.random()\n")
+    assert _normal_draws(seeded) == [1, 4, 5, 6]
 
 
 def test_every_stage_is_declared_once():

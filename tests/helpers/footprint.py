@@ -30,3 +30,20 @@ def bytes_and_blocks_per(n: int, build: Callable[[int], Any],
     print(f"{what}: {per_bytes:.0f} B, {per_blocks:.1f} blocks, "
           f"{per_objects:.1f} GC-tracked objects")
     return per_bytes, per_blocks, per_objects
+
+
+def peak_bytes_per(n: int, run: Callable[[], Any], what: str) -> float:
+    """Traced bytes at the peak of ``run()`` above what was allocated before
+    it, per unit: the transient cost of work whose result is dropped (a
+    sweep's scan result, its ping order, its timer train).  Garbage is
+    collected first, so earlier cycles do not count."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_bytes = peak / n
+    print(f"{what}: {per_bytes:.0f} B peak")
+    return per_bytes
