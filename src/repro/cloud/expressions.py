@@ -31,7 +31,6 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "Always",
     "UpdateAction",
     "Set",
     "SetIfNotExists",
@@ -95,15 +94,6 @@ class Condition(_Expr):
 
     def __invert__(self) -> "Condition":
         return Not(self)
-
-
-class Always(Condition):
-    """Unconditional (used when no condition is supplied)."""
-
-    __slots__ = ()
-
-    def evaluate(self, item: Optional[Dict[str, Any]]) -> bool:
-        return True
 
 
 class And(Condition):
@@ -231,9 +221,6 @@ class Attr:
 
     def contains(self, value: Any) -> Condition:
         return _Contains(self.path, value)
-
-    def between(self, low: Any, high: Any) -> Condition:
-        return And(_Compare(self.path, ">=", low), _Compare(self.path, "<=", high))
 
     def __eq__(self, value: Any) -> Condition:  # type: ignore[override]
         return _Compare(self.path, "==", value)

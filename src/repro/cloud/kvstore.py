@@ -130,7 +130,6 @@ class Table:
         self.stream_listeners: List[Callable[[StreamRecord], None]] = []
         self._stream_seq = 0
         self.write_count = 0
-        self.read_count = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -339,7 +338,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table, 1.0)
         latency = self._latency(ctx, self.profile.kv_read, size_kb)
         yield wait + latency
-        table.read_count += 1
         # Re-fetch after the delay: the read observes the state at completion
         # time for strong reads, possibly stale state for eventual ones.
         rec = table._get(key)
@@ -576,7 +574,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table, max(1.0, total_kb / 4.0))
         latency = self._latency(ctx, self.profile.kv_read, total_kb)
         yield wait + latency
-        table.read_count += 1
         self._charge_read(ctx, max(total_kb, 1.0), consistent=True)
         return {key: rec.value for key, rec in zip(selected, map(get, selected))
                 if rec is not None}

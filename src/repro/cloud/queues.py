@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..sim.kernel import Environment, Yield
 from ..sim.resources import Store
@@ -54,14 +54,25 @@ class SharedSequence:
     the per-node ``applied_tx`` watermarks order txids across shards — so
     every shard queue draws from one counter (SQS FIFO sequence numbers
     are monotone per queue; a real deployment would reserve id ranges or
-    use an atomic counter item, which is a single-write operation)."""
+    use an atomic counter item, which is a single-write operation).
 
-    def __init__(self) -> None:
+    The same step stamps each accepted body with ``fence``: how many
+    accepted bodies carry its ``fence_key`` value so far.  A sender's
+    order across the queues is thus numbered only by messages that
+    reached one: a send that died before its enqueue holds no fence."""
+
+    def __init__(self, fence_key: str) -> None:
         self.value = 0
+        self.fence_key = fence_key
+        self._fences: Dict[Any, int] = {}
 
     def next(self) -> int:
         self.value += 1
         return self.value
+
+    def stamp(self, body: Dict[str, Any]) -> None:
+        key = body[self.fence_key]
+        body["fence"] = self._fences[key] = self._fences.get(key, 0) + 1
 
 
 @dataclass
@@ -143,6 +154,8 @@ class _QueueBase:
             # SQS exposes the assigned sequence number to sender and
             # receiver; FaaSKeeper uses it as the transaction id.
             body = dict(body, _seq=seq)
+            if self._seq_source is not None:
+                self._seq_source.stamp(body)
         self.meter.charge(ctx.payer or self.service_label, "queue_send",
                           self.profile.prices.queue_cost(size_kb))
         self.sent += 1

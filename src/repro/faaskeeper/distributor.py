@@ -25,11 +25,12 @@ drains its queue in batches and
 * **pipelines independent-path writes** — one process per path applies
   that path's surviving writes in commit order while different paths
   proceed in parallel;
-* **owns the watch stage** — the *primary* region's distributor performs
-  the watch query/consume (parallel across paths), adds the triggered
-  instance ids to every region's epoch counter, and invokes the watch
-  fan-out function; epoch accounting therefore moves with the fan-out and
-  the Z4 read stalls keep working.
+* **owns the watch stage** — the *primary* region's distributor queries
+  the armed instances (parallel across paths) and adds their ids to every
+  region's epoch counter; once the write is visible everywhere it runs
+  the inline leader's consume-and-clear tail (``WatchRegistry.consume``,
+  the watch fan-out, ``EpochLedger.remove_after``).  Epoch accounting
+  therefore moves with the fan-out and the Z4 read stalls keep working.
 
 Consistency is preserved by two boards (both simulation stand-ins for
 conditional reads/writes on system-storage items — their waits model only
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..cloud.errors import REDELIVERED, ConditionFailed
+from ..cloud.errors import ConditionFailed
 from ..cloud.expressions import Attr, Set
 from ..sim.kernel import gather
 from .follower import DISTRIBUTOR_BATCH
@@ -201,22 +202,18 @@ class GateBoard:
       records enter every distributor queue in commit order, so the gate
       is monotone per shard;
     * the **session fence** (key = session, marks = fences; Z2 across
-      leader shards): the follower stamps each leader message with the
-      session's next :meth:`issue` at push time — pushes of one session are
-      serialized by its FIFO queue, so fences follow request order — and a
-      shard leader starts a message only once ``fence - 1`` is applied, by
-      whichever shard owned that write.
+      leader shards): the shard queue that accepts a leader message stamps
+      it with the session's next fence (``SharedSequence.stamp``) — pushes
+      of one session are serialized by its FIFO queue, so fences follow
+      request order, and a push that never reached a queue holds none —
+      and a shard leader starts a message only once ``fence - 1`` is
+      applied, by whichever shard owned that write.
     """
 
     def __init__(self, env) -> None:
         self.env = env
-        self._issued: Dict[Any, int] = {}
         self._mark: Dict[Any, int] = {}
         self._waiters: Dict[Any, List[Tuple[int, Any]]] = {}
-
-    def issue(self, key) -> int:
-        nxt = self._issued[key] = self._issued.get(key, 0) + 1
-        return nxt
 
     def mark(self, key) -> int:
         return self._mark.get(key, 0)
@@ -417,18 +414,19 @@ class DistributorLogic:
         # newest transaction that touched the path in this batch (one-shot
         # watches legally fold multiple changes into one notification).
         txid_shard = {rec["txid"]: rec["shard"] for rec in batch}
-        by_txid: Dict[int, List[Tuple[str, List[Tuple[str, bool]], List[str]]]] = {}
+        by_txid: Dict[int, Tuple[Dict[str, List[Tuple[str, bool]]],
+                                 List[str]]] = {}
         for path, rows in zip(by_path, found):
-            armed = armed_instances(rows, by_path[path])
-            by_txid.setdefault(path_txid[path], []).append(
-                (path, by_path[path], [inst["id"] for _t, _e, inst in armed]))
+            op_pairs, armed_ids = by_txid.setdefault(path_txid[path], ({}, []))
+            op_pairs[path] = by_path[path]
+            armed_ids += [inst["id"] for _t, _e, inst
+                          in armed_instances(rows, by_path[path])]
         for txid in sorted(by_txid):
-            entries = by_txid[txid]
-            armed_ids = [wid for _p, _pairs, ids in entries for wid in ids]
+            op_pairs, armed_ids = by_txid[txid]
             if armed_ids:
                 yield from self.service.epoch_ledger.add(fctx.ctx, armed_ids)
             env.process(self._fanout_after_visible(txid, txid_shard[txid],
-                                                   entries, armed_ids),
+                                                   op_pairs, armed_ids),
                         name=f"fanout:{txid}")
 
         for shard, txid in newest.items():
@@ -436,33 +434,26 @@ class DistributorLogic:
         return None
 
     def _fanout_after_visible(self, txid: int, shard: int,
-                              entries: List[Tuple[str, List[Tuple[str, bool]], List[str]]],
+                              op_pairs: Dict[str, List[Tuple[str, bool]]],
                               armed_ids: List[str]) -> Generator:
-        """Consume + fan out once ``txid`` is visible in every region,
-        then clear the epoch counters after delivery (WatchCallback).  The
-        wait rides this detached process, so the primary distributor's
-        queue keeps draining while slower regions catch up."""
+        """Once ``txid`` is visible in every region, run the inline
+        pipeline's consume-and-clear tail: consume, fan out, and clear the
+        epoch counters after delivery (WatchCallback).  The wait rides this
+        detached process, so the primary distributor's queue keeps
+        draining while slower regions catch up."""
         stage = self.service.distribution
         ctx = self.service.system_ctx
         for region in self.service.config.regions:
             yield from stage.visibility.wait(region, txid)
-        triggered: List = []
-        for path, pairs, _armed in entries:
-            found = yield from self.service.watch_registry.query_consume_ops(
-                ctx, path, pairs, txid)
-            triggered.extend(found)
-        if triggered:
-            done = self.service.invoke_watch_fn(triggered, txid, shard=shard,
-                                                origin="distributor")
-            try:
-                yield done
-            except REDELIVERED:
-                pass  # fan-out retried internally; clear regardless
+        triggered = yield from self.service.watch_registry.consume(
+            ctx, op_pairs, txid)
+        done = self.service.invoke_watch_fn(
+            triggered, txid, shard=shard, origin="distributor",
+        ) if triggered else None
         # The armed ids are what the epoch carries; the consumed instances
         # may differ (an intervening consume can have replaced them) —
         # clear exactly what was added.
-        if armed_ids:
-            yield from self.service.epoch_ledger.remove(ctx, armed_ids)
+        yield from self.service.epoch_ledger.remove_after(done, armed_ids, ctx)
         return None
 
 

@@ -384,15 +384,10 @@ class FollowerLogic:
             "payload_kb": sum(len(getattr(op, "data", b"")) / 1024.0
                               for op in ops),
         }
-        board = self.service.fence_board
+        # With several shards, the queue that accepts the push stamps it
+        # with the session's next fence (``SharedSequence.stamp``).
         shard = self.service.multi_shard_of(
             [p for p, rec in write_set.items() if rec["node"]])
-        if board is not None:
-            # Session-sequence fence: pushes of one session are serialized
-            # by its FIFO queue, so fences follow request order; the shard
-            # leaders use them to keep cross-shard writes in session order.
-            leader_msg["fence"] = board.issue(req.session)
-            leader_msg["shard"] = shard
         txid = yield from self.service.leader_queues[shard].send(
             fctx.ctx, leader_msg, group="updates", size_kb=req.size_kb)
         fctx.record("push", env.now - t0)

@@ -19,7 +19,10 @@ update the leader
   region in parallel, attaching the current epoch (the watch
   notifications still in flight),
 ➍ consumes triggered watches (each instance once per envelope), adds
-  their ids to the epoch counters and invokes the watch fan-out function,
+  their ids to the epoch counters, invokes the watch fan-out function and
+  clears the ids once it is done — the consume-and-clear tail
+  (``WatchRegistry.consume``, ``EpochLedger.remove_after``) that the
+  distributor's watch stage runs too,
 ➎ notifies the client with one response carrying the per-member results
   and pops the transaction from every touched path.
 
@@ -56,7 +59,7 @@ watermark instead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List
 
 from ..cloud.errors import ConditionFailed, Redeliver
 from ..cloud.expressions import Attr, ListRemove, Set
@@ -98,21 +101,11 @@ class LeaderLogic:
     def sharded(self) -> bool:
         return self.service.config.leader_shards > 1
 
-    @property
-    def distribution(self):
-        """The deployment's distributor stage (None when disabled: the
-        leader then replicates and fans out watches inline, as in the
-        paper's Algorithm 2)."""
-        return self.service.distribution
-
     def _load_epoch(self, fctx) -> Generator:
         if not self._epoch_loaded:
             yield from self.service.epoch_ledger.load(fctx.ctx)
             self._epoch_loaded = True
         return None
-
-    def epoch_snapshot(self, region: str) -> List[str]:
-        return self.service.epoch_ledger.snapshot(region)
 
     # ------------------------------------------------------------ fences
     def _wait_fence(self, msg: Dict[str, Any]) -> Generator:
@@ -198,8 +191,8 @@ class LeaderLogic:
                 # intact).  Its txid never replicates nor gets a log record:
                 # burn it, so the visibility floor and the log floor can
                 # pass it.
-                if self.distribution is not None:
-                    self.distribution.visibility.burn(txid)
+                if self.service.distribution is not None:
+                    self.service.distribution.visibility.burn(txid)
                 if self.service.snapshots is not None:
                     yield from self.service.snapshots.burn(
                         fctx, txid, self.shard)
@@ -232,14 +225,14 @@ class LeaderLogic:
         # ➍ prep: which watch types each written path triggers
         op_pairs = {path: write_set[path]["triggers"] for path, *_ in writes}
 
-        if self.distribution is not None:
+        if self.service.distribution is not None:
             # Distributor stage: hand ➌/➍ to the per-region distributor
             # queues (one record per envelope).  The publish is awaited
             # before the pop: a competing shard only starts (via the
             # per-path pending-list gate) after the pop, so the regional
             # queues receive same-path records in commit order.
             t0 = env.now
-            yield from self.distribution.publish(fctx, {
+            yield from self.service.distribution.publish(fctx, {
                 "txid": txid, "shard": self.shard, "session": msg["session"],
                 "writes": writes,
                 "watch_pairs": [(path, op, is_parent)
@@ -253,7 +246,8 @@ class LeaderLogic:
             t0 = env.now
             yield fctx.compute(base_ms=0.3, payload_kb=msg["payload_kb"],
                                per_kb_ms=0.12)
-            epochs = {region: self.epoch_snapshot(region)
+            ledger = self.service.epoch_ledger
+            epochs = {region: ledger.snapshot(region)
                       for region in self.service.config.regions}
             yield from gather(env, [
                 write_user_image(self.service.user_store, fctx.ctx, region,
@@ -265,15 +259,18 @@ class LeaderLogic:
 
             # ➍ watches: one query/consume per touched path; every instance
             # fires exactly once per committed envelope, with its txid
-            triggered = yield from self._consume_watches(fctx, op_pairs, txid)
+            t0 = env.now
+            triggered = yield from self.service.watch_registry.consume(
+                fctx.ctx, op_pairs, txid)
+            fctx.record("watch_query", env.now - t0)
             if triggered:
                 watch_ids = [t.watch_id for t in triggered]
-                yield from self.service.epoch_ledger.add(fctx.ctx, watch_ids)
+                yield from ledger.add(fctx.ctx, watch_ids)
                 done = self.service.invoke_watch_fn(triggered, txid,
                                                     shard=self.shard)
                 cb = env.process(
-                    self.service.epoch_ledger.remove_after(
-                        done, watch_ids, self.service.system_ctx),
+                    ledger.remove_after(done, watch_ids,
+                                        self.service.system_ctx),
                     name="watch-callback")
                 self._pending_callbacks.append(cb)
 
@@ -288,22 +285,6 @@ class LeaderLogic:
         """``txid`` commits: list the tombstones its deletes leave."""
         self._tombstones += [[path, txid] for path, image, *_ in msg["writes"]
                              if image.get("deleted")]
-
-    def _consume_watches(self, fctx,
-                         op_pairs: Dict[str, List[Tuple[str, bool]]],
-                         txid: int) -> Generator:
-        """Step ➍ prelude: query + consume the watches each touched path
-        triggers, one path after the other (the paper's calibrated latency
-        split)."""
-        env = fctx.env
-        t0 = env.now
-        triggered: List = []
-        for path, pairs in op_pairs.items():
-            found = yield from self.service.watch_registry.query_consume_ops(
-                fctx.ctx, path, pairs, txid)
-            triggered.extend(found)
-        fctx.record("watch_query", env.now - t0)
-        return triggered
 
     def _pop_paths(self, fctx, paths: List[str], txid: int) -> Generator:
         env = fctx.env

@@ -167,8 +167,9 @@ class FaaSKeeperService:
         self.follower_fn = deploy("fk-follower", "follower",
                                   FollowerLogic(self)).fn
         # All shard queues draw txids from one sequence, keeping transaction
-        # ids globally comparable (MRD tracking, applied_tx watermarks).
-        txids = SharedSequence() if shards > 1 else None
+        # ids globally comparable (MRD tracking, applied_tx watermarks); it
+        # also stamps each push with its session's fence.
+        txids = SharedSequence(fence_key="session") if shards > 1 else None
         leaders = [
             deploy("fk-leader" + _suffix(i), "leader",
                    LeaderLogic(self, shard=i), queue="fk-leader-q" + _suffix(i),

@@ -12,9 +12,11 @@ registrations race safely (first writer names the instance; everyone reads
 the winning id from the returned image) and a session re-arming a watch it
 already holds stays listed once — one delivery, however many re-arms.
 
-Consumption (watches are one-shot, as in ZooKeeper) removes the instance
-atomically; the leader then hands the (id, sessions) pairs to the watch
-function for fan-out.
+Both write pipelines end step ➍ in one tail: :meth:`WatchRegistry.consume`
+removes each triggered instance atomically (watches are one-shot, as in
+ZooKeeper), the caller hands the (id, sessions) pairs to the watch
+function for fan-out, and :meth:`EpochLedger.remove_after` — the one
+WatchCallback — clears their epoch entries once the fan-out is done.
 
 :class:`DataWatch` and :class:`ChildrenWatch` sit on top of the one-shot
 protocol: they re-register on every delivery *before* re-reading, so a
@@ -150,26 +152,26 @@ class EpochLedger:
             self._mirror[region] = list(new)
         return None
 
-    def remove(self, ctx: OpContext, watch_ids: List[str]) -> Generator:
-        for region in self.regions:
-            new = yield from self.lists[region].remove(ctx, watch_ids)
-            self._mirror[region] = list(new)
-        return None
-
-    def remove_after(self, invocation_done, watch_ids: List[str],
-                     ctx: OpContext) -> Generator:
-        """WatchCallback (Algorithm 2, step ➏): wait for the watch fan-out
-        to finish, then clear its entries from every region's counter."""
-        try:
-            yield invocation_done
-        except REDELIVERED:
-            pass  # fan-out retried internally; clear regardless of outcome
-        yield from self.remove(ctx, watch_ids)
+    def remove_after(self, invocation_done: Optional[Event],
+                     watch_ids: List[str], ctx: OpContext) -> Generator:
+        """WatchCallback (Algorithm 2, step ➏), the only code that clears
+        epoch entries: wait for the watch fan-out to finish (None: nothing
+        was fanned out), then remove ``watch_ids`` from every region's
+        counter (none: no write)."""
+        if invocation_done is not None:
+            try:
+                yield invocation_done
+            except REDELIVERED:
+                pass  # fan-out retried internally; clear regardless of outcome
+        if watch_ids:
+            for region in self.regions:
+                new = yield from self.lists[region].remove(ctx, watch_ids)
+                self._mirror[region] = list(new)
         return None
 
 
 class WatchRegistry:
-    """Client-side registration and leader-side consumption of watches
+    """Client-side registration and write-side consumption of watches
     over the one system watch table."""
 
     def __init__(self, store: KeyValueStore) -> None:
@@ -194,16 +196,21 @@ class WatchRegistry:
 
     def query(self, ctx: OpContext, path: str
               ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
-        """Leader step ➍ prelude: the per-write watch lookup."""
+        """Step ➍ prelude: one path's watch lookup."""
         return (yield from self.store.get_item(ctx, SYSTEM_WATCHES, path))
 
-    def query_consume_ops(self, ctx: OpContext, path: str,
-                          op_pairs: List[Tuple[str, bool]], txid: int,
-                          ) -> Generator[Any, Any, List[TriggeredWatch]]:
-        """Fused query + consume for one path (the leader's step ➍ and the
-        distributor's watch stage run one of these per path)."""
-        witem = yield from self.query(ctx, path)
-        return (yield from self.consume_ops(ctx, path, op_pairs, witem, txid))
+    def consume(self, ctx: OpContext,
+                op_pairs_by_path: Dict[str, List[Tuple[str, bool]]], txid: int,
+                ) -> Generator[Any, Any, List[TriggeredWatch]]:
+        """Step ➍ of both pipelines: query and consume the watches
+        transaction ``txid`` triggers on each path, one path after the
+        other (the paper's calibrated latency split)."""
+        triggered: List[TriggeredWatch] = []
+        for path, op_pairs in op_pairs_by_path.items():
+            witem = yield from self.query(ctx, path)
+            triggered += yield from self.consume_ops(ctx, path, op_pairs,
+                                                     witem, txid)
+        return triggered
 
     def consume_ops(self, ctx: OpContext, path: str,
                     op_pairs: List[Tuple[str, bool]],

@@ -2,9 +2,11 @@
 
 Every stochastic element of the simulation (latency noise, payload
 generation, failure injection) draws from a named stream derived from a
-single root seed.  Independent streams keep experiments comparable: adding a
-new noise source does not perturb the draws of existing ones, which is the
-standard variance-reduction discipline for simulation studies.
+single root seed.  A stream's draws depend only on the root seed and its
+name, so adding a stream under a new name does not perturb the draws of
+existing ones.  That holds per stream, not per caller: every caller of a
+store draws from that store's one stream, so one extra request at a store
+shifts the draws of every later request there, related or not.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.expressions import (
     Add,
-    Always,
     Attr,
     ListAdd,
     ListAppend,
@@ -32,10 +31,6 @@ from repro.faaskeeper.model import NodeStat
 
 
 # ------------------------------------------------------------- conditions
-def test_always_true_on_missing_item():
-    assert Always().evaluate(None)
-
-
 def test_attr_exists():
     assert Attr("a").exists().evaluate({"a": 1})
     assert not Attr("a").exists().evaluate({"b": 1})
@@ -80,10 +75,8 @@ def test_boolean_combinators():
     assert (~(Attr("a") == 9)).evaluate(item)
 
 
-def test_between_and_contains():
-    item = {"n": 5, "lst": [1, 2, 3]}
-    assert Attr("n").between(1, 5).evaluate(item)
-    assert not Attr("n").between(6, 9).evaluate(item)
+def test_contains():
+    item = {"lst": [1, 2, 3]}
     assert Attr("lst").contains(2).evaluate(item)
     assert not Attr("lst").contains(99).evaluate(item)
     assert not Attr("missing").contains(1).evaluate(item)

@@ -411,6 +411,32 @@ def test_a_primary_distributor_crash_strands_no_watch_id(window):
         assert service.user_store.peek(region, "/a")["data"] == b"x"
 
 
+@pytest.mark.parametrize("distributor", [False, True],
+                         ids=["inline", "distributor"])
+def test_a_fanout_that_dies_every_attempt_still_drains_the_epoch(distributor):
+    """Every attempt of the watch fan-out (the first and both retries)
+    dies on entry.  The one WatchCallback both pipelines share,
+    ``EpochLedger.remove_after``, clears the epoch entries whatever the
+    fan-out's outcome: the counter drains, the watcher is never called
+    and the next write commits."""
+    cloud, service = make_service(seed=7, distributor_enabled=distributor)
+    c, watcher = service.connect(), service.connect()
+    c.create("/a", b"")
+    cloud.run(until=cloud.now + 30_000)
+    fired = []
+    watcher.get_data("/a", watch=fired.append)
+    fn = service.watch_fn
+    cloud.runtime.plan_crash(*(f"fk-watch:{fn.invocations + i}:start"
+                               for i in (1, 2, 3)))
+    c.set_data("/a", b"x")
+    cloud.run(until=cloud.now + 30_000)
+    assert (fn.failures, fn.invocations) == (3, 3)
+    assert fired == []
+    assert epoch_items(service) == [[]]
+    res = c.set_data("/a", b"y")
+    assert (res.version, res.txid) == (2, 3)
+
+
 @pytest.mark.parametrize("seed", [12, 15, 20])
 def test_try_commit_moves_the_dedup_watermark(seed):
     """The follower dies after its push; the leader's TryCommit commits

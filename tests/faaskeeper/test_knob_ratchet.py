@@ -143,7 +143,12 @@ def test_census_deletions_stay_deleted():
     reference ensemble's expiry callbacks nothing registered.  And the
     leader's second tail for the distributor with its ack-after-replicate
     process: the distributor acks at commit, and both pipelines end in
-    one notify-pop-fence tail."""
+    one notify-pop-fence tail.  And the fused per-path query-and-consume,
+    the leader's own consume loop and its pass-through epoch snapshot:
+    both pipelines consume through ``WatchRegistry.consume`` and clear
+    through ``EpochLedger.remove_after``.  And ``Attr.between`` and
+    ``Always``, which only their unit tests called, and the per-table
+    read counter nothing read."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -164,7 +169,9 @@ def test_census_deletions_stay_deleted():
         r"crash_point|CRASH_POINTS|fault_plan|"
         "CircuitBreaker|BREAKER_|breaker_threshold|breaker_cooldown_ms|"
         "RetryPolicy|_on_breaker_transition|shrink_breakers|"
-        "on_session_expired|_ack_after|_distribute_and_finish")
+        "on_session_expired|_ack_after|_distribute_and_finish|"
+        r"query_consume_ops|_consume_watches|epoch_snapshot|read_count|"
+        r"def between\(|class Always\b")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()

