@@ -22,7 +22,9 @@ import json
 import os
 
 from repro.analysis import render_table, summarize
-from repro.analysis.bench import deploy_fk, timed
+from repro.analysis.bench import timed
+from repro.cloud import Cloud
+from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService
 
 SMOKE = os.environ.get("FK_BENCH_SMOKE", "") not in ("", "0")
 JSON_PATH = os.environ.get("FK_BENCH_JSON", "BENCH_storage_faults.json")
@@ -33,8 +35,12 @@ SEED = 1337
 
 def _run_workload(rate):
     """One deployment at the given fault rate; returns (samples, stats)."""
-    cloud, service, client = deploy_fk(
-        seed=SEED, user_store="hybrid", storage_fault_rate=rate)
+    cloud = Cloud.aws(seed=SEED)
+    service = FaaSKeeperService.deploy(
+        cloud, FaaSKeeperConfig(user_store="hybrid"))
+    if rate:
+        service.arm_storage_faults(rate)
+    client = service.connect()
     client.create("/bench", b"")
     payload = b"x" * 1024
     t0 = cloud.now

@@ -30,6 +30,7 @@ intact.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 __all__ = ["FaultInjector", "FAULT_KINDS", "FAULT_TIMEOUT_MS"]
@@ -47,6 +48,12 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "partial_write": 0.1,
 }
 
+#: The mix as a cumulative table, built once: (upper bound, kind) in
+#: ``FAULT_KINDS`` order.
+_CUMULATIVE: Tuple[Tuple[float, str], ...] = tuple(zip(
+    accumulate(DEFAULT_WEIGHTS[kind] / sum(DEFAULT_WEIGHTS.values())
+               for kind in FAULT_KINDS), FAULT_KINDS))
+
 #: Virtual time an injected-timeout request hangs before dying (ms).
 FAULT_TIMEOUT_MS = 250.0
 
@@ -54,32 +61,18 @@ FAULT_TIMEOUT_MS = 250.0
 class FaultInjector:
     """One store's fault schedule: per-op draws from a dedicated stream.
 
-    ``rate`` is the per-operation fault probability; ``weights`` splits it
-    across the fault classes.  Read operations cannot partial-write, so a
-    read drawing ``partial_write`` degrades to ``conn_reset`` (the
-    pre-send kind) instead of silently lowering the read fault rate.
+    ``rate`` is the per-operation fault probability; ``DEFAULT_WEIGHTS``
+    splits it across the fault classes.  Read operations cannot
+    partial-write, so a read drawing ``partial_write`` degrades to
+    ``conn_reset`` (the pre-send kind) instead of silently lowering the
+    read fault rate.
     """
 
-    def __init__(self, rng, rate: float,
-                 weights: Optional[Dict[str, float]] = None) -> None:
+    def __init__(self, rng, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
         self.rng = rng
         self.rate = rate
-        merged = dict(DEFAULT_WEIGHTS)
-        if weights:
-            unknown = set(weights) - set(FAULT_KINDS)
-            if unknown:
-                raise ValueError(f"unknown fault kinds {sorted(unknown)}")
-            merged.update(weights)
-        total = sum(merged.values())
-        if total <= 0:
-            raise ValueError("fault weights must sum to > 0")
-        self._cumulative = []
-        running = 0.0
-        for kind in FAULT_KINDS:
-            running += merged[kind] / total
-            self._cumulative.append((running, kind))
         #: fault kind -> times injected (exposed as callback metrics).
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
@@ -95,8 +88,8 @@ class FaultInjector:
         if roll >= self.rate:
             return None
         scaled = roll / self.rate  # reuse the draw to pick the kind
-        kind = self._cumulative[-1][1]
-        for bound, candidate in self._cumulative:
+        kind = _CUMULATIVE[-1][1]
+        for bound, candidate in _CUMULATIVE:
             if scaled <= bound:
                 kind = candidate
                 break

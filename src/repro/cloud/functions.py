@@ -296,16 +296,16 @@ class FunctionRuntime:
         return fn.invoke(payload, invoke_latency_ms=latency)
 
     def schedule(self, fn: DeployedFunction, period_ms: float,
-                 payload_factory: Callable[[], Any] = lambda: None,
                  offset_ms: float = 0.0) -> "ScheduledTask":
-        """Scheduled-function trigger: invoke every ``period_ms``.
+        """Scheduled-function trigger: invoke every ``period_ms`` with no
+        payload.
 
         ``offset_ms`` phase-shifts the cron (first firing at
         ``offset + period``): a fleet of partitioned sweeps staggers its
         members so they do not all land on the table's capacity bucket in
         the same instant.  The default of 0 is the historical schedule.
         """
-        task = ScheduledTask(self, fn, period_ms, payload_factory, offset_ms)
+        task = ScheduledTask(self, fn, period_ms, offset_ms)
         task.start()
         return task
 
@@ -314,12 +314,10 @@ class ScheduledTask:
     """Cron-style periodic invocation of a function."""
 
     def __init__(self, runtime: FunctionRuntime, fn: DeployedFunction,
-                 period_ms: float, payload_factory: Callable[[], Any],
-                 offset_ms: float = 0.0) -> None:
+                 period_ms: float, offset_ms: float = 0.0) -> None:
         self.runtime = runtime
         self.fn = fn
         self.period_ms = period_ms
-        self.payload_factory = payload_factory
         self.offset_ms = offset_ms
         self.fired = 0
         #: The loop process of the current ``start()``; None while stopped.
@@ -357,7 +355,7 @@ class ScheduledTask:
                 # Scheduled functions get a provider retry policy; a cloud
                 # fault must not kill the cron loop (Section 2.1, "Scheduled").
                 try:
-                    yield from self.fn.run(self.payload_factory())
+                    yield from self.fn.run(None)
                     break
                 except REDELIVERED:
                     pass

@@ -7,7 +7,9 @@ Provides the semantics FaaSKeeper's system storage needs (Section 3.3):
 * **update expressions** (SET/ADD/LIST_APPEND/...) — the substrate of atomic
   counters and lists;
 * **strongly consistent reads** (required; eventual reads are provided to
-  demonstrate why they break Z2/Z3 — tested in the consistency suite);
+  demonstrate why they break Z2/Z3 — read by
+  ``tests/cloud/test_kvstore.py::test_eventual_read_can_be_stale`` and
+  ``benchmarks/bench_ablation_consistency.py``);
 * per-kB billing, a 400 kB item limit, and a table throughput ceiling
   (Figure 6b);
 * an optional **change stream** per table, the AWS "DynamoDB Streams"

@@ -13,8 +13,8 @@ effects under hundreds of crash schedules.  The harness keeps to:
 * **liveness** — every armed function has a finite budget: the leader,
   distributor and outbox queues redeliver forever, and the watch
   fan-out's invoker retries ``WATCH_FN_RETRIES`` times, its budget;
-* **crashes only** — storage faults are armed at deploy time
-  (``FaaSKeeperConfig.storage_fault_rate``) and compose with them;
+* **crashes only** — storage faults are armed on the running deployment
+  (``FaaSKeeperService.arm_storage_faults``) and compose with them;
 * **sandbox loss** — :attr:`DeployedFunction.on_failure` calls the stage
   logic's ``cold_restart()``: redeliveries re-hydrate their warm state.
 

@@ -47,18 +47,14 @@ from .cache import ClientReadCache
 from .exceptions import (
     AccessDeniedError,
     BadArgumentsError,
-    BadVersionError,
-    FaaSKeeperError,
-    NoChildrenForEphemeralsError,
     NodeExistsError,
     NoNodeError,
-    NotEmptyError,
     RequestFailedError,
     RetryFailedError,
-    RolledBackError,
     SessionClosedError,
     SystemBusyError,
     TransactionFailedError,
+    error_for,
 )
 from .model import (
     CheckOp,
@@ -80,25 +76,6 @@ from .model import (
 
 __all__ = ["FaaSKeeperClient", "FKFuture", "Transaction", "WriteResult",
            "SessionRetry", "BusyRetry"]
-
-_ERROR_MAP = {
-    "no_node": NoNodeError,
-    "node_exists": NodeExistsError,
-    "bad_version": BadVersionError,
-    "not_empty": NotEmptyError,
-    "no_children_for_ephemerals": NoChildrenForEphemeralsError,
-    "session_closed": SessionClosedError,
-    "system_failure": RequestFailedError,
-    "system_busy": SystemBusyError,
-    "bad_arguments": BadArgumentsError,
-    "access_denied": AccessDeniedError,
-    "rolled_back": RolledBackError,
-}
-
-
-def _error_for(code: str, context: str) -> FaaSKeeperError:
-    return _ERROR_MAP.get(code, RequestFailedError)(f"{context}: {code}")
-
 
 # What each read facade hands back of the node image it fetched (None: no
 # such node).
@@ -561,8 +538,8 @@ class FaaSKeeperClient:
         # (queue drop, leader rejection): every member shares its failure.
         envelope_error = response.error or "system_failure"
         results = [
-            _error_for(res.get("error", envelope_error),
-                       f"{res.get('op')} {res.get('path')}")
+            error_for(res.get("error", envelope_error),
+                      f"{res.get('op')} {res.get('path')}")
             for res in response.results or request.ops]
         return TransactionFailedError(
             f"multi of {len(request.ops)} ops: {response.error}",
@@ -629,7 +606,7 @@ class FaaSKeeperClient:
 
     def _closed(self, response: Response) -> None:
         if not response.ok:
-            raise _error_for(response.error, "close_session")
+            raise error_for(response.error, "close_session")
         self._mark_closed()
 
     # ------------------------------------------------------------ multi

@@ -78,12 +78,6 @@ class FaaSKeeperConfig:
     #: system watch registered alongside it fires (one-shot watches make
     #: client caching sound, as in ZooKeeper).
     client_cache_entries: int = 0
-    #: Seeded transient-fault injection on every storage service the
-    #: deployment owns (throttle / timeout / connection reset / partial
-    #: write): the per-operation fault probability, 0 (the default) = no
-    #: schedule armed.  Every round trip rides the retry proxy
-    #: (:mod:`repro.faaskeeper.retry`) either way.
-    storage_fault_rate: float = 0.0
 
     def __post_init__(self, ack_policy: Optional[str]) -> None:
         # The backend table is the one list of kinds (the import is
@@ -115,10 +109,6 @@ class FaaSKeeperConfig:
             raise ValueError(
                 "outbox_enabled=True requires commit_log_enabled=True: the "
                 "publisher streams events out of the commit log")
-        if not 0.0 <= self.storage_fault_rate <= 1.0:
-            raise ValueError(
-                f"storage_fault_rate must be in [0, 1], "
-                f"got {self.storage_fault_rate}")
 
     @property
     def client_cache_enabled(self) -> bool:

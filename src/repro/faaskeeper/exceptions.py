@@ -17,6 +17,7 @@ __all__ = [
     "RolledBackError",
     "TransactionFailedError",
     "RetryFailedError",
+    "error_for",
 ]
 
 
@@ -90,3 +91,25 @@ class TransactionFailedError(FaaSKeeperError):
     def __init__(self, message: str, results: list | None = None) -> None:
         super().__init__(message)
         self.results = list(results or [])
+
+
+#: Error code of a failed request -> the exception the client raises.
+_ERROR_MAP = {
+    "no_node": NoNodeError,
+    "node_exists": NodeExistsError,
+    "bad_version": BadVersionError,
+    "not_empty": NotEmptyError,
+    "no_children_for_ephemerals": NoChildrenForEphemeralsError,
+    "session_closed": SessionClosedError,
+    "system_failure": RequestFailedError,
+    "system_busy": SystemBusyError,
+    "bad_arguments": BadArgumentsError,
+    "access_denied": AccessDeniedError,
+    "rolled_back": RolledBackError,
+}
+
+
+def error_for(code: str, context: str) -> FaaSKeeperError:
+    """The typed error of a failed request's ``code`` (an unknown code is a
+    :class:`RequestFailedError`), its message ``"<context>: <code>"``."""
+    return _ERROR_MAP.get(code, RequestFailedError)(f"{context}: {code}")

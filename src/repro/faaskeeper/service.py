@@ -136,8 +136,6 @@ class FaaSKeeperService:
             lambda: cloud.rng.stream("storage-retry:user"), self.metrics)
         #: Fault injectors armed on this deployment (empty = clean run).
         self.storage_injectors: List[Any] = []
-        if config.storage_fault_rate > 0:
-            self.arm_storage_faults(config.storage_fault_rate)
 
         # --- sessions ----------------------------------------------------------
         self._session_ids = itertools.count(1)
@@ -277,6 +275,8 @@ class FaaSKeeperService:
     def arm_storage_faults(self, rate: float) -> List[Any]:
         """Arm a seeded transient-fault schedule on every storage endpoint.
 
+        The one way to arm storage faults: like a crash plan, the schedule
+        is armed on the running deployment, right after deploy or mid-run.
         One :class:`~repro.cloud.faults.FaultInjector` per fault point (the
         system key-value store behind its proxy plus whatever endpoints the
         user backend reports), each driven by its own named RNG stream

@@ -9,26 +9,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..faaskeeper.client import WriteResult
-from ..faaskeeper.exceptions import (
-    BadVersionError,
-    NoChildrenForEphemeralsError,
-    NodeExistsError,
-    NoNodeError,
-    NotEmptyError,
-    SessionClosedError,
-)
+from ..faaskeeper.exceptions import NoNodeError, SessionClosedError, error_for
 from ..faaskeeper.model import NodeStat, WatchType, validate_path
 from .ensemble import ZooKeeperEnsemble
 
 __all__ = ["ZooKeeperClient"]
-
-_ERRORS = {
-    "no_node": NoNodeError,
-    "node_exists": NodeExistsError,
-    "bad_version": BadVersionError,
-    "not_empty": NotEmptyError,
-    "no_children_for_ephemerals": NoChildrenForEphemeralsError,
-}
 
 
 class ZooKeeperClient:
@@ -83,7 +68,7 @@ class ZooKeeperClient:
 
         error, txn = self._run(flow())
         if error != "ok":
-            raise _ERRORS[error](f"{op} {path}: {error}")
+            raise error_for(error, f"{op} {path}")
         return error, txn
 
     def create(self, path: str, data: bytes = b"", ephemeral: bool = False,

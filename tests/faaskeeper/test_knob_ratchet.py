@@ -61,7 +61,7 @@ import repro
 from repro.cloud import expressions
 from repro.faaskeeper import FaaSKeeperConfig, client, heartbeat
 
-MAX_CONFIG_FIELDS = 12
+MAX_CONFIG_FIELDS = 11
 MAX_ENV_SWITCHES = 1
 #: Distinct ``FK_*`` names outside ``src/`` (tests, benchmarks, CI).
 MAX_HARNESS_SWITCHES = 6
@@ -148,7 +148,10 @@ def test_census_deletions_stay_deleted():
     both pipelines consume through ``WatchRegistry.consume`` and clear
     through ``EpochLedger.remove_after``.  And ``Attr.between`` and
     ``Always``, which only their unit tests called, and the per-table
-    read counter nothing read."""
+    read counter nothing read.  And the deploy-time storage fault rate:
+    storage faults are armed on the running deployment
+    (``arm_storage_faults``), as crashes are.  And the cron's payload
+    factory: a scheduled function is invoked with no payload."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -171,10 +174,19 @@ def test_census_deletions_stay_deleted():
         "RetryPolicy|_on_breaker_transition|shrink_breakers|"
         "on_session_expired|_ack_after|_distribute_and_finish|"
         r"query_consume_ops|_consume_watches|epoch_snapshot|read_count|"
-        r"def between\(|class Always\b")
+        r"def between\(|class Always\b|storage_fault_rate|payload_factory")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()
+
+
+def test_the_fault_mix_is_one_constant():
+    """A fault injector takes a stream and a rate; the mix of fault kinds
+    is ``faults.DEFAULT_WEIGHTS``, which no caller overrides."""
+    from repro.cloud.faults import FaultInjector
+
+    params = list(inspect.signature(FaultInjector.__init__).parameters)
+    assert params == ["self", "rng", "rate"]
 
 
 def _switches(paths):

@@ -155,6 +155,25 @@ def test_semaphore_bounds_concurrent_holders(deployment):
     assert held["max"] == max_leases              # concurrency was real
 
 
+def test_semaphore_lease_holders_in_grant_order(deployment):
+    """Three contenders on two leases: the first two hold, the third
+    waits; a release hands its lease to the waiter, behind the holder
+    that stayed."""
+    cloud, service = deployment
+    a, b, c = (recipes.Semaphore(service.connect(), "/leases/db",
+                                 max_leases=2, identifier=name)
+               for name in ("a", "b", "c"))
+    assert a.acquire() and b.acquire()
+    waiting = cloud.env.process(c.co_acquire())
+    cloud.run(until=cloud.now + 2_000)
+    assert not waiting.triggered                  # no third lease
+    assert c.lease_holders() == ["a", "b"]
+    assert a.release()
+    cloud.run(until=AllOf(cloud.env, [waiting]))
+    assert waiting.value is True
+    assert a.lease_holders() == ["b", "c"]
+
+
 # ---------------------------------------------------------------- Barrier
 def test_barrier_blocks_until_removed(deployment):
     cloud, service = deployment

@@ -120,15 +120,16 @@ def _live(kind) -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is kind)
 
 
-def _churn(storage_fault_rate):
+def _churn(fault_rate):
     """connect 500 -> close all -> drain, five rounds, beside a resident
     fleet of 2 000 idle sessions; returns the deployment, the fleet and the
     traced bytes after each round."""
     tracemalloc.start()
     try:
         cloud, service = make_service(seed=7, user_store="mem",
-                                      session_plane_shards=8,
-                                      storage_fault_rate=storage_fault_rate)
+                                      session_plane_shards=8)
+        if fault_rate:
+            service.arm_storage_faults(fault_rate)
         resident = service.connect_many(2000)
         after = []
         for _round in range(5):

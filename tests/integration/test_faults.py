@@ -5,9 +5,10 @@ stage with seeded random crashes in its functions' crash windows — the
 start, before or after any storage op, queue send or watch delivery, the
 end (:class:`~repro.faaskeeper.chaos.ChaosMonkey`)
 and/or a seeded transient-fault schedule on every storage endpoint
-(``FaaSKeeperConfig.storage_fault_rate``: throttles, timeouts, connection
-resets, partial writes), drives one seeded workload to quiescence and
-audits what ZooKeeper promises.  The workload column names what runs:
+(``FaaSKeeperService.arm_storage_faults`` right after deploy: throttles,
+timeouts, connection resets, partial writes), drives one seeded workload
+to quiescence and audits what ZooKeeper promises.  The workload column
+names what runs:
 
 * ``writer`` — a writer and a watcher on three paths: randomized writes,
   a delete and two one-shot watches (every cell before the column);
@@ -18,16 +19,17 @@ audits what ZooKeeper promises.  The workload column names what runs:
 * ``cached`` — caching readers beside a writer, the client cache
   invalidated by watches.
 
-The audits: every acknowledged write lands exactly once in every region
-(no lost write, no duplicate, drained pending lists and epoch counters,
-every acked txid visible and nothing stuck above the visibility floor;
-with the outbox, at-least-once sink delivery of every acked
-``(txid, path)`` in per-path txid order), every one-shot watch fires
-exactly once, reads after quiescence return the acked data (through the
-cache, in ``cached`` cells), the recipes keep mutual exclusion, claim each
-Queue item once and lose no Counter increment, and the retry layer
-absorbs every storage fault (no session LOST, no retry budget
-exhausted).  Reads one session takes of another's writes
+The audits: every request gets one answer (a later answer to a
+``(session, rid)`` agrees with its first), every acknowledged write lands
+exactly once in every region (no lost write, no duplicate, drained
+pending lists and epoch counters, every acked txid visible and nothing
+stuck above the visibility floor; with the outbox, at-least-once sink
+delivery of every acked ``(txid, path)`` in per-path txid order), every
+one-shot watch fires exactly once, reads after quiescence return the
+acked data (through the cache, in ``cached`` cells), the recipes keep
+mutual exclusion, claim each Queue item once and lose no Counter
+increment, and the retry layer absorbs every storage fault (no session
+LOST, no retry budget exhausted).  Reads one session takes of another's writes
 mid-run are not audited: they may legally be stale.
 
 Seeds come from ``FK_FAULT_SEEDS`` (how many, default 12; CI runs 50) or
@@ -39,13 +41,15 @@ command to run).  CI's ``faults`` job runs one leg per word of its
 
 import os
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.cloud import Cloud
 from repro.faaskeeper import FaaSKeeperConfig, FaaSKeeperService, recipes
 from repro.faaskeeper.chaos import ChaosMonkey, verify_exactly_once
-from repro.faaskeeper.model import KeeperState, SetDataOp
+from repro.faaskeeper.client import FaaSKeeperClient
+from repro.faaskeeper.model import KeeperState, Response, SetDataOp
 from repro.faaskeeper.outbox import OutboxStage
 from repro.faaskeeper.userstore import BACKENDS
 
@@ -329,24 +333,63 @@ WORKLOADS = {
 }
 
 
+@contextmanager
+def one_answer_per_request(service, violations):
+    """The one-answer oracle: while open, every answer a client of
+    ``service`` receives is checked against the first answer to its
+    ``(session, rid)``, and one that disagrees with it (ok against
+    failure, or two different txids) is a violation.  A redelivered
+    duplicate that agrees is not."""
+    first = {}
+    deliver = FaaSKeeperClient._deliver_response
+
+    def checked(client, response):
+        if client.service is service:
+            seen = first.setdefault((response.session, response.rid),
+                                    response)
+            if (seen.ok, seen.txid) != (response.ok, response.txid):
+                violations.append(
+                    f"{response.session} rid {response.rid} answered "
+                    f"{_answer(seen)}, then {_answer(response)}")
+        deliver(client, response)
+
+    FaaSKeeperClient._deliver_response = checked
+    try:
+        yield
+    finally:
+        FaaSKeeperClient._deliver_response = deliver
+
+
+def _answer(response):
+    outcome = "ok" if response.ok else response.error or "failure"
+    return f"{outcome} at txid {response.txid}"
+
+
 def run_scenario(seed, cell, replay=()):
     """One seeded run of ``cell``; returns (violations, monkey, service,
     expected final data per path).  ``replay`` entries (a logged crash
     schedule) replace the monkey's draws: it then only models the sandbox
-    loss."""
+    loss.  Storage faults, like crashes, are armed on the running
+    deployment."""
     config_name, stage, rate, store, workload = CELLS[cell]
     drive, needs = WORKLOADS[workload]
     cloud = Cloud.aws(seed=seed)
-    kwargs = dict(CONFIGS[config_name], **needs, storage_fault_rate=rate)
+    kwargs = dict(CONFIGS[config_name], **needs)
     if store is not None:
         kwargs["user_store"] = store
     service = FaaSKeeperService.deploy(cloud, FaaSKeeperConfig(**kwargs))
+    if rate:
+        service.arm_storage_faults(rate)
     monkey = ChaosMonkey(service, seed=seed * 7919 + 13,
                          stages=[stage] if stage else [],
                          probability=0.0 if replay else 0.4)
     cloud.runtime.plan_crash(*replay)
-    violations, clients, expected, acked = drive(service, random.Random(seed))
-    violations += verify_exactly_once(service, expected, acked)
+    answers = []
+    with one_answer_per_request(service, answers):
+        violations, clients, expected, acked = drive(service,
+                                                     random.Random(seed))
+        violations += verify_exactly_once(service, expected, acked)
+    violations += answers
     violations += ids_above_the_floor(service)
 
     # Every injected crash must have cost the sandbox its warm state.
@@ -509,6 +552,25 @@ def test_fault_metrics_surface_in_the_registry():
     assert sum(gauge.values()) == injected(service) > 0
     retried = snapshot["fk_storage_retries_total"]["values"]
     assert sum(retried.values()) > 0  # the layer actually absorbed faults
+
+
+def test_the_one_answer_oracle_flags_a_disagreeing_answer():
+    """Synthetic answers: a duplicate that agrees passes; a failure after
+    an ok, or a second txid, is a violation; leaving restores delivery."""
+    service = FaaSKeeperService.deploy(Cloud.aws(seed=1), FaaSKeeperConfig())
+    client = service.connect()
+    session = client.session_id
+    violations = []
+    with one_answer_per_request(service, violations):
+        for rid, ok, txid in ((7, True, 5), (7, True, 5), (7, False, 0),
+                              (8, True, 3), (8, True, 4)):
+            client._deliver_response(Response(
+                session=session, rid=rid, ok=ok, txid=txid,
+                error="" if ok else "system_failure"))
+    assert violations == [
+        f"{session} rid 7 answered ok at txid 5, then system_failure at txid 0",
+        f"{session} rid 8 answered ok at txid 3, then ok at txid 4"]
+    assert "checked" not in FaaSKeeperClient._deliver_response.__qualname__
 
 
 def test_fault_seed_env_pins_single_seed(monkeypatch):
