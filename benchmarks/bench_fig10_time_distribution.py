@@ -8,7 +8,8 @@ argument that queues and object storage, not locking, bound write latency.
 """
 
 from repro.analysis import render_table
-from repro.analysis.bench import deploy_fk, label, segment_summary
+from repro.analysis.bench import (deploy_fk, keep_segments, label,
+                                  segment_summary)
 
 SIZES = (4, 64 * 1024, 250 * 1024)
 REPS = 40
@@ -23,15 +24,15 @@ def run():
         cloud, service, client = deploy_fk(seed=100 + size % 97,
                                            user_store="s3",
                                            function_memory_mb=2048)
+        follower = keep_segments(service.follower_fn)
+        leader = keep_segments(service.leader_fns[0])
         client.create("/n", b"")
         payload = b"x" * size
         for _ in range(REPS):
             client.set_data("/n", payload)
         cloud.run(until=cloud.now + 5000)
-        out[(size, "follower")] = segment_summary(service.follower_fn,
-                                                  FOLLOWER_SEGMENTS)
-        out[(size, "leader")] = segment_summary(service.leader_fns[0],
-                                                LEADER_SEGMENTS)
+        out[(size, "follower")] = segment_summary(follower, FOLLOWER_SEGMENTS)
+        out[(size, "leader")] = segment_summary(leader, LEADER_SEGMENTS)
 
     print()
     rows = []

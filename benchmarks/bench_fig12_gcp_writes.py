@@ -7,7 +7,8 @@ and the commit/synchronization share is much larger than on AWS.
 """
 
 from repro.analysis import render_table
-from repro.analysis.bench import deploy_fk, label, segment_summary, sweep_write_latency
+from repro.analysis.bench import (deploy_fk, keep_segments, label,
+                                  segment_summary, sweep_write_latency)
 
 SIZES = (4, 64 * 1024, 250 * 1024)
 REPS = 30
@@ -19,13 +20,13 @@ def run():
         cloud, service, client = deploy_fk(seed=130, provider=provider,
                                            user_store="s3",
                                            function_memory_mb=2048)
+        follower = keep_segments(service.follower_fn)
+        leader = keep_segments(service.leader_fns[0])
         results[provider] = {
             "latency": sweep_write_latency(client, cloud, SIZES, reps=REPS),
-            "follower": segment_summary(service.follower_fn,
-                                        ("lock", "push", "commit")),
-            "leader": segment_summary(service.leader_fns[0],
-                                      ("get_node", "update_user",
-                                       "watch_query")),
+            "follower": segment_summary(follower, ("lock", "push", "commit")),
+            "leader": segment_summary(leader, ("get_node", "update_user",
+                                               "watch_query")),
         }
     print()
     rows = []

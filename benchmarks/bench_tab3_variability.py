@@ -7,7 +7,8 @@ values; tails degrade most on queue pushes and S3 updates.
 """
 
 from repro.analysis import render_table, summarize
-from repro.analysis.bench import deploy_fk, label, segment_summary
+from repro.analysis.bench import (deploy_fk, keep_segments, label,
+                                  segment_summary)
 
 REPS = 120
 SIZES = (4, 250 * 1024)
@@ -18,13 +19,15 @@ def run():
     for size in SIZES:
         cloud, service, client = deploy_fk(seed=110, user_store="s3",
                                            function_memory_mb=2048)
+        follower = keep_segments(service.follower_fn)
+        leader = keep_segments(service.leader_fns[0])
         client.create("/n", b"")
         payload = b"x" * size
         for _ in range(REPS):
             client.set_data("/n", payload)
         cloud.run(until=cloud.now + 5000)
-        fol = segment_summary(service.follower_fn, ("lock", "push", "commit"))
-        lead = segment_summary(service.leader_fns[0],
+        fol = segment_summary(follower, ("lock", "push", "commit"))
+        lead = segment_summary(leader,
                                ("get_node", "update_user", "watch_query"))
         fol["total"] = summarize(service.follower_fn.durations_ms)
         lead["total"] = summarize(service.leader_fns[0].durations_ms)

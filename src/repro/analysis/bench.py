@@ -8,6 +8,7 @@ keep the benches short and uniform.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cloud import Cloud
@@ -21,6 +22,7 @@ __all__ = [
     "sweep_write_latency",
     "sweep_read_latency",
     "collect_write_costs",
+    "keep_segments",
     "segment_summary",
     "SIZES_LABELS",
 ]
@@ -107,11 +109,22 @@ def collect_write_costs(service, client, cloud, size: int,
     return split
 
 
-def segment_summary(fn, segments: Iterable[str]) -> Dict[str, LatencySummary]:
-    """Summaries of a deployed function's timing probes (Fig. 10, Table 3)."""
-    out = {}
-    for name in segments:
-        samples = fn.segments.get(name, [])
-        if samples:
-            out[name] = summarize(samples)
-    return out
+def keep_segments(fn) -> Dict[str, List[float]]:
+    """Keep ``fn``'s timing probes from now on (name -> samples, in order)
+    for exact percentiles, chaining the observer already attached."""
+    samples: Dict[str, List[float]] = defaultdict(list)
+    chained = fn.on_segment
+
+    def on_segment(segment: str, elapsed_ms: float) -> None:
+        samples[segment].append(elapsed_ms)
+        if chained is not None:
+            chained(segment, elapsed_ms)
+
+    fn.on_segment = on_segment
+    return samples
+
+
+def segment_summary(samples, segments: Iterable[str]) -> Dict[str, LatencySummary]:
+    """Summaries of the probes :func:`keep_segments` kept (Fig. 10, Table 3)."""
+    return {name: summarize(samples[name]) for name in segments
+            if samples.get(name)}

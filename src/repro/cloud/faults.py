@@ -69,12 +69,16 @@ class FaultInjector:
     """
 
     def __init__(self, rng, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
         self.rng = rng
-        self.rate = rate
+        self.arm(rate)
         #: fault kind -> times injected (exposed as callback metrics).
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+
+    def arm(self, rate: float) -> None:
+        """Set the rate; the stream and the counts carry on."""
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
+        self.rate = rate
 
     # ------------------------------------------------------------ schedule
     def draw(self, op: str, mutating: bool) -> Optional[str]:

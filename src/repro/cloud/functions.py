@@ -27,7 +27,6 @@ The runtime models the FaaS properties the paper's evaluation depends on:
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
@@ -65,7 +64,6 @@ class FunctionContext:
     def __init__(self, env: Environment, function: "DeployedFunction", invocation_id: int) -> None:
         self.env = env
         self.function = function
-        self.invocation_id = invocation_id
         # One (frozen, shared) context per resource configuration; keyed by
         # the spec as it reads now, so a later edit of it is honoured.
         spec = function.spec
@@ -92,8 +90,7 @@ class FunctionContext:
         return self.env.now
 
     def record(self, segment: str, elapsed_ms: float) -> None:
-        """Record a timing probe (drives Figure 10 / Table 3)."""
-        self.function.segments[segment].append(elapsed_ms)
+        """Hand a timing probe (Fig. 10 / Tab. 3) to ``on_segment``."""
         if self.function.on_segment is not None:
             self.function.on_segment(segment, elapsed_ms)
 
@@ -164,10 +161,9 @@ class CrashSchedule(Dict[int, Set[str]]):
 class DeployedFunction:
     """One deployed function: sandbox pool, stats, crash plan.
 
-    Timing samples — ``durations_ms`` per invocation, ``segments`` per
-    probe name — are packed ``array("d")`` buffers: 8 bytes a sample, the
-    exact doubles a float list would hold, read with ``len``, indexing,
-    slicing and iteration like one."""
+    ``durations_ms`` (a sample per invocation) is a packed ``array("d")``:
+    8 bytes a sample, the exact doubles a float list would hold, read with
+    ``len``, indexing, slicing and iteration like one."""
 
     def __init__(self, runtime: "FunctionRuntime", spec: FunctionSpec) -> None:
         self.runtime = runtime
@@ -177,7 +173,6 @@ class DeployedFunction:
         self.cold_starts = 0
         self.failures = 0
         self.durations_ms: array = array("d")
-        self.segments: Dict[str, array] = defaultdict(lambda: array("d"))
         #: ``crash_plan(invocation_id)`` -> that invocation's ``doomed``
         #: predicate (:class:`CrashWindows`), or None to run it on the
         #: shared context.  None: nothing is armed.
@@ -187,8 +182,8 @@ class DeployedFunction:
         #: raise — it runs on the provider side of the failure path.
         self.on_failure: Optional[Callable[["DeployedFunction", BaseException], None]] = None
         #: Observer called as ``on_segment(segment, elapsed_ms)`` for every
-        #: timing probe the handler records — the hook metrics registries
-        #: attach to; must not raise or touch the simulation clock.
+        #: timing probe the handler records, and its only record (metrics
+        #: registries attach here); must not raise or touch the sim clock.
         self.on_segment: Optional[Callable[[str, float], None]] = None
         #: Process name and cost-meter label of every invocation.
         self._label = f"fn:{spec.name}"

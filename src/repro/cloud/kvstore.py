@@ -131,7 +131,6 @@ class Table:
         self.limiter = TokenBucketLimiter(env, rate_per_s=capacity_per_s, burst=capacity_per_s / 10)
         self.stream_listeners: List[Callable[[StreamRecord], None]] = []
         self._stream_seq = 0
-        self.write_count = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -384,7 +383,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table, units)
         latency = self._latency(ctx, self.profile.kv_write, size_kb, extra)
         yield wait + latency
-        table.write_count += 1
         self._charge_write(ctx, size_kb)
         if self._applied(token) is not _NOT_APPLIED:
             return None  # replay of an applied write: nothing to redo
@@ -430,7 +428,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table, units)
         latency = self._latency(ctx, model, size_kb, extra)
         yield wait + latency
-        table.write_count += 1
         self._charge_write(ctx, max(size_kb, 0.001))
         applied = self._applied(token)
         if applied is not _NOT_APPLIED:
@@ -473,7 +470,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table)
         latency = self._latency(ctx, self.profile.kv_write, min(size_kb, 1.0), extra)
         yield wait + latency
-        table.write_count += 1
         self._charge_write(ctx, 1.0)
         if self._applied(token) is not _NOT_APPLIED:
             return None
@@ -533,7 +529,6 @@ class KeyValueStore(StorageEndpoint):
                     f"transaction condition failed on {table_name}/{key}",
                     item=exc.item) from None
         for table, key, new_value, new_bytes in staged:
-            table.write_count += 1
             # transactional writes bill 2x write units
             self._charge(ctx, "kv_write",
                          2.0 * self.profile.prices.kv_write_cost(max(new_bytes / 1024.0, 0.001)))
@@ -616,7 +611,6 @@ class KeyValueStore(StorageEndpoint):
         wait = self._admit(table, float(len(images)))
         latency = self._latency(ctx, self.profile.kv_write, total_kb)
         yield wait + latency
-        table.write_count += len(images)
         for _image, size_bytes in images.values():
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
         if self._applied(token) is not _NOT_APPLIED:

@@ -3,13 +3,13 @@
 Section 3.1 lists the five queue requirements FaaSKeeper relies on:
 
 (a) invokes functions on messages  → each queue owns a dispatcher process;
-(b) FIFO order                     → per-group ordered delivery, failed
-                                     batches are redelivered before any
-                                     younger message of the group;
+(b) FIFO order                     → one dispatcher, one order per queue:
+                                     a failed batch is redelivered before
+                                     any younger message;
 (c) concurrency limited to one     → single dispatcher per FIFO queue;
 (d) batching                       → up to 10 messages per FIFO batch
                                      (the SQS FIFO restriction, §5.2.2);
-(e) monotone sequence numbers      → ``Message.seq`` per queue.
+(e) monotone sequence numbers      → per queue, ``send``'s return value.
 
 A FIFO queue may also hold every message ``delay_ms`` before its trigger
 sees it (SQS's queue-level ``DelaySeconds``).
@@ -81,9 +81,6 @@ class Message:
 
     body: Any
     size_kb: float
-    group: str
-    seq: int
-    enqueued_at: float
     receive_count: int = 0
 
 
@@ -144,8 +141,7 @@ class _QueueBase:
                 f"{size_kb:.1f} kB > {self.profile.queue_payload_limit_kb} kB"
             )
 
-    def _accept(self, ctx: OpContext, body: Any, group: str,
-                size_kb: float) -> int:
+    def _accept(self, ctx: OpContext, body: Any, size_kb: float) -> int:
         """Sequence, bill and buffer one message; returns its number."""
         if self._buffer is None:
             raise NoSuchQueue(self.name)
@@ -159,19 +155,18 @@ class _QueueBase:
         self.meter.charge(ctx.payer or self.service_label, "queue_send",
                           self.profile.prices.queue_cost(size_kb))
         self.sent += 1
-        self._enqueue(Message(body=body, size_kb=size_kb, group=group,
-                              seq=seq, enqueued_at=self.env.now))
+        self._enqueue(Message(body=body, size_kb=size_kb))
         return seq
 
     def _enqueue(self, msg: Message) -> None:
         self._buffer.put(msg)
 
-    def send(self, ctx: OpContext, body: Any, group: str = "default",
-             size_kb: float = 0.0) -> Generator[Yield, Any, int]:
+    def send(self, ctx: OpContext, body: Any, size_kb: float = 0.0
+             ) -> Generator[Yield, Any, int]:
         """Enqueue; returns the monotone sequence number (txid source)."""
-        return boundary(ctx, "send", self._send(ctx, body, group, size_kb))
+        return boundary(ctx, "send", self._send(ctx, body, size_kb))
 
-    def _send(self, ctx: OpContext, body: Any, group: str,
+    def _send(self, ctx: OpContext, body: Any,
               size_kb: float) -> Generator[Yield, Any, int]:
         if self._buffer is None:
             raise NoSuchQueue(self.name)
@@ -179,13 +174,13 @@ class _QueueBase:
         # The enqueue API call pays the queue-send latency (Table 3 "Push");
         # the remaining trigger latency is applied on the delivery path.
         yield self.profile.queue_send.sample(self.rng, size_kb) * ctx.io_mult
-        return self._accept(ctx, body, group, size_kb)
+        return self._accept(ctx, body, size_kb)
 
-    def send_nowait(self, ctx: OpContext, body: Any, group: str = "default",
+    def send_nowait(self, ctx: OpContext, body: Any,
                     size_kb: float = 0.0) -> int:
         """Zero-latency enqueue, for workload generators."""
         self._check_size(size_kb)
-        return self._accept(ctx, body, group, size_kb)
+        return self._accept(ctx, body, size_kb)
 
     @property
     def backlog(self) -> int:
@@ -195,8 +190,8 @@ class _QueueBase:
 class FifoQueue(_QueueBase):
     """FIFO queue with a single-instance function trigger.
 
-    Ordering guarantee: within a message group, message *n+1* is never
-    handed to the function before message *n* has been processed
+    Ordering guarantee: message *n+1* of the queue is never handed to
+    the function before message *n* has been processed
     successfully (or dropped after ``max_receive`` failed deliveries).
     """
 
@@ -277,7 +272,7 @@ class FifoQueue(_QueueBase):
             yield from self._deliver(batch)
 
     def _deliver(self, batch: List[Message]):
-        """Deliver one batch; on failure, redeliver (FIFO blocks the group)."""
+        """Deliver one batch; on failure, redeliver (FIFO blocks the queue)."""
         fn = self._function
         rng = self.rng  # held: a redelivery may outlive the queue's deletion
         total_kb = sum(m.size_kb for m in batch)

@@ -511,7 +511,6 @@ class FaaSKeeperClient:
             yield prev_sent
         try:
             yield from self.queue.send(self.ctx, request.to_body(),
-                                       group=self.session_id,
                                        size_kb=request.size_kb)
         except (NoSuchQueue, PayloadTooLarge) as refused:
             # Never queued, so never answered: a request the session was

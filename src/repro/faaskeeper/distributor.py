@@ -495,7 +495,7 @@ class DistributionStage:
             len((image or {}).get("data", b"") or b"") / 1024.0
             for _path, image, _is_parent, _op in record["writes"])
         yield from gather(env, [
-            queue.send(fctx.ctx, dict(record), group="dist", size_kb=size_kb)
+            queue.send(fctx.ctx, dict(record), size_kb=size_kb)
             for queue in self.queues.values()])
         return None
 

@@ -389,7 +389,7 @@ class FollowerLogic:
         shard = self.service.multi_shard_of(
             [p for p, rec in write_set.items() if rec["node"]])
         txid = yield from self.service.leader_queues[shard].send(
-            fctx.ctx, leader_msg, group="updates", size_kb=req.size_kb)
+            fctx.ctx, leader_msg, size_kb=req.size_kb)
         fctx.record("push", env.now - t0)
 
         # ➃ ONE atomic commit + unlock: every touched path plus the session

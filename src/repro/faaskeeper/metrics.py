@@ -8,7 +8,7 @@ each optionally labelled):
   way to read them: ``service.metrics.get(name)[.labels(...)].value``;
 * every deployed function's timing segments (``fctx.record``) feed one
   labelled histogram via the runtime's ``on_segment`` probe — the data
-  behind Figure 10 / Table 3, now queryable per stage at runtime;
+  behind Figure 10 / Table 3 per stage, and their only record here;
 * values that already live elsewhere (the cost meter, per-session cache
   counters, function invocation counts) are exposed through *callback*
   metrics (:meth:`_Child.set_function`) sampled at snapshot time, the

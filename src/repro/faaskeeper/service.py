@@ -232,9 +232,9 @@ class FaaSKeeperService:
         (redelivering forever, each message visible ``delay_ms`` after it
         is sent) drained ``batch`` messages at a time, and/or a cron every
         ``period_ms`` (0 = none), suspended while no session is open —
-        append it to ``self.stages`` and hang its metrics on the
-        registry: the ``on_segment`` timing probe, the function lifecycle
-        gauges, and the ``fk_cost_dollars`` category of its kind."""
+        append it to ``self.stages`` and hang its metrics on the registry:
+        the ``on_segment`` probe (its histogram, the probes' one record),
+        lifecycle gauges, and the ``fk_cost_dollars`` category of its kind."""
         config, cloud, m = self.config, self.cloud, self.metrics
         fn = cloud.deploy_function(
             name, logic.handler, memory_mb=config.function_memory_mb,
@@ -282,20 +282,22 @@ class FaaSKeeperService:
         user backend reports), each driven by its own named RNG stream
         (``storage-faults:<label>@<region>``), so the schedule replays
         exactly for a given sim seed and is independent of every other
-        stream.  Idempotent per deployment: re-arming replaces the
-        previous injectors.
+        stream.  A re-arm sets each injector's rate (``arm``): its stream
+        and ``fk_storage_faults_injected`` carry on where they were.
         """
         from ..cloud.faults import FAULT_KINDS, FaultInjector
 
-        injectors = []
+        injectors = self.storage_injectors
+        for injector in injectors:
+            injector.arm(rate)
+        if injectors:
+            return injectors
         for point in (self.system_store.inner,
                       *self.user_store.inner.fault_points()):
             stream = self.cloud.rng.stream(
                 f"storage-faults:{point.service_label}@{point.region}")
-            injector = FaultInjector(stream, rate)
-            point.faults = injector
-            injectors.append(injector)
-        self.storage_injectors = injectors
+            point.faults = FaultInjector(stream, rate)
+            injectors.append(point.faults)
         injected = self.metrics.gauge(
             "fk_storage_faults_injected",
             "Transient storage faults injected, by kind", ("kind",))
@@ -548,8 +550,7 @@ class FaaSKeeperService:
             return None
         body = {"session": session_id, "rid": -1, "op": "close_session"}
         try:
-            yield from client.queue.send(ctx, body, group=session_id,
-                                         size_kb=0.1)
+            yield from client.queue.send(ctx, body, size_kb=0.1)
         except NoSuchQueue:
             pass  # closed while the request was on its way: nothing to evict
         return None
@@ -572,8 +573,8 @@ class FaaSKeeperService:
         as callback gauges sampled at read time, the same device as a
         Prometheus collector, so there is no double bookkeeping; and
         declare the per-function families :meth:`_deploy_stage` hangs each
-        stage on (timing probes via the runtime's ``on_segment`` hook,
-        function lifecycle counts)."""
+        stage on (timing probes via ``on_segment``, bucketed here and kept
+        nowhere else; function lifecycle counts)."""
         m = self.metrics
         m.histogram(
             "fk_stage_segment_ms",

@@ -73,7 +73,6 @@ class ZkServer:
         self.applied_zxid = 0
         self.busy_ms = 0.0          # accumulated service time (Figure 5)
         self.reads = 0
-        self.writes_applied = 0
         # watches: path -> type -> list of (session, callback)
         self.watches: Dict[str, Dict[str, List[Tuple[str, Callable]]]] = {}
 
@@ -83,7 +82,6 @@ class ZkServer:
         assert txn.zxid == self.applied_zxid + 1, \
             f"server {self.index}: apply {txn.zxid} after {self.applied_zxid}"
         self.applied_zxid = txn.zxid
-        self.writes_applied += 1
         fired: List[Tuple[str, Callable, WatchedEvent]] = []
         if txn.op == "create":
             parent = self.tree[parent_path(txn.path)]

@@ -173,6 +173,8 @@ def test_crash_windows_count_the_boundary_calls(cloud, ctx):
 
 
 def test_segment_probes_recorded(cloud):
+    """``fctx.record`` hands each probe to ``on_segment`` and keeps no
+    copy; a function with no observer drops it."""
     def probed(fctx, payload):
         t0 = fctx.now
         yield fctx.env.timeout(5)
@@ -181,7 +183,11 @@ def test_segment_probes_recorded(cloud):
 
     fn = cloud.deploy_function("probed", probed)
     cloud.env.run(until=fn.invoke(None))
-    assert fn.segments["phase-a"] == pytest.approx([5.0])
+    seen = []
+    fn.on_segment = lambda segment, elapsed_ms: seen.append((segment, elapsed_ms))
+    cloud.env.run(until=fn.invoke(None))
+    assert seen == [("phase-a", pytest.approx(5.0))]
+    assert not hasattr(fn, "segments")
 
 
 def test_scheduled_function_fires_periodically(cloud):

@@ -450,7 +450,7 @@ def test_one_dict_under_many_keys_is_stored_as_one_image(cloud, ctx):
     for key, attributes in items.items():
         assert table._items[key].size_bytes == item_size_bytes(attributes)
     [writes] = [line for line in cloud.meter.lines() if line.operation == "kv_write"]
-    assert writes.count == table.write_count == 4
+    assert writes.count == 4
     assert writes.dollars == sum(kv.profile.prices.kv_write_cost(
         item_size_bytes(attributes) / 1024.0) for attributes in items.values())
     record["ephemeral"].append("/x")

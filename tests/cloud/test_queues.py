@@ -21,7 +21,7 @@ def test_fifo_delivers_in_order(cloud, ctx):
 
     def producer():
         for i in range(20):
-            yield from q.send(ctx, i, group="s1")
+            yield from q.send(ctx, i)
 
     cloud.run_process(producer())
     cloud.run(until=cloud.now + 10_000)

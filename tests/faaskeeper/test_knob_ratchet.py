@@ -151,7 +151,11 @@ def test_census_deletions_stay_deleted():
     read counter nothing read.  And the deploy-time storage fault rate:
     storage faults are armed on the running deployment
     (``arm_storage_faults``), as crashes are.  And the cron's payload
-    factory: a scheduled function is invoked with no payload."""
+    factory: a scheduled function is invoked with no payload.  And a
+    function's per-probe sample log (its stage histogram is the one
+    record of a probe), the per-table write count (the cost meter's
+    ``kv_write`` line counts the same writes) and a queue message's
+    enqueue time, which nothing read."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -174,7 +178,8 @@ def test_census_deletions_stay_deleted():
         "RetryPolicy|_on_breaker_transition|shrink_breakers|"
         "on_session_expired|_ack_after|_distribute_and_finish|"
         r"query_consume_ops|_consume_watches|epoch_snapshot|read_count|"
-        r"def between\(|class Always\b|storage_fault_rate|payload_factory")
+        r"def between\(|class Always\b|storage_fault_rate|payload_factory|"
+        r"\b(self|function|fn)\.segments\b|write_count|enqueued_at")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()

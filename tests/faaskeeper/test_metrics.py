@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.analysis.bench import keep_segments
 from repro.faaskeeper.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -19,6 +20,7 @@ from repro.faaskeeper.metrics import (
     Histogram,
     MetricsRegistry,
 )
+
 from .conftest import make_service
 
 
@@ -195,8 +197,12 @@ def test_metrics_snapshot_covers_every_stage():
 
 def test_segment_probes_reach_the_child_their_labels_name():
     """``on_segment`` binds each (fn, segment) child once; every probe a
-    function recorded must be in exactly that child, in recording order."""
+    function recorded must be in exactly that child, in recording order.
+    The probes are seen by an observer chained in front of the stage's
+    (``keep_segments``), which must not hide any from the histogram."""
     cloud, service = make_service(seed=901)
+    kept = {name: keep_segments(fn)
+            for name, fn in cloud.runtime.functions.items()}
     c = service.connect()
     c.create("/a", b"x")
     for i in range(5):
@@ -204,9 +210,9 @@ def test_segment_probes_reach_the_child_their_labels_name():
     cloud.run(until=cloud.now + 1_000)
     segments = service.metrics.get("fk_stage_segment_ms")
     recorded = 0
-    for fn in cloud.runtime.functions.values():
-        for segment, samples in fn.segments.items():
-            child = segments.labels(fn=fn.spec.name, segment=segment)
+    for name, probes in kept.items():
+        for segment, samples in probes.items():
+            child = segments.labels(fn=name, segment=segment)
             assert (child._count, child._sum) == (len(samples), sum(samples))
             recorded += len(samples)
     assert recorded >= 6 * 7  # lock/push/commit + the leader's four, per write

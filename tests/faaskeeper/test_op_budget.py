@@ -67,12 +67,13 @@ SWEEP_SLICE_SHARE = 1.15
 #: (Was 2 006 at 2 000 sessions: a reply timer per session.)
 SWEEP_EVENTS = 7
 #: Traced bytes a warm ``set_data`` leaves allocated once its pipeline is
-#: quiet: the packed timing samples its invocations record, ~9 doubles
-#: (~92 B on the default deployment, ~109 B with the distributor, with
-#: the arrays' spare capacity).  (Was 339 B and 494 B: a float object and
-#: a list slot per sample, and a landed txid per region on the visibility
+#: quiet: the packed ``durations_ms`` sample of each of its invocations,
+#: ~2 doubles (~23 B on the default deployment, ~33 B with the distributor,
+#: with the arrays' spare capacity).  (Was 92 B and 109 B: a packed sample
+#: per timing probe too; before that 339 B and 494 B, a float object and a
+#: list slot per sample, and a landed txid per region on the visibility
 #: board.)
-WRITE_RETAINED_BYTES = 128
+WRITE_RETAINED_BYTES = 48
 #: Traced bytes per session at the peak of one sweep over idle sessions at
 #: one shard, above what the registered sessions hold: the scan's key map of
 #: the stored (frozen) records, the ping order, the reply delays and the

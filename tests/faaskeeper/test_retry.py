@@ -417,3 +417,34 @@ def test_retry_layer_is_invisible_without_faults():
         return trace
 
     assert run(wrap=True) == run(wrap=False)
+
+
+def test_a_rearm_keeps_each_injector_and_its_count():
+    """Re-arming mid-run sets the rate of the injectors the first arm
+    made: ``fk_storage_faults_injected`` holds its value across the
+    re-arm and keeps counting, and a rate outside [0, 1] is refused
+    without touching the armed ones."""
+    cloud, service = make_service(seed=7)
+    client = service.connect()
+    injectors = service.arm_storage_faults(0.3)
+    gauge = service.metrics.get("fk_storage_faults_injected")
+
+    def injected():
+        return sum(child.value for _labels, child in gauge.items())
+
+    for i in range(10):
+        client.create(f"/n{i}", b"")
+    counted = injected()
+    assert counted > 0
+    rearmed = service.arm_storage_faults(0.3)
+    assert injected() == counted
+    assert rearmed == injectors
+    for i in range(10):
+        client.create(f"/m{i}", b"")
+    assert injected() > counted
+    with pytest.raises(ValueError):
+        service.arm_storage_faults(1.5)
+    assert {injector.rate for injector in injectors} == {0.3}
+    assert [point.faults for point in (
+        service.system_store.inner,
+        *service.user_store.inner.fault_points())] == injectors

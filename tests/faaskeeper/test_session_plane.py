@@ -209,14 +209,18 @@ def test_connect_many_matches_serial_connects():
     assert register(batched=True) == register(batched=False)
 
 
+def _kv_writes(cloud):
+    return sum(line.count for line in cloud.meter.lines()
+               if line.operation == "kv_write")
+
+
 def test_connect_many_batches_the_session_writes():
     cloud, service = make_service(seed=102)
-    table = service.system_store.table(SYSTEM_SESSIONS)
-    before_writes = table.write_count
+    before_writes = _kv_writes(cloud)
     t0 = cloud.now
     service.connect_many(50, batch_size=25)
     batched_ms = cloud.now - t0
-    assert table.write_count - before_writes == 50   # per-item accounting
+    assert _kv_writes(cloud) - before_writes == 50   # per-item accounting
     # two BatchWriteItem round trips beat 50 serial conditional puts
     cloud2, service2 = make_service(seed=102)
     t0 = cloud2.now
