@@ -56,7 +56,7 @@ class StorageEndpoint:
         first): one schedule draw.  A pre-send fault raises here; a partial
         write returns the request :meth:`_reply` fails once it applied."""
         faults = self.faults
-        kind = faults.draw(op, mutating) if faults.rate > 0.0 else None
+        kind = faults.draw(mutating) if faults.rate > 0.0 else None
         if kind is None:
             return None
         request = f"{op} {what}"

@@ -81,7 +81,7 @@ class FaultInjector:
         self.rate = rate
 
     # ------------------------------------------------------------ schedule
-    def draw(self, op: str, mutating: bool) -> Optional[str]:
+    def draw(self, mutating: bool) -> Optional[str]:
         """One schedule decision: None (no fault) or a fault kind.
 
         Exactly one RNG draw on the no-fault path keeps armed runs

@@ -103,7 +103,7 @@ class HeartbeatLogic:
                     done.succeed()
 
             delay = self.service.heartbeat_reply_delay
-            TimerTrain(env, [delay(sid) for sid in to_check], to_check, on_reply)
+            TimerTrain(env, (delay(sid) for sid in to_check), to_check, on_reply)
             yield done
         fctx.record("ping", env.now - t0)
 

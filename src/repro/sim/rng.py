@@ -7,14 +7,28 @@ name, so adding a stream under a new name does not perturb the draws of
 existing ones.  That holds per stream, not per caller: every caller of a
 store draws from that store's one stream, so one extra request at a store
 shifts the draws of every later request there, related or not.
+
+A stream's seed is the first 8 bytes (big-endian) of the SHA-256 digest of
+``"{root}:{name}"``.  The digest comes from the interpreter's builtin
+module (``_sha2`` on 3.12+, ``_sha256`` before), as :mod:`random` takes its
+own ``sha512``: importing :mod:`hashlib` loads OpenSSL's libcrypto, a few MB
+of resident memory in every simulation process for one hash per name.  The
+digest is the same either way, so every seed is too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Dict, Sequence
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the builtin digests
+        from hashlib import sha256
 
 __all__ = ["RngRegistry", "lognormal_from_percentiles"]
 
@@ -33,7 +47,7 @@ class RngRegistry:
         """Return (creating on first use) the stream for ``name``."""
         rng = self._streams.get(name)
         if rng is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            digest = sha256(f"{self.seed}:{name}".encode()).digest()
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng

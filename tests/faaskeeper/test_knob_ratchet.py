@@ -312,7 +312,7 @@ def test_the_ratchet_sees_a_hand_rolled_round_trip():
         "def wipe_region(self, region):\n"
         "    self._stores[region]._buckets['b'].clear()\n"
         "def put(self, key):\n"
-        "    if self.faults.draw('put', True) == 'timeout':\n"
+        "    if self.faults.draw(True) == 'timeout':\n"
         "        yield self.env.timeout(FAULT_TIMEOUT_MS)\n"
         "        raise ConnectionReset(f'put {key}: injected connection reset')\n")
     assert _hand_rolled_round_trips(Path("cloud/cache.py"),

@@ -76,11 +76,12 @@ SWEEP_EVENTS = 7
 WRITE_RETAINED_BYTES = 48
 #: Traced bytes per session at the peak of one sweep over idle sessions at
 #: one shard, above what the registered sessions hold: the scan's key map of
-#: the stored (frozen) records, the ping order, the reply delays and the
-#: timer train's times and order.  It reads 162 B on CPython 3.11 and 3.12,
-#: 172 B on 3.10.  (Was 338 B on 3.11, 396 B on 3.10: the scan handed out a
+#: the stored (frozen) records, the ping order and the timer train's times
+#: and order.  It reads 130 B on CPython 3.11-3.13, 139 B on 3.10.  (Was
+#: 162 B on 3.11, 172 B on 3.10: the reply delays as a list beside the
+#: train's own times; before that 338 B and 396 B, the scan handed out a
 #: projected ``{"ephemeral": ...}`` dict per session.)
-SWEEP_PEAK_BYTES = 220
+SWEEP_PEAK_BYTES = 188
 #: ``_value_size_bytes`` calls of one join of a watch instance (a client
 #: cache miss), whatever the number of sessions the instance lists: the
 #: session name it appends.  (Was 2N + 15 at N listed sessions: the whole

@@ -34,7 +34,7 @@ class ScriptedInjector(FaultInjector):
         super().__init__(rng=random.Random(0), rate=1.0)
         self._script = list(kinds)
 
-    def draw(self, op, mutating):
+    def draw(self, mutating):
         if not self._script:
             return None
         kind = self._script.pop(0)
@@ -51,7 +51,7 @@ class OutageInjector(FaultInjector):
         self.env = env
         self.until = until
 
-    def draw(self, op, mutating):
+    def draw(self, mutating):
         if self.env.now >= self.until:
             return None
         self.injected["timeout"] += 1

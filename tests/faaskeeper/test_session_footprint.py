@@ -8,8 +8,12 @@ the line in bytes.
 """
 
 import gc
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,32 @@ from .conftest import make_service
 IDLE_SESSION_BYTES = 600
 IDLE_SESSION_BLOCKS = 6
 IDLE_SESSION_OBJECTS = 4
+
+
+#: Every package a simulation may import; the import-floor probe loads them
+#: all in a fresh interpreter.
+PACKAGES = ("repro", "repro.cloud", "repro.faaskeeper", "repro.faaskeeper.swarm",
+            "repro.zookeeper", "repro.workloads", "repro.primitives",
+            "repro.costmodel", "repro.analysis")
+#: Modules that map OpenSSL: ``hashlib`` always loads ``_hashlib``, 3.4-3.9 MB
+#: of resident libcrypto, and the stream seeds hash with the builtin digest.
+CRYPTO_MODULES = {"hashlib", "_hashlib", "ssl", "_ssl"}
+#: Run as ``python -c PROBE PACKAGE...``.  The peak is the child's own: a
+#: Linux ``ru_maxrss`` keeps the parent's high-water mark across exec (a
+#: child of pytest reads ~37 MB), ``VmHWM`` is the new image's alone.
+_IMPORT_FLOOR_PROBE = f"""
+import importlib, json, resource, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = int(next(line.split()[1] for line in status
+                           if line.startswith("VmHWM:")))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+crypto = sorted(set(sys.modules).intersection({sorted(CRYPTO_MODULES)!r}))
+print(json.dumps({{"crypto": crypto, "peak_kb": peak_kb}}))
+"""
 
 
 def _session_queues(cloud):
@@ -182,3 +212,17 @@ def test_session_churn_under_storage_faults_does_not_grow_the_deployment():
           f"{after}, {sum(kv.faults.injected.values())} system-store faults")
     assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
     _assert_churn_left_nothing(cloud, service, resident, after)
+
+
+def test_importing_every_package_maps_no_crypto_library():
+    """A fresh interpreter that imports every ``repro`` package loads no
+    ``hashlib`` or ``ssl``: the floor of every simulation's peak RSS holds
+    no OpenSSL (3.11: about 18 MB; 21.6-21.8 MB with ``hashlib``)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_FLOOR_PROBE, *PACKAGES],
+                         env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    print(f"import floor: {report['peak_kb'] / 1024:.1f} MB peak RSS, "
+          f"crypto modules: {report['crypto']}")
+    assert report["crypto"] == []

@@ -1,6 +1,7 @@
 """Named RNG streams: seeds are pure functions of (root seed, name), so a
 holder may resolve its stream as late as its first draw."""
 
+import hashlib
 import random
 
 from repro.sim.rng import RngRegistry
@@ -41,3 +42,18 @@ def test_streams_and_spawned_registries_are_independent():
     assert a != [registry.stream("b").random() for _ in range(3)]
     twin = RngRegistry(7).stream("a")
     assert a == [twin.random() for _ in range(3)]
+
+
+def test_stream_seeds_are_the_sha256_of_root_and_name():
+    """The seed derivation is pinned: every golden trace and ledger number
+    rests on it, whichever module the program takes ``sha256`` from."""
+    names = ("tcp", "kv:dynamodb:system@us-east-1", "queue:fk-session-s1",
+             "storage-faults:s3@us-east-1", "queue:fk-sessión-ü")
+    for seed in (0, 7, 20240911):
+        registry = RngRegistry(seed)
+        for name in names:
+            digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+            want = random.Random(int.from_bytes(digest[:8], "big"))
+            stream = registry.stream(name)
+            assert [stream.random() for _ in range(3)] == \
+                [want.random() for _ in range(3)], (seed, name)
