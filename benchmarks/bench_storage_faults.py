@@ -48,7 +48,8 @@ def _run_workload(rate):
                for _ in range(REPS)]
     elapsed_s = (cloud.now - t0) / 1000.0
     snap = service.metrics_snapshot()
-    injected = sum(i.total_injected() for i in service.storage_injectors)
+    injected = sum(snap["fk_storage_faults_injected"]["values"].values()) \
+        if "fk_storage_faults_injected" in snap else 0
     retries = sum(snap["fk_storage_retries_total"]["values"].values()) \
         if "fk_storage_retries_total" in snap else 0
     exhausted = sum(snap["fk_storage_retry_exhausted_total"]["values"]

@@ -82,8 +82,8 @@ class StorageTimeout(CloudError):
 class ConnectionReset(CloudError):
     """The connection dropped mid-request.  Raised before the mutation
     applied it is unambiguous; raised after (the partial-write fault) the
-    caller cannot tell — the retry layer's idempotence tokens exist for
-    exactly this case."""
+    caller cannot tell, so a retried key-value mutation carries a token
+    in which the attempt that applied records its result."""
 
 
 class StorageUnavailable(CloudError):

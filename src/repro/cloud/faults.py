@@ -17,8 +17,8 @@ one of four fault classes, which the storage endpoint
   (:class:`ConnectionReset`); the mutation did **not** apply.
 * ``partial_write`` — mutators only: the mutation **applies server-side**
   and the connection dies before the response.  The caller sees the same
-  :class:`ConnectionReset` as the pre-send drop — the ambiguous failure
-  idempotence tokens exist for.
+  :class:`ConnectionReset` as the pre-send drop — the ambiguous failure;
+  a retried key-value mutation replays the result its token recorded.
 
 Determinism: the injector's RNG is a named stream of the simulation's
 :class:`~repro.sim.rng.RngRegistry` (streams are independently seeded by
@@ -101,7 +101,3 @@ class FaultInjector:
             kind = "conn_reset"
         self.injected[kind] += 1
         return kind
-
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-

@@ -21,8 +21,8 @@ interleave exactly as a remote store would interleave their requests.
 
 **Image discipline.**  An item image, once handed to :meth:`Table._store`,
 is never mutated again.  That one invariant lets the table, the previous
-version kept for eventual reads, stream records, the idempotence-token
-ledger and the next update's copy-on-write base all *hold the same dict*.
+version kept for eventual reads, stream records, a retried write's
+token and the next update's copy-on-write base all *hold the same dict*.
 Updates build a new image that shares every untouched attribute
 (:func:`~repro.cloud.expressions.updated_image`).  Reads hand out the
 frozen image itself (``get_item``, ``update_item``, ``transact_update``,
@@ -106,9 +106,6 @@ class _Versioned:
     previous: Optional[Dict[str, Any]] = None
     #: ``FK_SANITIZE=1`` only: a private clone of ``value`` at store time.
     snapshot: Optional[Dict[str, Any]] = None
-
-
-_NOT_APPLIED = object()
 
 
 def _size_kb(rec: Optional[_Versioned]) -> float:
@@ -233,27 +230,10 @@ class KeyValueStore(StorageEndpoint):
     #: previous version of an item (DynamoDB documents "usually <1 s").
     EVENTUAL_STALENESS_MS = 500.0
     EVENTUAL_STALE_P = 0.33
-    #: how long (ms) an applied idempotence token is remembered at least —
-    #: DynamoDB's ``ClientRequestToken`` window is 10 minutes; the ledger
-    #: forgets a token between one and two windows after it was applied.
-    TOKEN_WINDOW_MS = 600_000.0
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.tables: Dict[str, Table] = {}
-        #: Idempotence-token ledger (DynamoDB ``ClientRequestToken``): a
-        #: mutator carrying a token records its result here at apply time;
-        #: a replay of the same token returns the recorded result without
-        #: re-applying — the device that makes ambiguous-failure retries
-        #: exactly-once.  Results are the stored images themselves (shared).
-        #: ``RetryingStore`` sends tokens only while :attr:`faults` is armed
-        #: (nothing else fails transiently): fault-free, the ledger is empty.
-        #: Its retry loop retires a token as it ends (:meth:`retire_token`);
-        #: two generations, turned over every :attr:`TOKEN_WINDOW_MS` on the
-        #: sim clock, bound the rest without a timestamp per entry.
-        self._token_results: Dict[str, Any] = {}
-        self._token_previous: Dict[str, Any] = {}
-        self._token_turnover = self.TOKEN_WINDOW_MS
 
     # ------------------------------------------------------------ tables
     def create_table(self, name: str, capacity_per_s: Optional[float] = None) -> Table:
@@ -280,34 +260,13 @@ class KeyValueStore(StorageEndpoint):
     def _charge_read(self, ctx: OpContext, size_kb: float, consistent: bool) -> None:
         self._charge(ctx, "kv_read", self.profile.prices.kv_read_cost(size_kb, consistent))
 
-    def _applied(self, token: Optional[str]) -> Any:
-        """The result recorded for ``token``, or ``_NOT_APPLIED`` when it is
-        new (or was applied more than a window or two ago)."""
-        if token is None:
-            return _NOT_APPLIED
-        now = self.env.now
-        if now >= self._token_turnover:
-            # Nothing survives a turnover that comes a whole window late.
-            idle = now >= self._token_turnover + self.TOKEN_WINDOW_MS
-            self._token_previous = {} if idle else self._token_results
-            self._token_results = {}
-            self._token_turnover = now + self.TOKEN_WINDOW_MS
-        recorded = self._token_results.get(token, _NOT_APPLIED)
-        if recorded is _NOT_APPLIED:
-            recorded = self._token_previous.get(token, _NOT_APPLIED)
-        return recorded
-
-    def _finish(self, token: Optional[str], result: Any, fault: Optional[str]) -> None:
-        """Close an applied mutation: remember its token, then let a
-        partial-write fault lose the reply."""
+    def _finish(self, token: Optional[List[Any]], result: Any,
+                fault: Optional[str]) -> None:
+        """Close an applied mutation: record its result in ``token``, then
+        let a partial-write fault lose the reply."""
         if token is not None:
-            self._token_results[token] = result
+            token.append(result)
         self._reply(fault)
-
-    def retire_token(self, token: str) -> None:
-        """Forget ``token`` now: its sender will never replay it."""
-        self._token_results.pop(token, None)
-        self._token_previous.pop(token, None)
 
     def _current(self, table: Table, key: str,
                  condition: Optional[Condition]) -> Optional[_Versioned]:
@@ -358,13 +317,15 @@ class KeyValueStore(StorageEndpoint):
         key: str,
         attributes: Dict[str, Any],
         condition: Optional[Condition] = None,
-        token: Optional[str] = None,
+        token: Optional[List[Any]] = None,
     ) -> Generator[Yield, Any, None]:
         """Full-item write, optionally conditional.
 
-        ``token`` (DynamoDB ``ClientRequestToken``) makes the write
-        idempotent: a replay of an already-applied token returns without
-        re-applying or re-evaluating the condition.
+        ``token`` (DynamoDB ``ClientRequestToken``) makes every mutator
+        idempotent: a list that rides each attempt of one retried request.
+        The attempt that applies records its result in it; a later attempt
+        that finds it filled pays its round trip and returns that result
+        without re-applying or re-evaluating the condition.
         """
         if self._sanitized:
             sanitize.check_mutation("put_item", table_name, key,
@@ -384,7 +345,7 @@ class KeyValueStore(StorageEndpoint):
         latency = self._latency(ctx, self.profile.kv_write, size_kb, extra)
         yield wait + latency
         self._charge_write(ctx, size_kb)
-        if self._applied(token) is not _NOT_APPLIED:
+        if token:
             return None  # replay of an applied write: nothing to redo
         self._current(table, key, condition)
         table._store(key, image, size_bytes=size_bytes)
@@ -400,7 +361,7 @@ class KeyValueStore(StorageEndpoint):
         atomic_hint: bool = False,
         payload_kb: float = 0.0,
         latency_model=None,
-        token: Optional[str] = None,
+        token: Optional[List[Any]] = None,
     ) -> Generator[Yield, Any, Dict[str, Any]]:
         """Atomically apply update actions iff ``condition`` holds.
 
@@ -429,9 +390,8 @@ class KeyValueStore(StorageEndpoint):
         latency = self._latency(ctx, model, size_kb, extra)
         yield wait + latency
         self._charge_write(ctx, max(size_kb, 0.001))
-        applied = self._applied(token)
-        if applied is not _NOT_APPLIED:
-            return applied
+        if token:
+            return token[0]
         new_value, new_bytes = self._stage(table, key, updates, condition)
         table._store(key, new_value, size_bytes=new_bytes)
         self._finish(token, new_value, fault)
@@ -456,7 +416,7 @@ class KeyValueStore(StorageEndpoint):
         table_name: str,
         key: str,
         condition: Optional[Condition] = None,
-        token: Optional[str] = None,
+        token: Optional[List[Any]] = None,
     ) -> Generator[Yield, Any, None]:
         if self._sanitized:
             sanitize.check_mutation("delete_item", table_name, key,
@@ -471,7 +431,7 @@ class KeyValueStore(StorageEndpoint):
         latency = self._latency(ctx, self.profile.kv_write, min(size_kb, 1.0), extra)
         yield wait + latency
         self._charge_write(ctx, 1.0)
-        if self._applied(token) is not _NOT_APPLIED:
+        if token:
             return None
         self._current(table, key, condition)
         table._store(key, None)
@@ -481,7 +441,7 @@ class KeyValueStore(StorageEndpoint):
         self,
         ctx: OpContext,
         ops: Sequence[tuple],
-        token: Optional[str] = None,
+        token: Optional[List[Any]] = None,
     ) -> Generator[Yield, Any, List[Dict[str, Any]]]:
         """Atomic multi-item conditional update (DynamoDB transactions).
 
@@ -513,9 +473,8 @@ class KeyValueStore(StorageEndpoint):
         extra = self.profile.kv_conditional_extra_ms * len(ops)
         latency = self._latency(ctx, self.profile.kv_write, total_kb, extra)
         yield wait + latency
-        applied = self._applied(token)
-        if applied is not _NOT_APPLIED:
-            return list(applied)
+        if token:
+            return list(token[0])
         # Atomic check-then-apply at a single instant of virtual time.
         staged: List[tuple] = []
         for table_name, key, updates, condition in ops:
@@ -535,7 +494,7 @@ class KeyValueStore(StorageEndpoint):
             table._store(key, new_value, size_bytes=new_bytes)
         images = [new_value for _t, _k, new_value, _b in staged]
         self._finish(token, images, fault)
-        return list(images)  # the ledger keeps its own list
+        return list(images)  # the token keeps its own list
 
     def scan(
         self,
@@ -580,7 +539,7 @@ class KeyValueStore(StorageEndpoint):
         ctx: OpContext,
         table_name: str,
         items: Dict[str, Dict[str, Any]],
-        token: Optional[str] = None,
+        token: Optional[List[Any]] = None,
     ) -> Generator[Yield, Any, None]:
         """Batch full-item write (DynamoDB ``BatchWriteItem``): one round
         trip's latency for the whole batch, per-item billing, capacity and
@@ -613,7 +572,7 @@ class KeyValueStore(StorageEndpoint):
         yield wait + latency
         for _image, size_bytes in images.values():
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
-        if self._applied(token) is not _NOT_APPLIED:
+        if token:
             return None  # replay of an applied batch: nothing to redo
         for key, (image, size_bytes) in images.items():
             table._store(key, image, size_bytes=size_bytes)

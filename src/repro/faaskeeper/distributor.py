@@ -508,12 +508,3 @@ class DistributionStage:
             "txid", max(txids))
         self.visibility.mark(region, txids)
         return None
-
-    # ------------------------------------------------------------ accounting
-    def stats(self) -> Dict[str, float]:
-        return {
-            "batches": sum(lg._batches.value for lg in self.logics.values()),
-            "coalesced_writes": sum(
-                lg._coalesced.value for lg in self.logics.values()),
-            "watermarks": dict(self.visibility.watermark),
-        }

@@ -270,14 +270,3 @@ class OutboxStage:
             if sink.label == label_or_index:
                 return sink
         raise KeyError(label_or_index)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "drains": self.metrics["drains"].value,
-            "published": sum(c.value for _lv, c in
-                             self.metrics["published"].items()),
-            "retries": sum(c.value for _lv, c in
-                           self.metrics["retries"].items()),
-            "dead_letters": float(len(self.dead_letters)),
-            "published_txid": self.metrics["published_txid"].value,
-        }

@@ -14,15 +14,17 @@ simulation's constraints:
   fault-free run's RNG consumption, latency and cost are those of the raw
   store, bit for bit.
 * **Idempotence-aware replay** — the op table says which operations carry
-  a deterministic request token (DynamoDB ``ClientRequestToken``): every
-  key-value mutator, while its store has a fault injector armed (only an
-  injector raises a transient error; unarmed, nothing is retried and a
-  token would only pin its image in the ledger).  If the first attempt
-  died *after* applying (the ambiguous partial-write failure), the replay
-  returns the recorded result instead of re-applying, so conditional
-  writes re-verify rather than blind-retry and the exactly-once audits
-  stay green.  User-store ops are whole-image writes (idempotent by
-  construction) and re-run bodily.
+  a request token (DynamoDB ``ClientRequestToken``): every key-value
+  mutator, while its store has a fault injector armed (only an injector
+  raises a transient error; unarmed, nothing is retried).  The token is a
+  fresh list that rides every attempt of one request, and the attempt
+  that applies records its result in it.  If that attempt died *after*
+  applying (the ambiguous partial-write failure), the retry finds the
+  token filled and returns the recorded result instead of re-applying, so
+  conditional writes re-verify rather than blind-retry and the
+  exactly-once audits stay green.  The retry state lives in the retrying
+  call, as in ``KazooRetry``: the store keeps none.  User-store ops are
+  whole-image writes (idempotent by construction) and re-run bodily.
 * **Exhaustion** — after :data:`MAX_ATTEMPTS` transient failures the op
   raises :class:`StorageUnavailable` carrying the last error.  The
   invocation fails and its trigger redelivers it, so a sustained outage
@@ -96,7 +98,6 @@ class RetryingStore:
         self.env = env
         self._rng_factory = rng_factory
         self._rng = None  # created on first actual retry
-        self._tokens = itertools.count(1)
         m = metrics
         self._retries = m.counter(
             "fk_storage_retries_total",
@@ -137,29 +138,23 @@ class RetryingStore:
 
         A fresh attempt generator is created per try; the same token rides
         every attempt of one logical mutation, which is what makes the
-        replay idempotent.  Minted only if ``inner.faults`` is armed as the
+        replay idempotent.  Made only if ``inner.faults`` is armed as the
         first attempt draws its fault: an op begun unarmed is never retried.
-        Nothing replays a token after its loop, so the loop retires it.
+        The token dies with the loop: nothing else can replay it.
         """
-        token = None
         if tokened and self.inner.faults is not None:
-            token = f"{self.label}-t{next(self._tokens)}"
-            kwargs = dict(kwargs, token=token)
-        try:
-            for attempt in itertools.count(1):
-                try:
-                    return (yield from call(*args, **kwargs))
-                except TRANSIENT_ERRORS as exc:
-                    self._retries.labels(store=self.label, op=op,
-                                         error=type(exc).__name__).inc()
-                    if attempt >= MAX_ATTEMPTS:
-                        self._exhausted.labels(store=self.label, op=op).inc()
-                        raise StorageUnavailable(
-                            f"{self.label}: {op} failed after {attempt} "
-                            f"attempts: {exc}", cause=exc) from exc
-                    delay = backoff_ms(attempt, self._jitter_u())
-                    self._backoff.labels(store=self.label).observe(delay)
-                    yield delay
-        finally:
-            if token is not None:
-                self.inner.retire_token(token)
+            kwargs = dict(kwargs, token=[])
+        for attempt in itertools.count(1):
+            try:
+                return (yield from call(*args, **kwargs))
+            except TRANSIENT_ERRORS as exc:
+                self._retries.labels(store=self.label, op=op,
+                                     error=type(exc).__name__).inc()
+                if attempt >= MAX_ATTEMPTS:
+                    self._exhausted.labels(store=self.label, op=op).inc()
+                    raise StorageUnavailable(
+                        f"{self.label}: {op} failed after {attempt} "
+                        f"attempts: {exc}", cause=exc) from exc
+                delay = backoff_ms(attempt, self._jitter_u())
+                self._backoff.labels(store=self.label).observe(delay)
+                yield delay

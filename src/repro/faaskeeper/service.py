@@ -397,10 +397,10 @@ class FaaSKeeperService:
         """Make ``count`` clients and start their session-record writes;
         returns the clients and the event of every write landing (None
         when there is nothing to register)."""
-        if count <= 0:
-            return [], None
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if count <= 0:
+            return [], None
         region = region or self.config.primary_region
         ctx = self.region_ctx(region)
         env = self.cloud.env

@@ -155,7 +155,9 @@ def test_census_deletions_stay_deleted():
     function's per-probe sample log (its stage histogram is the one
     record of a probe), the per-table write count (the cost meter's
     ``kv_write`` line counts the same writes) and a queue message's
-    enqueue time, which nothing read."""
+    enqueue time, which nothing read.  And the key-value store's
+    idempotence-token ledger with its window and its retirement: a
+    retried write's token is a record its retry loop holds."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -179,7 +181,8 @@ def test_census_deletions_stay_deleted():
         "on_session_expired|_ack_after|_distribute_and_finish|"
         r"query_consume_ops|_consume_watches|epoch_snapshot|read_count|"
         r"def between\(|class Always\b|storage_fault_rate|payload_factory|"
-        r"\b(self|function|fn)\.segments\b|write_count|enqueued_at")
+        r"\b(self|function|fn)\.segments\b|write_count|enqueued_at|"
+        "retire_token|_token_results|_token_previous|TOKEN_WINDOW_MS")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()

@@ -11,6 +11,7 @@ from repro.cloud.errors import (ConditionFailed, StorageTimeout,
                                 StorageUnavailable)
 from repro.cloud.expressions import Attr
 from repro.cloud.faults import FaultInjector
+from repro.cloud.kvstore import KeyValueStore
 from repro.faaskeeper.exceptions import RequestFailedError
 from repro.faaskeeper.heartbeat import HEARTBEAT_PERIOD_MS
 from repro.faaskeeper.metrics import MetricsRegistry
@@ -23,6 +24,7 @@ from repro.faaskeeper.retry import (
     backoff_ms,
 )
 
+from ..helpers.metrics import total
 from .conftest import make_service
 
 
@@ -167,12 +169,11 @@ def test_condition_failed_is_never_retried():
 # ------------------------------------------------------- the op tables
 class RecordingStore:
     """A stand-in store: every table op fails once with a timeout, then
-    answers with what it was called with, and it records retired tokens."""
+    answers with what it was called with."""
 
     def __init__(self, env, ops, region=None):
         self.env = env
         self.calls = []
-        self.retired = []
         # A store that can lose a reply says so through ``faults``.
         self.faults = ScriptedInjector([])
         if region is not None:
@@ -194,17 +195,14 @@ class RecordingStore:
     def peek(self, *args):
         return ("peek", args)
 
-    def retire_token(self, token):
-        self.retired.append(token)
-
 
 @pytest.mark.parametrize("ops,region", [(KV_OPS, "eu-1"), (USER_OPS, None)])
 def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
     """The whole forwarding contract, from the tables, for a store that is
     one regional endpoint and for one that takes the region per call: each
-    named op is retried with its arguments intact, carries one token across
-    attempts iff the table says so and retires it when done; anything not
-    in the table passes through."""
+    named op is retried with its arguments intact and carries one token,
+    a fresh list per request, across its attempts iff the table says so;
+    anything not in the table passes through."""
     cloud = Cloud.aws(seed=3)
     inner = RecordingStore(cloud.env, ops, region)
     proxy = RetryingStore(inner, "x", ops, cloud.env,
@@ -212,51 +210,92 @@ def test_every_table_op_retries_and_nothing_else_is_touched(ops, region):
     assert proxy.inner is inner
     assert proxy.peek("r", "/p") == ("peek", ("r", "/p"))   # pass-through
     assert not set(vars(proxy)) & {"peek", "fault_points", "table"}
-    minted, ctx = 0, OpContext()
+    tokens, ctx = [], OpContext()
     for n, (op, tokened) in enumerate(ops.items(), start=1):
         got = cloud.run_process(getattr(proxy, op)(ctx, "r1", "arg", k=n))
         first, second = [c for c in inner.calls if c[0] == op]
         assert first[1] == second[1] == (ctx, "r1", "arg")
-        minted += tokened
-        want = {"k": n, "token": f"x-t{minted}"} if tokened else {"k": n}
+        want = {"k": n, "token": []} if tokened else {"k": n}
         assert first[2] == second[2] == got[2] == want
-        assert inner.retired == [f"x-t{t}" for t in range(1, minted + 1)]
+        if tokened:  # the same record rides every attempt
+            assert first[2]["token"] is second[2]["token"]
+            tokens.append(first[2]["token"])
         assert proxy._retries.labels(store="x", op=op,
                                      error="StorageTimeout").value == 1
+    assert len({id(token) for token in tokens}) == sum(ops.values())
 
 
-def test_every_mutator_replays_its_token_after_a_partial_write():
-    """Against the real key-value store: each tokened op applies exactly
-    once when its first attempt dies between apply and reply."""
-    cloud, kv, wrapped = make_wrapped()
-    ctx = OpContext()
-    cloud.run_process(wrapped.put_item(ctx, "t", "k", {"log": [], "n": 0}))
-    append = [ListAppend("log", ["x"])]
-    calls = {
-        "put_item": lambda: wrapped.put_item(
-            ctx, "t", "fresh", {"v": 1}, condition=Attr("v").not_exists()),
-        "update_item": lambda: wrapped.update_item(ctx, "t", "k", append),
-        "delete_item": lambda: wrapped.delete_item(
-            ctx, "t", "fresh", condition=Attr("v") == 1),
-        "batch_put": lambda: wrapped.batch_put(
-            ctx, "t", {"b1": {"v": 1}, "b2": {"v": 2}}),
-        "transact_update": lambda: wrapped.transact_update(
-            ctx, [("t", "k", append, None)]),
-    }
-    assert set(calls) == {op for op, tokened in KV_OPS.items() if tokened}
-    for op, call in calls.items():
-        kv.faults = ScriptedInjector(["partial_write"])
-        cloud.run_process(call())             # a re-apply would raise / double
-        assert kv.faults.injected["partial_write"] == 1, op
-    item = cloud.run_process(wrapped.get_item(ctx, "t", "k"))
-    assert item["log"] == ["x", "x"]          # update + transact, once each
-    assert cloud.run_process(wrapped.get_item(ctx, "t", "fresh")) is None
+#: Each tokened op as one request against a table holding ``k`` and
+#: ``gone``, and the keys it writes.  A conditional put or delete that
+#: re-applied would raise; an append that re-applied would double.
+_MUTATIONS = {
+    "put_item": (lambda s, ctx: s.put_item(
+        ctx, "t", "fresh", {"v": 1}, condition=Attr("v").not_exists()),
+        ["fresh"]),
+    "update_item": (lambda s, ctx: s.update_item(
+        ctx, "t", "k", [ListAppend("log", ["x"])]), ["k"]),
+    "delete_item": (lambda s, ctx: s.delete_item(
+        ctx, "t", "gone", condition=Attr("v") == 1), ["gone"]),
+    "batch_put": (lambda s, ctx: s.batch_put(
+        ctx, "t", {"b1": {"v": 1}, "b2": {"v": 2}}), ["b1", "b2"]),
+    "transact_update": (lambda s, ctx: s.transact_update(
+        ctx, [("t", "k", [ListAppend("log", ["x"])], None)]), ["k"]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_MUTATIONS))
+def test_a_lost_reply_replays_the_recorded_result(op):
+    """A mutation whose first attempt applies and loses its reply applies
+    exactly once — one stream record per key — whether a later attempt
+    replays the token (``partial_write, throttle, partial_write``: the
+    third attempt's lost reply is a replay, so it answers) or every later
+    attempt is throttled and the loop gives up.  The replay answers what
+    the applying attempt did, one token rides every attempt, and an
+    unarmed store is handed no token at all."""
+    assert set(_MUTATIONS) == {o for o, tokened in KV_OPS.items() if tokened}
+    call, keys = _MUTATIONS[op]
+
+    def run(schedule):
+        cloud = Cloud.aws(seed=11)
+        kv = cloud.kv("dynamodb:test")
+        table = kv.create_table("t")
+        table._store("k", {"log": []})
+        table._store("gone", {"v": 1})
+        tokens, real = [], getattr(kv, op)
+
+        def spy(*args, **kwargs):
+            tokens.append(kwargs.get("token", "none"))
+            return real(*args, **kwargs)
+
+        setattr(kv, op, spy)
+        wrapped = RetryingStore(kv, "system", KV_OPS, cloud.env,
+                                lambda: random.Random(0), MetricsRegistry())
+        if schedule is not None:
+            kv.faults = ScriptedInjector(schedule)
+        written = []
+        table.stream_listeners.append(lambda record: written.append(record.key))
+        try:
+            result = cloud.run_process(call(wrapped, OpContext()))
+        except StorageUnavailable:
+            result = StorageUnavailable
+        return result, written, tokens
+
+    clean, written, tokens = run(None)
+    assert written == keys and tokens == ["none"]
+    replayed = ["partial_write", "throttle", "partial_write"]
+    exhausted = ["partial_write"] + ["throttle"] * (MAX_ATTEMPTS - 1)
+    for schedule, answer in ((replayed, clean), (exhausted, StorageUnavailable)):
+        result, written, tokens = run(schedule)
+        assert result == answer and written == keys, schedule
+        assert len(tokens) == len(schedule)
+        assert all(token is tokens[0] for token in tokens)
+        assert len(tokens[0]) == 1            # recorded once, by the apply
 
 
 def test_a_failed_retry_loop_retires_its_token():
     """The first attempt applies and loses its reply, the rest are
-    throttled and exhaust the loop: nothing can replay the token now, so
-    the ledger does not keep it for a window."""
+    throttled and exhaust the loop: the write applied once.  Its token
+    was the loop's own, so nothing is left to retire in the store."""
     cloud, kv, wrapped = make_wrapped()
     kv.faults = ScriptedInjector(
         ["partial_write"] + ["throttle"] * (MAX_ATTEMPTS - 1))
@@ -264,33 +303,34 @@ def test_a_failed_retry_loop_retires_its_token():
                        match=f"after {MAX_ATTEMPTS} attempts"):
         cloud.run_process(wrapped.put_item(OpContext(), "t", "k", {"v": 1}))
     assert kv.table("t").raw("k") == {"v": 1}
-    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
+    drawn = {kind: n for kind, n in kv.faults.injected.items() if n}
+    assert drawn == {"partial_write": 1, "throttle": MAX_ATTEMPTS - 1}
 
 
 def test_a_token_rides_only_where_a_reply_can_be_lost(monkeypatch):
     """Only an armed injector raises a transient error, so a fault-free
-    store is never retried and its token ledger must stay empty rather
-    than pin every superseded image for a token window; once armed, a
-    mutation carries its token again, recorded while its retry loop runs
-    and retired when the loop ends."""
+    store is never retried and its mutators get no token at all; once
+    armed, each mutation carries a fresh one, and the attempt that applied
+    recorded its result in it."""
+    seen = []
+    for op in (op for op, tokened in KV_OPS.items() if tokened):
+        def spy(self, *args, _real=getattr(KeyValueStore, op), **kwargs):
+            seen.append(kwargs.get("token", "none"))
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(KeyValueStore, op, spy)
     cloud, service = make_service()
     client = service.connect()
     client.create("/n", b"")
     for i in range(1000):
         client.set_data("/n", b"%d" % i)
-    kv = service.system_store.inner
-    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
-    kv.faults = ScriptedInjector([])
-    held, retire = [], kv.retire_token
-
-    def spy(token):
-        held.append(token in kv._token_results)
-        retire(token)
-
-    monkeypatch.setattr(kv, "retire_token", spy)
+    assert len(seen) > 1000 and set(seen) == {"none"}
+    seen.clear()
+    service.system_store.inner.faults = ScriptedInjector([])
     client.set_data("/n", b"armed")
-    assert held and all(held)
-    assert (len(kv._token_results), len(kv._token_previous)) == (0, 0)
+    cloud.run(until=cloud.now + 5_000)        # the write's tail lands too
+    assert seen and all(isinstance(token, list) and len(token) == 1
+                        for token in seen)
+    assert len({id(token) for token in seen}) == len(seen)
 
 
 # --------------------------------------------------------------- outages
@@ -427,10 +467,9 @@ def test_a_rearm_keeps_each_injector_and_its_count():
     cloud, service = make_service(seed=7)
     client = service.connect()
     injectors = service.arm_storage_faults(0.3)
-    gauge = service.metrics.get("fk_storage_faults_injected")
 
     def injected():
-        return sum(child.value for _labels, child in gauge.items())
+        return total(service, "fk_storage_faults_injected")
 
     for i in range(10):
         client.create(f"/n{i}", b"")

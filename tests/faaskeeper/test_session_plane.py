@@ -258,7 +258,11 @@ def test_sessions_share_their_region_context(monkeypatch):
 
 
 def test_connect_many_validates_and_handles_empty():
+    """A bad ``batch_size`` is refused whatever the count, also when
+    there is nothing to register."""
     _cloud, service = make_service(seed=103)
     assert service.connect_many(0) == []
-    with pytest.raises(ValueError):
-        service.connect_many(5, batch_size=0)
+    for count in (5, 0):
+        with pytest.raises(ValueError, match="batch_size"):
+            service.connect_many(count, batch_size=0)
+    assert service.clients == {}

@@ -53,6 +53,7 @@ from repro.faaskeeper.model import KeeperState, Response, SetDataOp
 from repro.faaskeeper.outbox import OutboxStage
 from repro.faaskeeper.userstore import BACKENDS
 
+from ..helpers.metrics import total
 from ..helpers.visibility import ids_above_the_floor
 
 TWO_REGIONS = ["us-east-1", "eu-west-1"]
@@ -119,7 +120,7 @@ def fault_seeds():
 
 
 def injected(service):
-    return sum(i.total_injected() for i in service.storage_injectors)
+    return total(service, "fk_storage_faults_injected")
 
 
 def drive_writer(service, rng):
@@ -549,7 +550,8 @@ def test_fault_metrics_surface_in_the_registry():
     assert violations == []
     snapshot = service.metrics_snapshot()
     gauge = snapshot["fk_storage_faults_injected"]["values"]
-    assert sum(gauge.values()) == injected(service) > 0
+    drawn = sum(sum(i.injected.values()) for i in service.storage_injectors)
+    assert sum(gauge.values()) == drawn > 0
     retried = snapshot["fk_storage_retries_total"]["values"]
     assert sum(retried.values()) > 0  # the layer actually absorbed faults
 
