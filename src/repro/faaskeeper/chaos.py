@@ -53,9 +53,9 @@ class ChaosMonkey:
     """
 
     #: The kinds armed by default: the queue- and invoke-triggered stages
-    #: downstream of the follower.
-    STAGES = ("leader", "distributor", "watch", "outbox")
-    #: Crashes each armed function may take (the watch fan-out's differs).
+    #: of the write path.
+    STAGES = ("follower", "leader", "distributor", "watch", "outbox")
+    #: Crashes per armed function, below the follower's redelivery cap.
     BUDGET = 4
 
     def __init__(self, service: FaaSKeeperService, seed: int,

@@ -534,7 +534,7 @@ class FaaSKeeperClient:
         """Map a failed write response to per-op typed errors: the culprit's
         own error, RolledBackError for the members undone with it."""
         # Without per-op results the envelope never reached validation
-        # (queue drop, leader rejection): every member shares its failure.
+        # (queue drop): every member shares its failure.
         envelope_error = response.error or "system_failure"
         results = [
             error_for(res.get("error", envelope_error),

@@ -50,7 +50,7 @@ class SessionClosedError(FaaSKeeperError):
 
 
 class RequestFailedError(FaaSKeeperError):
-    """The system rejected the request (follower/leader failure path)."""
+    """The system rejected the request (follower failure path, queue drop)."""
 
 
 class SystemBusyError(RequestFailedError):

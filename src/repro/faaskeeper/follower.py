@@ -21,7 +21,7 @@ takes no other route.  For each request the follower
   the lock releases, conditional on every lock still carrying the
   follower's timestamp (one that expired is refused once it is re-taken
   or cleared by the leader's TryCommit): the request commits or fails
-  atomically (Z1).
+  atomically (Z1), and a refused request is delivered again.
 
 Steps ➀/➁ of a request may overlap with steps ➂/➃ of its predecessor in a
 real deployment; requests of one session are never reordered (Z2).
@@ -37,7 +37,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..cloud.expressions import (Attr, ListAppend, ListRemove, Remove, Set,
                                  UpdateAction)
-from ..cloud.errors import ConditionFailed
+from ..cloud.errors import ConditionFailed, Redeliver
 from ..primitives.locks import LockHandle
 from .exceptions import BadArgumentsError
 from .layout import (SYSTEM_NODES, SYSTEM_SESSIONS, new_system_node,
@@ -404,11 +404,10 @@ class FollowerLogic:
                 fctx.ctx, ops_list + session_ops)
         except ConditionFailed:
             # A lease expired mid-request and its lock was re-taken or
-            # cleared by TryCommit: the leader decides (TryCommit or
-            # reject) — the follower must not touch the nodes, and never
-            # commits partially (Z1).
+            # cleared by TryCommit: nothing commits (Z1); the request's next
+            # delivery, or the queue's drop, answers it.
             fctx.record("commit", env.now - t0)
-            return None
+            raise Redeliver(f"lease lost committing rid {req.rid}")
         fctx.record("commit", env.now - t0)
         # The request is now committed (Z1); the leader replicates it to the
         # user-visible store and notifies the client.

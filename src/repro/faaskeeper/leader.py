@@ -14,7 +14,11 @@ update the leader
   path speaks for all),
 ➋ if the follower died between push and commit, tries to commit the whole
   write set on its behalf (TryCommit) once the lock leases have expired —
-  otherwise the update is rejected and the client notified of the failure,
+  otherwise burns the txid without an answer, as the leader answers only
+  what it commits: a rejected txid belongs to a follower attempt (crashed
+  after its push, or refused at its step ➃) whose session-queue message
+  is not deleted, so a later delivery (which finds the committed txid or
+  runs the request again) or the queue's drop (``system_failure``) answers,
 ➌ replicates each written path's image into the user store of every
   region in parallel, attaching the current epoch (the watch
   notifications still in flight),
@@ -187,16 +191,15 @@ class LeaderLogic:
         if txid not in pending:
             committed = yield from self._try_commit(fctx, msg, txid, node)
             if not committed:
-                # The request was never committed and cannot be: reject (Z1
-                # intact).  Its txid never replicates nor gets a log record:
-                # burn it, so the visibility floor and the log floor can
-                # pass it.
+                # This txid was never committed and cannot be (Z1 intact),
+                # and the request's own message answers it (see ➋).  It
+                # never replicates nor gets a log record: burn it, so the
+                # visibility floor and the log floor can pass it.
                 if self.service.distribution is not None:
                     self.service.distribution.visibility.burn(txid)
                 if self.service.snapshots is not None:
                     yield from self.service.snapshots.burn(
                         fctx, txid, self.shard)
-                yield from self._notify_failure(msg, "system_failure")
                 self._pass_fence(msg)
                 return None
         elif pending[0] != txid:
@@ -324,8 +327,8 @@ class LeaderLogic:
         dead) follower, or reject it — never partially (Z1).
 
         Returns True when the transaction is committed (by us or, as we
-        raced, by the recovering follower); False when the request is
-        definitively rejected (the caller notifies the client).  Raises
+        raced, by the recovering follower); False when the txid is
+        definitively rejected (the caller burns it, in silence).  Raises
         :class:`RetryBatch` while a follower's lease is still live.
 
         The write set's records and the session-record updates (the dedup
@@ -401,9 +404,4 @@ class LeaderLogic:
                          for res in msg["results"]],
             ))
         fctx.record("notify", env.now - t0)
-        return None
-
-    def _notify_failure(self, msg: Dict[str, Any], error: str) -> Generator:
-        yield from self.service.notify_response(Response(
-            session=msg["session"], rid=msg["rid"], ok=False, error=error))
         return None

@@ -56,11 +56,11 @@ def test_follower_crash_after_commit_no_double_apply():
 
 def test_multi_node_create_commit_is_atomic_under_crash():
     """Z1: a crash between push and commit of a create must never leave the
-    child registered without the node (or vice versa)."""
+    child registered without the node (or vice versa), and the request is
+    answered once, with success."""
     cloud, service = make_service(seed=14)
     c = service.connect()
     c.create("/p", b"")
-    cap_redeliveries(service, c, 1)
     crash_next(service.follower_fn, "after:send#1")
     fut = c.create_async("/p/child", b"x")
     cloud.run(until=cloud.now + 30_000)
@@ -70,14 +70,8 @@ def test_multi_node_create_commit_is_atomic_under_crash():
     child_exists = bool(child and child.get("exists"))
     child_registered = "child" in parent.get("children", [])
     assert child_exists == child_registered  # all-or-nothing
-    if fut.done:
-        try:
-            fut.wait()
-            assert child_exists  # success ack implies the commit happened
-        except RequestFailedError:
-            # The drop notification may race the leader's TryCommit recovery
-            # (at-most-once ack); the state itself stays atomic either way.
-            pass
+    assert fut.done and fut.wait() == "/p/child"
+    assert child_exists  # the success ack implies the commit happened
 
 
 def test_leader_crash_is_retried_by_queue():
@@ -89,6 +83,35 @@ def test_leader_crash_is_retried_by_queue():
     res = c.set_data("/a", b"v1")
     assert res.version == 1
     assert leader.failures == 1
+
+
+def test_a_leader_crash_after_its_pop_takes_the_early_exit():
+    """The leader dies right after popping a set_data's txid: the
+    redelivered batch finds the txid applied (its ``applied_tx``
+    watermark) and only answers, so the image is written once and
+    TryCommit never runs."""
+    cloud, service = make_service(seed=15)
+    c = service.connect()
+    c.create("/a", b"")
+
+    def s3_writes():
+        return sum(line.count for line in cloud.meter.lines()
+                   if (line.service, line.operation) == ("s3", "obj_write"))
+
+    def probes(segment):
+        values = service.metrics_snapshot()["fk_stage_segment_ms"]["values"]
+        return values.get(f'fn="fk-leader",segment="{segment}"',
+                          {"count": 0})["count"]
+
+    writes, replications = s3_writes(), probes("update_user")
+    leader = service.leader_fns[0]
+    crash_next(leader, "after:update_item#1")
+    assert c.set_data("/a", b"v1").version == 1  # answered before the pop
+    cloud.run(until=cloud.now + 5_000)
+    assert leader.failures == 1
+    assert s3_writes() - writes == 1
+    assert probes("update_user") - replications == 1
+    assert probes("try_commit") == 0
 
 
 def test_poison_request_eventually_fails_future():
@@ -241,7 +264,10 @@ def test_a_lock_retaken_during_try_commit_redelivers_the_batch():
     """A new holder takes the expired lock just before TryCommit's
     transaction: the re-read finds it live and the leader raises
     ``RetryBatch``.  The stalled follower's own commit, landing next, is
-    refused; the redelivered batch waits out the new lease and TryCommits."""
+    refused, so the follower asks for its message again: that delivery
+    waits out the new lease and commits the request under txid 3.  The
+    redelivered batch's TryCommit of txid 2 is then refused and burns the
+    txid without a word: one ack, at txid 3, applied once."""
     cloud, service = make_service(seed=7)
     c = service.connect()
     c.create("/a", b"")
@@ -256,14 +282,13 @@ def test_a_lock_retaken_during_try_commit_redelivers_the_batch():
     fut = c.set_data_async("/a", b"x")
     cloud.run(until=cloud.now + 20_000)
     assert taken and taken[0] is not None
-    # A second TryCommit: the refused one's batch was redelivered.
-    assert outcomes == ["follower refused", "refused", "committed"]
-    assert fut.done and fut.wait().txid == 2
-    assert acks == [(2, True)]
+    assert outcomes == ["follower refused", "refused", "committed", "refused"]
+    assert fut.done and fut.wait().txid == 3
+    assert acks == [(3, True)]
     nodes = service.system_store.table(SYSTEM_NODES)
-    assert (nodes.raw("/a")["version"], nodes.raw("/a")["applied_tx"]) == (1, 2)
+    assert (nodes.raw("/a")["version"], nodes.raw("/a")["applied_tx"]) == (1, 3)
     assert verify_exactly_once(service, {"/a": b"x"}) == []
-    assert c.set_data("/a", b"y").txid == 3
+    assert c.set_data("/a", b"y").txid == 4
 
 
 def test_consistency_after_random_follower_crashes():

@@ -157,7 +157,10 @@ def test_census_deletions_stay_deleted():
     ``kv_write`` line counts the same writes) and a queue message's
     enqueue time, which nothing read.  And the key-value store's
     idempotence-token ledger with its window and its retirement: a
-    retried write's token is a record its retry loop holds."""
+    retried write's token is a record its retry loop holds.  And the
+    leader's failure answer: the leader answers only what it commits, and
+    a request whose txid it rejects is answered by its own session-queue
+    message."""
     src = Path(repro.__file__).parent
     twins = re.compile(
         "leader_coalesce|coalesce_enabled|follower_max_receive|outbox_sinks|"
@@ -182,7 +185,8 @@ def test_census_deletions_stay_deleted():
         r"query_consume_ops|_consume_watches|epoch_snapshot|read_count|"
         r"def between\(|class Always\b|storage_fault_rate|payload_factory|"
         r"\b(self|function|fn)\.segments\b|write_count|enqueued_at|"
-        "retire_token|_token_results|_token_previous|TOKEN_WINDOW_MS")
+        "retire_token|_token_results|_token_previous|TOKEN_WINDOW_MS|"
+        "_notify_failure")
     for path in src.rglob("*.py"):
         assert not twins.search(path.read_text()), path
     assert "def reset(" not in (src / "cloud" / "pricing.py").read_text()

@@ -385,14 +385,12 @@ def test_transaction_not_resubmitted_by_with_block(client):
         txn.commit_async()
 
 
-def test_multi_create_then_touch_crash_after_push_recovers():
-    """TryCommit of a create-then-set batch: the set's overlay-observed
-    version must not become a storage guard (the node does not exist in
-    the store yet) — the leader still commits the whole batch."""
+def _create_then_touch_crash_after_push(capped):
     cloud, service = make_service(seed=111)
     c = service.connect()
     c.create("/p", b"")
-    cap_redeliveries(service, c, 1).on_drop = None
+    if capped:
+        cap_redeliveries(service, c, 1).on_drop = None
     crash_next(service.follower_fn, "after:send#1")
     fut = c.multi_async([CreateOp("/p/x", b"a"), SetDataOp("/p/x", b"b")])
     cloud.run(until=cloud.now + 30_000)
@@ -403,6 +401,20 @@ def test_multi_create_then_touch_crash_after_push_recovers():
     assert data == b"b" and stat.version == 1
     raw = service.system_store.table("fk-system-nodes").raw("/p/x")
     assert raw["version"] == 1 and raw["transactions"] == []
+
+
+def test_multi_create_then_touch_crash_after_push_recovers():
+    """TryCommit of a create-then-set batch: the set's overlay-observed
+    version must not become a storage guard (the node does not exist in
+    the store yet) — the leader still commits the whole batch."""
+    _create_then_touch_crash_after_push(capped=True)
+
+
+def test_multi_create_then_touch_crash_after_push_is_answered_once():
+    """At the default redelivery cap the redelivered attempt and TryCommit
+    race for the batch: whichever commits it, the multi is answered once,
+    with success, and applied once."""
+    _create_then_touch_crash_after_push(capped=False)
 
 
 # ------------------------------------------------------------ projection

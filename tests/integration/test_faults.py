@@ -80,6 +80,8 @@ MATRIX = [
     ("s1-dist", "leader"), ("s1-dist", "distributor"), ("s1-dist", "watch"),
     ("s4-dist", "leader"), ("s4-dist", "distributor"), ("s4-dist", "watch"),
     ("s1-pub", "leader"), ("s1-pub", "outbox"), ("s4-pub", "outbox"),
+    *((config, "follower")
+      for config in ("s1", "s4", "s1-dist", "s4-dist", "s1-pub", "paper")),
 ]
 
 STORES = sorted(BACKENDS)
@@ -109,6 +111,9 @@ CELLS = {
     "storage-5pct-cached": ("paper", None, 0.05, None, "cached"),
     "s4-dist-watch-5pct-cached": ("s4-dist", "watch", 0.05, None, "cached"),
     "s1-pub-leader-5pct-cached": ("s1-pub", "leader", 0.05, None, "cached"),
+    "s4-dist-follower-5pct-recipes": ("s4-dist", "follower", 0.05, None,
+                                      "recipes"),
+    "s1-follower-5pct-cached": ("s1", "follower", 0.05, None, "cached"),
 }
 
 
@@ -443,6 +448,33 @@ def test_a_multi_member_the_publisher_drops_is_a_violation(monkeypatch):
         1, "s1-pub-outbox-5pct-recipes")
     assert any("/r/m2 neither delivered nor dead-lettered" in violation
                for violation in violations), violations
+
+
+@pytest.mark.parametrize("cell", ["paper-follower", "s1-dist-follower"])
+def test_a_follower_crash_after_its_push_gets_one_answer(cell):
+    """The follower dies right after pushing a write to ``/c``.  Its
+    redelivery waits out the dead attempt's lock and commits the write
+    under a new txid; TryCommit of the dead attempt's txid then fails and
+    burns it without a word.  A leader that answered that rejection would
+    answer ``system_failure`` first, and the client would keep it."""
+    violations, _monkey, service, _exp = run_scenario(
+        12, cell, replay=["fk-follower:6:after:send#1"])
+    assert service.follower_fn.failures == 1
+    assert violations == []
+
+
+def test_a_follower_crash_before_its_commit_fails_no_create():
+    """The follower dies before committing a create of ``/b``, and its
+    redelivery already holds the lock on ``/`` when the leader reaches the
+    dead attempt's txid: TryCommit fails on it and burns the txid in
+    silence, and the redelivered attempt commits the create under its own
+    txid, which the leader answers.  A leader that answered the rejection
+    would fail a create that the redelivery goes on to commit."""
+    violations, _monkey, service, _exp = run_scenario(
+        15, "paper-follower",
+        replay=["fk-follower:2:before:transact_update#1"])
+    assert service.follower_fn.failures == 1
+    assert violations == []
 
 
 def test_region_wipe_after_distributor_crashes_recovers_from_snapshot():
