@@ -96,7 +96,14 @@ class StreamRecord:
 
 @dataclass(slots=True)
 class _Versioned:
-    """One stored image: ``value`` and ``previous`` are frozen and shared."""
+    """One stored image: ``value`` and ``previous`` are frozen and shared.
+
+    A record is never mutated, so keys may share one: the keys a
+    ``batch_put`` inserts with one image hold one record (same value,
+    size and ``written_at``, no ``previous``, one sanitizer snapshot).  A
+    key that replaces a record gets its own, since its ``previous`` is
+    its own, and a later write to a sharing key installs a new record
+    for that key alone (copy on write)."""
 
     value: Dict[str, Any]
     #: Exact billable size (kB = bytes / 1024): walked once when stored, or
@@ -196,9 +203,12 @@ class Table:
             listener(record)
 
     def _store(self, key: str, value: Optional[Dict[str, Any]],
-               size_bytes: Optional[int] = None) -> None:
+               size_bytes: Optional[int] = None,
+               inserted: Optional[Dict[int, _Versioned]] = None) -> None:
         """Install ``value`` (None deletes).  The table takes ownership:
-        from here on the image is frozen and shared, never mutated."""
+        from here on the image is frozen and shared, never mutated.
+        ``inserted`` maps an image's id to the record one call already
+        made for it: an insert of that image reuses the record."""
         old_rec = self._get(key)
         old = old_rec.value if old_rec else None
         if (old_rec is None) != (value is None):  # an insert or a delete
@@ -211,13 +221,19 @@ class Table:
         if value is None:
             self._items.pop(key, None)
         else:
-            self._items[key] = _Versioned(
-                value=value,
-                size_bytes=item_size_bytes(value) if size_bytes is None else size_bytes,
-                written_at=self._env.now,
-                previous=old,
-                snapshot=clone(value) if self._sanitized else None,
-            )
+            shared = inserted if old_rec is None else None
+            rec = None if shared is None else shared.get(id(value))
+            if rec is None:
+                rec = _Versioned(
+                    value=value,
+                    size_bytes=item_size_bytes(value) if size_bytes is None else size_bytes,
+                    written_at=self._env.now,
+                    previous=old,
+                    snapshot=clone(value) if self._sanitized else None,
+                )
+                if shared is not None:
+                    shared[id(value)] = rec
+            self._items[key] = rec
         self._emit(key, old, value)
 
 
@@ -574,6 +590,7 @@ class KeyValueStore(StorageEndpoint):
             self._charge_write(ctx, max(size_bytes / 1024.0, 0.001))
         if token:
             return None  # replay of an applied batch: nothing to redo
+        inserted: Dict[int, _Versioned] = {}  # the keys new to the table share one
         for key, (image, size_bytes) in images.items():
-            table._store(key, image, size_bytes=size_bytes)
+            table._store(key, image, size_bytes=size_bytes, inserted=inserted)
         self._finish(token, None, fault)

@@ -37,7 +37,7 @@ ZooKeeper server would do for the session, by one rule each:
 
 from __future__ import annotations
 
-from functools import cached_property, partial, wraps
+from functools import partial, wraps
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cloud.errors import NoSuchQueue, PayloadTooLarge
@@ -264,12 +264,58 @@ class BusyRetry(SessionRetry):
     DEFAULT_EXCEPTIONS = (SystemBusyError,)
 
 
+class _MadeOnUse:
+    """``cached_property`` for the slotted client: the first read makes the
+    value and keeps it in the client's ``_made`` dict, which is itself made
+    by the first such read.  (An instance ``__dict__`` would not do: from
+    CPython 3.11 every new instance pre-sizes its attribute values for each
+    name any instance of the class ever stored, so an idle session would
+    pay for the containers of the sessions before it.)"""
+
+    __slots__ = ("make", "name")
+
+    def __init__(self, make: Callable[["FaaSKeeperClient"], Any]) -> None:
+        self.make = make
+        self.name = ""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, client, owner=None):
+        try:  # the hot path, one subscription: already made
+            return client._made[self.name]
+        except (KeyError, TypeError, AttributeError):
+            if client is None:  # read on the class
+                return self
+        made = client._made
+        if made is None:
+            made = client._made = {}
+        value = made[self.name] = self.make(client)
+        return value
+
+    def __set__(self, client, value) -> None:
+        if client._made is None:
+            client._made = {}
+        client._made[self.name] = value
+
+
 class FaaSKeeperClient:
-    """One session's client handle.  Obtain via ``service.connect()``."""
+    """One session's client handle.  Obtain via ``service.connect()``.
+
+    Every field is a slot, and the slots hold what every session has: its
+    service, clock, name, region and request context, its flags and
+    counters, its two request-chain tails, its cache and its state.  What
+    only some sessions need — the queue, the response and watch tables,
+    listeners, retry policies — is made by its first use and kept in the
+    ``_made`` dict, which an idle session does not have.
+    """
+
+    __slots__ = ("service", "env", "session_id", "region", "ctx", "alive",
+                 "closed", "closed_at", "evicted", "mrd", "_rid", "_chain",
+                 "_send_tail", "_cache", "_state", "_made")
 
     def __init__(self, service, session_id: str, region: str) -> None:
         self.service = service
-        self.cloud = service.cloud
         self.env = service.cloud.env
         self.session_id = session_id
         self.region = region
@@ -279,6 +325,9 @@ class FaaSKeeperClient:
         #: Virtual instant the session closed (client close or eviction) —
         #: the swarm harness derives eviction lag from it.
         self.closed_at: Optional[float] = None
+        #: True once the heartbeat evictor (not the client) closed the
+        #: session; the LOST transition is how the client learns of it.
+        self.evicted = False
         self.mrd = 0               # most-recently-delivered txid
 
         self._rid = 0
@@ -288,35 +337,35 @@ class FaaSKeeperClient:
         self._cache: Optional[ClientReadCache] = (
             ClientReadCache(config.client_cache_entries)
             if config.client_cache_enabled else None)
+        self._state = KeeperState.CONNECTED  # session lifecycle (kazoo parity)
+        self._made: Optional[Dict[str, Any]] = None  # see _MadeOnUse
 
-        # --- session lifecycle (kazoo parity) -----------------------------
-        self._state = KeeperState.CONNECTED
-        #: True once the heartbeat evictor (not the client) closed the
-        #: session; the LOST transition is how the client learns of it.
-        self.evicted = False
+    @property
+    def cloud(self):
+        return self.service.cloud
 
     # Everything below is allocated by the session's first *use* of it: a
     # session that only answers heartbeats owns none of these containers.
     #: The session's FIFO queue, made by its first queued request (or its
     #: eviction); reading it on a closed session raises ``NoSuchQueue``.
-    queue = cached_property(lambda self: self.service._open_queue(self))
+    queue = _MadeOnUse(lambda self: self.service._open_queue(self))
     #: rid -> response Event of every queued request still unanswered, in
     #: request order: what a read issued now has to wait for.
-    _pending = cached_property(lambda self: {})
-    _registered = cached_property(lambda self: {})  # watch id -> callbacks
-    _delivered = cached_property(lambda self: set())
-    _wait_events = cached_property(lambda self: {})  # watch id -> stall Event
-    _watch_ids = cached_property(lambda self: {})   # (path, type) -> wid
-    _listeners = cached_property(lambda self: [])   # state listeners
+    _pending = _MadeOnUse(lambda self: {})
+    _registered = _MadeOnUse(lambda self: {})  # watch id -> callbacks
+    _delivered = _MadeOnUse(lambda self: set())
+    _wait_events = _MadeOnUse(lambda self: {})  # watch id -> stall Event
+    _watch_ids = _MadeOnUse(lambda self: {})   # (path, type) -> wid
+    _listeners = _MadeOnUse(lambda self: [])   # state listeners
     #: rid -> txid of acked writes not yet replicated into this client's
     #: region (only where acks precede replication): reads wait on the
     #: region's visibility watermark for them.
-    _await_visible = cached_property(lambda self: {})
+    _await_visible = _MadeOnUse(lambda self: {})
     #: Retry policy for user code: every transient failure.
-    retry = cached_property(lambda self: SessionRetry(self))
+    retry = _MadeOnUse(lambda self: SessionRetry(self))
     #: Retry policy the recipe cores ride: safe to replay anything.
-    busy_retry = cached_property(lambda self: BusyRetry(self))
-    _process_name = cached_property(lambda self: f"client:{self.session_id}")
+    busy_retry = _MadeOnUse(lambda self: BusyRetry(self))
+    _process_name = _MadeOnUse(lambda self: f"client:{self.session_id}")
 
     # Kazoo-style watch decorators bound to this session:
     #     @client.DataWatch("/path")
@@ -358,10 +407,10 @@ class FaaSKeeperClient:
         if state == self._state or self._state == KeeperState.LOST:
             return
         self._state = state
-        # Read past the cached_property: a session that registered no
-        # listener must not grow a list (and un-share its instance dict)
-        # because its state flipped.
-        for listener in list(self.__dict__.get("_listeners", ())):
+        # Read past the lazy attribute: a session that registered no
+        # listener must not grow a list because its state flipped.
+        made = self._made or {}
+        for listener in list(made.get("_listeners", ())):
             try:
                 listener(state)
             except Exception:

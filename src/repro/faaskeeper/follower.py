@@ -211,6 +211,7 @@ class FollowerLogic:
         results = []
         for i, d in enumerate(req.ops):
             code = error if culprit is None or i == culprit else "rolled_back"
+            d = d if isinstance(d, dict) else {}  # a malformed member
             results.append({"ok": False, "op": d.get("op"),
                             "path": d.get("path"), "error": code})
         yield from self.service.notify_response(
@@ -233,13 +234,16 @@ class FollowerLogic:
         (Z1 for the whole envelope).
         """
         env = fctx.env
-        try:
-            ops = [operation_from_dict(d) for d in req.ops]
-        except BadArgumentsError:
-            ops = []
-        if not ops:
+        if not req.ops:
             yield from self._fail(req, "bad_arguments")
             return None
+        ops = []
+        for i, d in enumerate(req.ops):
+            try:
+                ops.append(operation_from_dict(d))
+            except BadArgumentsError:
+                yield from self._fail(req, "bad_arguments", culprit=i)
+                return None
 
         # ➀ lock every touched node (parents too for create/delete); a
         # sequential create's unsuffixed prefix is no node: staging never

@@ -197,6 +197,59 @@ def test_stream_trigger_delivers_table_changes(cloud, ctx):
     assert seen == [("a", {"v": 1}), ("a", {"v": 2})]
 
 
+def test_standard_queue_redelivers_every_message_of_a_failed_batch(cloud, ctx):
+    """At-least-once: a batch whose handler asks for redelivery is requeued
+    whole, so each of its messages is delivered again."""
+    from repro.cloud.errors import Redeliver
+
+    batches = []
+
+    def handler(fctx, batch):
+        yield fctx.env.timeout(1)
+        batches.append(list(batch))
+        if len(batches) == 1:
+            raise Redeliver("the first batch fails once")
+        return None
+
+    q = cloud.standard_queue("q", concurrency=1)
+    fn = cloud.deploy_function("h", handler)
+    q.attach(fn)
+    for i in range(30):
+        q.send_nowait(ctx, i)
+    cloud.run(until=60_000)
+    failed, later = batches[0], [m for batch in batches[1:] for m in batch]
+    assert len(failed) > 1
+    assert sorted(later) == list(range(30))  # the failed ones among them
+    assert q.delivered == 30
+
+
+def test_stream_redelivers_a_failed_batch_in_order_ahead_of_newer_records(cloud, ctx):
+    """A stream shard is strictly ordered: a batch whose handler asks for
+    redelivery comes back whole, in its original order, before the records
+    that arrived while it failed."""
+    from repro.cloud.errors import Redeliver
+
+    kv = cloud.kv()
+    table = kv.create_table("t")
+    batches = []
+
+    def handler(fctx, records):
+        batches.append([r.key for r in records])
+        if len(batches) == 1:
+            for key in ("n1", "n2"):  # newer records, queued behind the batch
+                yield from kv.put_item(ctx, "t", key, {"v": 1})
+            raise Redeliver("the first batch fails once")
+        yield fctx.env.timeout(1)
+        return None
+
+    fn = cloud.deploy_function("h", handler)
+    cloud.stream_trigger("s", table, fn)
+
+    cloud.run_process(kv.batch_put(ctx, "t", dict.fromkeys(("k1", "k2", "k3"), {"v": 1})))
+    cloud.run(until=cloud.now + 10_000)
+    assert batches == [["k1", "k2", "k3"], ["k1", "k2", "k3", "n1", "n2"]]
+
+
 def test_stream_latency_much_higher_than_fifo(cloud, ctx):
     """Table 7a: Streams ~243 ms vs SQS FIFO ~24 ms median."""
     kv = cloud.kv()

@@ -14,8 +14,9 @@ from repro.cloud.expressions import ListAppend
 from repro.cloud.functions import FunctionContext
 from repro.faaskeeper import NoNodeError, RequestFailedError
 from repro.faaskeeper.chaos import verify_exactly_once
-from repro.faaskeeper.layout import (SYSTEM_NODES, SYSTEM_SESSIONS,
-                                     SYSTEM_STATE, epoch_key)
+from repro.faaskeeper.client import FaaSKeeperClient
+from repro.faaskeeper.layout import (OUTBOX_PUBLISHED_KEY, SYSTEM_NODES,
+                                     SYSTEM_SESSIONS, SYSTEM_STATE, epoch_key)
 from .conftest import cap_redeliveries, crash_next, make_service
 
 
@@ -318,7 +319,7 @@ def test_consistency_after_random_follower_crashes():
     assert stat.version == raw["version"]
 
 
-def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones():
+def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones(monkeypatch):
     """The fan-out dies before its second of three deliveries: the first
     is on the wire (a function that crashes cannot take back what it
     sent), the third is never sent by the dead invocation, the retried
@@ -331,10 +332,10 @@ def test_watch_fanout_crash_between_deliveries_sends_the_earlier_ones():
     for path in paths:
         c.create(path, b"")
         c.get_data(path, watch=lambda ev: fired.append(ev.path))
-    deliver = c._deliver_watch
-    c._deliver_watch = lambda wid, ev: (
+    deliver = FaaSKeeperClient._deliver_watch  # a slotted client: patch its class
+    monkeypatch.setattr(FaaSKeeperClient, "_deliver_watch", lambda self, wid, ev: (
         arrived.append((service.watch_fn.invocations, ev.path)),
-        deliver(wid, ev))
+        deliver(self, wid, ev)))
     crash_next(service.watch_fn, "before:notify#2")
 
     txn = c.transaction()
@@ -517,6 +518,94 @@ def test_the_audit_reads_every_system_node():
     violations = verify_exactly_once(service, {"/a": b"x"})
     assert "/: pending transactions not drained: [99]" in violations
     assert any(v.startswith("/b: lock left behind") for v in violations)
+
+
+# Each audit kind, fired on purpose: a drained deployment (distributor,
+# commit log and outbox on) is corrupted by hand, and the audit must say
+# exactly what broke.  ``acked`` is the write history the audit checks
+# against; each case returns it and the violations it expects.
+def _pending_txid(service, acked):
+    cloud, nodes = service.cloud, service.system_store.inner
+    cloud.run_process(nodes.update_item(service.system_ctx, SYSTEM_NODES, "/a",
+                                        [ListAppend("transactions", [99])]))
+    return acked, ["/a: pending transactions not drained: [99]"]
+
+
+def _live_lock(service, acked):
+    service.cloud.run_process(service.node_lock.acquire(service.system_ctx, "/a"))
+    lock = service.system_store.table(SYSTEM_NODES).raw("/a")["lock"]
+    return acked, [f"/a: lock left behind: {lock}"]
+
+
+def _replica_lost(service, acked):
+    region = service.config.primary_region
+    service.cloud.run_process(service.user_store.inner.delete_node(
+        service.region_ctx(region), region, "/a"))
+    return acked, [f"/a@{region}: acked write lost"]
+
+
+def _data_mismatch(service, acked):
+    region = service.config.primary_region
+    image = dict(service.user_store.peek(region, "/a"), data=b"z")
+    service.cloud.run_process(service.user_store.inner.write_node(
+        service.region_ctx(region), region, "/a", image))
+    return acked, [f"/a@{region}: data mismatch (got b'z', want b'y')"]
+
+
+def _txid_not_visible(service, acked):
+    # An ack the pipeline never replicated: no region's watermark covers
+    # it, and no sink was sent its event either.
+    ghost = max(txid for txid, _path in acked) + 1
+    mark = service.system_store.table(SYSTEM_STATE).raw(OUTBOX_PUBLISHED_KEY)["txid"]
+    return acked + [(ghost, "/a")], [
+        f"txid {ghost} acked but not visible in {service.config.primary_region}",
+        f"outbox[inproc]: acked txid {ghost} on /a neither delivered nor "
+        f"dead-lettered (watermark {mark})"]
+
+
+def _event_missing(service, acked):
+    sink = service.outbox.sink(0)
+    txid = acked[-1][0]
+    sink.delivered = [ev for ev in sink.delivered if ev["txid"] != txid]
+    mark = service.system_store.table(SYSTEM_STATE).raw(OUTBOX_PUBLISHED_KEY)["txid"]
+    return acked, [f"outbox[inproc]: acked txid {txid} on /a neither "
+                   f"delivered nor dead-lettered (watermark {mark})"]
+
+
+def _events_out_of_order(service, acked):
+    delivered = service.outbox.sink(0).delivered
+    (first, second) = [i for i, ev in enumerate(delivered)
+                       if ev["txid"] in {txid for txid, _p in acked}]
+    delivered[first], delivered[second] = delivered[second], delivered[first]
+    return acked, [f"outbox[inproc]: /a delivered txid {acked[0][0]} after "
+                   f"{acked[1][0]}"]
+
+
+def _event_changed_on_redelivery(service, acked):
+    delivered = service.outbox.sink(0).delivered
+    txid = acked[-1][0]
+    event = next(ev for ev in delivered if ev["txid"] == txid)
+    delivered.append(dict(event, op="delete"))
+    session = event["session"]
+    return acked, [f"outbox[inproc]: redelivery of txid {txid} on /a changed "
+                   f"payload ('set_data', {session!r}) -> ('delete', {session!r})"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _pending_txid, _live_lock, _replica_lost, _data_mismatch,
+    _txid_not_visible, _event_missing, _events_out_of_order,
+    _event_changed_on_redelivery], ids=lambda corrupt: corrupt.__name__[1:])
+def test_the_audit_reports_each_kind_of_violation(corrupt):
+    cloud, service = make_service(seed=7, user_store="mem",
+                                  distributor_enabled=True,
+                                  commit_log_enabled=True, outbox_enabled=True)
+    c = service.connect()
+    c.create("/a", b"")
+    acked = [(c.set_data("/a", data).txid, "/a") for data in (b"x", b"y")]
+    cloud.run(until=cloud.now + 10_000)  # quiesce: pops, fan-out, publish
+    assert verify_exactly_once(service, {"/a": b"y"}, acked) == []
+    acked, expected = corrupt(service, acked)
+    assert sorted(verify_exactly_once(service, {"/a": b"y"}, acked)) == sorted(expected)
 
 
 def test_a_bug_in_a_handler_escapes_the_run_instead_of_being_redelivered(

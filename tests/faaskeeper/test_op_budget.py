@@ -332,9 +332,9 @@ def test_a_completed_read_keeps_this_many_blocks():
             futures[-1].wait()
         return futures
 
-    _size, blocks, _objects = bytes_and_blocks_per(
-        500, read, "completed read, handle kept")
-    assert blocks <= READ_BLOCKS
+    footprint = bytes_and_blocks_per(500, read, "completed read, handle kept")
+    assert footprint.blocks <= READ_BLOCKS, \
+        f"largest sites per read: {footprint.top()}"
 
 
 def test_a_watch_join_sizes_only_the_session_it_adds(monkeypatch):

@@ -18,23 +18,31 @@ from pathlib import Path
 import pytest
 
 from repro.cloud.queues import FifoQueue
+from repro.cloud.sanitize import SanitizerError
 from repro.faaskeeper.client import FaaSKeeperClient
+from repro.faaskeeper.layout import SYSTEM_SESSIONS
 from repro.faaskeeper.model import KeeperState
 from ..helpers.footprint import bytes_and_blocks_per
 from .conftest import make_service
 
-#: Budget for one registered, idle session (its client, its table entry and
-#: the dict entries that index them; no queue, and no record of its own: the
-#: sessions of one registration batch share one frozen record image).  On
-#: CPython 3.11 it reads 425 B, 4.2 blocks and 2.1 GC-tracked objects (3.10:
-#: 522 B / 5.2 / 3.1, the most; 3.12: 409 B).  A private record per session
-#: read 656 B / 7.1 / 4 on 3.11, the seed of this test 7 756 B / 48 blocks,
-#: and a session with its queue made at connect 1 132 B / 12.1 blocks / 7
-#: objects.  GC-tracked objects are what every full collection walks, once
-#: per session.
-IDLE_SESSION_BYTES = 600
-IDLE_SESSION_BLOCKS = 6
-IDLE_SESSION_OBJECTS = 4
+#: Budget for one registered, idle session: its slotted client, its name,
+#: and the dict entries that index them; no queue, no dict of containers
+#: made on use, and no record of its own (the sessions of one registration
+#: batch share one frozen record).  On CPython 3.11 it reads 290 B, 2.2
+#: blocks and 1.1 GC-tracked objects: 160 B of client, 53 B of name, 26 B
+#: in each of the service's registry and the session table — in any test
+#: order, since the client has no instance dict whose values CPython
+#: pre-sizes by the attribute names earlier sessions stored (330-370 B in
+#: tier-1 order with a ``__dict__`` slot).  A client with an instance dict
+#: and a record wrapper per key read 425 B / 4.2 / 2.1 on 3.11 (3.10: 522
+#: B / 5.2 / 3.1; 3.12: 409 B), a private record image per session 656 B /
+#: 7.1 / 4, the seed of this test 7 756 B / 48 blocks, and a session with
+#: its queue made at connect 1 132 B / 12.1 blocks / 7 objects.
+#: GC-tracked objects are what every full collection walks, once per
+#: session.
+IDLE_SESSION_BYTES = 320
+IDLE_SESSION_BLOCKS = 4
+IDLE_SESSION_OBJECTS = 2
 
 
 #: Every package a simulation may import; the import-floor probe loads them
@@ -63,6 +71,11 @@ print(json.dumps({{"crypto": crypto, "peak_kb": peak_kb}}))
 """
 
 
+def _made(client):
+    """What ``client`` made on use (its containers and queue), by name."""
+    return client._made or {}
+
+
 def _session_queues(cloud):
     return [name for name in cloud._queues if name.startswith("fk-session-")]
 
@@ -72,16 +85,63 @@ def _session_queues(cloud):
 def test_idle_session_fits_the_budget():
     cloud, service = make_service(seed=7, user_store="mem",
                                   session_plane_shards=8)
-    size, blocks, objects = bytes_and_blocks_per(2000, service.connect_many)
-    assert size <= IDLE_SESSION_BYTES
-    assert blocks <= IDLE_SESSION_BLOCKS
-    assert objects <= IDLE_SESSION_OBJECTS
-    # and the reason: no queue, no containers (reading ``client.queue``
-    # would make the queue, so the probe looks at the instance dict)
-    client = service.clients["s1"]
-    assert not {"queue", "_pending", "_registered", "_delivered",
-                "_listeners", "retry", "busy_retry"} & set(vars(client))
+    footprint = bytes_and_blocks_per(2000, service.connect_many)
+    sites = f"largest sites per session: {footprint.top()}"
+    assert footprint.size <= IDLE_SESSION_BYTES, sites
+    assert footprint.blocks <= IDLE_SESSION_BLOCKS, sites
+    assert footprint.objects <= IDLE_SESSION_OBJECTS, sites
+    # and the reason: no queue, no containers, not even the dict that
+    # would keep them (reading ``client.queue`` would make the queue, so
+    # the probe looks at the dict)
+    assert all(client._made is None for client in service.clients.values())
     assert _session_queues(cloud) == []
+
+
+def test_a_session_record_is_its_batch_mates_until_it_writes():
+    """The sessions of one registration batch share one stored record; a
+    session's first write, and an ephemeral create, each install a record
+    of that session's own (copy on write), and its batch-mates go on
+    reading the shared one."""
+    _cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(4)
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    shared = table._items[fleet[0].session_id]
+    assert all(table._items[c.session_id] is shared for c in fleet)
+    writer, owner = fleet[1], fleet[2]
+    writer.create("/a", b"x")
+    written = table._items[writer.session_id]
+    assert written is not shared and written.previous is shared.value
+    assert written.value["last_rid"] == 1 and written.value["ephemeral"] == []
+    owner.create("/e", b"", ephemeral=True)
+    created = table._items[owner.session_id]
+    assert created is not shared and created.previous is shared.value
+    assert created.value["ephemeral"] == ["/e"]
+    owner.set_data("/e", b"y")
+    assert table._items[owner.session_id].previous is created.value
+    for mate in (fleet[0], fleet[3]):
+        assert table._items[mate.session_id] is shared
+    assert shared.value == {"ephemeral": [], "region": writer.region,
+                            "last_rid": 0}
+    assert shared.previous is None
+
+
+def test_a_mutated_shared_record_is_reported_through_every_sharing_key(
+        monkeypatch):
+    """Under ``FK_SANITIZE=1`` a batch's shared record keeps one snapshot:
+    mutating the image in place is reported by the next handout of any
+    session that shares it, named by that session's key."""
+    monkeypatch.setenv("FK_SANITIZE", "1")
+    cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(4)
+    store, ctx = service.system_store, service.system_ctx
+    table = store.table(SYSTEM_SESSIONS)
+    table.raw(fleet[0].session_id)["last_rid"] = 9  # breaks the image discipline
+    for client in fleet:
+        with pytest.raises(SanitizerError,
+                           match=f"{SYSTEM_SESSIONS}/{client.session_id} was "
+                                 f"mutated in place"):
+            cloud.run_process(store.get_item(ctx, SYSTEM_SESSIONS,
+                                             client.session_id))
 
 
 def test_a_session_queue_is_made_by_its_first_request():
@@ -94,7 +154,7 @@ def test_a_session_queue_is_made_by_its_first_request():
     assert _session_queues(cloud) == [f"fk-session-{writer.session_id}"]
     assert service._session_queues == {writer.session_id: writer.queue}
     assert writer.queue.sent == 1
-    assert not any("queue" in vars(c) for c in fleet if c is not writer)
+    assert not any("queue" in _made(c) for c in fleet if c is not writer)
 
 
 def _left_nothing_behind(cloud, service, client):
@@ -113,10 +173,10 @@ def test_a_never_used_session_is_evicted_and_leaves_nothing():
     assert ghost.closed and ghost.evicted
     # the eviction made the queue, sent the close into it, and the close
     # deleted it again
-    queue = vars(ghost)["queue"]
+    queue = _made(ghost)["queue"]
     assert queue.sent == 1 and queue._buffer is None
     _left_nothing_behind(cloud, service, ghost)
-    assert "queue" not in vars(keeper) and not keeper.closed
+    assert "queue" not in _made(keeper) and not keeper.closed
 
 
 def test_a_never_used_session_closes_and_leaves_nothing():
@@ -127,7 +187,7 @@ def test_a_never_used_session_closes_and_leaves_nothing():
     assert idle.closed and not idle.evicted
     _left_nothing_behind(cloud, service, idle)
     assert service._session_queues == {}
-    assert "queue" not in vars(keeper)
+    assert "queue" not in _made(keeper)
 
 
 def test_state_flip_allocates_nothing_on_a_listenerless_session():
@@ -143,7 +203,7 @@ def test_state_flip_allocates_nothing_on_a_listenerless_session():
     for client in fleet:
         client._transition(KeeperState.CONNECTED)
     assert seen == [KeeperState.SUSPENDED, KeeperState.CONNECTED]
-    assert not any("_listeners" in vars(c) for c in fleet[1:])
+    assert not any("_listeners" in _made(c) for c in fleet[1:])
 
 
 def _live(kind) -> int:

@@ -354,7 +354,7 @@ def test_a_request_overtaken_by_the_close_makes_no_queue(cloud, service):
     service.on_session_closed(c.session_id, evicted=True)
     with pytest.raises(SessionClosedError):
         first.wait()
-    assert "queue" not in vars(c)
+    assert "queue" not in (c._made or {})
     assert f"fk-session-{c.session_id}" not in cloud._queues
     assert c.session_id not in service._session_queues
 

@@ -195,3 +195,45 @@ def test_node_size_bound_applies_to_every_data_carrying_op(op, as_multi):
     assert read.wait()[0] == b""
     assert c.exists("/big") is None
     assert c.get_data("/small")[0] == b"after"
+
+
+# ------------------------------------------------------------ malformed envelopes
+def send_raw(client, ops):
+    """Queue a write envelope of raw member dicts, as a client with its own
+    wire code could (no client-side validation); returns its response."""
+    rid = client._next_rid()
+    response = client._pending[rid] = client.env.event()
+    body = {"session": client.session_id, "rid": rid, "op": "write", "ops": ops}
+    client.cloud.run_process(client.queue.send(client.ctx, body, size_kb=1.0))
+    return client.cloud.env.run(until=response)
+
+
+SET_A = SetDataOp("/a", b"v").to_dict()
+
+
+@pytest.mark.parametrize("ops, culprit", [
+    ([SET_A, {"op": "rename", "path": "/b"}], 1),
+    (["not a member", SET_A], 0),
+    ([SET_A, dict(SET_A, colour="red")], 1),
+    ([SET_A, CreateOp("/", b"").to_dict()], 1),
+], ids=["unknown_op", "not_a_dict", "unknown_field", "create_root"])
+def test_a_malformed_member_fails_its_envelope_alone(ops, culprit):
+    """The follower answers ``bad_arguments`` for the culprit member and
+    ``rolled_back`` for the others, before it locks or commits anything,
+    and the session's next request succeeds."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    leader_runs = service.leader_fns[0].invocations
+    response = send_raw(c, ops)
+    assert not response.ok and response.error == "bad_arguments"
+    assert [r["error"] for r in response.results] == [
+        "bad_arguments" if i == culprit else "rolled_back" for i in range(len(ops))]
+    assert service.leader_fns[0].invocations == leader_runs  # nothing pushed
+    nodes = service.system_store.table(SYSTEM_NODES)
+    for path in nodes.keys():
+        item = nodes.raw(path)
+        assert "lock" not in item and not item.get("transactions")
+    assert nodes.raw("/a")["version"] == 0
+    assert c.set_data("/a", b"after").version == 1
+    assert c.get_data("/a")[0] == b"after"
