@@ -145,8 +145,27 @@ class FollowerLogic:
     def handler(self, fctx, batch: List[Dict[str, Any]]) -> Generator:
         """Entry point for the queue trigger: a batch of request dicts."""
         for raw in batch:
-            req = Request(**{k: v for k, v in raw.items() if not k.startswith("_")})
+            body = ({k: v for k, v in raw.items() if not k.startswith("_")}
+                    if isinstance(raw, dict) else {})
+            try:
+                req = Request(**body)
+            except TypeError:  # an unknown key, or no ``op``
+                req = None
+            if req is None or not isinstance(req.ops, list):
+                yield from self._refuse(body)
+                continue
             yield from self.process(fctx, req, redelivered=raw.get("_redelivered", False))
+        return None
+
+    def _refuse(self, body: Dict[str, Any]) -> Generator:
+        """A malformed envelope is answered ``bad_arguments``, every member
+        rolled back, before anything is locked; one that does not name its
+        session and rid is dropped, as there is no one to answer."""
+        session, rid, ops = body.get("session"), body.get("rid"), body.get("ops")
+        if isinstance(session, str) and isinstance(rid, int):
+            req = Request(session=session, rid=rid, op="write",
+                          ops=ops if isinstance(ops, list) else [])
+            yield from self._fail(req, "bad_arguments", culprit=-1)
         return None
 
     def process(self, fctx, req: Request, redelivered: bool = False) -> Generator:
@@ -206,8 +225,9 @@ class FollowerLogic:
     def _fail(self, req: Request, error: str,
               culprit: Optional[int] = None) -> Generator:
         """All-or-nothing rejection: per-op typed outcomes, nothing commits.
-        ``culprit`` is the failing op's index (None = envelope-wide error);
-        the other members report ``rolled_back``."""
+        ``culprit`` is the failing op's index (None = envelope-wide error,
+        every member carries it; -1 = a malformed envelope, no member is
+        at fault); the other members report ``rolled_back``."""
         results = []
         for i, d in enumerate(req.ops):
             code = error if culprit is None or i == culprit else "rolled_back"

@@ -12,12 +12,15 @@
   chaos harness's arming, the function side of the cost categories —
   reads that list (the README's "Architecture" table is its rendering).
 
-``connect()`` returns a :class:`~repro.faaskeeper.client.FaaSKeeperClient`.
+``connect()`` returns a :class:`~repro.faaskeeper.client.FaaSKeeperClient`;
+``connect_many(n)`` returns :class:`SessionHandles`, whose element makes its
+session's client when it is first read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
@@ -61,7 +64,7 @@ from .snapshot import SnapshotManager
 from .watch_fn import WatchFanoutLogic
 from .watches import EpochLedger, WatchRegistry
 
-__all__ = ["FaaSKeeperService", "Stage", "STAGE_KINDS"]
+__all__ = ["FaaSKeeperService", "SessionHandles", "Stage", "STAGE_KINDS"]
 
 #: Stage kinds, in ``cost_breakdown()``'s key order.  A kind is the unit of
 #: cost attribution (one ``fk_cost_dollars`` category, summed over the
@@ -91,6 +94,43 @@ class Stage:
     fn: Any
     queue: Any = None
     task: Any = None
+
+
+class SessionHandles(Sequence):
+    """What :meth:`FaaSKeeperService.connect_many` returns: one read-only
+    element per registered session, in registration order.
+
+    An element holds its session's name until it is first read.  That read
+    makes the session's :class:`~repro.faaskeeper.client.FaaSKeeperClient`
+    and keeps it in the element's place, so the same handle comes back for
+    the rest of the run, also after a close has dropped it from
+    ``service.clients``.  Iterating, unpacking or ``list()`` reads (and so
+    makes) every handle; a harness that drives a few sessions of many
+    indexes those few.
+    """
+
+    __slots__ = ("_service", "_region", "_slots")
+
+    def __init__(self, service: "FaaSKeeperService", region: str,
+                 names: List[str]) -> None:
+        self._service = service
+        self._region = region
+        self._slots: List[Any] = names  # a name until taken, then its client
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._slots)))]
+        handle = self._slots[index]
+        if handle.__class__ is not str:
+            return handle
+        # Free on the virtual clock: making a client draws no RNG and
+        # schedules nothing.
+        client = FaaSKeeperClient(self._service, handle, self._region)
+        self._slots[index] = self._service.clients[handle] = client
+        return client
 
 
 class FaaSKeeperService:
@@ -139,9 +179,12 @@ class FaaSKeeperService:
 
         # --- sessions ----------------------------------------------------------
         self._session_ids = itertools.count(1)
-        self.clients: Dict[str, FaaSKeeperClient] = {}
-        #: Clients in ``self.clients`` not yet closed: +1 where one is
-        #: inserted, -1 on its first ``_mark_closed``.
+        #: Session id -> its client; None until a caller takes the handle
+        #: (:class:`SessionHandles`).  A None entry is an open, alive,
+        #: CONNECTED session that is owed nothing.
+        self.clients: Dict[str, Optional[FaaSKeeperClient]] = {}
+        #: Sessions in ``self.clients`` not yet closed: +1 where one is
+        #: registered, -1 on its client's first ``_mark_closed``.
         self._live_sessions = 0
         self._session_queues: Dict[str, Any] = {}
 
@@ -199,6 +242,10 @@ class FaaSKeeperService:
         # function + queue per region.
         self.distribution: Optional[DistributionStage] = (
             DistributionStage(self) if config.distributor_enabled else None)
+        #: Per-region replication visibility (None without the distributor:
+        #: the leader's inline replication makes acked writes visible).
+        self.visibility_board = (self.distribution.visibility
+                                 if self.distribution else None)
 
         # Durability: commit log + fuzzy snapshots (opt-in).  Gated on
         # commit_log_enabled so the default deployments keep their
@@ -307,12 +354,6 @@ class FaaSKeeperService:
                                          for i in self.storage_injectors)))
         return injectors
 
-    @property
-    def visibility_board(self):
-        """Per-region replication visibility (None without the distributor:
-        the leader's inline replication makes acked writes visible)."""
-        return self.distribution.visibility if self.distribution else None
-
     # ------------------------------------------------------------ routing
     def shard_of(self, path: str) -> int:
         """Leader shard owning ``path`` (hash of the top-level component)."""
@@ -361,12 +402,15 @@ class FaaSKeeperService:
         return self.connect_many(1, region)[0]
 
     def connect_many(self, count: int, region: Optional[str] = None,
-                     batch_size: int = 25) -> List[FaaSKeeperClient]:
+                     batch_size: int = 25) -> Sequence[FaaSKeeperClient]:
         """Open ``count`` sessions: the one registration path.
 
-        Each session gets a client; its own FIFO queue (feeding the
-        follower) comes later, from :meth:`_open_queue`, when the session
-        first needs one.  The session records land in ``BatchWriteItem``
+        Registration stores names and session records only.  The returned
+        :class:`SessionHandles` makes a session's client when its element
+        is first read, so a session nobody takes costs its name and its
+        record; its own FIFO queue (feeding the follower) comes later
+        still, from :meth:`_open_queue`, when the session first needs one.
+        The session records land in ``BatchWriteItem``
         chunks of ``batch_size`` — one round trip per chunk instead of one
         per session, the difference between registering 100k sessions in
         seconds versus minutes of virtual time.  The first session of an
@@ -394,9 +438,9 @@ class FaaSKeeperService:
 
     def _register_sessions(self, count: int, region: Optional[str],
                            batch_size: int) -> tuple:
-        """Make ``count`` clients and start their session-record writes;
-        returns the clients and the event of every write landing (None
-        when there is nothing to register)."""
+        """Name ``count`` sessions and start their session-record writes;
+        returns their :class:`SessionHandles` and the event of every write
+        landing (None when there is nothing to register)."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if count <= 0:
@@ -405,28 +449,27 @@ class FaaSKeeperService:
         ctx = self.region_ctx(region)
         env = self.cloud.env
         was_idle = self.active_sessions == 0
-        clients: List[FaaSKeeperClient] = []
+        names: List[str] = []
         pending: Dict[str, Dict[str, Any]] = {}
         writes = []
         # One record for all: each batch stores one image, copied on write.
         record = {"ephemeral": [], "region": region, "last_rid": 0}
-        while len(clients) < count:
+        while len(names) < count:
             session_id = f"s{next(self._session_ids)}"
             pending[session_id] = record
-            client = FaaSKeeperClient(self, session_id, region)
-            self.clients[session_id] = client
-            self._live_sessions += 1
-            clients.append(client)
-            if len(pending) >= batch_size or len(clients) == count:
+            self.clients[session_id] = None  # no handle until one is taken
+            names.append(session_id)
+            if len(pending) >= batch_size or len(names) == count:
                 writes.append(env.process(
                     self.system_store.batch_put(ctx, SYSTEM_SESSIONS, pending),
                     name="connect-many"))
                 pending = {}
+        self._live_sessions += count
         if was_idle:
             for stage in self.stages:
                 if stage.task is not None:
                     stage.task.start()
-        return clients, AllOf(env, writes)
+        return SessionHandles(self, region, names), AllOf(env, writes)
 
     def _open_queue(self, client: FaaSKeeperClient):
         """Make ``client``'s session queue, feeding the follower: read once,
@@ -528,9 +571,12 @@ class FaaSKeeperService:
         return self.cloud.profile.tcp_reply.sample(self._tcp, 0.0)
 
     def heartbeat_answered(self, session_id: str) -> bool:
-        """At reply time: True when the client answered the ping."""
+        """At reply time: True when the client answered the ping.  A
+        session whose handle nobody took is alive and CONNECTED."""
         client = self.clients.get(session_id)
-        if client is None or client.closed:
+        if client is None:
+            return session_id in self.clients  # untaken, or gone
+        if client.closed:
             return False
         if client.alive:
             if client._state is not KeeperState.CONNECTED:
@@ -626,8 +672,8 @@ class FaaSKeeperService:
         cache (all zero when ``client_cache_entries`` is 0, the default)."""
         totals = dict.fromkeys(self._CACHE_STATS, 0.0)
         for client in self.clients.values():
-            if client._cache is None:
-                continue
+            if client is None or client._cache is None:
+                continue  # untaken, or cache off
             for key, value in client._cache.stats().items():
                 totals[key] += value
         return totals

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from ..sim.kernel import AllOf
 from ..sim.rng import percentile
@@ -106,14 +106,19 @@ class SessionSwarm:
 
     Construct with a fresh deployment (no sessions yet), call :meth:`run`
     once; the report dict carries the four metric families plus raw
-    bookkeeping the benchmarks and tests assert on.
+    bookkeeping the benchmarks and tests assert on.  Registration keeps
+    each wave as ``connect_many`` returned it, and only the cohorts take
+    their client handles: the passive remainder stays a name and a
+    session record, answering heartbeats without a client.
     """
 
     def __init__(self, cloud, service, spec: SwarmSpec) -> None:
         self.cloud = cloud
         self.service = service
         self.spec = spec
-        self.clients: List[Any] = []
+        #: The registration waves, each a ``connect_many`` result of
+        #: ``spec.registration_wave`` sessions (the last may be shorter).
+        self.waves: List[Sequence[Any]] = []
         # Sample sinks (virtual-clock milliseconds).
         self.watch_fanout_ms: List[float] = []
         self.eviction_lag_ms: List[float] = []
@@ -121,6 +126,11 @@ class SessionSwarm:
         self._silenced: List[Any] = []  # (client, virtual instant)
         self._lock_grants = 0
         self._writer_ops_done = 0
+
+    @property
+    def registered(self) -> int:
+        """Sessions registered by :meth:`_register`."""
+        return sum(len(wave) for wave in self.waves)
 
     # ------------------------------------------------------------ phases
     def _register(self) -> None:
@@ -131,7 +141,7 @@ class SessionSwarm:
         while remaining > 0:
             wave = min(spec.registration_wave, remaining)
             t0 = env.now
-            self.clients.extend(self.service.connect_many(
+            self.waves.append(self.service.connect_many(
                 wave, batch_size=spec.registration_batch))
             elapsed_ms = env.now - t0
             if elapsed_ms > 0:
@@ -141,13 +151,14 @@ class SessionSwarm:
     def _pick_cohorts(self) -> Dict[str, List[Any]]:
         """Disjoint cohort assignment, seeded — replayable per spec."""
         spec = self.spec
-        order = list(range(len(self.clients)))
+        waves, size = self.waves, spec.registration_wave
+        order = list(range(self.registered))
         random.Random(spec.seed).shuffle(order)
         cursor = 0
 
         def take(n: int) -> List[Any]:
             nonlocal cursor
-            out = [self.clients[i] for i in order[cursor:cursor + n]]
+            out = [waves[i // size][i % size] for i in order[cursor:cursor + n]]
             cursor += n
             return out
 
@@ -305,7 +316,7 @@ class SessionSwarm:
         return {
             "spec": asdict(spec),
             "session_plane_shards": config.session_plane_shards,
-            "sessions_registered": len(self.clients) + spec.watch_paths,
+            "sessions_registered": self.registered + spec.watch_paths,
             "live_after_registration": live_after_registration,
             "live_at_end": self.service.active_sessions,
             "sweeps": len(sweep_ms),

@@ -25,24 +25,32 @@ from repro.faaskeeper.model import KeeperState
 from ..helpers.footprint import bytes_and_blocks_per
 from .conftest import make_service
 
-#: Budget for one registered, idle session: its slotted client, its name,
-#: and the dict entries that index them; no queue, no dict of containers
-#: made on use, and no record of its own (the sessions of one registration
-#: batch share one frozen record).  On CPython 3.11 it reads 290 B, 2.2
-#: blocks and 1.1 GC-tracked objects: 160 B of client, 53 B of name, 26 B
-#: in each of the service's registry and the session table — in any test
-#: order, since the client has no instance dict whose values CPython
-#: pre-sizes by the attribute names earlier sessions stored (330-370 B in
-#: tier-1 order with a ``__dict__`` slot).  A client with an instance dict
-#: and a record wrapper per key read 425 B / 4.2 / 2.1 on 3.11 (3.10: 522
-#: B / 5.2 / 3.1; 3.12: 409 B), a private record image per session 656 B /
-#: 7.1 / 4, the seed of this test 7 756 B / 48 blocks, and a session with
-#: its queue made at connect 1 132 B / 12.1 blocks / 7 objects.
-#: GC-tracked objects are what every full collection walks, once per
-#: session.
-IDLE_SESSION_BYTES = 320
-IDLE_SESSION_BLOCKS = 4
-IDLE_SESSION_OBJECTS = 2
+#: Budget for one registered, idle session nobody took a handle of: its
+#: name and the dict entries that index it (the service's registry, the
+#: session table), and one slot of the sequence ``connect_many`` returns;
+#: no client, no queue, and no record of its own (the sessions of one
+#: registration batch share one frozen record).  On CPython 3.11 it reads
+#: 130 B, 1.2 blocks and 0.1 GC-tracked objects.  With a client made at
+#: registration it read 290 B / 2.2 / 1.1 (that handle is now
+#: ``IDLE_HANDLE_*``); with an instance dict and a record wrapper per key
+#: 425 B / 4.2 / 2.1 on 3.11 (3.10: 522 B / 5.2 / 3.1; 3.12: 409 B), a
+#: private record image per session 656 B / 7.1 / 4, the seed of this test
+#: 7 756 B / 48 blocks, and a session with its queue made at connect
+#: 1 132 B / 12.1 blocks / 7 objects.  GC-tracked objects are what every
+#: full collection walks, once per session.
+IDLE_SESSION_BYTES = 160
+IDLE_SESSION_BLOCKS = 2
+IDLE_SESSION_OBJECTS = 1
+#: Budget for the same session once a caller has taken its handle: the
+#: slotted client too.  On CPython 3.11 it reads 290 B, 2.2 blocks and 1.1
+#: objects (160 B of client) in any test order, since the client has no
+#: instance dict whose values CPython pre-sizes by the attribute names
+#: earlier sessions stored (330-370 B in tier-1 order with a ``__dict__``
+#: slot).  What only some sessions need stays in ``_made``, which an idle
+#: handle does not have (``_MadeOnUse``).
+IDLE_HANDLE_BYTES = 320
+IDLE_HANDLE_BLOCKS = 4
+IDLE_HANDLE_OBJECTS = 2
 
 
 #: Every package a simulation may import; the import-floor probe loads them
@@ -90,11 +98,87 @@ def test_idle_session_fits_the_budget():
     assert footprint.size <= IDLE_SESSION_BYTES, sites
     assert footprint.blocks <= IDLE_SESSION_BLOCKS, sites
     assert footprint.objects <= IDLE_SESSION_OBJECTS, sites
-    # and the reason: no queue, no containers, not even the dict that
-    # would keep them (reading ``client.queue`` would make the queue, so
-    # the probe looks at the dict)
+    # and the reason: no handle was taken, so no client, no queue
+    assert _handles(service) == 0
+    assert set(service.clients.values()) == {None}
+    assert _session_queues(cloud) == []
+
+
+@pytest.mark.skipif(bool(os.environ.get("FK_SANITIZE")),
+                    reason="sanitizer snapshots are not the subject")
+def test_a_taken_idle_handle_fits_the_budget():
+    """A taken handle that only answers heartbeats adds its slotted
+    client, and no container made on use."""
+    cloud, service = make_service(seed=7, user_store="mem",
+                                  session_plane_shards=8)
+    footprint = bytes_and_blocks_per(
+        2000, lambda n: list(service.connect_many(n)), what="idle handle")
+    sites = f"largest sites per handle: {footprint.top()}"
+    assert footprint.size <= IDLE_HANDLE_BYTES, sites
+    assert footprint.blocks <= IDLE_HANDLE_BLOCKS, sites
+    assert footprint.objects <= IDLE_HANDLE_OBJECTS, sites
+    # and the reason: not even the dict that would keep the containers
+    # (reading ``client.queue`` would make the queue, so the probe looks
+    # at the dict)
     assert all(client._made is None for client in service.clients.values())
     assert _session_queues(cloud) == []
+
+
+def test_a_handle_is_made_by_its_first_read_only():
+    """``connect_many`` makes no client; reading an element makes that
+    session's, once: the same handle comes back on every later read, also
+    after a close has dropped it from the registry."""
+    cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(5)
+    assert len(fleet) == 5 and _handles(service) == 0
+    names = list(service.clients)
+    assert service.clients == dict.fromkeys(names)
+    third = fleet[2]
+    assert isinstance(third, FaaSKeeperClient)
+    assert third.session_id == names[2] and _handles(service) == 1
+    assert service.clients[names[2]] is third
+    assert fleet[2] is third and fleet[-3] is third
+    assert [c is None for c in service.clients.values()] == [
+        True, True, False, True, True]
+    third.close()
+    assert names[2] not in service.clients
+    assert fleet[2] is third and third.closed
+    assert fleet[1:4] == [fleet[1], third, fleet[3]]
+    assert _handles(service) == 3
+    assert service.active_sessions == 4
+    with pytest.raises(IndexError):
+        fleet[5]
+
+
+def test_an_untaken_session_answers_every_sweep():
+    """A session whose handle nobody took is open, alive and CONNECTED:
+    every sweep pings it and it answers, so it is never evicted, while a
+    taken silent batch-mate is."""
+    cloud, service = make_service(seed=7, user_store="mem")
+    fleet = service.connect_many(3)
+    silent = fleet[0]
+    silent.alive = False
+    untaken = list(service.clients)[1:]
+    answers = []
+    answered = service.heartbeat_answered
+
+    def record(sid):
+        ok = answered(sid)
+        if sid in untaken:
+            answers.append(ok)
+        return ok
+
+    service.heartbeat_answered = record
+    cloud.run(until=cloud.now + 10 * 60_000)
+    sweeps = service.metrics.get("fk_heartbeat_sweeps_total").value
+    assert sweeps >= 5 and answers == [True] * int(2 * sweeps)
+    assert silent.closed and silent.evicted
+    assert service.metrics.get("fk_heartbeat_evictions_total").value == 1
+    assert [service.clients[sid] for sid in untaken] == [None, None]
+    assert service.active_sessions == 2
+    table = service.system_store.table(SYSTEM_SESSIONS)
+    assert all(table.raw(sid) is not None for sid in untaken)
+    assert _handles(service) == 1
 
 
 def test_a_session_record_is_its_batch_mates_until_it_writes():
@@ -210,6 +294,12 @@ def _live(kind) -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is kind)
 
 
+def _handles(service) -> int:
+    """Clients of ``service`` alive anywhere, taken or dropped."""
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is FaaSKeeperClient and obj.service is service)
+
+
 def _churn(fault_rate):
     """connect 500 -> close all -> drain, five rounds, beside a resident
     fleet of 2 000 idle sessions; returns the deployment, the fleet and the
@@ -220,7 +310,7 @@ def _churn(fault_rate):
                                       session_plane_shards=8)
         if fault_rate:
             service.arm_storage_faults(fault_rate)
-        resident = service.connect_many(2000)
+        resident = list(service.connect_many(2000))  # take every handle
         after = []
         for _round in range(5):
             closing = [c.close_async() for c in service.connect_many(500)]

@@ -198,14 +198,30 @@ def test_node_size_bound_applies_to_every_data_carrying_op(op, as_multi):
 
 
 # ------------------------------------------------------------ malformed envelopes
-def send_raw(client, ops):
-    """Queue a write envelope of raw member dicts, as a client with its own
-    wire code could (no client-side validation); returns its response."""
+def send_body(client, body):
+    """Queue a raw session-queue body under the client's session and next
+    rid, as a client with its own wire code could (no client-side
+    validation); returns the event that rid is answered on."""
     rid = client._next_rid()
     response = client._pending[rid] = client.env.event()
-    body = {"session": client.session_id, "rid": rid, "op": "write", "ops": ops}
-    client.cloud.run_process(client.queue.send(client.ctx, body, size_kb=1.0))
-    return client.cloud.env.run(until=response)
+    client.cloud.run_process(client.queue.send(
+        client.ctx, dict(body, session=client.session_id, rid=rid), size_kb=1.0))
+    return response
+
+
+def send_raw(client, ops):
+    """Queue a write envelope of raw member dicts; returns its response."""
+    return client.cloud.env.run(
+        until=send_body(client, {"op": "write", "ops": ops}))
+
+
+def _nothing_locked_or_pushed(service, leader_runs):
+    assert service.leader_fns[0].invocations == leader_runs
+    nodes = service.system_store.table(SYSTEM_NODES)
+    for path in nodes.keys():
+        item = nodes.raw(path)
+        assert "lock" not in item and not item.get("transactions")
+    assert nodes.raw("/a")["version"] == 0
 
 
 SET_A = SetDataOp("/a", b"v").to_dict()
@@ -229,11 +245,50 @@ def test_a_malformed_member_fails_its_envelope_alone(ops, culprit):
     assert not response.ok and response.error == "bad_arguments"
     assert [r["error"] for r in response.results] == [
         "bad_arguments" if i == culprit else "rolled_back" for i in range(len(ops))]
-    assert service.leader_fns[0].invocations == leader_runs  # nothing pushed
-    nodes = service.system_store.table(SYSTEM_NODES)
-    for path in nodes.keys():
-        item = nodes.raw(path)
-        assert "lock" not in item and not item.get("transactions")
-    assert nodes.raw("/a")["version"] == 0
+    _nothing_locked_or_pushed(service, leader_runs)
+    assert c.set_data("/a", b"after").version == 1
+    assert c.get_data("/a")[0] == b"after"
+
+
+@pytest.mark.parametrize("body, members", [
+    ({"op": "write", "ops": [SET_A, SET_A], "colour": "red"}, 2),
+    ({"ops": [SET_A]}, 1),
+    ({}, 0),
+    ({"op": "write", "ops": 5}, 0),
+    ({"op": "write", "ops": None}, 0),
+], ids=["unknown_key", "no_op", "no_op_nor_ops", "ops_an_int", "ops_none"])
+def test_a_malformed_envelope_is_answered_bad_arguments(body, members):
+    """An envelope the follower cannot read as a request, but that names
+    its session and rid, is answered ``bad_arguments`` with every member
+    ``rolled_back``; nothing is locked or pushed, and the session's next
+    request succeeds."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    leader_runs = service.leader_fns[0].invocations
+    response = cloud.env.run(until=send_body(c, body))
+    assert not response.ok and response.error == "bad_arguments"
+    assert [r["error"] for r in response.results] == ["rolled_back"] * members
+    _nothing_locked_or_pushed(service, leader_runs)
+    assert c.set_data("/a", b"after").version == 1
+    assert c.get_data("/a")[0] == b"after"
+
+
+@pytest.mark.parametrize("body", [
+    {"op": "write", "ops": [SET_A], "colour": "red"},
+    {"session": 7, "rid": "one", "op": "write", "ops": [SET_A], "colour": "red"},
+    "not an envelope",
+], ids=["unnamed", "misnamed", "not_a_dict"])
+def test_an_unnamed_malformed_envelope_is_dropped(body):
+    """A malformed envelope that names no session and rid has no one to
+    answer: the follower drops it, the run goes on, and the session's next
+    request succeeds."""
+    cloud, service = make_service(seed=7)
+    c = service.connect()
+    c.create("/a", b"")
+    leader_runs = service.leader_fns[0].invocations
+    cloud.run_process(c.queue.send(c.ctx, body, size_kb=1.0))
+    cloud.run(until=cloud.now + 10_000)
+    _nothing_locked_or_pushed(service, leader_runs)
     assert c.set_data("/a", b"after").version == 1
     assert c.get_data("/a")[0] == b"after"
